@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race docs-check bench-hotpath bench-check profile conformance
+.PHONY: build test vet lint race fuzz-smoke bench-vet docs-check bench-hotpath bench-check profile conformance
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,17 @@ lint:
 # the full suite (a cached "ok" proves nothing about the current build).
 race:
 	$(GO) test -race -count=1 ./...
+
+# Ten seconds of native fuzzing on the data-plane header decoder (the
+# seed corpus alone already runs as part of `go test`).
+fuzz-smoke:
+	$(GO) test -run '^$$' -fuzz FuzzReadHeader -fuzztime 10s ./internal/proto
+
+# The benchmark is a nested module (bench/go.mod), so ./... above never
+# compiles it: vet and test it from inside, so an API it pins cannot
+# break unnoticed.
+bench-vet:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fail if any package under internal/ or cmd/ lacks a package comment
 # (the godoc surface ARCHITECTURE.md builds on).

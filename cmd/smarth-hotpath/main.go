@@ -218,9 +218,8 @@ func benches(fileBytes int64) []struct {
 			hotbench.LiveRead(b, client.ReadOptions{DisablePrefetch: true, HedgeAfter: -1}, fileBytes)
 		}, ""},
 		{n("RawCopy%dMB/TCP"), func(b *testing.B) { hotbench.RawCopyTCP(b, fileBytes) }, "6x"},
-		{n("LiveWrite%dMB/SMARTH-TCP"), func(b *testing.B) { hotbench.LiveWriteTCP(b, proto.ModeSmarth, fileBytes, 1, 1) }, "6x"},
-		{n("LiveWrite%dMB/SMARTH-TCP-S4"), func(b *testing.B) { hotbench.LiveWriteTCP(b, proto.ModeSmarth, fileBytes, 1, 4) }, "6x"},
-		{n("LiveWrite%dMB/SMARTH-TCP-R3"), func(b *testing.B) { hotbench.LiveWriteTCP(b, proto.ModeSmarth, fileBytes, 3, 1) }, "6x"},
+		{n("LiveWrite%dMB/SMARTH-TCP"), func(b *testing.B) { hotbench.LiveWriteTCP(b, proto.ModeSmarth, fileBytes, 1) }, "6x"},
+		{n("LiveWrite%dMB/SMARTH-TCP-R3"), func(b *testing.B) { hotbench.LiveWriteTCP(b, proto.ModeSmarth, fileBytes, 3) }, "6x"},
 		{n("LiveRead%dMB/SMARTH-TCP"), func(b *testing.B) { hotbench.LiveReadTCP(b, client.ReadOptions{}, fileBytes) }, ""},
 		{"CtrlPlane64W/batch", func(b *testing.B) { hotbench.ControlPlane(b, true) }, "3x"},
 		{"CtrlPlane64W/nobatch", func(b *testing.B) { hotbench.ControlPlane(b, false) }, "3x"},

@@ -30,8 +30,6 @@ func main() {
 	mode := flag.String("mode", "smarth", "write protocol: hdfs | smarth")
 	replication := flag.Int("replication", 3, "replication factor")
 	blockSize := flag.Int64("block", 64<<20, "block size in bytes")
-	stripes := flag.Int("stripes", 1,
-		fmt.Sprintf("conns per pipeline hop (1-%d); >1 stripes packets across them", proto.MaxStripes))
 	pol := flag.String("policy", "",
 		fmt.Sprintf("write policy %v; empty = default", policy.Names()))
 	verify := flag.Bool("verify", false, "read the file back and check its digest")
@@ -76,7 +74,6 @@ func main() {
 		opts := client.WriteOptions{
 			Replication: *replication,
 			BlockSize:   *blockSize,
-			Stripes:     *stripes,
 			Policy:      *pol,
 			Overwrite:   true,
 		}

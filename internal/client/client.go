@@ -118,32 +118,17 @@ type WriteOptions struct {
 	// SpeedOverride replaces measured FNFA speed samples with scripted
 	// ones (conformance harness).
 	SpeedOverride writesched.SpeedFunc
-	// Stripes fans each pipeline hop's data out over N parallel
-	// connections (proto stripe protocol), reassembled in seqno order at
-	// every datanode — one writer filling a fat link the way parallel
-	// TCP streams do. 0 or 1 disables striping; capped at
-	// proto.MaxStripes. Acks, the FNFA, and recovery are unchanged: they
-	// ride the stripe-0 conn.
-	Stripes int
-	// CorkBytes tunes the adaptive cork on data conns: a corked conn
-	// flushes once this many bytes are pending (0 = proto's 128 KiB
-	// default). Only small packets cork — payloads of 4 KiB or more go
-	// out immediately as zero-copy write vectors.
-	CorkBytes int
-	// CorkDelay bounds how long corked bytes may age before the next
-	// packet write flushes them (0 = no age bound, size-only).
-	CorkDelay time.Duration
 	// DisableRPCBatch turns off namenode RPC batching for this write
 	// (ablation knob): every queued control-plane op goes out as its own
 	// frame, like the pre-batching client. Op order is identical either
 	// way — the FIFO worker preserves it, batched or not.
 	DisableRPCBatch bool
 	// Policy names the write policy (internal/policy) governing this
-	// file: placement, effective replication factor, pipeline ordering,
-	// and pipeline shape. "" means the default policy, which reproduces
-	// the engine's historical behavior exactly. The name travels with
-	// every namenode request for the write, so placement decisions on
-	// the namenode and shape decisions in the client's engine stay
+	// file: placement, effective replication factor, and pipeline
+	// ordering. "" means the default policy, which reproduces the
+	// engine's historical behavior exactly. The name travels with every
+	// namenode request for the write, so placement decisions on the
+	// namenode and ordering decisions in the client's engine stay
 	// consistent. Unknown names fail Create.
 	Policy string
 }
@@ -157,12 +142,6 @@ func (o *WriteOptions) applyDefaults() {
 	}
 	if o.PacketSize <= 0 {
 		o.PacketSize = proto.DefaultPacketSize
-	}
-	if o.Stripes < 1 {
-		o.Stripes = 1
-	}
-	if o.Stripes > proto.MaxStripes {
-		o.Stripes = proto.MaxStripes
 	}
 }
 

@@ -11,7 +11,6 @@ import (
 	"repro/internal/checksum"
 	"repro/internal/clock"
 	"repro/internal/obs"
-	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/transport"
 )
@@ -37,11 +36,7 @@ func (e *pipelineError) Unwrap() error { return e.cause }
 type pipelineConn struct {
 	lb   block.LocatedBlock
 	mode proto.WriteMode
-	pc   *proto.Conn // primary conn: header, acks, FNFA
-	// pw carries the data packets: pc itself, or a proto.StripeSet over
-	// pc plus the secondary stripe conns when striping is on. Closing pw
-	// closes every conn of the pipeline.
-	pw proto.PacketWriter
+	pc   *proto.Conn
 
 	// fnfa closes when the FIRST NODE FINISH ACK arrives (or, as a
 	// degenerate upper bound, when every ack arrived).
@@ -115,24 +110,15 @@ func (p *pipelineConn) observeRTT(seqno int64) {
 	}
 }
 
-func (p *pipelineConn) close() { p.pw.Close() }
+func (p *pipelineConn) close() { p.pc.Close() }
 
 // openPipeline dials the first datanode, performs pipeline setup, and
 // starts the responder goroutine. The timeouts bound the dial, the
 // setup ack, and (for the pipeline's lifetime) per-operation data-path
-// progress in both directions. With opts.Stripes > 1, setup continues
-// past the primary: stripes-1 secondary conns are dialed to the same
-// datanode and attached to the session the primary's header ack proved
-// registered — any stripe failing setup fails the whole pipeline, and
-// the client recovers exactly as for a refused pipeline. parent, when
-// tracing is on, becomes the new pipeline span's parent (normally the
-// block span); a setup failure ends the span with an error status
-// before returning. shape is the engine's policy decision for this
-// pipeline: ShapeFanout sets the header's Fanout flag (the first
-// datanode mirrors to every remaining target in parallel) and forces a
-// single data conn, since fanout and striping are mutually exclusive
-// on the wire.
-func (c *Client) openPipeline(lb block.LocatedBlock, opts *WriteOptions, shape policy.Shape, to Timeouts, parent *obs.Span) (*pipelineConn, error) {
+// progress in both directions. parent, when tracing is on, becomes the
+// new pipeline span's parent (normally the block span); a setup failure
+// ends the span with an error status before returning.
+func (c *Client) openPipeline(lb block.LocatedBlock, opts *WriteOptions, to Timeouts, parent *obs.Span) (*pipelineConn, error) {
 	span := c.obs.StartSpan("pipeline", parent)
 	span.SetAttr("targets", strings.Join(lb.Names(), ">"))
 	fail := func(e *pipelineError) (*pipelineConn, error) {
@@ -143,24 +129,34 @@ func (c *Client) openPipeline(lb block.LocatedBlock, opts *WriteOptions, shape p
 	if len(lb.Targets) == 0 {
 		return fail(&pipelineError{lb: lb, badIndex: -1, cause: errors.New("no targets")})
 	}
-	stripes := opts.Stripes
-	if stripes < 1 || shape == policy.ShapeFanout {
-		stripes = 1
+	conn, err := transport.DialTimeout(c.opts.Network, c.opts.Name, lb.Targets[0].Addr, to.Dial, c.clk)
+	if err != nil {
+		return fail(&pipelineError{lb: lb, badIndex: 0, cause: err})
 	}
+	pc := proto.NewConn(conn)
+	pc.SetClock(c.clk)
+	pc.SetWriteTimeout(to.AckProgress)
+	pc.SetMetrics(c.connMetrics)
 	hdr := &proto.WriteBlockHeader{
 		Block:      lb.Block,
 		Targets:    lb.Targets[1:],
 		Client:     c.opts.Name,
 		Mode:       opts.Mode,
 		Depth:      0,
-		Stripes:    uint8(stripes),
 		BlockBytes: opts.BlockSize,
 	}
-	if shape == policy.ShapeFanout {
-		hdr.Fanout = 1
+	if err := pc.WriteHeader(proto.OpWriteBlock, hdr); err != nil {
+		pc.Close()
+		return fail(&pipelineError{lb: lb, badIndex: 0, cause: err})
 	}
-	pc, setupAck, err := c.dialStripe(lb.Targets[0].Addr, hdr, to)
+	pc.SetReadTimeout(to.SetupAck)
+	setupAck, err := pc.ReadAck()
+	pc.SetReadTimeout(to.AckProgress)
+	if err == nil && setupAck.Kind != proto.AckHeader {
+		err = fmt.Errorf("unexpected %v ack during setup", setupAck.Kind)
+	}
 	if err != nil {
+		pc.Close()
 		return fail(&pipelineError{lb: lb, badIndex: 0, cause: err})
 	}
 	if bad := setupAck.FirstBadIndex(); bad >= 0 {
@@ -169,34 +165,10 @@ func (c *Client) openPipeline(lb block.LocatedBlock, opts *WriteOptions, shape p
 	}
 	span.Event("setup_ack", "")
 
-	var pw proto.PacketWriter = pc
-	if stripes > 1 {
-		conns := make([]*proto.Conn, 1, stripes)
-		conns[0] = pc
-		for k := 1; k < stripes; k++ {
-			hdr.StripeID = uint8(k)
-			sc, sack, serr := c.dialStripe(lb.Targets[0].Addr, hdr, to)
-			if serr == nil && !sack.OK() {
-				sc.Close()
-				serr = fmt.Errorf("stripe %d setup refused", k)
-			}
-			if serr != nil {
-				for _, cn := range conns {
-					cn.Close()
-				}
-				return fail(&pipelineError{lb: lb, badIndex: 0, cause: serr})
-			}
-			conns = append(conns, sc)
-		}
-		pw = proto.NewStripeSet(conns...)
-		span.Event("stripes_joined", "")
-	}
-
 	p := &pipelineConn{
 		lb:        lb,
 		mode:      opts.Mode,
 		pc:        pc,
-		pw:        pw,
 		fnfa:      make(chan struct{}),
 		done:      make(chan error, 1),
 		span:      span,
@@ -206,35 +178,6 @@ func (c *Client) openPipeline(lb block.LocatedBlock, opts *WriteOptions, shape p
 	}
 	go c.responderLoop(p)
 	return p, nil
-}
-
-// dialStripe opens one conn to addr, sends the write header, and reads
-// the setup ack (conn-owned scratch: the caller inspects it before the
-// next read on the conn).
-func (c *Client) dialStripe(addr string, hdr *proto.WriteBlockHeader, to Timeouts) (*proto.Conn, *proto.Ack, error) {
-	conn, err := transport.DialTimeout(c.opts.Network, c.opts.Name, addr, to.Dial, c.clk)
-	if err != nil {
-		return nil, nil, err
-	}
-	pc := proto.NewConn(conn)
-	pc.SetClock(c.clk)
-	pc.SetWriteTimeout(to.AckProgress)
-	pc.SetMetrics(c.connMetrics)
-	if err := pc.WriteHeader(proto.OpWriteBlock, hdr); err != nil {
-		pc.Close()
-		return nil, nil, err
-	}
-	pc.SetReadTimeout(to.SetupAck)
-	ack, err := pc.ReadAck()
-	pc.SetReadTimeout(to.AckProgress)
-	if err == nil && ack.Kind != proto.AckHeader {
-		err = fmt.Errorf("unexpected %v ack during setup", ack.Kind)
-	}
-	if err != nil {
-		pc.Close()
-		return nil, nil, err
-	}
-	return pc, ack, nil
 }
 
 // responderLoop is the client-side PacketResponder: it consumes acks from
@@ -279,10 +222,9 @@ func (c *Client) responderLoop(p *pipelineConn) {
 	}
 }
 
-// streamBlock writes data as packets into the pipeline (striped across
-// every stripe conn when the pipeline was opened with stripes). It
-// returns once every packet (plus the terminal empty packet, if data is
-// empty) has been handed to the transport.
+// streamBlock writes data as packets into the pipeline. It returns once
+// every packet (plus the terminal empty packet, if data is empty) has
+// been handed to the transport.
 func (c *Client) streamBlock(p *pipelineConn, data []byte, opts *WriteOptions) error {
 	packetSize := opts.PacketSize
 	if packetSize <= 0 {
@@ -297,12 +239,11 @@ func (c *Client) streamBlock(p *pipelineConn, data []byte, opts *WriteOptions) e
 	// One reused packet struct and checksum scratch for the whole block;
 	// WritePacket retains neither. The stream is corked so small packets
 	// coalesce (full-size payloads go straight out as write vectors) —
-	// the adaptive thresholds, the Last packet, and an explicit uncork
-	// (for safety on early error returns) flush. Acks ride a separate
+	// the size threshold, the Last packet, and an explicit uncork (for
+	// safety on early error returns) flush. Acks ride a separate
 	// direction, so nothing waits on this buffer.
-	p.pw.SetAutoCork(opts.CorkBytes, opts.CorkDelay)
-	_ = p.pw.SetCork(true)
-	defer func() { _ = p.pw.SetCork(false) }()
+	_ = p.pc.SetCork(true)
+	defer func() { _ = p.pc.SetCork(false) }()
 	var pkt proto.Packet
 	var sums []uint32
 	var seqno int64
@@ -320,7 +261,7 @@ func (c *Client) streamBlock(p *pipelineConn, data []byte, opts *WriteOptions) e
 			Sums:   sums,
 			Data:   payload,
 		}
-		if err := p.pw.WritePacket(&pkt); err != nil {
+		if err := p.pc.WritePacket(&pkt); err != nil {
 			return &pipelineError{lb: p.lb, badIndex: 0, cause: err}
 		}
 		p.noteSend(seqno)

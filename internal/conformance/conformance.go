@@ -103,7 +103,7 @@ type Scenario struct {
 // Scenarios returns the seeded conformance suite: the HDFS baseline on
 // one rack, SMARTH on the paper's two-rack topology, SMARTH with a
 // throttled datanode, SMARTH with a mid-write pipeline failure, and one
-// two-rack SMARTH scenario per non-default policy (speedaware, fanout).
+// two-rack SMARTH scenario per non-default policy (speedaware).
 // The seeds are chosen so the fault scenario's victim datanode leads
 // exactly one pipeline (see TestConformance's recurrence check).
 func Scenarios() []Scenario {
@@ -139,11 +139,6 @@ func Scenarios() []Scenario {
 			Name: "smarth-speedaware", Mode: proto.ModeSmarth, Seed: 15,
 			Blocks: 6, MaxPipelines: 3, SpeedMbps: speeds, ThrottleDN: -1,
 			Policy: policy.SpeedAware,
-		},
-		{
-			Name: "smarth-fanout", Mode: proto.ModeSmarth, Seed: 16,
-			Blocks: 6, MaxPipelines: 3, SpeedMbps: speeds, ThrottleDN: -1,
-			Policy: policy.Fanout,
 		},
 	}
 }

@@ -137,7 +137,6 @@ func TestScenarioLogsExerciseTheProtocol(t *testing.T) {
 		"smarth-throttled":  {"mode=SMARTH repl=3 cap=3", "fnfa idx=", "complete path="},
 		"smarth-failure":    {"fail idx=2 bad=", "recover idx=2 attempt=1", "restream idx=2", "recovered idx=2", "complete path="},
 		"smarth-speedaware": {"policy name=speedaware", "fnfa idx=", "retire idx=", "complete path="},
-		"smarth-fanout":     {"policy name=fanout", "shape idx=", "fnfa idx=", "complete path="},
 	}
 	for _, s := range Scenarios() {
 		s := s

@@ -105,11 +105,6 @@ type Datanode struct {
 	nnClient *rpc.Client
 	stopped  bool
 
-	// stripeSessions rendezvous striped-write join conns with their
-	// block's primary write handler; see stripe.go.
-	stripeMu       sync.Mutex
-	stripeSessions map[stripeKey]*stripeSession
-
 	// Pending finalized-replica reports, conflated by the reporter
 	// goroutine into delta block reports (blockReceivedBatch) so a burst
 	// of commits costs one namenode frame instead of one RPC each.
@@ -306,20 +301,14 @@ func (dn *Datanode) heartbeatLoop() {
 			}
 			continue
 		}
-		for _, inv := range resp.Invalidate {
-			// Only delete replicas at or below the stale generation: a
-			// recovery may have re-streamed this block here since the
-			// invalidation was queued.
-			info, err := dn.opts.Store.Info(inv.ID)
-			if err != nil {
-				continue
-			}
-			if info.Block.Gen > inv.Gen {
-				continue
-			}
-			if err := dn.opts.Store.Delete(inv.ID); err != nil && !errors.Is(err, storage.ErrNotFound) {
-				dn.opts.Logf("datanode %s: invalidate blk_%d: %v", dn.opts.Name, inv.ID, err)
-			}
+		if len(resp.Invalidate) > 0 {
+			// Off this goroutine: a slow store delete must not delay the
+			// next heartbeat past the namenode's liveness window.
+			dn.wg.Add(1)
+			go func(invs []block.Block) {
+				defer dn.wg.Done()
+				dn.invalidate(invs)
+			}(resp.Invalidate)
 		}
 		for _, cmd := range resp.Replicate {
 			cmd := cmd
@@ -330,6 +319,25 @@ func (dn *Datanode) heartbeatLoop() {
 					dn.opts.Logf("datanode %s: replicate %v: %v", dn.opts.Name, cmd.Block, err)
 				}
 			}()
+		}
+	}
+}
+
+// invalidate deletes the replicas the namenode declared stale.
+func (dn *Datanode) invalidate(invs []block.Block) {
+	for _, inv := range invs {
+		// Only delete replicas at or below the stale generation: a
+		// recovery may have re-streamed this block here since the
+		// invalidation was queued.
+		info, err := dn.opts.Store.Info(inv.ID)
+		if err != nil {
+			continue
+		}
+		if info.Block.Gen > inv.Gen {
+			continue
+		}
+		if err := dn.opts.Store.Delete(inv.ID); err != nil && !errors.Is(err, storage.ErrNotFound) {
+			dn.opts.Logf("datanode %s: invalidate blk_%d: %v", dn.opts.Name, inv.ID, err)
 		}
 	}
 }
@@ -437,12 +445,7 @@ func (dn *Datanode) serveConn(conn transport.Conn) {
 	}
 	switch op {
 	case proto.OpWriteBlock:
-		wh := hdr.(*proto.WriteBlockHeader)
-		if wh.Stripes > 1 && wh.StripeID > 0 {
-			dn.handleStripeJoin(pc, wh)
-			return
-		}
-		dn.handleWrite(pc, wh)
+		dn.handleWrite(pc, hdr.(*proto.WriteBlockHeader))
 	case proto.OpReadBlock:
 		dn.handleRead(pc, hdr.(*proto.ReadBlockHeader))
 	default:

@@ -1,7 +1,6 @@
 package datanode
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 	"time"
@@ -44,50 +43,14 @@ type localStatus struct {
 // On the pipeline's first datanode in SMARTH mode, committing the block
 // locally triggers the FNFA upstream immediately, regardless of how far
 // the mirrors have drained.
-//
-// For a striped write (hdr.Stripes > 1) this handler serves the primary
-// stripe: it registers the session the join conns attach to — before the
-// header ack, so joins dialed after the ack always find it — and its
-// receiver drains the seqno-reordered merge of all stripes instead of
-// the upstream conn directly. Everything downstream of reassembly is
-// the unstriped path.
 func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 	sender := &ackSender{pc: up, ctr: dn.mAcksSent}
 
-	var sess *stripeSession
-	if hdr.Stripes > 1 {
-		s, err := dn.registerStripe(hdr)
-		if err != nil {
-			dn.opts.Logf("datanode %s: %v", dn.opts.Name, err)
-			_ = sender.send(&proto.Ack{Kind: proto.AckHeader, Seqno: -1,
-				Statuses: []proto.Status{proto.StatusError}})
-			return
-		}
-		sess = s
-		defer func() {
-			dn.unregisterStripe(hdr)
-			sess.finish()
-		}()
-	}
-
-	// --- pipeline setup: connect the downstream datanodes (a mirror
-	// chain, or all of them directly under fan-out), then ack the header ---
-	var mirror ackReader           // downstream acks flow back through it
-	var mirrorW proto.PacketWriter // packet fan-out: mirror conn, stripe set, or fan
+	// --- pipeline setup: connect the mirror chain, then ack the header ---
+	var mirror *proto.Conn
 	setupStatuses := make([]proto.Status, 1+len(hdr.Targets))
-	if len(hdr.Targets) > 0 && hdr.Fanout != 0 {
-		mw, fa, downstream, err := dn.connectFan(hdr)
-		if err != nil {
-			dn.opts.Logf("datanode %s: fanout: %v", dn.opts.Name, err)
-			for i := 1; i < len(setupStatuses); i++ {
-				setupStatuses[i] = proto.StatusError
-			}
-		} else {
-			copy(setupStatuses[1:], downstream)
-			mirror, mirrorW = fa, mw
-		}
-	} else if len(hdr.Targets) > 0 {
-		mw, m, downstream, err := dn.connectMirror(hdr)
+	if len(hdr.Targets) > 0 {
+		m, downstream, err := dn.connectMirror(hdr)
 		if err != nil {
 			dn.opts.Logf("datanode %s: mirror %s: %v", dn.opts.Name, hdr.Targets[0].Name, err)
 			for i := 1; i < len(setupStatuses); i++ {
@@ -95,7 +58,7 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 			}
 		} else {
 			copy(setupStatuses[1:], downstream)
-			mirror, mirrorW = m, mw
+			mirror = m
 		}
 	}
 
@@ -112,8 +75,8 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 
 	headerAck := &proto.Ack{Kind: proto.AckHeader, Seqno: -1, Statuses: setupStatuses}
 	if sender.send(headerAck) != nil || !headerAck.OK() {
-		if mirrorW != nil {
-			mirrorW.Close()
+		if mirror != nil {
+			mirror.Close()
 		}
 		return // the client rebuilds the pipeline (Algorithm 3)
 	}
@@ -127,38 +90,11 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 		abortOnce.Do(func() {
 			close(done)
 			queue.breakNow()
-			if mirrorW != nil {
-				mirrorW.Close()
-			}
-			if sess != nil {
-				sess.fail(errPipelineAborted)
-				sess.finish()
+			if mirror != nil {
+				mirror.Close()
 			}
 			up.Close()
 		})
-	}
-
-	// --- striped ingest: merge every stripe into seqno order ---
-	var src packetSource = connSource{pc: up}
-	if sess != nil {
-		// The primary stripe becomes just another feeder; the receiver
-		// drains the reordering merge instead. Reading up here and
-		// writing acks to it from the responder is the usual
-		// one-reader-one-writer conn discipline.
-		go func() {
-			for {
-				p, rerr := up.ReadPacket()
-				if rerr != nil {
-					sess.fail(rerr)
-					return
-				}
-				last := p.Last
-				if !sess.push(p) || last {
-					return
-				}
-			}
-		}()
-		src = newStripeSource(sess)
 	}
 
 	statusCh := make(chan localStatus, 4096)
@@ -173,15 +109,15 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 			// reach the wire when it fills or on the Last packet. The
 			// reverse ack channel is a separate conn, so nothing
 			// latency-sensitive sits behind the cork.
-			_ = mirrorW.SetCork(true)
+			_ = mirror.SetCork(true)
 			for {
 				pkt, ok := queue.pop()
 				if !ok {
 					// Drained (or broken): push out anything still corked.
-					_ = mirrorW.Flush()
+					_ = mirror.Flush()
 					return
 				}
-				err := mirrorW.WritePacket(pkt)
+				err := mirror.WritePacket(pkt)
 				pkt.Release()
 				if err != nil {
 					abort()
@@ -260,77 +196,34 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 	}()
 
 	// --- receiver (this goroutine) ---
-	dn.receiveLoop(src, hdr, w, mirror != nil, queue, statusCh, sender, done, abort)
+	dn.receiveLoop(up, hdr, w, mirror != nil, queue, statusCh, sender, done, abort)
 
 	queue.close()
 	wg.Wait()
-	if mirrorW != nil {
-		mirrorW.Close()
+	if mirror != nil {
+		mirror.Close()
 	}
 }
 
 // connectMirror dials the next datanode, forwards the header with this
-// hop stripped, and waits for the downstream setup ack. With striping,
-// the block is re-striped hop by hop: after the primary mirror conn is
-// set up, Stripes-1 further conns join the downstream session, and the
-// returned PacketWriter fans packets across them; acks still ride only
-// the returned primary conn.
-func (dn *Datanode) connectMirror(hdr *proto.WriteBlockHeader) (proto.PacketWriter, *proto.Conn, []proto.Status, error) {
+// hop stripped, and waits for the downstream setup ack.
+func (dn *Datanode) connectMirror(hdr *proto.WriteBlockHeader) (*proto.Conn, []proto.Status, error) {
 	next := hdr.Targets[0]
+	conn, err := dn.opts.Network.Dial(dn.opts.Name, next.Addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	m := proto.NewConn(conn)
+	dn.armConn(m)
 	fwd := &proto.WriteBlockHeader{
 		Block:      hdr.Block,
 		Targets:    hdr.Targets[1:],
 		Client:     hdr.Client,
 		Mode:       hdr.Mode,
 		Depth:      hdr.Depth + 1,
-		Stripes:    hdr.Stripes,
-		StripeID:   0,
 		BlockBytes: hdr.BlockBytes,
 	}
-	m, ack, err := dn.dialStripe(next.Addr, fwd)
-	if err != nil {
-		return nil, nil, nil, err
-	}
-	// ack is conn-owned scratch; copy the statuses we return. Once per
-	// pipeline, so off the hot path.
-	sts := append([]proto.Status(nil), ack.Statuses...)
-	if !ack.OK() {
-		m.Close()
-		return nil, nil, sts, errSetupFailed
-	}
-	if hdr.Stripes <= 1 {
-		return m, m, sts, nil
-	}
-	conns := make([]*proto.Conn, 1, hdr.Stripes)
-	conns[0] = m
-	for k := uint8(1); k < hdr.Stripes; k++ {
-		fwd.StripeID = k
-		sc, sack, serr := dn.dialStripe(next.Addr, fwd)
-		if serr == nil && !sack.OK() {
-			sc.Close()
-			serr = errSetupFailed
-		}
-		if serr != nil {
-			for _, c := range conns {
-				c.Close()
-			}
-			return nil, nil, nil, fmt.Errorf("mirror stripe %d: %w", k, serr)
-		}
-		conns = append(conns, sc)
-	}
-	return proto.NewStripeSet(conns...), m, sts, nil
-}
-
-// dialStripe opens one mirror conn, sends hdr, and reads the setup ack
-// (conn-owned; the caller copies what it keeps).
-func (dn *Datanode) dialStripe(addr string, hdr *proto.WriteBlockHeader) (*proto.Conn, *proto.Ack, error) {
-	conn, err := dn.opts.Network.Dial(dn.opts.Name, addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := proto.NewConn(conn)
-	dn.armConn(m)
-	if err := m.WriteHeader(proto.OpWriteBlock, hdr); err != nil {
+	if err := m.WriteHeader(proto.OpWriteBlock, fwd); err != nil {
 		m.Close()
 		return nil, nil, err
 	}
@@ -342,22 +235,26 @@ func (dn *Datanode) dialStripe(addr string, hdr *proto.WriteBlockHeader) (*proto
 		m.Close()
 		return nil, nil, err
 	}
-	return m, ack, nil
+	// ack is conn-owned scratch; copy the statuses we return. Once per
+	// pipeline, so off the hot path.
+	sts := append([]proto.Status(nil), ack.Statuses...)
+	if !ack.OK() {
+		m.Close()
+		return nil, sts, errSetupFailed
+	}
+	return m, sts, nil
 }
 
-var (
-	errSetupFailed     = &setupError{}
-	errPipelineAborted = errors.New("datanode: pipeline aborted")
-)
+var errSetupFailed = &setupError{}
 
 type setupError struct{}
 
 func (*setupError) Error() string { return "datanode: downstream pipeline setup failed" }
 
-// receiveLoop ingests packets — from one conn or a reordered stripe
-// merge, per src — until the last packet, an error, or abort.
+// receiveLoop ingests packets from the upstream conn until the last
+// packet, an error, or abort.
 func (dn *Datanode) receiveLoop(
-	src packetSource,
+	up *proto.Conn,
 	hdr *proto.WriteBlockHeader,
 	w interface {
 		Write([]byte) (int, error)
@@ -373,7 +270,7 @@ func (dn *Datanode) receiveLoop(
 	defer close(statusCh)
 	var received int64
 	for {
-		pkt, err := src.next()
+		pkt, err := up.ReadPacket()
 		if err != nil {
 			abort()
 			return

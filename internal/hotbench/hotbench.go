@@ -176,13 +176,12 @@ func LiveWriteObs(b *testing.B, mode proto.WriteMode, fileBytes int64, o *obs.Ob
 
 // LiveWriteTCP is LiveWrite on real loopback TCP sockets instead of the
 // in-memory transport: kernel socket buffers, writev batching, and
-// adaptive corking are all in play. repl sets the replication factor
-// (1 isolates single-hop protocol overhead against RawCopyTCP, which
-// moves each byte across the loopback exactly once; 3 is the paper's
-// pipeline). stripes > 1 fans each pipeline hop over that many conns.
-// Blocks are 8 MB so the 64 MB upload spans several pipelines without
-// being dominated by setup.
-func LiveWriteTCP(b *testing.B, mode proto.WriteMode, fileBytes int64, repl, stripes int) {
+// corking are all in play. repl sets the replication factor (1 isolates
+// single-hop protocol overhead against RawCopyTCP, which moves each byte
+// across the loopback exactly once; 3 is the paper's pipeline). Blocks
+// are 8 MB so the 64 MB upload spans several pipelines without being
+// dominated by setup.
+func LiveWriteTCP(b *testing.B, mode proto.WriteMode, fileBytes int64, repl int) {
 	c, err := cluster.StartTCP(cluster.Config{NumDatanodes: 3, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
@@ -197,7 +196,6 @@ func LiveWriteTCP(b *testing.B, mode proto.WriteMode, fileBytes int64, repl, str
 		Replication: repl,
 		BlockSize:   8 << 20,
 		PacketSize:  64 << 10,
-		Stripes:     stripes,
 		Overwrite:   true,
 	}
 	cbuf := make([]byte, 64<<10)

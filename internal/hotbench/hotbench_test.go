@@ -45,10 +45,9 @@ func BenchmarkHotPathLiveRead64MB(b *testing.B) {
 func BenchmarkHotPathRawCopy64MBTCP(b *testing.B) { RawCopyTCP(b, 64<<20) }
 
 func BenchmarkHotPathLiveWrite64MBTCP(b *testing.B) {
-	b.Run("SMARTH-R1", func(b *testing.B) { LiveWriteTCP(b, proto.ModeSmarth, 64<<20, 1, 1) })
-	b.Run("SMARTH-R1-S4", func(b *testing.B) { LiveWriteTCP(b, proto.ModeSmarth, 64<<20, 1, 4) })
-	b.Run("SMARTH-R3", func(b *testing.B) { LiveWriteTCP(b, proto.ModeSmarth, 64<<20, 3, 1) })
-	b.Run("HDFS-R3", func(b *testing.B) { LiveWriteTCP(b, proto.ModeHDFS, 64<<20, 3, 1) })
+	b.Run("SMARTH-R1", func(b *testing.B) { LiveWriteTCP(b, proto.ModeSmarth, 64<<20, 1) })
+	b.Run("SMARTH-R3", func(b *testing.B) { LiveWriteTCP(b, proto.ModeSmarth, 64<<20, 3) })
+	b.Run("HDFS-R3", func(b *testing.B) { LiveWriteTCP(b, proto.ModeHDFS, 64<<20, 3) })
 }
 
 func BenchmarkHotPathLiveRead64MBTCP(b *testing.B) {

@@ -158,10 +158,6 @@ func (d *defaultPolicy) OrderPipeline(idx int, targets []string, speedOf func(st
 	return core.LocalOptimize(targets, speedOf, rng)
 }
 
-func (d *defaultPolicy) PipelineShape(idx, targets int, mode proto.WriteMode) Shape {
-	return ShapeChain
-}
-
 func (d *defaultPolicy) ObserveHeartbeat(client string, speeds map[string]float64) {}
 
 // placeDefault is HDFS's topology-aware placement.

@@ -1,13 +1,13 @@
 // Package policy is the pluggable decision layer for the write path: one
 // interface covering block placement (target selection under exclude
-// sets), the per-file replication factor, and the pipeline shape (chain
-// vs. fan-out). The namenode, the writesched engine, and the simulator
-// all consult a Policy through this package instead of hard-coding the
-// paper's algorithms, so an alternative strategy is written once and
-// runs identically live and in the DES — with conformance replaying it
-// on both substrates (see internal/conformance).
+// sets), the per-file replication factor, and pipeline ordering. The
+// namenode, the writesched engine, and the simulator all consult a
+// Policy through this package instead of hard-coding the paper's
+// algorithms, so an alternative strategy is written once and runs
+// identically live and in the DES — with conformance replaying it on
+// both substrates (see internal/conformance).
 //
-// Three policies are built in:
+// Two policies are built in:
 //
 //   - "default" — the current behavior extracted verbatim: HDFS's
 //     topology-aware placement, SMARTH's Algorithm 1 TopN first node,
@@ -19,10 +19,6 @@
 //     registry speed plus the cluster-wide history, and pipeline
 //     ordering is a deterministic speed sort with a periodic
 //     exploration swap (no rng draws).
-//   - "fanout" — SDN-style replication offload: the interior (first)
-//     datanode mirrors packets to the remaining replicas in parallel
-//     instead of chaining them, shortening the ack path at the cost of
-//     doubling the interior node's egress.
 //
 // Determinism contract: policy code is part of the simdeterminism
 // discipline (internal/analysis/simdeterminism) — no wall clock, no
@@ -50,8 +46,6 @@ const (
 	Default = "default"
 	// SpeedAware augments placement with observed throughput histories.
 	SpeedAware = "speedaware"
-	// Fanout replaces the mirror chain with interior-node fan-out.
-	Fanout = "fanout"
 )
 
 // ErrNoDatanodes is returned when placement cannot find a single target.
@@ -60,26 +54,14 @@ const (
 // retryable after a pipeline retirement.
 var ErrNoDatanodes = errors.New("policy: no available datanodes")
 
-// Shape is a pipeline's data-plane topology.
+// Shape is a pipeline's data-plane topology. The mirror chain is the only
+// one; the type stays because bench/ names it in its implementation of
+// writesched.Substrate.StartPipeline.
 type Shape uint8
 
-const (
-	// ShapeChain is the classic HDFS/SMARTH mirror chain: the client
-	// streams to targets[0], which mirrors to targets[1], and so on.
-	ShapeChain Shape = iota
-	// ShapeFanout has the first datanode mirror every packet to all
-	// remaining targets in parallel (replication offload); acks from the
-	// leaves are merged at the interior node.
-	ShapeFanout
-)
-
-// String names the shape as it appears in decision-log lines.
-func (s Shape) String() string {
-	if s == ShapeFanout {
-		return "fanout"
-	}
-	return "chain"
-}
+// ShapeChain is the HDFS/SMARTH mirror chain: the client streams to
+// targets[0], which mirrors to targets[1], and so on.
+const ShapeChain Shape = 0
 
 // ClusterView is the namenode state a placement decision may read. It is
 // implemented by the namenode's datanode manager and is valid only for
@@ -124,9 +106,9 @@ type PlaceInput struct {
 }
 
 // Policy is one write-path strategy: where replicas go, how many there
-// are, and what shape the pipeline takes. Implementations must be safe
-// for concurrent use; Place additionally runs under the namenode's
-// datanode-manager lock (via the ClusterView contract).
+// are, and in what order the pipeline visits them. Implementations must
+// be safe for concurrent use; Place additionally runs under the
+// namenode's datanode-manager lock (via the ClusterView contract).
 type Policy interface {
 	// Name is the policy's registry key ("default", "speedaware", ...).
 	Name() string
@@ -148,10 +130,6 @@ type Policy interface {
 	// local speed estimate, rng the engine's seeded rng. It reports
 	// whether an exploration swap happened (decision-logged).
 	OrderPipeline(idx int, targets []string, speedOf func(string) float64, rng *rand.Rand) bool
-	// PipelineShape picks the data-plane topology for block idx's
-	// pipeline of the given target count. The engine forces ShapeChain
-	// when striping is enabled (the two fan-outs do not compose).
-	PipelineShape(idx, targets int, mode proto.WriteMode) Shape
 	// ObserveHeartbeat feeds one client heartbeat's speed table into the
 	// policy's state (no-op for stateless policies). Called by the
 	// namenode for every registered policy on every client heartbeat, so
@@ -167,13 +145,11 @@ func New(name string) (Policy, error) {
 		return &defaultPolicy{}, nil
 	case SpeedAware:
 		return newSpeedAware(), nil
-	case Fanout:
-		return &fanoutPolicy{}, nil
 	}
 	return nil, fmt.Errorf("policy: unknown policy %q (known: %v)", name, Names())
 }
 
 // Names lists the built-in policy names in sorted order.
 func Names() []string {
-	return []string{Default, Fanout, SpeedAware}
+	return []string{Default, SpeedAware}
 }

@@ -108,12 +108,6 @@ func TestNewResolvesBuiltins(t *testing.T) {
 	}
 }
 
-func TestShapeString(t *testing.T) {
-	if ShapeChain.String() != "chain" || ShapeFanout.String() != "fanout" {
-		t.Fatalf("Shape strings: %v %v", ShapeChain, ShapeFanout)
-	}
-}
-
 func TestDefaultPlaceRackAwareTail(t *testing.T) {
 	view := twoRackView()
 	pol, _ := New(Default)
@@ -270,19 +264,5 @@ func TestObserveHeartbeatEWMA(t *testing.T) {
 	}
 	if _, ok := pol.history["dn3"]; ok {
 		t.Fatal("negative sample stored")
-	}
-}
-
-func TestFanoutShape(t *testing.T) {
-	pol, _ := New(Fanout)
-	if got := pol.PipelineShape(0, 3, proto.ModeSmarth); got != ShapeFanout {
-		t.Fatalf("3 targets: %v", got)
-	}
-	if got := pol.PipelineShape(0, 2, proto.ModeSmarth); got != ShapeChain {
-		t.Fatalf("2 targets: %v", got)
-	}
-	// Everything else is inherited from default.
-	if !pol.ExcludeBusy(proto.ModeSmarth) || pol.ExcludeBusy(proto.ModeHDFS) {
-		t.Fatal("fanout ExcludeBusy diverged from default")
 	}
 }

@@ -109,10 +109,6 @@ func (s *speedAware) OrderPipeline(idx int, targets []string, speedOf func(strin
 	return false
 }
 
-func (s *speedAware) PipelineShape(idx, targets int, mode proto.WriteMode) Shape {
-	return ShapeChain
-}
-
 // ObserveHeartbeat folds one heartbeat's speed table into the shared
 // per-datanode history. The fold is commutative per datanode (each key
 // updates only its own EWMA cell), so map iteration order cannot leak

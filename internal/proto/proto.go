@@ -14,9 +14,8 @@ import (
 	"repro/internal/checksum"
 )
 
-// Version is bumped on incompatible wire changes. Version 2 added the
-// stripe fields to WriteBlockHeader; version 3 added the Fanout flag.
-const Version = 3
+// Version is bumped on incompatible wire changes; numbers are never reused.
+const Version = 4
 
 // Default sizes match HDFS 1.x (§II of the paper): 64 MB blocks split
 // into 64 KB packets, checksummed in 512 B chunks.
@@ -29,11 +28,6 @@ const (
 // MaxFrame bounds a single wire frame; a packet of data plus checksums
 // plus header fits comfortably.
 const MaxFrame = 8 << 20
-
-// MaxStripes bounds the parallel data connections one block may fan out
-// over per pipeline hop. Past a small count the per-conn overhead beats
-// the parallelism, and the receiver's reorder window grows with N.
-const MaxStripes = 16
 
 // Op identifies a data-transfer operation.
 type Op uint8
@@ -111,30 +105,11 @@ type WriteBlockHeader struct {
 	// datanode the client dialed (the only one that emits the FNFA in
 	// SMARTH mode), incremented at each mirror hop.
 	Depth uint8
-	// Stripes is the number of parallel data connections carrying this
-	// block over the hop (0 and 1 both mean a single conn). Packets are
-	// distributed seqno % Stripes across the conns and reassembled in
-	// seqno order by the receiver; acks and the FNFA travel only on the
-	// stripe-0 conn.
-	Stripes uint8
-	// StripeID says which stripe this particular conn carries. Stripe 0
-	// is the primary: it performs setup and teardown and owns the block's
-	// session at the receiver. Conns with StripeID > 0 attach to the
-	// session the primary registered (same block, generation, and client)
-	// and carry data only.
-	StripeID uint8
 	// BlockBytes is the expected final length of the block (the writer's
 	// configured block size), or 0 when unknown. It is a storage hint
 	// only — receivers may use it to preallocate block buffers — and
 	// never bounds how much data the pipeline actually accepts.
 	BlockBytes int64
-	// Fanout, when non-zero, asks the receiving datanode to mirror each
-	// packet to every entry of Targets in parallel (replication offload;
-	// the fanout policy's data plane) instead of chaining through
-	// Targets[0]. Leaves receive Fanout 0 with no targets, so only the
-	// dialed node fans out. Incompatible with striping: Fanout with
-	// Stripes > 1 is rejected at decode.
-	Fanout uint8
 }
 
 // ReadBlockHeader requests Length bytes of a block starting at Offset.

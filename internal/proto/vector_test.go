@@ -4,10 +4,8 @@ import (
 	"bytes"
 	"net"
 	"testing"
-	"time"
 
 	"repro/internal/checksum"
-	"repro/internal/clock"
 )
 
 // vecSink is a BuffersWriter-capable stream: the duck type the frame
@@ -172,111 +170,26 @@ func TestVectoredWritePacketAllocs(t *testing.T) {
 	}
 }
 
-// The size half of the adaptive cork: once pending staged bytes cross
-// the threshold the conn flushes on its own, without an uncork.
-func TestAdaptiveCorkSizeThreshold(t *testing.T) {
-	small := make([]byte, 256)
+// Once pending staged bytes cross defaultCorkBytes a corked conn flushes
+// on its own, without an uncork.
+func TestCorkSizeThreshold(t *testing.T) {
+	small := make([]byte, 2048) // below borrowMin, so frames stage
 	sums := checksum.Sum(small, DefaultChunkSize)
 	var sink vecSink
 	c := NewConn(&sink)
-	c.SetAutoCork(1024, 0) // ~3 staged frames of this size
 	if err := c.SetCork(true); err != nil {
 		t.Fatal(err)
 	}
-	for i := 0; i < 16; i++ {
+	const frames = 4 * defaultCorkBytes / 2048
+	for i := 0; i < frames; i++ {
 		if err := c.WritePacket(&Packet{Seqno: int64(i), Sums: sums, Data: small}); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if sink.buf.Len() == 0 {
-		t.Fatal("no auto-flush: 16 frames staged past a 1 KB cork threshold")
+		t.Fatalf("no auto-flush: %d frames staged past the %d-byte cork threshold", frames, defaultCorkBytes)
 	}
-	flushed := sink.gathers + sink.writes
-	if flushed >= 16 {
-		t.Fatalf("auto-cork did not coalesce: %d transport ops for 16 frames", flushed)
-	}
-}
-
-// The latency half of the adaptive cork: a stale pending frame forces a
-// flush on the next write even when the size threshold is far away.
-func TestAdaptiveCorkDelayThreshold(t *testing.T) {
-	small := make([]byte, 64)
-	sums := checksum.Sum(small, DefaultChunkSize)
-	var sink vecSink
-	clk := clock.NewManual(time.Unix(0, 0))
-	c := NewConn(&sink)
-	c.SetClock(clk)
-	c.SetAutoCork(1<<30, 10*time.Millisecond)
-	if err := c.SetCork(true); err != nil {
-		t.Fatal(err)
-	}
-	if err := c.WritePacket(&Packet{Seqno: 0, Sums: sums, Data: small}); err != nil {
-		t.Fatal(err)
-	}
-	if sink.buf.Len() != 0 {
-		t.Fatal("first small frame flushed despite a 1 GB cork threshold")
-	}
-	clk.Advance(20 * time.Millisecond)
-	if err := c.WritePacket(&Packet{Seqno: 1, Sums: sums, Data: small}); err != nil {
-		t.Fatal(err)
-	}
-	if sink.buf.Len() == 0 {
-		t.Fatal("stale pending frame did not force a flush after the cork delay")
-	}
-}
-
-// StripeSet routes packets by seqno, keeps acks on the primary, and
-// flushes every stripe when the Last packet goes out.
-func TestStripeSetRouting(t *testing.T) {
-	data := make([]byte, 128)
-	sums := checksum.Sum(data, DefaultChunkSize)
-	var sinks [3]vecSink
-	conns := make([]*Conn, 3)
-	for i := range conns {
-		conns[i] = NewConn(&sinks[i])
-	}
-	set := NewStripeSet(conns...)
-	if set.Primary() != conns[0] || set.Stripes() != 3 {
-		t.Fatalf("Primary/Stripes = %p/%d, want %p/3", set.Primary(), set.Stripes(), conns[0])
-	}
-	if err := set.SetCork(true); err != nil {
-		t.Fatal(err)
-	}
-	const n = 7
-	for i := 0; i < n; i++ {
-		if err := set.WritePacket(&Packet{Seqno: int64(i), Last: i == n-1, Sums: sums, Data: data}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Every stripe flushed by the Last packet, despite the cork
-	// (checked before the readers below drain the sinks).
-	for i := range sinks {
-		if sinks[i].buf.Len() == 0 {
-			t.Fatalf("stripe %d still corked after the Last packet", i)
-		}
-	}
-	var got [3][]int64
-	for i := range sinks {
-		r := NewConn(&sinks[i].buf)
-		for {
-			p, err := r.ReadPacket()
-			if err != nil {
-				break
-			}
-			got[i] = append(got[i], p.Seqno)
-			p.Release()
-		}
-	}
-	for i := 0; i < n; i++ {
-		stripe := i % 3
-		found := false
-		for _, s := range got[stripe] {
-			if s == int64(i) {
-				found = true
-			}
-		}
-		if !found {
-			t.Fatalf("seqno %d missing from stripe %d (got %v)", i, stripe, got)
-		}
+	if flushed := sink.gathers + sink.writes; flushed > 4 {
+		t.Fatalf("cork did not coalesce: %d transport ops for %d frames", flushed, frames)
 	}
 }

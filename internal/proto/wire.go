@@ -48,8 +48,8 @@ const (
 	borrowMin = 4 << 10
 
 	// defaultCorkBytes is the pending-byte threshold at which a corked
-	// conn flushes anyway (see SetAutoCork). Matches the write-buffer
-	// size the pre-vectored implementation flushed at.
+	// conn flushes anyway. Matches the write-buffer size the pre-vectored
+	// implementation flushed at.
 	defaultCorkBytes = 128 << 10
 
 	// directReadMin is the smallest body remainder read straight from
@@ -174,14 +174,9 @@ type Conn struct {
 	c   io.Closer
 	d   deadlineSetter
 
-	// Cork state; owned by the writing side, like fw. corked suppresses
-	// the per-data-packet flush; corkBytes/corkDelay are the adaptive
-	// flush thresholds (see SetAutoCork); corkFirst stamps the oldest
-	// pending frame (tracked only when corkDelay > 0).
-	corked    bool
-	corkBytes int
-	corkDelay time.Duration
-	corkFirst time.Time
+	// corked suppresses the per-data-packet flush (see SetCork); owned by
+	// the writing side, like fw.
+	corked bool
 
 	// whdr/rhdr are length-prefix scratch — fields rather than locals so
 	// they don't escape per frame.
@@ -301,9 +296,9 @@ func (c *Conn) Close() error {
 func (c *Conn) Flush() error { return c.flushPending() }
 
 // SetCork toggles corked output. While corked, data packets are not
-// flushed per frame: small frames accumulate and reach the wire when the
-// adaptive thresholds fire (see SetAutoCork), when a Last packet is
-// written, or on an explicit Flush. Large packet payloads always flush —
+// flushed per frame: small frames accumulate and reach the wire once
+// defaultCorkBytes are pending, when a Last packet is written, or on an
+// explicit Flush. Large packet payloads always flush —
 // they are borrowed zero-copy and must not outlive WritePacket — so the
 // cork only ever delays cheap-to-buffer control-sized frames. Headers
 // and acks always flush eagerly regardless: they are latency-sensitive
@@ -320,39 +315,6 @@ func (c *Conn) SetCork(on bool) error {
 	return nil
 }
 
-// SetAutoCork tunes the corked flush policy: a corked conn flushes once
-// at least bytes are pending (0 selects the 128 KiB default), or — when
-// delay > 0 — once the oldest pending frame has waited delay, whichever
-// comes first. The age check piggybacks on writeFrame (the conn has no
-// timer goroutine), so delay is a bound on added latency per burst, not
-// a standalone flush tick. Belongs to the writing goroutine, like
-// SetCork.
-func (c *Conn) SetAutoCork(bytes int, delay time.Duration) {
-	c.corkBytes = bytes
-	c.corkDelay = delay
-}
-
-// corkDue reports whether the corked backlog must flush now (size or age
-// threshold crossed), maintaining the age stamp.
-func (c *Conn) corkDue() bool {
-	limit := c.corkBytes
-	if limit <= 0 {
-		limit = defaultCorkBytes
-	}
-	if c.fw.pending >= limit {
-		return true
-	}
-	if c.corkDelay > 0 {
-		now := c.clock().Now()
-		if c.corkFirst.IsZero() {
-			c.corkFirst = now
-		} else if now.Sub(c.corkFirst) >= c.corkDelay {
-			return true
-		}
-	}
-	return false
-}
-
 // flushPending arms the write deadline and pushes every pending span to
 // the wire in one gather write.
 func (c *Conn) flushPending() error {
@@ -360,7 +322,6 @@ func (c *Conn) flushPending() error {
 		return nil
 	}
 	c.armWrite()
-	c.corkFirst = time.Time{}
 	return c.fw.flush()
 }
 
@@ -370,7 +331,7 @@ func (c *Conn) flushPending() error {
 // write vector straight from the caller's buffer, never memcpy'd, at the
 // cost of an immediate flush (the caller owns tail again when we
 // return). flush=false leaves small frames pending (corked packet
-// traffic) unless the adaptive cork thresholds say otherwise.
+// traffic) until defaultCorkBytes have accumulated.
 func (c *Conn) writeFrame(head, tail []byte, flush bool) error {
 	n := len(head) + len(tail)
 	if n > MaxFrame {
@@ -389,7 +350,7 @@ func (c *Conn) writeFrame(head, tail []byte, flush bool) error {
 		m.FramesOut.Inc()
 		m.BytesOut.Add(int64(4 + n))
 	}
-	if !flush && !borrowed && !c.corkDue() {
+	if !flush && !borrowed && c.fw.pending < defaultCorkBytes {
 		if m := c.metrics; m != nil {
 			m.CorkedFrames.Inc()
 		}
@@ -535,7 +496,7 @@ func consumeDatanode(src []byte) (block.DatanodeInfo, []byte, error) {
 func (c *Conn) WriteHeader(op Op, h any) error {
 	// Pre-size the encode scratch so headers with long target lists never
 	// grow mid-append; the buffer itself is pooled.
-	need := 2 + 24 + 5 + 8 + 2 + 16
+	need := 2 + 24 + 2 + 8 + 2 + 16
 	if wh, ok := h.(*WriteBlockHeader); ok {
 		need += len(wh.Client)
 		for _, t := range wh.Targets {
@@ -552,7 +513,7 @@ func (c *Conn) WriteHeader(op Op, h any) error {
 			return fmt.Errorf("proto: WriteHeader(%v) needs *WriteBlockHeader, got %T", op, h)
 		}
 		buf = appendBlock(buf, wh.Block)
-		buf = append(buf, byte(wh.Mode), wh.Depth, wh.Stripes, wh.StripeID, wh.Fanout)
+		buf = append(buf, byte(wh.Mode), wh.Depth)
 		buf = binary.BigEndian.AppendUint64(buf, uint64(wh.BlockBytes))
 		buf = appendString(buf, wh.Client)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(wh.Targets)))
@@ -597,29 +558,13 @@ func (c *Conn) ReadHeader() (Op, any, error) {
 		if wh.Block, rest, err = consumeBlock(rest); err != nil {
 			return op, nil, err
 		}
-		if len(rest) < 5 {
+		if len(rest) < 10 {
 			return op, nil, io.ErrUnexpectedEOF
 		}
 		wh.Mode = WriteMode(rest[0])
 		wh.Depth = rest[1]
-		wh.Stripes = rest[2]
-		wh.StripeID = rest[3]
-		wh.Fanout = rest[4]
-		rest = rest[5:]
-		if wh.Stripes > MaxStripes {
-			return op, nil, fmt.Errorf("proto: %d stripes exceeds max %d", wh.Stripes, MaxStripes)
-		}
-		if wh.Stripes > 1 && wh.StripeID >= wh.Stripes {
-			return op, nil, fmt.Errorf("proto: stripe id %d out of range for %d stripes", wh.StripeID, wh.Stripes)
-		}
-		if wh.Fanout != 0 && wh.Stripes > 1 {
-			return op, nil, fmt.Errorf("proto: fanout cannot combine with %d stripes", wh.Stripes)
-		}
-		if len(rest) < 8 {
-			return op, nil, io.ErrUnexpectedEOF
-		}
-		wh.BlockBytes = int64(binary.BigEndian.Uint64(rest))
-		rest = rest[8:]
+		wh.BlockBytes = int64(binary.BigEndian.Uint64(rest[2:]))
+		rest = rest[10:]
 		if wh.BlockBytes < 0 {
 			return op, nil, fmt.Errorf("proto: negative block size hint %d", wh.BlockBytes)
 		}
@@ -637,6 +582,9 @@ func (c *Conn) ReadHeader() (Op, any, error) {
 				return op, nil, err
 			}
 		}
+		if len(rest) != 0 {
+			return op, nil, fmt.Errorf("proto: %d trailing bytes after write-block header", len(rest))
+		}
 		return op, &wh, nil
 	case OpReadBlock:
 		var rh ReadBlockHeader
@@ -645,6 +593,9 @@ func (c *Conn) ReadHeader() (Op, any, error) {
 		}
 		if len(rest) < 16 {
 			return op, nil, io.ErrUnexpectedEOF
+		}
+		if len(rest) > 16 {
+			return op, nil, fmt.Errorf("proto: %d trailing bytes after read-block header", len(rest)-16)
 		}
 		rh.Offset = int64(binary.BigEndian.Uint64(rest))
 		rh.Length = int64(binary.BigEndian.Uint64(rest[8:]))

@@ -660,8 +660,8 @@ func (w *writer) trackPipes(delta int) {
 }
 
 // StartPipeline streams block idx through lb's pipeline at packet
-// granularity, chained or fanned out per the engine's shape decision.
-func (w *writer) StartPipeline(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool) {
+// granularity.
+func (w *writer) StartPipeline(idx int, lb block.LocatedBlock, _ policy.Shape, restream bool) {
 	s := w.s
 	targets := lb.Targets
 	if !restream {
@@ -700,7 +700,7 @@ func (w *writer) StartPipeline(idx int, lb block.LocatedBlock, shape policy.Shap
 			w.eng.HandleFNFA(idx, s.eng.Now()-start)
 		}
 	}
-	w.launchPipeline(idx, targets, shape, fault, onFNFA, func() { w.eng.HandleDrained(idx) })
+	w.launchPipeline(idx, targets, fault, onFNFA, func() { w.eng.HandleDrained(idx) })
 }
 
 // --- the shared packet-level pipeline model ---
@@ -710,15 +710,7 @@ func (w *writer) StartPipeline(idx int, lb block.LocatedBlock, shape policy.Shap
 // onAllAcked fires when the last packet's ack returns from the whole
 // pipeline. A non-nil fault truncates production after fault.AfterPackets
 // packets and reports the failure to the engine instead.
-//
-// shape selects the replication topology past the first datanode: a
-// chain mirrors hop by hop (node j forwards to j+1 after its disk
-// stores the packet), while a fan-out has node 0 deliver each stored
-// packet to every remaining node in parallel (replication offload —
-// the leaves never talk to each other). Fan-out acks need only the
-// leaf→root→client return trip once every leaf has stored the packet,
-// versus the chain's full reverse walk.
-func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, shape policy.Shape, fault *PipelineFault, onFNFA, onAllAcked func()) {
+func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *PipelineFault, onFNFA, onAllAcked func()) {
 	s := w.s
 	total := w.blockBytes(i)
 	numPackets := int((total + s.cfg.PacketSize - 1) / s.cfg.PacketSize)
@@ -732,7 +724,6 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, shape polic
 			panic("sim: unknown datanode " + t.Name)
 		}
 	}
-	fan := shape == policy.ShapeFanout && len(nodes) >= 2
 
 	// aborted silences every in-flight event of this launch once a fault
 	// fires, so a stale ack can never masquerade as a drain.
@@ -747,12 +738,6 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, shape polic
 			onAllAcked()
 		}
 	}
-	// leafStored counts, per packet, how many fan-out leaves have stored
-	// it; the packet's ack leaves when the count reaches all leaves.
-	var leafStored []int
-	if fan {
-		leafStored = make([]int, numPackets)
-	}
 	var arriveAtDN func(j, k int, pktBytes int64)
 	arriveAtDN = func(j, k int, pktBytes int64) {
 		if aborted {
@@ -763,13 +748,8 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, shape polic
 			if aborted {
 				return
 			}
-			// Stored locally; replicate onward per the pipeline shape.
-			if fan && j == 0 {
-				for l := 1; l < len(nodes); l++ {
-					l := l
-					s.nw.Deliver(node, nodes[l], pktBytes, func() { arriveAtDN(l, k, pktBytes) })
-				}
-			} else if !fan && j+1 < len(nodes) {
+			// Stored locally; mirror to the next hop.
+			if j+1 < len(nodes) {
 				s.nw.Deliver(node, nodes[j+1], pktBytes, func() { arriveAtDN(j+1, k, pktBytes) })
 			}
 			if j == 0 && k == numPackets-1 && onFNFA != nil {
@@ -780,16 +760,7 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, shape polic
 					}
 				})
 			}
-			if fan {
-				if j > 0 {
-					leafStored[k]++
-					if leafStored[k] == len(nodes)-1 {
-						// Merged leaf acks ride back through the root:
-						// leaf→root plus root→client, two hops.
-						s.eng.Schedule(2*s.cfg.HopLatency, ackArrived)
-					}
-				}
-			} else if j == len(nodes)-1 {
+			if j == len(nodes)-1 {
 				// The combined ack travels the pipeline in reverse; the
 				// paper treats ack transfer time as negligible, so only
 				// latency is charged.

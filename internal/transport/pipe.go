@@ -53,6 +53,10 @@ type pipeBuf struct {
 	// armed deadline, so the happy path spawns nothing.
 	rWaker bool
 	wWaker bool
+	// done closes on the first CloseWrite, CloseRead or Break. After any
+	// of them no operation blocks on the buffer again, so a sleeping
+	// waker exits at once instead of sleeping out its deadline.
+	done chan struct{}
 }
 
 func newPipeBuf(capacity int, clk clock.Clock) *pipeBuf {
@@ -62,7 +66,7 @@ func newPipeBuf(capacity int, clk clock.Clock) *pipeBuf {
 	if clk == nil {
 		clk = clock.System
 	}
-	p := &pipeBuf{capacity: capacity, clk: clk}
+	p := &pipeBuf{capacity: capacity, clk: clk, done: make(chan struct{})}
 	p.notEmpty = sync.NewCond(&p.mu)
 	p.notFull = sync.NewCond(&p.mu)
 	return p
@@ -86,51 +90,44 @@ func (b *pipeBuf) SetWriteDeadline(t time.Time) {
 	b.mu.Unlock()
 }
 
-// readWaker sleeps until the read deadline and wakes blocked readers.
-// It re-sleeps if the deadline moved, and exits once no deadline is
-// armed. Runs while b.rWaker is true; must be started with it set.
-func (b *pipeBuf) readWaker() {
+// waker sleeps until *deadline and wakes cond's waiters. It re-sleeps
+// if the deadline moved, and exits once no deadline is armed or the
+// stream ended. Runs while *running is true; must be started with it
+// set. (deadline, running, cond) are the read or the write triple.
+func (b *pipeBuf) waker(deadline *time.Time, running *bool, cond *sync.Cond) {
 	for {
 		b.mu.Lock()
-		d := b.rDeadline
-		if d.IsZero() || b.broken || b.rclosed {
-			b.rWaker = false
+		d := *deadline
+		if d.IsZero() || b.closed || b.rclosed || b.broken {
+			*running = false
 			b.mu.Unlock()
 			return
 		}
 		now := b.clk.Now()
 		if !now.Before(d) {
-			b.rWaker = false
-			b.notEmpty.Broadcast()
+			*running = false
+			cond.Broadcast()
 			b.mu.Unlock()
 			return
 		}
-		wait := d.Sub(now)
 		b.mu.Unlock()
-		<-b.clk.After(wait)
+		select {
+		case <-b.clk.After(d.Sub(now)):
+		case <-b.done:
+		}
 	}
 }
 
-func (b *pipeBuf) writeWaker() {
-	for {
-		b.mu.Lock()
-		d := b.wDeadline
-		if d.IsZero() || b.broken || b.closed {
-			b.wWaker = false
-			b.mu.Unlock()
-			return
-		}
-		now := b.clk.Now()
-		if !now.Before(d) {
-			b.wWaker = false
-			b.notFull.Broadcast()
-			b.mu.Unlock()
-			return
-		}
-		wait := d.Sub(now)
-		b.mu.Unlock()
-		<-b.clk.After(wait)
+// end marks the stream over for the wakers and wakes every blocked
+// operation so it observes the state the caller just set. Caller holds mu.
+func (b *pipeBuf) end() {
+	select {
+	case <-b.done:
+	default:
+		close(b.done)
 	}
+	b.notEmpty.Broadcast()
+	b.notFull.Broadcast()
 }
 
 // Write appends p, blocking while the buffer is full.
@@ -158,7 +155,7 @@ func (b *pipeBuf) Write(p []byte) (int, error) {
 				}
 				if !b.wWaker {
 					b.wWaker = true
-					go b.writeWaker()
+					go b.waker(&b.wDeadline, &b.wWaker, b.notFull)
 				}
 			}
 			b.notFull.Wait()
@@ -224,7 +221,7 @@ func (b *pipeBuf) Read(p []byte) (int, error) {
 			}
 			if !b.rWaker {
 				b.rWaker = true
-				go b.readWaker()
+				go b.waker(&b.rDeadline, &b.rWaker, b.notEmpty)
 			}
 		}
 		b.notEmpty.Wait()
@@ -236,8 +233,7 @@ func (b *pipeBuf) Read(p []byte) (int, error) {
 func (b *pipeBuf) CloseWrite() {
 	b.mu.Lock()
 	b.closed = true
-	b.notEmpty.Broadcast()
-	b.notFull.Broadcast()
+	b.end()
 	b.mu.Unlock()
 }
 
@@ -248,8 +244,7 @@ func (b *pipeBuf) CloseRead() {
 	b.mu.Lock()
 	b.rclosed = true
 	b.buf, b.r, b.n = nil, 0, 0
-	b.notEmpty.Broadcast()
-	b.notFull.Broadcast()
+	b.end()
 	b.mu.Unlock()
 }
 
@@ -258,7 +253,6 @@ func (b *pipeBuf) Break() {
 	b.mu.Lock()
 	b.broken = true
 	b.buf, b.r, b.n = nil, 0, 0
-	b.notEmpty.Broadcast()
-	b.notFull.Broadcast()
+	b.end()
 	b.mu.Unlock()
 }

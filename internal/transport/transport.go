@@ -350,8 +350,8 @@ type TCPTuning struct {
 	WriteBuffer int
 	// DisableNoDelay keeps Nagle's algorithm. By default TCP_NODELAY is
 	// set: the proto layer already coalesces small frames behind its own
-	// adaptive cork, so kernel-side delay only adds ack-bound latency to
-	// pipeline setup and per-packet acks.
+	// cork, so kernel-side delay only adds ack-bound latency to pipeline
+	// setup and per-packet acks.
 	DisableNoDelay bool
 }
 

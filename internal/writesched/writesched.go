@@ -106,11 +106,11 @@ type Substrate interface {
 	RecoverBlock(idx, attempt int, blk block.Block, alive, exclude []string)
 	// Complete finalizes the file; report via HandleCompleteDone.
 	Complete()
-	// StartPipeline streams block idx through lb's pipeline with the
-	// given data-plane shape (chain or fan-out, chosen by the policy).
+	// StartPipeline streams block idx through lb's mirror chain.
 	// Report FNFA via HandleFNFA (first full store on lb.Targets[0];
 	// skipped when restream is true), full drain via HandleDrained, and
-	// errors via HandleFailed.
+	// errors via HandleFailed. shape is always policy.ShapeChain: the
+	// parameter survives only because bench/ implements this interface.
 	StartPipeline(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool)
 	// Heartbeat ships the client's speed table to the namenode.
 	Heartbeat()
@@ -150,11 +150,6 @@ type Config struct {
 	StrictRetire bool
 	// MaxRecoveryAttempts defaults to DefaultMaxRecoveryAttempts.
 	MaxRecoveryAttempts int
-	// Stripes is the number of transport streams each pipeline hop fans
-	// a block over (see proto.WriteBlockHeader.Stripes). Values <= 1
-	// mean a single stream and leave the decision log untouched, so
-	// conformance runs are byte-identical with striping disabled.
-	Stripes int
 	// Seed fixes the Algorithm 2 swap randomness.
 	Seed int64
 	// SpeedOverride, when set, replaces measured FNFA samples.
@@ -162,9 +157,9 @@ type Config struct {
 	// Log receives the decision log (nil = no logging).
 	Log *DecisionLog
 	// Policy supplies the engine-side policy decisions: busy-datanode
-	// exclusion, pipeline ordering (the Algorithm 2 slot), and pipeline
-	// shape. Nil selects the default policy, whose decision log is
-	// byte-identical to the pre-policy engine's.
+	// exclusion and pipeline ordering (the Algorithm 2 slot). Nil selects
+	// the default policy, whose decision log is byte-identical to the
+	// pre-policy engine's.
 	Policy policy.Policy
 }
 
@@ -268,12 +263,9 @@ func New(cfg Config, sub Substrate) *Engine {
 	}
 	e.logf("create path=%s mode=%v repl=%d cap=%d", cfg.Path, cfg.Mode, cfg.Replication, cfg.MaxPipelines)
 	// Logged only for non-default policies, so default logs stay
-	// byte-identical to the pre-policy engine (like the stripes line).
+	// byte-identical to the pre-policy engine.
 	if pol.Name() != policy.Default {
 		e.logf("policy name=%s", pol.Name())
-	}
-	if cfg.Stripes > 1 {
-		e.logf("stripes n=%d", cfg.Stripes)
 	}
 	return e
 }
@@ -390,22 +382,6 @@ func (e *Engine) excludeFor(b *blockRec) []string {
 	}
 	sort.Strings(out)
 	return out
-}
-
-// shapeFor asks the policy for block idx's data-plane shape. Striping
-// forces the chain — a striped fan-out would multiply stream counts at
-// the interior node, and the wire protocol rejects the combination. A
-// non-chain choice is decision-logged; the chain stays silent so
-// default-policy logs are byte-identical to the pre-policy engine's.
-func (e *Engine) shapeFor(idx, targets int) policy.Shape {
-	if e.cfg.Stripes > 1 {
-		return policy.ShapeChain
-	}
-	shape := e.pol.PipelineShape(idx, targets, e.cfg.Mode)
-	if shape != policy.ShapeChain {
-		e.logf("shape idx=%d kind=%v", idx, shape)
-	}
-	return shape
 }
 
 // needRetire reports whether block b must wait for a retirement before
@@ -534,9 +510,8 @@ func (e *Engine) HandleAddBlock(idx int, lb block.LocatedBlock, err error) {
 		e.allocating = false
 		e.nextLaunch++
 		e.launchQ = append(e.launchQ, idx)
-		shape := e.shapeFor(idx, len(lb.Targets))
 		e.logf("launch idx=%d targets=[%s]", idx, strings.Join(lb.Names(), ","))
-		e.call(func() { e.sub.StartPipeline(idx, lb, shape, false) })
+		e.call(func() { e.sub.StartPipeline(idx, lb, policy.ShapeChain, false) })
 		e.advance()
 	})
 }
@@ -729,9 +704,8 @@ func (e *Engine) HandleRecovered(idx int, lb block.LocatedBlock, err error) {
 			return
 		}
 		b.lb = lb
-		shape := e.shapeFor(idx, len(lb.Targets))
 		e.logf("restream idx=%d targets=[%s]", idx, strings.Join(lb.Names(), ","))
-		e.call(func() { e.sub.StartPipeline(idx, lb, shape, true) })
+		e.call(func() { e.sub.StartPipeline(idx, lb, policy.ShapeChain, true) })
 	})
 }
 
