@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race fuzz-smoke bench-vet docs-check bench-hotpath bench-check profile conformance
+.PHONY: build test vet lint race fuzz-smoke bench bench-vet docs-check profile conformance
 
 build:
 	$(GO) build ./...
@@ -22,10 +22,19 @@ lint:
 race:
 	$(GO) test -race -count=1 ./...
 
-# Ten seconds of native fuzzing on the data-plane header decoder (the
-# seed corpus alone already runs as part of `go test`).
+# Five seconds of native fuzzing on each data-plane decoder (the seed
+# corpora alone already run as part of `go test`). One target per run:
+# `go test -fuzz` accepts a single match.
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzReadHeader -fuzztime 10s ./internal/proto
+	for t in FuzzReadHeader FuzzReadPacket FuzzReadAck; do \
+		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 5s ./internal/proto || exit 1; \
+	done
+
+# The repo's benchmark (BENCHMARK.json): six workloads, end-to-end
+# metrics and the per-layer ledger. See bench/README.md for -trace and
+# -compare.
+bench:
+	bash bench/run.sh
 
 # The benchmark is a nested module (bench/go.mod), so ./... above never
 # compiles it: vet and test it from inside, so an API it pins cannot
@@ -38,25 +47,11 @@ bench-vet:
 docs-check:
 	$(GO) test -run TestPackageDocs -count=1 .
 
-# Run the hot-path benchmarks and record BENCH_hotpath.json (preserving
-# the pre-change baseline entry).
-bench-hotpath:
-	$(GO) run ./cmd/smarth-hotpath -out BENCH_hotpath.json
-
-# Regression-guard the hot path against the committed BENCH_hotpath.json
-# (tight on allocs/op, loose on MB/s; see cmd/smarth-hotpath -check).
-# A smaller upload keeps it CI-fast; the committed numbers are 64 MB, so
-# only size-independent allocation gates apply at other sizes.
-bench-check:
-	$(GO) run ./cmd/smarth-hotpath -check
-
-# Capture CPU and allocation profiles of the whole hot-path suite as
-# pprof files (CI uploads these as artifacts; inspect with
-# `go tool pprof -top profile_cpu.pb.gz`). Results go to a scratch JSON
-# so the committed BENCH_hotpath.json is untouched and regressions do
-# not fail the profiling job (bench-check is the gate).
+# CPU and allocation profiles of a real-cluster SMARTH upload (root
+# bench_test.go), as pprof files (CI uploads these as artifacts; inspect
+# with `go tool pprof -top profile_cpu.pb.gz`).
 profile:
-	$(GO) run ./cmd/smarth-hotpath -out profile_bench.json -cpuprofile profile_cpu.pb.gz -memprofile profile_mem.pb.gz
+	$(GO) test -run '^$$' -bench RealClusterWrite -benchtime 20x -cpuprofile profile_cpu.pb.gz -memprofile profile_mem.pb.gz .
 
 # Differential live/sim conformance: replay the seeded scenarios through
 # both substrates and byte-compare the writesched decision logs.

@@ -73,7 +73,6 @@ func main() {
 	csvPath := flag.String("csv", "", "also write tidy per-point data (figure,x,protocol,seconds) for plotting")
 	timeline := flag.Bool("timeline", false, "also draw the pipeline-overlap timeline for a throttled SMARTH run")
 	traceOut := flag.String("trace", "", "with -timeline: export the simulated SMARTH run's spans as JSONL (render with smarth-admin -trace)")
-	policies := flag.Bool("policies", false, "also run the write-policy comparison matrix (default/speedaware on clean, throttled, and faulted workloads)")
 	flag.Parse()
 
 	if *timeline || *traceOut != "" {
@@ -107,14 +106,6 @@ func main() {
 	csv.WriteString("figure,x,protocol,seconds,improvement_pct\n")
 
 	emit(sim.Table1() + "\n")
-	if *policies {
-		matrix, err := runPolicyMatrix(*scale)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "smarth-bench:", err)
-			os.Exit(1)
-		}
-		emit(matrix + "\n")
-	}
 	start := time.Now()
 	for _, e := range experiments {
 		t0 := time.Now()

@@ -18,7 +18,6 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/transport"
 )
@@ -30,8 +29,6 @@ func main() {
 	mode := flag.String("mode", "smarth", "write protocol: hdfs | smarth")
 	replication := flag.Int("replication", 3, "replication factor")
 	blockSize := flag.Int64("block", 64<<20, "block size in bytes")
-	pol := flag.String("policy", "",
-		fmt.Sprintf("write policy %v; empty = default", policy.Names()))
 	verify := flag.Bool("verify", false, "read the file back and check its digest")
 	timeout := flag.Duration("timeout", 0,
 		"stall-detection bound: dial, setup-ack, ack-progress and per-RPC timeouts (FNFA gets 4x); 0 = library defaults")
@@ -74,7 +71,6 @@ func main() {
 		opts := client.WriteOptions{
 			Replication: *replication,
 			BlockSize:   *blockSize,
-			Policy:      *pol,
 			Overwrite:   true,
 		}
 		var w io.WriteCloser
@@ -103,12 +99,8 @@ func main() {
 		}
 		elapsed := time.Since(start)
 		copy(uploadDigest[:], h.Sum(nil))
-		tag := *mode
-		if *pol != "" {
-			tag += "/" + *pol
-		}
 		fmt.Printf("uploaded %d bytes (%s) in %.2fs — %.1f MB/s [%s]\n",
-			n, *dst, elapsed.Seconds(), float64(n)/1e6/elapsed.Seconds(), tag)
+			n, *dst, elapsed.Seconds(), float64(n)/1e6/elapsed.Seconds(), *mode)
 		_ = info
 	}
 

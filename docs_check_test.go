@@ -40,7 +40,7 @@ func TestPackageDocs(t *testing.T) {
 // comment, not just the package clause. The control-plane packages are
 // the operator-facing surface DESIGN.md §12 documents, the analyzer
 // framework is the contributor-facing surface DESIGN.md §13 documents,
-// and the policy layer is the extension surface DESIGN.md §14
+// and the policy layer is the decision surface DESIGN.md §14
 // documents, so their API docs gate the build.
 var fullyDocumentedPackages = []string{
 	"internal/namenode",

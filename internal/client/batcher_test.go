@@ -52,7 +52,7 @@ func drainWorker(t *testing.T, w *schedWriter) {
 // nn_rpcs +2).
 func TestNNWorkerCoalescesQueuedOps(t *testing.T) {
 	cl, o := startBatcherFixture(t)
-	w := cl.newSchedWriter("/wb-file", WriteOptions{Mode: proto.ModeSmarth, Replication: 3}, nil, 1, true)
+	w := cl.newSchedWriter("/wb-file", WriteOptions{Mode: proto.ModeSmarth, Replication: 3}, 1, true)
 	defer w.stopWorker()
 
 	nnRPCs := o.Component("namenode").Counter("nn_rpcs")
@@ -83,7 +83,7 @@ func TestNNWorkerCoalescesQueuedOps(t *testing.T) {
 // lone writer is indistinguishable from a pre-batching client.
 func TestNNWorkerSingleOpStaysUnbatched(t *testing.T) {
 	cl, o := startBatcherFixture(t)
-	w := cl.newSchedWriter("/wb-file", WriteOptions{Mode: proto.ModeSmarth, Replication: 3}, nil, 1, true)
+	w := cl.newSchedWriter("/wb-file", WriteOptions{Mode: proto.ModeSmarth, Replication: 3}, 1, true)
 	defer w.stopWorker()
 
 	w.Heartbeat()
@@ -93,31 +93,13 @@ func TestNNWorkerSingleOpStaysUnbatched(t *testing.T) {
 	}
 }
 
-// TestNNWorkerHonorsDisableRPCBatch proves the ablation knob: with
-// DisableRPCBatch set, queued batchable ops still go out one frame each.
-func TestNNWorkerHonorsDisableRPCBatch(t *testing.T) {
-	cl, o := startBatcherFixture(t)
-	w := cl.newSchedWriter("/wb-file", WriteOptions{Mode: proto.ModeSmarth, Replication: 3, DisableRPCBatch: true}, nil, 1, true)
-	defer w.stopWorker()
-
-	release := make(chan struct{})
-	w.enqueueNN(nnOp{run: func() { <-release }})
-	w.Heartbeat()
-	w.Heartbeat()
-	close(release)
-	drainWorker(t, w)
-	if got := o.Component("client/wb").Counter("rpc_batches").Load(); got != 0 {
-		t.Errorf("rpc_batches = %d, want 0 with DisableRPCBatch", got)
-	}
-}
-
 // TestNNWorkerRunOpsAreBarriers proves a run-style op (complete,
 // recoverBlock) splits the batchable run around it: [hb, run, hb] must
 // produce zero batch frames — order is preserved, nothing reorders
 // around the barrier.
 func TestNNWorkerRunOpsAreBarriers(t *testing.T) {
 	cl, o := startBatcherFixture(t)
-	w := cl.newSchedWriter("/wb-file", WriteOptions{Mode: proto.ModeSmarth, Replication: 3}, nil, 1, true)
+	w := cl.newSchedWriter("/wb-file", WriteOptions{Mode: proto.ModeSmarth, Replication: 3}, 1, true)
 	defer w.stopWorker()
 
 	release := make(chan struct{})

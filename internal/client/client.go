@@ -73,16 +73,6 @@ type Options struct {
 	Obs *obs.Obs
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
-	// MetaCacheTTL bounds how long a getBlockLocations response may be
-	// served from the client's metadata cache. 0 selects
-	// DefaultMetaCacheTTL; negative disables the cache. The client
-	// invalidates a path on every local mutation (create, addBlock,
-	// recover, complete, delete, rename), so staleness only arises from
-	// other clients' mutations inside the TTL window.
-	MetaCacheTTL time.Duration
-	// MetaCacheSize caps cached paths (LRU eviction); 0 selects
-	// DefaultMetaCacheSize.
-	MetaCacheSize int
 }
 
 // WriteOptions configure one file write.
@@ -118,19 +108,6 @@ type WriteOptions struct {
 	// SpeedOverride replaces measured FNFA speed samples with scripted
 	// ones (conformance harness).
 	SpeedOverride writesched.SpeedFunc
-	// DisableRPCBatch turns off namenode RPC batching for this write
-	// (ablation knob): every queued control-plane op goes out as its own
-	// frame, like the pre-batching client. Op order is identical either
-	// way — the FIFO worker preserves it, batched or not.
-	DisableRPCBatch bool
-	// Policy names the write policy (internal/policy) governing this
-	// file: placement, effective replication factor, and pipeline
-	// ordering. "" means the default policy, which reproduces the
-	// engine's historical behavior exactly. The name travels with every
-	// namenode request for the write, so placement decisions on the
-	// namenode and ordering decisions in the client's engine stay
-	// consistent. Unknown names fail Create.
-	Policy string
 }
 
 func (o *WriteOptions) applyDefaults() {
@@ -157,7 +134,7 @@ type Client struct {
 	done bool
 
 	recorder *core.Recorder
-	meta     *metaCache // nil when Options.MetaCacheTTL < 0
+	meta     *metaCache
 
 	// Observability handles, cached at construction so hot paths never
 	// touch the registry. All are nil-safe: with Options.Obs unset every
@@ -226,10 +203,8 @@ func New(opts Options) (*Client, error) {
 		c.mReadHedges = comp.Counter("read_hedges")
 		c.mReadFailover = comp.Counter("read_failovers")
 	}
-	if opts.MetaCacheTTL >= 0 {
-		c.meta = newMetaCache(opts.Clock, opts.MetaCacheTTL, opts.MetaCacheSize,
-			opts.Obs.Component("client/"+opts.Name))
-	}
+	c.meta = newMetaCache(opts.Clock, DefaultMetaCacheTTL, DefaultMetaCacheSize,
+		opts.Obs.Component("client/"+opts.Name))
 	c.wg.Add(1)
 	go c.heartbeatLoop()
 	return c, nil
@@ -393,25 +368,25 @@ func (c *Client) callNNBatch(entries []nnapi.BatchEntry) ([]nnapi.BatchResult, e
 	return resp.Results, nil
 }
 
-// invalidateMeta drops a path from the metadata cache (no-op when the
-// cache is disabled). Called on every local mutation of the path.
+// invalidateMeta drops a path from the metadata cache. Called on every
+// local mutation of the path, once the mutation's RPC has returned: a
+// lookup that was in flight across the mutation is then refused by the
+// cache (see metaCache.put).
 func (c *Client) invalidateMeta(path string) {
-	if c.meta != nil {
-		c.meta.invalidate(path)
-	}
+	c.meta.invalidate(path)
 }
 
 // --- typed ClientProtocol wrappers ---
 
 func (c *Client) createFile(path string, opts WriteOptions) error {
 	c.invalidateMeta(path)
+	defer c.invalidateMeta(path)
 	return c.callNN(nnapi.MethodCreate, nnapi.CreateReq{
 		Path:        path,
 		Client:      c.opts.Name,
 		Replication: opts.Replication,
 		BlockSize:   opts.BlockSize,
 		Overwrite:   opts.Overwrite,
-		Policy:      opts.Policy,
 	}, &nnapi.CreateResp{})
 }
 
@@ -481,15 +456,13 @@ func (c *Client) GetFileInfo(path string) (nnapi.GetFileInfoResp, error) {
 // getBlockLocations resolves a file's blocks and replica locations,
 // serving from the client's metadata cache when a fresh entry exists.
 func (c *Client) getBlockLocations(path string) (nnapi.GetBlockLocationsResp, error) {
-	if c.meta != nil {
-		if resp, ok := c.meta.get(path); ok {
-			return resp, nil
-		}
+	resp, epoch, ok := c.meta.get(path)
+	if ok {
+		return resp, nil
 	}
-	var resp nnapi.GetBlockLocationsResp
 	err := c.callNN(nnapi.MethodGetBlockLocations, nnapi.GetBlockLocationsReq{Path: path, Client: c.opts.Name}, &resp)
-	if err == nil && c.meta != nil {
-		c.meta.put(path, resp)
+	if err == nil {
+		c.meta.put(path, resp, epoch)
 	}
 	return resp, err
 }
@@ -497,6 +470,7 @@ func (c *Client) getBlockLocations(path string) (nnapi.GetBlockLocationsResp, er
 // Delete removes a file; it reports whether the file existed.
 func (c *Client) Delete(path string) (bool, error) {
 	c.invalidateMeta(path)
+	defer c.invalidateMeta(path)
 	var resp nnapi.DeleteResp
 	err := c.callNN(nnapi.MethodDelete, nnapi.DeleteReq{Path: path}, &resp)
 	return resp.Deleted, err
@@ -506,6 +480,8 @@ func (c *Client) Delete(path string) (bool, error) {
 func (c *Client) Rename(src, dst string) error {
 	c.invalidateMeta(src)
 	c.invalidateMeta(dst)
+	defer c.invalidateMeta(dst)
+	defer c.invalidateMeta(src)
 	return c.callNN(nnapi.MethodRename, nnapi.RenameReq{Src: src, Dst: dst}, &nnapi.RenameResp{})
 }
 

@@ -1,9 +1,6 @@
 package client
 
-import (
-	"repro/internal/policy"
-	"repro/internal/proto"
-)
+import "repro/internal/proto"
 
 // CreateHDFS opens a file for writing with the baseline HDFS protocol:
 // one pipeline at a time, and the client waits for every datanode's ack
@@ -15,14 +12,10 @@ import (
 func (c *Client) CreateHDFS(path string, opts WriteOptions) (Writer, error) {
 	opts.applyDefaults()
 	opts.Mode = proto.ModeHDFS
-	pol, err := policy.New(opts.Policy)
-	if err != nil {
-		return nil, err
-	}
 	if err := c.createFile(path, opts); err != nil {
 		return nil, err
 	}
-	w := c.newSchedWriter(path, opts, pol, 1, false)
+	w := c.newSchedWriter(path, opts, 1, false)
 	w.notePipelines(1)
 	return w, nil
 }

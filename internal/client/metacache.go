@@ -10,8 +10,7 @@ import (
 	"repro/internal/obs"
 )
 
-// Default metadata-cache geometry (see Options.MetaCacheTTL and
-// Options.MetaCacheSize).
+// Metadata-cache geometry.
 const (
 	// DefaultMetaCacheTTL is short on purpose: it absorbs the re-open /
 	// re-stat bursts of read-heavy workloads without letting another
@@ -36,6 +35,12 @@ type metaCache struct {
 	max     int
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
+	// epoch counts invalidations of any path. A lookup notes it on its
+	// miss and put refuses the response if it has moved, so a response
+	// fetched before a local mutation is never cached after it. One
+	// counter for all paths: per-path history would have to outlive the
+	// entries, and a refused put only costs the next lookup an RPC.
+	epoch uint64
 
 	mHits          *obs.Counter
 	mMisses        *obs.Counter
@@ -48,15 +53,9 @@ type metaEntry struct {
 	fetched time.Time
 }
 
-// newMetaCache builds a cache; ttl 0 and size 0 select the defaults.
-// comp may be nil (counters degrade to no-ops).
+// newMetaCache builds a cache. comp may be nil (counters degrade to
+// no-ops).
 func newMetaCache(clk clock.Clock, ttl time.Duration, size int, comp *obs.Component) *metaCache {
-	if ttl == 0 {
-		ttl = DefaultMetaCacheTTL
-	}
-	if size <= 0 {
-		size = DefaultMetaCacheSize
-	}
 	return &metaCache{
 		clk:            clk,
 		ttl:            ttl,
@@ -69,30 +68,38 @@ func newMetaCache(clk clock.Clock, ttl time.Duration, size int, comp *obs.Compon
 	}
 }
 
-// get returns a fresh cached response for path, if any.
-func (mc *metaCache) get(path string) (nnapi.GetBlockLocationsResp, bool) {
+// get returns a fresh cached response for path, if any. On a miss it
+// returns the invalidation epoch to hand to put with the fetched
+// response.
+func (mc *metaCache) get(path string) (nnapi.GetBlockLocationsResp, uint64, bool) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
 	el, ok := mc.entries[path]
 	if !ok {
 		mc.mMisses.Inc()
-		return nnapi.GetBlockLocationsResp{}, false
+		return nnapi.GetBlockLocationsResp{}, mc.epoch, false
 	}
 	e := el.Value.(*metaEntry)
 	if mc.clk.Now().Sub(e.fetched) >= mc.ttl {
 		mc.removeLocked(el)
 		mc.mMisses.Inc()
-		return nnapi.GetBlockLocationsResp{}, false
+		return nnapi.GetBlockLocationsResp{}, mc.epoch, false
 	}
 	mc.lru.MoveToFront(el)
 	mc.mHits.Inc()
-	return e.resp, true
+	return e.resp, mc.epoch, true
 }
 
-// put records a response for path, evicting the LRU entry when full.
-func (mc *metaCache) put(path string, resp nnapi.GetBlockLocationsResp) {
+// put records a response for path, evicting the LRU entry when full. It
+// drops the response when any path was invalidated since the get that
+// returned epoch: the fetch may have read the namenode before that
+// mutation.
+func (mc *metaCache) put(path string, resp nnapi.GetBlockLocationsResp, epoch uint64) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
+	if epoch != mc.epoch {
+		return
+	}
 	if el, ok := mc.entries[path]; ok {
 		e := el.Value.(*metaEntry)
 		e.resp = resp
@@ -107,10 +114,12 @@ func (mc *metaCache) put(path string, resp nnapi.GetBlockLocationsResp) {
 	mc.entries[path] = el
 }
 
-// invalidate drops path from the cache.
+// invalidate drops path from the cache and refuses every lookup now in
+// flight (cached or not, the path may have one).
 func (mc *metaCache) invalidate(path string) {
 	mc.mu.Lock()
 	defer mc.mu.Unlock()
+	mc.epoch++
 	if el, ok := mc.entries[path]; ok {
 		mc.removeLocked(el)
 		mc.mInvalidations.Inc()

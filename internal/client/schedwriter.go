@@ -91,8 +91,7 @@ type nnOp struct {
 }
 
 // newSchedWriter builds the writer, its engine, and the RPC worker.
-// pol is the write's resolved policy instance (nil means default).
-func (c *Client) newSchedWriter(path string, opts WriteOptions, pol policy.Policy, maxPipelines int, protocolHeartbeats bool) *schedWriter {
+func (c *Client) newSchedWriter(path string, opts WriteOptions, maxPipelines int, protocolHeartbeats bool) *schedWriter {
 	w := &schedWriter{
 		c:            c,
 		path:         path,
@@ -109,13 +108,9 @@ func (c *Client) newSchedWriter(path string, opts WriteOptions, pol policy.Polic
 		lastCause:    make(map[int]error),
 	}
 	w.cond = sync.NewCond(&w.mu)
-	if pol == nil {
-		pol, _ = policy.New(policy.Default)
-	}
 	w.span = c.obs.StartSpan("write", nil)
 	w.span.SetAttr("path", path)
 	w.span.SetAttr("mode", strings.ToLower(opts.Mode.String()))
-	w.span.SetAttr("policy", pol.Name())
 	seed := opts.Seed
 	if seed == 0 {
 		c.mu.Lock()
@@ -133,7 +128,6 @@ func (c *Client) newSchedWriter(path string, opts WriteOptions, pol policy.Polic
 		Seed:               seed,
 		SpeedOverride:      opts.SpeedOverride,
 		Log:                opts.SchedLog,
-		Policy:             pol,
 	}, w)
 	w.wg.Add(1)
 	go w.nnWorker()
@@ -336,7 +330,7 @@ func (w *schedWriter) nnWorker() {
 			return
 		}
 		n := 1
-		if w.nnq[0].run == nil && !w.opts.DisableRPCBatch {
+		if w.nnq[0].run == nil {
 			for n < len(w.nnq) && n < nnapi.MaxBatchEntries && w.nnq[n].run == nil {
 				n++
 			}
@@ -350,8 +344,8 @@ func (w *schedWriter) nnWorker() {
 }
 
 // runOps executes one drained queue prefix. A single op goes out as its
-// plain RPC — a writer that never queues two ops at once (or one with
-// DisableRPCBatch set) is wire-identical to an unbatched client. A
+// plain RPC — a writer that never queues two ops at once is
+// wire-identical to an unbatched client. A
 // longer run becomes one batch frame with per-entry outcomes; a remote
 // per-entry failure is delivered as *rpc.RemoteError, exactly what the
 // plain call would have produced.
@@ -418,7 +412,6 @@ func (w *schedWriter) stopWorker() {
 func (w *schedWriter) AddBlock(idx int, exclude []string, prev block.Block) {
 	req := nnapi.AddBlockReq{
 		Path: w.path, Client: w.c.opts.Name, Mode: w.opts.Mode, Exclude: exclude, Previous: prev,
-		Policy: w.opts.Policy,
 	}
 	w.enqueueNN(nnOp{
 		method:   nnapi.MethodAddBlock,
@@ -462,7 +455,6 @@ func (w *schedWriter) RecoverBlock(idx, attempt int, blk block.Block, alive, exc
 	w.enqueueNN(nnOp{run: func() {
 		resp, err := w.c.recoverBlock(nnapi.RecoverBlockReq{
 			Path: w.path, Block: blk, Alive: alive, Exclude: exclude, Mode: w.opts.Mode,
-			Policy: w.opts.Policy,
 		})
 		w.c.invalidateMeta(w.path)
 		if err == nil {

@@ -2,7 +2,6 @@ package client
 
 import (
 	"repro/internal/core"
-	"repro/internal/policy"
 	"repro/internal/proto"
 )
 
@@ -18,10 +17,6 @@ import (
 func (c *Client) CreateSmarth(path string, opts WriteOptions) (Writer, error) {
 	opts.applyDefaults()
 	opts.Mode = proto.ModeSmarth
-	pol, err := policy.New(opts.Policy)
-	if err != nil {
-		return nil, err
-	}
 	if err := c.createFile(path, opts); err != nil {
 		return nil, err
 	}
@@ -35,5 +30,5 @@ func (c *Client) CreateSmarth(path string, opts WriteOptions) (Writer, error) {
 	}
 	// SMARTH heartbeats at every FNFA so fresh measurements reach the
 	// namenode before the next placement decision.
-	return c.newSchedWriter(path, opts, pol, maxPipelines, true), nil
+	return c.newSchedWriter(path, opts, maxPipelines, true), nil
 }

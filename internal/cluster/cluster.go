@@ -56,9 +56,6 @@ type Config struct {
 	// TCPTuning overrides the socket tuning StartTCP applies to every
 	// connection (nil = transport.DefaultTCPTuning). Ignored by Start.
 	TCPTuning *transport.TCPTuning
-	// Shards overrides the namenode's namespace shard count
-	// (0 = namenode.DefaultShards; rounded up to a power of two).
-	Shards int
 	// Obs, when set, is shared by the namenode, every datanode, and every
 	// client created with NewClient: one registry and one tracer for the
 	// whole in-process cluster. nil disables observability.
@@ -160,7 +157,7 @@ func StartTCP(cfg Config) (*Cluster, error) {
 // what components advertise.
 func boot(c *Cluster, nnAddr string, dnAddr func(i int) string) (*Cluster, error) {
 	cfg := c.cfg
-	nn := namenode.New(namenode.Options{Clock: cfg.Clock, Expiry: cfg.Expiry, Seed: cfg.Seed, Shards: cfg.Shards, Obs: cfg.Obs})
+	nn := namenode.New(namenode.Options{Clock: cfg.Clock, Expiry: cfg.Expiry, Seed: cfg.Seed, Obs: cfg.Obs})
 	if cfg.Image != nil {
 		if err := nn.LoadImage(cfg.Image); err != nil {
 			return nil, err

@@ -32,50 +32,6 @@ func startObsCluster(t *testing.T, numDN int) (*Cluster, *obs.Obs) {
 	return c, o
 }
 
-// TestDisableRPCBatchEquivalence writes the same data with batching
-// enabled (the default) and with DisableRPCBatch, and requires both
-// files to read back identically — batching may only change framing,
-// never data-path outcomes. The DisableRPCBatch client must send zero
-// batch frames; whether the default client coalesces here depends on
-// queue timing against an in-memory namenode, so the deterministic
-// coalescing proof lives in internal/client's RPC-worker tests.
-func TestDisableRPCBatchEquivalence(t *testing.T) {
-	c, o := startObsCluster(t, 9)
-	data := randomData(4, 1<<20) // 4 × 256 KiB blocks
-
-	batched, err := c.NewClient("batched")
-	if err != nil {
-		t.Fatal(err)
-	}
-	writeFile(t, batched, "/batched", data, proto.ModeSmarth)
-	verifyFile(t, batched, "/batched", data)
-
-	plain, err := c.NewClient("plain")
-	if err != nil {
-		t.Fatal(err)
-	}
-	opts := testWriteOptions(proto.ModeSmarth)
-	opts.DisableRPCBatch = true
-	w, err := plain.CreateSmarth("/plain", opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := w.Write(data); err != nil {
-		t.Fatal(err)
-	}
-	if err := w.Close(); err != nil {
-		t.Fatal(err)
-	}
-	verifyFile(t, plain, "/plain", data)
-
-	if n := o.Component("client/plain").Counter("rpc_batches").Load(); n != 0 {
-		t.Errorf("DisableRPCBatch client sent %d batch frames", n)
-	}
-	if n := o.Component("namenode").Counter("nn_rpcs").Load(); n == 0 {
-		t.Error("namenode counted no logical RPCs")
-	}
-}
-
 // TestMetaCacheCoherence proves the client metadata cache serves repeat
 // opens without going stale across local mutations: the second read
 // hits the cache, and an overwrite invalidates so the third read

@@ -1,5 +1,5 @@
 //go:build !race
 
-package hotbench
+package cluster
 
 const raceEnabled = false

@@ -1,6 +1,6 @@
 //go:build race
 
-package hotbench
+package cluster
 
 // raceEnabled reports that this binary was built with -race, under which
 // sync.Pool deliberately drops puts at random and allocation counts are

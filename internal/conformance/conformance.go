@@ -34,7 +34,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/ec2"
 	"repro/internal/faultnet"
-	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/sim"
 	"repro/internal/transport"
@@ -93,17 +92,11 @@ type Scenario struct {
 	ThrottleDN   int
 	ThrottleMbps float64
 	Fault        *Fault
-	// Policy names the write policy (internal/policy) for both
-	// substrates; "" is the default. Every built-in policy has at least
-	// one scenario here, so a policy whose decisions depend on substrate
-	// timing can never land.
-	Policy string
 }
 
 // Scenarios returns the seeded conformance suite: the HDFS baseline on
 // one rack, SMARTH on the paper's two-rack topology, SMARTH with a
-// throttled datanode, SMARTH with a mid-write pipeline failure, and one
-// two-rack SMARTH scenario per non-default policy (speedaware).
+// throttled datanode, and SMARTH with a mid-write pipeline failure.
 // The seeds are chosen so the fault scenario's victim datanode leads
 // exactly one pipeline (see TestConformance's recurrence check).
 func Scenarios() []Scenario {
@@ -134,11 +127,6 @@ func Scenarios() []Scenario {
 			Name: "smarth-failure", Mode: proto.ModeSmarth, Seed: 14,
 			Blocks: 6, MaxPipelines: 3, SpeedMbps: speeds, ThrottleDN: -1,
 			Fault: &Fault{Block: 2},
-		},
-		{
-			Name: "smarth-speedaware", Mode: proto.ModeSmarth, Seed: 15,
-			Blocks: 6, MaxPipelines: 3, SpeedMbps: speeds, ThrottleDN: -1,
-			Policy: policy.SpeedAware,
 		},
 	}
 }
@@ -188,7 +176,6 @@ func RunSim(s Scenario) (string, error) {
 		StrictRetire:       true,
 		SpeedOverride:      speedFunc(s.SpeedMbps),
 		DecisionLog:        &log,
-		Policy:             s.Policy,
 	}
 	if s.ThrottleDN >= 0 {
 		cfg.NodeLimitMbps = map[int]float64{s.ThrottleDN: s.ThrottleMbps}
@@ -213,18 +200,6 @@ func RunSim(s Scenario) (string, error) {
 // FNFA deadline expires and the engine blames pipeline position 0 — the
 // same node the sim's unknown-position sweep blames.
 func RunLive(s Scenario, victim string) (string, error) {
-	return runLive(s, victim, false)
-}
-
-// RunLiveNoBatch replays the scenario on the live substrate with client
-// RPC batching disabled (WriteOptions.DisableRPCBatch) — the ablation
-// proving batching changes framing only, never a protocol decision: its
-// log must match both RunLive's and RunSim's byte-for-byte.
-func RunLiveNoBatch(s Scenario, victim string) (string, error) {
-	return runLive(s, victim, true)
-}
-
-func runLive(s Scenario, victim string, noBatch bool) (string, error) {
 	var fn *faultnet.Network
 	cfg := cluster.Config{
 		NumDatanodes: NumDatanodes,
@@ -275,12 +250,10 @@ func runLive(s Scenario, victim string, noBatch bool) (string, error) {
 		PacketSize:   PacketSize,
 		MaxPipelines: s.MaxPipelines,
 
-		DisableRPCBatch: noBatch,
-		Seed:            s.Seed,
-		StrictRetire:    true,
-		SchedLog:        &log,
-		SpeedOverride:   speedFunc(s.SpeedMbps),
-		Policy:          s.Policy,
+		Seed:          s.Seed,
+		StrictRetire:  true,
+		SchedLog:      &log,
+		SpeedOverride: speedFunc(s.SpeedMbps),
 	}
 	var w client.Writer
 	if s.Mode == proto.ModeSmarth {

@@ -41,43 +41,6 @@ func TestConformance(t *testing.T) {
 	}
 }
 
-// TestConformanceRPCBatchingInvariant is the control-plane ablation:
-// the same scenario runs live with RPC batching (and the metadata
-// cache) enabled — the default — and again with batching disabled, and
-// both logs must equal the sim's byte-for-byte. Batching coalesces
-// heartbeat and addBlock frames; it must never reorder them or change a
-// placement, so the engine's decision log cannot tell the runs apart.
-// Fault scenarios are covered by TestConformance; here the clean ones
-// suffice and keep the extra live runs cheap.
-func TestConformanceRPCBatchingInvariant(t *testing.T) {
-	for _, s := range Scenarios() {
-		if s.Fault != nil {
-			continue
-		}
-		s := s
-		t.Run(s.Name, func(t *testing.T) {
-			simLog, err := RunSim(s)
-			if err != nil {
-				t.Fatalf("sim run: %v", err)
-			}
-			batched, err := RunLive(s, "")
-			if err != nil {
-				t.Fatalf("live (batched) run: %v", err)
-			}
-			if batched != simLog {
-				t.Fatalf("batched live log diverges from sim:%s", diff(simLog, batched))
-			}
-			unbatched, err := RunLiveNoBatch(s, "")
-			if err != nil {
-				t.Fatalf("live (unbatched) run: %v", err)
-			}
-			if unbatched != simLog {
-				t.Fatalf("unbatched live log diverges from sim:%s", diff(simLog, unbatched))
-			}
-		})
-	}
-}
-
 // pickVictim reads the failing block's first datanode out of the sim log
 // and checks the seed keeps it out of every other pipeline's lead: the
 // live substrate blackholes the client→victim link for the whole write,
@@ -132,11 +95,10 @@ func diff(want, got string) string {
 // (both substrates agreeing on nothing) cannot pass as conformance.
 func TestScenarioLogsExerciseTheProtocol(t *testing.T) {
 	want := map[string][]string{
-		"hdfs-single-rack":  {"create path=" + Path + " mode=HDFS repl=3 cap=1", "retire idx=0", "complete path="},
-		"smarth-two-rack":   {"mode=SMARTH repl=3 cap=3", "localopt idx=", "fnfa idx=", "retire idx=", "complete path="},
-		"smarth-throttled":  {"mode=SMARTH repl=3 cap=3", "fnfa idx=", "complete path="},
-		"smarth-failure":    {"fail idx=2 bad=", "recover idx=2 attempt=1", "restream idx=2", "recovered idx=2", "complete path="},
-		"smarth-speedaware": {"policy name=speedaware", "fnfa idx=", "retire idx=", "complete path="},
+		"hdfs-single-rack": {"create path=" + Path + " mode=HDFS repl=3 cap=1", "retire idx=0", "complete path="},
+		"smarth-two-rack":  {"mode=SMARTH repl=3 cap=3", "localopt idx=", "fnfa idx=", "retire idx=", "complete path="},
+		"smarth-throttled": {"mode=SMARTH repl=3 cap=3", "fnfa idx=", "complete path="},
+		"smarth-failure":   {"fail idx=2 bad=", "recover idx=2 attempt=1", "restream idx=2", "recovered idx=2", "complete path="},
 	}
 	for _, s := range Scenarios() {
 		s := s

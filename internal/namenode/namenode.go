@@ -1,9 +1,8 @@
 // Package namenode implements the cluster's metadata server: the
 // namespace (files and blocks), datanode liveness tracking, replica
-// placement — delegated to the pluggable policy layer (internal/policy),
-// whose default covers both HDFS's topology policy and SMARTH's
-// Algorithm 1 global optimization — and the RPC surface defined in
-// package nnapi.
+// placement — delegated to internal/policy, which covers both HDFS's
+// topology policy and SMARTH's Algorithm 1 global optimization — and
+// the RPC surface defined in package nnapi.
 //
 // Concurrency: there is no global namesystem lock. The namespace is
 // sharded by parent directory and the block manager striped by block ID
@@ -50,19 +49,10 @@ type Options struct {
 	// Seed drives placement randomness; a fixed seed makes tests and
 	// simulations reproducible. Zero means seed from the system clock.
 	Seed int64
-	// Shards is the namespace shard (and block stripe) count, rounded up
-	// to a power of two. Zero selects DefaultShards; 1 approximates the
-	// old single-lock namesystem (useful for contention A/B tests).
-	Shards int
 	// Obs, when set, receives metrics (RPC latency per method, placement
 	// decisions, block recoveries, shard contention) under the
 	// "namenode" component.
 	Obs *obs.Obs
-	// Policy names the policy used for namenode-initiated placement
-	// (re-replication target selection). Client-driven placement carries
-	// its policy in each request instead. Empty selects policy.Default;
-	// unknown names fall back to it.
-	Policy string
 }
 
 // methodMetrics holds one RPC method's latency histogram and error
@@ -95,11 +85,9 @@ type Namenode struct {
 	// blocks have at least one reported replica (like HDFS startup).
 	safeMode atomic.Bool
 
-	// policies holds one shared instance per built-in policy name (state
-	// like speedaware's history accumulates across requests);
-	// maintPolicy names the one used for namenode-initiated placement.
-	policies    map[string]policy.Policy
-	maintPolicy string
+	// pol places every pipeline: client writes, recovery top-ups and
+	// re-replication.
+	pol policy.Policy
 
 	// batchable maps method names to their decode/execute handlers; the
 	// Batch RPC re-dispatches entries through it.
@@ -110,8 +98,6 @@ type Namenode struct {
 	mm               map[string]methodMetrics
 	mPlaceSmarth     *obs.Counter
 	mPlaceDefault    *obs.Counter
-	mPolicyDecisions *obs.Counter                // every placement decision, any policy
-	mPolicyPlace     map[string]*obs.Counter     // placement decisions per policy name
 	mBlocksAllocated *obs.Counter
 	mBlockRecoveries *obs.Counter
 	mRPCs            *obs.Counter // logical operations served (batch entries count individually)
@@ -132,21 +118,10 @@ func New(opts Options) *Namenode {
 	rng := rand.New(rand.NewSource(seed))
 	dm := newDatanodeManager(clk, opts.Expiry)
 	registry := core.NewRegistry()
-	policies := make(map[string]policy.Policy, len(policy.Names()))
-	for _, name := range policy.Names() {
-		p, err := policy.New(name)
-		if err != nil {
-			panic("namenode: built-in policy failed to construct: " + err.Error())
-		}
-		policies[name] = p
-	}
+	pol, _ := policy.New(policy.Default) // Default always resolves
 	leaseTTL := opts.LeaseTimeout
 	if leaseTTL <= 0 {
 		leaseTTL = DefaultLeaseTimeout
-	}
-	shards := opts.Shards
-	if shards <= 0 {
-		shards = DefaultShards
 	}
 	nn := &Namenode{
 		clk:           clk,
@@ -156,23 +131,17 @@ func New(opts Options) *Namenode {
 		rng:           rng,
 		leaseTTL:      leaseTTL,
 		balancerMoves: make(map[block.ID]pendingMove),
-		policies:      policies,
-		maintPolicy:   opts.Policy,
+		pol:           pol,
 	}
 	nn.obsComp = opts.Obs.Component("namenode")
 	nn.mPlaceSmarth = nn.obsComp.Counter("placement_smarth")
 	nn.mPlaceDefault = nn.obsComp.Counter("placement_default")
-	nn.mPolicyDecisions = nn.obsComp.Counter("policy_decisions")
-	nn.mPolicyPlace = make(map[string]*obs.Counter, len(policies))
-	for _, name := range policy.Names() {
-		nn.mPolicyPlace[name] = nn.obsComp.Counter("policy_place_" + name)
-	}
 	nn.mBlocksAllocated = nn.obsComp.Counter("blocks_allocated")
 	nn.mBlockRecoveries = nn.obsComp.Counter("block_recoveries")
 	nn.mRPCs = nn.obsComp.Counter("nn_rpcs")
 	nn.mBatches = nn.obsComp.Counter("nn_batches")
 	nn.mShardContention = nn.obsComp.Counter("shard_contention")
-	nn.ns = newNamesystem(shards, nn.mShardContention)
+	nn.ns = newNamesystem(DefaultShards, nn.mShardContention)
 	nn.batchable = map[string]rpc.Handler{
 		nnapi.MethodCreate:             rpc.HandlerFor(nnapi.MethodCreate, nn.Create),
 		nnapi.MethodAddBlock:           rpc.HandlerFor(nnapi.MethodAddBlock, nn.AddBlock),
@@ -216,34 +185,17 @@ func (nn *Namenode) Registry() *core.Registry { return nn.registry }
 
 // place runs one placement decision under the datanode manager's lock,
 // so the policy observes a consistent topology (via placementView) and
-// the shared rng is race-free. policyName resolves through policyByName
-// ("" → default); the decision is counted globally and per policy.
-func (nn *Namenode) place(policyName string, mode proto.WriteMode, client string, replication int, exclude []string) ([]block.DatanodeInfo, error) {
-	pol := nn.policyByName(policyName)
-	nn.mPolicyDecisions.Inc()
-	if c, ok := nn.mPolicyPlace[pol.Name()]; ok {
-		c.Inc()
-	}
+// the shared rng is race-free.
+func (nn *Namenode) place(mode proto.WriteMode, client string, replication int, exclude []string) ([]block.DatanodeInfo, error) {
 	nn.dm.mu.Lock()
 	defer nn.dm.mu.Unlock()
-	return pol.Place(placementView{dm: nn.dm, registry: nn.registry}, policy.PlaceInput{
+	return nn.pol.Place(placementView{dm: nn.dm, registry: nn.registry}, policy.PlaceInput{
 		Client:      client,
 		Mode:        mode,
 		Replication: replication,
 		Exclude:     exclude,
 		Rng:         nn.rng,
 	})
-}
-
-// policyByName resolves a request's policy name against the shared
-// instances; empty and unknown names both land on the default so a
-// namenode never rejects a request over a policy label (validation
-// happens client-side where an error can reach the caller).
-func (nn *Namenode) policyByName(name string) policy.Policy {
-	if p, ok := nn.policies[name]; ok {
-		return p
-	}
-	return nn.policies[policy.Default]
 }
 
 // Serve runs the RPC server on l until the listener closes.
@@ -310,15 +262,12 @@ func (nn *Namenode) checkSafeMode() error {
 	return nil
 }
 
-// Create makes a new file in the namespace (write step 1). The policy
-// named in the request gets the final word on the file's replication
-// factor (identity for all built-in policies).
+// Create makes a new file in the namespace (write step 1).
 func (nn *Namenode) Create(req nnapi.CreateReq) (nnapi.CreateResp, error) {
 	if err := nn.checkSafeMode(); err != nil {
 		return nnapi.CreateResp{}, err
 	}
-	replication := nn.policyByName(req.Policy).ReplicationFor(req.Path, req.Replication)
-	if err := nn.ns.create(req.Path, req.Client, replication, req.BlockSize, req.Overwrite, nn.clk.Now()); err != nil {
+	if err := nn.ns.create(req.Path, req.Client, req.Replication, req.BlockSize, req.Overwrite, nn.clk.Now()); err != nil {
 		return nnapi.CreateResp{}, err
 	}
 	return nnapi.CreateResp{}, nil
@@ -332,7 +281,7 @@ func (nn *Namenode) AddBlock(req nnapi.AddBlockReq) (nnapi.AddBlockResp, error) 
 	}
 	b, targets, reused, err := nn.ns.addBlock(req.Path, req.Client, req.Previous, nn.clk.Now(),
 		func(replication int) ([]block.DatanodeInfo, error) {
-			return nn.place(req.Policy, req.Mode, req.Client, replication, req.Exclude)
+			return nn.place(req.Mode, req.Client, replication, req.Exclude)
 		})
 	if err != nil {
 		return nnapi.AddBlockResp{}, err
@@ -363,8 +312,7 @@ func (nn *Namenode) Complete(req nnapi.CompleteReq) (nnapi.CompleteResp, error) 
 
 // RecoverBlock re-provisions a failed pipeline: bump the generation
 // stamp, schedule stale replicas for deletion, and build a fresh target
-// list (surviving nodes first, then replacements chosen by the current
-// policy).
+// list (surviving nodes first, then replacements chosen by placement).
 func (nn *Namenode) RecoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockResp, error) {
 	if err := nn.checkSafeMode(); err != nil {
 		return nnapi.RecoverBlockResp{}, err
@@ -390,7 +338,7 @@ func (nn *Namenode) RecoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockR
 				}
 			}
 			if missing := replication - len(targets); missing > 0 {
-				extra, err := nn.place(req.Policy, req.Mode, req.Client, missing, taken)
+				extra, err := nn.place(req.Mode, req.Client, missing, taken)
 				if err != nil && len(targets) == 0 {
 					return nil, fmt.Errorf("recover %v: %w", req.Block, err)
 				}
@@ -407,14 +355,9 @@ func (nn *Namenode) RecoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockR
 
 // ClientHeartbeat ingests a client's speed records (SMARTH §III-B) and
 // renews the client's write leases (O(the client's open files), via the
-// per-shard lease index). Every registered policy observes the
-// heartbeat (in the fixed policy.Names order), so stateful policies
-// accumulate histories regardless of which policy places the writes.
+// per-shard lease index).
 func (nn *Namenode) ClientHeartbeat(req nnapi.ClientHeartbeatReq) (nnapi.ClientHeartbeatResp, error) {
 	nn.registry.Update(req.Client, req.Speeds)
-	for _, name := range policy.Names() {
-		nn.policies[name].ObserveHeartbeat(req.Client, req.Speeds)
-	}
 	nn.ns.renewLeases(req.Client, nn.clk.Now())
 	return nnapi.ClientHeartbeatResp{}, nil
 }

@@ -36,10 +36,10 @@ var (
 	ErrSafeMode = errors.New("namenode: in safe mode (block reports still incomplete)")
 )
 
-// DefaultShards is the default number of namespace shards (and block
-// stripes). Shard routing hashes the parent directory, so files in one
-// directory share a shard while independent directories proceed in
-// parallel; see DESIGN.md §12.
+// DefaultShards is the number of namespace shards (and block stripes).
+// Shard routing hashes the parent directory, so files in one directory
+// share a shard while independent directories proceed in parallel; see
+// DESIGN.md §12.
 const DefaultShards = 16
 
 // fileInode is one entry in the namespace. Its fields are guarded by the

@@ -147,10 +147,7 @@ func (nn *Namenode) scanUnderReplicated(now time.Time) {
 		source := sourceHolders[0]
 		exclude := append([]string{}, goodHolders...)
 		exclude = append(exclude, sourceHolders...)
-		// Re-replication targets come from the namenode's configured
-		// maintenance policy (Options.Policy) — there is no writing
-		// client whose request could carry one.
-		targets, err := nn.place(nn.maintPolicy, proto.ModeHDFS, "", missing, exclude)
+		targets, err := nn.place(proto.ModeHDFS, "", missing, exclude)
 		if err != nil || len(targets) == 0 {
 			return // no capacity to restore replication yet
 		}

@@ -14,7 +14,7 @@ import (
 // policy.ErrNoDatanodes the sim matches with errors.Is).
 func TestPlaceAllExcluded(t *testing.T) {
 	nn, _, names := newTestNN(t)
-	_, err := nn.place("", proto.ModeHDFS, "", 3, names)
+	_, err := nn.place(proto.ModeHDFS, "", 3, names)
 	if !errors.Is(err, ErrNoDatanodes) {
 		t.Fatalf("place with all excluded = %v, want ErrNoDatanodes", err)
 	}
@@ -23,7 +23,7 @@ func TestPlaceAllExcluded(t *testing.T) {
 	}
 
 	// Exactly one non-excluded node: placement has no choice left.
-	got, err := nn.place("", proto.ModeHDFS, "", 1, names[1:])
+	got, err := nn.place(proto.ModeHDFS, "", 1, names[1:])
 	if err != nil || len(got) != 1 || got[0].Name != names[0] {
 		t.Fatalf("place with one candidate = %v, %v; want [%s]", got, err, names[0])
 	}
@@ -100,22 +100,5 @@ func TestReReplicationRackFullyExcluded(t *testing.T) {
 	rackA := map[string]bool{"dn1": true, "dn2": true, "dn3": true, "dn4": true, "dn5": true}
 	if !rackA[got] {
 		t.Fatalf("replacement %s not in rack A; rack B is all holders or dead", got)
-	}
-}
-
-// TestMaintenancePolicyUnknownFallsBack pins the forgiving resolution of
-// Options.Policy: an unknown maintenance policy name must degrade to the
-// default policy rather than wedging re-replication.
-func TestMaintenancePolicyUnknownFallsBack(t *testing.T) {
-	clk := newTestClock()
-	nn := New(Options{Clock: clk, Seed: 42, Policy: "no-such-policy"})
-	for i := 1; i <= 4; i++ {
-		if _, err := nn.Register(nnapi.RegisterReq{Name: dnName(i), Addr: "mem://" + dnName(i), Rack: "/rack-a"}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	got, err := nn.place(nn.maintPolicy, proto.ModeHDFS, "", 3, nil)
-	if err != nil || len(got) != 3 {
-		t.Fatalf("place under unknown maintenance policy = %v, %v; want 3 targets", got, err)
 	}
 }

@@ -31,16 +31,16 @@ const (
 	// frame, strictly in entry order. It is how the client's FIFO
 	// namenode worker preserves the heartbeat-before-addBlock wire
 	// invariant while cutting frame count.
-	MethodBatch             = "ClientProtocol.batch"
-	MethodRegister          = "DatanodeProtocol.register"
-	MethodHeartbeat         = "DatanodeProtocol.heartbeat"
-	MethodBlockReceived     = "DatanodeProtocol.blockReceived"
+	MethodBatch         = "ClientProtocol.batch"
+	MethodRegister      = "DatanodeProtocol.register"
+	MethodHeartbeat     = "DatanodeProtocol.heartbeat"
+	MethodBlockReceived = "DatanodeProtocol.blockReceived"
 	// MethodBlockReceivedBatch is the datanode's delta block report: all
 	// replicas finalized since the last report, in one frame.
 	MethodBlockReceivedBatch = "DatanodeProtocol.blockReceivedBatch"
-	MethodDecommission      = "AdminProtocol.decommission"
-	MethodDecommStatus      = "AdminProtocol.decommissionStatus"
-	MethodBalance           = "AdminProtocol.balance"
+	MethodDecommission       = "AdminProtocol.decommission"
+	MethodDecommStatus       = "AdminProtocol.decommissionStatus"
+	MethodBalance            = "AdminProtocol.balance"
 )
 
 // CreateReq creates a file in the namespace (step 1 of a write).
@@ -50,9 +50,6 @@ type CreateReq struct {
 	Replication int
 	BlockSize   int64
 	Overwrite   bool
-	// Policy names the write policy (internal/policy) deciding the
-	// file's effective replication factor. Empty means the default.
-	Policy string
 }
 
 // CreateResp acknowledges namespace creation.
@@ -76,10 +73,6 @@ type AddBlockReq struct {
 	// namenode hands that block back (with a fresh pipeline) instead of
 	// allocating an orphan that would stall Complete forever.
 	Previous block.Block
-	// Policy names the placement policy (internal/policy) choosing the
-	// pipeline. Empty means the default; the Mode still distinguishes
-	// the HDFS and SMARTH paths within a policy.
-	Policy string
 }
 
 // AddBlockResp returns the allocated block and its pipeline.
@@ -124,9 +117,6 @@ type RecoverBlockReq struct {
 	// (the failed nodes, plus SMARTH's one-pipeline-per-datanode set).
 	Exclude []string
 	Mode    proto.WriteMode
-	// Policy names the placement policy (internal/policy) choosing
-	// replacement targets. Empty means the default.
-	Policy string
 }
 
 // RecoverBlockResp carries the re-stamped block and new pipeline.

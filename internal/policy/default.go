@@ -8,12 +8,10 @@ import (
 	"repro/internal/proto"
 )
 
-// picker accumulates pipeline targets with exclusion bookkeeping. It is
-// shared by the built-in policies so the rack-aware tail (second replica
-// on a remote rack, third on the second's rack, rest random) is
-// implemented exactly once. Moved verbatim from the namenode's
-// pre-policy placement.go: the rng draw order is part of the
-// conformance contract.
+// picker accumulates pipeline targets with exclusion bookkeeping. Both
+// placements share it so the rack-aware tail (second replica on a remote
+// rack, third on the second's rack, rest random) is implemented exactly
+// once. The rng draw order is part of the conformance contract.
 type picker struct {
 	view   ClusterView
 	rng    *rand.Rand
@@ -130,18 +128,14 @@ func (p *picker) fillTail(replication int) {
 	}
 }
 
-// defaultPolicy is the pre-policy behavior extracted verbatim. HDFS
-// mode: first replica on the client itself when the client is a
-// datanode, otherwise a random node, then the standard rack-aware tail.
+// defaultPolicy is the paper's placement and ordering. HDFS mode: first
+// replica on the client itself when the client is a datanode, otherwise
+// a random node, then the standard rack-aware tail.
 // SMARTH mode with speed records (Algorithm 1): first datanode drawn
 // uniformly from the client's TopN fastest (n = activeDatanodes /
 // replication), same tail; without records it falls back to the HDFS
 // path (Algorithm 1 line 21). Pipelines chain; ordering is Algorithm 2.
 type defaultPolicy struct{}
-
-func (d *defaultPolicy) Name() string { return Default }
-
-func (d *defaultPolicy) ReplicationFor(path string, requested int) int { return requested }
 
 func (d *defaultPolicy) Place(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) {
 	if in.Mode == proto.ModeSmarth && view.Registry().HasRecords(in.Client) {
@@ -157,8 +151,6 @@ func (d *defaultPolicy) ExcludeBusy(mode proto.WriteMode) bool {
 func (d *defaultPolicy) OrderPipeline(idx int, targets []string, speedOf func(string) float64, rng *rand.Rand) bool {
 	return core.LocalOptimize(targets, speedOf, rng)
 }
-
-func (d *defaultPolicy) ObserveHeartbeat(client string, speeds map[string]float64) {}
 
 // placeDefault is HDFS's topology-aware placement.
 func placeDefault(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) {

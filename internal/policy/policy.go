@@ -1,32 +1,17 @@
-// Package policy is the pluggable decision layer for the write path: one
-// interface covering block placement (target selection under exclude
-// sets), the per-file replication factor, and pipeline ordering. The
-// namenode, the writesched engine, and the simulator all consult a
-// Policy through this package instead of hard-coding the paper's
-// algorithms, so an alternative strategy is written once and runs
-// identically live and in the DES — with conformance replaying it on
+// Package policy is the single home of the paper's write-path decisions:
+// block placement under exclude sets (HDFS's topology-aware placement and
+// SMARTH's Algorithm 1 TopN first node) and pipeline ordering (Algorithm 2
+// local optimization). The namenode, the writesched engine, and the
+// simulator all reach them through this package, so the algorithms run
+// identically live and in the DES — with conformance replaying them on
 // both substrates (see internal/conformance).
-//
-// Two policies are built in:
-//
-//   - "default" — the current behavior extracted verbatim: HDFS's
-//     topology-aware placement, SMARTH's Algorithm 1 TopN first node,
-//     Algorithm 2 local optimization, chained pipelines. Its decision
-//     logs are byte-identical to the pre-policy engine's.
-//   - "speedaware" — extends Algorithm 2's cost model with per-datanode
-//     throughput histories accumulated from client heartbeats: the
-//     first pipeline node is the deterministic argmax of the client's
-//     registry speed plus the cluster-wide history, and pipeline
-//     ordering is a deterministic speed sort with a periodic
-//     exploration swap (no rng draws).
 //
 // Determinism contract: policy code is part of the simdeterminism
 // discipline (internal/analysis/simdeterminism) — no wall clock, no
 // ambient math/rand (only the explicitly seeded *rand.Rand handed in
 // through PlaceInput/OrderPipeline), and no map-iteration order feeding
-// a decision. Every choice must be a pure function of the inputs, the
-// seeded rng, and state fed through ObserveHeartbeat in a deterministic
-// call order.
+// a decision. Every choice must be a pure function of the inputs and the
+// seeded rng.
 package policy
 
 import (
@@ -39,14 +24,9 @@ import (
 	"repro/internal/proto"
 )
 
-// Built-in policy names, accepted by New and carried in nnapi requests.
-const (
-	// Default is the extracted legacy behavior; its conformance decision
-	// logs are byte-identical to the pre-policy engine.
-	Default = "default"
-	// SpeedAware augments placement with observed throughput histories.
-	SpeedAware = "speedaware"
-)
+// Default names the one policy. The constant stays because
+// bench/layers.go calls New(Default).
+const Default = "default"
 
 // ErrNoDatanodes is returned when placement cannot find a single target.
 // The namenode re-exports it (namenode.ErrNoDatanodes) and the write
@@ -55,8 +35,8 @@ const (
 var ErrNoDatanodes = errors.New("policy: no available datanodes")
 
 // Shape is a pipeline's data-plane topology. The mirror chain is the only
-// one; the type stays because bench/ names it in its implementation of
-// writesched.Substrate.StartPipeline.
+// one; the type stays because bench/layers.go names it in its
+// implementation of writesched.Substrate.StartPipeline.
 type Shape uint8
 
 // ShapeChain is the HDFS/SMARTH mirror chain: the client streams to
@@ -64,9 +44,10 @@ type Shape uint8
 const ShapeChain Shape = 0
 
 // ClusterView is the namenode state a placement decision may read. It is
-// implemented by the namenode's datanode manager and is valid only for
-// the duration of one Place call (the namenode holds the manager's lock
-// across it, so the view is consistent and the shared rng race-free).
+// implemented by the namenode's datanode manager (and by the placement
+// probe in bench/layers.go) and is valid only for the duration of one Place call
+// (the namenode holds the manager's lock across it, so the view is
+// consistent and the shared rng race-free).
 type ClusterView interface {
 	// Placeable returns the datanodes eligible for new replicas (live
 	// and not decommissioning), sorted by name.
@@ -88,7 +69,8 @@ type ClusterView interface {
 	Registry() *core.Registry
 }
 
-// PlaceInput carries one placement decision's parameters.
+// PlaceInput carries one placement decision's parameters (bench/layers.go
+// builds one for its placement probe).
 type PlaceInput struct {
 	// Client is the writing client's name ("" for maintenance placement
 	// such as re-replication, which has no client affinity).
@@ -105,17 +87,11 @@ type PlaceInput struct {
 	Rng *rand.Rand
 }
 
-// Policy is one write-path strategy: where replicas go, how many there
-// are, and in what order the pipeline visits them. Implementations must
-// be safe for concurrent use; Place additionally runs under the
-// namenode's datanode-manager lock (via the ClusterView contract).
+// Policy is the write path's decision surface: where replicas go and in
+// what order the pipeline visits them. It is safe for concurrent use;
+// Place additionally runs under the namenode's datanode-manager lock
+// (via the ClusterView contract).
 type Policy interface {
-	// Name is the policy's registry key ("default", "speedaware", ...).
-	Name() string
-	// ReplicationFor maps a file's requested replication factor to the
-	// one actually used (identity for all built-in policies; the hook
-	// exists so a policy can grow/shrink replication per file).
-	ReplicationFor(path string, requested int) int
 	// Place chooses up to in.Replication pipeline targets. The returned
 	// order is the pipeline order (first element receives the client's
 	// stream). Zero targets must be reported as ErrNoDatanodes (possibly
@@ -130,26 +106,13 @@ type Policy interface {
 	// local speed estimate, rng the engine's seeded rng. It reports
 	// whether an exploration swap happened (decision-logged).
 	OrderPipeline(idx int, targets []string, speedOf func(string) float64, rng *rand.Rand) bool
-	// ObserveHeartbeat feeds one client heartbeat's speed table into the
-	// policy's state (no-op for stateless policies). Called by the
-	// namenode for every registered policy on every client heartbeat, so
-	// histories accumulate regardless of which policy placed the write.
-	ObserveHeartbeat(client string, speeds map[string]float64)
 }
 
-// New resolves a policy by name; "" selects Default. Unknown names
-// error, listing the known policies.
+// New returns the policy. It takes a name, and accepts only "" and
+// Default, because bench/layers.go calls New(Default).
 func New(name string) (Policy, error) {
-	switch name {
-	case "", Default:
-		return &defaultPolicy{}, nil
-	case SpeedAware:
-		return newSpeedAware(), nil
+	if name != "" && name != Default {
+		return nil, fmt.Errorf("policy: unknown policy %q", name)
 	}
-	return nil, fmt.Errorf("policy: unknown policy %q (known: %v)", name, Names())
-}
-
-// Names lists the built-in policy names in sorted order.
-func Names() []string {
-	return []string{Default, SpeedAware}
+	return &defaultPolicy{}, nil
 }

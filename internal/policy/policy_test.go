@@ -89,25 +89,6 @@ func targetNames(targets []block.DatanodeInfo) []string {
 	return out
 }
 
-func TestNewResolvesBuiltins(t *testing.T) {
-	for _, name := range append([]string{""}, Names()...) {
-		p, err := New(name)
-		if err != nil {
-			t.Fatalf("New(%q): %v", name, err)
-		}
-		want := name
-		if want == "" {
-			want = Default
-		}
-		if p.Name() != want {
-			t.Fatalf("New(%q).Name() = %q", name, p.Name())
-		}
-	}
-	if _, err := New("bogus"); err == nil {
-		t.Fatal("New(bogus) succeeded")
-	}
-}
-
 func TestDefaultPlaceRackAwareTail(t *testing.T) {
 	view := twoRackView()
 	pol, _ := New(Default)
@@ -153,116 +134,5 @@ func TestDefaultPlaceHonorsExclude(t *testing.T) {
 		Rng:         rand.New(rand.NewSource(1)),
 	}); err != ErrNoDatanodes {
 		t.Fatalf("all-excluded err = %v, want ErrNoDatanodes", err)
-	}
-}
-
-func TestSpeedAwareColdStartFallsBack(t *testing.T) {
-	view := twoRackView()
-	pol, _ := New(SpeedAware)
-	got, err := pol.Place(view, PlaceInput{
-		Client:      "client-x",
-		Mode:        proto.ModeSmarth,
-		Replication: 3,
-		Rng:         rand.New(rand.NewSource(1)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(got) != 3 {
-		t.Fatalf("cold-start placement returned %v", targetNames(got))
-	}
-}
-
-func TestSpeedAwareArgmaxIsDeterministic(t *testing.T) {
-	view := twoRackView()
-	pol, _ := New(SpeedAware)
-	pol.ObserveHeartbeat("any-client", map[string]float64{
-		"dn2": 50e6, "dn5": 120e6, "dn6": 80e6,
-	})
-	for i := 0; i < 5; i++ {
-		got, err := pol.Place(view, PlaceInput{
-			Client:      "client-x",
-			Mode:        proto.ModeSmarth,
-			Replication: 3,
-			Rng:         rand.New(rand.NewSource(int64(i))),
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if targetNames(got)[0] != "dn5" {
-			t.Fatalf("head = %v, want dn5 (history argmax)", targetNames(got))
-		}
-	}
-	// The placing client's own registry records stack on the history.
-	view.reg.Update("client-x", map[string]float64{"dn6": 100e6})
-	got, err := pol.Place(view, PlaceInput{
-		Client:      "client-x",
-		Mode:        proto.ModeSmarth,
-		Replication: 3,
-		Rng:         rand.New(rand.NewSource(9)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if targetNames(got)[0] != "dn6" {
-		t.Fatalf("head = %v, want dn6 (registry 100 + history 80 > 120)", targetNames(got))
-	}
-}
-
-func TestSpeedAwareArgmaxSkipsExcluded(t *testing.T) {
-	view := twoRackView()
-	pol, _ := New(SpeedAware)
-	pol.ObserveHeartbeat("c", map[string]float64{"dn5": 120e6, "dn6": 80e6})
-	got, err := pol.Place(view, PlaceInput{
-		Client:      "c",
-		Mode:        proto.ModeSmarth,
-		Replication: 2,
-		Exclude:     []string{"dn5"},
-		Rng:         rand.New(rand.NewSource(1)),
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if targetNames(got)[0] != "dn6" {
-		t.Fatalf("head = %v, want dn6", targetNames(got))
-	}
-}
-
-func TestSpeedAwareOrderPipeline(t *testing.T) {
-	pol := newSpeedAware()
-	speeds := map[string]float64{"a": 10, "b": 30, "c": 20}
-	speedOf := func(n string) float64 { return speeds[n] }
-
-	targets := []string{"a", "b", "c"}
-	if swapped := pol.OrderPipeline(0, targets, speedOf, nil); swapped {
-		t.Fatal("idx 0 swapped")
-	}
-	if !reflect.DeepEqual(targets, []string{"b", "c", "a"}) {
-		t.Fatalf("order = %v", targets)
-	}
-
-	targets = []string{"a", "b", "c"}
-	if swapped := pol.OrderPipeline(explorePeriod-1, targets, speedOf, nil); !swapped {
-		t.Fatal("exploration block did not swap")
-	}
-	if !reflect.DeepEqual(targets, []string{"a", "c", "b"}) {
-		t.Fatalf("explored order = %v", targets)
-	}
-}
-
-func TestObserveHeartbeatEWMA(t *testing.T) {
-	pol := newSpeedAware()
-	pol.ObserveHeartbeat("c1", map[string]float64{"dn1": 100})
-	pol.ObserveHeartbeat("c2", map[string]float64{"dn1": 200, "dn2": 0, "dn3": -5})
-	pol.mu.Lock()
-	defer pol.mu.Unlock()
-	if got := pol.history["dn1"]; got != 150 {
-		t.Fatalf("dn1 history = %v, want 150", got)
-	}
-	if _, ok := pol.history["dn2"]; ok {
-		t.Fatal("zero-speed sample stored")
-	}
-	if _, ok := pol.history["dn3"]; ok {
-		t.Fatal("negative sample stored")
 	}
 }

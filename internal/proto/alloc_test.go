@@ -66,12 +66,16 @@ func TestReadPacketAllocs(t *testing.T) {
 	}
 }
 
-// TestPacketAllocsWithMetrics re-runs the packet codec bounds with
-// frame-level ConnMetrics attached: the observability counters are plain
-// atomics and must not cost a single allocation per packet.
+// TestPacketAllocsWithMetrics re-runs the packet codec bounds with the
+// observability layer engaged the way a pipeline engages it: frame-level
+// ConnMetrics attached and a live span recording a packet event per
+// send. The counters are plain atomics and the span samples its packet
+// events, so neither may cost an allocation per packet.
 func TestPacketAllocsWithMetrics(t *testing.T) {
 	skipUnderRace(t)
 	m := obs.NewConnMetrics(obs.NewRegistry().Component("conn"))
+	span := obs.New(nil).StartSpan("pipeline", nil)
+	defer span.End()
 	data := make([]byte, DefaultPacketSize)
 	sums := checksum.Sum(data, DefaultChunkSize)
 
@@ -79,14 +83,17 @@ func TestPacketAllocsWithMetrics(t *testing.T) {
 	w := NewConn(&out)
 	w.SetMetrics(m)
 	pkt := &Packet{Sums: sums, Data: data}
+	var seq int64
 	avg := testing.AllocsPerRun(200, func() {
 		out.Reset()
 		if err := w.WritePacket(pkt); err != nil {
 			t.Fatal(err)
 		}
+		span.Packet("send", seq)
+		seq++
 	})
 	if avg > 0 {
-		t.Fatalf("WritePacket with metrics allocates %.1f times per packet, want 0", avg)
+		t.Fatalf("WritePacket with metrics and a span allocates %.1f times per packet, want 0", avg)
 	}
 
 	var frame bytes.Buffer

@@ -667,6 +667,10 @@ func (c *Conn) ReadPacket() (*Packet, error) {
 		bufpool.Put(fr)
 		return nil, fmt.Errorf("proto: packet body %d bytes, want %d sums + %d data", len(rest), nSums, nData)
 	}
+	if buf[16]&^1 != 0 {
+		bufpool.Put(fr)
+		return nil, fmt.Errorf("proto: unknown packet flags 0x%02x", buf[16])
+	}
 	p := packetPool.Get().(*Packet)
 	*p = Packet{
 		Seqno:   int64(binary.BigEndian.Uint64(buf)),

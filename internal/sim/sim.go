@@ -119,11 +119,6 @@ type Config struct {
 	// PipelineFaults injects pipeline failures (each fires once, on the
 	// block's initial pipeline only, so recovery can succeed).
 	PipelineFaults []PipelineFault
-
-	// Policy names the write policy (internal/policy) for every
-	// simulated writer and for the namenode's maintenance placement.
-	// "" is the default policy; unknown names fail Run.
-	Policy string
 }
 
 func (c *Config) applyDefaults() {
@@ -305,11 +300,6 @@ func (s *simulation) clientRack() string {
 
 func newSimulation(cfg Config, numClients int) (*simulation, error) {
 	cfg.applyDefaults()
-	// Validate the policy name up front; each writer gets its own
-	// instance so stateful policies never couple concurrent clients.
-	if _, err := policy.New(cfg.Policy); err != nil {
-		return nil, err
-	}
 	eng := des.New()
 	s := &simulation{
 		cfg: cfg,
@@ -324,7 +314,6 @@ func newSimulation(cfg Config, numClients int) (*simulation, error) {
 		Clock:  engClock{eng},
 		Expiry: time.Duration(math.MaxInt64 / 4),
 		Seed:   cfg.Seed,
-		Policy: cfg.Policy,
 	})
 
 	// Datanodes.
@@ -377,10 +366,6 @@ func newSimulation(cfg Config, numClients int) (*simulation, error) {
 			blockSpans: make(map[int]*obs.Span),
 			numBlocks:  numBlocks,
 		}
-		wpol, err := policy.New(cfg.Policy)
-		if err != nil {
-			return nil, err
-		}
 		w.eng = writesched.New(writesched.Config{
 			Path:               w.path,
 			Mode:               cfg.Mode,
@@ -392,7 +377,6 @@ func newSimulation(cfg Config, numClients int) (*simulation, error) {
 			Seed:               cfg.Seed + int64(k)*7919,
 			SpeedOverride:      cfg.SpeedOverride,
 			Log:                cfg.DecisionLog,
-			Policy:             wpol,
 		}, w)
 		s.writers = append(s.writers, w)
 	}
@@ -514,7 +498,6 @@ func (w *writer) start() error {
 	if _, err := s.nn.Create(nnapi.CreateReq{
 		Path: w.path, Client: w.name,
 		Replication: s.cfg.Replication, BlockSize: s.cfg.BlockSize,
-		Policy: s.cfg.Policy,
 	}); err != nil {
 		return fmt.Errorf("sim: create %s: %w", w.path, err)
 	}
@@ -525,11 +508,6 @@ func (w *writer) start() error {
 		w.root.SetAttr("path", w.path)
 		w.root.SetAttr("mode", s.cfg.Mode.String())
 		w.root.SetAttr("client", w.name)
-		polName := s.cfg.Policy
-		if polName == "" {
-			polName = policy.Default
-		}
-		w.root.SetAttr("policy", polName)
 	}
 
 	// Timer heartbeats carry the client's speed table to the namenode
@@ -575,7 +553,7 @@ func (w *writer) AddBlock(idx int, exclude []string, prev block.Block) {
 	s.eng.Schedule(s.cfg.NNLatency, func() {
 		resp, err := s.nn.AddBlock(nnapi.AddBlockReq{
 			Path: w.path, Client: w.name, Mode: s.cfg.Mode,
-			Exclude: exclude, Previous: prev, Policy: s.cfg.Policy,
+			Exclude: exclude, Previous: prev,
 		})
 		if err != nil && errors.Is(err, namenode.ErrNoDatanodes) {
 			err = fmt.Errorf("%w: %v", writesched.ErrNoTargets, err)
@@ -594,7 +572,6 @@ func (w *writer) RecoverBlock(idx, attempt int, blk block.Block, alive, exclude 
 		resp, err := s.nn.RecoverBlock(nnapi.RecoverBlockReq{
 			Path: w.path, Client: w.name, Block: blk,
 			Alive: alive, Exclude: exclude, Mode: s.cfg.Mode,
-			Policy: s.cfg.Policy,
 		})
 		w.eng.HandleRecovered(idx, resp.Located, err)
 	})

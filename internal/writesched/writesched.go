@@ -156,11 +156,6 @@ type Config struct {
 	SpeedOverride SpeedFunc
 	// Log receives the decision log (nil = no logging).
 	Log *DecisionLog
-	// Policy supplies the engine-side policy decisions: busy-datanode
-	// exclusion and pipeline ordering (the Algorithm 2 slot). Nil selects
-	// the default policy, whose decision log is byte-identical to the
-	// pre-policy engine's.
-	Policy policy.Policy
 }
 
 // DecisionLog is an append-only, concurrency-safe list of protocol
@@ -250,10 +245,7 @@ func New(cfg Config, sub Substrate) *Engine {
 	if seed == 0 {
 		seed = 1
 	}
-	pol := cfg.Policy
-	if pol == nil {
-		pol, _ = policy.New(policy.Default)
-	}
+	pol, _ := policy.New(policy.Default) // Default always resolves
 	e := &Engine{
 		cfg:        cfg,
 		sub:        sub,
@@ -262,11 +254,6 @@ func New(cfg Config, sub Substrate) *Engine {
 		recovering: -1,
 	}
 	e.logf("create path=%s mode=%v repl=%d cap=%d", cfg.Path, cfg.Mode, cfg.Replication, cfg.MaxPipelines)
-	// Logged only for non-default policies, so default logs stay
-	// byte-identical to the pre-policy engine.
-	if pol.Name() != policy.Default {
-		e.logf("policy name=%s", pol.Name())
-	}
 	return e
 }
 
@@ -362,7 +349,7 @@ func (e *Engine) chainReady(idx int) bool {
 
 // excludeFor is the one-pipeline-per-datanode rule: every datanode
 // serving an unretired launched block, sorted. Whether it applies is
-// the policy's call (the default excludes for SMARTH, never for HDFS).
+// the policy's call (it excludes for SMARTH, never for HDFS).
 func (e *Engine) excludeFor(b *blockRec) []string {
 	if !e.pol.ExcludeBusy(e.cfg.Mode) {
 		return nil
