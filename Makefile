@@ -22,12 +22,15 @@ lint:
 race:
 	$(GO) test -race -count=1 ./...
 
-# Five seconds of native fuzzing on each data-plane decoder (the seed
-# corpora alone already run as part of `go test`). One target per run:
-# `go test -fuzz` accepts a single match.
+# Five seconds of native fuzzing on each decoder that reads bytes off a
+# socket (the seed corpora alone already run as part of `go test`). One
+# pkg:Target pair per run: `go test -fuzz` accepts a single match in a
+# single package.
+FUZZ_TARGETS = internal/proto:FuzzReadHeader internal/proto:FuzzReadPacket \
+	internal/proto:FuzzReadAck internal/rpc:FuzzReadFrame
 fuzz-smoke:
-	for t in FuzzReadHeader FuzzReadPacket FuzzReadAck; do \
-		$(GO) test -run '^$$' -fuzz "^$$t$$" -fuzztime 5s ./internal/proto || exit 1; \
+	for pt in $(FUZZ_TARGETS); do \
+		$(GO) test -run '^$$' -fuzz "^$${pt#*:}$$" -fuzztime 5s ./$${pt%%:*} || exit 1; \
 	done
 
 # The repo's benchmark (BENCHMARK.json): six workloads, end-to-end

@@ -12,7 +12,6 @@
 //	smarth-live -mbps 100       # one throttle point
 //	smarth-live -trace t.jsonl              # traced clean write
 //	smarth-live -trace t.jsonl -trace-fault # freeze a datanode mid-write
-//	smarth-live -trace t.jsonl -trace-read-fault # hedged read-back trace
 //
 // With -trace, one instrumented SMARTH upload runs on a small rigged
 // cluster; the per-pipeline span timeline and the component metrics are
@@ -37,12 +36,11 @@ func main() {
 	one := flag.Float64("mbps", 0, "run only this cross-rack throttle (0 = sweep 50/100/150)")
 	traceOut := flag.String("trace", "", "run one traced SMARTH write and export span JSONL to this file")
 	traceFault := flag.Bool("trace-fault", false, "with -trace: freeze the mirror datanode mid-write to trace a recovery")
-	traceReadFault := flag.Bool("trace-read-fault", false, "with -trace: throttle the first replica during the read-back to trace a hedged read")
 	traceSampling := flag.Int("trace-sampling", 0, "with -trace: record every Nth packet as a span event (0 = default 1/64, <0 = off)")
 	flag.Parse()
 
 	if *traceOut != "" {
-		if err := runTrace(*traceOut, *traceFault, *traceReadFault, *traceSampling); err != nil {
+		if err := runTrace(*traceOut, *traceFault, *traceSampling); err != nil {
 			fmt.Fprintln(os.Stderr, "smarth-live:", err)
 			os.Exit(1)
 		}
@@ -102,11 +100,10 @@ func main() {
 
 // runTrace performs one fully instrumented SMARTH upload, prints the
 // span timeline and metrics, and writes the span records as JSONL.
-func runTrace(path string, fault, readFault bool, sampling int) error {
+func runTrace(path string, fault bool, sampling int) error {
 	out, err := livebench.TraceRun(livebench.TraceConfig{
-		InjectFault:     fault,
-		InjectReadFault: readFault,
-		PacketSampling:  sampling,
+		InjectFault:    fault,
+		PacketSampling: sampling,
 	})
 	if err != nil {
 		return err

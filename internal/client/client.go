@@ -19,7 +19,13 @@
 //     acks on it. The responder owns the pipeline's trace span and the
 //     done channel — every exit path ends both exactly once.
 //   - Namenode RPCs for one write run on a single FIFO worker
-//     goroutine, preserving the engine's effect order on the wire.
+//     goroutine, one at a time and one frame each, preserving the
+//     engine's effect order on the wire.
+//   - A reader (Open, ReadRange) is single-caller too. A block is read
+//     from one replica conn by the Read caller itself, under the
+//     ReadProgress deadline; the only goroutine the read path starts
+//     dials the next block's replica and hands the connected stream
+//     over a channel before its first Read.
 //   - A SMARTH block's staging buffer (checked out of a writer-local
 //     free list) is owned from launch until the block commits; HDFS
 //     streams straight from the producer's buffer (Ready-at-commit
@@ -134,7 +140,6 @@ type Client struct {
 	done bool
 
 	recorder *core.Recorder
-	meta     *metaCache
 
 	// Observability handles, cached at construction so hot paths never
 	// touch the registry. All are nil-safe: with Options.Obs unset every
@@ -147,10 +152,8 @@ type Client struct {
 	mRPC          *obs.Histogram // namenode RPC latency (client side)
 	mRecoveries   *obs.Counter   // Algorithm 3/4 recovery episodes
 	mRPCRetries   *obs.Counter   // namenode RPC attempts after the first
-	mRPCBatches   *obs.Counter   // multi-op batch frames sent
 	mReadFill     *obs.Histogram // block-read wait for the next packet
 	mBlocksRead   *obs.Counter   // block streams opened
-	mReadHedges   *obs.Counter   // hedge replicas raced
 	mReadFailover *obs.Counter   // replicas dropped mid-read
 
 	stopCh chan struct{}
@@ -197,14 +200,10 @@ func New(opts Options) (*Client, error) {
 		c.mRPC = comp.Histogram("rpc_call_ns")
 		c.mRecoveries = comp.Counter("recoveries")
 		c.mRPCRetries = comp.Counter("rpc_retries")
-		c.mRPCBatches = comp.Counter("rpc_batches")
 		c.mReadFill = comp.Histogram("read_fill_ns")
 		c.mBlocksRead = comp.Counter("blocks_read")
-		c.mReadHedges = comp.Counter("read_hedges")
 		c.mReadFailover = comp.Counter("read_failovers")
 	}
-	c.meta = newMetaCache(opts.Clock, DefaultMetaCacheTTL, DefaultMetaCacheSize,
-		opts.Obs.Component("client/"+opts.Name))
 	c.wg.Add(1)
 	go c.heartbeatLoop()
 	return c, nil
@@ -352,35 +351,9 @@ func (c *Client) callNN(method string, arg, reply any) error {
 	return lastErr
 }
 
-// callNNBatch sends one nnapi.MethodBatch frame and returns the
-// per-entry results. The namenode executes entries strictly in order;
-// a frame-level error (transport, safe mode on the batch itself) fails
-// every entry, while per-entry errors come back in BatchResult.Err.
-func (c *Client) callNNBatch(entries []nnapi.BatchEntry) ([]nnapi.BatchResult, error) {
-	var resp nnapi.BatchResp
-	if err := c.callNN(nnapi.MethodBatch, nnapi.BatchReq{Entries: entries}, &resp); err != nil {
-		return nil, err
-	}
-	if len(resp.Results) != len(entries) {
-		return nil, fmt.Errorf("client: batch returned %d results for %d entries", len(resp.Results), len(entries))
-	}
-	c.mRPCBatches.Inc()
-	return resp.Results, nil
-}
-
-// invalidateMeta drops a path from the metadata cache. Called on every
-// local mutation of the path, once the mutation's RPC has returned: a
-// lookup that was in flight across the mutation is then refused by the
-// cache (see metaCache.put).
-func (c *Client) invalidateMeta(path string) {
-	c.meta.invalidate(path)
-}
-
 // --- typed ClientProtocol wrappers ---
 
 func (c *Client) createFile(path string, opts WriteOptions) error {
-	c.invalidateMeta(path)
-	defer c.invalidateMeta(path)
 	return c.callNN(nnapi.MethodCreate, nnapi.CreateReq{
 		Path:        path,
 		Client:      c.opts.Name,
@@ -422,7 +395,6 @@ func (c *Client) completeFile(path string) error {
 			return err
 		}
 		if resp.Done {
-			c.invalidateMeta(path)
 			return nil
 		}
 		if c.clk.Now().Sub(start) >= budget {
@@ -453,24 +425,15 @@ func (c *Client) GetFileInfo(path string) (nnapi.GetFileInfoResp, error) {
 	return resp, err
 }
 
-// getBlockLocations resolves a file's blocks and replica locations,
-// serving from the client's metadata cache when a fresh entry exists.
+// getBlockLocations resolves a file's blocks and replica locations.
 func (c *Client) getBlockLocations(path string) (nnapi.GetBlockLocationsResp, error) {
-	resp, epoch, ok := c.meta.get(path)
-	if ok {
-		return resp, nil
-	}
+	var resp nnapi.GetBlockLocationsResp
 	err := c.callNN(nnapi.MethodGetBlockLocations, nnapi.GetBlockLocationsReq{Path: path, Client: c.opts.Name}, &resp)
-	if err == nil {
-		c.meta.put(path, resp, epoch)
-	}
 	return resp, err
 }
 
 // Delete removes a file; it reports whether the file existed.
 func (c *Client) Delete(path string) (bool, error) {
-	c.invalidateMeta(path)
-	defer c.invalidateMeta(path)
 	var resp nnapi.DeleteResp
 	err := c.callNN(nnapi.MethodDelete, nnapi.DeleteReq{Path: path}, &resp)
 	return resp.Deleted, err
@@ -478,10 +441,6 @@ func (c *Client) Delete(path string) (bool, error) {
 
 // Rename moves a file; the destination must not exist.
 func (c *Client) Rename(src, dst string) error {
-	c.invalidateMeta(src)
-	c.invalidateMeta(dst)
-	defer c.invalidateMeta(dst)
-	defer c.invalidateMeta(src)
 	return c.callNN(nnapi.MethodRename, nnapi.RenameReq{Src: src, Dst: dst}, &nnapi.RenameResp{})
 }
 

@@ -106,9 +106,9 @@ func TestReadSteadyStateAllocs(t *testing.T) {
 	}
 	t.Cleanup(func() { cl.Close() })
 
-	// No prefetch (single block anyway) and no hedging: the measured
-	// loop is exactly consume-packet/copy-out.
-	r, err := cl.OpenWith("/alloc-read", ReadOptions{DisablePrefetch: true, HedgeAfter: -1})
+	// A single block, so no prefetch dial: the measured loop is exactly
+	// consume-packet/copy-out.
+	r, err := cl.Open("/alloc-read")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,9 +134,8 @@ func TestReadSteadyStateAllocs(t *testing.T) {
 		}
 		pos += m
 	})
-	// The fetcher goroutine and channel sends are part of the measured
-	// path; allow a whisker of slack for runtime-internal noise while
-	// still catching any real per-packet allocation (which would cost
+	// Allow a whisker of slack for runtime-internal noise while still
+	// catching any real per-packet allocation (which would cost
 	// ≥ 1/packet = 1 per 64 KiB read).
 	if avg > 0.5 {
 		t.Fatalf("steady-state Read allocates %.2f times per 64 KiB, want 0", avg)

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sync"
 	"time"
 
 	"repro/internal/block"
@@ -21,25 +20,16 @@ type ReadOptions struct {
 	// nil inherits the client's setting. The read path uses Dial,
 	// SetupAck and ReadProgress.
 	Timeouts *Timeouts
-	// DisablePrefetch turns off the read-side pipeline overlap: by
-	// default the reader dials and handshakes the next block's stream
-	// while the current block drains, so the inter-block stall is one
-	// buffer swap instead of a full dial+handshake round trip.
-	DisablePrefetch bool
-	// HedgeAfter controls hedged reads. When the stream has waited this
-	// long for the next packet, a second replica is dialed from the
-	// current offset and the two race; the first to deliver wins and the
-	// other is dropped. 0 (the default) adapts the threshold to the
-	// observed packet cadence (needs Options.Obs; off otherwise); a
-	// negative value disables hedging; a positive value is used as-is.
-	HedgeAfter time.Duration
 }
 
 // Open returns a streaming reader over the whole file with default
 // ReadOptions. Blocks are fetched packet by packet (no whole-block
 // buffering), checksums are verified end to end, and a replica failing
 // mid-block triggers a transparent failover: the stream resumes from
-// the exact byte offset on another replica via a ranged read.
+// the exact byte offset on another replica via a ranged read. While one
+// block drains, the next block's replica is dialed and handshaken in the
+// background, so the inter-block stall is one buffer swap instead of a
+// dial+handshake round trip.
 func (c *Client) Open(path string) (io.ReadCloser, error) {
 	return c.OpenWith(path, ReadOptions{})
 }
@@ -54,7 +44,7 @@ func (c *Client) OpenWith(path string, ro ReadOptions) (io.ReadCloser, error) {
 	span := c.obs.StartSpan("read", nil)
 	span.SetAttr("path", path)
 	span.SetAttr("bytes", fmt.Sprintf("%d", loc.Len))
-	return &fileReader{c: c, ro: ro, to: to, blocks: loc.Blocks, span: span}, nil
+	return &fileReader{c: c, to: to, blocks: loc.Blocks, span: span}, nil
 }
 
 // ReadAll fetches an entire file into memory.
@@ -107,7 +97,7 @@ func (c *Client) ReadRange(path string, offset, length int64) ([]byte, error) {
 			if rem := length - pos; want > rem {
 				want = rem
 			}
-			bs := newBlockStream(c, to, ReadOptions{}, lb, from, want, span)
+			bs := newBlockStream(c, to, lb, from, want, span)
 			_, err := io.ReadFull(bs, out[pos:pos+want])
 			cerr := bs.Close()
 			if err != nil {
@@ -134,7 +124,6 @@ func (c *Client) ReadRange(path string, offset, length int64) ([]byte, error) {
 // stream while the current one drains.
 type fileReader struct {
 	c      *Client
-	ro     ReadOptions
 	to     Timeouts
 	blocks []block.LocatedBlock
 	span   *obs.Span
@@ -193,14 +182,14 @@ func (r *fileReader) nextStream() *blockStream {
 		return bs
 	}
 	lb := r.blocks[r.idx]
-	return newBlockStream(r.c, r.to, r.ro, lb, 0, lb.Block.NumBytes, r.span)
+	return newBlockStream(r.c, r.to, lb, 0, lb.Block.NumBytes, r.span)
 }
 
 // prefetchNext dials and handshakes the following block's stream in the
 // background — the read-side analog of SMARTH's pipeline overlap: the
 // next transfer is set up while the current one drains.
 func (r *fileReader) prefetchNext() {
-	if r.ro.DisablePrefetch || r.pre != nil {
+	if r.pre != nil {
 		return
 	}
 	next := r.idx + 1
@@ -208,7 +197,7 @@ func (r *fileReader) prefetchNext() {
 		return
 	}
 	lb := r.blocks[next]
-	bs := newBlockStream(r.c, r.to, r.ro, lb, 0, lb.Block.NumBytes, r.span)
+	bs := newBlockStream(r.c, r.to, lb, 0, lb.Block.NumBytes, r.span)
 	ch := make(chan *blockStream, 1)
 	r.pre, r.preIdx = ch, next
 	go func() {
@@ -240,105 +229,31 @@ func (r *fileReader) Close() error {
 	return err
 }
 
-// Hedging knobs: an adaptive threshold waits for a clear outlier —
-// several times the observed p99 packet wait — before paying for a
-// second replica stream, and never fires below the floor or before the
-// cadence histogram has a meaningful sample count.
-const (
-	minHedgeDelay           = 25 * time.Millisecond
-	hedgePollInterval       = 50 * time.Millisecond
-	adaptiveHedgeMultiple   = 8
-	adaptiveHedgeMinSamples = 32
-)
-
-// fetchResult is one delivery from a fetcher: a verified-ownership
-// packet or the error that ended the fetcher's stream.
-type fetchResult struct {
-	f   *fetcher
-	pkt *proto.Packet
-	err error
-}
-
-// fetcher owns one replica connection and pumps its packets into the
-// stream's shared channel. Ownership of a delivered packet (its Release
-// duty) transfers to the receiver; packets in flight when the fetcher is
-// closed are released by the fetcher itself.
-type fetcher struct {
-	target block.DatanodeInfo
-	pc     *proto.Conn
-
-	stop     chan struct{}
-	once     sync.Once
-	closeErr error
-}
-
-func newFetcher(target block.DatanodeInfo, pc *proto.Conn) *fetcher {
-	return &fetcher{target: target, pc: pc, stop: make(chan struct{})}
-}
-
-func (f *fetcher) run(ch chan<- fetchResult) {
-	for {
-		pkt, err := f.pc.ReadPacket()
-		select {
-		case ch <- fetchResult{f: f, pkt: pkt, err: err}:
-		case <-f.stop:
-			if pkt != nil {
-				pkt.Release()
-			}
-			return
-		}
-		if err != nil {
-			return
-		}
-	}
-}
-
-// close shuts the fetcher down: the stop channel unblocks a pending
-// delivery (releasing its packet) and the conn close unblocks a pending
-// ReadPacket. Idempotent; returns the conn close error.
-func (f *fetcher) close() error {
-	f.once.Do(func() {
-		close(f.stop)
-		f.closeErr = f.pc.Close()
-	})
-	return f.closeErr
-}
-
 // blockStream reads [offset, offset+length) of one block, packet by
-// packet, failing over between replicas on any error and racing a
-// second replica when the primary's cadence stalls (hedged reads).
+// packet, from one replica at a time on the Read caller's goroutine,
+// failing over to the next replica on any error.
 //
-// Concurrency: the Read caller is the only consumer; each replica conn
-// is pumped by one fetcher goroutine delivering into ch; a watchdog
-// goroutine launches hedges. Fields shared with the watchdog (next,
-// tried, primary, hedge, waitingSince, epoch, closed) are written under
-// mu; buf/scratch are consumer-only.
+// Single-caller, like the fileReader above it: no locks. A prefetched
+// stream is dialed (preconnect) on the prefetch goroutine and handed to
+// the reader over a channel before its first Read.
 type blockStream struct {
-	c          *Client
-	to         Timeouts
-	lb         block.LocatedBlock
-	span       *obs.Span
-	hedgeAfter time.Duration
+	c    *Client
+	to   Timeouts
+	lb   block.LocatedBlock
+	span *obs.Span
 
+	next    int64  // absolute block offset of the next byte to deliver
 	end     int64  // absolute block offset one past the last byte wanted
 	buf     []byte // undelivered bytes; aliases scratch
 	scratch *[]byte
 
-	ch     chan fetchResult
-	stopCh chan struct{} // closed by Close; stops the watchdog
-
-	mu           sync.Mutex
-	next         int64 // absolute block offset of the next byte to deliver
-	primary      *fetcher
-	hedge        *fetcher
-	tried        map[string]bool // replicas that failed since the last progress
-	waitingSince time.Time       // non-zero while fill waits on ch
-	epoch        int             // bumped on any ownership change; cancels stale hedges
-	watchdogOn   bool
-	closed       bool
+	pc     *proto.Conn        // the replica being read; nil between replicas
+	target block.DatanodeInfo // the replica pc is connected to
+	tried  map[string]bool    // replicas that failed since the last progress
+	closed bool
 }
 
-func newBlockStream(c *Client, to Timeouts, ro ReadOptions, lb block.LocatedBlock, offset, length int64, parent *obs.Span) *blockStream {
+func newBlockStream(c *Client, to Timeouts, lb block.LocatedBlock, offset, length int64, parent *obs.Span) *blockStream {
 	if offset < 0 {
 		offset = 0
 	}
@@ -347,15 +262,12 @@ func newBlockStream(c *Client, to Timeouts, ro ReadOptions, lb block.LocatedBloc
 		end = lb.Block.NumBytes
 	}
 	b := &blockStream{
-		c:          c,
-		to:         to,
-		lb:         lb,
-		hedgeAfter: ro.HedgeAfter,
-		end:        end,
-		ch:         make(chan fetchResult),
-		stopCh:     make(chan struct{}),
-		next:       offset,
-		tried:      make(map[string]bool),
+		c:     c,
+		to:    to,
+		lb:    lb,
+		next:  offset,
+		end:   end,
+		tried: make(map[string]bool),
 	}
 	b.span = c.obs.StartSpan("block_read", parent)
 	b.span.SetAttr("block", lb.Block.String())
@@ -365,24 +277,14 @@ func newBlockStream(c *Client, to Timeouts, ro ReadOptions, lb block.LocatedBloc
 }
 
 func (b *blockStream) Close() error {
-	b.mu.Lock()
 	if b.closed {
-		b.mu.Unlock()
 		return nil
 	}
 	b.closed = true
-	p, h := b.primary, b.hedge
-	b.primary, b.hedge = nil, nil
-	b.mu.Unlock()
-	close(b.stopCh)
 	var err error
-	if p != nil {
-		err = p.close()
-	}
-	if h != nil {
-		if herr := h.close(); err == nil {
-			err = herr
-		}
+	if b.pc != nil {
+		err = b.pc.Close()
+		b.pc = nil
 	}
 	if b.scratch != nil {
 		b.buf = nil
@@ -394,10 +296,7 @@ func (b *blockStream) Close() error {
 }
 
 func (b *blockStream) Read(p []byte) (int, error) {
-	b.mu.Lock()
-	closed := b.closed
-	b.mu.Unlock()
-	if closed {
+	if b.closed {
 		return 0, errors.New("client: read from closed block stream")
 	}
 	if len(p) == 0 {
@@ -409,7 +308,7 @@ func (b *blockStream) Read(p []byte) (int, error) {
 			b.buf = b.buf[n:]
 			return n, nil
 		}
-		if b.next >= b.end { // next is consumer-written; safe to read here
+		if b.next >= b.end {
 			return 0, io.EOF
 		}
 		if err := b.fill(); err != nil {
@@ -419,59 +318,32 @@ func (b *blockStream) Read(p []byte) (int, error) {
 	}
 }
 
-// fill blocks until one more packet's worth of wanted bytes is buffered
-// (possibly zero after trimming a hedge catch-up packet). Per-replica
-// failures are absorbed here — failover, reconnect, keep waiting — and
-// only a terminal error (every replica exhausted) is returned.
+// fill blocks until one more packet's worth of wanted bytes is buffered.
+// Each packet read runs under the ReadProgress deadline. Per-replica
+// failures are absorbed here — drop the replica, reconnect at the current
+// offset, keep reading — and only a terminal error (every replica
+// exhausted) is returned.
 func (b *blockStream) fill() error {
-	b.mu.Lock()
-	closed := b.closed
-	live := b.primary != nil || b.hedge != nil
-	b.mu.Unlock()
-	if closed {
-		return errors.New("client: read from closed block stream")
-	}
-	if !live {
-		if err := b.connect(); err != nil {
-			return err
-		}
-	}
 	var fillStart time.Time
 	if b.c.mReadFill != nil {
 		fillStart = b.c.clk.Now()
 	}
-	b.setWaiting(true)
-	defer b.setWaiting(false)
 	for {
-		res := <-b.ch
-		b.mu.Lock()
-		owner := res.f == b.primary || res.f == b.hedge
-		b.mu.Unlock()
-		if !owner {
-			// A replica we already dropped (hedge loser, failed-over
-			// primary) had a delivery in flight.
-			if res.pkt != nil {
-				res.pkt.Release()
-			}
-			continue
-		}
-		if res.err != nil {
-			b.failover(res.f, res.err)
-			if err := b.reconnectIfDead(); err != nil {
+		if b.pc == nil {
+			if err := b.connect(); err != nil {
 				return err
 			}
-			continue
 		}
-		b.promote(res.f)
-		if err := b.consume(res.pkt); err != nil {
-			b.failover(res.f, err)
+		pkt, err := b.pc.ReadPacket()
+		if err == nil {
+			err = b.consume(pkt)
+		}
+		if err != nil {
+			b.failover(err)
 			if len(b.buf) > 0 {
 				// The packet carried verified bytes before the stream
 				// ended short: deliver them; the next fill reconnects.
 				return nil
-			}
-			if cerr := b.reconnectIfDead(); cerr != nil {
-				return cerr
 			}
 			continue
 		}
@@ -482,81 +354,24 @@ func (b *blockStream) fill() error {
 	}
 }
 
-func (b *blockStream) setWaiting(on bool) {
-	b.mu.Lock()
-	if on {
-		b.waitingSince = b.c.clk.Now()
-	} else {
-		b.waitingSince = time.Time{}
-	}
-	b.mu.Unlock()
-}
-
-// failover drops a replica that produced an error mid-stream and puts it
-// on the tried list so reconnects skip it until progress resets the
+// failover drops the current replica after an error mid-stream and puts
+// it on the tried list so reconnects skip it until progress resets the
 // budget.
-func (b *blockStream) failover(f *fetcher, cause error) {
-	b.mu.Lock()
-	if f == b.primary {
-		b.primary = nil
-	}
-	if f == b.hedge {
-		b.hedge = nil
-	}
-	b.tried[f.target.Name] = true
-	b.epoch++
-	next := b.next
-	b.mu.Unlock()
-	f.close()
+func (b *blockStream) failover(cause error) {
+	b.pc.Close()
+	b.pc = nil
+	b.tried[b.target.Name] = true
 	b.c.mReadFailover.Inc()
 	b.c.opts.Logf("client %s: block %v stream from %s failed at %d: %v",
-		b.c.opts.Name, b.lb.Block, f.target.Name, next, cause)
-	b.span.Event("failover", f.target.Name+": "+cause.Error())
-}
-
-// reconnectIfDead dials a fresh replica when no fetcher is left alive; a
-// surviving hedge keeps the stream going without a reconnect.
-func (b *blockStream) reconnectIfDead() error {
-	b.mu.Lock()
-	live := b.primary != nil || b.hedge != nil
-	b.mu.Unlock()
-	if live {
-		return nil
-	}
-	return b.connect()
-}
-
-// promote resolves a hedge race in favor of the fetcher that delivered:
-// it becomes (or stays) the primary and the other replica is dropped —
-// slow, not failed, so it is not marked tried.
-func (b *blockStream) promote(winner *fetcher) {
-	b.mu.Lock()
-	if b.hedge == nil && winner == b.primary {
-		b.mu.Unlock()
-		return
-	}
-	var loser *fetcher
-	hedgeWon := false
-	if winner == b.hedge {
-		loser, b.primary, b.hedge = b.primary, b.hedge, nil
-		hedgeWon = true
-	} else {
-		loser, b.hedge = b.hedge, nil
-	}
-	b.epoch++
-	b.mu.Unlock()
-	if loser != nil {
-		loser.close()
-	}
-	if hedgeWon {
-		b.span.Event("hedge_win", winner.target.Name)
-	}
+		b.c.opts.Name, b.lb.Block, b.target.Name, b.next, cause)
+	b.span.Event("failover", b.target.Name+": "+cause.Error())
 }
 
 // consume verifies one packet, trims it to the wanted window (the
-// datanode widens to checksum-chunk boundaries, and a hedge stream may
-// restart behind the current offset), and copies the remainder into the
-// stream's pooled scratch buffer before Release recycles the frame.
+// datanode widens to checksum-chunk boundaries, so a stream resumed
+// mid-chunk restarts behind the current offset), and copies the
+// remainder into the stream's pooled scratch buffer before Release
+// recycles the frame.
 func (b *blockStream) consume(pkt *proto.Packet) error {
 	defer pkt.Release()
 	if err := checksum.VerifyEncoded(pkt.Data, pkt.RawSums, checksum.DefaultChunkSize); err != nil {
@@ -581,16 +396,13 @@ func (b *blockStream) consume(pkt *proto.Packet) error {
 	}
 	*b.scratch = append((*b.scratch)[:0], data...)
 	b.buf = *b.scratch
-	b.mu.Lock()
 	if len(data) > 0 && len(b.tried) > 0 {
 		// Successful progress resets the failover budget.
 		b.tried = make(map[string]bool)
 	}
 	b.next += int64(len(data))
-	next := b.next
-	b.mu.Unlock()
 	b.span.Packet("packet", pkt.Seqno)
-	if pkt.Last && next < b.end {
+	if pkt.Last && b.next < b.end {
 		return io.ErrUnexpectedEOF
 	}
 	return nil
@@ -601,209 +413,59 @@ func (b *blockStream) consume(pkt *proto.Packet) error {
 func (b *blockStream) connect() error {
 	var lastErr error = fmt.Errorf("client: block %v has no locations", b.lb.Block)
 	for _, target := range b.lb.Targets {
-		b.mu.Lock()
-		skip := b.tried[target.Name]
-		offset := b.next
-		b.mu.Unlock()
-		if skip {
+		if b.tried[target.Name] {
 			continue
 		}
-		pc, err := b.dialTarget(target, offset)
-		if err != nil {
-			b.mu.Lock()
+		if err := b.dialTarget(target); err != nil {
 			b.tried[target.Name] = true
-			b.mu.Unlock()
 			lastErr = err
 			b.c.opts.Logf("client %s: read %v from %s: %v", b.c.opts.Name, b.lb.Block, target.Name, err)
 			continue
 		}
-		b.adopt(target, pc)
 		return nil
 	}
 	return fmt.Errorf("client: block %v unreadable from all replicas: %w", b.lb.Block, lastErr)
 }
 
 // preconnect dials the nearest replica ahead of the first Read — the
-// prefetch path. Best effort: failures leave the stream unconnected and
-// are retried (against every replica) by the first fill.
+// prefetch path. Best effort: a failure leaves the stream unconnected and
+// the first fill tries every replica.
 func (b *blockStream) preconnect() {
-	b.mu.Lock()
-	busy := b.closed || b.primary != nil
-	offset := b.next
-	b.mu.Unlock()
-	if busy || len(b.lb.Targets) == 0 {
-		return
+	if len(b.lb.Targets) > 0 {
+		b.dialTarget(b.lb.Targets[0])
 	}
-	target := b.lb.Targets[0]
-	pc, err := b.dialTarget(target, offset)
-	if err != nil {
-		return
-	}
-	b.adopt(target, pc)
 }
 
-// adopt installs a freshly handshaken conn as the primary fetcher (or
-// closes it if the stream lost a race with Close).
-func (b *blockStream) adopt(target block.DatanodeInfo, pc *proto.Conn) {
-	f := newFetcher(target, pc)
-	b.mu.Lock()
-	if b.closed || b.primary != nil {
-		b.mu.Unlock()
-		pc.Close()
-		return
-	}
-	b.primary = f
-	b.epoch++
-	b.mu.Unlock()
-	go f.run(b.ch)
-	b.span.Event("connect", target.Name)
-	b.startWatchdog()
-}
-
-// dialTarget runs the read deadline ladder: a bounded dial, the header
-// write and setup ack under their own bounds, then the per-packet
-// ReadProgress bound for the stream.
-func (b *blockStream) dialTarget(target block.DatanodeInfo, offset int64) (*proto.Conn, error) {
+// dialTarget connects the stream to target at the current offset, running
+// the read deadline ladder: a bounded dial, the header write and setup ack
+// under their own bounds, then the per-packet ReadProgress bound for the
+// stream.
+func (b *blockStream) dialTarget(target block.DatanodeInfo) error {
 	conn, err := transport.DialTimeout(b.c.opts.Network, b.c.opts.Name, target.Addr, b.to.Dial, b.c.clk)
 	if err != nil {
-		return nil, err
+		return err
 	}
 	pc := proto.NewConn(conn)
 	pc.SetClock(b.c.clk)
 	pc.SetMetrics(b.c.connMetrics)
 	pc.SetWriteTimeout(b.to.ReadProgress)
-	hdr := &proto.ReadBlockHeader{Block: b.lb.Block, Offset: offset, Length: b.end - offset}
+	hdr := &proto.ReadBlockHeader{Block: b.lb.Block, Offset: b.next, Length: b.end - b.next}
 	if err := pc.WriteHeader(proto.OpReadBlock, hdr); err != nil {
 		pc.Close()
-		return nil, err
+		return err
 	}
 	pc.SetReadTimeout(b.to.SetupAck)
 	ack, err := pc.ReadAck()
 	if err != nil {
 		pc.Close()
-		return nil, err
+		return err
 	}
 	if ack.Kind != proto.AckHeader || !ack.OK() {
 		pc.Close()
-		return nil, fmt.Errorf("client: datanode %s refused read of %v", target.Name, b.lb.Block)
+		return fmt.Errorf("client: datanode %s refused read of %v", target.Name, b.lb.Block)
 	}
 	pc.SetReadTimeout(b.to.ReadProgress)
-	return pc, nil
+	b.pc, b.target = pc, target
+	b.span.Event("connect", target.Name)
+	return nil
 }
-
-// --- hedged reads ---
-
-// hedgeDelay returns the current stall threshold, or 0 when hedging
-// should not fire.
-func (b *blockStream) hedgeDelay() time.Duration {
-	if b.hedgeAfter > 0 {
-		return b.hedgeAfter
-	}
-	if b.hedgeAfter < 0 {
-		return 0
-	}
-	snap := b.c.mReadFill.Snapshot()
-	if snap.Count < adaptiveHedgeMinSamples {
-		return 0
-	}
-	d := time.Duration(snap.Quantile(0.99)) * adaptiveHedgeMultiple
-	if d < minHedgeDelay {
-		d = minHedgeDelay
-	}
-	return d
-}
-
-// startWatchdog launches the hedging watchdog once per stream, and only
-// when hedging can ever fire: not explicitly disabled, adaptive mode has
-// a cadence source, and there is a second replica to race.
-func (b *blockStream) startWatchdog() {
-	if b.hedgeAfter < 0 {
-		return
-	}
-	if b.hedgeAfter == 0 && b.c.mReadFill == nil {
-		return
-	}
-	if len(b.lb.Targets) < 2 {
-		return
-	}
-	b.mu.Lock()
-	on, closed := b.watchdogOn, b.closed
-	b.watchdogOn = true
-	b.mu.Unlock()
-	if on || closed {
-		return
-	}
-	go b.watchdogLoop()
-}
-
-func (b *blockStream) watchdogLoop() {
-	for {
-		poll := b.hedgeDelay() / 2
-		if poll <= 0 {
-			poll = hedgePollInterval
-		}
-		select {
-		case <-b.stopCh:
-			return
-		case <-b.c.clk.After(poll):
-		}
-		b.maybeHedge()
-	}
-}
-
-// maybeHedge races a second replica when the consumer has been waiting
-// past the stall threshold: dial another untried replica from the
-// current offset and let fill take whichever stream delivers first.
-func (b *blockStream) maybeHedge() {
-	d := b.hedgeDelay()
-	if d <= 0 {
-		return
-	}
-	b.mu.Lock()
-	if b.closed || b.primary == nil || b.hedge != nil ||
-		b.waitingSince.IsZero() || b.c.clk.Now().Sub(b.waitingSince) < d {
-		b.mu.Unlock()
-		return
-	}
-	primaryName := b.primary.target.Name
-	var target block.DatanodeInfo
-	found := false
-	for _, t := range b.lb.Targets {
-		if t.Name == primaryName || b.tried[t.Name] {
-			continue
-		}
-		target = t
-		found = true
-		break
-	}
-	offset := b.next
-	epoch := b.epoch
-	b.mu.Unlock()
-	if !found || offset >= b.end {
-		return
-	}
-	pc, err := b.dialTarget(target, offset)
-	if err != nil {
-		// A hedge candidate that won't dial is not a failover; the next
-		// poll retries (possibly elsewhere).
-		b.c.opts.Logf("client %s: hedge read %v from %s: %v", b.c.opts.Name, b.lb.Block, target.Name, err)
-		return
-	}
-	f := newFetcher(target, pc)
-	b.mu.Lock()
-	stale := b.closed || b.primary == nil || b.hedge != nil || b.epoch != epoch
-	if !stale {
-		b.hedge = f
-	}
-	b.mu.Unlock()
-	if stale {
-		pc.Close()
-		return
-	}
-	go f.run(b.ch)
-	b.c.mReadHedges.Inc()
-	b.span.Event("hedge", target.Name)
-}
-
-// Ensure the stream satisfies the reader contract used above.
-var _ io.ReadCloser = (*blockStream)(nil)

@@ -76,7 +76,7 @@ func firstReadTarget(t *testing.T, c *Cluster, path string) (block.LocatedBlock,
 // readAllGuarded reads the whole file under a wall-clock watchdog — the
 // failure mode these tests guard against is a reader that blocks
 // forever on a silent replica.
-func readAllGuarded(t *testing.T, cl *client.Client, path string, ro client.ReadOptions, want []byte, within time.Duration) {
+func readAllGuarded(t *testing.T, cl *client.Client, path string, want []byte, within time.Duration) {
 	t.Helper()
 	type result struct {
 		data []byte
@@ -84,7 +84,7 @@ func readAllGuarded(t *testing.T, cl *client.Client, path string, ro client.Read
 	}
 	ch := make(chan result, 1)
 	go func() {
-		r, err := cl.OpenWith(path, ro)
+		r, err := cl.Open(path)
 		if err != nil {
 			ch <- result{nil, err}
 			return
@@ -124,7 +124,7 @@ func TestReadFailsOverFromFrozenReplica(t *testing.T) {
 	_, first := firstReadTarget(t, c, "/frozen-read")
 	fn.Freeze(first)
 	t.Cleanup(func() { fn.Thaw(first) })
-	readAllGuarded(t, cl, "/frozen-read", client.ReadOptions{HedgeAfter: -1}, data, 15*time.Second)
+	readAllGuarded(t, cl, "/frozen-read", data, 15*time.Second)
 }
 
 // TestReadFailsOverFromSilentReplicaEveryPacket blackholes the first
@@ -143,11 +143,10 @@ func TestReadFailsOverFromSilentReplicaEveryPacket(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		positions = append(positions, 64+int64(i)*packetWire)
 	}
-	ro := client.ReadOptions{HedgeAfter: -1} // isolate failover from hedging
 	for _, dropAfter := range positions {
 		before := readCounter(o, "read_failovers")
 		fn.SetLink(first, "client", faultnet.Fault{DropAfter: dropAfter})
-		readAllGuarded(t, cl, "/silent-read", ro, data, 15*time.Second)
+		readAllGuarded(t, cl, "/silent-read", data, 15*time.Second)
 		fn.ClearLink(first, "client")
 		if dropAfter > 1 && readCounter(o, "read_failovers") == before {
 			t.Fatalf("dropAfter=%d: read completed without a mid-stream failover", dropAfter)
@@ -171,7 +170,7 @@ func TestReadFailsOverFromTruncatedReplica(t *testing.T) {
 			t.Fatal(err)
 		}
 		before := readCounter(o, "read_failovers")
-		readAllGuarded(t, cl, "/truncated-read", client.ReadOptions{HedgeAfter: -1}, data, 15*time.Second)
+		readAllGuarded(t, cl, "/truncated-read", data, 15*time.Second)
 		if readCounter(o, "read_failovers") == before {
 			t.Fatalf("keep=%d: read completed without failing over the truncated replica", keep)
 		}
@@ -204,7 +203,7 @@ func TestReadSurvivesDatanodeDeathMidRead(t *testing.T) {
 	}
 	_, first := firstReadTarget(t, c, "/midread-kill")
 
-	r, err := cl.OpenWith("/midread-kill", client.ReadOptions{HedgeAfter: -1})
+	r, err := cl.Open("/midread-kill")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -227,49 +226,5 @@ func TestReadSurvivesDatanodeDeathMidRead(t *testing.T) {
 	}
 	if readCounter(o, "read_failovers") == before {
 		t.Fatal("no failover recorded for a mid-read datanode death")
-	}
-}
-
-// TestHedgedReadRacesThrottledReplica throttles the first replica's link
-// and gives the reader a short hedge threshold under generous deadlines:
-// the stall must be resolved by racing a second replica — visible as a
-// hedge counter and hedge/hedge_win trace events — not by a timeout.
-func TestHedgedReadRacesThrottledReplica(t *testing.T) {
-	c, fn, cl, o := startReadFaultCluster(t, Config{})
-	data := randomData(337, 256<<10)
-	writeFile(t, cl, "/hedged-read", data, proto.ModeSmarth)
-	_, first := firstReadTarget(t, c, "/hedged-read")
-	fn.SetLink(first, "client", faultnet.Fault{Delay: 300 * time.Millisecond})
-	t.Cleanup(func() { fn.ClearLink(first, "client") })
-
-	ro := client.ReadOptions{
-		Timeouts: &client.Timeouts{
-			Dial:         time.Second,
-			SetupAck:     2 * time.Second,
-			RPCCall:      time.Second,
-			ReadProgress: 2 * time.Second, // generous: the hedge, not a deadline, must win
-		},
-		HedgeAfter: 60 * time.Millisecond,
-	}
-	readAllGuarded(t, cl, "/hedged-read", ro, data, 20*time.Second)
-	if n := readCounter(o, "read_hedges"); n == 0 {
-		t.Fatal("throttled replica never triggered a hedged read")
-	}
-	var sawHedge, sawWin bool
-	for _, s := range o.Tracer.Snapshot() {
-		if s.Name != "block_read" {
-			continue
-		}
-		for _, e := range s.Events {
-			switch e.Name {
-			case "hedge":
-				sawHedge = true
-			case "hedge_win":
-				sawWin = true
-			}
-		}
-	}
-	if !sawHedge || !sawWin {
-		t.Fatalf("trace missing hedge events: hedge=%v win=%v", sawHedge, sawWin)
 	}
 }

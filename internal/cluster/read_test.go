@@ -6,7 +6,6 @@ import (
 	"testing"
 	"time"
 
-	"repro/internal/client"
 	"repro/internal/proto"
 )
 
@@ -87,8 +86,10 @@ func TestReadRangeStreamsExactWindows(t *testing.T) {
 	}
 }
 
-// TestReadPrefetchParity: the prefetched (default) and non-prefetched
-// readers must produce byte-identical streams over a multi-block file.
+// TestReadPrefetchParity: over a multi-block file the streaming reader,
+// which dials each next block while the current one drains, and
+// ReadRange, which dials every block cold, must both return the bytes
+// written.
 func TestReadPrefetchParity(t *testing.T) {
 	c := startTestCluster(t, 3)
 	cl, _ := c.NewClient("client")
@@ -96,19 +97,12 @@ func TestReadPrefetchParity(t *testing.T) {
 	writeFile(t, cl, "/prefetch-read", data, proto.ModeSmarth)
 	for _, tc := range []struct {
 		name string
-		ro   client.ReadOptions
+		read func() ([]byte, error)
 	}{
-		{"prefetch", client.ReadOptions{}},
-		{"no-prefetch", client.ReadOptions{DisablePrefetch: true, HedgeAfter: -1}},
+		{"prefetch", func() ([]byte, error) { return cl.ReadAll("/prefetch-read") }},
+		{"cold", func() ([]byte, error) { return cl.ReadRange("/prefetch-read", 0, -1) }},
 	} {
-		r, err := cl.OpenWith("/prefetch-read", tc.ro)
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		got, err := io.ReadAll(r)
-		if cerr := r.Close(); err == nil {
-			err = cerr
-		}
+		got, err := tc.read()
 		if err != nil {
 			t.Fatalf("%s: %v", tc.name, err)
 		}

@@ -33,13 +33,6 @@ type TraceConfig struct {
 	// recovery that shows up in the trace. The node is thawed before the
 	// cluster stops.
 	InjectFault bool
-	// InjectReadFault throttles the first replica's link to the client
-	// during the read-back and arms a short hedge threshold, so the trace
-	// additionally shows a hedged read racing the slow replica (hedge and
-	// hedge_win events under a block_read span). Any write-fault victim is
-	// thawed first so the hedge has a healthy replica to race to. The
-	// link shaping is cleared before the cluster stops.
-	InjectReadFault bool
 	// PacketSampling sets the tracer's packet-event sampling: every Nth
 	// packet send/ack becomes a span event. 0 keeps the obs default
 	// (1 in 64); negative disables packet events.
@@ -91,8 +84,8 @@ func traceTimeouts() *client.Timeouts {
 		FNFA:        2 * time.Second,
 		AckProgress: 500 * time.Millisecond,
 		RPCCall:     time.Second,
-		// Generous relative to the read-fault throttle: a slow replica
-		// must be beaten by the hedge, not rescued by a deadline.
+		// Per-packet bound of the verifying read-back; loose enough that a
+		// loaded runner does not trip it.
 		ReadProgress: 2 * time.Second,
 	}
 }
@@ -187,21 +180,8 @@ func TraceRun(cfg TraceConfig) (TraceOutcome, error) {
 	out.Duration = time.Since(start)
 	out.Recoveries = w.Stats().Recoveries
 
-	// Integrity: stream the file back through a verifier. With
-	// InjectReadFault the read-back doubles as the hedged-read demo: the
-	// first replica's link is throttled and a short hedge threshold makes
-	// the reader race a second replica past it.
-	var ro client.ReadOptions
-	if cfg.InjectReadFault {
-		if out.Victim != "" {
-			fn.Thaw(out.Victim)
-			out.Victim = ""
-		}
-		fn.SetLink("dn1", "trace-client", faultnet.Fault{Delay: 150 * time.Millisecond})
-		defer fn.ClearLink("dn1", "trace-client")
-		ro.HedgeAfter = 40 * time.Millisecond
-	}
-	r, err := cl.OpenWith("/trace-run", ro)
+	// Integrity: stream the file back through a verifier.
+	r, err := cl.Open("/trace-run")
 	if err != nil {
 		return out, err
 	}

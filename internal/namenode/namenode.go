@@ -14,7 +14,6 @@
 package namenode
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -56,7 +55,7 @@ type Options struct {
 }
 
 // methodMetrics holds one RPC method's latency histogram and error
-// counter, shared by the RPC-server observer and the batch executor.
+// counter.
 type methodMetrics struct {
 	lat  *obs.Histogram
 	errs *obs.Counter
@@ -89,10 +88,6 @@ type Namenode struct {
 	// re-replication.
 	pol policy.Policy
 
-	// batchable maps method names to their decode/execute handlers; the
-	// Batch RPC re-dispatches entries through it.
-	batchable map[string]rpc.Handler
-
 	// Observability (nil-safe no-ops when Options.Obs is unset).
 	obsComp          *obs.Component
 	mm               map[string]methodMetrics
@@ -100,8 +95,7 @@ type Namenode struct {
 	mPlaceDefault    *obs.Counter
 	mBlocksAllocated *obs.Counter
 	mBlockRecoveries *obs.Counter
-	mRPCs            *obs.Counter // logical operations served (batch entries count individually)
-	mBatches         *obs.Counter // batch frames served
+	mRPCs            *obs.Counter // RPCs served
 	mShardContention *obs.Counter // contended shard/stripe lock acquisitions
 }
 
@@ -139,44 +133,8 @@ func New(opts Options) *Namenode {
 	nn.mBlocksAllocated = nn.obsComp.Counter("blocks_allocated")
 	nn.mBlockRecoveries = nn.obsComp.Counter("block_recoveries")
 	nn.mRPCs = nn.obsComp.Counter("nn_rpcs")
-	nn.mBatches = nn.obsComp.Counter("nn_batches")
 	nn.mShardContention = nn.obsComp.Counter("shard_contention")
 	nn.ns = newNamesystem(DefaultShards, nn.mShardContention)
-	nn.batchable = map[string]rpc.Handler{
-		nnapi.MethodCreate:             rpc.HandlerFor(nnapi.MethodCreate, nn.Create),
-		nnapi.MethodAddBlock:           rpc.HandlerFor(nnapi.MethodAddBlock, nn.AddBlock),
-		nnapi.MethodAbandonBlock:       rpc.HandlerFor(nnapi.MethodAbandonBlock, nn.AbandonBlock),
-		nnapi.MethodComplete:           rpc.HandlerFor(nnapi.MethodComplete, nn.Complete),
-		nnapi.MethodRecoverBlock:       rpc.HandlerFor(nnapi.MethodRecoverBlock, nn.RecoverBlock),
-		nnapi.MethodClientHeartbeat:    rpc.HandlerFor(nnapi.MethodClientHeartbeat, nn.ClientHeartbeat),
-		nnapi.MethodGetBlockLocations:  rpc.HandlerFor(nnapi.MethodGetBlockLocations, nn.GetBlockLocations),
-		nnapi.MethodGetFileInfo:        rpc.HandlerFor(nnapi.MethodGetFileInfo, nn.GetFileInfo),
-		nnapi.MethodClusterInfo:        rpc.HandlerFor(nnapi.MethodClusterInfo, nn.ClusterInfo),
-		nnapi.MethodDelete:             rpc.HandlerFor(nnapi.MethodDelete, nn.Delete),
-		nnapi.MethodRename:             rpc.HandlerFor(nnapi.MethodRename, nn.Rename),
-		nnapi.MethodList:               rpc.HandlerFor(nnapi.MethodList, nn.List),
-		nnapi.MethodHeartbeat:          rpc.HandlerFor(nnapi.MethodHeartbeat, nn.Heartbeat),
-		nnapi.MethodBlockReceived:      rpc.HandlerFor(nnapi.MethodBlockReceived, nn.BlockReceived),
-		nnapi.MethodBlockReceivedBatch: rpc.HandlerFor(nnapi.MethodBlockReceivedBatch, nn.BlockReceivedBatch),
-	}
-	if opts.Obs != nil {
-		nn.mm = make(map[string]methodMetrics)
-		for m := range nn.batchable {
-			nn.mm[m] = methodMetrics{
-				lat:  nn.obsComp.Histogram("rpc_" + m + "_ns"),
-				errs: nn.obsComp.Counter("rpc_" + m + "_errors"),
-			}
-		}
-		for _, m := range []string{
-			nnapi.MethodBatch, nnapi.MethodRegister,
-			nnapi.MethodDecommission, nnapi.MethodDecommStatus, nnapi.MethodBalance,
-		} {
-			nn.mm[m] = methodMetrics{
-				lat:  nn.obsComp.Histogram("rpc_" + m + "_ns"),
-				errs: nn.obsComp.Counter("rpc_" + m + "_errors"),
-			}
-		}
-	}
 	return nn
 }
 
@@ -198,27 +156,27 @@ func (nn *Namenode) place(mode proto.WriteMode, client string, replication int, 
 	})
 }
 
+// serve registers one RPC method and, with observability on, builds its
+// latency histogram and error counter.
+func serve[Req, Resp any](nn *Namenode, s *rpc.Server, method string, fn func(Req) (Resp, error)) {
+	rpc.Handle(s, method, fn)
+	if nn.mm != nil {
+		nn.mm[method] = methodMetrics{
+			lat:  nn.obsComp.Histogram("rpc_" + method + "_ns"),
+			errs: nn.obsComp.Counter("rpc_" + method + "_errors"),
+		}
+	}
+}
+
 // Serve runs the RPC server on l until the listener closes.
 func (nn *Namenode) Serve(l transport.Listener) {
 	s := rpc.NewServer()
-	for method, h := range nn.batchable {
-		s.RegisterFunc(method, h)
-	}
-	rpc.Handle(s, nnapi.MethodBatch, nn.Batch)
-	rpc.Handle(s, nnapi.MethodRegister, nn.Register)
-	rpc.Handle(s, nnapi.MethodDecommission, nn.Decommission)
-	rpc.Handle(s, nnapi.MethodDecommStatus, nn.DecommissionStatus)
-	rpc.Handle(s, nnapi.MethodBalance, nn.Balance)
 	if nn.obsComp != nil {
-		// Per-method latency histograms and error counters are pre-built
-		// in New (shared with the batch executor), so the observer
-		// callback is a lock-free map read + atomic update.
+		// Per-method metrics are built here, before the first request, so
+		// the observer callback is a lock-free map read + atomic update.
+		nn.mm = make(map[string]methodMetrics)
 		s.SetObserver(func(method string, d time.Duration, errored bool) {
-			if method == nnapi.MethodBatch {
-				nn.mBatches.Inc()
-			} else {
-				nn.mRPCs.Inc()
-			}
+			nn.mRPCs.Inc()
 			mm, ok := nn.mm[method]
 			if !ok {
 				return
@@ -229,6 +187,25 @@ func (nn *Namenode) Serve(l transport.Listener) {
 			}
 		})
 	}
+	serve(nn, s, nnapi.MethodCreate, nn.Create)
+	serve(nn, s, nnapi.MethodAddBlock, nn.AddBlock)
+	serve(nn, s, nnapi.MethodAbandonBlock, nn.AbandonBlock)
+	serve(nn, s, nnapi.MethodComplete, nn.Complete)
+	serve(nn, s, nnapi.MethodRecoverBlock, nn.RecoverBlock)
+	serve(nn, s, nnapi.MethodClientHeartbeat, nn.ClientHeartbeat)
+	serve(nn, s, nnapi.MethodGetBlockLocations, nn.GetBlockLocations)
+	serve(nn, s, nnapi.MethodGetFileInfo, nn.GetFileInfo)
+	serve(nn, s, nnapi.MethodClusterInfo, nn.ClusterInfo)
+	serve(nn, s, nnapi.MethodDelete, nn.Delete)
+	serve(nn, s, nnapi.MethodRename, nn.Rename)
+	serve(nn, s, nnapi.MethodList, nn.List)
+	serve(nn, s, nnapi.MethodRegister, nn.Register)
+	serve(nn, s, nnapi.MethodHeartbeat, nn.Heartbeat)
+	serve(nn, s, nnapi.MethodBlockReceived, nn.BlockReceived)
+	serve(nn, s, nnapi.MethodBlockReceivedBatch, nn.BlockReceivedBatch)
+	serve(nn, s, nnapi.MethodDecommission, nn.Decommission)
+	serve(nn, s, nnapi.MethodDecommStatus, nn.DecommissionStatus)
+	serve(nn, s, nnapi.MethodBalance, nn.Balance)
 	nn.mu.Lock()
 	nn.server = s
 	nn.mu.Unlock()
@@ -470,54 +447,6 @@ func (nn *Namenode) ClusterInfo(nnapi.ClusterInfoReq) (nnapi.ClusterInfoResp, er
 		Racks:           nn.dm.numRacks(),
 		SafeMode:        nn.checkSafeMode() != nil,
 	}, nil
-}
-
-// Batch executes up to nnapi.MaxBatchEntries control-plane operations in
-// one RPC frame, strictly in entry order and never concurrently with
-// each other — so a [clientHeartbeat, addBlock] pair batched by a client
-// observes exactly the state sequence of two separate in-order RPCs.
-// Each entry succeeds or fails independently (a failed entry does not
-// abort the rest), and nested batches are rejected. Per-method latency
-// metrics and the nn_rpcs logical-operation counter are maintained per
-// entry, so batching changes frame counts, not accounting.
-func (nn *Namenode) Batch(req nnapi.BatchReq) (nnapi.BatchResp, error) {
-	if len(req.Entries) > nnapi.MaxBatchEntries {
-		return nnapi.BatchResp{}, fmt.Errorf("namenode: batch carries %d entries, cap is %d", len(req.Entries), nnapi.MaxBatchEntries)
-	}
-	results := make([]nnapi.BatchResult, len(req.Entries))
-	for i, e := range req.Entries {
-		h, ok := nn.batchable[e.Method]
-		if !ok {
-			results[i].Err = "namenode: method not batchable: " + e.Method
-			continue
-		}
-		nn.mRPCs.Inc()
-		mm, hasMM := nn.mm[e.Method]
-		var start time.Time
-		if hasMM {
-			start = time.Now()
-		}
-		v, err := h(e.Body)
-		if hasMM {
-			mm.lat.Observe(time.Since(start).Nanoseconds())
-			if err != nil {
-				mm.errs.Inc()
-			}
-		}
-		if err != nil {
-			results[i].Err = err.Error()
-			continue
-		}
-		if v != nil {
-			body, merr := json.Marshal(v)
-			if merr != nil {
-				results[i].Err = "namenode: encode batch result: " + merr.Error()
-				continue
-			}
-			results[i].Body = body
-		}
-	}
-	return nnapi.BatchResp{Results: results}, nil
 }
 
 // --- AdminProtocol ---

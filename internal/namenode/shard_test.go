@@ -1,9 +1,7 @@
 package namenode
 
 import (
-	"encoding/json"
 	"fmt"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -130,13 +128,14 @@ func TestRenameAcrossShardsMovesLease(t *testing.T) {
 	}
 }
 
-// TestBatchExecutesInOrder proves the batch contract the client's RPC
-// batching depends on: a [clientHeartbeat, addBlock] frame applies the
-// heartbeat's speed records before placement runs. If the order ever
-// flipped, the namenode would have no records for the client and fall
-// back to uniform-random placement — over 8 rounds the first targets
-// would stray from the TopN set with overwhelming probability.
-func TestBatchExecutesInOrder(t *testing.T) {
+// TestAddBlockPlacesOnJustPushedSpeeds pins the ordering contract the
+// client's FIFO RPC worker depends on: a clientHeartbeat followed by an
+// addBlock places on the speed records the heartbeat just pushed. If the
+// heartbeat were not applied first, the namenode would have no records
+// for the client and fall back to uniform-random placement — over 8
+// rounds the first targets would stray from the TopN set with
+// overwhelming probability.
+func TestAddBlockPlacesOnJustPushedSpeeds(t *testing.T) {
 	nn, _, names := newTestNN(t)
 	speeds := make(map[string]float64, len(names))
 	top := map[string]bool{}
@@ -148,76 +147,20 @@ func TestBatchExecutesInOrder(t *testing.T) {
 	}
 	for f := 0; f < 8; f++ {
 		path := fmt.Sprintf("/b/f%d", f)
-		if _, err := nn.Create(nnapi.CreateReq{Path: path, Client: "batcher", Replication: 3, BlockSize: 1 << 20}); err != nil {
+		client := fmt.Sprintf("writer%d", f) // a fresh client: no records before its heartbeat
+		if _, err := nn.Create(nnapi.CreateReq{Path: path, Client: client, Replication: 3, BlockSize: 1 << 20}); err != nil {
 			t.Fatal(err)
 		}
-		hb, _ := json.Marshal(nnapi.ClientHeartbeatReq{Client: "batcher", Speeds: speeds})
-		ab, _ := json.Marshal(nnapi.AddBlockReq{Path: path, Client: "batcher", Mode: proto.ModeSmarth})
-		resp, err := nn.Batch(nnapi.BatchReq{Entries: []nnapi.BatchEntry{
-			{Method: nnapi.MethodClientHeartbeat, Body: hb},
-			{Method: nnapi.MethodAddBlock, Body: ab},
-		}})
+		if _, err := nn.ClientHeartbeat(nnapi.ClientHeartbeatReq{Client: client, Speeds: speeds}); err != nil {
+			t.Fatal(err)
+		}
+		resp, err := nn.AddBlock(nnapi.AddBlockReq{Path: path, Client: client, Mode: proto.ModeSmarth})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for i, r := range resp.Results {
-			if r.Err != "" {
-				t.Fatalf("entry %d: %s", i, r.Err)
-			}
+		if first := resp.Located.Targets[0].Name; !top[first] {
+			t.Fatalf("file %d: first target %s not in TopN %v — placement did not read the heartbeat's speeds", f, first, top)
 		}
-		var abResp nnapi.AddBlockResp
-		if err := json.Unmarshal(resp.Results[1].Body, &abResp); err != nil {
-			t.Fatal(err)
-		}
-		if first := abResp.Located.Targets[0].Name; !top[first] {
-			t.Fatalf("file %d: first target %s not in TopN %v — heartbeat was not applied before addBlock", f, first, top)
-		}
-	}
-}
-
-// TestBatchEntryFailureIsIsolated verifies one failing entry neither
-// aborts the frame nor poisons its neighbors, and that unknown or
-// nested methods are rejected per-entry.
-func TestBatchEntryFailureIsIsolated(t *testing.T) {
-	nn, _, _ := newTestNN(t)
-	if _, err := nn.Create(nnapi.CreateReq{Path: "/dup", Client: "c1", Replication: 1, BlockSize: 1 << 20}); err != nil {
-		t.Fatal(err)
-	}
-	dup, _ := json.Marshal(nnapi.CreateReq{Path: "/dup", Client: "c1", Replication: 1, BlockSize: 1 << 20})
-	ok, _ := json.Marshal(nnapi.CreateReq{Path: "/fresh", Client: "c1", Replication: 1, BlockSize: 1 << 20})
-	nested, _ := json.Marshal(nnapi.BatchReq{})
-	resp, err := nn.Batch(nnapi.BatchReq{Entries: []nnapi.BatchEntry{
-		{Method: nnapi.MethodCreate, Body: dup},     // fails: exists
-		{Method: nnapi.MethodCreate, Body: ok},      // succeeds
-		{Method: nnapi.MethodBatch, Body: nested},   // rejected: nested
-		{Method: "ClientProtocol.bogus", Body: nil}, // rejected: unknown
-	}})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if resp.Results[0].Err == "" || !strings.Contains(resp.Results[0].Err, "exists") {
-		t.Errorf("entry 0: want file-exists error, got %q", resp.Results[0].Err)
-	}
-	if resp.Results[1].Err != "" {
-		t.Errorf("entry 1 failed: %s", resp.Results[1].Err)
-	}
-	if resp.Results[2].Err == "" || !strings.Contains(resp.Results[2].Err, "not batchable") {
-		t.Errorf("entry 2: want nested-batch rejection, got %q", resp.Results[2].Err)
-	}
-	if resp.Results[3].Err == "" {
-		t.Error("entry 3: unknown method accepted")
-	}
-	if info, err := nn.GetFileInfo(nnapi.GetFileInfoReq{Path: "/fresh"}); err != nil || !info.Exists {
-		t.Errorf("entry 2's neighbor did not execute: exists=%v err=%v", info.Exists, err)
-	}
-
-	// A frame over the cap is refused outright.
-	over := make([]nnapi.BatchEntry, nnapi.MaxBatchEntries+1)
-	for i := range over {
-		over[i] = nnapi.BatchEntry{Method: nnapi.MethodClusterInfo, Body: []byte("{}")}
-	}
-	if _, err := nn.Batch(nnapi.BatchReq{Entries: over}); err == nil {
-		t.Error("oversized batch accepted")
 	}
 }
 

@@ -122,13 +122,10 @@ func (s *Server) SetObserver(fn Observer) {
 	s.mu.Unlock()
 }
 
-// HandlerFor adapts a typed method function into a raw Handler: the
-// request body decodes into Req and the returned Resp encodes into the
-// response body. It is exported so servers that re-dispatch internally
-// (the namenode's batch RPC) can route a sub-request through exactly the
-// same decode/execute path as a standalone call.
-func HandlerFor[Req, Resp any](method string, fn func(Req) (Resp, error)) Handler {
-	return func(body []byte) (any, error) {
+// Handle installs a typed handler for method: the request body decodes
+// into Req and the returned Resp encodes into the response body.
+func Handle[Req, Resp any](s *Server, method string, fn func(Req) (Resp, error)) {
+	s.RegisterFunc(method, func(body []byte) (any, error) {
 		var req Req
 		if len(body) > 0 {
 			if err := json.Unmarshal(body, &req); err != nil {
@@ -136,12 +133,7 @@ func HandlerFor[Req, Resp any](method string, fn func(Req) (Resp, error)) Handle
 			}
 		}
 		return fn(req)
-	}
-}
-
-// Handle installs a typed handler for method (see HandlerFor).
-func Handle[Req, Resp any](s *Server, method string, fn func(Req) (Resp, error)) {
-	s.RegisterFunc(method, HandlerFor(method, fn))
+	})
 }
 
 // Serve accepts connections on l until the listener closes. It returns
@@ -288,9 +280,13 @@ func (c *Client) shutdown(err error) {
 		err = ErrShutdown
 	}
 	c.err = err
+	// A closed channel, not a response: the failure is local (the conn
+	// died), and the waiter reports c.err as a transport error so callers
+	// that retry those and drop the conn do. response.Err is reserved for
+	// what the server said.
 	for seq, ch := range c.pending {
 		delete(c.pending, seq)
-		ch <- response{Seq: seq, Err: err.Error()}
+		close(ch)
 	}
 	c.conn.Close()
 }
@@ -355,9 +351,10 @@ func (c *Client) CallTimeout(method string, arg, reply any, timeout time.Duratio
 	}
 
 	var resp response
+	var ok bool
 	if timeout > 0 && clk != nil {
 		select {
-		case resp = <-ch:
+		case resp, ok = <-ch:
 		case <-clk.After(timeout):
 			// Abandon the call: drop the pending entry so the read loop
 			// discards the late response instead of blocking on a channel
@@ -368,7 +365,13 @@ func (c *Client) CallTimeout(method string, arg, reply any, timeout time.Duratio
 			return fmt.Errorf("rpc: %s: %w", method, ErrCallTimeout)
 		}
 	} else {
-		resp = <-ch
+		resp, ok = <-ch
+	}
+	if !ok {
+		c.mu.Lock()
+		err := c.err
+		c.mu.Unlock()
+		return fmt.Errorf("rpc: %s: connection lost: %w", method, err)
 	}
 	if resp.Err != "" {
 		return &RemoteError{Msg: resp.Err}

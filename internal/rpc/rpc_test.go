@@ -167,6 +167,40 @@ func TestClientCloseFailsPending(t *testing.T) {
 	}
 }
 
+// TestPendingCallTransportFailureIsNotRemote kills the connection under
+// a call that is waiting for its response. The failure is local — the
+// server said nothing — so it must not surface as *RemoteError: callers
+// (client.callNN, datanode.callNN) return remote errors as final and
+// retry, and drop the cached conn, only on transport errors.
+func TestPendingCallTransportFailureIsNotRemote(t *testing.T) {
+	n := transport.NewMemNetwork(nil)
+	startServer(t, n, "nn")
+	conn, err := n.Dial("client", "nn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c := NewClient(conn)
+	defer c.Close()
+	done := make(chan error, 1)
+	go func() {
+		done <- c.Call("slow", addArgs{}, &addReply{})
+	}()
+	time.Sleep(5 * time.Millisecond)
+	conn.Close()
+	select {
+	case err := <-done:
+		if err == nil {
+			t.Fatal("pending call succeeded over a dead connection")
+		}
+		var re *RemoteError
+		if errors.As(err, &re) {
+			t.Fatalf("err = %v reported as RemoteError; the server never answered", err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("pending call hung after the connection died")
+	}
+}
+
 func TestServerPartitionFailsCall(t *testing.T) {
 	n := transport.NewMemNetwork(nil)
 	startServer(t, n, "nn")
