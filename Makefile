@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race fuzz-smoke bench bench-vet docs-check profile conformance
+.PHONY: build test vet lint race alloc fuzz-smoke bench bench-vet docs-check profile conformance
 
 build:
 	$(GO) build ./...
@@ -21,6 +21,12 @@ lint:
 # the full suite (a cached "ok" proves nothing about the current build).
 race:
 	$(GO) test -race -count=1 ./...
+
+# The allocation budgets (per packet, per block, per pipeline, per file):
+# every one of them skips itself under -race, where sync.Pool drops puts
+# at random, so `make race` alone never runs them.
+alloc:
+	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
 # Five seconds of native fuzzing on each decoder that reads bytes off a
 # socket (the seed corpora alone already run as part of `go test`). One

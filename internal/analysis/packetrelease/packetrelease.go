@@ -17,7 +17,12 @@
 //   - a pooled value discarded outright (blank assignment, or a bare
 //     producer call statement);
 //   - a loop iteration that rebinds the variable while the previous
-//     iteration's value may still be owned.
+//     iteration's value may still be owned;
+//   - a pooled buffer held in a struct field (a transport ring, a
+//     MemStore replica buffer) that is Put and then Put again, or still
+//     sits in the field when the function returns: the holder must
+//     clear or replace the field where it calls Put, or the next
+//     Put-site returns the same buffer twice.
 //
 // Ownership transfer is modeled structurally: passing the value as a
 // call argument, returning it, storing it into a field, map, slice,
@@ -67,9 +72,12 @@ const (
 	stDeferred                  // a registered defer will release it (sticky)
 )
 
-// state maps tracked variables to their abstract condition.
+// state maps tracked variables to their abstract condition, and lists
+// the field expressions (rendered, e.g. "w.rep.buf") that on some path
+// were passed to bufpool.Put and not assigned since.
 type state struct {
 	vars map[*types.Var]bits
+	put  map[string]bool
 }
 
 func (s state) clone() state {
@@ -77,10 +85,17 @@ func (s state) clone() state {
 	for v, b := range s.vars {
 		m[v] = b
 	}
-	return state{vars: m}
+	put := make(map[string]bool, len(s.put))
+	for f := range s.put {
+		put[f] = true
+	}
+	return state{vars: m, put: put}
 }
 
 func (s state) merge(o state) state {
+	for f := range o.put {
+		s.put[f] = true
+	}
 	for v, b := range o.vars {
 		if cur, ok := s.vars[v]; ok {
 			s.vars[v] = cur | b
@@ -100,7 +115,7 @@ func (s state) merge(o state) state {
 type producerKind int
 
 const (
-	prodNone producerKind = iota
+	prodNone   producerKind = iota
 	prodPacket              // (p *proto.Packet, err error) = conn.ReadPacket()
 	prodBuf                 // bp *[]byte = bufpool.Get/GetCap(n)
 )
@@ -149,7 +164,7 @@ func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt) {
 		Cond:     fc.refine,
 		AtReturn: fc.atReturn,
 	}
-	interp.Func(body, state{vars: make(map[*types.Var]bits)})
+	interp.Func(body, state{vars: make(map[*types.Var]bits), put: make(map[string]bool)})
 }
 
 // producer classifies a call as a pooled-value source.
@@ -183,6 +198,19 @@ func (fc *fctx) releaseTarget(call *ast.CallExpr) *types.Var {
 		return fc.trackedIdent(call.Args[0])
 	}
 	return nil
+}
+
+// putField returns the rendered field expression a bufpool.Put call
+// returns to the pool (bufpool.Put(x.f)), or "".
+func (fc *fctx) putField(call *ast.CallExpr) string {
+	fn := analysis.Callee(fc.pass.TypesInfo, call)
+	if fn == nil || fn.Pkg() == nil || fn.Name() != "Put" || fn.Pkg().Name() != "bufpool" || len(call.Args) != 1 {
+		return ""
+	}
+	if sel, ok := ast.Unparen(call.Args[0]).(*ast.SelectorExpr); ok {
+		return types.ExprString(sel)
+	}
+	return ""
 }
 
 // trackedIdent resolves expr to a local variable object when expr is a
@@ -294,6 +322,9 @@ func (fc *fctx) assign(s state, st *ast.AssignStmt) state {
 				delete(s.vars, v)
 			}
 			continue
+		}
+		if sel, ok := ast.Unparen(lhs).(*ast.SelectorExpr); ok {
+			delete(s.put, types.ExprString(sel)) // cleared or given a new buffer
 		}
 		s = fc.scanValue(s, lhs) // x.f = ..., m[k] = ...: uses inside targets
 	}
@@ -417,6 +448,13 @@ func (fc *fctx) scanValue(s state, e ast.Expr) state {
 	case *ast.CallExpr:
 		if v := fc.releaseTarget(e); v != nil {
 			return fc.release(s, v, e.Pos())
+		}
+		if f := fc.putField(e); f != "" {
+			if s.put[f] && !fc.suppressed(e.Pos()) {
+				fc.pass.Reportf(e.Pos(), "%s is returned to the pool a second time (clear the field where it is Put)", f)
+			}
+			s.put[f] = true
+			return s
 		}
 		// Method call on a tracked value: a dereference, not a transfer.
 		if sel, ok := ast.Unparen(e.Fun).(*ast.SelectorExpr); ok {
@@ -607,6 +645,14 @@ func (fc *fctx) atReturn(s state, ret *ast.ReturnStmt) {
 	sort.Slice(leaked, func(i, j int) bool { return leaked[i].Pos() < leaked[j].Pos() })
 	for _, v := range leaked {
 		fc.pass.Reportf(pos, "%s may still be owned on this return path (missing Release/Put)", fc.name(v))
+	}
+	stale := make([]string, 0, len(s.put))
+	for f := range s.put {
+		stale = append(stale, f)
+	}
+	sort.Strings(stale)
+	for _, f := range stale {
+		fc.pass.Reportf(pos, "%s still holds a buffer that was returned to the pool (clear the field where it is Put)", f)
 	}
 }
 

@@ -159,3 +159,64 @@ func annotated(c *proto.Conn, register func([]byte)) {
 	}
 	register(p.Data)
 }
+
+// A pooled buffer may live in a struct field: a transport ring, a
+// MemStore replica buffer. Storing it is a transfer — the struct's
+// release method carries the Put duty — and that method must clear the
+// field where it calls Put.
+type ringHolder struct{ ring *[]byte }
+
+// ringStored takes the ring straight into the field: nothing to report.
+func ringStored(h *ringHolder, n int) {
+	if h.ring == nil {
+		h.ring = bufpool.Get(n)
+	}
+	use(*h.ring)
+}
+
+// ringStoredViaLocal moves a tracked local into the field.
+func ringStoredViaLocal(h *ringHolder, n int) {
+	bp := bufpool.Get(n)
+	use(*bp)
+	h.ring = bp
+}
+
+// ringReleased is the clean release: Put, then clear, in one place.
+func ringReleased(h *ringHolder) {
+	bufpool.Put(h.ring)
+	h.ring = nil
+}
+
+// ringRegrown replaces the field's buffer: the assignment ends the old
+// buffer's stay just as clearing does.
+func ringRegrown(h *ringHolder, n int) {
+	bp := bufpool.Get(n)
+	copy(*bp, *h.ring)
+	bufpool.Put(h.ring)
+	h.ring = bp
+}
+
+type replica struct{ buf *[]byte }
+
+// replicaReturnedTwice is Delete and abort both recycling one buffer.
+func replicaReturnedTwice(r *replica, aborted bool) {
+	bufpool.Put(r.buf)
+	if aborted {
+		bufpool.Put(r.buf) // want `r.buf is returned to the pool a second time`
+	}
+	r.buf = nil
+}
+
+// replicaLeftInField returns the buffer but keeps pointing at it, so the
+// next release path returns it again.
+func replicaLeftInField(r *replica) {
+	bufpool.Put(r.buf)
+} // want `r.buf still holds a buffer that was returned to the pool`
+
+// localReturnedTwice: the same through a local taken from the field.
+func localReturnedTwice(r *replica) {
+	bp := r.buf
+	r.buf = nil
+	bufpool.Put(bp)
+	bufpool.Put(bp) // want `bp is released a second time`
+}

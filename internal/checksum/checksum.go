@@ -137,7 +137,7 @@ func Decode(raw []byte) ([]uint32, error) {
 // is not usable; construct with NewChunked.
 type Chunked struct {
 	chunkSize int
-	partial   []byte
+	partial   []byte // the stream's tail past the last whole chunk, < chunkSize bytes
 	sums      []uint32
 	total     int64
 }
@@ -150,22 +150,43 @@ func NewChunked(chunkSize int) *Chunked {
 	return &Chunked{chunkSize: chunkSize}
 }
 
+// maxGrowBytes caps what Grow reserves for: the size is a hint that may
+// come off the wire, and 1 GB of payload is already 8 MB of checksums.
+const maxGrowBytes = 1 << 30
+
+// Grow reserves room for the checksums of n more bytes, so a writer that
+// knows the stream's length sizes the slice once.
+func (c *Chunked) Grow(n int64) {
+	if n <= 0 {
+		return
+	}
+	need := len(c.sums) + NumChunks(int(min(n, maxGrowBytes)), c.chunkSize)
+	if need > cap(c.sums) {
+		c.sums = append(make([]uint32, 0, need), c.sums...)
+	}
+}
+
 // Write feeds more data. It never fails; it implements io.Writer so it can
-// sit inside an io.MultiWriter.
+// sit inside an io.MultiWriter. Whole chunks are checksummed where they
+// lie in p; only a tail shorter than a chunk is copied, to be completed
+// by the next Write.
 func (c *Chunked) Write(p []byte) (int, error) {
 	n := len(p)
 	c.total += int64(n)
-	for len(p) > 0 {
+	if len(c.partial) > 0 {
 		need := c.chunkSize - len(c.partial)
 		if need > len(p) {
 			c.partial = append(c.partial, p...)
-			break
+			return n, nil
 		}
 		c.partial = append(c.partial, p[:need]...)
 		c.sums = append(c.sums, crc32.Checksum(c.partial, castagnoli))
 		c.partial = c.partial[:0]
 		p = p[need:]
 	}
+	whole := len(p) - len(p)%c.chunkSize
+	c.sums = AppendSums(c.sums, p[:whole], c.chunkSize)
+	c.partial = append(c.partial, p[whole:]...)
 	return n, nil
 }
 

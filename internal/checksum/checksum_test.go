@@ -172,34 +172,98 @@ func TestQuickRoundTripAndCorruption(t *testing.T) {
 	}
 }
 
+// sameSums reports whether two checksum slices are equal.
+func sameSums(got, want []uint32) bool {
+	if len(got) != len(want) {
+		return false
+	}
+	for i := range want {
+		if got[i] != want[i] {
+			return false
+		}
+	}
+	return true
+}
+
 // Property: incremental Chunked equals one-shot Sum regardless of how the
-// input is split.
+// input is split. The chunk size is drawn small so that quick's short
+// inputs span many chunks and the cuts fall before, on and after chunk
+// boundaries; Grow, wherever it is called, changes nothing but capacity.
 func TestQuickChunkedEquivalence(t *testing.T) {
-	f := func(data []byte, cuts []uint16) bool {
-		c := NewChunked(512)
+	f := func(data []byte, cuts []uint16, csRaw uint8, growAt uint8) bool {
+		cs := int(csRaw)%16 + 1
+		c := NewChunked(cs)
 		rest := data
-		for _, cut := range cuts {
+		for i, cut := range cuts {
 			if len(rest) == 0 {
 				break
+			}
+			if i == int(growAt)%4 {
+				c.Grow(int64(len(rest)))
 			}
 			n := int(cut) % (len(rest) + 1)
 			c.Write(rest[:n])
 			rest = rest[n:]
 		}
 		c.Write(rest)
-		got := c.Sums()
-		want := Sum(data, 512)
-		if len(got) != len(want) {
-			return false
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return false
-			}
-		}
-		return true
+		return c.Total() == int64(len(data)) && sameSums(c.Sums(), Sum(data, cs))
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+
+	// Every two-way and a ragged three-way split of a stream that ends
+	// mid-chunk: whole chunks are summed in place, so each boundary case
+	// (tail completes a chunk exactly, overshoots it, falls short) runs.
+	data := make([]byte, 3*DefaultChunkSize+5)
+	rand.New(rand.NewSource(11)).Read(data)
+	want := Sum(data, DefaultChunkSize)
+	for cut := 0; cut <= len(data); cut++ {
+		c := NewChunked(DefaultChunkSize)
+		c.Write(data[:cut])
+		c.Write(data[cut:])
+		if !sameSums(c.Sums(), want) {
+			t.Fatalf("split at %d: sums differ from one-shot Sum", cut)
+		}
+		mid := cut + (len(data)-cut)/3
+		c.Write(data[:cut])
+		c.Write(data[cut:mid])
+		c.Write(data[mid:])
+		if !sameSums(c.Sums(), want) {
+			t.Fatalf("split at %d and %d: sums differ from one-shot Sum", cut, mid)
+		}
+	}
+}
+
+// TestChunkedAllocs bounds the store path's checksummer: one block
+// streamed in packets after a Grow costs the Chunked, its sums and —
+// only when packets are not chunk-aligned — one sub-chunk tail buffer,
+// not a growth chain, and never a copy of the payload.
+func TestChunkedAllocs(t *testing.T) {
+	const block = 1 << 20
+	for _, tc := range []struct {
+		name   string
+		packet int
+		max    float64
+	}{
+		{"aligned", 64 << 10, 2},
+		{"ragged", 64<<10 - 3, 3},
+	} {
+		data := make([]byte, tc.packet)
+		var sums []uint32
+		got := testing.AllocsPerRun(20, func() {
+			c := NewChunked(DefaultChunkSize)
+			c.Grow(block)
+			for off := 0; off < block; off += len(data) {
+				c.Write(data[:min(len(data), block-off)])
+			}
+			sums = c.Sums()
+		})
+		if len(sums) != block/DefaultChunkSize {
+			t.Fatalf("%s: %d sums, want %d", tc.name, len(sums), block/DefaultChunkSize)
+		}
+		if got > tc.max {
+			t.Errorf("%s: %.0f allocs per block, want <= %.0f", tc.name, got, tc.max)
+		}
 	}
 }

@@ -26,10 +26,10 @@
 //     ReadProgress deadline; the only goroutine the read path starts
 //     dials the next block's replica and hands the connected stream
 //     over a channel before its first Read.
-//   - A SMARTH block's staging buffer (checked out of a writer-local
-//     free list) is owned from launch until the block commits; HDFS
-//     streams straight from the producer's buffer (Ready-at-commit
-//     keeps it stable).
+//   - A block's staging buffer is a bufpool buffer the producer fills
+//     to the block boundary and hands over whole; its pipelines stream
+//     (and re-stream) from it until the block commits, which returns it
+//     to the pool. Both modes take this path.
 //   - The speed recorder and the namenode RPC conn are mutex-guarded
 //     and shared by all writers of the client; everything on the data
 //     path is pipeline-local and lock-free (see DESIGN.md §7 for the

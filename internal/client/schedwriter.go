@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/bufpool"
 	"repro/internal/nnapi"
 	"repro/internal/obs"
 	"repro/internal/policy"
@@ -42,7 +43,9 @@ type schedWriter struct {
 	eng          *writesched.Engine
 
 	// Producer-goroutine state (the usual single-caller io.Writer rule).
-	buf     []byte
+	// cur is the pooled BlockSize buffer being filled; submitBlock hands
+	// it to the engine whole, so no block is copied a second time.
+	cur     *[]byte
 	nextIdx int
 	closed  bool
 	werr    error
@@ -58,13 +61,15 @@ type schedWriter struct {
 	active map[*pipelineConn]bool
 	// Per-in-flight-block state, keyed by block index and dropped at
 	// commit: staging payload, trace spans, launch time, last failure.
-	data      map[int][]byte
+	// A payload is a bufpool buffer that pipelines stream from (and
+	// re-stream from during recovery) until BlockCommitted recycles it;
+	// a failed file leaves its payloads to the garbage collector, since
+	// a pipeline goroutine may still be reading them.
+	data      map[int]*[]byte
 	spans     map[int]*obs.Span
 	recSpans  map[int]*obs.Span
 	launched  map[int]time.Time
 	lastCause map[int]error
-	// free recycles SMARTH staging buffers (bounded by the pipeline cap).
-	free [][]byte
 
 	// FIFO namenode-RPC queue, drained by one worker goroutine.
 	nnq    []func()
@@ -83,7 +88,7 @@ func (c *Client) newSchedWriter(path string, opts WriteOptions, maxPipelines int
 		opened:       c.clk.Now(),
 		readyIdx:     -1,
 		active:       make(map[*pipelineConn]bool),
-		data:         make(map[int][]byte),
+		data:         make(map[int]*[]byte),
 		spans:        make(map[int]*obs.Span),
 		recSpans:     make(map[int]*obs.Span),
 		launched:     make(map[int]time.Time),
@@ -125,25 +130,21 @@ func (w *schedWriter) Write(p []byte) (int, error) {
 	if w.werr != nil {
 		return 0, w.werr
 	}
-	if cap(w.buf) == 0 && w.opts.BlockSize > 0 {
-		// Preallocate the staging buffer: growing to BlockSize through
-		// append's large-slice policy (~1.25x steps) allocates several
-		// times the block size in dead intermediates per writer.
-		w.buf = make([]byte, 0, w.opts.BlockSize+int64(len(p)))
-	}
-	w.buf = append(w.buf, p...)
 	w.addBytes(len(p))
-	for int64(len(w.buf)) >= w.opts.BlockSize {
-		bs := int(w.opts.BlockSize)
-		if err := w.submitBlock(w.buf[:bs]); err != nil {
-			w.werr = err
-			return 0, err
+	bs := int(w.opts.BlockSize)
+	for rest := p; len(rest) > 0; {
+		if w.cur == nil {
+			w.cur = bufpool.GetCap(bs)
 		}
-		// Compact rather than re-slice: w.buf = w.buf[bs:] would keep
-		// the consumed prefix live (the slice still pins the whole
-		// backing array) and grow a fresh array on every block.
-		rem := copy(w.buf, w.buf[bs:])
-		w.buf = w.buf[:rem]
+		n := min(bs-len(*w.cur), len(rest))
+		*w.cur = append(*w.cur, rest[:n]...)
+		rest = rest[n:]
+		if len(*w.cur) == bs {
+			if err := w.submitBlock(); err != nil {
+				w.werr = err
+				return 0, err
+			}
+		}
 	}
 	return len(p), nil
 }
@@ -161,26 +162,19 @@ func (w *schedWriter) Close() error {
 	return err
 }
 
-// submitBlock hands one block's payload to the engine and blocks until
-// the engine no longer needs the producer held back (its Ready event),
-// or the file fails.
-func (w *schedWriter) submitBlock(payload []byte) error {
+// submitBlock hands the staged block — buffer and all — to the engine
+// and blocks until the engine no longer needs the producer held back
+// (its Ready event: at FNFA for SMARTH, at commit for HDFS), or the file
+// fails. The next Write stages into a fresh pooled buffer.
+func (w *schedWriter) submitBlock() error {
 	idx := w.nextIdx
 	w.nextIdx++
-	data := payload
-	if w.opts.Mode == proto.ModeSmarth {
-		// SMARTH pipelines keep draining acks (and may re-stream during
-		// recovery) after Ready releases the producer, so the payload is
-		// staged in a recycled buffer that outlives this call. HDFS's
-		// Ready comes only at commit, so its payload streams straight
-		// out of w.buf with no copy — the legacy zero-copy path.
-		data = w.getBlockBuf()[:len(payload)]
-		copy(data, payload)
-	}
+	size := int64(len(*w.cur))
 	w.mu.Lock()
-	w.data[idx] = data
+	w.data[idx] = w.cur
 	w.mu.Unlock()
-	w.eng.Offer(int64(len(data)))
+	w.cur = nil
+	w.eng.Offer(size)
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	for w.readyIdx < idx && !w.fileDone {
@@ -196,9 +190,8 @@ func (w *schedWriter) submitBlock(payload []byte) error {
 // file, and tears everything down on failure.
 func (w *schedWriter) finish() error {
 	err := w.werr
-	if err == nil && len(w.buf) > 0 {
-		err = w.submitBlock(w.buf)
-		w.buf = nil
+	if err == nil && w.cur != nil {
+		err = w.submitBlock()
 	}
 	if err == nil {
 		w.eng.CloseFile()
@@ -255,36 +248,6 @@ func (w *schedWriter) teardown(cause error) {
 		sp.Fail(cause)
 		sp.End()
 	}
-}
-
-// --- staging buffers (SMARTH only) ---
-
-// getBlockBuf returns a BlockSize-capacity staging buffer, reusing a
-// committed pipeline's buffer when one is free.
-func (w *schedWriter) getBlockBuf() []byte {
-	w.mu.Lock()
-	if n := len(w.free); n > 0 {
-		b := w.free[n-1]
-		w.free = w.free[:n-1]
-		w.mu.Unlock()
-		return b
-	}
-	w.mu.Unlock()
-	return make([]byte, w.opts.BlockSize)
-}
-
-// putBlockBuf returns a staging buffer to the free list, bounded by the
-// pipeline cap so steady state stages maxPipelines+1 buffers total.
-func (w *schedWriter) putBlockBuf(b []byte) {
-	if int64(cap(b)) < w.opts.BlockSize {
-		return
-	}
-	b = b[:cap(b)]
-	w.mu.Lock()
-	if len(w.free) <= w.maxPipelines {
-		w.free = append(w.free, b)
-	}
-	w.mu.Unlock()
 }
 
 // --- namenode RPC worker ---
@@ -412,9 +375,7 @@ func (w *schedWriter) BlockCommitted(idx int) {
 	delete(w.launched, idx)
 	delete(w.lastCause, idx)
 	w.mu.Unlock()
-	if w.opts.Mode == proto.ModeSmarth && data != nil {
-		w.putBlockBuf(data)
-	}
+	bufpool.Put(data)
 	if launched {
 		w.c.mBlockCommit.ObserveSince(start, w.c.clk.Now())
 	}
@@ -451,7 +412,7 @@ func (w *schedWriter) StartPipeline(idx int, lb block.LocatedBlock, _ policy.Sha
 // engine; the engine decides what happens next.
 func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, restream bool) {
 	w.mu.Lock()
-	data := w.data[idx]
+	data := *w.data[idx]
 	blockSpan := w.spans[idx]
 	parent := blockSpan
 	if restream {

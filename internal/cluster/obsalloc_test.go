@@ -5,6 +5,7 @@ import (
 	"io"
 	"runtime"
 	"testing"
+	"time"
 
 	"repro/internal/client"
 	"repro/internal/obs"
@@ -70,4 +71,93 @@ func TestLiveWriteObsAllocBudget(t *testing.T) {
 		t.Fatalf("instrumented live write allocates %d B/op, budget %d (uninstrumented %d +10%%)", got, budget, base)
 	}
 	t.Logf("instrumented live write: %d B/op (uninstrumented %d, budget %d)", got, base, budget)
+}
+
+// writeAllocBytes returns the bytes the whole process allocates to
+// upload one 8 × 1 MB R3 file and delete it again (waiting until every
+// datanode has dropped its replicas, which is when MemStore recycles
+// their buffers), after two such files warmed the pools.
+func writeAllocBytes(t *testing.T, smarth bool) uint64 {
+	t.Helper()
+	const fileBytes = 8 << 20
+	c, err := Start(Config{NumDatanodes: 9, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Stop()
+	cl, err := c.NewClient("alloc-client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	opts := client.WriteOptions{Replication: 3, BlockSize: 1 << 20, PacketSize: 64 << 10}
+	cbuf := make([]byte, 64<<10)
+	uploadAndDelete := func(path string) {
+		create := cl.CreateHDFS
+		if smarth {
+			create = cl.CreateSmarth
+		}
+		w, err := create(path, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.CopyBuffer(struct{ io.Writer }{w}, workload.NewReader(1, fileBytes), cbuf); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if ok, err := cl.Delete(path); err != nil || !ok {
+			t.Fatalf("delete %s: %v, %v", path, ok, err)
+		}
+		for start := time.Now(); ; time.Sleep(5 * time.Millisecond) {
+			var held int64
+			for _, dn := range c.DNs {
+				held += dn.Store().UsedBytes()
+			}
+			if held == 0 {
+				return
+			}
+			if time.Since(start) > 10*time.Second {
+				t.Fatalf("datanodes still hold %d bytes of the deleted %s", held, path)
+			}
+		}
+	}
+	uploadAndDelete("/alloc/warmup0")
+	uploadAndDelete("/alloc/warmup1")
+	// The cheapest of three: a garbage collection that happens to empty
+	// the pools mid-file is weather, re-buying buffers for every pipeline
+	// would show in all of them.
+	best := ^uint64(0)
+	for i := 0; i < 3; i++ {
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		uploadAndDelete(fmt.Sprintf("/alloc/measured%d", i))
+		runtime.ReadMemStats(&after)
+		best = min(best, after.TotalAlloc-before.TotalAlloc)
+	}
+	return best
+}
+
+// TestLiveWriteAllocBudget is the regression guard for the pooled write
+// path: a new pipeline per block must not mean new rings, replica
+// buffers and staging blocks per block. Uploading 8 MB three times over
+// used to allocate ≈5× the payload; with everything block- or
+// ring-sized drawn from bufpool a warm cluster allocates a small
+// fraction of it, in either mode.
+func TestLiveWriteAllocBudget(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation accounting is not comparable under -race")
+	}
+	const budget = (8 << 20) / 2
+	for _, mode := range []struct {
+		name   string
+		smarth bool
+	}{{"smarth", true}, {"hdfs", false}} {
+		got := writeAllocBytes(t, mode.smarth)
+		if got > budget {
+			t.Errorf("%s: 8 MB R3 upload + delete allocates %d B, budget %d (half the payload)", mode.name, got, budget)
+		}
+		t.Logf("%s: 8 MB R3 upload + delete allocates %d B (budget %d)", mode.name, got, budget)
+	}
 }

@@ -23,7 +23,9 @@
 //     until the next ReadAck — with local verdicts in seqno order.
 //   - The per-pipeline buffer rule (§IV-C): at most one block is staged
 //     between receive and mirror, and a datanode serves at most one
-//     active pipeline per client.
+//     active pipeline per client. That byte bound is the receiver's only
+//     back-pressure: its status FIFO to the responder grows on demand,
+//     so unacknowledged packets never delay the local commit or the FNFA.
 //   - The store (internal/storage) is the only shared mutable state;
 //     it serializes replica state transitions internally.
 package datanode

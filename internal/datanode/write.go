@@ -33,6 +33,64 @@ type localStatus struct {
 	last  bool
 }
 
+// statusQueue is the FIFO of stored-but-unacknowledged packets between a
+// pipeline's receiver and its responder. It grows on demand and push
+// never blocks: what bounds the receiver is the byte-accounted forward
+// queue (§IV-C), not the number of packets behind a slow mirror's acks —
+// a SMARTH first datanode must reach its commit, and the FNFA, however
+// far the mirrors lag.
+type statusQueue struct {
+	mu       sync.Mutex
+	notEmpty *sync.Cond
+	items    []localStatus
+	closed   bool
+}
+
+func newStatusQueue() *statusQueue {
+	q := &statusQueue{}
+	q.notEmpty = sync.NewCond(&q.mu)
+	return q
+}
+
+// push enqueues st; false means the queue was closed (the pipeline is
+// over) and st was dropped.
+func (q *statusQueue) push(st localStatus) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if q.closed {
+		return false
+	}
+	q.items = append(q.items, st)
+	q.notEmpty.Signal()
+	return true
+}
+
+// pop blocks for the next status; ok=false means the queue is closed and
+// drained.
+func (q *statusQueue) pop() (st localStatus, ok bool) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for len(q.items) == 0 && !q.closed {
+		q.notEmpty.Wait()
+	}
+	if len(q.items) == 0 {
+		return localStatus{}, false
+	}
+	st = q.items[0]
+	q.items = q.items[1:]
+	return st, true
+}
+
+// close ends the queue: queued statuses remain poppable, later pushes
+// are dropped. The receiver closes it on exit and abort closes it to
+// release a blocked responder.
+func (q *statusQueue) close() {
+	q.mu.Lock()
+	q.closed = true
+	q.notEmpty.Broadcast()
+	q.mu.Unlock()
+}
+
 // handleWrite runs one write pipeline at this datanode:
 //
 //	receiver: upstream packets -> verify CRC -> local store -> forward queue
@@ -82,13 +140,13 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 	}
 
 	// --- abort machinery shared by the three roles ---
-	done := make(chan struct{})
 	queue := newPacketQueue(dn.opts.ForwardBuffer)
 	queue.depth = dn.mQueueDepth
+	statuses := newStatusQueue()
 	var abortOnce sync.Once
 	abort := func() {
 		abortOnce.Do(func() {
-			close(done)
+			statuses.close()
 			queue.breakNow()
 			if mirror != nil {
 				mirror.Close()
@@ -97,7 +155,6 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 		})
 	}
 
-	statusCh := make(chan localStatus, 4096)
 	var wg sync.WaitGroup
 
 	// --- forwarder ---
@@ -136,7 +193,11 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 			// Last datanode: acknowledge each locally stored packet. One
 			// reused ack; WriteAck never retains it.
 			ack := proto.Ack{Kind: proto.AckData, Statuses: []proto.Status{proto.StatusSuccess}}
-			for st := range statusCh {
+			for {
+				st, ok := statuses.pop()
+				if !ok {
+					return
+				}
 				ack.Seqno = st.seqno
 				if sender.send(&ack) != nil {
 					abort()
@@ -146,7 +207,6 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 					return
 				}
 			}
-			return
 		}
 		// Interior datanode: merge downstream acks with local verdicts.
 		// Both sides deliver packets in order, so the pairing must agree
@@ -162,41 +222,37 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 				abort()
 				return
 			}
-			select {
-			case st, ok := <-statusCh:
-				if !ok {
-					abort()
-					return
-				}
-				if downAck.Seqno != st.seqno {
-					dn.opts.Logf("datanode %s: ack seqno skew: downstream %d, local %d",
-						dn.opts.Name, downAck.Seqno, st.seqno)
-					_ = sender.send(&proto.Ack{
-						Kind:     proto.AckData,
-						Seqno:    st.seqno,
-						Statuses: []proto.Status{proto.StatusError},
-					})
-					abort()
-					return
-				}
-				merged.Seqno = downAck.Seqno
-				merged.Statuses = append(merged.Statuses[:0], proto.StatusSuccess)
-				merged.Statuses = append(merged.Statuses, downAck.Statuses...)
-				if sender.send(&merged) != nil {
-					abort()
-					return
-				}
-				if st.last {
-					return
-				}
-			case <-done:
+			st, ok := statuses.pop()
+			if !ok {
+				abort()
+				return
+			}
+			if downAck.Seqno != st.seqno {
+				dn.opts.Logf("datanode %s: ack seqno skew: downstream %d, local %d",
+					dn.opts.Name, downAck.Seqno, st.seqno)
+				_ = sender.send(&proto.Ack{
+					Kind:     proto.AckData,
+					Seqno:    st.seqno,
+					Statuses: []proto.Status{proto.StatusError},
+				})
+				abort()
+				return
+			}
+			merged.Seqno = downAck.Seqno
+			merged.Statuses = append(merged.Statuses[:0], proto.StatusSuccess)
+			merged.Statuses = append(merged.Statuses, downAck.Statuses...)
+			if sender.send(&merged) != nil {
+				abort()
+				return
+			}
+			if st.last {
 				return
 			}
 		}
 	}()
 
 	// --- receiver (this goroutine) ---
-	dn.receiveLoop(up, hdr, w, mirror != nil, queue, statusCh, sender, done, abort)
+	dn.receiveLoop(up, hdr, w, mirror != nil, queue, statuses, sender, abort)
 
 	queue.close()
 	wg.Wait()
@@ -262,12 +318,11 @@ func (dn *Datanode) receiveLoop(
 	},
 	hasMirror bool,
 	queue *packetQueue,
-	statusCh chan<- localStatus,
+	statuses *statusQueue,
 	sender *ackSender,
-	done <-chan struct{},
 	abort func(),
 ) {
-	defer close(statusCh)
+	defer statuses.close()
 	var received int64
 	for {
 		pkt, err := up.ReadPacket()
@@ -317,10 +372,8 @@ func (dn *Datanode) receiveLoop(
 		} else {
 			pkt.Release()
 		}
-		select {
-		case statusCh <- localStatus{seqno: seqno, last: last}:
-		case <-done:
-			return
+		if !statuses.push(localStatus{seqno: seqno, last: last}) {
+			return // aborted
 		}
 		if last {
 			if err := w.Commit(); err != nil {

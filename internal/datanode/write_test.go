@@ -227,3 +227,100 @@ func TestInteriorResponderCleanRun(t *testing.T) {
 		}
 	}
 }
+
+// TestFNFANotDelayedByUnackedPackets is the §IV-C contract on a SMARTH
+// first datanode: it stores the whole block at client speed and emits
+// the FNFA at its own commit, however many packets the mirror has yet
+// to acknowledge. The mirror here completes setup and then neither
+// reads nor acks, and the block has more packets than the 4096-slot
+// status channel the receiver used to block on.
+func TestFNFANotDelayedByUnackedPackets(t *testing.T) {
+	n := transport.NewMemNetwork(nil)
+	startFakeNN(t, n)
+
+	store := storage.NewMemStore()
+	dn, err := New(Options{
+		Name: "dn1", Addr: "dn1", NamenodeAddr: "nn",
+		Network: n, Store: store,
+		Logf: t.Logf,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := dn.Start(); err != nil {
+		t.Fatal(err)
+	}
+	defer dn.Stop()
+
+	ml, err := n.Listen("dn2")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer ml.Close()
+	release := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		conn, err := ml.Accept()
+		if err != nil {
+			return
+		}
+		mc := proto.NewConn(conn)
+		defer mc.Close()
+		if _, _, err := mc.ReadHeader(); err != nil {
+			return
+		}
+		if err := mc.WriteAck(&proto.Ack{Kind: proto.AckHeader, Seqno: -1, Statuses: []proto.Status{proto.StatusSuccess}}); err != nil {
+			return
+		}
+		<-release // stalled: no packet read, no ack sent
+	}()
+	defer wg.Wait()
+	defer close(release)
+
+	conn, err := n.Dial("client", "dn1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	pc := proto.NewConn(conn)
+	defer pc.Close()
+	// A receiver that stops reading must fail the test, not hang it.
+	pc.SetWriteTimeout(5 * time.Second)
+	pc.SetReadTimeout(5 * time.Second)
+	blk := block.Block{ID: 3, Gen: 1}
+	hdr := &proto.WriteBlockHeader{
+		Block:   blk,
+		Targets: []block.DatanodeInfo{{Name: "dn2", Addr: "dn2"}},
+		Client:  "client",
+		Mode:    proto.ModeSmarth,
+	}
+	if err := pc.WriteHeader(proto.OpWriteBlock, hdr); err != nil {
+		t.Fatal(err)
+	}
+	if setup, err := pc.ReadAck(); err != nil || !setup.OK() {
+		t.Fatalf("setup: ack=%+v err=%v", setup, err)
+	}
+	const packets = 6000 // > 4096 even with a pipe ring's worth still in flight
+	data := []byte(strings.Repeat("x", 1024))
+	sums := checksum.Sum(data, checksum.DefaultChunkSize)
+	for seq := int64(0); seq < packets; seq++ {
+		pkt := &proto.Packet{Seqno: seq, Offset: seq * 1024, Last: seq == packets-1, Sums: sums, Data: data}
+		if err := pc.WritePacket(pkt); err != nil {
+			t.Fatalf("write packet %d: %v (receiver back-pressured by unacked packets)", seq, err)
+		}
+	}
+	for {
+		ack, err := pc.ReadAck()
+		if err != nil {
+			t.Fatalf("no FNFA: %v", err)
+		}
+		if ack.Kind == proto.AckFNFA {
+			break
+		}
+	}
+	info, err := store.Info(blk.ID)
+	if err != nil || info.State != storage.Finalized || info.Len != packets*1024 {
+		t.Fatalf("first datanode's replica = %+v, %v; want %d finalized bytes", info, err, packets*1024)
+	}
+}

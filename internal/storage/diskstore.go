@@ -108,6 +108,10 @@ type diskWriter struct {
 	closed    bool
 }
 
+// SizeHint sizes the checksum slice for the expected block length
+// (storage.SizeHinter); the block file itself grows as it is written.
+func (w *diskWriter) SizeHint(n int64) { w.chunker.Grow(n) }
+
 func (w *diskWriter) Write(p []byte) (int, error) {
 	if w.closed || w.committed {
 		return 0, ErrCommitted
@@ -134,7 +138,8 @@ func (w *diskWriter) Commit() error {
 	if err := os.Rename(w.rep.path, final); err != nil {
 		return err
 	}
-	meta := checksum.Encode(nil, w.chunker.Sums())
+	sums := w.chunker.Sums()
+	meta := checksum.Encode(make([]byte, 0, len(sums)*checksum.BytesPerChecksum), sums)
 	if err := os.WriteFile(final+".meta", meta, 0o644); err != nil {
 		return err
 	}

@@ -20,6 +20,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/bufpool"
 	"repro/internal/checksum"
 	"repro/internal/clock"
 )
@@ -102,10 +103,19 @@ type Store interface {
 // In-memory store
 // ---------------------------------------------------------------------
 
+// memReplica's bytes live in a bufpool buffer. While the replica is
+// temporary the buffer belongs to the writer that created it — it alone
+// appends, grows, and on abort recycles it, even after Create(overwrite)
+// or Delete took the replica out of the map, because that writer may
+// still be in Write. Commit hands the buffer to the store, which
+// recycles it on Delete unless a reader is open; every other way a
+// replica leaves the map drops the buffer for the garbage collector.
 type memReplica struct {
-	info ReplicaInfo
-	data []byte
-	sums []uint32
+	info    ReplicaInfo
+	buf     *[]byte // pooled storage behind data; nil until the first byte or SizeHint
+	data    []byte
+	sums    []uint32
+	readers int // open readers and running scrubs; guarded by MemStore.mu
 }
 
 // MemStore keeps replicas on the heap. PerByteDelay, if non-zero, charges
@@ -146,11 +156,19 @@ func (w *memWriter) SizeHint(n int64) {
 	}
 	w.store.mu.Lock()
 	if int64(cap(w.rep.data)) < n {
-		grown := make([]byte, len(w.rep.data), n)
-		copy(grown, w.rep.data)
-		w.rep.data = grown
+		w.grow(int(n))
 	}
 	w.store.mu.Unlock()
+	w.chunker.Grow(n)
+}
+
+// grow moves the replica into a pooled buffer of at least newCap bytes
+// and recycles the one it outgrew. Caller holds store.mu.
+func (w *memWriter) grow(newCap int) {
+	bp := bufpool.Get(newCap)
+	n := copy(*bp, w.rep.data)
+	bufpool.Put(w.rep.buf)
+	w.rep.buf, w.rep.data = bp, (*bp)[:n]
 }
 
 func (w *memWriter) Write(p []byte) (int, error) {
@@ -173,9 +191,7 @@ func (w *memWriter) Write(p []byte) (int, error) {
 		if newCap < 1<<20 {
 			newCap = 1 << 20
 		}
-		grown := make([]byte, len(w.rep.data), newCap)
-		copy(grown, w.rep.data)
-		w.rep.data = grown
+		w.grow(newCap)
 	}
 	w.rep.data = append(w.rep.data, p...)
 	w.rep.info.Len = int64(len(w.rep.data))
@@ -210,10 +226,14 @@ func (w *memWriter) Close() error {
 	}
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
-	// Abort: discard the temp replica if it is still ours.
+	// Abort: discard the temp replica if it is still ours. The buffer is
+	// ours either way, and nobody else has seen it: a temp replica has no
+	// readers.
 	if cur, ok := w.store.replicas[w.rep.info.Block.ID]; ok && cur == w.rep {
 		delete(w.store.replicas, w.rep.info.Block.ID)
 	}
+	bufpool.Put(w.rep.buf)
+	w.rep.buf, w.rep.data = nil, nil
 	return nil
 }
 
@@ -240,7 +260,30 @@ func (s *MemStore) Open(id block.ID) (io.ReadCloser, int64, error) {
 	if rep.info.State != Finalized {
 		return nil, 0, fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
 	}
-	return io.NopCloser(bytes.NewReader(rep.data)), rep.info.Len, nil
+	rep.readers++
+	r := &memReader{store: s, rep: rep}
+	r.Reader.Reset(rep.data)
+	return r, rep.info.Len, nil
+}
+
+// memReader reads a finalized replica in place. While it is open the
+// replica's buffer is not recycled, so a Delete racing a read leaves the
+// reader the bytes it opened.
+type memReader struct {
+	bytes.Reader
+	store  *MemStore
+	rep    *memReplica
+	closed bool
+}
+
+func (r *memReader) Close() error {
+	r.store.mu.Lock()
+	if !r.closed {
+		r.closed = true
+		r.rep.readers--
+	}
+	r.store.mu.Unlock()
+	return nil
 }
 
 // Sums implements Store.
@@ -274,10 +317,15 @@ func (s *MemStore) Info(id block.ID) (ReplicaInfo, error) {
 func (s *MemStore) Delete(id block.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, ok := s.replicas[id]; !ok {
+	rep, ok := s.replicas[id]
+	if !ok {
 		return fmt.Errorf("%w: blk_%d", ErrNotFound, id)
 	}
 	delete(s.replicas, id)
+	if rep.info.State == Finalized && rep.readers == 0 {
+		bufpool.Put(rep.buf)
+		rep.buf, rep.data = nil, nil
+	}
 	return nil
 }
 
@@ -321,8 +369,13 @@ func (s *MemStore) VerifyBlock(id block.ID) error {
 	}
 	data := rep.data
 	sums := rep.sums
+	rep.readers++ // keeps Delete from recycling data under the scrub
 	s.mu.Unlock()
-	return checksum.Verify(data, sums, checksum.DefaultChunkSize)
+	err := checksum.Verify(data, sums, checksum.DefaultChunkSize)
+	s.mu.Lock()
+	rep.readers--
+	s.mu.Unlock()
+	return err
 }
 
 // Truncate shortens a finalized replica's stored bytes to n without

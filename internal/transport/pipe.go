@@ -6,6 +6,7 @@ import (
 	"sync"
 	"time"
 
+	"repro/internal/bufpool"
 	"repro/internal/clock"
 )
 
@@ -28,19 +29,21 @@ func (*timeoutError) Temporary() bool { return true }
 // Read and write deadlines are supported; the clock driving them is the
 // network's, so deadlines work under a virtual clock too.
 //
-// The FIFO is a fixed ring: buf is allocated once at capacity (lazily,
-// on the first write) and bytes wrap around it, so a long-lived
-// connection streams any amount of data with a single buffer allocation
-// — the earlier append/re-slice FIFO reallocated its backing array
-// continuously under load.
+// The FIFO is a fixed ring: the storage is taken from bufpool on the
+// first write and bytes wrap around it, so a connection streams any
+// amount of data through one buffer, and a direction that never carries
+// data holds none. CloseRead and Break — after which no operation
+// touches the storage again — return it to the pool under mu, so the
+// next connection reuses it: SMARTH opens a pipeline per block, and
+// its rings would otherwise be bought anew each time.
 type pipeBuf struct {
 	mu       sync.Mutex
 	notEmpty *sync.Cond
 	notFull  *sync.Cond
 	clk      clock.Clock
-	buf      []byte // ring storage, len == capacity once allocated
-	r        int    // index of the first unread byte
-	n        int    // unread byte count
+	ring     *[]byte // pooled ring storage, len == capacity; nil before the first write and after release
+	r        int     // index of the first unread byte
+	n        int     // unread byte count
 	capacity int
 	closed   bool // write side closed cleanly; drained reads return io.EOF
 	rclosed  bool // read side closed locally; reads and peer writes fail
@@ -161,9 +164,10 @@ func (b *pipeBuf) Write(p []byte) (int, error) {
 			b.notFull.Wait()
 			continue
 		}
-		if b.buf == nil {
-			b.buf = make([]byte, b.capacity)
+		if b.ring == nil {
+			b.ring = bufpool.Get(b.capacity)
 		}
+		buf := *b.ring
 		n := len(p) - written
 		if n > space {
 			n = space
@@ -173,9 +177,9 @@ func (b *pipeBuf) Write(p []byte) (int, error) {
 		if w >= b.capacity {
 			w -= b.capacity
 		}
-		c := copy(b.buf[w:], p[written:written+n])
+		c := copy(buf[w:], p[written:written+n])
 		if c < n {
-			copy(b.buf, p[written+c:written+n])
+			copy(buf, p[written+c:written+n])
 		}
 		b.n += n
 		written += n
@@ -198,9 +202,10 @@ func (b *pipeBuf) Read(p []byte) (int, error) {
 				n = b.n
 			}
 			// Copy out of the ring, wrapping at the end of the storage.
-			c := copy(p[:n], b.buf[b.r:min(b.r+n, b.capacity)])
+			buf := *b.ring
+			c := copy(p[:n], buf[b.r:min(b.r+n, b.capacity)])
 			if c < n {
-				copy(p[c:n], b.buf)
+				copy(p[c:n], buf)
 			}
 			b.r += n
 			if b.r >= b.capacity {
@@ -228,6 +233,14 @@ func (b *pipeBuf) Read(p []byte) (int, error) {
 	}
 }
 
+// releaseRing discards unread bytes and returns the ring to the pool.
+// Caller holds mu and has set rclosed or broken, so every later Read
+// and Write fails before touching the storage.
+func (b *pipeBuf) releaseRing() {
+	bufpool.Put(b.ring)
+	b.ring, b.r, b.n = nil, 0, 0
+}
+
 // CloseWrite ends the stream cleanly: pending data remains readable, then
 // readers get io.EOF.
 func (b *pipeBuf) CloseWrite() {
@@ -243,7 +256,7 @@ func (b *pipeBuf) CloseWrite() {
 func (b *pipeBuf) CloseRead() {
 	b.mu.Lock()
 	b.rclosed = true
-	b.buf, b.r, b.n = nil, 0, 0
+	b.releaseRing()
 	b.end()
 	b.mu.Unlock()
 }
@@ -252,7 +265,7 @@ func (b *pipeBuf) CloseRead() {
 func (b *pipeBuf) Break() {
 	b.mu.Lock()
 	b.broken = true
-	b.buf, b.r, b.n = nil, 0, 0
+	b.releaseRing()
 	b.end()
 	b.mu.Unlock()
 }

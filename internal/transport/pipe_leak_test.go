@@ -1,7 +1,10 @@
 package transport
 
 import (
+	"bytes"
+	"io"
 	"runtime"
+	"sync"
 	"testing"
 	"time"
 
@@ -74,5 +77,149 @@ func TestPipeBufCloseReleasesWakers(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// TestMemNetworkRingAlloc: a connection's rings come from bufpool and go
+// back when it closes, so 200 dial → write → close cycles buy a few
+// rings, not two apiece. One P, so that sync.Pool's per-P caches cannot
+// strand a returned ring where the next dial does not look.
+func TestMemNetworkRingAlloc(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	const cycles, ring = 200, 256 << 10
+	n := NewMemNetwork(nil)
+	l, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	msg := make([]byte, 64<<10)
+	served := make(chan error)
+	go func() {
+		buf := make([]byte, len(msg))
+		for {
+			c, err := l.Accept()
+			if err != nil {
+				return
+			}
+			_, err = io.ReadFull(c, buf)
+			if err == nil {
+				_, err = c.Write(buf[:1]) // the reverse direction takes a ring too
+			}
+			c.Close()
+			served <- err
+		}
+	}()
+	cycle := func() {
+		c, err := n.Dial("cli", "srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := c.Write(msg); err != nil {
+			t.Fatal(err)
+		}
+		if _, err := io.ReadFull(c, make([]byte, 1)); err != nil {
+			t.Fatal(err)
+		}
+		c.Close()
+		if err := <-served; err != nil {
+			t.Fatal(err)
+		}
+	}
+	cycle()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < cycles; i++ {
+		cycle()
+	}
+	runtime.ReadMemStats(&after)
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 4*ring {
+		t.Fatalf("%d connections allocated %d B, want < %d (4 rings): rings are not recycled", cycles, got, 4*ring)
+	}
+}
+
+// TestPartitionMidWriteReleasesRingOnce breaks connections while a
+// writer is blocked on a full ring and a reader is draining it.
+// Partition aborts both endpoints, so every ring is released from two
+// sides and again by the Closes that follow; had any of them reached the
+// pool twice, two later connections would share storage and deliver each
+// other's bytes.
+func TestPartitionMidWriteReleasesRingOnce(t *testing.T) {
+	n := NewMemNetwork(nil)
+	l, err := n.Listen("srv")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	dial := func() (cli, srv Conn) {
+		t.Helper()
+		cli, err := n.Dial("cli", "srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		srv, err = l.Accept()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return cli, srv
+	}
+	chunk := make([]byte, 64<<10)
+	for i := 0; i < 50; i++ {
+		cli, srv := dial()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() { // fills the ring, then blocks mid-write until the break
+			defer wg.Done()
+			for {
+				if _, err := cli.Write(chunk); err != nil {
+					return
+				}
+			}
+		}()
+		firstRead := make(chan struct{})
+		go func() {
+			defer wg.Done()
+			buf := make([]byte, 4096)
+			for first := true; ; first = false {
+				if _, err := srv.Read(buf); err != nil {
+					return
+				}
+				if first {
+					close(firstRead)
+				}
+			}
+		}()
+		<-firstRead
+		n.Partition("cli")
+		wg.Wait()
+		n.Heal("cli")
+		cli.Close()
+		srv.Close()
+	}
+
+	// Two live connections at once, each ring filled to the brim.
+	const ring = 256 << 10
+	cliA, srvA := dial()
+	cliB, srvB := dial()
+	defer cliA.Close()
+	defer srvA.Close()
+	defer cliB.Close()
+	defer srvB.Close()
+	a, b := bytes.Repeat([]byte{0xAA}, ring), bytes.Repeat([]byte{0xBB}, ring)
+	if _, err := cliA.Write(a); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := cliB.Write(b); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, ring)
+	if _, err := io.ReadFull(srvA, got); err != nil || !bytes.Equal(got, a) {
+		t.Fatalf("connection A delivered bytes it was not sent (err %v): its ring is shared", err)
+	}
+	if _, err := io.ReadFull(srvB, got); err != nil || !bytes.Equal(got, b) {
+		t.Fatalf("connection B delivered bytes it was not sent (err %v): its ring is shared", err)
 	}
 }
