@@ -18,11 +18,18 @@ import (
 
 // startReadFaultCluster boots a 3-datanode cluster behind faultnet with
 // shared observability and read deadlines tight enough that a wedged
-// replica is detected in fractions of a second.
+// replica is detected in fractions of a second. Unless the caller sets
+// one, the liveness window is a minute: these tests decide which replica
+// fails, and the default 250 ms window lets a loaded machine (or a
+// replica frozen on purpose, which stops heartbeating) drop a datanode
+// from the location order so the read never tries it first.
 func startReadFaultCluster(t *testing.T, cfg Config) (*Cluster, *faultnet.Network, *client.Client, *obs.Obs) {
 	t.Helper()
 	o := obs.New(nil)
 	cfg.Obs = o
+	if cfg.Expiry <= 0 {
+		cfg.Expiry = time.Minute
+	}
 	if cfg.ClientTimeouts == nil {
 		cfg.ClientTimeouts = &client.Timeouts{
 			Dial:         250 * time.Millisecond,
@@ -60,17 +67,27 @@ func readCounter(o *obs.Obs, name string) int64 {
 
 // firstReadTarget returns a file's first block and the replica the
 // namenode offers this client first — the one every read tries before
-// failing over.
+// failing over. A write completes once one replica is reported; the other
+// datanodes' blockReceived reports trail it (by a lot on a loaded
+// machine), and each one can change which replica is offered first, or
+// leave the read nothing to fail over to. So this waits until all three
+// are listed.
 func firstReadTarget(t *testing.T, c *Cluster, path string) (block.LocatedBlock, string) {
 	t.Helper()
-	locs, err := c.NN.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: path, Client: "client"})
-	if err != nil {
-		t.Fatal(err)
+	deadline := time.Now().Add(15 * time.Second)
+	for {
+		locs, err := c.NN.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: path, Client: "client"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(locs.Blocks) > 0 && len(locs.Blocks[0].Targets) == 3 {
+			return locs.Blocks[0], locs.Blocks[0].Targets[0].Name
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s: namenode never listed three replicas of the first block: %+v", path, locs.Blocks)
+		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if len(locs.Blocks) == 0 || len(locs.Blocks[0].Targets) == 0 {
-		t.Fatalf("%s has no located blocks", path)
-	}
-	return locs.Blocks[0], locs.Blocks[0].Targets[0].Name
 }
 
 // readAllGuarded reads the whole file under a wall-clock watchdog — the
@@ -114,11 +131,7 @@ func readAllGuarded(t *testing.T, cl *client.Client, path string, want []byte, w
 // Without read deadlines this blocked Open/ReadAll forever; with them
 // the handshake times out and the read fails over.
 func TestReadFailsOverFromFrozenReplica(t *testing.T) {
-	c, fn, cl, _ := startReadFaultCluster(t, Config{
-		// The frozen datanode stops heartbeating too; it must stay listed
-		// so reads actually try it first.
-		Expiry: time.Minute,
-	})
+	c, fn, cl, _ := startReadFaultCluster(t, Config{})
 	data := randomData(311, 128<<10)
 	writeFile(t, cl, "/frozen-read", data, proto.ModeSmarth)
 	_, first := firstReadTarget(t, c, "/frozen-read")

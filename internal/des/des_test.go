@@ -1,8 +1,10 @@
 package des
 
 import (
+	"container/heap"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -38,20 +40,6 @@ func TestFIFOAtSameTime(t *testing.T) {
 		if got[i] != i {
 			t.Fatalf("same-time events fired out of scheduling order: %v", got)
 		}
-	}
-}
-
-func TestCancel(t *testing.T) {
-	e := New()
-	fired := false
-	ev := e.Schedule(time.Second, func() { fired = true })
-	ev.Cancel()
-	if !ev.Cancelled() {
-		t.Fatal("Cancelled() = false after Cancel")
-	}
-	e.Run()
-	if fired {
-		t.Fatal("cancelled event fired")
 	}
 }
 
@@ -114,8 +102,9 @@ func TestStop(t *testing.T) {
 	if count != 3 {
 		t.Fatalf("fired %d events, want 3 (stopped)", count)
 	}
-	if e.Pending() != 7 {
-		t.Fatalf("pending = %d, want 7", e.Pending())
+	// The rest stay queued: a second Run resumes where the first stopped.
+	if end := e.Run(); count != 10 || end != 9*time.Second {
+		t.Fatalf("after resuming: fired %d events, ended at %v; want 10 and 9s", count, end)
 	}
 }
 
@@ -130,25 +119,6 @@ func TestNegativeDelayClamped(t *testing.T) {
 		})
 	})
 	e.Run()
-}
-
-func TestStep(t *testing.T) {
-	e := New()
-	count := 0
-	e.Schedule(time.Second, func() { count++ })
-	e.Schedule(2*time.Second, func() { count++ })
-	if !e.Step() {
-		t.Fatal("Step returned false with events pending")
-	}
-	if count != 1 || e.Now() != time.Second {
-		t.Fatalf("after one step: count=%d now=%v", count, e.Now())
-	}
-	if !e.Step() {
-		t.Fatal("Step returned false with one event pending")
-	}
-	if e.Step() {
-		t.Fatal("Step returned true with no events pending")
-	}
 }
 
 // Property: for any set of delays, events fire in nondecreasing time order
@@ -184,41 +154,184 @@ func TestQuickOrdering(t *testing.T) {
 	}
 }
 
-// Property: random interleaving of scheduling and cancellation never fires
-// a cancelled event and fires every non-cancelled one exactly once.
-func TestQuickCancellation(t *testing.T) {
-	f := func(seed int64, n uint8) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := New()
-		total := int(n%64) + 1
-		firedCount := make([]int, total)
-		events := make([]*Event, total)
-		cancelled := make([]bool, total)
-		for i := 0; i < total; i++ {
-			i := i
-			events[i] = e.Schedule(time.Duration(rng.Intn(1000))*time.Millisecond,
-				func() { firedCount[i]++ })
+// --- the reference: the container/heap engine this package had before PR 17 ---
+
+type refEvent struct {
+	at  time.Duration
+	seq uint64
+	fn  func()
+}
+
+type refQueue []*refEvent
+
+func (q refQueue) Len() int { return len(q) }
+func (q refQueue) Less(i, j int) bool {
+	if q[i].at != q[j].at {
+		return q[i].at < q[j].at
+	}
+	return q[i].seq < q[j].seq
+}
+func (q refQueue) Swap(i, j int) { q[i], q[j] = q[j], q[i] }
+func (q *refQueue) Push(x any)   { *q = append(*q, x.(*refEvent)) }
+func (q *refQueue) Pop() any {
+	old := *q
+	n := len(old)
+	e := old[n-1]
+	old[n-1] = nil
+	*q = old[:n-1]
+	return e
+}
+
+type refEngine struct {
+	now     time.Duration
+	queue   refQueue
+	seq     uint64
+	stopped bool
+}
+
+func (e *refEngine) Now() time.Duration { return e.now }
+func (e *refEngine) Stop()              { e.stopped = true }
+func (e *refEngine) Run() time.Duration { return e.RunUntil(-1) }
+
+func (e *refEngine) Schedule(delay time.Duration, fn func()) {
+	if delay < 0 {
+		delay = 0
+	}
+	heap.Push(&e.queue, &refEvent{at: e.now + delay, seq: e.seq, fn: fn})
+	e.seq++
+}
+
+func (e *refEngine) RunUntil(deadline time.Duration) time.Duration {
+	e.stopped = false
+	for len(e.queue) > 0 && !e.stopped {
+		next := e.queue[0]
+		if deadline >= 0 && next.at > deadline {
+			e.now = deadline
+			return e.now
 		}
-		for i := 0; i < total; i++ {
-			if rng.Intn(2) == 0 {
-				events[i].Cancel()
-				cancelled[i] = true
+		heap.Pop(&e.queue)
+		e.now = next.at
+		next.fn()
+	}
+	// !stopped is PR 17's fix, applied to both: a stopped RunUntil used to
+	// jump to the deadline past events still queued.
+	if deadline >= 0 && e.now < deadline && !e.stopped {
+		e.now = deadline
+	}
+	return e.now
+}
+
+// scheduler is what the differential driver needs of either engine.
+type scheduler interface {
+	Now() time.Duration
+	Schedule(time.Duration, func())
+	Stop()
+	Run() time.Duration
+	RunUntil(time.Duration) time.Duration
+}
+
+// firing is one log line of a driven schedule: event id fired at a time,
+// or (id < 0) a Run/RunUntil call returned that time.
+type firing struct {
+	id int
+	at time.Duration
+}
+
+// drive runs a seeded random schedule: a burst of events on a handful of
+// timestamps (delays of -1..3 ms, so ties are the rule and some delays
+// clamp), callbacks that schedule up to two more events each and now and
+// then call Stop, RunUntil over rising deadlines, then Run until every
+// scheduled event has fired. The rng is drawn from inside the callbacks,
+// so one out-of-order firing changes everything after it.
+func drive(e scheduler, seed int64) []firing {
+	const budget = 500
+	rng := rand.New(rand.NewSource(seed))
+	delay := func() time.Duration { return time.Duration(rng.Intn(5)-1) * time.Millisecond }
+	var log []firing
+	scheduled, fired := 0, 0
+	var spawn func()
+	spawn = func() {
+		id := scheduled
+		scheduled++
+		e.Schedule(delay(), func() {
+			fired++
+			log = append(log, firing{id, e.Now()})
+			for c := rng.Intn(3); c > 0 && scheduled < budget; c-- {
+				spawn()
 			}
+			if rng.Intn(25) == 0 {
+				e.Stop()
+			}
+		})
+	}
+	for i := 0; i < 40; i++ {
+		spawn()
+	}
+	for d := 1; d <= 6; d++ {
+		log = append(log, firing{-1, e.RunUntil(time.Duration(d) * 3 * time.Millisecond)})
+	}
+	for fired < scheduled {
+		log = append(log, firing{-2, e.Run()})
+	}
+	return log
+}
+
+// Differential property: on any driven schedule the value-heap engine
+// fires the same events at the same times in the same order as the
+// container/heap reference, and Run/RunUntil return the same times.
+func TestQuickMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		got, want := drive(New(), seed), drive(&refEngine{}, seed)
+		if len(got) != len(want) {
+			t.Logf("seed %d: %d log lines, reference has %d", seed, len(got), len(want))
+			return false
 		}
-		e.Run()
-		for i := 0; i < total; i++ {
-			want := 1
-			if cancelled[i] {
-				want = 0
-			}
-			if firedCount[i] != want {
+		for i := range want {
+			if got[i] != want[i] {
+				t.Logf("seed %d: line %d is %+v, reference has %+v", seed, i, got[i], want[i])
 				return false
 			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// A reserved position is honoured however late the event is queued: the
+// event queued last with the oldest seq fires first among its instant.
+func TestAtSeqKeepsReservedPosition(t *testing.T) {
+	e := New()
+	var got []string
+	early := e.ReserveSeq()
+	e.At(time.Second, func() { got = append(got, "b") })
+	e.At(time.Second, func() { got = append(got, "c") })
+	e.AtSeq(time.Second, early, func() { got = append(got, "a") })
+	e.At(time.Millisecond, func() { got = append(got, "first") })
+	e.Run()
+	if want := "first a b c"; strings.Join(got, " ") != want {
+		t.Fatalf("order = %v, want %s", got, want)
+	}
+	if e.Processed != 4 {
+		t.Fatalf("Processed = %d, want 4", e.Processed)
+	}
+}
+
+// Budget: with the queue grown to its working size, scheduling and firing
+// an event allocates nothing (the caller's callback is its own affair).
+func TestScheduleAllocs(t *testing.T) {
+	e := New()
+	fn := func() {}
+	round := func() {
+		for i := 0; i < 64; i++ {
+			e.Schedule(time.Duration(i%7)*time.Millisecond, fn)
+		}
+		e.Run()
+	}
+	round()
+	if avg := testing.AllocsPerRun(100, round); avg != 0 {
+		t.Fatalf("%v allocations per 64 Schedule+fire, want 0", avg)
 	}
 }
 
@@ -229,4 +342,30 @@ func BenchmarkSchedule(b *testing.B) {
 		e.Schedule(time.Duration(i), func() {})
 	}
 	e.Run()
+}
+
+// BenchmarkEngineTimers has the shape of the benchmark's des probe
+// (bench/layers.go): 64 self-rearming timers, 2^18 events per op.
+func BenchmarkEngineTimers(b *testing.B) {
+	const timers, events = 64, 1 << 18
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		e := New()
+		fired, scheduled := 0, timers
+		var tick func()
+		tick = func() {
+			fired++
+			if scheduled < events {
+				scheduled++
+				e.Schedule(time.Duration(1+fired%7)*time.Millisecond, tick)
+			}
+		}
+		for j := 0; j < timers; j++ {
+			e.Schedule(time.Duration(j)*time.Microsecond, tick)
+		}
+		e.Run()
+		if fired != events {
+			b.Fatalf("fired %d of %d events", fired, events)
+		}
+	}
 }

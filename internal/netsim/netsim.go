@@ -17,6 +17,13 @@ import (
 
 // Server is a FIFO rate server: jobs are serialized at Rate bytes/second
 // in arrival order. A non-positive rate means infinite (no delay).
+//
+// Completion times never decrease along the queue, so a server keeps its
+// pending jobs in its own ring and holds one slot in the engine's queue,
+// for the head. Each job's tie-break position is reserved when it arrives
+// (des.Engine.ReserveSeq), which is where a per-job engine event would
+// have taken it: jobs of different servers that complete at the same
+// instant still fire in Enqueue order.
 type Server struct {
 	eng       *des.Engine
 	name      string
@@ -24,11 +31,29 @@ type Server struct {
 	busyUntil time.Duration
 	// Bytes is the total number of bytes served (for utilization stats).
 	Bytes int64
+
+	// The pending jobs, oldest first: a ring of power-of-two size holding
+	// queued entries from head on. The oldest is the one in the engine's
+	// queue.
+	jobs   []job
+	head   int
+	queued int
+	fire   func() // s.complete, bound once
+}
+
+// job is one queued transfer: when it finishes, its reserved position
+// among events at that instant, and whom to tell.
+type job struct {
+	at   time.Duration
+	seq  uint64
+	done func()
 }
 
 // NewServer returns a rate server bound to the engine.
 func NewServer(eng *des.Engine, name string, bytesPerSecond float64) *Server {
-	return &Server{eng: eng, name: name, rate: bytesPerSecond}
+	s := &Server{eng: eng, name: name, rate: bytesPerSecond}
+	s.fire = s.complete
+	return s
 }
 
 // Rate returns the server's byte rate (0 = infinite).
@@ -52,7 +77,38 @@ func (s *Server) Enqueue(n int64, done func()) {
 	}
 	s.busyUntil = start + dur
 	s.Bytes += n
-	s.eng.At(s.busyUntil, done)
+	if s.queued == len(s.jobs) {
+		s.grow()
+	}
+	seq := s.eng.ReserveSeq()
+	s.jobs[(s.head+s.queued)&(len(s.jobs)-1)] = job{at: s.busyUntil, seq: seq, done: done}
+	s.queued++
+	if s.queued == 1 {
+		s.eng.AtSeq(s.busyUntil, seq, s.fire)
+	}
+}
+
+// grow doubles the ring, unwrapping it so the oldest job is at index 0.
+func (s *Server) grow() {
+	bigger := make([]job, max(8, 2*len(s.jobs)))
+	n := copy(bigger, s.jobs[s.head:])
+	copy(bigger[n:], s.jobs[:s.head])
+	s.jobs, s.head = bigger, 0
+}
+
+// complete fires the oldest job. Its successor enters the engine's queue
+// first, so a done callback that enqueues on this server again finds the
+// server in a consistent state.
+func (s *Server) complete() {
+	done := s.jobs[s.head].done
+	s.jobs[s.head].done = nil
+	s.head = (s.head + 1) & (len(s.jobs) - 1)
+	s.queued--
+	if s.queued > 0 {
+		next := &s.jobs[s.head]
+		s.eng.AtSeq(next.at, next.seq, s.fire)
+	}
+	done()
 }
 
 // BusyUntil reports when the server's queue drains (for stats).
@@ -114,6 +170,10 @@ type Network struct {
 	// packet clears all rate servers on a hop.
 	HopLatency time.Duration
 	nodes      map[string]*Node
+	// free holds the flight records not in use. A plain stack: the
+	// simulation is single-threaded, and which record a Deliver gets has
+	// no effect on what it does.
+	free []*flight
 }
 
 // NewNetwork returns an empty network.
@@ -127,34 +187,72 @@ func (nw *Network) Add(n *Node) { nw.nodes[n.Name] = n }
 // Node looks a node up by name.
 func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
 
+// flight is one Deliver in progress: the packet's remaining path and the
+// single callback (step, bound when the record is first made) that every
+// stage on it fires. The Network owns the record from Deliver until the
+// packet has arrived; it goes back on the free list just before arrived
+// runs.
+type flight struct {
+	nw      *Network
+	stages  [4]*Server
+	n       int   // stages in use
+	next    int   // next stage to enter; n+1 once the hop latency is running
+	bytes   int64 // packet size
+	arrived func()
+	step    func() // f.advance
+}
+
 // Deliver moves n bytes from src to dst through every rate server on the
 // path (src egress, cross-rack shapers when racks differ, dst ingress),
 // then fires arrived after the hop latency. Stages pipeline across
 // packets because each stage is its own FIFO server.
 func (nw *Network) Deliver(src, dst *Node, n int64, arrived func()) {
-	stages := make([]*Server, 0, 4)
-	stages = append(stages, src.Egress)
+	if len(nw.free) == 0 {
+		// Backlogs are deep (a whole block can sit in one egress queue),
+		// so records are made a slab at a time.
+		slab := make([]flight, 64)
+		for i := range slab {
+			slab[i].nw, slab[i].step = nw, slab[i].advance
+			nw.free = append(nw.free, &slab[i])
+		}
+	}
+	last := len(nw.free) - 1
+	f := nw.free[last]
+	nw.free = nw.free[:last]
+	f.bytes, f.arrived, f.next = n, arrived, 0
+	f.stages[0], f.n = src.Egress, 1
 	if src.Rack != dst.Rack {
 		if src.CrossOut != nil {
-			stages = append(stages, src.CrossOut)
+			f.stages[f.n] = src.CrossOut
+			f.n++
 		}
 		if dst.CrossIn != nil {
-			stages = append(stages, dst.CrossIn)
+			f.stages[f.n] = dst.CrossIn
+			f.n++
 		}
 	}
-	stages = append(stages, dst.Ingress)
+	f.stages[f.n] = dst.Ingress
+	f.n++
+	f.advance()
+}
 
-	var step func(i int)
-	step = func(i int) {
-		if i == len(stages) {
-			if nw.HopLatency > 0 {
-				nw.eng.Schedule(nw.HopLatency, arrived)
-			} else {
-				arrived()
-			}
-			return
-		}
-		stages[i].Enqueue(n, func() { step(i + 1) })
+// advance enters the next stage, or the hop latency after the last one,
+// or hands the packet over.
+func (f *flight) advance() {
+	nw := f.nw
+	if f.next < f.n {
+		stage := f.stages[f.next]
+		f.next++
+		stage.Enqueue(f.bytes, f.step)
+		return
 	}
-	step(0)
+	if f.next == f.n && nw.HopLatency > 0 {
+		f.next++
+		nw.eng.Schedule(nw.HopLatency, f.step)
+		return
+	}
+	arrived := f.arrived
+	f.arrived = nil
+	nw.free = append(nw.free, f)
+	arrived()
 }

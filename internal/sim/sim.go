@@ -242,6 +242,9 @@ type simulation struct {
 	dnNodes []*netsim.Node
 	writers []*writer
 	left    int // writers still running
+
+	// freePackets holds the packet records not in flight (see packet).
+	freePackets []*packet
 }
 
 // writer is one simulated uploading client: a writesched.Substrate whose
@@ -682,6 +685,38 @@ func (w *writer) StartPipeline(idx int, lb block.LocatedBlock, _ policy.Shape, r
 
 // --- the shared packet-level pipeline model ---
 
+// launch is one pipeline streaming one block: what every packet of it
+// shares.
+type launch struct {
+	w          *writer
+	nodes      []*netsim.Node
+	numPackets int
+	// aborted silences every in-flight event of this launch once a fault
+	// fires, so a stale ack can never masquerade as a drain.
+	aborted    bool
+	produced   int // packets that have left the production server
+	acked      int
+	onFNFA     func() // may be nil
+	onAllAcked func()
+	lastBytes  int64  // size of packet numPackets-1; every other one is PacketSize
+	onProduced func() // l.packetProduced, bound once for the whole train
+}
+
+// packet is one packet's trip down a pipeline, as a state machine driven
+// by a single callback (step, bound when the record is first made):
+// arrive at datanode hop, pass its disk, travel to hop+1, ... and after
+// the last disk ride the ack back. The simulation owns the record from
+// production until the ack arrives or the launch is seen aborted; then
+// it returns to simulation.freePackets for the next packet.
+type packet struct {
+	l      *launch
+	k      int  // index within the block
+	hop    int  // datanode the packet is at or heading to
+	stored bool // the next step is "disk write at hop finished", not "arrived at hop"
+	acking bool // the next step is the ack reaching the client
+	step   func()
+}
+
 // launchPipeline streams block i through the target pipeline. onFNFA
 // (may be nil) fires when the first datanode has stored the whole block;
 // onAllAcked fires when the last packet's ack returns from the whole
@@ -694,72 +729,24 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *Pipe
 	if numPackets == 0 {
 		numPackets = 1
 	}
-	nodes := make([]*netsim.Node, len(targets))
+	l := &launch{w: w, numPackets: numPackets, onFNFA: onFNFA, onAllAcked: onAllAcked}
+	l.onProduced = l.packetProduced
+	l.nodes = make([]*netsim.Node, len(targets))
 	for j, t := range targets {
-		nodes[j] = s.nw.Node(t.Name)
-		if nodes[j] == nil {
+		l.nodes[j] = s.nw.Node(t.Name)
+		if l.nodes[j] == nil {
 			panic("sim: unknown datanode " + t.Name)
 		}
 	}
-
-	// aborted silences every in-flight event of this launch once a fault
-	// fires, so a stale ack can never masquerade as a drain.
-	aborted := false
-	acked := 0
-	ackArrived := func() {
-		if aborted {
-			return
-		}
-		acked++
-		if acked == numPackets {
-			onAllAcked()
-		}
-	}
-	var arriveAtDN func(j, k int, pktBytes int64)
-	arriveAtDN = func(j, k int, pktBytes int64) {
-		if aborted {
-			return
-		}
-		node := nodes[j]
-		node.Disk.Enqueue(pktBytes, func() {
-			if aborted {
-				return
-			}
-			// Stored locally; mirror to the next hop.
-			if j+1 < len(nodes) {
-				s.nw.Deliver(node, nodes[j+1], pktBytes, func() { arriveAtDN(j+1, k, pktBytes) })
-			}
-			if j == 0 && k == numPackets-1 && onFNFA != nil {
-				// FNFA: one hop of latency back to the client.
-				s.eng.Schedule(s.cfg.HopLatency, func() {
-					if !aborted {
-						onFNFA()
-					}
-				})
-			}
-			if j == len(nodes)-1 {
-				// The combined ack travels the pipeline in reverse; the
-				// paper treats ack transfer time as negligible, so only
-				// latency is charged.
-				ackDelay := time.Duration(len(nodes)) * s.cfg.HopLatency
-				s.eng.Schedule(ackDelay, ackArrived)
-			}
-		})
-	}
-
-	pktBytesAt := func(k int) int64 {
-		pktBytes := s.cfg.PacketSize
-		if int64(k) == total/s.cfg.PacketSize {
-			pktBytes = total % s.cfg.PacketSize
-		}
-		if pktBytes == 0 {
-			pktBytes = s.cfg.PacketSize // exact multiple: every packet full
-		}
-		return pktBytes
+	l.lastBytes = total % s.cfg.PacketSize
+	if l.lastBytes == 0 {
+		l.lastBytes = s.cfg.PacketSize // exact multiple: every packet full
 	}
 
 	// The client produces packets sequentially (T_c each) and sends them
-	// to the first datanode through its NIC.
+	// to the first datanode through its NIC. The production server is
+	// FIFO, so the k-th completion of this train is packet k: one callback
+	// serves them all.
 	limit := numPackets
 	if fault != nil && fault.AfterPackets < numPackets {
 		limit = fault.AfterPackets
@@ -767,22 +754,15 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *Pipe
 		fault = nil
 	}
 	for k := 0; k < limit; k++ {
-		k := k
-		pktBytes := pktBytesAt(k)
-		w.production.Enqueue(pktBytes, func() {
-			if aborted {
-				return
-			}
-			s.nw.Deliver(w.node, nodes[0], pktBytes, func() { arriveAtDN(0, k, pktBytes) })
-		})
+		w.production.Enqueue(l.packetBytes(k), l.onProduced)
 	}
 	if fault != nil {
 		w.faultFired[i] = true
 		bad, at := fault.BadIndex, fault.AfterPackets
 		// The next packet's production slot is where the client notices
 		// the broken pipe; one hop later the failure is reported.
-		w.production.Enqueue(pktBytesAt(limit), func() {
-			aborted = true
+		w.production.Enqueue(l.packetBytes(limit), func() {
+			l.aborted = true
 			s.eng.Schedule(s.cfg.HopLatency, func() {
 				w.eng.HandleFailed(i, writesched.PipelineFailure{
 					BadIndex: bad,
@@ -790,5 +770,82 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *Pipe
 				})
 			})
 		})
+	}
+}
+
+func (l *launch) packetBytes(k int) int64 {
+	if k == l.numPackets-1 {
+		return l.lastBytes
+	}
+	return l.w.s.cfg.PacketSize
+}
+
+// packetProduced sends the next packet of the train to the first
+// datanode.
+func (l *launch) packetProduced() {
+	k := l.produced
+	l.produced++
+	if l.aborted {
+		return
+	}
+	s := l.w.s
+	if len(s.freePackets) == 0 {
+		// A whole block can be in flight at once (production outruns the
+		// NICs), so records are made a slab at a time.
+		slab := make([]packet, 64)
+		for i := range slab {
+			slab[i].step = slab[i].advance
+			s.freePackets = append(s.freePackets, &slab[i])
+		}
+	}
+	last := len(s.freePackets) - 1
+	p := s.freePackets[last]
+	s.freePackets = s.freePackets[:last]
+	p.l, p.k, p.hop, p.stored, p.acking = l, k, 0, false, false
+	s.nw.Deliver(l.w.node, l.nodes[0], l.packetBytes(k), p.step)
+}
+
+// advance is the packet's one event handler; see packet.
+func (p *packet) advance() {
+	l := p.l
+	s := l.w.s
+	if l.aborted || p.acking {
+		p.l = nil
+		s.freePackets = append(s.freePackets, p)
+		if !l.aborted {
+			l.acked++
+			if l.acked == l.numPackets {
+				l.onAllAcked()
+			}
+		}
+		return
+	}
+	hop, bytes := p.hop, l.packetBytes(p.k)
+	node := l.nodes[hop]
+	if !p.stored {
+		p.stored = true
+		node.Disk.Enqueue(bytes, p.step)
+		return
+	}
+	// Stored locally; mirror to the next hop.
+	last := hop == len(l.nodes)-1
+	if !last {
+		p.hop, p.stored = hop+1, false
+		s.nw.Deliver(node, l.nodes[hop+1], bytes, p.step)
+	}
+	if hop == 0 && p.k == l.numPackets-1 && l.onFNFA != nil {
+		// FNFA: one hop of latency back to the client.
+		s.eng.Schedule(s.cfg.HopLatency, func() {
+			if !l.aborted {
+				l.onFNFA()
+			}
+		})
+	}
+	if last {
+		// The combined ack travels the pipeline in reverse; the paper
+		// treats ack transfer time as negligible, so only latency is
+		// charged.
+		p.acking = true
+		s.eng.Schedule(time.Duration(len(l.nodes))*s.cfg.HopLatency, p.step)
 	}
 }

@@ -511,3 +511,38 @@ func TestInjectedFaultRecoversAndCompletes(t *testing.T) {
 		})
 	}
 }
+
+// Budget: a packet's trip down the pipeline reuses pooled records and
+// pre-bound callbacks, so a second 64 MB block (1,024 more packets, three
+// hops each) costs only the per-block work — namenode RPC, placement,
+// the launch record — which is far less than one allocation per packet.
+func TestPacketPathAllocs(t *testing.T) {
+	for _, mode := range []proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth} {
+		allocs := func(size int64) float64 {
+			cfg := Config{Preset: ec2.HeteroCluster, FileSize: size, Mode: mode, Seed: 4}
+			return testing.AllocsPerRun(5, func() { run(t, cfg) })
+		}
+		const packets = (64 << 20) / proto.DefaultPacketSize
+		if perPacket := (allocs(128<<20) - allocs(64<<20)) / packets; perPacket > 1 {
+			t.Errorf("%v: %.2f allocations per extra simulated packet, want <= 1", mode, perPacket)
+		} else {
+			t.Logf("%v: %.3f allocations per extra simulated packet", mode, perPacket)
+		}
+	}
+}
+
+// BenchmarkBlockR3 simulates one 64 MB block through a three-hop
+// pipeline: 1,024 packets, 14 events each.
+func BenchmarkBlockR3(b *testing.B) {
+	for _, mode := range []proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth} {
+		b.Run(mode.String(), func(b *testing.B) {
+			cfg := Config{Preset: ec2.HeteroCluster, FileSize: 64 << 20, Mode: mode, Seed: 4}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if _, err := Run(cfg); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
