@@ -22,18 +22,21 @@ lint:
 race:
 	$(GO) test -race -count=1 ./...
 
-# The allocation budgets (per packet, per block, per pipeline, per file):
-# every one of them skips itself under -race, where sync.Pool drops puts
+# The allocation budgets (per packet, per block, per pipeline, per file,
+# per control-plane message and RPC round trip): the ones that count
+# pooled buffers skip themselves under -race, where sync.Pool drops puts
 # at random, so `make race` alone never runs them.
 alloc:
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
 # Five seconds of native fuzzing on each decoder that reads bytes off a
-# socket (the seed corpora alone already run as part of `go test`). One
+# socket or a checkpoint file (the seed corpora alone already run as part
+# of `go test`). One
 # pkg:Target pair per run: `go test -fuzz` accepts a single match in a
 # single package.
 FUZZ_TARGETS = internal/proto:FuzzReadHeader internal/proto:FuzzReadPacket \
-	internal/proto:FuzzReadAck internal/rpc:FuzzReadFrame
+	internal/proto:FuzzReadAck internal/rpc:FuzzReadFrame \
+	internal/nnapi:FuzzParse internal/namenode:FuzzLoadImage
 fuzz-smoke:
 	for pt in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${pt#*:}$$" -fuzztime 5s ./$${pt%%:*} || exit 1; \

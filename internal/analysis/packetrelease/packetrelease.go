@@ -1,9 +1,10 @@
 // Package packetrelease implements the smarth-vet analyzer enforcing
 // the pooled-buffer ownership contract of DESIGN.md §7: a
-// *proto.Packet returned by Conn.ReadPacket, and a *[]byte returned by
-// bufpool.Get/GetCap, is owned by the caller until released exactly
-// once (Packet.Release / bufpool.Put), after which it must not be
-// touched. The analyzer runs a forward abstract interpretation over
+// *proto.Packet returned by Conn.ReadPacket, a *[]byte returned by
+// bufpool.Get/GetCap, and the pooled frame rpc's readFrame reads a
+// control-plane message into, is owned by the caller until released
+// exactly once (Packet.Release / bufpool.Put), after which it must not
+// be touched. The analyzer runs a forward abstract interpretation over
 // each function body (internal/analysis/flow) tracking every owned
 // value through branches, loops, and error-path refinement
 // (`if err != nil` after `p, err := c.ReadPacket()` means p is nil on
@@ -54,9 +55,9 @@ import (
 // Analyzer is the packetrelease analysis entry point.
 var Analyzer = &analysis.Analyzer{
 	Name: "packetrelease",
-	Doc: "check that pooled packets (proto.Conn.ReadPacket) and buffers " +
-		"(bufpool.Get/GetCap) are released exactly once on every path " +
-		"and never used after release",
+	Doc: "check that pooled packets (proto.Conn.ReadPacket), buffers " +
+		"(bufpool.Get/GetCap) and RPC frames (rpc.readFrame) are released " +
+		"exactly once on every path and never used after release",
 	Run: run,
 }
 
@@ -118,6 +119,7 @@ const (
 	prodNone   producerKind = iota
 	prodPacket              // (p *proto.Packet, err error) = conn.ReadPacket()
 	prodBuf                 // bp *[]byte = bufpool.Get/GetCap(n)
+	prodFrame               // (fr *[]byte, err error) = readFrame(conn), in package rpc
 )
 
 func run(pass *analysis.Pass) error {
@@ -178,6 +180,8 @@ func (fc *fctx) producer(call *ast.CallExpr) producerKind {
 		return prodPacket
 	case (fn.Name() == "Get" || fn.Name() == "GetCap") && fn.Pkg().Name() == "bufpool":
 		return prodBuf
+	case fn.Name() == "readFrame" && fn.Pkg().Name() == "rpc":
+		return prodFrame
 	}
 	return prodNone
 }
@@ -293,7 +297,7 @@ func (fc *fctx) assign(s state, st *ast.AssignStmt) state {
 	if len(st.Rhs) == 1 {
 		if call, ok := ast.Unparen(st.Rhs[0]).(*ast.CallExpr); ok {
 			switch fc.producer(call) {
-			case prodPacket:
+			case prodPacket, prodFrame:
 				if len(st.Lhs) == 2 {
 					return fc.birth(s, st, call, st.Lhs[0], st.Lhs[1])
 				}
@@ -320,6 +324,10 @@ func (fc *fctx) assign(s state, st *ast.AssignStmt) state {
 					fc.pass.Reportf(st.Pos(), "%s reassigned while its pooled value may still be owned (missing Release/Put)", fc.name(v))
 				}
 				delete(s.vars, v)
+				// An error variable given a new value (the envelope parse
+				// after `fr, err := readFrame(c)`) no longer says whether
+				// the producer failed: `if err != nil` stops refining.
+				delete(fc.pairs, v)
 			}
 			continue
 		}
@@ -336,7 +344,7 @@ func (fc *fctx) valueSpec(s state, vs *ast.ValueSpec) state {
 	if len(vs.Values) == 1 {
 		if call, ok := ast.Unparen(vs.Values[0]).(*ast.CallExpr); ok {
 			switch fc.producer(call) {
-			case prodPacket:
+			case prodPacket, prodFrame:
 				if len(vs.Names) == 2 {
 					return fc.birthIdents(s, vs.Pos(), call, vs.Names[0], vs.Names[1])
 				}
@@ -391,7 +399,8 @@ func (fc *fctx) birthIdents(s state, pos token.Pos, call *ast.CallExpr, id, errI
 	if b, tracked := s.vars[v]; tracked && b&stOwned != 0 && b&stEscaped == 0 {
 		fc.pass.Reportf(pos, "%s rebound while the previous pooled value may still be owned (missing Release/Put)", fc.name(v))
 	}
-	// A packet result may be nil (error return); a buffer is always live.
+	// A packet or frame result may be nil (error return); a buffer is
+	// always live.
 	if errID != nil {
 		s.vars[v] = stOwned | stUnborn
 		if errID.Name != "_" {

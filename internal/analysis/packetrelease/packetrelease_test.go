@@ -14,3 +14,10 @@ import (
 func TestPacketRelease(t *testing.T) {
 	analysistest.Run(t, packetrelease.Analyzer, "a")
 }
+
+// TestRPCFrameRelease covers the control plane's pooled frame: the
+// *[]byte rpc's readFrame returns, held across the in-place parse and
+// returned on every path including parse errors and unknown methods.
+func TestRPCFrameRelease(t *testing.T) {
+	analysistest.Run(t, packetrelease.Analyzer, "rpc")
+}

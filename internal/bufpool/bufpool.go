@@ -1,5 +1,5 @@
 // Package bufpool is the one free-list of byte buffers on the data path:
-// packet frames (internal/proto), RPC receive buffers (internal/rpc),
+// packet frames (internal/proto), RPC frames (internal/rpc),
 // the in-memory transport's rings (internal/transport), MemStore replica
 // buffers (internal/storage) and the client's block staging buffers
 // (internal/client). Pooling them removes the per-message and — because

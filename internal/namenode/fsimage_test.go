@@ -2,12 +2,14 @@ package namenode
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
 	"strings"
 	"testing"
 
 	"repro/internal/block"
 	"repro/internal/nnapi"
+	"repro/internal/wire"
 )
 
 func TestImageRoundTrip(t *testing.T) {
@@ -77,19 +79,51 @@ func TestImageRoundTrip(t *testing.T) {
 	}
 }
 
+// emptyImage is a well-formed image with no files.
+func emptyImage() []byte {
+	img := wire.AppendU64(wire.AppendI64([]byte{imageVersion}, 1), 1)
+	return wire.AppendCount(img, 0)
+}
+
 func TestLoadImageValidation(t *testing.T) {
-	nn, _, _ := newTestNN(t)
-	// Garbage input.
-	if err := nn.LoadImage(strings.NewReader("not json")); err == nil {
-		t.Fatal("garbage image accepted")
+	src, _, _ := newTestNN(t)
+	completeFileWithReplicas(t, src, "/img/a", [][]string{{"dn1"}, {"dn2"}})
+	var buf bytes.Buffer
+	if err := src.SaveImage(&buf); err != nil {
+		t.Fatal(err)
 	}
-	// Wrong version.
-	if err := nn.LoadImage(strings.NewReader(`{"version": 99}`)); err == nil {
-		t.Fatal("wrong-version image accepted")
+	good := buf.Bytes()
+	// The count of /img/a's block list sits 4 bytes before its two blocks.
+	hugeCount := bytes.Clone(good)
+	binary.BigEndian.PutUint32(hugeCount[len(good)-2*wire.BlockSize-4:], 1<<30)
+
+	for _, tc := range []struct {
+		name string
+		img  []byte
+		want string
+	}{
+		{"empty input", nil, "unexpected EOF"},
+		{"garbage", []byte("not an image"), "version"},
+		{"version-1 JSON image", []byte(`{"version": 1, "files": []}`), "version 1 (JSON), want 2"},
+		{"future version", append([]byte{99}, good[1:]...), "version 99, want 2"},
+		{"truncated in the counters", good[:12], "unexpected EOF"},
+		{"truncated in a block list", good[:len(good)-10], "exceeds the 38 bytes remaining"},
+		{"trailing bytes", append(bytes.Clone(good), 0), "trailing"},
+		{"block count beyond the input", hugeCount, "exceeds"},
+		{"file count beyond the input", wire.AppendCount(emptyImage()[:17], 1000), "exceeds"},
+	} {
+		nn := New(Options{Clock: newTestClock(), Seed: 1})
+		err := nn.LoadImage(bytes.NewReader(tc.img))
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
+		}
+		if n := nn.ns.fileCount(); n != 0 {
+			t.Errorf("%s: a rejected image left %d files behind", tc.name, n)
+		}
 	}
+
 	// Non-empty namespace refuses a load.
-	completeFileWithReplicas(t, nn, "/existing", [][]string{{"dn1"}})
-	if err := nn.LoadImage(strings.NewReader(`{"version": 1}`)); err == nil {
+	if err := src.LoadImage(bytes.NewReader(emptyImage())); err == nil {
 		t.Fatal("load into non-empty namespace accepted")
 	}
 }
@@ -154,11 +188,60 @@ func TestFreshNamenodeNotInSafeMode(t *testing.T) {
 	}
 	// An empty image also starts out of safe mode.
 	nn2 := New(Options{Clock: newTestClock(), Seed: 2})
-	if err := nn2.LoadImage(strings.NewReader(`{"version":1}`)); err != nil {
+	if err := nn2.LoadImage(bytes.NewReader(emptyImage())); err != nil {
 		t.Fatal(err)
 	}
 	nn2.Register(nnapi.RegisterReq{Name: "dn1", Addr: "a", Rack: "/r"})
 	if _, err := nn2.Create(nnapi.CreateReq{Path: "/f", Client: "c", Replication: 1, BlockSize: 1 << 20}); err != nil {
 		t.Fatalf("empty-image namenode rejected create: %v", err)
 	}
+}
+
+// FuzzLoadImage feeds arbitrary bytes to the checkpoint decoder, which
+// runs on whatever file the operator points the namenode at. It must
+// return an error and leave the namespace empty, or load a namespace
+// whose checkpoint loads again to the same checkpoint; never panic; and
+// never allocate by a count it has not checked against the input (the
+// seeds include counts far beyond their bytes).
+func FuzzLoadImage(f *testing.F) {
+	src, _, _ := newTestNN(f)
+	completeFileWithReplicas(f, src, "/img/a", [][]string{{"dn1", "dn2"}, {"dn3"}})
+	src.Create(nnapi.CreateReq{Path: "/img/open", Client: "writer", Replication: 2, BlockSize: 1 << 20})
+	src.AddBlock(nnapi.AddBlockReq{Path: "/img/open", Client: "writer"})
+	var buf bytes.Buffer
+	if err := src.SaveImage(&buf); err != nil {
+		f.Fatal(err)
+	}
+	good := buf.Bytes()
+	for _, seed := range [][]byte{
+		good, emptyImage(), good[:len(good)/2], good[:12], append(bytes.Clone(good), 0), {},
+		[]byte(`{"version": 1, "files": []}`),
+		wire.AppendCount(emptyImage()[:17], 1<<31),
+		append(bytes.Clone(good[:len(good)-2*wire.BlockSize-4]), 0xff, 0xff, 0xff, 0xff),
+	} {
+		f.Add(seed)
+	}
+	f.Fuzz(func(t *testing.T, raw []byte) {
+		nn := New(Options{Clock: newTestClock(), Seed: 1})
+		if err := nn.LoadImage(bytes.NewReader(raw)); err != nil {
+			if n := nn.ns.fileCount(); n != 0 {
+				t.Fatalf("rejected image (%v) left %d files behind", err, n)
+			}
+			return
+		}
+		var first, second bytes.Buffer
+		if err := nn.SaveImage(&first); err != nil {
+			t.Fatal(err)
+		}
+		again := New(Options{Clock: newTestClock(), Seed: 1})
+		if err := again.LoadImage(bytes.NewReader(first.Bytes())); err != nil {
+			t.Fatalf("image\n%x\nloaded, but its checkpoint\n%x\ndoes not: %v", raw, first.Bytes(), err)
+		}
+		if err := again.SaveImage(&second); err != nil {
+			t.Fatal(err)
+		}
+		if !bytes.Equal(first.Bytes(), second.Bytes()) {
+			t.Fatalf("image\n%x\ncheckpoints to\n%x\nwhich loads and checkpoints to\n%x", raw, first.Bytes(), second.Bytes())
+		}
+	})
 }

@@ -158,8 +158,8 @@ func (nn *Namenode) place(mode proto.WriteMode, client string, replication int, 
 
 // serve registers one RPC method and, with observability on, builds its
 // latency histogram and error counter.
-func serve[Req, Resp any](nn *Namenode, s *rpc.Server, method string, fn func(Req) (Resp, error)) {
-	rpc.Handle(s, method, fn)
+func serve[Req, Resp any, PReq rpc.Message[Req], PResp rpc.Message[Resp]](nn *Namenode, s *rpc.Server, method string, fn func(Req) (Resp, error)) {
+	rpc.Handle[Req, Resp, PReq, PResp](s, method, fn)
 	if nn.mm != nil {
 		nn.mm[method] = methodMetrics{
 			lat:  nn.obsComp.Histogram("rpc_" + method + "_ns"),

@@ -40,7 +40,7 @@ func (c *testClock) advance(d time.Duration) {
 
 // newTestNN builds a namenode with 9 datanodes on two racks (5 + 4),
 // mirroring the paper's two-rack scenario.
-func newTestNN(t *testing.T) (*Namenode, *testClock, []string) {
+func newTestNN(t testing.TB) (*Namenode, *testClock, []string) {
 	t.Helper()
 	clk := newTestClock()
 	nn := New(Options{Clock: clk, Seed: 42})

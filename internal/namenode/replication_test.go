@@ -8,7 +8,7 @@ import (
 
 // completeFileWithReplicas writes a 2-block file whose replicas live on
 // the named datanodes, and completes it.
-func completeFileWithReplicas(t *testing.T, nn *Namenode, path string, holders [][]string) {
+func completeFileWithReplicas(t testing.TB, nn *Namenode, path string, holders [][]string) {
 	t.Helper()
 	nn.Create(nnapi.CreateReq{Path: path, Client: "c", Replication: 3, BlockSize: 64 << 20})
 	for _, hs := range holders {

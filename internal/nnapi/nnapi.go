@@ -4,6 +4,10 @@
 // DatanodeProtocol (register, heartbeat, blockReceived). It exists apart
 // from the namenode package so clients and datanodes can share the types
 // without import cycles.
+//
+// Every type here is also its own wire codec (codec.go): a binary,
+// length-prefixed encoding built on internal/wire, which is the only
+// form these messages take between processes.
 package nnapi
 
 import (
@@ -46,7 +50,7 @@ type CreateReq struct {
 }
 
 // CreateResp acknowledges namespace creation.
-type CreateResp struct{}
+type CreateResp struct{ empty }
 
 // AddBlockReq allocates the next block of a file and a target pipeline.
 type AddBlockReq struct {
@@ -82,7 +86,7 @@ type AbandonBlockReq struct {
 }
 
 // AbandonBlockResp acknowledges the abandon.
-type AbandonBlockResp struct{}
+type AbandonBlockResp struct{ empty }
 
 // CompleteReq finishes a file (step 6 of a write).
 type CompleteReq struct {
@@ -125,7 +129,7 @@ type ClientHeartbeatReq struct {
 }
 
 // ClientHeartbeatResp acknowledges the heartbeat.
-type ClientHeartbeatResp struct{}
+type ClientHeartbeatResp struct{ empty }
 
 // GetBlockLocationsReq asks where a file's blocks live. When Client is
 // set, each block's replica holders are ordered by network distance from
@@ -152,7 +156,7 @@ type RenameReq struct {
 }
 
 // RenameResp acknowledges the rename.
-type RenameResp struct{}
+type RenameResp struct{ empty }
 
 // ListReq enumerates files whose path starts with Prefix ("" = all).
 type ListReq struct {
@@ -199,7 +203,7 @@ type GetFileInfoResp struct {
 }
 
 // ClusterInfoReq asks for cluster-wide counts.
-type ClusterInfoReq struct{}
+type ClusterInfoReq struct{ empty }
 
 // ClusterInfoResp reports live cluster geometry; clients use it to size
 // the SMARTH pipeline cap (activeDatanodes / replication).
@@ -220,7 +224,7 @@ type DecommissionReq struct {
 }
 
 // DecommissionResp acknowledges the state change.
-type DecommissionResp struct{}
+type DecommissionResp struct{ empty }
 
 // DecommStatusReq asks how far a drain has progressed.
 type DecommStatusReq struct {
@@ -265,7 +269,7 @@ type RegisterReq struct {
 }
 
 // RegisterResp acknowledges registration.
-type RegisterResp struct{}
+type RegisterResp struct{ empty }
 
 // HeartbeatReq is the periodic datanode liveness beacon.
 type HeartbeatReq struct {
@@ -299,7 +303,7 @@ type BlockReceivedReq struct {
 }
 
 // BlockReceivedResp acknowledges the report.
-type BlockReceivedResp struct{}
+type BlockReceivedResp struct{ empty }
 
 // BlockReceivedBatchReq is a delta block report: every replica the
 // datanode finalized since its previous report, in finalization order.

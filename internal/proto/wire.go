@@ -15,6 +15,7 @@ import (
 	"repro/internal/checksum"
 	"repro/internal/clock"
 	"repro/internal/obs"
+	"repro/internal/wire"
 )
 
 // packetPool recycles Packet structs between ReadPacket and Release.
@@ -430,65 +431,6 @@ func (c *Conn) readFrame() (*[]byte, error) {
 	return fr, nil
 }
 
-// --- primitive append/consume helpers ---
-
-func appendString(dst []byte, s string) []byte {
-	dst = binary.BigEndian.AppendUint16(dst, uint16(len(s)))
-	return append(dst, s...)
-}
-
-func consumeString(src []byte) (string, []byte, error) {
-	if len(src) < 2 {
-		return "", nil, io.ErrUnexpectedEOF
-	}
-	n := int(binary.BigEndian.Uint16(src))
-	src = src[2:]
-	if len(src) < n {
-		return "", nil, io.ErrUnexpectedEOF
-	}
-	return string(src[:n]), src[n:], nil
-}
-
-func appendBlock(dst []byte, b block.Block) []byte {
-	dst = binary.BigEndian.AppendUint64(dst, uint64(b.ID))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(b.Gen))
-	dst = binary.BigEndian.AppendUint64(dst, uint64(b.NumBytes))
-	return dst
-}
-
-func consumeBlock(src []byte) (block.Block, []byte, error) {
-	if len(src) < 24 {
-		return block.Block{}, nil, io.ErrUnexpectedEOF
-	}
-	b := block.Block{
-		ID:       block.ID(binary.BigEndian.Uint64(src)),
-		Gen:      block.GenStamp(binary.BigEndian.Uint64(src[8:])),
-		NumBytes: int64(binary.BigEndian.Uint64(src[16:])),
-	}
-	return b, src[24:], nil
-}
-
-func appendDatanode(dst []byte, d block.DatanodeInfo) []byte {
-	dst = appendString(dst, d.Name)
-	dst = appendString(dst, d.Addr)
-	return appendString(dst, d.Rack)
-}
-
-func consumeDatanode(src []byte) (block.DatanodeInfo, []byte, error) {
-	var d block.DatanodeInfo
-	var err error
-	if d.Name, src, err = consumeString(src); err != nil {
-		return d, nil, err
-	}
-	if d.Addr, src, err = consumeString(src); err != nil {
-		return d, nil, err
-	}
-	if d.Rack, src, err = consumeString(src); err != nil {
-		return d, nil, err
-	}
-	return d, src, nil
-}
-
 // --- operation headers ---
 
 // WriteHeader sends an operation header frame: version, op, payload.
@@ -512,22 +454,22 @@ func (c *Conn) WriteHeader(op Op, h any) error {
 		if !ok {
 			return fmt.Errorf("proto: WriteHeader(%v) needs *WriteBlockHeader, got %T", op, h)
 		}
-		buf = appendBlock(buf, wh.Block)
+		buf = wire.AppendBlock(buf, wh.Block)
 		buf = append(buf, byte(wh.Mode), wh.Depth)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(wh.BlockBytes))
-		buf = appendString(buf, wh.Client)
+		buf = wire.AppendI64(buf, wh.BlockBytes)
+		buf = wire.AppendString(buf, wh.Client)
 		buf = binary.BigEndian.AppendUint16(buf, uint16(len(wh.Targets)))
 		for _, t := range wh.Targets {
-			buf = appendDatanode(buf, t)
+			buf = wire.AppendDatanode(buf, t)
 		}
 	case OpReadBlock:
 		rh, ok := h.(*ReadBlockHeader)
 		if !ok {
 			return fmt.Errorf("proto: WriteHeader(%v) needs *ReadBlockHeader, got %T", op, h)
 		}
-		buf = appendBlock(buf, rh.Block)
-		buf = binary.BigEndian.AppendUint64(buf, uint64(rh.Offset))
-		buf = binary.BigEndian.AppendUint64(buf, uint64(rh.Length))
+		buf = wire.AppendBlock(buf, rh.Block)
+		buf = wire.AppendI64(buf, rh.Offset)
+		buf = wire.AppendI64(buf, rh.Length)
 	default:
 		return fmt.Errorf("proto: unknown op %v", op)
 	}
@@ -543,62 +485,39 @@ func (c *Conn) ReadHeader() (Op, any, error) {
 		return 0, nil, err
 	}
 	defer bufpool.Put(fr)
-	buf := *fr
-	if len(buf) < 2 {
-		return 0, nil, io.ErrUnexpectedEOF
+	r := wire.NewReader(*fr)
+	version, op := r.U8(), Op(r.U8())
+	if err := r.Err(); err != nil {
+		return 0, nil, err
 	}
-	if buf[0] != Version {
-		return 0, nil, fmt.Errorf("proto: version %d, want %d", buf[0], Version)
+	if version != Version {
+		return 0, nil, fmt.Errorf("proto: version %d, want %d", version, Version)
 	}
-	op := Op(buf[1])
-	rest := buf[2:]
 	switch op {
 	case OpWriteBlock:
-		var wh WriteBlockHeader
-		if wh.Block, rest, err = consumeBlock(rest); err != nil {
-			return op, nil, err
+		wh := WriteBlockHeader{
+			Block:      r.Block(),
+			Mode:       WriteMode(r.U8()),
+			Depth:      r.U8(),
+			BlockBytes: r.I64(),
+			Client:     r.Str(),
 		}
-		if len(rest) < 10 {
-			return op, nil, io.ErrUnexpectedEOF
-		}
-		wh.Mode = WriteMode(rest[0])
-		wh.Depth = rest[1]
-		wh.BlockBytes = int64(binary.BigEndian.Uint64(rest[2:]))
-		rest = rest[10:]
 		if wh.BlockBytes < 0 {
 			return op, nil, fmt.Errorf("proto: negative block size hint %d", wh.BlockBytes)
 		}
-		if wh.Client, rest, err = consumeString(rest); err != nil {
-			return op, nil, err
+		wh.Targets = make([]block.DatanodeInfo, r.Bound(int(r.U16()), wire.MinDatanodeSize))
+		for i := range wh.Targets {
+			wh.Targets[i] = r.Datanode()
 		}
-		if len(rest) < 2 {
-			return op, nil, io.ErrUnexpectedEOF
-		}
-		n := int(binary.BigEndian.Uint16(rest))
-		rest = rest[2:]
-		wh.Targets = make([]block.DatanodeInfo, n)
-		for i := 0; i < n; i++ {
-			if wh.Targets[i], rest, err = consumeDatanode(rest); err != nil {
-				return op, nil, err
-			}
-		}
-		if len(rest) != 0 {
-			return op, nil, fmt.Errorf("proto: %d trailing bytes after write-block header", len(rest))
+		if err := r.Done(); err != nil {
+			return op, nil, fmt.Errorf("proto: write-block header: %w", err)
 		}
 		return op, &wh, nil
 	case OpReadBlock:
-		var rh ReadBlockHeader
-		if rh.Block, rest, err = consumeBlock(rest); err != nil {
-			return op, nil, err
+		rh := ReadBlockHeader{Block: r.Block(), Offset: r.I64(), Length: r.I64()}
+		if err := r.Done(); err != nil {
+			return op, nil, fmt.Errorf("proto: read-block header: %w", err)
 		}
-		if len(rest) < 16 {
-			return op, nil, io.ErrUnexpectedEOF
-		}
-		if len(rest) > 16 {
-			return op, nil, fmt.Errorf("proto: %d trailing bytes after read-block header", len(rest)-16)
-		}
-		rh.Offset = int64(binary.BigEndian.Uint64(rest))
-		rh.Length = int64(binary.BigEndian.Uint64(rest[8:]))
 		return op, &rh, nil
 	default:
 		return op, nil, fmt.Errorf("proto: unknown op byte 0x%02x", byte(op))

@@ -6,7 +6,9 @@ import (
 	"strings"
 	"testing"
 
+	"repro/internal/block"
 	"repro/internal/bufpool"
+	"repro/internal/wire"
 )
 
 // countingReader records how many bytes readFrame consumed.
@@ -21,55 +23,95 @@ func (c *countingReader) Read(p []byte) (int, error) {
 	return n, err
 }
 
+// requestFrame encodes a request the way Client.send does.
+func requestFrame(tb testing.TB, seq uint64, method string, body []byte) []byte {
+	frame := append(wire.AppendString(appendPrefix(nil, seq), method), body...)
+	if err := finishFrame(frame); err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
+// responseFrame encodes a response the way respond does.
+func responseFrame(tb testing.TB, seq uint64, body []byte, remote *RemoteError) []byte {
+	frame := append(append(appendPrefix(nil, seq), statusOK), body...)
+	if remote != nil {
+		frame = wire.AppendString(append(frame[:prefixSize], statusErr), remote.Msg)
+	}
+	if err := finishFrame(frame); err != nil {
+		tb.Fatal(err)
+	}
+	return frame
+}
+
 // FuzzReadFrame feeds arbitrary bytes to the RPC frame decoder, which the
 // namenode runs on bytes from any client or datanode socket (request
 // envelope) and every caller runs on bytes from the namenode (response
-// envelope). It must return an error or an envelope that survives an
-// encode/decode round trip unchanged, never panic, reject a length prefix
+// envelope). It must return an error or an envelope whose re-encoding is
+// the input frame byte for byte, never panic, reject a length prefix
 // above MaxMessage on the prefix alone — nothing read past it, so no
-// body-sized buffer was taken from bufpool to read into — and hand back
-// an envelope that owns its memory: the pooled decode buffer is recycled
-// and overwritten before the comparison.
+// body-sized buffer was taken from bufpool to read into — reject a frame
+// that does not start with the codec version, and hand back a remote
+// error that owns its memory: the pooled frame is recycled and
+// overwritten before the comparison.
 func FuzzReadFrame(f *testing.F) {
-	encode := func(tb testing.TB, v any) []byte {
-		var buf bytes.Buffer
-		if err := writeFrame(&buf, v); err != nil {
-			tb.Fatal(err)
-		}
-		return buf.Bytes()
-	}
 	frame := func(n uint32, body string) []byte {
 		return append(binary.BigEndian.AppendUint32(nil, n), body...)
 	}
-	req := encode(f, request{Seq: 7, Method: "ClientProtocol.addBlock", Body: []byte(`{"Path":"/f","Exclude":["dn1"]}`)})
-	resp := encode(f, response{Seq: 7, Body: []byte(`{"Located":{"Block":{"ID":42}}}`)})
-	remote := encode(f, response{Seq: 8, Err: "namenode: file not found: /f"})
+	req := requestFrame(f, 7, "ClientProtocol.addBlock", wire.AppendStrings(wire.AppendString(nil, "/f"), []string{"dn1"}))
+	resp := responseFrame(f, 7, wire.AppendBlock(nil, block.Block{ID: 42, Gen: 1}), nil)
+	remote := responseFrame(f, 8, nil, &RemoteError{Msg: "namenode: file not found: /f"})
 	for _, seed := range [][]byte{
 		req, resp, remote,
-		encode(f, request{}), encode(f, response{}),
+		requestFrame(f, 0, "", nil), responseFrame(f, 0, nil, nil), responseFrame(f, 0, nil, &RemoteError{}),
 		req[:len(req)/2], req[:len(req)-1], resp[:5], resp[:3], {},
-		frame(MaxMessage+1, ""), frame(^uint32(0), `{"seq":1}`),
-		frame(9, `{"seq":1}{"seq":2}`), // length shorter than the bytes behind it
-		frame(4, "\x00\xff{]"), frame(7, `{"seq":`), frame(0, ""),
-		frame(19, `{"seq":1,"body":{]}`), // valid envelope syntax around a broken body
+		frame(MaxMessage+1, ""), frame(^uint32(0), "\x01"),
+		frame(9, `{"seq":1}{"seq":2}`),               // a JSON-era peer
+		frame(uint32(len(req)-4-1), string(req[4:])), // length shorter than the bytes behind it
+		frame(0, ""), frame(1, "\x01"), frame(9, "\x02\x00\x00\x00\x00\x00\x00\x00\x07"), // no version, no seq, wrong version
+		frame(10, "\x01\x00\x00\x00\x00\x00\x00\x00\x07\x02"),            // unknown status
+		frame(13, "\x01\x00\x00\x00\x00\x00\x00\x00\x07\x01\x00\x05no"),  // error string longer than the frame
+		frame(14, "\x01\x00\x00\x00\x00\x00\x00\x00\x07\x01\x00\x01nop"), // bytes after the error string
+		frame(11, "\x01\x00\x00\x00\x00\x00\x00\x00\x07\xff\xff"),        // method in the long form, no length
 	} {
 		f.Add(seed, false)
 		f.Add(seed, true)
 	}
 	f.Fuzz(func(t *testing.T, raw []byte, asResponse bool) {
-		var v, again any = &request{}, &request{}
-		if asResponse {
-			v, again = &response{}, &response{}
-		}
 		in := &countingReader{r: bytes.NewReader(raw)}
-		err := readFrame(in, v)
+		fr, err := readFrame(in)
 		if len(raw) >= 4 && binary.BigEndian.Uint32(raw) > MaxMessage {
 			if err == nil || !strings.Contains(err.Error(), "exceeds max") || in.n != 4 {
 				t.Fatalf("oversized length prefix %x: err=%v after reading %d bytes, want a size rejection after 4", raw[:4], err, in.n)
 			}
 		}
-		// An envelope still aliasing the (returned) decode buffer would
-		// change once the pool hands that buffer out again.
+		if err != nil {
+			return
+		}
+		input := raw[:in.n]
+		var again []byte
+		var remote *RemoteError
+		var msg string
+		if asResponse {
+			var seq uint64
+			var body []byte
+			if seq, body, remote, err = parseResponse(*fr); err == nil {
+				again = responseFrame(t, seq, body, remote)
+			}
+			if remote != nil {
+				msg = strings.Clone(remote.Msg)
+			}
+		} else if seq, method, body, perr := parseRequest(*fr); perr == nil {
+			again = requestFrame(t, seq, string(method), body)
+		} else {
+			err = perr
+		}
+		if len(*fr) > 0 && (*fr)[0] != version && (err == nil || !strings.Contains(err.Error(), "codec version")) {
+			t.Fatalf("frame starting with 0x%02x: err=%v, want a version rejection", (*fr)[0], err)
+		}
+		bufpool.Put(fr)
+		// A remote error still aliasing the (returned) frame would change
+		// once the pool hands that buffer out again.
 		var held [4]*[]byte
 		for i := range held {
 			held[i] = bufpool.Get(len(raw))
@@ -83,12 +125,11 @@ func FuzzReadFrame(f *testing.F) {
 		if err != nil {
 			return
 		}
-		first := encode(t, v)
-		if err := readFrame(bytes.NewReader(first), again); err != nil {
-			t.Fatalf("decoded %+v from\n%x\nbut its encoding\n%x\ndoes not decode: %v", v, raw, first, err)
+		if !bytes.Equal(again, input) {
+			t.Fatalf("frame\n%x\nparsed, but its envelope encodes to\n%x", input, again)
 		}
-		if second := encode(t, again); !bytes.Equal(first, second) {
-			t.Fatalf("decoded %+v from\n%x\nencodes to\n%x\nwhich decodes and encodes to\n%x", v, raw, first, second)
+		if remote != nil && remote.Msg != msg {
+			t.Fatalf("remote error %q changed to %q when its frame was recycled", msg, remote.Msg)
 		}
 	})
 }

@@ -3,14 +3,24 @@
 // (create / addBlock / complete / renewLease) and DatanodeProtocol
 // (register / heartbeat / blockReceived / recoverBlock) of the namenode.
 //
-// Messages are length-framed JSON. Calls multiplex over one connection;
-// the server dispatches each request on its own goroutine, so slow
-// handlers do not head-of-line block heartbeats.
+// It does three things: multiplexes calls over one connection, bounds a
+// call's wait, and keeps what the server said (RemoteError) apart from
+// what the transport did. Messages encode themselves (Message); a frame
+// is one binary envelope around one message body:
+//
+//	request:  u32 len | version | u64 seq | method string | body
+//	response: u32 len | version | u64 seq | status | body, or error string
+//
+// A frame is read into one pooled buffer and parsed in place; messages
+// copy what they keep, so the buffer goes back to the pool before a
+// handler runs or a caller wakes. There is one codec version and no
+// negotiation: a frame that does not start with it is rejected. The
+// server dispatches each request on its own goroutine, so slow handlers
+// do not head-of-line block heartbeats.
 package rpc
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -20,65 +30,123 @@ import (
 	"repro/internal/bufpool"
 	"repro/internal/clock"
 	"repro/internal/transport"
+	"repro/internal/wire"
 )
 
 // MaxMessage bounds one RPC frame.
 const MaxMessage = 4 << 20
 
-type request struct {
-	Seq    uint64          `json:"seq"`
-	Method string          `json:"method"`
-	Body   json.RawMessage `json:"body,omitempty"`
+// version is the first byte of every frame. It is the only codec version
+// there is; clusters are started together.
+const version = 1
+
+const (
+	statusOK  = 0 // the message body follows
+	statusErr = 1 // the handler's error string follows
+
+	lenSize = 4
+	// prefixSize is the fixed part both envelopes start with: length,
+	// version, sequence number.
+	prefixSize = lenSize + 1 + 8
+	// frameHint is the usual capacity to start encoding a frame in: every
+	// message but a block report or a listing fits the pool's smallest
+	// class.
+	frameHint = 512
+)
+
+// Message is a value that can cross the wire: it appends its own
+// encoding (without failing) and parses itself from a whole body, owning
+// every byte it keeps. A request is passed to Call by value, so AppendTo
+// has a value receiver; a reply is filled through a pointer.
+type Message[T any] interface {
+	*T
+	appender
+	parser
 }
 
-type response struct {
-	Seq  uint64          `json:"seq"`
-	Err  string          `json:"err,omitempty"`
-	Body json.RawMessage `json:"body,omitempty"`
+type appender interface{ AppendTo(dst []byte) []byte }
+type parser interface{ ParseFrom(body []byte) error }
+
+// appendPrefix starts a frame: a length to be patched by finishFrame,
+// the version and seq.
+func appendPrefix(dst []byte, seq uint64) []byte {
+	dst = append(dst, 0, 0, 0, 0, version)
+	return binary.BigEndian.AppendUint64(dst, seq)
 }
 
-func writeFrame(w io.Writer, v any) error {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return err
-	}
-	if len(payload) > MaxMessage {
-		return fmt.Errorf("rpc: message of %d bytes exceeds max", len(payload))
-	}
-	// Assemble length prefix + payload in one pooled buffer so the frame
-	// leaves in a single transport write (there is no bufio on RPC conns;
-	// two writes here meant two transport round trips per message).
-	bp := bufpool.GetCap(4 + len(payload))
-	defer bufpool.Put(bp)
-	buf := binary.BigEndian.AppendUint32(*bp, uint32(len(payload)))
-	buf = append(buf, payload...)
-	*bp = buf
-	_, err = w.Write(buf)
-	return err
-}
-
-func readFrame(r io.Reader, v any) error {
-	var hdr [4]byte
-	if _, err := io.ReadFull(r, hdr[:]); err != nil {
-		return err
-	}
-	n := binary.BigEndian.Uint32(hdr[:])
+// finishFrame patches the length prefix of a complete frame.
+func finishFrame(frame []byte) error {
+	n := len(frame) - lenSize
 	if n > MaxMessage {
-		return fmt.Errorf("rpc: incoming message of %d bytes exceeds max", n)
+		return fmt.Errorf("rpc: message of %d bytes exceeds max", n)
 	}
-	// The decode buffer is pooled: json.Unmarshal copies everything it
-	// keeps (json.RawMessage included), so nothing aliases it after.
-	bp := bufpool.Get(int(n))
-	defer bufpool.Put(bp)
-	buf := *bp
-	if _, err := io.ReadFull(r, buf); err != nil {
-		return err
-	}
-	return json.Unmarshal(buf, v)
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	return nil
 }
 
-// Handler processes one request body and returns a response value.
-type Handler func(body []byte) (any, error)
+// readFrame reads one length-prefixed frame into a pooled buffer, which
+// the caller owns and must return with bufpool.Put. The length is
+// checked against MaxMessage before a byte of the body is read.
+func readFrame(r io.Reader) (*[]byte, error) {
+	// The prefix is read into the pooled buffer too: a local array would
+	// escape through the io.Reader and cost an allocation per frame.
+	fr := bufpool.Get(lenSize)
+	if _, err := io.ReadFull(r, *fr); err != nil {
+		bufpool.Put(fr)
+		return nil, err
+	}
+	n := binary.BigEndian.Uint32(*fr)
+	if n > MaxMessage {
+		bufpool.Put(fr)
+		return nil, fmt.Errorf("rpc: incoming message of %d bytes exceeds max", n)
+	}
+	if int(n) <= cap(*fr) {
+		*fr = (*fr)[:n]
+	} else {
+		bufpool.Put(fr)
+		fr = bufpool.Get(int(n))
+	}
+	if _, err := io.ReadFull(r, *fr); err != nil {
+		bufpool.Put(fr)
+		return nil, err
+	}
+	return fr, nil
+}
+
+// parsePrefix reads the version and seq every frame starts with.
+func parsePrefix(r *wire.Reader) (seq uint64) {
+	if v := r.U8(); r.Err() == nil && v != version {
+		r.Fail(fmt.Errorf("rpc: frame starts with byte 0x%02x, not codec version %d: the peer speaks another protocol (a JSON-era peer sends '{')", v, version))
+	}
+	return r.U64()
+}
+
+// parseRequest splits a request frame. method and body are views into
+// frame, valid until it is recycled.
+func parseRequest(frame []byte) (seq uint64, method, body []byte, err error) {
+	r := wire.NewReader(frame)
+	seq = parsePrefix(&r)
+	method = r.StrView()
+	body = r.Rest()
+	return seq, method, body, r.Err()
+}
+
+// parseResponse splits a response frame: body is a view into frame for
+// statusOK, remote the server's error text (a copy) for statusErr.
+func parseResponse(frame []byte) (seq uint64, body []byte, remote *RemoteError, err error) {
+	r := wire.NewReader(frame)
+	seq = parsePrefix(&r)
+	switch status := r.U8(); {
+	case r.Err() != nil:
+	case status == statusOK:
+		body = r.Rest()
+	case status == statusErr:
+		remote = &RemoteError{Msg: r.Str()}
+	default:
+		r.Fail(fmt.Errorf("rpc: unknown response status %d", status))
+	}
+	return seq, body, remote, r.Done()
+}
 
 // Observer receives one callback per handled request with the method
 // name, the wall-clock handler duration, and whether the handler (or
@@ -86,32 +154,36 @@ type Handler func(body []byte) (any, error)
 // on the per-request handler goroutine.
 type Observer func(method string, d time.Duration, errored bool)
 
+// call is one decoded request, ready to run on its own goroutine: run
+// invokes the handler and appends the encoded response to dst.
+type call interface {
+	run(dst []byte) ([]byte, error)
+}
+
+// handler decodes a request body (a view into the pooled frame, valid
+// only during decode) into a call.
+type handler struct {
+	method string
+	decode func(body []byte) (call, error)
+}
+
 // Server dispatches named methods.
 type Server struct {
 	mu       sync.RWMutex
-	handlers map[string]Handler
+	handlers map[string]handler
 	observer Observer
 	listener transport.Listener
+	conns    map[transport.Conn]struct{} // accepted and still served
+	closed   bool
 	wg       sync.WaitGroup
-	closed   chan struct{}
 }
 
 // NewServer returns an empty server; register handlers before Serve.
 func NewServer() *Server {
 	return &Server{
-		handlers: make(map[string]Handler),
-		closed:   make(chan struct{}),
+		handlers: make(map[string]handler),
+		conns:    make(map[transport.Conn]struct{}),
 	}
-}
-
-// RegisterFunc installs a raw handler for method.
-func (s *Server) RegisterFunc(method string, h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, dup := s.handlers[method]; dup {
-		panic("rpc: duplicate handler for " + method)
-	}
-	s.handlers[method] = h
 }
 
 // SetObserver installs fn to be notified of every handled request (RPC
@@ -122,94 +194,173 @@ func (s *Server) SetObserver(fn Observer) {
 	s.mu.Unlock()
 }
 
-// Handle installs a typed handler for method: the request body decodes
-// into Req and the returned Resp encodes into the response body.
-func Handle[Req, Resp any](s *Server, method string, fn func(Req) (Resp, error)) {
-	s.RegisterFunc(method, func(body []byte) (any, error) {
-		var req Req
-		if len(body) > 0 {
-			if err := json.Unmarshal(body, &req); err != nil {
-				return nil, fmt.Errorf("rpc: bad %s request: %w", method, err)
-			}
+// typedCall is the call of one Handle registration: request, handler
+// and response in one allocation.
+type typedCall[Req, Resp any, PResp Message[Resp]] struct {
+	fn   func(Req) (Resp, error)
+	req  Req
+	resp Resp
+}
+
+func (c *typedCall[Req, Resp, PResp]) run(dst []byte) ([]byte, error) {
+	var err error
+	if c.resp, err = c.fn(c.req); err != nil {
+		return dst, err
+	}
+	return PResp(&c.resp).AppendTo(dst), nil
+}
+
+// Handle installs a typed handler for method: the request body parses
+// into a Req and the returned Resp is appended to the response frame.
+// The pointer type parameters are inferred from fn.
+func Handle[Req, Resp any, PReq Message[Req], PResp Message[Resp]](s *Server, method string, fn func(Req) (Resp, error)) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if _, dup := s.handlers[method]; dup {
+		panic("rpc: duplicate handler for " + method)
+	}
+	s.handlers[method] = handler{method: method, decode: func(body []byte) (call, error) {
+		c := &typedCall[Req, Resp, PResp]{fn: fn}
+		if err := PReq(&c.req).ParseFrom(body); err != nil {
+			return nil, fmt.Errorf("rpc: bad %s request: %w", method, err)
 		}
-		return fn(req)
-	})
+		return c, nil
+	}}
 }
 
 // Serve accepts connections on l until the listener closes. It returns
 // after the accept loop exits; in-flight connections drain in background
 // goroutines tracked by Close.
 func (s *Server) Serve(l transport.Listener) {
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
+		l.Close()
+		return
+	}
 	s.listener = l
+	s.mu.Unlock()
 	for {
 		conn, err := l.Accept()
 		if err != nil {
 			return
 		}
+		s.mu.Lock()
+		if s.closed {
+			s.mu.Unlock()
+			conn.Close()
+			return
+		}
+		s.conns[conn] = struct{}{}
 		s.wg.Add(1)
+		s.mu.Unlock()
 		go func() {
 			defer s.wg.Done()
 			s.serveConn(conn)
+			s.mu.Lock()
+			delete(s.conns, conn)
+			s.mu.Unlock()
 		}()
 	}
 }
 
-// Close stops the listener and waits for connection goroutines.
+// Close stops the listener, closes every accepted connection — a peer
+// that keeps an idle connection open must not hold the server up, and a
+// call in flight fails at its caller as a transport error — and waits
+// for the connection goroutines and the handlers they started.
 func (s *Server) Close() {
-	select {
-	case <-s.closed:
+	s.mu.Lock()
+	if s.closed {
+		s.mu.Unlock()
 		return
-	default:
-		close(s.closed)
 	}
-	if s.listener != nil {
-		s.listener.Close()
+	s.closed = true
+	l := s.listener
+	for conn := range s.conns {
+		conn.Close() // unparks its read loop; serveConn closes it again, harmlessly
+	}
+	s.mu.Unlock()
+	if l != nil {
+		l.Close()
 	}
 	s.wg.Wait()
 }
 
+// serverConn is one accepted connection: its responses share a write
+// lock, and its read loop outlives no handler it started.
+type serverConn struct {
+	conn     transport.Conn
+	writeMu  sync.Mutex
+	handlers sync.WaitGroup
+}
+
 func (s *Server) serveConn(conn transport.Conn) {
+	sc := &serverConn{conn: conn}
 	defer conn.Close()
-	var writeMu sync.Mutex
-	var handlerWG sync.WaitGroup
-	defer handlerWG.Wait()
+	defer sc.handlers.Wait()
 	for {
-		var req request
-		if err := readFrame(conn, &req); err != nil {
+		fr, err := readFrame(conn)
+		if err != nil {
+			return
+		}
+		seq, method, body, err := parseRequest(*fr)
+		if err != nil {
+			// Not this protocol: there is no envelope to answer in.
+			bufpool.Put(fr)
 			return
 		}
 		s.mu.RLock()
-		h := s.handlers[req.Method]
+		h, known := s.handlers[string(method)] // h.method: the name without a per-request string
 		observer := s.observer
 		s.mu.RUnlock()
-		handlerWG.Add(1)
-		go func(req request) {
-			defer handlerWG.Done()
-			var start time.Time
-			if observer != nil {
-				start = time.Now()
-			}
-			resp := response{Seq: req.Seq}
-			if h == nil {
-				resp.Err = "rpc: unknown method " + req.Method
-			} else if result, err := h(req.Body); err != nil {
-				resp.Err = err.Error()
-			} else if result != nil {
-				body, err := json.Marshal(result)
-				if err != nil {
-					resp.Err = "rpc: encode response: " + err.Error()
-				} else {
-					resp.Body = body
-				}
-			}
-			if observer != nil {
-				observer(req.Method, time.Since(start), resp.Err != "")
-			}
-			writeMu.Lock()
-			defer writeMu.Unlock()
-			_ = writeFrame(conn, resp) // a broken conn ends the read loop
-		}(req)
+		// Decode here, in place, so the frame never leaves this loop: what
+		// crosses to the handler goroutine owns its memory.
+		var c call
+		var failure string
+		if !known {
+			h.method = string(method)
+			failure = "rpc: unknown method " + h.method
+		} else if c, err = h.decode(body); err != nil {
+			failure = err.Error()
+		}
+		bufpool.Put(fr)
+		sc.handlers.Add(1)
+		go sc.respond(seq, h.method, c, failure, observer)
 	}
+}
+
+// respond runs one decoded request on its own goroutine and writes the
+// response frame: the call's encoded result, or failure (a dispatch
+// error found by the read loop, or the handler's error) as a string.
+func (sc *serverConn) respond(seq uint64, method string, c call, failure string, observer Observer) {
+	defer sc.handlers.Done()
+	var start time.Time
+	if observer != nil {
+		start = time.Now()
+	}
+	bp := bufpool.GetCap(frameHint)
+	defer bufpool.Put(bp)
+	buf := append(appendPrefix(*bp, seq), statusOK)
+	if failure == "" {
+		var err error
+		if buf, err = c.run(buf); err != nil {
+			failure = err.Error()
+		} else if err = finishFrame(buf); err != nil {
+			failure = "rpc: encode response: " + err.Error()
+		}
+	}
+	if failure != "" {
+		buf = append(buf[:prefixSize], statusErr)
+		buf = wire.AppendString(buf, failure)
+		_ = finishFrame(buf) // an error string, far below MaxMessage
+	}
+	*bp = buf
+	if observer != nil {
+		observer(method, time.Since(start), failure != "")
+	}
+	sc.writeMu.Lock()
+	defer sc.writeMu.Unlock()
+	_, _ = sc.conn.Write(buf) // a broken conn ends the read loop
 }
 
 // ErrShutdown is returned by calls on a closed client.
@@ -220,6 +371,20 @@ type RemoteError struct{ Msg string }
 
 func (e *RemoteError) Error() string { return e.Msg }
 
+// pendingCall is a call waiting for its response. The read loop parses
+// the response into reply and sends the outcome on done.
+type pendingCall struct {
+	method string
+	reply  parser     // nil: the caller does not want the body
+	done   chan error // buffered 1: nil, *RemoteError or a decode error; closed when the conn dies
+}
+
+// donePool recycles pendingCall.done channels. One goes back only from
+// a call that knows nothing can still send on it: it received the one
+// outcome, or it removed its own pending entry before the read loop saw
+// it. A channel closed by shutdown is dropped.
+var donePool = sync.Pool{New: func() any { return make(chan error, 1) }}
+
 // Client issues calls over a single multiplexed connection.
 type Client struct {
 	conn    transport.Conn
@@ -227,7 +392,7 @@ type Client struct {
 
 	mu      sync.Mutex
 	seq     uint64
-	pending map[uint64]chan response
+	pending map[uint64]pendingCall
 	closed  bool
 	err     error
 }
@@ -246,7 +411,7 @@ func Dial(net transport.Network, local, remote string) (*Client, error) {
 func NewClient(conn transport.Conn) *Client {
 	c := &Client{
 		conn:    conn,
-		pending: make(map[uint64]chan response),
+		pending: make(map[uint64]pendingCall),
 	}
 	go c.readLoop()
 	return c
@@ -254,17 +419,36 @@ func NewClient(conn transport.Conn) *Client {
 
 func (c *Client) readLoop() {
 	for {
-		var resp response
-		if err := readFrame(c.conn, &resp); err != nil {
+		fr, err := readFrame(c.conn)
+		if err != nil {
+			c.shutdown(err)
+			return
+		}
+		seq, body, remote, err := parseResponse(*fr)
+		if err != nil {
+			bufpool.Put(fr)
 			c.shutdown(err)
 			return
 		}
 		c.mu.Lock()
-		ch := c.pending[resp.Seq]
-		delete(c.pending, resp.Seq)
+		p, waiting := c.pending[seq]
+		delete(c.pending, seq)
 		c.mu.Unlock()
-		if ch != nil {
-			ch <- resp
+		// Parse in place, then recycle: the reply owns what it keeps, and a
+		// response nobody waits for any more is dropped with the frame.
+		var outcome error
+		switch {
+		case !waiting:
+		case remote != nil:
+			outcome = remote
+		case p.reply != nil:
+			if err := p.reply.ParseFrom(body); err != nil {
+				outcome = fmt.Errorf("rpc: decode %s reply: %w", p.method, err)
+			}
+		}
+		bufpool.Put(fr)
+		if waiting {
+			p.done <- outcome
 		}
 	}
 }
@@ -280,13 +464,13 @@ func (c *Client) shutdown(err error) {
 		err = ErrShutdown
 	}
 	c.err = err
-	// A closed channel, not a response: the failure is local (the conn
+	// A closed channel, not an outcome: the failure is local (the conn
 	// died), and the waiter reports c.err as a transport error so callers
-	// that retry those and drop the conn do. response.Err is reserved for
+	// that retry those and drop the conn do. RemoteError is reserved for
 	// what the server said.
-	for seq, ch := range c.pending {
+	for seq, p := range c.pending {
 		delete(c.pending, seq)
-		close(ch)
+		close(p.done)
 	}
 	c.conn.Close()
 }
@@ -305,8 +489,9 @@ func (*callTimeoutError) Timeout() bool   { return true }
 func (*callTimeoutError) Temporary() bool { return true }
 
 // Call invokes method with arg and decodes the result into reply (which
-// may be nil for methods without results). It waits for the response
-// indefinitely; use CallTimeout to bound the wait.
+// may be nil for methods without results). arg is a Message passed by
+// value and reply a pointer to one; anything else is an error. It waits
+// for the response indefinitely; use CallTimeout to bound the wait.
 func (c *Client) Call(method string, arg, reply any) error {
 	return c.CallTimeout(method, arg, reply, 0, nil)
 }
@@ -318,54 +503,62 @@ func (c *Client) Call(method string, arg, reply any) error {
 // slow namenode does not force a reconnect. timeout <= 0 or nil clk
 // waits forever.
 func (c *Client) CallTimeout(method string, arg, reply any, timeout time.Duration, clk clock.Clock) error {
-	var body json.RawMessage
+	p := pendingCall{method: method}
+	var req appender
 	if arg != nil {
-		b, err := json.Marshal(arg)
-		if err != nil {
-			return fmt.Errorf("rpc: encode %s request: %w", method, err)
+		if req, _ = arg.(appender); req == nil {
+			return fmt.Errorf("rpc: encode %s request: %T is not a wire message", method, arg)
 		}
-		body = b
+	}
+	if reply != nil {
+		if p.reply, _ = reply.(parser); p.reply == nil {
+			return fmt.Errorf("rpc: decode %s reply: %T is not a pointer to a wire message", method, reply)
+		}
 	}
 
-	ch := make(chan response, 1)
+	p.done = donePool.Get().(chan error)
 	c.mu.Lock()
 	if c.closed {
 		err := c.err
 		c.mu.Unlock()
+		donePool.Put(p.done)
 		return err
 	}
 	c.seq++
 	seq := c.seq
-	c.pending[seq] = ch
+	c.pending[seq] = p
 	c.mu.Unlock()
 
-	c.writeMu.Lock()
-	err := writeFrame(c.conn, request{Seq: seq, Method: method, Body: body})
-	c.writeMu.Unlock()
-	if err != nil {
+	if err := c.send(seq, method, req); err != nil {
 		c.mu.Lock()
 		delete(c.pending, seq)
 		c.mu.Unlock()
-		c.shutdown(err)
 		return err
 	}
 
-	var resp response
-	var ok bool
+	var outcome error
+	var ok bool // false: done was closed, the connection died
 	if timeout > 0 && clk != nil {
 		select {
-		case resp, ok = <-ch:
+		case outcome, ok = <-p.done:
 		case <-clk.After(timeout):
-			// Abandon the call: drop the pending entry so the read loop
-			// discards the late response instead of blocking on a channel
-			// nobody reads (ch is buffered, but keep the map clean).
 			c.mu.Lock()
+			_, unanswered := c.pending[seq]
 			delete(c.pending, seq)
 			c.mu.Unlock()
-			return fmt.Errorf("rpc: %s: %w", method, ErrCallTimeout)
+			if unanswered {
+				// Abandoned: with the entry gone the read loop drops the
+				// late response and never touches reply or done.
+				donePool.Put(p.done)
+				return fmt.Errorf("rpc: %s: %w", method, ErrCallTimeout)
+			}
+			// The read loop took the entry first and is filling reply right
+			// now; its outcome is a parse away, and returning before it
+			// would hand the caller a reply that is still being written.
+			outcome, ok = <-p.done
 		}
 	} else {
-		resp, ok = <-ch
+		outcome, ok = <-p.done
 	}
 	if !ok {
 		c.mu.Lock()
@@ -373,13 +566,29 @@ func (c *Client) CallTimeout(method string, arg, reply any, timeout time.Duratio
 		c.mu.Unlock()
 		return fmt.Errorf("rpc: %s: connection lost: %w", method, err)
 	}
-	if resp.Err != "" {
-		return &RemoteError{Msg: resp.Err}
+	donePool.Put(p.done)
+	return outcome
+}
+
+// send writes one request frame. An encoding that exceeds MaxMessage is
+// the caller's error and leaves the connection usable; a failed write
+// shuts the client down.
+func (c *Client) send(seq uint64, method string, req appender) error {
+	bp := bufpool.GetCap(frameHint)
+	defer bufpool.Put(bp)
+	buf := wire.AppendString(appendPrefix(*bp, seq), method)
+	if req != nil {
+		buf = req.AppendTo(buf)
 	}
-	if reply != nil && len(resp.Body) > 0 {
-		if err := json.Unmarshal(resp.Body, reply); err != nil {
-			return fmt.Errorf("rpc: decode %s reply: %w", method, err)
-		}
+	*bp = buf
+	if err := finishFrame(buf); err != nil {
+		return fmt.Errorf("rpc: encode %s request: %w", method, err)
 	}
-	return nil
+	c.writeMu.Lock()
+	_, err := c.conn.Write(buf)
+	c.writeMu.Unlock()
+	if err != nil {
+		c.shutdown(err)
+	}
+	return err
 }
