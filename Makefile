@@ -55,15 +55,18 @@ bench-vet:
 	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 # Fail if any package under internal/ or cmd/ lacks a package comment
-# (the godoc surface ARCHITECTURE.md builds on).
+# (the godoc surface ARCHITECTURE.md builds on), if a fully documented
+# package exports an undocumented name, or if README, ARCHITECTURE,
+# EXPERIMENTS or DESIGN names a package, command or Go file that is gone.
 docs-check:
-	$(GO) test -run TestPackageDocs -count=1 .
+	$(GO) test -run 'TestPackageDocs|TestExportedDocs|TestDocPathsExist' -count=1 .
 
-# CPU and allocation profiles of a real-cluster SMARTH upload (root
-# bench_test.go), as pprof files (CI uploads these as artifacts; inspect
-# with `go tool pprof -top profile_cpu.pb.gz`).
+# CPU and allocation profiles of a live in-memory-cluster upload under
+# both protocols (BenchmarkLiveWrite in internal/cluster), as pprof files
+# (CI uploads these as artifacts; inspect with
+# `go tool pprof -top profile_cpu.pb.gz`).
 profile:
-	$(GO) test -run '^$$' -bench RealClusterWrite -benchtime 20x -cpuprofile profile_cpu.pb.gz -memprofile profile_mem.pb.gz .
+	$(GO) test -run '^$$' -bench LiveWrite -benchtime 20x -cpuprofile profile_cpu.pb.gz -memprofile profile_mem.pb.gz ./internal/cluster
 
 # Differential live/sim conformance: replay the seeded scenarios through
 # both substrates and byte-compare the writesched decision logs.

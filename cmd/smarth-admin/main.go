@@ -9,7 +9,7 @@
 //	smarth-admin -nn 127.0.0.1:9000 -decommission dn3 -cancel
 //	smarth-admin -nn 127.0.0.1:9000 -rm /old/file
 //	smarth-admin -nn 127.0.0.1:9000 -mv /src,/dst
-//	smarth-admin -trace t.jsonl    # render a trace exported by smarth-live
+//	smarth-admin -trace t.jsonl    # render a trace exported by smarth-put -trace
 package main
 
 import (
@@ -108,7 +108,7 @@ func main() {
 	}
 }
 
-// renderTrace reads span records exported by `smarth-live -trace` and
+// renderTrace reads span records exported by `smarth-put -trace` and
 // prints the per-pipeline timeline.
 func renderTrace(path string) error {
 	f, err := os.Open(path)

@@ -7,6 +7,11 @@
 //
 //	smarth-put -nn 127.0.0.1:9000 -src ./big.bin -dst /demo -mode smarth
 //	smarth-put -nn 127.0.0.1:9000 -dst /demo -verify   # read back only
+//	smarth-put -nn 127.0.0.1:9000 -src ./big.bin -dst /demo -trace t.jsonl
+//
+// With -trace the client records a span per write, block, pipeline and
+// recovery (FNFA and setup acks as span events) and exports the upload's
+// spans as JSONL; render them with `smarth-admin -trace t.jsonl`.
 package main
 
 import (
@@ -18,7 +23,7 @@ import (
 	"time"
 
 	"repro/internal/client"
-	"repro/internal/proto"
+	"repro/internal/obs"
 	"repro/internal/transport"
 )
 
@@ -32,7 +37,12 @@ func main() {
 	verify := flag.Bool("verify", false, "read the file back and check its digest")
 	timeout := flag.Duration("timeout", 0,
 		"stall-detection bound: dial, setup-ack, ack-progress and per-RPC timeouts (FNFA gets 4x); 0 = library defaults")
+	traceOut := flag.String("trace", "",
+		"export the upload's span trace as JSONL to this file (render with smarth-admin -trace)")
 	flag.Parse()
+	if *traceOut != "" && *src == "" {
+		fatal(fmt.Errorf("-trace records an upload: it needs -src"))
+	}
 
 	var timeouts *client.Timeouts
 	if *timeout > 0 {
@@ -44,12 +54,17 @@ func main() {
 			RPCCall:     *timeout,
 		}
 	}
+	var tracing *obs.Obs // nil = observability off
+	if *traceOut != "" {
+		tracing = obs.New(nil)
+	}
 	net := transport.NewTCPNetwork(nil)
 	cl, err := client.New(client.Options{
 		Name:         fmt.Sprintf("put-%d", os.Getpid()),
 		NamenodeAddr: *nnAddr,
 		Network:      net,
 		Timeouts:     timeouts,
+		Obs:          tracing,
 	})
 	if err != nil {
 		fatal(err)
@@ -63,10 +78,6 @@ func main() {
 			fatal(err)
 		}
 		defer f.Close()
-		info, err := f.Stat()
-		if err != nil {
-			fatal(err)
-		}
 
 		opts := client.WriteOptions{
 			Replication: *replication,
@@ -76,10 +87,8 @@ func main() {
 		var w io.WriteCloser
 		switch *mode {
 		case "smarth":
-			opts.Mode = proto.ModeSmarth
 			w, err = cl.CreateSmarth(*dst, opts)
 		case "hdfs":
-			opts.Mode = proto.ModeHDFS
 			w, err = cl.CreateHDFS(*dst, opts)
 		default:
 			fatal(fmt.Errorf("unknown mode %q", *mode))
@@ -101,7 +110,11 @@ func main() {
 		copy(uploadDigest[:], h.Sum(nil))
 		fmt.Printf("uploaded %d bytes (%s) in %.2fs — %.1f MB/s [%s]\n",
 			n, *dst, elapsed.Seconds(), float64(n)/1e6/elapsed.Seconds(), *mode)
-		_ = info
+		if tracing != nil {
+			if err := exportTrace(tracing.Tracer, *traceOut); err != nil {
+				fatal(err)
+			}
+		}
 	}
 
 	if *verify {
@@ -126,6 +139,19 @@ func main() {
 			fmt.Println("digest matches upload: OK")
 		}
 	}
+}
+
+// exportTrace writes every span recorded so far as JSONL.
+func exportTrace(t *obs.Tracer, path string) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := t.WriteJSONL(f); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }
 
 func fatal(err error) {

@@ -6,6 +6,7 @@ import (
 	"go/token"
 	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
 )
@@ -170,4 +171,81 @@ func checkPackageDoc(t *testing.T, dir string) bool {
 		t.Errorf("%s: package has no package comment (add a `// Package ...` doc comment; see ARCHITECTURE.md)", dir)
 	}
 	return false
+}
+
+// docFiles are the documents TestDocPathsExist holds to the tree.
+var docFiles = []string{"README.md", "ARCHITECTURE.md", "EXPERIMENTS.md", "DESIGN.md"}
+
+var (
+	docDirRef  = regexp.MustCompile(`\b(?:cmd|internal|examples)/[A-Za-z0-9_-]+`)
+	docFileRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.go\b`)
+	docCode    = regexp.MustCompile("`[^`]+`")
+)
+
+// TestDocPathsExist keeps the documents honest about the tree: every
+// cmd/<name>, internal/<name> or examples/<name> path and every Go file
+// name written as code (a backtick span or a fenced block) must exist —
+// a file name with a directory at that path (from the root or from
+// internal/), a bare one anywhere in the tree — so a deletion cannot leave the docs pointing at what it
+// removed. Sections whose heading (or an enclosing heading) says
+// "history" or "retired" are exempt: they record what is gone.
+func TestDocPathsExist(t *testing.T) {
+	goFiles := make(map[string]bool) // base names of every .go file in the tree
+	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() && path != "." && strings.HasPrefix(d.Name(), ".") {
+			return filepath.SkipDir
+		}
+		if strings.HasSuffix(path, ".go") {
+			goFiles[d.Name()] = true
+		}
+		return nil
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	exists := func(path string) bool {
+		_, err := os.Stat(path)
+		return err == nil
+	}
+	for _, doc := range docFiles {
+		data, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var headings []string // enclosing headings, index = level-1
+		fenced := false
+		for i, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(strings.TrimSpace(line), "```") {
+				fenced = !fenced
+				continue
+			}
+			if level := len(line) - len(strings.TrimLeft(line, "#")); !fenced && level > 0 && strings.HasPrefix(line[level:], " ") {
+				headings = append(headings[:min(level-1, len(headings))], strings.ToLower(line))
+				continue
+			}
+			if h := strings.Join(headings, "\n"); strings.Contains(h, "history") || strings.Contains(h, "retired") {
+				continue
+			}
+			spans := []string{line}
+			if !fenced {
+				spans = docCode.FindAllString(line, -1)
+			}
+			for _, span := range spans {
+				for _, dir := range docDirRef.FindAllString(span, -1) {
+					if !exists(dir) {
+						t.Errorf("%s:%d: `%s` does not exist", doc, i+1, dir)
+					}
+				}
+				for _, file := range docFileRef.FindAllString(span, -1) {
+					file = strings.TrimPrefix(file, "./")
+					if strings.Contains(file, "/") && !exists(file) && !exists("internal/"+file) || !goFiles[filepath.Base(file)] {
+						t.Errorf("%s:%d: `%s` does not exist", doc, i+1, file)
+					}
+				}
+			}
+		}
+	}
 }

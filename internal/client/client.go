@@ -81,11 +81,9 @@ type Options struct {
 	Logf func(format string, args ...any)
 }
 
-// WriteOptions configure one file write.
+// WriteOptions configure one file write. The protocol is chosen by the
+// call: CreateHDFS or CreateSmarth.
 type WriteOptions struct {
-	// Mode selects the protocol: proto.ModeHDFS (stop-and-wait baseline)
-	// or proto.ModeSmarth (asynchronous multi-pipeline).
-	Mode proto.WriteMode
 	// Replication defaults to 3.
 	Replication int
 	// BlockSize defaults to 64 MB.
@@ -99,21 +97,10 @@ type WriteOptions struct {
 	// MaxPipelines caps concurrent SMARTH pipelines; 0 means the paper's
 	// rule, activeDatanodes / replication.
 	MaxPipelines int
-	// Timeouts overrides the client-level Timeouts for this write only;
-	// nil inherits the client's setting.
-	Timeouts *Timeouts
-	// Seed fixes the write's Algorithm 2 swap randomness (0 = drawn from
-	// the client's rng). The conformance harness pins it so live and
-	// simulated runs make identical swap decisions.
-	Seed int64
-	// StrictRetire retires pipelines strictly in launch order (see
-	// writesched.Config.StrictRetire) — the conformance mode.
-	StrictRetire bool
-	// SchedLog, when set, receives the write's protocol decision log.
-	SchedLog *writesched.DecisionLog
-	// SpeedOverride replaces measured FNFA speed samples with scripted
-	// ones (conformance harness).
-	SpeedOverride writesched.SpeedFunc
+	// Script, when set, makes the write a conformance replay: scripted
+	// Algorithm 2 seed and FNFA speed samples, strict launch-order
+	// retirement, and a decision log (see writesched.Script).
+	Script *writesched.Script
 }
 
 func (o *WriteOptions) applyDefaults() {

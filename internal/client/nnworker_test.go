@@ -51,7 +51,7 @@ func TestNNWorkerFIFOOneFramePerOp(t *testing.T) {
 
 	// The engine has no block staged, so it ignores the outcomes; only
 	// the wire is under test.
-	w := cl.newSchedWriter("/wb-file", WriteOptions{Mode: proto.ModeSmarth, Replication: 3}, 1, true)
+	w := cl.newSchedWriter("/wb-file", WriteOptions{Replication: 3}, proto.ModeSmarth, 1)
 	defer w.stopWorker()
 	release, drained := make(chan struct{}), make(chan struct{})
 	w.enqueueNN(func() { <-release })

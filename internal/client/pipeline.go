@@ -34,9 +34,8 @@ func (e *pipelineError) Unwrap() error { return e.cause }
 // datanode, plus the PacketResponder state (the ack-reading goroutine and
 // its completion channels).
 type pipelineConn struct {
-	lb   block.LocatedBlock
-	mode proto.WriteMode
-	pc   *proto.Conn
+	lb block.LocatedBlock
+	pc *proto.Conn
 
 	// fnfa closes when the FIRST NODE FINISH ACK arrives (or, as a
 	// degenerate upper bound, when every ack arrived).
@@ -113,12 +112,13 @@ func (p *pipelineConn) observeRTT(seqno int64) {
 func (p *pipelineConn) close() { p.pc.Close() }
 
 // openPipeline dials the first datanode, performs pipeline setup, and
-// starts the responder goroutine. The timeouts bound the dial, the
-// setup ack, and (for the pipeline's lifetime) per-operation data-path
+// starts the responder goroutine. The client's timeouts bound the dial,
+// the setup ack, and (for the pipeline's lifetime) per-operation data-path
 // progress in both directions. parent, when tracing is on, becomes the
 // new pipeline span's parent (normally the block span); a setup failure
 // ends the span with an error status before returning.
-func (c *Client) openPipeline(lb block.LocatedBlock, opts *WriteOptions, to Timeouts, parent *obs.Span) (*pipelineConn, error) {
+func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts *WriteOptions, parent *obs.Span) (*pipelineConn, error) {
+	to := c.timeouts
 	span := c.obs.StartSpan("pipeline", parent)
 	span.SetAttr("targets", strings.Join(lb.Names(), ">"))
 	fail := func(e *pipelineError) (*pipelineConn, error) {
@@ -141,7 +141,7 @@ func (c *Client) openPipeline(lb block.LocatedBlock, opts *WriteOptions, to Time
 		Block:      lb.Block,
 		Targets:    lb.Targets[1:],
 		Client:     c.opts.Name,
-		Mode:       opts.Mode,
+		Mode:       mode,
 		Depth:      0,
 		BlockBytes: opts.BlockSize,
 	}
@@ -167,7 +167,6 @@ func (c *Client) openPipeline(lb block.LocatedBlock, opts *WriteOptions, to Time
 
 	p := &pipelineConn{
 		lb:        lb,
-		mode:      opts.Mode,
 		pc:        pc,
 		fnfa:      make(chan struct{}),
 		done:      make(chan error, 1),

@@ -14,37 +14,23 @@ import (
 	"repro/internal/transport"
 )
 
-// ReadOptions configure one file read.
-type ReadOptions struct {
-	// Timeouts overrides the client-level Timeouts for this read only;
-	// nil inherits the client's setting. The read path uses Dial,
-	// SetupAck and ReadProgress.
-	Timeouts *Timeouts
-}
-
-// Open returns a streaming reader over the whole file with default
-// ReadOptions. Blocks are fetched packet by packet (no whole-block
-// buffering), checksums are verified end to end, and a replica failing
-// mid-block triggers a transparent failover: the stream resumes from
-// the exact byte offset on another replica via a ranged read. While one
-// block drains, the next block's replica is dialed and handshaken in the
-// background, so the inter-block stall is one buffer swap instead of a
-// dial+handshake round trip.
+// Open returns a streaming reader over the whole file, bounded by the
+// client's Dial, SetupAck and ReadProgress timeouts. Blocks are fetched
+// packet by packet (no whole-block buffering), checksums are verified
+// end to end, and a replica failing mid-block triggers a transparent
+// failover: the stream resumes from the exact byte offset on another
+// replica via a ranged read. While one block drains, the next block's
+// replica is dialed and handshaken in the background, so the inter-block
+// stall is one buffer swap instead of a dial+handshake round trip.
 func (c *Client) Open(path string) (io.ReadCloser, error) {
-	return c.OpenWith(path, ReadOptions{})
-}
-
-// OpenWith is Open with explicit ReadOptions.
-func (c *Client) OpenWith(path string, ro ReadOptions) (io.ReadCloser, error) {
 	loc, err := c.getBlockLocations(path)
 	if err != nil {
 		return nil, err
 	}
-	to := c.resolveReadTimeouts(ro)
 	span := c.obs.StartSpan("read", nil)
 	span.SetAttr("path", path)
 	span.SetAttr("bytes", fmt.Sprintf("%d", loc.Len))
-	return &fileReader{c: c, to: to, blocks: loc.Blocks, span: span}, nil
+	return &fileReader{c: c, blocks: loc.Blocks, span: span}, nil
 }
 
 // ReadAll fetches an entire file into memory.
@@ -81,7 +67,6 @@ func (c *Client) ReadRange(path string, offset, length int64) ([]byte, error) {
 	if length < 0 || offset+length > loc.Len {
 		length = loc.Len - offset
 	}
-	to := c.resolveReadTimeouts(ReadOptions{})
 	span := c.obs.StartSpan("read_range", nil)
 	span.SetAttr("path", path)
 	span.SetAttr("range", fmt.Sprintf("%d+%d", offset, length))
@@ -97,7 +82,7 @@ func (c *Client) ReadRange(path string, offset, length int64) ([]byte, error) {
 			if rem := length - pos; want > rem {
 				want = rem
 			}
-			bs := newBlockStream(c, to, lb, from, want, span)
+			bs := newBlockStream(c, lb, from, want, span)
 			_, err := io.ReadFull(bs, out[pos:pos+want])
 			cerr := bs.Close()
 			if err != nil {
@@ -124,7 +109,6 @@ func (c *Client) ReadRange(path string, offset, length int64) ([]byte, error) {
 // stream while the current one drains.
 type fileReader struct {
 	c      *Client
-	to     Timeouts
 	blocks []block.LocatedBlock
 	span   *obs.Span
 
@@ -182,7 +166,7 @@ func (r *fileReader) nextStream() *blockStream {
 		return bs
 	}
 	lb := r.blocks[r.idx]
-	return newBlockStream(r.c, r.to, lb, 0, lb.Block.NumBytes, r.span)
+	return newBlockStream(r.c, lb, 0, lb.Block.NumBytes, r.span)
 }
 
 // prefetchNext dials and handshakes the following block's stream in the
@@ -197,7 +181,7 @@ func (r *fileReader) prefetchNext() {
 		return
 	}
 	lb := r.blocks[next]
-	bs := newBlockStream(r.c, r.to, lb, 0, lb.Block.NumBytes, r.span)
+	bs := newBlockStream(r.c, lb, 0, lb.Block.NumBytes, r.span)
 	ch := make(chan *blockStream, 1)
 	r.pre, r.preIdx = ch, next
 	go func() {
@@ -238,7 +222,6 @@ func (r *fileReader) Close() error {
 // the reader over a channel before its first Read.
 type blockStream struct {
 	c    *Client
-	to   Timeouts
 	lb   block.LocatedBlock
 	span *obs.Span
 
@@ -253,7 +236,7 @@ type blockStream struct {
 	closed bool
 }
 
-func newBlockStream(c *Client, to Timeouts, lb block.LocatedBlock, offset, length int64, parent *obs.Span) *blockStream {
+func newBlockStream(c *Client, lb block.LocatedBlock, offset, length int64, parent *obs.Span) *blockStream {
 	if offset < 0 {
 		offset = 0
 	}
@@ -263,7 +246,6 @@ func newBlockStream(c *Client, to Timeouts, lb block.LocatedBlock, offset, lengt
 	}
 	b := &blockStream{
 		c:     c,
-		to:    to,
 		lb:    lb,
 		next:  offset,
 		end:   end,
@@ -441,20 +423,20 @@ func (b *blockStream) preconnect() {
 // under their own bounds, then the per-packet ReadProgress bound for the
 // stream.
 func (b *blockStream) dialTarget(target block.DatanodeInfo) error {
-	conn, err := transport.DialTimeout(b.c.opts.Network, b.c.opts.Name, target.Addr, b.to.Dial, b.c.clk)
+	conn, err := transport.DialTimeout(b.c.opts.Network, b.c.opts.Name, target.Addr, b.c.timeouts.Dial, b.c.clk)
 	if err != nil {
 		return err
 	}
 	pc := proto.NewConn(conn)
 	pc.SetClock(b.c.clk)
 	pc.SetMetrics(b.c.connMetrics)
-	pc.SetWriteTimeout(b.to.ReadProgress)
+	pc.SetWriteTimeout(b.c.timeouts.ReadProgress)
 	hdr := &proto.ReadBlockHeader{Block: b.lb.Block, Offset: b.next, Length: b.end - b.next}
 	if err := pc.WriteHeader(proto.OpReadBlock, hdr); err != nil {
 		pc.Close()
 		return err
 	}
-	pc.SetReadTimeout(b.to.SetupAck)
+	pc.SetReadTimeout(b.c.timeouts.SetupAck)
 	ack, err := pc.ReadAck()
 	if err != nil {
 		pc.Close()
@@ -464,7 +446,7 @@ func (b *blockStream) dialTarget(target block.DatanodeInfo) error {
 		pc.Close()
 		return fmt.Errorf("client: datanode %s refused read of %v", target.Name, b.lb.Block)
 	}
-	pc.SetReadTimeout(b.to.ReadProgress)
+	pc.SetReadTimeout(b.c.timeouts.ReadProgress)
 	b.pc, b.target = pc, target
 	b.span.Event("connect", target.Name)
 	return nil

@@ -9,12 +9,57 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/bufpool"
+	"repro/internal/core"
 	"repro/internal/nnapi"
 	"repro/internal/obs"
 	"repro/internal/policy"
 	"repro/internal/proto"
 	"repro/internal/writesched"
 )
+
+// CreateHDFS opens a file for writing with the baseline HDFS protocol:
+// one pipeline at a time, and the client waits for every datanode's ack
+// for every packet of a block before asking for the next block.
+func (c *Client) CreateHDFS(path string, opts WriteOptions) (Writer, error) {
+	return c.create(path, opts, proto.ModeHDFS)
+}
+
+// CreateSmarth opens a file for writing with SMARTH's asynchronous
+// multi-pipeline protocol (Figure 4): after streaming a block to its
+// first datanode and receiving the FNFA, the client immediately requests
+// the next block and opens a new pipeline while the previous pipelines
+// keep draining acks in the background.
+func (c *Client) CreateSmarth(path string, opts WriteOptions) (Writer, error) {
+	return c.create(path, opts, proto.ModeSmarth)
+}
+
+// create registers the file and builds its writer. The two protocols
+// are one engine configured twice: HDFS stop-and-wait is the pipeline
+// cap pinned at 1 (the producer's Ready comes only at full commit);
+// SMARTH takes the paper's cap, activeDatanodes / replication, unless
+// the caller set one.
+func (c *Client) create(path string, opts WriteOptions, mode proto.WriteMode) (Writer, error) {
+	opts.applyDefaults()
+	if err := c.createFile(path, opts); err != nil {
+		return nil, err
+	}
+	maxPipelines := 1
+	if mode == proto.ModeSmarth {
+		maxPipelines = opts.MaxPipelines
+		if maxPipelines <= 0 {
+			info, err := c.clusterInfo()
+			if err != nil {
+				return nil, err
+			}
+			maxPipelines = core.MaxPipelines(info.ActiveDatanodes, opts.Replication)
+		}
+	}
+	w := c.newSchedWriter(path, opts, mode, maxPipelines)
+	if mode == proto.ModeHDFS {
+		w.notePipelines(1)
+	}
+	return w, nil
+}
 
 // schedWriter adapts the client's RPC and pipeline machinery to the
 // writesched engine. Both CreateHDFS and CreateSmarth return one of
@@ -33,14 +78,13 @@ import (
 //     commit for HDFS — exactly the legacy writers' pacing.
 type schedWriter struct {
 	statsTracker
-	c            *Client
-	path         string
-	opts         WriteOptions
-	to           Timeouts
-	maxPipelines int
-	opened       time.Time
-	span         *obs.Span // root "write" span; nil when tracing is off
-	eng          *writesched.Engine
+	c      *Client
+	path   string
+	opts   WriteOptions
+	mode   proto.WriteMode
+	opened time.Time
+	span   *obs.Span // root "write" span; nil when tracing is off
+	eng    *writesched.Engine
 
 	// Producer-goroutine state (the usual single-caller io.Writer rule).
 	// cur is the pooled BlockSize buffer being filled; submitBlock hands
@@ -78,44 +122,41 @@ type schedWriter struct {
 }
 
 // newSchedWriter builds the writer, its engine, and the RPC worker.
-func (c *Client) newSchedWriter(path string, opts WriteOptions, maxPipelines int, protocolHeartbeats bool) *schedWriter {
+func (c *Client) newSchedWriter(path string, opts WriteOptions, mode proto.WriteMode, maxPipelines int) *schedWriter {
 	w := &schedWriter{
-		c:            c,
-		path:         path,
-		opts:         opts,
-		to:           c.resolveTimeouts(opts),
-		maxPipelines: maxPipelines,
-		opened:       c.clk.Now(),
-		readyIdx:     -1,
-		active:       make(map[*pipelineConn]bool),
-		data:         make(map[int]*[]byte),
-		spans:        make(map[int]*obs.Span),
-		recSpans:     make(map[int]*obs.Span),
-		launched:     make(map[int]time.Time),
-		lastCause:    make(map[int]error),
+		c:         c,
+		path:      path,
+		opts:      opts,
+		mode:      mode,
+		opened:    c.clk.Now(),
+		readyIdx:  -1,
+		active:    make(map[*pipelineConn]bool),
+		data:      make(map[int]*[]byte),
+		spans:     make(map[int]*obs.Span),
+		recSpans:  make(map[int]*obs.Span),
+		launched:  make(map[int]time.Time),
+		lastCause: make(map[int]error),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.span = c.obs.StartSpan("write", nil)
 	w.span.SetAttr("path", path)
-	w.span.SetAttr("mode", strings.ToLower(opts.Mode.String()))
-	seed := opts.Seed
-	if seed == 0 {
-		c.mu.Lock()
-		seed = c.rng.Int63()
-		c.mu.Unlock()
-	}
-	w.eng = writesched.New(writesched.Config{
-		Path:               path,
-		Mode:               opts.Mode,
-		Replication:        opts.Replication,
-		MaxPipelines:       maxPipelines,
-		DisableLocalOpt:    opts.DisableLocalOpt,
-		ProtocolHeartbeats: protocolHeartbeats,
-		StrictRetire:       opts.StrictRetire,
+	w.span.SetAttr("mode", strings.ToLower(mode.String()))
+	c.mu.Lock()
+	seed := c.rng.Int63()
+	c.mu.Unlock()
+	cfg := writesched.Config{
+		Path:            path,
+		Mode:            mode,
+		Replication:     opts.Replication,
+		MaxPipelines:    maxPipelines,
+		DisableLocalOpt: opts.DisableLocalOpt,
+		// SMARTH heartbeats at every FNFA so fresh measurements reach
+		// the namenode before the next placement decision.
+		ProtocolHeartbeats: mode == proto.ModeSmarth,
 		Seed:               seed,
-		SpeedOverride:      opts.SpeedOverride,
-		Log:                opts.SchedLog,
-	}, w)
+	}
+	opts.Script.Pin(&cfg)
+	w.eng = writesched.New(cfg, w)
 	w.wg.Add(1)
 	go w.nnWorker()
 	return w
@@ -296,7 +337,7 @@ func (w *schedWriter) stopWorker() {
 // can wait for a pipeline retirement and retry.
 func (w *schedWriter) AddBlock(idx int, exclude []string, prev block.Block) {
 	w.enqueueNN(func() {
-		resp, err := w.c.addBlock(w.path, w.opts.Mode, exclude, prev)
+		resp, err := w.c.addBlock(w.path, w.mode, exclude, prev)
 		if err != nil && strings.Contains(err.Error(), "no available datanodes") {
 			err = fmt.Errorf("%w: %v", writesched.ErrNoTargets, err)
 		}
@@ -327,7 +368,7 @@ func (w *schedWriter) RecoverBlock(idx, attempt int, blk block.Block, alive, exc
 	}
 	w.enqueueNN(func() {
 		resp, err := w.c.recoverBlock(nnapi.RecoverBlockReq{
-			Path: w.path, Block: blk, Alive: alive, Exclude: exclude, Mode: w.opts.Mode,
+			Path: w.path, Block: blk, Alive: alive, Exclude: exclude, Mode: w.mode,
 		})
 		if err == nil {
 			w.mu.Lock()
@@ -435,7 +476,7 @@ func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, restream bool)
 		w.eng.HandleFailed(idx, writesched.PipelineFailure{BadIndex: bad, Cause: err})
 	}
 
-	p, err := w.c.openPipeline(lb, &w.opts, w.to, parent)
+	p, err := w.c.openPipeline(lb, w.mode, &w.opts, parent)
 	if err != nil {
 		fail(err)
 		return
@@ -450,8 +491,8 @@ func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, restream bool)
 		fail(err)
 		return
 	}
-	if w.opts.Mode == proto.ModeSmarth && !restream {
-		if err := p.waitFNFA(w.c.clk, w.to.FNFA); err != nil {
+	if w.mode == proto.ModeSmarth && !restream {
+		if err := p.waitFNFA(w.c.clk, w.c.timeouts.FNFA); err != nil {
 			p.close()
 			w.unregister(p)
 			fail(err)

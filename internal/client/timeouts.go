@@ -52,22 +52,3 @@ func DefaultTimeouts() Timeouts {
 // waits forever, matching the pre-timeout behavior the DES figures
 // depend on.
 func NoTimeouts() Timeouts { return Timeouts{} }
-
-// resolveTimeouts picks the effective knobs for one write: the
-// per-write override wins, then the client-level setting, then the
-// defaults.
-func (c *Client) resolveTimeouts(opts WriteOptions) Timeouts {
-	if opts.Timeouts != nil {
-		return *opts.Timeouts
-	}
-	return c.timeouts
-}
-
-// resolveReadTimeouts is resolveTimeouts for the read path: the
-// per-read override wins, then the client-level setting.
-func (c *Client) resolveReadTimeouts(opts ReadOptions) Timeouts {
-	if opts.Timeouts != nil {
-		return *opts.Timeouts
-	}
-	return c.timeouts
-}

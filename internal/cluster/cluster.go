@@ -53,9 +53,6 @@ type Config struct {
 	// Namenode.SaveImage) into the fresh namenode before any datanode
 	// registers — the restart path.
 	Image io.Reader
-	// TCPTuning overrides the socket tuning StartTCP applies to every
-	// connection (nil = transport.DefaultTCPTuning). Ignored by Start.
-	TCPTuning *transport.TCPTuning
 	// Obs, when set, is shared by the namenode, every datanode, and every
 	// client created with NewClient: one registry and one tracer for the
 	// whole in-process cluster. nil disables observability.
@@ -131,10 +128,10 @@ func Start(cfg Config) (*Cluster, error) {
 
 // StartTCP boots the same topology Start builds, but over real loopback
 // TCP sockets with kernel-assigned ports: the wiring cmd/smarth-cluster
-// uses, in-process. Socket tuning comes from Config.TCPTuning (nil =
-// transport.DefaultTCPTuning). WrapNetwork decorates the in-memory
-// network only and is rejected; Shaper plans are keyed by component
-// name and do not match TCP addresses, so they are rejected too.
+// uses, in-process, with transport.DefaultTCPTuning on every socket.
+// WrapNetwork decorates the in-memory network only and is rejected;
+// Shaper plans are keyed by component name and do not match TCP
+// addresses, so they are rejected too.
 func StartTCP(cfg Config) (*Cluster, error) {
 	cfg = applyDefaults(cfg)
 	if cfg.WrapNetwork != nil {
@@ -143,11 +140,7 @@ func StartTCP(cfg Config) (*Cluster, error) {
 	if cfg.Shaper != nil {
 		return nil, fmt.Errorf("cluster: Shaper is not supported over TCP")
 	}
-	tuning := transport.DefaultTCPTuning
-	if cfg.TCPTuning != nil {
-		tuning = *cfg.TCPTuning
-	}
-	c := &Cluster{cfg: cfg, EffNet: transport.NewTCPNetworkTuned(nil, tuning)}
+	c := &Cluster{cfg: cfg, EffNet: transport.NewTCPNetwork(nil)}
 	return boot(c, "127.0.0.1:0", func(int) string { return "127.0.0.1:0" })
 }
 

@@ -14,9 +14,8 @@ import (
 
 // testWriteOptions uses small blocks and packets so tests move real bytes
 // through full pipelines quickly.
-func testWriteOptions(mode proto.WriteMode) client.WriteOptions {
+func testWriteOptions() client.WriteOptions {
 	return client.WriteOptions{
-		Mode:        mode,
 		Replication: 3,
 		BlockSize:   256 << 10, // 256 KiB blocks
 		PacketSize:  16 << 10,  // 16 KiB packets
@@ -49,19 +48,17 @@ func startTestCluster(t *testing.T, numDN int) *Cluster {
 	return c
 }
 
+// create opens path for writing under the given protocol.
+func create(cl *client.Client, path string, opts client.WriteOptions, mode proto.WriteMode) (client.Writer, error) {
+	if mode == proto.ModeSmarth {
+		return cl.CreateSmarth(path, opts)
+	}
+	return cl.CreateHDFS(path, opts)
+}
+
 func writeFile(t *testing.T, cl *client.Client, path string, data []byte, mode proto.WriteMode) {
 	t.Helper()
-	opts := testWriteOptions(mode)
-	var w interface {
-		Write([]byte) (int, error)
-		Close() error
-	}
-	var err error
-	if mode == proto.ModeSmarth {
-		w, err = cl.CreateSmarth(path, opts)
-	} else {
-		w, err = cl.CreateHDFS(path, opts)
-	}
+	w, err := create(cl, path, testWriteOptions(), mode)
 	if err != nil {
 		t.Fatalf("create %s: %v", path, err)
 	}
@@ -163,7 +160,7 @@ func TestEmptyFile(t *testing.T) {
 func TestExactBlockMultiple(t *testing.T) {
 	c := startTestCluster(t, 9)
 	cl, _ := c.NewClient("client")
-	opts := testWriteOptions(proto.ModeSmarth)
+	opts := testWriteOptions()
 	data := randomData(4, int(3*opts.BlockSize)) // exactly 3 blocks
 	writeFile(t, cl, "/exact", data, proto.ModeSmarth)
 	verifyFile(t, cl, "/exact", data)
@@ -217,7 +214,7 @@ func TestTwoClientsConcurrent(t *testing.T) {
 	done := make(chan error, 2)
 	go func() {
 		done <- func() error {
-			w, err := cl1.CreateSmarth("/c1", testWriteOptions(proto.ModeSmarth))
+			w, err := cl1.CreateSmarth("/c1", testWriteOptions())
 			if err != nil {
 				return err
 			}
@@ -229,7 +226,7 @@ func TestTwoClientsConcurrent(t *testing.T) {
 	}()
 	go func() {
 		done <- func() error {
-			w, err := cl2.CreateHDFS("/c2", testWriteOptions(proto.ModeHDFS))
+			w, err := cl2.CreateHDFS("/c2", testWriteOptions())
 			if err != nil {
 				return err
 			}
@@ -271,7 +268,7 @@ func TestDiskBackedDatanodes(t *testing.T) {
 func TestWriteAfterClose(t *testing.T) {
 	c := startTestCluster(t, 3)
 	cl, _ := c.NewClient("client")
-	w, err := cl.CreateHDFS("/wac", testWriteOptions(proto.ModeHDFS))
+	w, err := cl.CreateHDFS("/wac", testWriteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +287,7 @@ func TestWriteStats(t *testing.T) {
 	c := startTestCluster(t, 9)
 	cl, _ := c.NewClient("client")
 	data := randomData(71, 1<<20) // 4 blocks
-	w, err := cl.CreateSmarth("/stats", testWriteOptions(proto.ModeSmarth))
+	w, err := cl.CreateSmarth("/stats", testWriteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -326,7 +323,7 @@ func TestWriteStatsCountRecoveries(t *testing.T) {
 	c := startTestCluster(t, 9)
 	cl, _ := c.NewClient("client")
 	data := randomData(72, 2<<20)
-	opts := testWriteOptions(proto.ModeHDFS)
+	opts := testWriteOptions()
 	w, err := cl.CreateHDFS("/stats-rec", opts)
 	if err != nil {
 		t.Fatal(err)

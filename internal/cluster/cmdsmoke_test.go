@@ -35,9 +35,9 @@ func (s *syncBuffer) String() string {
 }
 
 // TestCommandLineTools builds and exercises the shipped binaries end to
-// end: smarth-cluster serves over real TCP, smarth-put uploads and
-// verifies a file, smarth-fsck reports health, and smarth-admin renames
-// it. This is the closest thing to the paper's actual workflow
+// end: smarth-cluster serves over real TCP, smarth-put uploads, traces
+// and verifies a file, smarth-admin renders the trace, smarth-fsck
+// reports health, and smarth-admin renames the file. This is the closest thing to the paper's actual workflow
 // (`hdfs put` against a running cluster).
 func TestCommandLineTools(t *testing.T) {
 	if testing.Short() {
@@ -81,23 +81,35 @@ func TestCommandLineTools(t *testing.T) {
 		time.Sleep(50 * time.Millisecond)
 	}
 
-	// Upload a file and verify its digest round-trips.
-	src := filepath.Join(t.TempDir(), "payload.bin")
+	// Upload a file, tracing the write, and verify its digest round-trips.
+	tmp := t.TempDir()
+	src, trace := filepath.Join(tmp, "payload.bin"), filepath.Join(tmp, "t.jsonl")
 	if err := os.WriteFile(src, workload.Data(5, 2<<20), 0o644); err != nil {
 		t.Fatal(err)
 	}
 	put := exec.Command(filepath.Join(bin, "smarth-put"),
 		"-nn", nnAddr, "-src", src, "-dst", "/smoke", "-mode", "smarth",
-		"-block", fmt.Sprint(256<<10), "-verify")
+		"-block", fmt.Sprint(256<<10), "-verify", "-trace", trace)
 	if out, err := put.CombinedOutput(); err != nil {
 		t.Fatalf("smarth-put: %v\n%s", err, out)
 	} else if !strings.Contains(string(out), "digest matches upload: OK") {
 		t.Fatalf("put output missing verification:\n%s", out)
 	}
 
+	// The exported trace renders offline as the write's span tree.
+	out, err := exec.Command(filepath.Join(bin, "smarth-admin"), "-trace", trace).CombinedOutput()
+	if err != nil {
+		t.Fatalf("smarth-admin -trace: %v\n%s", err, out)
+	}
+	for _, want := range []string{"write#", "block#", "pipeline#", "fnfa"} {
+		if !strings.Contains(string(out), want) {
+			t.Fatalf("rendered trace missing %q:\n%s", want, out)
+		}
+	}
+
 	// fsck sees a healthy file.
 	fsck := exec.Command(filepath.Join(bin, "smarth-fsck"), "-nn", nnAddr)
-	out, err := fsck.CombinedOutput()
+	out, err = fsck.CombinedOutput()
 	if err != nil {
 		t.Fatalf("smarth-fsck: %v\n%s", err, out)
 	}

@@ -26,7 +26,7 @@ func TestReadSeesOtherClientsOverwrite(t *testing.T) {
 	verifyFile(t, a, "/f", v1)
 
 	v2 := randomData(6, 300<<10)
-	opts := testWriteOptions(proto.ModeSmarth)
+	opts := testWriteOptions()
 	opts.Overwrite = true
 	w, err := b.CreateSmarth("/f", opts)
 	if err != nil {

@@ -11,20 +11,11 @@ import (
 	"repro/internal/storage"
 )
 
-// slowWriter drip-feeds data so a fault can be injected mid-write.
-func writeWithMidFault(t *testing.T, cl *client.Client, c *Cluster, path string, data []byte, mode proto.WriteMode, victim string) {
+// writeWithMidFault drip-feeds data and kills victim ("" = nobody) once
+// half of it is written.
+func writeWithMidFault(t *testing.T, cl *client.Client, c *Cluster, path string, data []byte, mode proto.WriteMode, victim string) client.WriteStats {
 	t.Helper()
-	opts := testWriteOptions(mode)
-	var w interface {
-		Write([]byte) (int, error)
-		Close() error
-	}
-	var err error
-	if mode == proto.ModeSmarth {
-		w, err = cl.CreateSmarth(path, opts)
-	} else {
-		w, err = cl.CreateHDFS(path, opts)
-	}
+	w, err := create(cl, path, testWriteOptions(), mode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -36,7 +27,7 @@ func writeWithMidFault(t *testing.T, cl *client.Client, c *Cluster, path string,
 		if off+n > len(data) {
 			n = len(data) - off
 		}
-		if off >= half {
+		if off >= half && victim != "" {
 			once.Do(func() {
 				t.Logf("killing %s at offset %d", victim, off)
 				c.KillDatanode(victim)
@@ -50,6 +41,7 @@ func writeWithMidFault(t *testing.T, cl *client.Client, c *Cluster, path string,
 	if err := w.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+	return w.Stats()
 }
 
 func TestHDFSSurvivesDatanodeCrash(t *testing.T) {
@@ -60,12 +52,28 @@ func TestHDFSSurvivesDatanodeCrash(t *testing.T) {
 	verifyFile(t, cl, "/crash-hdfs", data)
 }
 
+// TestSmarthSurvivesDatanodeCrash also prices the recovery (the paper
+// describes Algorithms 3/4 but never costs them): the same upload on the
+// same cluster configuration, clean and with a datanode killed halfway,
+// and the crash must not blow the upload up by more than 5x.
 func TestSmarthSurvivesDatanodeCrash(t *testing.T) {
-	c := startTestCluster(t, 9)
-	cl, _ := c.NewClient("client")
 	data := randomData(22, 2<<20)
-	writeWithMidFault(t, cl, c, "/crash-smarth", data, proto.ModeSmarth, "dn4")
-	verifyFile(t, cl, "/crash-smarth", data)
+	upload := func(victim string) time.Duration {
+		c := startTestCluster(t, 9)
+		cl, _ := c.NewClient("client")
+		start := time.Now()
+		st := writeWithMidFault(t, cl, c, "/crash-smarth", data, proto.ModeSmarth, victim)
+		elapsed := time.Since(start)
+		verifyFile(t, cl, "/crash-smarth", data)
+		t.Logf("victim %q: %v, %d recoveries", victim, elapsed, st.Recoveries)
+		return elapsed
+	}
+	// The floor keeps a scheduler hiccup on a few-millisecond in-memory
+	// upload from reading as a recovery that waited out a deadline.
+	clean, crashed := max(upload(""), 50*time.Millisecond), upload("dn4")
+	if crashed > 5*clean {
+		t.Fatalf("recovery overhead too large: clean %v, crashed %v", clean, crashed)
+	}
 }
 
 func TestSmarthSurvivesCrashAfterSpeedRecords(t *testing.T) {
@@ -107,7 +115,7 @@ func TestCrashBeforeAnyWrite(t *testing.T) {
 func TestTwoCrashesDuringWrite(t *testing.T) {
 	c := startTestCluster(t, 9)
 	cl, _ := c.NewClient("client")
-	opts := testWriteOptions(proto.ModeSmarth)
+	opts := testWriteOptions()
 	w, err := cl.CreateSmarth("/double-crash", opts)
 	if err != nil {
 		t.Fatal(err)
@@ -310,7 +318,7 @@ func TestStreamingReadMidBlockFailover(t *testing.T) {
 	// another replica — the caller sees one seamless, correct stream.
 	c := startTestCluster(t, 9)
 	cl, _ := c.NewClient("client")
-	opts := testWriteOptions(proto.ModeHDFS)
+	opts := testWriteOptions()
 	data := randomData(63, int(opts.BlockSize)) // exactly 1 block (16 packets)
 	w, err := cl.CreateHDFS("/midblock", opts)
 	if err != nil {

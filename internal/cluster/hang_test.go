@@ -8,7 +8,6 @@ import (
 	"repro/internal/client"
 	"repro/internal/clock"
 	"repro/internal/faultnet"
-	"repro/internal/proto"
 	"repro/internal/transport"
 )
 
@@ -70,7 +69,7 @@ func startHangCluster(t *testing.T, cfg Config) (*Cluster, *faultnet.Network, *c
 // hangWriteOptions keeps the namenode's pipeline order so the rigged
 // placement fully determines each datanode's position.
 func hangWriteOptions() client.WriteOptions {
-	opts := testWriteOptions(proto.ModeSmarth)
+	opts := testWriteOptions()
 	opts.DisableLocalOpt = true
 	return opts
 }

@@ -73,3 +73,61 @@ func TestSlowDeletesDoNotDelayHeartbeats(t *testing.T) {
 	}
 	writeFile(t, cl, "/after", data[:256<<10], proto.ModeSmarth)
 }
+
+// An overwriting create must reclaim the replaced file's replicas the
+// way a delete does: the namenode forgets the old blocks either way, and
+// a datanode drops a replica only when told to.
+func TestOverwriteReclaimsReplicas(t *testing.T) {
+	c := startTestCluster(t, 3)
+	cl, err := c.NewClient("client")
+	if err != nil {
+		t.Fatal(err)
+	}
+	opts := testWriteOptions()
+	opts.Overwrite = true
+	write := func(data []byte) {
+		t.Helper()
+		w, err := cl.CreateSmarth("/again", opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := w.Write(data); err != nil {
+			t.Fatal(err)
+		}
+		if err := w.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	write(randomData(5, 1<<20)) // 4 blocks, a replica of each on every datanode
+	write(randomData(6, 512<<10))
+
+	loc, err := c.NN.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: "/again", Client: "client"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	current := make(map[block.ID]bool)
+	for _, lb := range loc.Blocks {
+		current[lb.Block.ID] = true
+	}
+	for start := time.Now(); ; time.Sleep(10 * time.Millisecond) {
+		stale := 0
+		for _, dn := range c.DNs {
+			for _, b := range dn.Store().Blocks() {
+				if !current[b.Block.ID] {
+					stale++
+				}
+			}
+		}
+		if stale == 0 {
+			break
+		}
+		if time.Since(start) > 10*time.Second {
+			t.Fatalf("%d replicas of the overwritten file still stored: the overwrite never invalidated them", stale)
+		}
+	}
+	for _, dn := range c.DNs {
+		if n := len(dn.Store().Blocks()); n != len(current) {
+			t.Fatalf("%s holds %d replicas, want the new file's %d", dn.Name(), n, len(current))
+		}
+	}
+}

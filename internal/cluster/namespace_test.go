@@ -102,7 +102,7 @@ func TestLeaseRecoveryEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w, err := dying.CreateHDFS("/contested", testWriteOptions(proto.ModeHDFS))
+	w, err := dying.CreateHDFS("/contested", testWriteOptions())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -115,12 +115,12 @@ func TestLeaseRecoveryEndToEnd(t *testing.T) {
 	// Namenode lease timeout is DefaultLeaseTimeout (60s) — too long for
 	// a test, so instead verify the lease blocks a second writer now...
 	second, _ := c.NewClient("second")
-	_, err = second.CreateHDFS("/contested", testWriteOptions(proto.ModeHDFS))
+	_, err = second.CreateHDFS("/contested", testWriteOptions())
 	if err == nil {
 		t.Fatal("second writer created over a held lease without overwrite")
 	}
 	// ...and that overwrite=true takes the path over immediately.
-	opts := testWriteOptions(proto.ModeHDFS)
+	opts := testWriteOptions()
 	opts.Overwrite = true
 	w2, err := second.CreateHDFS("/contested", opts)
 	if err != nil {
@@ -295,7 +295,7 @@ func TestBalancerEndToEnd(t *testing.T) {
 	cl, _ := c.NewClient("client")
 	// Replication 1 concentrates data; several files still land on few
 	// nodes often enough to create skew.
-	opts := testWriteOptions(proto.ModeHDFS)
+	opts := testWriteOptions()
 	opts.Replication = 1
 	var datas [][]byte
 	for i := 0; i < 6; i++ {

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/client"
 	"repro/internal/obs"
+	"repro/internal/proto"
 	"repro/internal/workload"
 )
 
@@ -77,7 +78,7 @@ func TestLiveWriteObsAllocBudget(t *testing.T) {
 // upload one 8 × 1 MB R3 file and delete it again (waiting until every
 // datanode has dropped its replicas, which is when MemStore recycles
 // their buffers), after two such files warmed the pools.
-func writeAllocBytes(t *testing.T, smarth bool) uint64 {
+func writeAllocBytes(t *testing.T, mode proto.WriteMode) uint64 {
 	t.Helper()
 	const fileBytes = 8 << 20
 	c, err := Start(Config{NumDatanodes: 9, Seed: 1})
@@ -93,11 +94,7 @@ func writeAllocBytes(t *testing.T, smarth bool) uint64 {
 	opts := client.WriteOptions{Replication: 3, BlockSize: 1 << 20, PacketSize: 64 << 10}
 	cbuf := make([]byte, 64<<10)
 	uploadAndDelete := func(path string) {
-		create := cl.CreateHDFS
-		if smarth {
-			create = cl.CreateSmarth
-		}
-		w, err := create(path, opts)
+		w, err := create(cl, path, opts, mode)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -150,14 +147,47 @@ func TestLiveWriteAllocBudget(t *testing.T) {
 		t.Skip("allocation accounting is not comparable under -race")
 	}
 	const budget = (8 << 20) / 2
-	for _, mode := range []struct {
-		name   string
-		smarth bool
-	}{{"smarth", true}, {"hdfs", false}} {
-		got := writeAllocBytes(t, mode.smarth)
+	for _, mode := range []proto.WriteMode{proto.ModeSmarth, proto.ModeHDFS} {
+		got := writeAllocBytes(t, mode)
 		if got > budget {
-			t.Errorf("%s: 8 MB R3 upload + delete allocates %d B, budget %d (half the payload)", mode.name, got, budget)
+			t.Errorf("%s: 8 MB R3 upload + delete allocates %d B, budget %d (half the payload)", mode, got, budget)
 		}
-		t.Logf("%s: 8 MB R3 upload + delete allocates %d B (budget %d)", mode.name, got, budget)
+		t.Logf("%s: 8 MB R3 upload + delete allocates %d B (budget %d)", mode, got, budget)
+	}
+}
+
+// BenchmarkLiveWrite moves 4 MB R3 files through the full concurrent
+// stack (checksums, pipelines, acks) on the unshaped in-memory cluster
+// the budgets above boot, under both protocols. `make profile` and the
+// CI profile job run it under pprof; the gated numbers are bench/'s.
+func BenchmarkLiveWrite(b *testing.B) {
+	for _, mode := range []proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth} {
+		b.Run(mode.String(), func(b *testing.B) {
+			c, err := Start(Config{NumDatanodes: 9, Seed: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			defer c.Stop()
+			cl, err := c.NewClient("bench-client")
+			if err != nil {
+				b.Fatal(err)
+			}
+			data := make([]byte, 4<<20)
+			opts := client.WriteOptions{Replication: 3, BlockSize: 1 << 20, PacketSize: 64 << 10}
+			b.SetBytes(int64(len(data)))
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				w, err := create(cl, fmt.Sprintf("/bench/f%d", i), opts, mode)
+				if err != nil {
+					b.Fatal(err)
+				}
+				if _, err := w.Write(data); err != nil {
+					b.Fatal(err)
+				}
+				if err := w.Close(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }

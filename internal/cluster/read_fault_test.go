@@ -200,7 +200,6 @@ func TestReadSurvivesDatanodeDeathMidRead(t *testing.T) {
 	c, _, cl, o := startReadFaultCluster(t, Config{})
 	data := randomData(331, 1<<20) // one 1 MiB block
 	w, err := cl.CreateSmarth("/midread-kill", client.WriteOptions{
-		Mode:        proto.ModeSmarth,
 		Replication: 3,
 		BlockSize:   1 << 20,
 		PacketSize:  16 << 10,

@@ -14,10 +14,9 @@ import (
 // transport.LinkPolicy, so it shapes both the in-memory and the TCP
 // transports.
 type Shaper struct {
-	mu      sync.RWMutex
-	clk     clock.Clock
-	nodes   map[string]*nodeShape
-	latency time.Duration
+	mu    sync.RWMutex
+	clk   clock.Clock
+	nodes map[string]*nodeShape
 }
 
 type nodeShape struct {
@@ -48,13 +47,6 @@ func (s *Shaper) newLimiter(bps float64) *ratelimit.Limiter {
 		burst = 16 << 10
 	}
 	return ratelimit.New(s.clk, bps, burst)
-}
-
-// SetLatency sets the one-way link latency applied to all connections.
-func (s *Shaper) SetLatency(d time.Duration) {
-	s.mu.Lock()
-	s.latency = d
-	s.mu.Unlock()
 }
 
 // SetNode declares a node's rack and NIC capacity in bytes/second
@@ -95,26 +87,7 @@ func (s *Shaper) SetCrossRackLimit(name string, bps float64) {
 	}
 }
 
-// SetNodeLimit throttles all of a node's traffic regardless of rack — the
-// paper's bandwidth-contention scenario where individual nodes are capped
-// (e.g. to 50 Mbps). It works by replacing the node's NIC limiters.
-func (s *Shaper) SetNodeLimit(name string, bps float64) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	n := s.nodes[name]
-	if n == nil {
-		n = &nodeShape{}
-		s.nodes[name] = n
-	}
-	if bps > 0 {
-		n.egress = s.newLimiter(bps)
-		n.ingress = s.newLimiter(bps)
-	} else {
-		n.egress, n.ingress = nil, nil
-	}
-}
-
-// Limits implements transport.LinkPolicy.
+// Limits implements transport.LinkPolicy; the shaper adds no latency.
 func (s *Shaper) Limits(src, dst string) ([]*ratelimit.Limiter, time.Duration) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
@@ -134,7 +107,7 @@ func (s *Shaper) Limits(src, dst string) ([]*ratelimit.Limiter, time.Duration) {
 			lims = append(lims, b.crossIngress)
 		}
 	}
-	return lims, s.latency
+	return lims, 0
 }
 
 var _ transport.LinkPolicy = (*Shaper)(nil)

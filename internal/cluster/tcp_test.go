@@ -74,16 +74,7 @@ func TestTCPEndToEnd(t *testing.T) {
 
 	for _, mode := range []proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth} {
 		path := fmt.Sprintf("/tcp-%s", mode)
-		var w interface {
-			Write([]byte) (int, error)
-			Close() error
-		}
-		opts.Mode = mode
-		if mode == proto.ModeSmarth {
-			w, err = cl.CreateSmarth(path, opts)
-		} else {
-			w, err = cl.CreateHDFS(path, opts)
-		}
+		w, err := create(cl, path, opts, mode)
 		if err != nil {
 			t.Fatalf("create over TCP: %v", err)
 		}

@@ -1,12 +1,43 @@
-package livebench
+package cluster
 
 import (
 	"bytes"
 	"strings"
 	"testing"
+	"time"
 
+	"repro/internal/client"
 	"repro/internal/obs"
 )
+
+// tracedWrite uploads size bytes under SMARTH on the rigged hang cluster
+// (every pipeline forms as dn1>dn2>dn3) with observability on in every
+// component, freezing the mirror dn2 at the halfway point when fault is
+// set, and returns the trace once the read-back verified.
+func tracedWrite(t *testing.T, size int, fault bool) (*obs.Obs, []obs.SpanRecord, client.WriteStats) {
+	t.Helper()
+	o := obs.New(nil)
+	_, fn, cl := startHangCluster(t, Config{DatanodeDataTimeout: 500 * time.Millisecond, Obs: o})
+	// Registered after startHangCluster, so the thaw runs before
+	// Cluster.Stop and a wedged node can shut down.
+	t.Cleanup(func() { fn.Thaw("dn2") })
+	data := randomData(7, size)
+	w, err := cl.CreateSmarth("/trace-run", hangWriteOptions())
+	if err != nil {
+		t.Fatal(err)
+	}
+	dripWrite(t, w, data, func() {
+		if fault {
+			fn.Freeze("dn2")
+		}
+	})
+	if err := w.Close(); err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	fn.Thaw("dn2")
+	verifyFile(t, cl, "/trace-run", data)
+	return o, o.Tracer.Snapshot(), w.Stats()
+}
 
 // spansByName groups a trace by span name.
 func spansByName(spans []obs.SpanRecord) map[string][]obs.SpanRecord {
@@ -26,27 +57,20 @@ func hasEvent(s obs.SpanRecord, name string) bool {
 	return false
 }
 
-// TestTraceRunCleanSpanTree runs a clean one-block 3-replica SMARTH
-// write and asserts the exact span tree it must produce: one "write"
-// root, one "block" child, one "pipeline" grandchild carrying the
-// rigged target order and an FNFA event — and that the tree survives a
-// JSONL round trip.
-func TestTraceRunCleanSpanTree(t *testing.T) {
-	out, err := TraceRun(TraceConfig{
-		FileBytes: 256 << 10,
-		BlockSize: 256 << 10,
-		Logf:      t.Logf,
-	})
-	if err != nil {
-		t.Fatal(err)
+// TestTraceCleanSpanTree runs a clean one-block 3-replica SMARTH write
+// and asserts the exact write-path span tree it must produce: one
+// "write" root, one "block" child, one "pipeline" grandchild carrying
+// the rigged target order and an FNFA event — and that the tree survives
+// a JSONL round trip.
+func TestTraceCleanSpanTree(t *testing.T) {
+	o, spans, st := tracedWrite(t, 256<<10, false)
+	if st.Recoveries != 0 {
+		t.Fatalf("clean run reported %d recoveries", st.Recoveries)
 	}
-	if out.Recoveries != 0 {
-		t.Fatalf("clean run reported %d recoveries", out.Recoveries)
-	}
-	byName := spansByName(out.Spans)
+	byName := spansByName(spans)
 	if len(byName["write"]) != 1 || len(byName["block"]) != 1 || len(byName["pipeline"]) != 1 {
 		t.Fatalf("span tree = %d write / %d block / %d pipeline spans, want 1/1/1 (spans: %+v)",
-			len(byName["write"]), len(byName["block"]), len(byName["pipeline"]), out.Spans)
+			len(byName["write"]), len(byName["block"]), len(byName["pipeline"]), spans)
 	}
 	if n := len(byName["recovery"]); n != 0 {
 		t.Fatalf("clean run produced %d recovery spans", n)
@@ -62,7 +86,7 @@ func TestTraceRunCleanSpanTree(t *testing.T) {
 	if !hasEvent(pipe, "fnfa") {
 		t.Fatalf("pipeline span has no fnfa event: %+v", pipe.Events)
 	}
-	for _, s := range out.Spans {
+	for _, s := range spans {
 		if s.Status != "" {
 			t.Fatalf("span %s#%d has status %q on a clean run", s.Name, s.ID, s.Status)
 		}
@@ -73,44 +97,38 @@ func TestTraceRunCleanSpanTree(t *testing.T) {
 
 	// The JSONL export must reproduce the same records.
 	var buf bytes.Buffer
-	if err := obs.WriteJSONL(&buf, out.Spans); err != nil {
+	if err := obs.WriteJSONL(&buf, spans); err != nil {
 		t.Fatal(err)
 	}
 	back, err := obs.ReadJSONL(&buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(back) != len(out.Spans) {
-		t.Fatalf("JSONL round trip: %d spans back, want %d", len(back), len(out.Spans))
+	if len(back) != len(spans) {
+		t.Fatalf("JSONL round trip: %d spans back, want %d", len(back), len(spans))
 	}
 
 	// Metrics followed the write: the client observed FNFA latency and
 	// the first datanode committed the block.
 	var metrics strings.Builder
-	out.Obs.Metrics.Render(&metrics)
-	for _, want := range []string{"client/trace-client", "datanode/dn1", "fnfa_latency_ns", "blocks_committed"} {
+	o.Metrics.Render(&metrics)
+	for _, want := range []string{"client/client", "datanode/dn1", "fnfa_latency_ns", "blocks_committed"} {
 		if !strings.Contains(metrics.String(), want) {
 			t.Errorf("metrics dump missing %q:\n%s", want, metrics.String())
 		}
 	}
 }
 
-// TestTraceRunFaultProducesRecoverySpan wedges the mirror datanode
+// TestTraceFaultProducesRecoverySpan wedges the mirror datanode
 // mid-write and asserts the trace records the Algorithm 4 episode: a
 // failed or error-marked pipeline, a recovery span parented under a
 // block span, and more pipelines than blocks (the rebuilt ones).
-func TestTraceRunFaultProducesRecoverySpan(t *testing.T) {
-	out, err := TraceRun(TraceConfig{InjectFault: true, Logf: t.Logf})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if out.Victim != "dn2" {
-		t.Fatalf("victim = %q, want dn2", out.Victim)
-	}
-	if out.Recoveries == 0 {
+func TestTraceFaultProducesRecoverySpan(t *testing.T) {
+	o, spans, st := tracedWrite(t, 512<<10, true)
+	if st.Recoveries == 0 {
 		t.Fatal("fault run reported no recoveries")
 	}
-	byName := spansByName(out.Spans)
+	byName := spansByName(spans)
 	if len(byName["write"]) != 1 {
 		t.Fatalf("%d write spans, want 1", len(byName["write"]))
 	}
@@ -155,7 +173,7 @@ func TestTraceRunFaultProducesRecoverySpan(t *testing.T) {
 
 	// The rendered timeline must show the episode end to end.
 	var tl strings.Builder
-	obs.RenderTimeline(&tl, out.Spans)
+	obs.RenderTimeline(&tl, spans)
 	for _, want := range []string{"write#", "block#", "pipeline#", "recovery#"} {
 		if !strings.Contains(tl.String(), want) {
 			t.Errorf("timeline missing %q:\n%s", want, tl.String())
@@ -165,7 +183,7 @@ func TestTraceRunFaultProducesRecoverySpan(t *testing.T) {
 	// The pipeline-recovery counters moved: the client recovered and the
 	// namenode re-provisioned at least one block.
 	var metrics strings.Builder
-	out.Obs.Metrics.Render(&metrics)
+	o.Metrics.Render(&metrics)
 	if !strings.Contains(metrics.String(), "recoveries") || !strings.Contains(metrics.String(), "block_recoveries") {
 		t.Errorf("metrics dump missing recovery counters:\n%s", metrics.String())
 	}

@@ -10,12 +10,12 @@
 // Algorithm 3/4 recovery) lives in the engine or the namenode, and both
 // are deterministic given the scenario's seed, topology, and scripted
 // speed samples. Timing is the only thing the substrates are allowed to
-// disagree about, so a scenario's log must not depend on it: runs use
-// writesched's StrictRetire mode (retirement strictly in launch order, at
-// launch decision points) and SpeedOverride (scripted FNFA samples
-// instead of measured ones). Wall-clock differences between a real
-// in-process cluster and virtual DES time then cannot reorder or change
-// a single log line.
+// disagree about, so a scenario's log must not depend on it: both runs
+// take the same writesched.Script — retirement strictly in launch order,
+// at launch decision points, and scripted FNFA samples instead of
+// measured ones. Wall-clock differences between a real in-process
+// cluster and virtual DES time then cannot reorder or change a single
+// log line.
 //
 // Matching the substrates line-for-line requires mirroring the sim's
 // conventions on the live cluster: the same client name and file path
@@ -82,7 +82,7 @@ type Scenario struct {
 	// 9-node SMARTH runs.
 	MaxPipelines int
 	// SpeedMbps scripts the FNFA speed samples per first-datanode (via
-	// writesched.SpeedOverride). Unlisted datanodes default to 100.
+	// writesched.Script.Speed). Unlisted datanodes default to 100.
 	SpeedMbps map[string]float64
 	// ThrottleDN, when ≥ 0, NIC-limits that datanode index to
 	// ThrottleMbps in the simulator only. The live cluster stays
@@ -131,20 +131,23 @@ func Scenarios() []Scenario {
 	}
 }
 
-// speedFunc scripts FNFA samples: each first-datanode always reports
-// its table speed over one second, so the registry contents are a pure
-// function of which datanodes led pipelines — not of timing.
-func speedFunc(mbps map[string]float64) writesched.SpeedFunc {
-	if mbps == nil {
-		return nil
-	}
-	return func(_ int, dn string) (int64, time.Duration) {
-		v, ok := mbps[dn]
-		if !ok {
-			v = 100
+// script is the scenario as both substrates take it: the engine seed,
+// the decision log, and scripted FNFA samples — each first-datanode
+// always reports its table speed over one second, so the registry
+// contents are a pure function of which datanodes led pipelines, not of
+// timing.
+func (s Scenario) script(log *writesched.DecisionLog) *writesched.Script {
+	sc := &writesched.Script{Seed: s.Seed, Log: log}
+	if s.SpeedMbps != nil {
+		sc.Speed = func(_ int, dn string) (int64, time.Duration) {
+			v, ok := s.SpeedMbps[dn]
+			if !ok {
+				v = 100
+			}
+			return int64(v * 1e6), time.Second
 		}
-		return int64(v * 1e6), time.Second
 	}
+	return sc
 }
 
 // rackFor mirrors the sim's topology: datanodes 1–5 (0-based 0–4) in
@@ -171,11 +174,8 @@ func RunSim(s Scenario) (string, error) {
 		SingleRack: s.SingleRack,
 		Seed:       s.Seed,
 
-		MaxPipelines:       s.MaxPipelines,
-		ProtocolHeartbeats: true,
-		StrictRetire:       true,
-		SpeedOverride:      speedFunc(s.SpeedMbps),
-		DecisionLog:        &log,
+		MaxPipelines: s.MaxPipelines,
+		Script:       s.script(&log),
 	}
 	if s.ThrottleDN >= 0 {
 		cfg.NodeLimitMbps = map[int]float64{s.ThrottleDN: s.ThrottleMbps}
@@ -245,15 +245,10 @@ func RunLive(s Scenario, victim string) (string, error) {
 
 	var log writesched.DecisionLog
 	opts := client.WriteOptions{
-		Mode:         s.Mode,
 		BlockSize:    BlockSize,
 		PacketSize:   PacketSize,
 		MaxPipelines: s.MaxPipelines,
-
-		Seed:          s.Seed,
-		StrictRetire:  true,
-		SchedLog:      &log,
-		SpeedOverride: speedFunc(s.SpeedMbps),
+		Script:       s.script(&log),
 	}
 	var w client.Writer
 	if s.Mode == proto.ModeSmarth {

@@ -58,9 +58,6 @@ type Options struct {
 	Clock        clock.Clock
 	// HeartbeatInterval defaults to core.HeartbeatInterval (3 s).
 	HeartbeatInterval time.Duration
-	// ForwardBuffer is the per-pipeline store-and-forward budget in
-	// bytes; defaults to one block (64 MB), per §IV-C.
-	ForwardBuffer int64
 	// DataTimeout bounds each data-path operation (header, packet or ack
 	// read/write) on upstream and mirror connections so a vanished or
 	// wedged peer cannot pin a handler goroutine forever. 0 selects
@@ -131,9 +128,6 @@ func New(opts Options) (*Datanode, error) {
 	}
 	if opts.HeartbeatInterval <= 0 {
 		opts.HeartbeatInterval = core.HeartbeatInterval
-	}
-	if opts.ForwardBuffer <= 0 {
-		opts.ForwardBuffer = proto.DefaultBlockSize
 	}
 	if opts.DataTimeout == 0 {
 		opts.DataTimeout = DefaultDataTimeout

@@ -27,9 +27,13 @@ type packetQueue struct {
 	depth *obs.Histogram
 }
 
+// forwardBuffer is each pipeline's store-and-forward budget in bytes:
+// one block, per §IV-C.
+const forwardBuffer = proto.DefaultBlockSize
+
 func newPacketQueue(capacity int64) *packetQueue {
 	if capacity <= 0 {
-		capacity = proto.DefaultBlockSize
+		capacity = forwardBuffer
 	}
 	q := &packetQueue{capacity: capacity}
 	q.notEmpty = sync.NewCond(&q.mu)

@@ -140,7 +140,7 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 	}
 
 	// --- abort machinery shared by the three roles ---
-	queue := newPacketQueue(dn.opts.ForwardBuffer)
+	queue := newPacketQueue(forwardBuffer)
 	queue.depth = dn.mQueueDepth
 	statuses := newStatusQueue()
 	var abortOnce sync.Once

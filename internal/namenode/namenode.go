@@ -244,10 +244,22 @@ func (nn *Namenode) Create(req nnapi.CreateReq) (nnapi.CreateResp, error) {
 	if err := nn.checkSafeMode(); err != nil {
 		return nnapi.CreateResp{}, err
 	}
-	if err := nn.ns.create(req.Path, req.Client, req.Replication, req.BlockSize, req.Overwrite, nn.clk.Now()); err != nil {
+	stale, err := nn.ns.create(req.Path, req.Client, req.Replication, req.BlockSize, req.Overwrite, nn.clk.Now())
+	if err != nil {
 		return nnapi.CreateResp{}, err
 	}
+	nn.invalidate(stale)
 	return nnapi.CreateResp{}, nil
+}
+
+// invalidate queues deletion of the replicas a removed file left on
+// each datanode (delivered with the node's next heartbeat).
+func (nn *Namenode) invalidate(stale map[string][]block.Block) {
+	for dn, blocks := range stale {
+		for _, b := range blocks {
+			nn.dm.scheduleInvalidate(dn, b.ID, b.Gen)
+		}
+	}
 }
 
 // AddBlock allocates the file's next block and chooses its pipeline with
@@ -369,11 +381,7 @@ func (nn *Namenode) Delete(req nnapi.DeleteReq) (nnapi.DeleteResp, error) {
 		return nnapi.DeleteResp{}, err
 	}
 	stale, existed := nn.ns.deleteFile(req.Path)
-	for dn, blocks := range stale {
-		for _, b := range blocks {
-			nn.dm.scheduleInvalidate(dn, b.ID, b.Gen)
-		}
-	}
+	nn.invalidate(stale)
 	return nnapi.DeleteResp{Deleted: existed}, nil
 }
 

@@ -194,23 +194,24 @@ func (s *nsShard) dropLeaseLocked(client, path string) {
 
 // --- namespace operations ---
 
-// create makes a new inode (overwrite replaces an existing one) and
-// records its lease, renewed as of now.
-func (ns *namesystem) create(path, client string, replication int, blockSize int64, overwrite bool, now time.Time) error {
+// create makes a new inode and records its lease, renewed as of now.
+// Overwrite replaces an existing file; stale then lists, per datanode,
+// the replaced file's replicas for the caller to invalidate.
+func (ns *namesystem) create(path, client string, replication int, blockSize int64, overwrite bool, now time.Time) (stale map[string][]block.Block, err error) {
 	if replication < 1 {
 		replication = 1
 	}
 	if blockSize <= 0 {
-		return fmt.Errorf("namenode: invalid block size %d", blockSize)
+		return nil, fmt.Errorf("namenode: invalid block size %d", blockSize)
 	}
 	s := ns.shardFor(path)
 	ns.lockShard(s)
 	defer s.mu.Unlock()
 	if old, exists := s.files[path]; exists {
 		if !overwrite {
-			return fmt.Errorf("%w: %s", ErrFileExists, path)
+			return nil, fmt.Errorf("%w: %s", ErrFileExists, path)
 		}
-		ns.removeInodeLocked(s, old)
+		stale = ns.removeInodeLocked(s, old)
 	}
 	f := &fileInode{
 		path:        path,
@@ -221,14 +222,22 @@ func (ns *namesystem) create(path, client string, replication int, blockSize int
 	}
 	s.files[path] = f
 	s.addLeaseLocked(f)
-	return nil
+	return stale, nil
 }
 
-// removeInodeLocked drops f and its blocks. Caller holds f's shard.
-func (ns *namesystem) removeInodeLocked(s *nsShard, f *fileInode) {
+// removeInodeLocked drops f and its blocks, returning for each datanode
+// the replicas it held (so the caller can schedule invalidations).
+// Caller holds f's shard.
+func (ns *namesystem) removeInodeLocked(s *nsShard, f *fileInode) map[string][]block.Block {
+	stale := make(map[string][]block.Block)
 	for _, id := range f.blocks {
 		st := ns.stripeFor(id)
 		ns.lockStripe(st)
+		if meta, ok := st.blocks[id]; ok {
+			for dn := range meta.locations {
+				stale[dn] = append(stale[dn], meta.cur)
+			}
+		}
 		delete(st.blocks, id)
 		st.mu.Unlock()
 	}
@@ -236,6 +245,7 @@ func (ns *namesystem) removeInodeLocked(s *nsShard, f *fileInode) {
 	if !f.complete {
 		s.dropLeaseLocked(f.client, f.path)
 	}
+	return stale
 }
 
 // checkLeaseLocked fetches an under-construction file owned by client.
@@ -491,9 +501,9 @@ func (ns *namesystem) fileLengthLocked(f *fileInode) int64 {
 	return total
 }
 
-// deleteFile removes a file, returning for each block the datanodes that
-// held replicas (so the caller can schedule invalidations). It reports
-// whether the file existed.
+// deleteFile removes a file, returning for each datanode the replicas
+// it held (so the caller can schedule invalidations). It reports whether
+// the file existed.
 func (ns *namesystem) deleteFile(path string) (stale map[string][]block.Block, existed bool) {
 	s := ns.shardFor(path)
 	ns.lockShard(s)
@@ -502,18 +512,7 @@ func (ns *namesystem) deleteFile(path string) (stale map[string][]block.Block, e
 	if !ok {
 		return nil, false
 	}
-	stale = make(map[string][]block.Block)
-	for _, id := range f.blocks {
-		cur, _, holders, ok := ns.blockView(id)
-		if !ok {
-			continue
-		}
-		for _, dn := range holders {
-			stale[dn] = append(stale[dn], cur)
-		}
-	}
-	ns.removeInodeLocked(s, f)
-	return stale, true
+	return ns.removeInodeLocked(s, f), true
 }
 
 // rename moves a file. The destination must not exist. When source and

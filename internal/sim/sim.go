@@ -105,16 +105,12 @@ type Config struct {
 	// Result.Pipelines; see RenderTimeline).
 	Trace bool
 
-	// Conformance knobs: ProtocolHeartbeats reports speeds at every
-	// FNFA (the live client's cadence) instead of on the timer,
-	// StrictRetire retires pipelines strictly in launch order, and
-	// SpeedOverride replaces measured FNFA samples with scripted ones.
-	// DecisionLog receives the engine's protocol decision log
-	// (single-client runs; with several clients the logs interleave).
-	ProtocolHeartbeats bool
-	StrictRetire       bool
-	SpeedOverride      writesched.SpeedFunc
-	DecisionLog        *writesched.DecisionLog
+	// Script, when set, makes the run a conformance replay (see
+	// writesched.Script): scripted seed and FNFA samples, strict
+	// launch-order retirement, a decision log (single-client runs; with
+	// several clients the logs interleave), and speed reports at every
+	// FNFA — the live client's cadence — instead of on the timer.
+	Script *writesched.Script
 
 	// PipelineFaults injects pipeline failures (each fires once, on the
 	// block's initial pipeline only, so recovery can succeed).
@@ -369,18 +365,17 @@ func newSimulation(cfg Config, numClients int) (*simulation, error) {
 			blockSpans: make(map[int]*obs.Span),
 			numBlocks:  numBlocks,
 		}
-		w.eng = writesched.New(writesched.Config{
+		ecfg := writesched.Config{
 			Path:               w.path,
 			Mode:               cfg.Mode,
 			Replication:        cfg.Replication,
 			MaxPipelines:       maxPipes,
 			DisableLocalOpt:    cfg.DisableLocalOpt,
-			ProtocolHeartbeats: cfg.ProtocolHeartbeats,
-			StrictRetire:       cfg.StrictRetire,
+			ProtocolHeartbeats: cfg.Script != nil,
 			Seed:               cfg.Seed + int64(k)*7919,
-			SpeedOverride:      cfg.SpeedOverride,
-			Log:                cfg.DecisionLog,
-		}, w)
+		}
+		cfg.Script.Pin(&ecfg)
+		w.eng = writesched.New(ecfg, w)
 		s.writers = append(s.writers, w)
 	}
 	s.left = numClients
@@ -514,8 +509,8 @@ func (w *writer) start() error {
 	}
 
 	// Timer heartbeats carry the client's speed table to the namenode
-	// (the engine sends them at FNFA instead under ProtocolHeartbeats).
-	if !s.cfg.DisableGlobalOpt && !s.cfg.ProtocolHeartbeats {
+	// (the engine sends them at FNFA instead in a scripted run).
+	if !s.cfg.DisableGlobalOpt && s.cfg.Script == nil {
 		var tick func()
 		tick = func() {
 			if w.done {
@@ -588,7 +583,7 @@ func (w *writer) Complete() {
 	s.eng.Schedule(s.cfg.NNLatency, func() { w.eng.HandleCompleteDone(nil) })
 }
 
-// Heartbeat ships the speed table inline (ProtocolHeartbeats mode).
+// Heartbeat ships the speed table inline (scripted runs).
 func (w *writer) Heartbeat() {
 	if w.s.cfg.DisableGlobalOpt || w.recorder.Len() == 0 {
 		return

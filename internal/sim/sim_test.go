@@ -493,7 +493,7 @@ func TestInjectedFaultRecoversAndCompletes(t *testing.T) {
 			r, err := Run(Config{
 				Preset: ec2.SmallCluster, FileSize: 1 << 20, Mode: mode,
 				BlockSize: 256 << 10, PacketSize: 64 << 10, Seed: 3,
-				DecisionLog:    &log,
+				Script:         &writesched.Script{Log: &log},
 				PipelineFaults: []PipelineFault{{Block: 1, AfterPackets: 2, BadIndex: -1}},
 			})
 			if err != nil {

@@ -24,7 +24,7 @@ func TestPipeBufCloseReleasesWakers(t *testing.T) {
 		clk := clk
 		t.Run(name, func(t *testing.T) {
 			const pipes = 200
-			baseline := runtime.NumGoroutine()
+			baseline := settledGoroutines()
 			deadline := clk.Now().Add(time.Hour)
 			waitWaker := func(b *pipeBuf, running *bool) {
 				t.Helper()
@@ -78,6 +78,20 @@ func TestPipeBufCloseReleasesWakers(t *testing.T) {
 			}
 		})
 	}
+}
+
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 ms (or a second has passed): a goroutine of the previous test or
+// subtest that is still exiting when the count is sampled once makes the
+// baseline one too high, and every comparison against it off by one.
+func settledGoroutines() int {
+	n, since := runtime.NumGoroutine(), time.Now()
+	for start := since; time.Since(since) < 20*time.Millisecond && time.Since(start) < time.Second; time.Sleep(time.Millisecond) {
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
 }
 
 // TestMemNetworkRingAlloc: a connection's rings come from bufpool and go

@@ -158,6 +158,36 @@ type Config struct {
 	Log *DecisionLog
 }
 
+// Script is the one hook the conformance harness has into a substrate's
+// writes (client.WriteOptions.Script, sim.Config.Script): it replaces
+// everything an engine would otherwise draw from a clock — the
+// Algorithm 2 seed and the FNFA speed samples — and collects the
+// decision log. A scripted write always retires strictly in launch
+// order, so its log is a pure function of the scenario.
+type Script struct {
+	// Seed fixes the Algorithm 2 swap randomness (0 = the substrate's
+	// own seed).
+	Seed int64
+	// Speed, when set, replaces measured FNFA samples.
+	Speed SpeedFunc
+	// Log, when set, receives the decision log.
+	Log *DecisionLog
+}
+
+// Pin applies the script to an engine configuration; a nil script
+// leaves cfg as the substrate built it.
+func (s *Script) Pin(cfg *Config) {
+	if s == nil {
+		return
+	}
+	cfg.StrictRetire = true
+	if s.Seed != 0 {
+		cfg.Seed = s.Seed
+	}
+	cfg.SpeedOverride = s.Speed
+	cfg.Log = s.Log
+}
+
 // DecisionLog is an append-only, concurrency-safe list of protocol
 // decisions in execution order.
 type DecisionLog struct {

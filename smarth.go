@@ -51,13 +51,13 @@ type Client = client.Client
 // ClientOptions configure a client.
 type ClientOptions = client.Options
 
-// WriteOptions configure one file write (mode, replication, block and
-// packet sizes).
+// WriteOptions configure one file write (replication, block and packet
+// sizes); the protocol is chosen by calling CreateHDFS or CreateSmarth.
 type WriteOptions = client.WriteOptions
 
-// Timeouts bound the blocking points of the write path (dial, setup
-// ack, FNFA, ack progress, RPC calls); zero fields disable that bound.
-// Set via ClientOptions.Timeouts or WriteOptions.Timeouts.
+// Timeouts bound the blocking points of the write and read paths (dial,
+// setup ack, FNFA, ack and read progress, RPC calls); zero fields
+// disable that bound. Set per client, via ClientOptions.Timeouts.
 type Timeouts = client.Timeouts
 
 // DefaultTimeouts returns the production timeout defaults.
@@ -67,7 +67,8 @@ func DefaultTimeouts() Timeouts { return client.DefaultTimeouts() }
 // behavior, as used by the discrete-event-simulation figures).
 func NoTimeouts() Timeouts { return client.NoTimeouts() }
 
-// WriteMode selects the write protocol.
+// WriteMode names a write protocol (SimConfig.Mode; a live write picks
+// its protocol with CreateHDFS or CreateSmarth).
 type WriteMode = proto.WriteMode
 
 // The two write protocols.
