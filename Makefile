@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race alloc fuzz-smoke bench bench-vet docs-check profile conformance
+.PHONY: build test vet lint race alloc fuzz-smoke bench bench-vet docs-check loc profile conformance
 
 build:
 	$(GO) build ./...
@@ -60,6 +60,12 @@ bench-vet:
 # EXPERIMENTS or DESIGN names a package, command or Go file that is gone.
 docs-check:
 	$(GO) test -run 'TestPackageDocs|TestExportedDocs|TestDocPathsExist' -count=1 .
+
+# The two size figures ROADMAP and CHANGES quote for every simplicity PR
+# (TestLOC in loc_test.go): non-test Go lines under internal/ + cmd/, and
+# exported identifiers per package.
+loc:
+	@$(GO) test -run '^TestLOC$$' -count=1 -v . | grep -v '^=== RUN\|^--- PASS\|^PASS\|^ok'
 
 # CPU and allocation profiles of a live in-memory-cluster upload under
 # both protocols (BenchmarkLiveWrite in internal/cluster), as pprof files

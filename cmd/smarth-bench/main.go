@@ -46,7 +46,7 @@ func printTimeline(tracePath string) error {
 			return err
 		}
 		fmt.Printf("\n%s, 1GB, small cluster, 50Mbps cross-rack (total %.1fs):\n", mode, r.Duration.Seconds())
-		fmt.Print(sim.RenderTimeline(r.Pipelines, 100))
+		obs.RenderTimeline(os.Stdout, r.Trace)
 		if tracePath != "" && mode == proto.ModeSmarth {
 			f, err := os.Create(tracePath)
 			if err != nil {

@@ -18,10 +18,10 @@ import (
 	"path/filepath"
 	"syscall"
 
-	"repro/internal/datanode"
+	"repro/internal/cluster"
+	"repro/internal/core"
 	"repro/internal/namenode"
 	"repro/internal/storage"
-	"repro/internal/transport"
 )
 
 func main() {
@@ -31,69 +31,46 @@ func main() {
 	imagePath := flag.String("image", "", "fsimage checkpoint: loaded on boot if present, saved on shutdown")
 	flag.Parse()
 
-	net := transport.NewTCPNetwork(nil)
-
-	nn := namenode.New(namenode.Options{})
+	// The one cluster bootstrap (cluster.StartTCP), at the paper's
+	// heartbeat cadence instead of the test-speed defaults.
+	cfg := cluster.Config{
+		NumDatanodes:      *numDN,
+		NamenodeListen:    *nnAddr,
+		HeartbeatInterval: core.HeartbeatInterval,
+		Expiry:            namenode.DefaultExpiry,
+		RackFor: func(i int) string {
+			if i >= (*numDN+1)/2 {
+				return "/rack-b"
+			}
+			return "/rack-a"
+		},
+		Logf: func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
+	}
+	if *dir != "" {
+		cfg.NewStore = func(name string) (storage.Store, error) {
+			return storage.NewDiskStore(filepath.Join(*dir, name))
+		}
+	}
 	if *imagePath != "" {
 		if f, err := os.Open(*imagePath); err == nil {
-			err = nn.LoadImage(f)
-			f.Close()
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "load image:", err)
-				os.Exit(1)
-			}
-			fmt.Println("namespace restored from", *imagePath)
+			defer f.Close()
+			cfg.Image = f
+			fmt.Println("restoring namespace from", *imagePath)
 		}
 	}
-	nnListener, err := net.Listen(*nnAddr)
+	c, err := cluster.StartTCP(cfg)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "namenode listen:", err)
+		fmt.Fprintln(os.Stderr, "smarth-cluster:", err)
 		os.Exit(1)
 	}
-	go nn.Serve(nnListener)
-	fmt.Println("namenode listening on", nnListener.Addr())
-
-	var dns []*datanode.Datanode
-	for i := 0; i < *numDN; i++ {
-		name := fmt.Sprintf("dn%d", i+1)
-		rack := "/rack-a"
-		if i >= (*numDN+1)/2 {
-			rack = "/rack-b"
-		}
-		var store storage.Store
-		if *dir != "" {
-			s, err := storage.NewDiskStore(filepath.Join(*dir, name))
-			if err != nil {
-				fmt.Fprintln(os.Stderr, "store:", err)
-				os.Exit(1)
-			}
-			store = s
-		} else {
-			store = storage.NewMemStore()
-		}
-		dn, err := datanode.New(datanode.Options{
-			Name:         name,
-			Addr:         "127.0.0.1:0",
-			Rack:         rack,
-			NamenodeAddr: nnListener.Addr(),
-			Network:      net,
-			Store:        store,
-			Logf:         func(format string, args ...any) { fmt.Printf(format+"\n", args...) },
-		})
-		if err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		if err := dn.Start(); err != nil {
-			fmt.Fprintln(os.Stderr, err)
-			os.Exit(1)
-		}
-		fmt.Printf("datanode %s (%s) on %s\n", name, rack, dn.Info().Addr)
-		dns = append(dns, dn)
+	fmt.Println("namenode listening on", c.NNAddr)
+	for _, dn := range c.DNs {
+		info := dn.Info()
+		fmt.Printf("datanode %s (%s) on %s\n", info.Name, info.Rack, info.Addr)
 	}
 
 	fmt.Printf("\ncluster up: %d datanodes. Upload with:\n", *numDN)
-	fmt.Printf("  smarth-put -nn %s -mode smarth -src <local file> -dst /demo\n\n", nnListener.Addr())
+	fmt.Printf("  smarth-put -nn %s -mode smarth -src <local file> -dst /demo\n\n", c.NNAddr)
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	<-sig
@@ -101,7 +78,7 @@ func main() {
 	if *imagePath != "" {
 		f, err := os.Create(*imagePath)
 		if err == nil {
-			err = nn.SaveImage(f)
+			err = c.NN.SaveImage(f)
 			f.Close()
 		}
 		if err != nil {
@@ -110,8 +87,5 @@ func main() {
 			fmt.Println("namespace checkpointed to", *imagePath)
 		}
 	}
-	for _, dn := range dns {
-		dn.Stop()
-	}
-	nn.Close()
+	c.Stop()
 }

@@ -23,14 +23,14 @@
 //     engine's effect order on the wire.
 //   - A reader (Open, ReadRange) is single-caller too. A block is read
 //     from one replica conn by the Read caller itself, under the
-//     ReadProgress deadline; the only goroutine the read path starts
+//     Progress deadline; the only goroutine the read path starts
 //     dials the next block's replica and hands the connected stream
 //     over a channel before its first Read.
 //   - A block's staging buffer is a bufpool buffer the producer fills
 //     to the block boundary and hands over whole; its pipelines stream
 //     (and re-stream) from it until the block commits, which returns it
 //     to the pool. Both modes take this path.
-//   - The speed recorder and the namenode RPC conn are mutex-guarded
+//   - The speed recorder and the namenode session are mutex-guarded
 //     and shared by all writers of the client; everything on the data
 //     path is pipeline-local and lock-free (see DESIGN.md §7 for the
 //     packet/ack ownership rules it relies on).
@@ -68,9 +68,9 @@ type Options struct {
 	HeartbeatInterval time.Duration
 	// Seed drives the local-optimization randomness (0 = from clock).
 	Seed int64
-	// Timeouts bound the client's blocking points (dial, pipeline acks,
-	// namenode RPCs). nil selects DefaultTimeouts(); point at
-	// NoTimeouts() (or any zeroed fields) to restore the legacy
+	// Timeouts bound the client's blocking points (data-path progress,
+	// the FNFA wait, namenode RPCs). nil selects DefaultTimeouts(); point
+	// at NoTimeouts() (or any zeroed fields) to restore the legacy
 	// block-forever behavior.
 	Timeouts *Timeouts
 	// Obs, when set, receives the client's metrics (packet RTT, FNFA
@@ -121,10 +121,13 @@ type Client struct {
 	clk      clock.Clock
 	timeouts Timeouts
 
-	mu   sync.Mutex
-	nn   *rpc.Client
-	rng  *rand.Rand
-	done bool
+	// nn is the namenode session shared by every writer and reader of the
+	// client; dialer opens every data connection (DESIGN.md §3).
+	nn     *rpc.Session
+	dialer proto.Dialer
+
+	mu  sync.Mutex // guards rng
+	rng *rand.Rand
 
 	recorder *core.Recorder
 
@@ -132,19 +135,17 @@ type Client struct {
 	// touch the registry. All are nil-safe: with Options.Obs unset every
 	// field is nil and each call site degrades to a no-op.
 	obs           *obs.Obs
-	connMetrics   *obs.ConnMetrics
 	mPacketRTT    *obs.Histogram // client→first-DN packet round trip
 	mFNFA         *obs.Histogram // block launch → FIRST NODE FINISH ACK
 	mBlockCommit  *obs.Histogram // block launch → all acks drained
-	mRPC          *obs.Histogram // namenode RPC latency (client side)
 	mRecoveries   *obs.Counter   // Algorithm 3/4 recovery episodes
-	mRPCRetries   *obs.Counter   // namenode RPC attempts after the first
 	mReadFill     *obs.Histogram // block-read wait for the next packet
 	mBlocksRead   *obs.Counter   // block streams opened
 	mReadFailover *obs.Counter   // replicas dropped mid-read
 
-	stopCh chan struct{}
-	wg     sync.WaitGroup
+	stopCh    chan struct{}
+	closeOnce sync.Once
+	wg        sync.WaitGroup
 }
 
 // New constructs a client and starts its heartbeat loop.
@@ -177,16 +178,18 @@ func New(opts Options) (*Client, error) {
 		recorder: core.NewRecorder(),
 		obs:      opts.Obs,
 		stopCh:   make(chan struct{}),
+		nn:       rpc.NewSession(opts.Network, opts.Name, opts.NamenodeAddr, timeouts.RPC, opts.Clock),
+		dialer:   proto.Dialer{Network: opts.Network, Local: opts.Name, Clock: opts.Clock, Progress: timeouts.Progress},
 	}
 	if opts.Obs != nil {
 		comp := opts.Obs.Component("client/" + opts.Name)
-		c.connMetrics = obs.NewConnMetrics(comp)
+		c.dialer.Metrics = obs.NewConnMetrics(comp)
 		c.mPacketRTT = comp.Histogram("packet_rtt_ns")
 		c.mFNFA = comp.Histogram("fnfa_latency_ns")
 		c.mBlockCommit = comp.Histogram("block_commit_ns")
-		c.mRPC = comp.Histogram("rpc_call_ns")
+		c.nn.Latency = comp.Histogram("rpc_call_ns")
 		c.mRecoveries = comp.Counter("recoveries")
-		c.mRPCRetries = comp.Counter("rpc_retries")
+		c.nn.Retries = comp.Counter("rpc_retries")
 		c.mReadFill = comp.Histogram("read_fill_ns")
 		c.mBlocksRead = comp.Counter("blocks_read")
 		c.mReadFailover = comp.Counter("read_failovers")
@@ -204,20 +207,11 @@ func (c *Client) Recorder() *core.Recorder { return c.recorder }
 
 // Close stops the heartbeat loop and drops the namenode connection.
 func (c *Client) Close() {
-	c.mu.Lock()
-	if c.done {
-		c.mu.Unlock()
-		return
-	}
-	c.done = true
-	nn := c.nn
-	c.nn = nil
-	c.mu.Unlock()
-	close(c.stopCh)
-	if nn != nil {
-		nn.Close()
-	}
-	c.wg.Wait()
+	c.closeOnce.Do(func() {
+		close(c.stopCh)
+		c.nn.Close()
+		c.wg.Wait()
+	})
 }
 
 // heartbeatLoop pushes the speed table to the namenode every interval —
@@ -240,7 +234,7 @@ func (c *Client) heartbeatLoop() {
 // tests; an empty speed table is still sent because the heartbeat doubles
 // as the lease renewal.
 func (c *Client) SendHeartbeat() {
-	err := c.callNN(nnapi.MethodClientHeartbeat, nnapi.ClientHeartbeatReq{
+	err := c.nn.Call(nnapi.MethodClientHeartbeat, nnapi.ClientHeartbeatReq{
 		Client: c.opts.Name,
 		Speeds: c.recorder.Snapshot(),
 	}, &nnapi.ClientHeartbeatResp{})
@@ -249,99 +243,10 @@ func (c *Client) SendHeartbeat() {
 	}
 }
 
-// --- namenode RPC plumbing ---
-
-func (c *Client) nnClient() (*rpc.Client, error) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.done {
-		return nil, errors.New("client: closed")
-	}
-	if c.nn != nil {
-		return c.nn, nil
-	}
-	conn, err := transport.DialTimeout(c.opts.Network, c.opts.Name, c.opts.NamenodeAddr, c.timeouts.Dial, c.clk)
-	if err != nil {
-		return nil, err
-	}
-	nn := rpc.NewClient(conn)
-	c.nn = nn
-	return nn, nil
-}
-
-// jitter spreads d to a uniform value in [d/2, 3d/2) so retrying clients
-// desynchronize instead of hammering the namenode in lockstep.
-func (c *Client) jitter(d time.Duration) time.Duration {
-	if d <= 0 {
-		return 0
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return d/2 + time.Duration(c.rng.Int63n(int64(d)))
-}
-
-// callNN issues one namenode RPC with capped exponential backoff and
-// jitter across transport-level failures. Remote errors (the server
-// answered, and said no) are returned immediately — retrying those is
-// the application's decision. Each attempt gets a fresh RPCCall budget;
-// a timed-out attempt keeps the connection (a late response is simply
-// discarded), while any other transport failure drops it so the next
-// attempt redials.
-func (c *Client) callNN(method string, arg, reply any) error {
-	const maxAttempts = 4
-	backoff := 50 * time.Millisecond
-	const maxBackoff = time.Second
-	var lastErr error
-	for attempt := 0; attempt < maxAttempts; attempt++ {
-		if attempt > 0 {
-			c.mRPCRetries.Inc()
-			select {
-			case <-c.stopCh:
-				return lastErr
-			case <-c.clk.After(c.jitter(backoff)):
-			}
-			backoff *= 2
-			if backoff > maxBackoff {
-				backoff = maxBackoff
-			}
-		}
-		cl, err := c.nnClient()
-		if err != nil {
-			lastErr = err
-			continue
-		}
-		var callStart time.Time
-		if c.mRPC != nil {
-			callStart = c.clk.Now()
-		}
-		err = cl.CallTimeout(method, arg, reply, c.timeouts.RPCCall, c.clk)
-		if c.mRPC != nil {
-			c.mRPC.ObserveSince(callStart, c.clk.Now())
-		}
-		if err == nil {
-			return nil
-		}
-		var remote *rpc.RemoteError
-		if errors.As(err, &remote) {
-			return err
-		}
-		lastErr = err
-		if !transport.IsTimeout(err) {
-			c.mu.Lock()
-			if c.nn == cl {
-				c.nn = nil
-			}
-			c.mu.Unlock()
-			cl.Close()
-		}
-	}
-	return lastErr
-}
-
 // --- typed ClientProtocol wrappers ---
 
 func (c *Client) createFile(path string, opts WriteOptions) error {
-	return c.callNN(nnapi.MethodCreate, nnapi.CreateReq{
+	return c.nn.Call(nnapi.MethodCreate, nnapi.CreateReq{
 		Path:        path,
 		Client:      c.opts.Name,
 		Replication: opts.Replication,
@@ -352,10 +257,10 @@ func (c *Client) createFile(path string, opts WriteOptions) error {
 
 // addBlock allocates the file's next block. prev is the last block this
 // writer was granted; the namenode uses it to de-duplicate retried
-// requests (callNN may retry an attempt the namenode already executed).
+// requests (the session may retry an attempt the namenode already executed).
 func (c *Client) addBlock(path string, mode proto.WriteMode, exclude []string, prev block.Block) (nnapi.AddBlockResp, error) {
 	var resp nnapi.AddBlockResp
-	err := c.callNN(nnapi.MethodAddBlock, nnapi.AddBlockReq{
+	err := c.nn.Call(nnapi.MethodAddBlock, nnapi.AddBlockReq{
 		Path: path, Client: c.opts.Name, Mode: mode, Exclude: exclude, Previous: prev,
 	}, &resp)
 	return resp, err
@@ -364,7 +269,7 @@ func (c *Client) addBlock(path string, mode proto.WriteMode, exclude []string, p
 func (c *Client) recoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockResp, error) {
 	req.Client = c.opts.Name
 	var resp nnapi.RecoverBlockResp
-	err := c.callNN(nnapi.MethodRecoverBlock, req, &resp)
+	err := c.nn.Call(nnapi.MethodRecoverBlock, req, &resp)
 	return resp, err
 }
 
@@ -378,7 +283,7 @@ func (c *Client) completeFile(path string) error {
 	backoff := 10 * time.Millisecond
 	for {
 		var resp nnapi.CompleteResp
-		if err := c.callNN(nnapi.MethodComplete, nnapi.CompleteReq{Path: path, Client: c.opts.Name}, &resp); err != nil {
+		if err := c.nn.Call(nnapi.MethodComplete, nnapi.CompleteReq{Path: path, Client: c.opts.Name}, &resp); err != nil {
 			return err
 		}
 		if resp.Done {
@@ -401,53 +306,53 @@ func (c *Client) completeFile(path string) error {
 
 func (c *Client) clusterInfo() (nnapi.ClusterInfoResp, error) {
 	var resp nnapi.ClusterInfoResp
-	err := c.callNN(nnapi.MethodClusterInfo, nnapi.ClusterInfoReq{}, &resp)
+	err := c.nn.Call(nnapi.MethodClusterInfo, nnapi.ClusterInfoReq{}, &resp)
 	return resp, err
 }
 
 // GetFileInfo returns file metadata.
 func (c *Client) GetFileInfo(path string) (nnapi.GetFileInfoResp, error) {
 	var resp nnapi.GetFileInfoResp
-	err := c.callNN(nnapi.MethodGetFileInfo, nnapi.GetFileInfoReq{Path: path}, &resp)
+	err := c.nn.Call(nnapi.MethodGetFileInfo, nnapi.GetFileInfoReq{Path: path}, &resp)
 	return resp, err
 }
 
 // getBlockLocations resolves a file's blocks and replica locations.
 func (c *Client) getBlockLocations(path string) (nnapi.GetBlockLocationsResp, error) {
 	var resp nnapi.GetBlockLocationsResp
-	err := c.callNN(nnapi.MethodGetBlockLocations, nnapi.GetBlockLocationsReq{Path: path, Client: c.opts.Name}, &resp)
+	err := c.nn.Call(nnapi.MethodGetBlockLocations, nnapi.GetBlockLocationsReq{Path: path, Client: c.opts.Name}, &resp)
 	return resp, err
 }
 
 // Delete removes a file; it reports whether the file existed.
 func (c *Client) Delete(path string) (bool, error) {
 	var resp nnapi.DeleteResp
-	err := c.callNN(nnapi.MethodDelete, nnapi.DeleteReq{Path: path}, &resp)
+	err := c.nn.Call(nnapi.MethodDelete, nnapi.DeleteReq{Path: path}, &resp)
 	return resp.Deleted, err
 }
 
 // Rename moves a file; the destination must not exist.
 func (c *Client) Rename(src, dst string) error {
-	return c.callNN(nnapi.MethodRename, nnapi.RenameReq{Src: src, Dst: dst}, &nnapi.RenameResp{})
+	return c.nn.Call(nnapi.MethodRename, nnapi.RenameReq{Src: src, Dst: dst}, &nnapi.RenameResp{})
 }
 
 // List enumerates files under a path prefix ("" = everything), with
 // replication health per file.
 func (c *Client) List(prefix string) ([]nnapi.FileStatus, error) {
 	var resp nnapi.ListResp
-	err := c.callNN(nnapi.MethodList, nnapi.ListReq{Prefix: prefix}, &resp)
+	err := c.nn.Call(nnapi.MethodList, nnapi.ListReq{Prefix: prefix}, &resp)
 	return resp.Files, err
 }
 
 // Decommission starts (cancel=false) or cancels draining a datanode.
 func (c *Client) Decommission(name string, cancel bool) error {
-	return c.callNN(nnapi.MethodDecommission, nnapi.DecommissionReq{Name: name, Cancel: cancel}, &nnapi.DecommissionResp{})
+	return c.nn.Call(nnapi.MethodDecommission, nnapi.DecommissionReq{Name: name, Cancel: cancel}, &nnapi.DecommissionResp{})
 }
 
 // DecommissionStatus reports a drain's progress.
 func (c *Client) DecommissionStatus(name string) (nnapi.DecommStatusResp, error) {
 	var resp nnapi.DecommStatusResp
-	err := c.callNN(nnapi.MethodDecommStatus, nnapi.DecommStatusReq{Name: name}, &resp)
+	err := c.nn.Call(nnapi.MethodDecommStatus, nnapi.DecommStatusReq{Name: name}, &resp)
 	return resp, err
 }
 
@@ -455,6 +360,6 @@ func (c *Client) DecommissionStatus(name string) (nnapi.DecommStatusResp, error)
 // under-full datanodes (copy-then-delete; redundancy never drops).
 func (c *Client) Balance(threshold float64, maxMoves int) (nnapi.BalanceResp, error) {
 	var resp nnapi.BalanceResp
-	err := c.callNN(nnapi.MethodBalance, nnapi.BalanceReq{Threshold: threshold, MaxMoves: maxMoves}, &resp)
+	err := c.nn.Call(nnapi.MethodBalance, nnapi.BalanceReq{Threshold: threshold, MaxMoves: maxMoves}, &resp)
 	return resp, err
 }

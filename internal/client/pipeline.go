@@ -111,57 +111,36 @@ func (p *pipelineConn) observeRTT(seqno int64) {
 
 func (p *pipelineConn) close() { p.pc.Close() }
 
-// openPipeline dials the first datanode, performs pipeline setup, and
-// starts the responder goroutine. The client's timeouts bound the dial,
-// the setup ack, and (for the pipeline's lifetime) per-operation data-path
-// progress in both directions. parent, when tracing is on, becomes the
+// openPipeline opens a write pipeline through the client's dialer (dial,
+// header and setup ack each under the Progress bound, which then guards
+// every packet write and ack read for the pipeline's lifetime) and
+// starts the responder goroutine. parent, when tracing is on, becomes the
 // new pipeline span's parent (normally the block span); a setup failure
 // ends the span with an error status before returning.
 func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts *WriteOptions, parent *obs.Span) (*pipelineConn, error) {
-	to := c.timeouts
 	span := c.obs.StartSpan("pipeline", parent)
 	span.SetAttr("targets", strings.Join(lb.Names(), ">"))
-	fail := func(e *pipelineError) (*pipelineConn, error) {
+	fail := func(bad int, cause error) (*pipelineConn, error) {
+		e := &pipelineError{lb: lb, badIndex: bad, cause: cause}
 		span.Fail(e)
 		span.End()
 		return nil, e
 	}
 	if len(lb.Targets) == 0 {
-		return fail(&pipelineError{lb: lb, badIndex: -1, cause: errors.New("no targets")})
+		return fail(-1, errors.New("no targets"))
 	}
-	conn, err := transport.DialTimeout(c.opts.Network, c.opts.Name, lb.Targets[0].Addr, to.Dial, c.clk)
-	if err != nil {
-		return fail(&pipelineError{lb: lb, badIndex: 0, cause: err})
-	}
-	pc := proto.NewConn(conn)
-	pc.SetClock(c.clk)
-	pc.SetWriteTimeout(to.AckProgress)
-	pc.SetMetrics(c.connMetrics)
-	hdr := &proto.WriteBlockHeader{
+	pc, statuses, err := c.dialer.Open(lb.Targets[0].Addr, proto.OpWriteBlock, &proto.WriteBlockHeader{
 		Block:      lb.Block,
 		Targets:    lb.Targets[1:],
 		Client:     c.opts.Name,
 		Mode:       mode,
 		Depth:      0,
 		BlockBytes: opts.BlockSize,
-	}
-	if err := pc.WriteHeader(proto.OpWriteBlock, hdr); err != nil {
-		pc.Close()
-		return fail(&pipelineError{lb: lb, badIndex: 0, cause: err})
-	}
-	pc.SetReadTimeout(to.SetupAck)
-	setupAck, err := pc.ReadAck()
-	pc.SetReadTimeout(to.AckProgress)
-	if err == nil && setupAck.Kind != proto.AckHeader {
-		err = fmt.Errorf("unexpected %v ack during setup", setupAck.Kind)
-	}
+	})
 	if err != nil {
-		pc.Close()
-		return fail(&pipelineError{lb: lb, badIndex: 0, cause: err})
-	}
-	if bad := setupAck.FirstBadIndex(); bad >= 0 {
-		pc.Close()
-		return fail(&pipelineError{lb: lb, badIndex: bad, cause: errors.New("pipeline setup refused")})
+		// A refusal names the datanode that failed setup; anything else
+		// (dial, header, ack read) blames the one the client dialed.
+		return fail(max(0, proto.Ack{Statuses: statuses}.FirstBadIndex()), err)
 	}
 	span.Event("setup_ack", "")
 

@@ -11,11 +11,10 @@ import (
 	"repro/internal/checksum"
 	"repro/internal/obs"
 	"repro/internal/proto"
-	"repro/internal/transport"
 )
 
 // Open returns a streaming reader over the whole file, bounded by the
-// client's Dial, SetupAck and ReadProgress timeouts. Blocks are fetched
+// client's Progress timeout. Blocks are fetched
 // packet by packet (no whole-block buffering), checksums are verified
 // end to end, and a replica failing mid-block triggers a transparent
 // failover: the stream resumes from the exact byte offset on another
@@ -301,7 +300,7 @@ func (b *blockStream) Read(p []byte) (int, error) {
 }
 
 // fill blocks until one more packet's worth of wanted bytes is buffered.
-// Each packet read runs under the ReadProgress deadline. Per-replica
+// Each packet read runs under the Progress deadline. Per-replica
 // failures are absorbed here — drop the replica, reconnect at the current
 // offset, keep reading — and only a terminal error (every replica
 // exhausted) is returned.
@@ -418,35 +417,15 @@ func (b *blockStream) preconnect() {
 	}
 }
 
-// dialTarget connects the stream to target at the current offset, running
-// the read deadline ladder: a bounded dial, the header write and setup ack
-// under their own bounds, then the per-packet ReadProgress bound for the
-// stream.
+// dialTarget connects the stream to target at the current offset through
+// the client's dialer: dial, header, setup ack and then every packet read
+// run under the Progress bound.
 func (b *blockStream) dialTarget(target block.DatanodeInfo) error {
-	conn, err := transport.DialTimeout(b.c.opts.Network, b.c.opts.Name, target.Addr, b.c.timeouts.Dial, b.c.clk)
-	if err != nil {
-		return err
-	}
-	pc := proto.NewConn(conn)
-	pc.SetClock(b.c.clk)
-	pc.SetMetrics(b.c.connMetrics)
-	pc.SetWriteTimeout(b.c.timeouts.ReadProgress)
 	hdr := &proto.ReadBlockHeader{Block: b.lb.Block, Offset: b.next, Length: b.end - b.next}
-	if err := pc.WriteHeader(proto.OpReadBlock, hdr); err != nil {
-		pc.Close()
-		return err
-	}
-	pc.SetReadTimeout(b.c.timeouts.SetupAck)
-	ack, err := pc.ReadAck()
+	pc, _, err := b.c.dialer.Open(target.Addr, proto.OpReadBlock, hdr)
 	if err != nil {
-		pc.Close()
 		return err
 	}
-	if ack.Kind != proto.AckHeader || !ack.OK() {
-		pc.Close()
-		return fmt.Errorf("client: datanode %s refused read of %v", target.Name, b.lb.Block)
-	}
-	pc.SetReadTimeout(b.c.timeouts.ReadProgress)
 	b.pc, b.target = pc, target
 	b.span.Event("connect", target.Name)
 	return nil

@@ -33,6 +33,42 @@ func (Real) After(d time.Duration) <-chan time.Time { return time.After(d) }
 // System is the shared real clock.
 var System Clock = Real{}
 
+// Timer is a one-shot timeout on a Clock that its waiter releases when
+// the wait ends. On the system clock the runtime timer behind it is
+// recycled, so a wait that normally ends before its bound — an RPC reply,
+// a dial — allocates nothing and leaves no timer pending for the rest of
+// the bound; on any other clock it is After.
+type Timer struct {
+	C <-chan time.Time
+	t *time.Timer
+}
+
+// timers holds stopped runtime timers whose channels are empty.
+var timers sync.Pool
+
+// NewTimer starts a timer that delivers on C once d has passed on clk.
+func NewTimer(clk Clock, d time.Duration) Timer {
+	if _, system := clk.(Real); !system {
+		return Timer{C: clk.After(d)}
+	}
+	t, _ := timers.Get().(*time.Timer)
+	if t == nil {
+		t = time.NewTimer(d)
+	} else {
+		t.Reset(d)
+	}
+	return Timer{C: t.C, t: t}
+}
+
+// Stop releases the timer; call it exactly once, when the wait is over.
+// Only a timer stopped before it fired is recycled: nothing was, or will
+// be, sent on its channel.
+func (t Timer) Stop() {
+	if t.t != nil && t.t.Stop() {
+		timers.Put(t.t)
+	}
+}
+
 // Manual is a virtual clock advanced explicitly by tests (or by a
 // pacing goroutine compressing virtual into real time). Sleep and After
 // block until Advance moves the clock past their wake time, which lets

@@ -49,6 +49,9 @@ type Config struct {
 	// DatanodeDataTimeout is passed through to each datanode's
 	// DataTimeout knob (0 = datanode default, negative = disabled).
 	DatanodeDataTimeout time.Duration
+	// NamenodeListen is the namenode's TCP listen address (StartTCP only;
+	// default "127.0.0.1:0", a kernel-assigned loopback port).
+	NamenodeListen string
 	// Image, when set, restores a namespace checkpoint (see
 	// Namenode.SaveImage) into the fresh namenode before any datanode
 	// registers — the restart path.
@@ -63,8 +66,10 @@ type Config struct {
 
 // Cluster is a running in-process cluster.
 type Cluster struct {
-	cfg    Config
-	nnAddr string
+	cfg Config
+	// NNAddr is the address the namenode is bound to (NamenodeAddr in
+	// memory; on TCP, with the port the kernel picked).
+	NNAddr string
 	// Net is the in-memory network carrying all traffic (nil when the
 	// cluster was booted with StartTCP).
 	Net *transport.MemNetwork
@@ -127,8 +132,9 @@ func Start(cfg Config) (*Cluster, error) {
 }
 
 // StartTCP boots the same topology Start builds, but over real loopback
-// TCP sockets with kernel-assigned ports: the wiring cmd/smarth-cluster
-// uses, in-process, with transport.DefaultTCPTuning on every socket.
+// TCP sockets with kernel-assigned ports (the namenode's may be fixed
+// with NamenodeListen), transport.DefaultTCPTuning on every socket. It is
+// also how cmd/smarth-cluster boots.
 // WrapNetwork decorates the in-memory network only and is rejected;
 // Shaper plans are keyed by component name and do not match TCP
 // addresses, so they are rejected too.
@@ -140,8 +146,11 @@ func StartTCP(cfg Config) (*Cluster, error) {
 	if cfg.Shaper != nil {
 		return nil, fmt.Errorf("cluster: Shaper is not supported over TCP")
 	}
+	if cfg.NamenodeListen == "" {
+		cfg.NamenodeListen = "127.0.0.1:0"
+	}
 	c := &Cluster{cfg: cfg, EffNet: transport.NewTCPNetwork(nil)}
-	return boot(c, "127.0.0.1:0", func(int) string { return "127.0.0.1:0" })
+	return boot(c, cfg.NamenodeListen, func(int) string { return "127.0.0.1:0" })
 }
 
 // boot starts the namenode and datanodes on c.EffNet. nnAddr and
@@ -162,7 +171,7 @@ func boot(c *Cluster, nnAddr string, dnAddr func(i int) string) (*Cluster, error
 	}
 	go nn.Serve(nnListener)
 	c.NN = nn
-	c.nnAddr = nnListener.Addr()
+	c.NNAddr = nnListener.Addr()
 
 	for i := 0; i < cfg.NumDatanodes; i++ {
 		name := DatanodeName(i)
@@ -175,7 +184,7 @@ func boot(c *Cluster, nnAddr string, dnAddr func(i int) string) (*Cluster, error
 			Name:              name,
 			Addr:              dnAddr(i),
 			Rack:              cfg.RackFor(i),
-			NamenodeAddr:      c.nnAddr,
+			NamenodeAddr:      c.NNAddr,
 			Network:           c.EffNet,
 			Store:             store,
 			Clock:             cfg.Clock,
@@ -201,7 +210,7 @@ func boot(c *Cluster, nnAddr string, dnAddr func(i int) string) (*Cluster, error
 func (c *Cluster) NewClient(name string) (*client.Client, error) {
 	cl, err := client.New(client.Options{
 		Name:              name,
-		NamenodeAddr:      c.nnAddr,
+		NamenodeAddr:      c.NNAddr,
 		Network:           c.EffNet,
 		Clock:             c.cfg.Clock,
 		HeartbeatInterval: c.cfg.HeartbeatInterval,

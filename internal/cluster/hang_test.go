@@ -16,12 +16,9 @@ import (
 // production-scale defaults.
 func hangTimeouts() *client.Timeouts {
 	return &client.Timeouts{
-		Dial:         500 * time.Millisecond,
-		SetupAck:     500 * time.Millisecond,
-		FNFA:         2 * time.Second,
-		AckProgress:  500 * time.Millisecond,
-		RPCCall:      time.Second,
-		ReadProgress: 500 * time.Millisecond,
+		Progress: 500 * time.Millisecond,
+		FNFA:     2 * time.Second,
+		RPC:      time.Second,
 	}
 }
 
@@ -49,7 +46,9 @@ func startHangCluster(t *testing.T, cfg Config) (*Cluster, *faultnet.Network, *c
 	if cfg.ClientTimeouts == nil {
 		cfg.ClientTimeouts = hangTimeouts()
 	}
-	cfg.Logf = t.Logf
+	if cfg.Logf == nil {
+		cfg.Logf = t.Logf
+	}
 	c, err := Start(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -202,13 +201,11 @@ func TestSmarthRecoversFromHungNamenode(t *testing.T) {
 		// their queued heartbeats are processed.
 		Expiry: 5 * time.Second,
 		ClientTimeouts: &client.Timeouts{
-			Dial:     time.Second,
-			SetupAck: time.Second,
-			FNFA:     5 * time.Second,
+			FNFA: 5 * time.Second,
 			// Generous: datanode blockReceived reports stall with the
 			// namenode, delaying acks; only RPC retries should fire here.
-			AckProgress: 2 * time.Second,
-			RPCCall:     300 * time.Millisecond,
+			Progress: 2 * time.Second,
+			RPC:      300 * time.Millisecond,
 		},
 	})
 	t.Cleanup(func() { fn.Thaw(NamenodeAddr) })
@@ -248,11 +245,9 @@ func TestCloseTearsDownPipelinesOnFailure(t *testing.T) {
 	_, fn, cl := startHangCluster(t, Config{
 		DatanodeDataTimeout: 200 * time.Millisecond,
 		ClientTimeouts: &client.Timeouts{
-			Dial:        200 * time.Millisecond,
-			SetupAck:    200 * time.Millisecond,
-			FNFA:        500 * time.Millisecond,
-			AckProgress: 200 * time.Millisecond,
-			RPCCall:     500 * time.Millisecond,
+			Progress: 200 * time.Millisecond,
+			FNFA:     500 * time.Millisecond,
+			RPC:      500 * time.Millisecond,
 		},
 	})
 	all := []string{"dn1", "dn2", "dn3"}

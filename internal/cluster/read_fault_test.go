@@ -32,12 +32,9 @@ func startReadFaultCluster(t *testing.T, cfg Config) (*Cluster, *faultnet.Networ
 	}
 	if cfg.ClientTimeouts == nil {
 		cfg.ClientTimeouts = &client.Timeouts{
-			Dial:         250 * time.Millisecond,
-			SetupAck:     250 * time.Millisecond,
-			FNFA:         2 * time.Second,
-			AckProgress:  500 * time.Millisecond,
-			RPCCall:      time.Second,
-			ReadProgress: 250 * time.Millisecond,
+			Progress: 250 * time.Millisecond,
+			FNFA:     2 * time.Second,
+			RPC:      time.Second,
 		}
 	}
 	var fn *faultnet.Network

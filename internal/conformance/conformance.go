@@ -219,11 +219,9 @@ func RunLive(s Scenario, victim string) (string, error) {
 		// trip, and the FNFA timer always fires before the ack-progress
 		// one (deadline order decides which error blames the pipeline).
 		cfg.ClientTimeouts = &client.Timeouts{
-			Dial:        10 * time.Second,
-			SetupAck:    10 * time.Second,
-			FNFA:        time.Second,
-			AckProgress: 10 * time.Second,
-			RPCCall:     10 * time.Second,
+			Progress: 10 * time.Second,
+			FNFA:     time.Second,
+			RPC:      10 * time.Second,
 		}
 	}
 	c, err := cluster.Start(cfg)

@@ -58,11 +58,13 @@ type Options struct {
 	Clock        clock.Clock
 	// HeartbeatInterval defaults to core.HeartbeatInterval (3 s).
 	HeartbeatInterval time.Duration
-	// DataTimeout bounds each data-path operation (header, packet or ack
-	// read/write) on upstream and mirror connections so a vanished or
-	// wedged peer cannot pin a handler goroutine forever. 0 selects
-	// DefaultDataTimeout; a negative value disables deadlines (legacy
-	// block-forever behavior).
+	// DataTimeout bounds every step this datanode waits on a peer for: a
+	// mirror or re-replication dial, each header, packet or ack
+	// read/write on upstream and mirror connections, and the dial and
+	// each attempt of a namenode RPC — so a vanished or wedged peer
+	// cannot pin a handler, the heartbeat loop or the reporter forever.
+	// 0 selects DefaultDataTimeout; a negative value disables deadlines
+	// (legacy block-forever behavior).
 	DataTimeout time.Duration
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
@@ -72,20 +74,24 @@ type Options struct {
 	Obs *obs.Obs
 }
 
-// DefaultDataTimeout is the per-operation data-path progress bound used
-// when Options.DataTimeout is zero.
+// DefaultDataTimeout is the per-operation progress bound used when
+// Options.DataTimeout is zero.
 const DefaultDataTimeout = 60 * time.Second
 
 // Datanode is one storage server. Start it with Start; stop with Stop.
 type Datanode struct {
 	opts Options
-	clk  clock.Clock
+
+	// nn is the namenode session and dialer opens (and arms) every data
+	// connection — the same two types the client uses, each call and each
+	// frame bounded by DataTimeout. The dialer's metrics are shared by all
+	// of this datanode's framed conns — upstream, mirror, and read-path
+	// alike — so the counters aggregate per datanode.
+	nn     *rpc.Session
+	dialer proto.Dialer
 
 	// Observability handles, cached at construction (all nil when
-	// Options.Obs is unset; every call site is nil-safe). connMetrics is
-	// shared by all of this datanode's framed conns — upstream, mirror,
-	// and read-path alike — so the counters aggregate per datanode.
-	connMetrics  *obs.ConnMetrics
+	// Options.Obs is unset; every call site is nil-safe).
 	mPacketsIn   *obs.Counter
 	mPacketsFwd  *obs.Counter
 	mAcksSent    *obs.Counter
@@ -99,10 +105,7 @@ type Datanode struct {
 	mReadBytes   *obs.Counter   // payload bytes sent to readers
 
 	listener transport.Listener
-
-	mu       sync.Mutex
-	nnClient *rpc.Client
-	stopped  bool
+	stopOnce sync.Once
 
 	// Pending finalized-replica reports, conflated by the reporter
 	// goroutine into delta block reports (blockReceivedBatch) so a burst
@@ -135,15 +138,17 @@ func New(opts Options) (*Datanode, error) {
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
+	bound := max(0, opts.DataTimeout) // negative: no deadlines at all
 	dn := &Datanode{
 		opts:     opts,
-		clk:      opts.Clock,
+		nn:       rpc.NewSession(opts.Network, opts.Name, opts.NamenodeAddr, bound, opts.Clock),
+		dialer:   proto.Dialer{Network: opts.Network, Local: opts.Name, Clock: opts.Clock, Progress: bound},
 		reportCh: make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 	}
 	if opts.Obs != nil {
 		comp := opts.Obs.Component("datanode/" + opts.Name)
-		dn.connMetrics = obs.NewConnMetrics(comp)
+		dn.dialer.Metrics = obs.NewConnMetrics(comp)
 		dn.mPacketsIn = comp.Counter("packets_in")
 		dn.mPacketsFwd = comp.Counter("packets_forwarded")
 		dn.mAcksSent = comp.Counter("acks_sent")
@@ -193,72 +198,14 @@ func (dn *Datanode) Start() error {
 
 // Stop halts serving. Blocks until background goroutines exit.
 func (dn *Datanode) Stop() {
-	dn.mu.Lock()
-	if dn.stopped {
-		dn.mu.Unlock()
-		return
-	}
-	dn.stopped = true
-	nn := dn.nnClient
-	dn.nnClient = nil
-	dn.mu.Unlock()
-
-	close(dn.stopCh)
-	if dn.listener != nil {
-		dn.listener.Close()
-	}
-	if nn != nil {
-		nn.Close()
-	}
-	dn.wg.Wait()
-}
-
-// --- namenode RPC plumbing ---
-
-func (dn *Datanode) nn() (*rpc.Client, error) {
-	dn.mu.Lock()
-	defer dn.mu.Unlock()
-	if dn.stopped {
-		return nil, errors.New("datanode: stopped")
-	}
-	if dn.nnClient != nil {
-		return dn.nnClient, nil
-	}
-	c, err := rpc.Dial(dn.opts.Network, dn.opts.Name, dn.opts.NamenodeAddr)
-	if err != nil {
-		return nil, err
-	}
-	dn.nnClient = c
-	return c, nil
-}
-
-// callNN invokes a namenode method, redialing once on a broken client.
-func (dn *Datanode) callNN(method string, arg, reply any) error {
-	for attempt := 0; attempt < 2; attempt++ {
-		c, err := dn.nn()
-		if err != nil {
-			return err
+	dn.stopOnce.Do(func() {
+		close(dn.stopCh)
+		if dn.listener != nil {
+			dn.listener.Close()
 		}
-		err = c.Call(method, arg, reply)
-		if err == nil {
-			return nil
-		}
-		var remote *rpc.RemoteError
-		if errors.As(err, &remote) {
-			return err // the server answered; don't retry
-		}
-		// Transport failure: drop the cached client and retry.
-		dn.mu.Lock()
-		if dn.nnClient == c {
-			dn.nnClient = nil
-		}
-		dn.mu.Unlock()
-		c.Close()
-		if attempt == 1 {
-			return err
-		}
-	}
-	return nil
+		dn.nn.Close()
+		dn.wg.Wait()
+	})
 }
 
 func (dn *Datanode) register() error {
@@ -266,7 +213,7 @@ func (dn *Datanode) register() error {
 	for _, rep := range dn.opts.Store.Blocks() {
 		blocks = append(blocks, rep.Block)
 	}
-	return dn.callNN(nnapi.MethodRegister, nnapi.RegisterReq{
+	return dn.nn.Call(nnapi.MethodRegister, nnapi.RegisterReq{
 		Name:   dn.opts.Name,
 		Addr:   dn.opts.Addr,
 		Rack:   dn.opts.Rack,
@@ -280,16 +227,15 @@ func (dn *Datanode) heartbeatLoop() {
 		select {
 		case <-dn.stopCh:
 			return
-		case <-dn.clk.After(dn.opts.HeartbeatInterval):
+		case <-dn.opts.Clock.After(dn.opts.HeartbeatInterval):
 		}
 		var resp nnapi.HeartbeatResp
-		err := dn.callNN(nnapi.MethodHeartbeat, nnapi.HeartbeatReq{
+		err := dn.nn.Call(nnapi.MethodHeartbeat, nnapi.HeartbeatReq{
 			Name:      dn.opts.Name,
 			UsedBytes: dn.opts.Store.UsedBytes(),
 		}, &resp)
 		if err != nil {
-			var remote *rpc.RemoteError
-			if errors.As(err, &remote) {
+			if rpc.Answered(err) {
 				// The namenode forgot us (restart): re-register.
 				if rerr := dn.register(); rerr != nil {
 					dn.opts.Logf("datanode %s: re-register: %v", dn.opts.Name, rerr)
@@ -297,6 +243,7 @@ func (dn *Datanode) heartbeatLoop() {
 			}
 			continue
 		}
+		dn.wakeReporter() // retry reports an outage left queued
 		if len(resp.Invalidate) > 0 {
 			// Off this goroutine: a slow store delete must not delay the
 			// next heartbeat past the namenode's liveness window.
@@ -307,7 +254,6 @@ func (dn *Datanode) heartbeatLoop() {
 			}(resp.Invalidate)
 		}
 		for _, cmd := range resp.Replicate {
-			cmd := cmd
 			dn.wg.Add(1)
 			go func() {
 				defer dn.wg.Done()
@@ -347,6 +293,10 @@ func (dn *Datanode) reportBlockReceived(b block.Block) {
 	dn.reportMu.Lock()
 	dn.reportQ = append(dn.reportQ, b)
 	dn.reportMu.Unlock()
+	dn.wakeReporter()
+}
+
+func (dn *Datanode) wakeReporter() {
 	select {
 	case dn.reportCh <- struct{}{}:
 	default: // a wakeup is already pending; the reporter drains everything
@@ -371,7 +321,11 @@ func (dn *Datanode) reporterLoop() {
 	}
 }
 
-// flushReports sends every currently queued report in one frame.
+// flushReports sends every currently queued report in one frame. A batch
+// the namenode never answered goes back to the front of the queue, in
+// order, and is re-sent after the next heartbeat that gets through; a
+// batch it refused is dropped — the re-registration that follows a
+// refused heartbeat carries a full report.
 func (dn *Datanode) flushReports() {
 	dn.reportMu.Lock()
 	pending := dn.reportQ
@@ -382,13 +336,13 @@ func (dn *Datanode) flushReports() {
 	}
 	var err error
 	if len(pending) == 1 {
-		err = dn.callNN(nnapi.MethodBlockReceived, nnapi.BlockReceivedReq{
+		err = dn.nn.Call(nnapi.MethodBlockReceived, nnapi.BlockReceivedReq{
 			Name:  dn.opts.Name,
 			Block: pending[0],
 		}, &nnapi.BlockReceivedResp{})
 	} else {
 		var resp nnapi.BlockReceivedBatchResp
-		err = dn.callNN(nnapi.MethodBlockReceivedBatch, nnapi.BlockReceivedBatchReq{
+		err = dn.nn.Call(nnapi.MethodBlockReceivedBatch, nnapi.BlockReceivedBatchReq{
 			Name:   dn.opts.Name,
 			Blocks: pending,
 		}, &resp)
@@ -398,6 +352,11 @@ func (dn *Datanode) flushReports() {
 	}
 	if err != nil {
 		dn.opts.Logf("datanode %s: blockReceived %v: %v", dn.opts.Name, pending, err)
+		if !rpc.Answered(err) {
+			dn.reportMu.Lock()
+			dn.reportQ = append(pending, dn.reportQ...)
+			dn.reportMu.Unlock()
+		}
 	}
 }
 
@@ -418,23 +377,10 @@ func (dn *Datanode) acceptLoop() {
 	}
 }
 
-// armConn applies the datanode's per-operation data-path deadlines to a
-// framed conn (no-op when DataTimeout is negative) and attaches the
-// datanode's shared frame-level metrics.
-func (dn *Datanode) armConn(pc *proto.Conn) {
-	pc.SetMetrics(dn.connMetrics)
-	if dn.opts.DataTimeout < 0 {
-		return
-	}
-	pc.SetClock(dn.clk)
-	pc.SetReadTimeout(dn.opts.DataTimeout)
-	pc.SetWriteTimeout(dn.opts.DataTimeout)
-}
-
 func (dn *Datanode) serveConn(conn transport.Conn) {
 	pc := proto.NewConn(conn)
 	defer pc.Close()
-	dn.armConn(pc)
+	dn.dialer.Arm(pc)
 	op, hdr, err := pc.ReadHeader()
 	if err != nil {
 		return

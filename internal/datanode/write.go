@@ -1,7 +1,6 @@
 package datanode
 
 import (
-	"fmt"
 	"sync"
 	"time"
 
@@ -105,29 +104,33 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 	sender := &ackSender{pc: up, ctr: dn.mAcksSent}
 
 	// --- pipeline setup: connect the mirror chain, then ack the header ---
+	// A mirror chain that connected reported success at every hop, which
+	// is what the zeroed statuses already say.
 	var mirror *proto.Conn
+	var err error
 	setupStatuses := make([]proto.Status, 1+len(hdr.Targets))
 	if len(hdr.Targets) > 0 {
-		m, downstream, err := dn.connectMirror(hdr)
-		if err != nil {
+		if mirror, err = dn.connectMirror(hdr); err != nil {
 			dn.opts.Logf("datanode %s: mirror %s: %v", dn.opts.Name, hdr.Targets[0].Name, err)
 			for i := 1; i < len(setupStatuses); i++ {
 				setupStatuses[i] = proto.StatusError
 			}
-		} else {
-			copy(setupStatuses[1:], downstream)
-			mirror = m
 		}
 	}
 
-	w, err := dn.opts.Store.Create(hdr.Block, true)
-	if err != nil {
-		dn.opts.Logf("datanode %s: create %v: %v", dn.opts.Name, hdr.Block, err)
-		setupStatuses[0] = proto.StatusError
-	} else {
-		defer w.Close() // aborts the temp replica unless committed
-		if h, ok := w.(storage.SizeHinter); ok && hdr.BlockBytes > 0 {
-			h.SizeHint(hdr.BlockBytes)
+	// A setup whose chain failed is refused without touching the store: by
+	// the time a mirror dial times out, the client's recovery pipeline may
+	// already be writing this block's next generation here.
+	var w storage.BlockWriter
+	if err == nil {
+		if w, err = dn.opts.Store.Create(hdr.Block, true); err != nil {
+			dn.opts.Logf("datanode %s: create %v: %v", dn.opts.Name, hdr.Block, err)
+			setupStatuses[0] = proto.StatusError
+		} else {
+			defer w.Close() // aborts the temp replica unless committed
+			if h, ok := w.(storage.SizeHinter); ok && hdr.BlockBytes > 0 {
+				h.SizeHint(hdr.BlockBytes)
+			}
 		}
 	}
 
@@ -261,51 +264,19 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 	}
 }
 
-// connectMirror dials the next datanode, forwards the header with this
-// hop stripped, and waits for the downstream setup ack.
-func (dn *Datanode) connectMirror(hdr *proto.WriteBlockHeader) (*proto.Conn, []proto.Status, error) {
-	next := hdr.Targets[0]
-	conn, err := dn.opts.Network.Dial(dn.opts.Name, next.Addr)
-	if err != nil {
-		return nil, nil, err
-	}
-	m := proto.NewConn(conn)
-	dn.armConn(m)
-	fwd := &proto.WriteBlockHeader{
+// connectMirror opens the conn to hdr.Targets[0] with this hop stripped
+// from the header.
+func (dn *Datanode) connectMirror(hdr *proto.WriteBlockHeader) (*proto.Conn, error) {
+	pc, _, err := dn.dialer.Open(hdr.Targets[0].Addr, proto.OpWriteBlock, &proto.WriteBlockHeader{
 		Block:      hdr.Block,
 		Targets:    hdr.Targets[1:],
 		Client:     hdr.Client,
 		Mode:       hdr.Mode,
 		Depth:      hdr.Depth + 1,
 		BlockBytes: hdr.BlockBytes,
-	}
-	if err := m.WriteHeader(proto.OpWriteBlock, fwd); err != nil {
-		m.Close()
-		return nil, nil, err
-	}
-	ack, err := m.ReadAck()
-	if err == nil && ack.Kind != proto.AckHeader {
-		err = fmt.Errorf("datanode: unexpected %v ack during mirror setup", ack.Kind)
-	}
-	if err != nil {
-		m.Close()
-		return nil, nil, err
-	}
-	// ack is conn-owned scratch; copy the statuses we return. Once per
-	// pipeline, so off the hot path.
-	sts := append([]proto.Status(nil), ack.Statuses...)
-	if !ack.OK() {
-		m.Close()
-		return nil, sts, errSetupFailed
-	}
-	return m, sts, nil
+	})
+	return pc, err
 }
-
-var errSetupFailed = &setupError{}
-
-type setupError struct{}
-
-func (*setupError) Error() string { return "datanode: downstream pipeline setup failed" }
 
 // receiveLoop ingests packets from the upstream conn until the last
 // packet, an error, or abort.
@@ -343,13 +314,13 @@ func (dn *Datanode) receiveLoop(
 			// two clock reads are not free on the per-packet path.
 			var t0 time.Time
 			if dn.mStoreNS != nil {
-				t0 = dn.clk.Now()
+				t0 = dn.opts.Clock.Now()
 			}
 			if _, werr := w.Write(pkt.Data); werr != nil {
 				st = proto.StatusError
 			}
 			if dn.mStoreNS != nil {
-				dn.mStoreNS.ObserveSince(t0, dn.clk.Now())
+				dn.mStoreNS.ObserveSince(t0, dn.opts.Clock.Now())
 			}
 			dn.mBytesStored.Add(int64(nData))
 		}

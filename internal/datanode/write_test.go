@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/checksum"
+	"repro/internal/clock"
 	"repro/internal/nnapi"
 	"repro/internal/proto"
 	"repro/internal/rpc"
@@ -286,8 +287,7 @@ func TestFNFANotDelayedByUnackedPackets(t *testing.T) {
 	pc := proto.NewConn(conn)
 	defer pc.Close()
 	// A receiver that stops reading must fail the test, not hang it.
-	pc.SetWriteTimeout(5 * time.Second)
-	pc.SetReadTimeout(5 * time.Second)
+	(&proto.Dialer{Clock: clock.System, Progress: 5 * time.Second}).Arm(pc)
 	blk := block.Block{ID: 3, Gen: 1}
 	hdr := &proto.WriteBlockHeader{
 		Block:   blk,

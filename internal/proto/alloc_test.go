@@ -81,7 +81,7 @@ func TestPacketAllocsWithMetrics(t *testing.T) {
 
 	var out duplex
 	w := NewConn(&out)
-	w.SetMetrics(m)
+	(&Dialer{Metrics: m}).Arm(w)
 	pkt := &Packet{Sums: sums, Data: data}
 	var seq int64
 	avg := testing.AllocsPerRun(200, func() {
@@ -103,7 +103,7 @@ func TestPacketAllocsWithMetrics(t *testing.T) {
 	raw := frame.Bytes()
 	var in duplex
 	r := NewConn(&in)
-	r.SetMetrics(m)
+	(&Dialer{Metrics: m}).Arm(r)
 	avg = testing.AllocsPerRun(200, func() {
 		in.Write(raw)
 		p, err := r.ReadPacket()

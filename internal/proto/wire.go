@@ -7,7 +7,6 @@ import (
 	"io"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -159,12 +158,6 @@ func (f *frameWriter) flush() error {
 	return err
 }
 
-// clockBox wraps a clock so it can live in an atomic.Pointer (interfaces
-// of differing concrete types cannot be stored in atomic.Value directly).
-type clockBox struct{ c clock.Clock }
-
-var systemClockBox = &clockBox{clock.System}
-
 // Conn wraps a stream with buffered, frame-oriented message I/O. It is
 // safe for one concurrent reader and one concurrent writer, which matches
 // pipeline usage (packets flow one way, acks the other on a second Conn).
@@ -192,15 +185,16 @@ type Conn struct {
 
 	// metrics, when set, receives frame-level counters (bytes and frames
 	// each way, flushes, corked frames). All increments are atomic and
-	// allocation-free, so metrics may stay attached on the hot path.
+	// allocation-free, so metrics may stay attached on the hot path; one
+	// ConnMetrics may be shared by many conns to aggregate per component.
 	metrics *obs.ConnMetrics
 
-	// Timeouts and the clock are atomics, not mutex-guarded: both the
-	// reader and the writer consult them on every frame, and a watchdog
-	// may retune them concurrently.
-	clk      atomic.Pointer[clockBox]
-	rTimeout atomic.Int64 // nanoseconds; <= 0 disabled
-	wTimeout atomic.Int64
+	// timeout, measured on clk, bounds each frame read and each frame
+	// write (a progress bound, re-armed per operation); <= 0 disables it.
+	// Like metrics it is set once by Dialer.Arm, before the conn carries
+	// traffic, so the reader and the writer consult plain fields.
+	clk     clock.Clock
+	timeout time.Duration
 }
 
 // NewConn wraps rw. If rw is an io.Closer, Close closes it; if it
@@ -217,73 +211,22 @@ func NewConn(rw io.ReadWriter) *Conn {
 		c:   c,
 		d:   d,
 	}
-	cn.clk.Store(systemClockBox)
 	return cn
-}
-
-// SetClock replaces the clock used to compute operation deadlines (for
-// virtual-time runs). nil restores the system clock.
-func (c *Conn) SetClock(clk clock.Clock) {
-	if clk == nil {
-		c.clk.Store(systemClockBox)
-		return
-	}
-	c.clk.Store(&clockBox{clk})
-}
-
-func (c *Conn) clock() clock.Clock { return c.clk.Load().c }
-
-// SetReadTimeout bounds each subsequent frame read (header, packet or
-// ack): the deadline is re-armed per operation, so it is a progress
-// timeout, not a whole-stream budget. d <= 0 disables the bound. No-op
-// if the underlying stream has no deadline support.
-func (c *Conn) SetReadTimeout(d time.Duration) {
-	if c.d == nil {
-		return
-	}
-	c.rTimeout.Store(int64(d))
-	if d <= 0 {
-		c.d.SetReadDeadline(time.Time{})
-	}
-}
-
-// SetWriteTimeout bounds each subsequent frame write. d <= 0 disables
-// the bound. No-op if the underlying stream has no deadline support.
-func (c *Conn) SetWriteTimeout(d time.Duration) {
-	if c.d == nil {
-		return
-	}
-	c.wTimeout.Store(int64(d))
-	if d <= 0 {
-		c.d.SetWriteDeadline(time.Time{})
-	}
 }
 
 // armRead applies the per-operation read deadline, if any.
 func (c *Conn) armRead() {
-	if c.d == nil {
-		return
-	}
-	if d := time.Duration(c.rTimeout.Load()); d > 0 {
-		c.d.SetReadDeadline(c.clock().Now().Add(d))
+	if c.timeout > 0 {
+		c.d.SetReadDeadline(c.clk.Now().Add(c.timeout))
 	}
 }
 
 // armWrite applies the per-operation write deadline, if any.
 func (c *Conn) armWrite() {
-	if c.d == nil {
-		return
-	}
-	if d := time.Duration(c.wTimeout.Load()); d > 0 {
-		c.d.SetWriteDeadline(c.clock().Now().Add(d))
+	if c.timeout > 0 {
+		c.d.SetWriteDeadline(c.clk.Now().Add(c.timeout))
 	}
 }
-
-// SetMetrics attaches frame-level counters to the conn (nil detaches).
-// Set it before the conn carries traffic; the counters themselves are
-// concurrency-safe, so one ConnMetrics may be shared by many conns to
-// aggregate per component (e.g. per datanode).
-func (c *Conn) SetMetrics(m *obs.ConnMetrics) { c.metrics = m }
 
 // Close closes the underlying stream if it is closable.
 func (c *Conn) Close() error {

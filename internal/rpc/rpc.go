@@ -539,9 +539,11 @@ func (c *Client) CallTimeout(method string, arg, reply any, timeout time.Duratio
 	var outcome error
 	var ok bool // false: done was closed, the connection died
 	if timeout > 0 && clk != nil {
+		timer := clock.NewTimer(clk, timeout)
+		defer timer.Stop()
 		select {
 		case outcome, ok = <-p.done:
-		case <-clk.After(timeout):
+		case <-timer.C:
 			c.mu.Lock()
 			_, unanswered := c.pending[seq]
 			delete(c.pending, seq)

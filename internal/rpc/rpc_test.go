@@ -198,8 +198,8 @@ func TestClientCloseFailsPending(t *testing.T) {
 // TestPendingCallTransportFailureIsNotRemote kills the connection under
 // a call that is waiting for its response. The failure is local — the
 // server said nothing — so it must not surface as *RemoteError: callers
-// (client.callNN, datanode.callNN) return remote errors as final and
-// retry, and drop the cached conn, only on transport errors.
+// (Session.Call) return remote errors as final and retry, and drop the
+// cached conn, only on transport errors.
 func TestPendingCallTransportFailureIsNotRemote(t *testing.T) {
 	n := transport.NewMemNetwork(nil)
 	startServer(t, n, "nn")

@@ -6,6 +6,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"regexp"
 	"testing"
 
 	"repro/internal/ec2"
@@ -92,6 +93,10 @@ func TestExperimentsGolden(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// The file was recorded when Result.Pipelines still held a view
+	// derived from Trace (which the file pins too); the field is always
+	// nil now, so the two traced entries' arrays compare as null.
+	want = regexp.MustCompile(`"Pipelines":\[[^\]]*\]`).ReplaceAll(want, []byte(`"Pipelines":null`))
 	if bytes.Equal(got.Bytes(), want) {
 		return
 	}

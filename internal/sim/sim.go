@@ -101,8 +101,8 @@ type Config struct {
 	MaxPipelines     int  // override the activeDatanodes/replication cap
 	DisableGlobalOpt bool // suppress speed reports: Algorithm 1 never engages
 
-	// Trace records obs spans into Result.Trace (and the derived
-	// Result.Pipelines; see RenderTimeline).
+	// Trace records obs spans into Result.Trace (render them with
+	// obs.RenderTimeline).
 	Trace bool
 
 	// Script, when set, makes the run a conformance replay (see
@@ -169,8 +169,12 @@ type Result struct {
 	// same JSONL-exportable format the live client emits, so
 	// `smarth-admin -trace` renders simulated timelines too.
 	Trace []obs.SpanRecord
-	// Pipelines holds per-block spans derived from Trace.
-	Pipelines []PipelineSpan
+	// Pipelines is always nil: the per-block view it used to hold is read
+	// off Trace's block spans. The field remains only so a Result still
+	// encodes a "Pipelines" key — bench/testdata/figure13.golden.json,
+	// frozen with bench/, is compared byte for byte — and goes when
+	// bench/ is next re-recorded (ROADMAP item 5).
+	Pipelines []struct{}
 	// EgressBytes and IngressBytes count payload bytes through each
 	// node's NIC transmit/receive servers (single-client runs only; in
 	// multi-client runs the shared datanode counters live on the last
@@ -442,7 +446,6 @@ func RunMulti(cfg Config, numClients int) (MultiResult, error) {
 
 	out := MultiResult{TotalBytes: int64(numClients) * s.cfg.FileSize}
 	for _, w := range s.writers {
-		trace := w.tracer.Snapshot()
 		out.PerClient = append(out.PerClient, Result{
 			Duration:         w.endTime,
 			Bytes:            s.cfg.FileSize,
@@ -450,8 +453,7 @@ func RunMulti(cfg Config, numClients int) (MultiResult, error) {
 			PeakPipelines:    w.peakPipes,
 			Recoveries:       w.recoveries,
 			FirstDatanodeUse: w.firstUse,
-			Trace:            trace,
-			Pipelines:        spansFromTrace(trace),
+			Trace:            w.tracer.Snapshot(),
 			EgressBytes:      egress,
 			IngressBytes:     ingress,
 		})
@@ -460,33 +462,6 @@ func RunMulti(cfg Config, numClients int) (MultiResult, error) {
 		}
 	}
 	return out, nil
-}
-
-// spansFromTrace derives the legacy PipelineSpan view from block spans
-// (microsecond precision, the trace's export granularity).
-func spansFromTrace(recs []obs.SpanRecord) []PipelineSpan {
-	var out []PipelineSpan
-	for _, r := range recs {
-		if r.Name != "block" {
-			continue
-		}
-		idx, _ := strconv.Atoi(r.Attrs["idx"])
-		sp := PipelineSpan{
-			Block:   idx,
-			FirstDN: r.Attrs["first"],
-			Start:   time.Duration(r.StartUS) * time.Microsecond,
-			Done:    time.Duration(r.EndUS) * time.Microsecond,
-		}
-		sp.FNFA = sp.Done
-		for _, e := range r.Events {
-			if e.Name == "fnfa" {
-				sp.FNFA = time.Duration(e.TUS) * time.Microsecond
-				break
-			}
-		}
-		out = append(out, sp)
-	}
-	return out
 }
 
 // start creates the writer's file and hands the first block to the

@@ -1,13 +1,62 @@
 package sim
 
 import (
+	"sort"
 	"strings"
 	"testing"
-	"time"
 
 	"repro/internal/ec2"
+	"repro/internal/obs"
 	"repro/internal/proto"
 )
+
+// blockSpans returns the trace's per-block spans: one per block, open
+// from the block's launch until its pipeline drained.
+func blockSpans(trace []obs.SpanRecord) []obs.SpanRecord {
+	var out []obs.SpanRecord
+	for _, r := range trace {
+		if r.Name == "block" {
+			out = append(out, r)
+		}
+	}
+	return out
+}
+
+// fnfaUS returns when the block's FNFA arrived, or its end when it never
+// got one (HDFS).
+func fnfaUS(r obs.SpanRecord) int64 {
+	for _, e := range r.Events {
+		if e.Name == "fnfa" {
+			return e.TUS
+		}
+	}
+	return r.EndUS
+}
+
+// peakOverlap is the largest number of spans open at one instant; a span
+// ending exactly when another starts does not overlap it.
+func peakOverlap(spans []obs.SpanRecord) int {
+	type edge struct {
+		at    int64
+		delta int
+	}
+	var edges []edge
+	for _, s := range spans {
+		edges = append(edges, edge{s.StartUS, +1}, edge{s.EndUS, -1})
+	}
+	sort.Slice(edges, func(i, j int) bool {
+		if edges[i].at != edges[j].at {
+			return edges[i].at < edges[j].at
+		}
+		return edges[i].delta < edges[j].delta // close before open at ties
+	})
+	cur, peak := 0, 0
+	for _, e := range edges {
+		cur += e.delta
+		peak = max(peak, cur)
+	}
+	return peak
+}
 
 func TestTraceSpansRecorded(t *testing.T) {
 	cfg := Config{
@@ -15,24 +64,30 @@ func TestTraceSpansRecorded(t *testing.T) {
 		Mode: proto.ModeSmarth, CrossRackMbps: 50, Trace: true, Seed: 7,
 	}
 	r := run(t, cfg)
-	if len(r.Pipelines) != r.Blocks {
-		t.Fatalf("spans = %d, want %d", len(r.Pipelines), r.Blocks)
+	spans := blockSpans(r.Trace)
+	if len(spans) != r.Blocks {
+		t.Fatalf("block spans = %d, want %d", len(spans), r.Blocks)
 	}
-	for _, s := range r.Pipelines {
-		if !(s.Start <= s.FNFA && s.FNFA <= s.Done) {
+	for _, s := range spans {
+		if f := fnfaUS(s); !(s.StartUS <= f && f <= s.EndUS) {
 			t.Fatalf("span ordering broken: %+v", s)
 		}
-		if s.FirstDN == "" {
+		if s.Attrs["first"] == "" {
 			t.Fatalf("span missing first datanode: %+v", s)
 		}
 	}
 	// Under heavy throttle, pipelines must actually overlap...
-	if MaxOverlap(r.Pipelines) < 2 {
-		t.Fatalf("MaxOverlap = %d, want >= 2 under throttle", MaxOverlap(r.Pipelines))
+	if got := peakOverlap(spans); got < 2 {
+		t.Fatalf("peak overlap = %d, want >= 2 under throttle", got)
+	} else if got > r.PeakPipelines {
+		// ...and never beyond the cap reported by the run.
+		t.Fatalf("span overlap %d exceeds run's peak %d", got, r.PeakPipelines)
 	}
-	// ...and never beyond the cap reported by the run.
-	if MaxOverlap(r.Pipelines) > r.PeakPipelines {
-		t.Fatalf("span overlap %d exceeds run's peak %d", MaxOverlap(r.Pipelines), r.PeakPipelines)
+	// The one renderer (obs) draws a simulated trace too.
+	var tl strings.Builder
+	obs.RenderTimeline(&tl, r.Trace)
+	if !strings.Contains(tl.String(), "block") {
+		t.Fatalf("timeline has no block rows:\n%s", tl.String())
 	}
 }
 
@@ -42,65 +97,35 @@ func TestHDFSSpansNeverOverlap(t *testing.T) {
 		Mode: proto.ModeHDFS, Trace: true, Seed: 7,
 	}
 	r := run(t, cfg)
-	if got := MaxOverlap(r.Pipelines); got != 1 {
-		t.Fatalf("HDFS MaxOverlap = %d, want 1 (stop-and-wait)", got)
+	spans := blockSpans(r.Trace)
+	if got := peakOverlap(spans); got != 1 || r.PeakPipelines != 1 {
+		t.Fatalf("HDFS peak overlap = %d, PeakPipelines = %d, want 1 (stop-and-wait)", got, r.PeakPipelines)
 	}
-	for _, s := range r.Pipelines {
-		if s.FNFA != s.Done {
-			t.Fatalf("HDFS span has distinct FNFA: %+v", s)
+	for _, s := range spans {
+		if fnfaUS(s) != s.EndUS {
+			t.Fatalf("HDFS span has an FNFA: %+v", s)
 		}
 	}
 }
 
 func TestTraceOffByDefault(t *testing.T) {
 	r := run(t, Config{Preset: ec2.SmallCluster, FileSize: 128 << 20, Mode: proto.ModeSmarth})
-	if r.Pipelines != nil {
+	if r.Trace != nil {
 		t.Fatal("spans recorded without Trace")
 	}
 }
 
-func TestMaxOverlapEdgeCases(t *testing.T) {
-	if MaxOverlap(nil) != 0 {
-		t.Fatal("MaxOverlap(nil) != 0")
+func TestPeakOverlapEdgeCases(t *testing.T) {
+	if peakOverlap(nil) != 0 {
+		t.Fatal("peakOverlap(nil) != 0")
 	}
-	a := PipelineSpan{Block: 0, Start: 0, Done: 10}
-	b := PipelineSpan{Block: 1, Start: 10, Done: 20} // touching, not overlapping
-	if a.Overlaps(b) {
-		t.Fatal("touching spans reported as overlapping")
-	}
-	if MaxOverlap([]PipelineSpan{a, b}) != 1 {
+	a := obs.SpanRecord{StartUS: 0, EndUS: 10}
+	b := obs.SpanRecord{StartUS: 10, EndUS: 20} // touching, not overlapping
+	if peakOverlap([]obs.SpanRecord{a, b}) != 1 {
 		t.Fatal("touching spans counted as concurrent")
 	}
-	c := PipelineSpan{Block: 2, Start: 5, Done: 15}
-	if !a.Overlaps(c) || !c.Overlaps(a) {
-		t.Fatal("overlap not symmetric")
-	}
-	if MaxOverlap([]PipelineSpan{a, b, c}) != 2 {
+	c := obs.SpanRecord{StartUS: 5, EndUS: 15}
+	if peakOverlap([]obs.SpanRecord{a, b, c}) != 2 {
 		t.Fatal("overlap count wrong")
-	}
-}
-
-func TestRenderTimeline(t *testing.T) {
-	spans := []PipelineSpan{
-		{Block: 0, FirstDN: "dn1", Start: 0, FNFA: 2 * time.Second, Done: 10 * time.Second},
-		{Block: 1, FirstDN: "dn4", Start: 2 * time.Second, FNFA: 4 * time.Second, Done: 12 * time.Second},
-	}
-	out := RenderTimeline(spans, 40)
-	if !strings.Contains(out, "blk0") || !strings.Contains(out, "blk1") {
-		t.Fatalf("timeline missing blocks:\n%s", out)
-	}
-	if !strings.Contains(out, "=") || !strings.Contains(out, "-") {
-		t.Fatalf("timeline missing phases:\n%s", out)
-	}
-	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
-	if len(lines) != 3 {
-		t.Fatalf("timeline has %d lines, want header + 2 rows", len(lines))
-	}
-	if RenderTimeline(nil, 40) != "(no pipelines)\n" {
-		t.Fatal("empty timeline rendering wrong")
-	}
-	// Degenerate width falls back without panicking.
-	if RenderTimeline(spans, 1) == "" {
-		t.Fatal("narrow width produced nothing")
 	}
 }

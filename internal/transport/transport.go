@@ -502,10 +502,12 @@ func DialTimeout(nw Network, local, remote string, d time.Duration, clk clock.Cl
 		c, err := nw.Dial(local, remote)
 		ch <- dialResult{c, err}
 	}()
+	timer := clock.NewTimer(clk, d)
+	defer timer.Stop()
 	select {
 	case r := <-ch:
 		return r.conn, r.err
-	case <-clk.After(d):
+	case <-timer.C:
 		go func() {
 			if r := <-ch; r.conn != nil {
 				r.conn.Close()

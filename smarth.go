@@ -55,15 +55,17 @@ type ClientOptions = client.Options
 // sizes); the protocol is chosen by calling CreateHDFS or CreateSmarth.
 type WriteOptions = client.WriteOptions
 
-// Timeouts bound the blocking points of the write and read paths (dial,
-// setup ack, FNFA, ack and read progress, RPC calls); zero fields
-// disable that bound. Set per client, via ClientOptions.Timeouts.
+// Timeouts bound the blocking points of the write and read paths with
+// three fields: Progress (every step on a data connection), FNFA (the
+// SMARTH first-node-finish wait) and RPC (each namenode call attempt);
+// zero fields disable that bound. Set per client, via
+// ClientOptions.Timeouts.
 type Timeouts = client.Timeouts
 
 // DefaultTimeouts returns the production timeout defaults.
 func DefaultTimeouts() Timeouts { return client.DefaultTimeouts() }
 
-// NoTimeouts disables every write-path timeout (legacy block-forever
+// NoTimeouts disables every client timeout (legacy block-forever
 // behavior, as used by the discrete-event-simulation figures).
 func NoTimeouts() Timeouts { return client.NoTimeouts() }
 
