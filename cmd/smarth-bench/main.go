@@ -9,7 +9,9 @@
 //	smarth-bench -scale 8           # divide file sizes by 8 (quick look)
 //	smarth-bench -out results.md    # also write a Markdown report
 //
-// Expect a few minutes for the full suite at scale 1.
+// A figure's simulations run in parallel (sim.RunAll, one worker per
+// GOMAXPROCS): the full suite at scale 1 — 16 figures, 140 simulations —
+// takes about 6 s on two cores, 10 s on one.
 package main
 
 import (

@@ -180,17 +180,24 @@ var (
 	docDirRef  = regexp.MustCompile(`\b(?:cmd|internal|examples)/[A-Za-z0-9_-]+`)
 	docFileRef = regexp.MustCompile(`[A-Za-z0-9_./-]*[A-Za-z0-9_-]\.go\b`)
 	docCode    = regexp.MustCompile("`[^`]+`")
+	// docTestRef is a test, benchmark or fuzz target named in a document
+	// (optionally package-qualified there); testDecl is where one is declared.
+	docTestRef = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*`)
+	testDecl   = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
 )
 
 // TestDocPathsExist keeps the documents honest about the tree: every
 // cmd/<name>, internal/<name> or examples/<name> path and every Go file
 // name written as code (a backtick span or a fenced block) must exist —
 // a file name with a directory at that path (from the root or from
-// internal/), a bare one anywhere in the tree — so a deletion cannot leave the docs pointing at what it
-// removed. Sections whose heading (or an enclosing heading) says
-// "history" or "retired" are exempt: they record what is gone.
+// internal/), a bare one anywhere in the tree — and so must every Test*,
+// Benchmark* or Fuzz* function named there, in some _test.go file — so a
+// deletion cannot leave the docs pointing at what it removed. Sections
+// whose heading (or an enclosing heading) says "history" or "retired"
+// are exempt: they record what is gone.
 func TestDocPathsExist(t *testing.T) {
-	goFiles := make(map[string]bool) // base names of every .go file in the tree
+	goFiles := make(map[string]bool)   // base names of every .go file in the tree
+	testFuncs := make(map[string]bool) // every Test*/Benchmark*/Fuzz* declared in it
 	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
@@ -200,6 +207,15 @@ func TestDocPathsExist(t *testing.T) {
 		}
 		if strings.HasSuffix(path, ".go") {
 			goFiles[d.Name()] = true
+		}
+		if strings.HasSuffix(path, "_test.go") {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for _, m := range testDecl.FindAllSubmatch(src, -1) {
+				testFuncs[string(m[1])] = true
+			}
 		}
 		return nil
 	})
@@ -243,6 +259,11 @@ func TestDocPathsExist(t *testing.T) {
 					file = strings.TrimPrefix(file, "./")
 					if strings.Contains(file, "/") && !exists(file) && !exists("internal/"+file) || !goFiles[filepath.Base(file)] {
 						t.Errorf("%s:%d: `%s` does not exist", doc, i+1, file)
+					}
+				}
+				for _, fn := range docTestRef.FindAllString(span, -1) {
+					if !testFuncs[fn] {
+						t.Errorf("%s:%d: no test file declares `%s`", doc, i+1, fn)
 					}
 				}
 			}

@@ -19,7 +19,15 @@
 //     event, or a channel send — since map iteration order would leak
 //     into the decision log or emitted events. Collecting keys into a
 //     slice and sorting stays silent; a loop whose order is provably
-//     immaterial can carry a `//smarth:deterministic` annotation.
+//     immaterial can carry a `//smarth:deterministic` annotation;
+//   - any assignment or ++/-- whose target is (or reaches into) a
+//     package-level variable, outside init, and any mention of
+//     sync.Pool: simulations run side by side on worker goroutines
+//     (sim.RunAll), which is safe — and leaves each result a function
+//     of its config alone — only while a run can reach nothing but
+//     what it was handed. A package-level var with an initialiser
+//     (`var ErrX = errors.New(...)`, a lookup table) is a declaration,
+//     not a write, and stays silent.
 //
 // The deterministic package set is matched by package name, so
 // analysistest fixtures named after a real package are checked
@@ -95,17 +103,71 @@ func run(pass *analysis.Pass) error {
 		if strings.HasSuffix(name, "_test.go") {
 			continue
 		}
-		ast.Inspect(file, func(n ast.Node) bool {
-			switch n := n.(type) {
-			case *ast.CallExpr:
-				checkCall(pass, n)
-			case *ast.RangeStmt:
-				checkMapRange(pass, n)
-			}
-			return true
-		})
+		for _, decl := range file.Decls {
+			// init runs once, before any simulation, and may fill tables.
+			fd, _ := decl.(*ast.FuncDecl)
+			inInit := fd != nil && fd.Recv == nil && fd.Name.Name == "init"
+			ast.Inspect(decl, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.CallExpr:
+					checkCall(pass, n)
+				case *ast.RangeStmt:
+					checkMapRange(pass, n)
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						if !inInit {
+							checkSharedWrite(pass, lhs)
+						}
+					}
+				case *ast.IncDecStmt:
+					if !inInit {
+						checkSharedWrite(pass, n.X)
+					}
+				case *ast.Ident:
+					checkSyncPool(pass, n)
+				}
+				return true
+			})
+		}
 	}
 	return nil
+}
+
+// checkSharedWrite flags a store whose target is a package-level
+// variable or something reached through one (a field, an element, a
+// pointee).
+func checkSharedWrite(pass *analysis.Pass, target ast.Expr) {
+	for {
+		switch e := target.(type) {
+		case *ast.ParenExpr:
+			target = e.X
+		case *ast.IndexExpr:
+			target = e.X
+		case *ast.StarExpr:
+			target = e.X
+		case *ast.SelectorExpr:
+			if _, qualified := pass.TypesInfo.Uses[e.Sel].(*types.Var); qualified && pass.TypesInfo.Selections[e] == nil {
+				target = e.Sel // otherpkg.Var
+			} else {
+				target = e.X
+			}
+		case *ast.Ident:
+			if v, ok := pass.TypesInfo.Uses[e].(*types.Var); ok && v.Pkg() != nil && v.Parent() == v.Pkg().Scope() {
+				pass.Reportf(e.Pos(), "write to package-level variable %s in a deterministic package: concurrent runs would share it (pass state down by parameter)", v.Name())
+			}
+			return
+		default:
+			return
+		}
+	}
+}
+
+// checkSyncPool flags any mention of the sync.Pool type: what a Get
+// returns depends on what other goroutines Put and on the collector.
+func checkSyncPool(pass *analysis.Pass, id *ast.Ident) {
+	if tn, ok := pass.TypesInfo.Uses[id].(*types.TypeName); ok && tn.Pkg() != nil && tn.Pkg().Path() == "sync" && tn.Name() == "Pool" {
+		pass.Reportf(id.Pos(), "sync.Pool in a deterministic package: scratch memory is owned by the goroutine that runs the simulation and handed down by parameter")
+	}
 }
 
 // checkCall flags banned time and global math/rand calls.

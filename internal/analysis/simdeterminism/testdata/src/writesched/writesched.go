@@ -6,9 +6,11 @@
 package writesched
 
 import (
+	"errors"
 	"fmt"
 	"math/rand"
 	"sort"
+	"sync"
 	"time"
 )
 
@@ -85,4 +87,58 @@ func chanLeak(events chan<- int, pipes map[int]*pipeline) {
 // clock reads: clean.
 func durations(d time.Duration) time.Duration {
 	return d * 2
+}
+
+// Package-level state: declarations with initialisers are tables and
+// sentinels, not writes.
+var (
+	errStalled = errors.New("stalled")
+	stateNames = map[int]string{0: "idle", 1: "streaming"}
+	launched   int
+	lastByPipe = map[int]*pipeline{}
+)
+
+// init runs once, before any simulation: filling a table here is clean.
+func init() {
+	stateNames[2] = "draining"
+}
+
+// countLaunch keeps a tally where every concurrent run can reach it.
+func countLaunch(p *pipeline) error {
+	launched++           // want `write to package-level variable launched`
+	lastByPipe[p.id] = p // want `write to package-level variable lastByPipe`
+	lastByPipe[0].id = 7 // want `write to package-level variable lastByPipe`
+	errStalled = nil     // want `write to package-level variable errStalled`
+	return errStalled
+}
+
+// tally is the sanctioned shape: the state arrives by parameter, and
+// reading a package-level table is no write.
+func tally(counts map[string]int, p *pipeline) {
+	counts[stateNames[p.id]]++
+	local := 0
+	local++
+	_ = local
+}
+
+// records recycles through a pool the collector and every other
+// goroutine share.
+var records = sync.Pool{New: func() any { return new(pipeline) }} // want `sync.Pool in a deterministic package`
+
+func pooled() *pipeline {
+	return records.Get().(*pipeline)
+}
+
+// scratch is the sanctioned shape: a free list its one user owns.
+type scratch struct {
+	free []*pipeline
+}
+
+func (sc *scratch) get() *pipeline {
+	if n := len(sc.free); n > 0 {
+		p := sc.free[n-1]
+		sc.free = sc.free[:n-1]
+		return p
+	}
+	return new(pipeline)
 }

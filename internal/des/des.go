@@ -46,6 +46,17 @@ func New() *Engine {
 	return &Engine{}
 }
 
+// Reset returns the engine to the state New leaves it in — virtual time
+// zero, nothing queued, sequence and Processed restarted — but keeps the
+// queue's backing array, so a worker that runs simulation after simulation
+// (sim.RunAll) grows the heap once. Events still queued (Stop leaves them
+// behind) are dropped and their slots zeroed: no callback, and nothing it
+// captured, outlives the run that scheduled it.
+func (e *Engine) Reset() {
+	clear(e.queue)
+	*e = Engine{queue: e.queue[:0]}
+}
+
 // Now returns the current virtual time.
 func (e *Engine) Now() time.Duration { return e.now }
 

@@ -3,6 +3,7 @@ package des
 import (
 	"container/heap"
 	"math/rand"
+	"reflect"
 	"sort"
 	"strings"
 	"testing"
@@ -315,6 +316,43 @@ func TestAtSeqKeepsReservedPosition(t *testing.T) {
 	}
 	if e.Processed != 4 {
 		t.Fatalf("Processed = %d, want 4", e.Processed)
+	}
+}
+
+// Reset after Stop with events still queued — the state a finished
+// simulation leaves its engine in — gives an engine that cannot be told
+// from a new one: the stale events never fire, their callbacks are not
+// kept alive by the queue's backing array, and the clock, the sequence and
+// the stop flag start over, so a driven schedule logs what it logs on New.
+func TestResetAfterStopWithEventsQueued(t *testing.T) {
+	e := New()
+	stale := 0
+	for i := 1; i <= 10; i++ {
+		e.Schedule(time.Duration(i)*time.Second, func() {
+			if stale++; stale == 3 {
+				e.Stop()
+			}
+		})
+	}
+	if end := e.Run(); end != 3*time.Second || len(e.queue) != 7 {
+		t.Fatalf("stopped at %v with %d events queued, want 3s and 7", end, len(e.queue))
+	}
+
+	e.Reset()
+	if e.Now() != 0 || e.Processed != 0 || e.seq != 0 || len(e.queue) != 0 || cap(e.queue) < 10 {
+		t.Fatalf("after Reset: now %v, processed %d, seq %d, %d queued, cap %d", e.Now(), e.Processed, e.seq, len(e.queue), cap(e.queue))
+	}
+	for i, ev := range e.queue[:cap(e.queue)] {
+		if ev.fn != nil {
+			t.Fatalf("queue slot %d still holds a callback after Reset", i)
+		}
+	}
+	got, want := drive(e, 7), drive(New(), 7)
+	if !reflect.DeepEqual(got, want) {
+		t.Fatal("a driven schedule fires differently on a reset engine than on a new one")
+	}
+	if stale != 3 {
+		t.Fatalf("%d stale events fired in all, want the 3 from before Reset", stale)
 	}
 }
 

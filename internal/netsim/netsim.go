@@ -49,10 +49,20 @@ type job struct {
 	done func()
 }
 
-// NewServer returns a rate server bound to the engine.
-func NewServer(eng *des.Engine, name string, bytesPerSecond float64) *Server {
-	s := &Server{eng: eng, name: name, rate: bytesPerSecond}
-	s.fire = s.complete
+// NewServer returns a rate server on the network's engine. Server records
+// are recycled across Reset — the k-th server made after one is the k-th
+// made before it, job ring and all. A ring is as deep as the worst backlog
+// its server saw, so a run that builds the same cluster in the same order
+// finds its rings about the right size already.
+func (nw *Network) NewServer(name string, bytesPerSecond float64) *Server {
+	if nw.used == len(nw.servers) {
+		s := &Server{}
+		s.fire = s.complete
+		nw.servers = append(nw.servers, s)
+	}
+	s := nw.servers[nw.used]
+	nw.used++
+	*s = Server{eng: nw.eng, name: name, rate: bytesPerSecond, jobs: s.jobs, fire: s.fire}
 	return s
 }
 
@@ -121,6 +131,7 @@ func (s *Server) String() string {
 // Node is one machine: NIC transmit/receive servers, an optional
 // cross-rack shaper pair, and a disk server.
 type Node struct {
+	nw   *Network
 	Name string
 	Rack string
 	// Egress and Ingress model the full-duplex NIC.
@@ -134,26 +145,30 @@ type Node struct {
 	Disk *Server
 }
 
-// NewNode builds a node with the given NIC and disk rates (bytes/sec).
-func NewNode(eng *des.Engine, name, rack string, nicBps, diskBps float64) *Node {
-	return &Node{
+// NewNode builds a node with the given NIC and disk rates (bytes/sec) and
+// adds it to the network.
+func (nw *Network) NewNode(name, rack string, nicBps, diskBps float64) *Node {
+	n := &Node{
+		nw:      nw,
 		Name:    name,
 		Rack:    rack,
-		Egress:  NewServer(eng, name+"/tx", nicBps),
-		Ingress: NewServer(eng, name+"/rx", nicBps),
-		Disk:    NewServer(eng, name+"/disk", diskBps),
+		Egress:  nw.NewServer(name+"/tx", nicBps),
+		Ingress: nw.NewServer(name+"/rx", nicBps),
+		Disk:    nw.NewServer(name+"/disk", diskBps),
 	}
+	nw.nodes[name] = n
+	return n
 }
 
 // SetCrossRackLimit installs (or removes, with bps <= 0) the node's
 // cross-rack shaper.
-func (n *Node) SetCrossRackLimit(eng *des.Engine, bps float64) {
+func (n *Node) SetCrossRackLimit(bps float64) {
 	if bps <= 0 {
 		n.CrossOut, n.CrossIn = nil, nil
 		return
 	}
-	n.CrossOut = NewServer(eng, n.Name+"/xout", bps)
-	n.CrossIn = NewServer(eng, n.Name+"/xin", bps)
+	n.CrossOut = n.nw.NewServer(n.Name+"/xout", bps)
+	n.CrossIn = n.nw.NewServer(n.Name+"/xin", bps)
 }
 
 // SetNICLimit replaces the NIC rate in both directions (the paper's
@@ -163,17 +178,24 @@ func (n *Node) SetNICLimit(bps float64) {
 	n.Ingress.SetRate(bps)
 }
 
-// Network carries packets between nodes.
+// Network carries packets between nodes. It makes the nodes and servers
+// of a run and owns what they queue in — job rings, flight records — so
+// that Reset can hand the same memory to the next run.
 type Network struct {
 	eng *des.Engine
 	// HopLatency is the propagation + protocol latency added after a
 	// packet clears all rate servers on a hop.
 	HopLatency time.Duration
 	nodes      map[string]*Node
-	// free holds the flight records not in use. A plain stack: the
-	// simulation is single-threaded, and which record a Deliver gets has
-	// no effect on what it does.
-	free []*flight
+	// servers holds every server record ever made here; the first used
+	// belong to the current run.
+	servers []*Server
+	used    int
+	// slabs holds every flight record ever made here and free the ones not
+	// in use. A plain stack: the simulation is single-threaded, and which
+	// record a Deliver gets has no effect on what it does.
+	slabs [][]flight
+	free  []*flight
 }
 
 // NewNetwork returns an empty network.
@@ -181,8 +203,25 @@ func NewNetwork(eng *des.Engine, hopLatency time.Duration) *Network {
 	return &Network{eng: eng, HopLatency: hopLatency, nodes: make(map[string]*Node)}
 }
 
-// Add registers a node.
-func (nw *Network) Add(n *Node) { nw.nodes[n.Name] = n }
+// Reset empties the network for another run on the same engine (which the
+// caller resets too): no nodes, no servers, every flight record free. The
+// records and rings stay allocated; what a stopped run left queued in them
+// is zeroed, so no callback outlives the run that passed it in.
+func (nw *Network) Reset(hopLatency time.Duration) {
+	nw.HopLatency = hopLatency
+	clear(nw.nodes)
+	for _, s := range nw.servers[:nw.used] {
+		clear(s.jobs)
+	}
+	nw.used = 0
+	nw.free = nw.free[:0]
+	for _, slab := range nw.slabs {
+		for i := range slab {
+			slab[i].arrived = nil
+			nw.free = append(nw.free, &slab[i])
+		}
+	}
+}
 
 // Node looks a node up by name.
 func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
@@ -215,6 +254,7 @@ func (nw *Network) Deliver(src, dst *Node, n int64, arrived func()) {
 			slab[i].nw, slab[i].step = nw, slab[i].advance
 			nw.free = append(nw.free, &slab[i])
 		}
+		nw.slabs = append(nw.slabs, slab)
 	}
 	last := len(nw.free) - 1
 	f := nw.free[last]

@@ -12,7 +12,7 @@ func seconds(d time.Duration) float64 { return d.Seconds() }
 
 func TestServerSerialization(t *testing.T) {
 	eng := des.New()
-	s := NewServer(eng, "s", 1000) // 1000 B/s
+	s := NewNetwork(eng, 0).NewServer("s", 1000) // 1000 B/s
 	var done []time.Duration
 	s.Enqueue(500, func() { done = append(done, eng.Now()) })
 	s.Enqueue(500, func() { done = append(done, eng.Now()) })
@@ -30,7 +30,7 @@ func TestServerSerialization(t *testing.T) {
 
 func TestServerWorkConserving(t *testing.T) {
 	eng := des.New()
-	s := NewServer(eng, "s", 1000)
+	s := NewNetwork(eng, 0).NewServer("s", 1000)
 	var second time.Duration
 	s.Enqueue(1000, func() {
 		// Enqueue the next job later, leaving the server idle for 1s.
@@ -46,7 +46,7 @@ func TestServerWorkConserving(t *testing.T) {
 
 func TestInfiniteRate(t *testing.T) {
 	eng := des.New()
-	s := NewServer(eng, "s", 0)
+	s := NewNetwork(eng, 0).NewServer("s", 0)
 	var at time.Duration = -1
 	s.Enqueue(1<<40, func() { at = eng.Now() })
 	eng.Run()
@@ -58,10 +58,8 @@ func TestInfiniteRate(t *testing.T) {
 func TestDeliverSameRack(t *testing.T) {
 	eng := des.New()
 	nw := NewNetwork(eng, time.Millisecond)
-	a := NewNode(eng, "a", "/r1", 1000, 0)
-	b := NewNode(eng, "b", "/r1", 1000, 0)
-	nw.Add(a)
-	nw.Add(b)
+	a := nw.NewNode("a", "/r1", 1000, 0)
+	b := nw.NewNode("b", "/r1", 1000, 0)
 	var at time.Duration
 	nw.Deliver(a, b, 500, func() { at = eng.Now() })
 	eng.Run()
@@ -75,11 +73,9 @@ func TestDeliverSameRack(t *testing.T) {
 func TestDeliverCrossRackThrottled(t *testing.T) {
 	eng := des.New()
 	nw := NewNetwork(eng, 0)
-	a := NewNode(eng, "a", "/r1", 1000, 0)
-	b := NewNode(eng, "b", "/r2", 1000, 0)
-	a.SetCrossRackLimit(eng, 100)
-	nw.Add(a)
-	nw.Add(b)
+	a := nw.NewNode("a", "/r1", 1000, 0)
+	b := nw.NewNode("b", "/r2", 1000, 0)
+	a.SetCrossRackLimit(100)
 	var at time.Duration
 	nw.Deliver(a, b, 100, func() { at = eng.Now() })
 	eng.Run()
@@ -93,11 +89,9 @@ func TestDeliverCrossRackThrottled(t *testing.T) {
 func TestCrossRackShaperNotUsedInRack(t *testing.T) {
 	eng := des.New()
 	nw := NewNetwork(eng, 0)
-	a := NewNode(eng, "a", "/r1", 1000, 0)
-	b := NewNode(eng, "b", "/r1", 1000, 0)
-	a.SetCrossRackLimit(eng, 1) // brutally slow, but same rack: unused
-	nw.Add(a)
-	nw.Add(b)
+	a := nw.NewNode("a", "/r1", 1000, 0)
+	b := nw.NewNode("b", "/r1", 1000, 0)
+	a.SetCrossRackLimit(1) // brutally slow, but same rack: unused
 	var at time.Duration
 	nw.Deliver(a, b, 500, func() { at = eng.Now() })
 	eng.Run()
@@ -111,12 +105,9 @@ func TestCrossRackShaperNotUsedInRack(t *testing.T) {
 func TestBandwidthSharing(t *testing.T) {
 	eng := des.New()
 	nw := NewNetwork(eng, 0)
-	src := NewNode(eng, "src", "/r", 1000, 0)
-	d1 := NewNode(eng, "d1", "/r", 1e12, 0)
-	d2 := NewNode(eng, "d2", "/r", 1e12, 0)
-	nw.Add(src)
-	nw.Add(d1)
-	nw.Add(d2)
+	src := nw.NewNode("src", "/r", 1000, 0)
+	d1 := nw.NewNode("d1", "/r", 1e12, 0)
+	d2 := nw.NewNode("d2", "/r", 1e12, 0)
 
 	const packets = 100
 	const pkt = 10 // bytes
@@ -148,11 +139,9 @@ func TestPipeliningThroughStages(t *testing.T) {
 	// not sum-of-stage-times throughput.
 	eng := des.New()
 	nw := NewNetwork(eng, 0)
-	a := NewNode(eng, "a", "/r1", 1000, 0)
-	b := NewNode(eng, "b", "/r2", 1000, 0)
-	a.SetCrossRackLimit(eng, 500) // bottleneck
-	nw.Add(a)
-	nw.Add(b)
+	a := nw.NewNode("a", "/r1", 1000, 0)
+	b := nw.NewNode("b", "/r2", 1000, 0)
+	a.SetCrossRackLimit(500) // bottleneck
 	const packets, pkt = 100, 10
 	var last time.Duration
 	left := packets
@@ -173,8 +162,7 @@ func TestPipeliningThroughStages(t *testing.T) {
 }
 
 func TestSetNICLimit(t *testing.T) {
-	eng := des.New()
-	n := NewNode(eng, "n", "/r", 1000, 0)
+	n := NewNetwork(des.New(), 0).NewNode("n", "/r", 1000, 0)
 	n.SetNICLimit(50)
 	if n.Egress.Rate() != 50 || n.Ingress.Rate() != 50 {
 		t.Fatalf("rates = %v/%v, want 50/50", n.Egress.Rate(), n.Ingress.Rate())
@@ -184,8 +172,7 @@ func TestSetNICLimit(t *testing.T) {
 func TestNetworkNodeLookup(t *testing.T) {
 	eng := des.New()
 	nw := NewNetwork(eng, 0)
-	n := NewNode(eng, "x", "/r", 1, 1)
-	nw.Add(n)
+	n := nw.NewNode("x", "/r", 1, 1)
 	if nw.Node("x") != n || nw.Node("y") != nil {
 		t.Fatal("node lookup broken")
 	}

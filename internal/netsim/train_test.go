@@ -3,6 +3,7 @@ package netsim
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -47,7 +48,7 @@ func newQueues(eng *des.Engine, ref bool, rates ...float64) []queue {
 		if ref {
 			qs[i] = &refServer{eng: eng, rate: r}
 		} else {
-			qs[i] = NewServer(eng, fmt.Sprint("s", i), r)
+			qs[i] = NewNetwork(eng, 0).NewServer(fmt.Sprint("s", i), r)
 		}
 	}
 	return qs
@@ -183,13 +184,11 @@ func TestQuickServerMatchesReference(t *testing.T) {
 
 // trainNodes builds the longest path a packet can take: both cross-rack
 // shapers between two racks.
-func trainNodes(eng *des.Engine, nw *Network) (a, b *Node) {
-	a = NewNode(eng, "a", "/r1", 125e6, 300e6)
-	b = NewNode(eng, "b", "/r2", 125e6, 300e6)
-	a.SetCrossRackLimit(eng, 12.5e6)
-	b.SetCrossRackLimit(eng, 12.5e6)
-	nw.Add(a)
-	nw.Add(b)
+func trainNodes(nw *Network) (a, b *Node) {
+	a = nw.NewNode("a", "/r1", 125e6, 300e6)
+	b = nw.NewNode("b", "/r2", 125e6, 300e6)
+	a.SetCrossRackLimit(12.5e6)
+	b.SetCrossRackLimit(12.5e6)
 	return a, b
 }
 
@@ -198,9 +197,8 @@ func trainNodes(eng *des.Engine, nw *Network) (a, b *Node) {
 func TestDeliverAllocs(t *testing.T) {
 	eng := des.New()
 	nw := NewNetwork(eng, 300*time.Microsecond)
-	a, b := trainNodes(eng, nw)
-	c := NewNode(eng, "c", "/r1", 125e6, 300e6)
-	nw.Add(c)
+	a, b := trainNodes(nw)
+	c := nw.NewNode("c", "/r1", 125e6, 300e6)
 	arrived := func() {}
 	for _, tc := range []struct {
 		name string
@@ -226,7 +224,7 @@ func BenchmarkServerTrain(b *testing.B) {
 	const packets, size = 1024, 64 << 10
 	eng := des.New()
 	nw := NewNetwork(eng, 300*time.Microsecond)
-	src, dst := trainNodes(eng, nw)
+	src, dst := trainNodes(nw)
 	stored := 0
 	onDisk := func() { stored++ }
 	toDisk := func() { dst.Disk.Enqueue(size, onDisk) }
@@ -240,5 +238,64 @@ func BenchmarkServerTrain(b *testing.B) {
 		if stored != packets {
 			b.Fatalf("%d of %d packets stored", stored, packets)
 		}
+	}
+}
+
+// Reset after a stopped run — jobs still queued in the rings, flights
+// still out — leaves nothing of it behind: every record is free and holds
+// no callback, and the same topology built again reuses the server
+// records and delivers exactly as a new network does.
+func TestResetAfterStoppedRun(t *testing.T) {
+	const packets = 200
+	// burst sends a train across the racks, stopping the engine at the
+	// stopAt-th arrival (never, if 0), and returns the arrival times.
+	burst := func(eng *des.Engine, nw *Network, stopAt int) (arrivals []time.Duration) {
+		a, b := trainNodes(nw)
+		for i := 0; i < packets; i++ {
+			nw.Deliver(a, b, 64<<10, func() {
+				if arrivals = append(arrivals, eng.Now()); len(arrivals) == stopAt {
+					eng.Stop()
+				}
+			})
+		}
+		eng.Run()
+		return arrivals
+	}
+
+	eng := des.New()
+	nw := NewNetwork(eng, 300*time.Microsecond)
+	if got := burst(eng, nw, 50); len(got) != 50 {
+		t.Fatalf("%d arrivals before the stop, want 50", len(got))
+	}
+	servers := len(nw.servers)
+
+	eng.Reset()
+	nw.Reset(300 * time.Microsecond)
+	if nw.Node("a") != nil {
+		t.Error("a node survived Reset")
+	}
+	if want := 64 * len(nw.slabs); len(nw.free) != want {
+		t.Errorf("%d of %d flight records free after Reset", len(nw.free), want)
+	}
+	for _, f := range nw.free {
+		if f.arrived != nil {
+			t.Fatal("a free flight record still holds its arrival callback")
+		}
+	}
+	for _, s := range nw.servers {
+		for _, j := range s.jobs {
+			if j.done != nil {
+				t.Fatalf("%v still holds a queued job's callback", s)
+			}
+		}
+	}
+
+	fresh := des.New()
+	want := burst(fresh, NewNetwork(fresh, 300*time.Microsecond), 0)
+	if got := burst(eng, nw, 0); !reflect.DeepEqual(got, want) {
+		t.Error("arrivals on the reset network differ from a new network's")
+	}
+	if len(nw.servers) != servers {
+		t.Errorf("the second run made %d new server records, want the first run's reused", len(nw.servers)-servers)
 	}
 }

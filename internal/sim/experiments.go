@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"errors"
 	"fmt"
 
 	"repro/internal/ec2"
@@ -38,21 +39,37 @@ type Experiment struct {
 	Run func(scale int64) []Point
 }
 
-// runPair measures both protocols on one workload. The figure configs
-// are fixed and known-good, so a simulation error here is a harness bug
-// and panics.
-func runPair(label string, cfg Config) Point {
-	cfg.Mode = proto.ModeHDFS
-	h, err := Run(cfg)
-	if err != nil {
-		panic(fmt.Sprintf("sim: %s (HDFS): %v", label, err))
+// point is one x-axis position before it is run: the workload both
+// protocols are measured on (Mode is filled in by runPoints).
+type point struct {
+	label string
+	cfg   Config
+}
+
+// runPoints measures both protocols at every point, all 2N simulations
+// through RunAll. The figure configs are fixed and known-good, so a
+// simulation error here is a harness bug and panics — on the caller's
+// goroutine, naming the point.
+func runPoints(pts []point) []Point {
+	modes := [2]proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth}
+	cfgs := make([]Config, 0, 2*len(pts))
+	for _, p := range pts {
+		for _, mode := range modes {
+			p.cfg.Mode = mode
+			cfgs = append(cfgs, p.cfg)
+		}
 	}
-	cfg.Mode = proto.ModeSmarth
-	s, err := Run(cfg)
+	res, err := RunAll(cfgs)
 	if err != nil {
-		panic(fmt.Sprintf("sim: %s (SMARTH): %v", label, err))
+		var ce *ConfigError
+		errors.As(err, &ce)
+		panic(fmt.Sprintf("sim: %s (%v): %v", pts[ce.Index/2].label, modes[ce.Index%2], ce.Err))
 	}
-	return Point{Label: label, HDFS: h, Smarth: s}
+	out := make([]Point, len(pts))
+	for i, p := range pts {
+		out[i] = Point{Label: p.label, HDFS: res[2*i], Smarth: res[2*i+1]}
+	}
+	return out
 }
 
 func scaled(size, scale int64) int64 {
@@ -63,8 +80,8 @@ func scaled(size, scale int64) int64 {
 }
 
 // sizeSweep is Figure 5 / Figure 13's 1–8 GB x-axis.
-func sizeSweep(preset ec2.ClusterPreset, crossMbps float64, scale int64) []Point {
-	var out []Point
+func sizeSweep(preset ec2.ClusterPreset, crossMbps float64, scale int64) []point {
+	var out []point
 	for _, gbs := range []int64{1, 2, 4, 8} {
 		cfg := Config{
 			Preset:        preset,
@@ -72,14 +89,14 @@ func sizeSweep(preset ec2.ClusterPreset, crossMbps float64, scale int64) []Point
 			CrossRackMbps: crossMbps,
 			Seed:          gbs,
 		}
-		out = append(out, runPair(metrics.GB(gbs*GB), cfg))
+		out = append(out, point{metrics.GB(gbs * GB), cfg})
 	}
 	return out
 }
 
 // throttleSweep is Figures 6–8's x-axis: cross-rack bandwidth.
-func throttleSweep(preset ec2.ClusterPreset, scale int64) []Point {
-	var out []Point
+func throttleSweep(preset ec2.ClusterPreset, scale int64) []point {
+	var out []point
 	for _, mbpsV := range []float64{50, 100, 150} {
 		cfg := Config{
 			Preset:        preset,
@@ -87,14 +104,14 @@ func throttleSweep(preset ec2.ClusterPreset, scale int64) []Point {
 			CrossRackMbps: mbpsV,
 			Seed:          int64(mbpsV),
 		}
-		out = append(out, runPair(fmt.Sprintf("%.0fMbps", mbpsV), cfg))
+		out = append(out, point{fmt.Sprintf("%.0fMbps", mbpsV), cfg})
 	}
 	return out
 }
 
 // slowNodeSweep is Figures 10–12's x-axis: the number of throttled nodes.
-func slowNodeSweep(preset ec2.ClusterPreset, limitMbps float64, maxSlow int, scale int64) []Point {
-	var out []Point
+func slowNodeSweep(preset ec2.ClusterPreset, limitMbps float64, maxSlow int, scale int64) []point {
+	var out []point
 	for k := 0; k <= maxSlow; k++ {
 		limits := make(map[int]float64, k)
 		for i := 0; i < k; i++ {
@@ -106,7 +123,7 @@ func slowNodeSweep(preset ec2.ClusterPreset, limitMbps float64, maxSlow int, sca
 			NodeLimitMbps: limits,
 			Seed:          int64(k + 1),
 		}
-		out = append(out, runPair(fmt.Sprintf("k=%d", k), cfg))
+		out = append(out, point{fmt.Sprintf("k=%d", k), cfg})
 	}
 	return out
 }
@@ -118,55 +135,55 @@ func Experiments() []Experiment {
 			ID:    "figure5a",
 			Title: "small cluster, default bandwidth, 1-8GB",
 			Paper: "time proportional to size; SMARTH ~= HDFS without throttling",
-			Run:   func(scale int64) []Point { return sizeSweep(ec2.SmallCluster, 0, scale) },
+			Run:   func(scale int64) []Point { return runPoints(sizeSweep(ec2.SmallCluster, 0, scale)) },
 		},
 		{
 			ID:    "figure5b",
 			Title: "small cluster, 100Mbps two-rack throttle, 1-8GB",
 			Paper: "time proportional to size; SMARTH clearly faster",
-			Run:   func(scale int64) []Point { return sizeSweep(ec2.SmallCluster, 100, scale) },
+			Run:   func(scale int64) []Point { return runPoints(sizeSweep(ec2.SmallCluster, 100, scale)) },
 		},
 		{
 			ID:    "figure5c",
 			Title: "medium cluster, default bandwidth, 1-8GB",
 			Paper: "same shape as 5a; medium ~= large",
-			Run:   func(scale int64) []Point { return sizeSweep(ec2.MediumCluster, 0, scale) },
+			Run:   func(scale int64) []Point { return runPoints(sizeSweep(ec2.MediumCluster, 0, scale)) },
 		},
 		{
 			ID:    "figure5d",
 			Title: "medium cluster, 100Mbps two-rack throttle, 1-8GB",
 			Paper: "same shape as 5b",
-			Run:   func(scale int64) []Point { return sizeSweep(ec2.MediumCluster, 100, scale) },
+			Run:   func(scale int64) []Point { return runPoints(sizeSweep(ec2.MediumCluster, 100, scale)) },
 		},
 		{
 			ID:    "figure5e",
 			Title: "large cluster, default bandwidth, 1-8GB",
 			Paper: "same shape as 5c (same NIC as medium)",
-			Run:   func(scale int64) []Point { return sizeSweep(ec2.LargeCluster, 0, scale) },
+			Run:   func(scale int64) []Point { return runPoints(sizeSweep(ec2.LargeCluster, 0, scale)) },
 		},
 		{
 			ID:    "figure5f",
 			Title: "large cluster, 100Mbps two-rack throttle, 1-8GB",
 			Paper: "same shape as 5d",
-			Run:   func(scale int64) []Point { return sizeSweep(ec2.LargeCluster, 100, scale) },
+			Run:   func(scale int64) []Point { return runPoints(sizeSweep(ec2.LargeCluster, 100, scale)) },
 		},
 		{
 			ID:    "figure6",
 			Title: "small cluster, 8GB, cross-rack throttle 50/100/150Mbps",
 			Paper: "improvement 130% @50Mbps down to 27% @150Mbps",
-			Run:   func(scale int64) []Point { return throttleSweep(ec2.SmallCluster, scale) },
+			Run:   func(scale int64) []Point { return runPoints(throttleSweep(ec2.SmallCluster, scale)) },
 		},
 		{
 			ID:    "figure7",
 			Title: "medium cluster, 8GB, cross-rack throttle 50/100/150Mbps",
 			Paper: "improvement 225% @50Mbps",
-			Run:   func(scale int64) []Point { return throttleSweep(ec2.MediumCluster, scale) },
+			Run:   func(scale int64) []Point { return runPoints(throttleSweep(ec2.MediumCluster, scale)) },
 		},
 		{
 			ID:    "figure8",
 			Title: "large cluster, 8GB, cross-rack throttle 50/100/150Mbps",
 			Paper: "improvement 245% @50Mbps",
-			Run:   func(scale int64) []Point { return throttleSweep(ec2.LargeCluster, scale) },
+			Run:   func(scale int64) []Point { return runPoints(throttleSweep(ec2.LargeCluster, scale)) },
 		},
 		{
 			ID:    "figure9",
@@ -176,44 +193,44 @@ func Experiments() []Experiment {
 				// The improvement curve is computed from the same sweeps;
 				// re-running the small cluster stands in for the combined
 				// plot, with clusters compared in the harness output.
-				return throttleSweep(ec2.SmallCluster, scale)
+				return runPoints(throttleSweep(ec2.SmallCluster, scale))
 			},
 		},
 		{
 			ID:    "figure10",
 			Title: "small cluster, 8GB, 0-5 nodes throttled to 50Mbps",
 			Paper: "78% improvement with one slow node; grows with more",
-			Run:   func(scale int64) []Point { return slowNodeSweep(ec2.SmallCluster, 50, 5, scale) },
+			Run:   func(scale int64) []Point { return runPoints(slowNodeSweep(ec2.SmallCluster, 50, 5, scale)) },
 		},
 		{
 			ID:    "figure11a",
 			Title: "medium cluster, 8GB, 0-5 nodes throttled to 50Mbps",
 			Paper: "167% improvement with one slow node",
-			Run:   func(scale int64) []Point { return slowNodeSweep(ec2.MediumCluster, 50, 5, scale) },
+			Run:   func(scale int64) []Point { return runPoints(slowNodeSweep(ec2.MediumCluster, 50, 5, scale)) },
 		},
 		{
 			ID:    "figure11b",
 			Title: "large cluster, 8GB, 0-5 nodes throttled to 50Mbps",
 			Paper: "similar to medium (same NIC)",
-			Run:   func(scale int64) []Point { return slowNodeSweep(ec2.LargeCluster, 50, 5, scale) },
+			Run:   func(scale int64) []Point { return runPoints(slowNodeSweep(ec2.LargeCluster, 50, 5, scale)) },
 		},
 		{
 			ID:    "figure12a",
 			Title: "small cluster, 8GB, 0-5 nodes throttled to 150Mbps",
 			Paper: "benefit shrinks to ~19%",
-			Run:   func(scale int64) []Point { return slowNodeSweep(ec2.SmallCluster, 150, 5, scale) },
+			Run:   func(scale int64) []Point { return runPoints(slowNodeSweep(ec2.SmallCluster, 150, 5, scale)) },
 		},
 		{
 			ID:    "figure12b",
 			Title: "medium cluster, 8GB, 0-5 nodes throttled to 150Mbps",
 			Paper: "benefit ~59%",
-			Run:   func(scale int64) []Point { return slowNodeSweep(ec2.MediumCluster, 150, 5, scale) },
+			Run:   func(scale int64) []Point { return runPoints(slowNodeSweep(ec2.MediumCluster, 150, 5, scale)) },
 		},
 		{
 			ID:    "figure13",
 			Title: "heterogeneous cluster (3 small + 3 medium + 3 large), 1-8GB",
 			Paper: "8GB: HDFS 289s vs SMARTH 205s (41% faster)",
-			Run:   func(scale int64) []Point { return sizeSweep(ec2.HeteroCluster, 0, scale) },
+			Run:   func(scale int64) []Point { return runPoints(sizeSweep(ec2.HeteroCluster, 0, scale)) },
 		},
 	}
 }

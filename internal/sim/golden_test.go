@@ -27,16 +27,27 @@ type goldenEntry struct {
 	Points []Point `json:"points"`
 }
 
+// throttledExt is the workload most extension entries vary: the small
+// cluster behind a 50 Mbps cross-rack throttle.
+func throttledExt(edit func(*Config)) Config {
+	cfg := Config{Preset: ec2.SmallCluster, FileSize: 8 * gb / goldenScale, CrossRackMbps: 50, Seed: 9}
+	edit(&cfg)
+	return cfg
+}
+
+// The two extension entries TestScratchHygiene replays as well.
+func extFault(c *Config) {
+	c.PipelineFaults = []PipelineFault{{Block: 1, AfterPackets: 300, BadIndex: -1}, {Block: 3, AfterPackets: 7, BadIndex: 1}}
+}
+func extTraced(c *Config) { c.Trace = true; c.FileSize = 256 << 20 }
+
 // extensionEntries are the runs Experiments() does not list but the
 // test suite leans on: the ablation knobs, concurrent writers
 // (RunMulti), the three-rack topology, an injected pipeline fault and a
 // traced run (whose Result carries the span records themselves).
 func extensionEntries(t *testing.T) []goldenEntry {
-	throttled := Config{Preset: ec2.SmallCluster, FileSize: 8 * gb / goldenScale, CrossRackMbps: 50, Seed: 9}
 	pair := func(id string, edit func(*Config)) goldenEntry {
-		cfg := throttled
-		edit(&cfg)
-		return goldenEntry{ID: id, Points: []Point{runPair(id, cfg)}}
+		return goldenEntry{ID: id, Points: runPoints([]point{{id, throttledExt(edit)}})}
 	}
 	multi := func(mode proto.WriteMode) MultiResult {
 		return runMulti(t, Config{Preset: ec2.HeteroCluster, FileSize: 4 * gb / goldenScale, Seed: 5, Mode: mode}, 4)
@@ -51,10 +62,8 @@ func extensionEntries(t *testing.T) []goldenEntry {
 		pair("ext-no-globalopt", func(c *Config) { c.DisableGlobalOpt = true; c.NodeLimitMbps = map[int]float64{0: 50} }),
 		pair("ext-maxpipelines-1", func(c *Config) { c.MaxPipelines = 1 }),
 		pair("ext-three-rack", func(c *Config) { c.NumRacks = 3; c.CrossRackMbps = 100; c.Seed = 14 }),
-		pair("ext-fault", func(c *Config) {
-			c.PipelineFaults = []PipelineFault{{Block: 1, AfterPackets: 300, BadIndex: -1}, {Block: 3, AfterPackets: 7, BadIndex: 1}}
-		}),
-		pair("ext-traced", func(c *Config) { c.Trace = true; c.FileSize = 256 << 20 }),
+		pair("ext-fault", extFault),
+		pair("ext-traced", extTraced),
 		writers,
 	}
 }

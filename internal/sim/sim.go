@@ -232,19 +232,52 @@ func (c engClock) After(d time.Duration) <-chan time.Time {
 // mbps converts the paper's megabit figures to bytes/second.
 func mbps(v float64) float64 { return v * 1e6 / 8 }
 
+// scratch is the scaffolding a run leaves for the next one on the same
+// goroutine (a RunAll worker): the engine's event heap, the network's
+// server rings and flight records, and the packet records. All of it is
+// sized by a run's high-water marks — how deep a backlog got — and none of
+// it by what the run computed, so a run on a used scratch returns what it
+// returns on a new one (TestScratchHygiene). It is handed down by
+// parameter; nothing here is shared between goroutines.
+type scratch struct {
+	eng *des.Engine
+	nw  *netsim.Network
+	// slabs holds every packet record ever made here, freePackets the ones
+	// not in flight (see packet).
+	slabs       [][]packet
+	freePackets []*packet
+}
+
+func newScratch() *scratch {
+	eng := des.New()
+	return &scratch{eng: eng, nw: netsim.NewNetwork(eng, 0)}
+}
+
+// reset makes the scratch as good as new for a run with the given hop
+// latency. A run that ended in Stop, an abort or an error leaves events
+// queued and records in flight; all are dropped here, before the next run
+// rather than after the last, so no exit path has to remember to.
+func (sc *scratch) reset(hopLatency time.Duration) {
+	sc.eng.Reset()
+	sc.nw.Reset(hopLatency)
+	sc.freePackets = sc.freePackets[:0]
+	for _, slab := range sc.slabs {
+		for i := range slab {
+			slab[i].l = nil
+			sc.freePackets = append(sc.freePackets, &slab[i])
+		}
+	}
+}
+
 // simulation holds one experiment's shared infrastructure.
 type simulation struct {
 	cfg Config
-	eng *des.Engine
-	nw  *netsim.Network
-	nn  *namenode.Namenode
+	*scratch
+	nn *namenode.Namenode
 
 	dnNodes []*netsim.Node
 	writers []*writer
 	left    int // writers still running
-
-	// freePackets holds the packet records not in flight (see packet).
-	freePackets []*packet
 }
 
 // writer is one simulated uploading client: a writesched.Substrate whose
@@ -301,20 +334,16 @@ func (s *simulation) clientRack() string {
 	return "/rack-a"
 }
 
-func newSimulation(cfg Config, numClients int) (*simulation, error) {
+func newSimulation(cfg Config, numClients int, sc *scratch) (*simulation, error) {
 	cfg.applyDefaults()
-	eng := des.New()
-	s := &simulation{
-		cfg: cfg,
-		eng: eng,
-		nw:  netsim.NewNetwork(eng, cfg.HopLatency),
-	}
+	sc.reset(cfg.HopLatency)
+	s := &simulation{cfg: cfg, scratch: sc}
 
 	// Namenode runs the real placement code against the virtual clock;
 	// liveness expiry is effectively disabled (no datanode heartbeats in
 	// the performance model).
 	s.nn = namenode.New(namenode.Options{
-		Clock:  engClock{eng},
+		Clock:  engClock{s.eng},
 		Expiry: time.Duration(math.MaxInt64 / 4),
 		Seed:   cfg.Seed,
 	})
@@ -323,14 +352,13 @@ func newSimulation(cfg Config, numClients int) (*simulation, error) {
 	diskBps := cfg.DiskMBps * 1e6
 	for i, inst := range cfg.Preset.Datanodes {
 		name := fmt.Sprintf("dn%d", i+1)
-		node := netsim.NewNode(eng, name, s.rackFor(i), inst.NetworkBps(), diskBps)
+		node := s.nw.NewNode(name, s.rackFor(i), inst.NetworkBps(), diskBps)
 		if limit, ok := cfg.NodeLimitMbps[i]; ok && limit > 0 {
 			node.SetNICLimit(mbps(limit))
 		}
 		if cfg.CrossRackMbps > 0 && !cfg.SingleRack {
-			node.SetCrossRackLimit(eng, mbps(cfg.CrossRackMbps))
+			node.SetCrossRackLimit(mbps(cfg.CrossRackMbps))
 		}
-		s.nw.Add(node)
 		s.dnNodes = append(s.dnNodes, node)
 		if _, err := s.nn.Register(nnapi.RegisterReq{Name: name, Addr: name, Rack: node.Rack}); err != nil {
 			return nil, fmt.Errorf("sim: register %s: %w", name, err)
@@ -351,17 +379,16 @@ func newSimulation(cfg Config, numClients int) (*simulation, error) {
 		if numClients > 1 {
 			name = fmt.Sprintf("%s%d", ClientName, k+1)
 		}
-		node := netsim.NewNode(eng, name, s.clientRack(), cfg.Preset.Client.NetworkBps(), 0)
+		node := s.nw.NewNode(name, s.clientRack(), cfg.Preset.Client.NetworkBps(), 0)
 		if cfg.CrossRackMbps > 0 && !cfg.SingleRack {
-			node.SetCrossRackLimit(eng, mbps(cfg.CrossRackMbps))
+			node.SetCrossRackLimit(mbps(cfg.CrossRackMbps))
 		}
-		s.nw.Add(node)
 		w := &writer{
 			s:          s,
 			name:       name,
 			path:       "/" + name + "-file",
 			node:       node,
-			production: netsim.NewServer(eng, name+"/cpu", cfg.ProductionMBps*1e6),
+			production: s.nw.NewServer(name+"/cpu", cfg.ProductionMBps*1e6),
 			recorder:   core.NewRecorder(),
 			firstUse:   make(map[string]int),
 			startAt:    make(map[int]time.Duration),
@@ -397,8 +424,10 @@ func (w *writer) blockBytes(i int) int64 {
 }
 
 // Run simulates one upload and returns the result.
-func Run(cfg Config) (Result, error) {
-	m, err := RunMulti(cfg, 1)
+func Run(cfg Config) (Result, error) { return newScratch().run(cfg) }
+
+func (sc *scratch) run(cfg Config) (Result, error) {
+	m, err := sc.runMulti(cfg, 1)
 	if err != nil {
 		return Result{}, err
 	}
@@ -410,10 +439,14 @@ func Run(cfg Config) (Result, error) {
 // Namenode RPC failures and injected faults that exhaust recovery
 // surface as errors, not panics.
 func RunMulti(cfg Config, numClients int) (MultiResult, error) {
+	return newScratch().runMulti(cfg, numClients)
+}
+
+func (sc *scratch) runMulti(cfg Config, numClients int) (MultiResult, error) {
 	if numClients < 1 {
 		numClients = 1
 	}
-	s, err := newSimulation(cfg, numClients)
+	s, err := newSimulation(cfg, numClients, sc)
 	if err != nil {
 		return MultiResult{}, err
 	}
@@ -677,7 +710,7 @@ type launch struct {
 // arrive at datanode hop, pass its disk, travel to hop+1, ... and after
 // the last disk ride the ack back. The simulation owns the record from
 // production until the ack arrives or the launch is seen aborted; then
-// it returns to simulation.freePackets for the next packet.
+// it returns to scratch.freePackets for the next packet.
 type packet struct {
 	l      *launch
 	k      int  // index within the block
@@ -767,6 +800,7 @@ func (l *launch) packetProduced() {
 			slab[i].step = slab[i].advance
 			s.freePackets = append(s.freePackets, &slab[i])
 		}
+		s.slabs = append(s.slabs, slab)
 	}
 	last := len(s.freePackets) - 1
 	p := s.freePackets[last]

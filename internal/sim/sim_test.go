@@ -546,3 +546,19 @@ func BenchmarkBlockR3(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkFigure13 is one repetition of the paper's figure 13 at full
+// size — eight simulations through RunAll — which is what bench's
+// sim_fig13 workload times. Run it with -cpu 1,2 to see the worker pool.
+func BenchmarkFigure13(b *testing.B) {
+	e, ok := ExperimentByID("figure13")
+	if !ok {
+		b.Fatal("no figure13")
+	}
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		if pts := e.Run(1); len(pts) != 4 {
+			b.Fatalf("%d points, want 4", len(pts))
+		}
+	}
+}
