@@ -18,8 +18,11 @@
 package core
 
 import (
+	"cmp"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 )
@@ -137,17 +140,8 @@ func (g *Registry) Update(client string, records map[string]float64) {
 	}
 }
 
-// Forget drops all records mentioning a datanode (e.g. it was declared
-// dead), so it stops being preferred on stale data.
-func (g *Registry) Forget(dn string) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	for _, table := range g.clients {
-		delete(table, dn)
-	}
-}
-
-// ForgetClient drops a client's records (lease expiry).
+// ForgetClient drops a client's records: the namenode calls it for a
+// client that holds no lease and has stopped heartbeating.
 func (g *Registry) ForgetClient(client string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
@@ -165,33 +159,36 @@ func (g *Registry) HasRecords(client string) bool {
 
 // TopN returns up to n datanodes from candidates ordered by the client's
 // recorded speed, fastest first. Candidates without records sort last
-// (speed 0) but are still eligible; ties break by name for determinism.
+// (speed 0) but are still eligible; ties break by name for determinism —
+// the order is total over distinct names, so it does not depend on the
+// sorting algorithm.
 func (g *Registry) TopN(client string, n int, candidates []string) []string {
 	if n <= 0 || len(candidates) == 0 {
 		return nil
 	}
-	g.mu.RLock()
-	table := g.clients[client]
 	type entry struct {
 		dn    string
 		speed float64
 	}
-	entries := make([]entry, 0, len(candidates))
+	var scratch [32]entry // the usual cluster's candidates fit the frame
+	entries := scratch[:0]
+	if len(candidates) > len(scratch) {
+		entries = make([]entry, 0, len(candidates))
+	}
+	g.mu.RLock()
+	table := g.clients[client]
 	for _, dn := range candidates {
 		entries = append(entries, entry{dn: dn, speed: table[dn]})
 	}
 	g.mu.RUnlock()
-	sort.Slice(entries, func(i, j int) bool {
-		if entries[i].speed != entries[j].speed {
-			return entries[i].speed > entries[j].speed
+	slices.SortFunc(entries, func(a, b entry) int {
+		if c := cmp.Compare(b.speed, a.speed); c != 0 {
+			return c
 		}
-		return entries[i].dn < entries[j].dn
+		return strings.Compare(a.dn, b.dn)
 	})
-	if n > len(entries) {
-		n = len(entries)
-	}
-	out := make([]string, n)
-	for i := 0; i < n; i++ {
+	out := make([]string, min(n, len(entries)))
+	for i := range out {
 		out[i] = entries[i].dn
 	}
 	return out

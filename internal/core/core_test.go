@@ -100,20 +100,16 @@ func TestRegistryMergeSemantics(t *testing.T) {
 	}
 }
 
-func TestRegistryForget(t *testing.T) {
+func TestRegistryForgetClient(t *testing.T) {
 	g := NewRegistry()
 	g.Update("c1", map[string]float64{"dn1": 1, "dn2": 2})
 	g.Update("c2", map[string]float64{"dn1": 3})
-	g.Forget("dn1")
-	if s := g.Speeds("c1"); s["dn1"] != 0 || s["dn2"] != 2 {
-		t.Fatalf("c1 speeds after Forget = %v", s)
-	}
-	if g.HasRecords("c2") {
-		t.Fatal("c2 should have no records after its only datanode was forgotten")
-	}
 	g.ForgetClient("c1")
 	if g.HasRecords("c1") {
 		t.Fatal("ForgetClient left records")
+	}
+	if !g.HasRecords("c2") {
+		t.Fatal("ForgetClient dropped another client's records")
 	}
 }
 
@@ -268,5 +264,82 @@ func TestQuickTopNPrefix(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refTopN is TopN as it was when it ordered through sort.Slice: the
+// reference the current one is held to.
+func refTopN(table map[string]float64, n int, candidates []string) []string {
+	if n <= 0 || len(candidates) == 0 {
+		return nil
+	}
+	type entry struct {
+		dn    string
+		speed float64
+	}
+	entries := make([]entry, 0, len(candidates))
+	for _, dn := range candidates {
+		entries = append(entries, entry{dn: dn, speed: table[dn]})
+	}
+	sort.Slice(entries, func(i, j int) bool {
+		if entries[i].speed != entries[j].speed {
+			return entries[i].speed > entries[j].speed
+		}
+		return entries[i].dn < entries[j].dn
+	})
+	if n > len(entries) {
+		n = len(entries)
+	}
+	out := make([]string, n)
+	for i := 0; i < n; i++ {
+		out[i] = entries[i].dn
+	}
+	return out
+}
+
+// TestTopNMatchesReference: random tables with many tied speeds and
+// unmeasured candidates, below and above the size that fits TopN's frame.
+func TestTopNMatchesReference(t *testing.T) {
+	gen := rand.New(rand.NewSource(11))
+	for round := 0; round < 500; round++ {
+		table := map[string]float64{}
+		var candidates []string
+		for i, n := 0, 1+gen.Intn(80); i < n; i++ {
+			dn := "dn" + string(rune('A'+i/26)) + string(rune('a'+i%26))
+			if gen.Intn(4) > 0 {
+				table[dn] = float64(gen.Intn(6)) // few values: ties are the rule
+			}
+			if gen.Intn(5) > 0 {
+				candidates = append(candidates, dn)
+			}
+		}
+		gen.Shuffle(len(candidates), func(i, j int) { candidates[i], candidates[j] = candidates[j], candidates[i] })
+		g := NewRegistry()
+		g.Update("c", table)
+		n := gen.Intn(len(candidates) + 3)
+		got, want := g.TopN("c", n, candidates), refTopN(table, n, candidates)
+		if len(got) != len(want) {
+			t.Fatalf("round %d: TopN(%d) returned %d names, reference %d", round, n, len(got), len(want))
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("round %d: TopN(%d) = %v, reference %v", round, n, got, want)
+			}
+		}
+	}
+}
+
+// TestAllocTopN: the only thing TopN buys is its result.
+func TestAllocTopN(t *testing.T) {
+	g := NewRegistry()
+	speeds := map[string]float64{}
+	var names []string
+	for i := 0; i < 9; i++ {
+		names = append(names, "dn"+string(rune('0'+i)))
+		speeds[names[i]] = float64(40 + 15*i)
+	}
+	g.Update("c", speeds)
+	if got := testing.AllocsPerRun(100, func() { g.TopN("c", 3, names) }); got > 1 {
+		t.Errorf("TopN: %.1f allocs/op, budget 1", got)
 	}
 }

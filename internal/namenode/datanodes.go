@@ -1,7 +1,9 @@
 package namenode
 
 import (
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"time"
 
@@ -42,6 +44,13 @@ type datanodeManager struct {
 	expiry time.Duration
 	topo   *topology.Topology
 	nodes  map[string]*dnEntry
+	// byName holds every entry in name order (entries are never removed),
+	// so a sorted listing is a filter over it, not a map walk and a sort.
+	byName []*dnEntry
+	// placeable is the snapshot one placement decides on: the placeable
+	// names as of one clock reading, in storage reused from placement to
+	// placement. Namenode.place fills it; it is valid until mu is released.
+	placeable []string
 }
 
 func newDatanodeManager(clk clock.Clock, expiry time.Duration) *datanodeManager {
@@ -63,6 +72,10 @@ func (m *datanodeManager) register(info block.DatanodeInfo) {
 	if e == nil {
 		e = &dnEntry{invalidate: make(map[block.ID]block.GenStamp)}
 		m.nodes[info.Name] = e
+		i, _ := slices.BinarySearchFunc(m.byName, info.Name, func(e *dnEntry, name string) int {
+			return strings.Compare(e.info.Name, name)
+		})
+		m.byName = slices.Insert(m.byName, i, e)
 	}
 	e.info = info
 	e.lastBeat = m.clk.Now()
@@ -89,52 +102,44 @@ func (m *datanodeManager) heartbeat(name string, used int64) (invalidate []block
 	return invalidate, true
 }
 
-func (m *datanodeManager) isAliveLocked(e *dnEntry) bool {
-	return m.clk.Now().Sub(e.lastBeat) < m.expiry
-}
-
-// aliveLocked returns live datanodes sorted by name. Caller holds mu.
-func (m *datanodeManager) aliveLocked() []block.DatanodeInfo {
-	out := make([]block.DatanodeInfo, 0, len(m.nodes))
-	for _, e := range m.nodes {
-		if m.isAliveLocked(e) {
-			out = append(out, e.info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Name < out[j].Name })
-	return out
+// isAliveLocked reports whether e has heartbeated within the expiry
+// window as of now. Callers read the clock once and pass it to every
+// test, so one listing is one point in time.
+func (m *datanodeManager) isAliveLocked(e *dnEntry, now time.Time) bool {
+	return now.Sub(e.lastBeat) < m.expiry
 }
 
 // aliveNames returns live datanode names sorted.
 func (m *datanodeManager) aliveNames() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	infos := m.aliveLocked()
-	out := make([]string, len(infos))
-	for i, d := range infos {
-		out[i] = d.Name
-	}
-	return out
-}
-
-// placeableNamesLocked returns live datanodes eligible for new replicas
-// (live and not decommissioning), sorted. Caller holds mu.
-func (m *datanodeManager) placeableNamesLocked() []string {
-	out := make([]string, 0, len(m.nodes))
-	for name, e := range m.nodes {
-		if m.isAliveLocked(e) && !e.decommissioning {
-			out = append(out, name)
+	now := m.clk.Now()
+	out := make([]string, 0, len(m.byName))
+	for _, e := range m.byName {
+		if m.isAliveLocked(e, now) {
+			out = append(out, e.info.Name)
 		}
 	}
-	sort.Strings(out)
 	return out
 }
 
-// placeableNames is the self-locking form of placeableNamesLocked.
+// appendPlaceableLocked appends the datanodes eligible for new replicas
+// (live as of now and not decommissioning) to dst, sorted. Caller holds
+// mu.
+func (m *datanodeManager) appendPlaceableLocked(dst []string, now time.Time) []string {
+	for _, e := range m.byName {
+		if m.isAliveLocked(e, now) && !e.decommissioning {
+			dst = append(dst, e.info.Name)
+		}
+	}
+	return dst
+}
+
+// placeableNames returns a copy of the placeable set, sorted.
 func (m *datanodeManager) placeableNames() []string {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	return m.placeableNamesLocked()
+	return m.appendPlaceableLocked(make([]string, 0, len(m.byName)), m.clk.Now())
 }
 
 // setDecommissioning flips a node's drain state; unknown nodes error.
@@ -190,9 +195,10 @@ func (m *datanodeManager) scheduleInvalidate(name string, id block.ID, staleGen 
 func (m *datanodeManager) numRacks() int {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	now := m.clk.Now()
 	racks := make(map[string]bool)
 	for _, e := range m.nodes {
-		if m.isAliveLocked(e) {
+		if m.isAliveLocked(e, now) {
 			racks[e.info.Rack] = true
 		}
 	}
@@ -206,9 +212,10 @@ func (m *datanodeManager) numRacks() int {
 func (m *datanodeManager) orderedHolders(client string, holders []string) []block.DatanodeInfo {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	now := m.clk.Now()
 	out := make([]block.DatanodeInfo, 0, len(holders))
 	for _, name := range holders {
-		if e, ok := m.nodes[name]; ok && m.isAliveLocked(e) {
+		if e, ok := m.nodes[name]; ok && m.isAliveLocked(e, now) {
 			out = append(out, e.info)
 		}
 	}
@@ -230,12 +237,12 @@ type dnUsage struct {
 func (m *datanodeManager) usages() []dnUsage {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	out := make([]dnUsage, 0, len(m.nodes))
-	for name, e := range m.nodes {
-		if m.isAliveLocked(e) && !e.decommissioning {
-			out = append(out, dnUsage{name: name, used: e.usedBytes})
+	now := m.clk.Now()
+	out := make([]dnUsage, 0, len(m.byName))
+	for _, e := range m.byName {
+		if m.isAliveLocked(e, now) && !e.decommissioning {
+			out = append(out, dnUsage{name: e.info.Name, used: e.usedBytes})
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].name < out[j].name })
 	return out
 }

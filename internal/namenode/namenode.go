@@ -80,13 +80,22 @@ type Namenode struct {
 	balancerMoves map[block.ID]pendingMove
 	server        *rpc.Server
 
+	// heardMu guards clientHeard: when each client last sent a
+	// clientHeartbeat, so the maintenance tick can forget the speed
+	// records of clients that are gone (forgetSilentClients). A leaf
+	// lock: only the registry's own is taken under it.
+	heardMu     sync.Mutex
+	clientHeard map[string]time.Time
+
 	// safeMode blocks namespace mutations after a restart until enough
 	// blocks have at least one reported replica (like HDFS startup).
 	safeMode atomic.Bool
 
 	// pol places every pipeline: client writes, recovery top-ups and
-	// re-replication.
-	pol policy.Policy
+	// re-replication. view is what it sees of the cluster: one
+	// placementView for the namenode's life, boxed once.
+	pol  policy.Policy
+	view policy.ClusterView
 
 	// Observability (nil-safe no-ops when Options.Obs is unset).
 	obsComp          *obs.Component
@@ -125,7 +134,9 @@ func New(opts Options) *Namenode {
 		rng:           rng,
 		leaseTTL:      leaseTTL,
 		balancerMoves: make(map[block.ID]pendingMove),
+		clientHeard:   make(map[string]time.Time),
 		pol:           pol,
+		view:          placementView{dm: dm, registry: registry},
 	}
 	nn.obsComp = opts.Obs.Component("namenode")
 	nn.mPlaceSmarth = nn.obsComp.Counter("placement_smarth")
@@ -142,12 +153,16 @@ func New(opts Options) *Namenode {
 func (nn *Namenode) Registry() *core.Registry { return nn.registry }
 
 // place runs one placement decision under the datanode manager's lock,
-// so the policy observes a consistent topology (via placementView) and
-// the shared rng is race-free.
+// so the policy observes a consistent topology (via nn.view) and the
+// shared rng is race-free. Liveness is decided here, once, from one
+// reading of the clock: every node the policy considers is judged
+// against the same instant.
 func (nn *Namenode) place(mode proto.WriteMode, client string, replication int, exclude []string) ([]block.DatanodeInfo, error) {
-	nn.dm.mu.Lock()
-	defer nn.dm.mu.Unlock()
-	return nn.pol.Place(placementView{dm: nn.dm, registry: nn.registry}, policy.PlaceInput{
+	dm := nn.dm
+	dm.mu.Lock()
+	defer dm.mu.Unlock()
+	dm.placeable = dm.appendPlaceableLocked(dm.placeable[:0], nn.clk.Now())
+	return nn.pol.Place(nn.view, policy.PlaceInput{
 		Client:      client,
 		Mode:        mode,
 		Replication: replication,
@@ -346,9 +361,42 @@ func (nn *Namenode) RecoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockR
 // renews the client's write leases (O(the client's open files), via the
 // per-shard lease index).
 func (nn *Namenode) ClientHeartbeat(req nnapi.ClientHeartbeatReq) (nnapi.ClientHeartbeatResp, error) {
+	now := nn.clk.Now()
+	nn.heardMu.Lock()
+	nn.clientHeard[req.Client] = now
 	nn.registry.Update(req.Client, req.Speeds)
-	nn.ns.renewLeases(req.Client, nn.clk.Now())
+	nn.heardMu.Unlock()
+	nn.ns.renewLeases(req.Client, now)
 	return nnapi.ClientHeartbeatResp{}, nil
+}
+
+// forgetSilentClients drops the speed records of every client that holds
+// no lease and has not heartbeated for the lease timeout: a writer that
+// finished or died is not coming back under that name (smarth-put names
+// itself after its pid), and its table would otherwise stay for the life
+// of the namenode. A client that returns later starts without records,
+// as a new one does.
+func (nn *Namenode) forgetSilentClients(now time.Time) {
+	var silent []string
+	nn.heardMu.Lock()
+	for client, heard := range nn.clientHeard {
+		if now.Sub(heard) >= nn.leaseTTL {
+			silent = append(silent, client)
+		}
+	}
+	nn.heardMu.Unlock()
+	for _, client := range silent {
+		if nn.ns.holdsLease(client) { // shard locks: not under heardMu
+			continue
+		}
+		nn.heardMu.Lock()
+		// Looked up again: a heartbeat since the listing keeps its records.
+		if now.Sub(nn.clientHeard[client]) >= nn.leaseTTL {
+			delete(nn.clientHeard, client)
+			nn.registry.ForgetClient(client)
+		}
+		nn.heardMu.Unlock()
+	}
 }
 
 // GetBlockLocations returns each block of a file with the datanodes known

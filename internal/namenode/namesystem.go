@@ -661,6 +661,19 @@ func (ns *namesystem) renewLeases(client string, now time.Time) {
 	}
 }
 
+// holdsLease reports whether client is writing any file.
+func (ns *namesystem) holdsLease(client string) bool {
+	for _, s := range ns.shards {
+		ns.lockShard(s)
+		held := len(s.leases[client]) > 0
+		s.mu.Unlock()
+		if held {
+			return true
+		}
+	}
+	return false
+}
+
 // recoverExpired force-finalizes files whose writer has been silent
 // longer than timeout: blocks that never got a finalized replica are
 // dropped (the dead client's unflushed tail), the rest are kept, and the

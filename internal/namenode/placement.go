@@ -16,15 +16,17 @@ var ErrNoDatanodes = policy.ErrNoDatanodes
 // placementView adapts the datanode manager (plus the speed registry) to
 // policy.ClusterView. Placement runs a whole Place() with dm.mu held —
 // Namenode.place acquires it — so every method here uses the Locked
-// forms and needs no further synchronization; a view is only valid for
-// the duration of that one call.
+// forms and needs no further synchronization; what a view returns is
+// only valid for the duration of that one call.
 type placementView struct {
 	dm       *datanodeManager
 	registry *core.Registry
 }
 
-// Placeable returns the datanodes eligible for new replicas, sorted.
-func (v placementView) Placeable() []string { return v.dm.placeableNamesLocked() }
+// Placeable returns the datanodes eligible for new replicas, sorted: the
+// snapshot Namenode.place took for this placement, however often the
+// policy asks.
+func (v placementView) Placeable() []string { return v.dm.placeable }
 
 // Lookup resolves a datanode by name regardless of liveness.
 func (v placementView) Lookup(name string) (block.DatanodeInfo, bool) {

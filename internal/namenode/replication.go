@@ -111,6 +111,7 @@ func (nn *Namenode) replicationWorkFor(dn string) []nnapi.ReplicateCmd {
 	// and the replication scan would copy everything spuriously.
 	if nn.checkSafeMode() == nil && nn.repl.shouldScan(now) {
 		nn.ns.recoverExpired(now, nn.leaseTTL)
+		nn.forgetSilentClients(now)
 		nn.scanUnderReplicated(now)
 	}
 	return nn.repl.drain(dn)

@@ -2,6 +2,7 @@ package policy
 
 import (
 	"math/rand"
+	"slices"
 
 	"repro/internal/block"
 	"repro/internal/core"
@@ -12,41 +13,41 @@ import (
 // placements share it so the rack-aware tail (second replica on a remote
 // rack, third on the second's rack, rest random) is implemented exactly
 // once. The rng draw order is part of the conformance contract.
+//
+// A picker lives in its placement's frame and reads the view's
+// placeable set once: what is alive, how many pipelines that allows and
+// who the candidates are all come from that one snapshot.
 type picker struct {
 	view   ClusterView
 	rng    *rand.Rand
 	picked []block.DatanodeInfo
-	used   map[string]bool
-	alive  map[string]bool
+	// alive is the view's placeable set, sorted: it belongs to the view
+	// and is read-only here.
+	alive []string
+	// used is the exclude list followed by the names picked so far; it is
+	// what the view's random choices are told to avoid, so it is on the
+	// heap (an argument of an interface call always is).
+	used []string
 }
 
-func newPicker(view ClusterView, rng *rand.Rand, exclude []string) *picker {
-	p := &picker{
-		view:  view,
-		rng:   rng,
-		used:  make(map[string]bool, len(exclude)+4),
-		alive: make(map[string]bool),
+func newPicker(view ClusterView, in PlaceInput) picker {
+	alive := view.Placeable()
+	want := max(1, min(in.Replication, len(alive)))
+	return picker{
+		view:   view,
+		rng:    in.Rng,
+		picked: make([]block.DatanodeInfo, 0, want),
+		alive:  alive,
+		used:   append(make([]string, 0, len(in.Exclude)+want), in.Exclude...),
 	}
-	for _, e := range exclude {
-		p.used[e] = true
-	}
-	for _, n := range view.Placeable() {
-		p.alive[n] = true
-	}
-	return p
-}
-
-func (p *picker) excludeList() []string {
-	out := make([]string, 0, len(p.used))
-	for n := range p.used {
-		out = append(out, n)
-	}
-	return out
 }
 
 // add records name as the next pipeline target if it is usable.
-func (p *picker) add(name string, ok bool) bool {
-	if !ok || p.used[name] || !p.alive[name] {
+func (p *picker) add(name string) bool {
+	if slices.Contains(p.used, name) {
+		return false
+	}
+	if _, alive := slices.BinarySearch(p.alive, name); !alive {
 		return false
 	}
 	info, known := p.view.Lookup(name)
@@ -54,19 +55,21 @@ func (p *picker) add(name string, ok bool) bool {
 		return false
 	}
 	p.picked = append(p.picked, info)
-	p.used[name] = true
+	p.used = append(p.used, name)
 	return true
 }
 
 // randomAlive picks any live, unused node.
 func (p *picker) randomAlive() bool {
-	excl := p.excludeList()
+	// excl grows past used only for this choice: a later one may draw a
+	// skipped node again, as the rng contract has it.
+	excl := p.used
 	for {
 		name, ok := p.view.ChooseRandom(p.rng, excl)
 		if !ok {
 			return false
 		}
-		if p.add(name, true) {
+		if p.add(name) {
 			return true
 		}
 		excl = append(excl, name) // dead or stale-topology node: skip it
@@ -76,13 +79,13 @@ func (p *picker) randomAlive() bool {
 // remoteRackOf prefers a live node on a rack other than ref's, degrading
 // to any live node when the cluster has one rack (Hadoop's fallback).
 func (p *picker) remoteRackOf(ref string) bool {
-	excl := p.excludeList()
+	excl := p.used
 	for {
 		name, ok := p.view.ChooseRandomRemoteRack(p.rng, ref, excl)
 		if !ok {
 			return p.randomAlive()
 		}
-		if p.add(name, true) {
+		if p.add(name) {
 			return true
 		}
 		excl = append(excl, name)
@@ -92,13 +95,13 @@ func (p *picker) remoteRackOf(ref string) bool {
 // sameRackAs prefers a live node sharing ref's rack, degrading to any.
 func (p *picker) sameRackAs(ref string) bool {
 	rack, _ := p.view.RackOf(ref)
-	excl := p.excludeList()
+	excl := p.used
 	for {
 		name, ok := p.view.ChooseRandomInRack(p.rng, rack, excl)
 		if !ok {
 			return p.randomAlive()
 		}
-		if p.add(name, true) {
+		if p.add(name) {
 			return true
 		}
 		excl = append(excl, name)
@@ -154,8 +157,8 @@ func (d *defaultPolicy) OrderPipeline(idx int, targets []string, speedOf func(st
 
 // placeDefault is HDFS's topology-aware placement.
 func placeDefault(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) {
-	p := newPicker(view, in.Rng, in.Exclude)
-	if !p.add(in.Client, true) && !p.randomAlive() {
+	p := newPicker(view, in)
+	if !p.add(in.Client) && !p.randomAlive() {
 		return nil, ErrNoDatanodes
 	}
 	p.fillTail(in.Replication)
@@ -164,10 +167,14 @@ func placeDefault(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error)
 
 // placeSmarth is Algorithm 1's placement for a client with speed records.
 func placeSmarth(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) {
-	p := newPicker(view, in.Rng, in.Exclude)
-	candidates := make([]string, 0, len(p.alive))
-	for _, n := range view.Placeable() {
-		if !p.used[n] {
+	p := newPicker(view, in)
+	var scratch [32]string // the usual cluster's candidates fit the frame
+	candidates := scratch[:0]
+	if len(p.alive) > len(scratch) {
+		candidates = make([]string, 0, len(p.alive))
+	}
+	for _, n := range p.alive {
+		if !slices.Contains(p.used, n) {
 			candidates = append(candidates, n)
 		}
 	}
@@ -176,8 +183,8 @@ func placeSmarth(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) 
 	}
 	n := core.MaxPipelines(len(p.alive), in.Replication)
 	topN := view.Registry().TopN(in.Client, n, candidates)
-	if !p.add(topN[in.Rng.Intn(len(topN))], true) {
-		// TopN nodes raced to death; fall back to anything alive.
+	if !p.add(topN[in.Rng.Intn(len(topN))]) {
+		// The view could not resolve the drawn node; anything alive will do.
 		if !p.randomAlive() {
 			return nil, ErrNoDatanodes
 		}

@@ -50,7 +50,10 @@ const ShapeChain Shape = 0
 // consistent and the shared rng race-free).
 type ClusterView interface {
 	// Placeable returns the datanodes eligible for new replicas (live
-	// and not decommissioning), sorted by name.
+	// and not decommissioning), sorted by name. The slice belongs to the
+	// view: a policy reads it, during this Place only. A policy calls it
+	// once per decision, so everything it derives (who is alive, how many
+	// pipelines that allows, the candidates) agrees.
 	Placeable() []string
 	// Lookup resolves a datanode by name regardless of liveness.
 	Lookup(name string) (block.DatanodeInfo, bool)

@@ -1,6 +1,7 @@
 package policy
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"sort"
@@ -9,6 +10,7 @@ import (
 	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/proto"
+	"repro/internal/topology"
 )
 
 // fakeView is a deterministic ClusterView: random choices resolve to the
@@ -134,5 +136,65 @@ func TestDefaultPlaceHonorsExclude(t *testing.T) {
 		Rng:         rand.New(rand.NewSource(1)),
 	}); err != ErrNoDatanodes {
 		t.Fatalf("all-excluded err = %v, want ErrNoDatanodes", err)
+	}
+}
+
+// benchCluster is n placeable datanodes on two racks with a speed table
+// for "writer" covering all of them: the shape of the benchmark's
+// placement probe at n = 9.
+func benchCluster(n int) ClusterView {
+	m := &model{racks: map[string]string{}, known: map[string]bool{}, reg: core.NewRegistry()}
+	topo := topology.New()
+	speeds := map[string]float64{}
+	for i := 0; i < n; i++ {
+		name, rack := fmt.Sprintf("dn%04d", i), fmt.Sprintf("/rack-%d", i%2)
+		m.racks[name], m.known[name] = rack, true
+		m.placeable = append(m.placeable, name)
+		topo.Add(name, rack)
+		speeds[name] = float64(40 + 15*(i%23))
+	}
+	m.reg.Update("writer", speeds)
+	return liveView{m, topo}
+}
+
+// TestAllocPlace: a SMARTH placement buys the exclusion list it hands the
+// view's random choices (an interface call's argument is on the heap),
+// the targets it returns and TopN's result; the HDFS path has no TopN.
+func TestAllocPlace(t *testing.T) {
+	view := benchCluster(9)
+	pol, _ := New(Default)
+	for _, c := range []struct {
+		mode   proto.WriteMode
+		budget float64
+	}{{proto.ModeSmarth, 3}, {proto.ModeHDFS, 2}} {
+		in := PlaceInput{Client: "writer", Mode: c.mode, Replication: 3, Rng: rand.New(rand.NewSource(1))}
+		got := testing.AllocsPerRun(200, func() {
+			if targets, err := pol.Place(view, in); err != nil || len(targets) != 3 {
+				t.Fatalf("Place = %v, %v", targets, err)
+			}
+		})
+		if got > c.budget {
+			t.Errorf("mode %v: %.1f allocs per placement, budget %.0f", c.mode, got, c.budget)
+		}
+	}
+}
+
+// BenchmarkPlace times one SMARTH R3 placement against cluster size: a
+// placement filters and walks sorted lists it is handed, so it is linear
+// in the number of nodes, with TopN's sort of the candidates on top.
+func BenchmarkPlace(b *testing.B) {
+	pol, _ := New(Default)
+	for _, n := range []int{9, 100, 1000} {
+		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
+			view := benchCluster(n)
+			in := PlaceInput{Client: "writer", Mode: proto.ModeSmarth, Replication: 3, Rng: rand.New(rand.NewSource(1))}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if targets, err := pol.Place(view, in); err != nil || len(targets) != 3 {
+					b.Fatalf("Place = %v, %v", targets, err)
+				}
+			}
+		})
 	}
 }

@@ -15,8 +15,9 @@
 // copy what they keep, so the buffer goes back to the pool before a
 // handler runs or a caller wakes. There is one codec version and no
 // negotiation: a frame that does not start with it is rejected. The
-// server dispatches each request on its own goroutine, so slow handlers
-// do not head-of-line block heartbeats.
+// server runs every request on a handler goroutine that serves nothing
+// else meanwhile, so slow handlers do not head-of-line block heartbeats;
+// a connection keeps a few of them parked between requests (serverConn).
 package rpc
 
 import (
@@ -151,10 +152,10 @@ func parseResponse(frame []byte) (seq uint64, body []byte, remote *RemoteError, 
 // Observer receives one callback per handled request with the method
 // name, the wall-clock handler duration, and whether the handler (or
 // dispatch) failed. Implementations must be concurrency-safe; they run
-// on the per-request handler goroutine.
+// on the request's handler goroutine.
 type Observer func(method string, d time.Duration, errored bool)
 
-// call is one decoded request, ready to run on its own goroutine: run
+// call is one decoded request, ready to run on a handler goroutine: run
 // invokes the handler and appends the encoded response to dst.
 type call interface {
 	run(dst []byte) ([]byte, error)
@@ -286,18 +287,46 @@ func (s *Server) Close() {
 	s.wg.Wait()
 }
 
+// maxParked is how many idle handler goroutines a connection keeps
+// between requests. A closed-loop caller needs one; a few more cover a
+// caller that keeps several calls in flight. What a burst starts beyond
+// them exits when it has answered.
+const maxParked = 4
+
+// request is one decoded request on its way to a handler goroutine: the
+// call to run, or failure when the read loop already knows the answer is
+// an error.
+type request struct {
+	seq      uint64
+	method   string
+	c        call
+	failure  string
+	observer Observer
+}
+
 // serverConn is one accepted connection: its responses share a write
 // lock, and its read loop outlives no handler it started.
+//
+// Requests run on handler goroutines that park on work between requests
+// rather than on one goroutine per request, so the stack a handler grew
+// once (placement, the shard lock path, the codec) serves the next
+// request too. The read loop hands a request to a parked handler when
+// idle holds a token for one and starts a handler otherwise, so a
+// request never waits for another to finish; idle's capacity is how many
+// handlers may park.
 type serverConn struct {
 	conn     transport.Conn
 	writeMu  sync.Mutex
 	handlers sync.WaitGroup
+	work     chan request  // unbuffered; closed when the read loop ends
+	idle     chan struct{} // a token per handler parked on work (or about to) that no request has claimed
 }
 
 func (s *Server) serveConn(conn transport.Conn) {
-	sc := &serverConn{conn: conn}
+	sc := &serverConn{conn: conn, work: make(chan request), idle: make(chan struct{}, maxParked)}
 	defer conn.Close()
 	defer sc.handlers.Wait()
+	defer close(sc.work) // parked handlers exit
 	for {
 		fr, err := readFrame(conn)
 		if err != nil {
@@ -315,35 +344,61 @@ func (s *Server) serveConn(conn transport.Conn) {
 		s.mu.RUnlock()
 		// Decode here, in place, so the frame never leaves this loop: what
 		// crosses to the handler goroutine owns its memory.
-		var c call
-		var failure string
+		req := request{seq: seq, method: h.method, observer: observer}
 		if !known {
-			h.method = string(method)
-			failure = "rpc: unknown method " + h.method
-		} else if c, err = h.decode(body); err != nil {
-			failure = err.Error()
+			req.method = string(method)
+			req.failure = "rpc: unknown method " + req.method
+		} else if req.c, err = h.decode(body); err != nil {
+			req.failure = err.Error()
 		}
 		bufpool.Put(fr)
-		sc.handlers.Add(1)
-		go sc.respond(seq, h.method, c, failure, observer)
+		sc.dispatch(req)
 	}
 }
 
-// respond runs one decoded request on its own goroutine and writes the
-// response frame: the call's encoded result, or failure (a dispatch
-// error found by the read loop, or the handler's error) as a string.
-func (sc *serverConn) respond(seq uint64, method string, c call, failure string, observer Observer) {
+// dispatch hands req to a parked handler, or to a new one when none is
+// idle. Only the read loop calls it, so each idle token it takes is
+// matched by exactly one send, which that token's handler is about to
+// receive.
+func (sc *serverConn) dispatch(req request) {
+	select {
+	case <-sc.idle:
+		sc.work <- req
+	default:
+		sc.handlers.Add(1)
+		go sc.handle(req)
+	}
+}
+
+// handle answers req and then the requests handed to it on work, until
+// the connection ends or maxParked other handlers are already idle.
+func (sc *serverConn) handle(req request) {
 	defer sc.handlers.Done()
+	for open := true; open; req, open = <-sc.work {
+		sc.respond(req)
+		select {
+		case sc.idle <- struct{}{}:
+		default:
+			return
+		}
+	}
+}
+
+// respond runs one decoded request and writes the response frame: the
+// call's encoded result, or failure (a dispatch error found by the read
+// loop, or the handler's error) as a string.
+func (sc *serverConn) respond(req request) {
 	var start time.Time
-	if observer != nil {
+	if req.observer != nil {
 		start = time.Now()
 	}
 	bp := bufpool.GetCap(frameHint)
 	defer bufpool.Put(bp)
-	buf := append(appendPrefix(*bp, seq), statusOK)
+	buf := append(appendPrefix(*bp, req.seq), statusOK)
+	failure := req.failure
 	if failure == "" {
 		var err error
-		if buf, err = c.run(buf); err != nil {
+		if buf, err = req.c.run(buf); err != nil {
 			failure = err.Error()
 		} else if err = finishFrame(buf); err != nil {
 			failure = "rpc: encode response: " + err.Error()
@@ -355,8 +410,8 @@ func (sc *serverConn) respond(seq uint64, method string, c call, failure string,
 		_ = finishFrame(buf) // an error string, far below MaxMessage
 	}
 	*bp = buf
-	if observer != nil {
-		observer(method, time.Since(start), failure != "")
+	if req.observer != nil {
+		req.observer(req.method, time.Since(start), failure != "")
 	}
 	sc.writeMu.Lock()
 	defer sc.writeMu.Unlock()

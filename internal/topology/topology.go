@@ -7,7 +7,9 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 )
 
@@ -26,18 +28,45 @@ type Node struct {
 func (n Node) String() string { return n.Rack + "/" + n.Name }
 
 // Topology is a concurrency-safe rack/node tree.
+//
+// The random choices draw from name-sorted lists, so a seeded rng picks
+// the same node whatever order the nodes were added in. The lists are
+// kept sorted as nodes come and go; a choice reads them and builds
+// nothing.
 type Topology struct {
 	mu    sync.RWMutex
-	racks map[string][]string // rack -> sorted node names
-	nodes map[string]string   // node name -> rack
+	racks map[string][]Node // rack -> its nodes, sorted by name
+	nodes map[string]string // node name -> rack
+	all   []Node            // every node, sorted by name
 }
 
 // New returns an empty topology.
 func New() *Topology {
 	return &Topology{
-		racks: make(map[string][]string),
+		racks: make(map[string][]Node),
 		nodes: make(map[string]string),
 	}
+}
+
+// find returns where name is, or would be inserted, in a name-sorted list.
+func find(list []Node, name string) (int, bool) {
+	return slices.BinarySearchFunc(list, name, func(n Node, name string) int {
+		return strings.Compare(n.Name, name)
+	})
+}
+
+// insert adds n to a name-sorted list that does not hold it.
+func insert(list []Node, n Node) []Node {
+	i, _ := find(list, n.Name)
+	return slices.Insert(list, i, n)
+}
+
+// remove deletes name from a name-sorted list, if present.
+func remove(list []Node, name string) []Node {
+	if i, ok := find(list, name); ok {
+		return slices.Delete(list, i, i+1)
+	}
+	return list
 }
 
 // Add registers a node under a rack. An empty rack means DefaultRack.
@@ -51,13 +80,10 @@ func (t *Topology) Add(name, rack string) {
 	if old, ok := t.nodes[name]; ok {
 		t.removeLocked(name, old)
 	}
+	n := Node{Name: name, Rack: rack}
 	t.nodes[name] = rack
-	list := t.racks[rack]
-	i := sort.SearchStrings(list, name)
-	list = append(list, "")
-	copy(list[i+1:], list[i:])
-	list[i] = name
-	t.racks[rack] = list
+	t.racks[rack] = insert(t.racks[rack], n)
+	t.all = insert(t.all, n)
 }
 
 // Remove deletes a node. Removing an unknown node is a no-op.
@@ -71,12 +97,8 @@ func (t *Topology) Remove(name string) {
 }
 
 func (t *Topology) removeLocked(name, rack string) {
-	list := t.racks[rack]
-	i := sort.SearchStrings(list, name)
-	if i < len(list) && list[i] == name {
-		list = append(list[:i], list[i+1:]...)
-	}
-	if len(list) == 0 {
+	t.all = remove(t.all, name)
+	if list := remove(t.racks[rack], name); len(list) == 0 {
 		delete(t.racks, rack)
 	} else {
 		t.racks[rack] = list
@@ -160,12 +182,7 @@ func (t *Topology) Racks() []string {
 func (t *Topology) Nodes() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.nodes))
-	for n := range t.nodes {
-		out = append(out, n)
-	}
-	sort.Strings(out)
-	return out
+	return names(t.all)
 }
 
 // NodesInRack returns the sorted node names in a rack (nil if none).
@@ -176,20 +193,15 @@ func (t *Topology) NodesInRack(rack string) []string {
 	if len(list) == 0 {
 		return nil
 	}
-	out := make([]string, len(list))
-	copy(out, list)
-	return out
+	return names(list)
 }
 
-// exclSet answers membership questions for an exclusion list.
-type exclSet map[string]bool
-
-func newExclSet(excluded []string) exclSet {
-	s := make(exclSet, len(excluded))
-	for _, e := range excluded {
-		s[e] = true
+func names(list []Node) []string {
+	out := make([]string, len(list))
+	for i, n := range list {
+		out[i] = n.Name
 	}
-	return s
+	return out
 }
 
 // ChooseRandom returns a uniformly random registered node not in excluded,
@@ -197,14 +209,14 @@ func newExclSet(excluded []string) exclSet {
 func (t *Topology) ChooseRandom(rng *rand.Rand, excluded []string) (string, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.chooseFromLocked(rng, t.allLocked(), newExclSet(excluded))
+	return choose(rng, t.all, "", excluded)
 }
 
 // ChooseRandomInRack returns a random node within rack, not in excluded.
 func (t *Topology) ChooseRandomInRack(rng *rand.Rand, rack string, excluded []string) (string, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	return t.chooseFromLocked(rng, t.racks[rack], newExclSet(excluded))
+	return choose(rng, t.racks[rack], "", excluded)
 }
 
 // ChooseRandomRemoteRack returns a random node whose rack differs from the
@@ -213,60 +225,70 @@ func (t *Topology) ChooseRandomInRack(rng *rand.Rand, rack string, excluded []st
 func (t *Topology) ChooseRandomRemoteRack(rng *rand.Rand, refNode string, excluded []string) (string, bool) {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
-	refRack := t.nodes[refNode]
-	excl := newExclSet(excluded)
-	var pool []string
-	for rack, nodes := range t.racks {
-		if rack == refRack {
-			continue
-		}
-		pool = append(pool, nodes...)
-	}
-	sort.Strings(pool)
-	return t.chooseFromLocked(rng, pool, excl)
+	return choose(rng, t.all, t.nodes[refNode], excluded) // no rack is named ""
 }
 
-func (t *Topology) allLocked() []string {
-	out := make([]string, 0, len(t.nodes))
-	for n := range t.nodes {
-		out = append(out, n)
+// choose draws uniformly among the candidates of pool: its nodes that
+// are not on avoidRack and not in excluded. It counts them, draws an
+// index — the one rng.Intn per choice, and none when there is no
+// candidate, that seeded replays depend on — and walks to it in pool's
+// order. excluded is a short list (a pipeline's targets, a writer's busy
+// datanodes) that may hold duplicates and unknown names, so scanning it
+// per node is cheaper than indexing it.
+func choose(rng *rand.Rand, pool []Node, avoidRack string, excluded []string) (string, bool) {
+	candidate := func(n *Node) bool {
+		return n.Rack != avoidRack && !slices.Contains(excluded, n.Name)
 	}
-	sort.Strings(out)
-	return out
-}
-
-func (t *Topology) chooseFromLocked(rng *rand.Rand, pool []string, excl exclSet) (string, bool) {
-	candidates := pool[:0:0]
-	for _, n := range pool {
-		if !excl[n] {
-			candidates = append(candidates, n)
+	count := 0
+	for i := range pool {
+		if candidate(&pool[i]) {
+			count++
 		}
 	}
-	if len(candidates) == 0 {
+	if count == 0 {
 		return "", false
 	}
-	return candidates[rng.Intn(len(candidates))], true
+	k := rng.Intn(count)
+	for i := range pool {
+		if candidate(&pool[i]) {
+			if k == 0 {
+				return pool[i].Name, true
+			}
+			k--
+		}
+	}
+	panic("topology: candidate count changed under the read lock")
 }
 
-// Validate checks internal consistency (every node's rack lists it exactly
-// once). It exists for tests and debugging.
+// Validate checks internal consistency (every node's rack and the
+// all-nodes list hold it exactly once, in name order). It exists for
+// tests and debugging.
 func (t *Topology) Validate() error {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
+	byName := func(a, b Node) int { return strings.Compare(a.Name, b.Name) }
 	seen := 0
 	for rack, list := range t.racks {
-		if !sort.StringsAreSorted(list) {
+		if !slices.IsSortedFunc(list, byName) {
 			return fmt.Errorf("topology: rack %q node list not sorted", rack)
 		}
 		for _, n := range list {
-			if t.nodes[n] != rack {
-				return fmt.Errorf("topology: node %q listed in rack %q but maps to %q", n, rack, t.nodes[n])
+			if n.Rack != rack || t.nodes[n.Name] != rack {
+				return fmt.Errorf("topology: node %q listed in rack %q but maps to %q", n.Name, rack, t.nodes[n.Name])
 			}
 			seen++
 		}
 	}
 	if seen != len(t.nodes) {
 		return fmt.Errorf("topology: %d nodes in racks, %d in node map", seen, len(t.nodes))
+	}
+	if !slices.IsSortedFunc(t.all, byName) || len(t.all) != len(t.nodes) {
+		return fmt.Errorf("topology: all-nodes list has %d entries for %d nodes, or is not sorted", len(t.all), len(t.nodes))
+	}
+	for _, n := range t.all {
+		if t.nodes[n.Name] != n.Rack {
+			return fmt.Errorf("topology: all-nodes list has %v but the node maps to %q", n, t.nodes[n.Name])
+		}
 	}
 	return nil
 }

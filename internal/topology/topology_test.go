@@ -3,6 +3,7 @@ package topology
 import (
 	"fmt"
 	"math/rand"
+	"sort"
 	"testing"
 	"testing/quick"
 )
@@ -212,5 +213,107 @@ func TestQuickDistanceSymmetry(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refChoose is what the three ChooseRandom* did before they counted and
+// walked: build the pool, sort it, index the exclusions in a set, collect
+// the candidates, draw one. The differential test below holds the
+// current implementation to the same draws in the same order.
+func refChoose(rng *rand.Rand, nodes map[string]string, keep func(rack string) bool, excluded []string) (string, bool) {
+	excl := make(map[string]bool, len(excluded))
+	for _, e := range excluded {
+		excl[e] = true
+	}
+	var pool []string
+	for n, rack := range nodes {
+		if keep(rack) {
+			pool = append(pool, n)
+		}
+	}
+	sort.Strings(pool)
+	var candidates []string
+	for _, n := range pool {
+		if !excl[n] {
+			candidates = append(candidates, n)
+		}
+	}
+	if len(candidates) == 0 {
+		return "", false
+	}
+	return candidates[rng.Intn(len(candidates))], true
+}
+
+// TestChooseRandomMatchesReference: over random topologies (with nodes
+// moved and removed along the way) and exclude lists holding duplicates
+// and unknown names, every choice equals the reference's and leaves the
+// rng in the same state.
+func TestChooseRandomMatchesReference(t *testing.T) {
+	gen := rand.New(rand.NewSource(7))
+	for round := 0; round < 300; round++ {
+		tp, model := New(), map[string]string{}
+		racks := 1 + gen.Intn(5)
+		for i, n := 0, 1+gen.Intn(40); i < n; i++ {
+			name, rack := fmt.Sprintf("dn%d", gen.Intn(60)), fmt.Sprintf("/r%d", gen.Intn(racks))
+			if gen.Intn(8) == 0 {
+				tp.Remove(name)
+				delete(model, name)
+				continue
+			}
+			tp.Add(name, rack)
+			model[name] = rack
+		}
+		if err := tp.Validate(); err != nil {
+			t.Fatal(err)
+		}
+		seed := gen.Int63()
+		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
+		for call := 0; call < 20; call++ {
+			var excluded []string
+			for i, n := 0, gen.Intn(8); i < n; i++ {
+				excluded = append(excluded, fmt.Sprintf("dn%d", gen.Intn(70))) // may repeat, may be unknown
+			}
+			ref := fmt.Sprintf("dn%d", gen.Intn(70))
+			rack := fmt.Sprintf("/r%d", gen.Intn(racks+1))
+			var g, w string
+			var gok, wok bool
+			switch call % 3 {
+			case 0:
+				g, gok = tp.ChooseRandom(got, excluded)
+				w, wok = refChoose(want, model, func(string) bool { return true }, excluded)
+			case 1:
+				g, gok = tp.ChooseRandomInRack(got, rack, excluded)
+				w, wok = refChoose(want, model, func(r string) bool { return r == rack }, excluded)
+			case 2:
+				g, gok = tp.ChooseRandomRemoteRack(got, ref, excluded)
+				w, wok = refChoose(want, model, func(r string) bool { return r != model[ref] }, excluded)
+			}
+			if g != w || gok != wok {
+				t.Fatalf("round %d call %d: chose %q/%v, reference %q/%v (excluded %v)", round, call, g, gok, w, wok, excluded)
+			}
+		}
+		if g, w := got.Int63(), want.Int63(); g != w {
+			t.Fatalf("round %d: the rng ended in another state than the reference's", round)
+		}
+	}
+}
+
+// TestAllocChooseRandom: a choice reads the sorted lists and builds
+// nothing.
+func TestAllocChooseRandom(t *testing.T) {
+	tp := New()
+	for i := 0; i < 9; i++ {
+		tp.Add(fmt.Sprintf("dn%d", i), fmt.Sprintf("/r%d", i%2))
+	}
+	rng := rand.New(rand.NewSource(1))
+	excluded := []string{"dn3", "dn4"}
+	for name, choose := range map[string]func(){
+		"ChooseRandom":           func() { tp.ChooseRandom(rng, excluded) },
+		"ChooseRandomInRack":     func() { tp.ChooseRandomInRack(rng, "/r1", excluded) },
+		"ChooseRandomRemoteRack": func() { tp.ChooseRandomRemoteRack(rng, "dn0", excluded) },
+	} {
+		if got := testing.AllocsPerRun(100, choose); got != 0 {
+			t.Errorf("%s: %.1f allocs/op, want 0", name, got)
+		}
 	}
 }
