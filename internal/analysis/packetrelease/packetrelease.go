@@ -1,6 +1,8 @@
 // Package packetrelease implements the smarth-vet analyzer enforcing
 // the pooled-buffer ownership contract of DESIGN.md §7: a
-// *proto.Packet returned by Conn.ReadPacket, a *[]byte returned by
+// *proto.Packet returned by Conn.ReadPacket or ReadPacketInto (whose
+// Data may alias memory a Lender owns — the packet is still released
+// exactly once; only its frame goes back), a *[]byte returned by
 // bufpool.Get/GetCap, and the pooled frame rpc's readFrame reads a
 // control-plane message into, is owned by the caller until released
 // exactly once (Packet.Release / bufpool.Put), after which it must not
@@ -55,7 +57,7 @@ import (
 // Analyzer is the packetrelease analysis entry point.
 var Analyzer = &analysis.Analyzer{
 	Name: "packetrelease",
-	Doc: "check that pooled packets (proto.Conn.ReadPacket), buffers " +
+	Doc: "check that pooled packets (proto.Conn.ReadPacket, ReadPacketInto), buffers " +
 		"(bufpool.Get/GetCap) and RPC frames (rpc.readFrame) are released " +
 		"exactly once on every path and never used after release",
 	Run: run,
@@ -117,7 +119,7 @@ type producerKind int
 
 const (
 	prodNone   producerKind = iota
-	prodPacket              // (p *proto.Packet, err error) = conn.ReadPacket()
+	prodPacket              // (p *proto.Packet, err error) = conn.ReadPacket() / ReadPacketInto(lender)
 	prodBuf                 // bp *[]byte = bufpool.Get/GetCap(n)
 	prodFrame               // (fr *[]byte, err error) = readFrame(conn), in package rpc
 )
@@ -176,7 +178,7 @@ func (fc *fctx) producer(call *ast.CallExpr) producerKind {
 		return prodNone
 	}
 	switch {
-	case fn.Name() == "ReadPacket" && fn.Pkg().Name() == "proto":
+	case (fn.Name() == "ReadPacket" || fn.Name() == "ReadPacketInto") && fn.Pkg().Name() == "proto":
 		return prodPacket
 	case (fn.Name() == "Get" || fn.Name() == "GetCap") && fn.Pkg().Name() == "bufpool":
 		return prodBuf

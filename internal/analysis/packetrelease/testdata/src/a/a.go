@@ -78,6 +78,112 @@ func discarded(c *proto.Conn) {
 	_, _ = c.ReadPacket() // want `result of c.ReadPacket is discarded without Release/Put`
 }
 
+// The placing decoder: the payload may land in memory the lender owns,
+// but the packet is the caller's all the same — released exactly once on
+// every path, whether the lender accepted or declined.
+
+// tailLender lends its tail the way a MemStore writer does; declining
+// returns nil.
+type tailLender struct {
+	data    []byte
+	decline bool
+}
+
+func (r *tailLender) Lend(offset int64, n int) []byte {
+	if r.decline || offset != int64(len(r.data)) || cap(r.data)-len(r.data) < n {
+		return nil
+	}
+	return r.data[len(r.data) : len(r.data)+n]
+}
+
+func (r *tailLender) Append(p []byte) error {
+	if len(p) == 0 {
+		return errTooBig
+	}
+	r.data = r.data[:len(r.data)+len(p)]
+	return nil
+}
+
+// placedLeak is the receive loop with its early return between read and
+// append left unguarded: a refused packet is never released.
+func placedLeak(c *proto.Conn, r *tailLender) error {
+	p, err := c.ReadPacketInto(r)
+	if err != nil {
+		return err // clean: p is nil on the error path
+	}
+	if len(p.Data)%512 != 0 {
+		return errTooBig // want `p may still be owned on this return path`
+	}
+	err = r.Append(p.Data)
+	p.Release()
+	return err
+}
+
+// placedClean releases on the refusal path, the append-failure path and
+// the happy path; that Data lives in the replica changes nothing.
+func placedClean(c *proto.Conn, r *tailLender) error {
+	p, err := c.ReadPacketInto(r)
+	if err != nil {
+		return err
+	}
+	if len(p.Data)%512 != 0 {
+		p.Release()
+		return errTooBig
+	}
+	if err := r.Append(p.Data); err != nil {
+		p.Release()
+		return err
+	}
+	p.Release()
+	return nil
+}
+
+// placedDeclined: a lender that declines (or none at all) leaves the
+// payload in the packet's own frame, and the duty is the same.
+func placedDeclined(c *proto.Conn) int {
+	p, err := c.ReadPacketInto(&tailLender{decline: true})
+	if err != nil {
+		return 0
+	}
+	n := len(p.Data)
+	p.Release()
+	p.Release() // want `p is released a second time`
+	return n
+}
+
+// placedUseAfterRelease: the payload outlives the packet only in the
+// lender's memory, never through the packet.
+func placedUseAfterRelease(c *proto.Conn, r *tailLender) []byte {
+	p, err := c.ReadPacketInto(r)
+	if err != nil {
+		return nil
+	}
+	p.Release()
+	return p.Data // want `p is used after Release/Put returned it to the pool`
+}
+
+// placedForward is the datanode shape: Data in the replica, the packet
+// handed to the forwarder, which releases it.
+func placedForward(c *proto.Conn, r *tailLender, sink func(*proto.Packet) bool) {
+	for {
+		p, err := c.ReadPacketInto(r)
+		if err != nil {
+			return
+		}
+		if r.Append(p.Data) != nil {
+			p.Release()
+			return
+		}
+		if !sink(p) {
+			return
+		}
+	}
+}
+
+func placedDiscarded(c *proto.Conn, r *tailLender) {
+	_, _ = c.ReadPacketInto(r) // want `result of c.ReadPacketInto is discarded without Release/Put`
+}
+
 // bufLeak: bufpool buffers carry the same exactly-once contract.
 func bufLeak(n int) error {
 	b := bufpool.Get(n)

@@ -1,8 +1,17 @@
 // Package checksum implements HDFS-style chunked checksums: the payload is
 // divided into fixed-size chunks (512 bytes by default) and a CRC32 is
 // computed per chunk. Packets on the wire carry the chunk checksums ahead
-// of the data; every datanode in a pipeline re-verifies them before
-// storing and mirroring the packet.
+// of the data; every datanode in a pipeline verifies them before storing
+// and mirroring the packet, and every reader before delivering it.
+//
+// Nobody sums the same bytes twice. The client sums a block once, as it
+// stages it (AppendEncoded, straight into the wire form packets carry);
+// a datanode's one pass over a payload is its verification
+// (VerifyEncoded, against the wire bytes as received), and what it
+// verified against is what it stores and what it forwards — a store
+// re-sums nothing, so a replica's checksums are the writer's own, end to
+// end. Interior packets carry whole chunks, which is what lets the
+// per-packet checksum runs concatenate into the block's.
 package checksum
 
 import (
@@ -62,6 +71,26 @@ func AppendSums(dst []uint32, data []byte, chunkSize int) []uint32 {
 			end = len(data)
 		}
 		dst = append(dst, crc32.Checksum(data[off:end], castagnoli))
+	}
+	return dst
+}
+
+// AppendEncoded appends data's per-chunk CRC32C checksums to dst in wire
+// form — what Encode(dst, Sum(data, chunkSize)) appends, without the
+// []uint32 in between — and returns the extended slice. A producer that
+// keeps its checksums the way packets carry them (the client's staged
+// block, a store's replica) sums into a pooled byte buffer with it and
+// later hands out sub-slices as Packet.RawSums.
+func AppendEncoded(dst, data []byte, chunkSize int) []byte {
+	if chunkSize <= 0 {
+		panic("checksum: non-positive chunk size")
+	}
+	for off := 0; off < len(data); off += chunkSize {
+		end := off + chunkSize
+		if end > len(data) {
+			end = len(data)
+		}
+		dst = binary.BigEndian.AppendUint32(dst, crc32.Checksum(data[off:end], castagnoli))
 	}
 	return dst
 }
@@ -131,77 +160,3 @@ func Decode(raw []byte) ([]uint32, error) {
 	}
 	return sums, nil
 }
-
-// Chunked computes checksums incrementally as data is appended, so a
-// client can checksum a stream without buffering it twice. The zero value
-// is not usable; construct with NewChunked.
-type Chunked struct {
-	chunkSize int
-	partial   []byte // the stream's tail past the last whole chunk, < chunkSize bytes
-	sums      []uint32
-	total     int64
-}
-
-// NewChunked returns an incremental checksummer.
-func NewChunked(chunkSize int) *Chunked {
-	if chunkSize <= 0 {
-		chunkSize = DefaultChunkSize
-	}
-	return &Chunked{chunkSize: chunkSize}
-}
-
-// maxGrowBytes caps what Grow reserves for: the size is a hint that may
-// come off the wire, and 1 GB of payload is already 8 MB of checksums.
-const maxGrowBytes = 1 << 30
-
-// Grow reserves room for the checksums of n more bytes, so a writer that
-// knows the stream's length sizes the slice once.
-func (c *Chunked) Grow(n int64) {
-	if n <= 0 {
-		return
-	}
-	need := len(c.sums) + NumChunks(int(min(n, maxGrowBytes)), c.chunkSize)
-	if need > cap(c.sums) {
-		c.sums = append(make([]uint32, 0, need), c.sums...)
-	}
-}
-
-// Write feeds more data. It never fails; it implements io.Writer so it can
-// sit inside an io.MultiWriter. Whole chunks are checksummed where they
-// lie in p; only a tail shorter than a chunk is copied, to be completed
-// by the next Write.
-func (c *Chunked) Write(p []byte) (int, error) {
-	n := len(p)
-	c.total += int64(n)
-	if len(c.partial) > 0 {
-		need := c.chunkSize - len(c.partial)
-		if need > len(p) {
-			c.partial = append(c.partial, p...)
-			return n, nil
-		}
-		c.partial = append(c.partial, p[:need]...)
-		c.sums = append(c.sums, crc32.Checksum(c.partial, castagnoli))
-		c.partial = c.partial[:0]
-		p = p[need:]
-	}
-	whole := len(p) - len(p)%c.chunkSize
-	c.sums = AppendSums(c.sums, p[:whole], c.chunkSize)
-	c.partial = append(c.partial, p[whole:]...)
-	return n, nil
-}
-
-// Sums flushes any partial final chunk and returns all chunk checksums.
-// After Sums the checksummer is reset for reuse.
-func (c *Chunked) Sums() []uint32 {
-	if len(c.partial) > 0 {
-		c.sums = append(c.sums, crc32.Checksum(c.partial, castagnoli))
-		c.partial = c.partial[:0]
-	}
-	out := c.sums
-	c.sums = nil
-	c.total = 0
-	return out
-}
-
-// Total returns bytes written since construction or the last Sums call.
-func (c *Chunked) Total() int64 { return c.total }

@@ -102,55 +102,6 @@ func TestEncodeDecode(t *testing.T) {
 	}
 }
 
-func TestChunkedMatchesSum(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	data := make([]byte, 10_000)
-	rng.Read(data)
-	c := NewChunked(512)
-	// Feed in ragged pieces.
-	for off := 0; off < len(data); {
-		sz := rng.Intn(700) + 1
-		if off+sz > len(data) {
-			sz = len(data) - off
-		}
-		n, err := c.Write(data[off : off+sz])
-		if err != nil || n != sz {
-			t.Fatalf("Write = (%d,%v), want (%d,nil)", n, err, sz)
-		}
-		off += sz
-	}
-	if c.Total() != int64(len(data)) {
-		t.Fatalf("Total = %d, want %d", c.Total(), len(data))
-	}
-	got := c.Sums()
-	want := Sum(data, 512)
-	if len(got) != len(want) {
-		t.Fatalf("%d sums, want %d", len(got), len(want))
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("sum[%d] = %08x, want %08x", i, got[i], want[i])
-		}
-	}
-	// Reusable after Sums.
-	if c.Total() != 0 {
-		t.Fatal("Total not reset after Sums")
-	}
-	c.Write([]byte{1, 2, 3})
-	if got := c.Sums(); len(got) != 1 || got[0] != Sum([]byte{1, 2, 3}, 512)[0] {
-		t.Fatal("reuse after Sums produced wrong checksum")
-	}
-}
-
-func TestNewChunkedDefault(t *testing.T) {
-	c := NewChunked(0)
-	data := bytes.Repeat([]byte{0xab}, DefaultChunkSize+1)
-	c.Write(data)
-	if got := c.Sums(); len(got) != 2 {
-		t.Fatalf("default chunk size produced %d sums, want 2", len(got))
-	}
-}
-
 // Property: Sum/Verify round-trips for arbitrary data and chunk sizes, and
 // flipping any single byte breaks verification.
 func TestQuickRoundTripAndCorruption(t *testing.T) {
@@ -172,98 +123,27 @@ func TestQuickRoundTripAndCorruption(t *testing.T) {
 	}
 }
 
-// sameSums reports whether two checksum slices are equal.
-func sameSums(got, want []uint32) bool {
-	if len(got) != len(want) {
-		return false
-	}
-	for i := range want {
-		if got[i] != want[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// Property: incremental Chunked equals one-shot Sum regardless of how the
-// input is split. The chunk size is drawn small so that quick's short
-// inputs span many chunks and the cuts fall before, on and after chunk
-// boundaries; Grow, wherever it is called, changes nothing but capacity.
-func TestQuickChunkedEquivalence(t *testing.T) {
-	f := func(data []byte, cuts []uint16, csRaw uint8, growAt uint8) bool {
-		cs := int(csRaw)%16 + 1
-		c := NewChunked(cs)
-		rest := data
-		for i, cut := range cuts {
-			if len(rest) == 0 {
-				break
-			}
-			if i == int(growAt)%4 {
-				c.Grow(int64(len(rest)))
-			}
-			n := int(cut) % (len(rest) + 1)
-			c.Write(rest[:n])
-			rest = rest[n:]
-		}
-		c.Write(rest)
-		return c.Total() == int64(len(data)) && sameSums(c.Sums(), Sum(data, cs))
+// Property: AppendEncoded is Encode of Sum, for any data, chunk size and
+// prefix already in dst, and the result verifies with VerifyEncoded.
+func TestQuickAppendEncoded(t *testing.T) {
+	f := func(data, prefix []byte, csRaw uint8) bool {
+		cs := int(csRaw)%1024 + 1
+		got := AppendEncoded(append([]byte(nil), prefix...), data, cs)
+		want := Encode(append([]byte(nil), prefix...), Sum(data, cs))
+		return bytes.Equal(got, want) && VerifyEncoded(data, got[len(prefix):], cs) == nil
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
 	}
-
-	// Every two-way and a ragged three-way split of a stream that ends
-	// mid-chunk: whole chunks are summed in place, so each boundary case
-	// (tail completes a chunk exactly, overshoots it, falls short) runs.
-	data := make([]byte, 3*DefaultChunkSize+5)
-	rand.New(rand.NewSource(11)).Read(data)
-	want := Sum(data, DefaultChunkSize)
-	for cut := 0; cut <= len(data); cut++ {
-		c := NewChunked(DefaultChunkSize)
-		c.Write(data[:cut])
-		c.Write(data[cut:])
-		if !sameSums(c.Sums(), want) {
-			t.Fatalf("split at %d: sums differ from one-shot Sum", cut)
-		}
-		mid := cut + (len(data)-cut)/3
-		c.Write(data[:cut])
-		c.Write(data[cut:mid])
-		c.Write(data[mid:])
-		if !sameSums(c.Sums(), want) {
-			t.Fatalf("split at %d and %d: sums differ from one-shot Sum", cut, mid)
-		}
-	}
 }
 
-// TestChunkedAllocs bounds the store path's checksummer: one block
-// streamed in packets after a Grow costs the Chunked, its sums and —
-// only when packets are not chunk-aligned — one sub-chunk tail buffer,
-// not a growth chain, and never a copy of the payload.
-func TestChunkedAllocs(t *testing.T) {
-	const block = 1 << 20
-	for _, tc := range []struct {
-		name   string
-		packet int
-		max    float64
-	}{
-		{"aligned", 64 << 10, 2},
-		{"ragged", 64<<10 - 3, 3},
-	} {
-		data := make([]byte, tc.packet)
-		var sums []uint32
-		got := testing.AllocsPerRun(20, func() {
-			c := NewChunked(DefaultChunkSize)
-			c.Grow(block)
-			for off := 0; off < block; off += len(data) {
-				c.Write(data[:min(len(data), block-off)])
-			}
-			sums = c.Sums()
-		})
-		if len(sums) != block/DefaultChunkSize {
-			t.Fatalf("%s: %d sums, want %d", tc.name, len(sums), block/DefaultChunkSize)
-		}
-		if got > tc.max {
-			t.Errorf("%s: %.0f allocs per block, want <= %.0f", tc.name, got, tc.max)
-		}
+// TestAppendEncodedAllocs: summing into a buffer with room allocates
+// nothing — the client sums every staged block and the stores every
+// Write through it.
+func TestAppendEncodedAllocs(t *testing.T) {
+	data := make([]byte, 64<<10)
+	dst := make([]byte, 0, NumChunks(len(data), DefaultChunkSize)*BytesPerChecksum)
+	if got := testing.AllocsPerRun(20, func() { dst = AppendEncoded(dst[:0], data, DefaultChunkSize) }); got != 0 {
+		t.Errorf("%.0f allocs per 64 KB, want 0", got)
 	}
 }

@@ -44,6 +44,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/checksum"
 	"repro/internal/clock"
 	"repro/internal/core"
 	"repro/internal/nnapi"
@@ -88,7 +89,9 @@ type WriteOptions struct {
 	Replication int
 	// BlockSize defaults to 64 MB.
 	BlockSize int64
-	// PacketSize defaults to 64 KB.
+	// PacketSize defaults to 64 KB and is rounded up to a multiple of the
+	// 512 B checksum chunk: every packet but a block's last carries whole
+	// chunks (HDFS's rule; datanodes refuse anything else).
 	PacketSize int
 	// Overwrite replaces an existing file.
 	Overwrite bool
@@ -113,6 +116,8 @@ func (o *WriteOptions) applyDefaults() {
 	if o.PacketSize <= 0 {
 		o.PacketSize = proto.DefaultPacketSize
 	}
+	const cs = checksum.DefaultChunkSize
+	o.PacketSize = (o.PacketSize + cs - 1) / cs * cs
 }
 
 // Client talks to one cluster.

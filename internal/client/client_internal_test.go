@@ -1,12 +1,15 @@
 package client
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"strings"
 	"testing"
 
 	"repro/internal/block"
+	"repro/internal/checksum"
 	"repro/internal/proto"
 )
 
@@ -62,6 +65,58 @@ func TestWriteOptionsDefaults(t *testing.T) {
 	o2.applyDefaults()
 	if o2.Replication != 2 || o2.BlockSize != 1<<20 || o2.PacketSize != 8<<10 {
 		t.Fatalf("explicit values clobbered: %+v", o2)
+	}
+	// Interior packets carry whole checksum chunks: odd sizes round up.
+	for in, want := range map[int]int{1: 512, 511: 512, 513: 1024, 64<<10 - 1: 64 << 10} {
+		o := WriteOptions{PacketSize: in}
+		o.applyDefaults()
+		if o.PacketSize != want {
+			t.Fatalf("PacketSize %d became %d, want %d", in, o.PacketSize, want)
+		}
+	}
+}
+
+// TestStagedBlockSumsOnce: however raggedly a block is staged, its
+// checksum buffer ends up holding the one-shot checksums of its bytes —
+// the slices streamBlock hands every packet of every attempt.
+func TestStagedBlockSumsOnce(t *testing.T) {
+	const cs = checksum.DefaultChunkSize
+	rng := rand.New(rand.NewSource(13))
+	for _, bs := range []int{1, cs - 1, cs, 10*cs + 7, 256 << 10} {
+		src := make([]byte, bs+100) // more than one block's worth on offer
+		rng.Read(src)
+		var b stagedBlock
+		for staged := 0; staged < bs; {
+			offer := src[staged:min(staged+1+rng.Intn(3*cs), len(src))]
+			staged += b.stage(offer, bs)
+		}
+		b.seal()
+		if !bytes.Equal(*b.data, src[:bs]) {
+			t.Fatalf("block of %d: staged bytes differ from the source", bs)
+		}
+		if want := checksum.AppendEncoded(nil, src[:bs], cs); !bytes.Equal(*b.sums, want) {
+			t.Fatalf("block of %d: %d checksum bytes staged, want the %d one-shot ones", bs, len(*b.sums), len(want))
+		}
+		b.recycle()
+	}
+}
+
+// BenchmarkStageAndSum is the client's per-byte production cost (the
+// paper's T_c): copy a 1 MB block into its staging buffer in 64 KB
+// writes, summing each as it lands, then seal and recycle it.
+func BenchmarkStageAndSum(b *testing.B) {
+	const bs = 1 << 20
+	src := make([]byte, 64<<10)
+	rand.New(rand.NewSource(17)).Read(src)
+	b.SetBytes(bs)
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		var blk stagedBlock
+		for staged := 0; staged < bs; {
+			staged += blk.stage(src, bs)
+		}
+		blk.seal()
+		blk.recycle()
 	}
 }
 

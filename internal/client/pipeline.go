@@ -200,44 +200,40 @@ func (c *Client) responderLoop(p *pipelineConn) {
 	}
 }
 
-// streamBlock writes data as packets into the pipeline. It returns once
+// streamBlock writes data as packets of packetSize bytes — a multiple of
+// the checksum chunk — into the pipeline, each carrying its slice of
+// rawSums, the block's chunk checksums in wire form. It returns once
 // every packet (plus the terminal empty packet, if data is empty) has
 // been handed to the transport.
-func (c *Client) streamBlock(p *pipelineConn, data []byte, opts *WriteOptions) error {
-	packetSize := opts.PacketSize
-	if packetSize <= 0 {
-		packetSize = proto.DefaultPacketSize
-	}
+func (c *Client) streamBlock(p *pipelineConn, data, rawSums []byte, packetSize int) error {
 	numPackets := len(data) / packetSize
 	if len(data)%packetSize != 0 || numPackets == 0 {
 		numPackets++
 	}
 	p.setLastSeqno(int64(numPackets - 1))
 
-	// One reused packet struct and checksum scratch for the whole block;
-	// WritePacket retains neither. The stream is corked so small packets
+	// One reused packet struct for the whole block; WritePacket retains
+	// nothing. The stream is corked so small packets
 	// coalesce (full-size payloads go straight out as write vectors) —
 	// the size threshold, the Last packet, and an explicit uncork (for
 	// safety on early error returns) flush. Acks ride a separate
 	// direction, so nothing waits on this buffer.
 	_ = p.pc.SetCork(true)
 	defer func() { _ = p.pc.SetCork(false) }()
+	const cs, sumSize = checksum.DefaultChunkSize, checksum.BytesPerChecksum
 	var pkt proto.Packet
-	var sums []uint32
 	var seqno int64
 	for off := 0; off < len(data) || seqno == 0; {
 		end := off + packetSize
 		if end > len(data) {
 			end = len(data)
 		}
-		payload := data[off:end]
-		sums = checksum.AppendSums(sums[:0], payload, checksum.DefaultChunkSize)
 		pkt = proto.Packet{
-			Seqno:  seqno,
-			Offset: int64(off),
-			Last:   seqno == int64(numPackets-1),
-			Sums:   sums,
-			Data:   payload,
+			Seqno:   seqno,
+			Offset:  int64(off),
+			Last:    seqno == int64(numPackets-1),
+			RawSums: rawSums[off/cs*sumSize : checksum.NumChunks(end, cs)*sumSize],
+			Data:    data[off:end],
 		}
 		if err := p.pc.WritePacket(&pkt); err != nil {
 			return &pipelineError{lb: p.lb, badIndex: 0, cause: err}

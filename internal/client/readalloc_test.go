@@ -24,8 +24,8 @@ func skipUnderRace(t *testing.T) {
 
 // TestReadSteadyStateAllocs drives a real client against a real datanode
 // over an in-memory network and counts allocations in the steady-state
-// read loop: pooled wire packets, one reused scratch buffer, no
-// per-packet garbage. This is the read-side companion to the codec
+// read loop: pooled wire packets whose payloads land in the caller's
+// buffer, no per-packet garbage. This is the read-side companion to the codec
 // bounds in internal/proto/alloc_test.go — it catches regressions
 // anywhere on the path (conn, packet pool, reader buffering), not just
 // in the codecs.
@@ -107,15 +107,14 @@ func TestReadSteadyStateAllocs(t *testing.T) {
 	t.Cleanup(func() { cl.Close() })
 
 	// A single block, so no prefetch dial: the measured loop is exactly
-	// consume-packet/copy-out.
+	// read-packet-into-buf/verify.
 	r, err := cl.Open("/alloc-read")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer r.Close()
 
-	// Warm up: first reads connect, take the pooled scratch buffer and
-	// populate the packet pool.
+	// Warm up: first reads connect and populate the packet pool.
 	buf := make([]byte, 64<<10)
 	pos := 0
 	for pos < 256<<10 {

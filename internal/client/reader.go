@@ -214,7 +214,11 @@ func (r *fileReader) Close() error {
 
 // blockStream reads [offset, offset+length) of one block, packet by
 // packet, from one replica at a time on the Read caller's goroutine,
-// failing over to the next replica on any error.
+// failing over to the next replica on any error. It is the proto.Lender
+// of its own packets: a payload that starts at the stream's position and
+// fits lands in the caller's buffer and is verified there; any other
+// lands in the stream's scratch and the wanted part is copied out. Either
+// way a byte is copied at most once after the socket.
 //
 // Single-caller, like the fileReader above it: no locks. A prefetched
 // stream is dialed (preconnect) on the prefetch goroutine and handed to
@@ -226,6 +230,7 @@ type blockStream struct {
 
 	next    int64  // absolute block offset of the next byte to deliver
 	end     int64  // absolute block offset one past the last byte wanted
+	dst     []byte // the running Read's destination, for Lend; nil between Reads
 	buf     []byte // undelivered bytes; aliases scratch
 	scratch *[]byte
 
@@ -283,6 +288,8 @@ func (b *blockStream) Read(p []byte) (int, error) {
 	if len(p) == 0 {
 		return 0, nil
 	}
+	b.dst = p
+	defer func() { b.dst = nil }()
 	for {
 		if len(b.buf) > 0 {
 			n := copy(p, b.buf)
@@ -292,19 +299,41 @@ func (b *blockStream) Read(p []byte) (int, error) {
 		if b.next >= b.end {
 			return 0, io.EOF
 		}
-		if err := b.fill(); err != nil {
+		n, err := b.fill()
+		if err != nil {
 			b.span.Fail(err)
 			return 0, err
+		}
+		if n > 0 {
+			return n, nil
 		}
 	}
 }
 
-// fill blocks until one more packet's worth of wanted bytes is buffered.
+// Lend implements proto.Lender for the stream's own packets: the
+// running Read's destination when the payload is exactly what it wants
+// next and fits, the scratch buffer otherwise.
+func (b *blockStream) Lend(offset int64, n int) []byte {
+	if offset == b.next && n <= len(b.dst) {
+		return b.dst
+	}
+	if b.scratch != nil && cap(*b.scratch) < n {
+		bufpool.Put(b.scratch)
+		b.scratch = nil
+	}
+	if b.scratch == nil {
+		b.scratch = bufpool.Get(max(n, proto.DefaultPacketSize))
+	}
+	return (*b.scratch)[:n]
+}
+
+// fill blocks until one more packet's worth of wanted bytes has arrived:
+// n of them straight in the running Read's destination, or else in buf.
 // Each packet read runs under the Progress deadline. Per-replica
 // failures are absorbed here — drop the replica, reconnect at the current
 // offset, keep reading — and only a terminal error (every replica
 // exhausted) is returned.
-func (b *blockStream) fill() error {
+func (b *blockStream) fill() (n int, err error) {
 	var fillStart time.Time
 	if b.c.mReadFill != nil {
 		fillStart = b.c.clk.Now()
@@ -312,26 +341,26 @@ func (b *blockStream) fill() error {
 	for {
 		if b.pc == nil {
 			if err := b.connect(); err != nil {
-				return err
+				return 0, err
 			}
 		}
-		pkt, err := b.pc.ReadPacket()
+		pkt, err := b.pc.ReadPacketInto(b)
 		if err == nil {
-			err = b.consume(pkt)
+			n, err = b.consume(pkt)
 		}
 		if err != nil {
 			b.failover(err)
-			if len(b.buf) > 0 {
+			if n > 0 || len(b.buf) > 0 {
 				// The packet carried verified bytes before the stream
 				// ended short: deliver them; the next fill reconnects.
-				return nil
+				return n, nil
 			}
 			continue
 		}
 		if b.c.mReadFill != nil {
 			b.c.mReadFill.ObserveSince(fillStart, b.c.clk.Now())
 		}
-		return nil
+		return n, nil
 	}
 }
 
@@ -348,19 +377,21 @@ func (b *blockStream) failover(cause error) {
 	b.span.Event("failover", b.target.Name+": "+cause.Error())
 }
 
-// consume verifies one packet, trims it to the wanted window (the
-// datanode widens to checksum-chunk boundaries, so a stream resumed
-// mid-chunk restarts behind the current offset), and copies the
-// remainder into the stream's pooled scratch buffer before Release
-// recycles the frame.
-func (b *blockStream) consume(pkt *proto.Packet) error {
+// consume verifies one packet where it landed and trims it to the wanted
+// window (the datanode widens to checksum-chunk boundaries, so a stream
+// resumed mid-chunk restarts behind the current offset). It returns how
+// many wanted bytes now sit at the start of the running Read's
+// destination; a payload that landed in scratch leaves them in buf
+// instead. A packet that fails verification delivers nothing, wherever
+// it landed.
+func (b *blockStream) consume(pkt *proto.Packet) (int, error) {
 	defer pkt.Release()
 	if err := checksum.VerifyEncoded(pkt.Data, pkt.RawSums, checksum.DefaultChunkSize); err != nil {
-		return err
+		return 0, err
 	}
 	data := pkt.Data
 	if pkt.Offset > b.next {
-		return fmt.Errorf("client: datanode skipped ahead: packet at %d, want %d", pkt.Offset, b.next)
+		return 0, fmt.Errorf("client: datanode skipped ahead: packet at %d, want %d", pkt.Offset, b.next)
 	}
 	if head := b.next - pkt.Offset; head > 0 {
 		if head >= int64(len(data)) {
@@ -372,11 +403,14 @@ func (b *blockStream) consume(pkt *proto.Packet) error {
 	if over := (b.next + int64(len(data))) - b.end; over > 0 {
 		data = data[:int64(len(data))-over]
 	}
-	if b.scratch == nil {
-		b.scratch = bufpool.GetCap(proto.DefaultPacketSize)
+	direct := 0
+	switch {
+	case len(data) == 0:
+	case &data[0] == &b.dst[0]:
+		direct = len(data)
+	default:
+		b.buf = data // in scratch (Lend never declines), which outlives the packet
 	}
-	*b.scratch = append((*b.scratch)[:0], data...)
-	b.buf = *b.scratch
 	if len(data) > 0 && len(b.tried) > 0 {
 		// Successful progress resets the failover budget.
 		b.tried = make(map[string]bool)
@@ -384,9 +418,9 @@ func (b *blockStream) consume(pkt *proto.Packet) error {
 	b.next += int64(len(data))
 	b.span.Packet("packet", pkt.Seqno)
 	if pkt.Last && b.next < b.end {
-		return io.ErrUnexpectedEOF
+		return direct, io.ErrUnexpectedEOF
 	}
-	return nil
+	return direct, nil
 }
 
 // connect dials the next untried replica and performs the read handshake

@@ -9,6 +9,7 @@ import (
 
 	"repro/internal/block"
 	"repro/internal/bufpool"
+	"repro/internal/checksum"
 	"repro/internal/core"
 	"repro/internal/nnapi"
 	"repro/internal/obs"
@@ -40,6 +41,9 @@ func (c *Client) CreateSmarth(path string, opts WriteOptions) (Writer, error) {
 // the caller set one.
 func (c *Client) create(path string, opts WriteOptions, mode proto.WriteMode) (Writer, error) {
 	opts.applyDefaults()
+	if opts.BlockSize > proto.MaxBlockSize {
+		return nil, fmt.Errorf("client: block size %d exceeds the protocol's %d", opts.BlockSize, int64(proto.MaxBlockSize))
+	}
 	if err := c.createFile(path, opts); err != nil {
 		return nil, err
 	}
@@ -87,9 +91,9 @@ type schedWriter struct {
 	eng    *writesched.Engine
 
 	// Producer-goroutine state (the usual single-caller io.Writer rule).
-	// cur is the pooled BlockSize buffer being filled; submitBlock hands
-	// it to the engine whole, so no block is copied a second time.
-	cur     *[]byte
+	// cur is the block being filled; submitBlock hands it to the engine
+	// whole, so no block is copied — or summed — a second time.
+	cur     stagedBlock
 	nextIdx int
 	closed  bool
 	werr    error
@@ -104,12 +108,12 @@ type schedWriter struct {
 	// active holds pipelines whose acks are still draining.
 	active map[*pipelineConn]bool
 	// Per-in-flight-block state, keyed by block index and dropped at
-	// commit: staging payload, trace spans, launch time, last failure.
-	// A payload is a bufpool buffer that pipelines stream from (and
-	// re-stream from during recovery) until BlockCommitted recycles it;
-	// a failed file leaves its payloads to the garbage collector, since
-	// a pipeline goroutine may still be reading them.
-	data      map[int]*[]byte
+	// commit: staged block, trace spans, launch time, last failure.
+	// Pipelines stream from a staged block (and re-stream from it during
+	// recovery) until BlockCommitted recycles it; a failed file leaves
+	// its blocks to the garbage collector, since a pipeline goroutine may
+	// still be reading them.
+	data      map[int]stagedBlock
 	spans     map[int]*obs.Span
 	recSpans  map[int]*obs.Span
 	launched  map[int]time.Time
@@ -131,7 +135,7 @@ func (c *Client) newSchedWriter(path string, opts WriteOptions, mode proto.Write
 		opened:    c.clk.Now(),
 		readyIdx:  -1,
 		active:    make(map[*pipelineConn]bool),
-		data:      make(map[int]*[]byte),
+		data:      make(map[int]stagedBlock),
 		spans:     make(map[int]*obs.Span),
 		recSpans:  make(map[int]*obs.Span),
 		launched:  make(map[int]time.Time),
@@ -164,6 +168,48 @@ func (c *Client) newSchedWriter(path string, opts WriteOptions, mode proto.Write
 
 // --- producer side ---
 
+// stagedBlock is one block's payload and its chunk checksums in wire
+// form, each in a bufpool buffer. The checksums are computed as the bytes
+// are staged — while they are still in cache — and every packet of every
+// pipeline attempt slices them, so a block is summed once however often
+// it is streamed.
+type stagedBlock struct {
+	data *[]byte // nil when nothing is staged
+	sums *[]byte // covers data's whole chunks; the short tail is summed at seal
+}
+
+// stage copies as much of p as fits into the block of size bs, sums the
+// chunks that completed, and returns how much it took.
+func (b *stagedBlock) stage(p []byte, bs int) int {
+	const cs = checksum.DefaultChunkSize
+	if b.data == nil {
+		b.data = bufpool.GetCap(bs)
+		b.sums = bufpool.GetCap(checksum.NumChunks(bs, cs) * checksum.BytesPerChecksum)
+	}
+	n := min(bs-len(*b.data), len(p))
+	*b.data = append(*b.data, p[:n]...)
+	b.sumThrough(len(*b.data) - len(*b.data)%cs)
+	return n
+}
+
+// seal sums the block's short last chunk, if it has one. Nothing is staged
+// into a sealed block.
+func (b *stagedBlock) seal() { b.sumThrough(len(*b.data)) }
+
+// sumThrough extends sums to cover data[:end]; what they cover already
+// is whole chunks.
+func (b *stagedBlock) sumThrough(end int) {
+	const cs = checksum.DefaultChunkSize
+	summed := len(*b.sums) / checksum.BytesPerChecksum * cs
+	*b.sums = checksum.AppendEncoded(*b.sums, (*b.data)[summed:end], cs)
+}
+
+func (b *stagedBlock) recycle() {
+	bufpool.Put(b.data)
+	bufpool.Put(b.sums)
+	b.data, b.sums = nil, nil
+}
+
 func (w *schedWriter) Write(p []byte) (int, error) {
 	if w.closed {
 		return 0, errors.New("client: write to closed file")
@@ -174,13 +220,8 @@ func (w *schedWriter) Write(p []byte) (int, error) {
 	w.addBytes(len(p))
 	bs := int(w.opts.BlockSize)
 	for rest := p; len(rest) > 0; {
-		if w.cur == nil {
-			w.cur = bufpool.GetCap(bs)
-		}
-		n := min(bs-len(*w.cur), len(rest))
-		*w.cur = append(*w.cur, rest[:n]...)
-		rest = rest[n:]
-		if len(*w.cur) == bs {
+		rest = rest[w.cur.stage(rest, bs):]
+		if len(*w.cur.data) == bs {
 			if err := w.submitBlock(); err != nil {
 				w.werr = err
 				return 0, err
@@ -210,11 +251,12 @@ func (w *schedWriter) Close() error {
 func (w *schedWriter) submitBlock() error {
 	idx := w.nextIdx
 	w.nextIdx++
-	size := int64(len(*w.cur))
+	w.cur.seal()
+	size := int64(len(*w.cur.data))
 	w.mu.Lock()
 	w.data[idx] = w.cur
 	w.mu.Unlock()
-	w.cur = nil
+	w.cur = stagedBlock{}
 	w.eng.Offer(size)
 	w.mu.Lock()
 	defer w.mu.Unlock()
@@ -231,7 +273,7 @@ func (w *schedWriter) submitBlock() error {
 // file, and tears everything down on failure.
 func (w *schedWriter) finish() error {
 	err := w.werr
-	if err == nil && w.cur != nil {
+	if err == nil && w.cur.data != nil {
 		err = w.submitBlock()
 	}
 	if err == nil {
@@ -416,7 +458,7 @@ func (w *schedWriter) BlockCommitted(idx int) {
 	delete(w.launched, idx)
 	delete(w.lastCause, idx)
 	w.mu.Unlock()
-	bufpool.Put(data)
+	data.recycle()
 	if launched {
 		w.c.mBlockCommit.ObserveSince(start, w.c.clk.Now())
 	}
@@ -453,7 +495,7 @@ func (w *schedWriter) StartPipeline(idx int, lb block.LocatedBlock, _ policy.Sha
 // engine; the engine decides what happens next.
 func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, restream bool) {
 	w.mu.Lock()
-	data := *w.data[idx]
+	staged := w.data[idx]
 	blockSpan := w.spans[idx]
 	parent := blockSpan
 	if restream {
@@ -483,7 +525,7 @@ func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, restream bool)
 	}
 	w.register(p)
 	start := w.c.clk.Now()
-	if err := w.c.streamBlock(p, data, &w.opts); err != nil {
+	if err := w.c.streamBlock(p, *staged.data, *staged.sums, w.opts.PacketSize); err != nil {
 		// Unblock the responder (it is reading acks from a dead conn).
 		p.close()
 		<-p.done

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"runtime"
+	"runtime/debug"
 	"testing"
 	"time"
 
@@ -122,9 +123,11 @@ func writeAllocBytes(t *testing.T, mode proto.WriteMode) uint64 {
 	}
 	uploadAndDelete("/alloc/warmup0")
 	uploadAndDelete("/alloc/warmup1")
-	// The cheapest of three: a garbage collection that happens to empty
-	// the pools mid-file is weather, re-buying buffers for every pipeline
-	// would show in all of them.
+	// The cheapest of three, with the collector held off: a garbage
+	// collection that happens to empty the pools mid-file is weather (on
+	// a busy machine it can hit all three), re-buying buffers for every
+	// pipeline would show in all of them.
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
 	best := ^uint64(0)
 	for i := 0; i < 3; i++ {
 		var before, after runtime.MemStats
@@ -140,17 +143,21 @@ func writeAllocBytes(t *testing.T, mode proto.WriteMode) uint64 {
 // path: a new pipeline per block must not mean new rings, replica
 // buffers and staging blocks per block. Uploading 8 MB three times over
 // used to allocate ≈5× the payload; with everything block- or
-// ring-sized drawn from bufpool a warm cluster allocates a small
-// fraction of it, in either mode.
+// ring-sized drawn from bufpool a warm cluster allocated a tenth of it
+// (≈ 800 KB), and with 1 KB conn read buffers, pooled store checksums
+// and a pooled per-block checksum buffer on the client it reads ≈ 250 KB
+// (3 % of the payload) in either mode. The budget is that reading plus
+// 10 %: an 8 KB reader per conn or a []uint32 per replica coming back
+// adds 190 KB or more.
 func TestLiveWriteAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation accounting is not comparable under -race")
 	}
-	const budget = (8 << 20) / 2
+	const budget = 275 << 10
 	for _, mode := range []proto.WriteMode{proto.ModeSmarth, proto.ModeHDFS} {
 		got := writeAllocBytes(t, mode)
 		if got > budget {
-			t.Errorf("%s: 8 MB R3 upload + delete allocates %d B, budget %d (half the payload)", mode, got, budget)
+			t.Errorf("%s: 8 MB R3 upload + delete allocates %d B, budget %d", mode, got, budget)
 		}
 		t.Logf("%s: 8 MB R3 upload + delete allocates %d B (budget %d)", mode, got, budget)
 	}

@@ -6,7 +6,9 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/client"
 	"repro/internal/proto"
+	"repro/internal/storage"
 )
 
 // TestReadZeroLengthBuffer: a zero-length Read must return (0, nil) per
@@ -110,4 +112,85 @@ func TestReadPrefetchParity(t *testing.T) {
 			t.Fatalf("%s: content mismatch (%d bytes, want %d)", tc.name, len(got), len(data))
 		}
 	}
+}
+
+// TestReadLandsInTheCallersBufferExactly: a packet that starts where the
+// stream stands and fits is read straight into the caller's buffer and
+// verified there; anything else goes through the stream's scratch. Either
+// way what Read returns is the file, for destinations from one byte to
+// more than a block, for ranges that start mid-chunk, and when the first
+// replica has rotted mid-block — each Read's n bytes are checked as they
+// come back, so a packet counted in n before it failed verification in
+// the caller's buffer would show at that Read.
+func TestReadLandsInTheCallersBufferExactly(t *testing.T) {
+	c, _, cl, o := startReadFaultCluster(t, Config{})
+	data := randomData(419, 600<<10+123) // 256 KB blocks: two whole, one that ends mid-chunk
+	w, err := cl.CreateSmarth("/dst-sizes", client.WriteOptions{Replication: 3, BlockSize: 256 << 10, PacketSize: 16 << 10})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := w.Write(data); err != nil {
+		t.Fatal(err)
+	}
+	if err := w.Close(); err != nil {
+		t.Fatal(err)
+	}
+	lb, first := firstReadTarget(t, c, "/dst-sizes")
+
+	readWith := func(size int) {
+		t.Helper()
+		r, err := cl.Open("/dst-sizes")
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		buf := make([]byte, size)
+		pos := 0
+		for {
+			n, err := r.Read(buf)
+			if pos+n > len(data) || !bytes.Equal(buf[:n], data[pos:pos+n]) {
+				t.Fatalf("dst %d B: Read returned %d bytes at offset %d that are not the file's", size, n, pos)
+			}
+			pos += n
+			if err == io.EOF {
+				break
+			}
+			if err != nil {
+				t.Fatalf("dst %d B: read at %d: %v", size, pos, err)
+			}
+		}
+		if pos != len(data) {
+			t.Fatalf("dst %d B: read %d of %d bytes", size, pos, len(data))
+		}
+	}
+	ranges := func() {
+		t.Helper()
+		for _, off := range []int64{1, 700, 16<<10 + 5, 90<<10 + 1, 256<<10 - 3} {
+			for _, n := range []int64{1, 600, 40_000} {
+				got, err := cl.ReadRange("/dst-sizes", off, n)
+				if err != nil || !bytes.Equal(got, data[off:off+n]) {
+					t.Fatalf("ReadRange(%d, %d): %d bytes, err %v; want data[%d:%d]", off, n, len(got), err, off, off+n)
+				}
+			}
+		}
+	}
+	sizes := []int{1, 511, 512, 513, 16<<10 - 1, 16 << 10, 16<<10 + 1, 64 << 10, 100_000, 1 << 20}
+	for _, size := range sizes {
+		readWith(size)
+	}
+	ranges()
+
+	// Rot one byte of the first replica, 100 KB into the first block: the
+	// packet that carries it now fails verification wherever it landed.
+	if err := c.Datanode(first).Store().(*storage.MemStore).Corrupt(lb.Block.ID, 100<<10); err != nil {
+		t.Fatal(err)
+	}
+	for _, size := range sizes {
+		before := readCounter(o, "read_failovers")
+		readWith(size)
+		if readCounter(o, "read_failovers") == before {
+			t.Fatalf("dst %d B: read completed without failing over the rotted replica", size)
+		}
+	}
+	ranges()
 }

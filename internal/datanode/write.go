@@ -127,7 +127,10 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 			dn.opts.Logf("datanode %s: create %v: %v", dn.opts.Name, hdr.Block, err)
 			setupStatuses[0] = proto.StatusError
 		} else {
-			defer w.Close() // aborts the temp replica unless committed
+			// Close aborts the temp replica unless committed, and ends the
+			// loan of replica memory the forwarder sends from: it runs when
+			// handleWrite returns, after the forwarder has drained.
+			defer w.Close()
 			if h, ok := w.(storage.SizeHinter); ok && hdr.BlockBytes > 0 {
 				h.SizeHint(hdr.BlockBytes)
 			}
@@ -279,14 +282,16 @@ func (dn *Datanode) connectMirror(hdr *proto.WriteBlockHeader) (*proto.Conn, err
 }
 
 // receiveLoop ingests packets from the upstream conn until the last
-// packet, an error, or abort.
+// packet, an error, or abort. Each payload is read once, into the memory
+// w lends for it (the replica itself, on a MemStore) or else the packet's
+// own frame; verified where it landed; appended with the checksums it was
+// verified against, which the store keeps rather than recomputes; and
+// queued for the mirror, which sends from the same bytes. That is why
+// handleWrite closes w only after the forwarder has drained.
 func (dn *Datanode) receiveLoop(
 	up *proto.Conn,
 	hdr *proto.WriteBlockHeader,
-	w interface {
-		Write([]byte) (int, error)
-		Commit() error
-	},
+	w storage.BlockWriter,
 	hasMirror bool,
 	queue *packetQueue,
 	statuses *statusQueue,
@@ -296,7 +301,7 @@ func (dn *Datanode) receiveLoop(
 	defer statuses.close()
 	var received int64
 	for {
-		pkt, err := up.ReadPacket()
+		pkt, err := up.ReadPacketInto(w)
 		if err != nil {
 			abort()
 			return
@@ -307,16 +312,21 @@ func (dn *Datanode) receiveLoop(
 		seqno, last, nData := pkt.Seqno, pkt.Last, len(pkt.Data)
 		dn.mPacketsIn.Inc()
 		st := proto.StatusSuccess
-		if checksum.VerifyEncoded(pkt.Data, pkt.RawSums, checksum.DefaultChunkSize) != nil {
+		switch {
+		case !last && nData%checksum.DefaultChunkSize != 0:
+			// Interior packets carry whole chunks (HDFS's rule); the stored
+			// checksums would otherwise stop lining up with the bytes.
+			st = proto.StatusError
+		case checksum.VerifyEncoded(pkt.Data, pkt.RawSums, checksum.DefaultChunkSize) != nil:
 			st = proto.StatusErrorChecksum
-		} else if nData > 0 {
+		case nData > 0:
 			// Time the local store only when the histogram exists: the
 			// two clock reads are not free on the per-packet path.
 			var t0 time.Time
 			if dn.mStoreNS != nil {
 				t0 = dn.opts.Clock.Now()
 			}
-			if _, werr := w.Write(pkt.Data); werr != nil {
+			if w.Append(pkt.Data, pkt.RawSums) != nil {
 				st = proto.StatusError
 			}
 			if dn.mStoreNS != nil {

@@ -18,7 +18,7 @@ import (
 
 // startFakeNN runs a namenode stub that accepts registrations,
 // heartbeats and blockReceived reports without acting on them.
-func startFakeNN(t *testing.T, n *transport.MemNetwork) {
+func startFakeNN(t testing.TB, n *transport.MemNetwork) {
 	t.Helper()
 	s := rpc.NewServer()
 	rpc.Handle(s, nnapi.MethodRegister, func(nnapi.RegisterReq) (nnapi.RegisterResp, error) {
@@ -29,6 +29,9 @@ func startFakeNN(t *testing.T, n *transport.MemNetwork) {
 	})
 	rpc.Handle(s, nnapi.MethodBlockReceived, func(nnapi.BlockReceivedReq) (nnapi.BlockReceivedResp, error) {
 		return nnapi.BlockReceivedResp{}, nil
+	})
+	rpc.Handle(s, nnapi.MethodBlockReceivedBatch, func(nnapi.BlockReceivedBatchReq) (nnapi.BlockReceivedBatchResp, error) {
+		return nnapi.BlockReceivedBatchResp{}, nil
 	})
 	l, err := n.Listen("nn")
 	if err != nil {
@@ -120,13 +123,14 @@ func TestInteriorResponderSeqnoSkew(t *testing.T) {
 	if setup.Kind != proto.AckHeader || !setup.OK() {
 		t.Fatalf("setup ack = %+v", setup)
 	}
-	data := []byte("hello, pipeline")
+	data := []byte(strings.Repeat("hello, pipeline!", 32)) // one whole chunk: interior packets carry nothing less
 	for seq := int64(0); seq < 2; seq++ {
 		pkt := &proto.Packet{
-			Seqno: seq,
-			Last:  seq == 1,
-			Sums:  checksum.Sum(data, checksum.DefaultChunkSize),
-			Data:  data,
+			Seqno:  seq,
+			Offset: seq * int64(len(data)),
+			Last:   seq == 1,
+			Sums:   checksum.Sum(data, checksum.DefaultChunkSize),
+			Data:   data,
 		}
 		if err := pc.WritePacket(pkt); err != nil {
 			t.Fatalf("write packet %d: %v", seq, err)

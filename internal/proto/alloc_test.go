@@ -66,6 +66,36 @@ func TestReadPacketAllocs(t *testing.T) {
 	}
 }
 
+// TestReadPacketIntoAllocs: the placing read costs nothing per packet —
+// the lender is an interface holding a pointer, the header lands in
+// conn-owned scratch, and only the checksums take a (pooled) frame.
+func TestReadPacketIntoAllocs(t *testing.T) {
+	skipUnderRace(t)
+	data := make([]byte, DefaultPacketSize)
+	var frame bytes.Buffer
+	if err := NewConn(&frame).WritePacket(&Packet{Sums: checksum.Sum(data, DefaultChunkSize), Data: data}); err != nil {
+		t.Fatal(err)
+	}
+	raw := frame.Bytes()
+	var buf duplex
+	c := NewConn(&buf)
+	l := &fuzzLender{mem: make([]byte, DefaultPacketSize)}
+	avg := testing.AllocsPerRun(200, func() {
+		buf.Write(raw)
+		p, err := c.ReadPacketInto(l)
+		if err != nil {
+			t.Fatal(err)
+		}
+		p.Release()
+	})
+	if avg > 0 {
+		t.Fatalf("ReadPacketInto allocates %.1f times per packet, want 0", avg)
+	}
+	if !l.accepted {
+		t.Fatal("the payload did not land in lent memory")
+	}
+}
+
 // TestPacketAllocsWithMetrics re-runs the packet codec bounds with the
 // observability layer engaged the way a pipeline engages it: frame-level
 // ConnMetrics attached and a live span recording a packet event per

@@ -62,6 +62,10 @@ func FuzzReadHeader(f *testing.F) {
 	for _, seed := range [][]byte{
 		write, read, wrongVersion, padded,
 		encode(f, OpWriteBlock, &WriteBlockHeader{}),
+		// Size hints at and past the protocol's maximum: the second killed a
+		// MemStore datanode at 19afe22 (a 512 GB preallocation).
+		encode(f, OpWriteBlock, &WriteBlockHeader{Block: block.Block{ID: 1, Gen: 1}, BlockBytes: MaxBlockSize}),
+		encode(f, OpWriteBlock, &WriteBlockHeader{Block: block.Block{ID: 1, Gen: 1}, BlockBytes: 1 << 39}),
 		write[:len(write)/2], write[:len(write)-1], read[:5], read[:3], {},
 		append(append([]byte(nil), read...), 0), // trailing byte inside the stream, outside the frame
 	} {
@@ -74,6 +78,9 @@ func FuzzReadHeader(f *testing.F) {
 		if err != nil {
 			return
 		}
+		if wh, ok := h.(*WriteBlockHeader); ok && (wh.BlockBytes < 0 || wh.BlockBytes > MaxBlockSize) {
+			t.Fatalf("accepted a block size hint of %d", wh.BlockBytes)
+		}
 		// A header still aliasing its (returned) frame would change.
 		release := scribblePool(t, len(raw))
 		again := encode(t, op, h)
@@ -84,11 +91,36 @@ func FuzzReadHeader(f *testing.F) {
 	})
 }
 
+// fuzzLender is the Lender FuzzReadPacket and the placing-decoder tests
+// drive, recording what it was asked and whether it took the payload.
+type fuzzLender struct {
+	mem      []byte // what it has to lend; nil declines
+	short    int    // lend this many bytes fewer than asked, which declines too
+	calls    int
+	offset   int64 // the last call's arguments
+	n        int
+	accepted bool // the last call returned at least n bytes
+}
+
+func (l *fuzzLender) Lend(offset int64, n int) []byte {
+	l.calls++
+	l.offset, l.n = offset, n
+	if l.mem == nil || n-l.short < 0 {
+		return nil
+	}
+	l.accepted = l.short == 0 && n <= len(l.mem)
+	return l.mem[:min(n-l.short, len(l.mem))]
+}
+
 // FuzzReadPacket feeds arbitrary bytes to the data-packet decoder, which
-// every pipeline hop runs on bytes from its upstream peer. It must return
-// an error or a packet that encodes back to exactly the frame it was
-// decoded from, never panic, and return the pooled frame exactly once —
-// on Release for a decoded packet, before returning for a rejected one.
+// every pipeline hop runs on bytes from its upstream peer, with nothing to
+// lend (ReadPacket) and with a lender that accepts, declines, or comes up
+// short. It must return an error or a packet that encodes back to exactly
+// the frame it was decoded from, never panic, ask the lender at most once
+// and only about the packet it returns, put the payload in lent memory
+// exactly when the lender accepted, and return the pooled frame exactly
+// once — on Release for a decoded packet, before returning for a rejected
+// one — without Release touching what was lent.
 func FuzzReadPacket(f *testing.F) {
 	encode := func(tb testing.TB, p *Packet) []byte {
 		var buf duplex
@@ -114,20 +146,44 @@ func FuzzReadPacket(f *testing.F) {
 		full[:len(full)-1], full[:4+25], full[:4+24], full[:3], {},
 		append(append([]byte(nil), last...), 0), // trailing byte outside the frame
 	} {
-		f.Add(seed)
+		for lend := uint8(0); lend < 4; lend++ {
+			f.Add(seed, lend)
+		}
 	}
-	f.Fuzz(func(t *testing.T, raw []byte) {
+	f.Fuzz(func(t *testing.T, raw []byte, lend uint8) {
 		var in duplex
 		in.Write(raw)
-		p, err := NewConn(&in).ReadPacket()
-		var again []byte
+		var to Lender
+		var l *fuzzLender
+		switch lend % 4 {
+		case 1: // accepts
+			l = &fuzzLender{mem: make([]byte, len(raw))}
+		case 2: // declines
+			l = &fuzzLender{}
+		case 3: // comes up one byte short
+			l = &fuzzLender{mem: make([]byte, len(raw)), short: 1}
+		}
+		if l != nil {
+			to = l
+		}
+		p, err := NewConn(&in).ReadPacketInto(to)
+		var again, payload []byte
 		if err == nil {
 			again = encode(t, p) // the packet borrows its frame until Release
+			payload = append(payload, p.Data...)
+			inLent := l != nil && len(l.mem) > 0 && len(p.Data) > 0 && &p.Data[0] == &l.mem[0]
+			if l != nil && (l.calls > 1 || inLent != l.accepted || (l.calls == 1 && (l.offset != p.Offset || l.n != len(p.Data)))) {
+				t.Fatalf("lender asked %d times about (%d, %d) and accepted=%v; packet at %d has %d bytes, in lent memory: %v",
+					l.calls, l.offset, l.n, l.accepted, p.Offset, len(p.Data), inLent)
+			}
 			p.Release()
 		}
 		scribblePool(t, len(raw))()
 		if err == nil && !bytes.HasPrefix(raw, again) {
 			t.Fatalf("decoded a packet from\n%x\nbut it encodes to\n%x", raw, again)
+		}
+		if l != nil && l.accepted && !bytes.Equal(l.mem[:len(payload)], payload) {
+			t.Fatal("Release (or the pool) touched the memory the payload was lent")
 		}
 	})
 }

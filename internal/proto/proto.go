@@ -25,6 +25,12 @@ const (
 	DefaultChunkSize  = 512
 )
 
+// MaxBlockSize bounds a block, and with it the size hint a write-block
+// header may carry: 1 GB, sixteen default blocks and the largest buffer
+// bufpool keeps. A header announcing more is refused as corrupt or
+// hostile before anything is allocated for it.
+const MaxBlockSize = 1 << 30
+
 // MaxFrame bounds a single wire frame; a packet of data plus checksums
 // plus header fits comfortably.
 const MaxFrame = 8 << 20
@@ -122,11 +128,15 @@ type ReadBlockHeader struct {
 
 // Packet is one unit of data transfer within a block.
 //
-// Ownership: a Packet returned by Conn.ReadPacket is pooled — its Data
-// and RawSums alias a recycled frame buffer, and the receiver owns it
-// until it calls Release (exactly once), after which every field is
-// invalid. Ownership moves with the pointer: a datanode that enqueues a
-// packet for its mirror transfers the release duty to the forwarder.
+// Ownership: a Packet returned by Conn.ReadPacket or ReadPacketInto is
+// pooled — its RawSums, and its Data unless a Lender took the payload,
+// alias a recycled frame buffer, and the receiver owns it until it calls
+// Release (exactly once), after which every field is invalid. Data in
+// lent memory belongs to whoever lent it: Release leaves it alone, and
+// it stays readable exactly as long as the lender keeps it so (a
+// datanode's replica until the pipeline ends, a reader's destination
+// for good). Ownership moves with the pointer: a datanode that enqueues
+// a packet for its mirror transfers the release duty to the forwarder.
 // Locally constructed packets (the send path) are plain values; Release
 // on them is a no-op and WritePacket never retains any field.
 type Packet struct {
@@ -144,16 +154,16 @@ type Packet struct {
 	RawSums []byte
 	Data    []byte
 
-	// frame is the pooled buffer Data/RawSums alias; pooled marks a
-	// packet struct that came from the packet pool (ReadPacket).
+	// frame is the pooled buffer RawSums (and Data, unless lent a place)
+	// alias; pooled marks a packet struct that came from the packet pool.
 	frame  *[]byte
 	pooled bool
 }
 
-// Release returns a packet obtained from ReadPacket (and its frame
-// buffer) to the pools. It must be called exactly once per received
-// packet, after which the packet and its Data/RawSums must not be
-// touched. Safe no-op on locally constructed packets.
+// Release returns a received packet and the frame it owns to the pools —
+// not memory a Lender gave its payload. It must be called exactly once
+// per received packet, after which the packet and its Data/RawSums must
+// not be touched. Safe no-op on locally constructed packets.
 func (p *Packet) Release() {
 	fr, pooled := p.frame, p.pooled
 	if fr == nil && !pooled {

@@ -129,6 +129,78 @@ func TestPacketRoundTrip(t *testing.T) {
 	out.Release()
 }
 
+// TestReadPacketInto: the placing decoder shows the lender each packet's
+// offset and length, lands the payload in what it lends — or in the
+// packet's own frame when it declines or comes up short — and Release
+// leaves lent memory alone.
+func TestReadPacketInto(t *testing.T) {
+	data := make([]byte, 3*DefaultChunkSize+17)
+	for i := range data {
+		data[i] = byte(i * 7)
+	}
+	in := &Packet{Seqno: 5, Offset: 1 << 20, Sums: checksum.Sum(data, DefaultChunkSize), Data: data}
+	for name, l := range map[string]*fuzzLender{
+		"accepts":      {mem: make([]byte, len(data)+100)},
+		"declines":     {},
+		"short":        {mem: make([]byte, len(data)), short: 1},
+		"too-small":    {mem: make([]byte, len(data)-1)},
+		"empty-packet": {mem: make([]byte, 8)},
+	} {
+		t.Run(name, func(t *testing.T) {
+			var buf duplex
+			c := NewConn(&buf)
+			want := *in
+			if name == "empty-packet" {
+				want = Packet{Seqno: 6, Offset: 2 << 20, Last: true}
+			}
+			if err := c.WritePacket(&want); err != nil {
+				t.Fatal(err)
+			}
+			out, err := c.ReadPacketInto(l)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Seqno != want.Seqno || out.Offset != want.Offset || out.Last != want.Last || !bytes.Equal(out.Data, want.Data) {
+				t.Fatalf("decoded %+v, want %+v", out, want)
+			}
+			if err := checksum.VerifyEncoded(out.Data, out.RawSums, DefaultChunkSize); err != nil {
+				t.Fatal(err)
+			}
+			if name == "empty-packet" {
+				if l.calls != 0 {
+					t.Fatal("the lender was asked about a packet with no payload")
+				}
+				out.Release()
+				return
+			}
+			if l.calls != 1 || l.offset != in.Offset || l.n != len(data) {
+				t.Fatalf("lender saw %d calls, last (%d, %d); want one call (%d, %d)", l.calls, l.offset, l.n, in.Offset, len(data))
+			}
+			if inLent := l.mem != nil && &out.Data[0] == &l.mem[0]; inLent != (name == "accepts") {
+				t.Fatalf("payload in lent memory: %v", inLent)
+			}
+			out.Release()
+			scribblePool(t, len(data)+600)()
+			if name == "accepts" && !bytes.Equal(l.mem[:len(data)], data) {
+				t.Fatal("Release recycled memory the packet did not own")
+			}
+		})
+	}
+
+	// A stream that ends inside a lent payload is an error, and the
+	// caller owns nothing.
+	var whole duplex
+	if err := NewConn(&whole).WritePacket(in); err != nil {
+		t.Fatal(err)
+	}
+	var torn duplex
+	torn.Write(whole.Bytes()[:whole.Len()-5])
+	l := &fuzzLender{mem: make([]byte, len(data))}
+	if _, err := NewConn(&torn).ReadPacketInto(l); err != io.ErrUnexpectedEOF { //smarth:owns-packet — the read must fail
+		t.Fatalf("torn lent payload: err = %v, want io.ErrUnexpectedEOF", err)
+	}
+}
+
 func TestEmptyLastPacket(t *testing.T) {
 	var buf duplex
 	c := NewConn(&buf)

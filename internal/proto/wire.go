@@ -58,10 +58,15 @@ const (
 	directReadMin = 512
 
 	// readBufSize sizes the buffered reader. It only needs to cover
-	// frame prefixes and small control frames (headers, acks, packet
-	// headers plus checksums); packet payloads scatter straight into
-	// pooled frame buffers via readBody.
-	readBufSize = 8 << 10
+	// frame prefixes and small control frames (acks, a packet's header
+	// plus the 512 B of checksums a 64 KB payload carries: 541 B); bodies
+	// scatter straight to where they are going via readBody. A pipeline
+	// holds six of these (two conns at each of three hops) for one block.
+	readBufSize = 1 << 10
+
+	// packetHeaderSize is a data packet's fixed part: seqno, offset,
+	// flags, checksum count, payload length.
+	packetHeaderSize = 25
 )
 
 // wspan is one pending write vector: either a range of frameWriter.stage
@@ -172,10 +177,12 @@ type Conn struct {
 	// the writing side, like fw.
 	corked bool
 
-	// whdr/rhdr are length-prefix scratch — fields rather than locals so
-	// they don't escape per frame.
+	// whdr/rhdr are length-prefix scratch and phdr is ReadPacketInto's
+	// packet-header scratch — fields rather than locals so they don't
+	// escape per frame.
 	whdr [4]byte
 	rhdr [4]byte
+	phdr [packetHeaderSize]byte
 
 	// ack and ackStatuses back the *Ack returned by ReadAck, so the
 	// per-packet ack stream decodes without allocating. Owned by the
@@ -350,27 +357,41 @@ func (c *Conn) readBody(dst []byte) error {
 	return nil
 }
 
-// readFrame reads one length-prefixed frame into a pooled buffer. The
-// caller owns the returned buffer and must hand it back via
-// bufpool.Put (or transfer it into a Packet, whose Release does so).
-func (c *Conn) readFrame() (*[]byte, error) {
+// readPrefix arms the read deadline and reads the next frame's length.
+func (c *Conn) readPrefix() (int, error) {
 	c.armRead()
 	if _, err := io.ReadFull(c.r, c.rhdr[:]); err != nil {
-		return nil, err
+		return 0, err
 	}
 	n := binary.BigEndian.Uint32(c.rhdr[:])
 	if n > MaxFrame {
-		return nil, fmt.Errorf("proto: incoming frame of %d bytes exceeds max %d", n, MaxFrame)
+		return 0, fmt.Errorf("proto: incoming frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
-	fr := bufpool.Get(int(n))
-	if err := c.readBody(*fr); err != nil {
-		bufpool.Put(fr)
-		return nil, err
-	}
+	return int(n), nil
+}
+
+// countFrameIn records one received frame of n payload bytes.
+func (c *Conn) countFrameIn(n int) {
 	if m := c.metrics; m != nil {
 		m.FramesIn.Inc()
 		m.BytesIn.Add(int64(4 + n))
 	}
+}
+
+// readFrame reads one length-prefixed frame into a pooled buffer. The
+// caller owns the returned buffer and must hand it back via
+// bufpool.Put.
+func (c *Conn) readFrame() (*[]byte, error) {
+	n, err := c.readPrefix()
+	if err != nil {
+		return nil, err
+	}
+	fr := bufpool.Get(n)
+	if err := c.readBody(*fr); err != nil {
+		bufpool.Put(fr)
+		return nil, err
+	}
+	c.countFrameIn(n)
 	return fr, nil
 }
 
@@ -445,8 +466,8 @@ func (c *Conn) ReadHeader() (Op, any, error) {
 			BlockBytes: r.I64(),
 			Client:     r.Str(),
 		}
-		if wh.BlockBytes < 0 {
-			return op, nil, fmt.Errorf("proto: negative block size hint %d", wh.BlockBytes)
+		if wh.BlockBytes < 0 || wh.BlockBytes > MaxBlockSize {
+			return op, nil, fmt.Errorf("proto: block size hint %d outside [0, %d]", wh.BlockBytes, int64(MaxBlockSize))
 		}
 		wh.Targets = make([]block.DatanodeInfo, r.Bound(int(r.U16()), wire.MinDatanodeSize))
 		for i := range wh.Targets {
@@ -469,6 +490,16 @@ func (c *Conn) ReadHeader() (Op, any, error) {
 
 // --- packets ---
 
+// midFrame turns the io.EOF of a stream that ended between two parts of
+// one frame into io.ErrUnexpectedEOF: only an EOF before a frame's
+// prefix is a clean end.
+func midFrame(err error) error {
+	if err == io.EOF {
+		return io.ErrUnexpectedEOF
+	}
+	return err
+}
+
 // WritePacket frames and sends a data packet. Only the packet header and
 // checksums pass through a (pooled) scratch buffer; p.Data rides as its
 // own write vector, so the payload is never copied into a frame — one
@@ -485,7 +516,7 @@ func (c *Conn) WritePacket(p *Packet) error {
 		nSums = len(p.Sums)
 		sumBytes = nSums * checksum.BytesPerChecksum
 	}
-	bp := bufpool.GetCap(25 + sumBytes)
+	bp := bufpool.GetCap(packetHeaderSize + sumBytes)
 	defer bufpool.Put(bp)
 	buf := *bp
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Seqno))
@@ -506,42 +537,89 @@ func (c *Conn) WritePacket(p *Packet) error {
 	return c.writeFrame(buf, p.Data, !c.corked || p.Last)
 }
 
-// ReadPacket reads one data packet into a pooled Packet whose Data and
-// RawSums alias a pooled frame buffer. The caller owns the packet and
-// must Release it exactly once; see the Packet ownership contract.
-// Checksums are not decoded — verify with checksum.VerifyEncoded
-// against RawSums, or decode explicitly with DecodedSums.
-func (c *Conn) ReadPacket() (*Packet, error) {
-	fr, err := c.readFrame()
+// Lender designates, packet by packet, the memory a received payload
+// lands in. ReadPacketInto calls Lend once per packet that carries data,
+// after decoding its header and before reading its payload, with the
+// payload's offset in the block and its length n. A result of at least n
+// bytes takes the payload (its first n bytes become Packet.Data); a
+// shorter one, nil included, declines, and the payload goes to a pooled
+// frame the packet owns. The memory must stay valid for as long as the
+// caller uses Packet.Data — Release does not touch it.
+type Lender interface {
+	Lend(offset int64, n int) []byte
+}
+
+// ReadPacket is ReadPacketInto with nothing to lend: Data and RawSums
+// alias one pooled frame, which Release recycles.
+func (c *Conn) ReadPacket() (*Packet, error) { return c.ReadPacketInto(nil) }
+
+// ReadPacketInto reads one data packet into a pooled Packet, scattering
+// it as it decodes: the fixed header into the Packet's fields, the wire
+// checksums into a small pooled frame RawSums aliases, and the payload
+// into the memory to lends for this packet — a datanode's replica, a
+// reader's destination — so that it is not copied again after the
+// socket. The caller owns the packet and must Release it exactly once
+// (see the Packet ownership contract); Release frees the frame, never
+// lent memory. Checksums are not decoded or checked — verify with
+// checksum.VerifyEncoded against RawSums, or decode explicitly with
+// DecodedSums. On an error nothing is owned by the caller, and lent
+// memory may hold part of a payload.
+func (c *Conn) ReadPacketInto(to Lender) (*Packet, error) {
+	n, err := c.readPrefix()
 	if err != nil {
 		return nil, err
 	}
-	buf := *fr
-	if len(buf) < 25 {
-		bufpool.Put(fr)
+	if n < packetHeaderSize {
 		return nil, io.ErrUnexpectedEOF
 	}
-	nSums := int(binary.BigEndian.Uint32(buf[17:]))
-	nData := int(binary.BigEndian.Uint32(buf[21:]))
-	rest := buf[25:]
+	hdr := c.phdr[:]
+	if err := c.readBody(hdr); err != nil {
+		return nil, midFrame(err)
+	}
+	nSums := int(binary.BigEndian.Uint32(hdr[17:]))
+	nData := int(binary.BigEndian.Uint32(hdr[21:]))
 	sumBytes := nSums * checksum.BytesPerChecksum
-	if nSums > MaxFrame/checksum.BytesPerChecksum || len(rest) != sumBytes+nData {
-		bufpool.Put(fr)
-		return nil, fmt.Errorf("proto: packet body %d bytes, want %d sums + %d data", len(rest), nSums, nData)
+	if nSums > MaxFrame/checksum.BytesPerChecksum || nData > MaxFrame || n-packetHeaderSize != sumBytes+nData {
+		return nil, fmt.Errorf("proto: packet body %d bytes, want %d sums + %d data", n-packetHeaderSize, nSums, nData)
 	}
-	if buf[16]&^1 != 0 {
-		bufpool.Put(fr)
-		return nil, fmt.Errorf("proto: unknown packet flags 0x%02x", buf[16])
+	if hdr[16]&^1 != 0 {
+		return nil, fmt.Errorf("proto: unknown packet flags 0x%02x", hdr[16])
 	}
+	offset := int64(binary.BigEndian.Uint64(hdr[8:]))
+	var lent []byte
+	if to != nil && nData > 0 {
+		if lent = to.Lend(offset, nData); len(lent) < nData {
+			lent = nil
+		}
+	}
+	// The frame holds what the packet owns: the checksums, and the
+	// payload too unless it was lent a place.
+	own := sumBytes + nData
+	if lent != nil {
+		own = sumBytes
+	}
+	fr := bufpool.Get(own)
+	err = c.readBody(*fr)
+	if err == nil && lent != nil {
+		err = c.readBody(lent[:nData])
+	}
+	if err != nil {
+		bufpool.Put(fr)
+		return nil, midFrame(err)
+	}
+	c.countFrameIn(n)
 	p := packetPool.Get().(*Packet)
 	*p = Packet{
-		Seqno:   int64(binary.BigEndian.Uint64(buf)),
-		Offset:  int64(binary.BigEndian.Uint64(buf[8:])),
-		Last:    buf[16]&1 != 0,
-		RawSums: rest[:sumBytes],
-		Data:    rest[sumBytes:],
+		Seqno:   int64(binary.BigEndian.Uint64(hdr)),
+		Offset:  offset,
+		Last:    hdr[16]&1 != 0,
+		RawSums: (*fr)[:sumBytes],
+		Data:    (*fr)[sumBytes:],
 		frame:   fr,
 		pooled:  true,
+	}
+	if lent != nil {
+		p.Data = lent[:nData]
 	}
 	return p, nil
 }

@@ -1,8 +1,8 @@
-// Package ratelimit provides a token-bucket byte-rate limiter and
-// rate-limited reader/writer wrappers. In the real-cluster substrate it
-// plays the role that the Linux `tc` utility plays in the paper's EC2
-// experiments: shaping the ingress/egress bandwidth of a node or the
-// bandwidth between racks.
+// Package ratelimit provides a token-bucket byte-rate limiter and a
+// rate-limited writer wrapper (a link is shaped where its bytes are
+// sent). In the real-cluster substrate it plays the role that the Linux
+// `tc` utility plays in the paper's EC2 experiments: shaping the
+// ingress/egress bandwidth of a node or the bandwidth between racks.
 package ratelimit
 
 import (
@@ -135,28 +135,6 @@ func WaitAll(n int, lims ...*Limiter) {
 	if max > 0 {
 		clk.Sleep(max)
 	}
-}
-
-// Reader wraps r so reads drain the limiter. Multiple limiters may be
-// stacked (e.g. a NIC limit plus a cross-rack limit) by passing several.
-type Reader struct {
-	r    io.Reader
-	lims []*Limiter
-}
-
-// NewReader returns a rate-limited reader. Nil limiters are ignored.
-func NewReader(r io.Reader, lims ...*Limiter) *Reader {
-	return &Reader{r: r, lims: lims}
-}
-
-func (r *Reader) Read(p []byte) (int, error) {
-	// Limit the chunk so a huge read doesn't reserve minutes at once.
-	if len(p) > 64<<10 {
-		p = p[:64<<10]
-	}
-	n, err := r.r.Read(p)
-	WaitAll(n, r.lims...)
-	return n, err
 }
 
 // Writer wraps w so writes drain the limiter before hitting w.

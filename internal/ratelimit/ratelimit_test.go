@@ -153,20 +153,6 @@ func TestWriterEnforcesRate(t *testing.T) {
 	}
 }
 
-func TestReaderEnforcesRate(t *testing.T) {
-	fc := newFakeClock()
-	l := New(fc, 1<<20, 64<<10)
-	src := bytes.NewReader(make([]byte, 512<<10))
-	r := NewReader(src, l)
-	n, err := io.Copy(io.Discard, r)
-	if err != nil || n != 512<<10 {
-		t.Fatalf("Copy = (%d, %v)", n, err)
-	}
-	if fc.slept < 400*time.Millisecond || fc.slept > 520*time.Millisecond {
-		t.Fatalf("slept %v, want ≈0.44-0.5s", fc.slept)
-	}
-}
-
 func TestStackedLimiters(t *testing.T) {
 	fc := newFakeClock()
 	nic := New(fc, 2000, 100)

@@ -103,21 +103,58 @@ type diskWriter struct {
 	store     *DiskStore
 	rep       *diskReplica
 	f         *os.File
-	chunker   *checksum.Chunked
+	sums      chunkSums
+	failed    error // a file write's error: the replica is torn and can only be aborted
 	committed bool
 	closed    bool
 }
 
-// SizeHint sizes the checksum slice for the expected block length
+// SizeHint sizes the checksum buffer for the expected block length
 // (storage.SizeHinter); the block file itself grows as it is written.
-func (w *diskWriter) SizeHint(n int64) { w.chunker.Grow(n) }
+func (w *diskWriter) SizeHint(n int64) {
+	if n > 0 {
+		w.sums.reserve(n)
+	}
+}
+
+// Lend has nothing to offer: a file is not memory. The payload stays in
+// the packet's own frame and reaches the file in Append's one write.
+func (w *diskWriter) Lend(int64, int) []byte { return nil }
+
+func (w *diskWriter) Append(p, rawSums []byte) error {
+	if err := w.writable(); err != nil {
+		return err
+	}
+	if err := w.sums.appendRaw(len(p), rawSums); err != nil {
+		return err
+	}
+	_, err := w.land(p)
+	return err
+}
 
 func (w *diskWriter) Write(p []byte) (int, error) {
-	if w.closed || w.committed {
-		return 0, ErrCommitted
+	if err := w.writable(); err != nil {
+		return 0, err
 	}
+	if err := w.sums.write(p); err != nil {
+		return 0, err
+	}
+	return w.land(p)
+}
+
+func (w *diskWriter) writable() error {
+	if w.closed || w.committed {
+		return ErrCommitted
+	}
+	return w.failed
+}
+
+// land writes p, whose checksums are already recorded, to the block file.
+func (w *diskWriter) land(p []byte) (int, error) {
 	n, err := w.f.Write(p)
-	w.chunker.Write(p[:n])
+	if err != nil {
+		w.failed = fmt.Errorf("storage: %v is torn: %w", w.rep.info.Block, err)
+	}
 	w.store.mu.Lock()
 	w.rep.info.Len += int64(n)
 	w.store.mu.Unlock()
@@ -125,21 +162,25 @@ func (w *diskWriter) Write(p []byte) (int, error) {
 }
 
 func (w *diskWriter) Commit() error {
-	if w.closed || w.committed {
-		return ErrCommitted
+	if err := w.writable(); err != nil {
+		return err
 	}
 	if err := w.f.Close(); err != nil {
 		return err
 	}
 	w.committed = true
+	w.sums.finish()
+	defer w.sums.release()
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
 	final := filepath.Join(w.store.dir, "cur", blockFileName(w.rep.info.Block))
 	if err := os.Rename(w.rep.path, final); err != nil {
 		return err
 	}
-	sums := w.chunker.Sums()
-	meta := checksum.Encode(make([]byte, 0, len(sums)*checksum.BytesPerChecksum), sums)
+	var meta []byte
+	if w.sums.raw != nil {
+		meta = *w.sums.raw
+	}
 	if err := os.WriteFile(final+".meta", meta, 0o644); err != nil {
 		return err
 	}
@@ -158,6 +199,7 @@ func (w *diskWriter) Close() error {
 		return nil
 	}
 	w.f.Close()
+	w.sums.release()
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
 	if cur, ok := w.store.index[w.rep.info.Block.ID]; ok && cur == w.rep {
@@ -192,7 +234,7 @@ func (s *DiskStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
 		s.mu.Unlock()
 		return nil, err
 	}
-	return &diskWriter{store: s, rep: rep, f: f, chunker: checksum.NewChunked(checksum.DefaultChunkSize)}, nil
+	return &diskWriter{store: s, rep: rep, f: f}, nil
 }
 
 // Open implements Store.

@@ -31,6 +31,7 @@ var (
 	ErrExists       = errors.New("storage: block already exists")
 	ErrNotFinalized = errors.New("storage: block not finalized")
 	ErrCommitted    = errors.New("storage: writer already committed")
+	ErrMisaligned   = errors.New("storage: replica ends mid-chunk, or the checksums do not cover the bytes")
 )
 
 // State of a replica.
@@ -59,8 +60,31 @@ type ReplicaInfo struct {
 
 // BlockWriter streams one replica's bytes. Commit finalizes the replica;
 // Close without Commit aborts and discards it.
+//
+// A replica grows by Append, which takes bytes somebody has already
+// verified together with the checksums they were verified against, and
+// keeps both as they are: a store never sums what a datanode just
+// checked. Write is the convenience for callers that hold bare bytes —
+// it sums them, then appends. Interior appends carry whole chunks
+// (HDFS's rule); only the last may end short.
 type BlockWriter interface {
+	// Write sums p and appends it. Unlike Append it takes any length at
+	// any time: a short tail is completed by the next Write.
 	io.Writer
+	// Lend offers the next n bytes of the replica's own storage, for the
+	// caller to fill and then Append, when offset is where the replica
+	// ends; otherwise, or when the store has no such memory (a file), it
+	// returns nil. The bytes are not part of the replica until appended.
+	// Lent memory stays valid until Close, whatever happens to the
+	// replica in between — committed, deleted or overwritten.
+	Lend(offset int64, n int) []byte
+	// Append adds p and its chunk checksums, wire-encoded as packets carry
+	// them (checksum.Encode's form: one per DefaultChunkSize bytes, the
+	// last covering a short tail). The caller vouches that they match. A
+	// p that Lend returned is adopted where it lies; anything else is
+	// copied. ErrMisaligned reports a replica that already ends mid-chunk
+	// or a checksum count that does not fit p.
+	Append(p, rawSums []byte) error
 	// Commit marks the replica finalized with the bytes written so far.
 	Commit() error
 	// Close aborts the replica if Commit was not called. Close after
@@ -103,19 +127,122 @@ type Store interface {
 // In-memory store
 // ---------------------------------------------------------------------
 
-// memReplica's bytes live in a bufpool buffer. While the replica is
-// temporary the buffer belongs to the writer that created it — it alone
-// appends, grows, and on abort recycles it, even after Create(overwrite)
-// or Delete took the replica out of the map, because that writer may
-// still be in Write. Commit hands the buffer to the store, which
-// recycles it on Delete unless a reader is open; every other way a
-// replica leaves the map drops the buffer for the garbage collector.
+// maxPrealloc caps what a size hint reserves: the hint may come off the
+// wire, so it buys at most bufpool's largest class (1 GB, 8 MB of
+// checksums) up front and the replica grows on demand past it.
+const maxPrealloc = 1 << 30
+
+const chunkSize = checksum.DefaultChunkSize
+
+// chunkSums accumulates a replica-in-progress's chunk checksums in wire
+// form in a pooled buffer. Appended checksums are kept as they came;
+// only Write's bytes are summed here.
+type chunkSums struct {
+	raw     *[]byte // pooled; nil until reserve or the first checksum
+	covered int64   // bytes the stream holds, tail included
+	tail    []byte  // Write's bytes past the last whole chunk, not yet in raw
+}
+
+// reserve makes room for the checksums of n more bytes.
+func (s *chunkSums) reserve(n int64) {
+	need := checksum.NumChunks(int(min(n, maxPrealloc)), chunkSize) * checksum.BytesPerChecksum
+	switch {
+	case s.raw == nil:
+		s.raw = bufpool.GetCap(need)
+	case cap(*s.raw)-len(*s.raw) < need:
+		bp := bufpool.GetCap(len(*s.raw) + need)
+		*bp = append(*bp, *s.raw...)
+		bufpool.Put(s.raw)
+		s.raw = bp
+	}
+}
+
+// appendRaw records the checksums of n more bytes, which must start on a
+// chunk boundary.
+func (s *chunkSums) appendRaw(n int, raw []byte) error {
+	if s.covered%chunkSize != 0 || len(raw) != checksum.NumChunks(n, chunkSize)*checksum.BytesPerChecksum {
+		return ErrMisaligned
+	}
+	if s.raw == nil {
+		s.reserve(int64(n))
+	}
+	*s.raw = append(*s.raw, raw...)
+	s.covered += int64(n)
+	return nil
+}
+
+// write sums p as the stream's continuation: whole chunks where they lie,
+// a short tail held back for the next write (or finish) to complete.
+func (s *chunkSums) write(p []byte) error {
+	if int(s.covered%chunkSize) != len(s.tail) {
+		return ErrMisaligned // an Append ended the stream mid-chunk
+	}
+	if s.raw == nil {
+		s.reserve(int64(len(p)))
+	}
+	s.covered += int64(len(p))
+	if len(s.tail) > 0 {
+		k := min(chunkSize-len(s.tail), len(p))
+		s.tail = append(s.tail, p[:k]...)
+		p = p[k:]
+		if len(s.tail) < chunkSize {
+			return nil
+		}
+		s.finish()
+	}
+	whole := len(p) - len(p)%chunkSize
+	*s.raw = checksum.AppendEncoded(*s.raw, p[:whole], chunkSize)
+	s.tail = append(s.tail, p[whole:]...)
+	return nil
+}
+
+// finish sums a held-back tail, at commit or when a write completes it.
+func (s *chunkSums) finish() {
+	if len(s.tail) > 0 {
+		*s.raw = checksum.AppendEncoded(*s.raw, s.tail, chunkSize)
+		s.tail = s.tail[:0]
+	}
+}
+
+// release recycles the buffer (an aborted replica's, or a disk replica's
+// once its meta file is written).
+func (s *chunkSums) release() {
+	bufpool.Put(s.raw)
+	s.raw = nil
+}
+
+// memReplica's bytes and checksums live in bufpool buffers. While the
+// replica is temporary they belong to the writer that created it — it
+// alone appends, grows, and on abort recycles them, even after
+// Create(overwrite) or Delete took the replica out of the map, because
+// that writer may still be appending. Commit hands them to the store,
+// which recycles them on Delete unless the replica is pinned: by an open
+// reader, a running scrub, or the writer itself, which lends out parts of
+// buf (BlockWriter.Lend) that a datanode's forwarder sends from until
+// the writer's Close. Every other way a replica leaves the map drops the
+// buffers for the garbage collector.
 type memReplica struct {
-	info    ReplicaInfo
-	buf     *[]byte // pooled storage behind data; nil until the first byte or SizeHint
-	data    []byte
-	sums    []uint32
-	readers int // open readers and running scrubs; guarded by MemStore.mu
+	info ReplicaInfo
+	buf  *[]byte // pooled storage behind data; nil until the first byte or SizeHint
+	data []byte
+	sums *[]byte // pooled wire-encoded chunk checksums, set at Commit
+	pins int     // open readers, running scrubs, the unclosed writer; guarded by MemStore.mu
+}
+
+// rawSums is the replica's checksums in wire form (none for an empty one).
+func (r *memReplica) rawSums() []byte {
+	if r.sums == nil {
+		return nil
+	}
+	return *r.sums
+}
+
+// recycle returns an unmapped, unpinned replica's buffers to the pool.
+// Caller holds MemStore.mu.
+func (r *memReplica) recycle() {
+	bufpool.Put(r.buf)
+	bufpool.Put(r.sums)
+	r.buf, r.data, r.sums = nil, nil, nil
 }
 
 // MemStore keeps replicas on the heap. PerByteDelay, if non-zero, charges
@@ -142,7 +269,8 @@ func NewMemStore() *MemStore {
 type memWriter struct {
 	store     *MemStore
 	rep       *memReplica
-	chunker   *checksum.Chunked
+	sums      chunkSums
+	lent      bool // part of some rep.buf is out on loan: an outgrown buffer is dropped, not recycled
 	committed bool
 	closed    bool
 }
@@ -151,68 +279,109 @@ type memWriter struct {
 // length, skipping the doubling growth chain entirely on the write hot
 // path (storage.SizeHinter).
 func (w *memWriter) SizeHint(n int64) {
-	if w.closed || w.committed || n <= 0 || n > 1<<40 {
+	if w.closed || w.committed || n <= 0 {
 		return
 	}
+	n = min(n, maxPrealloc)
 	w.store.mu.Lock()
 	if int64(cap(w.rep.data)) < n {
 		w.grow(int(n))
 	}
 	w.store.mu.Unlock()
-	w.chunker.Grow(n)
+	w.sums.reserve(n)
 }
 
 // grow moves the replica into a pooled buffer of at least newCap bytes
-// and recycles the one it outgrew. Caller holds store.mu.
+// and recycles the one it outgrew — unless part of it was lent, in which
+// case whoever borrowed it may still be reading. Caller holds store.mu.
 func (w *memWriter) grow(newCap int) {
 	bp := bufpool.Get(newCap)
 	n := copy(*bp, w.rep.data)
-	bufpool.Put(w.rep.buf)
+	if !w.lent {
+		bufpool.Put(w.rep.buf)
+	}
 	w.rep.buf, w.rep.data = bp, (*bp)[:n]
+}
+
+// room returns the n bytes past the replica's end, growing the buffer
+// first if it must. Caller holds store.mu.
+func (w *memWriter) room(n int) []byte {
+	end := len(w.rep.data)
+	if need := end + n; need > cap(w.rep.data) {
+		// Double instead of append's ~1.25x large-slice growth: packets
+		// arrive in 64 KB dribbles, and the shallower growth chain
+		// allocates (and memmoves) several block sizes of dead
+		// intermediates per block on the datanode hot path.
+		w.grow(max(2*cap(w.rep.data), need, 1<<20))
+	}
+	return w.rep.data[end : end+n : end+n]
+}
+
+func (w *memWriter) Lend(offset int64, n int) []byte {
+	if w.closed || w.committed {
+		return nil
+	}
+	w.store.mu.Lock()
+	defer w.store.mu.Unlock()
+	if offset != int64(len(w.rep.data)) {
+		return nil
+	}
+	w.lent = true
+	return w.room(n)
+}
+
+func (w *memWriter) Append(p, rawSums []byte) error {
+	if w.closed || w.committed {
+		return ErrCommitted
+	}
+	if err := w.sums.appendRaw(len(p), rawSums); err != nil {
+		return err
+	}
+	w.land(p)
+	return nil
 }
 
 func (w *memWriter) Write(p []byte) (int, error) {
 	if w.closed || w.committed {
 		return 0, ErrCommitted
 	}
-	if d := w.store.PerByteDelay; d > 0 && len(p) > 0 {
-		w.store.Clk.Sleep(time.Duration(len(p)) * d)
+	if err := w.sums.write(p); err != nil {
+		return 0, err
 	}
-	w.store.mu.Lock()
-	if need := len(w.rep.data) + len(p); need > cap(w.rep.data) {
-		// Double instead of append's ~1.25x large-slice growth: packets
-		// arrive in 64 KB dribbles, and the shallower growth chain
-		// allocates (and memmoves) several block sizes of dead
-		// intermediates per block on the datanode hot path.
-		newCap := 2 * cap(w.rep.data)
-		if newCap < need {
-			newCap = need
-		}
-		if newCap < 1<<20 {
-			newCap = 1 << 20
-		}
-		w.grow(newCap)
-	}
-	w.rep.data = append(w.rep.data, p...)
-	w.rep.info.Len = int64(len(w.rep.data))
-	w.store.mu.Unlock()
-	w.chunker.Write(p)
+	w.land(p)
 	return len(p), nil
 }
 
-func (w *memWriter) Commit() error {
-	if w.closed {
-		return ErrCommitted
+// land makes p the replica's next bytes: adopted in place when p is the
+// memory Lend handed out, copied otherwise.
+func (w *memWriter) land(p []byte) {
+	if len(p) == 0 {
+		return
 	}
-	if w.committed {
+	if d := w.store.PerByteDelay; d > 0 {
+		w.store.Clk.Sleep(time.Duration(len(p)) * d)
+	}
+	w.store.mu.Lock()
+	dst := w.room(len(p))
+	if &dst[0] != &p[0] {
+		copy(dst, p)
+	}
+	w.rep.data = w.rep.data[:len(w.rep.data)+len(p)]
+	w.rep.info.Len = int64(len(w.rep.data))
+	w.store.mu.Unlock()
+}
+
+func (w *memWriter) Commit() error {
+	if w.closed || w.committed {
 		return ErrCommitted
 	}
 	w.committed = true
+	w.sums.finish()
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
 	w.rep.info.State = Finalized
 	w.rep.info.Block.NumBytes = w.rep.info.Len
-	w.rep.sums = w.chunker.Sums()
+	w.rep.sums, w.sums.raw = w.sums.raw, nil
 	return nil
 }
 
@@ -221,19 +390,20 @@ func (w *memWriter) Close() error {
 		return nil
 	}
 	w.closed = true
+	w.store.mu.Lock()
+	defer w.store.mu.Unlock()
+	w.rep.pins--
 	if w.committed {
 		return nil
 	}
-	w.store.mu.Lock()
-	defer w.store.mu.Unlock()
-	// Abort: discard the temp replica if it is still ours. The buffer is
-	// ours either way, and nobody else has seen it: a temp replica has no
-	// readers.
+	// Abort: discard the temp replica if it is still ours. The buffers are
+	// ours either way, and nobody else can see them: a temp replica has
+	// no readers, and whoever borrowed from Lend is done by Close.
 	if cur, ok := w.store.replicas[w.rep.info.Block.ID]; ok && cur == w.rep {
 		delete(w.store.replicas, w.rep.info.Block.ID)
 	}
-	bufpool.Put(w.rep.buf)
-	w.rep.buf, w.rep.data = nil, nil
+	w.rep.sums, w.sums.raw = w.sums.raw, nil
+	w.rep.recycle()
 	return nil
 }
 
@@ -244,9 +414,9 @@ func (s *MemStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
 	if _, exists := s.replicas[b.ID]; exists && !overwrite {
 		return nil, fmt.Errorf("%w: %v", ErrExists, b)
 	}
-	rep := &memReplica{info: ReplicaInfo{Block: b, State: Temp}}
+	rep := &memReplica{info: ReplicaInfo{Block: b, State: Temp}, pins: 1} // the writer's, until its Close
 	s.replicas[b.ID] = rep
-	return &memWriter{store: s, rep: rep, chunker: checksum.NewChunked(checksum.DefaultChunkSize)}, nil
+	return &memWriter{store: s, rep: rep}, nil
 }
 
 // Open implements Store.
@@ -260,14 +430,14 @@ func (s *MemStore) Open(id block.ID) (io.ReadCloser, int64, error) {
 	if rep.info.State != Finalized {
 		return nil, 0, fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
 	}
-	rep.readers++
+	rep.pins++
 	r := &memReader{store: s, rep: rep}
 	r.Reader.Reset(rep.data)
 	return r, rep.info.Len, nil
 }
 
 // memReader reads a finalized replica in place. While it is open the
-// replica's buffer is not recycled, so a Delete racing a read leaves the
+// replica is pinned and its buffer not recycled, so a Delete racing a read leaves the
 // reader the bytes it opened.
 type memReader struct {
 	bytes.Reader
@@ -280,7 +450,7 @@ func (r *memReader) Close() error {
 	r.store.mu.Lock()
 	if !r.closed {
 		r.closed = true
-		r.rep.readers--
+		r.rep.pins--
 	}
 	r.store.mu.Unlock()
 	return nil
@@ -297,9 +467,7 @@ func (s *MemStore) Sums(id block.ID) ([]uint32, error) {
 	if rep.info.State != Finalized {
 		return nil, fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
 	}
-	out := make([]uint32, len(rep.sums))
-	copy(out, rep.sums)
-	return out, nil
+	return checksum.Decode(rep.rawSums())
 }
 
 // Info implements Store.
@@ -322,9 +490,8 @@ func (s *MemStore) Delete(id block.ID) error {
 		return fmt.Errorf("%w: blk_%d", ErrNotFound, id)
 	}
 	delete(s.replicas, id)
-	if rep.info.State == Finalized && rep.readers == 0 {
-		bufpool.Put(rep.buf)
-		rep.buf, rep.data = nil, nil
+	if rep.info.State == Finalized && rep.pins == 0 {
+		rep.recycle()
 	}
 	return nil
 }
@@ -367,13 +534,12 @@ func (s *MemStore) VerifyBlock(id block.ID) error {
 		s.mu.Unlock()
 		return fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
 	}
-	data := rep.data
-	sums := rep.sums
-	rep.readers++ // keeps Delete from recycling data under the scrub
+	data, sums := rep.data, rep.rawSums()
+	rep.pins++ // keeps Delete from recycling them under the scrub
 	s.mu.Unlock()
-	err := checksum.Verify(data, sums, checksum.DefaultChunkSize)
+	err := checksum.VerifyEncoded(data, sums, chunkSize)
 	s.mu.Lock()
-	rep.readers--
+	rep.pins--
 	s.mu.Unlock()
 	return err
 }

@@ -298,6 +298,12 @@ func TestQuickWriteReadBack(t *testing.T) {
 			if err != nil || !bytes.Equal(got, data) {
 				return false
 			}
+			// However ragged the writes, the stored checksums are the
+			// one-shot checksums of the whole block.
+			sums, err := s.Sums(b.ID)
+			if err != nil || checksum.Verify(data, sums, checksum.DefaultChunkSize) != nil {
+				return false
+			}
 		}
 		return true
 	}
@@ -355,5 +361,141 @@ func TestSumsSurviveCorruption(t *testing.T) {
 	r.Close()
 	if err := checksum.Verify(rotted, sums, checksum.DefaultChunkSize); err == nil {
 		t.Fatal("write-time sums verified rotted data")
+	}
+}
+
+// TestSizeHintIsAdvisory: the hint comes off the wire, so an absurd one
+// must buy a bounded preallocation, not the process's death (at 19afe22
+// MemStore asked the allocator for 512 GB and the test binary died of
+// "runtime: out of memory"), and must not bound what the replica takes.
+func TestSizeHintIsAdvisory(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			data := bytes.Repeat([]byte{0x6b}, 1<<10)
+			w, err := s.Create(block.Block{ID: 1, Gen: 1}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			w.(SizeHinter).SizeHint(1 << 39)
+			w.(SizeHinter).SizeHint(-1)
+			if _, err := w.Write(data); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			w.Close()
+			r, n, err := s.Open(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(r)
+			r.Close()
+			if err != nil || n != int64(len(data)) || !bytes.Equal(got, data) {
+				t.Fatalf("read back %d of %d bytes, err %v", len(got), n, err)
+			}
+			if err := s.Delete(1); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	// A replica that outgrows a small hint keeps growing.
+	mem := NewMemStore()
+	data := make([]byte, 3<<20)
+	rand.New(rand.NewSource(5)).Read(data)
+	w, _ := mem.Create(block.Block{ID: 2, Gen: 1}, false)
+	w.(SizeHinter).SizeHint(4096)
+	for off := 0; off < len(data); off += 64 << 10 {
+		if _, err := w.Write(data[off : off+64<<10]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := w.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	w.Close()
+	if err := mem.VerifyBlock(2); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestAppendKeepsTheGivenChecksums: Append stores bytes and checksums as
+// handed over — it is the caller who verified them — and holds the line
+// on chunk alignment, on both backends.
+func TestAppendKeepsTheGivenChecksums(t *testing.T) {
+	const cs = checksum.DefaultChunkSize
+	data := make([]byte, 5*cs+100)
+	rand.New(rand.NewSource(3)).Read(data)
+	raw := checksum.AppendEncoded(nil, data, cs)
+	// The caller's checksums, right or wrong, are what Sums serves: flip a
+	// bit in one and it must come back flipped (and the scrub must see it).
+	raw[4] ^= 1
+	want, _ := checksum.Decode(raw)
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			w, err := s.Create(block.Block{ID: 1, Gen: 1}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if err := w.Append(data[:2*cs], raw[:7]); !errors.Is(err, ErrMisaligned) {
+				t.Fatalf("Append with 7 checksum bytes for 2 chunks = %v, want ErrMisaligned", err)
+			}
+			// First two chunks through memory the store lends (if it has any),
+			// the rest from the caller's own.
+			first := data[:2*cs]
+			if lent := w.Lend(0, len(first)); lent != nil {
+				if name == "disk" {
+					t.Fatal("a DiskStore writer lent memory")
+				}
+				first = lent[:copy(lent, first)]
+			} else if name == "mem" {
+				t.Fatal("a MemStore writer declined to lend its own tail")
+			}
+			if w.Lend(1, cs) != nil {
+				t.Fatal("Lend at an offset that is not the replica's end")
+			}
+			if err := w.Append(first, raw[:2*4]); err != nil {
+				t.Fatal(err)
+			}
+			if err := w.Append(data[2*cs:], raw[2*4:]); err != nil {
+				t.Fatal(err)
+			}
+			// The replica now ends mid-chunk: nothing more fits.
+			if err := w.Append(data[:cs], raw[:4]); !errors.Is(err, ErrMisaligned) {
+				t.Fatalf("Append after a short tail = %v, want ErrMisaligned", err)
+			}
+			if _, err := w.Write(data[:1]); !errors.Is(err, ErrMisaligned) {
+				t.Fatalf("Write after an appended short tail = %v, want ErrMisaligned", err)
+			}
+			if info, _ := s.Info(1); info.Len != int64(len(data)) {
+				t.Fatalf("Len %d after the refusals, want %d", info.Len, len(data))
+			}
+			if err := w.Commit(); err != nil {
+				t.Fatal(err)
+			}
+			r, _, err := s.Open(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _ := io.ReadAll(r)
+			r.Close()
+			if !bytes.Equal(got, data) {
+				t.Fatal("appended bytes read back differently")
+			}
+			sums, err := s.Sums(1)
+			if err != nil || len(sums) != len(want) {
+				t.Fatalf("Sums = %d entries, err %v; want %d", len(sums), err, len(want))
+			}
+			for i := range want {
+				if sums[i] != want[i] {
+					t.Fatalf("sum[%d] = %08x, want the appended %08x", i, sums[i], want[i])
+				}
+			}
+			var mm *checksum.ErrMismatch
+			if err := s.(interface{ VerifyBlock(block.ID) error }).VerifyBlock(1); !errors.As(err, &mm) || mm.Chunk != 1 {
+				t.Fatalf("scrub = %v, want a mismatch in chunk 1 (the flipped checksum)", err)
+			}
+		})
 	}
 }

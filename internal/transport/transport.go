@@ -192,19 +192,26 @@ func (n *MemNetwork) Listen(addr string) (Listener, error) {
 // memConn is one endpoint of an in-memory connection.
 type memConn struct {
 	local, remote string
-	readBuf       *pipeBuf // data flowing remote -> local
-	writeBuf      *pipeBuf // data flowing local -> remote
-	r             io.Reader
-	w             io.Writer
+	readBuf       *pipeBuf          // data flowing remote -> local
+	writeBuf      *pipeBuf          // data flowing local -> remote
+	w             *ratelimit.Writer // writeBuf behind the link's limiters
 	net           *MemNetwork
 	closeOnce     sync.Once
 	peer          *memConn
 }
 
-func (c *memConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
-func (c *memConn) Write(p []byte) (int, error) { return c.w.Write(p) }
-func (c *memConn) LocalAddr() string           { return c.local }
-func (c *memConn) RemoteAddr() string          { return c.remote }
+func (c *memConn) Read(p []byte) (int, error) { return c.readBuf.Read(p) }
+
+// Write goes straight to the ring on an unshaped link, skipping the
+// limiter's 64 KB chunking loop the way tcpConn.WriteBuffers does.
+func (c *memConn) Write(p []byte) (int, error) {
+	if !c.w.Limited() {
+		return c.writeBuf.Write(p)
+	}
+	return c.w.Write(p)
+}
+func (c *memConn) LocalAddr() string  { return c.local }
+func (c *memConn) RemoteAddr() string { return c.remote }
 
 // SetReadDeadline bounds blocked and future reads on the conn.
 func (c *memConn) SetReadDeadline(t time.Time) error {
@@ -280,14 +287,12 @@ func (n *MemNetwork) Dial(local, remote string) (Conn, error) {
 	dialer := &memConn{
 		local: local, remote: remote,
 		readBuf: backward, writeBuf: forward,
-		r:   ratelimit.NewReader(backward),
 		w:   ratelimit.NewWriter(forward, fwLims...),
 		net: n,
 	}
 	acceptor := &memConn{
 		local: remote, remote: local,
 		readBuf: forward, writeBuf: backward,
-		r:   ratelimit.NewReader(forward),
 		w:   ratelimit.NewWriter(backward, bwLims...),
 		net: n,
 	}
@@ -398,14 +403,14 @@ func NewTCPNetworkTuned(policy LinkPolicy, tuning TCPTuning) *TCPNetwork {
 	return &TCPNetwork{policy: policy, tuning: tuning}
 }
 
+// tcpConn reads its socket directly (shaping is applied where bytes are
+// sent) and writes it through the link's limiters.
 type tcpConn struct {
 	net.Conn
 	local, remote string
-	r             io.Reader
 	w             *ratelimit.Writer
 }
 
-func (c *tcpConn) Read(p []byte) (int, error)  { return c.r.Read(p) }
 func (c *tcpConn) Write(p []byte) (int, error) { return c.w.Write(p) }
 func (c *tcpConn) LocalAddr() string           { return c.local }
 func (c *tcpConn) RemoteAddr() string          { return c.remote }
@@ -451,7 +456,6 @@ func (l *tcpListener) Accept() (Conn, error) {
 	lims, _ := l.policy.Limits(l.addr, remote)
 	return &tcpConn{
 		Conn: c, local: l.addr, remote: remote,
-		r: ratelimit.NewReader(c),
 		w: ratelimit.NewWriter(c, lims...),
 	}, nil
 }
@@ -481,7 +485,6 @@ func (n *TCPNetwork) Dial(local, remote string) (Conn, error) {
 	}
 	return &tcpConn{
 		Conn: c, local: local, remote: remote,
-		r: ratelimit.NewReader(c),
 		w: ratelimit.NewWriter(c, lims...),
 	}, nil
 }
