@@ -2,11 +2,15 @@ package cluster
 
 import (
 	"bytes"
+	"fmt"
 	"io"
+	"os"
+	"path/filepath"
 	"testing"
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/checksum"
 	"repro/internal/client"
 	"repro/internal/faultnet"
 	"repro/internal/nnapi"
@@ -184,6 +188,42 @@ func TestReadFailsOverFromTruncatedReplica(t *testing.T) {
 		if readCounter(o, "read_failovers") == before {
 			t.Fatalf("keep=%d: read completed without failing over the truncated replica", keep)
 		}
+	}
+}
+
+// TestReadFailsOverOnBadMeta cuts one checksum off the end of the first
+// replica's .meta on disk. That datanode must refuse the read in its
+// setup ack, before a byte is streamed, and the reader take the block
+// whole from another replica: one refused attempt at the bad replica, no
+// packet from it, and so no mid-stream failover.
+func TestReadFailsOverOnBadMeta(t *testing.T) {
+	root := t.TempDir()
+	c, _, cl, o := startReadFaultCluster(t, Config{NewStore: func(name string) (storage.Store, error) {
+		return storage.NewDiskStore(filepath.Join(root, name))
+	}})
+	data := randomData(337, 128<<10) // one block: two packets as the datanode serves it
+	writeFile(t, cl, "/bad-meta", data, proto.ModeSmarth)
+	lb, first := firstReadTarget(t, c, "/bad-meta")
+	meta := filepath.Join(root, first, "cur", fmt.Sprintf("blk_%d_%d.meta", lb.Block.ID, lb.Block.Gen))
+	fi, err := os.Stat(meta)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(meta, fi.Size()-checksum.BytesPerChecksum); err != nil {
+		t.Fatal(err)
+	}
+	bad := o.Component("datanode/" + first)
+	reads, packets := bad.Counter("reads").Load(), bad.Counter("read_packets").Load()
+	failovers := readCounter(o, "read_failovers")
+	readAllGuarded(t, cl, "/bad-meta", data, 15*time.Second)
+	if n := bad.Counter("reads").Load() - reads; n != 1 {
+		t.Fatalf("%s, the replica with the bad .meta, was asked %d times, want once", first, n)
+	}
+	if n := bad.Counter("read_packets").Load() - packets; n != 0 {
+		t.Fatalf("%s streamed %d packets from a replica whose checksums do not cover it", first, n)
+	}
+	if n := readCounter(o, "read_failovers") - failovers; n != 0 {
+		t.Fatalf("%d mid-stream failovers; the bad replica should have been refused at setup", n)
 	}
 }
 

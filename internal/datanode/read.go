@@ -4,12 +4,12 @@ import (
 	"fmt"
 	"io"
 
-	"repro/internal/block"
 	"repro/internal/bufpool"
 	"repro/internal/checksum"
 	"repro/internal/nnapi"
 	"repro/internal/obs"
 	"repro/internal/proto"
+	"repro/internal/storage"
 )
 
 // handleRead streams a block (or a byte range of it) back to the caller
@@ -29,7 +29,10 @@ func (dn *Datanode) handleRead(pc *proto.Conn, hdr *proto.ReadBlockHeader) {
 		span.Fail(err)
 		_ = pc.WriteAck(&proto.Ack{Kind: proto.AckHeader, Seqno: -1, Statuses: []proto.Status{proto.StatusError}})
 	}
-	r, sums, length, err := dn.openReplica(hdr.Block.ID)
+	// The store refuses a replica whose checksums do not cover it
+	// (storage.ErrCorrupt) here, before the reader is told yes, so the
+	// reader fails over without taking a byte from this one.
+	r, length, err := dn.opts.Store.Open(hdr.Block.ID)
 	if err != nil {
 		dn.opts.Logf("datanode %s: read %v: %v", dn.opts.Name, hdr.Block, err)
 		fail(err)
@@ -76,24 +79,9 @@ func (dn *Datanode) handleRead(pc *proto.Conn, hdr *proto.ReadBlockHeader) {
 		return
 	}
 
-	if _, err := dn.sendReplica(pc, r, sums, start, end, span); err != nil {
+	if _, err := dn.sendReplica(pc, r, start, end, span); err != nil {
 		span.Fail(err) // the conn drops and the reader fails over
 	}
-}
-
-// openReplica opens a finalized local replica for sending: its bytes,
-// its length, and the checksums captured when it was written.
-func (dn *Datanode) openReplica(id block.ID) (io.ReadCloser, []uint32, int64, error) {
-	r, length, err := dn.opts.Store.Open(id)
-	if err != nil {
-		return nil, nil, 0, err
-	}
-	sums, err := dn.opts.Store.Sums(id)
-	if err != nil {
-		r.Close()
-		return nil, nil, 0, fmt.Errorf("checksums: %w", err)
-	}
-	return r, sums, length, nil
 }
 
 // sendReplica streams bytes [start, end) of a replica — r positioned at
@@ -102,14 +90,17 @@ func (dn *Datanode) openReplica(id block.ID) (io.ReadCloser, []uint32, int64, er
 // alike, and it always sends the stored checksums, never ones recomputed
 // from the stored bytes: a replica that rotted on this datanode is
 // refused by whoever receives it rather than laundered into a fresh
-// replica with matching CRCs.
+// replica with matching CRCs. Each packet carries its slice of
+// r.RawSums() as they were stored, which WritePacket copies into the
+// frame — no decode, no re-encode.
 //
 // The stream is corked so small reads coalesce. The buffer is pooled (one
 // checkout per call, zero per packet) and the deferred uncork covers
 // every return path — the Last packet flushes through the cork on the
 // happy path, the uncork flushes whatever a failed stream left behind.
-func (dn *Datanode) sendReplica(pc *proto.Conn, r io.Reader, sums []uint32, start, end int64, span *obs.Span) (int64, error) {
-	const cs = checksum.DefaultChunkSize
+func (dn *Datanode) sendReplica(pc *proto.Conn, r storage.Replica, start, end int64, span *obs.Span) (int64, error) {
+	const cs, sumSize = checksum.DefaultChunkSize, checksum.BytesPerChecksum
+	sums := r.RawSums()
 	_ = pc.SetCork(true)
 	defer func() { _ = pc.SetCork(false) }()
 	bp := bufpool.Get(proto.DefaultPacketSize)
@@ -127,19 +118,14 @@ func (dn *Datanode) sendReplica(pc *proto.Conn, r io.Reader, sums []uint32, star
 		if err != nil && int64(m) != n {
 			return seqno, fmt.Errorf("replica truncated at %d: %w", pos+int64(m), err)
 		}
-		data := buf[:m]
 		firstChunk := pos / cs
 		lastChunk := (pos + int64(m) + cs - 1) / cs
-		if int(lastChunk) > len(sums) {
-			// Checksum metadata shorter than the data: corrupt.
-			return seqno, fmt.Errorf("checksum metadata ends at chunk %d, data needs %d", len(sums), lastChunk)
-		}
 		pkt = proto.Packet{
-			Seqno:  seqno,
-			Offset: pos,
-			Last:   pos+int64(m) >= end,
-			Sums:   sums[firstChunk:lastChunk],
-			Data:   data,
+			Seqno:   seqno,
+			Offset:  pos,
+			Last:    pos+int64(m) >= end,
+			RawSums: sums[firstChunk*sumSize : lastChunk*sumSize],
+			Data:    buf[:m],
 		}
 		if err := pc.WritePacket(&pkt); err != nil {
 			return seqno, err
@@ -166,7 +152,7 @@ func (dn *Datanode) transferBlock(cmd nnapi.ReplicateCmd) error {
 	if len(cmd.Targets) == 0 {
 		return nil
 	}
-	r, sums, length, err := dn.openReplica(cmd.Block.ID)
+	r, length, err := dn.opts.Store.Open(cmd.Block.ID)
 	if err != nil {
 		return err
 	}
@@ -182,7 +168,7 @@ func (dn *Datanode) transferBlock(cmd nnapi.ReplicateCmd) error {
 		return err
 	}
 	defer pc.Close()
-	last, err := dn.sendReplica(pc, r, sums, 0, length, nil)
+	last, err := dn.sendReplica(pc, r, 0, length, nil)
 	if err != nil {
 		return err
 	}

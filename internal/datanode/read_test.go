@@ -2,9 +2,11 @@ package datanode
 
 import (
 	"bytes"
-	"errors"
-	"io"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"runtime"
+	"runtime/debug"
 	"testing"
 
 	"repro/internal/block"
@@ -181,35 +183,25 @@ func TestHandleReadOffsetPastEOF(t *testing.T) {
 	}
 }
 
-// shortSumsStore serves the underlying store's checksums truncated to
-// nSums entries — metadata rot where the meta file lost its tail.
-type shortSumsStore struct {
-	storage.Store
-	nSums int
-}
-
-func (s *shortSumsStore) Sums(id block.ID) ([]uint32, error) {
-	sums, err := s.Store.Sums(id)
-	if err != nil {
-		return nil, err
-	}
-	if len(sums) > s.nSums {
-		sums = sums[:s.nSums]
-	}
-	return sums, nil
-}
-
-// TestHandleReadShortChecksumMetadata: when the checksum metadata covers
-// fewer chunks than the data, the datanode must drop the connection
-// (so the reader fails over) instead of serving unverifiable bytes or
-// panicking on the sums slice.
+// TestHandleReadShortChecksumMetadata: when a replica's checksum
+// metadata covers fewer chunks than its data — a .meta that lost its
+// tail — the datanode refuses the read in the setup ack, so the reader
+// fails over before a byte is streamed, instead of serving unverifiable
+// bytes, panicking on the sums, or dying mid-stream.
 func TestHandleReadShortChecksumMetadata(t *testing.T) {
 	const cs = checksum.DefaultChunkSize
 	data := randomBytes(507, 4*cs)
-	inner := storage.NewMemStore()
+	dir := t.TempDir()
+	store, err := storage.NewDiskStore(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
 	blk := block.Block{ID: 13, Gen: 1, NumBytes: int64(len(data))}
-	storeBlock(t, inner, blk, data)
-	n := startReadDatanode(t, &shortSumsStore{Store: inner, nSums: 2})
+	storeBlock(t, store, blk, data)
+	if err := os.Truncate(filepath.Join(dir, "cur", "blk_13_1.meta"), 2*checksum.BytesPerChecksum); err != nil {
+		t.Fatal(err)
+	}
+	n := startReadDatanode(t, store)
 
 	conn, err := n.Dial("client", "dn1")
 	if err != nil {
@@ -224,23 +216,12 @@ func TestHandleReadShortChecksumMetadata(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !ack.OK() {
-		t.Fatalf("setup ack = %+v", ack)
+	if ack.Kind != proto.AckHeader || len(ack.Statuses) != 1 || ack.Statuses[0] != proto.StatusError {
+		t.Fatalf("setup ack = %+v, want a StatusError refusal", ack)
 	}
-	// One 64 KiB packet buffer covers all 4 chunks, so the very first
-	// packet hits the short metadata and the conn must drop.
-	for {
-		pkt, err := pc.ReadPacket()
-		if err != nil {
-			if errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) || errors.Is(err, transport.ErrClosed) {
-				return // dropped, as required
-			}
-			return // any transport-level drop is acceptable
-		}
-		if pkt.Last {
-			t.Fatal("stream completed despite checksum metadata shorter than the data")
-		}
+	if pkt, err := pc.ReadPacket(); err == nil {
 		pkt.Release()
+		t.Fatal("the datanode streamed a packet after refusing the read")
 	}
 }
 
@@ -251,17 +232,22 @@ type seekableStore struct {
 	data map[block.ID][]byte
 }
 
-type seekReadCloser struct{ *bytes.Reader }
+// seekReplica reads the wrapped store's bytes from its own copy and
+// serves the store's checksums.
+type seekReplica struct {
+	*bytes.Reader
+	inner storage.Replica
+}
 
-func (seekReadCloser) Close() error { return nil }
+func (r seekReplica) RawSums() []byte { return r.inner.RawSums() }
+func (r seekReplica) Close() error    { return r.inner.Close() }
 
-func (s *seekableStore) Open(id block.ID) (io.ReadCloser, int64, error) {
+func (s *seekableStore) Open(id block.ID) (storage.Replica, int64, error) {
 	r, length, err := s.MemStore.Open(id)
 	if err != nil {
 		return nil, 0, err
 	}
-	_ = r.Close()
-	return seekReadCloser{bytes.NewReader(s.data[id])}, length, nil
+	return seekReplica{bytes.NewReader(s.data[id]), r}, length, nil
 }
 
 // TestHandleReadSeekerAndCopyNParity: a mid-block range must come back
@@ -310,3 +296,97 @@ func randomBytes(seed int64, n int) []byte {
 	rand.New(rand.NewSource(seed)).Read(out)
 	return out
 }
+
+// drainRead reads all of blk from dn1 and returns the payload bytes
+// served, releasing every packet as it goes: the client side of a served
+// block with nothing kept.
+func drainRead(tb testing.TB, n *transport.MemNetwork, blk block.Block) int64 {
+	conn, err := n.Dial("client", "dn1")
+	if err != nil {
+		tb.Fatal(err)
+	}
+	pc := proto.NewConn(conn)
+	defer pc.Close()
+	if err := pc.WriteHeader(proto.OpReadBlock, &proto.ReadBlockHeader{Block: blk, Length: -1}); err != nil {
+		tb.Fatal(err)
+	}
+	if ack, err := pc.ReadAck(); err != nil || !ack.OK() {
+		tb.Fatalf("setup ack = %+v, %v", ack, err)
+	}
+	var served int64
+	for {
+		pkt, err := pc.ReadPacket()
+		if err != nil {
+			tb.Fatal(err)
+		}
+		served += int64(len(pkt.Data))
+		last := pkt.Last
+		pkt.Release()
+		if last {
+			return served
+		}
+	}
+}
+
+// TestAllocServeRead budgets what serving one block costs a datanode and
+// its reader: one 8 MB DiskStore block and one 1 MB MemStore block over
+// the in-memory transport. The replica's checksums reach the wire as they
+// were stored — a .meta read into a pooled buffer, sliced per packet — so
+// what is left is the conn, the header and two file opens; a per-block
+// .meta slice and a []uint32 (≈ 130 KB per disk block) would blow it.
+func TestAllocServeRead(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	disk, err := storage.NewDiskStore(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		kind   string
+		store  storage.Store
+		size   int
+		budget uint64
+	}{
+		{"disk", disk, 8 << 20, allocBudgetServeDisk},
+		{"mem", storage.NewMemStore(), 1 << 20, allocBudgetServeMem},
+	} {
+		t.Run(tc.kind, func(t *testing.T) {
+			blk := block.Block{ID: 1, Gen: 1, NumBytes: int64(tc.size)}
+			storeBlock(t, tc.store, blk, randomBytes(17, tc.size))
+			n := startReadDatanode(t, tc.store)
+			for i := 0; i < 4; i++ { // warm the pools
+				drainRead(t, n, blk)
+			}
+			// The cheapest of three batches with the collector held off, as
+			// in TestAllocReceiveBlock.
+			defer debug.SetGCPercent(debug.SetGCPercent(-1))
+			const blocks = 8
+			best := ^uint64(0)
+			for batch := 0; batch < 3; batch++ {
+				var before, after runtime.MemStats
+				runtime.ReadMemStats(&before)
+				for i := 0; i < blocks; i++ {
+					if got := drainRead(t, n, blk); got != int64(tc.size) {
+						t.Fatalf("served %d of %d bytes", got, tc.size)
+					}
+				}
+				runtime.ReadMemStats(&after)
+				best = min(best, (after.TotalAlloc-before.TotalAlloc)/blocks)
+			}
+			t.Logf("serving one %d MB %s block allocates %d B", tc.size>>20, tc.kind, best)
+			if best > tc.budget {
+				t.Fatalf("serving one block allocates %d B, budget %d B", best, tc.budget)
+			}
+		})
+	}
+}
+
+// The serve-read budgets: what TestAllocServeRead read when they were set
+// (5.8–6.1 KB on disk, 5.5 KB in memory — conns, header, span attributes,
+// two file opens) plus 10 %. A .meta slice and a []uint32 per block
+// served would add ≈ 136 KB on disk and 8 KB in memory.
+const (
+	allocBudgetServeDisk = 6700
+	allocBudgetServeMem  = 6100
+)

@@ -20,7 +20,7 @@ import (
 // The receive path lands every payload once — in the replica, on a
 // MemStore — verifies it there, and stores the checksums it verified
 // against. These tests hold that path to the one-shot reference
-// (checksum.Sum of the source) hop by hop, on both stores, across packet
+// (checksum.AppendEncoded of the source) hop by hop, on both stores, across packet
 // sizes, tails and injected corruption; budget its allocations; and time
 // it (BenchmarkReceiveBlock).
 
@@ -251,7 +251,7 @@ func (c *chain) tap(t *testing.T, addr, target string, mangle func(*proto.Packet
 
 // TestReceiveMatchesReference is the differential test: random blocks
 // through one- and three-hop pipelines on both stores. Clean, every hop's
-// stored bytes and Store.Sums equal the source and checksum.Sum of it —
+// stored bytes and RawSums equal the source and the one-shot sums of it —
 // the last hop's replica being what travelled the whole chain. With one
 // payload bit or one checksum byte flipped at a random packet in front of
 // a random hop, that hop refuses the packet with StatusErrorChecksum and
@@ -369,22 +369,13 @@ func TestReceiveMatchesReference(t *testing.T) {
 							t.Fatal(err)
 						}
 						got, err := io.ReadAll(r)
+						sums := bytes.Clone(r.RawSums())
 						r.Close()
 						if err != nil || length != int64(len(data)) || !bytes.Equal(got, data) {
 							t.Fatalf("round %d hop %d: stored %d bytes (err %v) differ from the %d sent", round, hop, len(got), err, len(data))
 						}
-						sums, err := st.Sums(b.ID)
-						if err != nil {
-							t.Fatal(err)
-						}
-						want := checksum.Sum(data, cs)
-						if len(sums) != len(want) {
-							t.Fatalf("round %d hop %d: %d stored checksums, want %d", round, hop, len(sums), len(want))
-						}
-						for i := range want {
-							if sums[i] != want[i] {
-								t.Fatalf("round %d hop %d: stored checksum %d = %08x, want %08x", round, hop, i, sums[i], want[i])
-							}
+						if want := checksum.AppendEncoded(nil, data, cs); !bytes.Equal(sums, want) {
+							t.Fatalf("round %d hop %d: stored checksums differ from the reference (%d bytes, want %d)", round, hop, len(sums), len(want))
 						}
 					}
 				}

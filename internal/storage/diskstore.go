@@ -11,6 +11,7 @@ import (
 	"sync"
 
 	"repro/internal/block"
+	"repro/internal/bufpool"
 	"repro/internal/checksum"
 )
 
@@ -18,7 +19,7 @@ import (
 //
 //	<dir>/tmp/blk_<id>_<gen>        temporary replicas
 //	<dir>/cur/blk_<id>_<gen>        finalized block files
-//	<dir>/cur/blk_<id>_<gen>.meta   per-chunk CRC32C checksums
+//	<dir>/cur/blk_<id>_<gen>.meta   per-chunk CRC32C checksums, in wire form
 //
 // Writes are not fsynced; durability across host crashes is out of scope
 // for the reproduction (the paper's experiments never power-fail nodes).
@@ -36,7 +37,10 @@ type diskReplica struct {
 
 // NewDiskStore opens (or creates) a store rooted at dir and indexes any
 // finalized blocks already present. Stale temp replicas are discarded,
-// matching datanode restart behaviour.
+// matching datanode restart behaviour, and so is a finalized replica
+// whose .meta is missing or not exactly one checksum per chunk (a stat,
+// no data read): it could never be served, and left out of Blocks the
+// namenode re-replicates it from a good copy.
 func NewDiskStore(dir string) (*DiskStore, error) {
 	s := &DiskStore{dir: dir, index: make(map[block.ID]*diskReplica)}
 	for _, sub := range []string{"tmp", "cur"} {
@@ -70,10 +74,20 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 		if err != nil {
 			continue
 		}
+		path := filepath.Join(dir, "cur", name)
+		mi, err := os.Stat(path + ".meta")
+		if err != nil && !os.IsNotExist(err) {
+			return nil, err
+		}
+		if err != nil || mi.Size() != int64(sumsLen(fi.Size())) {
+			_ = os.Remove(path)
+			_ = os.Remove(path + ".meta")
+			continue
+		}
 		b.NumBytes = fi.Size()
 		s.index[b.ID] = &diskReplica{
 			info: ReplicaInfo{Block: b, State: Finalized, Len: fi.Size()},
-			path: filepath.Join(dir, "cur", name),
+			path: path,
 		}
 	}
 	return s, nil
@@ -237,8 +251,10 @@ func (s *DiskStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
 	return &diskWriter{store: s, rep: rep, f: f}, nil
 }
 
-// Open implements Store.
-func (s *DiskStore) Open(id block.ID) (io.ReadCloser, int64, error) {
+// Open implements Store: the .meta file is read once, into a pooled
+// buffer the returned reader holds until Close, and must be exactly one
+// checksum per chunk of the block file.
+func (s *DiskStore) Open(id block.ID) (Replica, int64, error) {
 	s.mu.Lock()
 	rep, ok := s.index[id]
 	if !ok {
@@ -251,32 +267,79 @@ func (s *DiskStore) Open(id block.ID) (io.ReadCloser, int64, error) {
 	}
 	path, length := rep.path, rep.info.Len
 	s.mu.Unlock()
-	f, err := os.Open(path)
+	sums, err := readMeta(id, path+".meta", length)
 	if err != nil {
 		return nil, 0, err
 	}
-	return f, length, nil
+	f, err := os.Open(path)
+	if err != nil {
+		bufpool.Put(sums)
+		return nil, 0, err
+	}
+	return &diskReader{f: f, sums: sums}, length, nil
 }
 
-// Sums implements Store.
-func (s *DiskStore) Sums(id block.ID) ([]uint32, error) {
-	s.mu.Lock()
-	rep, ok := s.index[id]
-	if !ok {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: blk_%d", ErrNotFound, id)
-	}
-	if rep.info.State != Finalized {
-		s.mu.Unlock()
-		return nil, fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
-	}
-	path := rep.path
-	s.mu.Unlock()
-	meta, err := os.ReadFile(path + ".meta")
+// readMeta reads a replica's checksum file into a pooled buffer, which
+// must come out exactly sumsLen(length) bytes long. The buffer has room
+// for one byte more, so a file that is too long shows as a full read.
+func readMeta(id block.ID, path string, length int64) (*[]byte, error) {
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	return checksum.Decode(meta)
+	defer f.Close()
+	want := sumsLen(length)
+	bp := bufpool.Get(want + 1)
+	n, err := io.ReadFull(f, *bp)
+	if err != nil && err != io.EOF && err != io.ErrUnexpectedEOF {
+		bufpool.Put(bp)
+		return nil, err
+	}
+	if n != want {
+		bufpool.Put(bp)
+		if n > want {
+			return nil, fmt.Errorf("%w: blk_%d: %s is longer than %d bytes", ErrCorrupt, id, filepath.Base(path), want)
+		}
+		return nil, fmt.Errorf("%w: blk_%d: %s holds %d of %d bytes", ErrCorrupt, id, filepath.Base(path), n, want)
+	}
+	*bp = (*bp)[:want]
+	return bp, nil
+}
+
+// diskReader reads a finalized block file, with the checksums Open read
+// from its .meta.
+type diskReader struct {
+	f    *os.File
+	sums *[]byte // pooled; nil once closed
+}
+
+func (r *diskReader) Read(p []byte) (int, error) { return r.f.Read(p) }
+
+func (r *diskReader) Seek(offset int64, whence int) (int64, error) {
+	return r.f.Seek(offset, whence)
+}
+
+func (r *diskReader) RawSums() []byte { return *r.sums }
+
+func (r *diskReader) Close() error {
+	if r.sums == nil {
+		return nil
+	}
+	bufpool.Put(r.sums)
+	r.sums = nil
+	return r.f.Close()
+}
+
+// Sums returns a finalized replica's checksums decoded to integers. The
+// datanode serves RawSums from Open instead; this remains for the storage
+// probe in bench/layers.go, which names it.
+func (s *DiskStore) Sums(id block.ID) ([]uint32, error) {
+	r, _, err := s.Open(id)
+	if err != nil {
+		return nil, err
+	}
+	defer r.Close()
+	return checksum.Decode(r.RawSums())
 }
 
 // Info implements Store.
@@ -330,33 +393,6 @@ func (s *DiskStore) UsedBytes() int64 {
 
 // VerifyBlock re-reads a finalized replica and checks it against its
 // stored meta checksums.
-func (s *DiskStore) VerifyBlock(id block.ID) error {
-	s.mu.Lock()
-	rep, ok := s.index[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: blk_%d", ErrNotFound, id)
-	}
-	if rep.info.State != Finalized {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
-	}
-	path := rep.path
-	s.mu.Unlock()
-
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return err
-	}
-	meta, err := os.ReadFile(path + ".meta")
-	if err != nil {
-		return err
-	}
-	sums, err := checksum.Decode(meta)
-	if err != nil {
-		return err
-	}
-	return checksum.Verify(data, sums, checksum.DefaultChunkSize)
-}
+func (s *DiskStore) VerifyBlock(id block.ID) error { return verify(s, id) }
 
 var _ Store = (*DiskStore)(nil)

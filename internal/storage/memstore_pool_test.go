@@ -52,19 +52,16 @@ func checkReplica(t *testing.T, s *MemStore, id block.ID, want []byte) {
 		t.Fatal(err)
 	}
 	got, err := io.ReadAll(r)
+	sumErr := checksum.VerifyEncoded(want, r.RawSums(), checksum.DefaultChunkSize)
 	r.Close()
 	if err != nil || !bytes.Equal(got, want) {
 		t.Fatalf("blk_%d: read back %d bytes (err %v) that differ from what was written", id, len(got), err)
 	}
+	if sumErr != nil {
+		t.Fatalf("blk_%d: stored sums do not match the written bytes: %v", id, sumErr)
+	}
 	if err := s.VerifyBlock(id); err != nil {
 		t.Fatalf("blk_%d: %v", id, err)
-	}
-	sums, err := s.Sums(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := checksum.Verify(want, sums, checksum.DefaultChunkSize); err != nil {
-		t.Fatalf("blk_%d: stored sums do not match the written bytes: %v", id, err)
 	}
 }
 

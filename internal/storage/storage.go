@@ -4,6 +4,12 @@
 // examples) and an on-disk store (block file plus a checksum meta file,
 // like HDFS's blk_N / blk_N.meta pairs).
 //
+// Checksums travel in wire form both ways. A writer appends the
+// checksums its caller verified and the store keeps them as given; a
+// reader opened with Open hands them back exactly as committed
+// (Replica.RawSums), for a sender to slice into packets — nothing in
+// between decodes, re-encodes or re-sums them.
+//
 // Recovery model: when a pipeline fails, the client re-streams the whole
 // interrupted block under a bumped generation stamp (see Algorithm 3/4 in
 // the paper and DESIGN.md), so stores support overwriting temporary
@@ -32,6 +38,9 @@ var (
 	ErrNotFinalized = errors.New("storage: block not finalized")
 	ErrCommitted    = errors.New("storage: writer already committed")
 	ErrMisaligned   = errors.New("storage: replica ends mid-chunk, or the checksums do not cover the bytes")
+	// ErrCorrupt refuses a finalized replica whose stored checksums do not
+	// cover exactly its bytes (a DiskStore .meta file of the wrong length).
+	ErrCorrupt = errors.New("storage: replica checksums do not cover its bytes")
 )
 
 // State of a replica.
@@ -100,19 +109,30 @@ type SizeHinter interface {
 	SizeHint(n int64)
 }
 
+// Replica is a finalized replica opened for reading: its bytes as a
+// stream and its checksums as they were committed. Close releases both.
+type Replica interface {
+	io.ReadCloser
+	// RawSums returns the replica's chunk checksums exactly as committed,
+	// in wire form (one per DefaultChunkSize bytes, the last covering a
+	// short tail): NumChunks(length) × BytesPerChecksum bytes. Serving
+	// these rather than sums recomputed from the stored bytes is what lets
+	// a reader detect a replica that rotted after it was written. The
+	// slice is valid until Close, whatever happens to the replica in
+	// between — deleted or overwritten.
+	RawSums() []byte
+}
+
 // Store is the interface datanodes program against.
 type Store interface {
 	// Create opens a writer for a new temporary replica. If overwrite is
 	// set, an existing replica with the same ID (any state) is discarded
 	// first — the pipeline-recovery path.
 	Create(b block.Block, overwrite bool) (BlockWriter, error)
-	// Open returns a reader over a finalized replica and its length.
-	Open(id block.ID) (io.ReadCloser, int64, error)
-	// Sums returns the finalized replica's per-chunk checksums as
-	// captured at commit time. Serving these (rather than re-computing
-	// from the stored bytes) is what lets readers detect replicas that
-	// rotted after they were written.
-	Sums(id block.ID) ([]uint32, error)
+	// Open returns a finalized replica, with its checksums, and its
+	// length. A replica whose stored checksums do not cover exactly that
+	// length is refused with ErrCorrupt.
+	Open(id block.ID) (Replica, int64, error)
 	// Info reports a replica's metadata.
 	Info(id block.ID) (ReplicaInfo, error)
 	// Delete removes a replica in any state.
@@ -134,6 +154,11 @@ const maxPrealloc = 1 << 30
 
 const chunkSize = checksum.DefaultChunkSize
 
+// sumsLen is how many bytes of wire checksums cover n bytes of replica.
+func sumsLen(n int64) int {
+	return checksum.NumChunks(int(n), chunkSize) * checksum.BytesPerChecksum
+}
+
 // chunkSums accumulates a replica-in-progress's chunk checksums in wire
 // form in a pooled buffer. Appended checksums are kept as they came;
 // only Write's bytes are summed here.
@@ -145,7 +170,7 @@ type chunkSums struct {
 
 // reserve makes room for the checksums of n more bytes.
 func (s *chunkSums) reserve(n int64) {
-	need := checksum.NumChunks(int(min(n, maxPrealloc)), chunkSize) * checksum.BytesPerChecksum
+	need := sumsLen(min(n, maxPrealloc))
 	switch {
 	case s.raw == nil:
 		s.raw = bufpool.GetCap(need)
@@ -160,7 +185,7 @@ func (s *chunkSums) reserve(n int64) {
 // appendRaw records the checksums of n more bytes, which must start on a
 // chunk boundary.
 func (s *chunkSums) appendRaw(n int, raw []byte) error {
-	if s.covered%chunkSize != 0 || len(raw) != checksum.NumChunks(n, chunkSize)*checksum.BytesPerChecksum {
+	if s.covered%chunkSize != 0 || len(raw) != sumsLen(int64(n)) {
 		return ErrMisaligned
 	}
 	if s.raw == nil {
@@ -419,8 +444,10 @@ func (s *MemStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
 	return &memWriter{store: s, rep: rep}, nil
 }
 
-// Open implements Store.
-func (s *MemStore) Open(id block.ID) (io.ReadCloser, int64, error) {
+// Open implements Store. A replica's checksums cover its bytes by
+// construction (Append and Write check as they go), so it is never
+// ErrCorrupt here.
+func (s *MemStore) Open(id block.ID) (Replica, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	rep, ok := s.replicas[id]
@@ -431,20 +458,23 @@ func (s *MemStore) Open(id block.ID) (io.ReadCloser, int64, error) {
 		return nil, 0, fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
 	}
 	rep.pins++
-	r := &memReader{store: s, rep: rep}
+	r := &memReader{store: s, rep: rep, sums: rep.rawSums()}
 	r.Reader.Reset(rep.data)
 	return r, rep.info.Len, nil
 }
 
-// memReader reads a finalized replica in place. While it is open the
-// replica is pinned and its buffer not recycled, so a Delete racing a read leaves the
-// reader the bytes it opened.
+// memReader reads a finalized replica and its checksums in place. While
+// it is open the replica is pinned and its buffers not recycled, so a
+// Delete racing a read leaves the reader the bytes and sums it opened.
 type memReader struct {
 	bytes.Reader
 	store  *MemStore
 	rep    *memReplica
+	sums   []byte
 	closed bool
 }
+
+func (r *memReader) RawSums() []byte { return r.sums }
 
 func (r *memReader) Close() error {
 	r.store.mu.Lock()
@@ -454,20 +484,6 @@ func (r *memReader) Close() error {
 	}
 	r.store.mu.Unlock()
 	return nil
-}
-
-// Sums implements Store.
-func (s *MemStore) Sums(id block.ID) ([]uint32, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep, ok := s.replicas[id]
-	if !ok {
-		return nil, fmt.Errorf("%w: blk_%d", ErrNotFound, id)
-	}
-	if rep.info.State != Finalized {
-		return nil, fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
-	}
-	return checksum.Decode(rep.rawSums())
 }
 
 // Info implements Store.
@@ -523,25 +539,40 @@ func (s *MemStore) UsedBytes() int64 {
 
 // VerifyBlock re-checksums a finalized replica against the sums captured
 // at commit time — a scrubber used by tests and fault-injection checks.
-func (s *MemStore) VerifyBlock(id block.ID) error {
-	s.mu.Lock()
-	rep, ok := s.replicas[id]
-	if !ok {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: blk_%d", ErrNotFound, id)
+func (s *MemStore) VerifyBlock(id block.ID) error { return verify(s, id) }
+
+// scrubBuf is how much of a replica verify holds at a time: one packet.
+const scrubBuf = 64 << 10
+
+// verify is both stores' scrub: it reads a finalized replica through Open,
+// a packet-sized pooled buffer at a time, and checks every chunk against
+// the replica's own RawSums. A mismatch reports its chunk's index in the
+// replica; a replica that ends before its recorded length fails too.
+func verify(s Store, id block.ID) error {
+	r, length, err := s.Open(id)
+	if err != nil {
+		return err
 	}
-	if rep.info.State != Finalized {
-		s.mu.Unlock()
-		return fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
+	defer r.Close()
+	sums := r.RawSums()
+	bp := bufpool.Get(scrubBuf)
+	defer bufpool.Put(bp)
+	for off := int64(0); off < length; {
+		buf := (*bp)[:min(int64(scrubBuf), length-off)]
+		if _, err := io.ReadFull(r, buf); err != nil {
+			return fmt.Errorf("storage: blk_%d ends short of its %d bytes: %w", id, length, err)
+		}
+		first := sumsLen(off)
+		if err := checksum.VerifyEncoded(buf, sums[first:first+sumsLen(int64(len(buf)))], chunkSize); err != nil {
+			var mm *checksum.ErrMismatch
+			if errors.As(err, &mm) {
+				mm.Chunk += int(off / chunkSize)
+			}
+			return err
+		}
+		off += int64(len(buf))
 	}
-	data, sums := rep.data, rep.rawSums()
-	rep.pins++ // keeps Delete from recycling them under the scrub
-	s.mu.Unlock()
-	err := checksum.VerifyEncoded(data, sums, chunkSize)
-	s.mu.Lock()
-	rep.pins--
-	s.mu.Unlock()
-	return err
+	return nil
 }
 
 // Truncate shortens a finalized replica's stored bytes to n without

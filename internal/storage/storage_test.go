@@ -200,6 +200,16 @@ func TestVerifyBlock(t *testing.T) {
 	if err := mem.VerifyBlock(11); err == nil {
 		t.Fatal("VerifyBlock passed on corrupted replica")
 	}
+	// A mismatch past the scrub's first buffer names its chunk in the
+	// replica, not in the buffer.
+	writeBlock(t, mem, block.Block{ID: 13}, bytes.Repeat([]byte{3}, 3*scrubBuf))
+	if err := mem.Corrupt(13, 2*scrubBuf+1000); err != nil {
+		t.Fatal(err)
+	}
+	var mm *checksum.ErrMismatch
+	if err := mem.VerifyBlock(13); !errors.As(err, &mm) || mm.Chunk != (2*scrubBuf+1000)/checksum.DefaultChunkSize {
+		t.Fatalf("VerifyBlock = %v, want a mismatch in chunk %d", err, (2*scrubBuf+1000)/checksum.DefaultChunkSize)
+	}
 
 	disk, err := NewDiskStore(t.TempDir())
 	if err != nil {
@@ -294,14 +304,11 @@ func TestQuickWriteReadBack(t *testing.T) {
 				return false
 			}
 			got, err := io.ReadAll(r)
-			r.Close()
-			if err != nil || !bytes.Equal(got, data) {
-				return false
-			}
 			// However ragged the writes, the stored checksums are the
 			// one-shot checksums of the whole block.
-			sums, err := s.Sums(b.ID)
-			if err != nil || checksum.Verify(data, sums, checksum.DefaultChunkSize) != nil {
+			sums := bytes.Clone(r.RawSums())
+			r.Close()
+			if err != nil || !bytes.Equal(got, data) || !bytes.Equal(sums, checksum.AppendEncoded(nil, data, checksum.DefaultChunkSize)) {
 				return false
 			}
 		}
@@ -312,54 +319,41 @@ func TestQuickWriteReadBack(t *testing.T) {
 	}
 }
 
+// TestSums: an open replica hands back its checksums in wire form, one
+// per chunk, exactly as an independent computation over its bytes.
 func TestSums(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			data := bytes.Repeat([]byte{0x5a}, 1500) // 3 chunks
 			writeBlock(t, s, block.Block{ID: 40}, data)
-			sums, err := s.Sums(40)
+			r, _, err := s.Open(40)
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(sums) != 3 {
-				t.Fatalf("%d sums, want 3", len(sums))
+			defer r.Close()
+			sums := r.RawSums()
+			if len(sums) != 3*checksum.BytesPerChecksum {
+				t.Fatalf("%d bytes of sums, want 3 checksums", len(sums))
 			}
-			// Sums must match an independent computation over the data.
-			r, _, _ := s.Open(40)
 			got, _ := io.ReadAll(r)
-			r.Close()
-			want := checksum.Sum(got, checksum.DefaultChunkSize)
-			for i := range want {
-				if sums[i] != want[i] {
-					t.Fatalf("sum[%d] mismatch", i)
-				}
-			}
-			// Errors: unknown and unfinalized replicas.
-			if _, err := s.Sums(999); !errors.Is(err, ErrNotFound) {
-				t.Fatalf("Sums(unknown) err = %v", err)
-			}
-			w, _ := s.Create(block.Block{ID: 41}, false)
-			defer w.Close()
-			w.Write([]byte("temp"))
-			if _, err := s.Sums(41); !errors.Is(err, ErrNotFinalized) {
-				t.Fatalf("Sums(temp) err = %v", err)
+			if want := checksum.AppendEncoded(nil, got, checksum.DefaultChunkSize); !bytes.Equal(sums, want) {
+				t.Fatalf("sums %x, want %x", sums, want)
 			}
 		})
 	}
 }
 
 func TestSumsSurviveCorruption(t *testing.T) {
-	// The whole point of storing checksums: after the data rots, Sums
+	// The whole point of storing checksums: after the data rots, Open
 	// still returns the write-time values, so verification fails.
 	s := NewMemStore()
 	data := bytes.Repeat([]byte{1}, 1024)
 	writeBlock(t, s, block.Block{ID: 50}, data)
-	sums, _ := s.Sums(50)
 	s.Corrupt(50, 100)
 	r, _, _ := s.Open(50)
+	defer r.Close()
 	rotted, _ := io.ReadAll(r)
-	r.Close()
-	if err := checksum.Verify(rotted, sums, checksum.DefaultChunkSize); err == nil {
+	if err := checksum.VerifyEncoded(rotted, r.RawSums(), checksum.DefaultChunkSize); err == nil {
 		t.Fatal("write-time sums verified rotted data")
 	}
 }
@@ -427,10 +421,9 @@ func TestAppendKeepsTheGivenChecksums(t *testing.T) {
 	data := make([]byte, 5*cs+100)
 	rand.New(rand.NewSource(3)).Read(data)
 	raw := checksum.AppendEncoded(nil, data, cs)
-	// The caller's checksums, right or wrong, are what Sums serves: flip a
+	// The caller's checksums, right or wrong, are what Open serves: flip a
 	// bit in one and it must come back flipped (and the scrub must see it).
 	raw[4] ^= 1
-	want, _ := checksum.Decode(raw)
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {
 			w, err := s.Create(block.Block{ID: 1, Gen: 1}, false)
@@ -479,18 +472,13 @@ func TestAppendKeepsTheGivenChecksums(t *testing.T) {
 				t.Fatal(err)
 			}
 			got, _ := io.ReadAll(r)
+			sums := bytes.Clone(r.RawSums())
 			r.Close()
 			if !bytes.Equal(got, data) {
 				t.Fatal("appended bytes read back differently")
 			}
-			sums, err := s.Sums(1)
-			if err != nil || len(sums) != len(want) {
-				t.Fatalf("Sums = %d entries, err %v; want %d", len(sums), err, len(want))
-			}
-			for i := range want {
-				if sums[i] != want[i] {
-					t.Fatalf("sum[%d] = %08x, want the appended %08x", i, sums[i], want[i])
-				}
+			if !bytes.Equal(sums, raw) {
+				t.Fatalf("RawSums = %x, want the appended %x", sums, raw)
 			}
 			var mm *checksum.ErrMismatch
 			if err := s.(interface{ VerifyBlock(block.ID) error }).VerifyBlock(1); !errors.As(err, &mm) || mm.Chunk != 1 {
