@@ -30,14 +30,15 @@ alloc:
 	$(GO) test -count=1 -run 'Alloc' ./internal/...
 
 # Five seconds of native fuzzing on each decoder that reads bytes off a
-# socket, a checkpoint file or a replica's .meta (the seed corpora alone
+# socket, a checkpoint file or a replica's .meta, and on the datanode's
+# receive path fed arbitrary packet streams (the seed corpora alone
 # already run as part of `go test`). One
 # pkg:Target pair per run: `go test -fuzz` accepts a single match in a
 # single package.
 FUZZ_TARGETS = internal/proto:FuzzReadHeader internal/proto:FuzzReadPacket \
 	internal/proto:FuzzReadAck internal/rpc:FuzzReadFrame \
 	internal/nnapi:FuzzParse internal/namenode:FuzzLoadImage \
-	internal/storage:FuzzDiskStoreMeta
+	internal/storage:FuzzDiskStoreMeta internal/datanode:FuzzReceive
 fuzz-smoke:
 	for pt in $(FUZZ_TARGETS); do \
 		$(GO) test -run '^$$' -fuzz "^$${pt#*:}$$" -fuzztime 5s ./$${pt%%:*} || exit 1; \

@@ -42,6 +42,10 @@ type pipelineConn struct {
 	fnfa     chan struct{}
 	fnfaOnce sync.Once
 
+	// lastSeqno is the seqno of the block's last packet, known before the
+	// pipeline opens.
+	lastSeqno int64
+
 	// done receives exactly one value: nil after the last packet is
 	// fully acknowledged by every datanode, or the pipeline error.
 	done chan error
@@ -56,22 +60,12 @@ type pipelineConn struct {
 	rtt    *obs.Histogram
 	clk    clock.Clock
 	sendNS []int64
-
-	mu        sync.Mutex
-	lastSeqno int64 // seqno of the final packet; -1 until known
+	mu     sync.Mutex
 }
 
-func (p *pipelineConn) setLastSeqno(s int64) {
-	p.mu.Lock()
-	p.lastSeqno = s
-	p.mu.Unlock()
-}
-
-func (p *pipelineConn) getLastSeqno() int64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.lastSeqno
-}
+// lastSeqno is the seqno of the last packet streamBlock cuts n bytes
+// into: an empty block is one empty packet.
+func lastSeqno(n, packetSize int) int64 { return int64(max(0, n-1) / packetSize) }
 
 func (p *pipelineConn) signalFNFA() {
 	p.fnfaOnce.Do(func() { close(p.fnfa) })
@@ -114,10 +108,11 @@ func (p *pipelineConn) close() { p.pc.Close() }
 // openPipeline opens a write pipeline through the client's dialer (dial,
 // header and setup ack each under the Progress bound, which then guards
 // every packet write and ack read for the pipeline's lifetime) and
-// starts the responder goroutine. parent, when tracing is on, becomes the
+// starts the responder goroutine, which resolves the pipeline at the ack
+// for last, the block's last seqno. parent, when tracing is on, becomes the
 // new pipeline span's parent (normally the block span); a setup failure
 // ends the span with an error status before returning.
-func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts *WriteOptions, parent *obs.Span) (*pipelineConn, error) {
+func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts *WriteOptions, parent *obs.Span, last int64) (*pipelineConn, error) {
 	span := c.obs.StartSpan("pipeline", parent)
 	span.SetAttr("targets", strings.Join(lb.Names(), ">"))
 	fail := func(bad int, cause error) (*pipelineConn, error) {
@@ -148,11 +143,11 @@ func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts 
 		lb:        lb,
 		pc:        pc,
 		fnfa:      make(chan struct{}),
+		lastSeqno: last,
 		done:      make(chan error, 1),
 		span:      span,
 		rtt:       c.mPacketRTT,
 		clk:       c.clk,
-		lastSeqno: -1,
 	}
 	go c.responderLoop(p)
 	return p, nil
@@ -186,7 +181,7 @@ func (c *Client) responderLoop(p *pipelineConn) {
 				finish(&pipelineError{lb: p.lb, badIndex: bad, cause: fmt.Errorf("packet %d failed: %v", ack.Seqno, ack.Statuses)})
 				return
 			}
-			if last := p.getLastSeqno(); last >= 0 && ack.Seqno == last {
+			if ack.Seqno == p.lastSeqno {
 				// Every datanode stored every packet: the block is fully
 				// replicated, which upper-bounds the FNFA too.
 				p.signalFNFA()
@@ -202,16 +197,10 @@ func (c *Client) responderLoop(p *pipelineConn) {
 
 // streamBlock writes data as packets of packetSize bytes — a multiple of
 // the checksum chunk — into the pipeline, each carrying its slice of
-// rawSums, the block's chunk checksums in wire form. It returns once
-// every packet (plus the terminal empty packet, if data is empty) has
-// been handed to the transport.
+// rawSums, the block's chunk checksums in wire form; the one numbered
+// p.lastSeqno is Last. It returns once every packet (plus the terminal
+// empty packet, if data is empty) has been handed to the transport.
 func (c *Client) streamBlock(p *pipelineConn, data, rawSums []byte, packetSize int) error {
-	numPackets := len(data) / packetSize
-	if len(data)%packetSize != 0 || numPackets == 0 {
-		numPackets++
-	}
-	p.setLastSeqno(int64(numPackets - 1))
-
 	// One reused packet struct for the whole block; WritePacket retains
 	// nothing. The stream is corked so small packets
 	// coalesce (full-size payloads go straight out as write vectors) —
@@ -231,7 +220,7 @@ func (c *Client) streamBlock(p *pipelineConn, data, rawSums []byte, packetSize i
 		pkt = proto.Packet{
 			Seqno:   seqno,
 			Offset:  int64(off),
-			Last:    seqno == int64(numPackets-1),
+			Last:    seqno == p.lastSeqno,
 			RawSums: rawSums[off/cs*sumSize : checksum.NumChunks(end, cs)*sumSize],
 			Data:    data[off:end],
 		}

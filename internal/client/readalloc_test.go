@@ -59,8 +59,8 @@ func TestReadSteadyStateAllocs(t *testing.T) {
 	rpc.Handle(s, nnapi.MethodHeartbeat, func(nnapi.HeartbeatReq) (nnapi.HeartbeatResp, error) {
 		return nnapi.HeartbeatResp{}, nil
 	})
-	rpc.Handle(s, nnapi.MethodBlockReceived, func(nnapi.BlockReceivedReq) (nnapi.BlockReceivedResp, error) {
-		return nnapi.BlockReceivedResp{}, nil
+	rpc.Handle(s, nnapi.MethodBlockReceivedBatch, func(nnapi.BlockReceivedBatchReq) (nnapi.BlockReceivedBatchResp, error) {
+		return nnapi.BlockReceivedBatchResp{}, nil
 	})
 	rpc.Handle(s, nnapi.MethodClientHeartbeat, func(nnapi.ClientHeartbeatReq) (nnapi.ClientHeartbeatResp, error) {
 		return nnapi.ClientHeartbeatResp{}, nil

@@ -518,7 +518,7 @@ func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, restream bool)
 		w.eng.HandleFailed(idx, writesched.PipelineFailure{BadIndex: bad, Cause: err})
 	}
 
-	p, err := w.c.openPipeline(lb, w.mode, &w.opts, parent)
+	p, err := w.c.openPipeline(lb, w.mode, &w.opts, parent, lastSeqno(len(*staged.data), w.opts.PacketSize))
 	if err != nil {
 		fail(err)
 		return

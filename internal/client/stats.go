@@ -27,7 +27,8 @@ type WriteStats struct {
 	Duration time.Duration
 }
 
-// statsTracker is embedded by both writers.
+// statsTracker keeps a write's WriteStats; schedWriter, the one writer
+// behind both modes, embeds it.
 type statsTracker struct {
 	statsMu sync.Mutex
 	stats   WriteStats

@@ -7,25 +7,36 @@
 //
 // Concurrency and ownership invariants:
 //
-//   - One goroutine per accepted connection runs the receive loop; a
-//     write pipeline with a mirror additionally owns one forwarder
-//     goroutine draining a bounded packetQueue. Nothing else touches
-//     that pipeline's conns.
+//   - One goroutine per accepted connection runs the receive loop. At a
+//     pipeline's tail it is the whole pipeline: it acks each packet as
+//     it stores it. An interior hop adds exactly two goroutines: a
+//     forwarder draining a bounded packetQueue to the mirror, and a
+//     relay turning the mirror's acks into upstream acks. Nothing else
+//     touches that pipeline's conns.
 //   - A packet read from upstream is owned by the receive loop until it
 //     is pushed onto the forward queue, at which point the Release duty
 //     transfers to the forwarder (the queue releases whatever it
 //     discards on teardown). The receive loop snapshots any fields it
 //     needs (seqno, last, length) into locals before pushing.
-//   - Acks flow only upstream through a single ackSender per pipeline
-//     (used by setup, then handed to the responder goroutine), so the
-//     upstream conn never has two concurrent writers. On an interior
-//     node the responder merges downstream acks — conn-owned, valid
-//     until the next ReadAck — with local verdicts in seqno order.
+//   - Acks flow only upstream through a single ackSender per pipeline,
+//     shared by the receive loop and the relay, so the upstream conn
+//     never has two concurrent writers. The relay checks downstream
+//     acks — conn-owned, valid until the next ReadAck — against its
+//     own count of seqnos, and stops at the block's last, which the
+//     receive loop publishes before it forwards that packet.
+//   - Packets arrive in order (seqno 0, 1, 2, …, each at the offset
+//     where the last one ended) or are refused. A block's last packet
+//     is committed before it is acked or forwarded, so the last ack a
+//     sender reads means every hop at and behind its peer has committed.
+//   - Every sender into a pipeline drains acks while it sends — the
+//     client's responder, the interior relay, transferBlock's ack
+//     reader — because the tail writes acks on its receive path and
+//     stops reading packets while its ack direction is full.
 //   - The per-pipeline buffer rule (§IV-C): at most one block is staged
 //     between receive and mirror, and a datanode serves at most one
-//     active pipeline per client. That byte bound is the receiver's only
-//     back-pressure: its status FIFO to the responder grows on demand,
-//     so unacknowledged packets never delay the local commit or the FNFA.
+//     active pipeline per client. That byte bound is an interior
+//     receiver's only back-pressure, so unacknowledged packets never
+//     delay the local commit or the FNFA.
 //   - The store (internal/storage) is the only shared mutable state;
 //     it serializes replica state transitions internally.
 package datanode
@@ -303,11 +314,9 @@ func (dn *Datanode) wakeReporter() {
 	}
 }
 
-// reporterLoop drains the pending-report queue: one queued block goes
-// out as a plain blockReceived (wire-identical to the unconflated
-// path), more become a blockReceivedBatch delta report. A final drain
-// on shutdown is best-effort — the namenode rebuilds locations from
-// full reports at re-registration anyway.
+// reporterLoop drains the pending-report queue into blockReceivedBatch
+// delta reports. A final drain on shutdown is best-effort — the namenode
+// rebuilds locations from full reports at re-registration anyway.
 func (dn *Datanode) reporterLoop() {
 	defer dn.wg.Done()
 	for {
@@ -334,21 +343,13 @@ func (dn *Datanode) flushReports() {
 	if len(pending) == 0 {
 		return
 	}
-	var err error
-	if len(pending) == 1 {
-		err = dn.nn.Call(nnapi.MethodBlockReceived, nnapi.BlockReceivedReq{
-			Name:  dn.opts.Name,
-			Block: pending[0],
-		}, &nnapi.BlockReceivedResp{})
-	} else {
-		var resp nnapi.BlockReceivedBatchResp
-		err = dn.nn.Call(nnapi.MethodBlockReceivedBatch, nnapi.BlockReceivedBatchReq{
-			Name:   dn.opts.Name,
-			Blocks: pending,
-		}, &resp)
-		if err == nil && resp.Rejected > 0 {
-			dn.opts.Logf("datanode %s: delta report: %d of %d replicas rejected", dn.opts.Name, resp.Rejected, len(pending))
-		}
+	var resp nnapi.BlockReceivedBatchResp
+	err := dn.nn.Call(nnapi.MethodBlockReceivedBatch, nnapi.BlockReceivedBatchReq{
+		Name:   dn.opts.Name,
+		Blocks: pending,
+	}, &resp)
+	if err == nil && resp.Rejected > 0 {
+		dn.opts.Logf("datanode %s: delta report: %d of %d replicas rejected", dn.opts.Name, resp.Rejected, len(pending))
 	}
 	if err != nil {
 		dn.opts.Logf("datanode %s: blockReceived %v: %v", dn.opts.Name, pending, err)

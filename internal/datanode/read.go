@@ -79,15 +79,15 @@ func (dn *Datanode) handleRead(pc *proto.Conn, hdr *proto.ReadBlockHeader) {
 		return
 	}
 
-	if _, err := dn.sendReplica(pc, r, start, end, span); err != nil {
+	if err := dn.sendReplica(pc, r, start, end, span); err != nil {
 		span.Fail(err) // the conn drops and the reader fails over
 	}
 }
 
 // sendReplica streams bytes [start, end) of a replica — r positioned at
-// start, a chunk boundary — as packets and returns the last seqno sent.
-// It is the datanode's only sender, serving readers and re-replication
-// alike, and it always sends the stored checksums, never ones recomputed
+// start, a chunk boundary — as DefaultPacketSize packets. It is the
+// datanode's only sender, serving readers and re-replication alike, and
+// it always sends the stored checksums, never ones recomputed
 // from the stored bytes: a replica that rotted on this datanode is
 // refused by whoever receives it rather than laundered into a fresh
 // replica with matching CRCs. Each packet carries its slice of
@@ -98,7 +98,7 @@ func (dn *Datanode) handleRead(pc *proto.Conn, hdr *proto.ReadBlockHeader) {
 // checkout per call, zero per packet) and the deferred uncork covers
 // every return path — the Last packet flushes through the cork on the
 // happy path, the uncork flushes whatever a failed stream left behind.
-func (dn *Datanode) sendReplica(pc *proto.Conn, r storage.Replica, start, end int64, span *obs.Span) (int64, error) {
+func (dn *Datanode) sendReplica(pc *proto.Conn, r storage.Replica, start, end int64, span *obs.Span) error {
 	const cs, sumSize = checksum.DefaultChunkSize, checksum.BytesPerChecksum
 	sums := r.RawSums()
 	_ = pc.SetCork(true)
@@ -116,7 +116,7 @@ func (dn *Datanode) sendReplica(pc *proto.Conn, r storage.Replica, start, end in
 		}
 		m, err := io.ReadFull(r, buf[:n])
 		if err != nil && int64(m) != n {
-			return seqno, fmt.Errorf("replica truncated at %d: %w", pos+int64(m), err)
+			return fmt.Errorf("replica truncated at %d: %w", pos+int64(m), err)
 		}
 		firstChunk := pos / cs
 		lastChunk := (pos + int64(m) + cs - 1) / cs
@@ -128,13 +128,13 @@ func (dn *Datanode) sendReplica(pc *proto.Conn, r storage.Replica, start, end in
 			Data:    buf[:m],
 		}
 		if err := pc.WritePacket(&pkt); err != nil {
-			return seqno, err
+			return err
 		}
 		dn.mReadPackets.Inc()
 		dn.mReadBytes.Add(int64(m))
 		span.Packet("send", seqno)
 		if pkt.Last {
-			return seqno, nil
+			return nil
 		}
 		pos += int64(m)
 		seqno++
@@ -168,21 +168,24 @@ func (dn *Datanode) transferBlock(cmd nnapi.ReplicateCmd) error {
 		return err
 	}
 	defer pc.Close()
-	last, err := dn.sendReplica(pc, r, 0, length, nil)
-	if err != nil {
-		return err
+	// The sub-pipeline's tail acks as it stores, so its acks are read
+	// while the replica is sent, up to the last packet's.
+	acked := make(chan error, 1)
+	go func() {
+		last := max(0, length-1) / proto.DefaultPacketSize
+		for {
+			ack, err := pc.ReadAck()
+			if err == nil && !ack.OK() {
+				err = fmt.Errorf("packet %d refused: %v", ack.Seqno, ack.Statuses)
+			}
+			if err != nil || ack.Kind == proto.AckData && ack.Seqno == last {
+				acked <- err
+				return
+			}
+		}
+	}()
+	if err := dn.sendReplica(pc, r, 0, length, nil); err != nil {
+		return err // the deferred Close ends the ack reader
 	}
-	// Wait for the last packet's ack from the whole sub-pipeline.
-	for {
-		ack, err := pc.ReadAck()
-		if err != nil {
-			return err
-		}
-		if !ack.OK() {
-			return fmt.Errorf("packet %d refused: %v", ack.Seqno, ack.Statuses)
-		}
-		if ack.Kind == proto.AckData && ack.Seqno == last {
-			return nil
-		}
-	}
+	return <-acked
 }

@@ -103,11 +103,21 @@ func newStoreOfKind(tb testing.TB, kind string) storage.Store {
 
 func startChain(tb testing.TB, hops int, kind string) *chain {
 	tb.Helper()
+	stores := make([]storage.Store, hops)
+	for i := range stores {
+		stores[i] = newStoreOfKind(tb, kind)
+	}
+	return startChainOn(tb, stores...)
+}
+
+// startChainOn is startChain with hop i on stores[i].
+func startChainOn(tb testing.TB, stores ...storage.Store) *chain {
+	tb.Helper()
 	c := &chain{net: transport.NewMemNetwork(nil)}
 	startFakeNN(tb, c.net)
-	for i := 1; i <= hops; i++ {
-		name := fmt.Sprintf("dn%d", i)
-		st := watch(newStoreOfKind(tb, kind))
+	for i, store := range stores {
+		name := fmt.Sprintf("dn%d", i+1)
+		st := watch(store)
 		dn, err := New(Options{Name: name, Addr: name, NamenodeAddr: "nn", Network: c.net, Store: st})
 		if err != nil {
 			tb.Fatal(err)
@@ -404,12 +414,12 @@ func TestMisalignedInteriorPacketRefused(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			// The refusal comes straight from the receive loop and may overtake
-			// the responder's ack of the packet before it.
-			ack, err := pc.ReadAck()
-			if err == nil && ack.OK() && ack.Seqno == 0 {
-				ack, err = pc.ReadAck()
+			// The tail acks each packet as it stores it: packet 0's ack
+			// comes before the refusal.
+			if ack, err := pc.ReadAck(); err != nil || !ack.OK() || ack.Seqno != 0 {
+				t.Fatalf("first packet: ack %+v, %v", ack, err)
 			}
+			ack, err := pc.ReadAck()
 			if err != nil || ack.Seqno != 1 || len(ack.Statuses) != 1 || ack.Statuses[0] != proto.StatusError {
 				t.Fatalf("misaligned interior packet: ack %+v, %v; want StatusError", ack, err)
 			}
@@ -419,6 +429,140 @@ func TestMisalignedInteriorPacketRefused(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestOutOfOrderPacketRefused: a datanode takes a block's packets in
+// order — seqno 0, 1, 2, …, each at the offset where the one before it
+// ended — and refuses anything else with StatusError before storing a
+// byte of it. A re-sent packet's checksums verify all the same, so
+// without the check it would be stored, and committed, twice.
+func TestOutOfOrderPacketRefused(t *testing.T) {
+	const cs = checksum.DefaultChunkSize
+	pkts := packetsOf(randomBytes(5, 3*cs), cs) // three whole chunks and an empty Last packet
+	for _, tc := range []struct {
+		name string
+		bad  func(p *proto.Packet) // turns packet 1 into what is sent in its place
+	}{
+		{"duplicate", func(p *proto.Packet) { *p = pkts[0] }},
+		{"skipped seqno", func(p *proto.Packet) { p.Seqno = 2 }},
+		{"wrong offset", func(p *proto.Packet) { p.Offset += cs }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := startChain(t, 1, "mem")
+			b := block.Block{ID: 1, Gen: 1}
+			pc := c.open(t, b, 0, nil)
+			defer pc.Close()
+			bad := pkts[1]
+			tc.bad(&bad)
+			// Then the whole block in order: what a datanode that took the bad
+			// packet would commit.
+			for _, p := range append([]proto.Packet{pkts[0], bad}, pkts[1:]...) {
+				if pc.WritePacket(&p) != nil {
+					break // refused: the pipeline is down
+				}
+			}
+			if ack, err := pc.ReadAck(); err != nil || !ack.OK() || ack.Seqno != 0 {
+				t.Fatalf("packet 0: ack %+v, %v", ack, err)
+			}
+			ack, err := pc.ReadAck()
+			if err != nil || ack.Seqno != bad.Seqno || len(ack.Statuses) != 1 || ack.Statuses[0] != proto.StatusError {
+				t.Fatalf("out-of-order packet: ack %+v, %v; want StatusError", ack, err)
+			}
+			c.stop()
+			if appended, committed := c.stores[0].state(b.ID); appended != cs || committed {
+				t.Fatalf("appended %d (want packet 0's %d), committed %v", appended, cs, committed)
+			}
+		})
+	}
+}
+
+// FuzzReceive streams arbitrary packet sequences into one- and two-hop
+// chains. Each packet is five bytes of input: flags (bit 0 Last, bit 1 a
+// flipped checksum byte), a seqno and an offset nudge (int8, 0 = in
+// order), and a 16-bit length. Whatever arrives, no datanode panics or
+// hangs, and each hop commits if and only if the stream up to its first
+// Last packet was valid — in order, whole chunks but for the last, sums
+// intact — and then stores exactly the payloads' concatenation.
+func FuzzReceive(f *testing.F) {
+	const cs = checksum.DefaultChunkSize
+	f.Add(false, []byte{1, 0, 0, 0, 0})                     // an empty block
+	f.Add(true, []byte{0, 0, 0, 2, 0, 1, 0, 0, 0, 100})     // 512 B, then a 100 B Last packet
+	f.Add(true, []byte{0, 0, 0, 2, 0, 1, 0xff, 0xfe, 2, 0}) // a duplicate as the Last packet
+	f.Add(false, []byte{0, 0, 0, 2, 0, 1, 1, 0, 2, 0})      // a skipped seqno
+	f.Add(false, []byte{0, 0, 0, 2, 0, 1, 0, 7, 0, 9})      // a wrong offset
+	f.Add(true, []byte{0, 0, 0, 1, 0, 3, 0, 0, 0, 9})       // a short interior packet, a flipped sum
+	f.Add(false, []byte{0, 0, 0, 4, 0, 0, 0, 0, 2, 0})      // no Last packet
+	src := randomBytes(9, 16*4*cs)
+	f.Fuzz(func(t *testing.T, twoHops bool, in []byte) {
+		var pkts []proto.Packet
+		var want []byte
+		valid, refused := false, false
+		for ; len(in) >= 5 && len(pkts) < 16 && !valid && !refused; in = in[5:] {
+			n := (int(in[3])<<8 | int(in[4])) % (4*cs + 1)
+			seqno := int64(len(pkts))
+			p := proto.Packet{Seqno: seqno + int64(int8(in[1])), Offset: int64(len(want) + int(int8(in[2]))),
+				Last: in[0]&1 != 0, Data: src[len(want) : len(want)+n]}
+			p.RawSums = checksum.AppendEncoded(nil, p.Data, cs)
+			flip := in[0]&2 != 0 && n > 0
+			if flip {
+				p.RawSums[int(in[4])%len(p.RawSums)] ^= 0x40
+			}
+			refused = p.Seqno != seqno || p.Offset != int64(len(want)) || flip || !p.Last && n%cs != 0
+			valid = p.Last && !refused
+			if !refused {
+				want = append(want, p.Data...)
+			}
+			pkts = append(pkts, p)
+		}
+		hops := 1
+		if twoHops {
+			hops = 2
+		}
+		c := startChain(t, hops, "mem")
+		b := block.Block{ID: 1, Gen: 1}
+		pc := c.open(t, b, 0, nil)
+		// Acks are drained while the packets go out, up to the last one's.
+		final := make(chan bool, 1)
+		go func() {
+			for {
+				ack, err := pc.ReadAck()
+				if err != nil || !ack.OK() || valid && ack.Seqno == pkts[len(pkts)-1].Seqno {
+					final <- err == nil && ack.OK()
+					return
+				}
+			}
+		}()
+		for i := range pkts {
+			if pc.WritePacket(&pkts[i]) != nil {
+				break
+			}
+		}
+		if !valid && !refused {
+			pc.Close() // the datanode waits for more: hang up
+		}
+		if got := <-final; got != valid {
+			t.Fatalf("final ack %v for a stream that is valid: %v", got, valid)
+		}
+		pc.Close()
+		c.stop()
+		for hop, st := range c.stores {
+			if _, committed := st.state(b.ID); committed != valid {
+				t.Fatalf("hop %d committed %v a stream that is valid: %v", hop, committed, valid)
+			}
+			if !valid {
+				continue
+			}
+			r, _, err := st.Open(b.ID)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := io.ReadAll(r)
+			r.Close()
+			if err != nil || !bytes.Equal(got, want) {
+				t.Fatalf("hop %d stored %d bytes (%v), want the %d sent", hop, len(got), err, len(want))
+			}
+		}
+	})
 }
 
 // writeBlocks pushes count blocks through c from one fake client in

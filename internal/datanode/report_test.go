@@ -34,15 +34,11 @@ func TestFlushReportsRequeuesUnansweredBatch(t *testing.T) {
 	refuse := false
 	s := rpc.NewServer()
 	rpc.Handle(s, nnapi.MethodBlockReceivedBatch, func(req nnapi.BlockReceivedBatchReq) (nnapi.BlockReceivedBatchResp, error) {
+		if refuse {
+			return nnapi.BlockReceivedBatchResp{}, &rpc.RemoteError{Msg: "unknown datanode"}
+		}
 		got = append(got, req.Blocks)
 		return nnapi.BlockReceivedBatchResp{}, nil
-	})
-	rpc.Handle(s, nnapi.MethodBlockReceived, func(req nnapi.BlockReceivedReq) (nnapi.BlockReceivedResp, error) {
-		if refuse {
-			return nnapi.BlockReceivedResp{}, &rpc.RemoteError{Msg: "unknown block"}
-		}
-		got = append(got, []block.Block{req.Block})
-		return nnapi.BlockReceivedResp{}, nil
 	})
 	l, err := n.Listen("nn")
 	if err != nil {

@@ -2,6 +2,7 @@ package datanode
 
 import (
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/checksum"
@@ -11,7 +12,8 @@ import (
 )
 
 // ackSender serializes ack writes to the upstream connection: the
-// responder goroutine and the FNFA emission on the receive path share it.
+// receiver (every ack at the tail; refusals and the FNFA anywhere) and
+// the interior relay share it.
 type ackSender struct {
 	mu  sync.Mutex
 	pc  *proto.Conn
@@ -25,81 +27,19 @@ func (s *ackSender) send(a *proto.Ack) error {
 	return s.pc.WriteAck(a)
 }
 
-// localStatus is the receive-path verdict for one packet, consumed by the
-// responder in packet order.
-type localStatus struct {
-	seqno int64
-	last  bool
-}
-
-// statusQueue is the FIFO of stored-but-unacknowledged packets between a
-// pipeline's receiver and its responder. It grows on demand and push
-// never blocks: what bounds the receiver is the byte-accounted forward
-// queue (§IV-C), not the number of packets behind a slow mirror's acks —
-// a SMARTH first datanode must reach its commit, and the FNFA, however
-// far the mirrors lag.
-type statusQueue struct {
-	mu       sync.Mutex
-	notEmpty *sync.Cond
-	items    []localStatus
-	closed   bool
-}
-
-func newStatusQueue() *statusQueue {
-	q := &statusQueue{}
-	q.notEmpty = sync.NewCond(&q.mu)
-	return q
-}
-
-// push enqueues st; false means the queue was closed (the pipeline is
-// over) and st was dropped.
-func (q *statusQueue) push(st localStatus) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	if q.closed {
-		return false
-	}
-	q.items = append(q.items, st)
-	q.notEmpty.Signal()
-	return true
-}
-
-// pop blocks for the next status; ok=false means the queue is closed and
-// drained.
-func (q *statusQueue) pop() (st localStatus, ok bool) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for len(q.items) == 0 && !q.closed {
-		q.notEmpty.Wait()
-	}
-	if len(q.items) == 0 {
-		return localStatus{}, false
-	}
-	st = q.items[0]
-	q.items = q.items[1:]
-	return st, true
-}
-
-// close ends the queue: queued statuses remain poppable, later pushes
-// are dropped. The receiver closes it on exit and abort closes it to
-// release a blocked responder.
-func (q *statusQueue) close() {
-	q.mu.Lock()
-	q.closed = true
-	q.notEmpty.Broadcast()
-	q.mu.Unlock()
-}
-
-// handleWrite runs one write pipeline at this datanode:
+// handleWrite runs one write pipeline at this datanode. The connection's
+// own goroutine is the receiver; what else runs depends on the hop:
 //
-//	receiver: upstream packets -> verify CRC -> local store -> forward queue
-//	forwarder: forward queue -> mirror datanode (bounded by one block)
-//	responder: mirror acks (or local completions, on the last datanode)
-//	           -> upstream acks, own status prepended
+//	tail:     receiver: upstream packets -> verify CRC -> local store -> ack upstream
+//	interior: receiver: upstream packets -> verify CRC -> local store -> forward queue
+//	          forwarder: forward queue -> mirror datanode (bounded by one block)
+//	          relay: mirror acks -> upstream acks, own status prepended
 //
-// On the pipeline's first datanode in SMARTH mode, committing the block
-// locally triggers the FNFA upstream immediately, regardless of how far
-// the mirrors have drained.
+// A block's last packet is committed — and reported, and on a SMARTH
+// first datanode answered with the FNFA, regardless of how far the
+// mirrors have drained — before it is acked (tail) or forwarded
+// (interior). So a last ack means every hop at and behind the one that
+// sent it has committed.
 func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 	sender := &ackSender{pc: up, ctr: dn.mAcksSent}
 
@@ -145,126 +85,98 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 		return // the client rebuilds the pipeline (Algorithm 3)
 	}
 
-	// --- abort machinery shared by the three roles ---
+	if mirror == nil {
+		// The tail: the receiver is the whole pipeline, and serveConn
+		// closes the upstream conn however it ends.
+		dn.receiveLoop(up, hdr, w, sender, nil, nil)
+		return
+	}
+
+	// --- interior: abort machinery shared by the three roles ---
 	queue := newPacketQueue(forwardBuffer)
 	queue.depth = dn.mQueueDepth
-	statuses := newStatusQueue()
+	var lastSeqno atomic.Int64 // the block's last seqno, once the receiver knows it
+	lastSeqno.Store(-1)
 	var abortOnce sync.Once
 	abort := func() {
 		abortOnce.Do(func() {
-			statuses.close()
 			queue.breakNow()
-			if mirror != nil {
-				mirror.Close()
-			}
+			mirror.Close()
 			up.Close()
 		})
 	}
 
 	var wg sync.WaitGroup
+	wg.Add(2)
 
 	// --- forwarder ---
-	if mirror != nil {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			// Cork the mirror: packets coalesce in the write buffer and
-			// reach the wire when it fills or on the Last packet. The
-			// reverse ack channel is a separate conn, so nothing
-			// latency-sensitive sits behind the cork.
-			_ = mirror.SetCork(true)
-			for {
-				pkt, ok := queue.pop()
-				if !ok {
-					// Drained (or broken): push out anything still corked.
-					_ = mirror.Flush()
-					return
-				}
-				err := mirror.WritePacket(pkt)
-				pkt.Release()
-				if err != nil {
-					abort()
-					return
-				}
-				dn.mPacketsFwd.Inc()
-			}
-		}()
-	}
-
-	// --- responder ---
-	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		if mirror == nil {
-			// Last datanode: acknowledge each locally stored packet. One
-			// reused ack; WriteAck never retains it.
-			ack := proto.Ack{Kind: proto.AckData, Statuses: []proto.Status{proto.StatusSuccess}}
-			for {
-				st, ok := statuses.pop()
-				if !ok {
-					return
-				}
-				ack.Seqno = st.seqno
-				if sender.send(&ack) != nil {
-					abort()
-					return
-				}
-				if st.last {
-					return
-				}
-			}
-		}
-		// Interior datanode: merge downstream acks with local verdicts.
-		// Both sides deliver packets in order, so the pairing must agree
-		// on the seqno; a skew means an ack was lost or duplicated and
-		// the merged statuses would be stamped onto the wrong packet.
-		// The merged ack and its statuses are per-loop scratch: downAck
-		// is conn-owned and sender.send finishes with the merged ack
-		// before the next ReadAck overwrites it.
-		merged := proto.Ack{Kind: proto.AckData}
+		// Cork the mirror: packets coalesce in the write buffer and
+		// reach the wire when it fills or on the Last packet. The
+		// reverse ack channel is a separate conn, so nothing
+		// latency-sensitive sits behind the cork.
+		_ = mirror.SetCork(true)
 		for {
-			downAck, err := mirror.ReadAck()
+			pkt, ok := queue.pop()
+			if !ok {
+				// Drained (or broken): push out anything still corked.
+				_ = mirror.Flush()
+				return
+			}
+			err := mirror.WritePacket(pkt)
+			pkt.Release()
 			if err != nil {
 				abort()
 				return
 			}
-			st, ok := statuses.pop()
-			if !ok {
+			dn.mPacketsFwd.Inc()
+		}
+	}()
+
+	// --- relay ---
+	go func() {
+		defer wg.Done()
+		// Downstream acks arrive in packet order, and the receiver forwards
+		// packets 0, 1, 2, … and nothing else, so the relay counts the
+		// seqnos it expects: a skew means an ack was lost or duplicated
+		// downstream, and the merged statuses would be stamped onto the
+		// wrong packet. The merged ack and its statuses are reused: down
+		// is conn-owned, and sender.send finishes with the merged ack
+		// before the next ReadAck.
+		merged := proto.Ack{Kind: proto.AckData}
+		for want := int64(0); ; want++ {
+			down, err := mirror.ReadAck()
+			if err != nil {
 				abort()
 				return
 			}
-			if downAck.Seqno != st.seqno {
-				dn.opts.Logf("datanode %s: ack seqno skew: downstream %d, local %d",
-					dn.opts.Name, downAck.Seqno, st.seqno)
-				_ = sender.send(&proto.Ack{
-					Kind:     proto.AckData,
-					Seqno:    st.seqno,
-					Statuses: []proto.Status{proto.StatusError},
-				})
+			if down.Seqno != want {
+				dn.opts.Logf("datanode %s: ack seqno skew: downstream %d, expected %d",
+					dn.opts.Name, down.Seqno, want)
+				_ = sender.send(&proto.Ack{Kind: proto.AckData, Seqno: want, Statuses: []proto.Status{proto.StatusError}})
 				abort()
 				return
 			}
-			merged.Seqno = downAck.Seqno
-			merged.Statuses = append(merged.Statuses[:0], proto.StatusSuccess)
-			merged.Statuses = append(merged.Statuses, downAck.Statuses...)
+			merged.Seqno = down.Seqno
+			merged.Statuses = append(append(merged.Statuses[:0], proto.StatusSuccess), down.Statuses...)
 			if sender.send(&merged) != nil {
 				abort()
 				return
 			}
-			if st.last {
+			if want == lastSeqno.Load() {
 				return
 			}
 		}
 	}()
 
 	// --- receiver (this goroutine) ---
-	dn.receiveLoop(up, hdr, w, mirror != nil, queue, statuses, sender, abort)
-
+	if !dn.receiveLoop(up, hdr, w, sender, queue, &lastSeqno) {
+		abort()
+	}
 	queue.close()
 	wg.Wait()
-	if mirror != nil {
-		mirror.Close()
-	}
+	mirror.Close()
 }
 
 // connectMirror opens the conn to hdr.Targets[0] with this hop stripped
@@ -281,30 +193,32 @@ func (dn *Datanode) connectMirror(hdr *proto.WriteBlockHeader) (*proto.Conn, err
 	return pc, err
 }
 
-// receiveLoop ingests packets from the upstream conn until the last
-// packet, an error, or abort. Each payload is read once, into the memory
-// w lends for it (the replica itself, on a MemStore) or else the packet's
-// own frame; verified where it landed; appended with the checksums it was
-// verified against, which the store keeps rather than recomputes; and
+// receiveLoop ingests packets from the upstream conn until the block's
+// last packet or an error, and reports whether the pipeline is still up.
+// Each payload is read once, into the memory w lends for it (the replica
+// itself, on a MemStore) or else the packet's own frame; refused unless
+// it is the block's next packet; verified where it landed; appended with
+// the checksums it was verified against, which the store keeps rather
+// than recomputes; and then acked — at the tail, where queue is nil — or
 // queued for the mirror, which sends from the same bytes. That is why
-// handleWrite closes w only after the forwarder has drained.
+// handleWrite closes w only after the forwarder has drained. The last
+// packet is committed first, and an interior hop publishes its seqno in
+// lastSeqno before queueing it, for the relay to stop at.
 func (dn *Datanode) receiveLoop(
 	up *proto.Conn,
 	hdr *proto.WriteBlockHeader,
 	w storage.BlockWriter,
-	hasMirror bool,
-	queue *packetQueue,
-	statuses *statusQueue,
 	sender *ackSender,
-	abort func(),
-) {
-	defer statuses.close()
+	queue *packetQueue,
+	lastSeqno *atomic.Int64,
+) bool {
+	// The tail's acks: one reused ack, which WriteAck never retains.
+	ack := proto.Ack{Kind: proto.AckData, Statuses: []proto.Status{proto.StatusSuccess}}
 	var received int64
-	for {
+	for want := int64(0); ; want++ {
 		pkt, err := up.ReadPacketInto(w)
 		if err != nil {
-			abort()
-			return
+			return false
 		}
 		// Snapshot the metadata before the packet changes hands: pushing
 		// it to the forward queue transfers ownership to the forwarder,
@@ -313,6 +227,11 @@ func (dn *Datanode) receiveLoop(
 		dn.mPacketsIn.Inc()
 		st := proto.StatusSuccess
 		switch {
+		case seqno != want || pkt.Offset != received:
+			// Packets arrive in order, each where the last one ended: a
+			// re-sent packet would be stored twice, and the relay's seqno
+			// count would stop matching the acks.
+			st = proto.StatusError
 		case !last && nData%checksum.DefaultChunkSize != 0:
 			// Interior packets carry whole chunks (HDFS's rule); the stored
 			// checksums would otherwise stop lining up with the bytes.
@@ -334,45 +253,54 @@ func (dn *Datanode) receiveLoop(
 			}
 			dn.mBytesStored.Add(int64(nData))
 		}
+		received += int64(nData)
+		if st == proto.StatusSuccess && last {
+			st = dn.finalize(hdr, w, received, seqno, sender)
+		}
 		if st != proto.StatusSuccess {
 			// Surface the failure upstream, then tear the pipeline down;
 			// the client recovers per Algorithm 3/4.
 			pkt.Release()
 			_ = sender.send(&proto.Ack{Kind: proto.AckData, Seqno: seqno, Statuses: []proto.Status{st}})
-			abort()
-			return
+			return false
 		}
-		received += int64(nData)
-		if hasMirror {
+		if queue == nil {
+			pkt.Release()
+			ack.Seqno = seqno
+			if sender.send(&ack) != nil {
+				return false
+			}
+		} else {
+			if last {
+				lastSeqno.Store(seqno)
+			}
 			if !queue.push(pkt) {
 				// A broken queue did not take ownership.
 				pkt.Release()
-				abort()
-				return
+				return false
 			}
-		} else {
-			pkt.Release()
-		}
-		if !statuses.push(localStatus{seqno: seqno, last: last}) {
-			return // aborted
 		}
 		if last {
-			if err := w.Commit(); err != nil {
-				dn.opts.Logf("datanode %s: commit %v: %v", dn.opts.Name, hdr.Block, err)
-				abort()
-				return
-			}
-			finalized := hdr.Block
-			finalized.NumBytes = received
-			dn.mCommitted.Inc()
-			dn.reportBlockReceived(finalized)
-			if hdr.Depth == 0 && hdr.Mode == proto.ModeSmarth {
-				// FIRST NODE FINISH ACK: the whole block is stored here;
-				// the client may open its next pipeline now.
-				dn.mFNFASent.Inc()
-				_ = sender.send(&proto.Ack{Kind: proto.AckFNFA, Seqno: seqno, Statuses: []proto.Status{proto.StatusSuccess}})
-			}
-			return
+			return true
 		}
 	}
+}
+
+// finalize commits the replica of received bytes, queues its report and,
+// on a SMARTH pipeline's first datanode, sends the FNFA: the whole block
+// is stored here, and the client may open its next pipeline now.
+func (dn *Datanode) finalize(hdr *proto.WriteBlockHeader, w storage.BlockWriter, received, seqno int64, sender *ackSender) proto.Status {
+	if err := w.Commit(); err != nil {
+		dn.opts.Logf("datanode %s: commit %v: %v", dn.opts.Name, hdr.Block, err)
+		return proto.StatusError
+	}
+	finalized := hdr.Block
+	finalized.NumBytes = received
+	dn.mCommitted.Inc()
+	dn.reportBlockReceived(finalized)
+	if hdr.Depth == 0 && hdr.Mode == proto.ModeSmarth {
+		dn.mFNFASent.Inc()
+		_ = sender.send(&proto.Ack{Kind: proto.AckFNFA, Seqno: seqno, Statuses: []proto.Status{proto.StatusSuccess}})
+	}
+	return proto.StatusSuccess
 }

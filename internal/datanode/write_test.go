@@ -1,6 +1,10 @@
 package datanode
 
 import (
+	"bytes"
+	"errors"
+	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -17,7 +21,7 @@ import (
 )
 
 // startFakeNN runs a namenode stub that accepts registrations,
-// heartbeats and blockReceived reports without acting on them.
+// heartbeats and block reports without acting on them.
 func startFakeNN(t testing.TB, n *transport.MemNetwork) {
 	t.Helper()
 	s := rpc.NewServer()
@@ -26,9 +30,6 @@ func startFakeNN(t testing.TB, n *transport.MemNetwork) {
 	})
 	rpc.Handle(s, nnapi.MethodHeartbeat, func(nnapi.HeartbeatReq) (nnapi.HeartbeatResp, error) {
 		return nnapi.HeartbeatResp{}, nil
-	})
-	rpc.Handle(s, nnapi.MethodBlockReceived, func(nnapi.BlockReceivedReq) (nnapi.BlockReceivedResp, error) {
-		return nnapi.BlockReceivedResp{}, nil
 	})
 	rpc.Handle(s, nnapi.MethodBlockReceivedBatch, func(nnapi.BlockReceivedBatchReq) (nnapi.BlockReceivedBatchResp, error) {
 		return nnapi.BlockReceivedBatchResp{}, nil
@@ -42,7 +43,7 @@ func startFakeNN(t testing.TB, n *transport.MemNetwork) {
 }
 
 // TestInteriorResponderSeqnoSkew drives a real interior datanode whose
-// mirror is a stub that acks the WRONG seqno. The interior responder
+// mirror is a stub that acks the WRONG seqno. The interior ack relay
 // must not stamp the merged ack with the downstream seqno as if nothing
 // happened: it must surface StatusError upstream and abort.
 func TestInteriorResponderSeqnoSkew(t *testing.T) {
@@ -64,39 +65,7 @@ func TestInteriorResponderSeqnoSkew(t *testing.T) {
 
 	// Fake mirror: completes setup honestly, then acks seqno+1 for every
 	// packet, simulating a peer that lost an ack.
-	ml, err := n.Listen("dn2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ml.Close()
-	var wg sync.WaitGroup
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		conn, err := ml.Accept()
-		if err != nil {
-			return
-		}
-		mc := proto.NewConn(conn)
-		defer mc.Close()
-		if _, _, err := mc.ReadHeader(); err != nil {
-			return
-		}
-		if err := mc.WriteAck(&proto.Ack{Kind: proto.AckHeader, Seqno: -1, Statuses: []proto.Status{proto.StatusSuccess}}); err != nil {
-			return
-		}
-		for {
-			pkt, err := mc.ReadPacket()
-			if err != nil {
-				return
-			}
-			skewed := &proto.Ack{Kind: proto.AckData, Seqno: pkt.Seqno + 1, Statuses: []proto.Status{proto.StatusSuccess}}
-			pkt.Release()
-			if err := mc.WriteAck(skewed); err != nil {
-				return
-			}
-		}
-	}()
+	fakeMirror(t, n, "dn2", 1)
 
 	// Fake client: write a two-packet block through dn1 with dn2 as the
 	// mirror.
@@ -164,7 +133,6 @@ func TestInteriorResponderSeqnoSkew(t *testing.T) {
 		}
 		break
 	}
-	wg.Wait()
 }
 
 // TestInteriorResponderCleanRun is the control: an honest mirror yields
@@ -237,8 +205,9 @@ func TestInteriorResponderCleanRun(t *testing.T) {
 // first datanode: it stores the whole block at client speed and emits
 // the FNFA at its own commit, however many packets the mirror has yet
 // to acknowledge. The mirror here completes setup and then neither
-// reads nor acks, and the block has more packets than the 4096-slot
-// status channel the receiver used to block on.
+// reads nor acks: the receiver's only back-pressure is the one-block
+// forward queue, which 6000 packets of 1 KB do not fill, so nothing
+// that waits on acks may stand between it and the commit.
 func TestFNFANotDelayedByUnackedPackets(t *testing.T) {
 	n := transport.NewMemNetwork(nil)
 	startFakeNN(t, n)
@@ -327,4 +296,177 @@ func TestFNFANotDelayedByUnackedPackets(t *testing.T) {
 	if err != nil || info.State != storage.Finalized || info.Len != packets*1024 {
 		t.Fatalf("first datanode's replica = %+v, %v; want %d finalized bytes", info, err, packets*1024)
 	}
+}
+
+// fakeMirror stands in for the next hop at addr: it accepts one
+// pipeline, completes its setup, and acks each packet with its seqno
+// plus skew (0 for an honest hop) until the block's last packet or an
+// error. Its one goroutine starts here, before the caller opens the
+// pipeline, and ends when the hop in front of it hangs up.
+func fakeMirror(t *testing.T, n *transport.MemNetwork, addr string, skew int64) {
+	t.Helper()
+	l, err := n.Listen(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { l.Close() })
+	go func() {
+		conn, err := l.Accept()
+		if err != nil {
+			return
+		}
+		mc := proto.NewConn(conn)
+		defer mc.Close()
+		ack := proto.Ack{Kind: proto.AckHeader, Seqno: -1, Statuses: []proto.Status{proto.StatusSuccess}}
+		if _, _, err := mc.ReadHeader(); err != nil || mc.WriteAck(&ack) != nil {
+			return
+		}
+		ack.Kind = proto.AckData
+		for last := false; !last; {
+			pkt, err := mc.ReadPacket()
+			if err != nil {
+				return
+			}
+			ack.Seqno, last = pkt.Seqno+skew, pkt.Last
+			pkt.Release()
+			if mc.WriteAck(&ack) != nil {
+				return
+			}
+		}
+	}()
+}
+
+// failCommit is a store whose writers fail Commit 20 ms after it is
+// called: long enough for an ack sent without waiting for the commit to
+// reach the client first.
+type failCommit struct{ storage.Store }
+
+type failCommitWriter struct{ storage.BlockWriter }
+
+func (s failCommit) Create(b block.Block, overwrite bool) (storage.BlockWriter, error) {
+	w, err := s.Store.Create(b, overwrite)
+	if err != nil {
+		return nil, err
+	}
+	return failCommitWriter{w}, nil
+}
+
+func (failCommitWriter) Commit() error {
+	time.Sleep(20 * time.Millisecond)
+	return errors.New("commit failed")
+}
+
+// TestLastAckFollowsCommit: the ack of a block's last packet follows the
+// commit at every hop it speaks for, so a hop that fails to commit is
+// never reported as holding the block. Whichever hop fails — the only
+// one, an interior one, the tail behind one — the client reads its
+// StatusError or loses the conn, and never a SUCCESS from it for the last
+// seqno.
+func TestLastAckFollowsCommit(t *testing.T) {
+	const cs = checksum.DefaultChunkSize
+	for _, tc := range []struct{ hops, bad int }{{1, 0}, {2, 0}, {2, 1}} {
+		t.Run(fmt.Sprintf("%dhop/hop%d", tc.hops, tc.bad), func(t *testing.T) {
+			stores := make([]storage.Store, tc.hops)
+			for i := range stores {
+				stores[i] = storage.NewMemStore()
+			}
+			stores[tc.bad] = failCommit{stores[tc.bad]}
+			c := startChainOn(t, stores...)
+			pc := c.open(t, block.Block{ID: 1, Gen: 1}, 0, nil)
+			defer pc.Close()
+			pkts := packetsOf(randomBytes(3, 3*cs+100), cs)
+			for i := range pkts {
+				if err := pc.WritePacket(&pkts[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			last := pkts[len(pkts)-1].Seqno
+			for {
+				ack, err := pc.ReadAck()
+				if err != nil {
+					return // the conn dropped: nobody claimed the block
+				}
+				if ack.Kind != proto.AckData {
+					continue
+				}
+				switch bad := ack.FirstBadIndex(); {
+				case bad == tc.bad && ack.Statuses[bad] == proto.StatusError:
+					return
+				case bad >= 0:
+					t.Fatalf("refusal %+v does not name hop %d", ack, tc.bad)
+				case ack.Seqno == last:
+					t.Fatalf("hop %d acked the last packet, then failed to commit it: %+v", tc.bad, ack)
+				}
+			}
+		})
+	}
+}
+
+// TestGoroutinesPerPipeline pins what an open pipeline costs a datanode
+// in goroutines: the tail runs on its connection's goroutine alone, and
+// an interior hop adds a forwarder and an ack relay. When the block is
+// done, all of them are gone.
+func TestGoroutinesPerPipeline(t *testing.T) {
+	// 4 KB payloads leave a corked forwarder at once, so packet 0's ack
+	// comes back before the block ends.
+	pkts := packetsOf(randomBytes(4, 8<<10), 4<<10)
+	for _, tc := range []struct {
+		name string
+		hops int
+		want int
+	}{{"tail", 1, 1}, {"interior", 2, 3}} {
+		t.Run(tc.name, func(t *testing.T) {
+			c := startChain(t, tc.hops, "mem")
+			addr := map[int]string{}
+			if tc.hops > 1 {
+				addr[1] = "stub"
+				fakeMirror(t, c.net, "stub", 0)
+			}
+			before := pipelineGoroutines()
+			pc := c.open(t, block.Block{ID: 1, Gen: 1}, 0, addr)
+			defer pc.Close()
+			// Once packet 0 is acked, every role of the pipeline is running.
+			if err := pc.WritePacket(&pkts[0]); err != nil {
+				t.Fatal(err)
+			}
+			if ack, err := pc.ReadAck(); err != nil || !ack.OK() {
+				t.Fatalf("packet 0: ack %+v, %v", ack, err)
+			}
+			if got := pipelineGoroutines() - before; got != tc.want {
+				t.Fatalf("an open pipeline runs %d goroutines at the %s, want %d", got, tc.name, tc.want)
+			}
+			for i := 1; i < len(pkts); i++ {
+				if err := pc.WritePacket(&pkts[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for {
+				ack, err := pc.ReadAck()
+				if err != nil || !ack.OK() {
+					t.Fatalf("ack %+v, %v", ack, err)
+				}
+				if ack.Seqno == pkts[len(pkts)-1].Seqno {
+					break
+				}
+			}
+			for start := time.Now(); pipelineGoroutines() != before; time.Sleep(time.Millisecond) {
+				if time.Since(start) > 5*time.Second {
+					t.Fatalf("%d pipeline goroutines outlive the block", pipelineGoroutines()-before)
+				}
+			}
+		})
+	}
+}
+
+// pipelineGoroutines counts the goroutines running, or started by, a
+// datanode's handleWrite.
+func pipelineGoroutines() int {
+	buf := make([]byte, 1<<20)
+	n := 0
+	for _, g := range bytes.Split(buf[:runtime.Stack(buf, true)], []byte("\n\n")) {
+		if bytes.Contains(g, []byte("datanode.(*Datanode).handleWrite")) {
+			n++
+		}
+	}
+	return n
 }
