@@ -36,7 +36,7 @@ func main() {
 	blockSize := flag.Int64("block", 64<<20, "block size in bytes")
 	verify := flag.Bool("verify", false, "read the file back and check its digest")
 	timeout := flag.Duration("timeout", 0,
-		"stall-detection bound: data-path progress and per-RPC timeouts (FNFA gets 4x); 0 = library defaults")
+		"stall-detection bound: data-path progress and per-RPC timeouts; 0 = library defaults")
 	traceOut := flag.String("trace", "",
 		"export the upload's span trace as JSONL to this file (render with smarth-admin -trace)")
 	flag.Parse()
@@ -46,7 +46,7 @@ func main() {
 
 	var timeouts *client.Timeouts
 	if *timeout > 0 {
-		timeouts = &client.Timeouts{Progress: *timeout, FNFA: 4 * *timeout, RPC: *timeout}
+		timeouts = &client.Timeouts{Progress: *timeout, RPC: *timeout}
 	}
 	var tracing *obs.Obs // nil = observability off
 	if *traceOut != "" {

@@ -14,10 +14,12 @@
 //   - A Writer is single-caller: Write and Close must come from one
 //     goroutine (the usual io.Writer contract). All cross-goroutine
 //     state below is internal.
-//   - Each open pipeline owns two goroutines: streamBlock, the only
-//     writer on the data conn, and responderLoop, the only reader of
-//     acks on it. The responder owns the pipeline's trace span and the
-//     done channel — every exit path ends both exactly once.
+//   - Each open pipeline has two goroutines: the sender (streamBlock),
+//     the only writer on the data conn, which returns once the block is
+//     streamed, and the ack reader, the only reader of acks on it. The
+//     first failure on either side fails the pipeline and closes the
+//     conn; the ack reader waits for the sender, then reports the
+//     outcome to the engine and ends the pipeline's trace span.
 //   - Namenode RPCs for one write run on a single FIFO worker
 //     goroutine, one at a time and one frame each, preserving the
 //     engine's effect order on the wire.
@@ -70,8 +72,8 @@ type Options struct {
 	// Seed drives the local-optimization randomness (0 = from clock).
 	Seed int64
 	// Timeouts bound the client's blocking points (data-path progress,
-	// the FNFA wait, namenode RPCs). nil selects DefaultTimeouts(); point
-	// at NoTimeouts() (or any zeroed fields) to restore the legacy
+	// namenode RPCs). nil selects DefaultTimeouts(); point at
+	// NoTimeouts() (or any zeroed fields) to restore the legacy
 	// block-forever behavior.
 	Timeouts *Timeouts
 	// Obs, when set, receives the client's metrics (packet RTT, FNFA
@@ -122,9 +124,8 @@ func (o *WriteOptions) applyDefaults() {
 
 // Client talks to one cluster.
 type Client struct {
-	opts     Options
-	clk      clock.Clock
-	timeouts Timeouts
+	opts Options
+	clk  clock.Clock
 
 	// nn is the namenode session shared by every writer and reader of the
 	// client; dialer opens every data connection (DESIGN.md §3).
@@ -178,7 +179,6 @@ func New(opts Options) (*Client, error) {
 	c := &Client{
 		opts:     opts,
 		clk:      opts.Clock,
-		timeouts: timeouts,
 		rng:      rand.New(rand.NewSource(seed)),
 		recorder: core.NewRecorder(),
 		obs:      opts.Obs,

@@ -12,7 +12,6 @@ import (
 	"repro/internal/clock"
 	"repro/internal/obs"
 	"repro/internal/proto"
-	"repro/internal/transport"
 )
 
 // pipelineError describes a failed pipeline with, when known, the index
@@ -31,28 +30,33 @@ func (e *pipelineError) Error() string {
 func (e *pipelineError) Unwrap() error { return e.cause }
 
 // pipelineConn is one open write pipeline: the connection to the first
-// datanode, plus the PacketResponder state (the ack-reading goroutine and
-// its completion channels).
+// datanode, shared by the pipeline's two goroutines. The sender
+// (streamBlock) writes every packet and returns; the ack reader
+// (schedWriter.ackReader) is the conn's only reader and the one place the
+// pipeline resolves.
 type pipelineConn struct {
 	lb block.LocatedBlock
 	pc *proto.Conn
 
-	// fnfa closes when the FIRST NODE FINISH ACK arrives (or, as a
-	// degenerate upper bound, when every ack arrived).
-	fnfa     chan struct{}
-	fnfaOnce sync.Once
-
 	// lastSeqno is the seqno of the block's last packet, known before the
 	// pipeline opens.
 	lastSeqno int64
+	// opened is when the setup ack arrived: a block's FNFA latency and
+	// its speed sample are measured from here.
+	opened time.Time
 
-	// done receives exactly one value: nil after the last packet is
-	// fully acknowledged by every datanode, or the pipeline error.
-	done chan error
+	// sent closes when the sender returns; from then on nothing reads the
+	// block's staging buffer, so the pipeline may be reported.
+	sent chan struct{}
+	// failOnce makes the first failure, from either side, the pipeline's:
+	// err keeps it, and the conn closes so the other side stops too. err
+	// is read once sent has closed.
+	failOnce sync.Once
+	err      error
 
 	// span traces this pipeline (nil when tracing is off). After a
-	// successful open it is owned by the responder goroutine, which ends
-	// it when the pipeline resolves.
+	// successful open it is owned by the ack reader, which ends it when
+	// the pipeline resolves.
 	span *obs.Span
 	// rtt, when non-nil, receives client→first-DN packet round trips.
 	// sendNS stamps each packet's send time (nanoseconds on the client's
@@ -67,8 +71,14 @@ type pipelineConn struct {
 // into: an empty block is one empty packet.
 func lastSeqno(n, packetSize int) int64 { return int64(max(0, n-1) / packetSize) }
 
-func (p *pipelineConn) signalFNFA() {
-	p.fnfaOnce.Do(func() { close(p.fnfa) })
+// fail ends the pipeline with err (nil: drained) unless it has already
+// ended: whichever side fails first owns the blame, and closing the conn
+// stops the other side.
+func (p *pipelineConn) fail(err error) {
+	p.failOnce.Do(func() {
+		p.err = err
+		p.pc.Close()
+	})
 }
 
 // noteSend stamps packet seqno's send time for RTT attribution. No-op
@@ -103,15 +113,12 @@ func (p *pipelineConn) observeRTT(seqno int64) {
 	}
 }
 
-func (p *pipelineConn) close() { p.pc.Close() }
-
 // openPipeline opens a write pipeline through the client's dialer (dial,
 // header and setup ack each under the Progress bound, which then guards
-// every packet write and ack read for the pipeline's lifetime) and
-// starts the responder goroutine, which resolves the pipeline at the ack
-// for last, the block's last seqno. parent, when tracing is on, becomes the
-// new pipeline span's parent (normally the block span); a setup failure
-// ends the span with an error status before returning.
+// every packet write and ack read for the pipeline's lifetime); the
+// block's last packet is numbered last. parent, when tracing is on,
+// becomes the new pipeline span's parent (normally the block span); a
+// setup failure ends the span with an error status before returning.
 func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts *WriteOptions, parent *obs.Span, last int64) (*pipelineConn, error) {
 	span := c.obs.StartSpan("pipeline", parent)
 	span.SetAttr("targets", strings.Join(lb.Names(), ">"))
@@ -138,59 +145,43 @@ func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts 
 		return fail(max(0, proto.Ack{Statuses: statuses}.FirstBadIndex()), err)
 	}
 	span.Event("setup_ack", "")
-
-	p := &pipelineConn{
+	return &pipelineConn{
 		lb:        lb,
 		pc:        pc,
-		fnfa:      make(chan struct{}),
 		lastSeqno: last,
-		done:      make(chan error, 1),
+		opened:    c.clk.Now(),
+		sent:      make(chan struct{}),
 		span:      span,
 		rtt:       c.mPacketRTT,
 		clk:       c.clk,
-	}
-	go c.responderLoop(p)
-	return p, nil
+	}, nil
 }
 
-// responderLoop is the client-side PacketResponder: it consumes acks from
-// the pipeline and resolves fnfa/done. It owns p.span: the span ends
-// here, with an error status when the pipeline fails.
-func (c *Client) responderLoop(p *pipelineConn) {
-	finish := func(err error) {
-		if err != nil {
-			p.span.Fail(err)
-		}
-		p.span.End()
-		p.done <- err
-	}
+// readAcks reads the pipeline's acks up to the one for its last seqno,
+// calling onFNFA at the FIRST NODE FINISH ACK. It returns nil at the last
+// ack and the pipeline error otherwise: an error ack blames the hop it
+// names, a read error no one.
+func (p *pipelineConn) readAcks(onFNFA func()) error {
 	for {
 		ack, err := p.pc.ReadAck()
 		if err != nil {
-			finish(&pipelineError{lb: p.lb, badIndex: -1, cause: err})
-			return
+			return &pipelineError{lb: p.lb, badIndex: -1, cause: err}
 		}
 		switch ack.Kind {
 		case proto.AckFNFA:
 			p.span.Event("fnfa", "")
-			p.signalFNFA()
+			onFNFA()
 		case proto.AckData:
 			p.observeRTT(ack.Seqno)
 			p.span.Packet("ack", ack.Seqno)
 			if bad := ack.FirstBadIndex(); bad >= 0 {
-				finish(&pipelineError{lb: p.lb, badIndex: bad, cause: fmt.Errorf("packet %d failed: %v", ack.Seqno, ack.Statuses)})
-				return
+				return &pipelineError{lb: p.lb, badIndex: bad, cause: fmt.Errorf("packet %d failed: %v", ack.Seqno, ack.Statuses)}
 			}
 			if ack.Seqno == p.lastSeqno {
-				// Every datanode stored every packet: the block is fully
-				// replicated, which upper-bounds the FNFA too.
-				p.signalFNFA()
-				finish(nil)
-				return
+				return nil
 			}
 		default:
-			finish(&pipelineError{lb: p.lb, badIndex: -1, cause: fmt.Errorf("unexpected %v ack", ack.Kind)})
-			return
+			return &pipelineError{lb: p.lb, badIndex: -1, cause: fmt.Errorf("unexpected %v ack", ack.Kind)}
 		}
 	}
 }
@@ -236,35 +227,4 @@ func (c *Client) streamBlock(p *pipelineConn, data, rawSums []byte, packetSize i
 		off = end
 	}
 	return nil
-}
-
-// waitDone blocks until the pipeline's final ack (or failure).
-func (p *pipelineConn) waitDone() error { return <-p.done }
-
-// waitFNFA blocks until the first datanode finished storing the block, or
-// the pipeline failed first, or (with timeout > 0) the FNFA budget ran
-// out on clk. It reports pipeline failure via the done channel value
-// re-queued for the caller's later waitDone; a timeout blames the first
-// datanode, whose job it was to emit the FNFA.
-func (p *pipelineConn) waitFNFA(clk clock.Clock, timeout time.Duration) error {
-	var expired <-chan time.Time
-	if timeout > 0 && clk != nil {
-		expired = clk.After(timeout)
-	}
-	select {
-	case <-p.fnfa:
-		return nil
-	case err := <-p.done:
-		// done fired before FNFA: either an error, or (with nil) the
-		// whole block was acknowledged, which implies FNFA. Re-queue the
-		// value so waitDone still observes it.
-		p.done <- err
-		if err == nil {
-			return nil
-		}
-		return err
-	case <-expired:
-		return &pipelineError{lb: p.lb, badIndex: 0,
-			cause: fmt.Errorf("no FNFA within %v: %w", timeout, transport.ErrTimeout)}
-	}
 }

@@ -60,7 +60,7 @@ func (c *Client) create(path string, opts WriteOptions, mode proto.WriteMode) (W
 	}
 	w := c.newSchedWriter(path, opts, mode, maxPipelines)
 	if mode == proto.ModeHDFS {
-		w.notePipelines(1)
+		w.stats.PeakPipelines = 1
 	}
 	return w, nil
 }
@@ -75,13 +75,13 @@ func (c *Client) create(path string, opts WriteOptions, mode proto.WriteMode) (W
 //   - Namenode RPCs (addBlock, recoverBlock, complete, heartbeats) run
 //     on a single FIFO worker goroutine, so the engine's effect order
 //     (e.g. heartbeat-before-next-addBlock) is preserved on the wire.
-//   - Each StartPipeline spawns one goroutine that owns that pipeline's
-//     I/O: open, stream, FNFA wait, ack drain.
+//   - Each StartPipeline spawns the pipeline's sender, which opens it,
+//     starts its ack reader, streams the block and returns. The ack
+//     reader reports the FNFA, the drain or the first failure.
 //   - The producer (Write/Close) blocks in submitBlock until the engine
 //     emits Ready for the staged block: at FNFA for SMARTH, at full
 //     commit for HDFS — exactly the legacy writers' pacing.
 type schedWriter struct {
-	statsTracker
 	c      *Client
 	path   string
 	opts   WriteOptions
@@ -105,19 +105,10 @@ type schedWriter struct {
 	readyIdx int
 	fileDone bool
 	fileErr  error
-	// active holds pipelines whose acks are still draining.
-	active map[*pipelineConn]bool
-	// Per-in-flight-block state, keyed by block index and dropped at
-	// commit: staged block, trace spans, launch time, last failure.
-	// Pipelines stream from a staged block (and re-stream from it during
-	// recovery) until BlockCommitted recycles it; a failed file leaves
-	// its blocks to the garbage collector, since a pipeline goroutine may
-	// still be reading them.
-	data      map[int]stagedBlock
-	spans     map[int]*obs.Span
-	recSpans  map[int]*obs.Span
-	launched  map[int]time.Time
-	lastCause map[int]error
+	stats    WriteStats
+	// blocks holds the in-flight blocks, keyed by block index, from
+	// submitBlock until BlockCommitted drops them.
+	blocks map[int]*inFlight
 
 	// FIFO namenode-RPC queue, drained by one worker goroutine.
 	nnq    []func()
@@ -125,21 +116,29 @@ type schedWriter struct {
 	wg     sync.WaitGroup
 }
 
+// inFlight is one submitted, uncommitted block. Its pipelines stream
+// from staged (and re-stream from it during recovery) until
+// BlockCommitted recycles it; a failed file leaves its blocks to the
+// garbage collector, since a sender may still be reading them.
+type inFlight struct {
+	staged    stagedBlock
+	span      *obs.Span     // the block's trace span, from its launch
+	recSpan   *obs.Span     // its recovery episode's span, if one is open
+	launched  time.Time     // when the block's first pipeline launched
+	lastCause error         // the latest pipeline failure, for the recovery span
+	pipe      *pipelineConn // the live pipeline, nil between attempts
+}
+
 // newSchedWriter builds the writer, its engine, and the RPC worker.
 func (c *Client) newSchedWriter(path string, opts WriteOptions, mode proto.WriteMode, maxPipelines int) *schedWriter {
 	w := &schedWriter{
-		c:         c,
-		path:      path,
-		opts:      opts,
-		mode:      mode,
-		opened:    c.clk.Now(),
-		readyIdx:  -1,
-		active:    make(map[*pipelineConn]bool),
-		data:      make(map[int]stagedBlock),
-		spans:     make(map[int]*obs.Span),
-		recSpans:  make(map[int]*obs.Span),
-		launched:  make(map[int]time.Time),
-		lastCause: make(map[int]error),
+		c:        c,
+		path:     path,
+		opts:     opts,
+		mode:     mode,
+		opened:   c.clk.Now(),
+		readyIdx: -1,
+		blocks:   make(map[int]*inFlight),
 	}
 	w.cond = sync.NewCond(&w.mu)
 	w.span = c.obs.StartSpan("write", nil)
@@ -217,7 +216,9 @@ func (w *schedWriter) Write(p []byte) (int, error) {
 	if w.werr != nil {
 		return 0, w.werr
 	}
-	w.addBytes(len(p))
+	w.mu.Lock()
+	w.stats.BytesWritten += int64(len(p))
+	w.mu.Unlock()
 	bs := int(w.opts.BlockSize)
 	for rest := p; len(rest) > 0; {
 		rest = rest[w.cur.stage(rest, bs):]
@@ -254,7 +255,7 @@ func (w *schedWriter) submitBlock() error {
 	w.cur.seal()
 	size := int64(len(*w.cur.data))
 	w.mu.Lock()
-	w.data[idx] = w.cur
+	w.blocks[idx] = &inFlight{staged: w.cur}
 	w.mu.Unlock()
 	w.cur = stagedBlock{}
 	w.eng.Offer(size)
@@ -291,41 +292,49 @@ func (w *schedWriter) finish() error {
 		w.teardown(err)
 		return err
 	}
-	w.setDuration(w.c.clk.Now().Sub(w.opened))
+	w.mu.Lock()
+	w.stats.Duration = w.c.clk.Now().Sub(w.opened)
+	w.mu.Unlock()
 	return nil
 }
 
 // Stats snapshots progress, including the live pipeline count.
 func (w *schedWriter) Stats() WriteStats {
-	st := w.statsTracker.Stats()
 	w.mu.Lock()
-	st.ActivePipelines = len(w.active)
-	w.mu.Unlock()
+	defer w.mu.Unlock()
+	st := w.stats
+	st.ActivePipelines = w.livePipes()
 	return st
 }
 
-// teardown closes and unregisters every still-active pipeline and fails
-// any open block/recovery spans, so no goroutine, connection, or span
+// livePipes counts the blocks with a live pipeline. Caller holds mu.
+func (w *schedWriter) livePipes() int {
+	n := 0
+	for _, b := range w.blocks {
+		if b.pipe != nil {
+			n++
+		}
+	}
+	return n
+}
+
+// teardown fails every live pipeline with cause and fails any open
+// block and recovery spans, so no goroutine, connection, or span
 // outlives a failed Close.
 func (w *schedWriter) teardown(cause error) {
 	w.mu.Lock()
-	ps := make([]*pipelineConn, 0, len(w.active))
-	for p := range w.active {
-		ps = append(ps, p)
-	}
+	var pipes []*pipelineConn
 	var open []*obs.Span
-	for idx, sp := range w.recSpans {
-		open = append(open, sp)
-		delete(w.recSpans, idx)
-	}
-	for idx, sp := range w.spans {
-		open = append(open, sp)
-		delete(w.spans, idx)
+	for _, b := range w.blocks {
+		if b.pipe != nil {
+			pipes = append(pipes, b.pipe)
+		}
+		open = append(open, b.recSpan, b.span)
+		b.pipe, b.recSpan, b.span = nil, nil, nil
 	}
 	w.mu.Unlock()
-	for _, p := range ps {
-		p.close()
-		w.unregister(p)
+	for _, p := range pipes {
+		p.fail(cause)
 	}
 	for _, sp := range open {
 		sp.Fail(cause)
@@ -375,12 +384,13 @@ func (w *schedWriter) stopWorker() {
 // --- writesched.Substrate ---
 
 // AddBlock asks the namenode for the next block on the RPC worker. A
-// placement failure is wrapped in writesched.ErrNoTargets so the engine
+// placement failure (policy.ErrNoDatanodes, which reaches the client as
+// its message only) is wrapped in writesched.ErrNoTargets so the engine
 // can wait for a pipeline retirement and retry.
 func (w *schedWriter) AddBlock(idx int, exclude []string, prev block.Block) {
 	w.enqueueNN(func() {
 		resp, err := w.c.addBlock(w.path, w.mode, exclude, prev)
-		if err != nil && strings.Contains(err.Error(), "no available datanodes") {
+		if err != nil && strings.Contains(err.Error(), policy.ErrNoDatanodes.Error()) {
 			err = fmt.Errorf("%w: %v", writesched.ErrNoTargets, err)
 		}
 		w.eng.HandleAddBlock(idx, resp.Located, err)
@@ -392,19 +402,17 @@ func (w *schedWriter) AddBlock(idx int, exclude []string, prev block.Block) {
 // "recovery" trace span under the block span.
 func (w *schedWriter) RecoverBlock(idx, attempt int, blk block.Block, alive, exclude []string) {
 	if attempt == 1 {
-		w.recovered()
 		w.c.mRecoveries.Inc()
 		w.mu.Lock()
-		cause := w.lastCause[idx]
-		parent := w.spans[idx]
-		w.mu.Unlock()
-		span := w.c.obs.StartSpan("recovery", parent)
+		w.stats.Recoveries++
+		b := w.blocks[idx]
+		cause := b.lastCause
+		span := w.c.obs.StartSpan("recovery", b.span)
 		span.SetAttr("block", fmt.Sprint(blk))
 		if cause != nil {
 			span.SetAttr("cause", cause.Error())
 		}
-		w.mu.Lock()
-		w.recSpans[idx] = span
+		b.recSpan = span
 		w.mu.Unlock()
 		w.c.opts.Logf("client %s: recovering pipeline for %v: %v", w.c.opts.Name, blk, cause)
 	}
@@ -414,7 +422,7 @@ func (w *schedWriter) RecoverBlock(idx, attempt int, blk block.Block, alive, exc
 		})
 		if err == nil {
 			w.mu.Lock()
-			sp := w.recSpans[idx]
+			sp := w.blocks[idx].recSpan
 			w.mu.Unlock()
 			sp.Event("rebuilt", strings.Join(resp.Located.Names(), ">"))
 		}
@@ -448,22 +456,13 @@ func (w *schedWriter) Ready(idx int) {
 
 func (w *schedWriter) BlockCommitted(idx int) {
 	w.mu.Lock()
-	data := w.data[idx]
-	delete(w.data, idx)
-	sp := w.spans[idx]
-	delete(w.spans, idx)
-	rsp := w.recSpans[idx]
-	delete(w.recSpans, idx)
-	start, launched := w.launched[idx]
-	delete(w.launched, idx)
-	delete(w.lastCause, idx)
+	b := w.blocks[idx]
+	delete(w.blocks, idx)
 	w.mu.Unlock()
-	data.recycle()
-	if launched {
-		w.c.mBlockCommit.ObserveSince(start, w.c.clk.Now())
-	}
-	rsp.End()
-	sp.End()
+	b.staged.recycle()
+	w.c.mBlockCommit.ObserveSince(b.launched, w.c.clk.Now())
+	b.recSpan.End()
+	b.span.End()
 }
 
 func (w *schedWriter) FileDone(err error) {
@@ -474,97 +473,101 @@ func (w *schedWriter) FileDone(err error) {
 	w.mu.Unlock()
 }
 
-// StartPipeline launches block idx's pipeline I/O on its own goroutine.
-// The initial launch opens the block's trace span and stamps its launch
-// time; a recovery re-stream reuses them.
+// StartPipeline launches block idx's pipeline sender on its own
+// goroutine. The initial launch opens the block's trace span and stamps
+// its launch time; a recovery re-stream reuses them.
 func (w *schedWriter) StartPipeline(idx int, lb block.LocatedBlock, _ policy.Shape, restream bool) {
 	if !restream {
-		w.blockLaunched()
 		span := w.c.obs.StartSpan("block", w.span)
 		span.SetAttr("block", fmt.Sprint(lb.Block))
 		w.mu.Lock()
-		w.spans[idx] = span
-		w.launched[idx] = w.c.clk.Now()
+		w.stats.BlocksLaunched++
+		b := w.blocks[idx]
+		b.span = span
+		b.launched = w.c.clk.Now()
 		w.mu.Unlock()
 	}
 	go w.runPipeline(idx, lb, restream)
 }
 
-// runPipeline owns one pipeline attempt end to end: open, stream, FNFA
-// wait (initial SMARTH launches only), ack drain. Outcomes go to the
-// engine; the engine decides what happens next.
+// runPipeline is one pipeline attempt's sender: it opens the pipeline,
+// starts its ack reader, streams the block and returns. It never waits
+// on the pipeline: a write error fails it, and the ack reader reports.
 func (w *schedWriter) runPipeline(idx int, lb block.LocatedBlock, restream bool) {
 	w.mu.Lock()
-	staged := w.data[idx]
-	blockSpan := w.spans[idx]
-	parent := blockSpan
-	if restream {
-		if rsp := w.recSpans[idx]; rsp != nil {
-			parent = rsp
-		}
+	b := w.blocks[idx]
+	staged, parent := b.staged, b.span
+	if restream && b.recSpan != nil {
+		parent = b.recSpan
 	}
 	w.mu.Unlock()
-
-	fail := func(err error) {
-		w.mu.Lock()
-		w.lastCause[idx] = err
-		w.mu.Unlock()
-		blockSpan.Event("pipeline_failed", err.Error())
-		bad := -1
-		var pe *pipelineError
-		if errors.As(err, &pe) {
-			bad = pe.badIndex
-		}
-		w.eng.HandleFailed(idx, writesched.PipelineFailure{BadIndex: bad, Cause: err})
-	}
 
 	p, err := w.c.openPipeline(lb, w.mode, &w.opts, parent, lastSeqno(len(*staged.data), w.opts.PacketSize))
 	if err != nil {
-		fail(err)
+		w.failed(idx, err)
 		return
 	}
-	w.register(p)
-	start := w.c.clk.Now()
+	w.mu.Lock()
+	b.pipe = p
+	w.stats.PeakPipelines = max(w.stats.PeakPipelines, w.livePipes())
+	w.mu.Unlock()
+	go w.ackReader(idx, p, w.mode == proto.ModeSmarth && !restream)
 	if err := w.c.streamBlock(p, *staged.data, *staged.sums, w.opts.PacketSize); err != nil {
-		// Unblock the responder (it is reading acks from a dead conn).
-		p.close()
-		<-p.done
-		w.unregister(p)
-		fail(err)
-		return
+		p.fail(err)
 	}
-	if w.mode == proto.ModeSmarth && !restream {
-		if err := p.waitFNFA(w.c.clk, w.c.timeouts.FNFA); err != nil {
-			p.close()
-			w.unregister(p)
-			fail(err)
+	close(p.sent)
+}
+
+// ackReader is the pipeline's ack reader and the one place it resolves.
+// With fnfa set (an initial SMARTH launch) it reports the FNFA as soon as
+// that ack arrives; a last ack that comes first stands in for it. Once
+// the sender has returned — so a commit never recycles a staging buffer
+// a sender still writes from — it unregisters the pipeline and reports
+// the drain or the pipeline's first failure. It owns the pipeline span.
+func (w *schedWriter) ackReader(idx int, p *pipelineConn, fnfa bool) {
+	reportFNFA := func() {
+		if !fnfa {
 			return
 		}
-		w.c.mFNFA.ObserveSince(start, w.c.clk.Now())
+		fnfa = false
+		now := w.c.clk.Now()
+		w.c.mFNFA.ObserveSince(p.opened, now)
 		// The engine records the client→first-datanode speed (the
 		// measurement powering Algorithms 1 and 2) and heartbeats it.
-		w.eng.HandleFNFA(idx, w.c.clk.Now().Sub(start))
+		w.eng.HandleFNFA(idx, now.Sub(p.opened))
 	}
-	err = p.waitDone()
-	p.close()
-	w.unregister(p)
-	if err != nil {
-		fail(err)
+	err := p.readAcks(reportFNFA)
+	if err == nil {
+		reportFNFA()
+	}
+	p.fail(err) // closes the conn; after the last ack (err nil) nothing can fail it
+	<-p.sent
+	w.mu.Lock()
+	w.blocks[idx].pipe = nil
+	w.mu.Unlock()
+	if p.err != nil {
+		p.span.Fail(p.err)
+		p.span.End()
+		w.failed(idx, p.err)
 		return
 	}
+	p.span.End()
 	w.eng.HandleDrained(idx)
 }
 
-func (w *schedWriter) register(p *pipelineConn) {
+// failed records err as block idx's latest failure and reports it to the
+// engine with the pipeline position it blames.
+func (w *schedWriter) failed(idx int, err error) {
 	w.mu.Lock()
-	w.active[p] = true
-	n := len(w.active)
+	b := w.blocks[idx]
+	b.lastCause = err
+	span := b.span
 	w.mu.Unlock()
-	w.notePipelines(n)
-}
-
-func (w *schedWriter) unregister(p *pipelineConn) {
-	w.mu.Lock()
-	delete(w.active, p)
-	w.mu.Unlock()
+	span.Event("pipeline_failed", err.Error())
+	bad := -1
+	var pe *pipelineError
+	if errors.As(err, &pe) {
+		bad = pe.badIndex
+	}
+	w.eng.HandleFailed(idx, writesched.PipelineFailure{BadIndex: bad, Cause: err})
 }

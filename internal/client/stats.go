@@ -1,9 +1,6 @@
 package client
 
-import (
-	"sync"
-	"time"
-)
+import "time"
 
 // WriteStats reports a write's progress and diagnostics. Readable while
 // the write is in flight and after Close.
@@ -25,52 +22,6 @@ type WriteStats struct {
 	// Duration is the wall-clock (or injected-clock) time from writer
 	// creation until Close completed; zero while still open.
 	Duration time.Duration
-}
-
-// statsTracker keeps a write's WriteStats; schedWriter, the one writer
-// behind both modes, embeds it.
-type statsTracker struct {
-	statsMu sync.Mutex
-	stats   WriteStats
-}
-
-func (s *statsTracker) addBytes(n int) {
-	s.statsMu.Lock()
-	s.stats.BytesWritten += int64(n)
-	s.statsMu.Unlock()
-}
-
-func (s *statsTracker) blockLaunched() {
-	s.statsMu.Lock()
-	s.stats.BlocksLaunched++
-	s.statsMu.Unlock()
-}
-
-func (s *statsTracker) recovered() {
-	s.statsMu.Lock()
-	s.stats.Recoveries++
-	s.statsMu.Unlock()
-}
-
-func (s *statsTracker) notePipelines(active int) {
-	s.statsMu.Lock()
-	if active > s.stats.PeakPipelines {
-		s.stats.PeakPipelines = active
-	}
-	s.statsMu.Unlock()
-}
-
-func (s *statsTracker) setDuration(d time.Duration) {
-	s.statsMu.Lock()
-	s.stats.Duration = d
-	s.statsMu.Unlock()
-}
-
-// Stats returns a snapshot of the write's statistics.
-func (s *statsTracker) Stats() WriteStats {
-	s.statsMu.Lock()
-	defer s.statsMu.Unlock()
-	return s.stats
 }
 
 // Writer is the handle returned by CreateHDFS and CreateSmarth: a

@@ -14,11 +14,9 @@ type Timeouts struct {
 	// timeout, not a whole-block budget, so large blocks are fine as long
 	// as bytes keep moving; a replica or pipeline that accepts the
 	// connection and then goes silent trips recovery or failover instead
-	// of pinning the caller forever.
+	// of pinning the caller forever. SMARTH's wait for the FNFA is a run
+	// of ack reads, so it is bounded here too.
 	Progress time.Duration
-	// FNFA bounds the SMARTH wait for the First Node Finish Ack after the
-	// block is fully streamed.
-	FNFA time.Duration
 	// RPC bounds the namenode dial and each namenode RPC attempt (retries
 	// get a fresh budget).
 	RPC time.Duration
@@ -31,7 +29,6 @@ type Timeouts struct {
 func DefaultTimeouts() Timeouts {
 	return Timeouts{
 		Progress: 30 * time.Second,
-		FNFA:     60 * time.Second,
 		RPC:      15 * time.Second,
 	}
 }

@@ -17,7 +17,6 @@ import (
 func hangTimeouts() *client.Timeouts {
 	return &client.Timeouts{
 		Progress: 500 * time.Millisecond,
-		FNFA:     2 * time.Second,
 		RPC:      time.Second,
 	}
 }
@@ -201,7 +200,6 @@ func TestSmarthRecoversFromHungNamenode(t *testing.T) {
 		// their queued heartbeats are processed.
 		Expiry: 5 * time.Second,
 		ClientTimeouts: &client.Timeouts{
-			FNFA: 5 * time.Second,
 			// Generous: datanode blockReceived reports stall with the
 			// namenode, delaying acks; only RPC retries should fire here.
 			Progress: 2 * time.Second,
@@ -246,7 +244,6 @@ func TestCloseTearsDownPipelinesOnFailure(t *testing.T) {
 		DatanodeDataTimeout: 200 * time.Millisecond,
 		ClientTimeouts: &client.Timeouts{
 			Progress: 200 * time.Millisecond,
-			FNFA:     500 * time.Millisecond,
 			RPC:      500 * time.Millisecond,
 		},
 	})

@@ -37,7 +37,6 @@ func startReadFaultCluster(t *testing.T, cfg Config) (*Cluster, *faultnet.Networ
 	if cfg.ClientTimeouts == nil {
 		cfg.ClientTimeouts = &client.Timeouts{
 			Progress: 250 * time.Millisecond,
-			FNFA:     2 * time.Second,
 			RPC:      time.Second,
 		}
 	}

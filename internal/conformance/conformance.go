@@ -196,9 +196,11 @@ func RunSim(s Scenario) (string, error) {
 // RunLive replays the scenario on a real in-process cluster and returns
 // the engine's decision log. For fault scenarios the caller supplies the
 // victim (the first datanode of the failing block's pipeline, read from
-// the sim log): the client→victim link is blackholed mid-block so the
-// FNFA deadline expires and the engine blames pipeline position 0 — the
-// same node the sim's unknown-position sweep blames.
+// the sim log): the client→victim link is blackholed mid-block, so the
+// client's ack reader waits past the Progress bound for an ack that
+// cannot come; the timeout names no hop, and the engine blames the
+// first unsuspected one, pipeline position 0 — the same node the sim's
+// unknown-position sweep blames.
 func RunLive(s Scenario, victim string) (string, error) {
 	var fn *faultnet.Network
 	cfg := cluster.Config{
@@ -214,13 +216,11 @@ func RunLive(s Scenario, victim string) (string, error) {
 			fn = faultnet.Wrap(m, s.Seed)
 			return fn
 		}
-		// A short FNFA deadline detects the blackholed pipeline quickly;
-		// everything else stays generous so only the injected fault can
-		// trip, and the FNFA timer always fires before the ack-progress
-		// one (deadline order decides which error blames the pipeline).
+		// A short Progress bound detects the blackholed pipeline
+		// quickly; the RPC bound stays generous so only the injected
+		// fault can trip.
 		cfg.ClientTimeouts = &client.Timeouts{
-			Progress: 10 * time.Second,
-			FNFA:     time.Second,
+			Progress: time.Second,
 			RPC:      10 * time.Second,
 		}
 	}

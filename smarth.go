@@ -56,8 +56,8 @@ type ClientOptions = client.Options
 type WriteOptions = client.WriteOptions
 
 // Timeouts bound the blocking points of the write and read paths with
-// three fields: Progress (every step on a data connection), FNFA (the
-// SMARTH first-node-finish wait) and RPC (each namenode call attempt);
+// two fields: Progress (every step on a data connection, acks included)
+// and RPC (each namenode call attempt);
 // zero fields disable that bound. Set per client, via
 // ClientOptions.Timeouts.
 type Timeouts = client.Timeouts
