@@ -152,6 +152,9 @@ func TestReadFallsBackToSurvivingReplica(t *testing.T) {
 	cl, _ := c.NewClient("client")
 	data := randomData(27, 600<<10)
 	writeFile(t, cl, "/fallback-read", data, proto.ModeHDFS)
+	// Every holder reported first: a victim killed while the others'
+	// reports are still queued would leave the read nothing to fall back to.
+	waitReplication(t, c, "/fallback-read", 3)
 
 	// Kill one replica holder of the first block and read: the client
 	// must fall back to another replica.
@@ -222,6 +225,7 @@ func TestReReplicationAfterDatanodeDeath(t *testing.T) {
 	cl, _ := c.NewClient("client")
 	data := randomData(31, 1<<20) // 4 blocks at 256 KiB
 	writeFile(t, cl, "/rerepl", data, proto.ModeHDFS)
+	waitReplication(t, c, "/rerepl", 3)
 
 	// Find a replica holder and kill it.
 	victim := ""
@@ -333,13 +337,9 @@ func TestStreamingReadMidBlockFailover(t *testing.T) {
 
 	// Corrupt the replica on the datanode the namenode will offer FIRST
 	// to this client, late in the block (after several packets).
-	locs, err := c.NN.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: "/midblock", Client: "client"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	first := locs.Blocks[0].Targets[0].Name
-	ms := c.Datanode(first).Store().(*storage.MemStore)
-	if err := ms.Corrupt(locs.Blocks[0].Block.ID, opts.BlockSize-1000); err != nil {
+	lb := waitReplication(t, c, "/midblock", 3)[0]
+	ms := c.Datanode(lb.Targets[0].Name).Store().(*storage.MemStore)
+	if err := ms.Corrupt(lb.Block.ID, opts.BlockSize-1000); err != nil {
 		t.Fatal(err)
 	}
 

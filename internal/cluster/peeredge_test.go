@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/faultnet"
 	"repro/internal/nnapi"
 	"repro/internal/proto"
@@ -60,6 +61,30 @@ func waitFor(t *testing.T, limit time.Duration, what string, cond func() bool) {
 	}
 }
 
+// waitReplication waits until the namenode lists at least n replicas of
+// every block of path, and returns the blocks. A write completes at
+// minimal replication with the other hops' reports still queued, so a
+// test that picks or kills a holder right after a write waits here
+// first, as HDFS's DFSTestUtil.waitReplication has its tests do.
+func waitReplication(t *testing.T, c *Cluster, path string, n int) []block.LocatedBlock {
+	t.Helper()
+	var blocks []block.LocatedBlock
+	waitFor(t, 15*time.Second, fmt.Sprintf("%d replicas of every block of %s", n, path), func() bool {
+		locs, err := c.NN.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: path, Client: "client"})
+		if err != nil {
+			t.Fatal(err)
+		}
+		blocks = locs.Blocks
+		for _, lb := range blocks {
+			if len(lb.Targets) < n {
+				return false
+			}
+		}
+		return len(blocks) > 0
+	})
+	return blocks
+}
+
 // TestReReplicationKeepsStoredChecksums: a replica that rotted on its
 // datanode must not be laundered by re-replication. With replication 2
 // on three datanodes, one holder's bytes are corrupted and the other
@@ -92,6 +117,7 @@ func TestReReplicationKeepsStoredChecksums(t *testing.T) {
 	if err := w.Close(); err != nil {
 		t.Fatal(err)
 	}
+	waitReplication(t, c, "/rotten", 2)
 
 	var holders []string
 	spare := ""

@@ -13,7 +13,6 @@ import (
 	"repro/internal/checksum"
 	"repro/internal/client"
 	"repro/internal/faultnet"
-	"repro/internal/nnapi"
 	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/storage"
@@ -67,27 +66,13 @@ func readCounter(o *obs.Obs, name string) int64 {
 
 // firstReadTarget returns a file's first block and the replica the
 // namenode offers this client first — the one every read tries before
-// failing over. A write completes once one replica is reported; the other
-// datanodes' blockReceived reports trail it (by a lot on a loaded
-// machine), and each one can change which replica is offered first, or
-// leave the read nothing to fail over to. So this waits until all three
-// are listed.
+// failing over — once all three replicas are listed: each trailing
+// blockReceived report can change which replica is offered first, or
+// leave the read nothing to fail over to.
 func firstReadTarget(t *testing.T, c *Cluster, path string) (block.LocatedBlock, string) {
 	t.Helper()
-	deadline := time.Now().Add(15 * time.Second)
-	for {
-		locs, err := c.NN.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: path, Client: "client"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(locs.Blocks) > 0 && len(locs.Blocks[0].Targets) == 3 {
-			return locs.Blocks[0], locs.Blocks[0].Targets[0].Name
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: namenode never listed three replicas of the first block: %+v", path, locs.Blocks)
-		}
-		time.Sleep(5 * time.Millisecond)
-	}
+	lb := waitReplication(t, c, path, 3)[0]
+	return lb, lb.Targets[0].Name
 }
 
 // readAllGuarded reads the whole file under a wall-clock watchdog — the

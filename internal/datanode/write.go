@@ -60,7 +60,8 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 
 	// A setup whose chain failed is refused without touching the store: by
 	// the time a mirror dial times out, the client's recovery pipeline may
-	// already be writing this block's next generation here.
+	// already be writing this block's next generation here. A stale header
+	// that gets through anyway meets the store's fence (storage.ErrStale).
 	var w storage.BlockWriter
 	if err == nil {
 		if w, err = dn.opts.Store.Create(hdr.Block, true); err != nil {

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"io"
 	"runtime"
 	"strings"
 	"sync"
@@ -397,6 +398,64 @@ func TestLastAckFollowsCommit(t *testing.T) {
 				case ack.Seqno == last:
 					t.Fatalf("hop %d acked the last packet, then failed to commit it: %+v", tc.bad, ack)
 				}
+			}
+		})
+	}
+}
+
+// TestStaleGenerationRefusedAtSetup: a tail datanode that holds a block
+// finalized at generation 3 is sent a generation-2 write header — a
+// superseded pipeline's forwarder, wedged and then resumed. It must
+// refuse the setup, and its gen-3 replica must outlive the stale stream.
+func TestStaleGenerationRefusedAtSetup(t *testing.T) {
+	for _, kind := range []string{"mem", "disk"} {
+		t.Run(kind, func(t *testing.T) {
+			c := startChain(t, 1, kind)
+			data := randomBytes(6, 3*checksum.DefaultChunkSize+100)
+			pkts := packetsOf(data, checksum.DefaultChunkSize)
+			pc := c.open(t, block.Block{ID: 1, Gen: 3}, 0, nil)
+			for i := range pkts {
+				if err := pc.WritePacket(&pkts[i]); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for last := pkts[len(pkts)-1].Seqno; ; {
+				ack, err := pc.ReadAck()
+				if err != nil || !ack.OK() {
+					t.Fatalf("gen 3: ack %+v, %v", ack, err)
+				}
+				if ack.Seqno == last {
+					break
+				}
+			}
+			pc.Close()
+
+			conn, err := c.net.Dial("client", "dn1")
+			if err != nil {
+				t.Fatal(err)
+			}
+			stale := proto.NewConn(conn)
+			hdr := &proto.WriteBlockHeader{Block: block.Block{ID: 1, Gen: 2}, Client: "client", Mode: proto.ModeHDFS}
+			if err := stale.WriteHeader(proto.OpWriteBlock, hdr); err != nil {
+				t.Fatal(err)
+			}
+			if setup, err := stale.ReadAck(); err == nil && setup.OK() {
+				t.Errorf("a gen-2 setup over a finalized gen-3 replica was acked: %+v", setup)
+			}
+			stale.Close() // the stale stream ends
+			c.stop()      // every handler has unwound
+
+			r, n, err := c.stores[0].Open(1)
+			if err != nil {
+				t.Fatalf("the gen-3 replica is gone after the stale stream: %v", err)
+			}
+			got, err := io.ReadAll(r)
+			r.Close()
+			if err != nil || n != int64(len(data)) || !bytes.Equal(got, data) {
+				t.Fatalf("the gen-3 replica reads back %d of %d bytes (%v), or other bytes", len(got), n, err)
+			}
+			if info, _ := c.stores[0].Info(1); info.Block.Gen != 3 {
+				t.Fatalf("the store holds %+v, want generation 3", info)
 			}
 		})
 	}

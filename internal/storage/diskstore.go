@@ -5,10 +5,8 @@ import (
 	"io"
 	"os"
 	"path/filepath"
-	"sort"
 	"strconv"
 	"strings"
-	"sync"
 
 	"repro/internal/block"
 	"repro/internal/bufpool"
@@ -24,16 +22,16 @@ import (
 // Writes are not fsynced; durability across host crashes is out of scope
 // for the reproduction (the paper's experiments never power-fail nodes).
 type DiskStore struct {
-	mu  sync.Mutex
+	index[*diskReplica]
 	dir string
-	// index maps block ID to the replica's file name and state.
-	index map[block.ID]*diskReplica
 }
 
 type diskReplica struct {
 	info ReplicaInfo
 	path string // data file path
 }
+
+func (r *diskReplica) meta() *ReplicaInfo { return &r.info }
 
 // NewDiskStore opens (or creates) a store rooted at dir and indexes any
 // finalized blocks already present. Stale temp replicas are discarded,
@@ -42,7 +40,7 @@ type diskReplica struct {
 // no data read): it could never be served, and left out of Blocks the
 // namenode re-replicates it from a good copy.
 func NewDiskStore(dir string) (*DiskStore, error) {
-	s := &DiskStore{dir: dir, index: make(map[block.ID]*diskReplica)}
+	s := &DiskStore{index: index[*diskReplica]{reps: map[block.ID]*diskReplica{}}, dir: dir}
 	for _, sub := range []string{"tmp", "cur"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, err
@@ -85,7 +83,7 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 			continue
 		}
 		b.NumBytes = fi.Size()
-		s.index[b.ID] = &diskReplica{
+		s.reps[b.ID] = &diskReplica{
 			info: ReplicaInfo{Block: b, State: Finalized, Len: fi.Size()},
 			path: path,
 		}
@@ -179,14 +177,17 @@ func (w *diskWriter) Commit() error {
 	if err := w.writable(); err != nil {
 		return err
 	}
+	w.store.mu.Lock()
+	defer w.store.mu.Unlock()
+	if err := w.store.ours(w.rep); err != nil {
+		return err
+	}
 	if err := w.f.Close(); err != nil {
 		return err
 	}
 	w.committed = true
 	w.sums.finish()
 	defer w.sums.release()
-	w.store.mu.Lock()
-	defer w.store.mu.Unlock()
 	final := filepath.Join(w.store.dir, "cur", blockFileName(w.rep.info.Block))
 	if err := os.Rename(w.rep.path, final); err != nil {
 		return err
@@ -216,36 +217,33 @@ func (w *diskWriter) Close() error {
 	w.sums.release()
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
-	if cur, ok := w.store.index[w.rep.info.Block.ID]; ok && cur == w.rep {
-		delete(w.store.index, w.rep.info.Block.ID)
+	if w.store.ours(w.rep) != nil {
+		return nil // displaced or deleted: its file went then
 	}
+	delete(w.store.reps, w.rep.info.Block.ID)
 	return os.Remove(w.rep.path)
 }
 
 // Create implements Store.
 func (s *DiskStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
-	s.mu.Lock()
-	if old, exists := s.index[b.ID]; exists {
-		if !overwrite {
-			s.mu.Unlock()
-			return nil, fmt.Errorf("%w: %v", ErrExists, b)
-		}
-		os.Remove(old.path)
-		os.Remove(old.path + ".meta")
-		delete(s.index, b.ID)
-	}
 	rep := &diskReplica{
 		info: ReplicaInfo{Block: b, State: Temp},
 		path: filepath.Join(s.dir, "tmp", blockFileName(b)),
 	}
-	s.index[b.ID] = rep
-	s.mu.Unlock()
-
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	old, err := s.admit(rep, overwrite)
+	if err != nil {
+		return nil, err
+	}
+	if old != nil {
+		// Unlinked first: a writer displaced at this generation keeps its file.
+		os.Remove(old.path)
+		os.Remove(old.path + ".meta")
+	}
 	f, err := os.Create(rep.path)
 	if err != nil {
-		s.mu.Lock()
-		delete(s.index, b.ID)
-		s.mu.Unlock()
+		delete(s.reps, b.ID)
 		return nil, err
 	}
 	return &diskWriter{store: s, rep: rep, f: f}, nil
@@ -256,14 +254,10 @@ func (s *DiskStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
 // checksum per chunk of the block file.
 func (s *DiskStore) Open(id block.ID) (Replica, int64, error) {
 	s.mu.Lock()
-	rep, ok := s.index[id]
-	if !ok {
+	rep, err := s.finalized(id)
+	if err != nil {
 		s.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: blk_%d", ErrNotFound, id)
-	}
-	if rep.info.State != Finalized {
-		s.mu.Unlock()
-		return nil, 0, fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
+		return nil, 0, err
 	}
 	path, length := rep.path, rep.info.Len
 	s.mu.Unlock()
@@ -342,53 +336,17 @@ func (s *DiskStore) Sums(id block.ID) ([]uint32, error) {
 	return checksum.Decode(r.RawSums())
 }
 
-// Info implements Store.
-func (s *DiskStore) Info(id block.ID) (ReplicaInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep, ok := s.index[id]
-	if !ok {
-		return ReplicaInfo{}, fmt.Errorf("%w: blk_%d", ErrNotFound, id)
-	}
-	return rep.info, nil
-}
-
 // Delete implements Store.
 func (s *DiskStore) Delete(id block.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, ok := s.index[id]
-	if !ok {
-		return fmt.Errorf("%w: blk_%d", ErrNotFound, id)
+	rep, err := s.get(id)
+	if err != nil {
+		return err
 	}
-	delete(s.index, id)
+	delete(s.reps, id)
 	os.Remove(rep.path + ".meta")
 	return os.Remove(rep.path)
-}
-
-// Blocks implements Store.
-func (s *DiskStore) Blocks() []ReplicaInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ReplicaInfo, 0, len(s.index))
-	for _, rep := range s.index {
-		if rep.info.State == Finalized {
-			out = append(out, rep.info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Block.ID < out[j].Block.ID })
-	return out
-}
-
-// UsedBytes implements Store.
-func (s *DiskStore) UsedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
-	for _, rep := range s.index {
-		total += rep.info.Len
-	}
-	return total
 }
 
 // VerifyBlock re-reads a finalized replica and checks it against its

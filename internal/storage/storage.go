@@ -12,8 +12,12 @@
 //
 // Recovery model: when a pipeline fails, the client re-streams the whole
 // interrupted block under a bumped generation stamp (see Algorithm 3/4 in
-// the paper and DESIGN.md), so stores support overwriting temporary
-// replicas rather than appending to them.
+// the paper and DESIGN.md). Both stores fence replicas by generation, as
+// HDFS does: Create at generation g displaces a temporary replica at or
+// below g or a finalized one below g, and is refused with ErrStale by one
+// above g or finalized at g; a writer whose replica was displaced or
+// deleted can no longer commit (ErrStale), and its abort leaves alone
+// the replica that displaced it.
 package storage
 
 import (
@@ -21,8 +25,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"sort"
-	"sync"
 	"time"
 
 	"repro/internal/block"
@@ -41,6 +43,9 @@ var (
 	// ErrCorrupt refuses a finalized replica whose stored checksums do not
 	// cover exactly its bytes (a DiskStore .meta file of the wrong length).
 	ErrCorrupt = errors.New("storage: replica checksums do not cover its bytes")
+	// ErrStale refuses a Create the generation fence (package doc) keeps
+	// out, and the Commit of a writer whose replica was displaced.
+	ErrStale = errors.New("storage: stale generation")
 )
 
 // State of a replica.
@@ -125,9 +130,9 @@ type Replica interface {
 
 // Store is the interface datanodes program against.
 type Store interface {
-	// Create opens a writer for a new temporary replica. If overwrite is
-	// set, an existing replica with the same ID (any state) is discarded
-	// first — the pipeline-recovery path.
+	// Create opens a writer for a new temporary replica. Without
+	// overwrite any replica with the same ID refuses it (ErrExists); with
+	// it the generation fence decides — the pipeline-recovery path.
 	Create(b block.Block, overwrite bool) (BlockWriter, error)
 	// Open returns a finalized replica, with its checksums, and its
 	// length. A replica whose stored checksums do not cover exactly that
@@ -254,6 +259,8 @@ type memReplica struct {
 	pins int     // open readers, running scrubs, the unclosed writer; guarded by MemStore.mu
 }
 
+func (r *memReplica) meta() *ReplicaInfo { return &r.info }
+
 // rawSums is the replica's checksums in wire form (none for an empty one).
 func (r *memReplica) rawSums() []byte {
 	if r.sums == nil {
@@ -274,21 +281,16 @@ func (r *memReplica) recycle() {
 // write latency proportional to the bytes written — the paper's T_w knob
 // (checksum verification + local disk write time per packet).
 type MemStore struct {
-	mu sync.Mutex
+	index[*memReplica]
 	// Clk is the time source used for write-delay injection.
 	Clk clock.Clock
 	// PerByteDelay charges this much latency per byte written.
 	PerByteDelay time.Duration
-
-	replicas map[block.ID]*memReplica
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{
-		Clk:      clock.System,
-		replicas: make(map[block.ID]*memReplica),
-	}
+	return &MemStore{index: index[*memReplica]{reps: map[block.ID]*memReplica{}}, Clk: clock.System}
 }
 
 type memWriter struct {
@@ -400,10 +402,13 @@ func (w *memWriter) Commit() error {
 	if w.closed || w.committed {
 		return ErrCommitted
 	}
-	w.committed = true
-	w.sums.finish()
 	w.store.mu.Lock()
 	defer w.store.mu.Unlock()
+	if err := w.store.ours(w.rep); err != nil {
+		return err
+	}
+	w.committed = true
+	w.sums.finish()
 	w.rep.info.State = Finalized
 	w.rep.info.Block.NumBytes = w.rep.info.Len
 	w.rep.sums, w.sums.raw = w.sums.raw, nil
@@ -424,8 +429,8 @@ func (w *memWriter) Close() error {
 	// Abort: discard the temp replica if it is still ours. The buffers are
 	// ours either way, and nobody else can see them: a temp replica has
 	// no readers, and whoever borrowed from Lend is done by Close.
-	if cur, ok := w.store.replicas[w.rep.info.Block.ID]; ok && cur == w.rep {
-		delete(w.store.replicas, w.rep.info.Block.ID)
+	if w.store.ours(w.rep) == nil {
+		delete(w.store.reps, w.rep.info.Block.ID)
 	}
 	w.rep.sums, w.sums.raw = w.sums.raw, nil
 	w.rep.recycle()
@@ -434,13 +439,12 @@ func (w *memWriter) Close() error {
 
 // Create implements Store.
 func (s *MemStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
+	rep := &memReplica{info: ReplicaInfo{Block: b, State: Temp}, pins: 1} // the writer's, until its Close
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, exists := s.replicas[b.ID]; exists && !overwrite {
-		return nil, fmt.Errorf("%w: %v", ErrExists, b)
+	if _, err := s.admit(rep, overwrite); err != nil {
+		return nil, err
 	}
-	rep := &memReplica{info: ReplicaInfo{Block: b, State: Temp}, pins: 1} // the writer's, until its Close
-	s.replicas[b.ID] = rep
 	return &memWriter{store: s, rep: rep}, nil
 }
 
@@ -450,12 +454,9 @@ func (s *MemStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
 func (s *MemStore) Open(id block.ID) (Replica, int64, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, ok := s.replicas[id]
-	if !ok {
-		return nil, 0, fmt.Errorf("%w: blk_%d", ErrNotFound, id)
-	}
-	if rep.info.State != Finalized {
-		return nil, 0, fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
+	rep, err := s.finalized(id)
+	if err != nil {
+		return nil, 0, err
 	}
 	rep.pins++
 	r := &memReader{store: s, rep: rep, sums: rep.rawSums()}
@@ -486,55 +487,19 @@ func (r *memReader) Close() error {
 	return nil
 }
 
-// Info implements Store.
-func (s *MemStore) Info(id block.ID) (ReplicaInfo, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	rep, ok := s.replicas[id]
-	if !ok {
-		return ReplicaInfo{}, fmt.Errorf("%w: blk_%d", ErrNotFound, id)
-	}
-	return rep.info, nil
-}
-
 // Delete implements Store.
 func (s *MemStore) Delete(id block.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, ok := s.replicas[id]
-	if !ok {
-		return fmt.Errorf("%w: blk_%d", ErrNotFound, id)
+	rep, err := s.get(id)
+	if err != nil {
+		return err
 	}
-	delete(s.replicas, id)
+	delete(s.reps, id)
 	if rep.info.State == Finalized && rep.pins == 0 {
 		rep.recycle()
 	}
 	return nil
-}
-
-// Blocks implements Store.
-func (s *MemStore) Blocks() []ReplicaInfo {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make([]ReplicaInfo, 0, len(s.replicas))
-	for _, rep := range s.replicas {
-		if rep.info.State == Finalized {
-			out = append(out, rep.info)
-		}
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Block.ID < out[j].Block.ID })
-	return out
-}
-
-// UsedBytes implements Store.
-func (s *MemStore) UsedBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var total int64
-	for _, rep := range s.replicas {
-		total += rep.info.Len
-	}
-	return total
 }
 
 // VerifyBlock re-checksums a finalized replica against the sums captured
@@ -582,8 +547,8 @@ func verify(s Store, id block.ID) error {
 func (s *MemStore) Truncate(id block.ID, n int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, ok := s.replicas[id]
-	if !ok || n < 0 || int64(len(rep.data)) < n {
+	rep, err := s.get(id)
+	if err != nil || n < 0 || int64(len(rep.data)) < n {
 		return fmt.Errorf("%w: blk_%d", ErrNotFound, id)
 	}
 	rep.data = rep.data[:n]
@@ -594,8 +559,8 @@ func (s *MemStore) Truncate(id block.ID, n int64) error {
 func (s *MemStore) Corrupt(id block.ID, offset int64) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	rep, ok := s.replicas[id]
-	if !ok || int64(len(rep.data)) <= offset {
+	rep, err := s.get(id)
+	if err != nil || int64(len(rep.data)) <= offset {
 		return fmt.Errorf("%w: blk_%d", ErrNotFound, id)
 	}
 	rep.data[offset] ^= 0xff

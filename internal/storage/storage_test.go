@@ -102,34 +102,73 @@ func TestAbortDiscards(t *testing.T) {
 	}
 }
 
+// TestDuplicateCreate: without overwrite any replica refuses a Create;
+// with it the generation fence decides. What recovery committed, or is
+// writing, never gives way to an older generation, and a finalized
+// replica not to its own.
 func TestDuplicateCreate(t *testing.T) {
-	for name, s := range stores(t) {
+	cases := []struct {
+		name      string
+		held      block.GenStamp // blk_4's generation already in the store
+		finalized bool
+		gen       block.GenStamp // the Create's
+		overwrite bool
+		want      error // nil: the Create displaces the held replica
+	}{
+		{"no overwrite", 1, true, 1, false, ErrExists},
+		{"recovery over a finalized replica", 1, true, 2, true, nil},
+		{"recovery over a temp replica", 1, false, 2, true, nil},
+		{"same generation over a temp replica", 2, false, 2, true, nil},
+		{"stale over a finalized replica", 3, true, 2, true, ErrStale},
+		{"same generation over a finalized replica", 2, true, 2, true, ErrStale},
+		{"stale over a temp replica", 3, false, 2, true, ErrStale},
+	}
+	for _, name := range []string{"mem", "disk"} {
 		t.Run(name, func(t *testing.T) {
-			writeBlock(t, s, block.Block{ID: 4, Gen: 1}, []byte("v1"))
-			if _, err := s.Create(block.Block{ID: 4, Gen: 1}, false); !errors.Is(err, ErrExists) {
-				t.Fatalf("duplicate create err = %v, want ErrExists", err)
-			}
-			// Overwrite path (pipeline recovery re-streams the block).
-			w, err := s.Create(block.Block{ID: 4, Gen: 2}, true)
-			if err != nil {
-				t.Fatal(err)
-			}
-			w.Write([]byte("v2-longer"))
-			if err := w.Commit(); err != nil {
-				t.Fatal(err)
-			}
-			w.Close()
-			r, n, err := s.Open(4)
-			if err != nil {
-				t.Fatal(err)
-			}
-			defer r.Close()
-			got, _ := io.ReadAll(r)
-			if string(got) != "v2-longer" || n != 9 {
-				t.Fatalf("after overwrite: %q len %d", got, n)
-			}
-			if info, _ := s.Info(4); info.Block.Gen != 2 {
-				t.Fatalf("gen = %d, want 2", info.Block.Gen)
+			for _, tc := range cases {
+				t.Run(tc.name, func(t *testing.T) {
+					s := stores(t)[name]
+					old, err := s.Create(block.Block{ID: 4, Gen: tc.held}, false)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer old.Close()
+					old.Write([]byte("v1"))
+					if tc.finalized {
+						if err := old.Commit(); err != nil {
+							t.Fatal(err)
+						}
+					}
+					w, err := s.Create(block.Block{ID: 4, Gen: tc.gen}, tc.overwrite)
+					if !errors.Is(err, tc.want) {
+						t.Fatalf("Create(gen %d) over gen %d = %v, want %v", tc.gen, tc.held, err, tc.want)
+					}
+					if err != nil {
+						if info, err := s.Info(4); err != nil || info.Block.Gen != tc.held || (info.State == Finalized) != tc.finalized {
+							t.Fatalf("after the refusal the store holds %+v (%v), want the gen-%d replica as it was", info, err, tc.held)
+						}
+						return
+					}
+					// Overwrite path (pipeline recovery re-streams the block).
+					w.Write([]byte("v2-longer"))
+					if err := w.Commit(); err != nil {
+						t.Fatal(err)
+					}
+					w.Close()
+					old.Close() // the displaced writer's abort leaves the new replica alone
+					r, n, err := s.Open(4)
+					if err != nil {
+						t.Fatal(err)
+					}
+					defer r.Close()
+					got, _ := io.ReadAll(r)
+					if string(got) != "v2-longer" || n != 9 {
+						t.Fatalf("after overwrite: %q len %d", got, n)
+					}
+					if info, _ := s.Info(4); info.Block.Gen != tc.gen {
+						t.Fatalf("gen = %d, want %d", info.Block.Gen, tc.gen)
+					}
+				})
 			}
 		})
 	}
