@@ -56,9 +56,10 @@ type pipeBuf struct {
 	// armed deadline, so the happy path spawns nothing.
 	rWaker bool
 	wWaker bool
-	// done closes on the first CloseWrite, CloseRead or Break. After any
-	// of them no operation blocks on the buffer again, so a sleeping
-	// waker exits at once instead of sleeping out its deadline.
+	// done closes on the first CloseWrite, CloseRead or Break, after which
+	// no operation blocks on the buffer again: a sleeping waker exits at
+	// once and stops its timer, which would otherwise stay pending until
+	// the deadline.
 	done chan struct{}
 }
 
@@ -94,30 +95,27 @@ func (b *pipeBuf) SetWriteDeadline(t time.Time) {
 }
 
 // waker sleeps until *deadline and wakes cond's waiters. It re-sleeps
-// if the deadline moved, and exits once no deadline is armed or the
-// stream ended. Runs while *running is true; must be started with it
-// set. (deadline, running, cond) are the read or the write triple.
+// if the deadline moved; once no deadline is armed or the stream ended,
+// it wakes them too and exits. Runs while *running is true; must be
+// started with it set. (deadline, running, cond) are the read or the
+// write triple.
 func (b *pipeBuf) waker(deadline *time.Time, running *bool, cond *sync.Cond) {
 	for {
 		b.mu.Lock()
-		d := *deadline
-		if d.IsZero() || b.closed || b.rclosed || b.broken {
-			*running = false
-			b.mu.Unlock()
-			return
-		}
-		now := b.clk.Now()
-		if !now.Before(d) {
+		d, now := *deadline, b.clk.Now()
+		if d.IsZero() || b.closed || b.rclosed || b.broken || !now.Before(d) {
 			*running = false
 			cond.Broadcast()
 			b.mu.Unlock()
 			return
 		}
 		b.mu.Unlock()
+		t := clock.NewTimer(b.clk, d.Sub(now))
 		select {
-		case <-b.clk.After(d.Sub(now)):
+		case <-t.C:
 		case <-b.done:
 		}
+		t.Stop()
 	}
 }
 

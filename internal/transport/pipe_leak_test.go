@@ -80,6 +80,49 @@ func TestPipeBufCloseReleasesWakers(t *testing.T) {
 	}
 }
 
+// A waker that exits because its pipe ended must stop its timer: on the
+// system clock a timer left armed stays pending, with its channel, for
+// the rest of the deadline, and a pipeline opens pipes for every block.
+// So a read blocked under an hour-long deadline may cost the waker's
+// goroutine over a plain blocked read, and no timer.
+func TestPipeBufWakerRecyclesTimer(t *testing.T) {
+	if raceEnabled {
+		t.Skip("sync.Pool drops puts at random under -race")
+	}
+	buf := make([]byte, 1)
+	waking := func(b *pipeBuf) bool {
+		b.mu.Lock()
+		defer b.mu.Unlock()
+		return b.rWaker
+	}
+	blockedRead := func(deadline bool) func() {
+		return func() {
+			b := newPipeBuf(16, clock.System)
+			if deadline {
+				b.SetReadDeadline(time.Now().Add(time.Hour))
+			}
+			done := make(chan struct{})
+			go func() {
+				b.Read(buf)
+				close(done)
+			}()
+			for deadline && !waking(b) {
+				runtime.Gosched()
+			}
+			b.CloseWrite()
+			<-done
+			for waking(b) {
+				runtime.Gosched()
+			}
+		}
+	}
+	plain := testing.AllocsPerRun(100, blockedRead(false))
+	armed := testing.AllocsPerRun(100, blockedRead(true))
+	if armed-plain >= 2 {
+		t.Fatalf("a read blocked under a deadline allocates %v, a plain one %v: the waker buys a timer per sleep", armed, plain)
+	}
+}
+
 // settledGoroutines returns the goroutine count once it has held still
 // for 20 ms (or a second has passed): a goroutine of the previous test or
 // subtest that is still exiting when the count is sampled once makes the
