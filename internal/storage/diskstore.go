@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"strconv"
 	"strings"
+	"syscall"
 
 	"repro/internal/block"
 	"repro/internal/bufpool"
@@ -18,17 +19,31 @@ import (
 //	<dir>/tmp/blk_<id>_<gen>        temporary replicas
 //	<dir>/cur/blk_<id>_<gen>        finalized block files
 //	<dir>/cur/blk_<id>_<gen>.meta   per-chunk CRC32C checksums, in wire form
+//	<dir>/free/<k>                  deleted block files kept for reuse
+//
+// A deleted block's file is the store's to recycle under the package
+// doc's rule: Delete moves it to free/ and the next Create overwrites it
+// from offset 0, so a new replica writes over pages the kernel already
+// holds instead of allocating them while the old ones are freed.
 //
 // Writes are not fsynced; durability across host crashes is out of scope
 // for the reproduction (the paper's experiments never power-fail nodes).
 type DiskStore struct {
 	index[*diskReplica]
-	dir string
+	tmp, cur string            // the tmp/ and cur/ directories, separator included
+	free     [freeFiles]string // the pool's slot paths
+	nfree    int               // free[:nfree] hold recycled files; guarded by mu
 }
+
+// freeFiles bounds the pool of recycled block files. Eight holds a
+// datanode's share of one 64 MB upload in 8 MB blocks, which is what
+// tcp_write_r3 deletes between uploads.
+const freeFiles = 8
 
 type diskReplica struct {
 	info ReplicaInfo
 	path string // data file path
+	pins int    // open readers; guarded by DiskStore.mu
 }
 
 func (r *diskReplica) meta() *ReplicaInfo { return &r.info }
@@ -38,30 +53,43 @@ func (r *diskReplica) meta() *ReplicaInfo { return &r.info }
 // matching datanode restart behaviour, and so is a finalized replica
 // whose .meta is missing or not exactly one checksum per chunk (a stat,
 // no data read): it could never be served, and left out of Blocks the
-// namenode re-replicates it from a good copy.
+// namenode re-replicates it from a good copy. A .meta whose block file
+// is missing (a crash inside Commit) and the recycled files go too.
 func NewDiskStore(dir string) (*DiskStore, error) {
-	s := &DiskStore{index: index[*diskReplica]{reps: map[block.ID]*diskReplica{}}, dir: dir}
-	for _, sub := range []string{"tmp", "cur"} {
+	s := &DiskStore{
+		index: index[*diskReplica]{reps: map[block.ID]*diskReplica{}},
+		tmp:   filepath.Join(dir, "tmp") + string(filepath.Separator),
+		cur:   filepath.Join(dir, "cur") + string(filepath.Separator),
+	}
+	for k := range s.free {
+		s.free[k] = filepath.Join(dir, "free", strconv.Itoa(k))
+	}
+	for _, sub := range []string{"tmp", "cur", "free"} {
 		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, err
 		}
 	}
-	// Drop leftovers from a previous crash.
-	tmpEntries, err := os.ReadDir(filepath.Join(dir, "tmp"))
-	if err != nil {
-		return nil, err
-	}
-	for _, e := range tmpEntries {
-		_ = os.Remove(filepath.Join(dir, "tmp", e.Name()))
+	// Drop leftovers from a previous run.
+	for _, sub := range []string{"tmp", "free"} {
+		entries, err := os.ReadDir(filepath.Join(dir, sub))
+		if err != nil {
+			return nil, err
+		}
+		for _, e := range entries {
+			_ = os.Remove(filepath.Join(dir, sub, e.Name()))
+		}
 	}
 	// Re-index finalized blocks.
-	curEntries, err := os.ReadDir(filepath.Join(dir, "cur"))
+	curEntries, err := os.ReadDir(s.cur)
 	if err != nil {
 		return nil, err
 	}
 	for _, e := range curEntries {
 		name := e.Name()
-		if strings.HasSuffix(name, ".meta") {
+		if data, ok := strings.CutSuffix(name, ".meta"); ok {
+			if _, err := os.Stat(s.cur + data); os.IsNotExist(err) {
+				_ = os.Remove(s.cur + name)
+			}
 			continue
 		}
 		b, ok := parseBlockFileName(name)
@@ -72,7 +100,7 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 		if err != nil {
 			continue
 		}
-		path := filepath.Join(dir, "cur", name)
+		path := s.cur + name
 		mi, err := os.Stat(path + ".meta")
 		if err != nil && !os.IsNotExist(err) {
 			return nil, err
@@ -91,8 +119,11 @@ func NewDiskStore(dir string) (*DiskStore, error) {
 	return s, nil
 }
 
-func blockFileName(b block.Block) string {
-	return fmt.Sprintf("blk_%d_%d", b.ID, b.Gen)
+// blockPath is dir + blk_<id>_<gen>, for a dir that ends in a separator.
+func blockPath(dir string, b block.Block) string {
+	var buf [128]byte
+	p := strconv.AppendInt(append(append(buf[:0], dir...), "blk_"...), int64(b.ID), 10)
+	return string(strconv.AppendUint(append(p, '_'), uint64(b.Gen), 10))
 }
 
 func parseBlockFileName(name string) (block.Block, bool) {
@@ -182,21 +213,29 @@ func (w *diskWriter) Commit() error {
 	if err := w.store.ours(w.rep); err != nil {
 		return err
 	}
+	// A recycled file may run on past the replica's bytes.
+	if err := w.f.Truncate(w.rep.info.Len); err != nil {
+		return err
+	}
 	if err := w.f.Close(); err != nil {
 		return err
 	}
 	w.committed = true
 	w.sums.finish()
 	defer w.sums.release()
-	final := filepath.Join(w.store.dir, "cur", blockFileName(w.rep.info.Block))
-	if err := os.Rename(w.rep.path, final); err != nil {
-		return err
-	}
 	var meta []byte
 	if w.sums.raw != nil {
 		meta = *w.sums.raw
 	}
-	if err := os.WriteFile(final+".meta", meta, 0o644); err != nil {
+	// The .meta lands first: a crash between the two leaves an orphan
+	// .meta, which boot removes, never a finalized block without one.
+	final := blockPath(w.store.cur, w.rep.info.Block)
+	err := os.WriteFile(final+".meta", meta, 0o644)
+	if err == nil {
+		err = syscall.Rename(w.rep.path, final)
+	}
+	if err != nil {
+		os.Remove(final + ".meta")
 		return err
 	}
 	w.rep.path = final
@@ -228,7 +267,7 @@ func (w *diskWriter) Close() error {
 func (s *DiskStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
 	rep := &diskReplica{
 		info: ReplicaInfo{Block: b, State: Temp},
-		path: filepath.Join(s.dir, "tmp", blockFileName(b)),
+		path: blockPath(s.tmp, b),
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -241,7 +280,7 @@ func (s *DiskStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
 		os.Remove(old.path)
 		os.Remove(old.path + ".meta")
 	}
-	f, err := os.Create(rep.path)
+	f, err := s.newFile(rep.path)
 	if err != nil {
 		delete(s.reps, b.ID)
 		return nil, err
@@ -249,9 +288,23 @@ func (s *DiskStore) Create(b block.Block, overwrite bool) (BlockWriter, error) {
 	return &diskWriter{store: s, rep: rep, f: f}, nil
 }
 
+// newFile creates a temp replica's file at path: the last file recycled,
+// to be written over from offset 0, if the pool holds one. Caller holds
+// mu.
+func (s *DiskStore) newFile(path string) (*os.File, error) {
+	if s.nfree > 0 {
+		s.nfree--
+		if syscall.Rename(s.free[s.nfree], path) == nil {
+			return os.OpenFile(path, os.O_WRONLY, 0)
+		}
+	}
+	return os.Create(path)
+}
+
 // Open implements Store: the .meta file is read once, into a pooled
 // buffer the returned reader holds until Close, and must be exactly one
-// checksum per chunk of the block file.
+// checksum per chunk of the block file. The reader pins the replica, so
+// a Delete before its Close unlinks the file rather than recycling it.
 func (s *DiskStore) Open(id block.ID) (Replica, int64, error) {
 	s.mu.Lock()
 	rep, err := s.finalized(id)
@@ -259,18 +312,27 @@ func (s *DiskStore) Open(id block.ID) (Replica, int64, error) {
 		s.mu.Unlock()
 		return nil, 0, err
 	}
+	rep.pins++
 	path, length := rep.path, rep.info.Len
 	s.mu.Unlock()
 	sums, err := readMeta(id, path+".meta", length)
 	if err != nil {
+		s.unpin(rep)
 		return nil, 0, err
 	}
 	f, err := os.Open(path)
 	if err != nil {
 		bufpool.Put(sums)
+		s.unpin(rep)
 		return nil, 0, err
 	}
-	return &diskReader{f: f, sums: sums}, length, nil
+	return &diskReader{store: s, rep: rep, f: f, sums: sums}, length, nil
+}
+
+func (s *DiskStore) unpin(rep *diskReplica) {
+	s.mu.Lock()
+	rep.pins--
+	s.mu.Unlock()
 }
 
 // readMeta reads a replica's checksum file into a pooled buffer, which
@@ -303,8 +365,10 @@ func readMeta(id block.ID, path string, length int64) (*[]byte, error) {
 // diskReader reads a finalized block file, with the checksums Open read
 // from its .meta.
 type diskReader struct {
-	f    *os.File
-	sums *[]byte // pooled; nil once closed
+	store *DiskStore
+	rep   *diskReplica
+	f     *os.File
+	sums  *[]byte // pooled; nil once closed
 }
 
 func (r *diskReader) Read(p []byte) (int, error) { return r.f.Read(p) }
@@ -321,7 +385,9 @@ func (r *diskReader) Close() error {
 	}
 	bufpool.Put(r.sums)
 	r.sums = nil
-	return r.f.Close()
+	err := r.f.Close()
+	r.store.unpin(r.rep)
+	return err
 }
 
 // Sums returns a finalized replica's checksums decoded to integers. The
@@ -336,7 +402,9 @@ func (s *DiskStore) Sums(id block.ID) ([]uint32, error) {
 	return checksum.Decode(r.RawSums())
 }
 
-// Delete implements Store.
+// Delete implements Store. A finalized, unpinned replica's file goes to
+// the pool while it has room; any other is unlinked, and whoever still
+// holds it open — a temp replica's writer, a reader — keeps the inode.
 func (s *DiskStore) Delete(id block.ID) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -346,6 +414,11 @@ func (s *DiskStore) Delete(id block.ID) error {
 	}
 	delete(s.reps, id)
 	os.Remove(rep.path + ".meta")
+	if rep.info.State == Finalized && rep.pins == 0 && s.nfree < freeFiles &&
+		syscall.Rename(rep.path, s.free[s.nfree]) == nil {
+		s.nfree++
+		return nil
+	}
 	return os.Remove(rep.path)
 }
 

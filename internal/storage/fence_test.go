@@ -19,7 +19,9 @@ import (
 // Write, Append, Commit, Close and Delete calls over a few block IDs and
 // three generations, and after every call compares what the store
 // answers — Info, Open with its bytes and checksums, Blocks, UsedBytes —
-// with a reference map that applies the fence.
+// with a reference map that applies the fence. Readers opened along the
+// way stay open across later calls, Deletes included, and must still
+// read what they opened: the package doc's recycling rule.
 
 // modelIDs is how many block IDs a model sequence spreads over.
 const modelIDs = 3
@@ -29,7 +31,7 @@ const modelIDs = 3
 // whose Create was refused, or that can no longer take the call, is
 // skipped.
 type modelOp struct {
-	op  string // create, write, append, commit, close or delete
+	op  string // create, write, append, commit, close, delete, open or drain
 	id  block.ID
 	gen block.GenStamp
 	w   int // the writer, for write, append, commit and close
@@ -42,6 +44,12 @@ type modelReplica struct {
 	finalized bool
 	writer    int // the Create that made it
 	data      []byte
+}
+
+// modelReader is a reader opened by an open op, and what it must read.
+type modelReader struct {
+	r    Replica
+	data []byte
 }
 
 type modelWriter struct {
@@ -67,6 +75,18 @@ func runModel(t *testing.T, s Store, ops []modelOp) map[block.ID]*modelReplica {
 	t.Helper()
 	ref := map[block.ID]*modelReplica{}
 	var writers []*modelWriter
+	var readers []modelReader
+	drain := func(when string) {
+		mr := readers[0]
+		readers = readers[1:]
+		got, err := io.ReadAll(mr.r)
+		sums := bytes.Clone(mr.r.RawSums())
+		mr.r.Close()
+		if err != nil || !bytes.Equal(got, mr.data) || !bytes.Equal(sums, checksum.AppendEncoded(nil, mr.data, chunkSize)) {
+			t.Fatalf("%s: a reader reads back %d of %d bytes (%v), or other bytes or checksums than it opened",
+				when, len(got), len(mr.data), err)
+		}
+	}
 	ours := func(k int) bool {
 		r := ref[writers[k].id]
 		return r != nil && r.writer == k && !r.finalized
@@ -83,7 +103,7 @@ func runModel(t *testing.T, s Store, ops []modelOp) map[block.ID]*modelReplica {
 	}
 	for i, op := range ops {
 		var mw *modelWriter
-		if op.op != "create" && op.op != "delete" {
+		if op.op == "write" || op.op == "append" || op.op == "commit" || op.op == "close" {
 			if mw = writers[op.w]; mw.w == nil || mw.closed || mw.committed && op.op != "close" {
 				continue
 			}
@@ -139,6 +159,18 @@ func runModel(t *testing.T, s Store, ops []modelOp) map[block.ID]*modelReplica {
 				t.Fatalf("op %d: Delete(%d) = %v; the reference holds it: %v", i, op.id, err, held)
 			}
 			delete(ref, op.id)
+		case "open":
+			if r := ref[op.id]; r != nil && r.finalized {
+				rd, _, err := s.Open(op.id)
+				if err != nil {
+					t.Fatalf("op %d: Open(%d): %v", i, op.id, err)
+				}
+				readers = append(readers, modelReader{rd, r.data})
+			}
+		case "drain":
+			if len(readers) > 0 {
+				drain(fmt.Sprintf("op %d", i))
+			}
 		}
 		checkModel(t, s, ref, fmt.Sprintf("after op %d %+v", i, op))
 	}
@@ -146,6 +178,9 @@ func runModel(t *testing.T, s Store, ops []modelOp) map[block.ID]*modelReplica {
 		if mw.w != nil && !mw.closed {
 			closeWriter(k)
 		}
+	}
+	for len(readers) > 0 {
+		drain("once every writer closed")
 	}
 	checkModel(t, s, ref, "once every writer closed")
 	return ref
@@ -206,7 +241,8 @@ func checkModel(t *testing.T, s Store, ref map[block.ID]*modelReplica, when stri
 }
 
 // randomModelOps draws n calls over modelIDs blocks and generations 1–3,
-// each on one of the last three writers opened.
+// each on one of the last three writers opened. One write in four runs
+// to tens of KB, so replicas of very different lengths follow each other.
 func randomModelOps(rng *rand.Rand, n int) []modelOp {
 	ops := make([]modelOp, 0, n)
 	creates := 0
@@ -215,27 +251,34 @@ func randomModelOps(rng *rand.Rand, n int) []modelOp {
 		if creates > 0 {
 			op.w = creates - 1 - rng.Intn(min(creates, 3))
 		}
-		switch k := rng.Intn(10); {
+		switch k := rng.Intn(12); {
 		case creates == 0 || k < 3:
 			op.op = "create"
 			creates++
 		case k < 5:
 			op.op, op.n = "write", 1+rng.Intn(1500)
+			if rng.Intn(4) == 0 {
+				op.n = 1 + rng.Intn(64<<10)
+			}
 		case k < 6:
 			op.op, op.n = "append", 1+rng.Intn(3)
 		case k < 8:
 			op.op = "commit"
 		case k < 9:
 			op.op = "close"
-		default:
+		case k < 10:
 			op.op = "delete"
+		case k < 11:
+			op.op = "open"
+		default:
+			op.op = "drain"
 		}
 		ops = append(ops, op)
 	}
 	return ops
 }
 
-// TestStoreMatchesModel runs three named sequences and thirty seeded
+// TestStoreMatchesModel runs four named sequences and thirty seeded
 // random ones on both stores; a DiskStore is then opened again over its
 // directory and must index exactly the reference's finalized replicas.
 func TestStoreMatchesModel(t *testing.T) {
@@ -278,6 +321,16 @@ func TestStoreMatchesModel(t *testing.T) {
 			{op: "create", id: 1, gen: 2}, {op: "write", w: 1, n: 900},
 			{op: "append", w: 0, n: 2}, {op: "commit", w: 0}, {op: "close", w: 0},
 			{op: "write", w: 1, n: 300}, {op: "commit", w: 1}, {op: "close", w: 1},
+		}},
+		// A reader holds a long replica across its Delete while a short one
+		// takes the ID: the new replica must neither reuse the reader's
+		// storage nor inherit the long one's tail.
+		{"reader open across delete and a shorter successor", []modelOp{
+			{op: "create", id: 1, gen: 1}, {op: "write", w: 0, n: 40 << 10}, {op: "commit", w: 0}, {op: "close", w: 0},
+			{op: "open", id: 1}, {op: "delete", id: 1},
+			{op: "create", id: 1, gen: 1}, {op: "write", w: 1, n: 700}, {op: "commit", w: 1}, {op: "close", w: 1},
+			{op: "drain"}, {op: "delete", id: 1},
+			{op: "create", id: 2, gen: 1}, {op: "write", w: 2, n: 300}, {op: "commit", w: 2}, {op: "close", w: 2},
 		}},
 	} {
 		t.Run(tc.name, func(t *testing.T) { run(t, tc.ops) })

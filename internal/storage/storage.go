@@ -2,7 +2,8 @@
 // temporary (being written by a pipeline) or finalized. Two backends are
 // provided: an in-memory store (fast, used by tests, simulations and
 // examples) and an on-disk store (block file plus a checksum meta file,
-// like HDFS's blk_N / blk_N.meta pairs).
+// like HDFS's blk_N / blk_N.meta pairs, and a free/ directory of deleted
+// block files kept for reuse).
 //
 // Checksums travel in wire form both ways. A writer appends the
 // checksums its caller verified and the store keeps them as given; a
@@ -18,6 +19,16 @@
 // above g or finalized at g; a writer whose replica was displaced or
 // deleted can no longer commit (ErrStale), and its abort leaves alone
 // the replica that displaced it.
+//
+// Both stores recycle a replica's storage — MemStore its bufpool
+// buffers, DiskStore its block file — by one rule: only when Delete
+// unmaps the replica finalized and unpinned. Open pins a replica until
+// the reader's Close, so bytes a reader may still read are never handed
+// to a new replica. Storage leaving the store any other way — a
+// temporary replica's, a displaced one's, one deleted while pinned — is
+// dropped instead (MemStore leaves it to the garbage collector unless
+// the writer that owns it aborts; DiskStore unlinks the file, and an
+// open descriptor keeps the inode).
 package storage
 
 import (
@@ -241,16 +252,14 @@ func (s *chunkSums) release() {
 	s.raw = nil
 }
 
-// memReplica's bytes and checksums live in bufpool buffers. While the
-// replica is temporary they belong to the writer that created it — it
-// alone appends, grows, and on abort recycles them, even after
-// Create(overwrite) or Delete took the replica out of the map, because
-// that writer may still be appending. Commit hands them to the store,
-// which recycles them on Delete unless the replica is pinned: by an open
-// reader, a running scrub, or the writer itself, which lends out parts of
-// buf (BlockWriter.Lend) that a datanode's forwarder sends from until
-// the writer's Close. Every other way a replica leaves the map drops the
-// buffers for the garbage collector.
+// memReplica's bytes and checksums live in bufpool buffers, recycled by
+// the package doc's rule. While the replica is temporary they belong to
+// the writer that created it — it alone appends, grows, and on abort
+// recycles them, even after Create(overwrite) or Delete took the replica
+// out of the map, because that writer may still be appending. Commit
+// hands them to the store. Besides readers and scrubs, the writer itself
+// pins the replica until its Close: it lends out parts of buf
+// (BlockWriter.Lend) that a datanode's forwarder sends from.
 type memReplica struct {
 	info ReplicaInfo
 	buf  *[]byte // pooled storage behind data; nil until the first byte or SizeHint
