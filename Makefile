@@ -58,8 +58,9 @@ bench-vet:
 
 # Fail if any package under internal/ or cmd/ lacks a package comment
 # (the godoc surface ARCHITECTURE.md builds on), if a fully documented
-# package exports an undocumented name, or if README, ARCHITECTURE,
-# EXPERIMENTS or DESIGN names a package, command or Go file that is gone.
+# package exports an undocumented name, if README, ARCHITECTURE,
+# EXPERIMENTS or DESIGN names a package, command or Go file that is gone,
+# or if a Go or Markdown file cites a DESIGN.md section that is not there.
 docs-check:
 	$(GO) test -run 'TestPackageDocs|TestExportedDocs|TestDocPathsExist' -count=1 .
 

@@ -36,7 +36,7 @@ func main() {
 	blockSize := flag.Int64("block", 64<<20, "block size in bytes")
 	verify := flag.Bool("verify", false, "read the file back and check its digest")
 	timeout := flag.Duration("timeout", 0,
-		"stall-detection bound: data-path progress and per-RPC timeouts; 0 = library defaults")
+		"stall-detection bound: data-path progress and per-RPC timeouts; 0 = the client defaults (30s progress, 15s RPC)")
 	traceOut := flag.String("trace", "",
 		"export the upload's span trace as JSONL to this file (render with smarth-admin -trace)")
 	flag.Parse()
@@ -44,10 +44,6 @@ func main() {
 		fatal(fmt.Errorf("-trace records an upload: it needs -src"))
 	}
 
-	var timeouts *client.Timeouts
-	if *timeout > 0 {
-		timeouts = &client.Timeouts{Progress: *timeout, RPC: *timeout}
-	}
 	var tracing *obs.Obs // nil = observability off
 	if *traceOut != "" {
 		tracing = obs.New(nil)
@@ -57,7 +53,7 @@ func main() {
 		Name:         fmt.Sprintf("put-%d", os.Getpid()),
 		NamenodeAddr: *nnAddr,
 		Network:      net,
-		Timeouts:     timeouts,
+		Timeouts:     client.Timeouts{Progress: *timeout, RPC: *timeout},
 		Obs:          tracing,
 	})
 	if err != nil {

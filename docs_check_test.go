@@ -184,7 +184,16 @@ var (
 	// (optionally package-qualified there); testDecl is where one is declared.
 	docTestRef = regexp.MustCompile(`\b(?:Test|Benchmark|Fuzz)[A-Z][A-Za-z0-9_]*`)
 	testDecl   = regexp.MustCompile(`(?m)^func ((?:Test|Benchmark|Fuzz)[A-Za-z0-9_]*)\(`)
+	// designRef is a reference to a DESIGN.md section ("DESIGN.md §7",
+	// "DESIGN §12", "DESIGN.md §11, §14"); designHeading is a section.
+	designRef     = regexp.MustCompile(`DESIGN(?:\.md)?\s+§\d+(?:(?:,\s*|\s+and\s+|/)§\d+)*`)
+	designSection = regexp.MustCompile(`§(\d+)`)
+	designHeading = regexp.MustCompile(`(?m)^## (\d+)\. `)
 )
+
+// designRefSkip are the files whose DESIGN.md references are not held to
+// the current sections: the change log records the numbering of its day.
+var designRefSkip = map[string]bool{"CHANGES.md": true}
 
 // TestDocPathsExist keeps the documents honest about the tree: every
 // cmd/<name>, internal/<name> or examples/<name> path and every Go file
@@ -194,11 +203,21 @@ var (
 // Benchmark* or Fuzz* function named there, in some _test.go file — so a
 // deletion cannot leave the docs pointing at what it removed. Sections
 // whose heading (or an enclosing heading) says "history" or "retired"
-// are exempt: they record what is gone.
+// are exempt: they record what is gone. Every "DESIGN.md §N" (or
+// "DESIGN §N") in a Go file or a Markdown file must name an existing
+// "## N." section of DESIGN.md.
 func TestDocPathsExist(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	sections := make(map[string]bool)
+	for _, m := range designHeading.FindAllSubmatch(design, -1) {
+		sections[string(m[1])] = true
+	}
 	goFiles := make(map[string]bool)   // base names of every .go file in the tree
 	testFuncs := make(map[string]bool) // every Test*/Benchmark*/Fuzz* declared in it
-	err := filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
+	err = filepath.WalkDir(".", func(path string, d os.DirEntry, err error) error {
 		if err != nil {
 			return err
 		}
@@ -207,6 +226,21 @@ func TestDocPathsExist(t *testing.T) {
 		}
 		if strings.HasSuffix(path, ".go") {
 			goFiles[d.Name()] = true
+		}
+		if (strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".md")) && !designRefSkip[path] {
+			src, err := os.ReadFile(path)
+			if err != nil {
+				return err
+			}
+			for i, line := range strings.Split(string(src), "\n") {
+				for _, ref := range designRef.FindAllString(line, -1) {
+					for _, m := range designSection.FindAllStringSubmatch(ref, -1) {
+						if !sections[m[1]] {
+							t.Errorf("%s:%d: %q: DESIGN.md has no section %s", path, i+1, ref, m[1])
+						}
+					}
+				}
+			}
 		}
 		if strings.HasSuffix(path, "_test.go") {
 			src, err := os.ReadFile(path)

@@ -72,10 +72,8 @@ type Options struct {
 	// Seed drives the local-optimization randomness (0 = from clock).
 	Seed int64
 	// Timeouts bound the client's blocking points (data-path progress,
-	// namenode RPCs). nil selects DefaultTimeouts(); point at
-	// NoTimeouts() (or any zeroed fields) to restore the legacy
-	// block-forever behavior.
-	Timeouts *Timeouts
+	// namenode RPCs); a zero field takes its DefaultTimeouts value.
+	Timeouts Timeouts
 	// Obs, when set, receives the client's metrics (packet RTT, FNFA
 	// latency, block commit time, RPC retries) and write-path trace
 	// spans. nil disables observability at negligible cost.
@@ -172,10 +170,7 @@ func New(opts Options) (*Client, error) {
 	if seed == 0 {
 		seed = opts.Clock.Now().UnixNano()
 	}
-	timeouts := DefaultTimeouts()
-	if opts.Timeouts != nil {
-		timeouts = *opts.Timeouts
-	}
+	opts.Timeouts = opts.Timeouts.orDefaults()
 	c := &Client{
 		opts:     opts,
 		clk:      opts.Clock,
@@ -183,8 +178,8 @@ func New(opts Options) (*Client, error) {
 		recorder: core.NewRecorder(),
 		obs:      opts.Obs,
 		stopCh:   make(chan struct{}),
-		nn:       rpc.NewSession(opts.Network, opts.Name, opts.NamenodeAddr, timeouts.RPC, opts.Clock),
-		dialer:   proto.Dialer{Network: opts.Network, Local: opts.Name, Clock: opts.Clock, Progress: timeouts.Progress},
+		nn:       rpc.NewSession(opts.Network, opts.Name, opts.NamenodeAddr, opts.Timeouts.RPC, opts.Clock),
+		dialer:   proto.Dialer{Network: opts.Network, Local: opts.Name, Clock: opts.Clock, Progress: opts.Timeouts.Progress},
 	}
 	if opts.Obs != nil {
 		comp := opts.Obs.Component("client/" + opts.Name)

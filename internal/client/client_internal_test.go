@@ -7,10 +7,12 @@ import (
 	"math/rand"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/checksum"
 	"repro/internal/proto"
+	"repro/internal/transport"
 )
 
 func lb3() block.LocatedBlock {
@@ -73,6 +75,23 @@ func TestWriteOptionsDefaults(t *testing.T) {
 		if o.PacketSize != want {
 			t.Fatalf("PacketSize %d became %d, want %d", in, o.PacketSize, want)
 		}
+	}
+}
+
+// TestUnsetTimeoutsTakeDefaults: a zero Timeouts field does not turn a
+// bound off, it takes its DefaultTimeouts value; a set field is kept.
+func TestUnsetTimeoutsTakeDefaults(t *testing.T) {
+	cl, err := New(Options{Name: "c", NamenodeAddr: "nn", Network: transport.NewMemNetwork(nil),
+		HeartbeatInterval: time.Hour, Timeouts: Timeouts{RPC: time.Second}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+	if got, want := cl.dialer.Progress, DefaultTimeouts().Progress; got != want {
+		t.Fatalf("dialer Progress = %v, want the default %v", got, want)
+	}
+	if got := cl.opts.Timeouts.RPC; got != time.Second {
+		t.Fatalf("RPC = %v, want the 1s it was given", got)
 	}
 }
 

@@ -136,7 +136,7 @@ func ackBlock(t *testing.T, pc *proto.Conn, hdr *proto.WriteBlockHeader, fill by
 
 func newStubClient(t *testing.T, n *transport.MemNetwork, timeouts Timeouts) *Client {
 	t.Helper()
-	cl, err := New(Options{Name: "c", NamenodeAddr: "nn", Network: n, HeartbeatInterval: time.Hour, Timeouts: &timeouts})
+	cl, err := New(Options{Name: "c", NamenodeAddr: "nn", Network: n, HeartbeatInterval: time.Hour, Timeouts: timeouts})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -173,7 +173,7 @@ func TestGoroutinesPerClientPipeline(t *testing.T) {
 			<-release
 		})
 	})
-	cl := newStubClient(t, n, NoTimeouts())
+	cl := newStubClient(t, n, Timeouts{})
 	w, err := cl.CreateSmarth("/one", stubWrite(bs))
 	if err != nil {
 		t.Fatal(err)
@@ -323,7 +323,7 @@ func TestRefusedPlacementIsErrNoTargets(t *testing.T) {
 	startStubNamenode(t, n, func(nnapi.AddBlockReq) (nnapi.AddBlockResp, error) {
 		return nnapi.AddBlockResp{}, fmt.Errorf("namenode: addBlock: %w", policy.ErrNoDatanodes)
 	}, nil)
-	cl := newStubClient(t, n, NoTimeouts())
+	cl := newStubClient(t, n, Timeouts{})
 	w, err := cl.CreateSmarth("/refused", stubWrite(64<<10))
 	if err != nil {
 		t.Fatal(err)

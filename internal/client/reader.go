@@ -22,37 +22,37 @@ import (
 // replica is dialed and handshaken in the background, so the inter-block
 // stall is one buffer swap instead of a dial+handshake round trip.
 func (c *Client) Open(path string) (io.ReadCloser, error) {
-	loc, err := c.getBlockLocations(path)
-	if err != nil {
-		return nil, err
-	}
-	span := c.obs.StartSpan("read", nil)
-	span.SetAttr("path", path)
-	span.SetAttr("bytes", fmt.Sprintf("%d", loc.Len))
-	return &fileReader{c: c, blocks: loc.Blocks, span: span}, nil
+	return c.open(path, 0, -1)
 }
 
 // ReadAll fetches an entire file into memory.
 func (c *Client) ReadAll(path string) ([]byte, error) {
-	r, err := c.Open(path)
+	return c.ReadRange(path, 0, -1)
+}
+
+// ReadRange fetches length bytes starting at offset (length < 0 means to
+// end of file) through the same reader as Open, limited to the blocks
+// the range touches. Bytes stream straight into the result slice.
+func (c *Client) ReadRange(path string, offset, length int64) ([]byte, error) {
+	r, err := c.open(path, offset, length)
 	if err != nil {
 		return nil, err
 	}
-	data, err := io.ReadAll(r)
+	out := make([]byte, r.size)
+	_, err = io.ReadFull(r, out)
 	if cerr := r.Close(); err == nil {
 		err = cerr
 	}
 	if err != nil {
 		return nil, err
 	}
-	return data, nil
+	return out, nil
 }
 
-// ReadRange fetches length bytes starting at offset, touching only the
-// blocks that intersect the range (length < 0 means to end of file).
-// Bytes stream straight into the result slice; nothing is buffered per
-// block.
-func (c *Client) ReadRange(path string, offset, length int64) ([]byte, error) {
+// open returns a reader over [offset, offset+length) of path, clamped to
+// the file (length < 0 means to end of file), whose block list holds
+// only the blocks that window touches.
+func (c *Client) open(path string, offset, length int64) (*fileReader, error) {
 	if offset < 0 {
 		return nil, fmt.Errorf("client: negative offset %d", offset)
 	}
@@ -60,55 +60,45 @@ func (c *Client) ReadRange(path string, offset, length int64) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	if offset > loc.Len {
-		offset = loc.Len
-	}
-	if length < 0 || offset+length > loc.Len {
-		length = loc.Len - offset
-	}
-	span := c.obs.StartSpan("read_range", nil)
-	span.SetAttr("path", path)
-	span.SetAttr("range", fmt.Sprintf("%d+%d", offset, length))
-	defer span.End()
-	out := make([]byte, length)
-	var pos, blockStart int64
-	var closeErr error
+	var fileLen int64
 	for _, lb := range loc.Blocks {
+		fileLen += lb.Block.NumBytes
+	}
+	offset = min(offset, fileLen)
+	if length < 0 || length > fileLen-offset {
+		length = fileLen - offset
+	}
+	r := &fileReader{c: c, size: length}
+	// Trim to loc.Blocks[lo:hi], the blocks that intersect the window;
+	// from and end are block-relative offsets into the first and last.
+	lo, hi := 0, 0
+	var blockStart int64
+	for i, lb := range loc.Blocks {
 		blockEnd := blockStart + lb.Block.NumBytes
-		if blockEnd > offset+pos && blockStart < offset+length {
-			from := offset + pos - blockStart
-			want := blockEnd - blockStart - from
-			if rem := length - pos; want > rem {
-				want = rem
+		if blockEnd > offset && blockStart < offset+length {
+			if hi == 0 {
+				lo, r.from = i, offset-blockStart
 			}
-			bs := newBlockStream(c, lb, from, want, span)
-			_, err := io.ReadFull(bs, out[pos:pos+want])
-			cerr := bs.Close()
-			if err != nil {
-				span.Fail(err)
-				return nil, err
-			}
-			if cerr != nil && closeErr == nil {
-				closeErr = cerr
-			}
-			pos += want
+			hi = i + 1
+			r.end = min(blockEnd, offset+length) - blockStart
 		}
 		blockStart = blockEnd
-		if pos >= length {
-			break
-		}
 	}
-	if closeErr != nil {
-		return nil, closeErr
-	}
-	return out, nil
+	r.blocks = loc.Blocks[lo:hi]
+	r.span = c.obs.StartSpan("read", nil)
+	r.span.SetAttr("path", path)
+	r.span.SetAttr("range", fmt.Sprintf("%d+%d", offset, length))
+	return r, nil
 }
 
-// fileReader streams a file block by block, prefetching the next block's
-// stream while the current one drains.
+// fileReader streams a window of a file block by block, prefetching the
+// next block's stream while the current one drains.
 type fileReader struct {
 	c      *Client
-	blocks []block.LocatedBlock
+	blocks []block.LocatedBlock // the blocks the window touches
+	from   int64                // window start within blocks[0]
+	end    int64                // window end within blocks[len-1]
+	size   int64                // window length in bytes
 	span   *obs.Span
 
 	idx      int
@@ -164,8 +154,21 @@ func (r *fileReader) nextStream() *blockStream {
 		r.pre = nil
 		return bs
 	}
-	lb := r.blocks[r.idx]
-	return newBlockStream(r.c, lb, 0, lb.Block.NumBytes, r.span)
+	return r.stream(r.idx)
+}
+
+// stream builds the stream for blocks[i], cut to the window: the first
+// block starts at from, the last ends at end.
+func (r *fileReader) stream(i int) *blockStream {
+	lb := r.blocks[i]
+	from, end := int64(0), lb.Block.NumBytes
+	if i == 0 {
+		from = r.from
+	}
+	if i == len(r.blocks)-1 {
+		end = r.end
+	}
+	return newBlockStream(r.c, lb, from, end-from, r.span)
 }
 
 // prefetchNext dials and handshakes the following block's stream in the
@@ -179,8 +182,7 @@ func (r *fileReader) prefetchNext() {
 	if next >= len(r.blocks) {
 		return
 	}
-	lb := r.blocks[next]
-	bs := newBlockStream(r.c, lb, 0, lb.Block.NumBytes, r.span)
+	bs := r.stream(next)
 	ch := make(chan *blockStream, 1)
 	r.pre, r.preIdx = ch, next
 	go func() {
@@ -240,24 +242,19 @@ type blockStream struct {
 	closed bool
 }
 
+// newBlockStream reads [offset, offset+length) of lb, a window inside
+// the block.
 func newBlockStream(c *Client, lb block.LocatedBlock, offset, length int64, parent *obs.Span) *blockStream {
-	if offset < 0 {
-		offset = 0
-	}
-	end := offset + length
-	if length < 0 || end > lb.Block.NumBytes {
-		end = lb.Block.NumBytes
-	}
 	b := &blockStream{
 		c:     c,
 		lb:    lb,
 		next:  offset,
-		end:   end,
+		end:   offset + length,
 		tried: make(map[string]bool),
 	}
 	b.span = c.obs.StartSpan("block_read", parent)
 	b.span.SetAttr("block", lb.Block.String())
-	b.span.SetAttr("range", fmt.Sprintf("%d+%d", offset, end-offset))
+	b.span.SetAttr("range", fmt.Sprintf("%d+%d", offset, length))
 	c.mBlocksRead.Inc()
 	return b
 }

@@ -2,11 +2,10 @@ package client
 
 import "time"
 
-// Timeouts bound the client's blocking points. A zero value for any field
-// disables that bound (legacy block-forever behavior, still wanted for
-// discrete-event-simulation runs where a virtual clock owns all time).
-// All durations are measured on the client's Clock, so they work under
-// virtual time too.
+// Timeouts bound the client's blocking points. Every wait is bounded: a
+// zero (or negative) field takes its DefaultTimeouts value. All durations
+// are measured on the client's Clock, so they work under virtual time
+// too.
 type Timeouts struct {
 	// Progress bounds every single step on a data connection, write and
 	// read side alike: the dial, the operation header, the setup ack, and
@@ -33,7 +32,14 @@ func DefaultTimeouts() Timeouts {
 	}
 }
 
-// NoTimeouts returns an all-disabled Timeouts: every blocking point
-// waits forever, matching the pre-timeout behavior the DES figures
-// depend on.
-func NoTimeouts() Timeouts { return Timeouts{} }
+// orDefaults fills every unset field from DefaultTimeouts.
+func (t Timeouts) orDefaults() Timeouts {
+	d := DefaultTimeouts()
+	if t.Progress <= 0 {
+		t.Progress = d.Progress
+	}
+	if t.RPC <= 0 {
+		t.RPC = d.RPC
+	}
+	return t
+}

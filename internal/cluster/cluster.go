@@ -43,11 +43,11 @@ type Config struct {
 	// WrapNetwork, when set, decorates the in-memory network before any
 	// component uses it (e.g. faultnet.Wrap for fault-injection tests).
 	WrapNetwork func(*transport.MemNetwork) transport.Network
-	// ClientTimeouts, when set, is handed to every client created with
-	// NewClient (nil = client defaults).
-	ClientTimeouts *client.Timeouts
+	// ClientTimeouts is handed to every client created with NewClient
+	// (a zero field takes the client default).
+	ClientTimeouts client.Timeouts
 	// DatanodeDataTimeout is passed through to each datanode's
-	// DataTimeout knob (0 = datanode default, negative = disabled).
+	// DataTimeout knob (0 = datanode default).
 	DatanodeDataTimeout time.Duration
 	// NamenodeListen is the namenode's TCP listen address (StartTCP only;
 	// default "127.0.0.1:0", a kernel-assigned loopback port).

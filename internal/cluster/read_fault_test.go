@@ -33,8 +33,8 @@ func startReadFaultCluster(t *testing.T, cfg Config) (*Cluster, *faultnet.Networ
 	if cfg.Expiry <= 0 {
 		cfg.Expiry = time.Minute
 	}
-	if cfg.ClientTimeouts == nil {
-		cfg.ClientTimeouts = &client.Timeouts{
+	if cfg.ClientTimeouts == (client.Timeouts{}) {
+		cfg.ClientTimeouts = client.Timeouts{
 			Progress: 250 * time.Millisecond,
 			RPC:      time.Second,
 		}

@@ -3,10 +3,12 @@ package cluster
 import (
 	"bytes"
 	"io"
+	"sort"
 	"testing"
 	"time"
 
 	"repro/internal/client"
+	"repro/internal/obs"
 	"repro/internal/proto"
 	"repro/internal/storage"
 )
@@ -88,30 +90,43 @@ func TestReadRangeStreamsExactWindows(t *testing.T) {
 	}
 }
 
-// TestReadPrefetchParity: over a multi-block file the streaming reader,
-// which dials each next block while the current one drains, and
-// ReadRange, which dials every block cold, must both return the bytes
-// written.
-func TestReadPrefetchParity(t *testing.T) {
-	c := startTestCluster(t, 3)
+// TestReadRangePrefetches: a ReadRange across three blocks goes through
+// the same reader as Open, so the next block's stream is dialed while the
+// current one drains — some block_read span starts before its
+// predecessor ends — and the window's bytes come back exactly.
+func TestReadRangePrefetches(t *testing.T) {
+	o := obs.New(nil)
+	c, err := Start(Config{NumDatanodes: 3, Seed: 7, Obs: o, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(c.Stop)
 	cl, _ := c.NewClient("client")
-	data := randomData(405, 768<<10)
-	writeFile(t, cl, "/prefetch-read", data, proto.ModeSmarth)
-	for _, tc := range []struct {
-		name string
-		read func() ([]byte, error)
-	}{
-		{"prefetch", func() ([]byte, error) { return cl.ReadAll("/prefetch-read") }},
-		{"cold", func() ([]byte, error) { return cl.ReadRange("/prefetch-read", 0, -1) }},
-	} {
-		got, err := tc.read()
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		if !bytes.Equal(got, data) {
-			t.Fatalf("%s: content mismatch (%d bytes, want %d)", tc.name, len(got), len(data))
+	data := randomData(405, 768<<10) // 3 × 256 KiB blocks
+	writeFile(t, cl, "/prefetch-range", data, proto.ModeSmarth)
+	got, err := cl.ReadRange("/prefetch-range", 100, int64(len(data))-200)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, data[100:len(data)-100]) {
+		t.Fatalf("content mismatch (%d bytes, want %d)", len(got), len(data)-200)
+	}
+	var reads []obs.SpanRecord
+	for _, s := range o.Tracer.Snapshot() {
+		if s.Name == "block_read" {
+			reads = append(reads, s)
 		}
 	}
+	if len(reads) != 3 {
+		t.Fatalf("%d block_read spans, want 3", len(reads))
+	}
+	sort.Slice(reads, func(i, j int) bool { return reads[i].StartUS < reads[j].StartUS })
+	for i := 1; i < len(reads); i++ {
+		if reads[i].StartUS < reads[i-1].EndUS {
+			return
+		}
+	}
+	t.Fatalf("no block stream opened before its predecessor closed: %+v", reads)
 }
 
 // TestReadLandsInTheCallersBufferExactly: a packet that starts where the

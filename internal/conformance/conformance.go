@@ -219,7 +219,7 @@ func RunLive(s Scenario, victim string) (string, error) {
 		// A short Progress bound detects the blackholed pipeline
 		// quickly; the RPC bound stays generous so only the injected
 		// fault can trip.
-		cfg.ClientTimeouts = &client.Timeouts{
+		cfg.ClientTimeouts = client.Timeouts{
 			Progress: time.Second,
 			RPC:      10 * time.Second,
 		}

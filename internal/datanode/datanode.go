@@ -74,8 +74,7 @@ type Options struct {
 	// read/write on upstream and mirror connections, and the dial and
 	// each attempt of a namenode RPC — so a vanished or wedged peer
 	// cannot pin a handler, the heartbeat loop or the reporter forever.
-	// 0 selects DefaultDataTimeout; a negative value disables deadlines
-	// (legacy block-forever behavior).
+	// Zero or negative selects DefaultDataTimeout.
 	DataTimeout time.Duration
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
@@ -86,7 +85,7 @@ type Options struct {
 }
 
 // DefaultDataTimeout is the per-operation progress bound used when
-// Options.DataTimeout is zero.
+// Options.DataTimeout is unset.
 const DefaultDataTimeout = 60 * time.Second
 
 // Datanode is one storage server. Start it with Start; stop with Stop.
@@ -143,17 +142,16 @@ func New(opts Options) (*Datanode, error) {
 	if opts.HeartbeatInterval <= 0 {
 		opts.HeartbeatInterval = core.HeartbeatInterval
 	}
-	if opts.DataTimeout == 0 {
+	if opts.DataTimeout <= 0 {
 		opts.DataTimeout = DefaultDataTimeout
 	}
 	if opts.Logf == nil {
 		opts.Logf = func(string, ...any) {}
 	}
-	bound := max(0, opts.DataTimeout) // negative: no deadlines at all
 	dn := &Datanode{
 		opts:     opts,
-		nn:       rpc.NewSession(opts.Network, opts.Name, opts.NamenodeAddr, bound, opts.Clock),
-		dialer:   proto.Dialer{Network: opts.Network, Local: opts.Name, Clock: opts.Clock, Progress: bound},
+		nn:       rpc.NewSession(opts.Network, opts.Name, opts.NamenodeAddr, opts.DataTimeout, opts.Clock),
+		dialer:   proto.Dialer{Network: opts.Network, Local: opts.Name, Clock: opts.Clock, Progress: opts.DataTimeout},
 		reportCh: make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 	}

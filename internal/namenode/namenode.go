@@ -42,9 +42,6 @@ type Options struct {
 	Clock clock.Clock
 	// Expiry is the datanode liveness window (DefaultExpiry when zero).
 	Expiry time.Duration
-	// LeaseTimeout is the writer-lease expiry window
-	// (DefaultLeaseTimeout when zero).
-	LeaseTimeout time.Duration
 	// Seed drives placement randomness; a fixed seed makes tests and
 	// simulations reproducible. Zero means seed from the system clock.
 	Seed int64
@@ -71,7 +68,6 @@ type Namenode struct {
 	registry *core.Registry
 	repl     *replicationManager
 	rng      *rand.Rand
-	leaseTTL time.Duration
 
 	// mu guards the server handle and balancerMoves (admin state); it is
 	// last in the lock order and never held across other subsystems.
@@ -122,17 +118,12 @@ func New(opts Options) *Namenode {
 	dm := newDatanodeManager(clk, opts.Expiry)
 	registry := core.NewRegistry()
 	pol, _ := policy.New(policy.Default) // Default always resolves
-	leaseTTL := opts.LeaseTimeout
-	if leaseTTL <= 0 {
-		leaseTTL = DefaultLeaseTimeout
-	}
 	nn := &Namenode{
 		clk:           clk,
 		dm:            dm,
 		registry:      registry,
 		repl:          newReplicationManager(dm.expiry),
 		rng:           rng,
-		leaseTTL:      leaseTTL,
 		balancerMoves: make(map[block.ID]pendingMove),
 		clientHeard:   make(map[string]time.Time),
 		pol:           pol,
@@ -204,7 +195,6 @@ func (nn *Namenode) Serve(l transport.Listener) {
 	}
 	serve(nn, s, nnapi.MethodCreate, nn.Create)
 	serve(nn, s, nnapi.MethodAddBlock, nn.AddBlock)
-	serve(nn, s, nnapi.MethodAbandonBlock, nn.AbandonBlock)
 	serve(nn, s, nnapi.MethodComplete, nn.Complete)
 	serve(nn, s, nnapi.MethodRecoverBlock, nn.RecoverBlock)
 	serve(nn, s, nnapi.MethodClientHeartbeat, nn.ClientHeartbeat)
@@ -301,11 +291,6 @@ func (nn *Namenode) AddBlock(req nnapi.AddBlockReq) (nnapi.AddBlockResp, error) 
 	return nnapi.AddBlockResp{Located: block.LocatedBlock{Block: b, Targets: targets}}, nil
 }
 
-// AbandonBlock drops an allocated block that never received data.
-func (nn *Namenode) AbandonBlock(req nnapi.AbandonBlockReq) (nnapi.AbandonBlockResp, error) {
-	return nnapi.AbandonBlockResp{}, nn.ns.abandonBlock(req.Path, req.Client, req.Block)
-}
-
 // Complete finishes the file once every block is minimally replicated
 // (write step 6). Done=false asks the client to retry shortly, matching
 // HDFS's completeFile loop.
@@ -380,7 +365,7 @@ func (nn *Namenode) forgetSilentClients(now time.Time) {
 	var silent []string
 	nn.heardMu.Lock()
 	for client, heard := range nn.clientHeard {
-		if now.Sub(heard) >= nn.leaseTTL {
+		if now.Sub(heard) >= DefaultLeaseTimeout {
 			silent = append(silent, client)
 		}
 	}
@@ -391,7 +376,7 @@ func (nn *Namenode) forgetSilentClients(now time.Time) {
 		}
 		nn.heardMu.Lock()
 		// Looked up again: a heartbeat since the listing keeps its records.
-		if now.Sub(nn.clientHeard[client]) >= nn.leaseTTL {
+		if now.Sub(nn.clientHeard[client]) >= DefaultLeaseTimeout {
 			delete(nn.clientHeard, client)
 			nn.registry.ForgetClient(client)
 		}

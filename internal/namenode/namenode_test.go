@@ -429,24 +429,6 @@ func TestAddBlockRetryReusesUnwrittenTail(t *testing.T) {
 	}
 }
 
-func TestAbandonBlock(t *testing.T) {
-	nn, _, _ := newTestNN(t)
-	nn.Create(nnapi.CreateReq{Path: "/f", Client: "c1", Replication: 1, BlockSize: 1 << 20})
-	r1, _ := nn.AddBlock(nnapi.AddBlockReq{Path: "/f", Client: "c1"})
-	r2, _ := nn.AddBlock(nnapi.AddBlockReq{Path: "/f", Client: "c1", Previous: r1.Located.Block})
-	// Only the last block may be abandoned.
-	if _, err := nn.AbandonBlock(nnapi.AbandonBlockReq{Path: "/f", Client: "c1", Block: r1.Located.Block}); err == nil {
-		t.Fatal("abandoned a non-last block")
-	}
-	if _, err := nn.AbandonBlock(nnapi.AbandonBlockReq{Path: "/f", Client: "c1", Block: r2.Located.Block}); err != nil {
-		t.Fatal(err)
-	}
-	info, _ := nn.GetFileInfo(nnapi.GetFileInfoReq{Path: "/f"})
-	if info.NumBlocks != 1 {
-		t.Fatalf("blocks = %d after abandon, want 1", info.NumBlocks)
-	}
-}
-
 func TestGetBlockLocations(t *testing.T) {
 	nn, _, _ := newTestNN(t)
 	nn.Create(nnapi.CreateReq{Path: "/f", Client: "c1", Replication: 2, BlockSize: 1 << 20})

@@ -330,28 +330,6 @@ func (ns *namesystem) reusableTailLocked(f *fileInode, prev block.Block) (block.
 	return meta.cur, true
 }
 
-// abandonBlock removes an allocated block from its file. Only the last
-// block may be abandoned, and only while it has no finalized replicas —
-// otherwise the caller should recover instead.
-func (ns *namesystem) abandonBlock(path, client string, b block.Block) error {
-	s := ns.shardFor(path)
-	ns.lockShard(s)
-	defer s.mu.Unlock()
-	f, err := s.checkLeaseLocked(path, client)
-	if err != nil {
-		return err
-	}
-	if len(f.blocks) == 0 || f.blocks[len(f.blocks)-1] != b.ID {
-		return fmt.Errorf("%w: %v is not the last block of %s", ErrUnknownBlock, b, f.path)
-	}
-	f.blocks = f.blocks[:len(f.blocks)-1]
-	st := ns.stripeFor(b.ID)
-	ns.lockStripe(st)
-	delete(st.blocks, b.ID)
-	st.mu.Unlock()
-	return nil
-}
-
 // blockReceived records a finalized replica. Replicas with a stale
 // generation are rejected (the datanode will be told to delete them).
 // It touches only the block's stripe, so concurrent reports from many

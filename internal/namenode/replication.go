@@ -110,7 +110,7 @@ func (nn *Namenode) replicationWorkFor(dn string) []nnapi.ReplicateCmd {
 	// incomplete, so lease recovery could drop merely-unreported blocks
 	// and the replication scan would copy everything spuriously.
 	if nn.checkSafeMode() == nil && nn.repl.shouldScan(now) {
-		nn.ns.recoverExpired(now, nn.leaseTTL)
+		nn.ns.recoverExpired(now, DefaultLeaseTimeout)
 		nn.forgetSilentClients(now)
 		nn.scanUnderReplicated(now)
 	}

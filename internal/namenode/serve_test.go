@@ -38,7 +38,6 @@ func TestServeAndCloseWithIdleClient(t *testing.T) {
 	for method, req := range map[string]any{
 		nnapi.MethodCreate:             nnapi.CreateReq{},
 		nnapi.MethodAddBlock:           nnapi.AddBlockReq{},
-		nnapi.MethodAbandonBlock:       nnapi.AbandonBlockReq{},
 		nnapi.MethodComplete:           nnapi.CompleteReq{},
 		nnapi.MethodRecoverBlock:       nnapi.RecoverBlockReq{},
 		nnapi.MethodClientHeartbeat:    nnapi.ClientHeartbeatReq{},

@@ -121,7 +121,7 @@ func TestRenameAcrossShardsMovesLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.advance(DefaultLeaseTimeout - time.Second)
-	nn.ns.recoverExpired(clk.Now(), nn.leaseTTL)
+	nn.ns.recoverExpired(clk.Now(), DefaultLeaseTimeout)
 	beatAll(t, nn, names) // keep datanodes alive across the clock jumps
 	if _, err := nn.AddBlock(nnapi.AddBlockReq{Path: "/zz42/f", Client: "c1"}); err != nil {
 		t.Fatalf("lease lost after rename + renewal: %v", err)

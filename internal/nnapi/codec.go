@@ -68,20 +68,6 @@ func (m *AddBlockResp) ParseFrom(b []byte) error {
 	return r.Done()
 }
 
-// AppendTo appends path, client, block.
-func (m AbandonBlockReq) AppendTo(dst []byte) []byte {
-	dst = wire.AppendString(dst, m.Path)
-	dst = wire.AppendString(dst, m.Client)
-	return wire.AppendBlock(dst, m.Block)
-}
-
-// ParseFrom decodes a whole AbandonBlockReq body, the inverse of AppendTo.
-func (m *AbandonBlockReq) ParseFrom(b []byte) error {
-	r := wire.NewReader(b)
-	*m = AbandonBlockReq{Path: r.Str(), Client: r.Str(), Block: r.Block()}
-	return r.Done()
-}
-
 // AppendTo appends path, client.
 func (m CompleteReq) AppendTo(dst []byte) []byte {
 	dst = wire.AppendString(dst, m.Path)

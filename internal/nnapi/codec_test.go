@@ -35,8 +35,6 @@ var messages = []message{
 	&CreateResp{},
 	&AddBlockReq{Path: "/a/b", Client: "c1", Mode: proto.ModeSmarth, Exclude: []string{"dn2", "dn3"}, Previous: sampleBlock},
 	&AddBlockResp{Located: sampleLocated},
-	&AbandonBlockReq{Path: "/a/b", Client: "c1", Block: sampleBlock},
-	&AbandonBlockResp{},
 	&CompleteReq{Path: "/a/b", Client: "c1"},
 	&CompleteResp{Done: true},
 	&RecoverBlockReq{Path: "/a/b", Client: "c1", Block: sampleBlock, Alive: []string{"dn1"}, Exclude: []string{"dn2", "dn3"}, Mode: proto.ModeSmarth},
@@ -237,6 +235,7 @@ func FuzzParse(f *testing.F) {
 		enc := m.AppendTo(nil)
 		f.Add(uint8(i), enc)
 		f.Add(uint8(i), enc[:len(enc)/2])
+		f.Add(uint8(i), enc[:max(len(enc)-1, 0)]) // one byte short of the last field
 		f.Add(uint8(i), append(bytes.Clone(enc), 0))
 		f.Add(uint8(i), bytes.Repeat([]byte{0xff}, 16)) // every count and length at its largest
 		f.Add(uint8(i), []byte{})

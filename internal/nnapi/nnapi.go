@@ -19,7 +19,6 @@ import (
 const (
 	MethodCreate            = "ClientProtocol.create"
 	MethodAddBlock          = "ClientProtocol.addBlock"
-	MethodAbandonBlock      = "ClientProtocol.abandonBlock"
 	MethodComplete          = "ClientProtocol.complete"
 	MethodRecoverBlock      = "ClientProtocol.recoverBlock"
 	MethodClientHeartbeat   = "ClientProtocol.clientHeartbeat"
@@ -76,17 +75,6 @@ type AddBlockReq struct {
 type AddBlockResp struct {
 	Located block.LocatedBlock
 }
-
-// AbandonBlockReq drops an allocated-but-unwritten block (client-side
-// failure before any data was stored).
-type AbandonBlockReq struct {
-	Path   string
-	Client string
-	Block  block.Block
-}
-
-// AbandonBlockResp acknowledges the abandon.
-type AbandonBlockResp struct{ empty }
 
 // CompleteReq finishes a file (step 6 of a write).
 type CompleteReq struct {

@@ -27,7 +27,7 @@ type Dialer struct {
 	Clock clock.Clock
 	// Progress bounds the dial and, from then on, every single frame
 	// read or write on the conn (a progress bound, not a whole-stream
-	// budget). <= 0 disables every bound.
+	// budget). It must be positive.
 	Progress time.Duration
 	// Metrics, when set, receives the conn's frame-level counters.
 	Metrics *obs.ConnMetrics

@@ -52,7 +52,7 @@ type Session struct {
 
 // NewSession prepares a session from local to the server at remote; the
 // first Call dials. timeout, measured on clk, bounds the dial and each
-// attempt of a call separately (<= 0 waits forever).
+// attempt of a call separately; it must be positive.
 func NewSession(net transport.Network, local, remote string, timeout time.Duration, clk clock.Clock) *Session {
 	return &Session{net: net, local: local, remote: remote, timeout: timeout, clk: clk, stop: make(chan struct{})}
 }

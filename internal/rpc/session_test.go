@@ -93,7 +93,7 @@ func TestSessionTimeoutKeepsConnectionAndRetries(t *testing.T) {
 func TestSessionCloseEndsBackoff(t *testing.T) {
 	n := transport.NewMemNetwork(nil)
 	clk := clock.NewManual(time.Unix(0, 0)) // never advanced: a backoff would wait forever
-	s := NewSession(n, "client", "nobody", 0, clk)
+	s := NewSession(n, "client", "nobody", time.Second, clk)
 	done := make(chan error, 1)
 	go func() { done <- s.Call("add", addArgs{}, nil) }()
 	time.Sleep(10 * time.Millisecond)

@@ -90,9 +90,6 @@ type Config struct {
 	NNLatency      time.Duration
 	HopLatency     time.Duration
 
-	// HeartbeatInterval is the client speed-report cadence (3 s).
-	HeartbeatInterval time.Duration
-
 	// Seed fixes placement and local-optimization randomness.
 	Seed int64
 
@@ -138,9 +135,6 @@ func (c *Config) applyDefaults() {
 	}
 	if c.HopLatency <= 0 {
 		c.HopLatency = 300 * time.Microsecond
-	}
-	if c.HeartbeatInterval <= 0 {
-		c.HeartbeatInterval = core.HeartbeatInterval
 	}
 	if c.Seed == 0 {
 		c.Seed = 1
@@ -530,9 +524,9 @@ func (w *writer) start() error {
 					Speeds: w.recorder.Snapshot(),
 				})
 			}
-			s.eng.Schedule(s.cfg.HeartbeatInterval, tick)
+			s.eng.Schedule(core.HeartbeatInterval, tick)
 		}
-		s.eng.Schedule(s.cfg.HeartbeatInterval, tick)
+		s.eng.Schedule(core.HeartbeatInterval, tick)
 	}
 
 	w.offerNext()

@@ -36,12 +36,10 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/bufpool"
 	"repro/internal/checksum"
-	"repro/internal/clock"
 )
 
 // Errors returned by stores.
@@ -286,20 +284,14 @@ func (r *memReplica) recycle() {
 	r.buf, r.data, r.sums = nil, nil, nil
 }
 
-// MemStore keeps replicas on the heap. PerByteDelay, if non-zero, charges
-// write latency proportional to the bytes written — the paper's T_w knob
-// (checksum verification + local disk write time per packet).
+// MemStore keeps replicas on the heap.
 type MemStore struct {
 	index[*memReplica]
-	// Clk is the time source used for write-delay injection.
-	Clk clock.Clock
-	// PerByteDelay charges this much latency per byte written.
-	PerByteDelay time.Duration
 }
 
 // NewMemStore returns an empty in-memory store.
 func NewMemStore() *MemStore {
-	return &MemStore{index: index[*memReplica]{reps: map[block.ID]*memReplica{}}, Clk: clock.System}
+	return &MemStore{index: index[*memReplica]{reps: map[block.ID]*memReplica{}}}
 }
 
 type memWriter struct {
@@ -393,9 +385,6 @@ func (w *memWriter) Write(p []byte) (int, error) {
 func (w *memWriter) land(p []byte) {
 	if len(p) == 0 {
 		return
-	}
-	if d := w.store.PerByteDelay; d > 0 {
-		w.store.Clk.Sleep(time.Duration(len(p)) * d)
 	}
 	w.store.mu.Lock()
 	dst := w.room(len(p))

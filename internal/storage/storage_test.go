@@ -7,7 +7,6 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
-	"time"
 
 	"repro/internal/block"
 	"repro/internal/checksum"
@@ -287,20 +286,6 @@ func TestDiskStoreReindex(t *testing.T) {
 	}
 	if err := s2.VerifyBlock(20); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestMemStoreWriteDelay(t *testing.T) {
-	s := NewMemStore()
-	s.PerByteDelay = time.Microsecond // 1 µs/B = ~1 MB/s
-	w, _ := s.Create(block.Block{ID: 30}, false)
-	start := time.Now()
-	w.Write(make([]byte, 20_000))
-	elapsed := time.Since(start)
-	w.Commit()
-	w.Close()
-	if elapsed < 15*time.Millisecond {
-		t.Fatalf("write of 20 kB with 1µs/B delay took %v, want ≥ 20ms-ish", elapsed)
 	}
 }
 

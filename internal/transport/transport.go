@@ -116,16 +116,6 @@ func NewMemNetwork(policy LinkPolicy) *MemNetwork {
 	}
 }
 
-// SetPolicy swaps the link policy (affects connections made afterwards).
-func (n *MemNetwork) SetPolicy(p LinkPolicy) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if p == nil {
-		p = UnshapedPolicy{}
-	}
-	n.policy = p
-}
-
 // SetClock replaces the clock driving link latency and conn deadlines
 // (affects connections made afterwards). Pass a virtual clock to make
 // deadlines deterministic in simulated time.
@@ -344,24 +334,21 @@ func (n *MemNetwork) Heal(addr string) {
 // ---------------------------------------------------------------------
 
 // TCPTuning configures socket-level options applied to every dialed and
-// accepted connection. The zero value leaves the kernel defaults alone
-// (but still enables TCP_NODELAY); DefaultTCPTuning is what
-// NewTCPNetwork uses.
+// accepted connection. The zero value leaves the kernel defaults alone;
+// DefaultTCPTuning is what NewTCPNetwork uses. TCP_NODELAY is always on
+// (Go's default for every TCP conn): the proto layer already coalesces
+// small frames behind its own cork, so Nagle's delay would only add
+// ack-bound latency to pipeline setup and per-packet acks.
 type TCPTuning struct {
 	// ReadBuffer and WriteBuffer size SO_RCVBUF / SO_SNDBUF in bytes;
 	// 0 keeps the kernel default. Large buffers let one writer keep a
 	// fat or long link full (bandwidth-delay product).
 	ReadBuffer  int
 	WriteBuffer int
-	// DisableNoDelay keeps Nagle's algorithm. By default TCP_NODELAY is
-	// set: the proto layer already coalesces small frames behind its own
-	// cork, so kernel-side delay only adds ack-bound latency to pipeline
-	// setup and per-packet acks.
-	DisableNoDelay bool
 }
 
 // DefaultTCPTuning is the tuning NewTCPNetwork applies: 1 MiB socket
-// buffers each way and TCP_NODELAY on.
+// buffers each way.
 var DefaultTCPTuning = TCPTuning{ReadBuffer: 1 << 20, WriteBuffer: 1 << 20}
 
 // apply sets the socket options on c when it is a real TCP socket.
@@ -377,7 +364,6 @@ func (t TCPTuning) apply(c net.Conn) {
 	if t.WriteBuffer > 0 {
 		_ = tc.SetWriteBuffer(t.WriteBuffer)
 	}
-	_ = tc.SetNoDelay(!t.DisableNoDelay)
 }
 
 // TCPNetwork runs the protocol over real sockets. The LinkPolicy still
@@ -489,13 +475,10 @@ func (n *TCPNetwork) Dial(local, remote string) (Conn, error) {
 	}, nil
 }
 
-// DialTimeout dials remote, giving up after d on clk. A non-positive d
-// (or nil clk) means no bound. A connection that completes after the
-// timeout fired is closed, not leaked.
+// DialTimeout dials remote, giving up after d (which must be positive)
+// on clk. A connection that completes after the timeout fired is closed,
+// not leaked.
 func DialTimeout(nw Network, local, remote string, d time.Duration, clk clock.Clock) (Conn, error) {
-	if d <= 0 || clk == nil {
-		return nw.Dial(local, remote)
-	}
 	type dialResult struct {
 		conn Conn
 		err  error

@@ -368,20 +368,23 @@ func TestRecoveryAttemptsExhausted(t *testing.T) {
 	m := newMock()
 	log := &DecisionLog{}
 	var e *Engine
+	dn := func(i int) string { return fmt.Sprintf("dn%d", i) }
 	m.onAddBlock = grantSequence(&e, lbOf(1, "dn1", "dn2", "dn3"))
-	restreams := []block.LocatedBlock{lbOf(1, "dn2", "dn3", "dn4"), lbOf(1, "dn3", "dn4", "dn5")}
+	// Attempt k re-streams to [dn(k+1), dn(k+2), dn(k+3)].
 	m.onRecover = func(idx, attempt int, blk block.Block, alive, exclude []string) {
-		e.HandleRecovered(idx, restreams[attempt-1], nil)
+		e.HandleRecovered(idx, lbOf(1, dn(attempt+1), dn(attempt+2), dn(attempt+3)), nil)
 	}
 	root := errors.New("root cause")
 	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 2,
-		DisableLocalOpt: true, MaxRecoveryAttempts: 2, Log: log}, m))
+		DisableLocalOpt: true, Log: log}, m))
 
 	e.Offer(100)
 	e.HandleFailed(0, PipelineFailure{BadIndex: 0, Cause: root}) // blames dn1, attempt 1
-	e.HandleFailed(0, PipelineFailure{BadIndex: -1, Cause: errors.New("restream died")})
-	// Attempt 2's restream fails too: budget (2) spent → file fails.
-	e.HandleFailed(0, PipelineFailure{BadIndex: -1, Cause: errors.New("restream died again")})
+	// Every restream fails too; the last one finds the budget spent and
+	// fails the file.
+	for i := 0; i < DefaultMaxRecoveryAttempts; i++ {
+		e.HandleFailed(0, PipelineFailure{BadIndex: -1, Cause: errors.New("restream died")})
+	}
 	err := m.waitDone(t)
 	if err == nil {
 		t.Fatal("file succeeded after exhausting recovery attempts")
@@ -389,12 +392,16 @@ func TestRecoveryAttemptsExhausted(t *testing.T) {
 	if !errors.Is(err, root) {
 		t.Fatalf("terminal error %v does not wrap the first cause %v", err, root)
 	}
-	if got := m.count("recover("); got != 2 {
-		t.Fatalf("recoverBlock called %d times, want 2", got)
+	if got := m.count("recover("); got != DefaultMaxRecoveryAttempts {
+		t.Fatalf("recoverBlock called %d times, want %d", got, DefaultMaxRecoveryAttempts)
 	}
 	// The unknown-BadIndex sweep blames first unsuspected targets in
-	// order: dn1 (reported), then dn2, then dn3.
-	for _, want := range []string{"fail idx=0 bad=dn1", "fail idx=0 bad=dn2", "fail idx=0 bad=dn3", "abort"} {
+	// order: dn1 (reported), then each restream's head, dn2 on.
+	wants := []string{"abort"}
+	for i := 1; i <= DefaultMaxRecoveryAttempts+1; i++ {
+		wants = append(wants, "fail idx=0 bad="+dn(i))
+	}
+	for _, want := range wants {
 		found := false
 		for _, l := range log.Lines() {
 			if l == want {

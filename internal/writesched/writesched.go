@@ -148,8 +148,6 @@ type Config struct {
 	// retires any pipeline as soon as it commits (the legacy behavior of
 	// both the live client and the simulator).
 	StrictRetire bool
-	// MaxRecoveryAttempts defaults to DefaultMaxRecoveryAttempts.
-	MaxRecoveryAttempts int
 	// Seed fixes the Algorithm 2 swap randomness.
 	Seed int64
 	// SpeedOverride, when set, replaces measured FNFA samples.
@@ -267,9 +265,6 @@ type Engine struct {
 func New(cfg Config, sub Substrate) *Engine {
 	if cfg.MaxPipelines < 1 {
 		cfg.MaxPipelines = 1
-	}
-	if cfg.MaxRecoveryAttempts <= 0 {
-		cfg.MaxRecoveryAttempts = DefaultMaxRecoveryAttempts
 	}
 	seed := cfg.Seed
 	if seed == 0 {
@@ -668,9 +663,9 @@ func (e *Engine) markSuspect(b *blockRec, f PipelineFailure) {
 // tryRecover issues the next recoverBlock attempt, or fails the file
 // when the attempt budget is spent.
 func (e *Engine) tryRecover(b *blockRec) {
-	if b.attempts >= e.cfg.MaxRecoveryAttempts {
+	if b.attempts >= DefaultMaxRecoveryAttempts {
 		e.fail(fmt.Errorf("writesched: block %v unrecoverable after %d attempts: %w",
-			b.lb.Block, e.cfg.MaxRecoveryAttempts, b.firstCause))
+			b.lb.Block, DefaultMaxRecoveryAttempts, b.firstCause))
 		return
 	}
 	b.attempts++

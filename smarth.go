@@ -15,6 +15,8 @@
 //   - a real concurrent implementation over in-memory or TCP transports
 //     (StartCluster / Client), used by the examples, the integration
 //     tests, and anything that wants actual bytes moved and verified;
+//     every wait in it is bounded (Timeouts), with no way to turn a
+//     bound off;
 //   - a discrete-event simulator (Simulate) that runs the same decision
 //     algorithms against a packet-level network model at paper scale
 //     (8 GB files, Mbps NICs) in virtual time, used to regenerate every
@@ -57,17 +59,13 @@ type WriteOptions = client.WriteOptions
 
 // Timeouts bound the blocking points of the write and read paths with
 // two fields: Progress (every step on a data connection, acks included)
-// and RPC (each namenode call attempt);
-// zero fields disable that bound. Set per client, via
+// and RPC (each namenode call attempt); a zero field takes its
+// DefaultTimeouts value, so no wait is unbounded. Set per client, via
 // ClientOptions.Timeouts.
 type Timeouts = client.Timeouts
 
 // DefaultTimeouts returns the production timeout defaults.
 func DefaultTimeouts() Timeouts { return client.DefaultTimeouts() }
-
-// NoTimeouts disables every client timeout (legacy block-forever
-// behavior, as used by the discrete-event-simulation figures).
-func NoTimeouts() Timeouts { return client.NoTimeouts() }
 
 // WriteMode names a write protocol (SimConfig.Mode; a live write picks
 // its protocol with CreateHDFS or CreateSmarth).
