@@ -131,21 +131,6 @@ func (p *Pass) AnnotatedAt(pos token.Pos, name string) bool {
 		p.notes[annotKey{position.Filename, position.Line - 1, name}]
 }
 
-// FuncAnnotated reports whether the declaration's doc comment carries a
-// `//smarth:<name>` annotation (function-scope escape hatch).
-func FuncAnnotated(decl *ast.FuncDecl, name string) bool {
-	if decl == nil || decl.Doc == nil {
-		return false
-	}
-	for _, c := range decl.Doc.List {
-		text := strings.TrimSpace(strings.TrimPrefix(c.Text, "//"))
-		if text == "smarth:"+name || strings.HasPrefix(text, "smarth:"+name+" ") {
-			return true
-		}
-	}
-	return false
-}
-
 // Callee resolves the *types.Func a call expression invokes, or nil for
 // builtins, conversions, and dynamic calls through function values.
 func Callee(info *types.Info, call *ast.CallExpr) *types.Func {

@@ -1,31 +1,26 @@
 // Package lockorder implements the smarth-vet analyzer encoding the
-// namenode lock ranking of DESIGN.md §12: namespace shard (rank 1) →
-// block-map stripe (rank 2) → datanode manager (rank 3) → replication
-// manager (rank 4) → admin mutex (rank 5), acquired strictly left to
-// right. The analyzer runs a forward walk over each function body
-// (internal/analysis/flow) tracking which ranks are held and reports:
+// namenode lock ranking of DESIGN.md §12: namesystem (rank 1) →
+// datanode manager (rank 2) → replication manager (rank 3) → admin
+// mutex (rank 4), acquired strictly left to right. The analyzer runs a
+// forward walk over each function body (internal/analysis/flow)
+// tracking which ranks are held and reports:
 //
 //   - acquiring a lower-ranked lock while holding a higher-ranked one
 //     (the inversion class that deadlocks two namenode operations
 //     running in opposite order);
-//   - acquiring a second lock of the same rank while one is already
-//     held (shards and stripes are arrays of peer mutexes — holding
-//     two risks ABBA between concurrent operations), except in
-//     functions annotated `//smarth:multi-shard`, the documented
-//     cross-shard rename path that orders shards by index.
+//   - acquiring a lock of a rank that is already held (each rank is
+//     one sync.Mutex, so this is a self-deadlock).
 //
 // Locks are recognized structurally: `x.mu.Lock()` (and TryLock/RLock)
-// where x's type is one of the ranked namenode structs — nsShard,
-// blockStripe, datanodeManager, replicationManager, Namenode — plus
-// the namesystem's contention-counting helpers lockShard/lockStripe.
-// A TryLock used as an if condition acquires only on the taken branch.
-// Unlock/RUnlock releases; a deferred Unlock is treated as held until
-// return, which is exactly what ordering needs.
+// where x's type is one of the ranked namenode structs — namesystem,
+// datanodeManager, replicationManager, Namenode. A TryLock used as an
+// if condition acquires only on the taken branch. Unlock/RUnlock
+// releases; a deferred Unlock is treated as held until return, which is
+// exactly what ordering needs.
 //
 // Known limits (DESIGN.md §13): the check is intra-procedural — a
-// helper that locks internally is invisible to its callers (the two
-// documented helpers are modeled explicitly) — and goto-using
-// functions are skipped.
+// helper that locks internally is invisible to its callers — and
+// goto-using functions are skipped.
 package lockorder
 
 import (
@@ -41,8 +36,8 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
 	Doc: "check that namenode mutexes are acquired in the documented " +
-		"rank order (shard -> stripe -> datanode manager -> replication " +
-		"manager -> admin) and never doubly acquired within a rank",
+		"rank order (namesystem -> datanode manager -> replication " +
+		"manager -> admin) and never acquired while already held",
 	Run: run,
 }
 
@@ -50,27 +45,18 @@ var Analyzer = &analysis.Analyzer{
 // in the documented order. The admin mutex is a field of Namenode
 // itself.
 var rankOf = map[string]int{
-	"nsShard":            1,
-	"blockStripe":        2,
-	"datanodeManager":    3,
-	"replicationManager": 4,
-	"Namenode":           5,
+	"namesystem":         1,
+	"datanodeManager":    2,
+	"replicationManager": 3,
+	"Namenode":           4,
 }
 
 // rankName renders a rank for diagnostics.
 var rankName = map[int]string{
-	1: "namespace shard",
-	2: "block stripe",
-	3: "datanode manager",
-	4: "replication manager",
-	5: "admin mutex",
-}
-
-// lockHelpers maps the namesystem's contention-counting lock helpers to
-// the rank they acquire.
-var lockHelpers = map[string]int{
-	"lockShard":  1,
-	"lockStripe": 2,
+	1: "namesystem",
+	2: "datanode manager",
+	3: "replication manager",
+	4: "admin mutex",
 }
 
 // state tracks how many locks of each rank are held on the current
@@ -105,13 +91,12 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			multiShard := analysis.FuncAnnotated(fd, "multi-shard")
-			analyzeBody(pass, fd.Body, multiShard)
+			analyzeBody(pass, fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
 					// A literal starts with no locks held: goroutines and
 					// callbacks must do their own ordered acquisition.
-					analyzeBody(pass, lit.Body, multiShard)
+					analyzeBody(pass, lit.Body)
 				}
 				return true
 			})
@@ -121,12 +106,11 @@ func run(pass *analysis.Pass) error {
 }
 
 type fctx struct {
-	pass       *analysis.Pass
-	multiShard bool
+	pass *analysis.Pass
 }
 
-func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt, multiShard bool) {
-	fc := &fctx{pass: pass, multiShard: multiShard}
+func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt) {
+	fc := &fctx{pass: pass}
 	interp := &flow.Interp[state]{
 		Clone: func(s state) state { return s.clone() },
 		Merge: func(a, b state) state { return a.merge(b) },
@@ -138,8 +122,8 @@ func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt, multiShard bool) {
 }
 
 // mutexRank classifies a call as a ranked mutex operation. acquire is
-// false for Unlock/RUnlock; helper TryLocks used as conditions are
-// handled by cond.
+// false for Unlock/RUnlock; TryLocks used as conditions are handled by
+// cond.
 func (fc *fctx) mutexRank(call *ast.CallExpr) (rank int, acquire, try, ok bool) {
 	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
 	if !isSel {
@@ -147,35 +131,30 @@ func (fc *fctx) mutexRank(call *ast.CallExpr) (rank int, acquire, try, ok bool) 
 	}
 	switch sel.Sel.Name {
 	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-		// x.mu.Lock(): rank by the named struct type holding the mutex.
-		holder, isSel2 := ast.Unparen(sel.X).(*ast.SelectorExpr)
-		if !isSel2 {
-			return 0, false, false, false
-		}
-		named := analysis.NamedReceiverType(fc.pass.TypesInfo, holder.X)
-		if named == nil {
-			return 0, false, false, false
-		}
-		r, ranked := rankOf[named.Obj().Name()]
-		if !ranked || !isMutexField(fc.pass.TypesInfo, holder) {
-			return 0, false, false, false
-		}
-		switch sel.Sel.Name {
-		case "Unlock", "RUnlock":
-			return r, false, false, true
-		case "TryLock", "TryRLock":
-			return r, true, true, true
-		default:
-			return r, true, false, true
-		}
-	case "lockShard", "lockStripe":
-		if fn := analysis.Callee(fc.pass.TypesInfo, call); fn != nil {
-			if r, ok := lockHelpers[fn.Name()]; ok {
-				return r, true, false, true
-			}
-		}
+	default:
+		return 0, false, false, false
 	}
-	return 0, false, false, false
+	// x.mu.Lock(): rank by the named struct type holding the mutex.
+	holder, isSel2 := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !isSel2 {
+		return 0, false, false, false
+	}
+	named := analysis.NamedReceiverType(fc.pass.TypesInfo, holder.X)
+	if named == nil {
+		return 0, false, false, false
+	}
+	r, ranked := rankOf[named.Obj().Name()]
+	if !ranked || !isMutexField(fc.pass.TypesInfo, holder) {
+		return 0, false, false, false
+	}
+	switch sel.Sel.Name {
+	case "Unlock", "RUnlock":
+		return r, false, false, true
+	case "TryLock", "TryRLock":
+		return r, true, true, true
+	default:
+		return r, true, false, true
+	}
 }
 
 // isMutexField reports whether sel resolves to a sync.Mutex or
@@ -196,14 +175,13 @@ func isMutexField(info *types.Info, sel *ast.SelectorExpr) bool {
 // acquire checks and records taking a lock of rank r.
 func (fc *fctx) acquire(s state, r int, pos token.Pos) state {
 	for held, n := range s.held {
-		if n > 0 && held > r && !fc.suppressed(pos) {
-			fc.pass.Reportf(pos, "acquires %s (rank %d) while holding %s (rank %d); the documented order is shard -> stripe -> datanodes -> replication -> admin",
+		if n > 0 && held > r {
+			fc.pass.Reportf(pos, "acquires %s (rank %d) while holding %s (rank %d); the documented order is namesystem -> datanodes -> replication -> admin",
 				rankName[r], r, rankName[held], held)
 		}
 	}
-	if s.held[r] > 0 && !fc.multiShard && !fc.suppressed(pos) {
-		fc.pass.Reportf(pos, "acquires a second %s while one is already held (annotate the function //smarth:multi-shard if this is the index-ordered rename path)",
-			rankName[r])
+	if s.held[r] > 0 {
+		fc.pass.Reportf(pos, "acquires the %s lock while already holding it", rankName[r])
 	}
 	s.held[r]++
 	return s
@@ -277,10 +255,4 @@ func (fc *fctx) cond(s state, cond ast.Expr, taken bool) state {
 		return s
 	}
 	return s
-}
-
-// suppressed honors the //smarth:multi-shard line annotation as a
-// statement-level escape hatch in addition to the function-doc form.
-func (fc *fctx) suppressed(pos token.Pos) bool {
-	return fc.pass.AnnotatedAt(pos, "multi-shard")
 }

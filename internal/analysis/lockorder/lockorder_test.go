@@ -8,9 +8,8 @@ import (
 )
 
 // TestLockOrder runs the analyzer over the ranked-mutex fixture:
-// inversions at several rank gaps, same-rank double acquisition, the
-// TryLock-then-Lock helper form, and the //smarth:multi-shard rename
-// escape hatch.
+// inversions, a second acquire of a held lock, and the TryLock branch,
+// each with a reporting and a clean case.
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "a")
 }

@@ -1,19 +1,16 @@
 // Package a is the lockorder analysistest fixture: the ranked namenode
 // mutex holders are mirrored by type name (the analyzer classifies
 // structurally, so the fixture exercises exactly the production
-// matching), with inversions, double acquisition, the helper forms,
-// and the //smarth:multi-shard rename escape hatch.
+// matching). Each diagnostic class — inversion, a second acquire of a
+// held lock, and the TryLock branch — has a case that reports and one
+// that does not.
 package a
 
 import "sync"
 
-type nsShard struct {
+type namesystem struct {
 	mu    sync.Mutex
 	files map[string]int
-}
-
-type blockStripe struct {
-	mu sync.Mutex
 }
 
 type datanodeManager struct {
@@ -28,33 +25,10 @@ type Namenode struct {
 	mu sync.Mutex
 }
 
-type namesystem struct {
-	shards  []*nsShard
-	stripes []*blockStripe
-}
-
-// lockShard mirrors the production contention-counting helper.
-func (ns *namesystem) lockShard(s *nsShard) {
-	if s.mu.TryLock() {
-		return
-	}
-	s.mu.Lock()
-}
-
-// lockStripe likewise.
-func (ns *namesystem) lockStripe(st *blockStripe) {
-	if st.mu.TryLock() {
-		return
-	}
-	st.mu.Lock()
-}
-
 // ordered walks the full documented order left to right: clean.
-func ordered(s *nsShard, st *blockStripe, dm *datanodeManager, rm *replicationManager, nn *Namenode) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st.mu.Lock()
-	st.mu.Unlock()
+func ordered(ns *namesystem, dm *datanodeManager, rm *replicationManager, nn *Namenode) {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
 	dm.mu.Lock()
 	dm.mu.Unlock()
 	rm.mu.Lock()
@@ -63,80 +37,73 @@ func ordered(s *nsShard, st *blockStripe, dm *datanodeManager, rm *replicationMa
 	nn.mu.Unlock()
 }
 
-// inverted acquires a shard while holding a stripe: the deadlock class.
-func inverted(st *blockStripe, s *nsShard) {
-	st.mu.Lock()
-	s.mu.Lock() // want `acquires namespace shard \(rank 1\) while holding block stripe \(rank 2\)`
-	s.mu.Unlock()
-	st.mu.Unlock()
+// inverted takes the namesystem while holding the datanode manager: the
+// deadlock class.
+func inverted(dm *datanodeManager, ns *namesystem) {
+	dm.mu.Lock()
+	ns.mu.Lock() // want `acquires namesystem \(rank 1\) while holding datanode manager \(rank 2\)`
+	ns.mu.Unlock()
+	dm.mu.Unlock()
 }
 
 // adminFirst holds the admin mutex across a subsystem acquisition.
 func adminFirst(nn *Namenode, rm *replicationManager) {
 	nn.mu.Lock()
-	rm.mu.Lock() // want `acquires replication manager \(rank 4\) while holding admin mutex \(rank 5\)`
+	rm.mu.Lock() // want `acquires replication manager \(rank 3\) while holding admin mutex \(rank 4\)`
 	rm.mu.Unlock()
 	nn.mu.Unlock()
 }
 
-// doubleShard holds two peer shards without the sanctioned ordering.
-func doubleShard(a, b *nsShard) {
-	a.mu.Lock()
-	b.mu.Lock() // want `acquires a second namespace shard while one is already held`
-	b.mu.Unlock()
-	a.mu.Unlock()
-}
-
-// renameLike is the sanctioned index-ordered cross-shard path.
-//
-//smarth:multi-shard
-func renameLike(a, b *nsShard) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	b.mu.Lock()
-	defer b.mu.Unlock()
-}
-
-// viaHelper: the contention-counting helpers carry their rank.
-func viaHelper(ns *namesystem, dm *datanodeManager, s *nsShard) {
-	dm.mu.Lock()
-	ns.lockShard(s) // want `acquires namespace shard \(rank 1\) while holding datanode manager \(rank 3\)`
-	s.mu.Unlock()
-	dm.mu.Unlock()
-}
-
-// helperOrdered is the production namesystem shape: helper-acquired
-// shard, deferred unlock, then a stripe. Clean.
-func helperOrdered(ns *namesystem, s *nsShard, st *blockStripe) {
-	ns.lockShard(s)
-	defer s.mu.Unlock()
-	ns.lockStripe(st)
-	st.mu.Unlock()
-}
-
 // releasedBetween is sequential, not nested: clean.
-func releasedBetween(s *nsShard, st *blockStripe) {
-	st.mu.Lock()
-	st.mu.Unlock()
-	s.mu.Lock()
-	s.mu.Unlock()
+func releasedBetween(ns *namesystem, dm *datanodeManager) {
+	dm.mu.Lock()
+	dm.mu.Unlock()
+	ns.mu.Lock()
+	ns.mu.Unlock()
+}
+
+// relock takes the namesystem lock a second time: a self-deadlock.
+func relock(ns *namesystem) {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	ns.mu.Lock() // want `acquires the namesystem lock while already holding it`
+	ns.mu.Unlock()
 }
 
 // loopLocks acquires and releases per iteration: clean across the
 // walker's loop fixpoint.
-func loopLocks(shards []*nsShard) {
-	for _, s := range shards {
-		s.mu.Lock()
-		s.mu.Unlock()
+func loopLocks(ns *namesystem, n int) {
+	for i := 0; i < n; i++ {
+		ns.mu.Lock()
+		ns.mu.Unlock()
 	}
 }
 
 // branchUnlock releases on an early-return branch: clean.
-func branchUnlock(s *nsShard, cond bool) {
-	s.mu.Lock()
+func branchUnlock(ns *namesystem, cond bool) {
+	ns.mu.Lock()
 	if cond {
-		s.mu.Unlock()
+		ns.mu.Unlock()
 		return
 	}
-	s.mu.Unlock()
+	ns.mu.Unlock()
+}
+
+// tryHeld: the lock is held on a TryLock's taken branch, so locking it
+// again there deadlocks.
+func tryHeld(ns *namesystem) {
+	if ns.mu.TryLock() {
+		ns.mu.Lock() // want `acquires the namesystem lock while already holding it`
+		ns.mu.Unlock()
+	}
+}
+
+// tryFailed falls back to Lock only where the TryLock failed: clean.
+func tryFailed(ns *namesystem) {
+	if ns.mu.TryLock() {
+		ns.mu.Unlock()
+		return
+	}
+	ns.mu.Lock()
+	ns.mu.Unlock()
 }

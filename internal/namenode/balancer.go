@@ -34,8 +34,8 @@ type blockSnap struct {
 
 // Balance computes one round of balancing moves and queues them on the
 // source datanodes' heartbeats. The block index is a point-in-time
-// snapshot (taken shard by shard), which is fine: a move that races a
-// concurrent delete just produces an invalidation for the moved copy.
+// snapshot; a move that races a later delete just produces an
+// invalidation for the moved copy.
 func (nn *Namenode) Balance(req nnapi.BalanceReq) (nnapi.BalanceResp, error) {
 	if req.Threshold <= 0 {
 		req.Threshold = 0.1
@@ -74,23 +74,14 @@ func (nn *Namenode) Balance(req nnapi.BalanceReq) (nnapi.BalanceResp, error) {
 
 	// Index complete files' blocks by holder for the donors we will touch.
 	blocksOn := make(map[string][]blockSnap)
-	nn.ns.forEachFile(func(f *fileInode) {
-		if !f.complete {
+	nn.ns.forEachBlock(func(meta *blockMeta) {
+		if !meta.complete {
 			return
 		}
-		for _, id := range f.blocks {
-			cur, _, holders, ok := nn.ns.blockView(id)
-			if !ok {
-				continue
-			}
-			holderSet := make(map[string]bool, len(holders))
-			for _, h := range holders {
-				holderSet[h] = true
-			}
-			snap := blockSnap{cur: cur, holders: holderSet}
-			for _, h := range holders {
-				blocksOn[h] = append(blocksOn[h], snap)
-			}
+		snap := blockSnap{cur: meta.cur, holders: make(map[string]bool, len(meta.locations))}
+		for h := range meta.locations {
+			snap.holders[h] = true
+			blocksOn[h] = append(blocksOn[h], snap)
 		}
 	})
 	for _, snaps := range blocksOn {
@@ -154,7 +145,7 @@ func (nn *Namenode) Balance(req nnapi.BalanceReq) (nnapi.BalanceResp, error) {
 // completeBalancerMove is called from blockReceivedOne: if this report
 // finishes a balancer move, the source replica is dropped and
 // invalidated. nn.mu protects only the move table and is released before
-// touching the block stripe or the datanode manager.
+// touching the namesystem or the datanode manager.
 func (nn *Namenode) completeBalancerMove(dn string, b block.Block) {
 	nn.mu.Lock()
 	move, ok := nn.balancerMoves[b.ID]

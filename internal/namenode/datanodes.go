@@ -33,11 +33,11 @@ type dnEntry struct {
 
 // datanodeManager tracks registration, liveness, topology and
 // invalidation work under its own lock (mu), independent of the
-// namespace shards. Methods with a Locked suffix assume mu is held —
+// namesystem's. Methods with a Locked suffix assume mu is held —
 // placement runs a whole choose() under mu so the topology and the
 // shared placement rng stay consistent; everything else self-locks.
-// In the namenode lock order, mu may be acquired while a namespace
-// shard is held, never the reverse.
+// In the namenode lock order, mu may be acquired while the namesystem
+// lock is held, never the reverse.
 type datanodeManager struct {
 	mu     sync.Mutex
 	clk    clock.Clock

@@ -3,6 +3,7 @@ package namenode
 import (
 	"fmt"
 	"io"
+	"sort"
 
 	"repro/internal/block"
 	"repro/internal/wire"
@@ -27,18 +28,31 @@ const imageVersion = 2
 // strings, two integers, the flag and an empty block list.
 const imageFileSize = 2*wire.MinStringSize + 2*8 + 1 + 4
 
-// SaveImage writes a namespace checkpoint. The snapshot is taken shard
-// by shard (there is no global namesystem lock), so it is consistent per
-// file but not across concurrent mutations — checkpoint a quiesced
-// namenode, as the CLI's save path does.
+// SaveImage writes a namespace checkpoint. The image is encoded in one
+// critical section of the namesystem lock, so it is one point in time
+// even while clients write: every file appears exactly once, with the
+// blocks and counters of that instant.
 func (nn *Namenode) SaveImage(w io.Writer) error {
-	files := nn.ns.list("")
+	_, err := w.Write(nn.ns.image())
+	return err
+}
+
+// image encodes the namespace in the layout above, files in path order.
+func (ns *namesystem) image() []byte {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	paths := make([]string, 0, len(ns.files))
+	for path := range ns.files {
+		paths = append(paths, path)
+	}
+	sort.Strings(paths)
 	img := append([]byte(nil), imageVersion)
-	img = wire.AppendI64(img, nn.ns.nextBlock.Load())
-	img = wire.AppendU64(img, nn.ns.nextGen.Load())
-	img = wire.AppendCount(img, len(files))
+	img = wire.AppendI64(img, ns.nextBlock)
+	img = wire.AppendU64(img, ns.nextGen)
+	img = wire.AppendCount(img, len(paths))
 	var blocks []block.Block
-	for _, f := range files {
+	for _, path := range paths {
+		f := ns.files[path]
 		img = wire.AppendString(img, f.path)
 		img = wire.AppendString(img, f.client)
 		img = wire.AppendInt(img, f.replication)
@@ -46,14 +60,19 @@ func (nn *Namenode) SaveImage(w io.Writer) error {
 		img = wire.AppendBool(img, f.complete)
 		blocks = blocks[:0]
 		for _, id := range f.blocks {
-			if cur, _, _, ok := nn.ns.blockView(id); ok {
-				blocks = append(blocks, cur)
+			if meta, ok := ns.blocks[id]; ok {
+				blocks = append(blocks, meta.cur)
 			}
 		}
 		img = wire.AppendBlocks(img, blocks)
 	}
-	_, err := w.Write(img)
-	return err
+	return img
+}
+
+// imageFile is one decoded checkpoint entry: the inode and its blocks.
+type imageFile struct {
+	inode  *fileInode
+	blocks []block.Block
 }
 
 // LoadImage restores a checkpoint into an empty namenode. Leases of
@@ -74,10 +93,6 @@ func (nn *Namenode) LoadImage(r io.Reader) error {
 		return fmt.Errorf("namenode: image version %d, want %d", v, imageVersion)
 	}
 	nextBlock, nextGen := rd.I64(), rd.U64()
-	type imageFile struct {
-		inode  *fileInode
-		blocks []block.Block
-	}
 	files := make([]imageFile, rd.Count(imageFileSize))
 	now := nn.clk.Now()
 	totalBlocks := 0
@@ -100,16 +115,38 @@ func (nn *Namenode) LoadImage(r io.Reader) error {
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("namenode: decode image: %w", err)
 	}
-	if n := nn.ns.fileCount(); n != 0 {
-		return fmt.Errorf("namenode: refusing to load an image into a non-empty namespace (%d files)", n)
+	if err := nn.ns.restore(files, nextBlock, nextGen); err != nil {
+		return err
 	}
-	for _, f := range files {
-		nn.ns.restore(f.inode, f.blocks)
-	}
-	nn.ns.nextBlock.Store(nextBlock)
-	nn.ns.nextGen.Store(nextGen)
 	// Replica locations are unknown until datanodes report: enter safe
 	// mode (namespace mutations rejected) if the image holds any blocks.
 	nn.safeMode.Store(totalBlocks > 0)
+	return nil
+}
+
+// restore fills an empty namesystem from a decoded checkpoint.
+func (ns *namesystem) restore(files []imageFile, nextBlock int64, nextGen uint64) error {
+	ns.mu.Lock()
+	defer ns.mu.Unlock()
+	if n := len(ns.files); n != 0 {
+		return fmt.Errorf("namenode: refusing to load an image into a non-empty namespace (%d files)", n)
+	}
+	for _, img := range files {
+		f := img.inode
+		ns.files[f.path] = f
+		if !f.complete {
+			ns.addLeaseLocked(f)
+		}
+		for _, b := range img.blocks {
+			ns.blocks[b.ID] = &blockMeta{
+				cur:         b,
+				path:        f.path,
+				locations:   make(map[string]bool),
+				replication: f.replication,
+				complete:    f.complete,
+			}
+		}
+	}
+	ns.nextBlock, ns.nextGen = nextBlock, nextGen
 	return nil
 }

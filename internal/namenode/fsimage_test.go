@@ -117,7 +117,7 @@ func TestLoadImageValidation(t *testing.T) {
 		if err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: err = %v, want one mentioning %q", tc.name, err, tc.want)
 		}
-		if n := nn.ns.fileCount(); n != 0 {
+		if n := len(nn.ns.files); n != 0 {
 			t.Errorf("%s: a rejected image left %d files behind", tc.name, n)
 		}
 	}
@@ -224,7 +224,7 @@ func FuzzLoadImage(f *testing.F) {
 	f.Fuzz(func(t *testing.T, raw []byte) {
 		nn := New(Options{Clock: newTestClock(), Seed: 1})
 		if err := nn.LoadImage(bytes.NewReader(raw)); err != nil {
-			if n := nn.ns.fileCount(); n != 0 {
+			if n := len(nn.ns.files); n != 0 {
 				t.Fatalf("rejected image (%v) left %d files behind", err, n)
 			}
 			return

@@ -4,13 +4,13 @@
 // topology policy and SMARTH's Algorithm 1 global optimization — and
 // the RPC surface defined in package nnapi.
 //
-// Concurrency: there is no global namesystem lock. The namespace is
-// sharded by parent directory and the block manager striped by block ID
-// (see namesystem.go); the datanode manager, replication manager, and
-// balancer bookkeeping each have their own lock. The documented lock
-// order is: namespace shard(s, by index) → one block stripe → datanode
-// manager → replication manager → nn.mu (balancer/admin); locks are
-// only ever acquired left-to-right along that order.
+// Concurrency: one namesystem lock guards the namespace, the lease
+// index and the block map (see namesystem.go), as Hadoop's FSNamesystem
+// lock does; the datanode manager, replication manager, and balancer
+// bookkeeping each have their own lock. The documented lock order is:
+// namesystem → datanode manager → replication manager → nn.mu
+// (balancer/admin); locks are only ever acquired left-to-right along
+// that order.
 package namenode
 
 import (
@@ -46,8 +46,7 @@ type Options struct {
 	// simulations reproducible. Zero means seed from the system clock.
 	Seed int64
 	// Obs, when set, receives metrics (RPC latency per method, placement
-	// decisions, block recoveries, shard contention) under the
-	// "namenode" component.
+	// decisions, block recoveries) under the "namenode" component.
 	Obs *obs.Obs
 }
 
@@ -101,7 +100,6 @@ type Namenode struct {
 	mBlocksAllocated *obs.Counter
 	mBlockRecoveries *obs.Counter
 	mRPCs            *obs.Counter // RPCs served
-	mShardContention *obs.Counter // contended shard/stripe lock acquisitions
 }
 
 // New constructs a namenode.
@@ -120,6 +118,7 @@ func New(opts Options) *Namenode {
 	pol, _ := policy.New(policy.Default) // Default always resolves
 	nn := &Namenode{
 		clk:           clk,
+		ns:            newNamesystem(),
 		dm:            dm,
 		registry:      registry,
 		repl:          newReplicationManager(dm.expiry),
@@ -135,8 +134,6 @@ func New(opts Options) *Namenode {
 	nn.mBlocksAllocated = nn.obsComp.Counter("blocks_allocated")
 	nn.mBlockRecoveries = nn.obsComp.Counter("block_recoveries")
 	nn.mRPCs = nn.obsComp.Counter("nn_rpcs")
-	nn.mShardContention = nn.obsComp.Counter("shard_contention")
-	nn.ns = newNamesystem(DefaultShards, nn.mShardContention)
 	return nn
 }
 
@@ -232,7 +229,7 @@ func (nn *Namenode) Close() {
 // checkSafeMode recomputes and reports safe-mode state: the namenode
 // leaves safe mode once every known block has at least one reported
 // replica (or the namespace holds no blocks). The fast path is one
-// atomic load; the stripe scan runs only while safe mode is still on.
+// atomic load; the block-map scan runs only while safe mode is still on.
 func (nn *Namenode) checkSafeMode() error {
 	if !nn.safeMode.Load() {
 		return nil
@@ -344,7 +341,7 @@ func (nn *Namenode) RecoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockR
 
 // ClientHeartbeat ingests a client's speed records (SMARTH §III-B) and
 // renews the client's write leases (O(the client's open files), via the
-// per-shard lease index).
+// lease index).
 func (nn *Namenode) ClientHeartbeat(req nnapi.ClientHeartbeatReq) (nnapi.ClientHeartbeatResp, error) {
 	now := nn.clk.Now()
 	nn.heardMu.Lock()
@@ -371,7 +368,7 @@ func (nn *Namenode) forgetSilentClients(now time.Time) {
 	}
 	nn.heardMu.Unlock()
 	for _, client := range silent {
-		if nn.ns.holdsLease(client) { // shard locks: not under heardMu
+		if nn.ns.holdsLease(client) { // namesystem lock: not under heardMu
 			continue
 		}
 		nn.heardMu.Lock()
@@ -390,19 +387,15 @@ func (nn *Namenode) forgetSilentClients(now time.Time) {
 // then remote), so readers prefer close replicas; otherwise the order is
 // stable by name.
 func (nn *Namenode) GetBlockLocations(req nnapi.GetBlockLocationsReq) (nnapi.GetBlockLocationsResp, error) {
-	v, length, ok := nn.ns.fileInfo(req.Path)
+	v, ok := nn.ns.fileInfo(req.Path)
 	if !ok {
 		return nnapi.GetBlockLocationsResp{}, fmt.Errorf("%w: %s", ErrFileNotFound, req.Path)
 	}
-	resp := nnapi.GetBlockLocationsResp{Len: length}
-	for _, id := range v.blocks {
-		cur, _, holders, ok := nn.ns.blockView(id)
-		if !ok {
-			continue
-		}
+	resp := nnapi.GetBlockLocationsResp{Len: v.length()}
+	for _, b := range v.blocks {
 		resp.Blocks = append(resp.Blocks, block.LocatedBlock{
-			Block:   cur,
-			Targets: nn.dm.orderedHolders(req.Client, holders),
+			Block:   b.cur,
+			Targets: nn.dm.orderedHolders(req.Client, b.holders),
 		})
 	}
 	return resp, nil
@@ -441,14 +434,10 @@ func (nn *Namenode) List(req nnapi.ListReq) (nnapi.ListResp, error) {
 			NumBlocks:       len(v.blocks),
 			MinLiveReplicas: -1,
 		}
-		for _, id := range v.blocks {
-			cur, _, holders, ok := nn.ns.blockView(id)
-			if !ok {
-				continue
-			}
-			st.Len += cur.NumBytes
+		for _, b := range v.blocks {
+			st.Len += b.cur.NumBytes
 			live := 0
-			for _, holder := range holders {
+			for _, holder := range b.holders {
 				if aliveSet[holder] {
 					live++
 				}
@@ -467,14 +456,14 @@ func (nn *Namenode) List(req nnapi.ListReq) (nnapi.ListResp, error) {
 
 // GetFileInfo reports file metadata.
 func (nn *Namenode) GetFileInfo(req nnapi.GetFileInfoReq) (nnapi.GetFileInfoResp, error) {
-	v, length, ok := nn.ns.fileInfo(req.Path)
+	v, ok := nn.ns.fileInfo(req.Path)
 	if !ok {
 		return nnapi.GetFileInfoResp{Exists: false}, nil
 	}
 	return nnapi.GetFileInfoResp{
 		Exists:      true,
 		Complete:    v.complete,
-		Len:         length,
+		Len:         v.length(),
 		Replication: v.replication,
 		BlockSize:   v.blockSize,
 		NumBlocks:   len(v.blocks),
@@ -511,24 +500,15 @@ func (nn *Namenode) DecommissionStatus(req nnapi.DecommStatusReq) (nnapi.DecommS
 	for _, n := range nn.dm.placeableNames() {
 		placeable[n] = true
 	}
-	nn.ns.forEachFile(func(f *fileInode) {
-		for _, id := range f.blocks {
-			_, _, holders, ok := nn.ns.blockView(id)
-			if !ok {
-				continue
+	nn.ns.forEachBlock(func(meta *blockMeta) {
+		good := 0
+		for holder := range meta.locations {
+			if placeable[holder] {
+				good++
 			}
-			holds, good := false, 0
-			for _, holder := range holders {
-				if holder == req.Name {
-					holds = true
-				}
-				if placeable[holder] {
-					good++
-				}
-			}
-			if holds && good < f.replication {
-				resp.RemainingBlocks++
-			}
+		}
+		if meta.locations[req.Name] && good < meta.replication {
+			resp.RemainingBlocks++
 		}
 	})
 	resp.Done = resp.Decommissioning && resp.RemainingBlocks == 0

@@ -3,7 +3,9 @@ package namenode
 import (
 	"errors"
 	"testing"
+	"time"
 
+	"repro/internal/core"
 	"repro/internal/nnapi"
 )
 
@@ -129,9 +131,16 @@ func TestLeaseExpiryRecovers(t *testing.T) {
 
 	// The ghost client disappears. Datanodes keep beating; once the lease
 	// window passes, a heartbeat-triggered scan recovers the lease.
-	for i := 0; i < 3; i++ {
-		clk.advance(DefaultLeaseTimeout / 2)
-		beatAll(t, nn, names)
+	var work []nnapi.ReplicateCmd
+	for elapsed := time.Duration(0); elapsed < DefaultLeaseTimeout+DefaultExpiry; elapsed += core.HeartbeatInterval {
+		clk.advance(core.HeartbeatInterval)
+		for _, n := range names {
+			hb, err := nn.Heartbeat(nnapi.HeartbeatReq{Name: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			work = append(work, hb.Replicate...)
+		}
 	}
 	info, _ := nn.GetFileInfo(nnapi.GetFileInfoReq{Path: "/abandoned"})
 	if !info.Complete {
@@ -139,6 +148,11 @@ func TestLeaseExpiryRecovers(t *testing.T) {
 	}
 	if info.NumBlocks != 1 || info.Len != 100 {
 		t.Fatalf("recovered file = %+v, want the 1 replicated block kept", info)
+	}
+	// The kept block belongs to a complete file now, so the same scan
+	// tops its one replica up to three.
+	if len(work) != 1 || work[0].Block.ID != b1.ID || len(work[0].Targets) != 2 {
+		t.Fatalf("replication work after recovery = %+v, want one command adding 2 replicas of block %d", work, b1.ID)
 	}
 	// The namespace entry is usable by others now.
 	if _, err := nn.Create(nnapi.CreateReq{Path: "/abandoned", Client: "c2", Replication: 1, BlockSize: 1 << 20, Overwrite: true}); err != nil {

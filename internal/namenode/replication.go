@@ -15,9 +15,9 @@ const pendingReplicationTimeout = 30 * time.Second
 
 // replicationManager finds under-replicated blocks of complete files and
 // hands copy work to live replica holders through their heartbeats. It
-// has its own lock (last in the namenode lock order after shards,
-// stripes, and the datanode manager), so satisfied() on the block-report
-// hot path never waits behind a scan.
+// has its own lock (after the namesystem and the datanode manager in the
+// namenode lock order), so satisfied() on the block-report hot path
+// never waits behind a scan.
 type replicationManager struct {
 	mu sync.Mutex
 	// pending maps block ID to when a replication command was issued.
@@ -102,8 +102,8 @@ func (rm *replicationManager) drain(dn string) []nnapi.ReplicateCmd {
 // replicationWorkFor runs a (rate-limited) scan for under-replicated
 // blocks, queueing copy commands on a live holder of each, then drains
 // the commands queued for dn. Namespaces in the reproduction are small,
-// so the O(blocks) scan cost is fine; the scan holds one namespace shard
-// at a time, so client operations on other shards proceed meanwhile.
+// so the O(blocks) scan under the namesystem lock is fine; placement for
+// what it finds runs after the lock is released.
 func (nn *Namenode) replicationWorkFor(dn string) []nnapi.ReplicateCmd {
 	now := nn.clk.Now()
 	// No maintenance while in safe mode: replica locations are still

@@ -309,7 +309,7 @@ type request struct {
 //
 // Requests run on handler goroutines that park on work between requests
 // rather than on one goroutine per request, so the stack a handler grew
-// once (placement, the shard lock path, the codec) serves the next
+// once (placement, the namesystem lock path, the codec) serves the next
 // request too. The read loop hands a request to a parked handler when
 // idle holds a token for one and starts a handler otherwise, so a
 // request never waits for another to finish; idle's capacity is how many

@@ -5,10 +5,8 @@
 package topology
 
 import (
-	"fmt"
 	"math/rand"
 	"slices"
-	"sort"
 	"strings"
 	"sync"
 )
@@ -49,24 +47,22 @@ func New() *Topology {
 }
 
 // find returns where name is, or would be inserted, in a name-sorted list.
-func find(list []Node, name string) (int, bool) {
-	return slices.BinarySearchFunc(list, name, func(n Node, name string) int {
+func find(list []Node, name string) int {
+	i, _ := slices.BinarySearchFunc(list, name, func(n Node, name string) int {
 		return strings.Compare(n.Name, name)
 	})
+	return i
 }
 
 // insert adds n to a name-sorted list that does not hold it.
 func insert(list []Node, n Node) []Node {
-	i, _ := find(list, n.Name)
-	return slices.Insert(list, i, n)
+	return slices.Insert(list, find(list, n.Name), n)
 }
 
-// remove deletes name from a name-sorted list, if present.
+// remove deletes name from a name-sorted list that holds it.
 func remove(list []Node, name string) []Node {
-	if i, ok := find(list, name); ok {
-		return slices.Delete(list, i, i+1)
-	}
-	return list
+	i := find(list, name)
+	return slices.Delete(list, i, i+1)
 }
 
 // Add registers a node under a rack. An empty rack means DefaultRack.
@@ -78,39 +74,13 @@ func (t *Topology) Add(name, rack string) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if old, ok := t.nodes[name]; ok {
-		t.removeLocked(name, old)
+		t.all = remove(t.all, name)
+		t.racks[old] = remove(t.racks[old], name)
 	}
 	n := Node{Name: name, Rack: rack}
 	t.nodes[name] = rack
 	t.racks[rack] = insert(t.racks[rack], n)
 	t.all = insert(t.all, n)
-}
-
-// Remove deletes a node. Removing an unknown node is a no-op.
-func (t *Topology) Remove(name string) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if rack, ok := t.nodes[name]; ok {
-		t.removeLocked(name, rack)
-		delete(t.nodes, name)
-	}
-}
-
-func (t *Topology) removeLocked(name, rack string) {
-	t.all = remove(t.all, name)
-	if list := remove(t.racks[rack], name); len(list) == 0 {
-		delete(t.racks, rack)
-	} else {
-		t.racks[rack] = list
-	}
-}
-
-// Contains reports whether the node is registered.
-func (t *Topology) Contains(name string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	_, ok := t.nodes[name]
-	return ok
 }
 
 // RackOf returns the rack of a node and whether the node is known.
@@ -119,16 +89,6 @@ func (t *Topology) RackOf(name string) (string, bool) {
 	defer t.mu.RUnlock()
 	r, ok := t.nodes[name]
 	return r, ok
-}
-
-// SameRack reports whether two known nodes share a rack. Unknown nodes are
-// never on the same rack as anything.
-func (t *Topology) SameRack(a, b string) bool {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	ra, oka := t.nodes[a]
-	rb, okb := t.nodes[b]
-	return oka && okb && ra == rb
 }
 
 // Distance returns the Hadoop-style network distance between two nodes:
@@ -152,48 +112,11 @@ func (t *Topology) Distance(a, b string) int {
 	}
 }
 
-// NumNodes returns the number of registered nodes.
-func (t *Topology) NumNodes() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.nodes)
-}
-
-// NumRacks returns the number of non-empty racks.
-func (t *Topology) NumRacks() int {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	return len(t.racks)
-}
-
-// Racks returns the sorted list of rack names.
-func (t *Topology) Racks() []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	out := make([]string, 0, len(t.racks))
-	for r := range t.racks {
-		out = append(out, r)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // Nodes returns all node names, sorted.
 func (t *Topology) Nodes() []string {
 	t.mu.RLock()
 	defer t.mu.RUnlock()
 	return names(t.all)
-}
-
-// NodesInRack returns the sorted node names in a rack (nil if none).
-func (t *Topology) NodesInRack(rack string) []string {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	list := t.racks[rack]
-	if len(list) == 0 {
-		return nil
-	}
-	return names(list)
 }
 
 func names(list []Node) []string {
@@ -258,37 +181,4 @@ func choose(rng *rand.Rand, pool []Node, avoidRack string, excluded []string) (s
 		}
 	}
 	panic("topology: candidate count changed under the read lock")
-}
-
-// Validate checks internal consistency (every node's rack and the
-// all-nodes list hold it exactly once, in name order). It exists for
-// tests and debugging.
-func (t *Topology) Validate() error {
-	t.mu.RLock()
-	defer t.mu.RUnlock()
-	byName := func(a, b Node) int { return strings.Compare(a.Name, b.Name) }
-	seen := 0
-	for rack, list := range t.racks {
-		if !slices.IsSortedFunc(list, byName) {
-			return fmt.Errorf("topology: rack %q node list not sorted", rack)
-		}
-		for _, n := range list {
-			if n.Rack != rack || t.nodes[n.Name] != rack {
-				return fmt.Errorf("topology: node %q listed in rack %q but maps to %q", n.Name, rack, t.nodes[n.Name])
-			}
-			seen++
-		}
-	}
-	if seen != len(t.nodes) {
-		return fmt.Errorf("topology: %d nodes in racks, %d in node map", seen, len(t.nodes))
-	}
-	if !slices.IsSortedFunc(t.all, byName) || len(t.all) != len(t.nodes) {
-		return fmt.Errorf("topology: all-nodes list has %d entries for %d nodes, or is not sorted", len(t.all), len(t.nodes))
-	}
-	for _, n := range t.all {
-		if t.nodes[n.Name] != n.Rack {
-			return fmt.Errorf("topology: all-nodes list has %v but the node maps to %q", n, t.nodes[n.Name])
-		}
-	}
-	return nil
 }

@@ -19,40 +19,28 @@ func build(t *testing.T) *Topology {
 	return tp
 }
 
-func TestAddRemove(t *testing.T) {
-	tp := build(t)
-	if tp.NumNodes() != 5 || tp.NumRacks() != 2 {
-		t.Fatalf("nodes=%d racks=%d, want 5/2", tp.NumNodes(), tp.NumRacks())
-	}
-	tp.Remove("dn1")
-	if tp.Contains("dn1") {
-		t.Fatal("dn1 still present after Remove")
-	}
-	tp.Remove("dn1") // idempotent
-	if tp.NumNodes() != 4 {
-		t.Fatalf("nodes=%d after remove, want 4", tp.NumNodes())
-	}
-	tp.Remove("dn4")
-	tp.Remove("dn5")
-	if tp.NumRacks() != 1 {
-		t.Fatalf("racks=%d after emptying rack-b, want 1", tp.NumRacks())
-	}
-	if err := tp.Validate(); err != nil {
-		t.Fatal(err)
-	}
-}
-
+// TestReAddMovesRack: a re-added node leaves its old rack's choices and
+// joins its new rack's, and is still listed once.
 func TestReAddMovesRack(t *testing.T) {
 	tp := build(t)
 	tp.Add("dn1", "/rack-b")
 	if r, _ := tp.RackOf("dn1"); r != "/rack-b" {
 		t.Fatalf("rack of dn1 = %q, want /rack-b", r)
 	}
-	if tp.NumNodes() != 5 {
-		t.Fatalf("nodes=%d after move, want 5", tp.NumNodes())
+	if got := fmt.Sprint(tp.Nodes()); got != "[dn1 dn2 dn3 dn4 dn5]" {
+		t.Fatalf("nodes after move = %s", got)
 	}
-	if err := tp.Validate(); err != nil {
-		t.Fatal(err)
+	rng := rand.New(rand.NewSource(4))
+	for i := 0; i < 50; i++ {
+		if n, _ := tp.ChooseRandomInRack(rng, "/rack-a", nil); n == "dn1" {
+			t.Fatal("dn1 still chosen from its old rack")
+		}
+		if n, ok := tp.ChooseRandomInRack(rng, "/rack-b", []string{"dn4", "dn5"}); !ok || n != "dn1" {
+			t.Fatalf("in-rack choice on the new rack = %q ok=%v, want dn1", n, ok)
+		}
+		if n, _ := tp.ChooseRandomRemoteRack(rng, "dn4", nil); n == "dn1" {
+			t.Fatal("dn1 chosen as remote from its own new rack")
+		}
 	}
 }
 
@@ -83,19 +71,6 @@ func TestDistance(t *testing.T) {
 	}
 }
 
-func TestSameRack(t *testing.T) {
-	tp := build(t)
-	if !tp.SameRack("dn1", "dn2") {
-		t.Error("dn1/dn2 should share a rack")
-	}
-	if tp.SameRack("dn1", "dn4") {
-		t.Error("dn1/dn4 should not share a rack")
-	}
-	if tp.SameRack("dn1", "ghost") {
-		t.Error("unknown node should never share a rack")
-	}
-}
-
 func TestChooseRandomExclusion(t *testing.T) {
 	tp := build(t)
 	rng := rand.New(rand.NewSource(1))
@@ -118,7 +93,7 @@ func TestChooseRandomRemoteRack(t *testing.T) {
 		if !ok {
 			t.Fatal("no remote-rack node found")
 		}
-		if tp.SameRack(n, "dn1") {
+		if r, _ := tp.RackOf(n); r == "/rack-a" {
 			t.Fatalf("remote-rack choice %q shares rack with dn1", n)
 		}
 	}
@@ -149,18 +124,8 @@ func TestChooseRandomInRack(t *testing.T) {
 	}
 }
 
-func TestNodesInRackCopy(t *testing.T) {
-	tp := build(t)
-	got := tp.NodesInRack("/rack-a")
-	got[0] = "mutated"
-	again := tp.NodesInRack("/rack-a")
-	if again[0] == "mutated" {
-		t.Fatal("NodesInRack returned internal slice")
-	}
-}
-
-// Property: after an arbitrary sequence of adds and removes the topology
-// validates and node membership matches a model map.
+// Property: after an arbitrary sequence of adds and re-adds the node
+// list and every node's rack match a model map.
 func TestQuickModelEquivalence(t *testing.T) {
 	f := func(ops []uint16) bool {
 		tp := New()
@@ -168,18 +133,10 @@ func TestQuickModelEquivalence(t *testing.T) {
 		for _, op := range ops {
 			node := fmt.Sprintf("n%d", op%31)
 			rack := fmt.Sprintf("/r%d", (op>>5)%7)
-			if op%3 == 0 {
-				tp.Remove(node)
-				delete(model, node)
-			} else {
-				tp.Add(node, rack)
-				model[node] = rack
-			}
+			tp.Add(node, rack)
+			model[node] = rack
 		}
-		if tp.Validate() != nil {
-			return false
-		}
-		if tp.NumNodes() != len(model) {
+		if fmt.Sprint(tp.Nodes()) != fmt.Sprint(sortedKeys(model)) {
 			return false
 		}
 		for n, r := range model {
@@ -244,8 +201,18 @@ func refChoose(rng *rand.Rand, nodes map[string]string, keep func(rack string) b
 	return candidates[rng.Intn(len(candidates))], true
 }
 
+// sortedKeys lists a model's node names in order.
+func sortedKeys(model map[string]string) []string {
+	keys := make([]string, 0, len(model))
+	for n := range model {
+		keys = append(keys, n)
+	}
+	sort.Strings(keys)
+	return keys
+}
+
 // TestChooseRandomMatchesReference: over random topologies (with nodes
-// moved and removed along the way) and exclude lists holding duplicates
+// moved between racks along the way) and exclude lists holding duplicates
 // and unknown names, every choice equals the reference's and leaves the
 // rng in the same state.
 func TestChooseRandomMatchesReference(t *testing.T) {
@@ -255,16 +222,11 @@ func TestChooseRandomMatchesReference(t *testing.T) {
 		racks := 1 + gen.Intn(5)
 		for i, n := 0, 1+gen.Intn(40); i < n; i++ {
 			name, rack := fmt.Sprintf("dn%d", gen.Intn(60)), fmt.Sprintf("/r%d", gen.Intn(racks))
-			if gen.Intn(8) == 0 {
-				tp.Remove(name)
-				delete(model, name)
-				continue
-			}
 			tp.Add(name, rack)
 			model[name] = rack
 		}
-		if err := tp.Validate(); err != nil {
-			t.Fatal(err)
+		if got, want := fmt.Sprint(tp.Nodes()), fmt.Sprint(sortedKeys(model)); got != want {
+			t.Fatalf("round %d: nodes %s, model %s", round, got, want)
 		}
 		seed := gen.Int63()
 		got, want := rand.New(rand.NewSource(seed)), rand.New(rand.NewSource(seed))
