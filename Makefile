@@ -64,9 +64,10 @@ bench-vet:
 docs-check:
 	$(GO) test -run 'TestPackageDocs|TestExportedDocs|TestDocPathsExist' -count=1 .
 
-# The two size figures ROADMAP and CHANGES quote for every simplicity PR
-# (TestLOC in loc_test.go): non-test Go lines under internal/ + cmd/, and
-# exported identifiers per package.
+# The size figures ROADMAP and CHANGES quote for every simplicity PR
+# (TestLOC in loc_test.go): non-test Go lines under internal/ + cmd/ and
+# in the whole root module outside bench/, and exported identifiers per
+# package.
 loc:
 	@$(GO) test -run '^TestLOC$$' -count=1 -v . | grep -v '^=== RUN\|^--- PASS\|^PASS\|^ok'
 

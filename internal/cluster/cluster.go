@@ -1,7 +1,7 @@
 // Package cluster boots complete in-process clusters — a namenode plus N
 // datanodes over a chosen transport — applies tc-style bandwidth plans,
 // and injects faults. It is the harness behind the integration tests,
-// the examples, and the real-time (non-simulated) experiments.
+// smarth-cluster, and the benchmark's live (non-simulated) workloads.
 package cluster
 
 import (

@@ -2,7 +2,6 @@ package cluster
 
 import (
 	"sync"
-	"time"
 
 	"repro/internal/clock"
 	"repro/internal/ratelimit"
@@ -11,8 +10,9 @@ import (
 
 // Shaper is the software analogue of the paper's `tc` usage: per-node NIC
 // rate limits plus optional per-node cross-rack limits. It implements
-// transport.LinkPolicy, so it shapes both the in-memory and the TCP
-// transports.
+// transport.LinkPolicy and shapes the in-memory transport Start boots;
+// StartTCP refuses one, because its plans are keyed by component name,
+// not by TCP address.
 type Shaper struct {
 	mu    sync.RWMutex
 	clk   clock.Clock
@@ -87,8 +87,8 @@ func (s *Shaper) SetCrossRackLimit(name string, bps float64) {
 	}
 }
 
-// Limits implements transport.LinkPolicy; the shaper adds no latency.
-func (s *Shaper) Limits(src, dst string) ([]*ratelimit.Limiter, time.Duration) {
+// Limits implements transport.LinkPolicy.
+func (s *Shaper) Limits(src, dst string) []*ratelimit.Limiter {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
 	var lims []*ratelimit.Limiter
@@ -107,7 +107,7 @@ func (s *Shaper) Limits(src, dst string) ([]*ratelimit.Limiter, time.Duration) {
 			lims = append(lims, b.crossIngress)
 		}
 	}
-	return lims, 0
+	return lims
 }
 
 var _ transport.LinkPolicy = (*Shaper)(nil)

@@ -111,9 +111,6 @@ func Seconds(d time.Duration) string { return fmt.Sprintf("%.1fs", d.Seconds()) 
 // Pct formats a ratio as a percentage, e.g. 1.30 -> "130%".
 func Pct(ratio float64) string { return fmt.Sprintf("%.0f%%", ratio*100) }
 
-// MBps formats a throughput.
-func MBps(v float64) string { return fmt.Sprintf("%.1f MB/s", v) }
-
 // GB formats a byte count in gigabytes, keeping one decimal for
 // fractional sizes ("1.9GB") instead of truncating them to "1GB";
 // whole-gigabyte counts stay compact ("8GB").

@@ -91,9 +91,6 @@ func TestFormatters(t *testing.T) {
 	if got := Pct(1.304); got != "130%" {
 		t.Fatalf("Pct = %q", got)
 	}
-	if got := MBps(27.25); got != "27.2 MB/s" && got != "27.3 MB/s" {
-		t.Fatalf("MBps = %q", got)
-	}
 	if got := GB(8 << 30); got != "8GB" {
 		t.Fatalf("GB = %q", got)
 	}

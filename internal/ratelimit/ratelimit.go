@@ -13,9 +13,6 @@ import (
 	"repro/internal/clock"
 )
 
-// Unlimited disables limiting when passed as the rate.
-const Unlimited = 0
-
 // Limiter is a token-bucket limiter over bytes. The zero value is
 // unlimited; construct with New for a working limiter.
 type Limiter struct {
@@ -49,24 +46,6 @@ func New(clk clock.Clock, bytesPerSecond float64, burst float64) *Limiter {
 	}
 }
 
-// Rate returns the configured rate in bytes per second (0 = unlimited).
-func (l *Limiter) Rate() float64 {
-	if l == nil {
-		return Unlimited
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.rate
-}
-
-// SetRate changes the rate at runtime (models re-running `tc`).
-func (l *Limiter) SetRate(bytesPerSecond float64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	l.advanceLocked()
-	l.rate = bytesPerSecond
-}
-
 // advanceLocked refills tokens according to elapsed time.
 func (l *Limiter) advanceLocked() {
 	now := l.clk.Now()
@@ -93,27 +72,13 @@ func (l *Limiter) reserveLocked(n int) time.Duration {
 	return time.Duration(-l.tokens / l.rate * float64(time.Second))
 }
 
-// WaitN blocks until n bytes may pass. A nil limiter admits immediately.
-// Requests larger than the burst are admitted in one reservation (the
-// wait simply extends past one bucket's worth), which keeps large writes
-// simple while preserving the long-run rate.
-func (l *Limiter) WaitN(n int) {
-	if l == nil || n <= 0 {
-		return
-	}
-	l.mu.Lock()
-	wait := l.reserveLocked(n)
-	l.mu.Unlock()
-	if wait > 0 {
-		l.clk.Sleep(wait)
-	}
-}
-
 // WaitAll reserves n bytes on every limiter simultaneously and sleeps for
-// the longest of the required waits. Serial WaitN calls on stacked
-// limiters would double-count delay (waiting on the first bucket does not
-// admit bytes through the second any sooner); the constraints act in
-// parallel, so the correct wait is the maximum. Nil limiters are skipped.
+// the longest of the required waits. Waiting on each limiter in turn
+// would double-count delay (waiting on the first bucket does not admit
+// bytes through the second any sooner); the constraints act in parallel,
+// so the correct wait is the maximum. Nil limiters are skipped. Requests
+// larger than the burst are admitted in one reservation (the wait simply
+// extends past one bucket's worth), which preserves the long-run rate.
 func WaitAll(n int, lims ...*Limiter) {
 	if n <= 0 {
 		return

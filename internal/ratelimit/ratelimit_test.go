@@ -51,7 +51,7 @@ func (f *fakeClock) advance(d time.Duration) {
 func TestBurstAdmitsImmediately(t *testing.T) {
 	fc := newFakeClock()
 	l := New(fc, 1000, 500) // 1000 B/s, 500 B burst
-	l.WaitN(500)
+	WaitAll(500, l)
 	if fc.slept != 0 {
 		t.Fatalf("slept %v within burst, want 0", fc.slept)
 	}
@@ -60,8 +60,8 @@ func TestBurstAdmitsImmediately(t *testing.T) {
 func TestRateEnforced(t *testing.T) {
 	fc := newFakeClock()
 	l := New(fc, 1000, 500)
-	l.WaitN(500) // drain burst
-	l.WaitN(1000)
+	WaitAll(500, l) // drain burst
+	WaitAll(1000, l)
 	// 1000 bytes at 1000 B/s = 1 s wait.
 	if fc.slept != time.Second {
 		t.Fatalf("slept %v, want 1s", fc.slept)
@@ -71,9 +71,9 @@ func TestRateEnforced(t *testing.T) {
 func TestRefill(t *testing.T) {
 	fc := newFakeClock()
 	l := New(fc, 1000, 1000)
-	l.WaitN(1000) // drain
+	WaitAll(1000, l) // drain
 	fc.advance(time.Second)
-	l.WaitN(1000) // fully refilled
+	WaitAll(1000, l) // fully refilled
 	if fc.slept != 0 {
 		t.Fatalf("slept %v after refill, want 0", fc.slept)
 	}
@@ -83,8 +83,8 @@ func TestBurstCap(t *testing.T) {
 	fc := newFakeClock()
 	l := New(fc, 1000, 1000)
 	fc.advance(time.Hour) // tokens must cap at burst, not accumulate
-	l.WaitN(1000)
-	l.WaitN(1000)
+	WaitAll(1000, l)
+	WaitAll(1000, l)
 	if fc.slept != time.Second {
 		t.Fatalf("slept %v, want 1s (burst capped)", fc.slept)
 	}
@@ -92,30 +92,12 @@ func TestBurstCap(t *testing.T) {
 
 func TestUnlimited(t *testing.T) {
 	fc := newFakeClock()
-	l := New(fc, Unlimited, 0)
-	l.WaitN(1 << 30)
+	l := New(fc, 0, 0) // a rate <= 0 admits everything
+	WaitAll(1<<30, l)
 	if fc.slept != 0 {
 		t.Fatalf("unlimited limiter slept %v", fc.slept)
 	}
-	var nilL *Limiter
-	nilL.WaitN(1 << 30) // must not panic
-	if nilL.Rate() != Unlimited {
-		t.Fatal("nil limiter rate should be unlimited")
-	}
-}
-
-func TestSetRate(t *testing.T) {
-	fc := newFakeClock()
-	l := New(fc, 1000, 100)
-	if l.Rate() != 1000 {
-		t.Fatalf("Rate = %v, want 1000", l.Rate())
-	}
-	l.WaitN(100) // drain burst
-	l.SetRate(2000)
-	l.WaitN(2000)
-	if fc.slept != time.Second {
-		t.Fatalf("slept %v after SetRate(2000), want 1s", fc.slept)
-	}
+	WaitAll(1<<30, nil) // a nil limiter is skipped, not dereferenced
 }
 
 func TestLongRunRate(t *testing.T) {
@@ -124,7 +106,7 @@ func TestLongRunRate(t *testing.T) {
 	start := fc.Now()
 	const total = 100_000
 	for sent := 0; sent < total; sent += 1000 {
-		l.WaitN(1000)
+		WaitAll(1000, l)
 	}
 	elapsed := fc.Now().Sub(start).Seconds()
 	rate := float64(total) / elapsed
@@ -170,7 +152,7 @@ func TestStackedLimiters(t *testing.T) {
 
 func TestWriterShortWriteError(t *testing.T) {
 	fc := newFakeClock()
-	l := New(fc, Unlimited, 0)
+	l := New(fc, 0, 0)
 	ew := &errWriter{limit: 10}
 	w := NewWriter(ew, l)
 	n, err := w.Write(make([]byte, 100))
@@ -201,7 +183,7 @@ func TestRealClockSmoke(t *testing.T) {
 	// take roughly 31 ms. Generous bounds avoid flakes.
 	l := New(clock.System, 1<<20, 32<<10)
 	start := time.Now()
-	l.WaitN(64 << 10)
+	WaitAll(64<<10, l)
 	elapsed := time.Since(start)
 	if elapsed < 15*time.Millisecond || elapsed > 500*time.Millisecond {
 		t.Fatalf("elapsed %v, want ≈31ms", elapsed)

@@ -4,13 +4,11 @@ import (
 	"bytes"
 	"encoding/json"
 	"flag"
-	"fmt"
 	"os"
 	"regexp"
 	"testing"
 
 	"repro/internal/ec2"
-	"repro/internal/proto"
 )
 
 var update = flag.Bool("update", false, "re-record testdata/experiments.golden.json")
@@ -42,29 +40,18 @@ func extFault(c *Config) {
 func extTraced(c *Config) { c.Trace = true; c.FileSize = 256 << 20 }
 
 // extensionEntries are the runs Experiments() does not list but the
-// test suite leans on: the ablation knobs, concurrent writers
-// (RunMulti), the three-rack topology, an injected pipeline fault and a
-// traced run (whose Result carries the span records themselves).
-func extensionEntries(t *testing.T) []goldenEntry {
+// test suite leans on: the ablation knobs, an injected pipeline fault and
+// a traced run (whose Result carries the span records themselves).
+func extensionEntries() []goldenEntry {
 	pair := func(id string, edit func(*Config)) goldenEntry {
 		return goldenEntry{ID: id, Points: runPoints([]point{{id, throttledExt(edit)}})}
-	}
-	multi := func(mode proto.WriteMode) MultiResult {
-		return runMulti(t, Config{Preset: ec2.HeteroCluster, FileSize: 4 * gb / goldenScale, Seed: 5, Mode: mode}, 4)
-	}
-	h, s := multi(proto.ModeHDFS), multi(proto.ModeSmarth)
-	writers := goldenEntry{ID: "ext-multiwriter"}
-	for k := range h.PerClient {
-		writers.Points = append(writers.Points, Point{Label: fmt.Sprintf("client%d", k+1), HDFS: h.PerClient[k], Smarth: s.PerClient[k]})
 	}
 	return []goldenEntry{
 		pair("ext-no-localopt", func(c *Config) { c.DisableLocalOpt = true }),
 		pair("ext-no-globalopt", func(c *Config) { c.DisableGlobalOpt = true; c.NodeLimitMbps = map[int]float64{0: 50} }),
 		pair("ext-maxpipelines-1", func(c *Config) { c.MaxPipelines = 1 }),
-		pair("ext-three-rack", func(c *Config) { c.NumRacks = 3; c.CrossRackMbps = 100; c.Seed = 14 }),
 		pair("ext-fault", extFault),
 		pair("ext-traced", extTraced),
-		writers,
 	}
 }
 
@@ -83,7 +70,7 @@ func TestExperimentsGolden(t *testing.T) {
 	for _, e := range Experiments() {
 		entries = append(entries, goldenEntry{ID: e.ID, Points: e.Run(goldenScale)})
 	}
-	entries = append(entries, extensionEntries(t)...)
+	entries = append(entries, extensionEntries()...)
 
 	var got bytes.Buffer
 	enc := json.NewEncoder(&got) // one entry per line, so a diff names the figure

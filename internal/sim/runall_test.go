@@ -87,8 +87,7 @@ func TestExperimentsParallelDeterministic(t *testing.T) {
 // A run on a used scratch returns what it returns on a new one, whatever
 // the run before left behind: aborted launches with packets and flights
 // still out and events queued behind Stop (ext-fault), trace spans
-// (ext-traced), four writers' worth of servers (RunMulti), then the run
-// with the deepest backlogs of figure 13.
+// (ext-traced), then the run with the deepest backlogs of figure 13.
 func TestScratchHygiene(t *testing.T) {
 	if testing.Short() {
 		t.Skip("simulates 8 GB twice")
@@ -96,20 +95,18 @@ func TestScratchHygiene(t *testing.T) {
 	smarth := func(c Config) Config { c.Mode = proto.ModeSmarth; return c }
 	sc := newScratch()
 	for _, step := range []struct {
-		name    string
-		cfg     Config
-		clients int
+		name string
+		cfg  Config
 	}{
-		{"ext-fault", smarth(throttledExt(extFault)), 1},
-		{"ext-traced", smarth(throttledExt(extTraced)), 1},
-		{"multiwriter", Config{Preset: ec2.HeteroCluster, FileSize: 4 * gb / goldenScale, Seed: 5, Mode: proto.ModeSmarth}, 4},
-		{"figure13-8GB", smarth(sizeSweep(ec2.HeteroCluster, 0, 1)[3].cfg), 1},
+		{"ext-fault", smarth(throttledExt(extFault))},
+		{"ext-traced", smarth(throttledExt(extTraced))},
+		{"figure13-8GB", smarth(sizeSweep(ec2.HeteroCluster, 0, 1)[3].cfg)},
 	} {
-		want, err := newScratch().runMulti(step.cfg, step.clients)
+		want, err := newScratch().run(step.cfg)
 		if err != nil {
 			t.Fatalf("%s on a new scratch: %v", step.name, err)
 		}
-		got, err := sc.runMulti(step.cfg, step.clients)
+		got, err := sc.run(step.cfg)
 		if err != nil {
 			t.Fatalf("%s on the used scratch: %v", step.name, err)
 		}

@@ -4,9 +4,7 @@
 // the netsim rate servers. An 8 GB upload into a 9-node cluster —
 // minutes of wall-clock on EC2 — simulates in well under a second, which
 // is what makes reproducing every figure of the paper's evaluation
-// tractable. Beyond the paper's single-uploader experiments, the
-// simulator also supports several concurrent clients (RunMulti), the
-// MapReduce-output scenario the paper lists as future work.
+// tractable.
 //
 // The protocol control plane (block chaining, pipeline-launch caps,
 // FNFA reactions, recovery) is not implemented here: each simulated
@@ -36,9 +34,11 @@ import (
 	"repro/internal/writesched"
 )
 
-// ClientName is the simulated client's identity (client k in a
-// multi-client run is "client<k+1>").
+// ClientName is the simulated client's identity.
 const ClientName = "client"
+
+// filePath is the file the client writes.
+const filePath = "/" + ClientName + "-file"
 
 // PipelineFault injects a mid-write pipeline failure: block Block's
 // initial pipeline dies after AfterPackets packets have left the
@@ -54,8 +54,7 @@ type PipelineFault struct {
 type Config struct {
 	// Preset supplies the instance types (Table I presets).
 	Preset ec2.ClusterPreset
-	// FileSize in bytes (the paper sweeps 1–8 GB). In multi-client runs
-	// every client writes a file of this size.
+	// FileSize in bytes (the paper sweeps 1–8 GB).
 	FileSize int64
 	// Mode selects HDFS or SMARTH.
 	Mode proto.WriteMode
@@ -69,11 +68,6 @@ type Config struct {
 	// in rack A and 6–9 in rack B; set SingleRack to collapse everything
 	// into one rack.
 	SingleRack bool
-	// NumRacks, when 3 or more, spreads datanodes round-robin across
-	// that many racks instead (the paper's "nodes allocated in different
-	// data centers" remark); the client sits in rack 0 and
-	// CrossRackMbps shapes traffic between any two distinct racks.
-	NumRacks int
 	// CrossRackMbps throttles every node's traffic to the other rack
 	// (the tc experiment); 0 = no throttle.
 	CrossRackMbps float64
@@ -104,8 +98,7 @@ type Config struct {
 
 	// Script, when set, makes the run a conformance replay (see
 	// writesched.Script): scripted seed and FNFA samples, strict
-	// launch-order retirement, a decision log (single-client runs; with
-	// several clients the logs interleave), and speed reports at every
+	// launch-order retirement, a decision log, and speed reports at every
 	// FNFA — the live client's cadence — instead of on the timer.
 	Script *writesched.Script
 
@@ -170,9 +163,7 @@ type Result struct {
 	// bench/ is next re-recorded (ROADMAP item 5).
 	Pipelines []struct{}
 	// EgressBytes and IngressBytes count payload bytes through each
-	// node's NIC transmit/receive servers (single-client runs only; in
-	// multi-client runs the shared datanode counters live on the last
-	// client's result).
+	// node's NIC transmit/receive servers.
 	EgressBytes  map[string]int64
 	IngressBytes map[string]int64
 }
@@ -189,25 +180,6 @@ func (r Result) ThroughputMBps() float64 {
 func (r Result) String() string {
 	return fmt.Sprintf("%.1fs (%.1f MB/s, %d blocks, peak %d pipelines)",
 		r.Duration.Seconds(), r.ThroughputMBps(), r.Blocks, r.PeakPipelines)
-}
-
-// MultiResult summarizes a concurrent multi-client run.
-type MultiResult struct {
-	// PerClient holds each client's upload result, in client order.
-	PerClient []Result
-	// Makespan is when the last client finished.
-	Makespan time.Duration
-	// TotalBytes across all clients.
-	TotalBytes int64
-}
-
-// AggregateMBps is total data over the makespan.
-func (m MultiResult) AggregateMBps() float64 {
-	s := m.Makespan.Seconds()
-	if s <= 0 {
-		return 0
-	}
-	return float64(m.TotalBytes) / 1e6 / s
 }
 
 // engClock adapts the DES engine to the clock.Clock interface the
@@ -270,17 +242,14 @@ type simulation struct {
 	nn *namenode.Namenode
 
 	dnNodes []*netsim.Node
-	writers []*writer
-	left    int // writers still running
+	w       *writer
 }
 
 // writer is one simulated uploading client: a writesched.Substrate whose
 // effects are DES events. The scheduling engine decides what happens;
 // the writer decides how long it takes.
 type writer struct {
-	s    *simulation
-	name string
-	path string
+	s *simulation
 
 	node       *netsim.Node
 	production *netsim.Server // client CPU producing packets (T_c)
@@ -305,30 +274,16 @@ type writer struct {
 	blockSpans map[int]*obs.Span
 }
 
-// rackFor assigns the paper's 5+4 two-rack split (clients share rack A),
-// or a round-robin split when NumRacks requests more racks.
+// rackFor assigns the paper's 5+4 two-rack split; the client shares
+// rack A.
 func (s *simulation) rackFor(i int) string {
-	if s.cfg.SingleRack {
-		return "/rack-a"
-	}
-	if s.cfg.NumRacks >= 3 {
-		return fmt.Sprintf("/rack-%d", i%s.cfg.NumRacks)
-	}
-	if i < 5 {
+	if s.cfg.SingleRack || i < 5 {
 		return "/rack-a"
 	}
 	return "/rack-b"
 }
 
-// clientRack is where uploading clients live.
-func (s *simulation) clientRack() string {
-	if !s.cfg.SingleRack && s.cfg.NumRacks >= 3 {
-		return "/rack-0"
-	}
-	return "/rack-a"
-}
-
-func newSimulation(cfg Config, numClients int, sc *scratch) (*simulation, error) {
+func newSimulation(cfg Config, sc *scratch) (*simulation, error) {
 	cfg.applyDefaults()
 	sc.reset(cfg.HopLatency)
 	s := &simulation{cfg: cfg, scratch: sc}
@@ -359,7 +314,7 @@ func newSimulation(cfg Config, numClients int, sc *scratch) (*simulation, error)
 		}
 	}
 
-	// Clients, all in rack A like the paper's uploader.
+	// The client, in rack A like the paper's uploader.
 	maxPipes := cfg.MaxPipelines
 	if maxPipes <= 0 {
 		maxPipes = core.MaxPipelines(len(cfg.Preset.Datanodes), cfg.Replication)
@@ -368,42 +323,33 @@ func newSimulation(cfg Config, numClients int, sc *scratch) (*simulation, error)
 	if numBlocks == 0 {
 		numBlocks = 1
 	}
-	for k := 0; k < numClients; k++ {
-		name := ClientName
-		if numClients > 1 {
-			name = fmt.Sprintf("%s%d", ClientName, k+1)
-		}
-		node := s.nw.NewNode(name, s.clientRack(), cfg.Preset.Client.NetworkBps(), 0)
-		if cfg.CrossRackMbps > 0 && !cfg.SingleRack {
-			node.SetCrossRackLimit(mbps(cfg.CrossRackMbps))
-		}
-		w := &writer{
-			s:          s,
-			name:       name,
-			path:       "/" + name + "-file",
-			node:       node,
-			production: s.nw.NewServer(name+"/cpu", cfg.ProductionMBps*1e6),
-			recorder:   core.NewRecorder(),
-			firstUse:   make(map[string]int),
-			startAt:    make(map[int]time.Duration),
-			faultFired: make(map[int]bool),
-			blockSpans: make(map[int]*obs.Span),
-			numBlocks:  numBlocks,
-		}
-		ecfg := writesched.Config{
-			Path:               w.path,
-			Mode:               cfg.Mode,
-			Replication:        cfg.Replication,
-			MaxPipelines:       maxPipes,
-			DisableLocalOpt:    cfg.DisableLocalOpt,
-			ProtocolHeartbeats: cfg.Script != nil,
-			Seed:               cfg.Seed + int64(k)*7919,
-		}
-		cfg.Script.Pin(&ecfg)
-		w.eng = writesched.New(ecfg, w)
-		s.writers = append(s.writers, w)
+	node := s.nw.NewNode(ClientName, "/rack-a", cfg.Preset.Client.NetworkBps(), 0)
+	if cfg.CrossRackMbps > 0 && !cfg.SingleRack {
+		node.SetCrossRackLimit(mbps(cfg.CrossRackMbps))
 	}
-	s.left = numClients
+	w := &writer{
+		s:          s,
+		node:       node,
+		production: s.nw.NewServer(ClientName+"/cpu", cfg.ProductionMBps*1e6),
+		recorder:   core.NewRecorder(),
+		firstUse:   make(map[string]int),
+		startAt:    make(map[int]time.Duration),
+		faultFired: make(map[int]bool),
+		blockSpans: make(map[int]*obs.Span),
+		numBlocks:  numBlocks,
+	}
+	ecfg := writesched.Config{
+		Path:               filePath,
+		Mode:               cfg.Mode,
+		Replication:        cfg.Replication,
+		MaxPipelines:       maxPipes,
+		DisableLocalOpt:    cfg.DisableLocalOpt,
+		ProtocolHeartbeats: cfg.Script != nil,
+		Seed:               cfg.Seed,
+	}
+	cfg.Script.Pin(&ecfg)
+	w.eng = writesched.New(ecfg, w)
+	s.w = w
 	return s, nil
 }
 
@@ -417,47 +363,27 @@ func (w *writer) blockBytes(i int) int64 {
 	return cfg.FileSize % cfg.BlockSize
 }
 
-// Run simulates one upload and returns the result.
+// Run simulates one upload and returns the result. Namenode RPC
+// failures and injected faults that exhaust recovery surface as errors,
+// not panics.
 func Run(cfg Config) (Result, error) { return newScratch().run(cfg) }
 
 func (sc *scratch) run(cfg Config) (Result, error) {
-	m, err := sc.runMulti(cfg, 1)
+	s, err := newSimulation(cfg, sc)
 	if err != nil {
 		return Result{}, err
 	}
-	return m.PerClient[0], nil
-}
-
-// RunMulti simulates numClients concurrent uploads (each of
-// cfg.FileSize) and returns per-client results plus the makespan.
-// Namenode RPC failures and injected faults that exhaust recovery
-// surface as errors, not panics.
-func RunMulti(cfg Config, numClients int) (MultiResult, error) {
-	return newScratch().runMulti(cfg, numClients)
-}
-
-func (sc *scratch) runMulti(cfg Config, numClients int) (MultiResult, error) {
-	if numClients < 1 {
-		numClients = 1
-	}
-	s, err := newSimulation(cfg, numClients, sc)
-	if err != nil {
-		return MultiResult{}, err
-	}
-	for _, w := range s.writers {
-		if err := w.start(); err != nil {
-			return MultiResult{}, err
-		}
+	w := s.w
+	if err := w.start(); err != nil {
+		return Result{}, err
 	}
 	s.eng.Run()
 
-	for _, w := range s.writers {
-		if w.err != nil {
-			return MultiResult{}, fmt.Errorf("sim: client %s: %w", w.name, w.err)
-		}
-		if !w.done {
-			return MultiResult{}, fmt.Errorf("sim: client %s stalled (event graph drained before completion)", w.name)
-		}
+	if w.err != nil {
+		return Result{}, fmt.Errorf("sim: %w", w.err)
+	}
+	if !w.done {
+		return Result{}, errors.New("sim: the write stalled (event graph drained before completion)")
 	}
 
 	egress := make(map[string]int64)
@@ -466,29 +392,19 @@ func (sc *scratch) runMulti(cfg Config, numClients int) (MultiResult, error) {
 		egress[node.Name] = node.Egress.Bytes
 		ingress[node.Name] = node.Ingress.Bytes
 	}
-	for _, w := range s.writers {
-		egress[w.name] = w.node.Egress.Bytes
-		ingress[w.name] = w.node.Ingress.Bytes
-	}
-
-	out := MultiResult{TotalBytes: int64(numClients) * s.cfg.FileSize}
-	for _, w := range s.writers {
-		out.PerClient = append(out.PerClient, Result{
-			Duration:         w.endTime,
-			Bytes:            s.cfg.FileSize,
-			Blocks:           w.numBlocks,
-			PeakPipelines:    w.peakPipes,
-			Recoveries:       w.recoveries,
-			FirstDatanodeUse: w.firstUse,
-			Trace:            w.tracer.Snapshot(),
-			EgressBytes:      egress,
-			IngressBytes:     ingress,
-		})
-		if w.endTime > out.Makespan {
-			out.Makespan = w.endTime
-		}
-	}
-	return out, nil
+	egress[ClientName] = w.node.Egress.Bytes
+	ingress[ClientName] = w.node.Ingress.Bytes
+	return Result{
+		Duration:         w.endTime,
+		Bytes:            s.cfg.FileSize,
+		Blocks:           w.numBlocks,
+		PeakPipelines:    w.peakPipes,
+		Recoveries:       w.recoveries,
+		FirstDatanodeUse: w.firstUse,
+		Trace:            w.tracer.Snapshot(),
+		EgressBytes:      egress,
+		IngressBytes:     ingress,
+	}, nil
 }
 
 // start creates the writer's file and hands the first block to the
@@ -496,18 +412,18 @@ func (sc *scratch) runMulti(cfg Config, numClients int) (MultiResult, error) {
 func (w *writer) start() error {
 	s := w.s
 	if _, err := s.nn.Create(nnapi.CreateReq{
-		Path: w.path, Client: w.name,
+		Path: filePath, Client: ClientName,
 		Replication: s.cfg.Replication, BlockSize: s.cfg.BlockSize,
 	}); err != nil {
-		return fmt.Errorf("sim: create %s: %w", w.path, err)
+		return fmt.Errorf("sim: create %s: %w", filePath, err)
 	}
 
 	if s.cfg.Trace {
 		w.tracer = obs.NewTracer(engClock{s.eng})
 		w.root = w.tracer.StartSpan("write", nil)
-		w.root.SetAttr("path", w.path)
+		w.root.SetAttr("path", filePath)
 		w.root.SetAttr("mode", s.cfg.Mode.String())
-		w.root.SetAttr("client", w.name)
+		w.root.SetAttr("client", ClientName)
 	}
 
 	// Timer heartbeats carry the client's speed table to the namenode
@@ -520,7 +436,7 @@ func (w *writer) start() error {
 			}
 			if w.recorder.Len() > 0 {
 				_, _ = s.nn.ClientHeartbeat(nnapi.ClientHeartbeatReq{
-					Client: w.name,
+					Client: ClientName,
 					Speeds: w.recorder.Snapshot(),
 				})
 			}
@@ -552,7 +468,7 @@ func (w *writer) AddBlock(idx int, exclude []string, prev block.Block) {
 	s := w.s
 	s.eng.Schedule(s.cfg.NNLatency, func() {
 		resp, err := s.nn.AddBlock(nnapi.AddBlockReq{
-			Path: w.path, Client: w.name, Mode: s.cfg.Mode,
+			Path: filePath, Client: ClientName, Mode: s.cfg.Mode,
 			Exclude: exclude, Previous: prev,
 		})
 		if err != nil && errors.Is(err, namenode.ErrNoDatanodes) {
@@ -570,7 +486,7 @@ func (w *writer) RecoverBlock(idx, attempt int, blk block.Block, alive, exclude 
 	}
 	s.eng.Schedule(s.cfg.NNLatency, func() {
 		resp, err := s.nn.RecoverBlock(nnapi.RecoverBlockReq{
-			Path: w.path, Client: w.name, Block: blk,
+			Path: filePath, Client: ClientName, Block: blk,
 			Alive: alive, Exclude: exclude, Mode: s.cfg.Mode,
 		})
 		w.eng.HandleRecovered(idx, resp.Located, err)
@@ -591,7 +507,7 @@ func (w *writer) Heartbeat() {
 		return
 	}
 	_, _ = w.s.nn.ClientHeartbeat(nnapi.ClientHeartbeatReq{
-		Client: w.name,
+		Client: ClientName,
 		Speeds: w.recorder.Snapshot(),
 	})
 }
@@ -623,10 +539,7 @@ func (w *writer) FileDone(err error) {
 		}
 		w.root.End()
 	}
-	s.left--
-	if s.left == 0 {
-		s.eng.Stop()
-	}
+	s.eng.Stop()
 }
 
 func (w *writer) trackPipes(delta int) {

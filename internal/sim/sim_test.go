@@ -22,15 +22,6 @@ func run(t *testing.T, cfg Config) Result {
 	return r
 }
 
-func runMulti(t *testing.T, cfg Config, clients int) MultiResult {
-	t.Helper()
-	m, err := RunMulti(cfg, clients)
-	if err != nil {
-		t.Fatalf("sim.RunMulti: %v", err)
-	}
-	return m
-}
-
 func improvement(hdfs, smarth Result) float64 {
 	return Improvement(hdfs.Duration, smarth.Duration)
 }
@@ -285,53 +276,6 @@ func TestMediumLargeSimilar(t *testing.T) {
 	}
 }
 
-func TestRunMultiBasics(t *testing.T) {
-	cfg := Config{Preset: ec2.SmallCluster, FileSize: 1 * gb, Mode: proto.ModeSmarth, Seed: 2}
-	m := runMulti(t, cfg, 3)
-	if len(m.PerClient) != 3 {
-		t.Fatalf("per-client results = %d, want 3", len(m.PerClient))
-	}
-	if m.TotalBytes != 3*gb {
-		t.Fatalf("total bytes = %d", m.TotalBytes)
-	}
-	single := run(t, cfg)
-	for i, r := range m.PerClient {
-		if r.Duration <= 0 || r.Duration > m.Makespan {
-			t.Fatalf("client %d duration %v outside (0, makespan]", i, r.Duration)
-		}
-		// Three clients share the datanode NICs: each must be slower
-		// than a lone client.
-		if r.Duration < single.Duration {
-			t.Fatalf("client %d (%v) faster than an uncontended run (%v)", i, r.Duration, single.Duration)
-		}
-	}
-	if m.AggregateMBps() <= 0 {
-		t.Fatal("non-positive aggregate throughput")
-	}
-}
-
-func TestRunMultiDegenerate(t *testing.T) {
-	cfg := Config{Preset: ec2.SmallCluster, FileSize: 256 << 20, Mode: proto.ModeHDFS, Seed: 2}
-	m := runMulti(t, cfg, 0) // clamps to 1
-	if len(m.PerClient) != 1 {
-		t.Fatalf("clamped clients = %d, want 1", len(m.PerClient))
-	}
-	if m.PerClient[0].Duration != m.Makespan {
-		t.Fatal("single-client makespan mismatch")
-	}
-}
-
-func TestMultiWriterSmarthBeatsHDFS(t *testing.T) {
-	// Four concurrent writers on the heterogeneous cluster: SMARTH's
-	// advantage survives contention between clients.
-	base := Config{Preset: ec2.HeteroCluster, FileSize: 1 * gb, Seed: 5}
-	h := runMulti(t, withMode(base, proto.ModeHDFS), 4)
-	s := runMulti(t, withMode(base, proto.ModeSmarth), 4)
-	if s.Makespan >= h.Makespan {
-		t.Fatalf("multi-writer SMARTH makespan %v not better than HDFS %v", s.Makespan, h.Makespan)
-	}
-}
-
 func withMode(c Config, m proto.WriteMode) Config {
 	c.Mode = m
 	return c
@@ -420,49 +364,6 @@ func TestByteConservation(t *testing.T) {
 		if r.IngressBytes[ClientName] != 0 {
 			t.Errorf("%v: client ingress = %d, want 0 (acks are latency-only)", mode, r.IngressBytes[ClientName])
 		}
-	}
-}
-
-// In multi-client runs the shared counters scale with the client count.
-func TestByteConservationMultiClient(t *testing.T) {
-	const clients = 3
-	m := runMulti(t, Config{Preset: ec2.SmallCluster, FileSize: 256 << 20, Mode: proto.ModeSmarth, Seed: 10}, clients)
-	r := m.PerClient[0]
-	var dnIngress int64
-	for i := 1; i <= 9; i++ {
-		dnIngress += r.IngressBytes[fmt.Sprintf("dn%d", i)]
-	}
-	want := int64(clients) * 3 * (256 << 20)
-	if dnIngress != want {
-		t.Fatalf("total ingress = %d, want %d", dnIngress, want)
-	}
-	for k := 1; k <= clients; k++ {
-		name := fmt.Sprintf("%s%d", ClientName, k)
-		if got := r.EgressBytes[name]; got != 256<<20 {
-			t.Fatalf("%s egress = %d, want %d", name, got, 256<<20)
-		}
-	}
-}
-
-// Extension: with datanodes spread across 3 throttled racks ("different
-// data centers"), nearly every pipeline crosses a throttled boundary for
-// HDFS, while SMARTH still streams rack-locally when it can and overlaps
-// the slow drains — the gain persists.
-func TestThreeRackExtension(t *testing.T) {
-	base := Config{
-		Preset: ec2.SmallCluster, FileSize: 4 * gb,
-		NumRacks: 3, CrossRackMbps: 100, Seed: 14,
-	}
-	h := run(t, withMode(base, proto.ModeHDFS))
-	s := run(t, withMode(base, proto.ModeSmarth))
-	imp := Improvement(h.Duration, s.Duration)
-	if imp < 0.2 {
-		t.Errorf("3-rack improvement = %.0f%%, want substantial", imp*100)
-	}
-	// Placement sanity: the namenode saw three racks.
-	r := run(t, Config{Preset: ec2.SmallCluster, FileSize: 256 << 20, NumRacks: 3, Mode: proto.ModeHDFS, Seed: 14})
-	if r.Blocks == 0 {
-		t.Fatal("no blocks written")
 	}
 }
 

@@ -1,7 +1,7 @@
 // Package storage implements datanode block storage. A replica is either
 // temporary (being written by a pipeline) or finalized. Two backends are
-// provided: an in-memory store (fast, used by tests, simulations and
-// examples) and an on-disk store (block file plus a checksum meta file,
+// provided: an in-memory store (fast, used by tests and the in-memory
+// cluster) and an on-disk store (block file plus a checksum meta file,
 // like HDFS's blk_N / blk_N.meta pairs, and a free/ directory of deleted
 // block files kept for reuse).
 //

@@ -1,9 +1,9 @@
 // Package transport abstracts the byte streams the data-transfer protocol
 // runs over. Two implementations are provided: an in-memory network with
 // per-link bandwidth shaping and fault injection (the default substrate
-// for tests and examples), and a TCP network for running a cluster across
-// real sockets. Both apply a LinkPolicy, the software analogue of the
-// paper's `tc` bandwidth throttling.
+// for tests), and a TCP network for running a cluster across real
+// sockets. Both apply a LinkPolicy, the software analogue of the paper's
+// `tc` bandwidth throttling.
 //
 // Concurrency invariants: a Network (dial, listen, shaping, partition,
 // kill) is safe for concurrent use from any goroutine. A Conn follows
@@ -70,18 +70,16 @@ type Network interface {
 
 // LinkPolicy decides the shaping of a directed link. Limits returns the
 // token buckets every byte flowing src→dst must pass (nil entries are
-// ignored) and the one-way propagation latency.
+// ignored).
 type LinkPolicy interface {
-	Limits(src, dst string) ([]*ratelimit.Limiter, time.Duration)
+	Limits(src, dst string) []*ratelimit.Limiter
 }
 
-// UnshapedPolicy applies no limits and no latency.
+// UnshapedPolicy applies no limits.
 type UnshapedPolicy struct{}
 
 // Limits implements LinkPolicy.
-func (UnshapedPolicy) Limits(src, dst string) ([]*ratelimit.Limiter, time.Duration) {
-	return nil, 0
-}
+func (UnshapedPolicy) Limits(src, dst string) []*ratelimit.Limiter { return nil }
 
 // ---------------------------------------------------------------------
 // In-memory network
@@ -116,9 +114,9 @@ func NewMemNetwork(policy LinkPolicy) *MemNetwork {
 	}
 }
 
-// SetClock replaces the clock driving link latency and conn deadlines
-// (affects connections made afterwards). Pass a virtual clock to make
-// deadlines deterministic in simulated time.
+// SetClock replaces the clock driving conn deadlines (affects
+// connections made afterwards). Pass a virtual clock to make deadlines
+// deterministic in simulated time.
 func (n *MemNetwork) SetClock(clk clock.Clock) {
 	if clk == nil {
 		clk = clock.System
@@ -271,27 +269,19 @@ func (n *MemNetwork) Dial(local, remote string) (Conn, error) {
 	forward := newPipeBuf(bufSize, clk)  // local -> remote
 	backward := newPipeBuf(bufSize, clk) // remote -> local
 
-	fwLims, fwLat := policy.Limits(local, remote)
-	bwLims, bwLat := policy.Limits(remote, local)
-
 	dialer := &memConn{
 		local: local, remote: remote,
 		readBuf: backward, writeBuf: forward,
-		w:   ratelimit.NewWriter(forward, fwLims...),
+		w:   ratelimit.NewWriter(forward, policy.Limits(local, remote)...),
 		net: n,
 	}
 	acceptor := &memConn{
 		local: remote, remote: local,
 		readBuf: forward, writeBuf: backward,
-		w:   ratelimit.NewWriter(backward, bwLims...),
+		w:   ratelimit.NewWriter(backward, policy.Limits(remote, local)...),
 		net: n,
 	}
 	dialer.peer, acceptor.peer = acceptor, dialer
-
-	// Connection setup costs one round trip.
-	if rtt := fwLat + bwLat; rtt > 0 {
-		clk.Sleep(rtt)
-	}
 
 	select {
 	case l.accept <- acceptor:
@@ -439,10 +429,9 @@ func (l *tcpListener) Accept() (Conn, error) {
 	}
 	l.tuning.apply(c)
 	remote := c.RemoteAddr().String()
-	lims, _ := l.policy.Limits(l.addr, remote)
 	return &tcpConn{
 		Conn: c, local: l.addr, remote: remote,
-		w: ratelimit.NewWriter(c, lims...),
+		w: ratelimit.NewWriter(c, l.policy.Limits(l.addr, remote)...),
 	}, nil
 }
 
@@ -465,13 +454,9 @@ func (n *TCPNetwork) Dial(local, remote string) (Conn, error) {
 		return nil, err
 	}
 	n.tuning.apply(c)
-	lims, lat := n.policy.Limits(local, remote)
-	if lat > 0 {
-		time.Sleep(lat)
-	}
 	return &tcpConn{
 		Conn: c, local: local, remote: remote,
-		w: ratelimit.NewWriter(c, lims...),
+		w: ratelimit.NewWriter(c, n.policy.Limits(local, remote)...),
 	}, nil
 }
 

@@ -173,11 +173,11 @@ type shapedPolicy struct {
 	src string
 }
 
-func (p shapedPolicy) Limits(src, dst string) ([]*ratelimit.Limiter, time.Duration) {
+func (p shapedPolicy) Limits(src, dst string) []*ratelimit.Limiter {
 	if src == p.src {
-		return []*ratelimit.Limiter{p.lim}, 0
+		return []*ratelimit.Limiter{p.lim}
 	}
-	return nil, 0
+	return nil
 }
 
 func TestShapingLimitsThroughput(t *testing.T) {

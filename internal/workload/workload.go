@@ -1,22 +1,14 @@
 // Package workload generates deterministic test and benchmark inputs:
-// reproducible pseudo-random file contents (with verification), the
-// paper's file-size sweeps, and helpers for building contention plans.
+// reproducible pseudo-random file contents.
 package workload
 
 import (
-	"fmt"
 	"io"
 	"math/rand"
 )
 
-// GB and MB are the units the paper's workloads use.
-const (
-	MB int64 = 1 << 20
-	GB int64 = 1 << 30
-)
-
 // Data returns n deterministic pseudo-random bytes for a seed. Equal
-// seeds and sizes always produce equal bytes, so writers and verifiers
+// seeds and sizes always produce equal bytes, so writers and readers
 // can regenerate the payload independently. The bytes are exactly what
 // NewReader(seed, n) streams.
 func Data(seed int64, n int) []byte {
@@ -65,73 +57,4 @@ func (r *Reader) Read(p []byte) (int, error) {
 	}
 	r.remain -= int64(n)
 	return n, nil
-}
-
-// Verifier consumes a stream and checks it against the deterministic
-// bytes of a seed; any divergence is reported with its offset.
-type Verifier struct {
-	want   *Reader
-	offset int64
-	err    error
-}
-
-// NewVerifier builds a verifier for n bytes of seed data.
-func NewVerifier(seed int64, n int64) *Verifier {
-	return &Verifier{want: NewReader(seed, n)}
-}
-
-// Write implements io.Writer; copy the stream to verify into it.
-func (v *Verifier) Write(p []byte) (int, error) {
-	if v.err != nil {
-		return 0, v.err
-	}
-	want := make([]byte, len(p))
-	if _, err := io.ReadFull(v.want, want); err != nil {
-		v.err = fmt.Errorf("workload: stream longer than expected at offset %d", v.offset)
-		return 0, v.err
-	}
-	for i := range p {
-		if p[i] != want[i] {
-			v.err = fmt.Errorf("workload: byte mismatch at offset %d: got %02x want %02x",
-				v.offset+int64(i), p[i], want[i])
-			return 0, v.err
-		}
-	}
-	v.offset += int64(len(p))
-	return len(p), nil
-}
-
-// Close checks that the full expected length arrived.
-func (v *Verifier) Close() error {
-	if v.err != nil {
-		return v.err
-	}
-	if v.want.remain > 0 {
-		return fmt.Errorf("workload: stream truncated: %d bytes missing", v.want.remain)
-	}
-	return nil
-}
-
-// SizeSweep returns the paper's 1–8 GB file-size ladder, scaled down by
-// the given divisor (scale 1 = paper sizes).
-func SizeSweep(scale int64) []int64 {
-	if scale < 1 {
-		scale = 1
-	}
-	sizes := []int64{1 * GB, 2 * GB, 4 * GB, 8 * GB}
-	out := make([]int64, len(sizes))
-	for i, s := range sizes {
-		out[i] = s / scale
-	}
-	return out
-}
-
-// SlowNodePlan maps the first k datanode indices to a Mbps limit, the
-// §V-B.2 contention pattern.
-func SlowNodePlan(k int, mbps float64) map[int]float64 {
-	plan := make(map[int]float64, k)
-	for i := 0; i < k; i++ {
-		plan[i] = mbps
-	}
-	return plan
 }

@@ -5,7 +5,6 @@ import (
 	"io"
 	"math/rand"
 	"testing"
-	"testing/quick"
 )
 
 func TestDataDeterministic(t *testing.T) {
@@ -49,88 +48,5 @@ func TestReaderChunkingIndependence(t *testing.T) {
 	}
 	if !bytes.Equal(got, want) {
 		t.Fatal("ragged reads changed the stream")
-	}
-}
-
-func TestVerifierAcceptsCorrectStream(t *testing.T) {
-	const n = 4096
-	v := NewVerifier(9, n)
-	if _, err := io.Copy(v, NewReader(9, n)); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Close(); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestVerifierRejectsCorruption(t *testing.T) {
-	data := Data(9, 1000)
-	data[500] ^= 1
-	v := NewVerifier(9, 1000)
-	_, err := v.Write(data)
-	if err == nil {
-		t.Fatal("verifier accepted corrupted stream")
-	}
-}
-
-func TestVerifierRejectsTruncation(t *testing.T) {
-	v := NewVerifier(9, 1000)
-	if _, err := v.Write(Data(9, 500)); err != nil {
-		t.Fatal(err)
-	}
-	if err := v.Close(); err == nil {
-		t.Fatal("verifier accepted truncated stream")
-	}
-}
-
-func TestVerifierRejectsOverrun(t *testing.T) {
-	v := NewVerifier(9, 100)
-	if _, err := v.Write(Data(9, 200)); err == nil {
-		t.Fatal("verifier accepted overlong stream")
-	}
-}
-
-func TestSizeSweep(t *testing.T) {
-	full := SizeSweep(1)
-	if len(full) != 4 || full[0] != GB || full[3] != 8*GB {
-		t.Fatalf("SizeSweep(1) = %v", full)
-	}
-	scaled := SizeSweep(8)
-	if scaled[3] != GB {
-		t.Fatalf("SizeSweep(8)[3] = %d, want 1GB", scaled[3])
-	}
-	if got := SizeSweep(0); got[0] != GB {
-		t.Fatalf("SizeSweep(0) should clamp to scale 1, got %v", got)
-	}
-}
-
-func TestSlowNodePlan(t *testing.T) {
-	p := SlowNodePlan(3, 50)
-	if len(p) != 3 || p[0] != 50 || p[2] != 50 {
-		t.Fatalf("plan = %v", p)
-	}
-	if len(SlowNodePlan(0, 50)) != 0 {
-		t.Fatal("k=0 plan not empty")
-	}
-}
-
-// Property: reader output equals Data for any seed/size, and verifier
-// round-trips.
-func TestQuickReaderVerifier(t *testing.T) {
-	f := func(seed int64, sizeRaw uint16) bool {
-		n := int64(sizeRaw) % 3000
-		data := Data(seed, int(n))
-		got, err := io.ReadAll(NewReader(seed, n))
-		if err != nil || !bytes.Equal(got, data) {
-			return false
-		}
-		v := NewVerifier(seed, n)
-		if _, err := v.Write(data); err != nil {
-			return false
-		}
-		return v.Close() == nil
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
 	}
 }

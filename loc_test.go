@@ -14,14 +14,15 @@ import (
 	"testing"
 )
 
-// TestLOC is `make loc`: it prints the two size figures ROADMAP and
-// CHANGES quote for every simplicity PR, so they are reproducible rather
-// than counted by hand — the non-test Go lines under internal/ and cmd/
+// TestLOC is `make loc`: it prints the size figures ROADMAP and CHANGES
+// quote for every simplicity PR, so they are reproducible rather than
+// counted by hand — the non-test Go lines under internal/ and cmd/
 // (every line of every .go file not ending in _test.go, analyzer
-// fixtures included), and the exported identifiers of each package
-// there: exported top-level names, exported methods on exported types,
-// and exported fields of exported structs. It asserts nothing; run it
-// with -v.
+// fixtures included), the same count over the whole root module (every
+// directory but the nested bench/ module), and the exported identifiers
+// of each package under internal/ and cmd/: exported top-level names,
+// exported methods on exported types, and exported fields of exported
+// structs. It asserts nothing; run it with -v.
 func TestLOC(t *testing.T) {
 	lines := 0
 	exported := map[string]int{}
@@ -50,7 +51,29 @@ func TestLOC(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	module := 0
+	err := filepath.WalkDir(".", func(path string, d fs.DirEntry, err error) error {
+		if err != nil {
+			return err
+		}
+		if d.IsDir() {
+			if path == "bench" || (path != "." && strings.HasPrefix(d.Name(), ".")) {
+				return filepath.SkipDir // the nested module, .git and build caches
+			}
+			return nil
+		}
+		if !strings.HasSuffix(path, ".go") || strings.HasSuffix(path, "_test.go") {
+			return nil
+		}
+		src, err := os.ReadFile(path)
+		module += bytes.Count(src, []byte("\n"))
+		return err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
 	fmt.Printf("non-test Go lines in internal/ + cmd/: %d\n", lines)
+	fmt.Printf("non-test Go lines in the root module outside bench/: %d\n", module)
 	fmt.Println("exported identifiers per package:")
 	pkgs := make([]string, 0, len(exported))
 	for p := range exported {
