@@ -13,7 +13,6 @@ vet:
 
 # The repo's own invariants-as-code suite (DESIGN.md §13): packet/buffer
 # ownership, namenode lock ranking, sim determinism, obs nil-safety.
-# Also runs as a vet tool: go vet -vettool=$(go env GOPATH)/bin/smarth-vet ./...
 lint:
 	$(GO) run ./cmd/smarth-vet ./...
 

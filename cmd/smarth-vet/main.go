@@ -1,31 +1,21 @@
 // Command smarth-vet is the multichecker for the repo's
 // invariants-as-code suite (internal/analysis): packetrelease,
-// lockorder, simdeterminism, and obsnilsafe. It runs two ways:
-//
-// Standalone, over go list patterns (the `make lint` path):
+// lockorder, simdeterminism, and obsnilsafe. It takes go list package
+// patterns (default ./...) and always runs all four analyzers:
 //
 //	smarth-vet ./...
-//	smarth-vet -packetrelease=false ./internal/namenode
+//	smarth-vet ./internal/namenode
 //
-// As a `go vet` tool, speaking the vet driver protocol (a JSON .cfg
-// file per package, -V=full versioning, -flags discovery):
-//
-//	go vet -vettool=$(which smarth-vet) ./...
-//
-// Each analyzer can be disabled with -<name>=false. The exit status is
-// nonzero when any diagnostic is reported. DESIGN.md §13 documents the
-// invariant each analyzer encodes and its escape-hatch annotation.
+// Each finding prints as `pos: [analyzer] message`. The exit status is
+// 1 when any diagnostic is reported (or loading fails) and 2 on a
+// flag-shaped argument. DESIGN.md §13 documents the invariant each
+// analyzer encodes and its escape-hatch annotation.
 package main
 
 import (
-	"crypto/sha256"
-	"encoding/json"
-	"flag"
 	"fmt"
-	"go/token"
 	"io"
 	"os"
-	"path/filepath"
 	"strings"
 
 	"repro/internal/analysis"
@@ -48,52 +38,17 @@ func main() {
 }
 
 // run is the testable entry point; it returns the process exit code.
-func run(args []string, stdout, stderr io.Writer) int {
-	// Vet driver protocol first: `-V=full` prints a cacheable version
-	// line, `-flags` describes our flags, and a single *.cfg argument
-	// means "analyze exactly this package" (go vet invokes the tool once
-	// per package with a generated config).
-	if len(args) == 1 {
-		switch {
-		case args[0] == "-V=full":
-			fmt.Fprintln(stdout, versionLine())
-			return 0
-		case args[0] == "-flags":
-			printFlagDefs(stdout)
-			return 0
-		case strings.HasSuffix(args[0], ".cfg"):
-			return runVetCfg(args[0], stderr)
+func run(patterns []string, stdout, stderr io.Writer) int {
+	for _, p := range patterns {
+		// A flag would otherwise reach `go list` as one of its own.
+		if strings.HasPrefix(p, "-") {
+			fmt.Fprintf(stderr, "usage: smarth-vet [package patterns] (no flags; got %q)\n", p)
+			return 2
 		}
 	}
-
-	fs := flag.NewFlagSet("smarth-vet", flag.ContinueOnError)
-	fs.SetOutput(stderr)
-	enabled := make(map[string]*bool, len(suite))
-	for _, a := range suite {
-		enabled[a.Name] = fs.Bool(a.Name, true, "enable the "+a.Name+" analyzer: "+a.Doc)
-	}
-	fs.Usage = func() {
-		fmt.Fprintf(stderr, "usage: smarth-vet [flags] [package patterns]\n\nAnalyzers:\n")
-		for _, a := range suite {
-			fmt.Fprintf(stderr, "  %-15s %s\n", a.Name, a.Doc)
-		}
-		fmt.Fprintf(stderr, "\nFlags:\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 2
-	}
-	patterns := fs.Args()
 	if len(patterns) == 0 {
 		patterns = []string{"./..."}
 	}
-	var active []*analysis.Analyzer
-	for _, a := range suite {
-		if *enabled[a.Name] {
-			active = append(active, a)
-		}
-	}
-
 	cwd, err := os.Getwd()
 	if err != nil {
 		fmt.Fprintln(stderr, err)
@@ -104,109 +59,17 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	diags, fset, err := analysis.RunAnalyzers(pkgs, active)
+	diags, fset, err := analysis.RunAnalyzers(pkgs, suite)
 	if err != nil {
 		fmt.Fprintln(stderr, err)
 		return 1
 	}
-	printDiags(stdout, fset, diags)
+	for _, d := range diags {
+		fmt.Fprintf(stdout, "%s: [%s] %s\n", fset.Position(d.Pos), d.Analyzer, d.Message)
+	}
 	if len(diags) > 0 {
 		fmt.Fprintf(stderr, "smarth-vet: %d finding(s)\n", len(diags))
 		return 1
-	}
-	return 0
-}
-
-func printDiags(w io.Writer, fset *token.FileSet, diags []analysis.Diagnostic) {
-	for _, d := range diags {
-		pos := fset.Position(d.Pos)
-		fmt.Fprintf(w, "%s: [%s] %s\n", pos, d.Analyzer, d.Message)
-	}
-}
-
-// versionLine replicates the `-V=full` contract the go command uses to
-// fingerprint vet tools for caching: the tool's name, a version token,
-// and a content hash of its own binary.
-func versionLine() string {
-	name := filepath.Base(os.Args[0])
-	h := sha256.New()
-	if exe, err := os.Executable(); err == nil {
-		if f, err := os.Open(exe); err == nil {
-			_, _ = io.Copy(h, f)
-			f.Close()
-		}
-	}
-	return fmt.Sprintf("%s version devel smarth-vet buildID=%x", name, h.Sum(nil))
-}
-
-// printFlagDefs answers `-flags`: the JSON flag description the go
-// command reads to validate vet command lines.
-func printFlagDefs(w io.Writer) {
-	type flagDef struct {
-		Name  string `json:"Name"`
-		Bool  bool   `json:"Bool"`
-		Usage string `json:"Usage"`
-	}
-	defs := make([]flagDef, 0, len(suite))
-	for _, a := range suite {
-		defs = append(defs, flagDef{Name: a.Name, Bool: true, Usage: a.Doc})
-	}
-	_ = json.NewEncoder(w).Encode(defs)
-}
-
-// vetConfig mirrors the JSON config the go command hands a vet tool for
-// each package (the unitchecker protocol).
-type vetConfig struct {
-	ID                        string
-	Dir                       string
-	ImportPath                string
-	GoFiles                   []string
-	ImportMap                 map[string]string
-	PackageFile               map[string]string
-	VetxOnly                  bool
-	VetxOutput                string
-	SucceedOnTypecheckFailure bool
-}
-
-// runVetCfg analyzes one package described by a go vet config file.
-func runVetCfg(path string, stderr io.Writer) int {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	var cfg vetConfig
-	if err := json.Unmarshal(data, &cfg); err != nil {
-		fmt.Fprintf(stderr, "smarth-vet: parsing %s: %v\n", path, err)
-		return 1
-	}
-	// The go command caches facts through the Vetx file; the suite keeps
-	// no cross-package facts, but the file must exist.
-	if cfg.VetxOutput != "" {
-		if err := os.WriteFile(cfg.VetxOutput, []byte("smarth-vet: no facts\n"), 0o666); err != nil {
-			fmt.Fprintln(stderr, err)
-			return 1
-		}
-	}
-	if cfg.VetxOnly {
-		return 0
-	}
-	pkg, err := analysis.LoadVetPackage(cfg.ImportPath, cfg.Dir, cfg.GoFiles, cfg.ImportMap, cfg.PackageFile)
-	if err != nil {
-		if cfg.SucceedOnTypecheckFailure {
-			return 0
-		}
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	diags, fset, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, suite)
-	if err != nil {
-		fmt.Fprintln(stderr, err)
-		return 1
-	}
-	printDiags(stderr, fset, diags)
-	if len(diags) > 0 {
-		return 2
 	}
 	return 0
 }

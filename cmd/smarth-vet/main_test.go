@@ -2,9 +2,7 @@ package main
 
 import (
 	"bytes"
-	"encoding/json"
 	"os"
-	"os/exec"
 	"path/filepath"
 	"strings"
 	"testing"
@@ -86,113 +84,19 @@ func stamp() int64 {
 	}
 }
 
-// TestVetProtocolHandshake covers the go vet driver surface: -V=full
-// prints a version line and -flags prints valid JSON flag definitions.
-func TestVetProtocolHandshake(t *testing.T) {
+// TestRunRefusesFlags: smarth-vet takes only package patterns, so a
+// flag-shaped argument is refused with a usage line and exit 2 instead
+// of reaching `go list` as one of its flags.
+func TestRunRefusesFlags(t *testing.T) {
 	var stdout, stderr bytes.Buffer
-	if code := run([]string{"-V=full"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-V=full exit %d", code)
+	code := run([]string{"-lockorder=false", "./internal/bufpool"}, &stdout, &stderr)
+	if code != 2 {
+		t.Fatalf("exit %d, want 2; stdout:\n%s\nstderr:\n%s", code, stdout.String(), stderr.String())
 	}
-	if !strings.Contains(stdout.String(), "buildID=") {
-		t.Fatalf("-V=full output missing buildID: %q", stdout.String())
+	if !strings.HasPrefix(stderr.String(), "usage: smarth-vet") || strings.Count(stderr.String(), "\n") != 1 {
+		t.Fatalf("want a one-line usage on stderr, got %q", stderr.String())
 	}
-
-	stdout.Reset()
-	if code := run([]string{"-flags"}, &stdout, &stderr); code != 0 {
-		t.Fatalf("-flags exit %d", code)
+	if stdout.Len() != 0 {
+		t.Fatalf("stdout not empty: %q", stdout.String())
 	}
-	var defs []struct {
-		Name string
-		Bool bool
-	}
-	if err := json.Unmarshal(stdout.Bytes(), &defs); err != nil {
-		t.Fatalf("-flags output not JSON: %v\n%s", err, stdout.String())
-	}
-	if len(defs) != len(suite) {
-		t.Fatalf("-flags described %d analyzers, want %d", len(defs), len(suite))
-	}
-}
-
-// TestVetCfgMode drives the per-package .cfg protocol the go command
-// uses, against a real repo package resolved via `go list -export`.
-func TestVetCfgMode(t *testing.T) {
-	root := repoRoot(t)
-	pkgs, err := listExport(t, root, "repro/internal/bufpool")
-	if err != nil {
-		t.Fatal(err)
-	}
-	target, ok := pkgs["repro/internal/bufpool"]
-	if !ok {
-		t.Fatal("go list did not return repro/internal/bufpool")
-	}
-
-	importMap := make(map[string]string)
-	packageFile := make(map[string]string)
-	for path, p := range pkgs {
-		importMap[path] = path
-		if p.Export != "" {
-			packageFile[path] = p.Export
-		}
-	}
-	goFiles := make([]string, len(target.GoFiles))
-	for i, f := range target.GoFiles {
-		goFiles[i] = filepath.Join(target.Dir, f)
-	}
-
-	dir := t.TempDir()
-	vetx := filepath.Join(dir, "out.vetx")
-	cfg := map[string]any{
-		"ID":          "repro/internal/bufpool",
-		"Dir":         target.Dir,
-		"ImportPath":  "repro/internal/bufpool",
-		"GoFiles":     goFiles,
-		"ImportMap":   importMap,
-		"PackageFile": packageFile,
-		"VetxOutput":  vetx,
-	}
-	data, err := json.Marshal(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	cfgPath := filepath.Join(dir, "vet.cfg")
-	if err := os.WriteFile(cfgPath, data, 0o666); err != nil {
-		t.Fatal(err)
-	}
-
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{cfgPath}, &stdout, &stderr); code != 0 {
-		t.Fatalf("cfg mode exit %d, stderr:\n%s", code, stderr.String())
-	}
-	if _, err := os.Stat(vetx); err != nil {
-		t.Fatalf("VetxOutput not written: %v", err)
-	}
-}
-
-type listedPkg struct {
-	Dir        string
-	ImportPath string
-	Export     string
-	GoFiles    []string
-}
-
-// listExport shells out to `go list -e -export -deps -json` the same
-// way the loader does, keyed by import path.
-func listExport(t *testing.T, dir, pattern string) (map[string]*listedPkg, error) {
-	t.Helper()
-	cmd := exec.Command("go", "list", "-e", "-export", "-deps", "-json=Dir,ImportPath,Export,GoFiles", pattern)
-	cmd.Dir = dir
-	out, err := cmd.Output()
-	if err != nil {
-		return nil, err
-	}
-	pkgs := make(map[string]*listedPkg)
-	dec := json.NewDecoder(bytes.NewReader(out))
-	for dec.More() {
-		var p listedPkg
-		if err := dec.Decode(&p); err != nil {
-			return nil, err
-		}
-		pkgs[p.ImportPath] = &p
-	}
-	return pkgs, nil
 }

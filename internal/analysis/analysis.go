@@ -24,15 +24,13 @@ import (
 	"strings"
 )
 
-// Analyzer describes one static check: a name (the diagnostic prefix
-// and the cmd/smarth-vet enable flag), godoc-style documentation, and
-// the Run function applied to every package under analysis.
+// Analyzer describes one static check: a name (the diagnostic prefix),
+// godoc-style documentation, and the Run function applied to every
+// package under analysis.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics and flags. It must be
-	// a valid Go identifier.
+	// Name identifies the analyzer in diagnostics.
 	Name string
-	// Doc is the one-paragraph human description printed by
-	// `smarth-vet -help`.
+	// Doc is the one-paragraph human description of the check.
 	Doc string
 	// Run executes the check over one package and reports findings via
 	// pass.Reportf. A non-nil error aborts the whole vet run (reserved

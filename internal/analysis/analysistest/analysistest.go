@@ -1,8 +1,10 @@
 // Package analysistest is the golden-file test harness for the
 // smarth-vet analyzers, mirroring the x/tools package of the same
-// name: a fixture directory under testdata/src/<name> is loaded as one
-// package (its imports — including real repo packages like
-// repro/internal/proto — resolve through `go list -export`), the
+// name: a fixture directory under testdata/src/<name> is loaded the way
+// smarth-vet loads any package, by analysis.Load over the pattern "."
+// run from that directory (the go tool lists an explicit testdata
+// directory, so the fixture type-checks under its full import path and
+// may import real repo packages like repro/internal/proto), the
 // analyzer runs over it, and the diagnostics are compared against
 // `// want "regexp"` comments in the fixture sources. Every expected
 // diagnostic must occur on its annotated line, and every reported
@@ -38,11 +40,15 @@ type expectation struct {
 func Run(t *testing.T, a *analysis.Analyzer, fixture string) {
 	t.Helper()
 	dir := filepath.Join("testdata", "src", fixture)
-	pkg, err := analysis.LoadDir(dir)
+	pkgs, err := analysis.Load(dir, ".")
 	if err != nil {
 		t.Fatalf("loading fixture %s: %v", dir, err)
 	}
-	diags, _, err := analysis.RunAnalyzers([]*analysis.Package{pkg}, []*analysis.Analyzer{a})
+	if len(pkgs) != 1 {
+		t.Fatalf("loading fixture %s: got %d packages, want 1", dir, len(pkgs))
+	}
+	pkg := pkgs[0]
+	diags, _, err := analysis.RunAnalyzers(pkgs, []*analysis.Analyzer{a})
 	if err != nil {
 		t.Fatalf("running %s on %s: %v", a.Name, dir, err)
 	}

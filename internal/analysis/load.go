@@ -17,8 +17,6 @@ import (
 	"os/exec"
 	"path/filepath"
 	"sort"
-	"strconv"
-	"strings"
 )
 
 // Package is one loaded, type-checked package ready for analysis.
@@ -138,109 +136,17 @@ func Load(dir string, patterns ...string) ([]*Package, error) {
 	return out, nil
 }
 
-// LoadDir loads the single package rooted at dir (every non-test .go
-// file in it), resolving its imports through `go list -export` run from
-// dir itself — so analysistest fixtures under testdata/ may import real
-// repo packages even though the go tool ignores testdata trees.
-func LoadDir(dir string) (*Package, error) {
-	entries, err := os.ReadDir(dir)
-	if err != nil {
-		return nil, err
-	}
-	var files []string
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".go") || strings.HasSuffix(name, "_test.go") {
-			continue
-		}
-		files = append(files, name)
-	}
-	if len(files) == 0 {
-		return nil, fmt.Errorf("%s: no Go files", dir)
-	}
-	fset := token.NewFileSet()
-	parsed, imports, err := parseFiles(fset, dir, files)
-	if err != nil {
-		return nil, err
-	}
-	exports := make(map[string]string)
-	if len(imports) > 0 {
-		listed, err := goList(dir, imports)
+// typecheck parses one listed package's files (relative to dir) and
+// runs go/types over them.
+func typecheck(fset *token.FileSet, imp types.Importer, path, dir string, goFiles []string) (*Package, error) {
+	var parsed []*ast.File
+	for _, name := range goFiles {
+		f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.ParseComments)
 		if err != nil {
 			return nil, err
 		}
-		for _, lp := range listed {
-			if lp.Export != "" {
-				exports[lp.ImportPath] = lp.Export
-			}
-		}
-	}
-	return check(fset, exportImporter(fset, exports), dir, parsed[0].Name.Name, parsed)
-}
-
-// LoadVetPackage type-checks the single package a `go vet` driver
-// config describes: explicit file lists and an import-path → export-
-// data-file map supplied by the go command (the unitchecker protocol).
-func LoadVetPackage(importPath, dir string, goFiles []string, importMap, packageFile map[string]string) (*Package, error) {
-	fset := token.NewFileSet()
-	parsed, _, err := parseFiles(fset, dir, append([]string(nil), goFiles...))
-	if err != nil {
-		return nil, err
-	}
-	imp := importer.ForCompiler(fset, "gc", func(path string) (io.ReadCloser, error) {
-		canonical := path
-		if mapped, ok := importMap[path]; ok {
-			canonical = mapped
-		}
-		file, ok := packageFile[canonical]
-		if !ok || file == "" {
-			return nil, fmt.Errorf("no export data for %q", path)
-		}
-		return os.Open(file)
-	})
-	return check(fset, imp, dir, importPath, parsed)
-}
-
-// parseFiles parses names (absolute, or relative to dir) and returns
-// the syntax plus the sorted union of their import paths.
-func parseFiles(fset *token.FileSet, dir string, names []string) ([]*ast.File, []string, error) {
-	sort.Strings(names)
-	var parsed []*ast.File
-	importSet := make(map[string]bool)
-	for _, name := range names {
-		if !filepath.IsAbs(name) {
-			name = filepath.Join(dir, name)
-		}
-		f, err := parser.ParseFile(fset, name, nil, parser.ParseComments)
-		if err != nil {
-			return nil, nil, err
-		}
 		parsed = append(parsed, f)
-		for _, imp := range f.Imports {
-			if path, err := strconv.Unquote(imp.Path.Value); err == nil && path != "unsafe" {
-				importSet[path] = true
-			}
-		}
 	}
-	imports := make([]string, 0, len(importSet))
-	for p := range importSet {
-		imports = append(imports, p)
-	}
-	sort.Strings(imports)
-	return parsed, imports, nil
-}
-
-// typecheck parses and checks one listed package.
-func typecheck(fset *token.FileSet, imp types.Importer, importPath, dir string, goFiles []string) (*Package, error) {
-	parsed, _, err := parseFiles(fset, dir, append([]string(nil), goFiles...))
-	if err != nil {
-		return nil, err
-	}
-	return check(fset, imp, dir, importPath, parsed)
-}
-
-// check runs go/types over parsed files and wraps the result.
-func check(fset *token.FileSet, imp types.Importer, dir, path string, parsed []*ast.File) (*Package, error) {
 	info := newInfo()
 	var firstErr error
 	conf := types.Config{

@@ -21,7 +21,9 @@
 // return }` guards everything after it, `if c != nil && ready { ... }`
 // guards its body. Value receivers and methods that never dereference
 // the receiver are exempt. The obs package is matched by package name,
-// so analysistest fixtures named obs are checked identically.
+// so analysistest fixtures named obs are checked identically: a fixture
+// is loaded under its full testdata import path, and diagnostics name
+// the receiver's type by package name, (*obs.Counter), either way.
 //
 // Known limit (DESIGN.md §13): domination is judged on the statement
 // structure, not a full CFG — a guard hidden behind a helper call or a
@@ -60,7 +62,10 @@ func run(pass *analysis.Pass) error {
 			if recv == nil {
 				continue // value receiver, anonymous, or unexported type
 			}
-			c := &checker{pass: pass, recv: recv, method: fd.Name.Name}
+			// Name the receiver's type the way the source spells it,
+			// (*obs.Counter), whatever import path the package has.
+			recvType := types.TypeString(recv.Type(), func(p *types.Package) string { return p.Name() })
+			c := &checker{pass: pass, recv: recv, recvType: recvType, method: fd.Name.Name}
 			c.block(fd.Body.List, false)
 		}
 	}
@@ -95,6 +100,7 @@ func receiverVar(pass *analysis.Pass, fd *ast.FuncDecl) *types.Var {
 type checker struct {
 	pass     *analysis.Pass
 	recv     *types.Var
+	recvType string
 	method   string
 	reported bool
 }
@@ -186,7 +192,7 @@ func (c *checker) check(n ast.Node, guarded bool) {
 			if id, ok := ast.Unparen(node.X).(*ast.Ident); ok {
 				if c.pass.TypesInfo.Uses[id] == c.recv && c.isFieldAccess(node) {
 					c.pass.Reportf(node.Pos(), "(%s).%s accesses receiver field %s without a nil guard; internal/obs is nil-safe by contract",
-						c.recv.Type(), c.method, node.Sel.Name)
+						c.recvType, c.method, node.Sel.Name)
 					c.reported = true
 					return false
 				}
@@ -194,7 +200,7 @@ func (c *checker) check(n ast.Node, guarded bool) {
 		case *ast.StarExpr:
 			if id, ok := ast.Unparen(node.X).(*ast.Ident); ok && c.pass.TypesInfo.Uses[id] == c.recv {
 				c.pass.Reportf(node.Pos(), "(%s).%s dereferences its receiver without a nil guard; internal/obs is nil-safe by contract",
-					c.recv.Type(), c.method)
+					c.recvType, c.method)
 				c.reported = true
 				return false
 			}

@@ -31,9 +31,9 @@
 //
 // The deterministic package set is matched by package name, so
 // analysistest fixtures named after a real package are checked
-// identically. _test.go files are exempt: the discipline governs the
-// engine and harness code, not the real-time watchdogs tests wrap
-// around them.
+// identically. _test.go files are never loaded (analysis.Load reads a
+// package's GoFiles only): the discipline governs the engine and
+// harness code, not the real-time watchdogs tests wrap around them.
 package simdeterminism
 
 import (
@@ -95,14 +95,6 @@ func run(pass *analysis.Pass) error {
 		return nil
 	}
 	for _, file := range pass.Files {
-		// The discipline governs the harness and engine code, not the
-		// tests driving them: a wall-clock watchdog around a channel
-		// receive in a _test.go file is legitimate. (go vet -vettool
-		// hands us test files; the standalone loader does not.)
-		name := pass.Fset.Position(file.Pos()).Filename
-		if strings.HasSuffix(name, "_test.go") {
-			continue
-		}
 		for _, decl := range file.Decls {
 			// init runs once, before any simulation, and may fill tables.
 			fd, _ := decl.(*ast.FuncDecl)

@@ -24,10 +24,6 @@ func (b Block) String() string {
 	return fmt.Sprintf("blk_%d_%d(len=%d)", b.ID, b.Gen, b.NumBytes)
 }
 
-// SameID reports whether two blocks refer to the same identity regardless
-// of generation or length.
-func (b Block) SameID(o Block) bool { return b.ID == o.ID }
-
 // DatanodeInfo describes a datanode as seen by clients: a stable name, a
 // dialable transport address, and a rack for topology-aware decisions.
 type DatanodeInfo struct {
@@ -52,16 +48,4 @@ func (lb LocatedBlock) Names() []string {
 		out[i] = t.Name
 	}
 	return out
-}
-
-// WithoutTargets returns a copy of lb whose target list excludes the named
-// datanodes, preserving order. Used during pipeline recovery.
-func (lb LocatedBlock) WithoutTargets(exclude map[string]bool) LocatedBlock {
-	kept := make([]DatanodeInfo, 0, len(lb.Targets))
-	for _, t := range lb.Targets {
-		if !exclude[t.Name] {
-			kept = append(kept, t)
-		}
-	}
-	return LocatedBlock{Block: lb.Block, Targets: kept}
 }

@@ -15,18 +15,6 @@ func TestBlockString(t *testing.T) {
 	}
 }
 
-func TestSameID(t *testing.T) {
-	a := Block{ID: 1, Gen: 1}
-	b := Block{ID: 1, Gen: 9, NumBytes: 55}
-	c := Block{ID: 2, Gen: 1}
-	if !a.SameID(b) {
-		t.Fatal("same IDs not recognized")
-	}
-	if a.SameID(c) {
-		t.Fatal("different IDs matched")
-	}
-}
-
 func TestDatanodeInfoString(t *testing.T) {
 	d := DatanodeInfo{Name: "dn1", Addr: "host:1234", Rack: "/r"}
 	if got := d.String(); got != "dn1@host:1234" {
@@ -50,29 +38,5 @@ func TestNames(t *testing.T) {
 		if got[i] != want[i] {
 			t.Fatalf("Names() = %v", got)
 		}
-	}
-}
-
-func TestWithoutTargets(t *testing.T) {
-	out := lb().WithoutTargets(map[string]bool{"b": true})
-	if len(out.Targets) != 2 || out.Targets[0].Name != "a" || out.Targets[1].Name != "c" {
-		t.Fatalf("WithoutTargets = %v", out.Names())
-	}
-	if out.Block.ID != 3 {
-		t.Fatal("block identity lost")
-	}
-	// Original untouched.
-	if len(lb().Targets) != 3 {
-		t.Fatal("source mutated")
-	}
-	// Excluding nothing copies everything.
-	all := lb().WithoutTargets(nil)
-	if len(all.Targets) != 3 {
-		t.Fatalf("WithoutTargets(nil) = %v", all.Names())
-	}
-	// Excluding everything leaves an empty pipeline.
-	none := lb().WithoutTargets(map[string]bool{"a": true, "b": true, "c": true})
-	if len(none.Targets) != 0 {
-		t.Fatalf("WithoutTargets(all) = %v", none.Names())
 	}
 }

@@ -35,16 +35,6 @@ var (
 // Types lists all instance types in Table I order.
 var Types = []InstanceType{Small, Medium, Large}
 
-// ByName looks up an instance type.
-func ByName(name string) (InstanceType, bool) {
-	for _, t := range Types {
-		if t.Name == name {
-			return t, true
-		}
-	}
-	return InstanceType{}, false
-}
-
 // ClusterPreset is one of the paper's four evaluation clusters: the
 // instance types of the datanodes (9 of them), plus the type of the
 // client/namenode machine.
@@ -81,14 +71,4 @@ func homogeneous(name string, t InstanceType) ClusterPreset {
 		dns[i] = t
 	}
 	return ClusterPreset{Name: name, Datanodes: dns, Client: t}
-}
-
-// PresetByName looks up one of the four evaluation clusters.
-func PresetByName(name string) (ClusterPreset, bool) {
-	for _, p := range Presets {
-		if p.Name == name {
-			return p, true
-		}
-	}
-	return ClusterPreset{}, false
 }

@@ -23,28 +23,13 @@ func TestMbps(t *testing.T) {
 	}
 }
 
-func TestByName(t *testing.T) {
-	for _, want := range Types {
-		got, ok := ByName(want.Name)
-		if !ok || got != want {
-			t.Fatalf("ByName(%q) = %v, %v", want.Name, got, ok)
-		}
-	}
-	if _, ok := ByName("xlarge"); ok {
-		t.Fatal("ByName accepted unknown type")
-	}
-}
-
 func TestPresets(t *testing.T) {
 	for _, p := range Presets {
 		if len(p.Datanodes) != 9 {
 			t.Fatalf("preset %s has %d datanodes, want 9", p.Name, len(p.Datanodes))
 		}
 	}
-	h, ok := PresetByName("hetero")
-	if !ok {
-		t.Fatal("hetero preset missing")
-	}
+	h := HeteroCluster
 	counts := map[string]int{}
 	for _, dn := range h.Datanodes {
 		counts[dn.Name]++
@@ -55,9 +40,6 @@ func TestPresets(t *testing.T) {
 	}
 	if h.Client.Name != "medium" {
 		t.Fatalf("hetero client = %s, want medium", h.Client.Name)
-	}
-	if _, ok := PresetByName("mega"); ok {
-		t.Fatal("unknown preset accepted")
 	}
 }
 

@@ -2,6 +2,7 @@ package faultnet
 
 import (
 	"io"
+	"slices"
 	"testing"
 	"time"
 
@@ -160,27 +161,46 @@ func TestDialFaults(t *testing.T) {
 	}
 }
 
+// sleepRecorder is a clock whose Sleep returns at once and records the
+// delay it was asked for, so injected delays are read exactly instead
+// of timed on the wall clock.
+type sleepRecorder struct {
+	clock.Real
+	slept []time.Duration
+}
+
+func (r *sleepRecorder) Sleep(d time.Duration) { r.slept = append(r.slept, d) }
+
 func TestDelayIsDeterministic(t *testing.T) {
+	const delay, jitter = time.Millisecond, 5 * time.Millisecond
 	sample := func(seed int64) []time.Duration {
 		n := Wrap(transport.NewMemNetwork(nil), seed)
+		rec := &sleepRecorder{}
+		n.SetClock(rec)
 		cli, srv := pair(t, n, "cli", "srv")
 		go io.Copy(io.Discard, srv)
-		n.SetLink("cli", "srv", Fault{Delay: time.Millisecond, DelayJitter: 5 * time.Millisecond})
-		var out []time.Duration
-		for i := 0; i < 4; i++ {
-			start := time.Now()
+		n.SetLink("cli", "srv", Fault{Delay: delay, DelayJitter: jitter})
+		for i := 0; i < 8; i++ {
 			if _, err := cli.Write([]byte("x")); err != nil {
 				t.Fatal(err)
 			}
-			out = append(out, time.Since(start).Round(time.Millisecond))
 		}
-		return out
+		return rec.slept
 	}
 	a, b := sample(42), sample(42)
-	for i := range a {
-		if d := a[i] - b[i]; d > 2*time.Millisecond || d < -2*time.Millisecond {
-			t.Fatalf("same seed diverged: %v vs %v", a, b)
+	if !slices.Equal(a, b) {
+		t.Fatalf("same seed diverged: %v vs %v", a, b)
+	}
+	if len(a) != 8 {
+		t.Fatalf("recorded %d delays, want 8: %v", len(a), a)
+	}
+	for _, d := range a {
+		if d < delay || d >= delay+jitter {
+			t.Fatalf("delay %v outside [%v, %v): %v", d, delay, delay+jitter, a)
 		}
+	}
+	if c := sample(43); slices.Equal(a, c) {
+		t.Fatalf("seeds 42 and 43 drew the same delays: %v", a)
 	}
 }
 

@@ -15,7 +15,7 @@ import (
 	"repro/internal/des"
 )
 
-// Server is a FIFO rate server: jobs are serialized at Rate bytes/second
+// Server is a FIFO rate server: jobs are serialized at its byte rate
 // in arrival order. A non-positive rate means infinite (no delay).
 //
 // Completion times never decrease along the queue, so a server keeps its
@@ -65,9 +65,6 @@ func (nw *Network) NewServer(name string, bytesPerSecond float64) *Server {
 	*s = Server{eng: nw.eng, name: name, rate: bytesPerSecond, jobs: s.jobs, fire: s.fire}
 	return s
 }
-
-// Rate returns the server's byte rate (0 = infinite).
-func (s *Server) Rate() float64 { return s.rate }
 
 // SetRate changes the rate; queued jobs already scheduled keep their
 // completion times (rate changes apply to later arrivals).
@@ -120,9 +117,6 @@ func (s *Server) complete() {
 	}
 	done()
 }
-
-// BusyUntil reports when the server's queue drains (for stats).
-func (s *Server) BusyUntil() time.Duration { return s.busyUntil }
 
 func (s *Server) String() string {
 	return fmt.Sprintf("server(%s, %.0f B/s)", s.name, s.rate)

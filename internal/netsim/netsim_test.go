@@ -164,8 +164,8 @@ func TestPipeliningThroughStages(t *testing.T) {
 func TestSetNICLimit(t *testing.T) {
 	n := NewNetwork(des.New(), 0).NewNode("n", "/r", 1000, 0)
 	n.SetNICLimit(50)
-	if n.Egress.Rate() != 50 || n.Ingress.Rate() != 50 {
-		t.Fatalf("rates = %v/%v, want 50/50", n.Egress.Rate(), n.Ingress.Rate())
+	if n.Egress.rate != 50 || n.Ingress.rate != 50 {
+		t.Fatalf("rates = %v/%v, want 50/50", n.Egress.rate, n.Ingress.rate)
 	}
 }
 
