@@ -12,7 +12,7 @@ vet:
 	$(GO) vet ./...
 
 # The repo's own invariants-as-code suite (DESIGN.md §13): packet/buffer
-# ownership, namenode lock ranking, sim determinism, obs nil-safety.
+# ownership, the namenode's one lock, sim determinism, obs nil-safety.
 lint:
 	$(GO) run ./cmd/smarth-vet ./...
 

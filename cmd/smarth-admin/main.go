@@ -88,7 +88,7 @@ func main() {
 			fmt.Println("no such file:", *rm)
 		}
 	case *balance:
-		resp, err := cl.Balance(*threshold, 0)
+		resp, err := cl.Balance(*threshold)
 		if err != nil {
 			fatal(err)
 		}

@@ -1,26 +1,28 @@
-// Package lockorder implements the smarth-vet analyzer encoding the
-// namenode lock ranking of DESIGN.md §12: namesystem (rank 1) →
-// datanode manager (rank 2) → replication manager (rank 3) → admin
-// mutex (rank 4), acquired strictly left to right. The analyzer runs a
-// forward walk over each function body (internal/analysis/flow)
-// tracking which ranks are held and reports:
+// Package lockorder implements the smarth-vet analyzer for the
+// namenode's one-lock rule (DESIGN.md §12): Namenode.mu is the only
+// namenode mutex, exported methods take it, and nothing that runs while
+// it is held takes it again — sync.Mutex is not reentrant, so a second
+// acquire is a self-deadlock. The analyzer runs a forward walk over each
+// function body (internal/analysis/flow) tracking whether the lock is
+// held and reports:
 //
-//   - acquiring a lower-ranked lock while holding a higher-ranked one
-//     (the inversion class that deadlocks two namenode operations
-//     running in opposite order);
-//   - acquiring a lock of a rank that is already held (each rank is
-//     one sync.Mutex, so this is a self-deadlock).
+//   - acquiring Namenode.mu while already holding it;
+//   - calling, while holding it, a *Namenode method whose body takes
+//     it — directly or through other *Namenode methods — which is the
+//     same deadlock one call away (an RPC handler calling another
+//     handler).
 //
-// Locks are recognized structurally: `x.mu.Lock()` (and TryLock/RLock)
-// where x's type is one of the ranked namenode structs — namesystem,
-// datanodeManager, replicationManager, Namenode. A TryLock used as an
-// if condition acquires only on the taken branch. Unlock/RUnlock
-// releases; a deferred Unlock is treated as held until return, which is
-// exactly what ordering needs.
+// The lock is recognized structurally: `x.mu.Lock()` (and TryLock/
+// RLock) where x's type is named Namenode and mu is a sync mutex. A
+// TryLock used as an if condition acquires only on the taken branch.
+// Unlock/RUnlock releases; a deferred Unlock is treated as held until
+// return. A call in a go statement, in a deferred call or in a function
+// literal does not run under the caller's lock and is not reported.
 //
-// Known limits (DESIGN.md §13): the check is intra-procedural — a
-// helper that locks internally is invisible to its callers — and
-// goto-using functions are skipped.
+// Known limits (DESIGN.md §13): which methods lock is worked out from
+// the package's own method bodies — a lock taken through an interface
+// or a function value is invisible — and goto-using functions are
+// skipped.
 package lockorder
 
 import (
@@ -35,68 +37,44 @@ import (
 // Analyzer is the lockorder analysis entry point.
 var Analyzer = &analysis.Analyzer{
 	Name: "lockorder",
-	Doc: "check that namenode mutexes are acquired in the documented " +
-		"rank order (namesystem -> datanode manager -> replication " +
-		"manager -> admin) and never acquired while already held",
+	Doc: "check that Namenode.mu is never acquired while already held, " +
+		"directly or by calling a Namenode method that takes it",
 	Run: run,
 }
 
-// rankOf maps the ranked namenode struct type names to their position
-// in the documented order. The admin mutex is a field of Namenode
-// itself.
-var rankOf = map[string]int{
-	"namesystem":         1,
-	"datanodeManager":    2,
-	"replicationManager": 3,
-	"Namenode":           4,
-}
+// lockType and lockField name the one checked mutex: Namenode.mu.
+const (
+	lockType  = "Namenode"
+	lockField = "mu"
+)
 
-// rankName renders a rank for diagnostics.
-var rankName = map[int]string{
-	1: "namesystem",
-	2: "datanode manager",
-	3: "replication manager",
-	4: "admin mutex",
-}
+// held counts Namenode.mu acquisitions on the current path.
+type held int
 
-// state tracks how many locks of each rank are held on the current
-// path.
-type state struct {
-	held map[int]int
-}
+// op classifies a call as an operation on Namenode.mu.
+type op int
 
-func (s state) clone() state {
-	m := make(map[int]int, len(s.held))
-	for r, n := range s.held {
-		m[r] = n
-	}
-	return state{held: m}
-}
-
-// merge keeps the maximum held count per rank: a lock held on either
-// joining path must be assumed held after the join.
-func (s state) merge(o state) state {
-	for r, n := range o.held {
-		if n > s.held[r] {
-			s.held[r] = n
-		}
-	}
-	return s
-}
+const (
+	notLock op = iota
+	acquire
+	tryAcquire
+	release
+)
 
 func run(pass *analysis.Pass) error {
+	locking := lockingMethods(pass)
 	for _, file := range pass.Files {
 		for _, decl := range file.Decls {
 			fd, ok := decl.(*ast.FuncDecl)
 			if !ok || fd.Body == nil {
 				continue
 			}
-			analyzeBody(pass, fd.Body)
+			analyzeBody(pass, locking, fd.Body)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
-					// A literal starts with no locks held: goroutines and
-					// callbacks must do their own ordered acquisition.
-					analyzeBody(pass, lit.Body)
+					// A literal starts with the lock not held: goroutines
+					// and callbacks run on their own.
+					analyzeBody(pass, locking, lit.Body)
 				}
 				return true
 			})
@@ -105,56 +83,113 @@ func run(pass *analysis.Pass) error {
 	return nil
 }
 
-type fctx struct {
-	pass *analysis.Pass
+// lockingMethods returns the *Namenode methods declared in the package
+// whose body takes Namenode.mu, directly or by calling another such
+// method (a fixpoint over the package's method bodies).
+func lockingMethods(pass *analysis.Pass) map[*types.Func]bool {
+	bodies := make(map[*types.Func]*ast.BlockStmt)
+	for _, file := range pass.Files {
+		for _, decl := range file.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || fd.Body == nil {
+				continue
+			}
+			if fn, ok := pass.TypesInfo.Defs[fd.Name].(*types.Func); ok && isNamenodeMethod(fn) {
+				bodies[fn] = fd.Body
+			}
+		}
+	}
+	locking := make(map[*types.Func]bool)
+	for changed := true; changed; {
+		changed = false
+		for fn, body := range bodies {
+			if !locking[fn] && takesLock(pass, locking, body) {
+				locking[fn] = true
+				changed = true
+			}
+		}
+	}
+	return locking
 }
 
-func analyzeBody(pass *analysis.Pass, body *ast.BlockStmt) {
-	fc := &fctx{pass: pass}
-	interp := &flow.Interp[state]{
-		Clone: func(s state) state { return s.clone() },
-		Merge: func(a, b state) state { return a.merge(b) },
-		Exec:  fc.exec,
-		Expr:  fc.scan,
-		Cond:  fc.cond,
-	}
-	interp.Func(body, state{held: make(map[int]int)})
+// takesLock reports whether body acquires Namenode.mu or calls a method
+// already known to, on its own goroutine.
+func takesLock(pass *analysis.Pass, locking map[*types.Func]bool, body *ast.BlockStmt) bool {
+	found := false
+	inspectCalls(body, func(call *ast.CallExpr) {
+		if o := mutexOp(pass, call); o == acquire || o == tryAcquire || locking[calledMethod(pass, call)] {
+			found = true
+		}
+	})
+	return found
 }
 
-// mutexRank classifies a call as a ranked mutex operation. acquire is
-// false for Unlock/RUnlock; TryLocks used as conditions are handled by
-// cond.
-func (fc *fctx) mutexRank(call *ast.CallExpr) (rank int, acquire, try, ok bool) {
-	sel, isSel := ast.Unparen(call.Fun).(*ast.SelectorExpr)
-	if !isSel {
-		return 0, false, false, false
+// inspectCalls visits the calls in n that run on the enclosing
+// function's goroutine before it returns: not those inside function
+// literals, go statements or deferred calls.
+func inspectCalls(n ast.Node, visit func(*ast.CallExpr)) {
+	ast.Inspect(n, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+			return false
+		case *ast.CallExpr:
+			visit(n)
+		}
+		return true
+	})
+}
+
+// isNamenodeMethod reports whether fn has a Namenode or *Namenode
+// receiver.
+func isNamenodeMethod(fn *types.Func) bool {
+	sig, ok := fn.Type().(*types.Signature)
+	if !ok || sig.Recv() == nil {
+		return false
+	}
+	t := sig.Recv().Type()
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	named, ok := t.(*types.Named)
+	return ok && named.Obj().Name() == lockType
+}
+
+// calledMethod resolves the method a call invokes, or nil.
+func calledMethod(pass *analysis.Pass, call *ast.CallExpr) *types.Func {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return nil
+	}
+	if s, ok := pass.TypesInfo.Selections[sel]; ok && s.Kind() == types.MethodVal {
+		fn, _ := s.Obj().(*types.Func)
+		return fn
+	}
+	return nil
+}
+
+// mutexOp classifies a call as an operation on Namenode.mu.
+func mutexOp(pass *analysis.Pass, call *ast.CallExpr) op {
+	sel, ok := ast.Unparen(call.Fun).(*ast.SelectorExpr)
+	if !ok {
+		return notLock
+	}
+	holder, ok := ast.Unparen(sel.X).(*ast.SelectorExpr)
+	if !ok || holder.Sel.Name != lockField || !isMutexField(pass.TypesInfo, holder) {
+		return notLock
+	}
+	named := analysis.NamedReceiverType(pass.TypesInfo, holder.X)
+	if named == nil || named.Obj().Name() != lockType {
+		return notLock
 	}
 	switch sel.Sel.Name {
-	case "Lock", "RLock", "TryLock", "TryRLock", "Unlock", "RUnlock":
-	default:
-		return 0, false, false, false
-	}
-	// x.mu.Lock(): rank by the named struct type holding the mutex.
-	holder, isSel2 := ast.Unparen(sel.X).(*ast.SelectorExpr)
-	if !isSel2 {
-		return 0, false, false, false
-	}
-	named := analysis.NamedReceiverType(fc.pass.TypesInfo, holder.X)
-	if named == nil {
-		return 0, false, false, false
-	}
-	r, ranked := rankOf[named.Obj().Name()]
-	if !ranked || !isMutexField(fc.pass.TypesInfo, holder) {
-		return 0, false, false, false
-	}
-	switch sel.Sel.Name {
-	case "Unlock", "RUnlock":
-		return r, false, false, true
+	case "Lock", "RLock":
+		return acquire
 	case "TryLock", "TryRLock":
-		return r, true, true, true
-	default:
-		return r, true, false, true
+		return tryAcquire
+	case "Unlock", "RUnlock":
+		return release
 	}
+	return notLock
 }
 
 // isMutexField reports whether sel resolves to a sync.Mutex or
@@ -172,87 +207,65 @@ func isMutexField(info *types.Info, sel *ast.SelectorExpr) bool {
 	return named.Obj().Pkg().Path() == "sync" && (name == "Mutex" || name == "RWMutex")
 }
 
-// acquire checks and records taking a lock of rank r.
-func (fc *fctx) acquire(s state, r int, pos token.Pos) state {
-	for held, n := range s.held {
-		if n > 0 && held > r {
-			fc.pass.Reportf(pos, "acquires %s (rank %d) while holding %s (rank %d); the documented order is namesystem -> datanodes -> replication -> admin",
-				rankName[r], r, rankName[held], held)
-		}
-	}
-	if s.held[r] > 0 {
-		fc.pass.Reportf(pos, "acquires the %s lock while already holding it", rankName[r])
-	}
-	s.held[r]++
-	return s
+type fctx struct {
+	pass    *analysis.Pass
+	locking map[*types.Func]bool
 }
 
-func (fc *fctx) releaseRank(s state, r int) state {
-	if s.held[r] > 0 {
-		s.held[r]--
+func analyzeBody(pass *analysis.Pass, locking map[*types.Func]bool, body *ast.BlockStmt) {
+	fc := &fctx{pass: pass, locking: locking}
+	interp := &flow.Interp[held]{
+		Merge: func(a, b held) held { return max(a, b) }, // held on either path: held
+		Exec:  fc.exec,
+		Expr:  func(h held, e ast.Expr) held { return fc.visit(h, e) },
+		Cond:  fc.cond,
 	}
-	return s
+	interp.Func(body, 0)
 }
 
-// exec handles statement-level lock operations.
-func (fc *fctx) exec(s state, st ast.Stmt) state {
-	switch st := st.(type) {
-	case *ast.ExprStmt:
-		return fc.scan(s, st.X)
-	case *ast.DeferStmt:
-		// A deferred Unlock keeps the lock held until return — correct
-		// for ordering. A deferred Lock (pathological) is ignored.
-		if r, acq, _, ok := fc.mutexRank(st.Call); ok && acq {
-			return fc.acquire(s, r, st.Call.Pos())
-		}
-		return s
-	case *ast.AssignStmt:
-		for _, rhs := range st.Rhs {
-			s = fc.scan(s, rhs)
-		}
-		return s
-	case *ast.GoStmt, *ast.RangeStmt:
-		return s
-	default:
-		return s
+// acquire checks and records taking the lock.
+func (fc *fctx) acquire(h held, pos token.Pos) held {
+	if h > 0 {
+		fc.pass.Reportf(pos, "acquires %s.%s while already holding it", lockType, lockField)
 	}
+	return h + 1
 }
 
-// scan finds lock operations in expression position (including bare
-// TryLock results assigned to variables, which acquire conservatively).
-func (fc *fctx) scan(s state, e ast.Expr) state {
-	call, ok := ast.Unparen(e).(*ast.CallExpr)
-	if !ok {
-		return s
+// exec handles statements. A deferred call runs at return, so a
+// deferred Unlock keeps the lock held to the end of the function.
+func (fc *fctx) exec(h held, st ast.Stmt) held {
+	if _, ok := st.(*ast.RangeStmt); ok {
+		return h // the operand went through visit; this is the key/value binding
 	}
-	if r, acq, try, ok := fc.mutexRank(call); ok {
-		if acq {
-			if try {
-				// TryLock in condition position is handled by cond with
-				// branch precision; elsewhere its result gates the
-				// critical section, which this walk cannot see — treating
-				// it as unheld under-approximates and never false-alarms.
-				return s
+	return fc.visit(h, st)
+}
+
+// visit walks the calls in n in order. A TryLock outside condition
+// position gates a critical section this walk cannot see; treating it
+// as not acquiring never false-alarms.
+func (fc *fctx) visit(h held, n ast.Node) held {
+	inspectCalls(n, func(call *ast.CallExpr) {
+		switch mutexOp(fc.pass, call) {
+		case acquire:
+			h = fc.acquire(h, call.Pos())
+		case release:
+			if h > 0 {
+				h--
 			}
-			return fc.acquire(s, r, call.Pos())
+		case notLock:
+			if fn := calledMethod(fc.pass, call); h > 0 && fc.locking[fn] {
+				fc.pass.Reportf(call.Pos(), "calls %s.%s, which takes %s.%s, while holding it", lockType, fn.Name(), lockType, lockField)
+			}
 		}
-		return fc.releaseRank(s, r)
-	}
-	return s
+	})
+	return h
 }
 
 // cond gives `if x.mu.TryLock()` its precise semantics: the lock is
 // held only on the taken branch.
-func (fc *fctx) cond(s state, cond ast.Expr, taken bool) state {
-	call, ok := ast.Unparen(cond).(*ast.CallExpr)
-	if !ok {
-		return s
+func (fc *fctx) cond(h held, cond ast.Expr, taken bool) held {
+	if call, ok := ast.Unparen(cond).(*ast.CallExpr); ok && taken && mutexOp(fc.pass, call) == tryAcquire {
+		return fc.acquire(h, call.Pos())
 	}
-	if r, acq, try, ok := fc.mutexRank(call); ok && acq && try {
-		if taken {
-			return fc.acquire(s, r, call.Pos())
-		}
-		return s
-	}
-	return s
+	return h
 }

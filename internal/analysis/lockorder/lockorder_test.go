@@ -7,9 +7,10 @@ import (
 	"repro/internal/analysis/lockorder"
 )
 
-// TestLockOrder runs the analyzer over the ranked-mutex fixture:
-// inversions, a second acquire of a held lock, and the TryLock branch,
-// each with a reporting and a clean case.
+// TestLockOrder runs the analyzer over the one-lock fixture: a second
+// acquire of the held lock, the TryLock branch, and a call into a
+// locking method while the lock is held, each with a reporting and a
+// clean case.
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "a")
 }

@@ -1,109 +1,84 @@
-// Package a is the lockorder analysistest fixture: the ranked namenode
-// mutex holders are mirrored by type name (the analyzer classifies
+// Package a is the lockorder analysistest fixture: the namenode's one
+// mutex is mirrored by type and field name (the analyzer matches
 // structurally, so the fixture exercises exactly the production
-// matching). Each diagnostic class — inversion, a second acquire of a
-// held lock, and the TryLock branch — has a case that reports and one
-// that does not.
+// matching). Each diagnostic class — a second acquire of the held lock,
+// the TryLock branch, and a call into a locking method while the lock
+// is held — has a case that reports and one that does not.
 package a
 
 import "sync"
 
-type namesystem struct {
-	mu    sync.Mutex
-	files map[string]int
-}
-
-type datanodeManager struct {
-	mu sync.Mutex
-}
-
-type replicationManager struct {
-	mu sync.Mutex
-}
-
 type Namenode struct {
-	mu sync.Mutex
+	mu    sync.Mutex
+	beats int
 }
 
-// ordered walks the full documented order left to right: clean.
-func ordered(ns *namesystem, dm *datanodeManager, rm *replicationManager, nn *Namenode) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	dm.mu.Lock()
-	dm.mu.Unlock()
-	rm.mu.Lock()
-	rm.mu.Unlock()
+// Heartbeat is an exported method: it takes the lock at entry.
+func (nn *Namenode) Heartbeat() {
 	nn.mu.Lock()
-	nn.mu.Unlock()
+	defer nn.mu.Unlock()
+	nn.beats++
 }
 
-// inverted takes the namesystem while holding the datanode manager: the
-// deadlock class.
-func inverted(dm *datanodeManager, ns *namesystem) {
-	dm.mu.Lock()
-	ns.mu.Lock() // want `acquires namesystem \(rank 1\) while holding datanode manager \(rank 2\)`
-	ns.mu.Unlock()
-	dm.mu.Unlock()
-}
+// drain is an unexported helper: it runs under its caller's lock and
+// takes none.
+func (nn *Namenode) drain() { nn.beats = 0 }
 
-// adminFirst holds the admin mutex across a subsystem acquisition.
-func adminFirst(nn *Namenode, rm *replicationManager) {
+// beatAgain reaches Heartbeat through a helper: it takes the lock too.
+func (nn *Namenode) beatAgain() { nn.Heartbeat() }
+
+// relock takes the lock a second time: a self-deadlock.
+func relock(nn *Namenode) {
 	nn.mu.Lock()
-	rm.mu.Lock() // want `acquires replication manager \(rank 3\) while holding admin mutex \(rank 4\)`
-	rm.mu.Unlock()
+	defer nn.mu.Unlock()
+	nn.mu.Lock() // want `acquires Namenode.mu while already holding it`
 	nn.mu.Unlock()
-}
-
-// releasedBetween is sequential, not nested: clean.
-func releasedBetween(ns *namesystem, dm *datanodeManager) {
-	dm.mu.Lock()
-	dm.mu.Unlock()
-	ns.mu.Lock()
-	ns.mu.Unlock()
-}
-
-// relock takes the namesystem lock a second time: a self-deadlock.
-func relock(ns *namesystem) {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
-	ns.mu.Lock() // want `acquires the namesystem lock while already holding it`
-	ns.mu.Unlock()
 }
 
 // loopLocks acquires and releases per iteration: clean across the
 // walker's loop fixpoint.
-func loopLocks(ns *namesystem, n int) {
+func loopLocks(nn *Namenode, n int) {
 	for i := 0; i < n; i++ {
-		ns.mu.Lock()
-		ns.mu.Unlock()
+		nn.mu.Lock()
+		nn.mu.Unlock()
 	}
-}
-
-// branchUnlock releases on an early-return branch: clean.
-func branchUnlock(ns *namesystem, cond bool) {
-	ns.mu.Lock()
-	if cond {
-		ns.mu.Unlock()
-		return
-	}
-	ns.mu.Unlock()
 }
 
 // tryHeld: the lock is held on a TryLock's taken branch, so locking it
 // again there deadlocks.
-func tryHeld(ns *namesystem) {
-	if ns.mu.TryLock() {
-		ns.mu.Lock() // want `acquires the namesystem lock while already holding it`
-		ns.mu.Unlock()
+func tryHeld(nn *Namenode) {
+	if nn.mu.TryLock() {
+		nn.mu.Lock() // want `acquires Namenode.mu while already holding it`
+		nn.mu.Unlock()
 	}
 }
 
 // tryFailed falls back to Lock only where the TryLock failed: clean.
-func tryFailed(ns *namesystem) {
-	if ns.mu.TryLock() {
-		ns.mu.Unlock()
+func tryFailed(nn *Namenode) {
+	if nn.mu.TryLock() {
+		nn.mu.Unlock()
 		return
 	}
-	ns.mu.Lock()
-	ns.mu.Unlock()
+	nn.mu.Lock()
+	nn.mu.Unlock()
+}
+
+// Register calls another locking method while holding the lock, once
+// directly and once through a helper: the same deadlock one call away.
+func (nn *Namenode) Register() {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	nn.Heartbeat() // want `calls Namenode.Heartbeat, which takes Namenode.mu, while holding it`
+	nn.beatAgain() // want `calls Namenode.beatAgain, which takes Namenode.mu, while holding it`
+}
+
+// Decommission calls a helper that takes no lock while holding it, and
+// a locking method only after releasing it or on another goroutine:
+// clean.
+func (nn *Namenode) Decommission() {
+	nn.mu.Lock()
+	nn.drain()
+	go nn.Heartbeat()
+	nn.mu.Unlock()
+	nn.Heartbeat()
 }

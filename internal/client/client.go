@@ -358,8 +358,8 @@ func (c *Client) DecommissionStatus(name string) (nnapi.DecommStatusResp, error)
 
 // Balance schedules one round of replica moves from over-full to
 // under-full datanodes (copy-then-delete; redundancy never drops).
-func (c *Client) Balance(threshold float64, maxMoves int) (nnapi.BalanceResp, error) {
+func (c *Client) Balance(threshold float64) (nnapi.BalanceResp, error) {
 	var resp nnapi.BalanceResp
-	err := c.nn.Call(nnapi.MethodBalance, nnapi.BalanceReq{Threshold: threshold, MaxMoves: maxMoves}, &resp)
+	err := c.nn.Call(nnapi.MethodBalance, nnapi.BalanceReq{Threshold: threshold}, &resp)
 	return resp, err
 }

@@ -333,7 +333,7 @@ func TestBalancerEndToEnd(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		time.Sleep(100 * time.Millisecond) // fresh UsedBytes via heartbeats
-		if _, err := cl.Balance(0.1, 16); err != nil {
+		if _, err := cl.Balance(0.1); err != nil {
 			t.Fatal(err)
 		}
 		time.Sleep(200 * time.Millisecond) // moves execute

@@ -19,6 +19,9 @@ import (
 // drawing from the shared placement rng would perturb the placement
 // sequence of concurrent writes (conformance pins that sequence).
 
+// balancerMaxMoves bounds the moves one Balance round schedules.
+const balancerMaxMoves = 16
+
 // pendingMove tracks a balancer transfer awaiting its blockReceived.
 type pendingMove struct {
 	source string
@@ -26,25 +29,31 @@ type pendingMove struct {
 	gen    block.GenStamp
 }
 
-// blockSnap is a balancer-local snapshot of one complete block.
-type blockSnap struct {
-	cur     block.Block
-	holders map[string]bool
+// dnUsage is one datanode's disk utilization (balancer input).
+type dnUsage struct {
+	info block.DatanodeInfo
+	used int64
 }
 
-// Balance computes one round of balancing moves and queues them on the
-// source datanodes' heartbeats. The block index is a point-in-time
-// snapshot; a move that races a later delete just produces an
-// invalidation for the moved copy.
+// Balance computes one round of balancing moves, at most
+// balancerMaxMoves, and queues them on the source datanodes' heartbeats.
+// A move that races a later delete just produces an invalidation for the
+// moved copy.
 func (nn *Namenode) Balance(req nnapi.BalanceReq) (nnapi.BalanceResp, error) {
-	if req.Threshold <= 0 {
-		req.Threshold = 0.1
-	}
-	if req.MaxMoves <= 0 {
-		req.MaxMoves = 16
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	threshold := req.Threshold
+	if threshold <= 0 {
+		threshold = 0.1
 	}
 
-	nodes := nn.dm.usages()
+	now := nn.clk.Now()
+	var nodes []dnUsage
+	for _, e := range nn.dm.byName {
+		if nn.dm.isPlaceable(e, now) {
+			nodes = append(nodes, dnUsage{info: e.info, used: e.usedBytes})
+		}
+	}
 	if len(nodes) < 2 {
 		return nnapi.BalanceResp{}, nil
 	}
@@ -57,8 +66,8 @@ func (nn *Namenode) Balance(req nnapi.BalanceReq) (nnapi.BalanceResp, error) {
 	if mean == 0 {
 		return resp, nil
 	}
-	over := int64(float64(mean) * (1 + req.Threshold))
-	under := int64(float64(mean) * (1 - req.Threshold))
+	over := int64(float64(mean) * (1 + threshold))
+	under := int64(float64(mean) * (1 - threshold))
 
 	sort.Slice(nodes, func(i, j int) bool { return nodes[i].used > nodes[j].used })
 	// Receivers, least-utilized first.
@@ -72,89 +81,67 @@ func (nn *Namenode) Balance(req nnapi.BalanceReq) (nnapi.BalanceResp, error) {
 		return resp, nil
 	}
 
-	// Index complete files' blocks by holder for the donors we will touch.
-	blocksOn := make(map[string][]blockSnap)
-	nn.ns.forEachBlock(func(meta *blockMeta) {
-		if !meta.complete {
-			return
+	// Index complete files' blocks by holder, each list in block-ID order.
+	blocksOn := make(map[string][]*blockMeta)
+	for _, meta := range nn.ns.blocks {
+		if meta.complete {
+			for h := range meta.locations {
+				blocksOn[h] = append(blocksOn[h], meta)
+			}
 		}
-		snap := blockSnap{cur: meta.cur, holders: make(map[string]bool, len(meta.locations))}
-		for h := range meta.locations {
-			snap.holders[h] = true
-			blocksOn[h] = append(blocksOn[h], snap)
-		}
-	})
-	for _, snaps := range blocksOn {
-		sort.Slice(snaps, func(i, j int) bool { return snaps[i].cur.ID < snaps[j].cur.ID })
+	}
+	for _, metas := range blocksOn {
+		sort.Slice(metas, func(i, j int) bool { return metas[i].cur.ID < metas[j].cur.ID })
 	}
 
-	// Select moves under nn.mu (reserving each block in balancerMoves),
-	// then queue the transfer commands after releasing it — nn.mu is last
-	// in the lock order and must not be held across other subsystems.
-	type move struct {
-		source string
-		cmd    nnapi.ReplicateCmd
-	}
-	var moves []move
-	nn.mu.Lock()
 	ri := 0
 	for _, donor := range nodes {
-		if donor.used <= over || resp.Moves >= req.MaxMoves {
+		if donor.used <= over {
 			continue
 		}
-		for _, snap := range blocksOn[donor.name] {
-			if resp.Moves >= req.MaxMoves {
-				break
+		for _, meta := range blocksOn[donor.info.Name] {
+			if resp.Moves >= balancerMaxMoves {
+				return resp, nil
 			}
-			if _, busy := nn.balancerMoves[snap.cur.ID]; busy {
+			if _, busy := nn.balancerMoves[meta.cur.ID]; busy {
 				continue
 			}
 			// Find a receiver that doesn't already hold this block.
-			var target string
+			var target *dnUsage
 			for probe := 0; probe < len(receivers); probe++ {
-				cand := receivers[(ri+probe)%len(receivers)]
-				if !snap.holders[cand.name] {
-					target = cand.name
+				cand := &receivers[(ri+probe)%len(receivers)]
+				if !meta.locations[cand.info.Name] {
+					target = cand
 					ri = (ri + probe + 1) % len(receivers)
 					break
 				}
 			}
-			if target == "" {
+			if target == nil {
 				continue
 			}
-			info, ok := nn.dm.lookup(target)
-			if !ok {
-				continue
-			}
-			nn.balancerMoves[snap.cur.ID] = pendingMove{source: donor.name, target: target, gen: snap.cur.Gen}
-			moves = append(moves, move{source: donor.name, cmd: nnapi.ReplicateCmd{
-				Block:   snap.cur,
-				Targets: []block.DatanodeInfo{info},
-			}})
+			source := donor.info.Name
+			nn.balancerMoves[meta.cur.ID] = pendingMove{source: source, target: target.info.Name, gen: meta.cur.Gen}
+			nn.repl.queue[source] = append(nn.repl.queue[source], nnapi.ReplicateCmd{
+				Block:   meta.cur,
+				Targets: []block.DatanodeInfo{target.info},
+			})
 			resp.Moves++
 		}
-	}
-	nn.mu.Unlock()
-
-	for _, m := range moves {
-		nn.repl.enqueueMove(m.source, m.cmd)
 	}
 	return resp, nil
 }
 
 // completeBalancerMove is called from blockReceivedOne: if this report
 // finishes a balancer move, the source replica is dropped and
-// invalidated. nn.mu protects only the move table and is released before
-// touching the namesystem or the datanode manager.
+// invalidated.
 func (nn *Namenode) completeBalancerMove(dn string, b block.Block) {
-	nn.mu.Lock()
 	move, ok := nn.balancerMoves[b.ID]
 	if !ok || move.target != dn || move.gen != b.Gen {
-		nn.mu.Unlock()
 		return
 	}
 	delete(nn.balancerMoves, b.ID)
-	nn.mu.Unlock()
-	nn.ns.dropLocation(b.ID, move.source)
+	if meta, ok := nn.ns.blocks[b.ID]; ok {
+		delete(meta.locations, move.source)
+	}
 	nn.dm.scheduleInvalidate(move.source, b.ID, b.Gen)
 }

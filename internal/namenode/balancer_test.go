@@ -111,9 +111,12 @@ func TestBalanceNoOpWhenEven(t *testing.T) {
 	}
 }
 
+// TestBalanceRespectsMaxMoves: one round schedules at most
+// balancerMaxMoves moves, even with more blocks than that movable; the
+// next round picks up where it stopped.
 func TestBalanceRespectsMaxMoves(t *testing.T) {
 	nn, _, names := newTestNN(t)
-	holders := make([][]string, 6)
+	holders := make([][]string, balancerMaxMoves+4)
 	for i := range holders {
 		holders[i] = []string{"dn1"}
 	}
@@ -122,11 +125,15 @@ func TestBalanceRespectsMaxMoves(t *testing.T) {
 	for _, n := range names {
 		usage[n] = 0
 	}
-	usage["dn1"] = 6000
+	usage["dn1"] = 100 * int64(len(holders))
 	setUsage(t, nn, usage)
-	resp, _ := nn.Balance(nnapi.BalanceReq{MaxMoves: 3})
-	if resp.Moves != 3 {
-		t.Fatalf("moves = %d, want 3 (capped)", resp.Moves)
+	resp, _ := nn.Balance(nnapi.BalanceReq{})
+	if resp.Moves != balancerMaxMoves {
+		t.Fatalf("moves = %d, want %d (capped)", resp.Moves, balancerMaxMoves)
+	}
+	resp, _ = nn.Balance(nnapi.BalanceReq{})
+	if want := len(holders) - balancerMaxMoves; resp.Moves != want {
+		t.Fatalf("second round moves = %d, want the %d left", resp.Moves, want)
 	}
 }
 

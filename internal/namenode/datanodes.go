@@ -4,7 +4,6 @@ import (
 	"slices"
 	"sort"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/block"
@@ -32,14 +31,9 @@ type dnEntry struct {
 }
 
 // datanodeManager tracks registration, liveness, topology and
-// invalidation work under its own lock (mu), independent of the
-// namesystem's. Methods with a Locked suffix assume mu is held —
-// placement runs a whole choose() under mu so the topology and the
-// shared placement rng stay consistent; everything else self-locks.
-// In the namenode lock order, mu may be acquired while the namesystem
-// lock is held, never the reverse.
+// invalidation work. It has no lock of its own: only Namenode's exported
+// methods reach it, holding nn.mu.
 type datanodeManager struct {
-	mu     sync.Mutex
 	clk    clock.Clock
 	expiry time.Duration
 	topo   *topology.Topology
@@ -49,7 +43,7 @@ type datanodeManager struct {
 	byName []*dnEntry
 	// placeable is the snapshot one placement decides on: the placeable
 	// names as of one clock reading, in storage reused from placement to
-	// placement. Namenode.place fills it; it is valid until mu is released.
+	// placement. Namenode.place fills it for the policy's one call.
 	placeable []string
 }
 
@@ -66,8 +60,6 @@ func newDatanodeManager(clk clock.Clock, expiry time.Duration) *datanodeManager 
 }
 
 func (m *datanodeManager) register(info block.DatanodeInfo) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	e := m.nodes[info.Name]
 	if e == nil {
 		e = &dnEntry{invalidate: make(map[block.ID]block.GenStamp)}
@@ -83,8 +75,6 @@ func (m *datanodeManager) register(info block.DatanodeInfo) {
 }
 
 func (m *datanodeManager) heartbeat(name string, used int64) (invalidate []block.Block, known bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	e := m.nodes[name]
 	if e == nil {
 		return nil, false
@@ -102,69 +92,43 @@ func (m *datanodeManager) heartbeat(name string, used int64) (invalidate []block
 	return invalidate, true
 }
 
-// isAliveLocked reports whether e has heartbeated within the expiry
-// window as of now. Callers read the clock once and pass it to every
-// test, so one listing is one point in time.
-func (m *datanodeManager) isAliveLocked(e *dnEntry, now time.Time) bool {
+// isAlive reports whether e has heartbeated within the expiry window as
+// of now. Callers read the clock once and pass it to every test, so one
+// answer is one point in time.
+func (m *datanodeManager) isAlive(e *dnEntry, now time.Time) bool {
 	return now.Sub(e.lastBeat) < m.expiry
 }
 
-// aliveNames returns live datanode names sorted.
-func (m *datanodeManager) aliveNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.clk.Now()
-	out := make([]string, 0, len(m.byName))
-	for _, e := range m.byName {
-		if m.isAliveLocked(e, now) {
-			out = append(out, e.info.Name)
-		}
-	}
-	return out
+// isPlaceable reports whether e may receive new replicas: alive as of
+// now and not decommissioning.
+func (m *datanodeManager) isPlaceable(e *dnEntry, now time.Time) bool {
+	return m.isAlive(e, now) && !e.decommissioning
 }
 
-// appendPlaceableLocked appends the datanodes eligible for new replicas
-// (live as of now and not decommissioning) to dst, sorted. Caller holds
-// mu.
-func (m *datanodeManager) appendPlaceableLocked(dst []string, now time.Time) []string {
+// countPlaceable counts the placeable datanodes among a block's holders.
+func (m *datanodeManager) countPlaceable(holders map[string]bool, now time.Time) int {
+	n := 0
+	for name := range holders {
+		if e, ok := m.nodes[name]; ok && m.isPlaceable(e, now) {
+			n++
+		}
+	}
+	return n
+}
+
+// appendPlaceable appends the datanodes eligible for new replicas as of
+// now to dst, sorted.
+func (m *datanodeManager) appendPlaceable(dst []string, now time.Time) []string {
 	for _, e := range m.byName {
-		if m.isAliveLocked(e, now) && !e.decommissioning {
+		if m.isPlaceable(e, now) {
 			dst = append(dst, e.info.Name)
 		}
 	}
 	return dst
 }
 
-// placeableNames returns a copy of the placeable set, sorted.
-func (m *datanodeManager) placeableNames() []string {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.appendPlaceableLocked(make([]string, 0, len(m.byName)), m.clk.Now())
-}
-
-// setDecommissioning flips a node's drain state; unknown nodes error.
-func (m *datanodeManager) setDecommissioning(name string, on bool) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.nodes[name]
-	if !ok {
-		return false
-	}
-	e.decommissioning = on
-	return true
-}
-
-// isDecommissioning reports the drain state.
-func (m *datanodeManager) isDecommissioning(name string) bool {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, ok := m.nodes[name]
-	return ok && e.decommissioning
-}
-
-// lookupLocked resolves a datanode by name regardless of liveness.
-// Caller holds mu.
-func (m *datanodeManager) lookupLocked(name string) (block.DatanodeInfo, bool) {
+// lookup resolves a datanode by name regardless of liveness.
+func (m *datanodeManager) lookup(name string) (block.DatanodeInfo, bool) {
 	e, ok := m.nodes[name]
 	if !ok {
 		return block.DatanodeInfo{}, false
@@ -172,18 +136,9 @@ func (m *datanodeManager) lookupLocked(name string) (block.DatanodeInfo, bool) {
 	return e.info, true
 }
 
-// lookup is the self-locking form of lookupLocked.
-func (m *datanodeManager) lookup(name string) (block.DatanodeInfo, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.lookupLocked(name)
-}
-
 // scheduleInvalidate queues deletion of a datanode's replica of the block
 // at or below the given stale generation.
 func (m *datanodeManager) scheduleInvalidate(name string, id block.ID, staleGen block.GenStamp) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
 	if e, ok := m.nodes[name]; ok {
 		if old, exists := e.invalidate[id]; !exists || staleGen > old {
 			e.invalidate[id] = staleGen
@@ -191,31 +146,26 @@ func (m *datanodeManager) scheduleInvalidate(name string, id block.ID, staleGen 
 	}
 }
 
-// numRacks counts racks among live nodes.
-func (m *datanodeManager) numRacks() int {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.clk.Now()
-	racks := make(map[string]bool)
-	for _, e := range m.nodes {
-		if m.isAliveLocked(e, now) {
-			racks[e.info.Rack] = true
+// liveGeometry counts the live datanodes and the racks they span.
+func (m *datanodeManager) liveGeometry(now time.Time) (live, racks int) {
+	seen := make(map[string]bool)
+	for _, e := range m.byName {
+		if m.isAlive(e, now) {
+			live++
+			seen[e.info.Rack] = true
 		}
 	}
-	return len(racks)
+	return live, len(seen)
 }
 
-// orderedHolders resolves the live subset of holders to DatanodeInfos.
+// orderedHolders resolves the holders alive as of now to DatanodeInfos.
 // When client is non-empty they are ordered by network distance from it
 // (node-local, then rack-local, then remote, ties by the input order);
 // otherwise the input (sorted-by-name) order is kept.
-func (m *datanodeManager) orderedHolders(client string, holders []string) []block.DatanodeInfo {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.clk.Now()
+func (m *datanodeManager) orderedHolders(client string, holders []string, now time.Time) []block.DatanodeInfo {
 	out := make([]block.DatanodeInfo, 0, len(holders))
 	for _, name := range holders {
-		if e, ok := m.nodes[name]; ok && m.isAliveLocked(e, now) {
+		if e, ok := m.nodes[name]; ok && m.isAlive(e, now) {
 			out = append(out, e.info)
 		}
 	}
@@ -223,26 +173,6 @@ func (m *datanodeManager) orderedHolders(client string, holders []string) []bloc
 		sort.SliceStable(out, func(i, j int) bool {
 			return m.topo.Distance(client, out[i].Name) < m.topo.Distance(client, out[j].Name)
 		})
-	}
-	return out
-}
-
-// dnUsage is one datanode's disk utilization (balancer input).
-type dnUsage struct {
-	name string
-	used int64
-}
-
-// usages snapshots utilization for placeable nodes.
-func (m *datanodeManager) usages() []dnUsage {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	now := m.clk.Now()
-	out := make([]dnUsage, 0, len(m.byName))
-	for _, e := range m.byName {
-		if m.isAliveLocked(e, now) && !e.decommissioning {
-			out = append(out, dnUsage{name: e.info.Name, used: e.usedBytes})
-		}
 	}
 	return out
 }

@@ -28,19 +28,20 @@ const imageVersion = 2
 // strings, two integers, the flag and an empty block list.
 const imageFileSize = 2*wire.MinStringSize + 2*8 + 1 + 4
 
-// SaveImage writes a namespace checkpoint. The image is encoded in one
-// critical section of the namesystem lock, so it is one point in time
-// even while clients write: every file appears exactly once, with the
-// blocks and counters of that instant.
+// SaveImage writes a namespace checkpoint. The image is encoded under
+// nn.mu and written after releasing it, so it is one point in time even
+// while clients write: every file appears exactly once, with the blocks
+// and counters of that instant.
 func (nn *Namenode) SaveImage(w io.Writer) error {
-	_, err := w.Write(nn.ns.image())
+	nn.mu.Lock()
+	img := nn.ns.image()
+	nn.mu.Unlock()
+	_, err := w.Write(img)
 	return err
 }
 
 // image encodes the namespace in the layout above, files in path order.
 func (ns *namesystem) image() []byte {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	paths := make([]string, 0, len(ns.files))
 	for path := range ns.files {
 		paths = append(paths, path)
@@ -78,8 +79,8 @@ type imageFile struct {
 // LoadImage restores a checkpoint into an empty namenode. Leases of
 // under-construction files restart from load time, so a writer that
 // survived the namenode restart keeps its lease as long as it heartbeats.
-// The whole image is decoded and checked before the namespace is
-// touched, so a malformed image leaves the namenode empty.
+// The whole image is read, decoded and checked before nn.mu is taken to
+// install it, so a malformed image leaves the namenode empty.
 func (nn *Namenode) LoadImage(r io.Reader) error {
 	img, err := io.ReadAll(r)
 	if err != nil {
@@ -115,19 +116,19 @@ func (nn *Namenode) LoadImage(r io.Reader) error {
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("namenode: decode image: %w", err)
 	}
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	if err := nn.ns.restore(files, nextBlock, nextGen); err != nil {
 		return err
 	}
 	// Replica locations are unknown until datanodes report: enter safe
 	// mode (namespace mutations rejected) if the image holds any blocks.
-	nn.safeMode.Store(totalBlocks > 0)
+	nn.safeMode = totalBlocks > 0
 	return nil
 }
 
 // restore fills an empty namesystem from a decoded checkpoint.
 func (ns *namesystem) restore(files []imageFile, nextBlock int64, nextGen uint64) error {
-	ns.mu.Lock()
-	defer ns.mu.Unlock()
 	if n := len(ns.files); n != 0 {
 		return fmt.Errorf("namenode: refusing to load an image into a non-empty namespace (%d files)", n)
 	}
@@ -135,7 +136,7 @@ func (ns *namesystem) restore(files []imageFile, nextBlock int64, nextGen uint64
 		f := img.inode
 		ns.files[f.path] = f
 		if !f.complete {
-			ns.addLeaseLocked(f)
+			ns.addLease(f)
 		}
 		for _, b := range img.blocks {
 			ns.blocks[b.ID] = &blockMeta{

@@ -1,0 +1,137 @@
+package namenode
+
+import (
+	"bytes"
+	"fmt"
+	"math/rand"
+	"runtime"
+	"sync"
+	"testing"
+	"time"
+
+	"repro/internal/block"
+	"repro/internal/nnapi"
+	"repro/internal/proto"
+)
+
+// TestEveryMethodUnderOneLock drives every RPC handler, SaveImage, and
+// LoadImage into a fresh namenode from four seeded goroutines against
+// one namenode with nine datanodes. A method that takes nn.mu while a
+// caller already holds it hangs the test: at the deadline it fails with
+// every goroutine's stack. Under -race, state touched outside the lock
+// is reported. Errors the operations return (a lease held by another
+// goroutine's client, a file just deleted) are part of the mix and not
+// checked; a checkpoint that does not load back is.
+func TestEveryMethodUnderOneLock(t *testing.T) {
+	nn, clk, names := newTestNN(t)
+	const (
+		workers = 4
+		ops     = 300
+	)
+	var wg sync.WaitGroup
+	errs := make(chan error, workers)
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			if err := driveEveryMethod(nn, clk, names, w, ops); err != nil {
+				errs <- err
+			}
+		}(w)
+	}
+	done := make(chan struct{})
+	go func() {
+		wg.Wait()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		buf := make([]byte, 1<<20)
+		t.Fatalf("workers still running after 30 s (a method re-entering nn.mu?):\n%s", buf[:runtime.Stack(buf, true)])
+	}
+	close(errs)
+	for err := range errs {
+		t.Error(err)
+	}
+}
+
+// driveEveryMethod runs ops random namenode calls as client c<w>, on
+// files under /w<w>, seeded by w.
+func driveEveryMethod(nn *Namenode, clk *testClock, names []string, w, ops int) error {
+	rng := rand.New(rand.NewSource(int64(w) + 1))
+	client := fmt.Sprintf("c%d", w)
+	path := func() string { return fmt.Sprintf("/w%d/f%d", w, rng.Intn(4)) }
+	dn := func() string { return names[rng.Intn(len(names))] }
+	var last block.LocatedBlock // the last block this worker was granted
+	speeds := make(map[string]float64, len(names))
+	for i, n := range names {
+		speeds[n] = float64(10 * (i + 1))
+	}
+	for i := 0; i < ops; i++ {
+		switch rng.Intn(20) {
+		case 0:
+			nn.Create(nnapi.CreateReq{Path: path(), Client: client, Replication: 3, BlockSize: 1 << 20, Overwrite: rng.Intn(2) == 0})
+		case 1:
+			if resp, err := nn.AddBlock(nnapi.AddBlockReq{Path: path(), Client: client, Mode: proto.WriteMode(rng.Intn(2))}); err == nil {
+				last = resp.Located
+			}
+		case 2:
+			nn.Complete(nnapi.CompleteReq{Path: path(), Client: client})
+		case 3:
+			if resp, err := nn.RecoverBlock(nnapi.RecoverBlockReq{Path: path(), Client: client, Block: last.Block, Alive: last.Names()}); err == nil {
+				last = resp.Located
+			}
+		case 4:
+			nn.ClientHeartbeat(nnapi.ClientHeartbeatReq{Client: client, Speeds: speeds})
+		case 5:
+			nn.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: path(), Client: dn()})
+		case 6:
+			nn.GetFileInfo(nnapi.GetFileInfoReq{Path: path()})
+		case 7:
+			nn.ClusterInfo(nnapi.ClusterInfoReq{})
+		case 8:
+			nn.Delete(nnapi.DeleteReq{Path: path()})
+		case 9:
+			nn.Rename(nnapi.RenameReq{Src: path(), Dst: path()})
+		case 10:
+			nn.List(nnapi.ListReq{Prefix: fmt.Sprintf("/w%d/", rng.Intn(4))})
+		case 11:
+			name := dn()
+			nn.Register(nnapi.RegisterReq{Name: name, Addr: "mem://" + name, Rack: "/rack-a", Blocks: []block.Block{last.Block}})
+		case 12:
+			// Keep the cluster alive, then step the clock a quarter of the
+			// expiry window: every few rounds a heartbeat runs the
+			// replication scan, lease recovery and client forgetting.
+			for _, n := range names {
+				nn.Heartbeat(nnapi.HeartbeatReq{Name: n, UsedBytes: rng.Int63n(1 << 30)})
+			}
+			clk.advance(DefaultExpiry / 4)
+		case 13:
+			b := last.Block
+			b.NumBytes = 1 << 20
+			for _, target := range last.Targets {
+				nn.BlockReceived(nnapi.BlockReceivedReq{Name: target.Name, Block: b})
+			}
+		case 14:
+			b := last.Block
+			b.NumBytes = 1 << 20
+			nn.BlockReceivedBatch(nnapi.BlockReceivedBatchReq{Name: dn(), Blocks: []block.Block{b, last.Block}})
+		case 15:
+			nn.Decommission(nnapi.DecommissionReq{Name: dn(), Cancel: rng.Intn(3) != 0})
+		case 16:
+			nn.DecommissionStatus(nnapi.DecommStatusReq{Name: dn()})
+		case 17:
+			nn.Balance(nnapi.BalanceReq{Threshold: 0.05})
+		case 18, 19:
+			var img bytes.Buffer
+			if err := nn.SaveImage(&img); err != nil {
+				return fmt.Errorf("worker %d: SaveImage: %v", w, err)
+			}
+			if err := New(Options{Clock: newTestClock(), Seed: 1}).LoadImage(&img); err != nil {
+				return fmt.Errorf("worker %d: LoadImage of a saved image: %v", w, err)
+			}
+		}
+	}
+	return nil
+}

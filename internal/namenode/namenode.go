@@ -4,20 +4,25 @@
 // topology policy and SMARTH's Algorithm 1 global optimization — and
 // the RPC surface defined in package nnapi.
 //
-// Concurrency: one namesystem lock guards the namespace, the lease
-// index and the block map (see namesystem.go), as Hadoop's FSNamesystem
-// lock does; the datanode manager, replication manager, and balancer
-// bookkeeping each have their own lock. The documented lock order is:
-// namesystem → datanode manager → replication manager → nn.mu
-// (balancer/admin); locks are only ever acquired left-to-right along
-// that order.
+// Concurrency: one lock, Namenode.mu, guards all of the namenode's
+// state — the namespace, the lease index, the block map, the datanode
+// map, the replication queues, the balancer's moves and the safe-mode
+// flag — as Hadoop's FSNamesystem lock does. The rule is: exported
+// methods lock, nothing else does. Each RPC handler takes nn.mu once,
+// at entry, and holds it to the reply, so every answer is one point in
+// time; SaveImage and LoadImage hold it around the namespace and do
+// their I/O outside it. Nothing called under nn.mu takes it again
+// (smarth-vet's lockorder checks this, DESIGN.md §13). The speed
+// registry and the topology keep their own leaf locks, because code
+// outside the namenode reads them too.
 package namenode
 
 import (
 	"fmt"
 	"math/rand"
+	"sort"
+	"strings"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/block"
@@ -61,6 +66,10 @@ type methodMetrics struct {
 // a transport listener (or call its methods directly in-process, which is
 // what the discrete-event simulator does).
 type Namenode struct {
+	// mu is the namenode lock: every field below it is read and written
+	// only by an exported method holding it (see the package doc).
+	mu sync.Mutex
+
 	clk      clock.Clock
 	ns       *namesystem
 	dm       *datanodeManager
@@ -68,23 +77,18 @@ type Namenode struct {
 	repl     *replicationManager
 	rng      *rand.Rand
 
-	// mu guards the server handle and balancerMoves (admin state); it is
-	// last in the lock order and never held across other subsystems.
-	mu sync.Mutex
 	// balancerMoves tracks in-flight balancer transfers by block ID.
 	balancerMoves map[block.ID]pendingMove
 	server        *rpc.Server
 
-	// heardMu guards clientHeard: when each client last sent a
-	// clientHeartbeat, so the maintenance tick can forget the speed
-	// records of clients that are gone (forgetSilentClients). A leaf
-	// lock: only the registry's own is taken under it.
-	heardMu     sync.Mutex
+	// clientHeard is when each client last sent a clientHeartbeat, so
+	// the maintenance tick can forget the speed records of clients that
+	// are gone (forgetSilentClients).
 	clientHeard map[string]time.Time
 
 	// safeMode blocks namespace mutations after a restart until enough
 	// blocks have at least one reported replica (like HDFS startup).
-	safeMode atomic.Bool
+	safeMode bool
 
 	// pol places every pipeline: client writes, recovery top-ups and
 	// re-replication. view is what it sees of the cluster: one
@@ -140,16 +144,12 @@ func New(opts Options) *Namenode {
 // Registry exposes the speed-record registry (used by tests and tools).
 func (nn *Namenode) Registry() *core.Registry { return nn.registry }
 
-// place runs one placement decision under the datanode manager's lock,
-// so the policy observes a consistent topology (via nn.view) and the
-// shared rng is race-free. Liveness is decided here, once, from one
-// reading of the clock: every node the policy considers is judged
-// against the same instant.
+// place runs one placement decision. Liveness is decided here, once,
+// from one reading of the clock: every node the policy considers is
+// judged against the same instant.
 func (nn *Namenode) place(mode proto.WriteMode, client string, replication int, exclude []string) ([]block.DatanodeInfo, error) {
 	dm := nn.dm
-	dm.mu.Lock()
-	defer dm.mu.Unlock()
-	dm.placeable = dm.appendPlaceableLocked(dm.placeable[:0], nn.clk.Now())
+	dm.placeable = dm.appendPlaceable(dm.placeable[:0], nn.clk.Now())
 	return nn.pol.Place(nn.view, policy.PlaceInput{
 		Client:      client,
 		Mode:        mode,
@@ -214,7 +214,8 @@ func (nn *Namenode) Serve(l transport.Listener) {
 	s.Serve(l)
 }
 
-// Close stops the RPC server if Serve was called.
+// Close stops the RPC server if Serve was called. It releases nn.mu
+// before the server waits for in-flight handlers, which need it.
 func (nn *Namenode) Close() {
 	nn.mu.Lock()
 	s := nn.server
@@ -228,21 +229,23 @@ func (nn *Namenode) Close() {
 
 // checkSafeMode recomputes and reports safe-mode state: the namenode
 // leaves safe mode once every known block has at least one reported
-// replica (or the namespace holds no blocks). The fast path is one
-// atomic load; the block-map scan runs only while safe mode is still on.
+// replica (or the namespace holds no blocks). The block-map scan runs
+// only while safe mode is still on.
 func (nn *Namenode) checkSafeMode() error {
-	if !nn.safeMode.Load() {
+	if !nn.safeMode {
 		return nil
 	}
 	if nn.ns.anyUnreportedBlock() {
 		return ErrSafeMode
 	}
-	nn.safeMode.Store(false)
+	nn.safeMode = false
 	return nil
 }
 
 // Create makes a new file in the namespace (write step 1).
 func (nn *Namenode) Create(req nnapi.CreateReq) (nnapi.CreateResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	if err := nn.checkSafeMode(); err != nil {
 		return nnapi.CreateResp{}, err
 	}
@@ -265,15 +268,21 @@ func (nn *Namenode) invalidate(stale map[string][]block.Block) {
 }
 
 // AddBlock allocates the file's next block and chooses its pipeline with
-// the policy matching the requested write mode.
+// the policy matching the requested write mode. A retried request whose
+// Previous shows it never saw the last grant gets that unwritten tail
+// back instead of a new block (namesystem.reusableTail).
 func (nn *Namenode) AddBlock(req nnapi.AddBlockReq) (nnapi.AddBlockResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	if err := nn.checkSafeMode(); err != nil {
 		return nnapi.AddBlockResp{}, err
 	}
-	b, targets, reused, err := nn.ns.addBlock(req.Path, req.Client, req.Previous, nn.clk.Now(),
-		func(replication int) ([]block.DatanodeInfo, error) {
-			return nn.place(req.Mode, req.Client, replication, req.Exclude)
-		})
+	f, err := nn.ns.checkLease(req.Path, req.Client)
+	if err != nil {
+		return nnapi.AddBlockResp{}, err
+	}
+	f.renewed = nn.clk.Now()
+	targets, err := nn.place(req.Mode, req.Client, f.replication, req.Exclude)
 	if err != nil {
 		return nnapi.AddBlockResp{}, err
 	}
@@ -282,7 +291,9 @@ func (nn *Namenode) AddBlock(req nnapi.AddBlockReq) (nnapi.AddBlockResp, error) 
 	} else {
 		nn.mPlaceDefault.Inc()
 	}
+	b, reused := nn.ns.reusableTail(f, req.Previous)
 	if !reused {
+		b = nn.ns.allocateBlock(f)
 		nn.mBlocksAllocated.Inc()
 	}
 	return nnapi.AddBlockResp{Located: block.LocatedBlock{Block: b, Targets: targets}}, nil
@@ -292,6 +303,8 @@ func (nn *Namenode) AddBlock(req nnapi.AddBlockReq) (nnapi.AddBlockResp, error) 
 // (write step 6). Done=false asks the client to retry shortly, matching
 // HDFS's completeFile loop.
 func (nn *Namenode) Complete(req nnapi.CompleteReq) (nnapi.CompleteResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	done, err := nn.ns.complete(req.Path, req.Client)
 	return nnapi.CompleteResp{Done: done}, err
 }
@@ -300,54 +313,56 @@ func (nn *Namenode) Complete(req nnapi.CompleteReq) (nnapi.CompleteResp, error) 
 // stamp, schedule stale replicas for deletion, and build a fresh target
 // list (surviving nodes first, then replacements chosen by placement).
 func (nn *Namenode) RecoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	if err := nn.checkSafeMode(); err != nil {
 		return nnapi.RecoverBlockResp{}, err
 	}
-	newBlock, targets, err := nn.ns.recoverBlock(req.Path, req.Client, req.Block, nn.clk.Now(),
-		func(replication int, stale []string) ([]block.DatanodeInfo, error) {
-			for _, dn := range stale {
-				nn.dm.scheduleInvalidate(dn, req.Block.ID, req.Block.Gen)
-			}
-			// Keep the surviving datanodes (they already hold partial data
-			// and proved reachable), then top up to the replication factor.
-			targets := make([]block.DatanodeInfo, 0, replication)
-			taken := make([]string, 0, len(req.Alive)+len(req.Exclude))
-			taken = append(taken, req.Exclude...)
-			aliveSet := make(map[string]bool)
-			for _, n := range nn.dm.aliveNames() {
-				aliveSet[n] = true
-			}
-			for _, name := range req.Alive {
-				if info, ok := nn.dm.lookup(name); ok && aliveSet[name] && len(targets) < replication {
-					targets = append(targets, info)
-					taken = append(taken, name)
-				}
-			}
-			if missing := replication - len(targets); missing > 0 {
-				extra, err := nn.place(req.Mode, req.Client, missing, taken)
-				if err != nil && len(targets) == 0 {
-					return nil, fmt.Errorf("recover %v: %w", req.Block, err)
-				}
-				targets = append(targets, extra...)
-			}
-			return targets, nil
-		})
+	f, err := nn.ns.checkLease(req.Path, req.Client)
 	if err != nil {
 		return nnapi.RecoverBlockResp{}, err
 	}
+	now := nn.clk.Now()
+	f.renewed = now
+	meta, ok := nn.ns.blocks[req.Block.ID]
+	if !ok || meta.path != f.path {
+		return nnapi.RecoverBlockResp{}, fmt.Errorf("%w: %v", ErrUnknownBlock, req.Block)
+	}
+	for dn := range meta.locations {
+		nn.dm.scheduleInvalidate(dn, req.Block.ID, req.Block.Gen)
+	}
+	nn.ns.bumpGeneration(meta)
+	// Keep the surviving datanodes (they already hold partial data and
+	// proved reachable), then top up to the replication factor.
+	targets := make([]block.DatanodeInfo, 0, f.replication)
+	taken := make([]string, 0, len(req.Alive)+len(req.Exclude))
+	taken = append(taken, req.Exclude...)
+	for _, name := range req.Alive {
+		if e, ok := nn.dm.nodes[name]; ok && nn.dm.isAlive(e, now) && len(targets) < f.replication {
+			targets = append(targets, e.info)
+			taken = append(taken, name)
+		}
+	}
+	if missing := f.replication - len(targets); missing > 0 {
+		extra, err := nn.place(req.Mode, req.Client, missing, taken)
+		if err != nil && len(targets) == 0 {
+			return nnapi.RecoverBlockResp{}, fmt.Errorf("recover %v: %w", req.Block, err)
+		}
+		targets = append(targets, extra...)
+	}
 	nn.mBlockRecoveries.Inc()
-	return nnapi.RecoverBlockResp{Located: block.LocatedBlock{Block: newBlock, Targets: targets}}, nil
+	return nnapi.RecoverBlockResp{Located: block.LocatedBlock{Block: meta.cur, Targets: targets}}, nil
 }
 
 // ClientHeartbeat ingests a client's speed records (SMARTH §III-B) and
 // renews the client's write leases (O(the client's open files), via the
 // lease index).
 func (nn *Namenode) ClientHeartbeat(req nnapi.ClientHeartbeatReq) (nnapi.ClientHeartbeatResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	now := nn.clk.Now()
-	nn.heardMu.Lock()
 	nn.clientHeard[req.Client] = now
 	nn.registry.Update(req.Client, req.Speeds)
-	nn.heardMu.Unlock()
 	nn.ns.renewLeases(req.Client, now)
 	return nnapi.ClientHeartbeatResp{}, nil
 }
@@ -359,25 +374,11 @@ func (nn *Namenode) ClientHeartbeat(req nnapi.ClientHeartbeatReq) (nnapi.ClientH
 // of the namenode. A client that returns later starts without records,
 // as a new one does.
 func (nn *Namenode) forgetSilentClients(now time.Time) {
-	var silent []string
-	nn.heardMu.Lock()
 	for client, heard := range nn.clientHeard {
-		if now.Sub(heard) >= DefaultLeaseTimeout {
-			silent = append(silent, client)
-		}
-	}
-	nn.heardMu.Unlock()
-	for _, client := range silent {
-		if nn.ns.holdsLease(client) { // namesystem lock: not under heardMu
-			continue
-		}
-		nn.heardMu.Lock()
-		// Looked up again: a heartbeat since the listing keeps its records.
-		if now.Sub(nn.clientHeard[client]) >= DefaultLeaseTimeout {
+		if now.Sub(heard) >= DefaultLeaseTimeout && len(nn.ns.leases[client]) == 0 {
 			delete(nn.clientHeard, client)
 			nn.registry.ForgetClient(client)
 		}
-		nn.heardMu.Unlock()
 	}
 }
 
@@ -387,58 +388,79 @@ func (nn *Namenode) forgetSilentClients(now time.Time) {
 // then remote), so readers prefer close replicas; otherwise the order is
 // stable by name.
 func (nn *Namenode) GetBlockLocations(req nnapi.GetBlockLocationsReq) (nnapi.GetBlockLocationsResp, error) {
-	v, ok := nn.ns.fileInfo(req.Path)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	f, ok := nn.ns.files[req.Path]
 	if !ok {
 		return nnapi.GetBlockLocationsResp{}, fmt.Errorf("%w: %s", ErrFileNotFound, req.Path)
 	}
-	resp := nnapi.GetBlockLocationsResp{Len: v.length()}
-	for _, b := range v.blocks {
-		resp.Blocks = append(resp.Blocks, block.LocatedBlock{
-			Block:   b.cur,
-			Targets: nn.dm.orderedHolders(req.Client, b.holders),
-		})
+	now := nn.clk.Now()
+	var resp nnapi.GetBlockLocationsResp
+	for _, id := range f.blocks {
+		if meta, ok := nn.ns.blocks[id]; ok {
+			resp.Len += meta.cur.NumBytes
+			resp.Blocks = append(resp.Blocks, block.LocatedBlock{
+				Block:   meta.cur,
+				Targets: nn.dm.orderedHolders(req.Client, sortedHolders(meta), now),
+			})
+		}
 	}
 	return resp, nil
 }
 
 // Delete removes a file and schedules every replica for deletion.
 func (nn *Namenode) Delete(req nnapi.DeleteReq) (nnapi.DeleteResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	if err := nn.checkSafeMode(); err != nil {
 		return nnapi.DeleteResp{}, err
 	}
-	stale, existed := nn.ns.deleteFile(req.Path)
-	nn.invalidate(stale)
-	return nnapi.DeleteResp{Deleted: existed}, nil
+	f, ok := nn.ns.files[req.Path]
+	if !ok {
+		return nnapi.DeleteResp{}, nil
+	}
+	nn.invalidate(nn.ns.removeInode(f))
+	return nnapi.DeleteResp{Deleted: true}, nil
 }
 
 // Rename moves a file in the namespace.
 func (nn *Namenode) Rename(req nnapi.RenameReq) (nnapi.RenameResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	if err := nn.checkSafeMode(); err != nil {
 		return nnapi.RenameResp{}, err
 	}
 	return nnapi.RenameResp{}, nn.ns.rename(req.Src, req.Dst)
 }
 
-// List enumerates files under a path prefix with replication health.
+// List enumerates files under a path prefix, sorted by path, with
+// replication health. A concurrent rename is listed at its source or at
+// its destination, never at both or neither.
 func (nn *Namenode) List(req nnapi.ListReq) (nnapi.ListResp, error) {
-	aliveSet := make(map[string]bool)
-	for _, n := range nn.dm.aliveNames() {
-		aliveSet[n] = true
-	}
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	now := nn.clk.Now()
 	var resp nnapi.ListResp
-	for _, v := range nn.ns.list(req.Prefix) {
+	for path, f := range nn.ns.files {
+		if !strings.HasPrefix(path, req.Prefix) {
+			continue
+		}
 		st := nnapi.FileStatus{
-			Path:            v.path,
-			Replication:     v.replication,
-			Complete:        v.complete,
-			NumBlocks:       len(v.blocks),
+			Path:            path,
+			Replication:     f.replication,
+			Complete:        f.complete,
 			MinLiveReplicas: -1,
 		}
-		for _, b := range v.blocks {
-			st.Len += b.cur.NumBytes
+		for _, id := range f.blocks {
+			meta, ok := nn.ns.blocks[id]
+			if !ok {
+				continue
+			}
+			st.NumBlocks++
+			st.Len += meta.cur.NumBytes
 			live := 0
-			for _, holder := range b.holders {
-				if aliveSet[holder] {
+			for holder := range meta.locations {
+				if e, ok := nn.dm.nodes[holder]; ok && nn.dm.isAlive(e, now) {
 					live++
 				}
 			}
@@ -451,30 +473,41 @@ func (nn *Namenode) List(req nnapi.ListReq) (nnapi.ListResp, error) {
 		}
 		resp.Files = append(resp.Files, st)
 	}
+	sort.Slice(resp.Files, func(i, j int) bool { return resp.Files[i].Path < resp.Files[j].Path })
 	return resp, nil
 }
 
 // GetFileInfo reports file metadata.
 func (nn *Namenode) GetFileInfo(req nnapi.GetFileInfoReq) (nnapi.GetFileInfoResp, error) {
-	v, ok := nn.ns.fileInfo(req.Path)
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	f, ok := nn.ns.files[req.Path]
 	if !ok {
 		return nnapi.GetFileInfoResp{Exists: false}, nil
 	}
-	return nnapi.GetFileInfoResp{
+	resp := nnapi.GetFileInfoResp{
 		Exists:      true,
-		Complete:    v.complete,
-		Len:         v.length(),
-		Replication: v.replication,
-		BlockSize:   v.blockSize,
-		NumBlocks:   len(v.blocks),
-	}, nil
+		Complete:    f.complete,
+		Replication: f.replication,
+		BlockSize:   f.blockSize,
+	}
+	for _, id := range f.blocks {
+		if meta, ok := nn.ns.blocks[id]; ok {
+			resp.Len += meta.cur.NumBytes
+			resp.NumBlocks++
+		}
+	}
+	return resp, nil
 }
 
 // ClusterInfo reports live cluster geometry.
 func (nn *Namenode) ClusterInfo(nnapi.ClusterInfoReq) (nnapi.ClusterInfoResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	live, racks := nn.dm.liveGeometry(nn.clk.Now())
 	return nnapi.ClusterInfoResp{
-		ActiveDatanodes: len(nn.dm.aliveNames()),
-		Racks:           nn.dm.numRacks(),
+		ActiveDatanodes: live,
+		Racks:           racks,
 		SafeMode:        nn.checkSafeMode() != nil,
 	}, nil
 }
@@ -485,32 +518,30 @@ func (nn *Namenode) ClusterInfo(nnapi.ClusterInfoReq) (nnapi.ClusterInfoResp, er
 // from placement immediately and its blocks get copied elsewhere by the
 // replication scanner; it keeps serving reads and sourcing transfers.
 func (nn *Namenode) Decommission(req nnapi.DecommissionReq) (nnapi.DecommissionResp, error) {
-	if !nn.dm.setDecommissioning(req.Name, !req.Cancel) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	e, ok := nn.dm.nodes[req.Name]
+	if !ok {
 		return nnapi.DecommissionResp{}, fmt.Errorf("namenode: unknown datanode %q", req.Name)
 	}
-	// Kick the next scan so drain work starts on the next heartbeat.
-	nn.repl.kick()
+	e.decommissioning = !req.Cancel
+	// Force the next scan so drain work starts on the next heartbeat.
+	nn.repl.lastScan = time.Time{}
 	return nnapi.DecommissionResp{}, nil
 }
 
 // DecommissionStatus reports how many blocks still depend on the node.
 func (nn *Namenode) DecommissionStatus(req nnapi.DecommStatusReq) (nnapi.DecommStatusResp, error) {
-	resp := nnapi.DecommStatusResp{Decommissioning: nn.dm.isDecommissioning(req.Name)}
-	placeable := make(map[string]bool)
-	for _, n := range nn.dm.placeableNames() {
-		placeable[n] = true
-	}
-	nn.ns.forEachBlock(func(meta *blockMeta) {
-		good := 0
-		for holder := range meta.locations {
-			if placeable[holder] {
-				good++
-			}
-		}
-		if meta.locations[req.Name] && good < meta.replication {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
+	e, known := nn.dm.nodes[req.Name]
+	resp := nnapi.DecommStatusResp{Decommissioning: known && e.decommissioning}
+	now := nn.clk.Now()
+	for _, meta := range nn.ns.blocks {
+		if meta.locations[req.Name] && nn.dm.countPlaceable(meta.locations, now) < meta.replication {
 			resp.RemainingBlocks++
 		}
-	})
+	}
 	resp.Done = resp.Decommissioning && resp.RemainingBlocks == 0
 	return resp, nil
 }
@@ -519,6 +550,8 @@ func (nn *Namenode) DecommissionStatus(req nnapi.DecommStatusReq) (nnapi.DecommS
 
 // Register announces a datanode and ingests its block report.
 func (nn *Namenode) Register(req nnapi.RegisterReq) (nnapi.RegisterResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	nn.dm.register(block.DatanodeInfo{Name: req.Name, Addr: req.Addr, Rack: req.Rack})
 	for _, b := range req.Blocks {
 		if err := nn.ns.blockReceived(req.Name, b); err != nil {
@@ -531,6 +564,8 @@ func (nn *Namenode) Register(req nnapi.RegisterReq) (nnapi.RegisterResp, error) 
 
 // Heartbeat refreshes liveness and drains invalidation work.
 func (nn *Namenode) Heartbeat(req nnapi.HeartbeatReq) (nnapi.HeartbeatResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	inv, known := nn.dm.heartbeat(req.Name, req.UsedBytes)
 	if !known {
 		return nnapi.HeartbeatResp{}, fmt.Errorf("namenode: heartbeat from unregistered datanode %q", req.Name)
@@ -549,13 +584,15 @@ func (nn *Namenode) blockReceivedOne(name string, b block.Block) error {
 		nn.dm.scheduleInvalidate(name, b.ID, b.Gen)
 		return err
 	}
-	nn.repl.satisfied(b.ID)
+	delete(nn.repl.pending, b.ID)
 	nn.completeBalancerMove(name, b)
 	return nil
 }
 
 // BlockReceived records a finalized replica.
 func (nn *Namenode) BlockReceived(req nnapi.BlockReceivedReq) (nnapi.BlockReceivedResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	if err := nn.blockReceivedOne(req.Name, req.Block); err != nil {
 		return nnapi.BlockReceivedResp{}, err
 	}
@@ -567,6 +604,8 @@ func (nn *Namenode) BlockReceived(req nnapi.BlockReceivedReq) (nnapi.BlockReceiv
 // Rejected entries (unknown block or stale generation) are counted and
 // scheduled for deletion, exactly as the per-block RPC would.
 func (nn *Namenode) BlockReceivedBatch(req nnapi.BlockReceivedBatchReq) (nnapi.BlockReceivedBatchResp, error) {
+	nn.mu.Lock()
+	defer nn.mu.Unlock()
 	var resp nnapi.BlockReceivedBatchResp
 	for _, b := range req.Blocks {
 		if err := nn.blockReceivedOne(req.Name, b); err != nil {

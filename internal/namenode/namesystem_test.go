@@ -271,7 +271,7 @@ func TestSaveImageIsPointInTime(t *testing.T) {
 // delete — called straight into the handlers from b.RunParallel's
 // goroutines, each in its own directory under its own client name, so
 // -cpu N measures what N concurrent writers cost one another on the
-// namesystem lock. One op is one lifecycle. Every 64th lifecycle
+// namenode lock. One op is one lifecycle. Every 64th lifecycle
 // heartbeats the datanodes, which drains the invalidations the deletes
 // queued, so the cost per op does not grow with b.N.
 func BenchmarkNamesystemParallel(b *testing.B) {

@@ -14,10 +14,10 @@ import (
 var ErrNoDatanodes = policy.ErrNoDatanodes
 
 // placementView adapts the datanode manager (plus the speed registry) to
-// policy.ClusterView. Placement runs a whole Place() with dm.mu held —
-// Namenode.place acquires it — so every method here uses the Locked
-// forms and needs no further synchronization; what a view returns is
-// only valid for the duration of that one call.
+// policy.ClusterView. The one-lock rule holds here too: a Place() runs
+// inside an exported Namenode method, which holds nn.mu, so the view
+// reads the datanode manager directly and takes no lock; what it returns
+// is only valid for the duration of that one call.
 type placementView struct {
 	dm       *datanodeManager
 	registry *core.Registry
@@ -30,7 +30,7 @@ func (v placementView) Placeable() []string { return v.dm.placeable }
 
 // Lookup resolves a datanode by name regardless of liveness.
 func (v placementView) Lookup(name string) (block.DatanodeInfo, bool) {
-	return v.dm.lookupLocked(name)
+	return v.dm.lookup(name)
 }
 
 // ChooseRandom picks a uniformly random known datanode not in exclude.

@@ -327,16 +327,15 @@ func (m *DecommStatusResp) ParseFrom(b []byte) error {
 	return r.Done()
 }
 
-// AppendTo appends threshold (f64 bits), move bound (i64).
+// AppendTo appends threshold (f64 bits).
 func (m BalanceReq) AppendTo(dst []byte) []byte {
-	dst = wire.AppendFloat64(dst, m.Threshold)
-	return wire.AppendInt(dst, m.MaxMoves)
+	return wire.AppendFloat64(dst, m.Threshold)
 }
 
 // ParseFrom decodes a whole BalanceReq body, the inverse of AppendTo.
 func (m *BalanceReq) ParseFrom(b []byte) error {
 	r := wire.NewReader(b)
-	*m = BalanceReq{Threshold: r.Float64(), MaxMoves: r.Int()}
+	*m = BalanceReq{Threshold: r.Float64()}
 	return r.Done()
 }
 

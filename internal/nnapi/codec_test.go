@@ -57,7 +57,7 @@ var messages = []message{
 	&DecommissionResp{},
 	&DecommStatusReq{Name: "dn4"},
 	&DecommStatusResp{Decommissioning: true, Done: true, RemainingBlocks: 12},
-	&BalanceReq{Threshold: 0.1, MaxMoves: 16},
+	&BalanceReq{Threshold: 0.1},
 	&BalanceResp{Moves: 4, MeanBytes: 1 << 33},
 	&RegisterReq{Name: "dn1", Addr: "dn1:50010", Rack: "/rack-a", Blocks: []block.Block{sampleBlock, {ID: 9, Gen: 1}}},
 	&RegisterResp{},

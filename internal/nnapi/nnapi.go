@@ -237,8 +237,6 @@ type BalanceReq struct {
 	// before a node is considered over/under-full, as a fraction of the
 	// mean (default 0.1).
 	Threshold float64
-	// MaxMoves bounds the moves scheduled this round (default 16).
-	MaxMoves int
 }
 
 // BalanceResp reports what the round scheduled.

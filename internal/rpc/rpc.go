@@ -1,7 +1,8 @@
 // Package rpc is a minimal request/response RPC layer over a
 // transport.Network, used for the control plane: the ClientProtocol
-// (create / addBlock / complete / renewLease) and DatanodeProtocol
-// (register / heartbeat / blockReceived / recoverBlock) of the namenode.
+// (create / addBlock / complete / recoverBlock / clientHeartbeat) and
+// DatanodeProtocol (register / heartbeat / blockReceived) of the
+// namenode.
 //
 // It does three things: multiplexes calls over one connection, bounds a
 // call's wait, and keeps what the server said (RemoteError) apart from
@@ -309,7 +310,7 @@ type request struct {
 //
 // Requests run on handler goroutines that park on work between requests
 // rather than on one goroutine per request, so the stack a handler grew
-// once (placement, the namesystem lock path, the codec) serves the next
+// once (placement, the namenode lock path, the codec) serves the next
 // request too. The read loop hands a request to a parked handler when
 // idle holds a token for one and starts a handler otherwise, so a
 // request never waits for another to finish; idle's capacity is how many
