@@ -43,7 +43,7 @@ func main() {
 		return
 	}
 
-	net := transport.NewTCPNetwork(nil)
+	net := transport.NewTCPNetwork()
 	cl, err := client.New(client.Options{
 		Name:         fmt.Sprintf("admin-%d", os.Getpid()),
 		NamenodeAddr: *nnAddr,

@@ -23,7 +23,7 @@ func main() {
 	prefix := flag.String("prefix", "", "only report files under this path prefix")
 	flag.Parse()
 
-	net := transport.NewTCPNetwork(nil)
+	net := transport.NewTCPNetwork()
 	cl, err := client.New(client.Options{
 		Name:         fmt.Sprintf("fsck-%d", os.Getpid()),
 		NamenodeAddr: *nnAddr,

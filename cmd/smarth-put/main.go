@@ -48,7 +48,7 @@ func main() {
 	if *traceOut != "" {
 		tracing = obs.New(nil)
 	}
-	net := transport.NewTCPNetwork(nil)
+	net := transport.NewTCPNetwork()
 	cl, err := client.New(client.Options{
 		Name:         fmt.Sprintf("put-%d", os.Getpid()),
 		NamenodeAddr: *nnAddr,

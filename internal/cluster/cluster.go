@@ -135,9 +135,8 @@ func Start(cfg Config) (*Cluster, error) {
 // TCP sockets with kernel-assigned ports (the namenode's may be fixed
 // with NamenodeListen), transport.DefaultTCPTuning on every socket. It is
 // also how cmd/smarth-cluster boots.
-// WrapNetwork decorates the in-memory network only and is rejected;
-// Shaper plans are keyed by component name and do not match TCP
-// addresses, so they are rejected too.
+// WrapNetwork decorates the in-memory network only and is rejected; TCP
+// links are never shaped, so a Shaper is rejected too.
 func StartTCP(cfg Config) (*Cluster, error) {
 	cfg = applyDefaults(cfg)
 	if cfg.WrapNetwork != nil {
@@ -149,7 +148,7 @@ func StartTCP(cfg Config) (*Cluster, error) {
 	if cfg.NamenodeListen == "" {
 		cfg.NamenodeListen = "127.0.0.1:0"
 	}
-	c := &Cluster{cfg: cfg, EffNet: transport.NewTCPNetwork(nil)}
+	c := &Cluster{cfg: cfg, EffNet: transport.NewTCPNetwork()}
 	return boot(c, cfg.NamenodeListen, func(int) string { return "127.0.0.1:0" })
 }
 

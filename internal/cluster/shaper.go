@@ -2,17 +2,17 @@ package cluster
 
 import (
 	"sync"
+	"time"
 
 	"repro/internal/clock"
-	"repro/internal/ratelimit"
 	"repro/internal/transport"
 )
 
 // Shaper is the software analogue of the paper's `tc` usage: per-node NIC
-// rate limits plus optional per-node cross-rack limits. It implements
-// transport.LinkPolicy and shapes the in-memory transport Start boots;
-// StartTCP refuses one, because its plans are keyed by component name,
-// not by TCP address.
+// rate limits plus optional per-node cross-rack limits, each a token
+// bucket. It implements transport.LinkPolicy and shapes the in-memory
+// transport Start boots; StartTCP refuses one, as TCP links are never
+// shaped.
 type Shaper struct {
 	mu    sync.RWMutex
 	clk   clock.Clock
@@ -21,11 +21,11 @@ type Shaper struct {
 
 type nodeShape struct {
 	rack    string
-	egress  *ratelimit.Limiter
-	ingress *ratelimit.Limiter
+	egress  *bucket
+	ingress *bucket
 	// cross shapes traffic to/from other racks (nil = unthrottled).
-	crossEgress  *ratelimit.Limiter
-	crossIngress *ratelimit.Limiter
+	crossEgress  *bucket
+	crossIngress *bucket
 }
 
 // NewShaper returns an empty shaper; unknown endpoints are unshaped.
@@ -36,17 +36,45 @@ func NewShaper(clk clock.Clock) *Shaper {
 	return &Shaper{clk: clk, nodes: make(map[string]*nodeShape)}
 }
 
-// newLimiter builds a limiter with a ~5 ms burst (16 KiB floor) rather
-// than the ratelimit package's 1-second default: shaped experiments scale
-// file sizes down dramatically, and a one-second burst would swallow an
-// entire scaled workload without ever limiting it. Linux tc shapers use
-// millisecond-scale bursts for the same reason.
-func (s *Shaper) newLimiter(bps float64) *ratelimit.Limiter {
+// bucket is a token bucket over bytes: it refills at rate bytes/second up
+// to burst, and a debit may drive it below zero, the deficit being how
+// long the sender waits.
+type bucket struct {
+	mu     sync.Mutex
+	rate   float64 // bytes per second, > 0
+	burst  float64 // capacity in bytes
+	tokens float64
+	last   time.Time
+}
+
+// newBucket builds a bucket with a ~5 ms burst (16 KiB floor): shaped
+// experiments scale file sizes down dramatically, and a one-second burst
+// would swallow an entire scaled workload without ever limiting it.
+// Linux tc shapers use millisecond-scale bursts for the same reason.
+func (s *Shaper) newBucket(bps float64) *bucket {
 	burst := bps / 200
 	if burst < 16<<10 {
 		burst = 16 << 10
 	}
-	return ratelimit.New(s.clk, bps, burst)
+	return &bucket{rate: bps, burst: burst, tokens: burst, last: s.clk.Now()}
+}
+
+// debit refills the bucket for the time elapsed on clk, takes n tokens
+// and returns how long the caller must wait for the debit to be covered.
+func (b *bucket) debit(clk clock.Clock, n int) time.Duration {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	now := clk.Now()
+	b.tokens += now.Sub(b.last).Seconds() * b.rate
+	if b.tokens > b.burst {
+		b.tokens = b.burst
+	}
+	b.last = now
+	b.tokens -= float64(n)
+	if b.tokens >= 0 {
+		return 0
+	}
+	return time.Duration(-b.tokens / b.rate * float64(time.Second))
 }
 
 // SetNode declares a node's rack and NIC capacity in bytes/second
@@ -62,8 +90,8 @@ func (s *Shaper) SetNode(name, rack string, nicBps float64) {
 	}
 	n.rack = rack
 	if nicBps > 0 {
-		n.egress = s.newLimiter(nicBps)
-		n.ingress = s.newLimiter(nicBps)
+		n.egress = s.newBucket(nicBps)
+		n.ingress = s.newBucket(nicBps)
 	} else {
 		n.egress, n.ingress = nil, nil
 	}
@@ -80,34 +108,55 @@ func (s *Shaper) SetCrossRackLimit(name string, bps float64) {
 		s.nodes[name] = n
 	}
 	if bps > 0 {
-		n.crossEgress = s.newLimiter(bps)
-		n.crossIngress = s.newLimiter(bps)
+		n.crossEgress = s.newBucket(bps)
+		n.crossIngress = s.newBucket(bps)
 	} else {
 		n.crossEgress, n.crossIngress = nil, nil
 	}
 }
 
-// Limits implements transport.LinkPolicy.
-func (s *Shaper) Limits(src, dst string) []*ratelimit.Limiter {
+// Pacer implements transport.LinkPolicy. The src→dst link passes src's
+// egress bucket, dst's ingress bucket and, across racks, both cross-rack
+// buckets; it is nil when none is set. The pacer debits each chunk from
+// every bucket and sleeps for the longest of their waits, not the sum:
+// the buckets act in parallel, and waiting on one does not admit bytes
+// through another any sooner. A chunk larger than a burst is admitted in
+// one debit (the wait extends past one bucket's worth), which keeps the
+// long-run rate.
+func (s *Shaper) Pacer(src, dst string) func(n int) {
 	s.mu.RLock()
 	defer s.mu.RUnlock()
-	var lims []*ratelimit.Limiter
+	var bs []*bucket
 	a, b := s.nodes[src], s.nodes[dst]
 	if a != nil && a.egress != nil {
-		lims = append(lims, a.egress)
+		bs = append(bs, a.egress)
 	}
 	if b != nil && b.ingress != nil {
-		lims = append(lims, b.ingress)
+		bs = append(bs, b.ingress)
 	}
 	if a != nil && b != nil && a.rack != b.rack {
 		if a.crossEgress != nil {
-			lims = append(lims, a.crossEgress)
+			bs = append(bs, a.crossEgress)
 		}
 		if b.crossIngress != nil {
-			lims = append(lims, b.crossIngress)
+			bs = append(bs, b.crossIngress)
 		}
 	}
-	return lims
+	if len(bs) == 0 {
+		return nil
+	}
+	clk := s.clk
+	return func(n int) {
+		var longest time.Duration
+		for _, b := range bs {
+			if w := b.debit(clk, n); w > longest {
+				longest = w
+			}
+		}
+		if longest > 0 {
+			clk.Sleep(longest)
+		}
+	}
 }
 
 var _ transport.LinkPolicy = (*Shaper)(nil)

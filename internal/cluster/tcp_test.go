@@ -19,7 +19,7 @@ import (
 // reading back — the same wiring cmd/smarth-cluster and cmd/smarth-put
 // use.
 func TestTCPEndToEnd(t *testing.T) {
-	net := transport.NewTCPNetwork(nil)
+	net := transport.NewTCPNetwork()
 
 	nn := namenode.New(namenode.Options{Seed: 5})
 	nnListener, err := net.Listen("127.0.0.1:0")

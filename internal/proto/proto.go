@@ -9,10 +9,7 @@
 // stream transport (in-memory pipes, TCP).
 package proto
 
-import (
-	"repro/internal/block"
-	"repro/internal/checksum"
-)
+import "repro/internal/block"
 
 // Version is bumped on incompatible wire changes; numbers are never reused.
 const Version = 4
@@ -144,8 +141,7 @@ type Packet struct {
 	Offset int64 // offset of Data within the block
 	Last   bool  // true on the final (possibly empty) packet of the block
 	// Sums holds decoded per-chunk checksums on the send path. ReadPacket
-	// leaves it nil and fills RawSums instead; decode explicitly with
-	// DecodedSums when the uint32s are really needed.
+	// leaves it nil and fills RawSums instead.
 	Sums []uint32
 	// RawSums is the big-endian wire encoding of the checksums. On
 	// received packets it aliases the pooled frame; verify against it
@@ -174,16 +170,6 @@ func (p *Packet) Release() {
 	if pooled {
 		packetPool.Put(p)
 	}
-}
-
-// DecodedSums returns the packet's checksums as uint32 values, decoding
-// RawSums when Sums is unset. It allocates; the hot path verifies with
-// checksum.VerifyEncoded instead.
-func (p *Packet) DecodedSums() ([]uint32, error) {
-	if p.Sums != nil || p.RawSums == nil {
-		return p.Sums, nil
-	}
-	return checksum.Decode(p.RawSums)
 }
 
 // AckKind discriminates pipeline acks.

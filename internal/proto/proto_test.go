@@ -119,7 +119,7 @@ func TestPacketRoundTrip(t *testing.T) {
 	if err := checksum.VerifyEncoded(out.Data, out.RawSums, DefaultChunkSize); err != nil {
 		t.Fatal(err)
 	}
-	sums, err := out.DecodedSums()
+	sums, err := checksum.Decode(out.RawSums)
 	if err != nil {
 		t.Fatal(err)
 	}

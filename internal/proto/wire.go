@@ -561,9 +561,8 @@ func (c *Conn) ReadPacket() (*Packet, error) { return c.ReadPacketInto(nil) }
 // socket. The caller owns the packet and must Release it exactly once
 // (see the Packet ownership contract); Release frees the frame, never
 // lent memory. Checksums are not decoded or checked — verify with
-// checksum.VerifyEncoded against RawSums, or decode explicitly with
-// DecodedSums. On an error nothing is owned by the caller, and lent
-// memory may hold part of a payload.
+// checksum.VerifyEncoded against RawSums. On an error nothing is owned
+// by the caller, and lent memory may hold part of a payload.
 func (c *Conn) ReadPacketInto(to Lender) (*Packet, error) {
 	n, err := c.readPrefix()
 	if err != nil {

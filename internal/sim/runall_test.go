@@ -23,6 +23,20 @@ func withProcs(t *testing.T, fn func(t *testing.T, procs int)) {
 	}
 }
 
+// settledGoroutines returns the goroutine count once it has held still
+// for 20 ms (or a second has passed). A RunAll worker's last act is
+// wg.Done, so the workers of the RunAll before — an earlier test's, or an
+// earlier round's — may still be returning when RunAll has.
+func settledGoroutines() int {
+	n, since := runtime.NumGoroutine(), time.Now()
+	for start := since; time.Since(since) < 20*time.Millisecond && time.Since(start) < time.Second; time.Sleep(time.Millisecond) {
+		if m := runtime.NumGoroutine(); m != n {
+			n, since = m, time.Now()
+		}
+	}
+	return n
+}
+
 // A failing config is reported, not fatal: RunAll names the first failure
 // in the caller's order however the workers interleave, still runs every
 // other config, and leaves no worker behind.
@@ -34,7 +48,7 @@ func TestRunAllReportsFirstErrorInOrder(t *testing.T) {
 	cfgs := []Config{good, bad, good, good, bad, good}
 
 	withProcs(t, func(t *testing.T, procs int) {
-		before := runtime.NumGoroutine()
+		before := settledGoroutines()
 		res, err := RunAll(cfgs)
 		// A worker's last act is wg.Done; give it the moment it needs to
 		// finish returning before counting.

@@ -12,7 +12,7 @@ import (
 // hands each conn to serve on its own goroutine.
 func startTCPEcho(t *testing.T, serve func(Conn)) (*TCPNetwork, string) {
 	t.Helper()
-	n := NewTCPNetwork(nil)
+	n := NewTCPNetwork()
 	l, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)

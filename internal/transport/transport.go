@@ -2,8 +2,9 @@
 // runs over. Two implementations are provided: an in-memory network with
 // per-link bandwidth shaping and fault injection (the default substrate
 // for tests), and a TCP network for running a cluster across real
-// sockets. Both apply a LinkPolicy, the software analogue of the paper's
-// `tc` bandwidth throttling.
+// sockets. The in-memory network's links may be paced by a LinkPolicy,
+// the software analogue of the paper's `tc` bandwidth throttling; TCP
+// links are never shaped.
 //
 // Concurrency invariants: a Network (dial, listen, shaping, partition,
 // kill) is safe for concurrent use from any goroutine. A Conn follows
@@ -27,7 +28,6 @@ import (
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/ratelimit"
 )
 
 // Conn is a bidirectional byte stream between two named endpoints.
@@ -61,32 +61,31 @@ type Listener interface {
 }
 
 // Network creates listeners and outbound connections. Dial carries the
-// caller's own address so the network can shape the link between the two
-// endpoints.
+// caller's own address, which names the conn's local end and, on the
+// in-memory network, picks the link's pacer.
 type Network interface {
 	Listen(addr string) (Listener, error)
 	Dial(local, remote string) (Conn, error)
 }
 
-// LinkPolicy decides the shaping of a directed link. Limits returns the
-// token buckets every byte flowing src→dst must pass (nil entries are
-// ignored).
+// LinkPolicy shapes the in-memory network's links. Pacer returns the
+// pacing function of the directed link src→dst, or nil when the link is
+// unshaped. A conn calls it with the size of each chunk it writes (at
+// most maxPaceChunk bytes) before the chunk enters the ring; it blocks
+// until the link admits those bytes.
 type LinkPolicy interface {
-	Limits(src, dst string) []*ratelimit.Limiter
+	Pacer(src, dst string) func(n int)
 }
 
-// UnshapedPolicy applies no limits.
-type UnshapedPolicy struct{}
-
-// Limits implements LinkPolicy.
-func (UnshapedPolicy) Limits(src, dst string) []*ratelimit.Limiter { return nil }
+// maxPaceChunk is the largest write a shaped link paces at once.
+const maxPaceChunk = 64 << 10
 
 // ---------------------------------------------------------------------
 // In-memory network
 // ---------------------------------------------------------------------
 
 // MemNetwork is an in-process Network. Connections are pairs of bounded
-// pipes shaped by the LinkPolicy. It supports fault injection via
+// pipes paced by the LinkPolicy. It supports fault injection via
 // Partition.
 type MemNetwork struct {
 	mu          sync.Mutex
@@ -101,9 +100,6 @@ type MemNetwork struct {
 // NewMemNetwork returns an in-memory network shaped by policy (nil means
 // unshaped).
 func NewMemNetwork(policy LinkPolicy) *MemNetwork {
-	if policy == nil {
-		policy = UnshapedPolicy{}
-	}
 	return &MemNetwork{
 		policy:      policy,
 		clk:         clock.System,
@@ -180,9 +176,9 @@ func (n *MemNetwork) Listen(addr string) (Listener, error) {
 // memConn is one endpoint of an in-memory connection.
 type memConn struct {
 	local, remote string
-	readBuf       *pipeBuf          // data flowing remote -> local
-	writeBuf      *pipeBuf          // data flowing local -> remote
-	w             *ratelimit.Writer // writeBuf behind the link's limiters
+	readBuf       *pipeBuf    // data flowing remote -> local
+	writeBuf      *pipeBuf    // data flowing local -> remote
+	pace          func(n int) // the local -> remote link's pacer; nil = unshaped
 	net           *MemNetwork
 	closeOnce     sync.Once
 	peer          *memConn
@@ -190,13 +186,27 @@ type memConn struct {
 
 func (c *memConn) Read(p []byte) (int, error) { return c.readBuf.Read(p) }
 
-// Write goes straight to the ring on an unshaped link, skipping the
-// limiter's 64 KB chunking loop the way tcpConn.WriteBuffers does.
+// Write goes straight to the ring on an unshaped link. A shaped link is
+// paced where its bytes are sent, one chunk of at most maxPaceChunk
+// bytes at a time; a failed chunk returns the bytes written before it.
 func (c *memConn) Write(p []byte) (int, error) {
-	if !c.w.Limited() {
+	if c.pace == nil {
 		return c.writeBuf.Write(p)
 	}
-	return c.w.Write(p)
+	written := 0
+	for written < len(p) {
+		chunk := p[written:]
+		if len(chunk) > maxPaceChunk {
+			chunk = chunk[:maxPaceChunk]
+		}
+		c.pace(len(chunk))
+		n, err := c.writeBuf.Write(chunk)
+		written += n
+		if err != nil {
+			return written, err
+		}
+	}
+	return written, nil
 }
 func (c *memConn) LocalAddr() string  { return c.local }
 func (c *memConn) RemoteAddr() string { return c.remote }
@@ -250,7 +260,7 @@ func (n *MemNetwork) remember(c *memConn) {
 	set[c] = true
 }
 
-// Dial connects local to remote, applying link shaping in each direction.
+// Dial connects local to remote, pacing each direction by the policy.
 func (n *MemNetwork) Dial(local, remote string) (Conn, error) {
 	n.mu.Lock()
 	if n.partitioned[local] || n.partitioned[remote] {
@@ -269,17 +279,10 @@ func (n *MemNetwork) Dial(local, remote string) (Conn, error) {
 	forward := newPipeBuf(bufSize, clk)  // local -> remote
 	backward := newPipeBuf(bufSize, clk) // remote -> local
 
-	dialer := &memConn{
-		local: local, remote: remote,
-		readBuf: backward, writeBuf: forward,
-		w:   ratelimit.NewWriter(forward, policy.Limits(local, remote)...),
-		net: n,
-	}
-	acceptor := &memConn{
-		local: remote, remote: local,
-		readBuf: forward, writeBuf: backward,
-		w:   ratelimit.NewWriter(backward, policy.Limits(remote, local)...),
-		net: n,
+	dialer := &memConn{local: local, remote: remote, readBuf: backward, writeBuf: forward, net: n}
+	acceptor := &memConn{local: remote, remote: local, readBuf: forward, writeBuf: backward, net: n}
+	if policy != nil {
+		dialer.pace, acceptor.pace = policy.Pacer(local, remote), policy.Pacer(remote, local)
 	}
 	dialer.peer, acceptor.peer = acceptor, dialer
 
@@ -356,68 +359,46 @@ func (t TCPTuning) apply(c net.Conn) {
 	}
 }
 
-// TCPNetwork runs the protocol over real sockets. The LinkPolicy still
-// applies (limiters wrap the socket), so throttled experiments can run
-// over loopback too.
+// TCPNetwork runs the protocol over real sockets. Its links are never
+// shaped: a conn reads and writes its socket directly.
 type TCPNetwork struct {
-	policy LinkPolicy
 	tuning TCPTuning
 }
 
-// NewTCPNetwork returns a socket-backed Network (nil policy = unshaped)
-// with DefaultTCPTuning applied to every conn.
-func NewTCPNetwork(policy LinkPolicy) *TCPNetwork {
-	return NewTCPNetworkTuned(policy, DefaultTCPTuning)
+// NewTCPNetwork returns a socket-backed Network with DefaultTCPTuning
+// applied to every conn.
+func NewTCPNetwork() *TCPNetwork {
+	return &TCPNetwork{tuning: DefaultTCPTuning}
 }
 
 // NewTCPNetworkTuned returns a socket-backed Network with explicit
-// socket tuning (nil policy = unshaped).
+// socket tuning. TCP links are never shaped, so policy must be nil; it
+// panics on any other, rather than run the links unshaped.
 func NewTCPNetworkTuned(policy LinkPolicy, tuning TCPTuning) *TCPNetwork {
-	if policy == nil {
-		policy = UnshapedPolicy{}
+	if policy != nil {
+		panic("transport: a TCP network cannot be shaped; NewTCPNetworkTuned takes a nil LinkPolicy")
 	}
-	return &TCPNetwork{policy: policy, tuning: tuning}
+	return &TCPNetwork{tuning: tuning}
 }
 
-// tcpConn reads its socket directly (shaping is applied where bytes are
-// sent) and writes it through the link's limiters.
+// tcpConn is a socket named by the endpoint addresses its Dial or Accept
+// saw. It reads and writes the socket directly.
 type tcpConn struct {
 	net.Conn
 	local, remote string
-	w             *ratelimit.Writer
 }
 
-func (c *tcpConn) Write(p []byte) (int, error) { return c.w.Write(p) }
-func (c *tcpConn) LocalAddr() string           { return c.local }
-func (c *tcpConn) RemoteAddr() string          { return c.remote }
+func (c *tcpConn) LocalAddr() string  { return c.local }
+func (c *tcpConn) RemoteAddr() string { return c.remote }
 
 // WriteBuffers emits the vectors in one gather call — writev directly
-// from the caller's buffers — when the link is unshaped. Shaped links
-// fall back to sequential rate-limited writes, preserving the limiter's
-// chunked pacing. Either way the whole vector is consumed on success.
+// from the caller's buffers — consuming the whole vector on success.
 func (c *tcpConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
-	if !c.w.Limited() {
-		return bufs.WriteTo(c.Conn)
-	}
-	var total int64
-	for len(*bufs) > 0 {
-		b := (*bufs)[0]
-		*bufs = (*bufs)[1:]
-		if len(b) == 0 {
-			continue
-		}
-		n, err := c.w.Write(b)
-		total += int64(n)
-		if err != nil {
-			return total, err
-		}
-	}
-	return total, nil
+	return bufs.WriteTo(c.Conn)
 }
 
 type tcpListener struct {
 	net.Listener
-	policy LinkPolicy
 	tuning TCPTuning
 	addr   string
 }
@@ -428,11 +409,7 @@ func (l *tcpListener) Accept() (Conn, error) {
 		return nil, err
 	}
 	l.tuning.apply(c)
-	remote := c.RemoteAddr().String()
-	return &tcpConn{
-		Conn: c, local: l.addr, remote: remote,
-		w: ratelimit.NewWriter(c, l.policy.Limits(l.addr, remote)...),
-	}, nil
+	return &tcpConn{Conn: c, local: l.addr, remote: c.RemoteAddr().String()}, nil
 }
 
 func (l *tcpListener) Addr() string { return l.addr }
@@ -444,20 +421,17 @@ func (n *TCPNetwork) Listen(addr string) (Listener, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &tcpListener{Listener: l, policy: n.policy, tuning: n.tuning, addr: l.Addr().String()}, nil
+	return &tcpListener{Listener: l, tuning: n.tuning, addr: l.Addr().String()}, nil
 }
 
-// Dial connects over TCP, shaping the outbound direction per the policy.
+// Dial connects over TCP.
 func (n *TCPNetwork) Dial(local, remote string) (Conn, error) {
 	c, err := net.DialTimeout("tcp", remote, 10*time.Second)
 	if err != nil {
 		return nil, err
 	}
 	n.tuning.apply(c)
-	return &tcpConn{
-		Conn: c, local: local, remote: remote,
-		w: ratelimit.NewWriter(c, n.policy.Limits(local, remote)...),
-	}, nil
+	return &tcpConn{Conn: c, local: local, remote: remote}, nil
 }
 
 // DialTimeout dials remote, giving up after d (which must be positive)

@@ -4,12 +4,12 @@ import (
 	"bytes"
 	"errors"
 	"io"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/clock"
-	"repro/internal/ratelimit"
 )
 
 func TestMemDialListen(t *testing.T) {
@@ -167,23 +167,25 @@ func TestPartitionBreaksConns(t *testing.T) {
 	}
 }
 
-// shapedPolicy throttles one direction for shaping tests.
-type shapedPolicy struct {
-	lim *ratelimit.Limiter
-	src string
+// pacePolicy paces the links leaving src with pace; every other link is
+// unshaped.
+type pacePolicy struct {
+	src  string
+	pace func(n int)
 }
 
-func (p shapedPolicy) Limits(src, dst string) []*ratelimit.Limiter {
+func (p pacePolicy) Pacer(src, dst string) func(n int) {
 	if src == p.src {
-		return []*ratelimit.Limiter{p.lim}
+		return p.pace
 	}
 	return nil
 }
 
 func TestShapingLimitsThroughput(t *testing.T) {
-	// 1 MiB through a 4 MiB/s link should take ≈250 ms.
-	lim := ratelimit.New(clock.System, 4<<20, 64<<10)
-	n := NewMemNetwork(shapedPolicy{lim: lim, src: "client"})
+	// A link that admits 4 MiB/s: 1 MiB should take ≈250 ms.
+	n := NewMemNetwork(pacePolicy{src: "client", pace: func(n int) {
+		time.Sleep(time.Duration(n) * time.Second / (4 << 20))
+	}})
 	l, _ := n.Listen("dn1")
 	var got int64
 	done := make(chan struct{})
@@ -212,6 +214,63 @@ func TestShapingLimitsThroughput(t *testing.T) {
 	}
 	if elapsed < 180*time.Millisecond || elapsed > 800*time.Millisecond {
 		t.Fatalf("transfer took %v, want ≈250ms", elapsed)
+	}
+}
+
+// A shaped conn paces each write in chunks of at most 64 KB, before the
+// chunk enters the ring; the link back stays unshaped.
+func TestShapedWritePacesInChunks(t *testing.T) {
+	var chunks []int
+	var c Conn
+	n := NewMemNetwork(pacePolicy{src: "client", pace: func(n int) {
+		chunks = append(chunks, n)
+		if c.(*memConn).writeBuf.n != (len(chunks)-1)*maxPaceChunk {
+			t.Errorf("chunk %d paced after its bytes entered the ring", len(chunks))
+		}
+	}})
+	l, _ := n.Listen("dn1")
+	var err error
+	if c, err = n.Dial("client", "dn1"); err != nil {
+		t.Fatal(err)
+	}
+	peer, _ := l.Accept()
+	const size = 3*maxPaceChunk + 100 // fits the ring unread
+	if w, err := c.Write(make([]byte, size)); w != size || err != nil {
+		t.Fatalf("Write = (%d, %v), want (%d, nil)", w, err, size)
+	}
+	if want := []int{maxPaceChunk, maxPaceChunk, maxPaceChunk, 100}; !reflect.DeepEqual(chunks, want) {
+		t.Fatalf("paced chunks %v, want %v", chunks, want)
+	}
+	if got, _ := io.ReadFull(peer, make([]byte, size)); got != size {
+		t.Fatalf("peer read %d bytes, want %d", got, size)
+	}
+	if peer.(*memConn).pace != nil {
+		t.Fatal("the unshaped direction has a pacer")
+	}
+}
+
+// A shaped write whose peer closes midway returns the bytes that entered
+// the ring before the close, with the error.
+func TestShapedWriteShortWriteError(t *testing.T) {
+	var peer Conn
+	calls := 0
+	n := NewMemNetwork(pacePolicy{src: "client", pace: func(int) {
+		if calls++; calls == 2 {
+			peer.Close()
+		}
+	}})
+	l, _ := n.Listen("dn1")
+	c, err := n.Dial("client", "dn1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peer, _ = l.Accept()
+	w, err := c.Write(make([]byte, 3*maxPaceChunk))
+	if !errors.Is(err, ErrClosed) {
+		t.Fatalf("Write err = %v, want ErrClosed", err)
+	}
+	if w != maxPaceChunk {
+		t.Fatalf("Write n = %d, want %d (the chunk before the close)", w, maxPaceChunk)
 	}
 }
 
@@ -286,8 +345,19 @@ func TestPipeBufWriteAfterCloseWrite(t *testing.T) {
 	}
 }
 
+// TCP links are never shaped: a policy handed to a TCP network is refused
+// loudly, not ignored.
+func TestTCPNetworkTunedRefusesPolicy(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("NewTCPNetworkTuned accepted a LinkPolicy")
+		}
+	}()
+	NewTCPNetworkTuned(pacePolicy{}, DefaultTCPTuning)
+}
+
 func TestTCPNetwork(t *testing.T) {
-	n := NewTCPNetwork(nil)
+	n := NewTCPNetwork()
 	l, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -485,7 +555,7 @@ func TestDialTimeout(t *testing.T) {
 }
 
 func TestTCPConnDeadline(t *testing.T) {
-	n := NewTCPNetwork(nil)
+	n := NewTCPNetwork()
 	l, err := n.Listen("127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
