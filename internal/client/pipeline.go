@@ -193,13 +193,7 @@ func (p *pipelineConn) readAcks(onFNFA func()) error {
 // empty packet, if data is empty) has been handed to the transport.
 func (c *Client) streamBlock(p *pipelineConn, data, rawSums []byte, packetSize int) error {
 	// One reused packet struct for the whole block; WritePacket retains
-	// nothing. The stream is corked so small packets
-	// coalesce (full-size payloads go straight out as write vectors) —
-	// the size threshold, the Last packet, and an explicit uncork (for
-	// safety on early error returns) flush. Acks ride a separate
-	// direction, so nothing waits on this buffer.
-	_ = p.pc.SetCork(true)
-	defer func() { _ = p.pc.SetCork(false) }()
+	// nothing.
 	const cs, sumSize = checksum.DefaultChunkSize, checksum.BytesPerChecksum
 	var pkt proto.Packet
 	var seqno int64

@@ -58,7 +58,12 @@ func create(cl *client.Client, path string, opts client.WriteOptions, mode proto
 
 func writeFile(t *testing.T, cl *client.Client, path string, data []byte, mode proto.WriteMode) {
 	t.Helper()
-	w, err := create(cl, path, testWriteOptions(), mode)
+	writeFileWith(t, cl, path, data, testWriteOptions(), mode)
+}
+
+func writeFileWith(t *testing.T, cl *client.Client, path string, data []byte, opts client.WriteOptions, mode proto.WriteMode) {
+	t.Helper()
+	w, err := create(cl, path, opts, mode)
 	if err != nil {
 		t.Fatalf("create %s: %v", path, err)
 	}
@@ -121,6 +126,7 @@ func TestHDFSWriteReadRoundTrip(t *testing.T) {
 	if !info.Complete || info.Len != int64(len(data)) || info.NumBlocks != 5 {
 		t.Fatalf("file info = %+v", info)
 	}
+	roundTripSmallPackets(t, cl, proto.ModeHDFS)
 }
 
 func TestSmarthWriteReadRoundTrip(t *testing.T) {
@@ -132,6 +138,21 @@ func TestSmarthWriteReadRoundTrip(t *testing.T) {
 	data := randomData(2, 2<<20+777)
 	writeFile(t, cl, "/smarth-file", data, proto.ModeSmarth)
 	verifyFile(t, cl, "/smarth-file", data)
+	roundTripSmallPackets(t, cl, proto.ModeSmarth)
+}
+
+// roundTripSmallPackets writes a file at R3 in 1 KiB packets — payloads
+// under proto's borrowMin, so each frame carries its payload copied in
+// behind its checksums rather than as a second write vector — ending in
+// a partial chunk, and reads it back byte-exact.
+func roundTripSmallPackets(t *testing.T, cl *client.Client, mode proto.WriteMode) {
+	t.Run("1KiB-packets", func(t *testing.T) {
+		opts := client.WriteOptions{Replication: 3, BlockSize: 64 << 10, PacketSize: 1 << 10}
+		data := randomData(20, 3*64<<10+5300) // 4 blocks, the last ending 180 B into a chunk
+		path := fmt.Sprintf("/small-packets-%v", mode)
+		writeFileWith(t, cl, path, data, opts, mode)
+		verifyFile(t, cl, path, data)
+	})
 }
 
 func TestSmarthRecordsSpeeds(t *testing.T) {

@@ -94,15 +94,10 @@ func (dn *Datanode) handleRead(pc *proto.Conn, hdr *proto.ReadBlockHeader) {
 // r.RawSums() as they were stored, which WritePacket copies into the
 // frame — no decode, no re-encode.
 //
-// The stream is corked so small reads coalesce. The buffer is pooled (one
-// checkout per call, zero per packet) and the deferred uncork covers
-// every return path — the Last packet flushes through the cork on the
-// happy path, the uncork flushes whatever a failed stream left behind.
+// The buffer is pooled: one checkout per call, zero per packet.
 func (dn *Datanode) sendReplica(pc *proto.Conn, r storage.Replica, start, end int64, span *obs.Span) error {
 	const cs, sumSize = checksum.DefaultChunkSize, checksum.BytesPerChecksum
 	sums := r.RawSums()
-	_ = pc.SetCork(true)
-	defer func() { _ = pc.SetCork(false) }()
 	bp := bufpool.Get(proto.DefaultPacketSize)
 	defer bufpool.Put(bp)
 	buf := *bp

@@ -113,16 +113,9 @@ func (dn *Datanode) handleWrite(up *proto.Conn, hdr *proto.WriteBlockHeader) {
 	// --- forwarder ---
 	go func() {
 		defer wg.Done()
-		// Cork the mirror: packets coalesce in the write buffer and
-		// reach the wire when it fills or on the Last packet. The
-		// reverse ack channel is a separate conn, so nothing
-		// latency-sensitive sits behind the cork.
-		_ = mirror.SetCork(true)
 		for {
 			pkt, ok := queue.pop()
 			if !ok {
-				// Drained (or broken): push out anything still corked.
-				_ = mirror.Flush()
 				return
 			}
 			err := mirror.WritePacket(pkt)

@@ -466,8 +466,8 @@ func TestStaleGenerationRefusedAtSetup(t *testing.T) {
 // an interior hop adds a forwarder and an ack relay. When the block is
 // done, all of them are gone.
 func TestGoroutinesPerPipeline(t *testing.T) {
-	// 4 KB payloads leave a corked forwarder at once, so packet 0's ack
-	// comes back before the block ends.
+	// Every packet leaves the forwarder as it is framed, so packet 0's
+	// ack comes back before the block ends.
 	pkts := packetsOf(randomBytes(4, 8<<10), 4<<10)
 	for _, tc := range []struct {
 		name string

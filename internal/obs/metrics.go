@@ -338,28 +338,23 @@ func (r *Registry) Render(w io.Writer) {
 }
 
 // ConnMetrics is the frame-level counter set a framed connection
-// (proto.Conn) feeds: byte and frame volume each way, eager flushes,
-// and frames left buffered behind a cork. Any field may be nil (no-op);
-// a nil *ConnMetrics disables the whole set.
+// (proto.Conn) feeds: byte and frame volume each way. Any field may be
+// nil (no-op); a nil *ConnMetrics disables the whole set.
 type ConnMetrics struct {
-	BytesIn      *Counter
-	BytesOut     *Counter
-	FramesIn     *Counter
-	FramesOut    *Counter
-	Flushes      *Counter // frames pushed to the wire eagerly (headers, acks, Last packets, uncorked data)
-	CorkedFrames *Counter // data frames that stayed buffered behind a cork
+	BytesIn   *Counter
+	BytesOut  *Counter
+	FramesIn  *Counter
+	FramesOut *Counter
 }
 
 // NewConnMetrics registers the standard conn counters on c ("bytes_in",
-// "bytes_out", "frames_in", "frames_out", "flushes", "corked_frames").
-// A nil component yields all-nil (no-op) counters.
+// "bytes_out", "frames_in", "frames_out"). A nil component yields
+// all-nil (no-op) counters.
 func NewConnMetrics(c *Component) *ConnMetrics {
 	return &ConnMetrics{
-		BytesIn:      c.Counter("bytes_in"),
-		BytesOut:     c.Counter("bytes_out"),
-		FramesIn:     c.Counter("frames_in"),
-		FramesOut:    c.Counter("frames_out"),
-		Flushes:      c.Counter("flushes"),
-		CorkedFrames: c.Counter("corked_frames"),
+		BytesIn:   c.Counter("bytes_in"),
+		BytesOut:  c.Counter("bytes_out"),
+		FramesIn:  c.Counter("frames_in"),
+		FramesOut: c.Counter("frames_out"),
 	}
 }

@@ -137,7 +137,7 @@ func TestNilSafety(t *testing.T) {
 	reg.Render(&strings.Builder{})
 	m := NewConnMetrics(nil)
 	m.BytesIn.Add(1)
-	m.Flushes.Inc()
+	m.FramesOut.Inc()
 }
 
 func TestRegistryRender(t *testing.T) {

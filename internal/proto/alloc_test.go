@@ -2,7 +2,6 @@ package proto
 
 import (
 	"bytes"
-	"io"
 	"sync"
 	"testing"
 
@@ -211,109 +210,59 @@ func TestVerifyEncodedAllocs(t *testing.T) {
 	}
 }
 
-// flushCounter counts Write calls reaching the underlying transport —
-// with bufio in between, each flush is at most one Write (plus extra
-// writes only when a frame overflows the bufio buffer).
-type flushCounter struct {
+// writeCounter counts the Write calls that reach the underlying stream.
+type writeCounter struct {
 	bytes.Buffer
 	writes int
 }
 
-func (f *flushCounter) Write(p []byte) (int, error) {
-	f.writes++
-	return f.Buffer.Write(p)
+func (w *writeCounter) Write(p []byte) (int, error) {
+	w.writes++
+	return w.Buffer.Write(p)
 }
 
-// Corked data packets must coalesce into few transport writes; the Last
-// packet must flush even while corked, and acks must always flush.
-func TestCorkCoalescesDataFlushes(t *testing.T) {
-	small := make([]byte, 256) // far below the bufio buffer size
+// Every frame is on the stream when the call that framed it returns: a
+// header, an ack, and each packet whose payload is copied in behind its
+// checksums cost exactly one Write, Last or not, and read back intact.
+func TestOneWritePerFrame(t *testing.T) {
+	small := make([]byte, 256) // below borrowMin, so it is copied into the frame
+	for i := range small {
+		small[i] = byte(i * 7)
+	}
 	sums := checksum.Sum(small, DefaultChunkSize)
-
-	var plain flushCounter
-	c := NewConn(&plain)
-	for i := 0; i < 8; i++ {
-		if err := c.WritePacket(&Packet{Seqno: int64(i), Sums: sums, Data: small}); err != nil {
-			t.Fatal(err)
+	var w writeCounter
+	c := NewConn(&w)
+	want := 0
+	step := func(what string, err error) {
+		t.Helper()
+		if err != nil {
+			t.Fatalf("%s: %v", what, err)
+		}
+		if want++; w.writes != want {
+			t.Fatalf("after the %s: %d transport writes, want %d", what, w.writes, want)
 		}
 	}
-	if plain.writes < 8 {
-		t.Fatalf("uncorked: %d transport writes for 8 packets, want >=8 (eager flush)", plain.writes)
-	}
-
-	var corked flushCounter
-	c2 := NewConn(&corked)
-	if err := c2.SetCork(true); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 8; i++ {
-		if err := c2.WritePacket(&Packet{Seqno: int64(i), Sums: sums, Data: small}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if corked.writes != 0 {
-		t.Fatalf("corked: %d transport writes before uncork, want 0", corked.writes)
-	}
-	if err := c2.SetCork(false); err != nil {
-		t.Fatal(err)
-	}
-	if corked.writes == 0 {
-		t.Fatal("uncork did not flush")
-	}
-
-	// Last packet flushes despite the cork.
-	var last flushCounter
-	c3 := NewConn(&last)
-	if err := c3.SetCork(true); err != nil {
-		t.Fatal(err)
-	}
-	if err := c3.WritePacket(&Packet{Seqno: 0, Last: true, Sums: sums, Data: small}); err != nil {
-		t.Fatal(err)
-	}
-	if last.writes == 0 {
-		t.Fatal("Last packet did not flush through a corked conn")
-	}
-
-	// Acks flush despite the cork.
-	var ack flushCounter
-	c4 := NewConn(&ack)
-	if err := c4.SetCork(true); err != nil {
-		t.Fatal(err)
-	}
-	if err := c4.WriteAck(&Ack{Kind: AckData, Seqno: 1, Statuses: []Status{StatusSuccess}}); err != nil {
-		t.Fatal(err)
-	}
-	if ack.writes == 0 {
-		t.Fatal("ack did not flush through a corked conn")
-	}
-}
-
-// Round-trip through the cork: everything written corked must arrive
-// intact once the stream ends with a Last packet.
-func TestCorkedStreamRoundTrip(t *testing.T) {
-	var buf duplex
-	w := NewConn(&buf)
-	if err := w.SetCork(true); err != nil {
-		t.Fatal(err)
-	}
-	const n = 5
-	data := make([]byte, 4096)
-	for i := range data {
-		data[i] = byte(i * 7)
-	}
-	sums := checksum.Sum(data, DefaultChunkSize)
+	step("header", c.WriteHeader(OpReadBlock, &ReadBlockHeader{Offset: 512, Length: 4096}))
+	const n = 8
 	for i := 0; i < n; i++ {
-		if err := w.WritePacket(&Packet{Seqno: int64(i), Offset: int64(i) * 4096, Last: i == n-1, Sums: sums, Data: data}); err != nil {
-			t.Fatal(err)
-		}
+		step("packet", c.WritePacket(&Packet{Seqno: int64(i), Offset: int64(i) * 256, Last: i == n-1, Sums: sums, Data: small}))
 	}
-	r := NewConn(&buf)
+	step("ack", c.WriteAck(&Ack{Kind: AckData, Seqno: n - 1, Statuses: []Status{StatusSuccess}}))
+
+	r := NewConn(&w.Buffer)
+	op, h, err := r.ReadHeader()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rh, ok := h.(*ReadBlockHeader); op != OpReadBlock || !ok || rh.Offset != 512 || rh.Length != 4096 {
+		t.Fatalf("header corrupted: %v %+v", op, h)
+	}
 	for i := 0; i < n; i++ {
 		p, err := r.ReadPacket()
 		if err != nil {
 			t.Fatalf("packet %d: %v", i, err)
 		}
-		if p.Seqno != int64(i) || !bytes.Equal(p.Data, data) {
+		if p.Seqno != int64(i) || p.Last != (i == n-1) || !bytes.Equal(p.Data, small) {
 			t.Fatalf("packet %d corrupted", i)
 		}
 		if err := checksum.VerifyEncoded(p.Data, p.RawSums, DefaultChunkSize); err != nil {
@@ -321,8 +270,12 @@ func TestCorkedStreamRoundTrip(t *testing.T) {
 		}
 		p.Release()
 	}
-	if _, err := r.ReadPacket(); err != io.EOF { //smarth:owns-packet — EOF expected, no packet allocated
-		t.Fatalf("trailing read err = %v, want EOF", err)
+	a, err := r.ReadAck()
+	if err != nil || a.Seqno != n-1 || !a.OK() {
+		t.Fatalf("ack = %+v, %v", a, err)
+	}
+	if w.Len() != 0 {
+		t.Fatalf("%d trailing bytes on the stream", w.Len())
 	}
 }
 

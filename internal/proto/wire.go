@@ -32,25 +32,18 @@ type deadlineSetter interface {
 }
 
 // buffersWriter is implemented by streams that can emit a vector of
-// buffers in one gather call (writev on the TCP substrate). The frame
-// writer duck-types on it at flush time; streams without it get
-// sequential writes, which is behaviorally identical.
+// buffers in one gather call (writev on the TCP substrate). A frame with
+// a borrowed payload goes out through it when the stream has it; streams
+// without it get sequential writes, which is behaviorally identical.
 type buffersWriter interface {
 	WriteBuffers(*net.Buffers) (int64, error)
 }
 
 const (
-	// borrowMin is the smallest frame tail worth sending as its own
-	// write vector. Tails at least this large are borrowed (zero-copy)
-	// and force a flush before writeFrame returns, which is what keeps
-	// WritePacket's "never retains any field" contract true; smaller
-	// tails are copied into the staging buffer so tiny frames coalesce.
+	// borrowMin is the smallest frame tail sent as its own write vector,
+	// straight from the caller's buffer (zero-copy). Smaller tails are
+	// copied in behind the frame head, so the frame leaves as one Write.
 	borrowMin = 4 << 10
-
-	// defaultCorkBytes is the pending-byte threshold at which a corked
-	// conn flushes anyway. Matches the write-buffer size the pre-vectored
-	// implementation flushed at.
-	defaultCorkBytes = 128 << 10
 
 	// directReadMin is the smallest body remainder read straight from
 	// the underlying stream instead of through the read buffer, skipping
@@ -69,118 +62,28 @@ const (
 	packetHeaderSize = 25
 )
 
-// wspan is one pending write vector: either a range of frameWriter.stage
-// (ext nil) or a borrowed external buffer. Stage spans hold offsets, not
-// slices, so stage may reallocate while spans are pending.
-type wspan struct {
-	ext      []byte
-	off, end int
-}
-
-// frameWriter accumulates frames as write vectors and emits them in one
-// gather write per flush. Small byte runs are copied into stage (adjacent
-// runs merge into one span); large payloads are borrowed and flushed
-// before the caller regains ownership.
-type frameWriter struct {
-	w  io.Writer
-	bw buffersWriter // non-nil when w supports gather writes
-
-	stage   []byte
-	spans   []wspan
-	pending int
-
-	vecs   [][]byte    // flush scratch; cleared of refs after use
-	gather net.Buffers // header handed to WriteBuffers, which advances it
-}
-
-// stageBytes copies p into the staging buffer, merging with the previous
-// span when contiguous.
-func (f *frameWriter) stageBytes(p []byte) {
-	if len(p) == 0 {
-		return
-	}
-	off := len(f.stage)
-	f.stage = append(f.stage, p...)
-	if n := len(f.spans); n > 0 && f.spans[n-1].ext == nil && f.spans[n-1].end == off {
-		f.spans[n-1].end = len(f.stage)
-	} else {
-		f.spans = append(f.spans, wspan{off: off, end: len(f.stage)})
-	}
-	f.pending += len(p)
-}
-
-// borrow appends p as its own vector without copying. The caller must
-// flush before p's owner may reuse it.
-func (f *frameWriter) borrow(p []byte) {
-	if len(p) == 0 {
-		return
-	}
-	f.spans = append(f.spans, wspan{ext: p})
-	f.pending += len(p)
-}
-
-// flush writes every pending span — one writev when the stream supports
-// gather writes, sequential writes otherwise — and resets the writer.
-// External buffer references are dropped either way.
-func (f *frameWriter) flush() error {
-	if len(f.spans) == 0 {
-		return nil
-	}
-	f.vecs = f.vecs[:0]
-	for _, s := range f.spans {
-		if s.ext != nil {
-			f.vecs = append(f.vecs, s.ext)
-		} else {
-			f.vecs = append(f.vecs, f.stage[s.off:s.end])
-		}
-	}
-	var err error
-	if f.bw != nil && len(f.vecs) > 1 {
-		// Hand WriteBuffers its own slice header: it advances (and may
-		// re-slice entries of) whatever it is given, and f.vecs must keep
-		// spanning the whole backing array so the cleanup below sees every
-		// entry.
-		f.gather = f.vecs
-		_, err = f.bw.WriteBuffers(&f.gather)
-		f.gather = nil
-	} else {
-		for _, v := range f.vecs {
-			if _, werr := f.w.Write(v); werr != nil {
-				err = werr
-				break
-			}
-		}
-	}
-	// Drop payload references: pending borrowed buffers must not outlive
-	// the flush (their owners recycle them).
-	for i := range f.vecs {
-		f.vecs[i] = nil
-	}
-	f.vecs = f.vecs[:0]
-	f.spans = f.spans[:0]
-	f.stage = f.stage[:0]
-	f.pending = 0
-	return err
-}
-
 // Conn wraps a stream with buffered, frame-oriented message I/O. It is
 // safe for one concurrent reader and one concurrent writer, which matches
 // pipeline usage (packets flow one way, acks the other on a second Conn).
+// Every frame is on the stream before the call that framed it returns.
 type Conn struct {
 	r   *bufio.Reader
-	raw io.ReadWriter // underlying stream, for scatter body reads
-	fw  frameWriter
+	raw io.ReadWriter // underlying stream: scatter body reads, frame writes
+	bw  buffersWriter // non-nil when raw supports gather writes
 	c   io.Closer
 	d   deadlineSetter
 
-	// corked suppresses the per-data-packet flush (see SetCork); owned by
-	// the writing side, like fw.
-	corked bool
+	// wbuf holds the frame being written — length prefix, head, and any
+	// tail under borrowMin — and is reused across frames. vecs and
+	// gather hand a frame with a borrowed tail to WriteBuffers. All
+	// three belong to the writing side.
+	wbuf   []byte
+	vecs   [2][]byte
+	gather net.Buffers
 
-	// whdr/rhdr are length-prefix scratch and phdr is ReadPacketInto's
+	// rhdr is length-prefix scratch and phdr is ReadPacketInto's
 	// packet-header scratch — fields rather than locals so they don't
 	// escape per frame.
-	whdr [4]byte
 	rhdr [4]byte
 	phdr [packetHeaderSize]byte
 
@@ -191,9 +94,9 @@ type Conn struct {
 	ackStatuses []Status
 
 	// metrics, when set, receives frame-level counters (bytes and frames
-	// each way, flushes, corked frames). All increments are atomic and
-	// allocation-free, so metrics may stay attached on the hot path; one
-	// ConnMetrics may be shared by many conns to aggregate per component.
+	// each way). All increments are atomic and allocation-free, so
+	// metrics may stay attached on the hot path; one ConnMetrics may be
+	// shared by many conns to aggregate per component.
 	metrics *obs.ConnMetrics
 
 	// timeout, measured on clk, bounds each frame read and each frame
@@ -206,19 +109,19 @@ type Conn struct {
 
 // NewConn wraps rw. If rw is an io.Closer, Close closes it; if it
 // supports deadlines, per-operation timeouts become available; if it
-// supports gather writes (WriteBuffers), frames go out as one writev.
+// supports gather writes (WriteBuffers), a frame with a borrowed payload
+// goes out as one writev.
 func NewConn(rw io.ReadWriter) *Conn {
 	c, _ := rw.(io.Closer)
 	d, _ := rw.(deadlineSetter)
 	bw, _ := rw.(buffersWriter)
-	cn := &Conn{
+	return &Conn{
 		r:   bufio.NewReaderSize(rw, readBufSize),
 		raw: rw,
-		fw:  frameWriter{w: rw, bw: bw},
+		bw:  bw,
 		c:   c,
 		d:   d,
 	}
-	return cn
 }
 
 // armRead applies the per-operation read deadline, if any.
@@ -243,74 +146,59 @@ func (c *Conn) Close() error {
 	return nil
 }
 
-// Flush forces buffered writes onto the wire.
-func (c *Conn) Flush() error { return c.flushPending() }
-
-// SetCork toggles corked output. While corked, data packets are not
-// flushed per frame: small frames accumulate and reach the wire once
-// defaultCorkBytes are pending, when a Last packet is written, or on an
-// explicit Flush. Large packet payloads always flush —
-// they are borrowed zero-copy and must not outlive WritePacket — so the
-// cork only ever delays cheap-to-buffer control-sized frames. Headers
-// and acks always flush eagerly regardless: they are latency-sensitive
-// control traffic (pipeline setup, per-packet acks, the FNFA) that must
-// never sit behind a cork. Uncorking flushes whatever is pending.
-//
-// Like writes themselves, SetCork belongs to the Conn's single writing
-// goroutine.
-func (c *Conn) SetCork(on bool) error {
-	c.corked = on
-	if !on {
-		return c.flushPending()
+// beginFrame starts a frame in the conn's write buffer: it returns the
+// buffer holding the (not yet filled) length prefix, with room for a head
+// of head bytes and, when it will be copied in, a tail of tail bytes.
+func (c *Conn) beginFrame(head, tail int) []byte {
+	n := 4 + head
+	if tail < borrowMin {
+		n += tail
 	}
-	return nil
+	if cap(c.wbuf) < n {
+		c.wbuf = make([]byte, 0, n)
+	}
+	return c.wbuf[:4]
 }
 
-// flushPending arms the write deadline and pushes every pending span to
-// the wire in one gather write.
-func (c *Conn) flushPending() error {
-	if c.fw.pending == 0 && len(c.fw.spans) == 0 {
-		return nil
-	}
-	c.armWrite()
-	return c.fw.flush()
-}
-
-// writeFrame stages one length-prefixed frame whose payload is the
-// concatenation of head and tail (either may be empty). head is copied
-// into the staging buffer; a tail of borrowMin or more rides as its own
-// write vector straight from the caller's buffer, never memcpy'd, at the
-// cost of an immediate flush (the caller owns tail again when we
-// return). flush=false leaves small frames pending (corked packet
-// traffic) until defaultCorkBytes have accumulated.
-func (c *Conn) writeFrame(head, tail []byte, flush bool) error {
-	n := len(head) + len(tail)
+// writeFrame sends one length-prefixed frame: buf is a frame begun by
+// beginFrame with its head appended, and tail is the rest of the payload.
+// A tail under borrowMin is copied in behind the head and the frame
+// leaves as one Write; a longer one is borrowed, never copied, and the
+// frame leaves as one two-vector gather write (two Writes on a stream
+// without WriteBuffers). Nothing is retained: the caller owns tail again
+// when writeFrame returns.
+func (c *Conn) writeFrame(buf, tail []byte) error {
+	n := len(buf) - 4 + len(tail)
 	if n > MaxFrame {
 		return fmt.Errorf("proto: frame of %d bytes exceeds max %d", n, MaxFrame)
 	}
-	binary.BigEndian.PutUint32(c.whdr[:], uint32(n))
-	c.fw.stageBytes(c.whdr[:])
-	c.fw.stageBytes(head)
-	borrowed := len(tail) >= borrowMin
-	if borrowed {
-		c.fw.borrow(tail)
-	} else {
-		c.fw.stageBytes(tail)
+	binary.BigEndian.PutUint32(buf, uint32(n))
+	if len(tail) < borrowMin {
+		buf, tail = append(buf, tail...), nil
 	}
+	c.wbuf = buf[:0]
 	if m := c.metrics; m != nil {
 		m.FramesOut.Inc()
 		m.BytesOut.Add(int64(4 + n))
 	}
-	if !flush && !borrowed && c.fw.pending < defaultCorkBytes {
-		if m := c.metrics; m != nil {
-			m.CorkedFrames.Inc()
+	c.armWrite()
+	var err error
+	switch {
+	case tail == nil:
+		_, err = c.raw.Write(buf)
+	case c.bw != nil:
+		// WriteBuffers advances the header it is handed; the payload
+		// reference is dropped once the write is done.
+		c.vecs = [2][]byte{buf, tail}
+		c.gather = c.vecs[:]
+		_, err = c.bw.WriteBuffers(&c.gather)
+		c.vecs, c.gather = [2][]byte{}, nil
+	default:
+		if _, err = c.raw.Write(buf); err == nil {
+			_, err = c.raw.Write(tail)
 		}
-		return nil
 	}
-	if m := c.metrics; m != nil {
-		m.Flushes.Inc()
-	}
-	return c.flushPending()
+	return err
 }
 
 // readBody scatter-fills dst with the current frame's body: buffered
@@ -398,10 +286,9 @@ func (c *Conn) readFrame() (*[]byte, error) {
 // --- operation headers ---
 
 // WriteHeader sends an operation header frame: version, op, payload.
-// Headers always flush — they open a pipeline and the peer is waiting.
 func (c *Conn) WriteHeader(op Op, h any) error {
-	// Pre-size the encode scratch so headers with long target lists never
-	// grow mid-append; the buffer itself is pooled.
+	// Pre-size the frame so headers with long target lists never grow
+	// mid-append.
 	need := 2 + 24 + 2 + 8 + 2 + 16
 	if wh, ok := h.(*WriteBlockHeader); ok {
 		need += len(wh.Client)
@@ -409,9 +296,7 @@ func (c *Conn) WriteHeader(op Op, h any) error {
 			need += 6 + len(t.Name) + len(t.Addr) + len(t.Rack)
 		}
 	}
-	bp := bufpool.GetCap(need)
-	defer bufpool.Put(bp)
-	buf := append(*bp, Version, byte(op))
+	buf := append(c.beginFrame(need, 0), Version, byte(op))
 	switch op {
 	case OpWriteBlock:
 		wh, ok := h.(*WriteBlockHeader)
@@ -437,8 +322,7 @@ func (c *Conn) WriteHeader(op Op, h any) error {
 	default:
 		return fmt.Errorf("proto: unknown op %v", op)
 	}
-	*bp = buf
-	return c.writeFrame(buf, nil, true)
+	return c.writeFrame(buf, nil)
 }
 
 // ReadHeader reads an operation header frame and returns the op plus the
@@ -500,15 +384,14 @@ func midFrame(err error) error {
 	return err
 }
 
-// WritePacket frames and sends a data packet. Only the packet header and
-// checksums pass through a (pooled) scratch buffer; p.Data rides as its
-// own write vector, so the payload is never copied into a frame — one
-// writev moves header, checksums, and payload together on streams with
-// gather support. When both RawSums and Sums are set, RawSums wins — a
+// WritePacket frames and sends a data packet. The packet header and
+// checksums are encoded straight into the conn's frame buffer; a payload
+// of borrowMin or more rides as its own write vector, never copied into
+// the frame — one writev moves header, checksums, and payload together
+// on streams with gather support — and a smaller one is copied in behind
+// the checksums. When both RawSums and Sums are set, RawSums wins — a
 // forwarding datanode re-emits the wire bytes it received without
-// re-encoding. The frame is flushed unless the Conn is corked; a Last
-// packet always flushes (the peer is about to commit the block on it),
-// and so does any packet whose payload is borrowed rather than staged.
+// re-encoding.
 func (c *Conn) WritePacket(p *Packet) error {
 	sumBytes := len(p.RawSums)
 	nSums := sumBytes / checksum.BytesPerChecksum
@@ -516,9 +399,7 @@ func (c *Conn) WritePacket(p *Packet) error {
 		nSums = len(p.Sums)
 		sumBytes = nSums * checksum.BytesPerChecksum
 	}
-	bp := bufpool.GetCap(packetHeaderSize + sumBytes)
-	defer bufpool.Put(bp)
-	buf := *bp
+	buf := c.beginFrame(packetHeaderSize+sumBytes, len(p.Data))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Seqno))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(p.Offset))
 	var flags byte
@@ -533,8 +414,7 @@ func (c *Conn) WritePacket(p *Packet) error {
 	} else {
 		buf = checksum.Encode(buf, p.Sums)
 	}
-	*bp = buf
-	return c.writeFrame(buf, p.Data, !c.corked || p.Last)
+	return c.writeFrame(buf, p.Data)
 }
 
 // Lender designates, packet by packet, the memory a received payload
@@ -625,21 +505,15 @@ func (c *Conn) ReadPacketInto(to Lender) (*Packet, error) {
 
 // --- acks ---
 
-// WriteAck frames and sends a pipeline ack. Acks always flush: they are
-// the latency-critical reverse traffic (per-packet acks and the FNFA)
-// that corked data must never delay.
+// WriteAck frames and sends a pipeline ack.
 func (c *Conn) WriteAck(a *Ack) error {
-	bp := bufpool.GetCap(11 + len(a.Statuses))
-	defer bufpool.Put(bp)
-	buf := *bp
-	buf = append(buf, byte(a.Kind))
+	buf := append(c.beginFrame(11+len(a.Statuses), 0), byte(a.Kind))
 	buf = binary.BigEndian.AppendUint64(buf, uint64(a.Seqno))
 	buf = binary.BigEndian.AppendUint16(buf, uint16(len(a.Statuses)))
 	for _, s := range a.Statuses {
 		buf = append(buf, byte(s))
 	}
-	*bp = buf
-	return c.writeFrame(buf, nil, true)
+	return c.writeFrame(buf, nil)
 }
 
 // ReadAck reads one pipeline ack. The returned *Ack is owned by the

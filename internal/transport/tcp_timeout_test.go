@@ -214,7 +214,7 @@ func TestReadDeadlineRecoveryParity(t *testing.T) {
 }
 
 // The tuned TCP conn advertises writev support: the transport's Conn
-// must expose WriteBuffers so the proto frame writer can gather frames
+// must expose WriteBuffers so proto.Conn can gather a frame
 // into one syscall, and the gathered bytes must arrive in order.
 func TestTCPWriteBuffers(t *testing.T) {
 	done := make(chan []byte, 1)

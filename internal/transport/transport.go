@@ -329,9 +329,10 @@ func (n *MemNetwork) Heal(addr string) {
 // TCPTuning configures socket-level options applied to every dialed and
 // accepted connection. The zero value leaves the kernel defaults alone;
 // DefaultTCPTuning is what NewTCPNetwork uses. TCP_NODELAY is always on
-// (Go's default for every TCP conn): the proto layer already coalesces
-// small frames behind its own cork, so Nagle's delay would only add
-// ack-bound latency to pipeline setup and per-packet acks.
+// (Go's default for every TCP conn; nothing here sets it): the proto
+// layer already hands each frame to the socket in one write, so Nagle's
+// delay would only add ack-bound latency to pipeline setup and
+// per-packet acks.
 type TCPTuning struct {
 	// ReadBuffer and WriteBuffer size SO_RCVBUF / SO_SNDBUF in bytes;
 	// 0 keeps the kernel default. Large buffers let one writer keep a
