@@ -11,8 +11,8 @@ test:
 vet:
 	$(GO) vet ./...
 
-# The repo's own invariants-as-code suite (DESIGN.md §13): packet/buffer
-# ownership, the namenode's one lock, sim determinism, obs nil-safety.
+# The repo's own invariants-as-code suite (DESIGN.md §13): the namenode's
+# one lock, sim determinism, obs nil-safety.
 lint:
 	$(GO) run ./cmd/smarth-vet ./...
 

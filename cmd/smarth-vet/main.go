@@ -1,7 +1,7 @@
 // Command smarth-vet is the multichecker for the repo's
-// invariants-as-code suite (internal/analysis): packetrelease,
-// lockorder, simdeterminism, and obsnilsafe. It takes go list package
-// patterns (default ./...) and always runs all four analyzers:
+// invariants-as-code suite (internal/analysis): lockorder,
+// simdeterminism, and obsnilsafe. It takes go list package patterns
+// (default ./...) and always runs all three analyzers:
 //
 //	smarth-vet ./...
 //	smarth-vet ./internal/namenode
@@ -21,13 +21,11 @@ import (
 	"repro/internal/analysis"
 	"repro/internal/analysis/lockorder"
 	"repro/internal/analysis/obsnilsafe"
-	"repro/internal/analysis/packetrelease"
 	"repro/internal/analysis/simdeterminism"
 )
 
 // suite is the full analyzer set smarth-vet ships.
 var suite = []*analysis.Analyzer{
-	packetrelease.Analyzer,
 	lockorder.Analyzer,
 	simdeterminism.Analyzer,
 	obsnilsafe.Analyzer,

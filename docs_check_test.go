@@ -49,10 +49,8 @@ var fullyDocumentedPackages = []string{
 	"internal/policy",
 	"internal/analysis",
 	"internal/analysis/analysistest",
-	"internal/analysis/flow",
 	"internal/analysis/lockorder",
 	"internal/analysis/obsnilsafe",
-	"internal/analysis/packetrelease",
 	"internal/analysis/simdeterminism",
 }
 

@@ -3,14 +3,13 @@
 // an Analyzer runs over one type-checked package (a Pass) and reports
 // position-anchored Diagnostics. The build environment pins a
 // dependency-free go.mod, so instead of importing x/tools the package
-// provides the same shape — Analyzer/Pass/Diagnostic, a `go list
-// -export`-backed loader (load.go), and a structured-control-flow
-// walker (internal/analysis/flow) standing in for the CFG/SSA passes.
+// provides the same shape — Analyzer/Pass/Diagnostic and a `go list
+// -export`-backed loader (load.go).
 //
-// The four production analyzers live in subpackages (packetrelease,
-// lockorder, simdeterminism, obsnilsafe) and are wired into a
-// multichecker by cmd/smarth-vet; DESIGN.md §13 states the invariant
-// each one encodes and its known intra-procedural limits. Analyzer
+// The three production analyzers live in subpackages (lockorder,
+// simdeterminism, obsnilsafe) and are wired into a multichecker by
+// cmd/smarth-vet; DESIGN.md §13 states the invariant each one encodes
+// and its known intra-procedural limits. Analyzer
 // escape hatches are magic comments of the form `//smarth:<name>`
 // (see Pass.AnnotatedAt).
 package analysis
@@ -73,7 +72,7 @@ type annotKey struct {
 }
 
 // Reportf records a finding at pos. Duplicate (pos, message) pairs are
-// coalesced, so flow-based analyzers may safely revisit loop bodies.
+// coalesced.
 func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 	if p.diags == nil {
 		p.diags = make(map[string]Diagnostic)

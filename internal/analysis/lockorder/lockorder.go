@@ -2,9 +2,8 @@
 // namenode's one-lock rule (DESIGN.md §12): Namenode.mu is the only
 // namenode mutex, exported methods take it, and nothing that runs while
 // it is held takes it again — sync.Mutex is not reentrant, so a second
-// acquire is a self-deadlock. The analyzer runs a forward walk over each
-// function body (internal/analysis/flow) tracking whether the lock is
-// held and reports:
+// acquire is a self-deadlock. The analyzer walks each function body's
+// calls in source order, counting the acquisitions held, and reports:
 //
 //   - acquiring Namenode.mu while already holding it;
 //   - calling, while holding it, a *Namenode method whose body takes
@@ -12,26 +11,27 @@
 //     same deadlock one call away (an RPC handler calling another
 //     handler).
 //
-// The lock is recognized structurally: `x.mu.Lock()` (and TryLock/
-// RLock) where x's type is named Namenode and mu is a sync mutex. A
-// TryLock used as an if condition acquires only on the taken branch.
-// Unlock/RUnlock releases; a deferred Unlock is treated as held until
-// return. A call in a go statement, in a deferred call or in a function
-// literal does not run under the caller's lock and is not reported.
+// The lock is recognized structurally: `x.mu.Lock()` (or RLock) where
+// x's type is named Namenode and mu is a sync mutex; Unlock/RUnlock
+// releases, and a deferred Unlock is treated as held until return. A
+// nested block starts from the count where it begins and leaves it
+// unchanged for the code after it, so a branch that unlocks and returns
+// keeps the lock held below it. A call in a go statement, in a deferred
+// call or in a function literal does not run under the caller's lock
+// and is not reported.
 //
 // Known limits (DESIGN.md §13): which methods lock is worked out from
 // the package's own method bodies — a lock taken through an interface
-// or a function value is invisible — and goto-using functions are
-// skipped.
+// or a function value is invisible. A lock released on both arms of an
+// if/else still counts as held after it, so a locking call there is
+// reported although it is safe; the tree has no such shape.
 package lockorder
 
 import (
 	"go/ast"
-	"go/token"
 	"go/types"
 
 	"repro/internal/analysis"
-	"repro/internal/analysis/flow"
 )
 
 // Analyzer is the lockorder analysis entry point.
@@ -48,16 +48,12 @@ const (
 	lockField = "mu"
 )
 
-// held counts Namenode.mu acquisitions on the current path.
-type held int
-
 // op classifies a call as an operation on Namenode.mu.
 type op int
 
 const (
 	notLock op = iota
 	acquire
-	tryAcquire
 	release
 )
 
@@ -69,12 +65,12 @@ func run(pass *analysis.Pass) error {
 			if !ok || fd.Body == nil {
 				continue
 			}
-			analyzeBody(pass, locking, fd.Body)
+			walk(pass, locking, fd.Body, 0)
 			ast.Inspect(fd.Body, func(n ast.Node) bool {
 				if lit, ok := n.(*ast.FuncLit); ok {
 					// A literal starts with the lock not held: goroutines
 					// and callbacks run on their own.
-					analyzeBody(pass, locking, lit.Body)
+					walk(pass, locking, lit.Body, 0)
 				}
 				return true
 			})
@@ -117,7 +113,7 @@ func lockingMethods(pass *analysis.Pass) map[*types.Func]bool {
 func takesLock(pass *analysis.Pass, locking map[*types.Func]bool, body *ast.BlockStmt) bool {
 	found := false
 	inspectCalls(body, func(call *ast.CallExpr) {
-		if o := mutexOp(pass, call); o == acquire || o == tryAcquire || locking[calledMethod(pass, call)] {
+		if mutexOp(pass, call) == acquire || locking[calledMethod(pass, call)] {
 			found = true
 		}
 	})
@@ -184,8 +180,6 @@ func mutexOp(pass *analysis.Pass, call *ast.CallExpr) op {
 	switch sel.Sel.Name {
 	case "Lock", "RLock":
 		return acquire
-	case "TryLock", "TryRLock":
-		return tryAcquire
 	case "Unlock", "RUnlock":
 		return release
 	}
@@ -207,65 +201,39 @@ func isMutexField(info *types.Info, sel *ast.SelectorExpr) bool {
 	return named.Obj().Pkg().Path() == "sync" && (name == "Mutex" || name == "RWMutex")
 }
 
-type fctx struct {
-	pass    *analysis.Pass
-	locking map[*types.Func]bool
-}
-
-func analyzeBody(pass *analysis.Pass, locking map[*types.Func]bool, body *ast.BlockStmt) {
-	fc := &fctx{pass: pass, locking: locking}
-	interp := &flow.Interp[held]{
-		Merge: func(a, b held) held { return max(a, b) }, // held on either path: held
-		Exec:  fc.exec,
-		Expr:  func(h held, e ast.Expr) held { return fc.visit(h, e) },
-		Cond:  fc.cond,
-	}
-	interp.Func(body, 0)
-}
-
-// acquire checks and records taking the lock.
-func (fc *fctx) acquire(h held, pos token.Pos) held {
-	if h > 0 {
-		fc.pass.Reportf(pos, "acquires %s.%s while already holding it", lockType, lockField)
-	}
-	return h + 1
-}
-
-// exec handles statements. A deferred call runs at return, so a
-// deferred Unlock keeps the lock held to the end of the function.
-func (fc *fctx) exec(h held, st ast.Stmt) held {
-	if _, ok := st.(*ast.RangeStmt); ok {
-		return h // the operand went through visit; this is the key/value binding
-	}
-	return fc.visit(h, st)
-}
-
-// visit walks the calls in n in order. A TryLock outside condition
-// position gates a critical section this walk cannot see; treating it
-// as not acquiring never false-alarms.
-func (fc *fctx) visit(h held, n ast.Node) held {
-	inspectCalls(n, func(call *ast.CallExpr) {
-		switch mutexOp(fc.pass, call) {
-		case acquire:
-			h = fc.acquire(h, call.Pos())
-		case release:
-			if h > 0 {
-				h--
+// walk visits the calls in n in source order with h acquisitions of
+// Namenode.mu held, reporting a second acquire and a call to a locking
+// method under the lock. A nested block — an if or loop body, a case —
+// starts from the count where it begins, and the code after it
+// continues from that same count: a branch that unlocks and returns
+// does not release the lock for what follows.
+func walk(pass *analysis.Pass, locking map[*types.Func]bool, n ast.Node, h int) {
+	ast.Inspect(n, func(m ast.Node) bool {
+		switch m := m.(type) {
+		case *ast.FuncLit, *ast.GoStmt, *ast.DeferStmt:
+			return false
+		case *ast.BlockStmt, *ast.CaseClause, *ast.CommClause:
+			if m != n {
+				walk(pass, locking, m, h)
+				return false
 			}
-		case notLock:
-			if fn := calledMethod(fc.pass, call); h > 0 && fc.locking[fn] {
-				fc.pass.Reportf(call.Pos(), "calls %s.%s, which takes %s.%s, while holding it", lockType, fn.Name(), lockType, lockField)
+		case *ast.CallExpr:
+			switch mutexOp(pass, m) {
+			case acquire:
+				if h > 0 {
+					pass.Reportf(m.Pos(), "acquires %s.%s while already holding it", lockType, lockField)
+				}
+				h++
+			case release:
+				if h > 0 {
+					h--
+				}
+			case notLock:
+				if fn := calledMethod(pass, m); h > 0 && locking[fn] {
+					pass.Reportf(m.Pos(), "calls %s.%s, which takes %s.%s, while holding it", lockType, fn.Name(), lockType, lockField)
+				}
 			}
 		}
+		return true
 	})
-	return h
-}
-
-// cond gives `if x.mu.TryLock()` its precise semantics: the lock is
-// held only on the taken branch.
-func (fc *fctx) cond(h held, cond ast.Expr, taken bool) held {
-	if call, ok := ast.Unparen(cond).(*ast.CallExpr); ok && taken && mutexOp(fc.pass, call) == tryAcquire {
-		return fc.acquire(h, call.Pos())
-	}
-	return h
 }

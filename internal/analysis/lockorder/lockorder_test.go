@@ -8,9 +8,9 @@ import (
 )
 
 // TestLockOrder runs the analyzer over the one-lock fixture: a second
-// acquire of the held lock, the TryLock branch, and a call into a
-// locking method while the lock is held, each with a reporting and a
-// clean case.
+// acquire of the held lock and a call into a locking method while the
+// lock is held, each with a reporting and a clean case, and a branch
+// that unlocks and returns, which leaves the lock held below it.
 func TestLockOrder(t *testing.T) {
 	analysistest.Run(t, lockorder.Analyzer, "a")
 }

@@ -1,9 +1,9 @@
 // Package a is the lockorder analysistest fixture: the namenode's one
 // mutex is mirrored by type and field name (the analyzer matches
 // structurally, so the fixture exercises exactly the production
-// matching). Each diagnostic class — a second acquire of the held lock,
-// the TryLock branch, and a call into a locking method while the lock
-// is held — has a case that reports and one that does not.
+// matching). Each diagnostic class — a second acquire of the held lock
+// and a call into a locking method while the lock is held — has a case
+// that reports and one that does not.
 package a
 
 import "sync"
@@ -44,25 +44,6 @@ func loopLocks(nn *Namenode, n int) {
 	}
 }
 
-// tryHeld: the lock is held on a TryLock's taken branch, so locking it
-// again there deadlocks.
-func tryHeld(nn *Namenode) {
-	if nn.mu.TryLock() {
-		nn.mu.Lock() // want `acquires Namenode.mu while already holding it`
-		nn.mu.Unlock()
-	}
-}
-
-// tryFailed falls back to Lock only where the TryLock failed: clean.
-func tryFailed(nn *Namenode) {
-	if nn.mu.TryLock() {
-		nn.mu.Unlock()
-		return
-	}
-	nn.mu.Lock()
-	nn.mu.Unlock()
-}
-
 // Register calls another locking method while holding the lock, once
 // directly and once through a helper: the same deadlock one call away.
 func (nn *Namenode) Register() {
@@ -81,4 +62,16 @@ func (nn *Namenode) Decommission() {
 	go nn.Heartbeat()
 	nn.mu.Unlock()
 	nn.Heartbeat()
+}
+
+// stopEarly unlocks only on a branch that returns: the code after the
+// branch still runs under the lock, so the call below deadlocks.
+func (nn *Namenode) stopEarly(stop bool) {
+	nn.mu.Lock()
+	if stop {
+		nn.mu.Unlock()
+		return
+	}
+	nn.Heartbeat() // want `calls Namenode.Heartbeat, which takes Namenode.mu, while holding it`
+	nn.mu.Unlock()
 }

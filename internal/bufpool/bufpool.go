@@ -49,8 +49,9 @@ const (
 var classes [maxShift - minShift + 1]sync.Pool
 
 // Get returns a pooled buffer with len n (contents undefined). The
-// buffer must be returned with Put exactly once, after which the caller
-// must not touch it again.
+// buffer is returned with Put at most once, after which the caller must
+// not touch it again; an owner unsure it is the last user drops it for
+// the garbage collector instead.
 func Get(n int) *[]byte {
 	// ⌈log₂ n⌉ - minShift, and 0 for every n up to the smallest class.
 	class := uint(bits.Len(uint(max(n, 1)-1) >> minShift))

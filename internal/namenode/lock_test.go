@@ -16,14 +16,48 @@ import (
 
 // TestEveryMethodUnderOneLock drives every RPC handler, SaveImage, and
 // LoadImage into a fresh namenode from four seeded goroutines against
-// one namenode with nine datanodes. A method that takes nn.mu while a
-// caller already holds it hangs the test: at the deadline it fails with
-// every goroutine's stack. Under -race, state touched outside the lock
-// is reported. Errors the operations return (a lease held by another
-// goroutine's client, a file just deleted) are part of the mix and not
-// checked; a checkpoint that does not load back is.
+// one namenode with nine datanodes, then does the same against a
+// namenode in safe mode: one restored from an image whose blocks no
+// datanode has reported yet, so each RPC's safe-mode refusal runs
+// concurrently too. A method that takes nn.mu while a caller already
+// holds it hangs the test: at the deadline it fails with every
+// goroutine's stack. Under -race, state touched outside the lock is
+// reported. Errors the operations return (a lease held by another
+// goroutine's client, a file just deleted, safe mode) are part of the
+// mix and not checked; a checkpoint that does not load back is.
 func TestEveryMethodUnderOneLock(t *testing.T) {
 	nn, clk, names := newTestNN(t)
+	driveConcurrently(t, nn, clk, names)
+
+	// The image holds one complete file; the restored namenode's
+	// datanodes register without reporting its blocks, and no worker
+	// reports them (its AddBlock is refused, so it holds no block).
+	src, _, _ := newTestNN(t)
+	completeFileWithReplicas(t, src, "/safe-mode", [][]string{{names[0]}, {names[1]}})
+	var img bytes.Buffer
+	if err := src.SaveImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	clk = newTestClock()
+	restored := New(Options{Clock: clk, Seed: 42})
+	if err := restored.LoadImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range names {
+		if _, err := restored.Register(nnapi.RegisterReq{Name: name, Addr: "mem://" + name, Rack: "/rack-a"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	driveConcurrently(t, restored, clk, names)
+	if ci, _ := restored.ClusterInfo(nnapi.ClusterInfoReq{}); !ci.SafeMode {
+		t.Fatal("the restored namenode left safe mode: its phase did not drive the refusals")
+	}
+}
+
+// driveConcurrently runs driveEveryMethod from four goroutines against
+// nn and fails the test at a 30 s deadline with every goroutine's stack.
+func driveConcurrently(t *testing.T, nn *Namenode, clk *testClock, names []string) {
+	t.Helper()
 	const (
 		workers = 4
 		ops     = 300

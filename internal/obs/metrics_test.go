@@ -5,6 +5,7 @@ import (
 	"strings"
 	"sync"
 	"testing"
+	"time"
 )
 
 func TestBucketBoundaries(t *testing.T) {
@@ -108,21 +109,29 @@ func TestConcurrentMetrics(t *testing.T) {
 	}
 }
 
-// TestNilSafety calls the full API through nil receivers — the
-// disabled-observability path every instrumented call site relies on.
+// TestNilSafety calls every exported pointer-receiver method of the
+// package through a nil receiver — the disabled-observability path
+// every instrumented call site relies on.
 func TestNilSafety(t *testing.T) {
 	var o *Obs
 	comp := o.Component("x")
+	if comp.Name() != "" {
+		t.Fatal("nil component should have no name")
+	}
 	comp.Counter("c").Inc()
 	comp.Counter("c").Add(5)
 	if comp.Counter("c").Load() != 0 {
 		t.Fatal("nil counter should load 0")
 	}
 	comp.Histogram("h").Observe(1)
+	comp.Histogram("h").ObserveSince(time.Time{}, time.Time{}.Add(time.Second))
 	if s := comp.Histogram("h").Snapshot(); s.Count != 0 {
 		t.Fatal("nil histogram should be empty")
 	}
 	sp := o.StartSpan("s", nil)
+	if sp.ID() != 0 {
+		t.Fatal("nil span should have ID 0")
+	}
 	sp.SetAttr("k", "v")
 	sp.Event("e", "")
 	sp.Packet("p", 1)
@@ -133,7 +142,17 @@ func TestNilSafety(t *testing.T) {
 	if tr.Snapshot() != nil {
 		t.Fatal("nil tracer should snapshot nil")
 	}
+	if tr.StartSpan("s", nil) != nil {
+		t.Fatal("nil tracer should start nil spans")
+	}
+	var jsonl strings.Builder
+	if err := tr.WriteJSONL(&jsonl); err != nil || jsonl.Len() != 0 {
+		t.Fatalf("nil tracer wrote %q, %v; want nothing", jsonl.String(), err)
+	}
 	var reg *Registry
+	if reg.Component("x") != nil || reg.Components() != nil {
+		t.Fatal("nil registry should hold no components")
+	}
 	reg.Render(&strings.Builder{})
 	m := NewConnMetrics(nil)
 	m.BytesIn.Add(1)

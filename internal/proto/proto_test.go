@@ -196,7 +196,7 @@ func TestReadPacketInto(t *testing.T) {
 	var torn duplex
 	torn.Write(whole.Bytes()[:whole.Len()-5])
 	l := &fuzzLender{mem: make([]byte, len(data))}
-	if _, err := NewConn(&torn).ReadPacketInto(l); err != io.ErrUnexpectedEOF { //smarth:owns-packet — the read must fail
+	if _, err := NewConn(&torn).ReadPacketInto(l); err != io.ErrUnexpectedEOF { // the read must fail
 		t.Fatalf("torn lent payload: err = %v, want io.ErrUnexpectedEOF", err)
 	}
 }
@@ -266,7 +266,7 @@ func TestTruncatedStream(t *testing.T) {
 	for cut := 0; cut < len(raw); cut++ {
 		var short duplex
 		short.Write(raw[:cut])
-		if _, err := NewConn(&short).ReadPacket(); err == nil { //smarth:owns-packet — every prefix must fail, no packet allocated
+		if _, err := NewConn(&short).ReadPacket(); err == nil { // every prefix must fail, no packet allocated
 			t.Fatalf("ReadPacket succeeded on %d/%d-byte prefix", cut, len(raw))
 		}
 	}
