@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: build test vet lint race alloc fuzz-smoke bench bench-vet docs-check loc profile conformance
+.PHONY: build test vet race alloc fuzz-smoke bench bench-vet docs-check loc profile conformance
 
 build:
 	$(GO) build ./...
@@ -10,11 +10,6 @@ test:
 
 vet:
 	$(GO) vet ./...
-
-# The repo's own invariants-as-code suite (DESIGN.md §13): the namenode's
-# one lock, sim determinism, obs nil-safety.
-lint:
-	$(GO) run ./cmd/smarth-vet ./...
 
 # -count=1 defeats the test cache so the race detector actually re-runs
 # the full suite (a cached "ok" proves nothing about the current build).

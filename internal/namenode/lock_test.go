@@ -15,19 +15,23 @@ import (
 )
 
 // TestEveryMethodUnderOneLock drives every RPC handler, SaveImage, and
-// LoadImage into a fresh namenode from four seeded goroutines against
-// one namenode with nine datanodes, then does the same against a
-// namenode in safe mode: one restored from an image whose blocks no
-// datanode has reported yet, so each RPC's safe-mode refusal runs
-// concurrently too. A method that takes nn.mu while a caller already
-// holds it hangs the test: at the deadline it fails with every
-// goroutine's stack. Under -race, state touched outside the lock is
-// reported. Errors the operations return (a lease held by another
-// goroutine's client, a file just deleted, safe mode) are part of the
-// mix and not checked; a checkpoint that does not load back is.
+// LoadImage into a fresh namenode from four seeded goroutines, in three
+// phases: a healthy cluster of nine datanodes; a namenode in safe mode,
+// restored from an image whose blocks no datanode has reported yet, so
+// each RPC's safe-mode refusal runs concurrently too; and the first
+// namenode again once its datanodes have died and one new one took
+// over, so placement, recovery, re-replication and the balancer run out
+// of datanodes. Together they run every statement under nn.mu but two
+// that call nothing (DESIGN.md §13). A method that takes nn.mu while a
+// caller already holds it hangs the test: at the deadline it fails with
+// every goroutine's stack. Under -race, state touched outside the lock
+// is reported. Errors the operations return (a lease held by another
+// goroutine's client, a file just deleted, safe mode, no datanodes) are
+// part of the mix and not checked; a checkpoint that does not load back
+// is.
 func TestEveryMethodUnderOneLock(t *testing.T) {
 	nn, clk, names := newTestNN(t)
-	driveConcurrently(t, nn, clk, names)
+	driveConcurrently(t, nn, clk, names, names)
 
 	// The image holds one complete file; the restored namenode's
 	// datanodes register without reporting its blocks, and no worker
@@ -38,8 +42,8 @@ func TestEveryMethodUnderOneLock(t *testing.T) {
 	if err := src.SaveImage(&img); err != nil {
 		t.Fatal(err)
 	}
-	clk = newTestClock()
-	restored := New(Options{Clock: clk, Seed: 42})
+	rclk := newTestClock()
+	restored := New(Options{Clock: rclk, Seed: 42})
 	if err := restored.LoadImage(&img); err != nil {
 		t.Fatal(err)
 	}
@@ -48,19 +52,30 @@ func TestEveryMethodUnderOneLock(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	driveConcurrently(t, restored, clk, names)
+	driveConcurrently(t, restored, rclk, names, names)
 	if ci, _ := restored.ClusterInfo(nnapi.ClusterInfoReq{}); !ci.SafeMode {
 		t.Fatal("the restored namenode left safe mode: its phase did not drive the refusals")
 	}
+
+	// The healthy cluster's namenode again, once its nine datanodes have
+	// been silent for an expiry window and a tenth, which holds none of
+	// their blocks, heartbeats instead: /lost, written just before, has
+	// no live holder left, and placement has one datanode.
+	completeFileWithReplicas(t, nn, "/lost", [][]string{{names[1], names[2]}})
+	clk.advance(DefaultExpiry)
+	if _, err := nn.Register(nnapi.RegisterReq{Name: "dn10", Addr: "mem://dn10", Rack: "/rack-b"}); err != nil {
+		t.Fatal(err)
+	}
+	driveConcurrently(t, nn, clk, names, []string{"dn10"})
 }
 
 // driveConcurrently runs driveEveryMethod from four goroutines against
 // nn and fails the test at a 30 s deadline with every goroutine's stack.
-func driveConcurrently(t *testing.T, nn *Namenode, clk *testClock, names []string) {
+func driveConcurrently(t *testing.T, nn *Namenode, clk *testClock, names, beating []string) {
 	t.Helper()
 	const (
 		workers = 4
-		ops     = 300
+		ops     = 1000
 	)
 	var wg sync.WaitGroup
 	errs := make(chan error, workers)
@@ -68,7 +83,7 @@ func driveConcurrently(t *testing.T, nn *Namenode, clk *testClock, names []strin
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
-			if err := driveEveryMethod(nn, clk, names, w, ops); err != nil {
+			if err := driveEveryMethod(nn, clk, names, beating, w, ops); err != nil {
 				errs <- err
 			}
 		}(w)
@@ -91,29 +106,41 @@ func driveConcurrently(t *testing.T, nn *Namenode, clk *testClock, names []strin
 }
 
 // driveEveryMethod runs ops random namenode calls as client c<w>, on
-// files under /w<w>, seeded by w.
-func driveEveryMethod(nn *Namenode, clk *testClock, names []string, w, ops int) error {
+// files under /w<w>, seeded by w. The datanodes in beating heartbeat
+// and re-register; the rest of names only report blocks. Files under
+// /w<w>/gone are created by c<w>-gone, a client that never heartbeats,
+// so their leases expire and lease recovery finds several at once.
+func driveEveryMethod(nn *Namenode, clk *testClock, names, beating []string, w, ops int) error {
 	rng := rand.New(rand.NewSource(int64(w) + 1))
 	client := fmt.Sprintf("c%d", w)
 	path := func() string { return fmt.Sprintf("/w%d/f%d", w, rng.Intn(4)) }
 	dn := func() string { return names[rng.Intn(len(names))] }
 	var last block.LocatedBlock // the last block this worker was granted
+	var lastPath string         // the file it was granted on
 	speeds := make(map[string]float64, len(names))
 	for i, n := range names {
 		speeds[n] = float64(10 * (i + 1))
 	}
 	for i := 0; i < ops; i++ {
-		switch rng.Intn(20) {
+		switch rng.Intn(21) {
 		case 0:
 			nn.Create(nnapi.CreateReq{Path: path(), Client: client, Replication: 3, BlockSize: 1 << 20, Overwrite: rng.Intn(2) == 0})
 		case 1:
-			if resp, err := nn.AddBlock(nnapi.AddBlockReq{Path: path(), Client: client, Mode: proto.WriteMode(rng.Intn(2))}); err == nil {
-				last = resp.Located
+			p := path()
+			if resp, err := nn.AddBlock(nnapi.AddBlockReq{Path: p, Client: client, Mode: proto.WriteMode(rng.Intn(2))}); err == nil {
+				last, lastPath = resp.Located, p
+				if rng.Intn(2) == 0 {
+					reportLast(nn, last) // the pipeline succeeded at once
+				}
 			}
 		case 2:
 			nn.Complete(nnapi.CompleteReq{Path: path(), Client: client})
 		case 3:
-			if resp, err := nn.RecoverBlock(nnapi.RecoverBlockReq{Path: path(), Client: client, Block: last.Block, Alive: last.Names()}); err == nil {
+			// The pipeline's first k targets survived; the client excludes
+			// the rest.
+			targets := last.Names()
+			k := rng.Intn(len(targets) + 1)
+			if resp, err := nn.RecoverBlock(nnapi.RecoverBlockReq{Path: lastPath, Client: client, Block: last.Block, Alive: targets[:k], Exclude: targets[k:]}); err == nil {
 				last = resp.Located
 			}
 		case 4:
@@ -131,22 +158,25 @@ func driveEveryMethod(nn *Namenode, clk *testClock, names []string, w, ops int) 
 		case 10:
 			nn.List(nnapi.ListReq{Prefix: fmt.Sprintf("/w%d/", rng.Intn(4))})
 		case 11:
-			name := dn()
+			name := beating[rng.Intn(len(beating))]
 			nn.Register(nnapi.RegisterReq{Name: name, Addr: "mem://" + name, Rack: "/rack-a", Blocks: []block.Block{last.Block}})
 		case 12:
 			// Keep the cluster alive, then step the clock a quarter of the
 			// expiry window: every few rounds a heartbeat runs the
 			// replication scan, lease recovery and client forgetting.
-			for _, n := range names {
-				nn.Heartbeat(nnapi.HeartbeatReq{Name: n, UsedBytes: rng.Int63n(1 << 30)})
+			// Usage is even but for the odd node reporting less, as a
+			// new or emptied one would: the balancer then has one
+			// receiver, which may already hold a donor's block.
+			for _, n := range beating {
+				used := int64(1 << 30)
+				if rng.Intn(len(beating)) == 0 {
+					used = rng.Int63n(used)
+				}
+				nn.Heartbeat(nnapi.HeartbeatReq{Name: n, UsedBytes: used})
 			}
 			clk.advance(DefaultExpiry / 4)
 		case 13:
-			b := last.Block
-			b.NumBytes = 1 << 20
-			for _, target := range last.Targets {
-				nn.BlockReceived(nnapi.BlockReceivedReq{Name: target.Name, Block: b})
-			}
+			reportLast(nn, last)
 		case 14:
 			b := last.Block
 			b.NumBytes = 1 << 20
@@ -165,7 +195,18 @@ func driveEveryMethod(nn *Namenode, clk *testClock, names []string, w, ops int) 
 			if err := New(Options{Clock: newTestClock(), Seed: 1}).LoadImage(&img); err != nil {
 				return fmt.Errorf("worker %d: LoadImage of a saved image: %v", w, err)
 			}
+		case 20:
+			nn.Create(nnapi.CreateReq{Path: fmt.Sprintf("/w%d/gone%d", w, rng.Intn(4)), Client: client + "-gone", Replication: 3, BlockSize: 1 << 20, Overwrite: true})
 		}
 	}
 	return nil
+}
+
+// reportLast has every target of lb report its finalized replica.
+func reportLast(nn *Namenode, lb block.LocatedBlock) {
+	b := lb.Block
+	b.NumBytes = 1 << 20
+	for _, target := range lb.Targets {
+		nn.BlockReceived(nnapi.BlockReceivedReq{Name: target.Name, Block: b})
+	}
 }

@@ -12,7 +12,7 @@
 // at entry, and holds it to the reply, so every answer is one point in
 // time; SaveImage and LoadImage hold it around the namespace and do
 // their I/O outside it. Nothing called under nn.mu takes it again
-// (smarth-vet's lockorder checks this, DESIGN.md §13). The speed
+// (TestEveryMethodUnderOneLock checks this, DESIGN.md §12). The speed
 // registry and the topology keep their own leaf locks, because code
 // outside the namenode reads them too.
 package namenode

@@ -1,11 +1,15 @@
 package obs
 
 import (
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"math"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"sync"
 	"testing"
-	"time"
 )
 
 func TestBucketBoundaries(t *testing.T) {
@@ -109,54 +113,97 @@ func TestConcurrentMetrics(t *testing.T) {
 	}
 }
 
-// TestNilSafety calls every exported pointer-receiver method of the
-// package through a nil receiver — the disabled-observability path
-// every instrumented call site relies on.
+// nilReceivers holds a nil pointer of every exported obs type with
+// pointer-receiver methods: TestNilSafety calls each method through it.
+var nilReceivers = []any{
+	(*Obs)(nil), (*Counter)(nil), (*Histogram)(nil), (*Component)(nil),
+	(*Registry)(nil), (*Tracer)(nil), (*Span)(nil),
+}
+
+// TestNilSafety calls every exported method of every nilReceivers type
+// through a nil receiver with zero-valued arguments — the disabled-
+// observability path every instrumented call site relies on — and wants
+// no panic and only zero results. It also parses the package's source
+// and fails on an exported type with pointer-receiver methods that the
+// list lacks, so neither a new method nor a new type escapes it.
 func TestNilSafety(t *testing.T) {
-	var o *Obs
-	comp := o.Component("x")
-	if comp.Name() != "" {
-		t.Fatal("nil component should have no name")
+	listed := make(map[string]bool)
+	for _, recv := range nilReceivers {
+		v := reflect.ValueOf(recv)
+		typ := v.Type().Elem().Name()
+		listed[typ] = true
+		for i := 0; i < v.NumMethod(); i++ {
+			m := v.Method(i)
+			name := "(*" + typ + ")." + v.Type().Method(i).Name
+			args := make([]reflect.Value, m.Type().NumIn())
+			for j := range args {
+				args[j] = reflect.Zero(m.Type().In(j))
+			}
+			func() {
+				defer func() {
+					if r := recover(); r != nil {
+						t.Errorf("%s on a nil receiver panicked: %v", name, r)
+					}
+				}()
+				call := m.Call
+				if m.Type().IsVariadic() {
+					call = m.CallSlice
+				}
+				for k, out := range call(args) {
+					if !out.IsZero() {
+						t.Errorf("%s on a nil receiver returned %v as result %d, want the zero value", name, out, k)
+					}
+				}
+			}()
+		}
 	}
-	comp.Counter("c").Inc()
-	comp.Counter("c").Add(5)
-	if comp.Counter("c").Load() != 0 {
-		t.Fatal("nil counter should load 0")
+	for _, typ := range pointerReceiverTypes(t) {
+		if !listed[typ] {
+			t.Errorf("exported type %s has pointer-receiver methods but is missing from nilReceivers", typ)
+		}
 	}
-	comp.Histogram("h").Observe(1)
-	comp.Histogram("h").ObserveSince(time.Time{}, time.Time{}.Add(time.Second))
-	if s := comp.Histogram("h").Snapshot(); s.Count != 0 {
-		t.Fatal("nil histogram should be empty")
+	if m := NewConnMetrics(nil); *m != (ConnMetrics{}) {
+		t.Fatalf("NewConnMetrics(nil) = %+v, want all-nil counters", *m)
 	}
-	sp := o.StartSpan("s", nil)
-	if sp.ID() != 0 {
-		t.Fatal("nil span should have ID 0")
+}
+
+// pointerReceiverTypes lists the exported types that the package's
+// non-test files give exported pointer-receiver methods.
+func pointerReceiverTypes(t *testing.T) []string {
+	files, err := filepath.Glob("*.go")
+	if err != nil {
+		t.Fatal(err)
 	}
-	sp.SetAttr("k", "v")
-	sp.Event("e", "")
-	sp.Packet("p", 1)
-	sp.Fail(nil)
-	sp.End()
-	var tr *Tracer
-	tr.SetPacketSampling(8)
-	if tr.Snapshot() != nil {
-		t.Fatal("nil tracer should snapshot nil")
+	fset := token.NewFileSet()
+	seen := make(map[string]bool)
+	var types []string
+	for _, name := range files {
+		if strings.HasSuffix(name, "_test.go") {
+			continue
+		}
+		f, err := parser.ParseFile(fset, name, nil, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, decl := range f.Decls {
+			fd, ok := decl.(*ast.FuncDecl)
+			if !ok || fd.Recv == nil || !fd.Name.IsExported() {
+				continue
+			}
+			star, ok := fd.Recv.List[0].Type.(*ast.StarExpr)
+			if !ok {
+				continue
+			}
+			if id, ok := star.X.(*ast.Ident); ok && id.IsExported() && !seen[id.Name] {
+				seen[id.Name] = true
+				types = append(types, id.Name)
+			}
+		}
 	}
-	if tr.StartSpan("s", nil) != nil {
-		t.Fatal("nil tracer should start nil spans")
+	if len(types) == 0 {
+		t.Fatal("found no pointer-receiver methods in the package source")
 	}
-	var jsonl strings.Builder
-	if err := tr.WriteJSONL(&jsonl); err != nil || jsonl.Len() != 0 {
-		t.Fatalf("nil tracer wrote %q, %v; want nothing", jsonl.String(), err)
-	}
-	var reg *Registry
-	if reg.Component("x") != nil || reg.Components() != nil {
-		t.Fatal("nil registry should hold no components")
-	}
-	reg.Render(&strings.Builder{})
-	m := NewConnMetrics(nil)
-	m.BytesIn.Add(1)
-	m.FramesOut.Inc()
+	return types
 }
 
 func TestRegistryRender(t *testing.T) {

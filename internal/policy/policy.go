@@ -6,12 +6,12 @@
 // identically live and in the DES — with conformance replaying them on
 // both substrates (see internal/conformance).
 //
-// Determinism contract: policy code is part of the simdeterminism
-// discipline (internal/analysis/simdeterminism) — no wall clock, no
-// ambient math/rand (only the explicitly seeded *rand.Rand handed in
-// through PlaceInput/OrderPipeline), and no map-iteration order feeding
-// a decision. Every choice must be a pure function of the inputs and the
-// seeded rng.
+// Determinism contract (DESIGN.md §9): no wall clock, no ambient
+// math/rand (only the explicitly seeded *rand.Rand handed in through
+// PlaceInput/OrderPipeline), and no map-iteration order feeding a
+// decision. Every choice must be a pure function of the inputs and the
+// seeded rng; sim.TestDeterminism, TestPlaceMatchesReference and the
+// conformance decision logs fail when one is not.
 package policy
 
 import (

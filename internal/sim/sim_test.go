@@ -1,6 +1,8 @@
 package sim
 
 import (
+	"bytes"
+	"encoding/json"
 	"fmt"
 	"strings"
 	"testing"
@@ -242,17 +244,58 @@ func TestImprovementMetric(t *testing.T) {
 	}
 }
 
+// TestDeterminism runs each mode twice in one process, unscripted and
+// scripted, with the default seed and three mid-block pipeline faults
+// (each SMARTH recovery excludes seven datanodes); the second runs
+// reuse the scratch the first left, as a RunAll worker does. The whole
+// Result (duration, counters, first-use and byte maps, trace spans),
+// encoded before the next run so state two runs share cannot alias
+// both, and the decision log must match exactly. A wall-clock read, the
+// global math/rand source, a map order reaching a decision, or state a
+// run leaves in a package variable or a pool for the next run each
+// break that.
 func TestDeterminism(t *testing.T) {
-	cfg := Config{Preset: ec2.HeteroCluster, FileSize: 2 * gb, Mode: proto.ModeSmarth, Seed: 42}
-	a := run(t, cfg)
-	b := run(t, cfg)
-	if a.Duration != b.Duration {
-		t.Fatalf("same seed, different results: %v vs %v", a.Duration, b.Duration)
-	}
-	cfg.Seed = 43
-	c := run(t, cfg)
-	if c.Duration == a.Duration {
-		t.Logf("different seeds gave identical durations (possible, but unusual): %v", a.Duration)
+	for _, mode := range []proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth} {
+		t.Run(mode.String(), func(t *testing.T) {
+			cfg := Config{
+				Preset: ec2.HeteroCluster, FileSize: gb, Mode: mode, Trace: true,
+				PipelineFaults: []PipelineFault{
+					{Block: 2, AfterPackets: 5, BadIndex: -1},
+					{Block: 9, AfterPackets: 50, BadIndex: 1},
+					{Block: 13, AfterPackets: 20, BadIndex: 0},
+				},
+			}
+			sc := newScratch()
+			var results [2][]byte
+			var logs [2]string
+			for i := range results {
+				r, err := sc.run(cfg)
+				if err != nil {
+					t.Fatalf("run %d: %v", i, err)
+				}
+				if results[i], err = json.Marshal(r); err != nil {
+					t.Fatal(err)
+				}
+				var log writesched.DecisionLog
+				scripted := cfg
+				scripted.Script = &writesched.Script{Log: &log}
+				if _, err := sc.run(scripted); err != nil {
+					t.Fatalf("scripted run %d: %v", i, err)
+				}
+				logs[i] = log.String()
+			}
+			if !bytes.Equal(results[0], results[1]) {
+				t.Fatalf("same config, different results:\n%s\n%s", results[0], results[1])
+			}
+			if logs[0] != logs[1] {
+				t.Fatalf("same scripted config, different decision logs:\n%s\n---\n%s", logs[0], logs[1])
+			}
+			for _, want := range []string{"recover idx=2", "recover idx=9", "recover idx=13"} {
+				if !strings.Contains(logs[0], want) {
+					t.Fatalf("decision log lacks %q: a fault did not exercise recovery:\n%s", want, logs[0])
+				}
+			}
+		})
 	}
 }
 
