@@ -124,6 +124,8 @@ func NewRegistry() *Registry {
 // Update merges a heartbeat's speed table for a client. Entries replace
 // previous values for the same datanode; datanodes absent from records
 // keep their old values (a client only reports what it re-measured).
+// The entries are copied and records is never kept: the namenode's RPC
+// server parses the next heartbeat into the same map.
 func (g *Registry) Update(client string, records map[string]float64) {
 	if len(records) == 0 {
 		return

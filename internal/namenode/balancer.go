@@ -85,7 +85,7 @@ func (nn *Namenode) Balance(req nnapi.BalanceReq) (nnapi.BalanceResp, error) {
 	blocksOn := make(map[string][]*blockMeta)
 	for _, meta := range nn.ns.blocks {
 		if meta.complete {
-			for h := range meta.locations {
+			for _, h := range meta.locations {
 				blocksOn[h] = append(blocksOn[h], meta)
 			}
 		}
@@ -110,7 +110,7 @@ func (nn *Namenode) Balance(req nnapi.BalanceReq) (nnapi.BalanceResp, error) {
 			var target *dnUsage
 			for probe := 0; probe < len(receivers); probe++ {
 				cand := &receivers[(ri+probe)%len(receivers)]
-				if !meta.locations[cand.info.Name] {
+				if !meta.has(cand.info.Name) {
 					target = cand
 					ri = (ri + probe + 1) % len(receivers)
 					break
@@ -141,7 +141,7 @@ func (nn *Namenode) completeBalancerMove(dn string, b block.Block) {
 	}
 	delete(nn.balancerMoves, b.ID)
 	if meta, ok := nn.ns.blocks[b.ID]; ok {
-		delete(meta.locations, move.source)
+		meta.remove(move.source)
 	}
 	nn.dm.scheduleInvalidate(move.source, b.ID, b.Gen)
 }

@@ -106,9 +106,9 @@ func (m *datanodeManager) isPlaceable(e *dnEntry, now time.Time) bool {
 }
 
 // countPlaceable counts the placeable datanodes among a block's holders.
-func (m *datanodeManager) countPlaceable(holders map[string]bool, now time.Time) int {
+func (m *datanodeManager) countPlaceable(holders []string, now time.Time) int {
 	n := 0
-	for name := range holders {
+	for _, name := range holders {
 		if e, ok := m.nodes[name]; ok && m.isPlaceable(e, now) {
 			n++
 		}

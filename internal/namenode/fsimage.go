@@ -116,6 +116,9 @@ func (nn *Namenode) LoadImage(r io.Reader) error {
 	if err := rd.Done(); err != nil {
 		return fmt.Errorf("namenode: decode image: %w", err)
 	}
+	if err := checkImage(files, nextBlock); err != nil {
+		return err
+	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
 	if err := nn.ns.restore(files, nextBlock, nextGen); err != nil {
@@ -124,6 +127,33 @@ func (nn *Namenode) LoadImage(r io.Reader) error {
 	// Replica locations are unknown until datanodes report: enter safe
 	// mode (namespace mutations rejected) if the image holds any blocks.
 	nn.safeMode = totalBlocks > 0
+	return nil
+}
+
+// checkImage refuses a decoded checkpoint that SaveImage could not have
+// written: a path listed twice (the second entry would orphan the
+// first's blocks), a block listed by two files (deleting one would leave
+// the other listing a block gone from the block map), or a block ID
+// above the image's next one (a later addBlock would issue it again).
+func checkImage(files []imageFile, nextBlock int64) error {
+	paths := make(map[string]bool, len(files))
+	owners := make(map[block.ID]string)
+	for _, img := range files {
+		path := img.inode.path
+		if paths[path] {
+			return fmt.Errorf("namenode: image lists %s twice", path)
+		}
+		paths[path] = true
+		for _, b := range img.blocks {
+			if int64(b.ID) > nextBlock {
+				return fmt.Errorf("namenode: image's %s lists block %d, above its next block ID %d", path, b.ID, nextBlock)
+			}
+			if owner, dup := owners[b.ID]; dup {
+				return fmt.Errorf("namenode: image lists block %d in both %s and %s", b.ID, owner, path)
+			}
+			owners[b.ID] = path
+		}
+	}
 	return nil
 }
 
@@ -142,7 +172,6 @@ func (ns *namesystem) restore(files []imageFile, nextBlock int64, nextGen uint64
 			ns.blocks[b.ID] = &blockMeta{
 				cur:         b,
 				path:        f.path,
-				locations:   make(map[string]bool),
 				replication: f.replication,
 				complete:    f.complete,
 			}

@@ -128,6 +128,79 @@ func TestLoadImageValidation(t *testing.T) {
 	}
 }
 
+// handFile is one complete R3 file of a hand-made image.
+type handFile struct {
+	path string
+	ids  []block.ID
+}
+
+// handImage encodes a checkpoint field by field, so it can hold what
+// SaveImage never writes.
+func handImage(nextBlock int64, files ...handFile) []byte {
+	img := wire.AppendU64(wire.AppendI64([]byte{imageVersion}, nextBlock), uint64(nextBlock))
+	img = wire.AppendCount(img, len(files))
+	for _, f := range files {
+		img = wire.AppendString(img, f.path)
+		img = wire.AppendString(img, "")
+		img = wire.AppendInt(img, 3)
+		img = wire.AppendI64(img, 1<<20)
+		img = wire.AppendBool(img, true)
+		blocks := make([]block.Block, len(f.ids))
+		for i, id := range f.ids {
+			blocks[i] = block.Block{ID: id, Gen: 1, NumBytes: 1 << 20}
+		}
+		img = wire.AppendBlocks(img, blocks)
+	}
+	return img
+}
+
+// The three images SaveImage never writes, each one entry away from
+// handImage(2, /a [1], /b [2]), which loads.
+var (
+	imageSharedBlock  = handImage(2, handFile{"/a", []block.ID{1}}, handFile{"/b", []block.ID{1}})
+	imageBlockAboveID = handImage(2, handFile{"/a", []block.ID{1}}, handFile{"/b", []block.ID{3}})
+	imagePathTwice    = handImage(2, handFile{"/a", []block.ID{1}}, handFile{"/a", []block.ID{2}})
+)
+
+// loadRefused checks that the consistent neighbour of the three images
+// loads, then that img is refused with an error mentioning want and
+// leaves the namespace empty.
+func loadRefused(t *testing.T, img []byte, want string) {
+	t.Helper()
+	consistent := handImage(2, handFile{"/a", []block.ID{1}}, handFile{"/b", []block.ID{2}})
+	if err := New(Options{Clock: newTestClock(), Seed: 1}).LoadImage(bytes.NewReader(consistent)); err != nil {
+		t.Fatalf("the consistent hand-made image is refused: %v", err)
+	}
+	nn := New(Options{Clock: newTestClock(), Seed: 1})
+	err := nn.LoadImage(bytes.NewReader(img))
+	if err == nil || !strings.Contains(err.Error(), want) {
+		t.Fatalf("LoadImage err = %v, want one mentioning %q", err, want)
+	}
+	if n, b := len(nn.ns.files), len(nn.ns.blocks); n != 0 || b != 0 {
+		t.Fatalf("a refused image left %d files and %d blocks behind", n, b)
+	}
+}
+
+// TestLoadImageRefusesSharedBlock: two files listing one block ID. Once
+// loaded, deleting one file dropped the block the other still listed,
+// and List reported the survivor complete with no blocks.
+func TestLoadImageRefusesSharedBlock(t *testing.T) {
+	loadRefused(t, imageSharedBlock, "block 1 in both /a and /b")
+}
+
+// TestLoadImageRefusesBlockAboveNextID: a block ID the image's counter
+// has not reached yet would be issued again by a later addBlock, which
+// would overwrite its block-map entry.
+func TestLoadImageRefusesBlockAboveNextID(t *testing.T) {
+	loadRefused(t, imageBlockAboveID, "lists block 3, above its next block ID 2")
+}
+
+// TestLoadImageRefusesPathTwice: the second entry for a path would
+// replace the first in the namespace and orphan its blocks.
+func TestLoadImageRefusesPathTwice(t *testing.T) {
+	loadRefused(t, imagePathTwice, "lists /a twice")
+}
+
 func TestSafeModeAfterImageLoad(t *testing.T) {
 	// Build a namespace with replicated blocks, checkpoint it, restore.
 	nn, _, _ := newTestNN(t)
@@ -218,6 +291,7 @@ func FuzzLoadImage(f *testing.F) {
 		[]byte(`{"version": 1, "files": []}`),
 		wire.AppendCount(emptyImage()[:17], 1<<31),
 		append(bytes.Clone(good[:len(good)-2*wire.BlockSize-4]), 0xff, 0xff, 0xff, 0xff),
+		imageSharedBlock, imageBlockAboveID, imagePathTwice,
 	} {
 		f.Add(seed)
 	}

@@ -249,22 +249,7 @@ func (nn *Namenode) Create(req nnapi.CreateReq) (nnapi.CreateResp, error) {
 	if err := nn.checkSafeMode(); err != nil {
 		return nnapi.CreateResp{}, err
 	}
-	stale, err := nn.ns.create(req.Path, req.Client, req.Replication, req.BlockSize, req.Overwrite, nn.clk.Now())
-	if err != nil {
-		return nnapi.CreateResp{}, err
-	}
-	nn.invalidate(stale)
-	return nnapi.CreateResp{}, nil
-}
-
-// invalidate queues deletion of the replicas a removed file left on
-// each datanode (delivered with the node's next heartbeat).
-func (nn *Namenode) invalidate(stale map[string][]block.Block) {
-	for dn, blocks := range stale {
-		for _, b := range blocks {
-			nn.dm.scheduleInvalidate(dn, b.ID, b.Gen)
-		}
-	}
+	return nnapi.CreateResp{}, nn.ns.create(req.Path, req.Client, req.Replication, req.BlockSize, req.Overwrite, nn.clk.Now(), nn.dm)
 }
 
 // AddBlock allocates the file's next block and chooses its pipeline with
@@ -328,7 +313,7 @@ func (nn *Namenode) RecoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockR
 	if !ok || meta.path != f.path {
 		return nnapi.RecoverBlockResp{}, fmt.Errorf("%w: %v", ErrUnknownBlock, req.Block)
 	}
-	for dn := range meta.locations {
+	for _, dn := range meta.locations {
 		nn.dm.scheduleInvalidate(dn, req.Block.ID, req.Block.Gen)
 	}
 	nn.ns.bumpGeneration(meta)
@@ -401,7 +386,7 @@ func (nn *Namenode) GetBlockLocations(req nnapi.GetBlockLocationsReq) (nnapi.Get
 			resp.Len += meta.cur.NumBytes
 			resp.Blocks = append(resp.Blocks, block.LocatedBlock{
 				Block:   meta.cur,
-				Targets: nn.dm.orderedHolders(req.Client, sortedHolders(meta), now),
+				Targets: nn.dm.orderedHolders(req.Client, meta.locations, now),
 			})
 		}
 	}
@@ -419,7 +404,7 @@ func (nn *Namenode) Delete(req nnapi.DeleteReq) (nnapi.DeleteResp, error) {
 	if !ok {
 		return nnapi.DeleteResp{}, nil
 	}
-	nn.invalidate(nn.ns.removeInode(f))
+	nn.ns.removeInode(f, nn.dm)
 	return nnapi.DeleteResp{Deleted: true}, nil
 }
 
@@ -459,7 +444,7 @@ func (nn *Namenode) List(req nnapi.ListReq) (nnapi.ListResp, error) {
 			st.NumBlocks++
 			st.Len += meta.cur.NumBytes
 			live := 0
-			for holder := range meta.locations {
+			for _, holder := range meta.locations {
 				if e, ok := nn.dm.nodes[holder]; ok && nn.dm.isAlive(e, now) {
 					live++
 				}
@@ -538,7 +523,7 @@ func (nn *Namenode) DecommissionStatus(req nnapi.DecommStatusReq) (nnapi.DecommS
 	resp := nnapi.DecommStatusResp{Decommissioning: known && e.decommissioning}
 	now := nn.clk.Now()
 	for _, meta := range nn.ns.blocks {
-		if meta.locations[req.Name] && nn.dm.countPlaceable(meta.locations, now) < meta.replication {
+		if meta.has(req.Name) && nn.dm.countPlaceable(meta.locations, now) < meta.replication {
 			resp.RemainingBlocks++
 		}
 	}

@@ -3,6 +3,7 @@ package namenode
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -47,15 +48,43 @@ type fileInode struct {
 
 // blockMeta is the block manager's record for one block.
 type blockMeta struct {
-	cur       block.Block // authoritative generation and committed length
-	path      string
-	locations map[string]bool // datanode name -> holds a finalized replica
+	cur  block.Block // authoritative generation and committed length
+	path string
+	// locations names the datanodes holding a finalized replica, sorted
+	// by name: one small array per block, as HDFS keeps, made at the
+	// first report with room for the replication factor.
+	locations []string
 	// replication and complete mirror the owning file so the replication
 	// sweep can judge a block from the block map alone, without chasing
 	// its inode. replication is fixed at allocation; complete flips once,
 	// when the file completes.
 	replication int
 	complete    bool
+}
+
+// has reports whether dn holds a finalized replica of the block.
+func (m *blockMeta) has(dn string) bool {
+	_, found := slices.BinarySearch(m.locations, dn)
+	return found
+}
+
+// add records dn as a holder; a second report from it changes nothing.
+func (m *blockMeta) add(dn string) {
+	i, found := slices.BinarySearch(m.locations, dn)
+	if found {
+		return
+	}
+	if m.locations == nil {
+		m.locations = make([]string, 0, max(m.replication, 1))
+	}
+	m.locations = slices.Insert(m.locations, i, dn)
+}
+
+// remove forgets dn as a holder.
+func (m *blockMeta) remove(dn string) {
+	if i, found := slices.BinarySearch(m.locations, dn); found {
+		m.locations = slices.Delete(m.locations, i, i+1)
+	}
 }
 
 // namesystem is the namespace plus block manager, as in Hadoop's
@@ -104,20 +133,20 @@ func (ns *namesystem) dropLease(client, path string) {
 // --- namespace operations ---
 
 // create makes a new inode and records its lease, renewed as of now.
-// Overwrite replaces an existing file; stale then lists, per datanode,
-// the replaced file's replicas for the caller to invalidate.
-func (ns *namesystem) create(path, client string, replication int, blockSize int64, overwrite bool, now time.Time) (stale map[string][]block.Block, err error) {
+// Overwrite replaces an existing file, queueing deletion of its replicas
+// on dm (removeInode).
+func (ns *namesystem) create(path, client string, replication int, blockSize int64, overwrite bool, now time.Time, dm *datanodeManager) error {
 	if replication < 1 {
 		replication = 1
 	}
 	if blockSize <= 0 {
-		return nil, fmt.Errorf("namenode: invalid block size %d", blockSize)
+		return fmt.Errorf("namenode: invalid block size %d", blockSize)
 	}
 	if old, exists := ns.files[path]; exists {
 		if !overwrite {
-			return nil, fmt.Errorf("%w: %s", ErrFileExists, path)
+			return fmt.Errorf("%w: %s", ErrFileExists, path)
 		}
-		stale = ns.removeInode(old)
+		ns.removeInode(old, dm)
 	}
 	f := &fileInode{
 		path:        path,
@@ -128,17 +157,16 @@ func (ns *namesystem) create(path, client string, replication int, blockSize int
 	}
 	ns.files[path] = f
 	ns.addLease(f)
-	return stale, nil
+	return nil
 }
 
-// removeInode drops f and its blocks, returning for each datanode the
-// replicas it held (so the caller can schedule invalidations).
-func (ns *namesystem) removeInode(f *fileInode) map[string][]block.Block {
-	stale := make(map[string][]block.Block)
+// removeInode drops f and its blocks, and queues deletion of every
+// replica they had on dm (delivered with each holder's next heartbeat).
+func (ns *namesystem) removeInode(f *fileInode, dm *datanodeManager) {
 	for _, id := range f.blocks {
 		if meta, ok := ns.blocks[id]; ok {
-			for dn := range meta.locations {
-				stale[dn] = append(stale[dn], meta.cur)
+			for _, dn := range meta.locations {
+				dm.scheduleInvalidate(dn, id, meta.cur.Gen)
 			}
 		}
 		delete(ns.blocks, id)
@@ -147,7 +175,6 @@ func (ns *namesystem) removeInode(f *fileInode) map[string][]block.Block {
 	if !f.complete {
 		ns.dropLease(f.client, f.path)
 	}
-	return stale
 }
 
 // checkLease fetches an under-construction file owned by client.
@@ -174,7 +201,6 @@ func (ns *namesystem) allocateBlock(f *fileInode) block.Block {
 	ns.blocks[b.ID] = &blockMeta{
 		cur:         b,
 		path:        f.path,
-		locations:   make(map[string]bool),
 		replication: f.replication,
 	}
 	return b
@@ -207,7 +233,7 @@ func (ns *namesystem) blockReceived(dn string, b block.Block) error {
 	if b.Gen != meta.cur.Gen {
 		return fmt.Errorf("%w: %v reported gen %d, current %d", ErrStaleGeneration, b, b.Gen, meta.cur.Gen)
 	}
-	meta.locations[dn] = true
+	meta.add(dn)
 	if b.NumBytes > meta.cur.NumBytes {
 		meta.cur.NumBytes = b.NumBytes
 	}
@@ -222,7 +248,8 @@ func (ns *namesystem) bumpGeneration(meta *blockMeta) {
 	ns.nextGen++
 	meta.cur.Gen = block.GenStamp(ns.nextGen)
 	meta.cur.NumBytes = 0
-	meta.locations = make(map[string]bool)
+	clear(meta.locations)
+	meta.locations = meta.locations[:0]
 }
 
 // complete finalizes the file when every block has at least one
@@ -249,17 +276,6 @@ func (ns *namesystem) complete(path, client string) (bool, error) {
 		ns.blocks[id].complete = true
 	}
 	return true, nil
-}
-
-// sortedHolders lists the datanodes holding a finalized replica of the
-// block, by name.
-func sortedHolders(meta *blockMeta) []string {
-	holders := make([]string, 0, len(meta.locations))
-	for dn := range meta.locations {
-		holders = append(holders, dn)
-	}
-	sort.Strings(holders)
-	return holders
 }
 
 // rename moves a file, and its lease if it is under construction. The

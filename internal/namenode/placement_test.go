@@ -98,9 +98,10 @@ func TestPlaceDecidesOnOneSnapshot(t *testing.T) {
 }
 
 // TestAllocAddBlock bounds what one addBlock buys when called directly.
-// It reads 5: the block's metadata and its location set, and the
-// placement's three slices (exclusion list, targets, TopN); the budget
-// leaves one for the file's block list growing.
+// It reads 4: the block's metadata (its holder slice waits for the
+// first report) and the placement's three slices (exclusion list,
+// targets, TopN); the budget leaves one for the file's block list
+// growing.
 func TestAllocAddBlock(t *testing.T) {
 	nn, _, _ := smarthNN(t)
 	const blocks = 200
@@ -115,7 +116,7 @@ func TestAllocAddBlock(t *testing.T) {
 		}
 		req.Previous = resp.Located.Block
 	})
-	const budget = 6
+	const budget = 5
 	if got > budget {
 		t.Errorf("AddBlock: %.1f allocs/op, budget %d", got, budget)
 	}

@@ -80,7 +80,7 @@ func (nn *Namenode) scanUnderReplicated(now time.Time) {
 			continue
 		}
 		var goodHolders, sourceHolders []string
-		for _, holder := range sortedHolders(meta) {
+		for _, holder := range meta.locations {
 			if e := nn.dm.nodes[holder]; e != nil && nn.dm.isAlive(e, now) {
 				sourceHolders = append(sourceHolders, holder)
 				if !e.decommissioning {

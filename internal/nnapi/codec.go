@@ -123,7 +123,7 @@ func (m *RecoverBlockResp) ParseFrom(b []byte) error {
 const speedEntrySize = wire.MinStringSize + 8
 
 // AppendTo appends client and the counted speed table (name, f64 bits)
-// in map order; the receiver rebuilds a map, so the order carries no
+// in map order; the receiver fills a map, so the order carries no
 // meaning.
 func (m ClientHeartbeatReq) AppendTo(dst []byte) []byte {
 	dst = wire.AppendString(dst, m.Client)
@@ -135,12 +135,21 @@ func (m ClientHeartbeatReq) AppendTo(dst []byte) []byte {
 	return dst
 }
 
-// ParseFrom decodes a whole ClientHeartbeatReq body, the inverse of AppendTo.
+// ParseFrom decodes a whole ClientHeartbeatReq body, the inverse of
+// AppendTo. It refills the Speeds map m already holds, cleared first,
+// and makes one only when there is none: a server that parses each
+// heartbeat over the last one (rpc.Handle) then decodes the table
+// without allocating a map, so whoever was handed the previous table
+// must not still hold it.
 func (m *ClientHeartbeatReq) ParseFrom(b []byte) error {
 	r := wire.NewReader(b)
-	*m = ClientHeartbeatReq{Client: r.Str()}
+	speeds := m.Speeds
+	clear(speeds)
+	*m = ClientHeartbeatReq{Client: r.Str(), Speeds: speeds}
 	if n := r.Count(speedEntrySize); n > 0 {
-		m.Speeds = make(map[string]float64, n)
+		if m.Speeds == nil {
+			m.Speeds = make(map[string]float64, n)
+		}
 		for i := 0; i < n; i++ {
 			name := r.Str()
 			m.Speeds[name] = r.Float64()

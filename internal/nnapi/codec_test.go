@@ -2,6 +2,7 @@ package nnapi
 
 import (
 	"bytes"
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -194,6 +195,44 @@ func TestAllocCodec(t *testing.T) {
 		if want := kept(reflect.ValueOf(m)); int(a) > want {
 			t.Errorf("%s.ParseFrom: %v allocs, but the value keeps only %d", name(m), a, want)
 		}
+	}
+}
+
+// TestAllocHeartbeatReuse: a heartbeat parsed over an earlier one —
+// what the rpc server's recycled requests do — refills the map the
+// request already holds. Decoding a nine-entry table then allocates the
+// client's name and the nine datanode names, and no map.
+func TestAllocHeartbeatReuse(t *testing.T) {
+	speeds := make(map[string]float64, 9)
+	for i := 0; i < 9; i++ {
+		speeds[fmt.Sprintf("dn%d", i)] = float64(40 + 15*i)
+	}
+	enc := ClientHeartbeatReq{Client: "meta-w0", Speeds: speeds}.AppendTo(nil)
+	var into ClientHeartbeatReq
+	if err := into.ParseFrom(enc); err != nil {
+		t.Fatal(err)
+	}
+	held := reflect.ValueOf(into.Speeds).UnsafePointer()
+	a := testing.AllocsPerRun(100, func() {
+		if err := into.ParseFrom(enc); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if reflect.ValueOf(into.Speeds).UnsafePointer() != held {
+		t.Error("ParseFrom replaced the map the request held")
+	}
+	if !reflect.DeepEqual(into.Speeds, speeds) {
+		t.Errorf("refilled table = %v, want %v", into.Speeds, speeds)
+	}
+	if want := 1 + len(speeds); a > float64(want) {
+		t.Errorf("ParseFrom into a held map: %v allocs, want at most %d (the strings the value keeps)", a, want)
+	}
+	// A table with fewer entries leaves none of the earlier ones behind.
+	if err := into.ParseFrom(ClientHeartbeatReq{Client: "meta-w0", Speeds: map[string]float64{"dn0": 1}}.AppendTo(nil)); err != nil {
+		t.Fatal(err)
+	}
+	if len(into.Speeds) != 1 || into.Speeds["dn0"] != 1 {
+		t.Errorf("refilled with one entry: %v", into.Speeds)
 	}
 }
 

@@ -157,7 +157,8 @@ func parseResponse(frame []byte) (seq uint64, body []byte, remote *RemoteError, 
 type Observer func(method string, d time.Duration, errored bool)
 
 // call is one decoded request, ready to run on a handler goroutine: run
-// invokes the handler and appends the encoded response to dst.
+// invokes the handler and appends the encoded response to dst. A call
+// is run once; it is recycled as run returns.
 type call interface {
 	run(dst []byte) ([]byte, error)
 }
@@ -197,33 +198,49 @@ func (s *Server) SetObserver(fn Observer) {
 }
 
 // typedCall is the call of one Handle registration: request, handler
-// and response in one allocation.
+// and response in one allocation, recycled through the registration's
+// pool. The next request is parsed over the last one, so a message that
+// keeps a map can refill it (nnapi.ClientHeartbeatReq does).
 type typedCall[Req, Resp any, PResp Message[Resp]] struct {
 	fn   func(Req) (Resp, error)
+	pool *sync.Pool
 	req  Req
 	resp Resp
 }
 
+// run invokes the handler, appends the encoded response to dst and
+// returns the call to its pool, the response zeroed so the pool keeps
+// nothing a reply referenced.
 func (c *typedCall[Req, Resp, PResp]) run(dst []byte) ([]byte, error) {
 	var err error
-	if c.resp, err = c.fn(c.req); err != nil {
-		return dst, err
+	if c.resp, err = c.fn(c.req); err == nil {
+		dst = PResp(&c.resp).AppendTo(dst)
 	}
-	return PResp(&c.resp).AppendTo(dst), nil
+	var zero Resp
+	c.resp = zero
+	c.pool.Put(c)
+	return dst, err
 }
 
 // Handle installs a typed handler for method: the request body parses
 // into a Req and the returned Resp is appended to the response frame.
 // The pointer type parameters are inferred from fn.
+//
+// Requests are decoded into recycled memory: a handler must not keep its
+// request's maps past return (copy what it needs, as core.Registry.Update
+// does), because the next request of the method may be parsed into them.
 func Handle[Req, Resp any, PReq Message[Req], PResp Message[Resp]](s *Server, method string, fn func(Req) (Resp, error)) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if _, dup := s.handlers[method]; dup {
 		panic("rpc: duplicate handler for " + method)
 	}
+	pool := new(sync.Pool)
+	pool.New = func() any { return &typedCall[Req, Resp, PResp]{fn: fn, pool: pool} }
 	s.handlers[method] = handler{method: method, decode: func(body []byte) (call, error) {
-		c := &typedCall[Req, Resp, PResp]{fn: fn}
+		c := pool.Get().(*typedCall[Req, Resp, PResp])
 		if err := PReq(&c.req).ParseFrom(body); err != nil {
+			pool.Put(c)
 			return nil, fmt.Errorf("rpc: bad %s request: %w", method, err)
 		}
 		return c, nil
