@@ -165,8 +165,15 @@ func (g *Registry) HasRecords(client string) bool {
 // the order is total over distinct names, so it does not depend on the
 // sorting algorithm.
 func (g *Registry) TopN(client string, n int, candidates []string) []string {
+	return g.AppendTopN(nil, client, n, candidates)
+}
+
+// AppendTopN appends TopN's answer to dst and returns the result. A
+// caller that passes room for the answer, such as a frame-local array,
+// makes no allocation; one that does not gets one exact-size slice.
+func (g *Registry) AppendTopN(dst []string, client string, n int, candidates []string) []string {
 	if n <= 0 || len(candidates) == 0 {
-		return nil
+		return dst
 	}
 	type entry struct {
 		dn    string
@@ -189,11 +196,16 @@ func (g *Registry) TopN(client string, n int, candidates []string) []string {
 		}
 		return strings.Compare(a.dn, b.dn)
 	})
-	out := make([]string, min(n, len(entries)))
-	for i := range out {
-		out[i] = entries[i].dn
+	entries = entries[:min(n, len(entries))]
+	if cap(dst)-len(dst) < len(entries) {
+		// One exact make: growing by append would double a frame
+		// array that fell short by one.
+		dst = append(make([]string, 0, len(dst)+len(entries)), dst...)
 	}
-	return out
+	for _, e := range entries {
+		dst = append(dst, e.dn)
+	}
+	return dst
 }
 
 // Speed returns the client's recorded speed for one datanode (0 when

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -326,10 +327,17 @@ func TestTopNMatchesReference(t *testing.T) {
 				t.Fatalf("round %d: TopN(%d) = %v, reference %v", round, n, got, want)
 			}
 		}
+		// AppendTopN keeps what dst holds and appends the same answer,
+		// whether or not dst has room for it.
+		prefix := []string{"kept"}
+		if app := g.AppendTopN(slices.Clip(prefix), "c", n, candidates); !slices.Equal(app, append(prefix, want...)) {
+			t.Fatalf("round %d: AppendTopN(%d) = %v, want kept then %v", round, n, app, want)
+		}
 	}
 }
 
-// TestAllocTopN: the only thing TopN buys is its result.
+// TestAllocTopN: ranked into the caller's frame array, TopN buys
+// nothing.
 func TestAllocTopN(t *testing.T) {
 	g := NewRegistry()
 	speeds := map[string]float64{}
@@ -339,7 +347,13 @@ func TestAllocTopN(t *testing.T) {
 		speeds[names[i]] = float64(40 + 15*i)
 	}
 	g.Update("c", speeds)
-	if got := testing.AllocsPerRun(100, func() { g.TopN("c", 3, names) }); got > 1 {
-		t.Errorf("TopN: %.1f allocs/op, budget 1", got)
+	got := testing.AllocsPerRun(100, func() {
+		var frame [3]string
+		if top := g.AppendTopN(frame[:0], "c", 3, names); len(top) != 3 || top[0] != "dn8" {
+			t.Fatal("AppendTopN did not rank dn8 first of three")
+		}
+	})
+	if got > 0 {
+		t.Errorf("AppendTopN: %.1f allocs/op, budget 0", got)
 	}
 }

@@ -1,6 +1,7 @@
 package namenode
 
 import (
+	"cmp"
 	"slices"
 	"sort"
 	"strings"
@@ -86,8 +87,8 @@ func (m *datanodeManager) heartbeat(name string, used int64) (invalidate []block
 		for id, gen := range e.invalidate {
 			invalidate = append(invalidate, block.Block{ID: id, Gen: gen})
 		}
-		sort.Slice(invalidate, func(i, j int) bool { return invalidate[i].ID < invalidate[j].ID })
-		e.invalidate = make(map[block.ID]block.GenStamp)
+		slices.SortFunc(invalidate, func(a, b block.Block) int { return cmp.Compare(a.ID, b.ID) })
+		clear(e.invalidate) // keeps the buckets the next deletes fill
 	}
 	return invalidate, true
 }

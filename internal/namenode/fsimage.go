@@ -132,9 +132,11 @@ func (nn *Namenode) LoadImage(r io.Reader) error {
 
 // checkImage refuses a decoded checkpoint that SaveImage could not have
 // written: a path listed twice (the second entry would orphan the
-// first's blocks), a block listed by two files (deleting one would leave
-// the other listing a block gone from the block map), or a block ID
-// above the image's next one (a later addBlock would issue it again).
+// first's blocks), a replication factor below 1 (create never makes one,
+// and the replication sweep would never restore such a file's blocks), a
+// block listed by two files (deleting one would leave the other listing
+// a block gone from the block map), or a block ID above the image's next
+// one (a later addBlock would issue it again).
 func checkImage(files []imageFile, nextBlock int64) error {
 	paths := make(map[string]bool, len(files))
 	owners := make(map[block.ID]string)
@@ -144,6 +146,9 @@ func checkImage(files []imageFile, nextBlock int64) error {
 			return fmt.Errorf("namenode: image lists %s twice", path)
 		}
 		paths[path] = true
+		if r := img.inode.replication; r < 1 {
+			return fmt.Errorf("namenode: image's %s has replication %d, below 1", path, r)
+		}
 		for _, b := range img.blocks {
 			if int64(b.ID) > nextBlock {
 				return fmt.Errorf("namenode: image's %s lists block %d, above its next block ID %d", path, b.ID, nextBlock)

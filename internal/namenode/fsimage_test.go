@@ -128,10 +128,11 @@ func TestLoadImageValidation(t *testing.T) {
 	}
 }
 
-// handFile is one complete R3 file of a hand-made image.
+// handFile is one complete file of a hand-made image.
 type handFile struct {
-	path string
-	ids  []block.ID
+	path        string
+	ids         []block.ID
+	replication int
 }
 
 // handImage encodes a checkpoint field by field, so it can hold what
@@ -142,7 +143,7 @@ func handImage(nextBlock int64, files ...handFile) []byte {
 	for _, f := range files {
 		img = wire.AppendString(img, f.path)
 		img = wire.AppendString(img, "")
-		img = wire.AppendInt(img, 3)
+		img = wire.AppendInt(img, f.replication)
 		img = wire.AppendI64(img, 1<<20)
 		img = wire.AppendBool(img, true)
 		blocks := make([]block.Block, len(f.ids))
@@ -154,20 +155,22 @@ func handImage(nextBlock int64, files ...handFile) []byte {
 	return img
 }
 
-// The three images SaveImage never writes, each one entry away from
-// handImage(2, /a [1], /b [2]), which loads.
+// The images SaveImage never writes, each one entry away from
+// handImage(2, /a [1] R3, /b [2] R3), which loads.
 var (
-	imageSharedBlock  = handImage(2, handFile{"/a", []block.ID{1}}, handFile{"/b", []block.ID{1}})
-	imageBlockAboveID = handImage(2, handFile{"/a", []block.ID{1}}, handFile{"/b", []block.ID{3}})
-	imagePathTwice    = handImage(2, handFile{"/a", []block.ID{1}}, handFile{"/a", []block.ID{2}})
+	imageSharedBlock    = handImage(2, handFile{"/a", []block.ID{1}, 3}, handFile{"/b", []block.ID{1}, 3})
+	imageBlockAboveID   = handImage(2, handFile{"/a", []block.ID{1}, 3}, handFile{"/b", []block.ID{3}, 3})
+	imagePathTwice      = handImage(2, handFile{"/a", []block.ID{1}, 3}, handFile{"/a", []block.ID{2}, 3})
+	imageReplication0   = handImage(2, handFile{"/a", []block.ID{1}, 3}, handFile{"/b", []block.ID{2}, 0})
+	imageReplicationNeg = handImage(2, handFile{"/a", []block.ID{1}, -2}, handFile{"/b", []block.ID{2}, 3})
 )
 
-// loadRefused checks that the consistent neighbour of the three images
+// loadRefused checks that the consistent neighbour of these images
 // loads, then that img is refused with an error mentioning want and
 // leaves the namespace empty.
 func loadRefused(t *testing.T, img []byte, want string) {
 	t.Helper()
-	consistent := handImage(2, handFile{"/a", []block.ID{1}}, handFile{"/b", []block.ID{2}})
+	consistent := handImage(2, handFile{"/a", []block.ID{1}, 3}, handFile{"/b", []block.ID{2}, 3})
 	if err := New(Options{Clock: newTestClock(), Seed: 1}).LoadImage(bytes.NewReader(consistent)); err != nil {
 		t.Fatalf("the consistent hand-made image is refused: %v", err)
 	}
@@ -199,6 +202,15 @@ func TestLoadImageRefusesBlockAboveNextID(t *testing.T) {
 // replace the first in the namespace and orphan its blocks.
 func TestLoadImageRefusesPathTwice(t *testing.T) {
 	loadRefused(t, imagePathTwice, "lists /a twice")
+}
+
+// TestLoadImageRefusesReplicationBelowOne: a file loaded with
+// replication 0 reported Replication 0, and the replication sweep, which
+// restores a block only while its placeable holders number fewer than
+// that, never re-replicated its blocks.
+func TestLoadImageRefusesReplicationBelowOne(t *testing.T) {
+	loadRefused(t, imageReplication0, "/b has replication 0, below 1")
+	loadRefused(t, imageReplicationNeg, "/a has replication -2, below 1")
 }
 
 func TestSafeModeAfterImageLoad(t *testing.T) {
@@ -291,7 +303,7 @@ func FuzzLoadImage(f *testing.F) {
 		[]byte(`{"version": 1, "files": []}`),
 		wire.AppendCount(emptyImage()[:17], 1<<31),
 		append(bytes.Clone(good[:len(good)-2*wire.BlockSize-4]), 0xff, 0xff, 0xff, 0xff),
-		imageSharedBlock, imageBlockAboveID, imagePathTwice,
+		imageSharedBlock, imageBlockAboveID, imagePathTwice, imageReplication0, imageReplicationNeg,
 	} {
 		f.Add(seed)
 	}

@@ -357,7 +357,8 @@ func (nn *Namenode) ClientHeartbeat(req nnapi.ClientHeartbeatReq) (nnapi.ClientH
 // finished or died is not coming back under that name (smarth-put names
 // itself after its pid), and its table would otherwise stay for the life
 // of the namenode. A client that returns later starts without records,
-// as a new one does.
+// as a new one does. The emptied lease map of a client not heard from
+// goes too, so one that never heartbeats keeps none past a tick.
 func (nn *Namenode) forgetSilentClients(now time.Time) {
 	for client, heard := range nn.clientHeard {
 		if now.Sub(heard) >= DefaultLeaseTimeout && len(nn.ns.leases[client]) == 0 {
@@ -365,6 +366,7 @@ func (nn *Namenode) forgetSilentClients(now time.Time) {
 			nn.registry.ForgetClient(client)
 		}
 	}
+	nn.ns.dropIdleLeaseMaps(nn.clientHeard)
 }
 
 // GetBlockLocations returns each block of a file with the datanodes known

@@ -95,7 +95,8 @@ type namesystem struct {
 	files map[string]*fileInode
 	// leases indexes under-construction files by lease holder (client ->
 	// path -> inode), so lease renewal and expiry never scan completed
-	// files.
+	// files. A client's map outlives its last lease, for its next file;
+	// the maintenance tick drops it (dropIdleLeaseMaps).
 	leases    map[string]map[string]*fileInode
 	blocks    map[block.ID]*blockMeta
 	nextBlock int64
@@ -121,10 +122,17 @@ func (ns *namesystem) addLease(f *fileInode) {
 	byPath[f.path] = f
 }
 
+// dropLease ends client's lease on path; the client's map stays, for
+// its next file, until dropIdleLeaseMaps.
 func (ns *namesystem) dropLease(client, path string) {
-	if byPath := ns.leases[client]; byPath != nil {
-		delete(byPath, path)
-		if len(byPath) == 0 {
+	delete(ns.leases[client], path)
+}
+
+// dropIdleLeaseMaps drops the emptied lease map of every client that
+// heard (last heartbeat by client) has no entry for.
+func (ns *namesystem) dropIdleLeaseMaps(heard map[string]time.Time) {
+	for client, byPath := range ns.leases {
+		if _, ok := heard[client]; !ok && len(byPath) == 0 {
 			delete(ns.leases, client)
 		}
 	}

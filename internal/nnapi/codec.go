@@ -11,8 +11,11 @@ import (
 // body — the input must be consumed exactly, every length is checked
 // against the bytes remaining before anything is allocated, and the
 // decoded value owns its memory, so the caller may recycle b as soon as
-// ParseFrom returns. Fields go on the wire in declaration order, built
-// from the primitives of internal/wire; there is one protocol version.
+// ParseFrom returns. Fields that name a datanode, its address or its
+// rack decode through wire.Reader.Name, so a name seen before costs no
+// string; client names and paths never do. Fields go on the wire in
+// declaration order, built from the primitives of internal/wire; there
+// is one protocol version.
 
 // empty is embedded by the messages that carry no fields.
 type empty struct{}
@@ -54,7 +57,7 @@ func (m AddBlockReq) AppendTo(dst []byte) []byte {
 // ParseFrom decodes a whole AddBlockReq body, the inverse of AppendTo.
 func (m *AddBlockReq) ParseFrom(b []byte) error {
 	r := wire.NewReader(b)
-	*m = AddBlockReq{Path: r.Str(), Client: r.Str(), Mode: proto.WriteMode(r.U8()), Exclude: r.Strs(), Previous: r.Block()}
+	*m = AddBlockReq{Path: r.Str(), Client: r.Str(), Mode: proto.WriteMode(r.U8()), Exclude: r.Names(), Previous: r.Block()}
 	return r.Done()
 }
 
@@ -104,7 +107,7 @@ func (m RecoverBlockReq) AppendTo(dst []byte) []byte {
 // ParseFrom decodes a whole RecoverBlockReq body, the inverse of AppendTo.
 func (m *RecoverBlockReq) ParseFrom(b []byte) error {
 	r := wire.NewReader(b)
-	*m = RecoverBlockReq{Path: r.Str(), Client: r.Str(), Block: r.Block(), Alive: r.Strs(), Exclude: r.Strs(), Mode: proto.WriteMode(r.U8())}
+	*m = RecoverBlockReq{Path: r.Str(), Client: r.Str(), Block: r.Block(), Alive: r.Names(), Exclude: r.Names(), Mode: proto.WriteMode(r.U8())}
 	return r.Done()
 }
 
@@ -151,7 +154,7 @@ func (m *ClientHeartbeatReq) ParseFrom(b []byte) error {
 			m.Speeds = make(map[string]float64, n)
 		}
 		for i := 0; i < n; i++ {
-			name := r.Str()
+			name := r.Name()
 			m.Speeds[name] = r.Float64()
 		}
 	}
@@ -372,7 +375,7 @@ func (m RegisterReq) AppendTo(dst []byte) []byte {
 // ParseFrom decodes a whole RegisterReq body, the inverse of AppendTo.
 func (m *RegisterReq) ParseFrom(b []byte) error {
 	r := wire.NewReader(b)
-	*m = RegisterReq{Name: r.Str(), Addr: r.Str(), Rack: r.Str(), Blocks: r.Blocks()}
+	*m = RegisterReq{Name: r.Name(), Addr: r.Name(), Rack: r.Name(), Blocks: r.Blocks()}
 	return r.Done()
 }
 
@@ -385,7 +388,7 @@ func (m HeartbeatReq) AppendTo(dst []byte) []byte {
 // ParseFrom decodes a whole HeartbeatReq body, the inverse of AppendTo.
 func (m *HeartbeatReq) ParseFrom(b []byte) error {
 	r := wire.NewReader(b)
-	*m = HeartbeatReq{Name: r.Str(), UsedBytes: r.I64()}
+	*m = HeartbeatReq{Name: r.Name(), UsedBytes: r.I64()}
 	return r.Done()
 }
 
@@ -426,7 +429,7 @@ func (m BlockReceivedReq) AppendTo(dst []byte) []byte {
 // ParseFrom decodes a whole BlockReceivedReq body, the inverse of AppendTo.
 func (m *BlockReceivedReq) ParseFrom(b []byte) error {
 	r := wire.NewReader(b)
-	*m = BlockReceivedReq{Name: r.Str(), Block: r.Block()}
+	*m = BlockReceivedReq{Name: r.Name(), Block: r.Block()}
 	return r.Done()
 }
 
@@ -439,7 +442,7 @@ func (m BlockReceivedBatchReq) AppendTo(dst []byte) []byte {
 // ParseFrom decodes a whole BlockReceivedBatchReq body, the inverse of AppendTo.
 func (m *BlockReceivedBatchReq) ParseFrom(b []byte) error {
 	r := wire.NewReader(b)
-	*m = BlockReceivedBatchReq{Name: r.Str(), Blocks: r.Blocks()}
+	*m = BlockReceivedBatchReq{Name: r.Name(), Blocks: r.Blocks()}
 	return r.Done()
 }
 

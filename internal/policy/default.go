@@ -182,7 +182,8 @@ func placeSmarth(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) 
 		return nil, ErrNoDatanodes
 	}
 	n := core.MaxPipelines(len(p.alive), in.Replication)
-	topN := view.Registry().TopN(in.Client, n, candidates)
+	var top [32]string // the usual cluster's n fits the frame too
+	topN := view.Registry().AppendTopN(top[:0], in.Client, n, candidates)
 	if !p.add(topN[in.Rng.Intn(len(topN))]) {
 		// The view could not resolve the drawn node; anything alive will do.
 		if !p.randomAlive() {

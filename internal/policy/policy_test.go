@@ -157,16 +157,19 @@ func benchCluster(n int) ClusterView {
 	return liveView{m, topo}
 }
 
-// TestAllocPlace: a SMARTH placement buys the exclusion list it hands the
-// view's random choices (an interface call's argument is on the heap),
-// the targets it returns and TopN's result; the HDFS path has no TopN.
+// TestAllocPlace: a placement buys the exclusion list it hands the
+// view's random choices (an interface call's argument is on the heap)
+// and the targets it returns; SMARTH ranks its TopN into a frame array.
+// Past 32 candidates the candidate list, TopN's sort entries and its
+// answer are one exact-size slice each.
 func TestAllocPlace(t *testing.T) {
-	view := benchCluster(9)
 	pol, _ := New(Default)
 	for _, c := range []struct {
+		nodes  int
 		mode   proto.WriteMode
 		budget float64
-	}{{proto.ModeSmarth, 3}, {proto.ModeHDFS, 2}} {
+	}{{9, proto.ModeSmarth, 2}, {9, proto.ModeHDFS, 2}, {100, proto.ModeSmarth, 5}} {
+		view := benchCluster(c.nodes)
 		in := PlaceInput{Client: "writer", Mode: c.mode, Replication: 3, Rng: rand.New(rand.NewSource(1))}
 		got := testing.AllocsPerRun(200, func() {
 			if targets, err := pol.Place(view, in); err != nil || len(targets) != 3 {
@@ -174,7 +177,7 @@ func TestAllocPlace(t *testing.T) {
 			}
 		})
 		if got > c.budget {
-			t.Errorf("mode %v: %.1f allocs per placement, budget %.0f", c.mode, got, c.budget)
+			t.Errorf("%d nodes, mode %v: %.1f allocs per placement, budget %.0f", c.nodes, c.mode, got, c.budget)
 		}
 	}
 }

@@ -20,10 +20,22 @@ type index[R interface {
 	reps map[block.ID]R
 }
 
+// missError is a lookup's miss: ErrNotFound or ErrNotFinalized, and the
+// block. It is formatted only when printed, so a miss — the datanode's
+// invalidation probes make many — costs one small allocation.
+type missError struct {
+	kind error
+	id   block.ID
+}
+
+func (e *missError) Error() string { return fmt.Sprintf("%v: blk_%d", e.kind, e.id) }
+
+func (e *missError) Unwrap() error { return e.kind }
+
 func (x *index[R]) get(id block.ID) (R, error) {
 	rep, ok := x.reps[id]
 	if !ok {
-		return rep, fmt.Errorf("%w: blk_%d", ErrNotFound, id)
+		return rep, &missError{ErrNotFound, id}
 	}
 	return rep, nil
 }
@@ -32,7 +44,7 @@ func (x *index[R]) get(id block.ID) (R, error) {
 func (x *index[R]) finalized(id block.ID) (R, error) {
 	rep, err := x.get(id)
 	if err == nil && rep.meta().State != Finalized {
-		err = fmt.Errorf("%w: blk_%d", ErrNotFinalized, id)
+		err = &missError{ErrNotFinalized, id}
 	}
 	return rep, err
 }

@@ -88,6 +88,31 @@ func TestOpenTempFails(t *testing.T) {
 	}
 }
 
+// TestAllocInfoMiss: a lookup's miss — most of the datanode's
+// invalidation probes — costs at most the error itself, and the error
+// still reads and matches as it always has.
+func TestAllocInfoMiss(t *testing.T) {
+	for name, s := range stores(t) {
+		t.Run(name, func(t *testing.T) {
+			var err error
+			if got := testing.AllocsPerRun(100, func() { _, err = s.Info(99) }); got > 1 {
+				t.Errorf("Info miss: %.1f allocs, budget 1", got)
+			}
+			if !errors.Is(err, ErrNotFound) || err.Error() != "storage: block not found: blk_99" {
+				t.Errorf("Info miss err = %q, want ErrNotFound for blk_99", err)
+			}
+			w, err := s.Create(block.Block{ID: 3}, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer w.Close()
+			if _, _, err := s.Open(3); !errors.Is(err, ErrNotFinalized) || err.Error() != "storage: block not finalized: blk_3" {
+				t.Errorf("Open(temp) err = %q, want ErrNotFinalized for blk_3", err)
+			}
+		})
+	}
+}
+
 func TestAbortDiscards(t *testing.T) {
 	for name, s := range stores(t) {
 		t.Run(name, func(t *testing.T) {

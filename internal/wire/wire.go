@@ -10,7 +10,10 @@
 // and its bytes, a list is a u32 count and its elements. Decoding goes
 // through a Reader, which checks every length against the bytes that
 // remain before it allocates anything and copies what it returns, so a
-// decoded value never aliases the (usually pooled) input.
+// decoded value never aliases the (usually pooled) input. The one
+// exception to "copies" is a name (Reader.Name): the few strings that
+// name datanodes, their addresses and racks decode to a string shared
+// with every earlier decode of the same bytes, from one bounded table.
 package wire
 
 import (
@@ -275,15 +278,22 @@ func (r *Reader) StrView() []byte {
 // Str reads a length-prefixed string (a copy of the input bytes).
 func (r *Reader) Str() string { return string(r.StrView()) }
 
-// Strs reads a counted list of strings; an empty list is nil.
-func (r *Reader) Strs() []string {
+// Name reads a length-prefixed string that names a datanode, its address
+// or its rack: a string the name table already holds for these bytes,
+// so a name seen before costs nothing. Never use it for a client's name,
+// a path or anything else whose number the cluster's size does not
+// bound.
+func (r *Reader) Name() string { return names.intern(r.StrView()) }
+
+// Names reads a counted list of names; an empty list is nil.
+func (r *Reader) Names() []string {
 	n := r.Count(MinStringSize)
 	if n == 0 {
 		return nil
 	}
 	ss := make([]string, n)
 	for i := range ss {
-		ss[i] = r.Str()
+		ss[i] = r.Name()
 	}
 	return ss
 }
@@ -314,9 +324,9 @@ func (r *Reader) Blocks() []block.Block {
 	return bs
 }
 
-// Datanode reads a datanode.
+// Datanode reads a datanode; its three fields are names.
 func (r *Reader) Datanode() block.DatanodeInfo {
-	return block.DatanodeInfo{Name: r.Str(), Addr: r.Str(), Rack: r.Str()}
+	return block.DatanodeInfo{Name: r.Name(), Addr: r.Name(), Rack: r.Name()}
 }
 
 // Datanodes reads a counted list of datanodes; an empty list is nil.
