@@ -147,19 +147,18 @@ func (c *Client) newSchedWriter(path string, opts WriteOptions, mode proto.Write
 	c.mu.Lock()
 	seed := c.rng.Int63()
 	c.mu.Unlock()
-	cfg := writesched.Config{
+	w.eng = writesched.New(writesched.Config{
 		Path:            path,
 		Mode:            mode,
 		Replication:     opts.Replication,
 		MaxPipelines:    maxPipelines,
 		DisableLocalOpt: opts.DisableLocalOpt,
-		// SMARTH heartbeats at every FNFA so fresh measurements reach
-		// the namenode before the next placement decision.
-		ProtocolHeartbeats: mode == proto.ModeSmarth,
-		Seed:               seed,
-	}
-	opts.Script.Pin(&cfg)
-	w.eng = writesched.New(cfg, w)
+		Seed:            seed,
+		// Every writer of the client records into, and orders by, the
+		// one table its heartbeats send.
+		Recorder: c.recorder,
+		Script:   opts.Script,
+	}, w)
 	w.wg.Add(1)
 	go w.nnWorker()
 	return w
@@ -434,16 +433,11 @@ func (w *schedWriter) Complete() {
 	w.enqueueNN(func() { w.eng.HandleCompleteDone(w.c.completeFile(w.path)) })
 }
 
-// Heartbeat queues a speed-table push. The recorder snapshot is taken on
-// the worker at send time, so it reflects every measurement made while
-// the op sat queued.
+// Heartbeat queues a speed-table push at every FNFA, so fresh
+// measurements reach the namenode before the next placement decision.
+// The recorder snapshot is taken on the worker at send time, so it
+// reflects every measurement made while the op sat queued.
 func (w *schedWriter) Heartbeat() { w.enqueueNN(w.c.SendHeartbeat) }
-
-func (w *schedWriter) RecordSpeed(dn string, bytes int64, elapsed time.Duration) {
-	w.c.recorder.Record(dn, bytes, elapsed)
-}
-
-func (w *schedWriter) SpeedOf(dn string) float64 { return w.c.recorder.Speed(dn) }
 
 func (w *schedWriter) Ready(idx int) {
 	w.mu.Lock()

@@ -54,17 +54,6 @@ const (
 	Path = "/" + sim.ClientName + "-file"
 )
 
-// Fault injects one mid-write pipeline failure: block Block's initial
-// pipeline dies before its FNFA, so the engine blames the first datanode
-// and runs Algorithm 3 recovery. The sim substrate truncates packet
-// production; the live substrate blackholes the client→first-DN link
-// (faultnet DropAfter) so the FNFA deadline expires. Both blame the same
-// node, which keeps the logs aligned.
-type Fault struct {
-	// Block is the 0-based index of the block whose pipeline dies.
-	Block int
-}
-
 // Scenario is one seeded conformance case, replayable on either
 // substrate.
 type Scenario struct {
@@ -91,7 +80,14 @@ type Scenario struct {
 	// timing-independence this package exists to prove.
 	ThrottleDN   int
 	ThrottleMbps float64
-	Fault        *Fault
+	// Fault injects one mid-write pipeline failure: block Fault.Block's
+	// initial pipeline dies after Fault.AfterPackets packets, before its
+	// FNFA, so the engine blames the first datanode (BadIndex -1) and
+	// runs Algorithm 3 recovery. The sim takes the fault as it is; the
+	// live run blackholes the client→first-DN link after as many bytes
+	// (faultnet DropAfter), so the FNFA deadline expires. Both blame the
+	// same node, which keeps the logs aligned.
+	Fault *sim.PipelineFault
 }
 
 // Scenarios returns the seeded conformance suite: the HDFS baseline on
@@ -126,7 +122,8 @@ func Scenarios() []Scenario {
 		{
 			Name: "smarth-failure", Mode: proto.ModeSmarth, Seed: 14,
 			Blocks: 6, MaxPipelines: 3, SpeedMbps: speeds, ThrottleDN: -1,
-			Fault: &Fault{Block: 2},
+			// Mid-block: after 2 of the 4 packets.
+			Fault: &sim.PipelineFault{Block: 2, AfterPackets: 2, BadIndex: -1},
 		},
 	}
 }
@@ -181,11 +178,7 @@ func RunSim(s Scenario) (string, error) {
 		cfg.NodeLimitMbps = map[int]float64{s.ThrottleDN: s.ThrottleMbps}
 	}
 	if s.Fault != nil {
-		cfg.PipelineFaults = []sim.PipelineFault{{
-			Block:        s.Fault.Block,
-			AfterPackets: 2, // mid-block: after 2 of the 4 packets
-			BadIndex:     -1,
-		}}
+		cfg.PipelineFaults = []sim.PipelineFault{*s.Fault}
 	}
 	if _, err := sim.Run(cfg); err != nil {
 		return "", err
@@ -230,9 +223,9 @@ func RunLive(s Scenario, victim string) (string, error) {
 	}
 	defer c.Stop()
 	if fn != nil {
-		// Let roughly half the block through, then silently drop the
-		// rest: the first datanode never completes the block, no FNFA.
-		fn.SetLink(sim.ClientName, victim, faultnet.Fault{DropAfter: BlockSize / 2})
+		// Let the fault's packets through, then silently drop the rest:
+		// the first datanode never completes the block, no FNFA.
+		fn.SetLink(sim.ClientName, victim, faultnet.Fault{DropAfter: int64(s.Fault.AfterPackets) * PacketSize})
 	}
 
 	cl, err := c.NewClient(sim.ClientName)

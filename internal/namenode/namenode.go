@@ -90,10 +90,9 @@ type Namenode struct {
 	// blocks have at least one reported replica (like HDFS startup).
 	safeMode bool
 
-	// pol places every pipeline: client writes, recovery top-ups and
-	// re-replication. view is what it sees of the cluster: one
+	// view is what policy.Place sees of the cluster for every pipeline
+	// (client writes, recovery top-ups and re-replication): one
 	// placementView for the namenode's life, boxed once.
-	pol  policy.Policy
 	view policy.ClusterView
 
 	// Observability (nil-safe no-ops when Options.Obs is unset).
@@ -119,7 +118,6 @@ func New(opts Options) *Namenode {
 	rng := rand.New(rand.NewSource(seed))
 	dm := newDatanodeManager(clk, opts.Expiry)
 	registry := core.NewRegistry()
-	pol, _ := policy.New(policy.Default) // Default always resolves
 	nn := &Namenode{
 		clk:           clk,
 		ns:            newNamesystem(),
@@ -129,7 +127,6 @@ func New(opts Options) *Namenode {
 		rng:           rng,
 		balancerMoves: make(map[block.ID]pendingMove),
 		clientHeard:   make(map[string]time.Time),
-		pol:           pol,
 		view:          placementView{dm: dm, registry: registry},
 	}
 	nn.obsComp = opts.Obs.Component("namenode")
@@ -150,7 +147,7 @@ func (nn *Namenode) Registry() *core.Registry { return nn.registry }
 func (nn *Namenode) place(mode proto.WriteMode, client string, replication int, exclude []string) ([]block.DatanodeInfo, error) {
 	dm := nn.dm
 	dm.placeable = dm.appendPlaceable(dm.placeable[:0], nn.clk.Now())
-	return nn.pol.Place(nn.view, policy.PlaceInput{
+	return policy.Place(nn.view, policy.PlaceInput{
 		Client:      client,
 		Mode:        mode,
 		Replication: replication,

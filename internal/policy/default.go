@@ -131,28 +131,20 @@ func (p *picker) fillTail(replication int) {
 	}
 }
 
-// defaultPolicy is the paper's placement and ordering. HDFS mode: first
-// replica on the client itself when the client is a datanode, otherwise
-// a random node, then the standard rack-aware tail.
-// SMARTH mode with speed records (Algorithm 1): first datanode drawn
-// uniformly from the client's TopN fastest (n = activeDatanodes /
-// replication), same tail; without records it falls back to the HDFS
-// path (Algorithm 1 line 21). Pipelines chain; ordering is Algorithm 2.
-type defaultPolicy struct{}
-
-func (d *defaultPolicy) Place(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) {
+// Place chooses up to in.Replication pipeline targets; the returned
+// order is the pipeline order (the first receives the client's stream),
+// and zero targets are ErrNoDatanodes. HDFS mode puts the first replica
+// on the client itself when the client is a datanode, otherwise on a
+// random node. SMARTH mode with speed records (Algorithm 1) draws the
+// first datanode uniformly from the client's TopN fastest (n =
+// activeDatanodes / replication); without records it falls back to the
+// HDFS path (Algorithm 1 line 21). Both share the rack-aware tail. Place
+// runs under the namenode's lock (the ClusterView contract).
+func Place(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) {
 	if in.Mode == proto.ModeSmarth && view.Registry().HasRecords(in.Client) {
 		return placeSmarth(view, in)
 	}
 	return placeDefault(view, in)
-}
-
-func (d *defaultPolicy) ExcludeBusy(mode proto.WriteMode) bool {
-	return mode == proto.ModeSmarth
-}
-
-func (d *defaultPolicy) OrderPipeline(idx int, targets []string, speedOf func(string) float64, rng *rand.Rand) bool {
-	return core.LocalOptimize(targets, speedOf, rng)
 }
 
 // placeDefault is HDFS's topology-aware placement.

@@ -280,7 +280,6 @@ func randomCluster(gen *rand.Rand) (*model, *topology.Topology) {
 
 func TestPlaceMatchesReference(t *testing.T) {
 	gen := rand.New(rand.NewSource(3))
-	pol, _ := New(Default)
 	anyName := func() string { return fmt.Sprintf("dn%02d", gen.Intn(45)) } // dn40–dn44 are unknown
 	for round := 0; round < 2000; round++ {
 		m, topo := randomCluster(gen)
@@ -306,7 +305,7 @@ func TestPlaceMatchesReference(t *testing.T) {
 		seed := gen.Int63()
 
 		in.Rng = rand.New(rand.NewSource(seed))
-		got, gotErr := pol.Place(liveView{m, topo}, in)
+		got, gotErr := Place(liveView{m, topo}, in)
 		gotNext := in.Rng.Int63()
 
 		in.Rng = rand.New(rand.NewSource(seed))

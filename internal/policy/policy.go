@@ -1,17 +1,17 @@
-// Package policy is the single home of the paper's write-path decisions:
-// block placement under exclude sets (HDFS's topology-aware placement and
-// SMARTH's Algorithm 1 TopN first node) and pipeline ordering (Algorithm 2
-// local optimization). The namenode, the writesched engine, and the
-// simulator all reach them through this package, so the algorithms run
-// identically live and in the DES — with conformance replaying them on
-// both substrates (see internal/conformance).
+// Package policy is the single home of the paper's block placement under
+// exclude sets: HDFS's topology-aware placement and SMARTH's Algorithm 1
+// TopN first node. The namenode calls Place for every pipeline, on both
+// substrates, so placement runs identically live and in the DES — with
+// conformance replaying it on both (see internal/conformance). Pipeline
+// ordering (Algorithm 2) is core.LocalOptimize, which the writesched
+// engine calls itself.
 //
 // Determinism contract (DESIGN.md §9): no wall clock, no ambient
 // math/rand (only the explicitly seeded *rand.Rand handed in through
-// PlaceInput/OrderPipeline), and no map-iteration order feeding a
-// decision. Every choice must be a pure function of the inputs and the
-// seeded rng; sim.TestDeterminism, TestPlaceMatchesReference and the
-// conformance decision logs fail when one is not.
+// PlaceInput), and no map-iteration order feeding a decision. Every
+// choice must be a pure function of the inputs and the seeded rng;
+// sim.TestDeterminism, TestPlaceMatchesReference and the conformance
+// decision logs fail when one is not.
 package policy
 
 import (
@@ -24,8 +24,9 @@ import (
 	"repro/internal/proto"
 )
 
-// Default names the one policy. The constant stays because
-// bench/layers.go calls New(Default).
+// Default names the one policy. It and New stay only because
+// bench/layers.go's placement probe calls New(Default).Place; everything
+// else calls the package function Place.
 const Default = "default"
 
 // ErrNoDatanodes is returned when placement cannot find a single target.
@@ -85,37 +86,23 @@ type PlaceInput struct {
 	Replication int
 	// Exclude lists datanodes that must not be chosen.
 	Exclude []string
-	// Rng is the namenode's seeded placement rng. Policies must draw all
-	// randomness from it (or use none) so placement stays reproducible.
+	// Rng is the namenode's seeded placement rng. Place draws all its
+	// randomness from it, so placement stays reproducible.
 	Rng *rand.Rand
 }
 
-// Policy is the write path's decision surface: where replicas go and in
-// what order the pipeline visits them. It is safe for concurrent use;
-// Place additionally runs under the namenode's datanode-manager lock
-// (via the ClusterView contract).
-type Policy interface {
-	// Place chooses up to in.Replication pipeline targets. The returned
-	// order is the pipeline order (first element receives the client's
-	// stream). Zero targets must be reported as ErrNoDatanodes (possibly
-	// wrapped).
-	Place(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error)
-	// ExcludeBusy reports whether the engine should exclude datanodes
-	// serving unretired pipelines from addBlock/recovery requests (the
-	// SMARTH one-pipeline-per-datanode rule).
-	ExcludeBusy(mode proto.WriteMode) bool
-	// OrderPipeline may reorder targets in place after placement (the
-	// Algorithm 2 slot). idx is the block index, speedOf the client's
-	// local speed estimate, rng the engine's seeded rng. It reports
-	// whether an exploration swap happened (decision-logged).
-	OrderPipeline(idx int, targets []string, speedOf func(string) float64, rng *rand.Rand) bool
+// New returns the handle bench/layers.go's placement probe calls Place
+// on; it accepts only "" and Default.
+func New(name string) (placer, error) {
+	if name != "" && name != Default {
+		return placer{}, fmt.Errorf("policy: unknown policy %q", name)
+	}
+	return placer{}, nil
 }
 
-// New returns the policy. It takes a name, and accepts only "" and
-// Default, because bench/layers.go calls New(Default).
-func New(name string) (Policy, error) {
-	if name != "" && name != Default {
-		return nil, fmt.Errorf("policy: unknown policy %q", name)
-	}
-	return &defaultPolicy{}, nil
+// placer is New's handle: its Place is the package function.
+type placer struct{}
+
+func (placer) Place(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) {
+	return Place(view, in)
 }

@@ -93,8 +93,7 @@ func targetNames(targets []block.DatanodeInfo) []string {
 
 func TestDefaultPlaceRackAwareTail(t *testing.T) {
 	view := twoRackView()
-	pol, _ := New(Default)
-	got, err := pol.Place(view, PlaceInput{
+	got, err := Place(view, PlaceInput{
 		Client:      "dn1",
 		Mode:        proto.ModeHDFS,
 		Replication: 3,
@@ -114,8 +113,7 @@ func TestDefaultPlaceRackAwareTail(t *testing.T) {
 
 func TestDefaultPlaceHonorsExclude(t *testing.T) {
 	view := twoRackView()
-	pol, _ := New(Default)
-	got, err := pol.Place(view, PlaceInput{
+	got, err := Place(view, PlaceInput{
 		Mode:        proto.ModeHDFS,
 		Replication: 2,
 		Exclude:     []string{"dn1", "dn2", "dn3", "dn4"},
@@ -129,7 +127,7 @@ func TestDefaultPlaceHonorsExclude(t *testing.T) {
 			t.Fatalf("excluded node placed: %v", targetNames(got))
 		}
 	}
-	if _, err := pol.Place(view, PlaceInput{
+	if _, err := Place(view, PlaceInput{
 		Mode:        proto.ModeHDFS,
 		Replication: 1,
 		Exclude:     view.names(),
@@ -163,7 +161,6 @@ func benchCluster(n int) ClusterView {
 // Past 32 candidates the candidate list, TopN's sort entries and its
 // answer are one exact-size slice each.
 func TestAllocPlace(t *testing.T) {
-	pol, _ := New(Default)
 	for _, c := range []struct {
 		nodes  int
 		mode   proto.WriteMode
@@ -172,7 +169,7 @@ func TestAllocPlace(t *testing.T) {
 		view := benchCluster(c.nodes)
 		in := PlaceInput{Client: "writer", Mode: c.mode, Replication: 3, Rng: rand.New(rand.NewSource(1))}
 		got := testing.AllocsPerRun(200, func() {
-			if targets, err := pol.Place(view, in); err != nil || len(targets) != 3 {
+			if targets, err := Place(view, in); err != nil || len(targets) != 3 {
 				t.Fatalf("Place = %v, %v", targets, err)
 			}
 		})
@@ -186,7 +183,6 @@ func TestAllocPlace(t *testing.T) {
 // placement filters and walks sorted lists it is handed, so it is linear
 // in the number of nodes, with TopN's sort of the candidates on top.
 func BenchmarkPlace(b *testing.B) {
-	pol, _ := New(Default)
 	for _, n := range []int{9, 100, 1000} {
 		b.Run(fmt.Sprintf("nodes=%d", n), func(b *testing.B) {
 			view := benchCluster(n)
@@ -194,7 +190,7 @@ func BenchmarkPlace(b *testing.B) {
 			b.ReportAllocs()
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				if targets, err := pol.Place(view, in); err != nil || len(targets) != 3 {
+				if targets, err := Place(view, in); err != nil || len(targets) != 3 {
 					b.Fatalf("Place = %v, %v", targets, err)
 				}
 			}

@@ -338,17 +338,16 @@ func newSimulation(cfg Config, sc *scratch) (*simulation, error) {
 		blockSpans: make(map[int]*obs.Span),
 		numBlocks:  numBlocks,
 	}
-	ecfg := writesched.Config{
-		Path:               filePath,
-		Mode:               cfg.Mode,
-		Replication:        cfg.Replication,
-		MaxPipelines:       maxPipes,
-		DisableLocalOpt:    cfg.DisableLocalOpt,
-		ProtocolHeartbeats: cfg.Script != nil,
-		Seed:               cfg.Seed,
-	}
-	cfg.Script.Pin(&ecfg)
-	w.eng = writesched.New(ecfg, w)
+	w.eng = writesched.New(writesched.Config{
+		Path:            filePath,
+		Mode:            cfg.Mode,
+		Replication:     cfg.Replication,
+		MaxPipelines:    maxPipes,
+		DisableLocalOpt: cfg.DisableLocalOpt,
+		Seed:            cfg.Seed,
+		Recorder:        w.recorder,
+		Script:          cfg.Script,
+	}, w)
 	s.w = w
 	return s, nil
 }
@@ -501,9 +500,10 @@ func (w *writer) Complete() {
 	s.eng.Schedule(s.cfg.NNLatency, func() { w.eng.HandleCompleteDone(nil) })
 }
 
-// Heartbeat ships the speed table inline (scripted runs).
+// Heartbeat ships the speed table inline in a scripted run; an
+// unscripted one leaves it to the timer start set up.
 func (w *writer) Heartbeat() {
-	if w.s.cfg.DisableGlobalOpt || w.recorder.Len() == 0 {
+	if w.s.cfg.Script == nil || w.s.cfg.DisableGlobalOpt || w.recorder.Len() == 0 {
 		return
 	}
 	_, _ = w.s.nn.ClientHeartbeat(nnapi.ClientHeartbeatReq{
@@ -511,12 +511,6 @@ func (w *writer) Heartbeat() {
 		Speeds: w.recorder.Snapshot(),
 	})
 }
-
-func (w *writer) RecordSpeed(dn string, bytes int64, elapsed time.Duration) {
-	w.recorder.Record(dn, bytes, elapsed)
-}
-
-func (w *writer) SpeedOf(dn string) float64 { return w.recorder.Speed(dn) }
 
 // Ready un-gates the producer: offer the next block (or close).
 func (w *writer) Ready(int) { w.offerNext() }

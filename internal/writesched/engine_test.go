@@ -3,12 +3,14 @@ package writesched
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/proto"
 )
@@ -20,13 +22,15 @@ type mock struct {
 	mu    sync.Mutex
 	calls []string
 	e     *Engine // set via attach; answers Complete() unless onComplete overrides
+	// rec, when set, is the engine's Config.Recorder: Heartbeat logs how
+	// many datanodes the table holds when it is asked to send it.
+	rec *core.Recorder
 
 	onAddBlock func(idx int, exclude []string, prev block.Block)
 	onRecover  func(idx, attempt int, blk block.Block, alive, exclude []string)
 	onComplete func()
 	onStart    func(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool)
 	onReady    func(idx int)
-	speeds     map[string]float64
 
 	doneCh chan error
 }
@@ -93,13 +97,13 @@ func (m *mock) StartPipeline(idx int, lb block.LocatedBlock, shape policy.Shape,
 	}
 }
 
-func (m *mock) Heartbeat() { m.record("heartbeat()") }
-
-func (m *mock) RecordSpeed(dn string, bytes int64, elapsed time.Duration) {
-	m.record("speed(%s,%d,%v)", dn, bytes, elapsed)
+func (m *mock) Heartbeat() {
+	if m.rec == nil {
+		m.record("heartbeat()")
+		return
+	}
+	m.record("heartbeat(%d)", m.rec.Len())
 }
-
-func (m *mock) SpeedOf(dn string) float64 { return m.speeds[dn] }
 
 func (m *mock) Ready(idx int) {
 	m.record("ready(%d)", idx)
@@ -165,7 +169,7 @@ func TestSmarthChainStrictRetire(t *testing.T) {
 	)
 	e = m.attach(New(Config{
 		Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 2,
-		DisableLocalOpt: true, StrictRetire: true, Log: log,
+		DisableLocalOpt: true, Script: &Script{Log: log},
 	}, m))
 
 	e.Offer(100)
@@ -212,7 +216,7 @@ func TestHDFSStopAndWait(t *testing.T) {
 		lbOf(1, "dn1", "dn2", "dn3"),
 		lbOf(2, "dn2", "dn3", "dn1"),
 	)
-	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeHDFS, Replication: 3, MaxPipelines: 1, Log: log}, m))
+	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeHDFS, Replication: 3, MaxPipelines: 1, Script: &Script{Log: log}}, m))
 
 	e.Offer(100)
 	e.Offer(100) // must wait for block 0's commit
@@ -237,22 +241,32 @@ func TestHDFSStopAndWait(t *testing.T) {
 		"retire idx=0",
 		"addblock idx=1 exclude=[] block=" + lbOf(2).Block.String() + " targets=[dn2,dn3,dn1]",
 		"launch idx=1 targets=[dn2,dn3,dn1]",
-		"retire idx=1",
 		"close",
+		"drain idx=1",
 		"complete path=/f blocks=2",
 	})
 }
 
+// speeds returns a recorder holding each datanode's speed in bytes/s
+// (one second per sample).
+func speeds(bps map[string]float64) *core.Recorder {
+	rec := core.NewRecorder()
+	for dn, v := range bps {
+		rec.Record(dn, int64(v), time.Second)
+	}
+	return rec
+}
+
 func TestLocalOptimizeReorders(t *testing.T) {
 	m := newMock()
-	m.speeds = map[string]float64{"dn1": 5, "dn2": 10, "dn3": 1}
 	log := &DecisionLog{}
 	var e *Engine
 	m.onAddBlock = grantSequence(&e, lbOf(1, "dn1", "dn2", "dn3"))
 	var started block.LocatedBlock
 	m.onStart = func(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool) { started = lb }
 	// Seed 1's first Float64 is ~0.60 <= SwapThreshold: sort, no swap.
-	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 1, Seed: 1, Log: log}, m))
+	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 1, Seed: 1,
+		Recorder: speeds(map[string]float64{"dn1": 5, "dn2": 10, "dn3": 1}), Script: &Script{Log: log}}, m))
 
 	e.Offer(100)
 	want := []string{"dn2", "dn1", "dn3"}
@@ -279,7 +293,7 @@ func TestPreFNFAFailureRecovers(t *testing.T) {
 		e.HandleRecovered(idx, lbOf(1, "dn2", "dn3", "dn4"), nil)
 	}
 	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 2,
-		DisableLocalOpt: true, StrictRetire: true, Log: log}, m))
+		DisableLocalOpt: true, Script: &Script{Log: log}}, m))
 
 	e.Offer(100)
 	e.HandleFailed(0, PipelineFailure{BadIndex: 0, Cause: errors.New("dial dn1: refused")})
@@ -324,7 +338,7 @@ func TestPostFNFAFailureBlocksNextLaunch(t *testing.T) {
 		e.HandleAddBlock(idx, lb, nil)
 	}
 	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 3,
-		DisableLocalOpt: true, StrictRetire: true, Log: log}, m))
+		DisableLocalOpt: true, Script: &Script{Log: log}}, m))
 
 	e.Offer(100)
 	e.HandleFNFA(0, time.Second)
@@ -376,7 +390,7 @@ func TestRecoveryAttemptsExhausted(t *testing.T) {
 	}
 	root := errors.New("root cause")
 	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 2,
-		DisableLocalOpt: true, Log: log}, m))
+		DisableLocalOpt: true, Script: &Script{Log: log}}, m))
 
 	e.Offer(100)
 	e.HandleFailed(0, PipelineFailure{BadIndex: 0, Cause: root}) // blames dn1, attempt 1
@@ -464,7 +478,7 @@ func TestNoTargetsRetiresAndRetries(t *testing.T) {
 		}
 	}
 	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 2,
-		DisableLocalOpt: true, StrictRetire: true, Log: log}, m))
+		DisableLocalOpt: true, Script: &Script{Log: log}}, m))
 
 	e.Offer(100)
 	e.HandleFNFA(0, time.Second)
@@ -509,7 +523,7 @@ func TestNoTargetsWithNoPipelinesIsFatal(t *testing.T) {
 func TestEmptyFileCompletes(t *testing.T) {
 	m := newMock()
 	log := &DecisionLog{}
-	e := m.attach(New(Config{Path: "/empty", Mode: proto.ModeHDFS, MaxPipelines: 1, Log: log}, m))
+	e := m.attach(New(Config{Path: "/empty", Mode: proto.ModeHDFS, MaxPipelines: 1, Script: &Script{Log: log}}, m))
 	e.CloseFile()
 	if err := m.waitDone(t); err != nil {
 		t.Fatalf("FileDone: %v", err)
@@ -523,9 +537,12 @@ func TestEmptyFileCompletes(t *testing.T) {
 
 // The FNFA speed record, the protocol heartbeat, and any later addBlock
 // must execute in exactly that order — the invariant that makes the
-// namenode's registry state identical across substrates.
+// namenode's registry state identical across substrates. The mock's
+// heartbeat reads the shared recorder, so it shows the sample is in the
+// table before the heartbeat is asked for.
 func TestProtocolHeartbeatOrdering(t *testing.T) {
 	m := newMock()
+	m.rec = core.NewRecorder()
 	var e *Engine
 	m.onAddBlock = grantSequence(&e,
 		lbOf(1, "dn1", "dn2", "dn3"),
@@ -538,14 +555,14 @@ func TestProtocolHeartbeatOrdering(t *testing.T) {
 			e.CloseFile()
 		}
 	}
-	override := func(blockIdx int, firstDN string) (int64, time.Duration) {
+	script := &Script{Speed: func(blockIdx int, firstDN string) (int64, time.Duration) {
 		return 1 << 20, time.Second
-	}
+	}}
 	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 2,
-		DisableLocalOpt: true, ProtocolHeartbeats: true, SpeedOverride: override, StrictRetire: true}, m))
+		DisableLocalOpt: true, Recorder: m.rec, Script: script}, m))
 
 	e.Offer(100)
-	e.HandleFNFA(0, 5*time.Second) // raw sample overridden to (1MiB, 1s)
+	e.HandleFNFA(0, 5*time.Second) // raw sample replaced by (1MiB, 1s)
 	e.HandleFNFA(1, 5*time.Second)
 	e.HandleDrained(0)
 	e.HandleDrained(1)
@@ -555,13 +572,54 @@ func TestProtocolHeartbeatOrdering(t *testing.T) {
 
 	var seq []string
 	for _, c := range m.callLog() {
-		if strings.HasPrefix(c, "speed(") || c == "heartbeat()" || strings.HasPrefix(c, "addblock(1") {
+		if strings.HasPrefix(c, "heartbeat(") || strings.HasPrefix(c, "addblock(1") {
 			seq = append(seq, c)
 		}
 	}
-	want := []string{"speed(dn1,1048576,1s)", "heartbeat()", "addblock(1,[dn1,dn2,dn3])", "speed(dn4,1048576,1s)", "heartbeat()"}
+	want := []string{"heartbeat(1)", "addblock(1,[dn1,dn2,dn3])", "heartbeat(2)"}
 	if strings.Join(seq, ";") != strings.Join(want, ";") {
 		t.Fatalf("ordering = %v, want %v", seq, want)
+	}
+	for _, dn := range []string{"dn1", "dn4"} {
+		if got := m.rec.Speed(dn); got != 1<<20 {
+			t.Fatalf("recorded speed of %s = %v, want the scripted %d", dn, got, 1<<20)
+		}
+	}
+}
+
+// Two engines given one Recorder — the live client's per-client table,
+// shared by every writer of the client — see each other's FNFA samples
+// in Algorithm 2: what the first file measured orders the second's
+// pipeline.
+func TestEnginesShareRecorder(t *testing.T) {
+	rec := core.NewRecorder()
+	first := newMock()
+	var e1 *Engine
+	first.onAddBlock = grantSequence(&e1, lbOf(1, "dn1", "dn2", "dn3"), lbOf(2, "dn2", "dn4", "dn5"))
+	e1 = first.attach(New(Config{Path: "/a", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 1,
+		DisableLocalOpt: true, Recorder: rec}, first))
+	e1.Offer(1 << 20)
+	e1.HandleFNFA(0, time.Second) // dn1: 1 MiB/s
+	e1.HandleDrained(0)
+	e1.Offer(10 << 20)
+	e1.HandleFNFA(1, time.Second) // dn2: 10 MiB/s
+	e1.HandleDrained(1)
+	e1.CloseFile()
+	if err := first.waitDone(t); err != nil {
+		t.Fatalf("first file: %v", err)
+	}
+
+	second := newMock()
+	log := &DecisionLog{}
+	var e2 *Engine
+	second.onAddBlock = grantSequence(&e2, lbOf(3, "dn1", "dn2", "dn3"))
+	// Seed 1's first Float64 is ~0.60 <= SwapThreshold: sort, no swap.
+	e2 = second.attach(New(Config{Path: "/b", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 1,
+		Seed: 1, Recorder: rec, Script: &Script{Log: log}}, second))
+	e2.Offer(100)
+	want := "localopt idx=0 swapped=false order=[dn2,dn1,dn3]"
+	if !slices.Contains(log.Lines(), want) {
+		t.Fatalf("second engine did not order by the first's samples; want %q in:\n%s", want, log.String())
 	}
 }
 
@@ -597,9 +655,11 @@ func TestEagerRetireFreesSlotOnCommit(t *testing.T) {
 }
 
 // Hammer the engine from concurrent goroutines (run under -race): a
-// substrate that reports FNFA and drain from its own goroutines.
+// substrate that reports FNFA and drain from its own goroutines, and
+// whose heartbeats read the speed table the engine records into.
 func TestConcurrentSubstrate(t *testing.T) {
 	m := newMock()
+	m.rec = core.NewRecorder()
 	var e *Engine
 	var grantMu sync.Mutex
 	nextID := int64(0)
@@ -631,7 +691,7 @@ func TestConcurrentSubstrate(t *testing.T) {
 			e.CloseFile()
 		}
 	}
-	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 3}, m))
+	e = m.attach(New(Config{Path: "/f", Mode: proto.ModeSmarth, Replication: 3, MaxPipelines: 3, Recorder: m.rec}, m))
 	e.Offer(1 << 10)
 	if err := m.waitDone(t); err != nil {
 		t.Fatalf("FileDone: %v", err)

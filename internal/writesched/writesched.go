@@ -6,7 +6,9 @@
 // may launch under the core.MaxPipelines cap and the one-pipeline-per-
 // datanode rule, FNFA processing and speed recording, Algorithm 4 error
 // draining, and the Algorithm 3 recovery loop — while delegating every
-// *effect* (RPCs, pipeline I/O, timers) to a Substrate.
+// *effect* (RPCs, pipeline I/O, timers) to a Substrate. The speed table
+// Algorithm 2 reads (Config.Recorder) and the conformance replay script
+// (Config.Script) are the engine's own state, not the substrate's.
 //
 // Invariants the engine maintains:
 //
@@ -19,7 +21,7 @@
 //   - The exclude set of an addBlock is exactly the datanodes serving
 //     unretired launched blocks (the one-pipeline-per-datanode rule),
 //     reported in sorted order.
-//   - Every decision is appended to the Config.Log decision log at the
+//   - Every decision is appended to the Script.Log decision log at the
 //     moment it executes, never when a raw substrate event arrives, so
 //     two substrates replaying the same seeded scenario produce
 //     byte-identical logs (see internal/conformance).
@@ -41,6 +43,7 @@ import (
 	"time"
 
 	"repro/internal/block"
+	"repro/internal/core"
 	"repro/internal/policy"
 	"repro/internal/proto"
 )
@@ -93,11 +96,9 @@ type PipelineFailure struct {
 // substrates feed identical measurements to Algorithms 1 and 2.
 type SpeedFunc func(blockIdx int, firstDN string) (bytes int64, elapsed time.Duration)
 
-// Substrate is everything the engine needs from the outside world. All
-// methods except SpeedOf are asynchronous effects: the substrate
-// performs them (immediately or later) and reports outcomes through the
-// engine's Handle* methods. SpeedOf must return without blocking and
-// without re-entering the engine.
+// Substrate is everything the engine needs from the outside world. Every
+// method is an effect: the substrate performs it (immediately or later)
+// and reports outcomes through the engine's Handle* methods.
 type Substrate interface {
 	// AddBlock requests the next block; report via HandleAddBlock(idx, ...).
 	AddBlock(idx int, exclude []string, prev block.Block)
@@ -112,12 +113,11 @@ type Substrate interface {
 	// errors via HandleFailed. shape is always policy.ShapeChain: the
 	// parameter survives only because bench/ implements this interface.
 	StartPipeline(idx int, lb block.LocatedBlock, shape policy.Shape, restream bool)
-	// Heartbeat ships the client's speed table to the namenode.
+	// Heartbeat offers to ship the client's speed table to the namenode.
+	// The engine asks right after every FNFA sample it records, before
+	// any later AddBlock; the substrate decides whether to send now or
+	// leave it to its own timer.
 	Heartbeat()
-	// RecordSpeed folds one FNFA sample into the client's speed table.
-	RecordSpeed(dn string, bytes int64, elapsed time.Duration)
-	// SpeedOf returns the locally recorded speed for dn (0 = unmeasured).
-	SpeedOf(dn string) float64
 	// Ready reports that block idx no longer gates the producer: at FNFA
 	// for SMARTH, at commit for HDFS (emitted exactly once per block).
 	Ready(idx int)
@@ -137,31 +137,25 @@ type Config struct {
 	// HDFS stop-and-wait).
 	MaxPipelines    int
 	DisableLocalOpt bool
-	// ProtocolHeartbeats sends a heartbeat at every FNFA, immediately
-	// after the speed record and before any later addBlock — the live
-	// client's cadence, and the deterministic ordering conformance needs.
-	ProtocolHeartbeats bool
-	// StrictRetire retires launched pipelines strictly in launch order,
-	// and only at launch decision points (waiting for the oldest to
-	// drain). This makes the exclude sets and the decision log a pure
-	// function of the scenario — the conformance mode. The default
-	// retires any pipeline as soon as it commits (the legacy behavior of
-	// both the live client and the simulator).
-	StrictRetire bool
 	// Seed fixes the Algorithm 2 swap randomness.
 	Seed int64
-	// SpeedOverride, when set, replaces measured FNFA samples.
-	SpeedOverride SpeedFunc
-	// Log receives the decision log (nil = no logging).
-	Log *DecisionLog
+	// Recorder is the client's speed table: every FNFA sample is
+	// recorded into it, and Algorithm 2 reads it. Engines of one client
+	// share it; nil gives the engine a private one.
+	Recorder *core.Recorder
+	// Script, when set, makes the write a conformance replay.
+	Script *Script
 }
 
 // Script is the one hook the conformance harness has into a substrate's
-// writes (client.WriteOptions.Script, sim.Config.Script): it replaces
-// everything an engine would otherwise draw from a clock — the
-// Algorithm 2 seed and the FNFA speed samples — and collects the
-// decision log. A scripted write always retires strictly in launch
-// order, so its log is a pure function of the scenario.
+// writes (client.WriteOptions.Script, sim.Config.Script, Config.Script):
+// it replaces everything an engine would otherwise draw from a clock —
+// the Algorithm 2 seed and the FNFA speed samples — and collects the
+// decision log. A scripted write retires launched pipelines strictly in
+// launch order, and only at launch decision points (waiting for the
+// oldest to drain), so its exclude sets and its log are a pure function
+// of the scenario. An unscripted write retires any pipeline as soon as
+// it commits.
 type Script struct {
 	// Seed fixes the Algorithm 2 swap randomness (0 = the substrate's
 	// own seed).
@@ -170,20 +164,6 @@ type Script struct {
 	Speed SpeedFunc
 	// Log, when set, receives the decision log.
 	Log *DecisionLog
-}
-
-// Pin applies the script to an engine configuration; a nil script
-// leaves cfg as the substrate built it.
-func (s *Script) Pin(cfg *Config) {
-	if s == nil {
-		return
-	}
-	cfg.StrictRetire = true
-	if s.Seed != 0 {
-		cfg.Seed = s.Seed
-	}
-	cfg.SpeedOverride = s.Speed
-	cfg.Log = s.Log
 }
 
 // DecisionLog is an append-only, concurrency-safe list of protocol
@@ -241,7 +221,6 @@ type blockRec struct {
 type Engine struct {
 	cfg Config
 	sub Substrate
-	pol policy.Policy
 	rng *rand.Rand
 
 	mu    sync.Mutex
@@ -266,15 +245,19 @@ func New(cfg Config, sub Substrate) *Engine {
 	if cfg.MaxPipelines < 1 {
 		cfg.MaxPipelines = 1
 	}
+	if cfg.Recorder == nil {
+		cfg.Recorder = core.NewRecorder()
+	}
 	seed := cfg.Seed
+	if cfg.Script != nil && cfg.Script.Seed != 0 {
+		seed = cfg.Script.Seed
+	}
 	if seed == 0 {
 		seed = 1
 	}
-	pol, _ := policy.New(policy.Default) // Default always resolves
 	e := &Engine{
 		cfg:        cfg,
 		sub:        sub,
-		pol:        pol,
 		rng:        rand.New(rand.NewSource(seed)),
 		recovering: -1,
 	}
@@ -328,10 +311,9 @@ func (e *Engine) post(f func()) {
 func (e *Engine) call(f func()) { e.calls = append(e.calls, f) }
 
 func (e *Engine) logf(format string, args ...any) {
-	if e.cfg.Log == nil {
-		return
+	if s := e.cfg.Script; s != nil && s.Log != nil {
+		s.Log.append(fmt.Sprintf(format, args...))
 	}
-	e.cfg.Log.append(fmt.Sprintf(format, args...))
 }
 
 // Offer appends the next block (size bytes of payload) to the schedule.
@@ -373,20 +355,21 @@ func (e *Engine) chainReady(idx int) bool {
 }
 
 // excludeFor is the one-pipeline-per-datanode rule: every datanode
-// serving an unretired launched block, sorted. Whether it applies is
-// the policy's call (it excludes for SMARTH, never for HDFS).
-func (e *Engine) excludeFor(b *blockRec) []string {
-	if !e.pol.ExcludeBusy(e.cfg.Mode) {
-		return nil
+// serving an unretired launched block other than b, sorted, plus the
+// names already in set. The rule is SMARTH's; HDFS excludes none.
+func (e *Engine) excludeFor(b *blockRec, set map[string]bool) []string {
+	if e.cfg.Mode == proto.ModeSmarth {
+		for _, qi := range e.launchQ {
+			if qi == b.idx {
+				continue
+			}
+			for _, t := range e.blocks[qi].lb.Targets {
+				set[t.Name] = true
+			}
+		}
 	}
-	set := make(map[string]bool)
-	for _, qi := range e.launchQ {
-		if qi == b.idx {
-			continue
-		}
-		for _, t := range e.blocks[qi].lb.Targets {
-			set[t.Name] = true
-		}
+	if len(set) == 0 {
+		return nil
 	}
 	out := make([]string, 0, len(set))
 	for n := range set {
@@ -441,7 +424,7 @@ func (e *Engine) advance() {
 			e.logf("retire idx=%d", head.idx)
 		}
 		b.state = StateAllocating
-		b.exclude = e.excludeFor(b)
+		b.exclude = e.excludeFor(b, make(map[string]bool))
 		e.allocating = true
 		idx, exclude, prev := b.idx, b.exclude, e.lastBlock
 		e.call(func() { e.sub.AddBlock(idx, exclude, prev) })
@@ -511,7 +494,7 @@ func (e *Engine) HandleAddBlock(idx int, lb block.LocatedBlock, err error) {
 			for _, t := range lb.Targets {
 				byName[t.Name] = t
 			}
-			swapped := e.pol.OrderPipeline(idx, names, e.sub.SpeedOf, e.rng)
+			swapped := core.LocalOptimize(names, e.cfg.Recorder.Speed, e.rng)
 			for i, n := range names {
 				lb.Targets[i] = byName[n]
 			}
@@ -543,14 +526,12 @@ func (e *Engine) HandleFNFA(idx int, elapsed time.Duration) {
 		b.fnfa = true
 		first := b.lb.Targets[0].Name
 		bytes, took := b.size, elapsed
-		if e.cfg.SpeedOverride != nil {
-			bytes, took = e.cfg.SpeedOverride(idx, first)
+		if e.cfg.Script != nil && e.cfg.Script.Speed != nil {
+			bytes, took = e.cfg.Script.Speed(idx, first)
 		}
 		e.logf("fnfa idx=%d first=%s", idx, first)
-		e.call(func() { e.sub.RecordSpeed(first, bytes, took) })
-		if e.cfg.ProtocolHeartbeats {
-			e.call(e.sub.Heartbeat)
-		}
+		e.cfg.Recorder.Record(first, bytes, took)
+		e.call(e.sub.Heartbeat)
 		if !b.readySent {
 			b.readySent = true
 			e.call(func() { e.sub.Ready(idx) })
@@ -584,7 +565,7 @@ func (e *Engine) HandleDrained(idx int) {
 // commit moves b to Committed, releases its resources, and advances.
 func (e *Engine) commit(b *blockRec) {
 	b.state = StateCommitted
-	if !e.cfg.StrictRetire {
+	if e.cfg.Script == nil {
 		for qi, idx := range e.launchQ {
 			if idx == b.idx {
 				e.launchQ = append(e.launchQ[:qi], e.launchQ[qi+1:]...)
@@ -679,21 +660,7 @@ func (e *Engine) tryRecover(b *blockRec) {
 	for n := range b.suspects {
 		set[n] = true
 	}
-	if e.pol.ExcludeBusy(e.cfg.Mode) {
-		for _, qi := range e.launchQ {
-			if qi == b.idx {
-				continue
-			}
-			for _, t := range e.blocks[qi].lb.Targets {
-				set[t.Name] = true
-			}
-		}
-	}
-	exclude := make([]string, 0, len(set))
-	for n := range set {
-		exclude = append(exclude, n)
-	}
-	sort.Strings(exclude)
+	exclude := e.excludeFor(b, set)
 	e.logf("recover idx=%d attempt=%d alive=[%s] exclude=[%s]",
 		b.idx, b.attempts, strings.Join(alive, ","), strings.Join(exclude, ","))
 	idx, attempt, blk := b.idx, b.attempts, b.lb.Block
