@@ -54,9 +54,10 @@ bench-vet:
 # (the godoc surface ARCHITECTURE.md builds on), if a fully documented
 # package exports an undocumented name, if README, ARCHITECTURE,
 # EXPERIMENTS or DESIGN names a package, command or Go file that is gone,
-# or if a Go or Markdown file cites a DESIGN.md section that is not there.
+# if a Go or Markdown file cites a DESIGN.md section that is not there,
+# or if DESIGN.md grows past its line ceiling.
 docs-check:
-	$(GO) test -run 'TestPackageDocs|TestExportedDocs|TestDocPathsExist' -count=1 .
+	$(GO) test -run 'TestPackageDocs|TestExportedDocs|TestDocPathsExist|TestDesignCeiling' -count=1 .
 
 # The size figures ROADMAP and CHANGES quote for every simplicity PR
 # (TestLOC in loc_test.go): non-test Go lines under internal/ + cmd/ and

@@ -296,3 +296,19 @@ func TestDocPathsExist(t *testing.T) {
 		}
 	}
 }
+
+// designMaxLines is DESIGN.md's line ceiling: the document may be
+// rewritten but not grow, so a passage added is a passage cut, and a
+// measurement table belongs in CHANGES.md.
+const designMaxLines = 1919
+
+// TestDesignCeiling holds DESIGN.md at or under designMaxLines lines.
+func TestDesignCeiling(t *testing.T) {
+	design, err := os.ReadFile("DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := strings.Count(string(design), "\n"); n > designMaxLines {
+		t.Fatalf("DESIGN.md has %d lines, over its ceiling of %d", n, designMaxLines)
+	}
+}

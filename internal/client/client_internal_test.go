@@ -26,10 +26,9 @@ func lb3() block.LocatedBlock {
 	}
 }
 
-// The suspect-marking heuristics (bad-index blame, first-unsuspected
-// sweep) moved into the engine with the rest of the recovery decisions;
-// see internal/writesched's engine tests. What stays here is the
-// pipelineError carrier the adapter translates into the engine's
+// Suspect marking lives in the engine with the rest of the recovery
+// decisions; see internal/writesched's engine tests. What stays here is
+// the pipelineError carrier the adapter translates into the engine's
 // PipelineFailure.
 func TestPipelineErrorBadIndexExtraction(t *testing.T) {
 	inner := &pipelineError{lb: lb3(), badIndex: 1, cause: errors.New("checksum")}

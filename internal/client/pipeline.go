@@ -14,11 +14,11 @@ import (
 	"repro/internal/proto"
 )
 
-// pipelineError describes a failed pipeline with, when known, the index
-// of the datanode that reported the failure (pipeline order, 0 = first).
+// pipelineError describes a failed pipeline and the position it blames
+// (pipeline order, 0 = first), by proto.Blame's rule.
 type pipelineError struct {
 	lb       block.LocatedBlock
-	badIndex int // -1 when the culprit is unknown
+	badIndex int
 	cause    error
 }
 
@@ -129,7 +129,7 @@ func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts 
 		return nil, e
 	}
 	if len(lb.Targets) == 0 {
-		return fail(-1, errors.New("no targets"))
+		return fail(0, errors.New("no targets"))
 	}
 	pc, statuses, err := c.dialer.Open(lb.Targets[0].Addr, proto.OpWriteBlock, &proto.WriteBlockHeader{
 		Block:      lb.Block,
@@ -142,7 +142,7 @@ func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts 
 	if err != nil {
 		// A refusal names the datanode that failed setup; anything else
 		// (dial, header, ack read) blames the one the client dialed.
-		return fail(max(0, proto.Ack{Statuses: statuses}.FirstBadIndex()), err)
+		return fail(proto.Blame(statuses), err)
 	}
 	span.Event("setup_ack", "")
 	return &pipelineConn{
@@ -160,12 +160,12 @@ func (c *Client) openPipeline(lb block.LocatedBlock, mode proto.WriteMode, opts 
 // readAcks reads the pipeline's acks up to the one for its last seqno,
 // calling onFNFA at the FIRST NODE FINISH ACK. It returns nil at the last
 // ack and the pipeline error otherwise: an error ack blames the hop it
-// names, a read error no one.
+// names, anything else the first datanode.
 func (p *pipelineConn) readAcks(onFNFA func()) error {
 	for {
 		ack, err := p.pc.ReadAck()
 		if err != nil {
-			return &pipelineError{lb: p.lb, badIndex: -1, cause: err}
+			return &pipelineError{lb: p.lb, cause: err}
 		}
 		switch ack.Kind {
 		case proto.AckFNFA:
@@ -174,14 +174,14 @@ func (p *pipelineConn) readAcks(onFNFA func()) error {
 		case proto.AckData:
 			p.observeRTT(ack.Seqno)
 			p.span.Packet("ack", ack.Seqno)
-			if bad := ack.FirstBadIndex(); bad >= 0 {
-				return &pipelineError{lb: p.lb, badIndex: bad, cause: fmt.Errorf("packet %d failed: %v", ack.Seqno, ack.Statuses)}
+			if !ack.OK() {
+				return &pipelineError{lb: p.lb, badIndex: proto.Blame(ack.Statuses), cause: fmt.Errorf("packet %d failed: %v", ack.Seqno, ack.Statuses)}
 			}
 			if ack.Seqno == p.lastSeqno {
 				return nil
 			}
 		default:
-			return &pipelineError{lb: p.lb, badIndex: -1, cause: fmt.Errorf("unexpected %v ack", ack.Kind)}
+			return &pipelineError{lb: p.lb, cause: fmt.Errorf("unexpected %v ack", ack.Kind)}
 		}
 	}
 }
@@ -210,7 +210,7 @@ func (c *Client) streamBlock(p *pipelineConn, data, rawSums []byte, packetSize i
 			Data:    data[off:end],
 		}
 		if err := p.pc.WritePacket(&pkt); err != nil {
-			return &pipelineError{lb: p.lb, badIndex: 0, cause: err}
+			return &pipelineError{lb: p.lb, cause: err}
 		}
 		p.noteSend(seqno)
 		p.span.Packet("send", seqno)

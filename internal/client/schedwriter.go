@@ -558,10 +558,10 @@ func (w *schedWriter) failed(idx int, err error) {
 	span := b.span
 	w.mu.Unlock()
 	span.Event("pipeline_failed", err.Error())
-	bad := -1
+	f := writesched.PipelineFailure{Cause: err}
 	var pe *pipelineError
 	if errors.As(err, &pe) {
-		bad = pe.badIndex
+		f.BadIndex = pe.badIndex
 	}
-	w.eng.HandleFailed(idx, writesched.PipelineFailure{BadIndex: bad, Cause: err})
+	w.eng.HandleFailed(idx, f)
 }

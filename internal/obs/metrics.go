@@ -39,17 +39,17 @@ func (c *Counter) Load() int64 {
 	return c.v.Load()
 }
 
-// NumBuckets is the number of histogram buckets: bucket 0 holds the
+// numBuckets is the number of histogram buckets: bucket 0 holds the
 // value 0, bucket i (i ≥ 1) holds values in [2^(i-1), 2^i). 64 buckets
 // cover every non-negative int64, so Observe never range-checks.
-const NumBuckets = 64
+const numBuckets = 64
 
 // Histogram is a bounded, lock-free histogram of non-negative int64
 // samples (negative samples clamp to 0). Buckets are powers of two —
 // coarse, but allocation-free, mergeable, and plenty to separate a
 // 200 µs ack from a 2 s stall. A nil *Histogram is a no-op.
 type Histogram struct {
-	counts [NumBuckets]atomic.Int64
+	counts [numBuckets]atomic.Int64
 	count  atomic.Int64
 	sum    atomic.Int64
 	min    atomic.Int64 // initialized to MaxInt64 by newHistogram
@@ -62,25 +62,25 @@ func newHistogram() *Histogram {
 	return h
 }
 
-// BucketIndex returns the bucket for v: 0 for v ≤ 0, else bits.Len64(v)
+// bucketIndex returns the bucket for v: 0 for v ≤ 0, else bits.Len64(v)
 // (so bucket i spans [2^(i-1), 2^i)).
-func BucketIndex(v int64) int {
+func bucketIndex(v int64) int {
 	if v <= 0 {
 		return 0
 	}
 	return bits.Len64(uint64(v))
 }
 
-// BucketLow returns the inclusive lower bound of bucket i.
-func BucketLow(i int) int64 {
+// bucketLow returns the inclusive lower bound of bucket i.
+func bucketLow(i int) int64 {
 	if i <= 0 {
 		return 0
 	}
 	return 1 << (i - 1)
 }
 
-// BucketHigh returns the exclusive upper bound of bucket i.
-func BucketHigh(i int) int64 {
+// bucketHigh returns the exclusive upper bound of bucket i.
+func bucketHigh(i int) int64 {
 	if i <= 0 {
 		return 1
 	}
@@ -98,7 +98,7 @@ func (h *Histogram) Observe(v int64) {
 	if v < 0 {
 		v = 0
 	}
-	h.counts[BucketIndex(v)].Add(1)
+	h.counts[bucketIndex(v)].Add(1)
 	h.count.Add(1)
 	h.sum.Add(v)
 	for {
@@ -156,9 +156,9 @@ func (h *Histogram) Snapshot() HistogramSnapshot {
 	if s.Count == 0 {
 		s.Min = 0
 	}
-	for i := 0; i < NumBuckets; i++ {
+	for i := 0; i < numBuckets; i++ {
 		if n := h.counts[i].Load(); n > 0 {
-			s.Buckets = append(s.Buckets, BucketCount{Low: BucketLow(i), High: BucketHigh(i), Count: n})
+			s.Buckets = append(s.Buckets, BucketCount{Low: bucketLow(i), High: bucketHigh(i), Count: n})
 		}
 	}
 	return s

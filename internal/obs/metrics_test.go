@@ -26,21 +26,21 @@ func TestBucketBoundaries(t *testing.T) {
 		{math.MaxInt64, 63},
 	}
 	for _, c := range cases {
-		if got := BucketIndex(c.v); got != c.want {
-			t.Errorf("BucketIndex(%d) = %d, want %d", c.v, got, c.want)
+		if got := bucketIndex(c.v); got != c.want {
+			t.Errorf("bucketIndex(%d) = %d, want %d", c.v, got, c.want)
 		}
 	}
 	// Every bucket's bounds must bracket exactly the values it indexes.
-	for i := 0; i < NumBuckets; i++ {
-		lo, hi := BucketLow(i), BucketHigh(i)
-		if BucketIndex(lo) != i {
-			t.Errorf("bucket %d: BucketIndex(low=%d) = %d", i, lo, BucketIndex(lo))
+	for i := 0; i < numBuckets; i++ {
+		lo, hi := bucketLow(i), bucketHigh(i)
+		if bucketIndex(lo) != i {
+			t.Errorf("bucket %d: bucketIndex(low=%d) = %d", i, lo, bucketIndex(lo))
 		}
-		if i < 63 && BucketIndex(hi-1) != i {
-			t.Errorf("bucket %d: BucketIndex(high-1=%d) = %d", i, hi-1, BucketIndex(hi-1))
+		if i < 63 && bucketIndex(hi-1) != i {
+			t.Errorf("bucket %d: bucketIndex(high-1=%d) = %d", i, hi-1, bucketIndex(hi-1))
 		}
-		if i < 62 && BucketIndex(hi) != i+1 {
-			t.Errorf("bucket %d: BucketIndex(high=%d) = %d, want %d", i, hi, BucketIndex(hi), i+1)
+		if i < 62 && bucketIndex(hi) != i+1 {
+			t.Errorf("bucket %d: bucketIndex(high=%d) = %d, want %d", i, hi, bucketIndex(hi), i+1)
 		}
 	}
 }

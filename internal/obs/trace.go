@@ -11,40 +11,27 @@ import (
 	"repro/internal/clock"
 )
 
-// DefaultPacketSampling records one packet-level span event out of
-// every N; packets between samples cost one atomic-free counter bump.
-const DefaultPacketSampling = 64
+// packetSampling records one packet-level span event out of every N;
+// packets between samples cost one atomic-free counter bump.
+const packetSampling = 64
 
 // Tracer creates spans and collects them for export. All methods are
 // safe for concurrent use; a nil *Tracer is a no-op.
 type Tracer struct {
 	clk clock.Clock
 
-	mu       sync.Mutex
-	spans    []*Span
-	nextID   int64
-	sampling int
+	mu     sync.Mutex
+	spans  []*Span
+	nextID int64
 }
 
 // NewTracer returns a tracer stamping times from clk (nil = system
-// clock) with DefaultPacketSampling.
+// clock).
 func NewTracer(clk clock.Clock) *Tracer {
 	if clk == nil {
 		clk = clock.System
 	}
-	return &Tracer{clk: clk, sampling: DefaultPacketSampling}
-}
-
-// SetPacketSampling sets the packet-event sampling interval: every nth
-// Span.Packet call is recorded. n <= 0 disables packet events entirely;
-// 1 records every packet (debug only — it allocates per event).
-func (t *Tracer) SetPacketSampling(n int) {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.sampling = n
-	t.mu.Unlock()
+	return &Tracer{clk: clk}
 }
 
 // StartSpan opens a span under parent (nil parent = root). Span
@@ -57,11 +44,10 @@ func (t *Tracer) StartSpan(name string, parent *Span) *Span {
 	t.mu.Lock()
 	t.nextID++
 	s := &Span{
-		t:        t,
-		id:       t.nextID,
-		name:     name,
-		start:    t.clk.Now(),
-		sampling: t.sampling,
+		t:     t,
+		id:    t.nextID,
+		name:  name,
+		start: t.clk.Now(),
 	}
 	if parent != nil {
 		s.parent = parent.id
@@ -86,12 +72,11 @@ type Event struct {
 // Span is one traced operation. Methods are safe for concurrent use and
 // nil-safe; End is idempotent.
 type Span struct {
-	t        *Tracer
-	id       int64
-	parent   int64
-	name     string
-	start    time.Time
-	sampling int
+	t      *Tracer
+	id     int64
+	parent int64
+	name   string
+	start  time.Time
 
 	mu      sync.Mutex
 	attrs   []attr
@@ -137,16 +122,16 @@ func (s *Span) Event(name, detail string) {
 	s.mu.Unlock()
 }
 
-// Packet records a packet-level event, subject to the tracer's sampling
-// interval (set at span start): only every nth call per span is kept.
-// Between samples the cost is the span mutex and an integer increment.
+// Packet records a packet-level event, one call in packetSampling per
+// span. Between samples the cost is the span mutex and an integer
+// increment.
 func (s *Span) Packet(name string, seqno int64) {
-	if s == nil || s.sampling <= 0 {
+	if s == nil {
 		return
 	}
 	s.mu.Lock()
 	s.nPacket++
-	if s.nPacket%s.sampling == 1 || s.sampling == 1 {
+	if s.nPacket%packetSampling == 1 {
 		s.events = append(s.events, Event{T: s.t.clk.Now(), Name: name, Seqno: seqno})
 	}
 	s.mu.Unlock()

@@ -62,24 +62,17 @@ func TestSpanTreeAndJSONLRoundTrip(t *testing.T) {
 
 func TestPacketSampling(t *testing.T) {
 	tr, _ := testTracer()
-	tr.SetPacketSampling(10)
 	s := tr.StartSpan("pipeline", nil)
-	for i := int64(0); i < 100; i++ {
+	for i := int64(0); i < 2*packetSampling; i++ {
 		s.Packet("send", i)
 	}
 	s.End()
-	if n := len(tr.Snapshot()[0].Events); n != 10 {
-		t.Fatalf("recorded %d packet events of 100 at 1/10 sampling, want 10", n)
+	var seqnos []int64
+	for _, e := range tr.Snapshot()[0].Events {
+		seqnos = append(seqnos, e.Seqno)
 	}
-
-	tr2, _ := testTracer()
-	tr2.SetPacketSampling(0) // off
-	s2 := tr2.StartSpan("pipeline", nil)
-	for i := int64(0); i < 100; i++ {
-		s2.Packet("send", i)
-	}
-	if n := len(tr2.Snapshot()[0].Events); n != 0 {
-		t.Fatalf("recorded %d packet events with sampling off, want 0", n)
+	if len(seqnos) != 2 || seqnos[0] != 0 || seqnos[1] != packetSampling {
+		t.Fatalf("recorded packets %v of %d at 1/%d sampling, want [0 %d]", seqnos, 2*packetSampling, packetSampling, packetSampling)
 	}
 }
 

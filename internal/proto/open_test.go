@@ -105,7 +105,7 @@ func TestOpenFailuresCloseTheConn(t *testing.T) {
 			if got := errors.Is(err, ErrSetupRefused); got != tc.refused {
 				t.Fatalf("err = %v, ErrSetupRefused = %v, want %v", err, got, tc.refused)
 			}
-			if tc.refused && (Ack{Statuses: statuses}).FirstBadIndex() != 1 {
+			if tc.refused && Blame(statuses) != 1 {
 				t.Fatalf("refusal statuses = %v, want the failure at index 1", statuses)
 			}
 			select {

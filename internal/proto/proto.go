@@ -224,13 +224,13 @@ func (a Ack) OK() bool {
 	return true
 }
 
-// FirstBadIndex returns the pipeline index (closest datanode = 0) of the
-// first non-success status, or -1 if all succeeded.
-func (a Ack) FirstBadIndex() int {
-	for i, s := range a.Statuses {
+// Blame is the pipeline position (closest datanode = 0) a failed
+// pipeline is blamed on: the first non-success status, else 0.
+func Blame(statuses []Status) int {
+	for i, s := range statuses {
 		if s != StatusSuccess {
 			return i
 		}
 	}
-	return -1
+	return 0
 }

@@ -235,8 +235,25 @@ func TestAckRoundTrip(t *testing.T) {
 	if out.OK() {
 		t.Fatal("OK() = true with error statuses")
 	}
-	if got := out.FirstBadIndex(); got != 1 {
-		t.Fatalf("FirstBadIndex = %d, want 1", got)
+}
+
+// TestBlame is the one blame rule both substrates share: the first
+// non-success status names the hop, and nothing named blames hop 0.
+func TestBlame(t *testing.T) {
+	S, E, C := StatusSuccess, StatusError, StatusErrorChecksum
+	for _, tc := range []struct {
+		statuses []Status
+		want     int
+	}{
+		{[]Status{S, S, S}, 0},
+		{[]Status{S, E}, 1},
+		{[]Status{S, S, C}, 2},
+		{[]Status{E, E, E}, 0},
+		{nil, 0},
+	} {
+		if got := Blame(tc.statuses); got != tc.want {
+			t.Errorf("Blame(%v) = %d, want %d", tc.statuses, got, tc.want)
+		}
 	}
 }
 
@@ -251,7 +268,7 @@ func TestFNFAAck(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if out.Kind != AckFNFA || !out.OK() || out.FirstBadIndex() != -1 {
+	if out.Kind != AckFNFA || !out.OK() {
 		t.Fatalf("FNFA decoded as %+v", out)
 	}
 }

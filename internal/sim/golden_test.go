@@ -35,7 +35,7 @@ func throttledExt(edit func(*Config)) Config {
 
 // The two extension entries TestScratchHygiene replays as well.
 func extFault(c *Config) {
-	c.PipelineFaults = []PipelineFault{{Block: 1, AfterPackets: 300, BadIndex: -1}, {Block: 3, AfterPackets: 7, BadIndex: 1}}
+	c.PipelineFaults = []PipelineFault{{Block: 1, AfterPackets: 300}, {Block: 3, AfterPackets: 7, BadIndex: 1}}
 }
 func extTraced(c *Config) { c.Trace = true; c.FileSize = 256 << 20 }
 

@@ -42,8 +42,8 @@ const filePath = "/" + ClientName + "-file"
 
 // PipelineFault injects a mid-write pipeline failure: block Block's
 // initial pipeline dies after AfterPackets packets have left the
-// client, and the failure report blames pipeline position BadIndex
-// (-1 = unknown, triggering the engine's first-unsuspected sweep).
+// client, and the failure report blames pipeline position BadIndex,
+// the hop proto.Blame names on the live client (0: the first datanode).
 type PipelineFault struct {
 	Block        int
 	AfterPackets int

@@ -260,7 +260,7 @@ func TestDeterminism(t *testing.T) {
 			cfg := Config{
 				Preset: ec2.HeteroCluster, FileSize: gb, Mode: mode, Trace: true,
 				PipelineFaults: []PipelineFault{
-					{Block: 2, AfterPackets: 5, BadIndex: -1},
+					{Block: 2, AfterPackets: 5},
 					{Block: 9, AfterPackets: 50, BadIndex: 1},
 					{Block: 13, AfterPackets: 20, BadIndex: 0},
 				},
@@ -438,7 +438,7 @@ func TestInjectedFaultRecoversAndCompletes(t *testing.T) {
 				Preset: ec2.SmallCluster, FileSize: 1 << 20, Mode: mode,
 				BlockSize: 256 << 10, PacketSize: 64 << 10, Seed: 3,
 				Script:         &writesched.Script{Log: &log},
-				PipelineFaults: []PipelineFault{{Block: 1, AfterPackets: 2, BadIndex: -1}},
+				PipelineFaults: []PipelineFault{{Block: 1, AfterPackets: 2}},
 			})
 			if err != nil {
 				t.Fatalf("Run: %v", err)

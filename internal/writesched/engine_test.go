@@ -342,7 +342,7 @@ func TestPostFNFAFailureBlocksNextLaunch(t *testing.T) {
 
 	e.Offer(100)
 	e.HandleFNFA(0, time.Second)
-	e.HandleFailed(0, PipelineFailure{BadIndex: -1, Cause: errors.New("ack stream broke")})
+	e.HandleFailed(0, PipelineFailure{Cause: errors.New("ack stream broke")})
 	e.Offer(100) // must NOT allocate while block 0 awaits recovery
 	if n := m.count("addblock(1"); n != 0 {
 		t.Fatal("block 1 allocated while a failed block awaited recovery")
@@ -397,7 +397,7 @@ func TestRecoveryAttemptsExhausted(t *testing.T) {
 	// Every restream fails too; the last one finds the budget spent and
 	// fails the file.
 	for i := 0; i < DefaultMaxRecoveryAttempts; i++ {
-		e.HandleFailed(0, PipelineFailure{BadIndex: -1, Cause: errors.New("restream died")})
+		e.HandleFailed(0, PipelineFailure{Cause: errors.New("restream died")})
 	}
 	err := m.waitDone(t)
 	if err == nil {
@@ -409,8 +409,8 @@ func TestRecoveryAttemptsExhausted(t *testing.T) {
 	if got := m.count("recover("); got != DefaultMaxRecoveryAttempts {
 		t.Fatalf("recoverBlock called %d times, want %d", got, DefaultMaxRecoveryAttempts)
 	}
-	// The unknown-BadIndex sweep blames first unsuspected targets in
-	// order: dn1 (reported), then each restream's head, dn2 on.
+	// A failure that names no hop blames position 0 (proto.Blame's
+	// table, proto.TestBlame): dn1, then each restream's head, dn2 on.
 	wants := []string{"abort"}
 	for i := 1; i <= DefaultMaxRecoveryAttempts+1; i++ {
 		wants = append(wants, "fail idx=0 bad="+dn(i))

@@ -83,9 +83,9 @@ func (s BlockState) String() string {
 }
 
 // PipelineFailure describes a failed pipeline attempt. BadIndex is the
-// pipeline position the substrate blames (-1 when unknown; the engine
-// then blames the first not-yet-suspected target, matching HDFS's
-// first-node heuristic for unattributable stream errors).
+// pipeline position the substrate blames, by proto.Blame's rule: the
+// first datanode to report a failure, and position 0, the datanode the
+// client talks to, when none does.
 type PipelineFailure struct {
 	BadIndex int
 	Cause    error
@@ -621,21 +621,12 @@ func (e *Engine) beginRecovery(b *blockRec) {
 	e.tryRecover(b)
 }
 
-// markSuspect blames one pipeline target for a failure: the reported
-// BadIndex when valid, otherwise the first target not yet suspected.
+// markSuspect blames the target at the failure's BadIndex; an index
+// outside the pipeline blames nobody.
 func (e *Engine) markSuspect(b *blockRec, f PipelineFailure) {
 	name := ""
 	if f.BadIndex >= 0 && f.BadIndex < len(b.lb.Targets) {
 		name = b.lb.Targets[f.BadIndex].Name
-	} else {
-		for _, t := range b.lb.Targets {
-			if !b.suspects[t.Name] {
-				name = t.Name
-				break
-			}
-		}
-	}
-	if name != "" {
 		b.suspects[name] = true
 	}
 	e.logf("fail idx=%d bad=%s", b.idx, name)
