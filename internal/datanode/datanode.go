@@ -74,7 +74,10 @@ type Options struct {
 	// read/write on upstream and mirror connections, and the dial and
 	// each attempt of a namenode RPC — so a vanished or wedged peer
 	// cannot pin a handler, the heartbeat loop or the reporter forever.
-	// Zero or negative selects DefaultDataTimeout.
+	// A mirror conn's is longer (connectMirror); a client's Progress must
+	// outlast its first datanode's for the client to learn which hop
+	// went silent, as the defaults do up to four datanodes. Zero or
+	// negative selects DefaultDataTimeout.
 	DataTimeout time.Duration
 	// Logf, when set, receives diagnostic messages.
 	Logf func(format string, args ...any)
@@ -86,7 +89,7 @@ type Options struct {
 
 // DefaultDataTimeout is the per-operation progress bound used when
 // Options.DataTimeout is unset.
-const DefaultDataTimeout = 60 * time.Second
+const DefaultDataTimeout = 15 * time.Second
 
 // Datanode is one storage server. Start it with Start; stop with Stop.
 type Datanode struct {

@@ -92,6 +92,13 @@ func (q *packetQueue) close() {
 	q.mu.Unlock()
 }
 
+// isBroken reports whether breakNow has run.
+func (q *packetQueue) isBroken() bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.broken
+}
+
 // breakNow discards everything and unblocks all waiters. Queued packets
 // are pooled (ownership passed to the queue on push), so they are
 // released here rather than dropped.
