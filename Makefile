@@ -53,16 +53,17 @@ bench-vet:
 # Fail if any package under internal/ or cmd/ lacks a package comment
 # (the godoc surface ARCHITECTURE.md builds on), if a fully documented
 # package exports an undocumented name, if README, ARCHITECTURE,
-# EXPERIMENTS or DESIGN names a package, command or Go file that is gone,
-# if a Go or Markdown file cites a DESIGN.md section that is not there,
-# or if DESIGN.md grows past its line ceiling.
+# EXPERIMENTS or DESIGN names a package, command, Go file, test or Go
+# identifier that is gone, if a Go, Markdown, CI or skill file cites a
+# DESIGN.md section that is not there, or if DESIGN.md grows past its
+# line ceiling.
 docs-check:
 	$(GO) test -run 'TestPackageDocs|TestExportedDocs|TestDocPathsExist|TestDesignCeiling' -count=1 .
 
 # The size figures ROADMAP and CHANGES quote for every simplicity PR
 # (TestLOC in loc_test.go): non-test Go lines under internal/ + cmd/ and
-# in the whole root module outside bench/, and exported identifiers per
-# package.
+# in the whole root module outside bench/, lines per root document, and
+# exported identifiers per package.
 loc:
 	@$(GO) test -run '^TestLOC$$' -count=1 -v . | grep -v '^=== RUN\|^--- PASS\|^PASS\|^ok'
 

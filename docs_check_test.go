@@ -1,6 +1,7 @@
 package smarth
 
 import (
+	"fmt"
 	"go/ast"
 	"go/parser"
 	"go/token"
@@ -117,20 +118,26 @@ func checkExportedDocs(t *testing.T, fset *token.FileSet, path string, f *ast.Fi
 // exportedReceiver reports whether a method receiver names an exported
 // type.
 func exportedReceiver(recv *ast.FieldList) bool {
-	if len(recv.List) == 0 {
-		return false
-	}
-	typ := recv.List[0].Type
+	return len(recv.List) > 0 && token.IsExported(baseTypeName(recv.List[0].Type))
+}
+
+// baseTypeName is the name of the type an expression denotes, pointers,
+// type arguments and package qualifiers stripped ("" for a literal type).
+func baseTypeName(typ ast.Expr) string {
 	for {
 		switch tt := typ.(type) {
 		case *ast.StarExpr:
 			typ = tt.X
 		case *ast.IndexExpr: // generic receiver
 			typ = tt.X
+		case *ast.IndexListExpr:
+			typ = tt.X
+		case *ast.SelectorExpr:
+			return tt.Sel.Name
 		case *ast.Ident:
-			return tt.IsExported()
+			return tt.Name
 		default:
-			return false
+			return ""
 		}
 	}
 }
@@ -187,17 +194,200 @@ var (
 // the current sections: the change log records the numbering of its day.
 var designRefSkip = map[string]bool{"CHANGES.md": true}
 
+// designRefExtra are files under dot-directories, which the tree walk
+// skips, whose DESIGN.md references are held all the same.
+var designRefExtra = []string{".github/workflows/ci.yml", ".claude/skills/verify/SKILL.md"}
+
+var (
+	// docGoChain is a dotted Go name in a code span: `pkg.Ident`,
+	// `Type.Member`, `pkg.Type.Member`.
+	docGoChain = regexp.MustCompile(`[A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z_][A-Za-z0-9_]*)+`)
+	// docNotGo is a word of a code span that is a path or a file name,
+	// not a Go name.
+	docNotGo = regexp.MustCompile(`/|\.(?:go|md|json|jsonl|sh|yml|gz|txt)\b`)
+	// docDeref is a method expression's receiver, `(*T).M` written for T.M.
+	docDeref = regexp.MustCompile(`\(\*([A-Za-z_][A-Za-z0-9_]*)\)`)
+)
+
+// goDecls indexes what the Go files under internal/ and cmd/ declare,
+// test files included: the names each internal package declares (top
+// level, methods and struct fields), and the members of every type
+// (fields, methods, interface methods) with the types it embeds. Types
+// of one name in two packages share one entry.
+type goDecls struct {
+	pkgs    map[string]map[string]bool
+	members map[string]map[string]bool
+	embeds  map[string][]string
+}
+
+func loadGoDecls(t *testing.T) *goDecls {
+	d := &goDecls{pkgs: map[string]map[string]bool{}, members: map[string]map[string]bool{}, embeds: map[string][]string{}}
+	fset := token.NewFileSet()
+	for _, root := range []string{"internal", "cmd"} {
+		err := filepath.WalkDir(root, func(path string, e os.DirEntry, err error) error {
+			if err != nil {
+				return err
+			}
+			if e.IsDir() && e.Name() == "testdata" {
+				return filepath.SkipDir
+			}
+			if e.IsDir() || !strings.HasSuffix(path, ".go") {
+				return nil
+			}
+			f, err := parser.ParseFile(fset, path, nil, parser.SkipObjectResolution)
+			if err != nil {
+				return err
+			}
+			names := map[string]bool{} // a command's names are not a package's
+			if root == "internal" {
+				pkg := filepath.Base(filepath.Dir(path))
+				if d.pkgs[pkg] == nil {
+					d.pkgs[pkg] = map[string]bool{}
+				}
+				names = d.pkgs[pkg]
+			}
+			d.add(f, names)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	return d
+}
+
+// add records one file's declarations, its package's names into names.
+func (d *goDecls) add(f *ast.File, names map[string]bool) {
+	member := func(typ, name string) {
+		if d.members[typ] == nil {
+			d.members[typ] = map[string]bool{}
+		}
+		d.members[typ][name] = true
+		names[name] = true
+	}
+	for _, decl := range f.Decls {
+		switch decl := decl.(type) {
+		case *ast.FuncDecl:
+			names[decl.Name.Name] = true
+			if decl.Recv != nil && len(decl.Recv.List) > 0 {
+				member(baseTypeName(decl.Recv.List[0].Type), decl.Name.Name)
+			}
+		case *ast.GenDecl:
+			for _, spec := range decl.Specs {
+				switch s := spec.(type) {
+				case *ast.ValueSpec:
+					for _, n := range s.Names {
+						names[n.Name] = true
+					}
+				case *ast.TypeSpec:
+					typ := s.Name.Name
+					names[typ] = true
+					if d.members[typ] == nil {
+						d.members[typ] = map[string]bool{}
+					}
+					var fields []*ast.Field
+					switch tt := s.Type.(type) {
+					case *ast.StructType:
+						fields = tt.Fields.List
+					case *ast.InterfaceType:
+						fields = tt.Methods.List
+					}
+					for _, field := range fields {
+						for _, n := range field.Names {
+							member(typ, n.Name)
+						}
+						if len(field.Names) == 0 { // embedded
+							if e := baseTypeName(field.Type); e != "" {
+								member(typ, e)
+								d.embeds[typ] = append(d.embeds[typ], e)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// hasMember reports whether typ has name as a field or method, its own
+// or one it embeds.
+func (d *goDecls) hasMember(typ, name string, seen map[string]bool) bool {
+	if d.members[typ][name] {
+		return true
+	}
+	if seen[typ] {
+		return false
+	}
+	seen[typ] = true
+	for _, e := range d.embeds[typ] {
+		if d.hasMember(e, name, seen) {
+			return true
+		}
+	}
+	return false
+}
+
+// check returns what is wrong with one dotted name of a code span, or "".
+// `pkg.Ident` (pkg an internal/ package) must name something pkg
+// declares; `Type.Member`, and the `pkg.Type.Member` form, a type
+// declared under internal/ or cmd/ and a member of it. A lower-case first
+// word that is neither a package nor a type is a variable or a standard
+// package, and is not checked.
+func (d *goDecls) check(chain string) string {
+	parts := strings.Split(chain, ".")
+	if names, ok := d.pkgs[parts[0]]; ok {
+		if !names[parts[1]] {
+			return fmt.Sprintf("package %s declares no %s", parts[0], parts[1])
+		}
+		parts = parts[1:]
+		if len(parts) < 2 {
+			return ""
+		}
+	}
+	typ, name := parts[0], parts[1]
+	if _, ok := d.members[typ]; !ok {
+		if token.IsExported(typ) {
+			return fmt.Sprintf("no type %s is declared under internal/ or cmd/", typ)
+		}
+		return ""
+	}
+	if !d.hasMember(typ, name, map[string]bool{}) {
+		return fmt.Sprintf("type %s has no field or method %s", typ, name)
+	}
+	return ""
+}
+
+// goNames returns the dotted Go names of one code span.
+func goNames(span string) []string {
+	var out []string
+	for _, word := range strings.Fields(docDeref.ReplaceAllString(span, "$1")) {
+		if docNotGo.MatchString(word) {
+			continue
+		}
+		for _, loc := range docGoChain.FindAllStringIndex(word, -1) {
+			name := word[loc[0]:loc[1]]
+			if loc[0] > 0 && word[loc[0]-1] == '.' || strings.Contains(name, "_") {
+				continue // the tail of something longer, or a metric (`client.stream_ms`)
+			}
+			out = append(out, name)
+		}
+	}
+	return out
+}
+
 // TestDocPathsExist keeps the documents honest about the tree: every
 // cmd/<name>, internal/<name> or examples/<name> path and every Go file
 // name written as code (a backtick span or a fenced block) must exist —
 // a file name with a directory at that path (from the root or from
 // internal/), a bare one anywhere in the tree — and so must every Test*,
 // Benchmark* or Fuzz* function named there, in some _test.go file — so a
-// deletion cannot leave the docs pointing at what it removed. Sections
-// whose heading (or an enclosing heading) says "history" or "retired"
-// are exempt: they record what is gone. Every "DESIGN.md §N" (or
-// "DESIGN §N") in a Go file or a Markdown file must name an existing
-// "## N." section of DESIGN.md.
+// deletion cannot leave the docs pointing at what it removed. So must
+// every dotted Go name in a backtick span (goDecls.check): `pkg.Ident`,
+// `Type.Member`, `pkg.Type.Member`. Sections whose heading (or an
+// enclosing heading) says "history" or "retired" are exempt: they record
+// what is gone. Every "DESIGN.md §N" (or "DESIGN §N") in a Go file, a
+// Markdown file or one of designRefExtra must name an existing "## N."
+// section of DESIGN.md.
 func TestDocPathsExist(t *testing.T) {
 	design, err := os.ReadFile("DESIGN.md")
 	if err != nil {
@@ -206,6 +396,27 @@ func TestDocPathsExist(t *testing.T) {
 	sections := make(map[string]bool)
 	for _, m := range designHeading.FindAllSubmatch(design, -1) {
 		sections[string(m[1])] = true
+	}
+	checkDesignRefs := func(path string) error {
+		src, err := os.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		for i, line := range strings.Split(string(src), "\n") {
+			for _, ref := range designRef.FindAllString(line, -1) {
+				for _, m := range designSection.FindAllStringSubmatch(ref, -1) {
+					if !sections[m[1]] {
+						t.Errorf("%s:%d: %q: DESIGN.md has no section %s", path, i+1, ref, m[1])
+					}
+				}
+			}
+		}
+		return nil
+	}
+	for _, path := range designRefExtra {
+		if err := checkDesignRefs(path); err != nil {
+			t.Fatal(err)
+		}
 	}
 	goFiles := make(map[string]bool)   // base names of every .go file in the tree
 	testFuncs := make(map[string]bool) // every Test*/Benchmark*/Fuzz* declared in it
@@ -220,18 +431,8 @@ func TestDocPathsExist(t *testing.T) {
 			goFiles[d.Name()] = true
 		}
 		if (strings.HasSuffix(path, ".go") || strings.HasSuffix(path, ".md")) && !designRefSkip[path] {
-			src, err := os.ReadFile(path)
-			if err != nil {
+			if err := checkDesignRefs(path); err != nil {
 				return err
-			}
-			for i, line := range strings.Split(string(src), "\n") {
-				for _, ref := range designRef.FindAllString(line, -1) {
-					for _, m := range designSection.FindAllStringSubmatch(ref, -1) {
-						if !sections[m[1]] {
-							t.Errorf("%s:%d: %q: DESIGN.md has no section %s", path, i+1, ref, m[1])
-						}
-					}
-				}
 			}
 		}
 		if strings.HasSuffix(path, "_test.go") {
@@ -252,6 +453,7 @@ func TestDocPathsExist(t *testing.T) {
 		_, err := os.Stat(path)
 		return err == nil
 	}
+	decls := loadGoDecls(t)
 	for _, doc := range docFiles {
 		data, err := os.ReadFile(doc)
 		if err != nil {
@@ -292,6 +494,14 @@ func TestDocPathsExist(t *testing.T) {
 						t.Errorf("%s:%d: no test file declares `%s`", doc, i+1, fn)
 					}
 				}
+				if fenced {
+					continue // shell lines and example code: their names are variables
+				}
+				for _, name := range goNames(span) {
+					if msg := decls.check(name); msg != "" {
+						t.Errorf("%s:%d: `%s`: %s", doc, i+1, name, msg)
+					}
+				}
 			}
 		}
 	}
@@ -300,7 +510,7 @@ func TestDocPathsExist(t *testing.T) {
 // designMaxLines is DESIGN.md's line ceiling: the document may be
 // rewritten but not grow, so a passage added is a passage cut, and a
 // measurement table belongs in CHANGES.md.
-const designMaxLines = 1919
+const designMaxLines = 879
 
 // TestDesignCeiling holds DESIGN.md at or under designMaxLines lines.
 func TestDesignCeiling(t *testing.T) {

@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"repro/internal/block"
 	"repro/internal/checksum"
@@ -467,6 +468,97 @@ func TestOutOfOrderPacketRefused(t *testing.T) {
 				t.Fatalf("appended %d (want packet 0's %d), committed %v", appended, cs, committed)
 			}
 		})
+	}
+}
+
+// lendStore checks, at every hop, where a payload is when the datanode
+// appends it: in memory the writer lent for it, each lend beginning where
+// the last one ended — the replica's own tail.
+type lendStore struct {
+	storage.Store
+	mu     sync.Mutex
+	landed int      // payloads appended from lent memory
+	strays []string // what was appended from anywhere else
+}
+
+type lendWriter struct {
+	storage.BlockWriter
+	s    *lendStore
+	lent []byte // the last Lend's answer
+	next uintptr
+}
+
+func (s *lendStore) Create(b block.Block, overwrite bool) (storage.BlockWriter, error) {
+	w, err := s.Store.Create(b, overwrite)
+	if err != nil {
+		return nil, err
+	}
+	return &lendWriter{BlockWriter: w, s: s}, nil
+}
+
+func (w *lendWriter) SizeHint(n int64) { w.BlockWriter.(storage.SizeHinter).SizeHint(n) }
+
+func (w *lendWriter) Lend(offset int64, n int) []byte {
+	w.lent = w.BlockWriter.Lend(offset, n)
+	return w.lent
+}
+
+func (w *lendWriter) Append(p, raw []byte) error {
+	w.s.mu.Lock()
+	switch at := uintptr(unsafe.Pointer(unsafe.SliceData(p))); {
+	case len(w.lent) < len(p) || at != uintptr(unsafe.Pointer(unsafe.SliceData(w.lent))):
+		w.s.strays = append(w.s.strays, fmt.Sprintf("%d bytes not in lent memory", len(p)))
+	case w.next != 0 && at != w.next:
+		w.s.strays = append(w.s.strays, fmt.Sprintf("%d bytes lent away from the replica's tail", len(p)))
+	default:
+		w.s.landed++
+		w.next = at + uintptr(len(p))
+	}
+	w.s.mu.Unlock()
+	w.lent = nil
+	return w.BlockWriter.Append(p, raw)
+}
+
+// TestPayloadLandsInTheReplica: on a MemStore every hop of a three-hop
+// chain reads each payload from the transport into the replica's own
+// tail, which its writer lends, and appends it from there — so between
+// the transport and the committed replica a payload is copied once.
+func TestPayloadLandsInTheReplica(t *testing.T) {
+	stores := []*lendStore{{Store: storage.NewMemStore()}, {Store: storage.NewMemStore()}, {Store: storage.NewMemStore()}}
+	c := startChainOn(t, stores[0], stores[1], stores[2])
+	data := randomBytes(11, 1<<20+5000) // sixteen 64 KB packets and a short one
+	pkts := packetsOf(data, proto.DefaultPacketSize)
+	b := block.Block{ID: 1, Gen: 1}
+	pc := c.open(t, b, int64(len(data)), nil)
+	defer pc.Close()
+	for i := range pkts {
+		if err := pc.WritePacket(&pkts[i]); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for {
+		ack, err := pc.ReadAck()
+		if err != nil || !ack.OK() {
+			t.Fatalf("ack %+v, %v", ack, err)
+		}
+		if ack.Seqno == pkts[len(pkts)-1].Seqno {
+			break
+		}
+	}
+	c.stop()
+	for i, s := range stores {
+		if s.landed != len(pkts) || len(s.strays) != 0 {
+			t.Errorf("hop %d: %d of %d payloads landed in the replica; strays: %v", i, s.landed, len(pkts), s.strays)
+		}
+		r, _, err := s.Open(b.ID)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _ := io.ReadAll(r)
+		r.Close()
+		if !bytes.Equal(got, data) {
+			t.Errorf("hop %d: replica differs from the block sent", i)
+		}
 	}
 }
 

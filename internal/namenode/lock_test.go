@@ -22,7 +22,7 @@ import (
 // namenode again once its datanodes have died and one new one took
 // over, so placement, recovery, re-replication and the balancer run out
 // of datanodes. Together they run every statement under nn.mu but two
-// that call nothing (DESIGN.md §13). A method that takes nn.mu while a
+// that call nothing (DESIGN.md §12). A method that takes nn.mu while a
 // caller already holds it hangs the test: at the deadline it fails with
 // every goroutine's stack. Under -race, state touched outside the lock
 // is reported. Errors the operations return (a lease held by another

@@ -76,8 +76,11 @@ func TestContentionGainGrowsWithSlowNodes(t *testing.T) {
 	// Figure 10: more 50 Mbps-throttled nodes, more SMARTH gain. The
 	// trend holds strongly from k=1 to k=3; at k=5 the one-pipeline-per-
 	// datanode rule forces SMARTH onto slow first datanodes too (only 4
-	// fast nodes remain for 3 concurrent pipelines), so we require only
-	// that the k=5 gain stays within 80% of the k=3 gain.
+	// fast nodes remain for 3 concurrent pipelines). The 0.8 bound on
+	// k=5 against k=3 describes the default seed 1 only: over seeds 1–12
+	// the ratio spans 0.68–1.00 (EXPERIMENTS.md, Figs. 10–11, per-seed
+	// table), and what holds at every seed is
+	// TestContentionTrendHoldsAcrossSeeds.
 	imps := map[int]float64{}
 	for _, k := range []int{1, 3, 5} {
 		limits := map[int]float64{}
@@ -96,6 +99,49 @@ func TestContentionGainGrowsWithSlowNodes(t *testing.T) {
 	}
 	if imps[5] < 0.8*imps[3] {
 		t.Errorf("improvement k=5 (%.0f%%) collapsed below 80%% of k=3 (%.0f%%)", imps[5]*100, imps[3]*100)
+	}
+}
+
+// TestContentionTrendHoldsAcrossSeeds is the claim EXPERIMENTS.md makes
+// under Figs. 10–11: in the Fig. 10 geometry (small cluster, 8 GB, k of
+// 9 nodes at 50 Mbps), every seed 1–12 has the k=3 gain above the k=1
+// gain and the k=5 gain below the k=3 gain. It is a claim about the
+// model, not about concurrency (TestExperimentsParallelDeterministic
+// races RunAll), so it skips under -race, where it takes minutes.
+func TestContentionTrendHoldsAcrossSeeds(t *testing.T) {
+	if testing.Short() || raceEnabled {
+		t.Skip("72 paper-scale runs")
+	}
+	ks := []int{1, 3, 5}
+	var cfgs []Config
+	for seed := int64(1); seed <= 12; seed++ {
+		for _, k := range ks {
+			limits := map[int]float64{}
+			for i := 0; i < k; i++ {
+				limits[i] = 50
+			}
+			for _, mode := range []proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth} {
+				cfgs = append(cfgs, Config{Preset: ec2.SmallCluster, FileSize: 8 * gb, Mode: mode, NodeLimitMbps: limits, Seed: seed})
+			}
+		}
+	}
+	res, err := RunAll(cfgs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < len(res); i += 2 * len(ks) {
+		seed := cfgs[i].Seed
+		imps := map[int]float64{}
+		for j, k := range ks {
+			imps[k] = improvement(res[i+2*j], res[i+2*j+1])
+		}
+		if imps[3] <= imps[1] {
+			t.Errorf("seed %d: improvement k=3 (%.1f%%) not above k=1 (%.1f%%)", seed, imps[3]*100, imps[1]*100)
+		}
+		if imps[5] >= imps[3] {
+			t.Errorf("seed %d: improvement k=5 (%.1f%%) not below k=3 (%.1f%%)", seed, imps[5]*100, imps[3]*100)
+		}
+		t.Logf("seed %2d: k=1 %5.1f%%  k=3 %5.1f%%  k=5 %5.1f%%", seed, imps[1]*100, imps[3]*100, imps[5]*100)
 	}
 }
 

@@ -19,10 +19,12 @@ import (
 // counted by hand — the non-test Go lines under internal/ and cmd/
 // (every line of every .go file not ending in _test.go, analyzer
 // fixtures included), the same count over the whole root module (every
-// directory but the nested bench/ module), and the exported identifiers
-// of each package under internal/ and cmd/: exported top-level names,
-// exported methods on exported types, and exported fields of exported
-// structs. It asserts nothing; run it with -v.
+// directory but the nested bench/ module), the line count of each root
+// document TestDocPathsExist holds to the tree (docFiles), and the
+// exported identifiers of each package under internal/ and cmd/:
+// exported top-level names, exported methods on exported types, and
+// exported fields of exported structs. It asserts nothing; run it with
+// -v.
 func TestLOC(t *testing.T) {
 	lines := 0
 	exported := map[string]int{}
@@ -74,6 +76,18 @@ func TestLOC(t *testing.T) {
 	}
 	fmt.Printf("non-test Go lines in internal/ + cmd/: %d\n", lines)
 	fmt.Printf("non-test Go lines in the root module outside bench/: %d\n", module)
+	fmt.Println("lines per root document:")
+	docLines := 0
+	for _, doc := range docFiles {
+		src, err := os.ReadFile(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := bytes.Count(src, []byte("\n"))
+		docLines += n
+		fmt.Printf("  %-40s %d\n", doc, n)
+	}
+	fmt.Printf("  %-40s %d\n", "total", docLines)
 	fmt.Println("exported identifiers per package:")
 	pkgs := make([]string, 0, len(exported))
 	for p := range exported {
