@@ -70,11 +70,8 @@ type Cluster struct {
 	// NNAddr is the address the namenode is bound to (NamenodeAddr in
 	// memory; on TCP, with the port the kernel picked).
 	NNAddr string
-	// Net is the in-memory network carrying all traffic (nil when the
-	// cluster was booted with StartTCP).
-	Net *transport.MemNetwork
-	// EffNet is the network components actually dial through: Net, or
-	// the WrapNetwork decoration of it.
+	// EffNet is the network components dial through: the in-memory
+	// network or its WrapNetwork decoration (Start), or TCP (StartTCP).
 	EffNet transport.Network
 	// NN is the namenode.
 	NN *namenode.Namenode
@@ -127,7 +124,7 @@ func Start(cfg Config) (*Cluster, error) {
 	if cfg.WrapNetwork != nil {
 		effNet = cfg.WrapNetwork(net)
 	}
-	c := &Cluster{cfg: cfg, Net: net, EffNet: effNet}
+	c := &Cluster{cfg: cfg, EffNet: effNet}
 	return boot(c, NamenodeAddr, func(i int) string { return DatanodeName(i) })
 }
 
@@ -235,12 +232,10 @@ func (c *Cluster) Datanode(name string) *datanode.Datanode {
 	return nil
 }
 
-// KillDatanode simulates a crash: the node is partitioned from the
-// network (all connections break, new dials fail) and its process stops.
+// KillDatanode crashes the named datanode, over either transport, with
+// Datanode.Stop: its listener and every data connection it holds close,
+// so its peers fail at once and dials to it are refused.
 func (c *Cluster) KillDatanode(name string) {
-	if c.Net != nil {
-		c.Net.Partition(name)
-	}
 	if dn := c.Datanode(name); dn != nil {
 		dn.Stop()
 	}

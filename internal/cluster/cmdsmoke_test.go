@@ -7,6 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"syscall"
@@ -37,8 +38,10 @@ func (s *syncBuffer) String() string {
 // TestCommandLineTools builds and exercises the shipped binaries end to
 // end: smarth-cluster serves over real TCP, smarth-put uploads, traces
 // and verifies a file, smarth-admin renders the trace, smarth-fsck
-// reports health, and smarth-admin renames the file. This is the closest thing to the paper's actual workflow
-// (`hdfs put` against a running cluster).
+// reports health, smarth-admin renames the file, and SIGTERM shuts the
+// cluster down promptly although a datanode holds an idle connection.
+// This is the closest thing to the paper's actual workflow (`hdfs put`
+// against a running cluster).
 func TestCommandLineTools(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds binaries; skipped in -short mode")
@@ -67,10 +70,9 @@ func TestCommandLineTools(t *testing.T) {
 	if err := clusterCmd.Start(); err != nil {
 		t.Fatal(err)
 	}
-	defer func() {
-		clusterCmd.Process.Signal(syscall.SIGTERM)
-		clusterCmd.Wait()
-	}()
+	exited := make(chan error, 1)
+	go func() { exited <- clusterCmd.Wait() }()
+	defer clusterCmd.Process.Kill() // a no-op once it has exited
 
 	// Wait for the cluster to come up.
 	deadline := time.Now().Add(10 * time.Second)
@@ -125,6 +127,30 @@ func TestCommandLineTools(t *testing.T) {
 	out, err = exec.Command(filepath.Join(bin, "smarth-fsck"), "-nn", nnAddr).CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "/renamed") {
 		t.Fatalf("fsck after rename: %v\n%s", err, out)
+	}
+
+	// An idle connection to a datanode does not hold the shutdown up for
+	// the datanode's header timeout: Stop closes it.
+	m := regexp.MustCompile(`datanode dn1 \([^)]*\) on (\S+)`).FindStringSubmatch(clusterOut.String())
+	if m == nil {
+		t.Fatalf("no address for dn1 in the cluster's output:\n%s", clusterOut.String())
+	}
+	idle, err := net.Dial("tcp", m[1])
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer idle.Close()
+	clusterCmd.Process.Signal(syscall.SIGTERM)
+	select {
+	case err := <-exited:
+		if err != nil {
+			t.Fatalf("smarth-cluster exited with %v:\n%s", err, clusterOut.String())
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatalf("smarth-cluster still running 3s after SIGTERM, holding an idle data connection:\n%s", clusterOut.String())
+	}
+	if !strings.Contains(clusterOut.String(), "shutting down") {
+		t.Fatalf("smarth-cluster did not report its shutdown:\n%s", clusterOut.String())
 	}
 }
 

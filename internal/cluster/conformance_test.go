@@ -13,7 +13,7 @@ import (
 // client library, to probe wire-level behaviour.
 func dialDN(t *testing.T, c *Cluster, dn string) *proto.Conn {
 	t.Helper()
-	conn, err := c.Net.Dial("prober", dn)
+	conn, err := c.EffNet.Dial("prober", dn)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,14 +1,19 @@
 package cluster
 
 import (
+	"errors"
 	"sync"
 	"testing"
 	"time"
 
+	"repro/internal/block"
+	"repro/internal/checksum"
 	"repro/internal/client"
+	"repro/internal/clock"
 	"repro/internal/nnapi"
 	"repro/internal/proto"
 	"repro/internal/storage"
+	"repro/internal/transport"
 )
 
 // writeWithMidFault drip-feeds data and kills victim ("" = nobody) once
@@ -344,4 +349,101 @@ func TestStreamingReadMidBlockFailover(t *testing.T) {
 	}
 
 	verifyFile(t, cl, "/midblock", data)
+}
+
+// probeDialer opens data connections on c's network, each frame
+// bounded by 2 s.
+func probeDialer(c *Cluster) proto.Dialer {
+	return proto.Dialer{Network: c.EffNet, Local: "probe", Clock: clock.System, Progress: 2 * time.Second}
+}
+
+// onBothTransports boots a one-datanode cluster with Start and with
+// StartTCP and runs f on each.
+func onBothTransports(t *testing.T, f func(t *testing.T, c *Cluster)) {
+	for _, tr := range []struct {
+		name  string
+		start func(Config) (*Cluster, error)
+	}{{"mem", Start}, {"tcp", StartTCP}} {
+		t.Run(tr.name, func(t *testing.T) {
+			c, err := tr.start(Config{NumDatanodes: 1, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			t.Cleanup(c.Stop)
+			f(t, c)
+		})
+	}
+}
+
+// within fails the test unless f returns within d.
+func within(t *testing.T, d time.Duration, what string, f func()) {
+	t.Helper()
+	done := make(chan struct{})
+	go func() {
+		f()
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(d):
+		t.Fatalf("%s still running after %v", what, d)
+	}
+}
+
+// TestStopClosesIdleDataConn: a peer holding a data connection open
+// without sending its header does not hold a datanode's Stop up for the
+// header read's DataTimeout: Stop closes the connection and returns.
+func TestStopClosesIdleDataConn(t *testing.T) {
+	onBothTransports(t, func(t *testing.T, c *Cluster) {
+		dn := c.DNs[0]
+		conn, err := c.EffNet.Dial("idle", dn.Info().Addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		// The datanode accepts in dial order, so once it has refused a read
+		// dialed after the idle conn, it holds the idle conn too.
+		d := probeDialer(c)
+		if _, _, err := d.Open(dn.Info().Addr, proto.OpReadBlock, &proto.ReadBlockHeader{Block: block.Block{ID: 404, Gen: 1}}); !errors.Is(err, proto.ErrSetupRefused) {
+			t.Fatalf("read of a missing block: err = %v, want ErrSetupRefused", err)
+		}
+		within(t, time.Second, "Datanode.Stop with an idle inbound data connection", dn.Stop)
+		conn.SetReadDeadline(time.Now().Add(time.Second))
+		if _, err := conn.Read(make([]byte, 1)); err == nil || transport.IsTimeout(err) {
+			t.Fatalf("read on the idle connection after Stop: err = %v, want it closed", err)
+		}
+	})
+}
+
+// TestKillDatanodeEndsOpenPipeline: a killed datanode serves no more of
+// a write pipeline that was open when it died. KillDatanode returns at
+// once, and a packet written after it is never acked.
+func TestKillDatanodeEndsOpenPipeline(t *testing.T) {
+	onBothTransports(t, func(t *testing.T, c *Cluster) {
+		dn := c.DNs[0]
+		d := probeDialer(c)
+		pc, _, err := d.Open(dn.Info().Addr, proto.OpWriteBlock, &proto.WriteBlockHeader{
+			Block: block.Block{ID: 1, Gen: 1}, Client: "probe", Mode: proto.ModeHDFS})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer pc.Close()
+		data := randomData(31, 2*checksum.DefaultChunkSize)
+		packet := func(seq int64) *proto.Packet {
+			p := data[seq*checksum.DefaultChunkSize : (seq+1)*checksum.DefaultChunkSize]
+			return &proto.Packet{Seqno: seq, Offset: seq * checksum.DefaultChunkSize, Data: p,
+				RawSums: checksum.AppendEncoded(nil, p, checksum.DefaultChunkSize)}
+		}
+		if err := pc.WritePacket(packet(0)); err != nil {
+			t.Fatal(err)
+		}
+		if ack, err := pc.ReadAck(); err != nil || !ack.OK() || ack.Seqno != 0 {
+			t.Fatalf("ack of packet 0 = %+v, %v", ack, err)
+		}
+		within(t, time.Second, "KillDatanode on an open write pipeline", func() { c.KillDatanode(dn.Name()) })
+		_ = pc.WritePacket(packet(1)) // may fail already: the datanode is gone
+		if ack, err := pc.ReadAck(); err == nil {
+			t.Fatalf("the killed datanode answered a packet written after it died: %+v", ack)
+		}
+	})
 }

@@ -64,7 +64,7 @@ func TestWriteSurvivesNamenodeConnCutUnderAddBlock(t *testing.T) {
 	rpc.Handle(front, nnapi.MethodClientHeartbeat, c.NN.ClientHeartbeat)
 	rpc.Handle(front, nnapi.MethodComplete, c.NN.Complete)
 	rpc.Handle(front, nnapi.MethodGetBlockLocations, c.NN.GetBlockLocations)
-	l, err := c.Net.Listen(net.addr)
+	l, err := c.EffNet.Listen(net.addr)
 	if err != nil {
 		t.Fatal(err)
 	}

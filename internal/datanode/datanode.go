@@ -44,6 +44,7 @@ package datanode
 import (
 	"errors"
 	"fmt"
+	"net"
 	"sync"
 	"time"
 
@@ -120,6 +121,11 @@ type Datanode struct {
 	listener transport.Listener
 	stopOnce sync.Once
 
+	// conns holds the data connections this datanode has open, accepted
+	// and dialed, for Stop to close; nil once it has.
+	connMu sync.Mutex
+	conns  map[*heldConn]struct{}
+
 	// Pending finalized-replica reports, conflated by the reporter
 	// goroutine into delta block reports (blockReceivedBatch) so a burst
 	// of commits costs one namenode frame instead of one RPC each.
@@ -154,10 +160,12 @@ func New(opts Options) (*Datanode, error) {
 	dn := &Datanode{
 		opts:     opts,
 		nn:       rpc.NewSession(opts.Network, opts.Name, opts.NamenodeAddr, opts.DataTimeout, opts.Clock),
-		dialer:   proto.Dialer{Network: opts.Network, Local: opts.Name, Clock: opts.Clock, Progress: opts.DataTimeout},
+		dialer:   proto.Dialer{Local: opts.Name, Clock: opts.Clock, Progress: opts.DataTimeout},
+		conns:    make(map[*heldConn]struct{}),
 		reportCh: make(chan struct{}, 1),
 		stopCh:   make(chan struct{}),
 	}
+	dn.dialer.Network = heldNetwork{opts.Network, dn}
 	if opts.Obs != nil {
 		comp := opts.Obs.Component("datanode/" + opts.Name)
 		dn.dialer.Metrics = obs.NewConnMetrics(comp)
@@ -208,7 +216,10 @@ func (dn *Datanode) Start() error {
 	return nil
 }
 
-// Stop halts serving. Blocks until background goroutines exit.
+// Stop is the datanode's crash on every transport: it stops accepting,
+// closes every data connection it holds, served or dialed (as HDFS
+// closes its xceivers), so its peers fail at once, and returns once its
+// goroutines have exited. A conn accepted or dialed later closes at once.
 func (dn *Datanode) Stop() {
 	dn.stopOnce.Do(func() {
 		close(dn.stopCh)
@@ -216,8 +227,68 @@ func (dn *Datanode) Stop() {
 			dn.listener.Close()
 		}
 		dn.nn.Close()
+		dn.connMu.Lock()
+		held := dn.conns
+		dn.conns = nil
+		dn.connMu.Unlock()
+		for c := range held {
+			c.Close()
+		}
 		dn.wg.Wait()
 	})
+}
+
+// heldConn is a data connection registered with its datanode from its
+// accept or dial until its Close.
+type heldConn struct {
+	transport.Conn
+	dn *Datanode
+}
+
+// hold registers c for Stop to close, or closes it if Stop has run.
+func (dn *Datanode) hold(c transport.Conn) (transport.Conn, error) {
+	dn.connMu.Lock()
+	defer dn.connMu.Unlock()
+	if dn.conns == nil {
+		c.Close()
+		return nil, transport.ErrClosed
+	}
+	h := &heldConn{Conn: c, dn: dn}
+	dn.conns[h] = struct{}{}
+	return h, nil
+}
+
+func (c *heldConn) Close() error {
+	c.dn.connMu.Lock()
+	delete(c.dn.conns, c)
+	c.dn.connMu.Unlock()
+	return c.Conn.Close()
+}
+
+// WriteBuffers keeps a socket's gather write, which proto.Conn sends a
+// frame with a borrowed payload through as one writev.
+func (c *heldConn) WriteBuffers(bufs *net.Buffers) (int64, error) {
+	if bw, ok := c.Conn.(interface {
+		WriteBuffers(*net.Buffers) (int64, error)
+	}); ok {
+		return bw.WriteBuffers(bufs)
+	}
+	return bufs.WriteTo(c.Conn)
+}
+
+// heldNetwork is what the datanode dials its data connections through:
+// it holds each one it opens.
+type heldNetwork struct {
+	transport.Network
+	dn *Datanode
+}
+
+func (n heldNetwork) Dial(local, remote string) (transport.Conn, error) {
+	c, err := n.Network.Dial(local, remote)
+	if err != nil {
+		return nil, err
+	}
+	return n.dn.hold(c)
 }
 
 func (dn *Datanode) register() error {
@@ -368,6 +439,9 @@ func (dn *Datanode) acceptLoop() {
 	defer dn.wg.Done()
 	for {
 		conn, err := dn.listener.Accept()
+		if err == nil {
+			conn, err = dn.hold(conn)
+		}
 		if err != nil {
 			return
 		}

@@ -455,7 +455,9 @@ func TestInteriorNamesFailedMirror(t *testing.T) {
 		}
 	}
 	<-hop1.stalled
-	c.net.Partition("dn2") // hop 1 dies with packet 1 in hand
+	// Hop 1 dies with packet 1 in hand. Its Stop closes its conns at once
+	// but returns only when its receiver, parked in Append, is released.
+	go c.dns[1].Stop()
 	for {
 		ack, err := pc.ReadAck()
 		if err != nil {

@@ -66,6 +66,10 @@ type methodMetrics struct {
 // a transport listener (or call its methods directly in-process, which is
 // what the discrete-event simulator does).
 type Namenode struct {
+	// server is built with the namenode: Serve serves it and Close closes
+	// it, whichever of the two runs first.
+	server *rpc.Server
+
 	// mu is the namenode lock: every field below it is read and written
 	// only by an exported method holding it (see the package doc).
 	mu sync.Mutex
@@ -79,7 +83,6 @@ type Namenode struct {
 
 	// balancerMoves tracks in-flight balancer transfers by block ID.
 	balancerMoves map[block.ID]pendingMove
-	server        *rpc.Server
 
 	// clientHeard is when each client last sent a clientHeartbeat, so
 	// the maintenance tick can forget the speed records of clients that
@@ -119,6 +122,7 @@ func New(opts Options) *Namenode {
 	dm := newDatanodeManager(clk, opts.Expiry)
 	registry := core.NewRegistry()
 	nn := &Namenode{
+		server:        rpc.NewServer(),
 		clk:           clk,
 		ns:            newNamesystem(),
 		dm:            dm,
@@ -168,9 +172,10 @@ func serve[Req, Resp any, PReq rpc.Message[Req], PResp rpc.Message[Resp]](nn *Na
 	}
 }
 
-// Serve runs the RPC server on l until the listener closes.
+// Serve runs the RPC server on l until the listener closes, or returns
+// at once if Close has run. Call it once.
 func (nn *Namenode) Serve(l transport.Listener) {
-	s := rpc.NewServer()
+	s := nn.server
 	if nn.obsComp != nil {
 		// Per-method metrics are built here, before the first request, so
 		// the observer callback is a lock-free map read + atomic update.
@@ -205,22 +210,13 @@ func (nn *Namenode) Serve(l transport.Listener) {
 	serve(nn, s, nnapi.MethodDecommission, nn.Decommission)
 	serve(nn, s, nnapi.MethodDecommStatus, nn.DecommissionStatus)
 	serve(nn, s, nnapi.MethodBalance, nn.Balance)
-	nn.mu.Lock()
-	nn.server = s
-	nn.mu.Unlock()
 	s.Serve(l)
 }
 
-// Close stops the RPC server if Serve was called. It releases nn.mu
-// before the server waits for in-flight handlers, which need it.
-func (nn *Namenode) Close() {
-	nn.mu.Lock()
-	s := nn.server
-	nn.mu.Unlock()
-	if s != nil {
-		s.Close()
-	}
-}
+// Close stops the RPC server, whether Serve has started it yet or runs
+// later. It does not take nn.mu, which the in-flight handlers the server
+// waits for need.
+func (nn *Namenode) Close() { nn.server.Close() }
 
 // --- ClientProtocol ---
 

@@ -83,6 +83,35 @@ func TestServeAndCloseWithIdleClient(t *testing.T) {
 	<-served
 }
 
+// TestCloseBeforeServe: a Close that runs before Serve has installed its
+// server — cluster.boot serves from a goroutine and closes the namenode
+// when a datanode fails to start — still stops it: Serve returns at once
+// and its listener takes no dial.
+func TestCloseBeforeServe(t *testing.T) {
+	nn, _, _ := newTestNN(t)
+	n := transport.NewMemNetwork(nil)
+	l, err := n.Listen("nn")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer l.Close()
+	nn.Close()
+	served := make(chan struct{})
+	go func() {
+		nn.Serve(l)
+		close(served)
+	}()
+	select {
+	case <-served:
+	case <-time.After(time.Second):
+		t.Fatal("Serve still running 1s after Close")
+	}
+	if c, err := rpc.Dial(n, "client", "nn"); err == nil {
+		c.Close()
+		t.Fatal("a closed namenode accepted a dial")
+	}
+}
+
 // serveMem serves nn over a fresh in-memory network and returns a
 // client connected to it; both are stopped when the test ends.
 func serveMem(tb testing.TB, nn *Namenode) *rpc.Client {

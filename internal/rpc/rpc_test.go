@@ -229,18 +229,25 @@ func TestPendingCallTransportFailureIsNotRemote(t *testing.T) {
 	}
 }
 
-func TestServerPartitionFailsCall(t *testing.T) {
+// TestServerCloseFailsCall: a server that closes is gone to its
+// callers, as a crashed one is: a call on the connection it served fails,
+// and so does a new dial.
+func TestServerCloseFailsCall(t *testing.T) {
 	n := transport.NewMemNetwork(nil)
-	startServer(t, n, "nn")
+	srv := startServer(t, n, "nn")
 	c, _ := Dial(n, "client", "nn")
 	defer c.Close()
 	var reply addReply
 	if err := c.Call("add", addArgs{A: 1, B: 2}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	n.Partition("nn")
+	srv.Close()
 	if err := c.Call("add", addArgs{A: 1, B: 2}, &reply); err == nil {
-		t.Fatal("call across partition succeeded")
+		t.Fatal("call to a closed server succeeded")
+	}
+	if c2, err := Dial(n, "client", "nn"); err == nil {
+		c2.Close()
+		t.Fatal("dial to a closed server succeeded")
 	}
 }
 

@@ -10,7 +10,7 @@ import (
 	"repro/internal/clock"
 )
 
-// ErrClosed is returned by operations on a closed or broken connection.
+// ErrClosed is returned by operations on a closed connection.
 var ErrClosed = errors.New("transport: connection closed")
 
 // ErrTimeout is returned when a read or write deadline expires. It
@@ -32,8 +32,8 @@ func (*timeoutError) Temporary() bool { return true }
 // The FIFO is a fixed ring: the storage is taken from bufpool on the
 // first write and bytes wrap around it, so a connection streams any
 // amount of data through one buffer, and a direction that never carries
-// data holds none. CloseRead and Break — after which no operation
-// touches the storage again — return it to the pool under mu, so the
+// data holds none. CloseRead — after which no operation touches the
+// storage again — returns it to the pool under mu, so the
 // next connection reuses it: SMARTH opens a pipeline per block, and
 // its rings would otherwise be bought anew each time.
 type pipeBuf struct {
@@ -47,7 +47,6 @@ type pipeBuf struct {
 	capacity int
 	closed   bool // write side closed cleanly; drained reads return io.EOF
 	rclosed  bool // read side closed locally; reads and peer writes fail
-	broken   bool // connection destroyed; all operations fail
 
 	rDeadline time.Time
 	wDeadline time.Time
@@ -56,7 +55,7 @@ type pipeBuf struct {
 	// armed deadline, so the happy path spawns nothing.
 	rWaker bool
 	wWaker bool
-	// done closes on the first CloseWrite, CloseRead or Break, after which
+	// done closes on the first CloseWrite or CloseRead, after which
 	// no operation blocks on the buffer again: a sleeping waker exits at
 	// once and stops its timer, which would otherwise stay pending until
 	// the deadline.
@@ -103,7 +102,7 @@ func (b *pipeBuf) waker(deadline *time.Time, running *bool, cond *sync.Cond) {
 	for {
 		b.mu.Lock()
 		d, now := *deadline, b.clk.Now()
-		if d.IsZero() || b.closed || b.rclosed || b.broken || !now.Before(d) {
+		if d.IsZero() || b.closed || b.rclosed || !now.Before(d) {
 			*running = false
 			cond.Broadcast()
 			b.mu.Unlock()
@@ -137,9 +136,6 @@ func (b *pipeBuf) Write(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for written < len(p) {
-		if b.broken {
-			return written, ErrClosed
-		}
 		if b.rclosed {
 			// The reading side closed its connection: further writes are
 			// lost, so fail them (the TCP RST analogue).
@@ -191,7 +187,7 @@ func (b *pipeBuf) Read(p []byte) (int, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	for {
-		if b.broken || b.rclosed {
+		if b.rclosed {
 			return 0, ErrClosed
 		}
 		if b.n > 0 {
@@ -232,8 +228,8 @@ func (b *pipeBuf) Read(p []byte) (int, error) {
 }
 
 // releaseRing discards unread bytes and returns the ring to the pool.
-// Caller holds mu and has set rclosed or broken, so every later Read
-// and Write fails before touching the storage.
+// Caller holds mu and has set rclosed, so every later Read and Write
+// fails before touching the storage.
 func (b *pipeBuf) releaseRing() {
 	bufpool.Put(b.ring)
 	b.ring, b.r, b.n = nil, 0, 0
@@ -254,15 +250,6 @@ func (b *pipeBuf) CloseWrite() {
 func (b *pipeBuf) CloseRead() {
 	b.mu.Lock()
 	b.rclosed = true
-	b.releaseRing()
-	b.end()
-	b.mu.Unlock()
-}
-
-// Break destroys the stream: all blocked and future operations fail.
-func (b *pipeBuf) Break() {
-	b.mu.Lock()
-	b.broken = true
 	b.releaseRing()
 	b.end()
 	b.mu.Unlock()

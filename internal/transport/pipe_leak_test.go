@@ -198,13 +198,13 @@ func TestMemNetworkRingAlloc(t *testing.T) {
 	}
 }
 
-// TestPartitionMidWriteReleasesRingOnce breaks connections while a
-// writer is blocked on a full ring and a reader is draining it.
-// Partition aborts both endpoints, so every ring is released from two
-// sides and again by the Closes that follow; had any of them reached the
-// pool twice, two later connections would share storage and deliver each
-// other's bytes.
-func TestPartitionMidWriteReleasesRingOnce(t *testing.T) {
+// TestCloseMidWriteReleasesRingOnce closes connections while a writer
+// is blocked on a full ring and a reader is draining it. Both ends close
+// at once, from the writer's side and the reader's, and again after, so
+// every ring meets a concurrent CloseRead and a repeated Close; had any
+// of them reached the pool twice, two later connections would share
+// storage and deliver each other's bytes.
+func TestCloseMidWriteReleasesRingOnce(t *testing.T) {
 	n := NewMemNetwork(nil)
 	l, err := n.Listen("srv")
 	if err != nil {
@@ -228,7 +228,7 @@ func TestPartitionMidWriteReleasesRingOnce(t *testing.T) {
 		cli, srv := dial()
 		var wg sync.WaitGroup
 		wg.Add(2)
-		go func() { // fills the ring, then blocks mid-write until the break
+		go func() { // fills the ring, then blocks mid-write until the close
 			defer wg.Done()
 			for {
 				if _, err := cli.Write(chunk); err != nil {
@@ -250,9 +250,9 @@ func TestPartitionMidWriteReleasesRingOnce(t *testing.T) {
 			}
 		}()
 		<-firstRead
-		n.Partition("cli")
+		go cli.Close()
+		srv.Close()
 		wg.Wait()
-		n.Heal("cli")
 		cli.Close()
 		srv.Close()
 	}

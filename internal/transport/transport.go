@@ -6,8 +6,8 @@
 // the software analogue of the paper's `tc` bandwidth throttling; TCP
 // links are never shaped.
 //
-// Concurrency invariants: a Network (dial, listen, shaping, partition,
-// kill) is safe for concurrent use from any goroutine. A Conn follows
+// Concurrency invariants: a Network (dial, listen, shaping) is safe for
+// concurrent use from any goroutine. A Conn follows
 // the net.Conn discipline the protocol layer depends on: at most one
 // goroutine in Read and one in Write at a time (the two directions are
 // independent), and Close may be called from any goroutine — including
@@ -85,28 +85,26 @@ const maxPaceChunk = 64 << 10
 // ---------------------------------------------------------------------
 
 // MemNetwork is an in-process Network. Connections are pairs of bounded
-// pipes paced by the LinkPolicy. It supports fault injection via
-// Partition.
+// pipes paced by the LinkPolicy. It injects no faults of its own: a
+// crash is the component closing its listener and connections
+// (datanode.Datanode.Stop), as on TCP, and a wedged or slow link is a
+// wrapper's (internal/faultnet).
 type MemNetwork struct {
-	mu          sync.Mutex
-	policy      LinkPolicy
-	clk         clock.Clock
-	listeners   map[string]*memListener
-	conns       map[string]map[*memConn]bool // endpoint -> live conns
-	partitioned map[string]bool
-	bufSize     int
+	mu        sync.Mutex
+	policy    LinkPolicy
+	clk       clock.Clock
+	listeners map[string]*memListener
+	bufSize   int
 }
 
 // NewMemNetwork returns an in-memory network shaped by policy (nil means
 // unshaped).
 func NewMemNetwork(policy LinkPolicy) *MemNetwork {
 	return &MemNetwork{
-		policy:      policy,
-		clk:         clock.System,
-		listeners:   make(map[string]*memListener),
-		conns:       make(map[string]map[*memConn]bool),
-		partitioned: make(map[string]bool),
-		bufSize:     256 << 10,
+		policy:    policy,
+		clk:       clock.System,
+		listeners: make(map[string]*memListener),
+		bufSize:   256 << 10,
 	}
 }
 
@@ -179,9 +177,6 @@ type memConn struct {
 	readBuf       *pipeBuf    // data flowing remote -> local
 	writeBuf      *pipeBuf    // data flowing local -> remote
 	pace          func(n int) // the local -> remote link's pacer; nil = unshaped
-	net           *MemNetwork
-	closeOnce     sync.Once
-	peer          *memConn
 }
 
 func (c *memConn) Read(p []byte) (int, error) { return c.readBuf.Read(p) }
@@ -223,50 +218,19 @@ func (c *memConn) SetWriteDeadline(t time.Time) error {
 	return nil
 }
 
+// Close signals the write direction like a TCP FIN: the peer can still
+// drain buffered data before seeing EOF. The read direction is abandoned:
+// our own blocked reads unblock, and peer writes into a buffer nobody
+// will drain fail instead of backing up forever. Both are idempotent.
 func (c *memConn) Close() error {
-	c.closeOnce.Do(func() {
-		// Signal the write direction like a TCP FIN: the peer can still
-		// drain buffered data before seeing EOF. The read direction is
-		// abandoned — our own blocked reads unblock, and peer writes into
-		// a buffer nobody will drain fail instead of backing up forever.
-		c.writeBuf.CloseWrite()
-		c.readBuf.CloseRead()
-		c.net.forget(c)
-	})
+	c.writeBuf.CloseWrite()
+	c.readBuf.CloseRead()
 	return nil
-}
-
-// abort hard-breaks both directions (partition / crash).
-func (c *memConn) abort() {
-	c.readBuf.Break()
-	c.writeBuf.Break()
-	c.net.forget(c)
-}
-
-func (n *MemNetwork) forget(c *memConn) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if set := n.conns[c.local]; set != nil {
-		delete(set, c)
-	}
-}
-
-func (n *MemNetwork) remember(c *memConn) {
-	set := n.conns[c.local]
-	if set == nil {
-		set = make(map[*memConn]bool)
-		n.conns[c.local] = set
-	}
-	set[c] = true
 }
 
 // Dial connects local to remote, pacing each direction by the policy.
 func (n *MemNetwork) Dial(local, remote string) (Conn, error) {
 	n.mu.Lock()
-	if n.partitioned[local] || n.partitioned[remote] {
-		n.mu.Unlock()
-		return nil, fmt.Errorf("transport: %w: partitioned", ErrClosed)
-	}
 	l := n.listeners[remote]
 	policy := n.policy
 	bufSize := n.bufSize
@@ -279,47 +243,18 @@ func (n *MemNetwork) Dial(local, remote string) (Conn, error) {
 	forward := newPipeBuf(bufSize, clk)  // local -> remote
 	backward := newPipeBuf(bufSize, clk) // remote -> local
 
-	dialer := &memConn{local: local, remote: remote, readBuf: backward, writeBuf: forward, net: n}
-	acceptor := &memConn{local: remote, remote: local, readBuf: forward, writeBuf: backward, net: n}
+	dialer := &memConn{local: local, remote: remote, readBuf: backward, writeBuf: forward}
+	acceptor := &memConn{local: remote, remote: local, readBuf: forward, writeBuf: backward}
 	if policy != nil {
 		dialer.pace, acceptor.pace = policy.Pacer(local, remote), policy.Pacer(remote, local)
 	}
-	dialer.peer, acceptor.peer = acceptor, dialer
 
 	select {
 	case l.accept <- acceptor:
 	case <-l.done:
 		return nil, ErrClosed
 	}
-
-	n.mu.Lock()
-	n.remember(dialer)
-	n.remember(acceptor)
-	n.mu.Unlock()
 	return dialer, nil
-}
-
-// Partition isolates addr: existing connections break and new dials
-// to or from addr fail, until Heal is called. It models a node crash or
-// network cut for fault-tolerance tests.
-func (n *MemNetwork) Partition(addr string) {
-	n.mu.Lock()
-	n.partitioned[addr] = true
-	var victims []*memConn
-	for c := range n.conns[addr] {
-		victims = append(victims, c, c.peer)
-	}
-	n.mu.Unlock()
-	for _, c := range victims {
-		c.abort()
-	}
-}
-
-// Heal removes a partition.
-func (n *MemNetwork) Heal(addr string) {
-	n.mu.Lock()
-	delete(n.partitioned, addr)
-	n.mu.Unlock()
 }
 
 // ---------------------------------------------------------------------

@@ -132,41 +132,6 @@ func TestMemListenerCloseUnblocksAccept(t *testing.T) {
 	}
 }
 
-func TestPartitionBreaksConns(t *testing.T) {
-	n := NewMemNetwork(nil)
-	l, _ := n.Listen("dn1")
-	accepted := make(chan Conn, 1)
-	go func() {
-		c, err := l.Accept()
-		if err == nil {
-			accepted <- c
-		}
-	}()
-	c, err := n.Dial("client", "dn1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	srv := <-accepted
-
-	n.Partition("dn1")
-
-	if _, err := c.Write(make([]byte, 1<<20)); err == nil {
-		t.Fatal("write to partitioned peer succeeded")
-	}
-	if _, err := srv.Read(make([]byte, 1)); !errors.Is(err, ErrClosed) {
-		t.Fatalf("read on partitioned conn: err = %v, want ErrClosed", err)
-	}
-	if _, err := n.Dial("client", "dn1"); err == nil {
-		t.Fatal("dial to partitioned node succeeded")
-	}
-
-	n.Heal("dn1")
-	go func() { l.Accept() }()
-	if _, err := n.Dial("client", "dn1"); err != nil {
-		t.Fatalf("dial after heal: %v", err)
-	}
-}
-
 // pacePolicy paces the links leaving src with pace; every other link is
 // unshaped.
 type pacePolicy struct {
@@ -299,7 +264,7 @@ func TestPipeBufBackpressure(t *testing.T) {
 	<-wrote
 }
 
-func TestPipeBufBreakUnblocksReader(t *testing.T) {
+func TestPipeBufCloseReadUnblocksReader(t *testing.T) {
 	b := newPipeBuf(4, nil)
 	errs := make(chan error, 1)
 	go func() {
@@ -307,18 +272,18 @@ func TestPipeBufBreakUnblocksReader(t *testing.T) {
 		errs <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	b.Break()
+	b.CloseRead()
 	select {
 	case err := <-errs:
 		if !errors.Is(err, ErrClosed) {
 			t.Fatalf("read err = %v, want ErrClosed", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Break did not unblock reader")
+		t.Fatal("CloseRead did not unblock reader")
 	}
 }
 
-func TestPipeBufBreakUnblocksWriter(t *testing.T) {
+func TestPipeBufCloseReadUnblocksWriter(t *testing.T) {
 	b := newPipeBuf(4, nil)
 	errs := make(chan error, 1)
 	go func() {
@@ -326,14 +291,14 @@ func TestPipeBufBreakUnblocksWriter(t *testing.T) {
 		errs <- err
 	}()
 	time.Sleep(10 * time.Millisecond)
-	b.Break()
+	b.CloseRead()
 	select {
 	case err := <-errs:
 		if !errors.Is(err, ErrClosed) {
 			t.Fatalf("write err = %v, want ErrClosed", err)
 		}
 	case <-time.After(2 * time.Second):
-		t.Fatal("Break did not unblock writer")
+		t.Fatal("CloseRead did not unblock writer")
 	}
 }
 
