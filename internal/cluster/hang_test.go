@@ -39,7 +39,7 @@ func startHangCluster(t *testing.T, cfg Config) (*Cluster, *faultnet.Network, *c
 	}
 	cfg.Seed = 7
 	cfg.WrapNetwork = func(m *transport.MemNetwork) transport.Network {
-		fn = faultnet.Wrap(m, 7)
+		fn = faultnet.Wrap(m)
 		return fn
 	}
 	if cfg.ClientTimeouts == (client.Timeouts{}) {

@@ -43,7 +43,7 @@ func startReadFaultCluster(t *testing.T, cfg Config) (*Cluster, *faultnet.Networ
 	cfg.NumDatanodes = 3
 	cfg.Seed = 11
 	cfg.WrapNetwork = func(m *transport.MemNetwork) transport.Network {
-		fn = faultnet.Wrap(m, 11)
+		fn = faultnet.Wrap(m)
 		return fn
 	}
 	cfg.Logf = t.Logf

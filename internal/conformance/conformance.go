@@ -210,7 +210,7 @@ func RunLive(s Scenario, from, to string) (string, error) {
 			return "", fmt.Errorf("conformance: fault scenario %s needs the link to blackhole", s.Name)
 		}
 		cfg.WrapNetwork = func(m *transport.MemNetwork) transport.Network {
-			fn = faultnet.Wrap(m, s.Seed)
+			fn = faultnet.Wrap(m)
 			return fn
 		}
 		// A short Progress bound detects the blackholed pipeline

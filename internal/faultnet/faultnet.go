@@ -1,56 +1,38 @@
-// Package faultnet wraps a transport.Network with deterministic fault
-// injection for testing the timeout/recovery paths: per-link hang,
-// delay, drop-after-N-bytes and flaky-dial modes, plus whole-endpoint
-// freezing (the "hung process" model: the node neither crashes nor
-// closes its connections, it just stops making progress).
+// Package faultnet wraps a transport.Network with the three faults the
+// timeout/recovery tests inject: a frozen endpoint (the "hung process"
+// model: the node neither crashes nor closes its connections, it just
+// stops making progress), a link that goes silent after N bytes, and a
+// dial that hangs.
 //
 // Faults are applied on the faulty side's operations, so the healthy
 // peer starves naturally and its own deadlines fire exactly as they
-// would against a real wedged process. All randomness (delay jitter)
-// comes from a seeded generator, so runs are reproducible.
+// would against a real wedged process.
 //
-// Concurrency invariants: a Network is safe for concurrent use — fault
-// rules (Hang, Delay, Freeze, Thaw, ...) may be added or removed from
-// any goroutine, including while transfers are in flight on the links
-// they affect; changes take effect on the next operation that consults
-// the rule. A frozen endpoint blocks inside its own Read/Write/Dial
-// calls until thawed or the conn is closed from elsewhere; freezing
-// never closes conns itself, because the hung-process model requires
-// the peer's deadline — not an EOF — to be what ends the transfer.
+// Concurrency invariants: a Network is safe for concurrent use — faults
+// (SetLink, ClearLink, Freeze, Thaw) may be set or cleared from any
+// goroutine, including while transfers are in flight on the links they
+// affect; changes take effect on the next operation that consults them.
+// A frozen endpoint blocks inside its own Read/Write/Dial calls until
+// thawed or the conn is closed from elsewhere; freezing never closes
+// conns itself, because the hung-process model requires the peer's
+// deadline — not an EOF — to be what ends the transfer.
 package faultnet
 
 import (
-	"fmt"
-	"math/rand"
 	"sync"
-	"time"
+	"sync/atomic"
 
-	"repro/internal/clock"
 	"repro/internal/transport"
 )
-
-// Wildcard matches any endpoint in a link spec.
-const Wildcard = "*"
 
 // Fault describes the failure behavior of one directed link (src→dst).
 // The zero value is a healthy link.
 type Fault struct {
-	// Hang blocks writes on the link until the fault is cleared (or the
-	// conn is closed). The writer is the victim; use Freeze instead to
-	// wedge a whole endpoint.
-	Hang bool
-	// Delay is added to every write on the link.
-	Delay time.Duration
-	// DelayJitter adds a uniform random extra in [0, DelayJitter) per
-	// write, drawn from the network's seeded generator.
-	DelayJitter time.Duration
 	// DropAfter blackholes the link after that many bytes have been
 	// written: writes keep reporting success but nothing reaches the
 	// peer, like a connection whose other half silently vanished.
 	// 0 disables; negative drops everything from the first byte.
 	DropAfter int64
-	// DialFail makes dials over the link fail immediately.
-	DialFail bool
 	// DialHang makes dials over the link block until the fault is
 	// cleared (pair with transport.DialTimeout on the caller side).
 	DialHang bool
@@ -62,44 +44,26 @@ type Network struct {
 
 	mu     sync.Mutex
 	cond   *sync.Cond
-	clk    clock.Clock
-	rng    *rand.Rand
-	links  map[string]*Fault
+	links  map[[2]string]Fault // by directed link {src, dst}
 	frozen map[string]bool
 }
 
-// Wrap decorates inner. The seed drives delay jitter; equal seeds give
-// equal schedules.
-func Wrap(inner transport.Network, seed int64) *Network {
+// Wrap decorates inner.
+func Wrap(inner transport.Network) *Network {
 	n := &Network{
 		inner:  inner,
-		clk:    clock.System,
-		rng:    rand.New(rand.NewSource(seed)),
-		links:  make(map[string]*Fault),
+		links:  make(map[[2]string]Fault),
 		frozen: make(map[string]bool),
 	}
 	n.cond = sync.NewCond(&n.mu)
 	return n
 }
 
-// SetClock replaces the clock used for injected delays (nil restores
-// the system clock).
-func (n *Network) SetClock(clk clock.Clock) {
-	if clk == nil {
-		clk = clock.System
-	}
-	n.mu.Lock()
-	n.clk = clk
-	n.mu.Unlock()
-}
-
-func linkKey(src, dst string) string { return src + "\x00" + dst }
-
 // SetLink installs (or replaces) the fault on the directed link
-// src→dst. Either side may be the Wildcard.
+// src→dst.
 func (n *Network) SetLink(src, dst string, f Fault) {
 	n.mu.Lock()
-	n.links[linkKey(src, dst)] = &f
+	n.links[[2]string{src, dst}] = f
 	n.cond.Broadcast()
 	n.mu.Unlock()
 }
@@ -108,7 +72,7 @@ func (n *Network) SetLink(src, dst string, f Fault) {
 // on it.
 func (n *Network) ClearLink(src, dst string) {
 	n.mu.Lock()
-	delete(n.links, linkKey(src, dst))
+	delete(n.links, [2]string{src, dst})
 	n.cond.Broadcast()
 	n.mu.Unlock()
 }
@@ -131,22 +95,6 @@ func (n *Network) Thaw(name string) {
 	n.mu.Unlock()
 }
 
-// faultFor resolves the effective fault on src→dst, most-specific spec
-// first. Caller holds n.mu.
-func (n *Network) faultFor(src, dst string) Fault {
-	for _, k := range [4]string{
-		linkKey(src, dst),
-		linkKey(src, Wildcard),
-		linkKey(Wildcard, dst),
-		linkKey(Wildcard, Wildcard),
-	} {
-		if f := n.links[k]; f != nil {
-			return *f
-		}
-	}
-	return Fault{}
-}
-
 // Listen delegates to the inner network; accepted conns are wrapped so
 // endpoint and link faults apply to them too.
 func (n *Network) Listen(addr string) (transport.Listener, error) {
@@ -157,20 +105,12 @@ func (n *Network) Listen(addr string) (transport.Listener, error) {
 	return &listener{Listener: l, net: n}, nil
 }
 
-// Dial applies flaky-dial faults, then delegates and wraps.
+// Dial blocks while the dialer is frozen or the link's dial hangs, then
+// delegates and wraps.
 func (n *Network) Dial(local, remote string) (transport.Conn, error) {
 	n.mu.Lock()
-	for {
-		f := n.faultFor(local, remote)
-		if f.DialFail {
-			n.mu.Unlock()
-			return nil, fmt.Errorf("faultnet: dial %s->%s: injected failure", local, remote)
-		}
-		if f.DialHang || n.frozen[local] {
-			n.cond.Wait()
-			continue
-		}
-		break
+	for n.links[[2]string{local, remote}].DialHang || n.frozen[local] {
+		n.cond.Wait()
 	}
 	n.mu.Unlock()
 	c, err := n.inner.Dial(local, remote)
@@ -198,23 +138,13 @@ func (l *listener) Accept() (transport.Conn, error) {
 // working through the wrapper.
 type conn struct {
 	transport.Conn
-	net *Network
-
-	closedMu sync.Mutex
-	closed   bool
-	sent     int64 // bytes written, for DropAfter accounting
-}
-
-func (c *conn) isClosed() bool {
-	c.closedMu.Lock()
-	defer c.closedMu.Unlock()
-	return c.closed
+	net    *Network
+	closed atomic.Bool
+	sent   atomic.Int64 // bytes written, for DropAfter accounting
 }
 
 func (c *conn) Close() error {
-	c.closedMu.Lock()
-	c.closed = true
-	c.closedMu.Unlock()
+	c.closed.Store(true)
 	err := c.Conn.Close()
 	c.net.mu.Lock()
 	c.net.cond.Broadcast() // wake ops gated on this conn
@@ -222,78 +152,51 @@ func (c *conn) Close() error {
 	return err
 }
 
+// gate blocks while the conn's local endpoint is frozen, then returns
+// the link's fault, or ErrClosed once the conn is closed.
+func (c *conn) gate() (Fault, error) {
+	local := c.LocalAddr()
+	c.net.mu.Lock()
+	for c.net.frozen[local] && !c.closed.Load() {
+		c.net.cond.Wait()
+	}
+	f := c.net.links[[2]string{local, c.RemoteAddr()}]
+	c.net.mu.Unlock()
+	if c.closed.Load() {
+		return Fault{}, transport.ErrClosed
+	}
+	return f, nil
+}
+
 // Read gates on the local endpoint's frozen state, then delegates. A
 // frozen node keeps its connections open but stops consuming, so the
 // peer's buffers back up and its deadlines fire.
 func (c *conn) Read(p []byte) (int, error) {
-	c.net.mu.Lock()
-	for c.net.frozen[c.LocalAddr()] && !c.isClosed() {
-		c.net.cond.Wait()
-	}
-	c.net.mu.Unlock()
-	if c.isClosed() {
-		return 0, transport.ErrClosed
+	if _, err := c.gate(); err != nil {
+		return 0, err
 	}
 	return c.Conn.Read(p)
 }
 
-// Write gates on freeze and the link fault, applies delay and drop
-// accounting, then delegates.
+// Write gates on freeze, applies drop accounting, then delegates.
 func (c *conn) Write(p []byte) (int, error) {
-	local, remote := c.LocalAddr(), c.RemoteAddr()
-	c.net.mu.Lock()
-	var f Fault
-	for {
-		f = c.net.faultFor(local, remote)
-		if (c.net.frozen[local] || f.Hang) && !c.isClosed() {
-			c.net.cond.Wait()
-			continue
-		}
-		break
+	f, err := c.gate()
+	if err != nil {
+		return 0, err
 	}
-	clk := c.net.clk
-	var delay time.Duration
-	if f.Delay > 0 || f.DelayJitter > 0 {
-		delay = f.Delay
-		if f.DelayJitter > 0 {
-			delay += time.Duration(c.net.rng.Int63n(int64(f.DelayJitter)))
-		}
-	}
-	c.net.mu.Unlock()
-	if c.isClosed() {
-		return 0, transport.ErrClosed
-	}
-	if delay > 0 {
-		clk.Sleep(delay)
-	}
-
-	if f.DropAfter != 0 {
-		limit := f.DropAfter
-		if limit < 0 {
-			limit = 0
-		}
-		c.closedMu.Lock()
-		sent := c.sent
-		c.sent += int64(len(p))
-		c.closedMu.Unlock()
-		if sent >= limit {
-			return len(p), nil // fully blackholed
-		}
-		if sent+int64(len(p)) > limit {
-			head := limit - sent
-			if _, err := c.Conn.Write(p[:head]); err != nil {
-				return 0, err
-			}
-			return len(p), nil // tail blackholed
-		}
+	sent := c.sent.Add(int64(len(p))) - int64(len(p))
+	if f.DropAfter == 0 {
 		return c.Conn.Write(p)
 	}
-
-	c.closedMu.Lock()
-	c.sent += int64(len(p))
-	c.closedMu.Unlock()
+	limit := max(f.DropAfter, 0)
+	if sent >= limit {
+		return len(p), nil // fully blackholed
+	}
+	if sent+int64(len(p)) > limit {
+		if _, err := c.Conn.Write(p[:limit-sent]); err != nil {
+			return 0, err
+		}
+		return len(p), nil // tail blackholed
+	}
 	return c.Conn.Write(p)
 }
-
-var _ transport.Network = (*Network)(nil)
-var _ transport.Conn = (*conn)(nil)

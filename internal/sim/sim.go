@@ -264,7 +264,6 @@ type writer struct {
 	recoveries  int
 	firstUse    map[string]int
 	startAt     map[int]time.Duration
-	faultFired  map[int]bool
 	endTime     time.Duration
 	done        bool
 	err         error
@@ -334,7 +333,6 @@ func newSimulation(cfg Config, sc *scratch) (*simulation, error) {
 		recorder:   core.NewRecorder(),
 		firstUse:   make(map[string]int),
 		startAt:    make(map[int]time.Duration),
-		faultFired: make(map[int]bool),
 		blockSpans: make(map[int]*obs.Span),
 		numBlocks:  numBlocks,
 	}
@@ -564,7 +562,7 @@ func (w *writer) StartPipeline(idx int, lb block.LocatedBlock, _ policy.Shape, r
 	}
 
 	var fault *PipelineFault
-	if !restream && !w.faultFired[idx] {
+	if !restream {
 		for i := range s.cfg.PipelineFaults {
 			if s.cfg.PipelineFaults[i].Block == idx {
 				fault = &s.cfg.PipelineFaults[i]
@@ -661,7 +659,6 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *Pipe
 		w.production.Enqueue(l.packetBytes(k), l.onProduced)
 	}
 	if fault != nil {
-		w.faultFired[i] = true
 		bad, at := fault.BadIndex, fault.AfterPackets
 		// The next packet's production slot is where the client notices
 		// the broken pipe; one hop later the failure is reported.

@@ -213,6 +213,55 @@ func TestReadDeadlineRecoveryParity(t *testing.T) {
 	})
 }
 
+// A conn dialed but never accepted fails its dialer as soon as the
+// listener closes: TCP resets the conns left in a closed listener's
+// backlog, and the in-memory listener closes its queued ones. The read
+// must fail at once with an error that is not a timeout.
+func TestListenerCloseFailsUnacceptedDialParity(t *testing.T) {
+	check := func(t *testing.T, c Conn, l Listener) {
+		t.Helper()
+		defer c.Close()
+		l.Close()
+		c.SetReadDeadline(time.Now().Add(time.Second))
+		start := time.Now()
+		_, err := c.Read(make([]byte, 1))
+		if err == nil || IsTimeout(err) {
+			t.Fatalf("read err = %v after %v, want a non-timeout failure", err, time.Since(start))
+		}
+		if d := time.Since(start); d > 100*time.Millisecond {
+			t.Fatalf("read failed after %v, want within 100ms", d)
+		}
+	}
+
+	t.Run("tcp", func(t *testing.T) {
+		n := NewTCPNetwork()
+		l, err := n.Listen("127.0.0.1:0")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := n.Dial("client", l.Addr())
+		if err != nil {
+			l.Close()
+			t.Fatal(err)
+		}
+		check(t, c, l)
+	})
+
+	t.Run("mem", func(t *testing.T) {
+		n := NewMemNetwork(nil)
+		l, err := n.Listen("srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		c, err := n.Dial("cli", "srv")
+		if err != nil {
+			l.Close()
+			t.Fatal(err)
+		}
+		check(t, c, l)
+	})
+}
+
 // The tuned TCP conn advertises writev support: the transport's Conn
 // must expose WriteBuffers so proto.Conn can gather a frame
 // into one syscall, and the gathered bytes must arrive in order.

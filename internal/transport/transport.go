@@ -94,8 +94,10 @@ type MemNetwork struct {
 	policy    LinkPolicy
 	clk       clock.Clock
 	listeners map[string]*memListener
-	bufSize   int
 }
+
+// memBufSize is the capacity of each direction's ring.
+const memBufSize = 256 << 10
 
 // NewMemNetwork returns an in-memory network shaped by policy (nil means
 // unshaped).
@@ -104,7 +106,6 @@ func NewMemNetwork(policy LinkPolicy) *MemNetwork {
 		policy:    policy,
 		clk:       clock.System,
 		listeners: make(map[string]*memListener),
-		bufSize:   256 << 10,
 	}
 }
 
@@ -123,9 +124,11 @@ func (n *MemNetwork) SetClock(clk clock.Clock) {
 type memListener struct {
 	net    *MemNetwork
 	addr   string
-	accept chan *memConn
+	accept chan *memConn // conns dialed but not yet accepted
 	done   chan struct{}
-	once   sync.Once
+
+	mu     sync.Mutex
+	closed bool
 }
 
 func (l *memListener) Accept() (Conn, error) {
@@ -140,16 +143,29 @@ func (l *memListener) Accept() (Conn, error) {
 	}
 }
 
+// Close stops the listener and closes every conn dialed but not yet
+// accepted, as TCP resets the conns left in a closed listener's backlog:
+// their dialers fail at once instead of waiting for a deadline.
 func (l *memListener) Close() error {
-	l.once.Do(func() {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if !l.closed {
+		l.closed = true
 		close(l.done)
 		l.net.mu.Lock()
 		if l.net.listeners[l.addr] == l {
 			delete(l.net.listeners, l.addr)
 		}
 		l.net.mu.Unlock()
-	})
-	return nil
+	}
+	for {
+		select {
+		case c := <-l.accept:
+			c.Close()
+		default:
+			return nil
+		}
+	}
 }
 
 func (l *memListener) Addr() string { return l.addr }
@@ -233,15 +249,14 @@ func (n *MemNetwork) Dial(local, remote string) (Conn, error) {
 	n.mu.Lock()
 	l := n.listeners[remote]
 	policy := n.policy
-	bufSize := n.bufSize
 	clk := n.clk
 	n.mu.Unlock()
 	if l == nil {
 		return nil, fmt.Errorf("transport: no listener at %q", remote)
 	}
 
-	forward := newPipeBuf(bufSize, clk)  // local -> remote
-	backward := newPipeBuf(bufSize, clk) // remote -> local
+	forward := newPipeBuf(memBufSize, clk)  // local -> remote
+	backward := newPipeBuf(memBufSize, clk) // remote -> local
 
 	dialer := &memConn{local: local, remote: remote, readBuf: backward, writeBuf: forward}
 	acceptor := &memConn{local: remote, remote: local, readBuf: forward, writeBuf: backward}
@@ -252,6 +267,16 @@ func (n *MemNetwork) Dial(local, remote string) (Conn, error) {
 	select {
 	case l.accept <- acceptor:
 	case <-l.done:
+		return nil, ErrClosed
+	}
+	// The select may have picked the send over a closed done after
+	// Close drained the queue: closing again takes the conn back out.
+	l.mu.Lock()
+	closed := l.closed
+	l.mu.Unlock()
+	if closed {
+		l.Close()
+		dialer.Close()
 		return nil, ErrClosed
 	}
 	return dialer, nil

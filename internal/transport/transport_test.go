@@ -69,6 +69,40 @@ func TestMemDialNoListener(t *testing.T) {
 	}
 }
 
+// Dials racing a listener's Close either fail or return a conn that
+// fails at once: none is left queued on the closed listener, where its
+// read would wait for the deadline.
+func TestMemDialRacingListenerClose(t *testing.T) {
+	n := NewMemNetwork(nil)
+	for i := 0; i < 50; i++ {
+		l, err := n.Listen("srv")
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for j := 0; j < 4; j++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				c, err := n.Dial("cli", "srv")
+				if err != nil {
+					return
+				}
+				defer c.Close()
+				c.SetReadDeadline(time.Now().Add(time.Second))
+				if _, err := c.Read(make([]byte, 1)); err == nil || IsTimeout(err) {
+					t.Errorf("read on a conn dialed as the listener closed: err = %v, want a non-timeout failure", err)
+				}
+			}()
+		}
+		l.Close()
+		wg.Wait()
+	}
+	if _, err := n.Dial("cli", "srv"); err == nil {
+		t.Fatal("dial after Close succeeded")
+	}
+}
+
 func TestMemDuplicateListen(t *testing.T) {
 	n := NewMemNetwork(nil)
 	l, err := n.Listen("x")
