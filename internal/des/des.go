@@ -9,8 +9,10 @@
 // when the event is scheduled. No two events share a seq, so the key is a
 // strict total order and the firing sequence is a property of the
 // schedule, not of the queue that holds it: the queue is free to be
-// whatever is cheapest (DESIGN.md §15). Here it is a 4-ary heap of event
-// values — no allocation per event, no interface boxing.
+// whatever is cheapest (DESIGN.md §15). Here it is two tiers of event
+// values — a short sorted slice for the earliest events, a binary heap
+// behind it for the rest — with no allocation per event and no interface
+// boxing.
 package des
 
 import (
@@ -18,7 +20,7 @@ import (
 	"time"
 )
 
-// event is a scheduled callback, stored by value in the heap.
+// event is a scheduled callback, stored by value in the queue.
 type event struct {
 	at  time.Duration
 	seq uint64
@@ -29,12 +31,21 @@ func (a *event) before(b *event) bool {
 	return a.at < b.at || (a.at == b.at && a.seq < b.seq)
 }
 
+// nearCap bounds the near tier. Every paper figure runs at a depth of at
+// most 24 pending events, so the far tier is there for deep schedules only.
+const nearCap = 32
+
 // Engine is a single-threaded discrete-event simulator.
 // It is not safe for concurrent use; all event callbacks run on the
 // goroutine that calls Run.
 type Engine struct {
-	now     time.Duration
-	queue   []event // 4-ary min-heap on (at, seq): children of i are 4i+1..4i+4
+	now time.Duration
+	// The pending events in two tiers. near holds the earliest, at most
+	// nearCap, sorted latest first: the next event is its last element.
+	// far is a binary min-heap of the rest; every event in it is after
+	// every event in near.
+	near    []event
+	far     []event
 	seq     uint64
 	stopped bool
 	// Processed counts events that have fired.
@@ -47,14 +58,15 @@ func New() *Engine {
 }
 
 // Reset returns the engine to the state New leaves it in — virtual time
-// zero, nothing queued, sequence and Processed restarted — but keeps the
-// queue's backing array, so a worker that runs simulation after simulation
-// (sim.RunAll) grows the heap once. Events still queued (Stop leaves them
+// zero, nothing queued, sequence and Processed restarted — but keeps both
+// tiers' backing arrays, so a worker that runs simulation after simulation
+// (sim.RunAll) grows them once. Events still queued (Stop leaves them
 // behind) are dropped and their slots zeroed: no callback, and nothing it
 // captured, outlives the run that scheduled it.
 func (e *Engine) Reset() {
-	clear(e.queue)
-	*e = Engine{queue: e.queue[:0]}
+	clear(e.near)
+	clear(e.far)
+	*e = Engine{near: e.near[:0], far: e.far[:0]}
 }
 
 // Now returns the current virtual time.
@@ -96,11 +108,45 @@ func (e *Engine) AtSeq(t time.Duration, seq uint64, fn func()) {
 		t = e.now
 	}
 	ev := event{at: t, seq: seq, fn: fn}
-	// Sift up: move parents down into the hole until ev fits.
-	q := append(e.queue, ev)
+	if len(e.far) > 0 && !ev.before(&e.far[0]) {
+		e.pushFar(ev)
+		return
+	}
+	q := e.near
+	if len(q) == nearCap {
+		if q[0].before(&ev) {
+			e.pushFar(ev)
+			return
+		}
+		// Full: the latest near event moves to far, where it is the
+		// earliest, and the events later than ev move up into its slot.
+		e.pushFar(q[0])
+		i := 0
+		for i+1 < nearCap && ev.before(&q[i+1]) {
+			q[i] = q[i+1]
+			i++
+		}
+		q[i] = ev
+		return
+	}
+	// Insert from the earliest end, shifting each event before ev one
+	// slot toward it.
+	q = append(q, ev)
+	i := len(q) - 1
+	for i > 0 && q[i-1].before(&ev) {
+		q[i] = q[i-1]
+		i--
+	}
+	q[i] = ev
+	e.near = q
+}
+
+// pushFar adds ev to the far heap.
+func (e *Engine) pushFar(ev event) {
+	q := append(e.far, ev)
 	i := len(q) - 1
 	for i > 0 {
-		parent := (i - 1) / 4
+		parent := (i - 1) / 2
 		if !ev.before(&q[parent]) {
 			break
 		}
@@ -108,43 +154,50 @@ func (e *Engine) AtSeq(t time.Duration, seq uint64, fn func()) {
 		i = parent
 	}
 	q[i] = ev
-	e.queue = q
+	e.far = q
+}
+
+// next returns the earliest pending event. The queue must not be empty.
+func (e *Engine) next() *event {
+	if n := len(e.near); n > 0 {
+		return &e.near[n-1]
+	}
+	return &e.far[0]
 }
 
 // pop removes and returns the earliest event. The queue must not be empty.
 func (e *Engine) pop() event {
-	q := e.queue
+	if n := len(e.near) - 1; n >= 0 {
+		top := e.near[n]
+		e.near[n] = event{} // drop the callback reference
+		e.near = e.near[:n]
+		return top
+	}
+	q := e.far
 	top := q[0]
 	n := len(q) - 1
 	last := q[n]
-	q[n] = event{} // drop the callback reference
+	q[n] = event{}
 	q = q[:n]
-	e.queue = q
+	e.far = q
 	if n == 0 {
 		return top
 	}
-	// Sift down: move the smallest child up into the hole until last fits.
+	// Sift down: move the smaller child up into the hole until last fits.
 	i := 0
 	for {
-		first := 4*i + 1
-		if first >= n {
+		c := 2*i + 1
+		if c >= n {
 			break
 		}
-		end := first + 4
-		if end > n {
-			end = n
+		if c+1 < n && q[c+1].before(&q[c]) {
+			c++
 		}
-		min := first
-		for c := first + 1; c < end; c++ {
-			if q[c].before(&q[min]) {
-				min = c
-			}
-		}
-		if !q[min].before(&last) {
+		if !q[c].before(&last) {
 			break
 		}
-		q[i] = q[min]
-		i = min
+		q[i] = q[c]
+		i = c
 	}
 	q[i] = last
 	return top
@@ -165,8 +218,8 @@ func (e *Engine) Run() time.Duration {
 // since earlier events may still be queued.
 func (e *Engine) RunUntil(deadline time.Duration) time.Duration {
 	e.stopped = false
-	for len(e.queue) > 0 && !e.stopped {
-		if at := e.queue[0].at; deadline >= 0 && at > deadline {
+	for len(e.near)+len(e.far) > 0 && !e.stopped {
+		if at := e.next().at; deadline >= 0 && at > deadline {
 			e.now = deadline
 			return e.now
 		}

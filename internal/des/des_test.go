@@ -300,6 +300,80 @@ func TestQuickMatchesReference(t *testing.T) {
 	}
 }
 
+// driveDeep is drive at a depth past nearCap, so both tiers and the moves
+// between them take part. Three bulk schedules run in a seeded order, each
+// followed by a RunUntil: ascending (it fills near, then goes to far),
+// descending (each event is earlier than all of a full near, so the latest
+// moves to far) and a block of ties. Callbacks schedule up to two more
+// events each on delays of 0–2 ms and call Stop now and then, and RunUntil
+// over rising deadlines cuts the run mid-stream.
+func driveDeep(e scheduler, seed int64) []firing {
+	const budget = 2000
+	rng := rand.New(rand.NewSource(seed))
+	var log []firing
+	scheduled, fired := 0, 0
+	var spawn func(time.Duration)
+	spawn = func(d time.Duration) {
+		id := scheduled
+		scheduled++
+		e.Schedule(d, func() {
+			fired++
+			log = append(log, firing{id, e.Now()})
+			for c := rng.Intn(3); c > 0 && scheduled < budget; c-- {
+				spawn(time.Duration(rng.Intn(2000)) * time.Microsecond)
+			}
+			if rng.Intn(100) == 0 {
+				e.Stop()
+			}
+		})
+	}
+	const step = 10 * time.Microsecond
+	n := nearCap + 1 + rng.Intn(3*nearCap)
+	bulk := []func(){
+		func() { // ascending
+			for i := 0; i < n; i++ {
+				spawn(time.Duration(i) * step)
+			}
+		},
+		func() { // descending
+			for i := n; i > 0; i-- {
+				spawn(time.Duration(i)*step - step/2)
+			}
+		},
+		func() { // ties
+			for i := 0; i < n; i++ {
+				spawn(time.Duration(n/2) * step)
+			}
+		},
+	}
+	for _, k := range rng.Perm(len(bulk)) {
+		bulk[k]()
+		log = append(log, firing{-1, e.RunUntil(e.Now() + time.Duration(rng.Intn(n))*step)})
+	}
+	for d := 1; d <= 8; d++ {
+		log = append(log, firing{-1, e.RunUntil(time.Duration(d) * 400 * time.Microsecond)})
+	}
+	for fired < scheduled {
+		log = append(log, firing{-2, e.Run()})
+	}
+	return log
+}
+
+// The differential property at depth, more than nearCap events pending.
+func TestQuickDeepMatchesReference(t *testing.T) {
+	f := func(seed int64) bool {
+		got, want := driveDeep(New(), seed), driveDeep(&refEngine{}, seed)
+		if !reflect.DeepEqual(got, want) {
+			t.Logf("seed %d: the deep schedule logs differently from the reference", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // A reserved position is honoured however late the event is queued: the
 // event queued last with the oldest seq fires first among its instant.
 func TestAtSeqKeepsReservedPosition(t *testing.T) {
@@ -319,11 +393,28 @@ func TestAtSeqKeepsReservedPosition(t *testing.T) {
 	}
 }
 
+// pending counts the queued events in both tiers.
+func (e *Engine) pending() int { return len(e.near) + len(e.far) }
+
+// holdsCallback reports whether any slot of either tier's backing array,
+// used or not, still references a callback.
+func (e *Engine) holdsCallback() bool {
+	for _, tier := range [][]event{e.near[:cap(e.near)], e.far[:cap(e.far)]} {
+		for _, ev := range tier {
+			if ev.fn != nil {
+				return true
+			}
+		}
+	}
+	return false
+}
+
 // Reset after Stop with events still queued — the state a finished
 // simulation leaves its engine in — gives an engine that cannot be told
 // from a new one: the stale events never fire, their callbacks are not
-// kept alive by the queue's backing array, and the clock, the sequence and
-// the stop flag start over, so a driven schedule logs what it logs on New.
+// kept alive by the queue's backing arrays, and the clock, the sequence
+// and the stop flag start over, so a driven schedule logs what it logs on
+// New.
 func TestResetAfterStopWithEventsQueued(t *testing.T) {
 	e := New()
 	stale := 0
@@ -334,18 +425,16 @@ func TestResetAfterStopWithEventsQueued(t *testing.T) {
 			}
 		})
 	}
-	if end := e.Run(); end != 3*time.Second || len(e.queue) != 7 {
-		t.Fatalf("stopped at %v with %d events queued, want 3s and 7", end, len(e.queue))
+	if end := e.Run(); end != 3*time.Second || e.pending() != 7 {
+		t.Fatalf("stopped at %v with %d events queued, want 3s and 7", end, e.pending())
 	}
 
 	e.Reset()
-	if e.Now() != 0 || e.Processed != 0 || e.seq != 0 || len(e.queue) != 0 || cap(e.queue) < 10 {
-		t.Fatalf("after Reset: now %v, processed %d, seq %d, %d queued, cap %d", e.Now(), e.Processed, e.seq, len(e.queue), cap(e.queue))
+	if held := cap(e.near) + cap(e.far); e.Now() != 0 || e.Processed != 0 || e.seq != 0 || e.pending() != 0 || held < 10 {
+		t.Fatalf("after Reset: now %v, processed %d, seq %d, %d queued, cap %d", e.Now(), e.Processed, e.seq, e.pending(), held)
 	}
-	for i, ev := range e.queue[:cap(e.queue)] {
-		if ev.fn != nil {
-			t.Fatalf("queue slot %d still holds a callback after Reset", i)
-		}
+	if e.holdsCallback() {
+		t.Fatal("a queue slot still holds a callback after Reset")
 	}
 	got, want := drive(e, 7), drive(New(), 7)
 	if !reflect.DeepEqual(got, want) {
@@ -353,6 +442,34 @@ func TestResetAfterStopWithEventsQueued(t *testing.T) {
 	}
 	if stale != 3 {
 		t.Fatalf("%d stale events fired in all, want the 3 from before Reset", stale)
+	}
+}
+
+// Reset with both tiers in use drops both, and a deep schedule then logs
+// on the reset engine what it logs on the reference.
+func TestResetWithBothTiersQueued(t *testing.T) {
+	e := New()
+	stale := 0
+	for i := 3 * nearCap; i > 0; i-- {
+		e.Schedule(time.Duration(i)*time.Millisecond, func() {
+			if stale++; stale == nearCap/2 {
+				e.Stop()
+			}
+		})
+	}
+	e.Run()
+	if len(e.near) == 0 || len(e.far) == 0 {
+		t.Fatalf("stopped with %d near and %d far events, want both tiers in use", len(e.near), len(e.far))
+	}
+	e.Reset()
+	if e.pending() != 0 || e.holdsCallback() || cap(e.far) < 2*nearCap {
+		t.Fatalf("after Reset: %d queued, callback held %v, far cap %d", e.pending(), e.holdsCallback(), cap(e.far))
+	}
+	if got, want := driveDeep(e, 11), driveDeep(&refEngine{}, 11); !reflect.DeepEqual(got, want) {
+		t.Fatal("a deep schedule fires differently on a reset engine than on the reference")
+	}
+	if stale != nearCap/2 {
+		t.Fatalf("%d stale events fired in all, want the %d from before Reset", stale, nearCap/2)
 	}
 }
 

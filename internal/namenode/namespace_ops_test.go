@@ -2,11 +2,14 @@ package namenode
 
 import (
 	"errors"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/block"
 	"repro/internal/core"
 	"repro/internal/nnapi"
+	"repro/internal/proto"
 )
 
 func TestDeleteFileInvalidatesReplicas(t *testing.T) {
@@ -157,6 +160,57 @@ func TestLeaseExpiryRecovers(t *testing.T) {
 	// The namespace entry is usable by others now.
 	if _, err := nn.Create(nnapi.CreateReq{Path: "/abandoned", Client: "c2", Replication: 1, BlockSize: 1 << 20, Overwrite: true}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// Under SMARTH a later block can be reported while an earlier one is not
+// (blocks 1 and 3 here). Lease recovery keeps the longest reported prefix,
+// block 1, and drops block 3 with its replica: keeping it too would make a
+// 200-byte file whose second 100 bytes are block 3's.
+func TestLeaseRecoveryKeepsAPrefix(t *testing.T) {
+	nn, clk, names := newTestNN(t)
+	const path = "/holed"
+	if _, err := nn.Create(nnapi.CreateReq{Path: path, Client: "ghost", Replication: 3, BlockSize: 64 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	var located []block.LocatedBlock
+	var prev block.Block
+	for i := 0; i < 3; i++ {
+		r, err := nn.AddBlock(nnapi.AddBlockReq{Path: path, Client: "ghost", Mode: proto.ModeSmarth, Previous: prev})
+		if err != nil {
+			t.Fatal(err)
+		}
+		located = append(located, r.Located)
+		prev = r.Located.Block
+	}
+	for _, lb := range []block.LocatedBlock{located[0], located[2]} {
+		b := lb.Block
+		b.NumBytes = 100
+		if _, err := nn.BlockReceived(nnapi.BlockReceivedReq{Name: lb.Targets[0].Name, Block: b}); err != nil {
+			t.Fatal(err)
+		}
+	}
+
+	dropped, holder := located[2].Block.ID, located[2].Targets[0].Name
+	invalidated := false
+	for elapsed := time.Duration(0); elapsed < DefaultLeaseTimeout+DefaultExpiry; elapsed += core.HeartbeatInterval {
+		clk.advance(core.HeartbeatInterval)
+		for _, n := range names {
+			hb, err := nn.Heartbeat(nnapi.HeartbeatReq{Name: n})
+			if err != nil {
+				t.Fatal(err)
+			}
+			for _, b := range hb.Invalidate {
+				invalidated = invalidated || (n == holder && b.ID == dropped)
+			}
+		}
+	}
+	info, _ := nn.GetFileInfo(nnapi.GetFileInfoReq{Path: path})
+	if ids := nn.ns.files[path].blocks; !info.Complete || info.Len != 100 || !slices.Equal(ids, []block.ID{located[0].Block.ID}) {
+		t.Fatalf("recovered file: complete %v, blocks %v, %d bytes; want complete, [%d], 100 bytes", info.Complete, ids, info.Len, located[0].Block.ID)
+	}
+	if !invalidated {
+		t.Fatalf("%s was never told to delete its replica of dropped block %d", holder, dropped)
 	}
 }
 

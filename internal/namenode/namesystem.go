@@ -168,20 +168,25 @@ func (ns *namesystem) create(path, client string, replication int, blockSize int
 	return nil
 }
 
-// removeInode drops f and its blocks, and queues deletion of every
-// replica they had on dm (delivered with each holder's next heartbeat).
+// removeInode drops f and its blocks (see dropBlocks).
 func (ns *namesystem) removeInode(f *fileInode, dm *datanodeManager) {
-	for _, id := range f.blocks {
+	ns.dropBlocks(f.blocks, dm)
+	delete(ns.files, f.path)
+	if !f.complete {
+		ns.dropLease(f.client, f.path)
+	}
+}
+
+// dropBlocks forgets the blocks and queues deletion of every replica they
+// had on dm (delivered with each holder's next heartbeat).
+func (ns *namesystem) dropBlocks(ids []block.ID, dm *datanodeManager) {
+	for _, id := range ids {
 		if meta, ok := ns.blocks[id]; ok {
 			for _, dn := range meta.locations {
 				dm.scheduleInvalidate(dn, id, meta.cur.Gen)
 			}
 		}
 		delete(ns.blocks, id)
-	}
-	delete(ns.files, f.path)
-	if !f.complete {
-		ns.dropLease(f.client, f.path)
 	}
 }
 
@@ -324,11 +329,9 @@ func (ns *namesystem) renewLeases(client string, now time.Time) {
 }
 
 // recoverExpired force-finalizes files whose writer has been silent
-// longer than timeout: blocks that never got a finalized replica are
-// dropped (the dead client's unflushed tail), the rest are kept, and the
-// file completes so other clients can use it. The lease index bounds the
-// scan to under-construction files only.
-func (ns *namesystem) recoverExpired(now time.Time, timeout time.Duration) {
+// longer than timeout (see recoverLease), so other clients can use them.
+// The lease index bounds the scan to under-construction files only.
+func (ns *namesystem) recoverExpired(now time.Time, timeout time.Duration, dm *datanodeManager) {
 	var expired []*fileInode
 	for _, byPath := range ns.leases {
 		for _, f := range byPath {
@@ -339,22 +342,28 @@ func (ns *namesystem) recoverExpired(now time.Time, timeout time.Duration) {
 	}
 	sort.Slice(expired, func(i, j int) bool { return expired[i].path < expired[j].path })
 	for _, f := range expired {
-		ns.recoverLease(f)
+		ns.recoverLease(f, dm)
 	}
 }
 
-// recoverLease finalizes one abandoned file.
-func (ns *namesystem) recoverLease(f *fileInode) {
-	kept := f.blocks[:0]
-	for _, id := range f.blocks {
-		if meta := ns.blocks[id]; meta != nil && len(meta.locations) > 0 {
-			meta.complete = true
-			kept = append(kept, id)
-			continue
+// recoverLease finalizes one abandoned file as the longest prefix of its
+// blocks that have a finalized replica. The first block without one ends
+// the file: it and every block after it are dropped, with their replicas.
+// Under SMARTH a later block can land while an earlier one has not (an
+// earlier pipeline still streaming or in recovery), so what goes is not
+// only an unflushed tail, and keeping a later block would leave a hole.
+func (ns *namesystem) recoverLease(f *fileInode, dm *datanodeManager) {
+	kept := len(f.blocks)
+	for i, id := range f.blocks {
+		meta := ns.blocks[id]
+		if meta == nil || len(meta.locations) == 0 {
+			kept = i
+			break
 		}
-		delete(ns.blocks, id)
+		meta.complete = true
 	}
-	f.blocks = kept
+	ns.dropBlocks(f.blocks[kept:], dm)
+	f.blocks = f.blocks[:kept]
 	ns.dropLease(f.client, f.path)
 	f.complete = true
 	f.client = ""

@@ -31,6 +31,11 @@ type Server struct {
 	busyUntil time.Duration
 	// Bytes is the total number of bytes served (for utilization stats).
 	Bytes int64
+	// lastN and lastDur cache the service time of the last job size:
+	// nearly every job is one packet. The zero value is right (a 0-byte
+	// job takes no time), and SetRate returns the cache to it.
+	lastN   int64
+	lastDur time.Duration
 
 	// The pending jobs, oldest first: a ring of power-of-two size holding
 	// queued entries from head on. The oldest is the one in the engine's
@@ -68,7 +73,10 @@ func (nw *Network) NewServer(name string, bytesPerSecond float64) *Server {
 
 // SetRate changes the rate; queued jobs already scheduled keep their
 // completion times (rate changes apply to later arrivals).
-func (s *Server) SetRate(bytesPerSecond float64) { s.rate = bytesPerSecond }
+func (s *Server) SetRate(bytesPerSecond float64) {
+	s.rate = bytesPerSecond
+	s.lastN, s.lastDur = 0, 0
+}
 
 // Enqueue schedules a job of n bytes; done fires when the job finishes
 // serializing through this server.
@@ -78,11 +86,13 @@ func (s *Server) Enqueue(n int64, done func()) {
 	if start < now {
 		start = now
 	}
-	var dur time.Duration
-	if s.rate > 0 {
-		dur = time.Duration(float64(n) / s.rate * float64(time.Second))
+	if n != s.lastN {
+		s.lastN, s.lastDur = n, 0
+		if s.rate > 0 {
+			s.lastDur = time.Duration(float64(n) / s.rate * float64(time.Second))
+		}
 	}
-	s.busyUntil = start + dur
+	s.busyUntil = start + s.lastDur
 	s.Bytes += n
 	if s.queued == len(s.jobs) {
 		s.grow()

@@ -147,29 +147,38 @@ func TestEnqueueFromDoneCallback(t *testing.T) {
 // Differential property: random trains over a few servers (one of them
 // infinite-rate, rates that make completions collide), with done
 // callbacks that enqueue more work on random servers and change rates
-// mid-train, fire identically on Server and on the reference.
+// mid-train, fire identically on Server and on the reference. Job sizes
+// repeat (four of them), and now and then a rate change, to infinite at
+// times, falls between two jobs of one size on one server, so a service
+// time cached from the old rate would show.
 func TestQuickServerMatchesReference(t *testing.T) {
 	rates := []float64{1000, 1000, 500, 0}
 	f := func(seed int64) bool {
 		ref, got := both(rates, func(eng *des.Engine, qs []queue, fired func(string) func()) {
 			rng := rand.New(rand.NewSource(seed))
 			jobs := 0
-			var enqueue func()
-			enqueue = func() {
+			var enqueue func(q queue, n int64)
+			enqueue = func(q queue, n int64) {
 				name := fmt.Sprint("j", jobs)
 				jobs++
-				qs[rng.Intn(len(qs))].Enqueue(int64(rng.Intn(4))*500, func() {
+				q.Enqueue(n, func() {
 					fired(name)()
 					for c := rng.Intn(3); c > 0 && jobs < 600; c-- {
-						enqueue()
+						enqueue(qs[rng.Intn(len(qs))], int64(rng.Intn(4))*500)
 					}
 					if rng.Intn(10) == 0 {
 						qs[rng.Intn(3)].SetRate(float64(1+rng.Intn(4)) * 250)
 					}
+					if rng.Intn(8) == 0 && jobs < 600 {
+						q, n := qs[rng.Intn(3)], int64(1+rng.Intn(3))*500
+						enqueue(q, n)
+						q.SetRate(float64(rng.Intn(5)) * 250)
+						enqueue(q, n)
+					}
 				})
 			}
 			for i := 0; i < 60; i++ {
-				enqueue()
+				enqueue(qs[rng.Intn(len(qs))], int64(rng.Intn(4))*500)
 			}
 		})
 		if ref != got {

@@ -596,8 +596,7 @@ type launch struct {
 	// aborted silences every in-flight event of this launch once a fault
 	// fires, so a stale ack can never masquerade as a drain.
 	aborted    bool
-	produced   int // packets that have left the production server
-	acked      int
+	produced   int    // packets that have left the production server
 	onFNFA     func() // may be nil
 	onAllAcked func()
 	lastBytes  int64  // size of packet numPackets-1; every other one is PacketSize
@@ -606,10 +605,11 @@ type launch struct {
 
 // packet is one packet's trip down a pipeline, as a state machine driven
 // by a single callback (step, bound when the record is first made):
-// arrive at datanode hop, pass its disk, travel to hop+1, ... and after
-// the last disk ride the ack back. The simulation owns the record from
-// production until the ack arrives or the launch is seen aborted; then
-// it returns to scratch.freePackets for the next packet.
+// arrive at datanode hop, pass its disk, travel to hop+1, ... and, for
+// the block's last packet, after the last disk ride the ack back. The
+// simulation owns the record from production until the last disk write,
+// the last packet's ack or the launch is seen aborted; then it returns to
+// scratch.freePackets for the next packet.
 type packet struct {
 	l      *launch
 	k      int  // index within the block
@@ -712,13 +712,9 @@ func (p *packet) advance() {
 	l := p.l
 	s := l.w.s
 	if l.aborted || p.acking {
-		p.l = nil
-		s.freePackets = append(s.freePackets, p)
+		p.free()
 		if !l.aborted {
-			l.acked++
-			if l.acked == l.numPackets {
-				l.onAllAcked()
-			}
+			l.onAllAcked()
 		}
 		return
 	}
@@ -743,11 +739,25 @@ func (p *packet) advance() {
 			}
 		})
 	}
-	if last {
-		// The combined ack travels the pipeline in reverse; the paper
-		// treats ack transfer time as negligible, so only latency is
-		// charged.
-		p.acking = true
-		s.eng.Schedule(time.Duration(len(l.nodes))*s.cfg.HopLatency, p.step)
+	if !last {
+		return
 	}
+	// The combined ack travels the pipeline in reverse; the paper treats
+	// ack transfer time as negligible, so only latency is charged. Acks
+	// return in packet order — every packet leaves the same last-hop FIFO
+	// disk, then waits the same latency — so only the block's last one
+	// is an event: when it lands, every earlier ack has.
+	if p.k < l.numPackets-1 {
+		p.free()
+		return
+	}
+	p.acking = true
+	s.eng.Schedule(time.Duration(len(l.nodes))*s.cfg.HopLatency, p.step)
+}
+
+// free returns the packet record to the scratch.
+func (p *packet) free() {
+	s := p.l.w.s
+	p.l = nil
+	s.freePackets = append(s.freePackets, p)
 }

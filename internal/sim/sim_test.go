@@ -522,7 +522,7 @@ func TestPacketPathAllocs(t *testing.T) {
 }
 
 // BenchmarkBlockR3 simulates one 64 MB block through a three-hop
-// pipeline: 1,024 packets, 14 events each.
+// pipeline: 1,024 packets, 13 events each, and one ack for the block.
 func BenchmarkBlockR3(b *testing.B) {
 	for _, mode := range []proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth} {
 		b.Run(mode.String(), func(b *testing.B) {
