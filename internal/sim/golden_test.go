@@ -11,7 +11,7 @@ import (
 	"repro/internal/ec2"
 )
 
-var update = flag.Bool("update", false, "re-record testdata/experiments.golden.json")
+var update = flag.Bool("update", false, "re-record the golden files under testdata")
 
 const goldenPath = "testdata/experiments.golden.json"
 
