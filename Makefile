@@ -68,11 +68,13 @@ loc:
 	@$(GO) test -run '^TestLOC$$' -count=1 -v . | grep -v '^=== RUN\|^--- PASS\|^PASS\|^ok'
 
 # CPU and allocation profiles of a live in-memory-cluster upload under
-# both protocols (BenchmarkLiveWrite in internal/cluster), as pprof files
-# (CI uploads these as artifacts; inspect with
-# `go tool pprof -top profile_cpu.pb.gz`).
+# both protocols (BenchmarkLiveWrite in internal/cluster), and a CPU
+# profile of the simulator's figure 13 (BenchmarkFigure13 in
+# internal/sim), as pprof files (CI uploads these as artifacts; inspect
+# with `go tool pprof -top profile_cpu.pb.gz`).
 profile:
 	$(GO) test -run '^$$' -bench LiveWrite -benchtime 20x -cpuprofile profile_cpu.pb.gz -memprofile profile_mem.pb.gz ./internal/cluster
+	$(GO) test -run '^$$' -bench Figure13 -benchtime 20x -cpuprofile profile_sim_cpu.pb.gz ./internal/sim
 
 # Differential live/sim conformance: replay the seeded scenarios through
 # both substrates and byte-compare the writesched decision logs.

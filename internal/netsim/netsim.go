@@ -18,17 +18,24 @@ import (
 // Server is a FIFO rate server: jobs are serialized at its byte rate
 // in arrival order. A non-positive rate means infinite (no delay).
 //
+// A job may be enqueued before it arrives — at its arrival time, later
+// than now — but only by a server's one feeder, whose jobs reach it in a
+// fixed order (DESIGN.md §15): arrival times never decrease, and Enqueue
+// panics on one that does. A job with no done callback is served and
+// timed without any event; the caller reads its finish time off Enqueue.
+//
 // Completion times never decrease along the queue, so a server keeps its
 // pending jobs in its own ring and holds one slot in the engine's queue,
-// for the head. Each job's tie-break position is reserved when it arrives
-// (des.Engine.ReserveSeq), which is where a per-job engine event would
-// have taken it: jobs of different servers that complete at the same
-// instant still fire in Enqueue order.
+// for the head. Each job's tie-break position is reserved when it is
+// enqueued (des.Engine.ReserveSeq), which is where a per-job engine event
+// would have taken it: jobs of different servers that complete at the
+// same instant still fire in Enqueue order.
 type Server struct {
 	eng       *des.Engine
 	name      string
 	rate      float64 // bytes per second
 	busyUntil time.Duration
+	lastAt    time.Duration // the latest arrival time enqueued
 	// Bytes is the total number of bytes served (for utilization stats).
 	Bytes int64
 	// lastN and lastDur cache the service time of the last job size:
@@ -71,21 +78,25 @@ func (nw *Network) NewServer(name string, bytesPerSecond float64) *Server {
 	return s
 }
 
-// SetRate changes the rate; queued jobs already scheduled keep their
-// completion times (rate changes apply to later arrivals).
+// SetRate changes the rate; jobs already enqueued keep their completion
+// times (rate changes apply to later Enqueue calls).
 func (s *Server) SetRate(bytesPerSecond float64) {
 	s.rate = bytesPerSecond
 	s.lastN, s.lastDur = 0, 0
 }
 
-// Enqueue schedules a job of n bytes; done fires when the job finishes
-// serializing through this server.
-func (s *Server) Enqueue(n int64, done func()) {
-	now := s.eng.Now()
-	start := s.busyUntil
-	if start < now {
-		start = now
+// Enqueue takes a job of n bytes that arrives at time at (clamped to now)
+// and returns the time it finishes serializing through this server; done,
+// if not nil, fires then.
+func (s *Server) Enqueue(at time.Duration, n int64, done func()) time.Duration {
+	if now := s.eng.Now(); at < now {
+		at = now
 	}
+	if at < s.lastAt {
+		panic(fmt.Sprintf("netsim: %v: a job arriving at %v enqueued after one arriving at %v", s, at, s.lastAt))
+	}
+	s.lastAt = at
+	start := max(s.busyUntil, at)
 	if n != s.lastN {
 		s.lastN, s.lastDur = n, 0
 		if s.rate > 0 {
@@ -94,6 +105,9 @@ func (s *Server) Enqueue(n int64, done func()) {
 	}
 	s.busyUntil = start + s.lastDur
 	s.Bytes += n
+	if done == nil {
+		return s.busyUntil
+	}
 	if s.queued == len(s.jobs) {
 		s.grow()
 	}
@@ -103,6 +117,7 @@ func (s *Server) Enqueue(n int64, done func()) {
 	if s.queued == 1 {
 		s.eng.AtSeq(s.busyUntil, seq, s.fire)
 	}
+	return s.busyUntil
 }
 
 // grow doubles the ring, unwrapping it so the oldest job is at index 0.
@@ -186,11 +201,8 @@ func (n *Node) SetNICLimit(bps float64) {
 // of a run and owns what they queue in — job rings, flight records — so
 // that Reset can hand the same memory to the next run.
 type Network struct {
-	eng *des.Engine
-	// HopLatency is the propagation + protocol latency added after a
-	// packet clears all rate servers on a hop.
-	HopLatency time.Duration
-	nodes      map[string]*Node
+	eng   *des.Engine
+	nodes map[string]*Node
 	// servers holds every server record ever made here; the first used
 	// belong to the current run.
 	servers []*Server
@@ -203,16 +215,15 @@ type Network struct {
 }
 
 // NewNetwork returns an empty network.
-func NewNetwork(eng *des.Engine, hopLatency time.Duration) *Network {
-	return &Network{eng: eng, HopLatency: hopLatency, nodes: make(map[string]*Node)}
+func NewNetwork(eng *des.Engine) *Network {
+	return &Network{eng: eng, nodes: make(map[string]*Node)}
 }
 
 // Reset empties the network for another run on the same engine (which the
 // caller resets too): no nodes, no servers, every flight record free. The
 // records and rings stay allocated; what a stopped run left queued in them
 // is zeroed, so no callback outlives the run that passed it in.
-func (nw *Network) Reset(hopLatency time.Duration) {
-	nw.HopLatency = hopLatency
+func (nw *Network) Reset() {
 	clear(nw.nodes)
 	for _, s := range nw.servers[:nw.used] {
 		clear(s.jobs)
@@ -230,26 +241,31 @@ func (nw *Network) Reset(hopLatency time.Duration) {
 // Node looks a node up by name.
 func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
 
-// flight is one Deliver in progress: the packet's remaining path and the
-// single callback (step, bound when the record is first made) that every
-// stage on it fires. The Network owns the record from Deliver until the
-// packet has arrived; it goes back on the free list just before arrived
-// runs.
+// flight is one Deliver in progress: the stages still ahead of the packet
+// and the single callback (step, bound when the record is first made)
+// that every stage on it fires. The Network owns the record from Deliver
+// until the packet has arrived; it goes back on the free list just before
+// arrived runs.
 type flight struct {
 	nw      *Network
-	stages  [4]*Server
-	n       int   // stages in use
-	next    int   // next stage to enter; n+1 once the hop latency is running
-	bytes   int64 // packet size
+	stages  [2]*Server // the destination's CrossIn, if crossed, and Ingress
+	n       int        // stages in use
+	next    int        // next stage to enter
+	bytes   int64      // packet size
 	arrived func()
 	step    func() // f.advance
 }
 
 // Deliver moves n bytes from src to dst through every rate server on the
-// path (src egress, cross-rack shapers when racks differ, dst ingress),
-// then fires arrived after the hop latency. Stages pipeline across
-// packets because each stage is its own FIFO server.
-func (nw *Network) Deliver(src, dst *Node, n int64, arrived func()) {
+// path — src egress, the cross-rack shapers when racks differ, dst
+// ingress — and fires arrived when the packet clears dst's ingress. The
+// packet reaches src's egress at time at, which may be later than now if
+// the caller is src's egress's one feeder (see Server). The source's
+// egress and cross-rack shaper are timed at once, since only src feeds
+// them; the destination's shaper and ingress, which every node sending to
+// dst feeds, take the packet at the instant it reaches them. Stages
+// pipeline across packets because each stage is its own FIFO server.
+func (nw *Network) Deliver(src, dst *Node, n int64, at time.Duration, arrived func()) {
 	if len(nw.free) == 0 {
 		// Backlogs are deep (a whole block can sit in one egress queue),
 		// so records are made a slab at a time.
@@ -263,12 +279,12 @@ func (nw *Network) Deliver(src, dst *Node, n int64, arrived func()) {
 	last := len(nw.free) - 1
 	f := nw.free[last]
 	nw.free = nw.free[:last]
-	f.bytes, f.arrived, f.next = n, arrived, 0
-	f.stages[0], f.n = src.Egress, 1
+	f.bytes, f.arrived, f.n, f.next = n, arrived, 0, 0
+	out := src.Egress
 	if src.Rack != dst.Rack {
 		if src.CrossOut != nil {
-			f.stages[f.n] = src.CrossOut
-			f.n++
+			at = out.Enqueue(at, n, nil)
+			out = src.CrossOut
 		}
 		if dst.CrossIn != nil {
 			f.stages[f.n] = dst.CrossIn
@@ -277,24 +293,18 @@ func (nw *Network) Deliver(src, dst *Node, n int64, arrived func()) {
 	}
 	f.stages[f.n] = dst.Ingress
 	f.n++
-	f.advance()
+	out.Enqueue(at, n, f.step)
 }
 
-// advance enters the next stage, or the hop latency after the last one,
-// or hands the packet over.
+// advance enters the next stage, or hands the packet over after the last.
 func (f *flight) advance() {
-	nw := f.nw
 	if f.next < f.n {
 		stage := f.stages[f.next]
 		f.next++
-		stage.Enqueue(f.bytes, f.step)
+		stage.Enqueue(f.nw.eng.Now(), f.bytes, f.step)
 		return
 	}
-	if f.next == f.n && nw.HopLatency > 0 {
-		f.next++
-		nw.eng.Schedule(nw.HopLatency, f.step)
-		return
-	}
+	nw := f.nw
 	arrived := f.arrived
 	f.arrived = nil
 	nw.free = append(nw.free, f)

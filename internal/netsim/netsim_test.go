@@ -1,7 +1,9 @@
 package netsim
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 	"time"
 
@@ -12,10 +14,10 @@ func seconds(d time.Duration) float64 { return d.Seconds() }
 
 func TestServerSerialization(t *testing.T) {
 	eng := des.New()
-	s := NewNetwork(eng, 0).NewServer("s", 1000) // 1000 B/s
+	s := NewNetwork(eng).NewServer("s", 1000) // 1000 B/s
 	var done []time.Duration
-	s.Enqueue(500, func() { done = append(done, eng.Now()) })
-	s.Enqueue(500, func() { done = append(done, eng.Now()) })
+	s.Enqueue(0, 500, func() { done = append(done, eng.Now()) })
+	s.Enqueue(0, 500, func() { done = append(done, eng.Now()) })
 	eng.Run()
 	if len(done) != 2 {
 		t.Fatalf("%d jobs completed, want 2", len(done))
@@ -30,12 +32,12 @@ func TestServerSerialization(t *testing.T) {
 
 func TestServerWorkConserving(t *testing.T) {
 	eng := des.New()
-	s := NewNetwork(eng, 0).NewServer("s", 1000)
+	s := NewNetwork(eng).NewServer("s", 1000)
 	var second time.Duration
-	s.Enqueue(1000, func() {
+	s.Enqueue(0, 1000, func() {
 		// Enqueue the next job later, leaving the server idle for 1s.
 		eng.Schedule(time.Second, func() {
-			s.Enqueue(1000, func() { second = eng.Now() })
+			s.Enqueue(eng.Now(), 1000, func() { second = eng.Now() })
 		})
 	})
 	eng.Run()
@@ -46,9 +48,9 @@ func TestServerWorkConserving(t *testing.T) {
 
 func TestInfiniteRate(t *testing.T) {
 	eng := des.New()
-	s := NewNetwork(eng, 0).NewServer("s", 0)
+	s := NewNetwork(eng).NewServer("s", 0)
 	var at time.Duration = -1
-	s.Enqueue(1<<40, func() { at = eng.Now() })
+	s.Enqueue(0, 1<<40, func() { at = eng.Now() })
 	eng.Run()
 	if at != 0 {
 		t.Fatalf("infinite-rate job done at %v, want 0", at)
@@ -57,14 +59,15 @@ func TestInfiniteRate(t *testing.T) {
 
 func TestDeliverSameRack(t *testing.T) {
 	eng := des.New()
-	nw := NewNetwork(eng, time.Millisecond)
+	nw := NewNetwork(eng)
 	a := nw.NewNode("a", "/r1", 1000, 0)
 	b := nw.NewNode("b", "/r1", 1000, 0)
 	var at time.Duration
-	nw.Deliver(a, b, 500, func() { at = eng.Now() })
+	nw.Deliver(a, b, 500, 2*time.Second, func() { at = eng.Now() })
 	eng.Run()
-	// 0.5s egress + 0.5s ingress (store-and-forward stages) + 1ms.
-	want := time.Second + time.Millisecond
+	// Reaches a's egress at 2s, then 0.5s egress + 0.5s ingress
+	// (store-and-forward stages); latency is the caller's to add.
+	want := 3 * time.Second
 	if at != want {
 		t.Fatalf("arrival = %v, want %v", at, want)
 	}
@@ -72,28 +75,70 @@ func TestDeliverSameRack(t *testing.T) {
 
 func TestDeliverCrossRackThrottled(t *testing.T) {
 	eng := des.New()
-	nw := NewNetwork(eng, 0)
+	nw := NewNetwork(eng)
 	a := nw.NewNode("a", "/r1", 1000, 0)
 	b := nw.NewNode("b", "/r2", 1000, 0)
 	a.SetCrossRackLimit(100)
+	b.SetCrossRackLimit(50)
 	var at time.Duration
-	nw.Deliver(a, b, 100, func() { at = eng.Now() })
+	nw.Deliver(a, b, 100, 0, func() { at = eng.Now() })
 	eng.Run()
-	// 0.1s egress + 1s cross-out + 0.1s ingress.
-	want := 1200 * time.Millisecond
+	// 0.1s egress + 1s a's cross-out + 2s b's cross-in + 0.1s ingress.
+	want := 3200 * time.Millisecond
 	if at != want {
 		t.Fatalf("arrival = %v, want %v", at, want)
 	}
 }
 
+// The destination's ingress takes packets in the order they reach it,
+// not the order they were handed to Deliver: a packet delivered first but
+// leaving its source later queues behind one that got there before it.
+func TestDeliverIngressTakesArrivalOrder(t *testing.T) {
+	eng := des.New()
+	nw := NewNetwork(eng)
+	late := nw.NewNode("late", "/r", 1000, 0)
+	early := nw.NewNode("early", "/r", 1000, 0)
+	dst := nw.NewNode("dst", "/r", 100, 0)
+	var order []string
+	nw.Deliver(late, dst, 100, time.Second, func() { order = append(order, fmt.Sprint("late@", eng.Now())) })
+	nw.Deliver(early, dst, 100, 0, func() { order = append(order, fmt.Sprint("early@", eng.Now())) })
+	eng.Run()
+	// early: 0.1s egress, 1s ingress (done at 1.1s); late: egress done at
+	// 1.1s, then queues behind nothing, done at 2.1s.
+	if got, want := strings.Join(order, " "), "early@1.1s late@2.1s"; got != want {
+		t.Fatalf("arrivals %q, want %q", got, want)
+	}
+}
+
+// A server takes jobs in arrival order, so one that arrives before the
+// last job enqueued would break FIFO: Enqueue refuses it, whether the
+// earlier arrival is in the future or now.
+func TestEnqueueBeforePreviousArrivalPanics(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		at   time.Duration
+	}{{"future", time.Second}, {"now", 0}} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := NewNetwork(des.New()).NewServer("s", 1000)
+			s.Enqueue(2*time.Second, 10, nil)
+			defer func() {
+				if recover() == nil {
+					t.Fatal("an arrival before the previous one was accepted")
+				}
+			}()
+			s.Enqueue(tc.at, 10, nil)
+		})
+	}
+}
+
 func TestCrossRackShaperNotUsedInRack(t *testing.T) {
 	eng := des.New()
-	nw := NewNetwork(eng, 0)
+	nw := NewNetwork(eng)
 	a := nw.NewNode("a", "/r1", 1000, 0)
 	b := nw.NewNode("b", "/r1", 1000, 0)
 	a.SetCrossRackLimit(1) // brutally slow, but same rack: unused
 	var at time.Duration
-	nw.Deliver(a, b, 500, func() { at = eng.Now() })
+	nw.Deliver(a, b, 500, 0, func() { at = eng.Now() })
 	eng.Run()
 	if at != time.Second {
 		t.Fatalf("arrival = %v, want 1s (cross-rack shaper must not apply)", at)
@@ -104,7 +149,7 @@ func TestCrossRackShaperNotUsedInRack(t *testing.T) {
 // packets interleave through the FIFO server.
 func TestBandwidthSharing(t *testing.T) {
 	eng := des.New()
-	nw := NewNetwork(eng, 0)
+	nw := NewNetwork(eng)
 	src := nw.NewNode("src", "/r", 1000, 0)
 	d1 := nw.NewNode("d1", "/r", 1e12, 0)
 	d2 := nw.NewNode("d2", "/r", 1e12, 0)
@@ -114,13 +159,13 @@ func TestBandwidthSharing(t *testing.T) {
 	var done1, done2 time.Duration
 	left1, left2 := packets, packets
 	for i := 0; i < packets; i++ {
-		nw.Deliver(src, d1, pkt, func() {
+		nw.Deliver(src, d1, pkt, 0, func() {
 			left1--
 			if left1 == 0 {
 				done1 = eng.Now()
 			}
 		})
-		nw.Deliver(src, d2, pkt, func() {
+		nw.Deliver(src, d2, pkt, 0, func() {
 			left2--
 			if left2 == 0 {
 				done2 = eng.Now()
@@ -138,7 +183,7 @@ func TestPipeliningThroughStages(t *testing.T) {
 	// Across many packets, chained stages must give min-rate throughput,
 	// not sum-of-stage-times throughput.
 	eng := des.New()
-	nw := NewNetwork(eng, 0)
+	nw := NewNetwork(eng)
 	a := nw.NewNode("a", "/r1", 1000, 0)
 	b := nw.NewNode("b", "/r2", 1000, 0)
 	a.SetCrossRackLimit(500) // bottleneck
@@ -146,7 +191,7 @@ func TestPipeliningThroughStages(t *testing.T) {
 	var last time.Duration
 	left := packets
 	for i := 0; i < packets; i++ {
-		nw.Deliver(a, b, pkt, func() {
+		nw.Deliver(a, b, pkt, 0, func() {
 			left--
 			if left == 0 {
 				last = eng.Now()
@@ -162,7 +207,7 @@ func TestPipeliningThroughStages(t *testing.T) {
 }
 
 func TestSetNICLimit(t *testing.T) {
-	n := NewNetwork(des.New(), 0).NewNode("n", "/r", 1000, 0)
+	n := NewNetwork(des.New()).NewNode("n", "/r", 1000, 0)
 	n.SetNICLimit(50)
 	if n.Egress.rate != 50 || n.Ingress.rate != 50 {
 		t.Fatalf("rates = %v/%v, want 50/50", n.Egress.rate, n.Ingress.rate)
@@ -171,7 +216,7 @@ func TestSetNICLimit(t *testing.T) {
 
 func TestNetworkNodeLookup(t *testing.T) {
 	eng := des.New()
-	nw := NewNetwork(eng, 0)
+	nw := NewNetwork(eng)
 	n := nw.NewNode("x", "/r", 1, 1)
 	if nw.Node("x") != n || nw.Node("y") != nil {
 		t.Fatal("node lookup broken")

@@ -13,8 +13,8 @@ import (
 )
 
 // refServer is the rate server this package had before PR 17: every job
-// is its own engine event, queued the moment it arrives. Server must fire
-// the same callbacks at the same times in the same order.
+// is its own engine event, queued the moment it is enqueued. Server must
+// fire the same callbacks at the same times in the same order.
 type refServer struct {
 	eng       *des.Engine
 	rate      float64
@@ -23,22 +23,22 @@ type refServer struct {
 
 func (s *refServer) SetRate(bps float64) { s.rate = bps }
 
-func (s *refServer) Enqueue(n int64, done func()) {
-	start := s.busyUntil
-	if now := s.eng.Now(); start < now {
-		start = now
-	}
+func (s *refServer) Enqueue(at time.Duration, n int64, done func()) time.Duration {
+	start := max(s.busyUntil, at, s.eng.Now())
 	var dur time.Duration
 	if s.rate > 0 {
 		dur = time.Duration(float64(n) / s.rate * float64(time.Second))
 	}
 	s.busyUntil = start + dur
-	s.eng.At(s.busyUntil, done)
+	if done != nil {
+		s.eng.At(s.busyUntil, done)
+	}
+	return s.busyUntil
 }
 
 // queue is what the tests below need of either server.
 type queue interface {
-	Enqueue(n int64, done func())
+	Enqueue(at time.Duration, n int64, done func()) time.Duration
 	SetRate(bps float64)
 }
 
@@ -48,7 +48,7 @@ func newQueues(eng *des.Engine, ref bool, rates ...float64) []queue {
 		if ref {
 			qs[i] = &refServer{eng: eng, rate: r}
 		} else {
-			qs[i] = NewNetwork(eng, 0).NewServer(fmt.Sprint("s", i), r)
+			qs[i] = NewNetwork(eng).NewServer(fmt.Sprint("s", i), r)
 		}
 	}
 	return qs
@@ -77,11 +77,11 @@ func both(rates []float64, scenario func(eng *des.Engine, qs []queue, fired func
 // seq at head insertion would fire b1 first.
 func TestSameInstantFiresInEnqueueOrder(t *testing.T) {
 	ref, got := both([]float64{1000, 1000}, func(_ *des.Engine, qs []queue, fired func(string) func()) {
-		qs[0].Enqueue(1000, fired("a1"))
-		qs[0].Enqueue(1000, fired("a2"))
-		qs[1].Enqueue(2000, fired("b1"))
-		qs[1].Enqueue(1000, fired("b2"))
-		qs[0].Enqueue(1000, fired("a3"))
+		qs[0].Enqueue(0, 1000, fired("a1"))
+		qs[0].Enqueue(0, 1000, fired("a2"))
+		qs[1].Enqueue(0, 2000, fired("b1"))
+		qs[1].Enqueue(0, 1000, fired("b2"))
+		qs[0].Enqueue(0, 1000, fired("a3"))
 	})
 	if want := "a1@1s a2@2s b1@2s b2@3s a3@3s"; ref != want || got != want {
 		t.Fatalf("fired\n  server:    %s\n  reference: %s\n  want:      %s", got, ref, want)
@@ -93,13 +93,13 @@ func TestSetRateMidTrain(t *testing.T) {
 	// applies from the next arrival on, which still queues behind them.
 	ref, got := both([]float64{1000}, func(eng *des.Engine, qs []queue, fired func(string) func()) {
 		for i := 0; i < 4; i++ {
-			qs[0].Enqueue(1000, fired(fmt.Sprint("p", i)))
+			qs[0].Enqueue(0, 1000, fired(fmt.Sprint("p", i)))
 		}
 		eng.Schedule(1500*time.Millisecond, func() {
 			qs[0].SetRate(250)
-			qs[0].Enqueue(1000, fired("slow"))
+			qs[0].Enqueue(eng.Now(), 1000, fired("slow"))
 			qs[0].SetRate(0)
-			qs[0].Enqueue(1<<30, fired("free"))
+			qs[0].Enqueue(eng.Now(), 1<<30, fired("free"))
 		})
 	})
 	if want := "p0@1s p1@2s p2@3s p3@4s slow@8s free@8s"; ref != want || got != want {
@@ -112,12 +112,12 @@ func TestInfiniteRateTrain(t *testing.T) {
 	// arrival order at the instant it arrived, interleaved by Enqueue
 	// order with whatever else completes then.
 	ref, got := both([]float64{0, 1000}, func(eng *des.Engine, qs []queue, fired func(string) func()) {
-		qs[1].Enqueue(1000, fired("timed"))
+		qs[1].Enqueue(0, 1000, fired("timed"))
 		eng.Schedule(time.Second, func() {
-			qs[0].Enqueue(5, fired("i0"))
-			qs[0].Enqueue(5, fired("i1"))
-			qs[1].Enqueue(0, fired("zero"))
-			qs[0].Enqueue(5, fired("i2"))
+			qs[0].Enqueue(eng.Now(), 5, fired("i0"))
+			qs[0].Enqueue(eng.Now(), 5, fired("i1"))
+			qs[1].Enqueue(eng.Now(), 0, fired("zero"))
+			qs[0].Enqueue(eng.Now(), 5, fired("i2"))
 		})
 	})
 	if want := "timed@1s i0@1s i1@1s zero@1s i2@1s"; ref != want || got != want {
@@ -129,15 +129,15 @@ func TestEnqueueFromDoneCallback(t *testing.T) {
 	// A done callback that enqueues on its own server: once behind a
 	// backlog, once (from the last job) on a server that has just gone
 	// idle.
-	ref, got := both([]float64{1000}, func(_ *des.Engine, qs []queue, fired func(string) func()) {
-		qs[0].Enqueue(1000, func() {
+	ref, got := both([]float64{1000}, func(eng *des.Engine, qs []queue, fired func(string) func()) {
+		qs[0].Enqueue(0, 1000, func() {
 			fired("a")()
-			qs[0].Enqueue(1000, func() {
+			qs[0].Enqueue(eng.Now(), 1000, func() {
 				fired("a-child")()
-				qs[0].Enqueue(500, fired("grandchild"))
+				qs[0].Enqueue(eng.Now(), 500, fired("grandchild"))
 			})
 		})
-		qs[0].Enqueue(1000, fired("b"))
+		qs[0].Enqueue(0, 1000, fired("b"))
 	})
 	if want := "a@1s b@2s a-child@3s grandchild@3.5s"; ref != want || got != want {
 		t.Fatalf("fired\n  server:    %s\n  reference: %s\n  want:      %s", got, ref, want)
@@ -147,38 +147,52 @@ func TestEnqueueFromDoneCallback(t *testing.T) {
 // Differential property: random trains over a few servers (one of them
 // infinite-rate, rates that make completions collide), with done
 // callbacks that enqueue more work on random servers and change rates
-// mid-train, fire identically on Server and on the reference. Job sizes
-// repeat (four of them), and now and then a rate change, to infinite at
-// times, falls between two jobs of one size on one server, so a service
-// time cached from the old rate would show.
+// mid-train, fire identically on Server and on the reference, and
+// Enqueue returns the same finish times. Job sizes repeat (four of them),
+// and now and then a rate change, to infinite at times, falls between two
+// jobs of one size on one server, so a service time cached from the old
+// rate would show. Mixed in with the jobs that arrive as they are
+// enqueued are jobs enqueued ahead of their arrival, which is never
+// before the server's previous one (a one-feeder server's jobs), and jobs
+// with no done callback.
 func TestQuickServerMatchesReference(t *testing.T) {
 	rates := []float64{1000, 1000, 500, 0}
 	f := func(seed int64) bool {
 		ref, got := both(rates, func(eng *des.Engine, qs []queue, fired func(string) func()) {
 			rng := rand.New(rand.NewSource(seed))
 			jobs := 0
-			var enqueue func(q queue, n int64)
-			enqueue = func(q queue, n int64) {
+			last := make([]time.Duration, len(qs)) // latest arrival per server
+			var enqueue func(i int, n int64)
+			enqueue = func(i int, n int64) {
 				name := fmt.Sprint("j", jobs)
 				jobs++
-				q.Enqueue(n, func() {
-					fired(name)()
-					for c := rng.Intn(3); c > 0 && jobs < 600; c-- {
-						enqueue(qs[rng.Intn(len(qs))], int64(rng.Intn(4))*500)
+				at := max(eng.Now(), last[i])
+				if rng.Intn(3) == 0 {
+					at += time.Duration(rng.Intn(4)) * 250 * time.Millisecond
+				}
+				last[i] = at
+				var done func()
+				if rng.Intn(4) > 0 {
+					done = func() {
+						fired(name)()
+						for c := rng.Intn(3); c > 0 && jobs < 600; c-- {
+							enqueue(rng.Intn(len(qs)), int64(rng.Intn(4))*500)
+						}
+						if rng.Intn(10) == 0 {
+							qs[rng.Intn(3)].SetRate(float64(1+rng.Intn(4)) * 250)
+						}
+						if rng.Intn(8) == 0 && jobs < 600 {
+							i, n := rng.Intn(3), int64(1+rng.Intn(3))*500
+							enqueue(i, n)
+							qs[i].SetRate(float64(rng.Intn(5)) * 250)
+							enqueue(i, n)
+						}
 					}
-					if rng.Intn(10) == 0 {
-						qs[rng.Intn(3)].SetRate(float64(1+rng.Intn(4)) * 250)
-					}
-					if rng.Intn(8) == 0 && jobs < 600 {
-						q, n := qs[rng.Intn(3)], int64(1+rng.Intn(3))*500
-						enqueue(q, n)
-						q.SetRate(float64(rng.Intn(5)) * 250)
-						enqueue(q, n)
-					}
-				})
+				}
+				fired(fmt.Sprintf("%s->%v", name, qs[i].Enqueue(at, n, done)))()
 			}
 			for i := 0; i < 60; i++ {
-				enqueue(qs[rng.Intn(len(qs))], int64(rng.Intn(4))*500)
+				enqueue(rng.Intn(len(qs)), int64(rng.Intn(4))*500)
 			}
 		})
 		if ref != got {
@@ -205,7 +219,7 @@ func trainNodes(nw *Network) (a, b *Node) {
 // have grown to their working size, a Deliver allocates nothing.
 func TestDeliverAllocs(t *testing.T) {
 	eng := des.New()
-	nw := NewNetwork(eng, 300*time.Microsecond)
+	nw := NewNetwork(eng)
 	a, b := trainNodes(nw)
 	c := nw.NewNode("c", "/r1", 125e6, 300e6)
 	arrived := func() {}
@@ -215,7 +229,7 @@ func TestDeliverAllocs(t *testing.T) {
 	}{{"same-rack", c}, {"cross-rack", b}} {
 		burst := func() {
 			for i := 0; i < 256; i++ {
-				nw.Deliver(a, tc.dst, 64<<10, arrived)
+				nw.Deliver(a, tc.dst, 64<<10, eng.Now()+time.Duration(i)*time.Microsecond, arrived)
 			}
 			eng.Run()
 		}
@@ -227,21 +241,25 @@ func TestDeliverAllocs(t *testing.T) {
 }
 
 // BenchmarkServerTrain sends one block (1,024 packets of 64 KB) through
-// egress → xout → xin → ingress → disk, the whole train enqueued up front
-// the way sim.launchPipeline feeds the client's production server.
+// production → egress → xout → xin → ingress → disk the way
+// sim.launchPipeline does: the whole train produced and delivered up
+// front, each packet's disk write timed when it clears the ingress.
 func BenchmarkServerTrain(b *testing.B) {
 	const packets, size = 1024, 64 << 10
 	eng := des.New()
-	nw := NewNetwork(eng, 300*time.Microsecond)
+	nw := NewNetwork(eng)
 	src, dst := trainNodes(nw)
+	production := nw.NewServer("cpu", 400e6)
 	stored := 0
-	onDisk := func() { stored++ }
-	toDisk := func() { dst.Disk.Enqueue(size, onDisk) }
+	toDisk := func() {
+		dst.Disk.Enqueue(eng.Now()+300*time.Microsecond, size, nil)
+		stored++
+	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		stored = 0
 		for k := 0; k < packets; k++ {
-			nw.Deliver(src, dst, size, toDisk)
+			nw.Deliver(src, dst, size, production.Enqueue(eng.Now(), size, nil), toDisk)
 		}
 		eng.Run()
 		if stored != packets {
@@ -261,7 +279,7 @@ func TestResetAfterStoppedRun(t *testing.T) {
 	burst := func(eng *des.Engine, nw *Network, stopAt int) (arrivals []time.Duration) {
 		a, b := trainNodes(nw)
 		for i := 0; i < packets; i++ {
-			nw.Deliver(a, b, 64<<10, func() {
+			nw.Deliver(a, b, 64<<10, 0, func() {
 				if arrivals = append(arrivals, eng.Now()); len(arrivals) == stopAt {
 					eng.Stop()
 				}
@@ -272,14 +290,14 @@ func TestResetAfterStoppedRun(t *testing.T) {
 	}
 
 	eng := des.New()
-	nw := NewNetwork(eng, 300*time.Microsecond)
+	nw := NewNetwork(eng)
 	if got := burst(eng, nw, 50); len(got) != 50 {
 		t.Fatalf("%d arrivals before the stop, want 50", len(got))
 	}
 	servers := len(nw.servers)
 
 	eng.Reset()
-	nw.Reset(300 * time.Microsecond)
+	nw.Reset()
 	if nw.Node("a") != nil {
 		t.Error("a node survived Reset")
 	}
@@ -300,7 +318,7 @@ func TestResetAfterStoppedRun(t *testing.T) {
 	}
 
 	fresh := des.New()
-	want := burst(fresh, NewNetwork(fresh, 300*time.Microsecond), 0)
+	want := burst(fresh, NewNetwork(fresh), 0)
 	if got := burst(eng, nw, 0); !reflect.DeepEqual(got, want) {
 		t.Error("arrivals on the reset network differ from a new network's")
 	}

@@ -129,7 +129,7 @@ func TestScratchHygiene(t *testing.T) {
 		}
 	}
 
-	sc.reset(0)
+	sc.reset()
 	if sc.eng.Now() != 0 || sc.eng.Processed != 0 || sc.eng.ReserveSeq() != 0 {
 		t.Errorf("reset engine: now %v, processed %d, and the next seq is not 0", sc.eng.Now(), sc.eng.Processed)
 	}

@@ -216,16 +216,16 @@ type scratch struct {
 
 func newScratch() *scratch {
 	eng := des.New()
-	return &scratch{eng: eng, nw: netsim.NewNetwork(eng, 0)}
+	return &scratch{eng: eng, nw: netsim.NewNetwork(eng)}
 }
 
-// reset makes the scratch as good as new for a run with the given hop
-// latency. A run that ended in Stop, an abort or an error leaves events
-// queued and records in flight; all are dropped here, before the next run
-// rather than after the last, so no exit path has to remember to.
-func (sc *scratch) reset(hopLatency time.Duration) {
+// reset makes the scratch as good as new for the next run. A run that
+// ended in Stop, an abort or an error leaves events queued and records in
+// flight; all are dropped here, before the next run rather than after the
+// last, so no exit path has to remember to.
+func (sc *scratch) reset() {
 	sc.eng.Reset()
-	sc.nw.Reset(hopLatency)
+	sc.nw.Reset()
 	sc.freePackets = sc.freePackets[:0]
 	for _, slab := range sc.slabs {
 		for i := range slab {
@@ -284,7 +284,7 @@ func (s *simulation) rackFor(i int) string {
 
 func newSimulation(cfg Config, sc *scratch) (*simulation, error) {
 	cfg.applyDefaults()
-	sc.reset(cfg.HopLatency)
+	sc.reset()
 	s := &simulation{cfg: cfg, scratch: sc}
 
 	// Namenode runs the real placement code against the virtual clock;
@@ -587,34 +587,35 @@ func (w *writer) StartPipeline(idx int, lb block.LocatedBlock, _ policy.Shape, r
 
 // --- the shared packet-level pipeline model ---
 
+// never is the abort time of a launch without a fault.
+const never = time.Duration(math.MaxInt64)
+
 // launch is one pipeline streaming one block: what every packet of it
 // shares.
 type launch struct {
 	w          *writer
 	nodes      []*netsim.Node
 	numPackets int
-	// aborted silences every in-flight event of this launch once a fault
-	// fires, so a stale ack can never masquerade as a drain.
-	aborted    bool
-	produced   int    // packets that have left the production server
+	// abortAt is when an injected fault breaks the pipeline (never, for a
+	// launch without one). A packet step at or after it drops the packet,
+	// so a stale ack can never masquerade as a drain.
+	abortAt    time.Duration
 	onFNFA     func() // may be nil
 	onAllAcked func()
-	lastBytes  int64  // size of packet numPackets-1; every other one is PacketSize
-	onProduced func() // l.packetProduced, bound once for the whole train
+	lastBytes  int64 // size of packet numPackets-1; every other one is PacketSize
 }
 
 // packet is one packet's trip down a pipeline, as a state machine driven
-// by a single callback (step, bound when the record is first made):
-// arrive at datanode hop, pass its disk, travel to hop+1, ... and, for
-// the block's last packet, after the last disk ride the ack back. The
-// simulation owns the record from production until the last disk write,
-// the last packet's ack or the launch is seen aborted; then it returns to
-// scratch.freePackets for the next packet.
+// by a single callback (step, bound when the record is first made): clear
+// datanode hop's ingress, be stored there and travel on to hop+1, ... and,
+// for the block's last packet, after the last hop the ack back. The
+// simulation owns the record from launch until the packet clears its last
+// ingress, the last packet's ack lands or the packet is dropped after an
+// abort; then it returns to scratch.freePackets for the next packet.
 type packet struct {
 	l      *launch
 	k      int  // index within the block
-	hop    int  // datanode the packet is at or heading to
-	stored bool // the next step is "disk write at hop finished", not "arrived at hop"
+	hop    int  // datanode whose ingress the packet is heading to
 	acking bool // the next step is the ack reaching the client
 	step   func()
 }
@@ -624,6 +625,12 @@ type packet struct {
 // onAllAcked fires when the last packet's ack returns from the whole
 // pipeline. A non-nil fault truncates production after fault.AfterPackets
 // packets and reports the failure to the engine instead.
+//
+// Only where a packet can meet another flow — at a datanode's ingress or
+// cross-rack shaper — is its arrival an event, and its completion there.
+// Production, the disks, the egresses and the hop latency have one
+// feeder apiece, so their times are computed when the packet joins them
+// (DESIGN.md §15).
 func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *PipelineFault, onFNFA, onAllAcked func()) {
 	s := w.s
 	total := w.blockBytes(i)
@@ -631,8 +638,7 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *Pipe
 	if numPackets == 0 {
 		numPackets = 1
 	}
-	l := &launch{w: w, numPackets: numPackets, onFNFA: onFNFA, onAllAcked: onAllAcked}
-	l.onProduced = l.packetProduced
+	l := &launch{w: w, numPackets: numPackets, abortAt: never, onFNFA: onFNFA, onAllAcked: onAllAcked}
 	l.nodes = make([]*netsim.Node, len(targets))
 	for j, t := range targets {
 		l.nodes[j] = s.nw.Node(t.Name)
@@ -645,25 +651,32 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *Pipe
 		l.lastBytes = s.cfg.PacketSize // exact multiple: every packet full
 	}
 
-	// The client produces packets sequentially (T_c each) and sends them
-	// to the first datanode through its NIC. The production server is
-	// FIFO, so the k-th completion of this train is packet k: one callback
-	// serves them all.
 	limit := numPackets
 	if fault != nil && fault.AfterPackets < numPackets {
 		limit = fault.AfterPackets
 	} else {
 		fault = nil
 	}
+	// The fault's event takes its tie-break position before any packet's,
+	// as the production slot it stands for did.
+	var faultSeq uint64
+	if fault != nil {
+		faultSeq = s.eng.ReserveSeq()
+	}
+	// The client produces packets sequentially (T_c each) and sends each
+	// to the first datanode through its NIC as it is produced.
+	now := s.eng.Now()
 	for k := 0; k < limit; k++ {
-		w.production.Enqueue(l.packetBytes(k), l.onProduced)
+		bytes := l.packetBytes(k)
+		produced := w.production.Enqueue(now, bytes, nil)
+		s.nw.Deliver(w.node, l.nodes[0], bytes, produced, s.newPacket(l, k).step)
 	}
 	if fault != nil {
 		bad, at := fault.BadIndex, fault.AfterPackets
 		// The next packet's production slot is where the client notices
 		// the broken pipe; one hop later the failure is reported.
-		w.production.Enqueue(l.packetBytes(limit), func() {
-			l.aborted = true
+		l.abortAt = w.production.Enqueue(now, l.packetBytes(limit), nil)
+		s.eng.AtSeq(l.abortAt, faultSeq, func() {
 			s.eng.Schedule(s.cfg.HopLatency, func() {
 				w.eng.HandleFailed(i, writesched.PipelineFailure{
 					BadIndex: bad,
@@ -681,18 +694,19 @@ func (l *launch) packetBytes(k int) int64 {
 	return l.w.s.cfg.PacketSize
 }
 
-// packetProduced sends the next packet of the train to the first
-// datanode.
-func (l *launch) packetProduced() {
-	k := l.produced
-	l.produced++
-	if l.aborted {
-		return
+// firstNodeAcked delivers the FNFA unless the launch has aborted.
+func (l *launch) firstNodeAcked() {
+	if l.w.s.eng.Now() < l.abortAt {
+		l.onFNFA()
 	}
-	s := l.w.s
+}
+
+// newPacket takes a packet record for packet k of l, heading for the
+// first datanode.
+func (s *simulation) newPacket(l *launch, k int) *packet {
 	if len(s.freePackets) == 0 {
-		// A whole block can be in flight at once (production outruns the
-		// NICs), so records are made a slab at a time.
+		// A whole block is in flight from its launch on, so records are
+		// made a slab at a time.
 		slab := make([]packet, 64)
 		for i := range slab {
 			slab[i].step = slab[i].advance
@@ -703,41 +717,46 @@ func (l *launch) packetProduced() {
 	last := len(s.freePackets) - 1
 	p := s.freePackets[last]
 	s.freePackets = s.freePackets[:last]
-	p.l, p.k, p.hop, p.stored, p.acking = l, k, 0, false, false
-	s.nw.Deliver(l.w.node, l.nodes[0], l.packetBytes(k), p.step)
+	p.l, p.k, p.hop, p.acking = l, k, 0, false
+	return p
 }
 
 // advance is the packet's one event handler; see packet.
 func (p *packet) advance() {
 	l := p.l
 	s := l.w.s
-	if l.aborted || p.acking {
+	now := s.eng.Now()
+	if p.acking {
 		p.free()
-		if !l.aborted {
+		if now < l.abortAt {
 			l.onAllAcked()
 		}
 		return
 	}
+	// The packet has cleared hop's ingress. One hop latency on it reaches
+	// the datanode, and the disk takes it; the disk's one feeder is this
+	// ingress, so its write is timed now.
+	arrive := now + s.cfg.HopLatency
+	if l.abortAt <= arrive {
+		p.free()
+		return
+	}
 	hop, bytes := p.hop, l.packetBytes(p.k)
 	node := l.nodes[hop]
-	if !p.stored {
-		p.stored = true
-		node.Disk.Enqueue(bytes, p.step)
+	stored := node.Disk.Enqueue(arrive, bytes, nil)
+	if l.abortAt <= stored {
+		p.free()
 		return
 	}
 	// Stored locally; mirror to the next hop.
 	last := hop == len(l.nodes)-1
 	if !last {
-		p.hop, p.stored = hop+1, false
-		s.nw.Deliver(node, l.nodes[hop+1], bytes, p.step)
+		p.hop = hop + 1
+		s.nw.Deliver(node, l.nodes[hop+1], bytes, stored, p.step)
 	}
 	if hop == 0 && p.k == l.numPackets-1 && l.onFNFA != nil {
 		// FNFA: one hop of latency back to the client.
-		s.eng.Schedule(s.cfg.HopLatency, func() {
-			if !l.aborted {
-				l.onFNFA()
-			}
-		})
+		s.eng.At(stored+s.cfg.HopLatency, l.firstNodeAcked)
 	}
 	if !last {
 		return
@@ -752,7 +771,7 @@ func (p *packet) advance() {
 		return
 	}
 	p.acking = true
-	s.eng.Schedule(time.Duration(len(l.nodes))*s.cfg.HopLatency, p.step)
+	s.eng.At(stored+time.Duration(len(l.nodes))*s.cfg.HopLatency, p.step)
 }
 
 // free returns the packet record to the scratch.

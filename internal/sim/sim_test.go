@@ -521,8 +521,32 @@ func TestPacketPathAllocs(t *testing.T) {
 	}
 }
 
+// Budget: a packet's trip down an unthrottled three-hop pipeline is six
+// events, an egress and an ingress completion per hop. Production, the
+// disks and the hop latencies are computed, not scheduled, so a second
+// 64 MB block (1,024 more packets) adds six events a packet and the
+// block's few.
+func TestEventsPerPacket(t *testing.T) {
+	for _, mode := range []proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth} {
+		events := func(size int64) uint64 {
+			sc := newScratch()
+			if _, err := sc.run(Config{Preset: ec2.HeteroCluster, FileSize: size, Mode: mode, Seed: 4}); err != nil {
+				t.Fatalf("%v: %v", mode, err)
+			}
+			return sc.eng.Processed
+		}
+		const packets = (64 << 20) / proto.DefaultPacketSize
+		perPacket := float64(events(128<<20)-events(64<<20)) / packets
+		if perPacket > 6.01 {
+			t.Errorf("%v: %.3f events per extra simulated packet, want <= 6.01", mode, perPacket)
+		} else {
+			t.Logf("%v: %.3f events per extra simulated packet", mode, perPacket)
+		}
+	}
+}
+
 // BenchmarkBlockR3 simulates one 64 MB block through a three-hop
-// pipeline: 1,024 packets, 13 events each, and one ack for the block.
+// pipeline: 1,024 packets, 6 events each, and one ack for the block.
 func BenchmarkBlockR3(b *testing.B) {
 	for _, mode := range []proto.WriteMode{proto.ModeHDFS, proto.ModeSmarth} {
 		b.Run(mode.String(), func(b *testing.B) {
