@@ -521,6 +521,43 @@ func TestPacketPathAllocs(t *testing.T) {
 	}
 }
 
+// A packet stored at the very instant its pipeline aborts is dropped, as
+// it was when the fault and the disk write were two events at one time
+// and the fault, queued at launch, fired first; one stored a nanosecond
+// earlier is forwarded. One four-packet block at R2 whose pipeline dies
+// after three packets: with 1 ms production and disk times, a hop latency
+// of 3 ms − 2 NIC times − 1 ms puts packet 0's disk finish exactly at the
+// abort. Either way the restream sends the whole block to one mirror
+// again, and the datanodes' egress shows what else was forwarded.
+func TestAbortTieDropsPacket(t *testing.T) {
+	const packet = 1000
+	dur := func(bytesPerSecond float64) time.Duration {
+		return time.Duration(float64(packet) / bytesPerSecond * float64(time.Second))
+	}
+	ms, nic := dur(1e6), dur(ec2.Small.NetworkBps())
+	tie := 3*ms - 2*nic - ms
+	for _, tc := range []struct {
+		hopLatency time.Duration
+		forwarded  int64
+	}{{tie, 0}, {tie - 1, packet}} {
+		r := run(t, Config{
+			Preset: ec2.SmallCluster, FileSize: 4 * packet, BlockSize: 4 * packet, PacketSize: packet,
+			Replication: 2, Mode: proto.ModeHDFS, SingleRack: true,
+			ProductionMBps: 1, DiskMBps: 1, HopLatency: tc.hopLatency,
+			PipelineFaults: []PipelineFault{{Block: 0, AfterPackets: 3}},
+		})
+		var egress int64
+		for name, n := range r.EgressBytes {
+			if name != ClientName {
+				egress += n
+			}
+		}
+		if want := 4*packet + tc.forwarded; egress != want {
+			t.Errorf("hop latency %v: datanode egress %d bytes, want %d", tc.hopLatency, egress, want)
+		}
+	}
+}
+
 // Budget: a packet's trip down an unthrottled three-hop pipeline is six
 // events, an egress and an ingress completion per hop. Production, the
 // disks and the hop latencies are computed, not scheduled, so a second
