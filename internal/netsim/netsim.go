@@ -21,15 +21,13 @@ import (
 // A job may be enqueued before it arrives — at its arrival time, later
 // than now — but only by a server's one feeder, whose jobs reach it in a
 // fixed order (DESIGN.md §15): arrival times never decrease, and Enqueue
-// panics on one that does. A job with no done callback is served and
-// timed without any event; the caller reads its finish time off Enqueue.
-//
-// Completion times never decrease along the queue, so a server keeps its
-// pending jobs in its own ring and holds one slot in the engine's queue,
-// for the head. Each job's tie-break position is reserved when it is
-// enqueued (des.Engine.ReserveSeq), which is where a per-job engine event
-// would have taken it: jobs of different servers that complete at the
-// same instant still fire in Enqueue order.
+// panics on one that does. Enqueue only times a job; the jobs that fire
+// are Deliver's packets, each an entry in the ring of the server it waits
+// at. Completion times never decrease along a ring, so a server holds one
+// slot in the engine's queue, for the head. Each job's tie-break position
+// is reserved when it is enqueued (des.Engine.ReserveSeq), where a per-job
+// event would have taken it: jobs of different servers that complete at
+// the same instant still fire in enqueue order.
 type Server struct {
 	eng       *des.Engine
 	name      string
@@ -53,12 +51,17 @@ type Server struct {
 	fire   func() // s.complete, bound once
 }
 
-// job is one queued transfer: when it finishes, its reserved position
-// among events at that instant, and whom to tell.
+// job is one packet queued at a server: when it finishes there, its
+// reserved position among events at that instant, its size, the stages it
+// takes next (the destination's CrossIn, if crossed, and Ingress) and
+// whom to hand it to after the last.
 type job struct {
-	at   time.Duration
-	seq  uint64
-	done func()
+	at    time.Duration
+	seq   uint64
+	n     int64
+	ahead [2]*Server
+	done  func(tag int)
+	tag   int
 }
 
 // NewServer returns a rate server on the network's engine. Server records
@@ -85,10 +88,15 @@ func (s *Server) SetRate(bytesPerSecond float64) {
 	s.lastN, s.lastDur = 0, 0
 }
 
-// Enqueue takes a job of n bytes that arrives at time at (clamped to now)
-// and returns the time it finishes serializing through this server; done,
-// if not nil, fires then.
-func (s *Server) Enqueue(at time.Duration, n int64, done func()) time.Duration {
+// Enqueue times a job of n bytes that arrives at time at (clamped to now)
+// and returns the time it finishes serializing through this server.
+func (s *Server) Enqueue(at time.Duration, n int64) time.Duration {
+	return s.enqueue(at, job{n: n})
+}
+
+// enqueue takes j arriving at time at. A job with a done callback is
+// queued in the ring to fire then; one without is only timed.
+func (s *Server) enqueue(at time.Duration, j job) time.Duration {
 	if now := s.eng.Now(); at < now {
 		at = now
 	}
@@ -97,25 +105,25 @@ func (s *Server) Enqueue(at time.Duration, n int64, done func()) time.Duration {
 	}
 	s.lastAt = at
 	start := max(s.busyUntil, at)
-	if n != s.lastN {
-		s.lastN, s.lastDur = n, 0
+	if j.n != s.lastN {
+		s.lastN, s.lastDur = j.n, 0
 		if s.rate > 0 {
-			s.lastDur = time.Duration(float64(n) / s.rate * float64(time.Second))
+			s.lastDur = time.Duration(float64(j.n) / s.rate * float64(time.Second))
 		}
 	}
 	s.busyUntil = start + s.lastDur
-	s.Bytes += n
-	if done == nil {
+	s.Bytes += j.n
+	if j.done == nil {
 		return s.busyUntil
 	}
 	if s.queued == len(s.jobs) {
 		s.grow()
 	}
-	seq := s.eng.ReserveSeq()
-	s.jobs[(s.head+s.queued)&(len(s.jobs)-1)] = job{at: s.busyUntil, seq: seq, done: done}
+	j.at, j.seq = s.busyUntil, s.eng.ReserveSeq()
+	s.jobs[(s.head+s.queued)&(len(s.jobs)-1)] = j
 	s.queued++
 	if s.queued == 1 {
-		s.eng.AtSeq(s.busyUntil, seq, s.fire)
+		s.eng.AtSeq(j.at, j.seq, s.fire)
 	}
 	return s.busyUntil
 }
@@ -129,18 +137,24 @@ func (s *Server) grow() {
 }
 
 // complete fires the oldest job. Its successor enters the engine's queue
-// first, so a done callback that enqueues on this server again finds the
-// server in a consistent state.
+// first, so a job that enqueues on this server again finds the server in
+// a consistent state. Then the job takes its next stage, arriving now, or
+// is handed over after the last.
 func (s *Server) complete() {
-	done := s.jobs[s.head].done
-	s.jobs[s.head].done = nil
+	j := s.jobs[s.head]
+	s.jobs[s.head] = job{}
 	s.head = (s.head + 1) & (len(s.jobs) - 1)
 	s.queued--
 	if s.queued > 0 {
 		next := &s.jobs[s.head]
 		s.eng.AtSeq(next.at, next.seq, s.fire)
 	}
-	done()
+	if stage := j.ahead[0]; stage != nil {
+		j.ahead = [2]*Server{j.ahead[1]}
+		stage.enqueue(s.eng.Now(), j)
+		return
+	}
+	j.done(j.tag)
 }
 
 func (s *Server) String() string {
@@ -198,8 +212,8 @@ func (n *Node) SetNICLimit(bps float64) {
 }
 
 // Network carries packets between nodes. It makes the nodes and servers
-// of a run and owns what they queue in — job rings, flight records — so
-// that Reset can hand the same memory to the next run.
+// of a run and owns what they queue in — the job rings — so that Reset
+// can hand the same memory to the next run.
 type Network struct {
 	eng   *des.Engine
 	nodes map[string]*Node
@@ -207,11 +221,6 @@ type Network struct {
 	// belong to the current run.
 	servers []*Server
 	used    int
-	// slabs holds every flight record ever made here and free the ones not
-	// in use. A plain stack: the simulation is single-threaded, and which
-	// record a Deliver gets has no effect on what it does.
-	slabs [][]flight
-	free  []*flight
 }
 
 // NewNetwork returns an empty network.
@@ -220,93 +229,43 @@ func NewNetwork(eng *des.Engine) *Network {
 }
 
 // Reset empties the network for another run on the same engine (which the
-// caller resets too): no nodes, no servers, every flight record free. The
-// records and rings stay allocated; what a stopped run left queued in them
-// is zeroed, so no callback outlives the run that passed it in.
+// caller resets too): no nodes, no servers. The server records and rings
+// stay allocated; what a stopped run left queued in them is zeroed, so no
+// callback outlives the run that passed it in.
 func (nw *Network) Reset() {
 	clear(nw.nodes)
 	for _, s := range nw.servers[:nw.used] {
 		clear(s.jobs)
 	}
 	nw.used = 0
-	nw.free = nw.free[:0]
-	for _, slab := range nw.slabs {
-		for i := range slab {
-			slab[i].arrived = nil
-			nw.free = append(nw.free, &slab[i])
-		}
-	}
 }
 
 // Node looks a node up by name.
 func (nw *Network) Node(name string) *Node { return nw.nodes[name] }
 
-// flight is one Deliver in progress: the stages still ahead of the packet
-// and the single callback (step, bound when the record is first made)
-// that every stage on it fires. The Network owns the record from Deliver
-// until the packet has arrived; it goes back on the free list just before
-// arrived runs.
-type flight struct {
-	nw      *Network
-	stages  [2]*Server // the destination's CrossIn, if crossed, and Ingress
-	n       int        // stages in use
-	next    int        // next stage to enter
-	bytes   int64      // packet size
-	arrived func()
-	step    func() // f.advance
-}
-
 // Deliver moves n bytes from src to dst through every rate server on the
 // path — src egress, the cross-rack shapers when racks differ, dst
-// ingress — and fires arrived when the packet clears dst's ingress. The
-// packet reaches src's egress at time at, which may be later than now if
-// the caller is src's egress's one feeder (see Server). The source's
+// ingress — and calls arrived(tag) when the packet clears dst's ingress.
+// The packet reaches src's egress at time at, which may be later than now
+// if the caller is src's egress's one feeder (see Server). The source's
 // egress and cross-rack shaper are timed at once, since only src feeds
 // them; the destination's shaper and ingress, which every node sending to
 // dst feeds, take the packet at the instant it reaches them. Stages
 // pipeline across packets because each stage is its own FIFO server.
-func (nw *Network) Deliver(src, dst *Node, n int64, at time.Duration, arrived func()) {
-	if len(nw.free) == 0 {
-		// Backlogs are deep (a whole block can sit in one egress queue),
-		// so records are made a slab at a time.
-		slab := make([]flight, 64)
-		for i := range slab {
-			slab[i].nw, slab[i].step = nw, slab[i].advance
-			nw.free = append(nw.free, &slab[i])
-		}
-		nw.slabs = append(nw.slabs, slab)
-	}
-	last := len(nw.free) - 1
-	f := nw.free[last]
-	nw.free = nw.free[:last]
-	f.bytes, f.arrived, f.n, f.next = n, arrived, 0, 0
-	out := src.Egress
+// The packet in flight is a job in one ring at a time; its tag tells the
+// caller's one arrived callback which packet arrived.
+func (nw *Network) Deliver(src, dst *Node, n int64, at time.Duration, arrived func(tag int), tag int) {
+	j := job{n: n, done: arrived, tag: tag}
+	out, next := src.Egress, 0
 	if src.Rack != dst.Rack {
 		if src.CrossOut != nil {
-			at = out.Enqueue(at, n, nil)
+			at = out.Enqueue(at, n)
 			out = src.CrossOut
 		}
 		if dst.CrossIn != nil {
-			f.stages[f.n] = dst.CrossIn
-			f.n++
+			j.ahead[0], next = dst.CrossIn, 1
 		}
 	}
-	f.stages[f.n] = dst.Ingress
-	f.n++
-	out.Enqueue(at, n, f.step)
-}
-
-// advance enters the next stage, or hands the packet over after the last.
-func (f *flight) advance() {
-	if f.next < f.n {
-		stage := f.stages[f.next]
-		f.next++
-		stage.Enqueue(f.nw.eng.Now(), f.bytes, f.step)
-		return
-	}
-	nw := f.nw
-	arrived := f.arrived
-	f.arrived = nil
-	nw.free = append(nw.free, f)
-	arrived()
+	j.ahead[next] = dst.Ingress
+	out.enqueue(at, j)
 }

@@ -16,8 +16,8 @@ func TestServerSerialization(t *testing.T) {
 	eng := des.New()
 	s := NewNetwork(eng).NewServer("s", 1000) // 1000 B/s
 	var done []time.Duration
-	s.Enqueue(0, 500, func() { done = append(done, eng.Now()) })
-	s.Enqueue(0, 500, func() { done = append(done, eng.Now()) })
+	enq(s, 0, 500, func() { done = append(done, eng.Now()) })
+	enq(s, 0, 500, func() { done = append(done, eng.Now()) })
 	eng.Run()
 	if len(done) != 2 {
 		t.Fatalf("%d jobs completed, want 2", len(done))
@@ -34,10 +34,10 @@ func TestServerWorkConserving(t *testing.T) {
 	eng := des.New()
 	s := NewNetwork(eng).NewServer("s", 1000)
 	var second time.Duration
-	s.Enqueue(0, 1000, func() {
+	enq(s, 0, 1000, func() {
 		// Enqueue the next job later, leaving the server idle for 1s.
 		eng.Schedule(time.Second, func() {
-			s.Enqueue(eng.Now(), 1000, func() { second = eng.Now() })
+			enq(s, eng.Now(), 1000, func() { second = eng.Now() })
 		})
 	})
 	eng.Run()
@@ -50,7 +50,7 @@ func TestInfiniteRate(t *testing.T) {
 	eng := des.New()
 	s := NewNetwork(eng).NewServer("s", 0)
 	var at time.Duration = -1
-	s.Enqueue(0, 1<<40, func() { at = eng.Now() })
+	enq(s, 0, 1<<40, func() { at = eng.Now() })
 	eng.Run()
 	if at != 0 {
 		t.Fatalf("infinite-rate job done at %v, want 0", at)
@@ -63,7 +63,7 @@ func TestDeliverSameRack(t *testing.T) {
 	a := nw.NewNode("a", "/r1", 1000, 0)
 	b := nw.NewNode("b", "/r1", 1000, 0)
 	var at time.Duration
-	nw.Deliver(a, b, 500, 2*time.Second, func() { at = eng.Now() })
+	nw.Deliver(a, b, 500, 2*time.Second, func(int) { at = eng.Now() }, 0)
 	eng.Run()
 	// Reaches a's egress at 2s, then 0.5s egress + 0.5s ingress
 	// (store-and-forward stages); latency is the caller's to add.
@@ -81,7 +81,7 @@ func TestDeliverCrossRackThrottled(t *testing.T) {
 	a.SetCrossRackLimit(100)
 	b.SetCrossRackLimit(50)
 	var at time.Duration
-	nw.Deliver(a, b, 100, 0, func() { at = eng.Now() })
+	nw.Deliver(a, b, 100, 0, func(int) { at = eng.Now() }, 0)
 	eng.Run()
 	// 0.1s egress + 1s a's cross-out + 2s b's cross-in + 0.1s ingress.
 	want := 3200 * time.Millisecond
@@ -92,20 +92,29 @@ func TestDeliverCrossRackThrottled(t *testing.T) {
 
 // The destination's ingress takes packets in the order they reach it,
 // not the order they were handed to Deliver: a packet delivered first but
-// leaving its source later queues behind one that got there before it.
+// leaving its source later queues behind ones that got there before it,
+// among them one from another rack that reached the ingress through the
+// destination's cross-rack shaper. Every packet shares one arrival
+// callback and keeps its own tag across both of its stages.
 func TestDeliverIngressTakesArrivalOrder(t *testing.T) {
 	eng := des.New()
 	nw := NewNetwork(eng)
 	late := nw.NewNode("late", "/r", 1000, 0)
 	early := nw.NewNode("early", "/r", 1000, 0)
+	far := nw.NewNode("far", "/r2", 1000, 0)
 	dst := nw.NewNode("dst", "/r", 100, 0)
+	dst.SetCrossRackLimit(200)
+	names := map[int]string{7: "late", 8: "far", 9: "early"}
 	var order []string
-	nw.Deliver(late, dst, 100, time.Second, func() { order = append(order, fmt.Sprint("late@", eng.Now())) })
-	nw.Deliver(early, dst, 100, 0, func() { order = append(order, fmt.Sprint("early@", eng.Now())) })
+	arrived := func(tag int) { order = append(order, fmt.Sprint(names[tag], "@", eng.Now())) }
+	nw.Deliver(late, dst, 100, time.Second, arrived, 7)
+	nw.Deliver(far, dst, 100, 0, arrived, 8)
+	nw.Deliver(early, dst, 100, 0, arrived, 9)
 	eng.Run()
-	// early: 0.1s egress, 1s ingress (done at 1.1s); late: egress done at
-	// 1.1s, then queues behind nothing, done at 2.1s.
-	if got, want := strings.Join(order, " "), "early@1.1s late@2.1s"; got != want {
+	// early: 0.1s egress, 1s ingress (done at 1.1s). far: 0.1s egress,
+	// 0.5s cross-in, then at 0.6s queues behind early (done at 2.1s).
+	// late: egress done at 1.1s, then queues behind far (done at 3.1s).
+	if got, want := strings.Join(order, " "), "early@1.1s far@2.1s late@3.1s"; got != want {
 		t.Fatalf("arrivals %q, want %q", got, want)
 	}
 }
@@ -120,13 +129,13 @@ func TestEnqueueBeforePreviousArrivalPanics(t *testing.T) {
 	}{{"future", time.Second}, {"now", 0}} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := NewNetwork(des.New()).NewServer("s", 1000)
-			s.Enqueue(2*time.Second, 10, nil)
+			s.Enqueue(2*time.Second, 10)
 			defer func() {
 				if recover() == nil {
 					t.Fatal("an arrival before the previous one was accepted")
 				}
 			}()
-			s.Enqueue(tc.at, 10, nil)
+			s.Enqueue(tc.at, 10)
 		})
 	}
 }
@@ -138,7 +147,7 @@ func TestCrossRackShaperNotUsedInRack(t *testing.T) {
 	b := nw.NewNode("b", "/r1", 1000, 0)
 	a.SetCrossRackLimit(1) // brutally slow, but same rack: unused
 	var at time.Duration
-	nw.Deliver(a, b, 500, 0, func() { at = eng.Now() })
+	nw.Deliver(a, b, 500, 0, func(int) { at = eng.Now() }, 0)
 	eng.Run()
 	if at != time.Second {
 		t.Fatalf("arrival = %v, want 1s (cross-rack shaper must not apply)", at)
@@ -159,18 +168,18 @@ func TestBandwidthSharing(t *testing.T) {
 	var done1, done2 time.Duration
 	left1, left2 := packets, packets
 	for i := 0; i < packets; i++ {
-		nw.Deliver(src, d1, pkt, 0, func() {
+		nw.Deliver(src, d1, pkt, 0, func(int) {
 			left1--
 			if left1 == 0 {
 				done1 = eng.Now()
 			}
-		})
-		nw.Deliver(src, d2, pkt, 0, func() {
+		}, i)
+		nw.Deliver(src, d2, pkt, 0, func(int) {
 			left2--
 			if left2 == 0 {
 				done2 = eng.Now()
 			}
-		})
+		}, i)
 	}
 	eng.Run()
 	// 2000 bytes total through a 1000 B/s NIC: both finish around 2s.
@@ -191,12 +200,12 @@ func TestPipeliningThroughStages(t *testing.T) {
 	var last time.Duration
 	left := packets
 	for i := 0; i < packets; i++ {
-		nw.Deliver(a, b, pkt, 0, func() {
+		nw.Deliver(a, b, pkt, 0, func(int) {
 			left--
 			if left == 0 {
 				last = eng.Now()
 			}
-		})
+		}, i)
 	}
 	eng.Run()
 	// 1000 bytes at bottleneck 500 B/s = 2s (+ one packet's worth of

@@ -12,9 +12,10 @@ import (
 	"repro/internal/des"
 )
 
-// refServer is the rate server this package had before PR 17: every job
-// is its own engine event, queued the moment it is enqueued. Server must
-// fire the same callbacks at the same times in the same order.
+// refServer is the plain rate server: every job is its own engine event,
+// queued the moment it is enqueued, that hands the job its own tag.
+// Server must fire the same callbacks at the same times in the same
+// order, with the same tags.
 type refServer struct {
 	eng       *des.Engine
 	rate      float64
@@ -23,23 +24,33 @@ type refServer struct {
 
 func (s *refServer) SetRate(bps float64) { s.rate = bps }
 
-func (s *refServer) Enqueue(at time.Duration, n int64, done func()) time.Duration {
+func (s *refServer) enqueue(at time.Duration, j job) time.Duration {
 	start := max(s.busyUntil, at, s.eng.Now())
 	var dur time.Duration
 	if s.rate > 0 {
-		dur = time.Duration(float64(n) / s.rate * float64(time.Second))
+		dur = time.Duration(float64(j.n) / s.rate * float64(time.Second))
 	}
 	s.busyUntil = start + dur
-	if done != nil {
-		s.eng.At(s.busyUntil, done)
+	if j.done != nil {
+		s.eng.At(s.busyUntil, func() { j.done(j.tag) })
 	}
 	return s.busyUntil
 }
 
 // queue is what the tests below need of either server.
 type queue interface {
-	Enqueue(at time.Duration, n int64, done func()) time.Duration
+	enqueue(at time.Duration, j job) time.Duration
 	SetRate(bps float64)
+}
+
+// enq queues n bytes on q arriving at at; done, if not nil, fires when
+// they have been served.
+func enq(q queue, at time.Duration, n int64, done func()) time.Duration {
+	j := job{n: n}
+	if done != nil {
+		j.done = func(int) { done() }
+	}
+	return q.enqueue(at, j)
 }
 
 func newQueues(eng *des.Engine, ref bool, rates ...float64) []queue {
@@ -77,11 +88,11 @@ func both(rates []float64, scenario func(eng *des.Engine, qs []queue, fired func
 // seq at head insertion would fire b1 first.
 func TestSameInstantFiresInEnqueueOrder(t *testing.T) {
 	ref, got := both([]float64{1000, 1000}, func(_ *des.Engine, qs []queue, fired func(string) func()) {
-		qs[0].Enqueue(0, 1000, fired("a1"))
-		qs[0].Enqueue(0, 1000, fired("a2"))
-		qs[1].Enqueue(0, 2000, fired("b1"))
-		qs[1].Enqueue(0, 1000, fired("b2"))
-		qs[0].Enqueue(0, 1000, fired("a3"))
+		enq(qs[0], 0, 1000, fired("a1"))
+		enq(qs[0], 0, 1000, fired("a2"))
+		enq(qs[1], 0, 2000, fired("b1"))
+		enq(qs[1], 0, 1000, fired("b2"))
+		enq(qs[0], 0, 1000, fired("a3"))
 	})
 	if want := "a1@1s a2@2s b1@2s b2@3s a3@3s"; ref != want || got != want {
 		t.Fatalf("fired\n  server:    %s\n  reference: %s\n  want:      %s", got, ref, want)
@@ -93,13 +104,13 @@ func TestSetRateMidTrain(t *testing.T) {
 	// applies from the next arrival on, which still queues behind them.
 	ref, got := both([]float64{1000}, func(eng *des.Engine, qs []queue, fired func(string) func()) {
 		for i := 0; i < 4; i++ {
-			qs[0].Enqueue(0, 1000, fired(fmt.Sprint("p", i)))
+			enq(qs[0], 0, 1000, fired(fmt.Sprint("p", i)))
 		}
 		eng.Schedule(1500*time.Millisecond, func() {
 			qs[0].SetRate(250)
-			qs[0].Enqueue(eng.Now(), 1000, fired("slow"))
+			enq(qs[0], eng.Now(), 1000, fired("slow"))
 			qs[0].SetRate(0)
-			qs[0].Enqueue(eng.Now(), 1<<30, fired("free"))
+			enq(qs[0], eng.Now(), 1<<30, fired("free"))
 		})
 	})
 	if want := "p0@1s p1@2s p2@3s p3@4s slow@8s free@8s"; ref != want || got != want {
@@ -112,12 +123,12 @@ func TestInfiniteRateTrain(t *testing.T) {
 	// arrival order at the instant it arrived, interleaved by Enqueue
 	// order with whatever else completes then.
 	ref, got := both([]float64{0, 1000}, func(eng *des.Engine, qs []queue, fired func(string) func()) {
-		qs[1].Enqueue(0, 1000, fired("timed"))
+		enq(qs[1], 0, 1000, fired("timed"))
 		eng.Schedule(time.Second, func() {
-			qs[0].Enqueue(eng.Now(), 5, fired("i0"))
-			qs[0].Enqueue(eng.Now(), 5, fired("i1"))
-			qs[1].Enqueue(eng.Now(), 0, fired("zero"))
-			qs[0].Enqueue(eng.Now(), 5, fired("i2"))
+			enq(qs[0], eng.Now(), 5, fired("i0"))
+			enq(qs[0], eng.Now(), 5, fired("i1"))
+			enq(qs[1], eng.Now(), 0, fired("zero"))
+			enq(qs[0], eng.Now(), 5, fired("i2"))
 		})
 	})
 	if want := "timed@1s i0@1s i1@1s zero@1s i2@1s"; ref != want || got != want {
@@ -130,14 +141,14 @@ func TestEnqueueFromDoneCallback(t *testing.T) {
 	// backlog, once (from the last job) on a server that has just gone
 	// idle.
 	ref, got := both([]float64{1000}, func(eng *des.Engine, qs []queue, fired func(string) func()) {
-		qs[0].Enqueue(0, 1000, func() {
+		enq(qs[0], 0, 1000, func() {
 			fired("a")()
-			qs[0].Enqueue(eng.Now(), 1000, func() {
+			enq(qs[0], eng.Now(), 1000, func() {
 				fired("a-child")()
-				qs[0].Enqueue(eng.Now(), 500, fired("grandchild"))
+				enq(qs[0], eng.Now(), 500, fired("grandchild"))
 			})
 		})
-		qs[0].Enqueue(0, 1000, fired("b"))
+		enq(qs[0], 0, 1000, fired("b"))
 	})
 	if want := "a@1s b@2s a-child@3s grandchild@3.5s"; ref != want || got != want {
 		t.Fatalf("fired\n  server:    %s\n  reference: %s\n  want:      %s", got, ref, want)
@@ -148,13 +159,15 @@ func TestEnqueueFromDoneCallback(t *testing.T) {
 // infinite-rate, rates that make completions collide), with done
 // callbacks that enqueue more work on random servers and change rates
 // mid-train, fire identically on Server and on the reference, and
-// Enqueue returns the same finish times. Job sizes repeat (four of them),
-// and now and then a rate change, to infinite at times, falls between two
-// jobs of one size on one server, so a service time cached from the old
-// rate would show. Mixed in with the jobs that arrive as they are
-// enqueued are jobs enqueued ahead of their arrival, which is never
-// before the server's previous one (a one-feeder server's jobs), and jobs
-// with no done callback.
+// enqueue returns the same finish times. Every job shares one done
+// callback, as Deliver's packets share their caller's, and is told apart
+// by its tag: a tag handed to the wrong job, or twice, shows in the log.
+// Job sizes repeat (four of them), and now and then a rate change, to
+// infinite at times, falls between two jobs of one size on one server,
+// so a service time cached from the old rate would show. Mixed in with
+// the jobs that arrive as they are enqueued are jobs enqueued ahead of
+// their arrival, which is never before the server's previous one (a
+// one-feeder server's jobs), and jobs with no done callback.
 func TestQuickServerMatchesReference(t *testing.T) {
 	rates := []float64{1000, 1000, 500, 0}
 	f := func(seed int64) bool {
@@ -162,34 +175,40 @@ func TestQuickServerMatchesReference(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			jobs := 0
 			last := make([]time.Duration, len(qs)) // latest arrival per server
+			pending := make(map[int]bool)          // tags of jobs with a done not yet fired
 			var enqueue func(i int, n int64)
+			done := func(tag int) {
+				if !pending[tag] {
+					fired(fmt.Sprint("stray-tag-", tag))()
+				}
+				delete(pending, tag)
+				fired(fmt.Sprint("j", tag))()
+				for c := rng.Intn(3); c > 0 && jobs < 600; c-- {
+					enqueue(rng.Intn(len(qs)), int64(rng.Intn(4))*500)
+				}
+				if rng.Intn(10) == 0 {
+					qs[rng.Intn(3)].SetRate(float64(1+rng.Intn(4)) * 250)
+				}
+				if rng.Intn(8) == 0 && jobs < 600 {
+					i, n := rng.Intn(3), int64(1+rng.Intn(3))*500
+					enqueue(i, n)
+					qs[i].SetRate(float64(rng.Intn(5)) * 250)
+					enqueue(i, n)
+				}
+			}
 			enqueue = func(i int, n int64) {
-				name := fmt.Sprint("j", jobs)
+				j := job{n: n, tag: jobs}
 				jobs++
 				at := max(eng.Now(), last[i])
 				if rng.Intn(3) == 0 {
 					at += time.Duration(rng.Intn(4)) * 250 * time.Millisecond
 				}
 				last[i] = at
-				var done func()
 				if rng.Intn(4) > 0 {
-					done = func() {
-						fired(name)()
-						for c := rng.Intn(3); c > 0 && jobs < 600; c-- {
-							enqueue(rng.Intn(len(qs)), int64(rng.Intn(4))*500)
-						}
-						if rng.Intn(10) == 0 {
-							qs[rng.Intn(3)].SetRate(float64(1+rng.Intn(4)) * 250)
-						}
-						if rng.Intn(8) == 0 && jobs < 600 {
-							i, n := rng.Intn(3), int64(1+rng.Intn(3))*500
-							enqueue(i, n)
-							qs[i].SetRate(float64(rng.Intn(5)) * 250)
-							enqueue(i, n)
-						}
-					}
+					j.done = done
+					pending[j.tag] = true
 				}
-				fired(fmt.Sprintf("%s->%v", name, qs[i].Enqueue(at, n, done)))()
+				fired(fmt.Sprintf("j%d->%v", j.tag, qs[i].enqueue(at, j)))()
 			}
 			for i := 0; i < 60; i++ {
 				enqueue(rng.Intn(len(qs)), int64(rng.Intn(4))*500)
@@ -215,21 +234,21 @@ func trainNodes(nw *Network) (a, b *Node) {
 	return a, b
 }
 
-// Budget: once the flight pool, the server rings and the engine's queue
-// have grown to their working size, a Deliver allocates nothing.
+// Budget: once the server rings and the engine's queue have grown to
+// their working size, a Deliver allocates nothing.
 func TestDeliverAllocs(t *testing.T) {
 	eng := des.New()
 	nw := NewNetwork(eng)
 	a, b := trainNodes(nw)
 	c := nw.NewNode("c", "/r1", 125e6, 300e6)
-	arrived := func() {}
+	arrived := func(int) {}
 	for _, tc := range []struct {
 		name string
 		dst  *Node
 	}{{"same-rack", c}, {"cross-rack", b}} {
 		burst := func() {
 			for i := 0; i < 256; i++ {
-				nw.Deliver(a, tc.dst, 64<<10, eng.Now()+time.Duration(i)*time.Microsecond, arrived)
+				nw.Deliver(a, tc.dst, 64<<10, eng.Now()+time.Duration(i)*time.Microsecond, arrived, i)
 			}
 			eng.Run()
 		}
@@ -251,15 +270,15 @@ func BenchmarkServerTrain(b *testing.B) {
 	src, dst := trainNodes(nw)
 	production := nw.NewServer("cpu", 400e6)
 	stored := 0
-	toDisk := func() {
-		dst.Disk.Enqueue(eng.Now()+300*time.Microsecond, size, nil)
+	toDisk := func(int) {
+		dst.Disk.Enqueue(eng.Now()+300*time.Microsecond, size)
 		stored++
 	}
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		stored = 0
 		for k := 0; k < packets; k++ {
-			nw.Deliver(src, dst, size, production.Enqueue(eng.Now(), size, nil), toDisk)
+			nw.Deliver(src, dst, size, production.Enqueue(eng.Now(), size), toDisk, k)
 		}
 		eng.Run()
 		if stored != packets {
@@ -268,10 +287,10 @@ func BenchmarkServerTrain(b *testing.B) {
 	}
 }
 
-// Reset after a stopped run — jobs still queued in the rings, flights
-// still out — leaves nothing of it behind: every record is free and holds
-// no callback, and the same topology built again reuses the server
-// records and delivers exactly as a new network does.
+// Reset after a stopped run — packets still queued in the rings — leaves
+// nothing of it behind: no ring holds a callback, and the same topology
+// built again reuses the server records and delivers exactly as a new
+// network does.
 func TestResetAfterStoppedRun(t *testing.T) {
 	const packets = 200
 	// burst sends a train across the racks, stopping the engine at the
@@ -279,11 +298,11 @@ func TestResetAfterStoppedRun(t *testing.T) {
 	burst := func(eng *des.Engine, nw *Network, stopAt int) (arrivals []time.Duration) {
 		a, b := trainNodes(nw)
 		for i := 0; i < packets; i++ {
-			nw.Deliver(a, b, 64<<10, 0, func() {
+			nw.Deliver(a, b, 64<<10, 0, func(int) {
 				if arrivals = append(arrivals, eng.Now()); len(arrivals) == stopAt {
 					eng.Stop()
 				}
-			})
+			}, i)
 		}
 		eng.Run()
 		return arrivals
@@ -300,14 +319,6 @@ func TestResetAfterStoppedRun(t *testing.T) {
 	nw.Reset()
 	if nw.Node("a") != nil {
 		t.Error("a node survived Reset")
-	}
-	if want := 64 * len(nw.slabs); len(nw.free) != want {
-		t.Errorf("%d of %d flight records free after Reset", len(nw.free), want)
-	}
-	for _, f := range nw.free {
-		if f.arrived != nil {
-			t.Fatal("a free flight record still holds its arrival callback")
-		}
 	}
 	for _, s := range nw.servers {
 		for _, j := range s.jobs {

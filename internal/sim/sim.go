@@ -199,19 +199,15 @@ func (c engClock) After(d time.Duration) <-chan time.Time {
 func mbps(v float64) float64 { return v * 1e6 / 8 }
 
 // scratch is the scaffolding a run leaves for the next one on the same
-// goroutine (a RunAll worker): the engine's event heap, the network's
-// server rings and flight records, and the packet records. All of it is
-// sized by a run's high-water marks — how deep a backlog got — and none of
-// it by what the run computed, so a run on a used scratch returns what it
-// returns on a new one (TestScratchHygiene). It is handed down by
+// goroutine (a RunAll worker): the engine's event queue and the network's
+// servers and their job rings, which hold the packets in flight. All of it
+// is sized by a run's high-water marks — how deep a backlog got — and none
+// of it by what the run computed, so a run on a used scratch returns what
+// it returns on a new one (TestScratchHygiene). It is handed down by
 // parameter; nothing here is shared between goroutines.
 type scratch struct {
 	eng *des.Engine
 	nw  *netsim.Network
-	// slabs holds every packet record ever made here, freePackets the ones
-	// not in flight (see packet).
-	slabs       [][]packet
-	freePackets []*packet
 }
 
 func newScratch() *scratch {
@@ -220,19 +216,12 @@ func newScratch() *scratch {
 }
 
 // reset makes the scratch as good as new for the next run. A run that
-// ended in Stop, an abort or an error leaves events queued and records in
+// ended in Stop, an abort or an error leaves events queued and packets in
 // flight; all are dropped here, before the next run rather than after the
 // last, so no exit path has to remember to.
 func (sc *scratch) reset() {
 	sc.eng.Reset()
 	sc.nw.Reset()
-	sc.freePackets = sc.freePackets[:0]
-	for _, slab := range sc.slabs {
-		for i := range slab {
-			slab[i].l = nil
-			sc.freePackets = append(sc.freePackets, &slab[i])
-		}
-	}
 }
 
 // simulation holds one experiment's shared infrastructure.
@@ -602,22 +591,8 @@ type launch struct {
 	abortAt    time.Duration
 	onFNFA     func() // may be nil
 	onAllAcked func()
-	lastBytes  int64 // size of packet numPackets-1; every other one is PacketSize
-}
-
-// packet is one packet's trip down a pipeline, as a state machine driven
-// by a single callback (step, bound when the record is first made): clear
-// datanode hop's ingress, be stored there and travel on to hop+1, ... and,
-// for the block's last packet, after the last hop the ack back. The
-// simulation owns the record from launch until the packet clears its last
-// ingress, the last packet's ack lands or the packet is dropped after an
-// abort; then it returns to scratch.freePackets for the next packet.
-type packet struct {
-	l      *launch
-	k      int  // index within the block
-	hop    int  // datanode whose ingress the packet is heading to
-	acking bool // the next step is the ack reaching the client
-	step   func()
+	lastBytes  int64         // size of packet numPackets-1; every other one is PacketSize
+	step       func(tag int) // l.advance, bound once: every packet's arrival callback
 }
 
 // launchPipeline streams block i through the target pipeline. onFNFA
@@ -630,7 +605,8 @@ type packet struct {
 // cross-rack shaper — is its arrival an event, and its completion there.
 // Production, the disks, the egresses and the hop latency have one
 // feeder apiece, so their times are computed when the packet joins them
-// (DESIGN.md §15).
+// (DESIGN.md §15). A packet in flight is its job in a server's ring,
+// tagged k*len(nodes)+hop: packet k heading for datanode hop.
 func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *PipelineFault, onFNFA, onAllAcked func()) {
 	s := w.s
 	total := w.blockBytes(i)
@@ -639,6 +615,7 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *Pipe
 		numPackets = 1
 	}
 	l := &launch{w: w, numPackets: numPackets, abortAt: never, onFNFA: onFNFA, onAllAcked: onAllAcked}
+	l.step = l.advance
 	l.nodes = make([]*netsim.Node, len(targets))
 	for j, t := range targets {
 		l.nodes[j] = s.nw.Node(t.Name)
@@ -668,14 +645,14 @@ func (w *writer) launchPipeline(i int, targets []block.DatanodeInfo, fault *Pipe
 	now := s.eng.Now()
 	for k := 0; k < limit; k++ {
 		bytes := l.packetBytes(k)
-		produced := w.production.Enqueue(now, bytes, nil)
-		s.nw.Deliver(w.node, l.nodes[0], bytes, produced, s.newPacket(l, k).step)
+		produced := w.production.Enqueue(now, bytes)
+		s.nw.Deliver(w.node, l.nodes[0], bytes, produced, l.step, k*len(l.nodes))
 	}
 	if fault != nil {
 		bad, at := fault.BadIndex, fault.AfterPackets
 		// The next packet's production slot is where the client notices
 		// the broken pipe; one hop later the failure is reported.
-		l.abortAt = w.production.Enqueue(now, l.packetBytes(limit), nil)
+		l.abortAt = w.production.Enqueue(now, l.packetBytes(limit))
 		s.eng.AtSeq(l.abortAt, faultSeq, func() {
 			s.eng.Schedule(s.cfg.HopLatency, func() {
 				w.eng.HandleFailed(i, writesched.PipelineFailure{
@@ -701,82 +678,50 @@ func (l *launch) firstNodeAcked() {
 	}
 }
 
-// newPacket takes a packet record for packet k of l, heading for the
-// first datanode.
-func (s *simulation) newPacket(l *launch, k int) *packet {
-	if len(s.freePackets) == 0 {
-		// A whole block is in flight from its launch on, so records are
-		// made a slab at a time.
-		slab := make([]packet, 64)
-		for i := range slab {
-			slab[i].step = slab[i].advance
-			s.freePackets = append(s.freePackets, &slab[i])
-		}
-		s.slabs = append(s.slabs, slab)
+// allAcked reports the drain unless the launch has aborted.
+func (l *launch) allAcked() {
+	if l.w.s.eng.Now() < l.abortAt {
+		l.onAllAcked()
 	}
-	last := len(s.freePackets) - 1
-	p := s.freePackets[last]
-	s.freePackets = s.freePackets[:last]
-	p.l, p.k, p.hop, p.acking = l, k, 0, false
-	return p
 }
 
-// advance is the packet's one event handler; see packet.
-func (p *packet) advance() {
-	l := p.l
+// advance takes the packet tag names (see launchPipeline) off its hop's
+// ingress, stores it there and sends it on.
+func (l *launch) advance(tag int) {
 	s := l.w.s
-	now := s.eng.Now()
-	if p.acking {
-		p.free()
-		if now < l.abortAt {
-			l.onAllAcked()
-		}
-		return
-	}
-	// The packet has cleared hop's ingress. One hop latency on it reaches
-	// the datanode, and the disk takes it; the disk's one feeder is this
-	// ingress, so its write is timed now.
-	arrive := now + s.cfg.HopLatency
+	k, hop := tag/len(l.nodes), tag%len(l.nodes)
+	// One hop latency on the ingress reaches the datanode, and the disk
+	// takes the packet; the disk's one feeder is this ingress, so its write
+	// is timed now.
+	arrive := s.eng.Now() + s.cfg.HopLatency
 	if l.abortAt <= arrive {
-		p.free()
 		return
 	}
-	hop, bytes := p.hop, l.packetBytes(p.k)
+	bytes := l.packetBytes(k)
 	node := l.nodes[hop]
-	stored := node.Disk.Enqueue(arrive, bytes, nil)
+	stored := node.Disk.Enqueue(arrive, bytes)
 	if l.abortAt <= stored {
-		p.free()
 		return
 	}
 	// Stored locally; mirror to the next hop.
 	last := hop == len(l.nodes)-1
 	if !last {
-		p.hop = hop + 1
-		s.nw.Deliver(node, l.nodes[hop+1], bytes, stored, p.step)
+		s.nw.Deliver(node, l.nodes[hop+1], bytes, stored, l.step, tag+1)
 	}
-	if hop == 0 && p.k == l.numPackets-1 && l.onFNFA != nil {
+	if k < l.numPackets-1 {
+		return
+	}
+	if hop == 0 && l.onFNFA != nil {
 		// FNFA: one hop of latency back to the client.
 		s.eng.At(stored+s.cfg.HopLatency, l.firstNodeAcked)
 	}
-	if !last {
-		return
+	if last {
+		// The combined ack travels the pipeline in reverse; the paper
+		// treats ack transfer time as negligible, so only latency is
+		// charged. Acks return in packet order — every packet leaves the
+		// same last-hop FIFO disk, then waits the same latency — so only
+		// the block's last one is an event: when it lands, every earlier
+		// ack has.
+		s.eng.At(stored+time.Duration(len(l.nodes))*s.cfg.HopLatency, l.allAcked)
 	}
-	// The combined ack travels the pipeline in reverse; the paper treats
-	// ack transfer time as negligible, so only latency is charged. Acks
-	// return in packet order — every packet leaves the same last-hop FIFO
-	// disk, then waits the same latency — so only the block's last one
-	// is an event: when it lands, every earlier ack has.
-	if p.k < l.numPackets-1 {
-		p.free()
-		return
-	}
-	p.acking = true
-	s.eng.At(stored+time.Duration(len(l.nodes))*s.cfg.HopLatency, p.step)
-}
-
-// free returns the packet record to the scratch.
-func (p *packet) free() {
-	s := p.l.w.s
-	p.l = nil
-	s.freePackets = append(s.freePackets, p)
 }
