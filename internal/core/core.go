@@ -142,8 +142,8 @@ func (g *Registry) Update(client string, records map[string]float64) {
 	}
 }
 
-// ForgetClient drops a client's records: the namenode calls it for a
-// client that holds no lease and has stopped heartbeating.
+// ForgetClient drops a client's records: the namenode calls it when the
+// client's lease expires, silent for the lease timeout.
 func (g *Registry) ForgetClient(client string) {
 	g.mu.Lock()
 	defer g.mu.Unlock()

@@ -62,16 +62,9 @@ func (dn *Datanode) handleRead(pc *proto.Conn, hdr *proto.ReadBlockHeader) {
 		end = length
 	}
 
-	if start > 0 {
-		if seeker, ok := r.(io.Seeker); ok {
-			if _, err := seeker.Seek(start, io.SeekStart); err != nil {
-				fail(err)
-				return
-			}
-		} else if _, err := io.CopyN(io.Discard, r, start); err != nil {
-			fail(err)
-			return
-		}
+	if _, err := r.Seek(start, io.SeekStart); err != nil {
+		fail(err)
+		return
 	}
 
 	if err := pc.WriteAck(&proto.Ack{Kind: proto.AckHeader, Seqno: -1, Statuses: []proto.Status{proto.StatusSuccess}}); err != nil {

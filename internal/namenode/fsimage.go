@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"io"
 	"sort"
+	"time"
 
 	"repro/internal/block"
 	"repro/internal/wire"
@@ -95,7 +96,6 @@ func (nn *Namenode) LoadImage(r io.Reader) error {
 	}
 	nextBlock, nextGen := rd.I64(), rd.U64()
 	files := make([]imageFile, rd.Count(imageFileSize))
-	now := nn.clk.Now()
 	totalBlocks := 0
 	for i := range files {
 		f := &fileInode{
@@ -104,7 +104,6 @@ func (nn *Namenode) LoadImage(r io.Reader) error {
 			replication: rd.Int(),
 			blockSize:   rd.I64(),
 			complete:    rd.Bool(),
-			renewed:     now,
 		}
 		metas := rd.Blocks()
 		for _, b := range metas {
@@ -121,7 +120,7 @@ func (nn *Namenode) LoadImage(r io.Reader) error {
 	}
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	if err := nn.ns.restore(files, nextBlock, nextGen); err != nil {
+	if err := nn.ns.restore(files, nextBlock, nextGen, nn.clk.Now()); err != nil {
 		return err
 	}
 	// Replica locations are unknown until datanodes report: enter safe
@@ -162,8 +161,9 @@ func checkImage(files []imageFile, nextBlock int64) error {
 	return nil
 }
 
-// restore fills an empty namesystem from a decoded checkpoint.
-func (ns *namesystem) restore(files []imageFile, nextBlock int64, nextGen uint64) error {
+// restore fills an empty namesystem from a decoded checkpoint, its
+// leases renewed as of now.
+func (ns *namesystem) restore(files []imageFile, nextBlock int64, nextGen uint64, now time.Time) error {
 	if n := len(ns.files); n != 0 {
 		return fmt.Errorf("namenode: refusing to load an image into a non-empty namespace (%d files)", n)
 	}
@@ -171,7 +171,7 @@ func (ns *namesystem) restore(files []imageFile, nextBlock int64, nextGen uint64
 		f := img.inode
 		ns.files[f.path] = f
 		if !f.complete {
-			ns.addLease(f)
+			ns.renew(f.client, now).files[f.path] = f
 		}
 		for _, b := range img.blocks {
 			ns.blocks[b.ID] = &blockMeta{

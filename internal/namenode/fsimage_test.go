@@ -6,8 +6,10 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/block"
+	"repro/internal/core"
 	"repro/internal/nnapi"
 	"repro/internal/wire"
 )
@@ -262,6 +264,52 @@ func TestSafeModeAfterImageLoad(t *testing.T) {
 	ci, _ = nn2.ClusterInfo(nnapi.ClusterInfoReq{})
 	if ci.SafeMode {
 		t.Fatal("safe mode did not clear")
+	}
+}
+
+// TestRestoredLeaseExpires: an under-construction file restored from a
+// checkpoint is leased to its holder from load time, and a holder that
+// never comes back loses it: once block reports end safe mode and the
+// lease timeout passes, the file is recovered to its reported block.
+func TestRestoredLeaseExpires(t *testing.T) {
+	src, _, _ := newTestNN(t)
+	if _, err := src.Create(nnapi.CreateReq{Path: "/open", Client: "writer", Replication: 1, BlockSize: 1 << 20}); err != nil {
+		t.Fatal(err)
+	}
+	r, err := src.AddBlock(nnapi.AddBlockReq{Path: "/open", Client: "writer"})
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := r.Located.Block
+	b.NumBytes = 100
+	if _, err := src.BlockReceived(nnapi.BlockReceivedReq{Name: r.Located.Targets[0].Name, Block: b}); err != nil {
+		t.Fatal(err)
+	}
+	var img bytes.Buffer
+	if err := src.SaveImage(&img); err != nil {
+		t.Fatal(err)
+	}
+
+	clk := newTestClock()
+	nn := New(Options{Clock: clk, Seed: 1})
+	if err := nn.LoadImage(&img); err != nil {
+		t.Fatal(err)
+	}
+	// The datanode's registration reports the block, which ends safe mode.
+	if _, err := nn.Register(nnapi.RegisterReq{Name: "dn1", Addr: "mem://dn1", Rack: "/r", Blocks: []block.Block{b}}); err != nil {
+		t.Fatal(err)
+	}
+	for waited := time.Duration(0); waited < DefaultLeaseTimeout+DefaultExpiry; waited += core.HeartbeatInterval {
+		clk.advance(core.HeartbeatInterval)
+		if _, err := nn.Heartbeat(nnapi.HeartbeatReq{Name: "dn1"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if info, _ := nn.GetFileInfo(nnapi.GetFileInfoReq{Path: "/open"}); !info.Complete || info.NumBlocks != 1 || info.Len != 100 {
+		t.Fatalf("restored file whose holder never returned = %+v, want recovered: complete, 1 block, 100 bytes", info)
+	}
+	if _, ok := nn.ns.leases["writer"]; ok {
+		t.Fatal("the expired holder still has a lease")
 	}
 }
 

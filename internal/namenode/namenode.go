@@ -5,7 +5,7 @@
 // the RPC surface defined in package nnapi.
 //
 // Concurrency: one lock, Namenode.mu, guards all of the namenode's
-// state — the namespace, the lease index, the block map, the datanode
+// state — the namespace, the leases, the block map, the datanode
 // map, the replication queues, the balancer's moves and the safe-mode
 // flag — as Hadoop's FSNamesystem lock does. The rule is: exported
 // methods lock, nothing else does. Each RPC handler takes nn.mu once,
@@ -84,11 +84,6 @@ type Namenode struct {
 	// balancerMoves tracks in-flight balancer transfers by block ID.
 	balancerMoves map[block.ID]pendingMove
 
-	// clientHeard is when each client last sent a clientHeartbeat, so
-	// the maintenance tick can forget the speed records of clients that
-	// are gone (forgetSilentClients).
-	clientHeard map[string]time.Time
-
 	// safeMode blocks namespace mutations after a restart until enough
 	// blocks have at least one reported replica (like HDFS startup).
 	safeMode bool
@@ -130,7 +125,6 @@ func New(opts Options) *Namenode {
 		repl:          newReplicationManager(dm.expiry),
 		rng:           rng,
 		balancerMoves: make(map[block.ID]pendingMove),
-		clientHeard:   make(map[string]time.Time),
 		view:          placementView{dm: dm, registry: registry},
 	}
 	nn.obsComp = opts.Obs.Component("namenode")
@@ -259,7 +253,7 @@ func (nn *Namenode) AddBlock(req nnapi.AddBlockReq) (nnapi.AddBlockResp, error) 
 	if err != nil {
 		return nnapi.AddBlockResp{}, err
 	}
-	f.renewed = nn.clk.Now()
+	nn.ns.renew(req.Client, nn.clk.Now())
 	targets, err := nn.place(req.Mode, req.Client, f.replication, req.Exclude)
 	if err != nil {
 		return nnapi.AddBlockResp{}, err
@@ -301,7 +295,7 @@ func (nn *Namenode) RecoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockR
 		return nnapi.RecoverBlockResp{}, err
 	}
 	now := nn.clk.Now()
-	f.renewed = now
+	nn.ns.renew(req.Client, now)
 	meta, ok := nn.ns.blocks[req.Block.ID]
 	if !ok || meta.path != f.path {
 		return nnapi.RecoverBlockResp{}, fmt.Errorf("%w: %v", ErrUnknownBlock, req.Block)
@@ -333,33 +327,37 @@ func (nn *Namenode) RecoverBlock(req nnapi.RecoverBlockReq) (nnapi.RecoverBlockR
 }
 
 // ClientHeartbeat ingests a client's speed records (SMARTH §III-B) and
-// renews the client's write leases (O(the client's open files), via the
-// lease index).
+// renews the client's lease, one map probe whatever it holds open.
 func (nn *Namenode) ClientHeartbeat(req nnapi.ClientHeartbeatReq) (nnapi.ClientHeartbeatResp, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	now := nn.clk.Now()
-	nn.clientHeard[req.Client] = now
 	nn.registry.Update(req.Client, req.Speeds)
-	nn.ns.renewLeases(req.Client, now)
+	nn.ns.renew(req.Client, nn.clk.Now())
 	return nnapi.ClientHeartbeatResp{}, nil
 }
 
-// forgetSilentClients drops the speed records of every client that holds
-// no lease and has not heartbeated for the lease timeout: a writer that
-// finished or died is not coming back under that name (smarth-put names
-// itself after its pid), and its table would otherwise stay for the life
-// of the namenode. A client that returns later starts without records,
-// as a new one does. The emptied lease map of a client not heard from
-// goes too, so one that never heartbeats keeps none past a tick.
-func (nn *Namenode) forgetSilentClients(now time.Time) {
-	for client, heard := range nn.clientHeard {
-		if now.Sub(heard) >= DefaultLeaseTimeout && len(nn.ns.leases[client]) == 0 {
-			delete(nn.clientHeard, client)
+// expireLeases ends every lease whose holder has been silent for the
+// lease timeout: its open files are recovered (recoverLease), in path
+// order across all expired leases, and its speed records forgotten. A
+// writer that finished or died is not coming back under that name
+// (smarth-put names itself after its pid), and its table would
+// otherwise stay for the life of the namenode; one that returns later
+// starts afresh, as a new client does.
+func (nn *Namenode) expireLeases(now time.Time) {
+	var expired []*fileInode
+	for client, l := range nn.ns.leases {
+		if now.Sub(l.renewed) >= DefaultLeaseTimeout {
+			delete(nn.ns.leases, client)
 			nn.registry.ForgetClient(client)
+			for _, f := range l.files {
+				expired = append(expired, f)
+			}
 		}
 	}
-	nn.ns.dropIdleLeaseMaps(nn.clientHeard)
+	sort.Slice(expired, func(i, j int) bool { return expired[i].path < expired[j].path })
+	for _, f := range expired {
+		nn.ns.recoverLease(f, nn.dm)
+	}
 }
 
 // GetBlockLocations returns each block of a file with the datanodes known

@@ -230,6 +230,31 @@ func TestLeaseRenewalPreventsRecovery(t *testing.T) {
 	}
 }
 
+// TestLeaseIsTheHolders: a lease is the client's, not a file's, as
+// HDFS's holder lease is: a writer that keeps calling addBlock on one
+// file keeps every file it holds open, though it never heartbeats.
+func TestLeaseIsTheHolders(t *testing.T) {
+	nn, clk, names := newTestNN(t)
+	for _, path := range []string{"/busy", "/idle"} {
+		if _, err := nn.Create(nnapi.CreateReq{Path: path, Client: "writer", Replication: 3, BlockSize: 64 << 20}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for waited := time.Duration(0); waited < 2*DefaultLeaseTimeout; waited += DefaultExpiry / 2 {
+		clk.advance(DefaultExpiry / 2)
+		if _, err := nn.AddBlock(nnapi.AddBlockReq{Path: "/busy", Client: "writer"}); err != nil {
+			t.Fatal(err)
+		}
+		beatAll(t, nn, names)
+	}
+	if info, _ := nn.GetFileInfo(nnapi.GetFileInfoReq{Path: "/idle"}); info.Complete {
+		t.Fatal("a writer that kept calling addBlock lost the lease on its other open file")
+	}
+	if _, err := nn.AddBlock(nnapi.AddBlockReq{Path: "/idle", Client: "writer"}); err != nil {
+		t.Fatalf("addBlock on the writer's other open file: %v", err)
+	}
+}
+
 func TestDecommissionPlacementAndStatus(t *testing.T) {
 	nn, clk, names := newTestNN(t)
 	completeFileWithReplicas(t, nn, "/d", [][]string{{"dn1", "dn2", "dn3"}})

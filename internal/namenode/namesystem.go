@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"sort"
 	"time"
 
 	"repro/internal/block"
@@ -41,9 +40,15 @@ type fileInode struct {
 	blockSize   int64
 	client      string // lease holder while under construction
 	complete    bool
-	// renewed is when the lease holder last showed a sign of life
-	// (create, addBlock, recoverBlock or a client heartbeat).
+}
+
+// lease is one client's write lease, as Hadoop's LeaseManager keeps it:
+// when the holder last showed a sign of life (create, addBlock,
+// recoverBlock or a client heartbeat) and the under-construction files
+// it holds, by path. One sign of life renews every file.
+type lease struct {
 	renewed time.Time
+	files   map[string]*fileInode
 }
 
 // blockMeta is the block manager's record for one block.
@@ -88,16 +93,15 @@ func (m *blockMeta) remove(dn string) {
 }
 
 // namesystem is the namespace plus block manager, as in Hadoop's
-// FSNamesystem: the file map, the per-client lease index, the block map
-// and the ID and generation counters. It has no lock of its own: only
-// Namenode's exported methods reach it, holding nn.mu.
+// FSNamesystem: the file map, the leases, the block map and the ID and
+// generation counters. It has no lock of its own: only Namenode's
+// exported methods reach it, holding nn.mu.
 type namesystem struct {
 	files map[string]*fileInode
-	// leases indexes under-construction files by lease holder (client ->
-	// path -> inode), so lease renewal and expiry never scan completed
-	// files. A client's map outlives its last lease, for its next file;
-	// the maintenance tick drops it (dropIdleLeaseMaps).
-	leases    map[string]map[string]*fileInode
+	// leases holds one lease per client heard from within the lease
+	// timeout, with or without open files: it is the namenode's only
+	// record of client liveness (Namenode.expireLeases).
+	leases    map[string]*lease
 	blocks    map[block.ID]*blockMeta
 	nextBlock int64
 	nextGen   uint64
@@ -106,43 +110,37 @@ type namesystem struct {
 func newNamesystem() *namesystem {
 	return &namesystem{
 		files:  make(map[string]*fileInode),
-		leases: make(map[string]map[string]*fileInode),
+		leases: make(map[string]*lease),
 		blocks: make(map[block.ID]*blockMeta),
 	}
 }
 
-// --- lease index ---
+// --- leases ---
 
-func (ns *namesystem) addLease(f *fileInode) {
-	byPath := ns.leases[f.client]
-	if byPath == nil {
-		byPath = make(map[string]*fileInode)
-		ns.leases[f.client] = byPath
+// renew stamps client's lease as of now, making it on first sight.
+func (ns *namesystem) renew(client string, now time.Time) *lease {
+	l := ns.leases[client]
+	if l == nil {
+		l = &lease{files: make(map[string]*fileInode)}
+		ns.leases[client] = l
 	}
-	byPath[f.path] = f
+	l.renewed = now
+	return l
 }
 
-// dropLease ends client's lease on path; the client's map stays, for
-// its next file, until dropIdleLeaseMaps.
+// dropLease takes path out of client's lease; the lease itself stays
+// until it expires. A lease already expired is gone: nothing to do.
 func (ns *namesystem) dropLease(client, path string) {
-	delete(ns.leases[client], path)
-}
-
-// dropIdleLeaseMaps drops the emptied lease map of every client that
-// heard (last heartbeat by client) has no entry for.
-func (ns *namesystem) dropIdleLeaseMaps(heard map[string]time.Time) {
-	for client, byPath := range ns.leases {
-		if _, ok := heard[client]; !ok && len(byPath) == 0 {
-			delete(ns.leases, client)
-		}
+	if l := ns.leases[client]; l != nil {
+		delete(l.files, path)
 	}
 }
 
 // --- namespace operations ---
 
-// create makes a new inode and records its lease, renewed as of now.
-// Overwrite replaces an existing file, queueing deletion of its replicas
-// on dm (removeInode).
+// create makes a new inode and adds it to client's lease, renewed as of
+// now. Overwrite replaces an existing file, queueing deletion of its
+// replicas on dm (removeInode).
 func (ns *namesystem) create(path, client string, replication int, blockSize int64, overwrite bool, now time.Time, dm *datanodeManager) error {
 	if replication < 1 {
 		replication = 1
@@ -161,10 +159,9 @@ func (ns *namesystem) create(path, client string, replication int, blockSize int
 		replication: replication,
 		blockSize:   blockSize,
 		client:      client,
-		renewed:     now,
 	}
 	ns.files[path] = f
-	ns.addLease(f)
+	ns.renew(client, now).files[path] = f
 	return nil
 }
 
@@ -291,8 +288,8 @@ func (ns *namesystem) complete(path, client string) (bool, error) {
 	return true, nil
 }
 
-// rename moves a file, and its lease if it is under construction. The
-// destination must not exist.
+// rename moves a file, re-keyed within its holder's lease if it is
+// under construction. The destination must not exist.
 func (ns *namesystem) rename(src, dst string) error {
 	f, ok := ns.files[src]
 	if !ok {
@@ -302,13 +299,12 @@ func (ns *namesystem) rename(src, dst string) error {
 		return fmt.Errorf("%w: %s", ErrFileExists, dst)
 	}
 	delete(ns.files, src)
-	if !f.complete {
-		ns.dropLease(f.client, src)
-	}
 	f.path = dst
 	ns.files[dst] = f
 	if !f.complete {
-		ns.addLease(f)
+		l := ns.leases[f.client]
+		delete(l.files, src)
+		l.files[dst] = f
 	}
 	for _, id := range f.blocks {
 		if meta, ok := ns.blocks[id]; ok {
@@ -316,34 +312,6 @@ func (ns *namesystem) rename(src, dst string) error {
 		}
 	}
 	return nil
-}
-
-// renewLeases refreshes every under-construction file held by client.
-// The lease index makes this O(files the client is writing), not
-// O(namespace) — the scan that made client heartbeats the namenode's
-// most expensive RPC under load.
-func (ns *namesystem) renewLeases(client string, now time.Time) {
-	for _, f := range ns.leases[client] {
-		f.renewed = now
-	}
-}
-
-// recoverExpired force-finalizes files whose writer has been silent
-// longer than timeout (see recoverLease), so other clients can use them.
-// The lease index bounds the scan to under-construction files only.
-func (ns *namesystem) recoverExpired(now time.Time, timeout time.Duration, dm *datanodeManager) {
-	var expired []*fileInode
-	for _, byPath := range ns.leases {
-		for _, f := range byPath {
-			if now.Sub(f.renewed) > timeout {
-				expired = append(expired, f)
-			}
-		}
-	}
-	sort.Slice(expired, func(i, j int) bool { return expired[i].path < expired[j].path })
-	for _, f := range expired {
-		ns.recoverLease(f, dm)
-	}
 }
 
 // recoverLease finalizes one abandoned file as the longest prefix of its

@@ -96,7 +96,7 @@ func TestRenameAcrossDirectoriesMovesLease(t *testing.T) {
 		t.Fatal(err)
 	}
 	clk.advance(DefaultLeaseTimeout - time.Second)
-	nn.ns.recoverExpired(clk.Now(), DefaultLeaseTimeout, nn.dm)
+	nn.expireLeases(clk.Now())
 	beatAll(t, nn, names) // keep datanodes alive across the clock jumps
 	if _, err := nn.AddBlock(nnapi.AddBlockReq{Path: "/zz42/f", Client: "c1"}); err != nil {
 		t.Fatalf("lease lost after rename + renewal: %v", err)
@@ -319,6 +319,34 @@ func BenchmarkNamesystemParallel(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkClientHeartbeat times one client heartbeat with a speed
+// table for the nine datanodes, called straight into the handler, from
+// a client that holds open under-construction files: the heartbeat
+// renews the client's one lease, however many files it holds.
+func BenchmarkClientHeartbeat(b *testing.B) {
+	for _, open := range []int{1, 1000} {
+		b.Run(fmt.Sprintf("open=%d", open), func(b *testing.B) {
+			nn, _, names := newTestNN(b)
+			for i := 0; i < open; i++ {
+				if _, err := nn.Create(nnapi.CreateReq{Path: fmt.Sprintf("/hb/f%d", i), Client: "writer", Replication: 3, BlockSize: 1 << 20}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			req := nnapi.ClientHeartbeatReq{Client: "writer", Speeds: make(map[string]float64, len(names))}
+			for i, dn := range names {
+				req.Speeds[dn] = float64(10 * (i + 1))
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := nn.ClientHeartbeat(req); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // TestAllocBlockMapHeap is the namenode's memory budget per block: the

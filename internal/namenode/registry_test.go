@@ -48,16 +48,17 @@ func TestSpeedRegistryForgetsSilentClients(t *testing.T) {
 	}
 }
 
-// TestEmptiedLeaseMapsAreDropped: a client's lease map outlives its
-// last lease, so its next file reuses it, and the maintenance tick
-// drops it with the client: at once for one that never heartbeats, and
-// once it has been silent for the lease timeout for one that does.
+// TestEmptiedLeaseMapsAreDropped: a client's lease outlives its last
+// file, as the namenode's record that the client is alive, and goes with
+// the client's speed records once the client has been silent for the
+// lease timeout, not before — whether it ever heartbeated or not.
 func TestEmptiedLeaseMapsAreDropped(t *testing.T) {
 	nn, clk, names := newTestNN(t)
 	if _, err := nn.ClientHeartbeat(nnapi.ClientHeartbeatReq{Client: "steady", Speeds: map[string]float64{names[0]: 1}}); err != nil {
 		t.Fatal(err)
 	}
-	for _, c := range []string{"steady", "quiet"} {
+	clients := []string{"steady", "quiet"}
+	for _, c := range clients {
 		path := "/" + c
 		if _, err := nn.Create(nnapi.CreateReq{Path: path, Client: c, Replication: 1, BlockSize: 1 << 20}); err != nil {
 			t.Fatal(err)
@@ -65,25 +66,35 @@ func TestEmptiedLeaseMapsAreDropped(t *testing.T) {
 		if _, err := nn.Delete(nnapi.DeleteReq{Path: path}); err != nil {
 			t.Fatal(err)
 		}
-		if byPath, ok := nn.ns.leases[c]; !ok || len(byPath) != 0 {
-			t.Fatalf("%s: lease map after its only file went = %v, %v; want kept and empty", c, byPath, ok)
+		if l, ok := nn.ns.leases[c]; !ok || len(l.files) != 0 {
+			t.Fatalf("%s: lease after its only file went = %+v, %v; want kept and empty", c, l, ok)
 		}
 	}
+	// The maintenance tick rides on datanode heartbeats: run them to one
+	// step short of the lease timeout, then one step onto it.
+	step := DefaultExpiry / 2
 	tick := func() {
-		clk.advance(DefaultExpiry / 2)
+		clk.advance(step)
 		beatAll(t, nn, names)
 	}
-	tick()
-	if _, ok := nn.ns.leases["quiet"]; ok {
-		t.Error("a client that never heartbeats kept its emptied lease map past a maintenance tick")
-	}
-	if _, ok := nn.ns.leases["steady"]; !ok {
-		t.Error("a client heard from just now lost its lease map")
-	}
-	for waited := DefaultExpiry / 2; waited <= DefaultLeaseTimeout; waited += DefaultExpiry / 2 {
+	for waited := step; waited < DefaultLeaseTimeout; waited += step {
 		tick()
 	}
-	if _, ok := nn.ns.leases["steady"]; ok || nn.Registry().HasRecords("steady") {
-		t.Errorf("silent for %v with no lease, steady still has a lease map (%v) or speed records (%v)", DefaultLeaseTimeout, ok, nn.Registry().HasRecords("steady"))
+	for _, c := range clients {
+		if _, ok := nn.ns.leases[c]; !ok {
+			t.Fatalf("%s lost its lease after %v of silence, under the lease timeout", c, DefaultLeaseTimeout-step)
+		}
+	}
+	if !nn.Registry().HasRecords("steady") {
+		t.Fatalf("steady lost its speed records after %v of silence, under the lease timeout", DefaultLeaseTimeout-step)
+	}
+	tick()
+	for _, c := range clients {
+		if _, ok := nn.ns.leases[c]; ok {
+			t.Errorf("silent for %v, %s still has a lease", DefaultLeaseTimeout, c)
+		}
+	}
+	if nn.Registry().HasRecords("steady") {
+		t.Errorf("silent for %v, steady still has speed records", DefaultLeaseTimeout)
 	}
 }

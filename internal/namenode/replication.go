@@ -50,8 +50,7 @@ func (nn *Namenode) replicationWorkFor(dn string) []nnapi.ReplicateCmd {
 	// and the replication scan would copy everything spuriously.
 	if nn.checkSafeMode() == nil && now.Sub(rm.lastScan) >= rm.scanEvery {
 		rm.lastScan = now
-		nn.ns.recoverExpired(now, DefaultLeaseTimeout, nn.dm)
-		nn.forgetSilentClients(now)
+		nn.expireLeases(now)
 		nn.scanUnderReplicated(now)
 	}
 	cmds := rm.queue[dn]

@@ -124,9 +124,10 @@ type SizeHinter interface {
 }
 
 // Replica is a finalized replica opened for reading: its bytes as a
-// stream and its checksums as they were committed. Close releases both.
+// seekable stream and its checksums as they were committed. Close
+// releases both.
 type Replica interface {
-	io.ReadCloser
+	io.ReadSeekCloser
 	// RawSums returns the replica's chunk checksums exactly as committed,
 	// in wire form (one per DefaultChunkSize bytes, the last covering a
 	// short tail): NumChunks(length) × BytesPerChecksum bytes. Serving

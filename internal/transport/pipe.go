@@ -29,11 +29,14 @@ func (*timeoutError) Temporary() bool { return true }
 // Read and write deadlines are supported; the clock driving them is the
 // network's, so deadlines work under a virtual clock too.
 //
-// The FIFO is a fixed ring: the storage is taken from bufpool on the
-// first write and bytes wrap around it, so a connection streams any
-// amount of data through one buffer, and a direction that never carries
-// data holds none. CloseRead — after which no operation touches the
-// storage again — returns it to the pool under mu, so the
+// The FIFO is a ring: the storage is taken from bufpool on the first
+// write and bytes wrap around it, so a connection streams any amount of
+// data through one buffer, and a direction that never carries data
+// holds none. The first write takes the smallest pooled buffer that
+// holds it, so an ack direction carries its few bytes in a small ring;
+// the first write that does not fit moves the unread bytes into a
+// full-capacity ring, once (grow). CloseRead — after which no operation
+// touches the storage again — returns it to the pool under mu, so the
 // next connection reuses it: SMARTH opens a pipeline per block, and
 // its rings would otherwise be bought anew each time.
 type pipeBuf struct {
@@ -41,12 +44,12 @@ type pipeBuf struct {
 	notEmpty *sync.Cond
 	notFull  *sync.Cond
 	clk      clock.Clock
-	ring     *[]byte // pooled ring storage, len == capacity; nil before the first write and after release
+	ring     *[]byte // pooled ring storage, len <= capacity; nil before the first write and after release
 	r        int     // index of the first unread byte
 	n        int     // unread byte count
-	capacity int
-	closed   bool // write side closed cleanly; drained reads return io.EOF
-	rclosed  bool // read side closed locally; reads and peer writes fail
+	capacity int     // unread bytes at which writers block
+	closed   bool    // write side closed cleanly; drained reads return io.EOF
+	rclosed  bool    // read side closed locally; reads and peer writes fail
 
 	rDeadline time.Time
 	wDeadline time.Time
@@ -158,18 +161,15 @@ func (b *pipeBuf) Write(p []byte) (int, error) {
 			b.notFull.Wait()
 			continue
 		}
-		if b.ring == nil {
-			b.ring = bufpool.Get(b.capacity)
+		n := min(len(p)-written, space)
+		if b.ring == nil || b.n+n > len(*b.ring) {
+			b.grow(n)
 		}
 		buf := *b.ring
-		n := len(p) - written
-		if n > space {
-			n = space
-		}
 		// Copy into the ring, wrapping at the end of the storage.
 		w := b.r + b.n
-		if w >= b.capacity {
-			w -= b.capacity
+		if w >= len(buf) {
+			w -= len(buf)
 		}
 		c := copy(buf[w:], p[written:written+n])
 		if c < n {
@@ -180,6 +180,27 @@ func (b *pipeBuf) Write(p []byte) (int, error) {
 		b.notEmpty.Broadcast()
 	}
 	return written, nil
+}
+
+// grow makes room in the ring for n more bytes, n <= capacity - b.n: a
+// first write takes the smallest pooled buffer that holds n, and a later
+// one moves the unread bytes, wrapped or not, to the front of a
+// full-capacity ring and returns the small one. Caller holds mu.
+func (b *pipeBuf) grow(n int) {
+	size := b.capacity
+	if b.ring == nil {
+		size = n
+	}
+	ring := bufpool.Get(size)
+	*ring = (*ring)[:min(cap(*ring), b.capacity)]
+	if b.ring != nil {
+		old := *b.ring
+		c := copy(*ring, old[b.r:min(b.r+b.n, len(old))])
+		copy((*ring)[c:b.n], old)
+		bufpool.Put(b.ring)
+		b.r = 0
+	}
+	b.ring = ring
 }
 
 // Read takes bytes, blocking while the buffer is empty.
@@ -197,13 +218,13 @@ func (b *pipeBuf) Read(p []byte) (int, error) {
 			}
 			// Copy out of the ring, wrapping at the end of the storage.
 			buf := *b.ring
-			c := copy(p[:n], buf[b.r:min(b.r+n, b.capacity)])
+			c := copy(p[:n], buf[b.r:min(b.r+n, len(buf))])
 			if c < n {
 				copy(p[c:n], buf)
 			}
 			b.r += n
-			if b.r >= b.capacity {
-				b.r -= b.capacity
+			if b.r >= len(buf) {
+				b.r -= len(buf)
 			}
 			b.n -= n
 			b.notFull.Broadcast()

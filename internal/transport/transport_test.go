@@ -298,6 +298,59 @@ func TestPipeBufBackpressure(t *testing.T) {
 	<-wrote
 }
 
+// TestPipeBufRingStartsSmall: an ack-sized first write takes a ring
+// far smaller than the direction's capacity.
+func TestPipeBufRingStartsSmall(t *testing.T) {
+	b := newPipeBuf(memBufSize, nil)
+	if _, err := b.Write(make([]byte, 11)); err != nil {
+		t.Fatal(err)
+	}
+	if got := len(*b.ring); got >= memBufSize {
+		t.Fatalf("an 11-byte first write took a %d-byte ring, want one smaller than %d", got, memBufSize)
+	}
+}
+
+// TestPipeBufGrowsOutOfWrappedRing: bytes wrapped around a small ring
+// come out in the order written after a write too big for that ring
+// moves them into a full-capacity one.
+func TestPipeBufGrowsOutOfWrappedRing(t *testing.T) {
+	b := newPipeBuf(memBufSize, nil)
+	var stream []byte
+	write := func(n int) {
+		t.Helper()
+		p := make([]byte, n)
+		for i := range p {
+			p[i] = byte(len(stream) + i)
+		}
+		stream = append(stream, p...)
+		if _, err := b.Write(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	read := func(n int) []byte {
+		t.Helper()
+		p := make([]byte, n)
+		if _, err := io.ReadFull(b, p); err != nil {
+			t.Fatal(err)
+		}
+		return p
+	}
+	write(600)
+	small := len(*b.ring)
+	read(500)
+	write(small - 200) // the unread bytes now wrap past the ring's end
+	if b.r+b.n <= small || len(*b.ring) != small {
+		t.Fatalf("ring %d bytes, unread [%d, %d): want the %d-byte ring wrapped", len(*b.ring), b.r, b.r+b.n, small)
+	}
+	write(2 * small)
+	if got := len(*b.ring); got != memBufSize {
+		t.Fatalf("a write past the small ring grew it to %d bytes, want %d", got, memBufSize)
+	}
+	if got, want := read(b.n), stream[500:]; !bytes.Equal(got, want) {
+		t.Fatal("bytes moved out of the wrapped ring came back out of order")
+	}
+}
+
 func TestPipeBufCloseReadUnblocksReader(t *testing.T) {
 	b := newPipeBuf(4, nil)
 	errs := make(chan error, 1)
