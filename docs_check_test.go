@@ -510,7 +510,7 @@ func TestDocPathsExist(t *testing.T) {
 // designMaxLines is DESIGN.md's line ceiling: the document may be
 // rewritten but not grow, so a passage added is a passage cut, and a
 // measurement table belongs in CHANGES.md.
-const designMaxLines = 877
+const designMaxLines = 876
 
 // TestDesignCeiling holds DESIGN.md at or under designMaxLines lines.
 func TestDesignCeiling(t *testing.T) {

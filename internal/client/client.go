@@ -343,23 +343,3 @@ func (c *Client) List(prefix string) ([]nnapi.FileStatus, error) {
 	err := c.nn.Call(nnapi.MethodList, nnapi.ListReq{Prefix: prefix}, &resp)
 	return resp.Files, err
 }
-
-// Decommission starts (cancel=false) or cancels draining a datanode.
-func (c *Client) Decommission(name string, cancel bool) error {
-	return c.nn.Call(nnapi.MethodDecommission, nnapi.DecommissionReq{Name: name, Cancel: cancel}, &nnapi.DecommissionResp{})
-}
-
-// DecommissionStatus reports a drain's progress.
-func (c *Client) DecommissionStatus(name string) (nnapi.DecommStatusResp, error) {
-	var resp nnapi.DecommStatusResp
-	err := c.nn.Call(nnapi.MethodDecommStatus, nnapi.DecommStatusReq{Name: name}, &resp)
-	return resp, err
-}
-
-// Balance schedules one round of replica moves from over-full to
-// under-full datanodes (copy-then-delete; redundancy never drops).
-func (c *Client) Balance(threshold float64) (nnapi.BalanceResp, error) {
-	var resp nnapi.BalanceResp
-	err := c.nn.Call(nnapi.MethodBalance, nnapi.BalanceReq{Threshold: threshold}, &resp)
-	return resp, err
-}

@@ -38,8 +38,9 @@ func (s *syncBuffer) String() string {
 // TestCommandLineTools builds and exercises the shipped binaries end to
 // end: smarth-cluster serves over real TCP, smarth-put uploads, traces
 // and verifies a file, smarth-admin renders the trace, smarth-fsck
-// reports health, smarth-admin renames the file, and SIGTERM shuts the
-// cluster down promptly although a datanode holds an idle connection.
+// reports health, smarth-admin renames and then deletes the file, and
+// SIGTERM shuts the cluster down promptly although a datanode holds an
+// idle connection.
 // This is the closest thing to the paper's actual workflow (`hdfs put`
 // against a running cluster).
 func TestCommandLineTools(t *testing.T) {
@@ -127,6 +128,16 @@ func TestCommandLineTools(t *testing.T) {
 	out, err = exec.Command(filepath.Join(bin, "smarth-fsck"), "-nn", nnAddr).CombinedOutput()
 	if err != nil || !strings.Contains(string(out), "/renamed") {
 		t.Fatalf("fsck after rename: %v\n%s", err, out)
+	}
+
+	// Admin delete, then fsck no longer lists the file.
+	out, err = exec.Command(filepath.Join(bin, "smarth-admin"), "-nn", nnAddr, "-rm", "/renamed").CombinedOutput()
+	if err != nil || !strings.Contains(string(out), "deleted /renamed") {
+		t.Fatalf("smarth-admin -rm: %v\n%s", err, out)
+	}
+	out, err = exec.Command(filepath.Join(bin, "smarth-fsck"), "-nn", nnAddr).CombinedOutput()
+	if err != nil || strings.Contains(string(out), "/renamed") {
+		t.Fatalf("fsck after delete: %v\n%s", err, out)
 	}
 
 	// An idle connection to a datanode does not hold the shutdown up for

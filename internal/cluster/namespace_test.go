@@ -2,11 +2,9 @@ package cluster
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"time"
 
-	"repro/internal/nnapi"
 	"repro/internal/proto"
 	"repro/internal/storage"
 )
@@ -81,10 +79,12 @@ func TestReadPrefersClosestReplica(t *testing.T) {
 	verifyFile(t, cl, "/local-read", data)
 }
 
+// TestLeaseRecoveryEndToEnd checks only that an overwrite takes the
+// lease path: a client starts a write and dies (Close never runs), its
+// lease still blocks a plain create, and a second client's overwrite
+// takes the path over at once. The lease expiring at its default
+// timeout is ROADMAP item 18's test.
 func TestLeaseRecoveryEndToEnd(t *testing.T) {
-	// A client starts a write and dies (Close never runs). With short
-	// lease timeouts, the namenode recovers the lease and a second client
-	// can overwrite the path.
 	c, err := Start(Config{
 		NumDatanodes:      5,
 		Seed:              9,
@@ -218,135 +218,4 @@ func TestClusterRestartWithImage(t *testing.T) {
 	writeFile(t, cl2, "/after-restart", more, proto.ModeHDFS)
 	verifyFile(t, cl2, "/after-restart", more)
 	verifyFile(t, cl2, "/persistent", data)
-}
-
-func TestDecommission(t *testing.T) {
-	c := startTestCluster(t, 9)
-	cl, _ := c.NewClient("client")
-	data := randomData(91, 1<<20)
-	writeFile(t, cl, "/drain", data, proto.ModeHDFS)
-
-	// Pick a replica holder to drain.
-	victim := ""
-	for _, dn := range c.DNs {
-		if len(dn.Store().Blocks()) > 0 {
-			victim = dn.Name()
-			break
-		}
-	}
-	if victim == "" {
-		t.Fatal("no replica holders")
-	}
-	if err := cl.Decommission(victim, false); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Decommission("ghost", false); err == nil {
-		t.Fatal("decommissioning unknown node accepted")
-	}
-
-	// New writes must avoid the draining node entirely.
-	data2 := randomData(92, 512<<10)
-	writeFile(t, cl, "/avoid", data2, proto.ModeSmarth)
-	locs, _ := c.NN.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: "/avoid"})
-	for _, lb := range locs.Blocks {
-		for _, tg := range lb.Targets {
-			if tg.Name == victim {
-				t.Fatalf("draining node %s received a new replica", victim)
-			}
-		}
-	}
-
-	// Drain progresses to completion via heartbeat-driven transfers.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		st, err := cl.DecommissionStatus(victim)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.Done {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("drain incomplete: %+v", st)
-		}
-		time.Sleep(20 * time.Millisecond)
-	}
-
-	// Now the node can go away without losing redundancy.
-	c.KillDatanode(victim)
-	verifyFile(t, cl, "/drain", data)
-	verifyFile(t, cl, "/avoid", data2)
-
-	// Cancel path on another node works.
-	if err := cl.Decommission("dn9", false); err != nil {
-		t.Fatal(err)
-	}
-	if err := cl.Decommission("dn9", true); err != nil {
-		t.Fatal(err)
-	}
-	st, _ := cl.DecommissionStatus("dn9")
-	if st.Decommissioning {
-		t.Fatal("cancel did not clear drain state")
-	}
-}
-
-func TestBalancerEndToEnd(t *testing.T) {
-	c := startTestCluster(t, 5)
-	cl, _ := c.NewClient("client")
-	// Replication 1 concentrates data; several files still land on few
-	// nodes often enough to create skew.
-	opts := testWriteOptions()
-	opts.Replication = 1
-	var datas [][]byte
-	for i := 0; i < 6; i++ {
-		data := randomData(int64(100+i), 256<<10)
-		datas = append(datas, data)
-		w, err := cl.CreateHDFS(fmt.Sprintf("/bal/%d", i), opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if _, err := w.Write(data); err != nil {
-			t.Fatal(err)
-		}
-		if err := w.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-
-	spread := func() (min, max int) {
-		min, max = 1<<30, 0
-		for _, dn := range c.DNs {
-			n := len(dn.Store().Blocks())
-			if n < min {
-				min = n
-			}
-			if n > max {
-				max = n
-			}
-		}
-		return
-	}
-	_, before := spread()
-
-	// Let usage heartbeats reach the namenode, then balance repeatedly
-	// until the spread tightens or the deadline hits.
-	deadline := time.Now().Add(10 * time.Second)
-	for {
-		time.Sleep(100 * time.Millisecond) // fresh UsedBytes via heartbeats
-		if _, err := cl.Balance(0.1); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(200 * time.Millisecond) // moves execute
-		min, max := spread()
-		if max-min <= 2 {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("spread still %d..%d (was max %d)", min, max, before)
-		}
-	}
-	// All data intact after migrations.
-	for i, data := range datas {
-		verifyFile(t, cl, fmt.Sprintf("/bal/%d", i), data)
-	}
 }

@@ -313,10 +313,7 @@ func (dn *Datanode) heartbeatLoop() {
 		case <-dn.opts.Clock.After(dn.opts.HeartbeatInterval):
 		}
 		var resp nnapi.HeartbeatResp
-		err := dn.nn.Call(nnapi.MethodHeartbeat, nnapi.HeartbeatReq{
-			Name:      dn.opts.Name,
-			UsedBytes: dn.opts.Store.UsedBytes(),
-		}, &resp)
+		err := dn.nn.Call(nnapi.MethodHeartbeat, nnapi.HeartbeatReq{Name: dn.opts.Name}, &resp)
 		if err != nil {
 			if rpc.Answered(err) {
 				// The namenode forgot us (restart): re-register.

@@ -20,12 +20,8 @@ const DefaultExpiry = 5 * core.HeartbeatInterval
 
 // dnEntry is the namenode's view of one datanode.
 type dnEntry struct {
-	info      block.DatanodeInfo
-	lastBeat  time.Time
-	usedBytes int64
-	// decommissioning nodes keep serving reads and sourcing transfers
-	// but receive no new pipelines.
-	decommissioning bool
+	info     block.DatanodeInfo
+	lastBeat time.Time
 	// invalidate maps block ID to the highest stale generation scheduled
 	// for deletion; drained by heartbeats.
 	invalidate map[block.ID]block.GenStamp
@@ -42,7 +38,7 @@ type datanodeManager struct {
 	// byName holds every entry in name order (entries are never removed),
 	// so a sorted listing is a filter over it, not a map walk and a sort.
 	byName []*dnEntry
-	// placeable is the snapshot one placement decides on: the placeable
+	// placeable is the snapshot one placement decides on: the live
 	// names as of one clock reading, in storage reused from placement to
 	// placement. Namenode.place fills it for the policy's one call.
 	placeable []string
@@ -75,13 +71,12 @@ func (m *datanodeManager) register(info block.DatanodeInfo) {
 	m.topo.Add(info.Name, info.Rack)
 }
 
-func (m *datanodeManager) heartbeat(name string, used int64) (invalidate []block.Block, known bool) {
+func (m *datanodeManager) heartbeat(name string) (invalidate []block.Block, known bool) {
 	e := m.nodes[name]
 	if e == nil {
 		return nil, false
 	}
 	e.lastBeat = m.clk.Now()
-	e.usedBytes = used
 	if len(e.invalidate) > 0 {
 		invalidate = make([]block.Block, 0, len(e.invalidate))
 		for id, gen := range e.invalidate {
@@ -100,28 +95,21 @@ func (m *datanodeManager) isAlive(e *dnEntry, now time.Time) bool {
 	return now.Sub(e.lastBeat) < m.expiry
 }
 
-// isPlaceable reports whether e may receive new replicas: alive as of
-// now and not decommissioning.
-func (m *datanodeManager) isPlaceable(e *dnEntry, now time.Time) bool {
-	return m.isAlive(e, now) && !e.decommissioning
-}
-
-// countPlaceable counts the placeable datanodes among a block's holders.
-func (m *datanodeManager) countPlaceable(holders []string, now time.Time) int {
+// countAlive counts the live datanodes among a block's holders.
+func (m *datanodeManager) countAlive(holders []string, now time.Time) int {
 	n := 0
 	for _, name := range holders {
-		if e, ok := m.nodes[name]; ok && m.isPlaceable(e, now) {
+		if e, ok := m.nodes[name]; ok && m.isAlive(e, now) {
 			n++
 		}
 	}
 	return n
 }
 
-// appendPlaceable appends the datanodes eligible for new replicas as of
-// now to dst, sorted.
-func (m *datanodeManager) appendPlaceable(dst []string, now time.Time) []string {
+// appendAlive appends the datanodes alive as of now to dst, sorted.
+func (m *datanodeManager) appendAlive(dst []string, now time.Time) []string {
 	for _, e := range m.byName {
-		if m.isPlaceable(e, now) {
+		if m.isAlive(e, now) {
 			dst = append(dst, e.info.Name)
 		}
 	}

@@ -6,15 +6,15 @@
 //
 // Concurrency: one lock, Namenode.mu, guards all of the namenode's
 // state — the namespace, the leases, the block map, the datanode
-// map, the replication queues, the balancer's moves and the safe-mode
-// flag — as Hadoop's FSNamesystem lock does. The rule is: exported
-// methods lock, nothing else does. Each RPC handler takes nn.mu once,
-// at entry, and holds it to the reply, so every answer is one point in
-// time; SaveImage and LoadImage hold it around the namespace and do
-// their I/O outside it. Nothing called under nn.mu takes it again
-// (TestEveryMethodUnderOneLock checks this, DESIGN.md §12). The speed
-// registry and the topology keep their own leaf locks, because code
-// outside the namenode reads them too.
+// map, the replication queues and the safe-mode flag — as Hadoop's
+// FSNamesystem lock does. The rule is: exported methods lock, nothing
+// else does. Each RPC handler takes nn.mu once, at entry, and holds it
+// to the reply, so every answer is one point in time; SaveImage and
+// LoadImage hold it around the namespace and do their I/O outside it.
+// Nothing called under nn.mu takes it again (TestEveryMethodUnderOneLock
+// checks this, DESIGN.md §12). The speed registry and the topology keep
+// their own leaf locks, because code outside the namenode reads them
+// too.
 package namenode
 
 import (
@@ -81,9 +81,6 @@ type Namenode struct {
 	repl     *replicationManager
 	rng      *rand.Rand
 
-	// balancerMoves tracks in-flight balancer transfers by block ID.
-	balancerMoves map[block.ID]pendingMove
-
 	// safeMode blocks namespace mutations after a restart until enough
 	// blocks have at least one reported replica (like HDFS startup).
 	safeMode bool
@@ -117,15 +114,14 @@ func New(opts Options) *Namenode {
 	dm := newDatanodeManager(clk, opts.Expiry)
 	registry := core.NewRegistry()
 	nn := &Namenode{
-		server:        rpc.NewServer(),
-		clk:           clk,
-		ns:            newNamesystem(),
-		dm:            dm,
-		registry:      registry,
-		repl:          newReplicationManager(dm.expiry),
-		rng:           rng,
-		balancerMoves: make(map[block.ID]pendingMove),
-		view:          placementView{dm: dm, registry: registry},
+		server:   rpc.NewServer(),
+		clk:      clk,
+		ns:       newNamesystem(),
+		dm:       dm,
+		registry: registry,
+		repl:     newReplicationManager(dm.expiry),
+		rng:      rng,
+		view:     placementView{dm: dm, registry: registry},
 	}
 	nn.obsComp = opts.Obs.Component("namenode")
 	nn.mPlaceSmarth = nn.obsComp.Counter("placement_smarth")
@@ -144,7 +140,7 @@ func (nn *Namenode) Registry() *core.Registry { return nn.registry }
 // judged against the same instant.
 func (nn *Namenode) place(mode proto.WriteMode, client string, replication int, exclude []string) ([]block.DatanodeInfo, error) {
 	dm := nn.dm
-	dm.placeable = dm.appendPlaceable(dm.placeable[:0], nn.clk.Now())
+	dm.placeable = dm.appendAlive(dm.placeable[:0], nn.clk.Now())
 	return policy.Place(nn.view, policy.PlaceInput{
 		Client:      client,
 		Mode:        mode,
@@ -201,9 +197,6 @@ func (nn *Namenode) Serve(l transport.Listener) {
 	serve(nn, s, nnapi.MethodHeartbeat, nn.Heartbeat)
 	serve(nn, s, nnapi.MethodBlockReceived, nn.BlockReceived)
 	serve(nn, s, nnapi.MethodBlockReceivedBatch, nn.BlockReceivedBatch)
-	serve(nn, s, nnapi.MethodDecommission, nn.Decommission)
-	serve(nn, s, nnapi.MethodDecommStatus, nn.DecommissionStatus)
-	serve(nn, s, nnapi.MethodBalance, nn.Balance)
 	s.Serve(l)
 }
 
@@ -490,40 +483,6 @@ func (nn *Namenode) ClusterInfo(nnapi.ClusterInfoReq) (nnapi.ClusterInfoResp, er
 	}, nil
 }
 
-// --- AdminProtocol ---
-
-// Decommission starts (or cancels) draining a datanode: it is removed
-// from placement immediately and its blocks get copied elsewhere by the
-// replication scanner; it keeps serving reads and sourcing transfers.
-func (nn *Namenode) Decommission(req nnapi.DecommissionReq) (nnapi.DecommissionResp, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	e, ok := nn.dm.nodes[req.Name]
-	if !ok {
-		return nnapi.DecommissionResp{}, fmt.Errorf("namenode: unknown datanode %q", req.Name)
-	}
-	e.decommissioning = !req.Cancel
-	// Force the next scan so drain work starts on the next heartbeat.
-	nn.repl.lastScan = time.Time{}
-	return nnapi.DecommissionResp{}, nil
-}
-
-// DecommissionStatus reports how many blocks still depend on the node.
-func (nn *Namenode) DecommissionStatus(req nnapi.DecommStatusReq) (nnapi.DecommStatusResp, error) {
-	nn.mu.Lock()
-	defer nn.mu.Unlock()
-	e, known := nn.dm.nodes[req.Name]
-	resp := nnapi.DecommStatusResp{Decommissioning: known && e.decommissioning}
-	now := nn.clk.Now()
-	for _, meta := range nn.ns.blocks {
-		if meta.has(req.Name) && nn.dm.countPlaceable(meta.locations, now) < meta.replication {
-			resp.RemainingBlocks++
-		}
-	}
-	resp.Done = resp.Decommissioning && resp.RemainingBlocks == 0
-	return resp, nil
-}
-
 // --- DatanodeProtocol ---
 
 // Register announces a datanode and ingests its block report.
@@ -544,7 +503,7 @@ func (nn *Namenode) Register(req nnapi.RegisterReq) (nnapi.RegisterResp, error) 
 func (nn *Namenode) Heartbeat(req nnapi.HeartbeatReq) (nnapi.HeartbeatResp, error) {
 	nn.mu.Lock()
 	defer nn.mu.Unlock()
-	inv, known := nn.dm.heartbeat(req.Name, req.UsedBytes)
+	inv, known := nn.dm.heartbeat(req.Name)
 	if !known {
 		return nnapi.HeartbeatResp{}, fmt.Errorf("namenode: heartbeat from unregistered datanode %q", req.Name)
 	}
@@ -555,15 +514,14 @@ func (nn *Namenode) Heartbeat(req nnapi.HeartbeatReq) (nnapi.HeartbeatResp, erro
 }
 
 // blockReceivedOne ingests one finalized-replica report: record the
-// location (or schedule deletion of a stale/unknown replica), clear any
-// pending re-replication, and complete a balancer move it may finish.
+// location (or schedule deletion of a stale/unknown replica) and clear
+// any pending re-replication.
 func (nn *Namenode) blockReceivedOne(name string, b block.Block) error {
 	if err := nn.ns.blockReceived(name, b); err != nil {
 		nn.dm.scheduleInvalidate(name, b.ID, b.Gen)
 		return err
 	}
 	delete(nn.repl.pending, b.ID)
-	nn.completeBalancerMove(name, b)
 	return nil
 }
 

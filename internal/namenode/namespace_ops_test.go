@@ -254,71 +254,3 @@ func TestLeaseIsTheHolders(t *testing.T) {
 		t.Fatalf("addBlock on the writer's other open file: %v", err)
 	}
 }
-
-func TestDecommissionPlacementAndStatus(t *testing.T) {
-	nn, clk, names := newTestNN(t)
-	completeFileWithReplicas(t, nn, "/d", [][]string{{"dn1", "dn2", "dn3"}})
-
-	if _, err := nn.Decommission(nnapi.DecommissionReq{Name: "dn1"}); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := nn.Decommission(nnapi.DecommissionReq{Name: "nope"}); err == nil {
-		t.Fatal("unknown node decommissioned")
-	}
-
-	// dn1 never appears in fresh placements.
-	nn.Create(nnapi.CreateReq{Path: "/new", Client: "c", Replication: 3, BlockSize: 64 << 20})
-	for i := 0; i < 20; i++ {
-		resp, err := nn.AddBlock(nnapi.AddBlockReq{Path: "/new", Client: "c"})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, tg := range resp.Located.Targets {
-			if tg.Name == "dn1" {
-				t.Fatal("decommissioning node placed")
-			}
-		}
-	}
-
-	// Status: the block on dn1/dn2/dn3 counts dn1's replica as gone, so
-	// one block still depends on it.
-	st, err := nn.DecommissionStatus(nnapi.DecommStatusReq{Name: "dn1"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.Decommissioning || st.Done || st.RemainingBlocks != 1 {
-		t.Fatalf("status = %+v", st)
-	}
-
-	// The replication scan must issue a copy sourced from a live holder.
-	clk.advance(DefaultExpiry / 2)
-	issued := 0
-	for _, n := range names {
-		hb, _ := nn.Heartbeat(nnapi.HeartbeatReq{Name: n})
-		for _, cmd := range hb.Replicate {
-			issued++
-			if cmd.Targets[0].Name == "dn1" {
-				t.Fatal("copy targeted the draining node")
-			}
-		}
-	}
-	if issued != 1 {
-		t.Fatalf("replication commands issued = %d, want 1", issued)
-	}
-
-	// Once a 4th replica lands elsewhere, the drain is done.
-	locs, _ := nn.GetBlockLocations(nnapi.GetBlockLocationsReq{Path: "/d"})
-	b := locs.Blocks[0].Block
-	nn.BlockReceived(nnapi.BlockReceivedReq{Name: "dn9", Block: b})
-	st, _ = nn.DecommissionStatus(nnapi.DecommStatusReq{Name: "dn1"})
-	if !st.Done {
-		t.Fatalf("status after copy = %+v, want done", st)
-	}
-
-	// Cancel restores placement eligibility.
-	nn.Decommission(nnapi.DecommissionReq{Name: "dn1", Cancel: true})
-	st, _ = nn.DecommissionStatus(nnapi.DecommStatusReq{Name: "dn1"})
-	if st.Decommissioning {
-		t.Fatal("cancel did not clear the flag")
-	}
-}

@@ -67,12 +67,6 @@ type blockMeta struct {
 	complete    bool
 }
 
-// has reports whether dn holds a finalized replica of the block.
-func (m *blockMeta) has(dn string) bool {
-	_, found := slices.BinarySearch(m.locations, dn)
-	return found
-}
-
 // add records dn as a holder; a second report from it changes nothing.
 func (m *blockMeta) add(dn string) {
 	i, found := slices.BinarySearch(m.locations, dn)
@@ -83,13 +77,6 @@ func (m *blockMeta) add(dn string) {
 		m.locations = make([]string, 0, max(m.replication, 1))
 	}
 	m.locations = slices.Insert(m.locations, i, dn)
-}
-
-// remove forgets dn as a holder.
-func (m *blockMeta) remove(dn string) {
-	if i, found := slices.BinarySearch(m.locations, dn); found {
-		m.locations = slices.Delete(m.locations, i, i+1)
-	}
 }
 
 // namesystem is the namespace plus block manager, as in Hadoop's

@@ -77,7 +77,7 @@ func TestPlaceDecidesOnOneSnapshot(t *testing.T) {
 	beatAllAt := func() {
 		clk.step = 0
 		for _, n := range names {
-			if _, known := nn.dm.heartbeat(n, 0); !known {
+			if _, known := nn.dm.heartbeat(n); !known {
 				t.Fatalf("heartbeat %s: unknown datanode", n)
 			}
 		}

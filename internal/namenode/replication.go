@@ -13,9 +13,9 @@ import (
 // commanded replication to produce a blockReceived before re-issuing it.
 const pendingReplicationTimeout = 30 * time.Second
 
-// replicationManager holds the re-replication and balancer copy work
-// handed to datanodes through their heartbeats. Like the rest of the
-// namenode's state it is guarded by nn.mu.
+// replicationManager holds the re-replication work handed to datanodes
+// through their heartbeats. Like the rest of the namenode's state it is
+// guarded by nn.mu.
 type replicationManager struct {
 	// pending maps block ID to when a replication command was issued; a
 	// blockReceived for the block clears it.
@@ -59,17 +59,14 @@ func (nn *Namenode) replicationWorkFor(dn string) []nnapi.ReplicateCmd {
 }
 
 // scanUnderReplicated queues a copy for every complete block whose
-// placeable-replica count is below its replication factor, in block-ID
-// order (placement draws the shared rng per block). Healthy blocks cost
-// a few map probes each.
+// live-replica count is below its replication factor, in block-ID order
+// (placement draws the shared rng per block). Healthy blocks cost a few
+// map probes each.
 func (nn *Namenode) scanUnderReplicated(now time.Time) {
-	// A block counts as replicated only by placeable holders (live and
-	// not decommissioning); sources for copies may additionally be
-	// decommissioning nodes, which keep serving until drained.
 	var under []*blockMeta
 	for _, meta := range nn.ns.blocks {
 		// Under-construction blocks are the writer's job.
-		if meta.complete && len(meta.locations) > 0 && nn.dm.countPlaceable(meta.locations, now) < meta.replication {
+		if meta.complete && len(meta.locations) > 0 && nn.dm.countAlive(meta.locations, now) < meta.replication {
 			under = append(under, meta)
 		}
 	}
@@ -78,22 +75,19 @@ func (nn *Namenode) scanUnderReplicated(now time.Time) {
 		if issued, ok := nn.repl.pending[meta.cur.ID]; ok && now.Sub(issued) < pendingReplicationTimeout {
 			continue
 		}
-		var goodHolders, sourceHolders []string
+		// The live holders are both what placement must avoid and the
+		// copy's source.
+		var holders []string
 		for _, holder := range meta.locations {
 			if e := nn.dm.nodes[holder]; e != nil && nn.dm.isAlive(e, now) {
-				sourceHolders = append(sourceHolders, holder)
-				if !e.decommissioning {
-					goodHolders = append(goodHolders, holder)
-				}
+				holders = append(holders, holder)
 			}
 		}
-		if len(sourceHolders) == 0 {
+		if len(holders) == 0 {
 			continue
 		}
-		source := sourceHolders[0]
-		exclude := append([]string{}, goodHolders...)
-		exclude = append(exclude, sourceHolders...)
-		targets, err := nn.place(proto.ModeHDFS, "", meta.replication-len(goodHolders), exclude)
+		source := holders[0]
+		targets, err := nn.place(proto.ModeHDFS, "", meta.replication-len(holders), holders)
 		if err != nil || len(targets) == 0 {
 			continue // no capacity to restore replication yet
 		}

@@ -55,9 +55,6 @@ func TestServeAndCloseWithIdleClient(t *testing.T) {
 		nnapi.MethodHeartbeat:          nnapi.HeartbeatReq{},
 		nnapi.MethodBlockReceived:      nnapi.BlockReceivedReq{},
 		nnapi.MethodBlockReceivedBatch: nnapi.BlockReceivedBatchReq{},
-		nnapi.MethodDecommission:       nnapi.DecommissionReq{},
-		nnapi.MethodDecommStatus:       nnapi.DecommStatusReq{},
-		nnapi.MethodBalance:            nnapi.BalanceReq{},
 	} {
 		err := c.Call(method, req, nil)
 		var remote *rpc.RemoteError

@@ -302,68 +302,6 @@ func (m *ClusterInfoResp) ParseFrom(b []byte) error {
 	return r.Done()
 }
 
-// AppendTo appends datanode name, cancel (bool).
-func (m DecommissionReq) AppendTo(dst []byte) []byte {
-	dst = wire.AppendString(dst, m.Name)
-	return wire.AppendBool(dst, m.Cancel)
-}
-
-// ParseFrom decodes a whole DecommissionReq body, the inverse of AppendTo.
-func (m *DecommissionReq) ParseFrom(b []byte) error {
-	r := wire.NewReader(b)
-	*m = DecommissionReq{Name: r.Str(), Cancel: r.Bool()}
-	return r.Done()
-}
-
-// AppendTo appends datanode name.
-func (m DecommStatusReq) AppendTo(dst []byte) []byte { return wire.AppendString(dst, m.Name) }
-
-// ParseFrom decodes a whole DecommStatusReq body, the inverse of AppendTo.
-func (m *DecommStatusReq) ParseFrom(b []byte) error {
-	r := wire.NewReader(b)
-	*m = DecommStatusReq{Name: r.Str()}
-	return r.Done()
-}
-
-// AppendTo appends decommissioning, done (bools), remaining blocks (i64).
-func (m DecommStatusResp) AppendTo(dst []byte) []byte {
-	dst = wire.AppendBool(dst, m.Decommissioning)
-	dst = wire.AppendBool(dst, m.Done)
-	return wire.AppendInt(dst, m.RemainingBlocks)
-}
-
-// ParseFrom decodes a whole DecommStatusResp body, the inverse of AppendTo.
-func (m *DecommStatusResp) ParseFrom(b []byte) error {
-	r := wire.NewReader(b)
-	*m = DecommStatusResp{Decommissioning: r.Bool(), Done: r.Bool(), RemainingBlocks: r.Int()}
-	return r.Done()
-}
-
-// AppendTo appends threshold (f64 bits).
-func (m BalanceReq) AppendTo(dst []byte) []byte {
-	return wire.AppendFloat64(dst, m.Threshold)
-}
-
-// ParseFrom decodes a whole BalanceReq body, the inverse of AppendTo.
-func (m *BalanceReq) ParseFrom(b []byte) error {
-	r := wire.NewReader(b)
-	*m = BalanceReq{Threshold: r.Float64()}
-	return r.Done()
-}
-
-// AppendTo appends moves scheduled, mean bytes (i64s).
-func (m BalanceResp) AppendTo(dst []byte) []byte {
-	dst = wire.AppendInt(dst, m.Moves)
-	return wire.AppendI64(dst, m.MeanBytes)
-}
-
-// ParseFrom decodes a whole BalanceResp body, the inverse of AppendTo.
-func (m *BalanceResp) ParseFrom(b []byte) error {
-	r := wire.NewReader(b)
-	*m = BalanceResp{Moves: r.Int(), MeanBytes: r.I64()}
-	return r.Done()
-}
-
 // AppendTo appends name, address, rack, counted block report.
 func (m RegisterReq) AppendTo(dst []byte) []byte {
 	dst = wire.AppendString(dst, m.Name)
@@ -379,16 +317,13 @@ func (m *RegisterReq) ParseFrom(b []byte) error {
 	return r.Done()
 }
 
-// AppendTo appends name, used bytes (i64).
-func (m HeartbeatReq) AppendTo(dst []byte) []byte {
-	dst = wire.AppendString(dst, m.Name)
-	return wire.AppendI64(dst, m.UsedBytes)
-}
+// AppendTo appends name.
+func (m HeartbeatReq) AppendTo(dst []byte) []byte { return wire.AppendString(dst, m.Name) }
 
 // ParseFrom decodes a whole HeartbeatReq body, the inverse of AppendTo.
 func (m *HeartbeatReq) ParseFrom(b []byte) error {
 	r := wire.NewReader(b)
-	*m = HeartbeatReq{Name: r.Name(), UsedBytes: r.I64()}
+	*m = HeartbeatReq{Name: r.Name()}
 	return r.Done()
 }
 

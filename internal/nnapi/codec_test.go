@@ -54,15 +54,9 @@ var messages = []message{
 	&GetFileInfoResp{Exists: true, Complete: true, Len: 1 << 30, Replication: 3, BlockSize: 64 << 20, NumBlocks: 16},
 	&ClusterInfoReq{},
 	&ClusterInfoResp{ActiveDatanodes: 9, Racks: 2, SafeMode: true},
-	&DecommissionReq{Name: "dn4", Cancel: true},
-	&DecommissionResp{},
-	&DecommStatusReq{Name: "dn4"},
-	&DecommStatusResp{Decommissioning: true, Done: true, RemainingBlocks: 12},
-	&BalanceReq{Threshold: 0.1},
-	&BalanceResp{Moves: 4, MeanBytes: 1 << 33},
 	&RegisterReq{Name: "dn1", Addr: "dn1:50010", Rack: "/rack-a", Blocks: []block.Block{sampleBlock, {ID: 9, Gen: 1}}},
 	&RegisterResp{},
-	&HeartbeatReq{Name: "dn1", UsedBytes: 1 << 40},
+	&HeartbeatReq{Name: "dn1"},
 	&HeartbeatResp{Invalidate: []block.Block{sampleBlock}, Replicate: []ReplicateCmd{{Block: sampleBlock, Targets: sampleTargets[:1]}, {Block: block.Block{ID: 9}}}},
 	&BlockReceivedReq{Name: "dn1", Block: sampleBlock},
 	&BlockReceivedResp{},

@@ -34,9 +34,6 @@ const (
 	// MethodBlockReceivedBatch is the datanode's delta block report: all
 	// replicas finalized since the last report, in one frame.
 	MethodBlockReceivedBatch = "DatanodeProtocol.blockReceivedBatch"
-	MethodDecommission       = "AdminProtocol.decommission"
-	MethodDecommStatus       = "AdminProtocol.decommissionStatus"
-	MethodBalance            = "AdminProtocol.balance"
 )
 
 // CreateReq creates a file in the namespace (step 1 of a write).
@@ -203,48 +200,6 @@ type ClusterInfoResp struct {
 	SafeMode bool
 }
 
-// DecommissionReq starts (or, with Cancel, stops) draining a datanode:
-// it stops receiving new pipelines while its replicas are copied
-// elsewhere; it keeps serving reads meanwhile.
-type DecommissionReq struct {
-	Name   string
-	Cancel bool
-}
-
-// DecommissionResp acknowledges the state change.
-type DecommissionResp struct{ empty }
-
-// DecommStatusReq asks how far a drain has progressed.
-type DecommStatusReq struct {
-	Name string
-}
-
-// DecommStatusResp reports drain progress: Done means every block the
-// node holds already has full replication on other placeable nodes, so
-// the node can be shut down without losing redundancy.
-type DecommStatusResp struct {
-	Decommissioning bool
-	Done            bool
-	// RemainingBlocks still depend on this node for full replication.
-	RemainingBlocks int
-}
-
-// BalanceReq asks the namenode to compute and start one round of
-// balancer moves (copy-then-delete replica migrations from over-full to
-// under-full datanodes).
-type BalanceReq struct {
-	// Threshold is the allowed deviation from the mean utilization
-	// before a node is considered over/under-full, as a fraction of the
-	// mean (default 0.1).
-	Threshold float64
-}
-
-// BalanceResp reports what the round scheduled.
-type BalanceResp struct {
-	Moves     int
-	MeanBytes int64
-}
-
 // RegisterReq announces a datanode (on startup or after a restart), with
 // a report of the finalized blocks it already holds.
 type RegisterReq struct {
@@ -259,8 +214,7 @@ type RegisterResp struct{ empty }
 
 // HeartbeatReq is the periodic datanode liveness beacon.
 type HeartbeatReq struct {
-	Name      string
-	UsedBytes int64
+	Name string
 }
 
 // ReplicateCmd asks a datanode to copy one of its finalized replicas to

@@ -253,7 +253,7 @@ func refPlace(view ClusterView, in PlaceInput) ([]block.DatanodeInfo, error) {
 }
 
 // randomCluster draws 1–40 nodes on 1–5 racks. Most are placeable; some
-// are dead or decommissioning (known, in the topology, not placeable),
+// are dead (known, in the topology, not placeable),
 // some are only in the topology (Lookup does not resolve them), and now
 // and then one is placeable yet unresolvable.
 func randomCluster(gen *rand.Rand) (*model, *topology.Topology) {
@@ -268,7 +268,7 @@ func randomCluster(gen *rand.Rand) (*model, *topology.Topology) {
 		case k < 13:
 			m.known[name] = true
 			m.placeable = append(m.placeable, name)
-		case k < 17: // dead or decommissioning
+		case k < 17: // dead
 			m.known[name] = true
 		case k < 19: // topology only
 		default:

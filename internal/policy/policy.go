@@ -50,9 +50,9 @@ const ShapeChain Shape = 0
 // (the namenode holds the manager's lock across it, so the view is
 // consistent and the shared rng race-free).
 type ClusterView interface {
-	// Placeable returns the datanodes eligible for new replicas (live
-	// and not decommissioning), sorted by name. The slice belongs to the
-	// view: a policy reads it, during this Place only. A policy calls it
+	// Placeable returns the datanodes eligible for new replicas (the
+	// live ones), sorted by name. The slice belongs to the view: a
+	// policy reads it, during this Place only. A policy calls it
 	// once per decision, so everything it derives (who is alive, how many
 	// pipelines that allows, the candidates) agrees.
 	Placeable() []string

@@ -160,7 +160,7 @@ type Result struct {
 	// off Trace's block spans. The field remains only so a Result still
 	// encodes a "Pipelines" key — bench/testdata/figure13.golden.json,
 	// frozen with bench/, is compared byte for byte — and goes when
-	// bench/ is next re-recorded (ROADMAP item 5).
+	// bench/ is next re-recorded (ROADMAP item 1b).
 	Pipelines []struct{}
 	// EgressBytes and IngressBytes count payload bytes through each
 	// node's NIC transmit/receive servers.
