@@ -272,6 +272,14 @@ func FuzzParse(f *testing.F) {
 		f.Add(uint8(i), append(bytes.Clone(enc), 0))
 		f.Add(uint8(i), bytes.Repeat([]byte{0xff}, 16)) // every count and length at its largest
 		f.Add(uint8(i), []byte{})
+		// A whole, valid body of the next type: the wire carries no type
+		// tag, so a mismatched op code hands a decoder exactly this.
+		f.Add(uint8(i), messages[(i+1)%len(messages)].AppendTo(nil))
+		if len(enc) > 0 {
+			flipped := bytes.Clone(enc) // the first length or count at its largest, the rest intact
+			flipped[0] = 0xff
+			f.Add(uint8(i), flipped)
+		}
 	}
 	f.Fuzz(func(t *testing.T, kind uint8, raw []byte) {
 		m := zero(messages[int(kind)%len(messages)])
